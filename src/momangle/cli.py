@@ -16,6 +16,7 @@ import json
 import random
 import sys
 import time
+from math import comb
 
 from . import __version__
 from . import complexes as cx
@@ -36,12 +37,15 @@ class VerificationFailure(RuntimeError):
 
 def load_complex(source, max_vertices):
     if source.endswith(".json"):
-        with open(source) as fh:
-            data = json.load(fh)
-        if int(data["m"]) > max_vertices:
-            raise cx.SizeLimitError(
-                f"complex has {data['m']} vertices, above --max-vertices {max_vertices}")
-        K = cx.SimplicialComplex.from_json_dict(data)
+        try:
+            with open(source) as fh:
+                data = json.load(fh)
+            if int(data["m"]) > max_vertices:
+                raise cx.SizeLimitError(
+                    f"complex has {data['m']} vertices, above --max-vertices {max_vertices}")
+            K = cx.SimplicialComplex.from_json_dict(data)
+        except (OSError, KeyError, TypeError, OverflowError) as exc:
+            raise ValueError(f"cannot load a complex from {source}: {exc!r}") from exc
     else:
         K = cx.parse_complex(source, max_vertices=max_vertices)
     if K.m > max_vertices:
@@ -58,42 +62,39 @@ def homology_json(table):
     return {str(d): group_json(h) for d, h in sorted(table.items())}
 
 
-def cmd_homology(args, out):
-    K = load_complex(args.complex, args.max_vertices)
+def cmd_homology(K, args, out):
     table = ma.zk_homology(K)
     out["ranks"] = {str(d): h.rank for d, h in sorted(table.items())}
     out["homology"] = homology_json(table)
 
 
-def cmd_mf(args, out):
-    K = load_complex(args.complex, args.max_vertices)
+def cmd_mf(K, args, out):
     out["missing_faces"] = [list(f) for f in K.missing_faces()]
 
 
-def cmd_subst(args, out):
-    K = load_complex(args.complex, args.max_vertices)
+def cmd_subst(K, args, out):
     out["complex"] = K.to_json_dict()
     out["missing_faces"] = [list(f) for f in K.missing_faces()]
 
 
-def cmd_delta_w(args, out):
+def cmd_delta_w(K, args, out):
     w = wh.parse_whitehead(args.w)
     dw = wh.delta_w(w)
     out["dimension"] = w.dimension()
     out["complex"] = dw.complex.to_json_dict()
-    out["sphere_facets"] = [list(f) for f in dw.sphere.facets]
+    out["sphere_facets"] = (None if dw.sphere is None
+                            else [list(f) for f in dw.sphere.facets])
     out["leaf_map"] = {str(l): v for l, v in sorted(dw.leaf_map.items())}
 
 
-def cmd_hurewicz(args, out):
+def cmd_hurewicz(K, args, out):
     w = wh.parse_whitehead(args.w)
     chain = wh.hurewicz_chain(w)
     out["degree"] = chain.degree
     out["chain"] = chain.to_text()
 
 
-def cmd_status(args, out):
-    K = load_complex(args.complex, args.max_vertices)
+def cmd_status(K, args, out):
     w = wh.parse_whitehead(args.w)
     if w.is_single():
         out["status"] = wh.single_product_status(K, w.leaves())
@@ -101,8 +102,7 @@ def cmd_status(args, out):
         out["status"] = wh.nested_shape_status(K, w)
 
 
-def cmd_realises(args, out):
-    K = load_complex(args.complex, args.max_vertices)
+def cmd_realises(K, args, out):
     w = wh.parse_whitehead(args.w)
     report = wh.realises_sufficient(K, w)
     out["defined"] = report.defined
@@ -111,23 +111,20 @@ def cmd_realises(args, out):
     out["notes"] = list(report.notes)
 
 
-def cmd_taylor(args, out):
-    K = load_complex(args.complex, args.max_vertices)
-    C = ty.taylor_face_complex(K)
-    out["ranks_by_index"] = [C.dim(-s) for s in range(len(ty.mf_order(K)) + 1)]
+def cmd_taylor(K, args, out):
+    n = len(ty.mf_order(K))
+    out["ranks_by_index"] = [comb(n, s) for s in range(n + 1)]
     out["homology"] = homology_json(ty.taylor_homology(K))
 
 
-def cmd_taylor_cycle(args, out):
-    K = load_complex(args.complex, args.max_vertices)
+def cmd_taylor_cycle(K, args, out):
     w = wh.parse_whitehead(args.w)
     chain = ty.nested_taylor_cycle(w, K)
     out["degree"] = chain.degree
     out["cycle"] = chain.to_text()
 
 
-def cmd_zigzag(args, out):
-    K = load_complex(args.complex, args.max_vertices)
+def cmd_zigzag(K, args, out):
     w = wh.parse_whitehead(args.w)
     z = wh.hurewicz_chain(w, K.m)
     cycle, trace = zz.koszul_to_taylor(K, z)
@@ -136,8 +133,7 @@ def cmd_zigzag(args, out):
     out["trace"] = json.loads(trace.to_json())
 
 
-def cmd_hochster(args, out):
-    K = load_complex(args.complex, args.max_vertices)
+def cmd_hochster(K, args, out):
     subsets = None
     if args.subset:
         subsets = [tuple(int(x) for x in args.subset.split(","))]
@@ -148,8 +144,7 @@ def cmd_hochster(args, out):
     out["aggregate"] = homology_json(aggregate)
 
 
-def cmd_wedge_basis(args, out):
-    K = load_complex(args.complex, args.max_vertices)
+def cmd_wedge_basis(K, args, out):
     order = tuple(int(x) for x in args.order.split(",")) if args.order else None
     basis = wh.shifted_wedge_basis(K, order)
     out["is_basis"] = basis.is_basis
@@ -160,10 +155,9 @@ def cmd_wedge_basis(args, out):
     out["details"] = list(basis.details)
 
 
-def cmd_verify(args, out):
+def cmd_verify(K, args, out):
     """Cross-route suite: cellular vs Hochster vs Taylor homology, plus
     Taylor-resolution exactness for the Stanley-Reisner ideal of K."""
-    K = load_complex(args.complex, args.max_vertices)
     failures = []
     cell = ma.zk_homology(K)
     _, hoch = ma.hochster_table(K)
@@ -172,7 +166,9 @@ def cmd_verify(args, out):
     if cell != hoch:
         failures.append("cellular vs Hochster homology differ")
     try:
-        tay = {d: h for d, h in ty.taylor_homology(K).items() if d > 0}
+        # the dictionary check runs below, inside the resolution check
+        tay = {d: h for d, h in ty.taylor_homology(K, check_dictionary=False).items()
+               if d > 0}
         reduced_cell = {d: h for d, h in cell.items() if d > 0}
         if tay != reduced_cell:
             failures.append("Taylor vs cellular homology differ")
@@ -261,9 +257,12 @@ def main(argv=None):
            "engine": f"momangle {__version__}"}
     started = time.perf_counter()
     code = EXIT_OK
+    K = None
     try:
-        COMMANDS[args.verb](args, out)
-    except (cx.ParseError, ValueError) as exc:
+        if args.verb in NEEDS_COMPLEX:
+            K = load_complex(args.complex, args.max_vertices)
+        COMMANDS[args.verb](K, args, out)
+    except (cx.ParseError, ValueError, zz.ZigzagError) as exc:
         if isinstance(exc, cx.SizeLimitError):
             print(f"size refusal: {exc}", file=sys.stderr)
             return EXIT_SIZE
@@ -273,12 +272,11 @@ def main(argv=None):
         out["verification_error"] = str(exc)
         code = EXIT_VERIFY
     out["elapsed_s"] = round(time.perf_counter() - started, 6)
-    if args.complex and args.verb in NEEDS_COMPLEX and "verification_error" not in out:
+    if K is not None and "verification_error" not in out:
         try:
-            K = load_complex(args.complex, args.max_vertices)
             out["generator_order"] = ["".join(map(str, f))
                                       for f in ty.mf_order(K)]
-        except Exception:
+        except cx.SizeLimitError:
             pass
     if args.format == "json":
         print(json.dumps(out, indent=2, sort_keys=False))

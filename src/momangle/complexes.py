@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .exactalg import ChainComplex, IntMatrix
+from .exactalg import ChainComplex
 
 MAX_VERTICES = 24
 
@@ -359,22 +359,13 @@ def is_shifted(K, order=None):
 
 def reduced_chain_complex(faces):
     """Reduced chain complex of a face family (empty simplex in degree -1)."""
-    by_dim = {}
+    basis = {}
     for f in faces:
-        by_dim.setdefault(len(f) - 1, []).append(tuple(f))
-    basis = {d: sorted(fs) for d, fs in by_dim.items()}
-    diffs = {}
-    for d, fs in basis.items():
-        below = {f: i for i, f in enumerate(basis.get(d - 1, ()))}
-        if not below and d - 1 not in basis:
-            continue
-        entries = {}
-        for j, f in enumerate(fs):
-            for k in range(len(f)):
-                g = f[:k] + f[k + 1:]
-                entries[(below[g], j)] = (-1) ** k
-        diffs[d] = IntMatrix(len(basis.get(d - 1, ())), len(fs), entries)
-    return ChainComplex(basis, diffs)
+        basis.setdefault(len(f) - 1, []).append(tuple(f))
+    for fs in basis.values():
+        fs.sort()
+    return ChainComplex.from_boundary(
+        basis, lambda f: {f[:k] + f[k + 1:]: (-1) ** k for k in range(len(f))})
 
 
 def reduced_homology(K_or_faces):

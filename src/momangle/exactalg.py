@@ -5,6 +5,9 @@ form with unimodular transforms, integer linear solving, and homology of
 integer chain complexes (rank plus invariant-factor torsion).  No modular or
 floating-point shortcuts anywhere; torsion correctness depends on it.
 
+Every chain complex is built by `ChainComplex.from_boundary`; the routes
+build one per vertex-support block and direct-sum the results.
+
 Conventions:
   * matrices are sparse maps (row, col) -> nonzero int;
   * chain complexes are graded homologically, the differential lowers the
@@ -55,9 +58,6 @@ class IntMatrix:
         return (isinstance(other, IntMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.entries == other.entries)
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self.entries.items())))
-
     def is_zero(self):
         return not self.entries
 
@@ -107,10 +107,6 @@ class IntMatrix:
         for (i, j), v in self.entries.items():
             rows[i][j] = v
         return rows
-
-    def to_triplets(self):
-        """Sorted sparse-triplet form, handy for JSON debugging dumps."""
-        return sorted([i, j, v] for (i, j), v in self.entries.items())
 
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
@@ -349,6 +345,23 @@ def invariant_factors(A):
     return [d for d in smith_normal_form(A, transforms=False).diag if d]
 
 
+def boundary_matrix(sources, target_index, boundary):
+    """Matrix of `boundary` (label -> {label: coeff}) with one column per
+    source label, in order, and rows from `target_index` ({label: row}).
+
+    A target outside the index raises: a boundary that leaves the given
+    basis is a construction error, never a term to drop."""
+    entries = {}
+    for j, label in enumerate(sources):
+        for target, c in boundary(label).items():
+            i = target_index.get(target)
+            if i is None:
+                raise ValueError(f"boundary of {label!r} hits {target!r}, "
+                                 "which is not in the target basis")
+            entries[(i, j)] = c
+    return IntMatrix(len(target_index), len(sources), entries)
+
+
 def solve_integer(A, b):
     """One integer solution x of A x = b, or None when none exists.
 
@@ -472,19 +485,28 @@ class ChainComplex:
     at construction.
     """
 
-    def __init__(self, basis, differentials, check=True):
+    def __init__(self, basis, differentials):
         self.basis = {d: list(labels) for d, labels in basis.items()}
         self.index = {d: {lab: i for i, lab in enumerate(labels)}
                       for d, labels in self.basis.items()}
         self.differentials = dict(differentials)
+        self._factors = {}
         self._present = {}
         for d, A in self.differentials.items():
             if A.cols != len(self.basis.get(d, ())):
                 raise ValueError(f"differential at degree {d}: bad column count")
             if A.rows != len(self.basis.get(d - 1, ())):
                 raise ValueError(f"differential at degree {d}: bad row count")
-        if check:
-            self.check_squares_to_zero()
+        self.check_squares_to_zero()
+
+    @classmethod
+    def from_boundary(cls, basis, boundary):
+        """Complex on `basis` ({degree: [label, ...]}, label order kept) whose
+        differential sends a label to `boundary(label)`, {label: coeff} in the
+        degree below; a target outside that degree's basis raises."""
+        index = {d: {lab: i for i, lab in enumerate(labels)} for d, labels in basis.items()}
+        return cls(basis, {d: boundary_matrix(labels, index.get(d - 1, {}), boundary)
+                           for d, labels in basis.items()})
 
     @property
     def degrees(self):
@@ -527,12 +549,18 @@ class ChainComplex:
     def is_cycle(self, d, chain):
         return not self.boundary_vector(d, chain)
 
+    def _factors_at(self, d):
+        """Invariant factors of the differential at d, reduced once for H_d and H_d-1."""
+        if d not in self._factors:
+            self._factors[d] = invariant_factors(self.differential(d))
+        return self._factors[d]
+
     def homology(self, d):
         """H_d as rank plus torsion; degrees outside the range give 0."""
         if not self.dim(d):
             return TRIVIAL_GROUP
-        rank_out = len(invariant_factors(self.differential(d)))
-        facs = invariant_factors(self.differential(d + 1))
+        rank_out = len(self._factors_at(d))
+        facs = self._factors_at(d + 1)
         rank = self.dim(d) - rank_out - len(facs)
         torsion = tuple(f for f in facs if f > 1)
         return HomologyGroup(rank, torsion)
@@ -600,8 +628,3 @@ class ChainComplex:
 
     def is_boundary(self, d, chain):
         return self.class_of(d, chain).is_boundary
-
-
-def class_in_homology(complex_, chain, degree):
-    """Module-level face of ChainComplex.class_of (coordinates + flag)."""
-    return complex_.class_of(degree, chain)

@@ -12,6 +12,10 @@ Products of cell chains concatenate letters and sort them by vertex; only
 the odd (circle) letters contribute signs, by the usual Koszul rule.  These
 two conventions together make the Hochster embedding below an honest chain
 map and reproduce the canonical bracket chains with a plus sign.
+
+The boundary keeps the support J + I, so the chains split into one block
+per vertex subset S (the Hochster splitting); homology and classes are
+computed per block, and the whole complex is the tests' reference.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .complexes import SizeLimitError, reduced_chain_complex
-from .exactalg import ChainComplex, IntMatrix, direct_sum
+from .exactalg import ChainComplex, HomologyClass, direct_sum
 
 ZK_MAX_VERTICES = 24
 
@@ -199,7 +203,6 @@ def _parse_cell_word(term):
 
 # -- the chain complex of Z_K -------------------------------------------------
 
-@lru_cache(maxsize=None)
 def zk_cells(K):
     """All cells kappa(J, I) with I in K, grouped by degree."""
     if K.m > ZK_MAX_VERTICES:
@@ -217,30 +220,50 @@ def zk_cells(K):
 
 @lru_cache(maxsize=None)
 def zk_chain_complex(K):
-    """Cellular chain complex of Z_K (degree of kappa(J,I) is 2|I|+|J|)."""
+    """Whole cellular chain complex of Z_K (degree of kappa(J,I) is 2|I|+|J|)."""
     if not K.has_all_singletons():
         raise ValueError("Z_K needs every singleton to be a face")
-    cells = zk_cells(K)
-    basis = {d: list(cs) for d, cs in cells.items()}
-    index = {d: {c: i for i, c in enumerate(cs)} for d, cs in basis.items()}
-    diffs = {}
-    for d, cs in basis.items():
-        if d - 1 not in basis:
-            continue
-        below = index[d - 1]
-        entries = {}
-        for j, cell in enumerate(cs):
-            for tgt, s in cell_boundary(cell).items():
-                i = below.get(tgt)
-                if i is not None:
-                    entries[(i, j)] = s
-        diffs[d] = IntMatrix(len(basis[d - 1]), len(cs), entries)
-    return ChainComplex(basis, diffs)
+    return ChainComplex.from_boundary(zk_cells(K), cell_boundary)
+
+
+def zk_block(K, S):
+    """The block of support S: cells (S - I, I) for the faces I of K inside S."""
+    if not K.has_all_singletons():
+        raise ValueError("Z_K needs every singleton to be a face")
+    if S and S[-1] > K.m:
+        raise ValueError(f"support {S} leaves the vertices 1..{K.m}")
+    cells = {}
+    for I in K.faces_within(S):
+        J = tuple(v for v in S if v not in I)
+        cells.setdefault(2 * len(I) + len(J), []).append((J, I))
+    for cs in cells.values():
+        cs.sort()
+    return ChainComplex.from_boundary(cells, cell_boundary)
+
+
+def degree_sums(per_support):
+    """Direct sum over S of {(S, degree): group}, as degree -> group."""
+    out = {}
+    for (_, d), h in per_support.items():
+        out[d] = direct_sum(out.get(d), h)
+    return dict(sorted(out.items()))
+
+
+def zk_homology_by_support(K):
+    """Homology of every support block, {(S, degree): group}, nontrivial only."""
+    if K.m > ZK_MAX_VERTICES:
+        raise SizeLimitError(f"Z_K cell enumeration refuses m={K.m} > {ZK_MAX_VERTICES}")
+    out = {}
+    for k in range(K.m + 1):
+        for S in combinations(range(1, K.m + 1), k):
+            for d, h in zk_block(K, S).homology_all().items():
+                out[(S, d)] = h
+    return out
 
 
 def zk_homology(K):
     """Integral homology of Z_K by the cellular route, degree -> group."""
-    return zk_chain_complex(K).homology_all()
+    return degree_sums(zk_homology_by_support(K))
 
 
 def reduced_ranks(homology):
@@ -249,9 +272,17 @@ def reduced_ranks(homology):
 
 
 def zk_class(K, chain):
-    """Homology class of a cellular cycle in Z_K."""
-    C = zk_chain_complex(K)
-    return C.class_of(chain.degree, chain.terms)
+    """Homology class of a cellular cycle in Z_K, reduced only in the blocks
+    the chain touches; coordinates run block by block in sorted S order."""
+    pieces = {}
+    for (J, I), c in chain.terms.items():
+        pieces.setdefault(tuple(sorted(J + I)), {})[(J, I)] = c
+    coords, orders = (), ()
+    for S, terms in sorted(pieces.items()):
+        cls = zk_block(K, S).class_of(chain.degree, terms)
+        coords += cls.coords
+        orders += cls.orders
+    return HomologyClass(coords, orders)
 
 
 # -- Hochster decomposition -----------------------------------------------------
@@ -309,14 +340,9 @@ def hochster_table(K, subsets=None):
         for k in range(K.m + 1):
             subsets.extend(combinations(verts, k))
     per_subset = {}
-    aggregate = {}
     for J in subsets:
         J = tuple(sorted(J))
         hom = reduced_chain_complex(K.faces_within(J)).homology_all()
         for d, h in hom.items():
-            degree = d + len(J) + 1
-            per_subset[(J, degree)] = h
-            aggregate[degree] = direct_sum(aggregate.get(degree), h)
-    return per_subset, aggregate
-
-
+            per_subset[(J, d + len(J) + 1)] = h
+    return per_subset, degree_sums(per_subset)

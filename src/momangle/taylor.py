@@ -15,7 +15,8 @@ the new factor entering at the front and the word then being sorted back
 into the fixed generator order (cardinality first, then lexicographic).
 The differential never changes the union of the word, so the complex splits
 over vertex subsets S, and a word with s factors sits in total degree
-2|S| - s.
+2|S| - s.  The route computes per block (`taylor_components`); the whole
+complex is the tests' reference.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .complexes import SimplicialComplex, SizeLimitError, face
-from .exactalg import ChainComplex, IntMatrix, direct_sum
-from .moment_angle import hochster_table
+from .exactalg import ChainComplex
+from .moment_angle import degree_sums, hochster_table
 
 MAX_GENERATORS = 20
 
@@ -266,7 +267,6 @@ def taylor_boundary(K, chain):
     return TaylorChain(out)
 
 
-@lru_cache(maxsize=None)
 def taylor_face_complex(K):
     """The whole Taylor complex of the face coalgebra as one ChainComplex.
 
@@ -277,19 +277,8 @@ def taylor_face_complex(K):
     if len(mfs) > MAX_GENERATORS:
         raise SizeLimitError(
             f"|MF(K)|={len(mfs)} exceeds the Taylor bound {MAX_GENERATORS}")
-    basis = {}
-    for s in range(len(mfs) + 1):
-        basis[-s] = [tuple(w) for w in combinations(mfs, s)]
-    index = {d: {w: i for i, w in enumerate(ws)} for d, ws in basis.items()}
-    diffs = {}
-    for s in range(len(mfs)):
-        entries = {}
-        below = index[-s - 1]
-        for j, word in enumerate(basis[-s]):
-            for tgt, sign in taylor_boundary_word(K, word).items():
-                entries[(below[tgt], j)] = sign
-        diffs[-s] = IntMatrix(len(basis[-s - 1]), len(basis[-s]), entries)
-    return ChainComplex(basis, diffs)
+    basis = {-s: list(combinations(mfs, s)) for s in range(len(mfs) + 1)}
+    return ChainComplex.from_boundary(basis, lambda w: taylor_boundary_word(K, w))
 
 
 @lru_cache(maxsize=None)
@@ -303,23 +292,9 @@ def taylor_components(K):
     for s in range(len(mfs) + 1):
         for w in combinations(mfs, s):
             S = tuple(sorted(set().union(*w))) if w else ()
-            by_subset.setdefault(S, {}).setdefault(-s, []).append(tuple(w))
-    out = {}
-    for S, basis in by_subset.items():
-        index = {d: {w: i for i, w in enumerate(ws)} for d, ws in basis.items()}
-        diffs = {}
-        for d, ws in basis.items():
-            if d - 1 not in basis:
-                continue
-            below = index[d - 1]
-            entries = {}
-            for j, word in enumerate(ws):
-                for tgt, sign in taylor_boundary_word(K, word).items():
-                    if tgt in below:
-                        entries[(below[tgt], j)] = sign
-            diffs[d] = IntMatrix(len(basis[d - 1]), len(ws), entries)
-        out[S] = ChainComplex(basis, diffs)
-    return out
+            by_subset.setdefault(S, {}).setdefault(-s, []).append(w)
+    return {S: ChainComplex.from_boundary(basis, lambda w: taylor_boundary_word(K, w))
+            for S, basis in by_subset.items()}
 
 
 def taylor_homology_by_subset(K, check_dictionary=True):
@@ -348,11 +323,8 @@ def taylor_homology_by_subset(K, check_dictionary=True):
 
 def taylor_homology(K, check_dictionary=True):
     """Homology of Z_K via the Taylor complex, total degree 2|S|-s."""
-    out = {}
-    for (S, s), h in taylor_homology_by_subset(K, check_dictionary).items():
-        degree = 2 * len(S) - s
-        out[degree] = direct_sum(out.get(degree), h)
-    return {d: h for d, h in sorted(out.items()) if not h.is_trivial()}
+    by_subset = taylor_homology_by_subset(K, check_dictionary)
+    return degree_sums({(S, 2 * len(S) - s): h for (S, s), h in by_subset.items()})
 
 
 def taylor_class(K, chain):
@@ -533,20 +505,11 @@ def taylor_module_resolution(ideal, bound=None):
                 basis.setdefault(len(J), []).append((beta, J))
     for s in basis:
         basis[s].sort()
-    index = {s: {lab: i for i, lab in enumerate(labs)} for s, labs in basis.items()}
-    diffs = {}
-    for s in range(1, len(ideal.gens) + 1):
-        if s not in basis:
-            continue
-        entries = {}
-        below = index[s - 1]
-        for col, (beta, J) in enumerate(basis[s]):
-            for n, j in enumerate(J):
-                rest = J[:n] + J[n + 1:]
-                row = below[(beta, rest)]
-                entries[(row, col)] = -1 if n % 2 else 1
-        diffs[s] = IntMatrix(len(basis[s - 1]), len(basis[s]), entries)
-    return ChainComplex(basis, diffs)
+
+    def boundary(label):
+        beta, J = label
+        return {(beta, J[:n] + J[n + 1:]): -1 if n % 2 else 1 for n in range(len(J))}
+    return ChainComplex.from_boundary(basis, boundary)
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import complexes as cx
-from .exactalg import HomologyGroup, IntMatrix, invariant_factors, kernel_basis
-from .moment_angle import CellChain, zk_chain_complex
+from .exactalg import TRIVIAL_GROUP, IntMatrix, invariant_factors, kernel_basis
+from .moment_angle import (CellChain, degree_sums, zk_class,
+                           zk_homology_by_support)
 
 UNDEFINED = "undefined"
 DEFINED_TRIVIAL = "defined-trivial"
@@ -273,9 +274,7 @@ def single_product_status(K, I, check_witness=True):
         return DEFINED_TRIVIAL
     if check_witness:
         w = bracket([leaf(v) for v in I])
-        cls = zk_chain_complex(K).class_of(2 * len(I) - 1,
-                                           hurewicz_chain(w).terms)
-        if cls.is_boundary:
+        if zk_class(K, hurewicz_chain(w)).is_boundary:
             raise AssertionError(
                 f"canonical cycle of {I} unexpectedly bounds in Z_K")
     return DEFINED_NONTRIVIAL
@@ -327,8 +326,7 @@ def nested_shape_status(K, w, check_witness=True):
                                {v: l for l, v in join_leaf_map.items()})
     status = DEFINED_TRIVIAL if trivial else DEFINED_NONTRIVIAL
     if check_witness and leaves_:
-        cls = zk_chain_complex(K).class_of(w.dimension(),
-                                           hurewicz_chain(w).terms)
+        cls = zk_class(K, hurewicz_chain(w))
         if trivial and not cls.is_boundary:
             raise AssertionError("trivial product with a nonzero canonical class")
         if not trivial and cls.is_boundary:
@@ -378,7 +376,7 @@ def realises_sufficient(K, w):
         notes.append(str(exc))
         chain = None
     if chain is not None:
-        cls = zk_chain_complex(K).class_of(chain.degree, chain.terms)
+        cls = zk_class(K, chain)
         if not cls.is_boundary:
             nontrivial = "yes"
             witness = chain
@@ -429,32 +427,32 @@ def _subset_missing_faces(K, J):
 
 
 def _basis_verdict(K, entries):
-    """Do the entries' classes form a Z-basis of H_*(Z_K)?"""
-    C = zk_chain_complex(K)
-    hom = C.homology_all()
-    details = []
-    by_degree = {}
+    """Do the entries' classes form a Z-basis of H_*(Z_K)?  Checked per
+    (J, degree) block: an entry's chain lies in the block of its subset J."""
+    per_block = zk_homology_by_support(K)
+    by_block = {}
     for e in entries:
-        by_degree.setdefault(e.chain.degree, []).append(e)
+        by_block.setdefault((e.subset, e.chain.degree), []).append(e)
+    details = []
     ok = True
-    degrees = set(by_degree) | {d for d in hom if d > 0}
-    for d in sorted(degrees):
-        group = hom.get(d, HomologyGroup(0))
+    for J, d in sorted({k for k in per_block if k[1] > 0} | set(by_block)):
+        where = f"subset {list(J)}, degree {d}"
+        group = per_block.get((J, d), TRIVIAL_GROUP)
         if group.torsion:
             ok = False
-            details.append(f"degree {d}: torsion {group.torsion} present")
+            details.append(f"{where}: torsion {group.torsion} present")
             continue
         rows = []
-        for e in by_degree.get(d, ()):
-            cls = C.class_of(d, e.chain.terms)
+        for e in by_block.get((J, d), ()):
+            cls = zk_class(K, e.chain)
             if any(o != 0 for o in cls.orders):
                 ok = False
-                details.append(f"degree {d}: unexpected torsion coordinate")
+                details.append(f"{where}: unexpected torsion coordinate")
             rows.append(cls.coords)
         if len(rows) != group.rank:
             ok = False
             details.append(
-                f"degree {d}: {len(rows)} chains against rank {group.rank}")
+                f"{where}: {len(rows)} chains against rank {group.rank}")
             continue
         if not rows:
             continue
@@ -462,8 +460,8 @@ def _basis_verdict(K, entries):
         facs = invariant_factors(M)
         if len(facs) != group.rank or any(f != 1 for f in facs):
             ok = False
-            details.append(f"degree {d}: invariant factors {facs}")
-    return WedgeBasis(tuple(entries), ok, hom, tuple(details))
+            details.append(f"{where}: invariant factors {facs}")
+    return WedgeBasis(tuple(entries), ok, degree_sums(per_block), tuple(details))
 
 
 def shifted_wedge_basis(K, order=None):

@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .exactalg import IntMatrix, solve_integer
+from .exactalg import boundary_matrix, solve_integer
 from .moment_angle import CellChain
 from .taylor import (TaylorChain, gen_key, mf_order, taylor_boundary,
                      taylor_cycle_is_boundary)
@@ -208,14 +208,8 @@ def _solve_vertical(K, S, eta, words_by_len):
         target_basis.extend(_slice_basis(K, S, j, words_by_len[wl]))
         source_basis.extend(_slice_basis(K, S, j - 1, words_by_len[wl]))
     tindex = {lab: i for i, lab in enumerate(target_basis)}
-    entries = {}
-    for col, lab in enumerate(source_basis):
-        probe = BicomplexChain({lab: 1})
-        for tgt, c in vertical_diff(probe).terms.items():
-            row = tindex.get(tgt)
-            if row is not None:
-                entries[(row, col)] = c
-    A = IntMatrix(len(target_basis), len(source_basis), entries)
+    A = boundary_matrix(source_basis, tindex,
+                        lambda lab: vertical_diff(BicomplexChain({lab: 1})).terms)
     b = {}
     for lab, c in eta.terms.items():
         if lab not in tindex:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from momangle.cli import main
 from conftest import SUB5_EXPR
 
@@ -85,7 +87,7 @@ def test_verify_exit_code_on_disagreement(capsys, monkeypatch):
     from momangle import cli
     from momangle.exactalg import HomologyGroup
     monkeypatch.setattr(cli.ty, "taylor_homology",
-                        lambda K: {99: HomologyGroup(1)})
+                        lambda K, check_dictionary=True: {99: HomologyGroup(1)})
     code, out, _ = run_cli(capsys, "verify", "--complex", SUB5_EXPR)
     assert code == 3
     assert "Taylor vs cellular" in json.loads(out)["verification_error"]
@@ -131,3 +133,29 @@ def test_roundtrip_emitted_complex(tmp_path, capsys):
     path.write_text(json.dumps(data["complex"]))
     again = run_json(capsys, "mf", "--complex", str(path))
     assert again["missing_faces"] == data["missing_faces"]
+
+
+BAD_FILES = {"bad.json": "{not json", "no_facets.json": '{"m": 3}',
+             "no_m.json": '{"facets": [[1, 2]]}',
+             "undefined.json": '{"m": 3, "facets": [[1, 2], [3]]}'}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["homology", "--complex", "missing.json"], 1),
+    (["homology", "--complex", "bad.json"], 1),
+    (["mf", "--complex", "no_facets.json"], 1),
+    (["mf", "--complex", "no_m.json"], 1),
+    (["delta-w", "--w", "[[1,2],[3,4]]"], 0),
+    (["zigzag", "--complex", "undefined.json", "--w", "[1,2,3]"], 1),
+])
+def test_bad_inputs_exit_without_traceback(tmp_path, capsys, argv, expected):
+    for name, text in BAD_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == expected, err
+    assert "Traceback" not in err
+    if argv[0] == "delta-w":
+        assert json.loads(out)["sphere_facets"] is None
+    else:
+        assert err.startswith("error: ")

@@ -204,8 +204,15 @@ def test_invariant_factors_zero_matrix():
     assert invariant_factors(IntMatrix.zero(3, 2)) == []
 
 
-def test_triplet_roundtrip():
-    A = IntMatrix.from_rows([[0, 2], [-1, 0]])
-    trip = A.to_triplets()
-    B = IntMatrix(2, 2, {(i, j): v for i, j, v in trip})
-    assert A == B
+def test_from_boundary_keeps_label_order():
+    table = {"a": {"x": 1, "y": -1}, "b": {"y": 2}}
+    C = ChainComplex.from_boundary({1: ["b", "a"], 0: ["y", "x"]},
+                                   lambda lab: table.get(lab, {}))
+    assert C.basis[1] == ["b", "a"]
+    assert C.differential(1).to_dense() == [[2, -1], [0, 1]]
+
+
+def test_from_boundary_rejects_unknown_target():
+    with pytest.raises(ValueError, match="not in the target basis"):
+        ChainComplex.from_boundary({1: ["a"], 0: ["x"]},
+                                   lambda lab: {"z": 1} if lab == "a" else {})

@@ -1,0 +1,125 @@
+"""The per-support routes against the whole complexes they replace.
+
+Cellular homology, cellular cycle classes and the Taylor index ranks are
+computed block by block (one block per vertex subset S); here they are
+compared with the whole cellular complex of Z_K and the whole Taylor face
+complex on seeded random complexes and on one with RP^2 as a full
+subcomplex, so that Z/2 torsion occurs.
+"""
+
+import json
+import random
+from itertools import combinations
+
+import pytest
+
+from momangle import complexes as cx
+from momangle.cli import main
+from momangle.exactalg import kernel_basis
+from momangle.moment_angle import (CellChain, cell_boundary, hochster_embed,
+                                   zk_chain_complex, zk_class, zk_homology)
+from momangle.taylor import taylor_face_complex
+from momangle.whitehead import bracket, hurewicz_chain, leaf, parse_whitehead
+from oracles import random_complex
+
+
+def rp2_cone(rng):
+    """RP^2 on 1..6 with vertex 7 coned over a random set of its faces."""
+    rp2 = cx.SimplicialComplex.from_facets(
+        6, [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
+            (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)])
+    faces = sorted(f for f in rp2.faces if f)
+    coned = [f + (7,) for f in rng.sample(faces, 8)]
+    return cx.SimplicialComplex.from_facets(7, list(rp2.facets) + coned)
+
+
+def complexes():
+    """Ten seeded random complexes with 2 to 8 missing faces (a full simplex
+    has no homology to compare), then the RP^2 cone."""
+    rng = random.Random(11)
+    out = []
+    while len(out) < 10:
+        K = random_complex(rng.randint(4, 7), rng)
+        if 2 <= len(K.missing_faces()) <= 8:
+            out.append(K)
+    return out + [rp2_cone(rng)]
+
+
+def hurewicz_chains(K, rng):
+    """Canonical chains of products that lie in Z_K: singles and a few nests."""
+    out = []
+    for k in range(2, K.m + 1):
+        for I in combinations(range(1, K.m + 1), k):
+            chain = hurewicz_chain(bracket([leaf(v) for v in I]), K.m)
+            if chain.supported_in(K):
+                out.append(chain)
+    for _ in range(20):
+        a, b, c, d = rng.sample(range(1, K.m + 1), 4)
+        for text in (f"[[{a},{b}],{c}]", f"[[{a},{b},{c}],{d}]", f"[[{a},{b}],{c},{d}]"):
+            chain = hurewicz_chain(parse_whitehead(text), K.m)
+            if chain.supported_in(K):
+                out.append(chain)
+    return rng.sample(out, min(8, len(out)))
+
+
+def random_boundary(C, d, rng):
+    """Boundary of a random integer chain of degree d + 1 of the whole complex."""
+    cells = C.basis.get(d + 1, [])
+    out = {}
+    for cell in rng.sample(cells, min(3, len(cells))):
+        c = rng.choice([-2, -1, 1, 3])
+        for tgt, s in cell_boundary(cell).items():
+            out[tgt] = out.get(tgt, 0) + c * s
+    return CellChain(out)
+
+
+@pytest.mark.parametrize("K", complexes(), ids=lambda K: f"m{K.m}-{len(K.faces)}faces")
+def test_block_homology_matches_whole_complex(K):
+    assert zk_homology(K) == zk_chain_complex(K).homology_all()
+
+
+@pytest.mark.parametrize("K", complexes(), ids=lambda K: f"m{K.m}-{len(K.faces)}faces")
+def test_block_classes_match_whole_complex(K):
+    rng = random.Random(K.m)
+    C = zk_chain_complex(K)
+    chains = hurewicz_chains(K, rng)
+    assert chains
+    for h in chains:
+        d = h.degree
+        b = random_boundary(C, d, rng)
+        others = [g for g in chains if g.degree == d and g.support() != h.support()]
+        cases = [h, b, h + b, h.scaled(2) - b] + [h + g for g in others[:2]]
+        for z in cases:
+            if z:
+                assert zk_class(K, z).is_boundary == C.is_boundary(d, z.terms), z
+        if b:
+            assert zk_class(K, b).is_boundary
+
+
+def test_block_classes_see_torsion():
+    """H_1(RP^2) = Z/2 embeds in degree 8 of Z_K: odd multiples of its
+    generator survive, even ones bound, in the block and in the whole."""
+    K = rp2_cone(random.Random(11))
+    J = (1, 2, 3, 4, 5, 6)
+    S = cx.reduced_chain_complex(K.faces_within(J))
+    C = zk_chain_complex(K)
+    seen = set()
+    for col in kernel_basis(S.differential(1)):
+        z = {S.basis[1][i]: v for i, v in col.items()}
+        for k in (1, 2, 3):
+            chain = hochster_embed(K, J, {f: k * v for f, v in z.items()})
+            block = zk_class(K, chain).is_boundary
+            assert block == C.is_boundary(chain.degree, chain.terms)
+            seen.add((k, block))
+    assert (1, False) in seen and (2, True) in seen
+
+
+@pytest.mark.parametrize("K", complexes()[:-1], ids=lambda K: f"m{K.m}-{len(K.faces)}faces")
+def test_taylor_ranks_by_index_match_whole_complex(K, tmp_path, capsys):
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(K.to_json_dict()))
+    assert main(["taylor", "--complex", str(path)]) == 0
+    ranks = json.loads(capsys.readouterr().out)["ranks_by_index"]
+    whole = taylor_face_complex(K)
+    assert ranks == [whole.dim(-s) for s in range(len(ranks))]
+    assert sum(whole.dim(d) for d in whole.degrees) == sum(ranks)
