@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
 from math import comb
@@ -36,22 +35,19 @@ class VerificationFailure(RuntimeError):
 
 
 def load_complex(source, max_vertices):
-    if source.endswith(".json"):
-        try:
-            with open(source) as fh:
-                data = json.load(fh)
-            if int(data["m"]) > max_vertices:
-                raise cx.SizeLimitError(
-                    f"complex has {data['m']} vertices, above --max-vertices {max_vertices}")
-            K = cx.SimplicialComplex.from_json_dict(data)
-        except (OSError, KeyError, TypeError, OverflowError) as exc:
-            raise ValueError(f"cannot load a complex from {source}: {exc!r}") from exc
-    else:
-        K = cx.parse_complex(source, max_vertices=max_vertices)
-    if K.m > max_vertices:
-        raise cx.SizeLimitError(
-            f"complex has {K.m} vertices, above --max-vertices {max_vertices}")
-    return K
+    """K from a builder expression or a .json file, refused above
+    `max_vertices` before it is built."""
+    if not source.endswith(".json"):
+        return cx.parse_complex(source, max_vertices=max_vertices)
+    try:
+        with open(source) as fh:
+            data = json.load(fh)
+        if int(data["m"]) > max_vertices:
+            raise cx.SizeLimitError(
+                f"complex has {data['m']} vertices, above --max-vertices {max_vertices}")
+        return cx.SimplicialComplex.from_json_dict(data)
+    except (OSError, KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"cannot load a complex from {source}: {exc!r}") from exc
 
 
 def group_json(h):
@@ -62,23 +58,22 @@ def homology_json(table):
     return {str(d): group_json(h) for d, h in sorted(table.items())}
 
 
-def cmd_homology(K, args, out):
+def cmd_homology(K, w, args, out):
     table = ma.zk_homology(K)
     out["ranks"] = {str(d): h.rank for d, h in sorted(table.items())}
     out["homology"] = homology_json(table)
 
 
-def cmd_mf(K, args, out):
+def cmd_mf(K, w, args, out):
     out["missing_faces"] = [list(f) for f in K.missing_faces()]
 
 
-def cmd_subst(K, args, out):
+def cmd_subst(K, w, args, out):
     out["complex"] = K.to_json_dict()
     out["missing_faces"] = [list(f) for f in K.missing_faces()]
 
 
-def cmd_delta_w(K, args, out):
-    w = wh.parse_whitehead(args.w)
+def cmd_delta_w(K, w, args, out):
     dw = wh.delta_w(w)
     out["dimension"] = w.dimension()
     out["complex"] = dw.complex.to_json_dict()
@@ -87,23 +82,20 @@ def cmd_delta_w(K, args, out):
     out["leaf_map"] = {str(l): v for l, v in sorted(dw.leaf_map.items())}
 
 
-def cmd_hurewicz(K, args, out):
-    w = wh.parse_whitehead(args.w)
+def cmd_hurewicz(K, w, args, out):
     chain = wh.hurewicz_chain(w)
     out["degree"] = chain.degree
     out["chain"] = chain.to_text()
 
 
-def cmd_status(K, args, out):
-    w = wh.parse_whitehead(args.w)
+def cmd_status(K, w, args, out):
     if w.is_single():
         out["status"] = wh.single_product_status(K, w.leaves())
     else:
         out["status"] = wh.nested_shape_status(K, w)
 
 
-def cmd_realises(K, args, out):
-    w = wh.parse_whitehead(args.w)
+def cmd_realises(K, w, args, out):
     report = wh.realises_sufficient(K, w)
     out["defined"] = report.defined
     out["nontrivial"] = report.nontrivial
@@ -111,21 +103,19 @@ def cmd_realises(K, args, out):
     out["notes"] = list(report.notes)
 
 
-def cmd_taylor(K, args, out):
+def cmd_taylor(K, w, args, out):
     n = len(ty.mf_order(K))
     out["ranks_by_index"] = [comb(n, s) for s in range(n + 1)]
     out["homology"] = homology_json(ty.taylor_homology(K))
 
 
-def cmd_taylor_cycle(K, args, out):
-    w = wh.parse_whitehead(args.w)
+def cmd_taylor_cycle(K, w, args, out):
     chain = ty.nested_taylor_cycle(w, K)
     out["degree"] = chain.degree
     out["cycle"] = chain.to_text()
 
 
-def cmd_zigzag(K, args, out):
-    w = wh.parse_whitehead(args.w)
+def cmd_zigzag(K, w, args, out):
     z = wh.hurewicz_chain(w, K.m)
     cycle, trace = zz.koszul_to_taylor(K, z)
     out["input_chain"] = z.to_text()
@@ -133,7 +123,7 @@ def cmd_zigzag(K, args, out):
     out["trace"] = json.loads(trace.to_json())
 
 
-def cmd_hochster(K, args, out):
+def cmd_hochster(K, w, args, out):
     subsets = None
     if args.subset:
         subsets = [tuple(int(x) for x in args.subset.split(","))]
@@ -144,7 +134,7 @@ def cmd_hochster(K, args, out):
     out["aggregate"] = homology_json(aggregate)
 
 
-def cmd_wedge_basis(K, args, out):
+def cmd_wedge_basis(K, w, args, out):
     order = tuple(int(x) for x in args.order.split(",")) if args.order else None
     basis = wh.shifted_wedge_basis(K, order)
     out["is_basis"] = basis.is_basis
@@ -155,7 +145,7 @@ def cmd_wedge_basis(K, args, out):
     out["details"] = list(basis.details)
 
 
-def cmd_verify(K, args, out):
+def cmd_verify(K, w, args, out):
     """Cross-route suite: cellular vs Hochster vs Taylor homology, plus
     Taylor-resolution exactness for the Stanley-Reisner ideal of K."""
     failures = []
@@ -204,26 +194,35 @@ COMMANDS = {
 }
 
 
+NEEDS_COMPLEX = {"homology", "mf", "subst", "status", "realises", "taylor",
+                 "taylor-cycle", "zigzag", "hochster", "wedge-basis", "verify"}
+NEEDS_W = {"delta-w", "hurewicz", "status", "realises", "taylor-cycle", "zigzag"}
+
+
+class ArgumentParser(argparse.ArgumentParser):
+    """Leaves the exit code to `main`: a bad argument is a parse error (exit
+    1), not argparse's exit 2, which the exit codes keep for size refusals."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = ArgumentParser(
         prog="momangle",
         description="moment-angle complex homology and Whitehead product tooling")
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb in COMMANDS:
         p = sub.add_parser(verb)
-        p.add_argument("--complex", help="builder expression or path to .json")
-        p.add_argument("--w", help="Whitehead expression, e.g. [[1,2,3],4,5]")
+        p.add_argument("--complex", required=verb in NEEDS_COMPLEX,
+                       help="builder expression or path to .json")
+        p.add_argument("--w", required=verb in NEEDS_W,
+                       help="Whitehead expression, e.g. [[1,2,3],4,5]")
         p.add_argument("--subset", help="comma-separated vertex subset")
         p.add_argument("--order", help="comma-separated shifted vertex order")
         p.add_argument("--format", choices=["json", "text"], default="json")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--max-vertices", type=int, default=20)
     return parser
-
-
-NEEDS_COMPLEX = {"homology", "mf", "subst", "status", "realises", "taylor",
-                 "taylor-cycle", "zigzag", "hochster", "wedge-basis", "verify"}
-NEEDS_W = {"delta-w", "hurewicz", "status", "realises", "taylor-cycle", "zigzag"}
 
 
 def render_text(out, indent=0):
@@ -241,19 +240,14 @@ def render_text(out, indent=0):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    if args.verb in NEEDS_COMPLEX and not args.complex:
-        print(f"error: {args.verb} needs --complex", file=sys.stderr)
+    try:
+        args = build_parser().parse_args(argv)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    if args.verb in NEEDS_W and not args.w:
-        print(f"error: {args.verb} needs --w", file=sys.stderr)
-        return EXIT_PARSE
-    random.seed(args.seed)
     out = {"verb": args.verb,
-           "inputs": {k: v for k, v in
-                      [("complex", args.complex), ("w", args.w),
-                       ("subset", args.subset), ("seed", args.seed)]
-                      if v is not None},
+           "inputs": {k: getattr(args, k) for k in ("complex", "w", "subset")
+                      if getattr(args, k) is not None},
            "engine": f"momangle {__version__}"}
     started = time.perf_counter()
     code = EXIT_OK
@@ -261,21 +255,22 @@ def main(argv=None):
     try:
         if args.verb in NEEDS_COMPLEX:
             K = load_complex(args.complex, args.max_vertices)
-        COMMANDS[args.verb](K, args, out)
+        w = wh.parse_whitehead(args.w) if args.verb in NEEDS_W else None
+        COMMANDS[args.verb](K, w, args, out)
     except (cx.ParseError, ValueError, zz.ZigzagError) as exc:
         if isinstance(exc, cx.SizeLimitError):
             print(f"size refusal: {exc}", file=sys.stderr)
             return EXIT_SIZE
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except VerificationFailure as exc:
+    except (VerificationFailure, AssertionError) as exc:
+        # an AssertionError is one of the engine's own self-checks failing
         out["verification_error"] = str(exc)
         code = EXIT_VERIFY
     out["elapsed_s"] = round(time.perf_counter() - started, 6)
     if K is not None and "verification_error" not in out:
         try:
-            out["generator_order"] = ["".join(map(str, f))
-                                      for f in ty.mf_order(K)]
+            out["generator_order"] = [cx.word_text(f) for f in ty.mf_order(K)]
         except cx.SizeLimitError:
             pass
     if args.format == "json":

@@ -378,13 +378,11 @@ def is_acyclic(K_or_faces):
     return not reduced_homology(K_or_faces)
 
 
-# -- builder expression grammar -----------------------------------------------
+# -- text forms ----------------------------------------------------------------
 #
-#   EXPR := 'pt' | 'simplex(' INT {',' INT} ')' | 'bd(' EXPR ')'
-#         | 'join(' EXPR ',' EXPR ')' | 'subst(' EXPR ';' EXPR {',' EXPR} ')'
-#
-# Whitespace-insensitive, LL(1); vertices are relabelled left to right, so
-# simplex arguments only fix the vertex count.
+# Every text form (builder expressions, Whitehead brackets, cell and Taylor
+# chains) is read by one `Scanner`; chains are signed sums, read by
+# `read_signed_sum` and written by `signed_sum_text`.
 
 class ParseError(ValueError):
     def __init__(self, message, pos):
@@ -392,143 +390,187 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-class _Scanner:
+class Scanner:
+    """Reader over one line of text that skips whitespace between tokens."""
+
     def __init__(self, text):
         self.text = text
         self.pos = 0
 
-    def skip_ws(self):
+    def peek(self):
+        """The next non-space character, or "" at the end."""
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
+        return self.text[self.pos:self.pos + 1]
 
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def accept(self, token):
+        """Consume `token` if it comes next."""
+        self.peek()
+        if self.text.startswith(token, self.pos):
+            self.pos += len(token)
+            return True
+        return False
 
-    def expect(self, ch):
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            raise ParseError(f"expected {ch!r}", self.pos)
-        self.pos += 1
+    def expect(self, token):
+        if not self.accept(token):
+            raise ParseError(f"expected {token!r}", self.pos)
 
-    def word(self):
-        self.skip_ws()
+    def token(self, test, what):
+        """The longest nonempty run of characters passing `test`."""
+        self.peek()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isalpha():
+        while self.pos < len(self.text) and test(self.text[self.pos]):
             self.pos += 1
         if start == self.pos:
-            raise ParseError("expected a name", start)
+            raise ParseError(f"expected {what}", start)
         return self.text[start:self.pos]
 
     def integer(self):
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
-            raise ParseError("expected an integer", start)
-        return int(self.text[start:self.pos])
+        return int(self.token(str.isdecimal, "an integer"))
+
+    def items(self, read, sep=","):
+        """`read() {sep read()}` as a list."""
+        out = [read()]
+        while self.accept(sep):
+            out.append(read())
+        return out
+
+    def end(self):
+        if self.peek():
+            raise ParseError("trailing input", self.pos)
+
+
+def read_text(text, read):
+    """`read(scanner)` over the whole of `text`."""
+    sc = Scanner(text)
+    value = read(sc)
+    sc.end()
+    return value
+
+
+def read_signed_sum(sc, read_term, zero, stop=""):
+    """Read `[+|-] term {(+|-) term}` up to `stop` or the end of the text.
+
+    A term is `[INT '*'] item`, where `read_term(sc)` reads the item and
+    returns it as a chain (the empty word is the item `1`); the text `0` is
+    `zero`, the chain the sum starts from."""
+    if sc.accept("0"):
+        return zero
+    total, sign = zero, 1
+    if sc.accept("-"):
+        sign = -1
+    else:
+        sc.accept("+")
+    while True:
+        coeff, mark = 1, sc.pos
+        if sc.peek().isdecimal():
+            coeff = sc.integer()
+            if not sc.accept("*"):  # no coefficient: the item is the empty word `1`
+                coeff, sc.pos = 1, mark
+        total = total + read_term(sc).scaled(sign * coeff)
+        if sc.peek() in (stop, ""):
+            return total
+        if sc.accept("-"):
+            sign = -1
+        else:
+            sc.expect("+")
+            sign = 1
+
+
+def signed_sum_text(terms):
+    """`a - b + 3*c` from (word, coefficient) pairs in order; the empty
+    word is written `1`, the empty sum `0`."""
+    bits = []
+    for word, c in terms:
+        word = word or "1"
+        bits.append(word if c == 1 else "-" + word if c == -1 else f"{c}*{word}")
+    return " + ".join(bits).replace("+ -", "- ") or "0"
+
+
+def word_text(labels):
+    """Vertex labels as one word: run together while every label is a single
+    digit (`145`), otherwise joined by `.` (`1.10`, and `10.` alone)."""
+    if max(labels, default=0) <= 9:
+        return "".join(map(str, labels))
+    return ".".join(map(str, labels)) + ("." if len(labels) == 1 else "")
+
+
+def read_word(sc):
+    """The labels of one `word_text` word."""
+    text = sc.token(lambda ch: ch.isdecimal() or ch == ".", "vertex labels")
+    if "." not in text:
+        return tuple(map(int, text))
+    return tuple(map(int, text.removesuffix(".").split(".")))
+
+
+# -- builder expressions -------------------------------------------------------
+#
+#   EXPR := 'pt' | 'simplex(' INT {',' INT} ')' | 'bd(' EXPR ')'
+#         | 'join(' EXPR ',' EXPR ')' | 'subst(' EXPR ';' EXPR {',' EXPR} ')'
+#
+# Whitespace-insensitive, LL(1); vertices are relabelled left to right, so
+# simplex arguments only fix the vertex count, and `pt` is `simplex(1)`.  An
+# expression is parsed once into a tree of tuples, ('simplex', k), ('bd', e),
+# ('join', e, f) or ('subst', slot, part, ...), counted before it is built.
+
+_BUILDERS = {"simplex": simplex, "bd": boundary, "join": join,
+             "subst": lambda slot, *parts: substitute(slot, parts).complex}
 
 
 def _parse_expr(sc):
-    name = sc.word()
+    name = sc.token(str.isalpha, "a name")
     if name == "pt":
-        return point()
+        return ("simplex", 1)
+    if name not in _BUILDERS:
+        raise ParseError(f"unknown builder {name!r}", sc.pos)
+    sc.expect("(")
     if name == "simplex":
-        sc.expect("(")
-        labels = [sc.integer()]
-        while sc.peek() == ",":
-            sc.expect(",")
-            labels.append(sc.integer())
-        sc.expect(")")
+        labels = sc.items(sc.integer)
         if len(set(labels)) != len(labels):
             raise ParseError("repeated vertex in simplex(...)", sc.pos)
-        return simplex(len(labels))
-    if name == "bd":
-        sc.expect("(")
-        inner = _parse_expr(sc)
-        sc.expect(")")
-        return boundary(inner)
-    if name == "join":
-        sc.expect("(")
-        left = _parse_expr(sc)
-        sc.expect(",")
-        right = _parse_expr(sc)
-        sc.expect(")")
-        return join(left, right)
-    if name == "subst":
-        sc.expect("(")
+        node = ("simplex", len(labels))
+    elif name == "subst":
         slot = _parse_expr(sc)
         sc.expect(";")
-        parts = [_parse_expr(sc)]
-        while sc.peek() == ",":
+        node = ("subst", slot, *sc.items(lambda: _parse_expr(sc)))
+    else:
+        node = (name, _parse_expr(sc))
+        if name == "join":
             sc.expect(",")
-            parts.append(_parse_expr(sc))
-        sc.expect(")")
-        return substitute(slot, parts).complex
-    raise ParseError(f"unknown builder {name!r}", sc.pos)
+            node += (_parse_expr(sc),)
+    sc.expect(")")
+    return node
 
 
-def _count_vertices(sc):
-    name = sc.word()
-    if name == "pt":
-        return 1
+def _vertex_count(node):
+    name, *args = node
     if name == "simplex":
-        sc.expect("(")
-        sc.integer()
-        n = 1
-        while sc.peek() == ",":
-            sc.expect(",")
-            sc.integer()
-            n += 1
-        sc.expect(")")
-        return n
-    if name == "bd":
-        sc.expect("(")
-        n = _count_vertices(sc)
-        sc.expect(")")
-        return n
-    if name == "join":
-        sc.expect("(")
-        n = _count_vertices(sc)
-        sc.expect(",")
-        n += _count_vertices(sc)
-        sc.expect(")")
-        return n
+        return args[0]
     if name == "subst":
-        sc.expect("(")
-        _count_vertices(sc)
-        sc.expect(";")
-        n = _count_vertices(sc)
-        while sc.peek() == ",":
-            sc.expect(",")
-            n += _count_vertices(sc)
-        sc.expect(")")
-        return n
-    raise ParseError(f"unknown builder {name!r}", sc.pos)
+        args = args[1:]  # the slot only fixes the number of parts
+    return sum(map(_vertex_count, args))
+
+
+def _build(node):
+    if isinstance(node, int):  # the vertex count of a simplex
+        return node
+    name, *args = node
+    return _BUILDERS[name](*map(_build, args))
 
 
 def expression_vertex_count(text):
     """Vertex count of a builder expression, without constructing anything
     (the construction is exponential in it, so gate first)."""
-    sc = _Scanner(text)
-    n = _count_vertices(sc)
-    sc.skip_ws()
-    if sc.pos != len(sc.text):
-        raise ParseError("trailing input", sc.pos)
-    return n
+    return _vertex_count(read_text(text, _parse_expr))
 
 
 def parse_complex(text, max_vertices=None):
-    """Parse a builder expression into a SimplicialComplex."""
+    """Parse a builder expression into a SimplicialComplex, refusing one of
+    more than `max_vertices` vertices before building anything."""
+    node = read_text(text, _parse_expr)
     if max_vertices is not None:
-        n = expression_vertex_count(text)
+        n = _vertex_count(node)
         if n > max_vertices:
             raise SizeLimitError(
                 f"expression builds {n} vertices, above the bound {max_vertices}")
-    sc = _Scanner(text)
-    K = _parse_expr(sc)
-    sc.skip_ws()
-    if sc.pos != len(sc.text):
-        raise ParseError("trailing input", sc.pos)
-    return K
+    return _build(node)

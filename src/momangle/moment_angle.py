@@ -20,11 +20,11 @@ computed per block, and the whole complex is the tests' reference.
 
 from __future__ import annotations
 
-import re
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 
-from .complexes import SizeLimitError, reduced_chain_complex
+from .complexes import (ParseError, SizeLimitError, read_signed_sum, read_text,
+                        reduced_chain_complex, signed_sum_text)
 from .exactalg import ChainComplex, HomologyClass, direct_sum
 
 ZK_MAX_VERTICES = 24
@@ -134,71 +134,38 @@ class CellChain:
     # -- text form ------------------------------------------------------------
 
     def to_text(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (J, I), c in sorted(self.terms.items(), key=lambda t: (t[0][1], t[0][0])):
-            word = "*".join(("D%d" % v if v in set(I) else "S%d" % v)
-                            for v in sorted(J + I)) or "1"
-            if c == 1:
-                term = word
-            elif c == -1:
-                term = "-" + word
-            else:
-                term = f"{c}*{word}"
-            bits.append(term)
-        text = " + ".join(bits)
-        return text.replace("+ -", "- ")
+        return signed_sum_text(
+            ("*".join(cell_letters(J, I)), c)
+            for (J, I), c in sorted(self.terms.items(), key=lambda t: (t[0][1], t[0][0])))
 
     @classmethod
     def from_text(cls, text):
         """Parse a signed sum of S/D words; letters may appear in any order,
         reordering circle letters flips the sign by the Koszul rule."""
-        out = {}
-        for sign, term in _signed_terms(text):
-            coeff, letters = _parse_cell_word(term)
-            svs = [v for kind, v in letters if kind == "S"]
-            inv = sum(1 for a in range(len(svs)) for b in range(a + 1, len(svs))
-                      if svs[a] > svs[b])
-            if inv % 2:
-                sign = -sign
-            J = tuple(sorted(v for kind, v in letters if kind == "S"))
-            I = tuple(sorted(v for kind, v in letters if kind == "D"))
-            if len(J) + len(I) != len(letters):
-                raise ValueError(f"repeated vertex in term {term!r}")
-            cell = (J, I)
-            out[cell] = out.get(cell, 0) + sign * coeff
-        return cls(out)
+        return read_text(text, lambda sc: read_signed_sum(sc, _read_cell_word, cls.zero()))
 
     def __repr__(self):
         return f"CellChain({self.to_text()})"
 
 
-def _signed_terms(text):
-    text = text.strip()
-    if not text or text == "0":
-        return
-    for match in re.finditer(r"([+-]?)\s*([^+-]+)", text):
-        sign = -1 if match.group(1) == "-" else 1
-        term = match.group(2).strip()
-        if term:
-            yield sign, term
+def cell_letters(J, I):
+    """The letters of the cell (J, I) in vertex order: `S` circles, `D` discs."""
+    return [("D%d" if v in I else "S%d") % v for v in sorted(J + I)]
 
 
-def _parse_cell_word(term):
-    coeff = 1
-    letters = []
-    for factor in term.split("*"):
-        factor = factor.strip()
-        if not factor:
-            raise ValueError(f"empty factor in {term!r}")
-        if factor[0] in "SD":
-            letters.append((factor[0], int(factor[1:])))
-        elif factor == "1":
-            continue
-        else:
-            coeff *= int(factor)
-    return coeff, letters
+def _read_cell_word(sc):
+    """`1`, or letters joined by `*`, multiplied in the order written."""
+    if sc.accept("1"):
+        return CellChain.unit()
+    return reduce(CellChain.product, sc.items(lambda: _read_cell_letter(sc), "*"))
+
+
+def _read_cell_letter(sc):
+    if sc.accept("S"):
+        return CellChain({((sc.integer(),), ()): 1})
+    if sc.accept("D"):
+        return CellChain({((), (sc.integer(),)): 1})
+    raise ParseError("expected 'S' or 'D'", sc.pos)
 
 
 # -- the chain complex of Z_K -------------------------------------------------

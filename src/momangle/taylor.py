@@ -22,10 +22,11 @@ complex is the tests' reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, product
 
-from .complexes import SimplicialComplex, SizeLimitError, face
+from .complexes import (SimplicialComplex, SizeLimitError, face, read_signed_sum,
+                        read_text, read_word, signed_sum_text, word_text)
 from .exactalg import ChainComplex
 from .moment_angle import degree_sums, hochster_table
 
@@ -131,115 +132,42 @@ class TaylorChain:
                 out[word] = out.get(word, 0) + sign * c1 * c2
         return TaylorChain(out)
 
+    def scaled(self, k):
+        return TaylorChain({w: k * c for w, c in self.terms.items()})
+
     def to_text(self):
         """Canonical text: words fully expanded with factors in descending
         generator order (so `w245^w145`, not `-w145^w245`)."""
-        if not self.terms:
-            return "0"
-        bits = []
-        for word, c in sorted(self.terms.items(),
-                              key=lambda t: tuple(map(gen_key, t[0]))):
-            if any(v > 9 for f in word for v in f):
-                raise ValueError("text form only covers vertex labels 1..9")
-            shown = tuple(reversed(word))
-            if (len(word) * (len(word) - 1) // 2) % 2:
-                c = -c
-            body = "^".join("w" + "".join(map(str, f)) for f in shown) or "1"
-            if c == 1:
-                bits.append(body)
-            elif c == -1:
-                bits.append("-" + body)
-            else:
-                bits.append(f"{c}*{body}")
-        return " + ".join(bits).replace("+ -", "- ")
+        return signed_sum_text(
+            ("^".join("w" + word_text(f) for f in reversed(word)),
+             -c if (len(word) * (len(word) - 1) // 2) % 2 else c)
+            for word, c in sorted(self.terms.items(),
+                                  key=lambda t: tuple(map(gen_key, t[0]))))
 
     @classmethod
     def from_text(cls, text):
         """Parse sums of ^-products; parenthesised sums distribute, e.g.
         `(w145+w245+w345)^w123`."""
-        if text.strip() == "0":
-            return cls.zero()
-        return _parse_taylor_sum(_TaylorScanner(text))
+        return read_text(text, lambda sc: read_signed_sum(sc, _read_taylor_term, cls.zero()))
 
     def __repr__(self):
         return f"TaylorChain({self.to_text()})"
 
 
-class _TaylorScanner:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def peek(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self):
-        ch = self.peek()
-        self.pos += 1
-        return ch
+def _read_taylor_term(sc):
+    """`atom {'^' atom}` with atom := '1' | 'w' WORD | '(' signed sum ')'."""
+    return reduce(TaylorChain.wedge, sc.items(lambda: _read_taylor_atom(sc), "^"))
 
 
-def _parse_taylor_atom(sc):
-    ch = sc.peek()
-    if ch == "(":
-        sc.take()
-        inner = _parse_taylor_sum(sc, stop=")")
-        if sc.take() != ")":
-            raise ValueError("expected ')'")
+def _read_taylor_atom(sc):
+    if sc.accept("("):
+        inner = read_signed_sum(sc, _read_taylor_term, TaylorChain.zero(), stop=")")
+        sc.expect(")")
         return inner
-    if ch == "w":
-        sc.take()
-        digits = []
-        while sc.pos < len(sc.text) and sc.text[sc.pos].isdigit():
-            digits.append(int(sc.text[sc.pos]))
-            sc.pos += 1
-        if not digits:
-            raise ValueError("expected vertex digits after 'w'")
-        return TaylorChain({(tuple(sorted(digits)),): 1})
-    raise ValueError(f"unexpected {ch!r} in Taylor chain text")
-
-
-def _parse_taylor_term(sc):
-    coeff = 1
-    while sc.peek().isdigit():
-        start = sc.pos
-        while sc.pos < len(sc.text) and sc.text[sc.pos].isdigit():
-            sc.pos += 1
-        coeff *= int(sc.text[start:sc.pos])
-        if sc.peek() == "*":
-            sc.take()
-    chain = _parse_taylor_atom(sc)
-    while sc.peek() == "^":
-        sc.take()
-        chain = chain.wedge(_parse_taylor_atom(sc))
-    return TaylorChain({w: coeff * c for w, c in chain.terms.items()})
-
-
-def _parse_taylor_sum(sc, stop=""):
-    sign = 1
-    if sc.peek() == "-":
-        sc.take()
-        sign = -1
-    elif sc.peek() == "+":
-        sc.take()
-    total = _parse_taylor_term(sc)
-    if sign < 0:
-        total = -total
-    while True:
-        ch = sc.peek()
-        if ch == "" or ch == stop:
-            break
-        if ch == "+":
-            sc.take()
-            total = total + _parse_taylor_term(sc)
-        elif ch == "-":
-            sc.take()
-            total = total - _parse_taylor_term(sc)
-        else:
-            raise ValueError(f"unexpected {ch!r} in Taylor chain text")
-    return total
+    if sc.accept("1"):
+        return TaylorChain({(): 1})
+    sc.expect("w")
+    return TaylorChain({(read_word(sc),): 1})
 
 
 # -- the face (comodule) Taylor complex ------------------------------------------

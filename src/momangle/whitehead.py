@@ -105,40 +105,15 @@ def bracket(children):
 
 def parse_whitehead(text):
     """Nested integer lists: expr := int | '[' expr (',' expr)+ ']'."""
-    pos = 0
+    return cx.read_text(text, _read_whitehead)
 
-    def skip():
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
 
-    def expr():
-        nonlocal pos
-        skip()
-        if pos < len(text) and text[pos] == "[":
-            pos += 1
-            kids = [expr()]
-            skip()
-            while pos < len(text) and text[pos] == ",":
-                pos += 1
-                kids.append(expr())
-                skip()
-            if pos >= len(text) or text[pos] != "]":
-                raise cx.ParseError("expected ']'", pos)
-            pos += 1
-            return bracket(kids)
-        start = pos
-        while pos < len(text) and text[pos].isdigit():
-            pos += 1
-        if start == pos:
-            raise cx.ParseError("expected an integer or '['", pos)
-        return leaf(int(text[start:pos]))
-
-    w = expr()
-    skip()
-    if pos != len(text):
-        raise cx.ParseError("trailing input", pos)
-    return w
+def _read_whitehead(sc):
+    if not sc.accept("["):
+        return leaf(sc.integer())
+    kids = sc.items(lambda: _read_whitehead(sc))
+    sc.expect("]")
+    return bracket(kids)
 
 
 # -- canonical complexes -------------------------------------------------------

@@ -27,8 +27,9 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
+from .complexes import signed_sum_text, word_text
 from .exactalg import boundary_matrix, solve_integer
-from .moment_angle import CellChain
+from .moment_angle import CellChain, cell_letters
 from .taylor import (TaylorChain, gen_key, mf_order, taylor_boundary,
                      taylor_cycle_is_boundary)
 
@@ -93,21 +94,9 @@ class BicomplexChain:
         return {S: BicomplexChain(t) for S, t in out.items()}
 
     def to_text(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (I, J, W), c in sorted(self.terms.items()):
-            letters = [("D%d" % v if v in set(I) else "S%d" % v)
-                       for v in sorted(I + J)]
-            letters += ["w" + "".join(map(str, F)) for F in W]
-            word = "*".join(letters) or "1"
-            if c == 1:
-                bits.append(word)
-            elif c == -1:
-                bits.append("-" + word)
-            else:
-                bits.append(f"{c}*{word}")
-        return " + ".join(bits).replace("+ -", "- ")
+        return signed_sum_text(
+            ("*".join(cell_letters(J, I) + ["w" + word_text(F) for F in W]), c)
+            for (I, J, W), c in sorted(self.terms.items()))
 
     def __repr__(self):
         return f"BicomplexChain({self.to_text()})"

@@ -147,6 +147,11 @@ BAD_FILES = {"bad.json": "{not json", "no_facets.json": '{"m": 3}',
     (["mf", "--complex", "no_m.json"], 1),
     (["delta-w", "--w", "[[1,2],[3,4]]"], 0),
     (["zigzag", "--complex", "undefined.json", "--w", "[1,2,3]"], 1),
+    (["homology", "--complex", "pt", "--bogus"], 1),
+    ([], 1),
+    (["frobnicate"], 1),
+    (["homology", "--complex", "pt", "--max-vertices", "x"], 1),
+    (["homology", "--complex", "pt", "--seed", "0"], 1),
 ])
 def test_bad_inputs_exit_without_traceback(tmp_path, capsys, argv, expected):
     for name, text in BAD_FILES.items():
@@ -155,7 +160,31 @@ def test_bad_inputs_exit_without_traceback(tmp_path, capsys, argv, expected):
     code, out, err = run_cli(capsys, *argv)
     assert code == expected, err
     assert "Traceback" not in err
-    if argv[0] == "delta-w":
+    if argv[:1] == ["delta-w"]:
         assert json.loads(out)["sphere_facets"] is None
     else:
         assert err.startswith("error: ")
+
+
+def test_self_check_failure_exits_3(tmp_path, capsys):
+    # the criterion calls this product nontrivial, but its canonical class bounds
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({"m": 8, "facets": [
+        [2, 6], [2, 7], [2, 3, 5], [2, 3, 8], [2, 5, 8], [1, 4, 5, 7], [3, 4, 5, 6, 7, 8]]}))
+    code, out, err = run_cli(capsys, "status", "--complex", str(path),
+                             "--w", "[[3,5,8],[6,7],2]")
+    assert code == 3
+    assert "Traceback" not in err
+    assert "bounding canonical class" in json.loads(out)["verification_error"]
+
+
+def test_zigzag_with_two_digit_labels(capsys):
+    from momangle.taylor import TaylorChain
+    data = run_json(capsys, "zigzag", "--complex",
+                    "join(bd(simplex(1,2,3,4,5,6,7,8,9)),bd(simplex(1,2)))",
+                    "--w", "[10,11]")
+    assert data["cycle"] in ("w10.11", "-w10.11")
+    assert data["generator_order"] == ["10.11", "123456789"]
+    cycle = TaylorChain.from_text(data["cycle"])
+    assert set(cycle.terms) == {((10, 11),)}
+    assert cycle.to_text() == data["cycle"]
