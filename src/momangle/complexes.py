@@ -42,17 +42,6 @@ def _mask(f):
     return m
 
 
-def _unmask(mask):
-    out = []
-    v = 1
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return tuple(out)
-
-
 class SimplicialComplex:
     """Immutable downward-closed face family on {1..m}.
 
@@ -74,14 +63,17 @@ class SimplicialComplex:
         fs.add(())
         self.m = m
         self.faces = frozenset(fs)
-        self._masks = frozenset(_mask(f) for f in fs)
+        masks = {f: _mask(f) for f in fs}
+        self._masks = frozenset(masks.values())
         for f in fs:
             for v in f:
                 sub = tuple(x for x in f if x != v)
                 if sub not in fs:
                     raise ValueError(f"not downward closed: {sub} missing under {f}")
-        maximal = [f for f in fs
-                   if not any(f != g and set(f) <= set(g) for g in fs)]
+        # downward closed, so a face is a facet iff no one-vertex extension is a face
+        bits = [1 << i for i in range(m)]
+        maximal = [f for f, mask in masks.items()
+                   if not any(mask | b in self._masks for b in bits if not mask & b)]
         self.facets = tuple(sorted(maximal, key=lambda f: (len(f), f)))
         self.labels = tuple(labels) if labels is not None else None
         self._mf = None
@@ -104,9 +96,6 @@ class SimplicialComplex:
     def __contains__(self, f):
         return _mask(face(f)) in self._masks
 
-    def has_mask(self, mask):
-        return mask in self._masks
-
     def __eq__(self, other):
         return (isinstance(other, SimplicialComplex)
                 and self.m == other.m and self.faces == other.faces)
@@ -125,14 +114,6 @@ class SimplicialComplex:
 
     def has_all_singletons(self):
         return all((v,) in self.faces for v in range(1, self.m + 1))
-
-    def faces_by_dim(self):
-        out = {}
-        for f in self.faces:
-            out.setdefault(len(f) - 1, []).append(f)
-        for d in out:
-            out[d].sort()
-        return out
 
     def faces_within(self, subset):
         """Faces contained in `subset`, keeping original labels."""

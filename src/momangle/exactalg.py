@@ -64,10 +64,6 @@ class IntMatrix:
     def nnz(self):
         return len(self.entries)
 
-    def transpose(self):
-        return IntMatrix(self.cols, self.rows,
-                         {(j, i): v for (i, j), v in self.entries.items()})
-
     def __matmul__(self, other):
         if isinstance(other, IntMatrix):
             if self.cols != other.rows:
@@ -239,13 +235,6 @@ class _SnfWorker:
                     rk[jj] = w
                 elif jj in rk:
                     del rk[jj]
-
-    def col_negate(self, j):
-        for i in self.colind.get(j, set()):
-            self.a[i][j] = -self.a[i][j]
-        if self.transforms:
-            self.v[j] = {i: -v for i, v in self.v[j].items()}
-            self.vinv[j] = {jj: -v for jj, v in self.vinv[j].items()}
 
     # -- the algorithm ------------------------------------------------------
 
@@ -545,9 +534,6 @@ class ChainComplex:
 
     def boundary_vector(self, d, chain):
         return self.differential(d).apply(self.vector(d, chain))
-
-    def is_cycle(self, d, chain):
-        return not self.boundary_vector(d, chain)
 
     def _factors_at(self, d):
         """Invariant factors of the differential at d, reduced once for H_d and H_d-1."""

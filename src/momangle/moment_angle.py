@@ -185,7 +185,7 @@ def zk_cells(K):
     return by_degree
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def zk_chain_complex(K):
     """Whole cellular chain complex of Z_K (degree of kappa(J,I) is 2|I|+|J|)."""
     if not K.has_all_singletons():
@@ -208,6 +208,13 @@ def zk_block(K, S):
     return ChainComplex.from_boundary(cells, cell_boundary)
 
 
+def support_table(blocks, shift):
+    """Homology of (S, ChainComplex) blocks as {(S, Z_K degree): group},
+    nontrivial only; `shift(S, d)` places block degree d in Z_K.  Every
+    route returns its homology in this shape."""
+    return {(S, shift(S, d)): h for S, C in blocks for d, h in C.homology_all().items()}
+
+
 def degree_sums(per_support):
     """Direct sum over S of {(S, degree): group}, as degree -> group."""
     out = {}
@@ -216,16 +223,31 @@ def degree_sums(per_support):
     return dict(sorted(out.items()))
 
 
+def class_by_support(block, support, degree, terms):
+    """Class of a chain reduced only in the blocks it touches: the terms are
+    split by `support(key)`, each piece is classed in `block(S)` at `degree`,
+    and the coordinates run block by block in sorted S order."""
+    pieces = {}
+    for key, c in terms.items():
+        pieces.setdefault(support(key), {})[key] = c
+    coords, orders = (), ()
+    for S, piece in sorted(pieces.items()):
+        cls = block(S).class_of(degree, piece)
+        coords += cls.coords
+        orders += cls.orders
+    return HomologyClass(coords, orders)
+
+
+def all_subsets(m):
+    """Every vertex subset of 1..m, by size and then lexicographically."""
+    return (S for k in range(m + 1) for S in combinations(range(1, m + 1), k))
+
+
 def zk_homology_by_support(K):
     """Homology of every support block, {(S, degree): group}, nontrivial only."""
     if K.m > ZK_MAX_VERTICES:
         raise SizeLimitError(f"Z_K cell enumeration refuses m={K.m} > {ZK_MAX_VERTICES}")
-    out = {}
-    for k in range(K.m + 1):
-        for S in combinations(range(1, K.m + 1), k):
-            for d, h in zk_block(K, S).homology_all().items():
-                out[(S, d)] = h
-    return out
+    return support_table(((S, zk_block(K, S)) for S in all_subsets(K.m)), lambda S, d: d)
 
 
 def zk_homology(K):
@@ -240,16 +262,10 @@ def reduced_ranks(homology):
 
 def zk_class(K, chain):
     """Homology class of a cellular cycle in Z_K, reduced only in the blocks
-    the chain touches; coordinates run block by block in sorted S order."""
-    pieces = {}
-    for (J, I), c in chain.terms.items():
-        pieces.setdefault(tuple(sorted(J + I)), {})[(J, I)] = c
-    coords, orders = (), ()
-    for S, terms in sorted(pieces.items()):
-        cls = zk_block(K, S).class_of(chain.degree, terms)
-        coords += cls.coords
-        orders += cls.orders
-    return HomologyClass(coords, orders)
+    the chain touches."""
+    return class_by_support(lambda S: zk_block(K, S),
+                            lambda cell: tuple(sorted(cell[0] + cell[1])),
+                            chain.degree, chain.terms)
 
 
 # -- Hochster decomposition -----------------------------------------------------
@@ -297,19 +313,12 @@ def hochster_table(K, subsets=None):
     Returns (per_subset, aggregate): per_subset maps (J, degree) to the
     group contributed by K_J (simplicial degree p-1 sits in degree p+|J|),
     aggregate direct-sums the contributions per degree.  J = the empty set
-    contributes the basepoint class in degree 0.
+    contributes the basepoint class in degree 0.  `subsets`, sorted tuples,
+    limits J; the default is every subset.
     """
     if K.m > 20:
         raise SizeLimitError(f"Hochster table refuses m={K.m} > 20")
-    if subsets is None:
-        subsets = []
-        verts = range(1, K.m + 1)
-        for k in range(K.m + 1):
-            subsets.extend(combinations(verts, k))
-    per_subset = {}
-    for J in subsets:
-        J = tuple(sorted(J))
-        hom = reduced_chain_complex(K.faces_within(J)).homology_all()
-        for d, h in hom.items():
-            per_subset[(J, d + len(J) + 1)] = h
+    blocks = ((J, reduced_chain_complex(K.faces_within(J)))
+              for J in (all_subsets(K.m) if subsets is None else subsets))
+    per_subset = support_table(blocks, lambda J, d: d + len(J) + 1)
     return per_subset, degree_sums(per_subset)

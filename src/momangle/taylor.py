@@ -28,7 +28,7 @@ from itertools import combinations, product
 from .complexes import (SimplicialComplex, SizeLimitError, face, read_signed_sum,
                         read_text, read_word, signed_sum_text, word_text)
 from .exactalg import ChainComplex
-from .moment_angle import degree_sums, hochster_table
+from .moment_angle import class_by_support, degree_sums, support_table
 
 MAX_GENERATORS = 20
 
@@ -209,7 +209,12 @@ def taylor_face_complex(K):
     return ChainComplex.from_boundary(basis, lambda w: taylor_boundary_word(K, w))
 
 
-@lru_cache(maxsize=None)
+def word_support(word):
+    """The union S of the factors of an exterior word, sorted."""
+    return tuple(sorted(set().union(*word)))
+
+
+@lru_cache(maxsize=8)
 def taylor_components(K):
     """Per-subset split: S -> ChainComplex of words with union exactly S."""
     mfs = mf_order(K)
@@ -219,59 +224,29 @@ def taylor_components(K):
     by_subset = {}
     for s in range(len(mfs) + 1):
         for w in combinations(mfs, s):
-            S = tuple(sorted(set().union(*w))) if w else ()
-            by_subset.setdefault(S, {}).setdefault(-s, []).append(w)
+            by_subset.setdefault(word_support(w), {}).setdefault(-s, []).append(w)
     return {S: ChainComplex.from_boundary(basis, lambda w: taylor_boundary_word(K, w))
             for S, basis in by_subset.items()}
 
 
-def taylor_homology_by_subset(K, check_dictionary=True):
-    """Homology of every (S, s) component.
-
-    With check_dictionary, the table is compared in both directions against
-    the reduced homology of the full subcomplexes: the group at (S, s) must
-    equal the group of K_S in simplicial degree |S|-s-1, torsion included."""
-    comps = taylor_components(K)
-    out = {}
-    for S, C in comps.items():
-        for d, h in C.homology_all().items():
-            out[(S, -d)] = h
-    if check_dictionary:
-        per_subset, _ = hochster_table(K)
-        hochster_keyed = {}
-        for (J, degree), h in per_subset.items():
-            if J:
-                hochster_keyed[(J, 2 * len(J) - degree)] = h
-        ours = {k: v for k, v in out.items() if k[0]}
-        if ours != hochster_keyed:
-            diff = set(ours.items()) ^ set(hochster_keyed.items())
-            raise AssertionError(f"Cotor gradings disagree: {sorted(diff)[:4]}")
-    return out
+def taylor_homology_by_support(K):
+    """Homology of every component, {(S, 2|S| - s): group}, nontrivial only."""
+    return support_table(taylor_components(K).items(), lambda S, d: 2 * len(S) + d)
 
 
-def taylor_homology(K, check_dictionary=True):
+def taylor_homology(K):
     """Homology of Z_K via the Taylor complex, total degree 2|S|-s."""
-    by_subset = taylor_homology_by_subset(K, check_dictionary)
-    return degree_sums({(S, 2 * len(S) - s): h for (S, s), h in by_subset.items()})
+    return degree_sums(taylor_homology_by_support(K))
 
 
 def taylor_class(K, chain):
-    """Class of a Taylor cycle inside its (S, s) component."""
-    comps = taylor_components(K)
-    pieces = {}
-    for word, c in chain.terms.items():
-        S = tuple(sorted(set().union(*word))) if word else ()
-        pieces.setdefault(S, {})[word] = c
-    out = {}
-    for S, terms in pieces.items():
-        out[S] = comps[S].class_of(-chain.s, terms)
-    return out
+    """Class of a Taylor cycle, reduced only in the components it touches."""
+    return class_by_support(taylor_components(K).__getitem__, word_support,
+                            -chain.s, chain.terms)
 
 
 def taylor_cycle_is_boundary(K, chain):
-    if not chain:
-        return True
-    return all(cls.is_boundary for cls in taylor_class(K, chain).values())
+    return not chain or taylor_class(K, chain).is_boundary
 
 
 # -- the canonical nested-product cycle -------------------------------------------
@@ -444,16 +419,13 @@ def taylor_module_resolution(ideal, bound=None):
 class ResolutionReport:
     module_exact: bool
     failures: tuple
-    face_checked: bool
-    face_ok: bool
 
     def ok(self):
-        return self.module_exact and (self.face_ok or not self.face_checked)
+        return self.module_exact
 
 
-def verify_taylor_is_resolution(ideal, bound=None, check_face_version=True):
-    """Per-multidegree exactness of the module Taylor complex, plus the
-    face-version homology dictionary for square-free ideals.
+def verify_taylor_is_resolution(ideal, bound=None):
+    """Per-multidegree exactness of the module Taylor complex.
 
     Exactness means vanishing homology in positive indices and a degree-zero
     cokernel equal to the monomial span of the quotient ring: Z exactly at
@@ -476,15 +448,7 @@ def verify_taylor_is_resolution(ideal, bound=None, check_face_version=True):
         if not any(_divides(g, beta) for g in ideal.gens))
     if h0.torsion or h0.rank != expected_rank:
         failures.append((0, f"H_0 = {h0}, expected Z^{expected_rank}"))
-    face_checked = False
-    face_ok = True
-    if check_face_version and ideal.is_squarefree():
-        face_checked = True
-        try:
-            taylor_homology_by_subset(ideal.complex(), check_dictionary=True)
-        except AssertionError:
-            face_ok = False
-    return ResolutionReport(not failures, tuple(failures), face_checked, face_ok)
+    return ResolutionReport(not failures, tuple(failures))
 
 
 @dataclass(frozen=True)

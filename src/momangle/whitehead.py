@@ -169,10 +169,6 @@ def delta_w(w):
     return DeltaW(sub.complex, sphere, leaf_map)
 
 
-def delta_w_sphere(w):
-    return delta_w(w).sphere
-
-
 def sphere_fundamental_cycle(sphere):
     """Generator of the top reduced homology of a simplicial sphere."""
     C = cx.reduced_chain_complex(sphere.faces)

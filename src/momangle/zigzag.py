@@ -29,8 +29,8 @@ from itertools import combinations
 
 from .complexes import signed_sum_text, word_text
 from .exactalg import boundary_matrix, solve_integer
-from .moment_angle import CellChain, cell_letters
-from .taylor import (TaylorChain, gen_key, mf_order, taylor_boundary,
+from .moment_angle import CellChain, cell_boundary, cell_letters
+from .taylor import (TaylorChain, mf_order, normalise_word, taylor_boundary,
                      taylor_cycle_is_boundary)
 
 
@@ -106,32 +106,22 @@ def vertical_diff(e):
     """Koszul differential, extended identically over the Taylor word."""
     out = {}
     for (I, J, W), c in e.terms.items():
-        for i in I:
-            sign = -1 if sum(1 for j in J if j < i) % 2 else 1
-            key = (tuple(x for x in I if x != i), tuple(sorted(J + (i,))), W)
-            out[key] = out.get(key, 0) + sign * c
+        for (J2, I2), sign in cell_boundary((J, I)).items():
+            out[(I2, J2, W)] = out.get((I2, J2, W), 0) + sign * c
     return BicomplexChain(out)
 
 
 def horizontal_diff(K, e):
     """Taylor differential: absorb a missing face out of the disc letters."""
-    mfs = mf_order(K)
     out = {}
     for (I, J, W), c in e.terms.items():
-        have = set(W)
-        union = set()
-        for F in W:
-            union.update(F)
-        iset = set(I)
-        for F in mfs:
-            if F in have:
-                continue
+        union, iset = set().union(*W), set(I)
+        for F in mf_order(K):
             needed = set(F) - union
-            if not needed <= iset:
+            if F in W or not needed <= iset:
                 continue
-            before = sum(1 for G in W if gen_key(G) < gen_key(F))
-            sign = -1 if before % 2 else 1
-            newW = tuple(sorted(W + (F,), key=gen_key))
+            # the new factor enters at the front and the word is sorted back
+            newW, sign = normalise_word((F,) + W)
             key = (tuple(v for v in I if v not in needed), J, newW)
             out[key] = out.get(key, 0) + sign * c
     return BicomplexChain(out)

@@ -102,6 +102,13 @@ def simplicial_homology_dense(faces):
     return out
 
 
+def brute_facets(K):
+    """Faces contained in no other face, by testing every pair."""
+    out = [f for f in K.faces
+           if not any(f != g and set(f) <= set(g) for g in K.faces)]
+    return sorted(out, key=lambda f: (len(f), f))
+
+
 def brute_missing_faces(K):
     """Minimal non-faces straight from the definition, all cardinalities."""
     out = []

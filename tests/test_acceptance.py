@@ -16,7 +16,8 @@ from momangle.moment_angle import CellChain, hochster_table, reduced_ranks, zk_h
 from momangle.taylor import (MonomialIdeal, TaylorChain, cone_reconstruction,
                              mf_order, nested_taylor_cycle,
                              taylor_boundary_word, taylor_face_complex,
-                             taylor_homology, verify_taylor_is_resolution)
+                             taylor_homology, taylor_homology_by_support,
+                             verify_taylor_is_resolution)
 from momangle.whitehead import (DEFINED_NONTRIVIAL, DEFINED_TRIVIAL,
                                 UNDEFINED, delta_w, hurewicz_chain,
                                 nested_shape_status, parse_whitehead,
@@ -270,6 +271,7 @@ def test_criterion_11_appendix_resolutions():
         ideal = MonomialIdeal.stanley_reisner(K)
         report = verify_taylor_is_resolution(ideal)
         assert report.ok(), (K.facets, report.failures)
+        assert taylor_homology_by_support(K) == hochster_table(K)[0], K.facets
         if len(ideal.gens) <= 5:
             assert cone_reconstruction(ideal).matches, K.facets
         done += 1

@@ -86,11 +86,45 @@ def test_verify_verb_ok(capsys):
 def test_verify_exit_code_on_disagreement(capsys, monkeypatch):
     from momangle import cli
     from momangle.exactalg import HomologyGroup
-    monkeypatch.setattr(cli.ty, "taylor_homology",
-                        lambda K, check_dictionary=True: {99: HomologyGroup(1)})
+    monkeypatch.setattr(cli.ty, "taylor_homology_by_support",
+                        lambda K: {((), 99): HomologyGroup(1)})
     code, out, _ = run_cli(capsys, "verify", "--complex", SUB5_EXPR)
     assert code == 3
     assert "Taylor vs cellular" in json.loads(out)["verification_error"]
+
+
+def test_verify_compares_routes_block_by_block(capsys, monkeypatch):
+    # move one Taylor group to another support of the same degree: the degree
+    # sums stay equal, the per-support tables do not
+    from momangle import cli
+    from momangle import moment_angle as ma
+    real = cli.ty.taylor_homology_by_support
+
+    def moved(K):
+        table = dict(real(K))
+        table[((1, 2, 4), 5)] = table.pop(((1, 2, 3), 5))
+        assert ma.degree_sums(table) == ma.degree_sums(real(K))
+        return table
+    monkeypatch.setattr(cli.ty, "taylor_homology_by_support", moved)
+    code, out, _ = run_cli(capsys, "verify", "--complex", SUB5_EXPR)
+    assert code == 3
+    assert "Taylor vs cellular" in json.loads(out)["verification_error"]
+
+
+@pytest.mark.parametrize("verb, calls", [("taylor", 0), ("verify", 1)])
+def test_hochster_table_runs_only_in_verify(capsys, monkeypatch, verb, calls):
+    import momangle
+    from momangle import moment_angle as ma
+    real, seen = ma.hochster_table, []
+
+    def counted(*args):
+        seen.append(args)
+        return real(*args)
+    for mod in vars(momangle).values():
+        if getattr(mod, "hochster_table", None) is real:
+            monkeypatch.setattr(mod, "hochster_table", counted)
+    run_json(capsys, verb, "--complex", SUB5_EXPR)
+    assert len(seen) == calls
 
 
 def test_parse_error_exit_code(capsys):
@@ -107,6 +141,15 @@ def test_size_refusal_exit_code(capsys):
     big = "simplex(" + ",".join(map(str, range(1, 26))) + ")"
     code, _, err = run_cli(capsys, "homology", "--complex", big)
     assert code == 2 and "above" in err
+
+
+def test_whitehead_leaves_gated_by_max_vertices(capsys):
+    bracket = "[" + ",".join(map(str, range(1, 22))) + "]"
+    code, _, err = run_cli(capsys, "delta-w", "--w", bracket)
+    assert code == 2 and "21 leaves" in err
+    data = run_json(capsys, "delta-w", "--w", "[" + ",".join(map(str, range(1, 13))) + "]")
+    assert data["dimension"] == 23
+    assert len(data["sphere_facets"]) == 12
 
 
 def test_missing_argument(capsys):
@@ -152,6 +195,9 @@ BAD_FILES = {"bad.json": "{not json", "no_facets.json": '{"m": 3}',
     (["frobnicate"], 1),
     (["homology", "--complex", "pt", "--max-vertices", "x"], 1),
     (["homology", "--complex", "pt", "--seed", "0"], 1),
+    (["mf", "--complex", "bd(" * 1000 + "pt" + ")" * 1000], 1),
+    (["hurewicz", "--w", "".join(f"[{v}," for v in range(1, 1501)) + "1501"
+      + "]" * 1500], 1),
 ])
 def test_bad_inputs_exit_without_traceback(tmp_path, capsys, argv, expected):
     for name, text in BAD_FILES.items():

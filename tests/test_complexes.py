@@ -8,7 +8,7 @@ from momangle.complexes import (ParseError, SimplicialComplex, SizeLimitError,
                                 is_subcomplex, join, parse_complex, point,
                                 reduced_homology, simplex, simplex_boundary,
                                 substitute, substitution_missing_faces)
-from oracles import (brute_is_shifted, brute_missing_faces,
+from oracles import (brute_facets, brute_is_shifted, brute_missing_faces,
                      brute_substitute_faces, random_complex)
 
 
@@ -55,6 +55,16 @@ def test_missing_faces_against_bruteforce():
     for _ in range(25):
         K = random_complex(rng.randint(2, 6), rng)
         assert list(K.missing_faces()) == brute_missing_faces(K)
+
+
+def test_facets_against_bruteforce():
+    # boundary(K) drops the vertices that are facets of K: ghost vertices
+    rng = random.Random(3)
+    for _ in range(25):
+        K = random_complex(rng.randint(1, 7), rng)
+        for L in (K, boundary(K), boundary(boundary(K))):
+            assert list(L.facets) == brute_facets(L), L
+    assert boundary(point()).facets == ((),)
 
 
 def test_full_subcomplex(sub5):

@@ -17,8 +17,9 @@ from momangle import complexes as cx
 from momangle.cli import main
 from momangle.exactalg import kernel_basis
 from momangle.moment_angle import (CellChain, cell_boundary, hochster_embed,
-                                   zk_chain_complex, zk_class, zk_homology)
-from momangle.taylor import taylor_face_complex
+                                   hochster_table, zk_chain_complex, zk_class,
+                                   zk_homology, zk_homology_by_support)
+from momangle.taylor import taylor_face_complex, taylor_homology_by_support
 from momangle.whitehead import bracket, hurewicz_chain, leaf, parse_whitehead
 from oracles import random_complex
 
@@ -76,6 +77,14 @@ def random_boundary(C, d, rng):
 @pytest.mark.parametrize("K", complexes(), ids=lambda K: f"m{K.m}-{len(K.faces)}faces")
 def test_block_homology_matches_whole_complex(K):
     assert zk_homology(K) == zk_chain_complex(K).homology_all()
+
+
+@pytest.mark.parametrize("K", complexes(), ids=lambda K: f"m{K.m}-{len(K.faces)}faces")
+def test_three_routes_agree_per_support(K):
+    cell = zk_homology_by_support(K)
+    assert cell == hochster_table(K)[0]
+    if len(K.missing_faces()) <= 8:  # the RP^2 cone has 19, so 2^19 Taylor words
+        assert taylor_homology_by_support(K) == cell
 
 
 @pytest.mark.parametrize("K", complexes(), ids=lambda K: f"m{K.m}-{len(K.faces)}faces")

@@ -6,12 +6,12 @@ from momangle import taylor as ty
 from momangle.complexes import (SimplicialComplex, SizeLimitError,
                                 simplex_boundary)
 from momangle.exactalg import HomologyGroup
-from momangle.moment_angle import zk_homology
+from momangle.moment_angle import hochster_table, zk_homology
 from momangle.taylor import (MonomialIdeal, TaylorChain, cone_reconstruction,
                              mf_order, nested_taylor_cycle, normalise_word,
                              taylor_boundary, taylor_boundary_word,
                              taylor_face_complex, taylor_homology,
-                             taylor_module_resolution,
+                             taylor_homology_by_support, taylor_module_resolution,
                              verify_taylor_is_resolution)
 from momangle.whitehead import parse_whitehead
 from oracles import random_complex
@@ -197,7 +197,8 @@ def test_module_resolution_figure_one_ranks(sub5):
              for s in range(5)}
     assert per_s == {0: 1, 1: 4, 2: 6, 3: 4, 4: 1}
     report = verify_taylor_is_resolution(ideal)
-    assert report.ok() and report.face_checked and report.face_ok
+    assert report.ok()
+    assert taylor_homology_by_support(sub5) == hochster_table(sub5)[0]
 
 
 def test_module_resolution_random_squarefree():
@@ -215,7 +216,7 @@ def test_module_resolution_random_squarefree():
 
 def test_module_resolution_general_exponents():
     ideal = MonomialIdeal(2, [(2, 0), (1, 1)])
-    report = verify_taylor_is_resolution(ideal, check_face_version=False)
+    report = verify_taylor_is_resolution(ideal)
     assert report.module_exact
 
 
@@ -233,7 +234,7 @@ def test_module_resolution_random_general_exponents():
         if not gens:
             continue
         ideal = MonomialIdeal(m, sorted(gens))
-        report = verify_taylor_is_resolution(ideal, check_face_version=False)
+        report = verify_taylor_is_resolution(ideal)
         assert report.module_exact, (gens, report.failures)
         done += 1
 
