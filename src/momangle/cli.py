@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from functools import lru_cache
 from math import comb
 
 from . import __version__
@@ -202,7 +203,10 @@ class ArgumentParser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@lru_cache(maxsize=1)
 def build_parser():
+    """The parser, built once per process: building its subparsers costs
+    far more than a parse, and parsing leaves the parser unchanged."""
     parser = ArgumentParser(
         prog="momangle",
         description="moment-angle complex homology and Whitehead product tooling")

@@ -49,7 +49,7 @@ class SimplicialComplex:
     (used by `full_subcomplex`, whose output is re-indexed).
     """
 
-    __slots__ = ("m", "faces", "facets", "labels", "_masks", "_mf", "_hash")
+    __slots__ = ("m", "faces", "facets", "labels", "_masks", "_by_size", "_mf", "_hash")
 
     def __init__(self, m, faces, labels=None):
         if m > 64:
@@ -76,6 +76,7 @@ class SimplicialComplex:
                    if not any(mask | b in self._masks for b in bits if not mask & b)]
         self.facets = tuple(sorted(maximal, key=lambda f: (len(f), f)))
         self.labels = tuple(labels) if labels is not None else None
+        self._by_size = None
         self._mf = None
         self._hash = hash((self.m, self.faces))
 
@@ -116,10 +117,15 @@ class SimplicialComplex:
         return all((v,) in self.faces for v in range(1, self.m + 1))
 
     def faces_within(self, subset):
-        """Faces contained in `subset`, keeping original labels."""
-        sub = set(subset)
-        return sorted((f for f in self.faces if set(f) <= sub),
-                      key=lambda f: (len(f), f))
+        """Faces contained in `subset`, keeping original labels, sorted by
+        (size, labels).  The faces and their bitmasks are sorted once, on the
+        first call: the routes call this for up to every subset of 1..m."""
+        if self._by_size is None:
+            order = sorted(self.faces, key=lambda f: (len(f), f))
+            self._by_size = (order, [_mask(f) for f in order])
+        outside = ~_mask(v for v in subset if v > 0)
+        faces, masks = self._by_size
+        return [f for f, mask in zip(faces, masks) if not mask & outside]
 
     # -- missing faces ---------------------------------------------------------
 

@@ -17,6 +17,7 @@ Conventions:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 
@@ -94,9 +95,6 @@ class IntMatrix:
             if w:
                 out[i] = out.get(i, 0) + v * w
         return {i: v for i, v in out.items() if v}
-
-    def column(self, j):
-        return {i: v for (i, jj), v in self.entries.items() if jj == j}
 
     def to_dense(self):
         rows = [[0] * self.cols for _ in range(self.rows)]
@@ -239,17 +237,19 @@ class _SnfWorker:
     # -- the algorithm ------------------------------------------------------
 
     def find_pivot(self, t):
+        """Least (|v|, row, col) among the rows and columns from t on.  A unit
+        is the least magnitude there is, so the scan, in row order, stops at
+        the first row that holds one."""
         best = None
-        for i, row in self.a.items():
-            if i < t or not row:
-                continue
-            for j, v in row.items():
-                if j < t:
-                    continue
-                key = (abs(v), i, j)
-                if best is None or key < best:
-                    best = key
-        return None if best is None else (best[1], best[2])
+        for i in range(t, self.m):
+            for j, v in self.a.get(i, {}).items():
+                if j >= t:
+                    key = (abs(v), i, j)
+                    if best is None or key < best:
+                        best = key
+            if best is not None and best[0] == 1:
+                break
+        return None if best is None else best[1:]
 
     def run(self):
         diag = []
@@ -288,8 +288,10 @@ class _SnfWorker:
                     if self.a[t][t] < 0:
                         self.row_negate(t)
                     continue
-                # pivot must divide everything that remains
+                # pivot must divide everything that remains; a unit does
                 p = self.a[t][t]
+                if p == 1:
+                    break
                 offender = None
                 for i, row in self.a.items():
                     if i <= t:
@@ -306,10 +308,7 @@ class _SnfWorker:
 
     def result(self):
         diag = self.run()
-        S = IntMatrix(self.m, self.n,
-                      {(t, t): d for t, d in enumerate(diag) if d})
-        if not self.transforms:
-            return SmithForm(S, None, None, None, tuple(diag))
+        S = IntMatrix(self.m, self.n, {(t, t): d for t, d in enumerate(diag)})
         U = IntMatrix(self.m, self.m, {(i, j): v for i, row in self.u.items()
                                        for j, v in row.items()})
         V = IntMatrix(self.n, self.n, {(i, j): v for j, col in self.v.items()
@@ -319,14 +318,85 @@ class _SnfWorker:
         return SmithForm(S, U, V, vinv, tuple(diag))
 
 
+def _eliminate_units(A):
+    """Eliminate the +-1 pivots of A sparsely, without transforms.
+
+    Repeatedly take the column with the fewest entries that holds a unit, and
+    in it the unit whose row has the fewest entries; clear the column with row
+    operations and drop the pivot's row and column.  What is left is the
+    Schur complement, which has no +-1 entry.  This is algebraic discrete
+    Morse reduction (Skoldberg 2006; Jollenbeck-Welker 2009): A's invariant
+    factors are one 1 per eliminated unit followed by the residual's.
+
+    Returns (number of units eliminated, residual IntMatrix).
+    """
+    rows, cols = {}, {}
+    for (i, j), v in A.entries.items():
+        rows.setdefault(i, {})[j] = v
+        cols.setdefault(j, set()).add(i)
+    heap = [(len(rs), j) for j, rs in cols.items()]
+    heapq.heapify(heap)
+    units = 0
+    while heap:
+        count, c = heapq.heappop(heap)
+        col = cols.get(c)
+        if col is None or len(col) != count:
+            continue            # stale entry: c was dropped or has changed since
+        r = None
+        for i in col:
+            if rows[i][c] in (1, -1):
+                key = (len(rows[i]), i)
+                if r is None or key < best:
+                    r, best = i, key
+        if r is None:
+            continue            # no unit; pushed again if a later step changes c
+        pivot = rows.pop(r)
+        p = pivot.pop(c)
+        del cols[c]
+        for j in pivot:
+            cols[j].discard(r)
+        for i in col:
+            if i == r:
+                continue
+            row = rows[i]
+            q = row.pop(c) * p  # row_i -= (a_ic / p) * row_r, and 1/p == p
+            for j, v in pivot.items():
+                w = row.get(j, 0) - q * v
+                if w:
+                    row[j] = w
+                    cols[j].add(i)
+                elif j in row:
+                    del row[j]
+                    cols[j].discard(i)
+        for j in pivot:
+            if cols[j]:
+                heapq.heappush(heap, (len(cols[j]), j))
+            else:
+                del cols[j]
+        units += 1
+    row_at = {i: t for t, i in enumerate(sorted(i for i, row in rows.items() if row))}
+    col_at = {j: t for t, j in enumerate(sorted(cols))}
+    return units, IntMatrix(len(row_at), len(col_at),
+                            {(row_at[i], col_at[j]): v for i, row in rows.items()
+                             for j, v in row.items()})
+
+
 def smith_normal_form(A, transforms=True):
     """Smith normal form of an integer matrix.
 
     Returns a SmithForm with U @ A @ V == S, the diagonal of S being the
     invariant factors in divisibility order.  With transforms=False only the
-    diagonal is computed (faster; U, V, vinv are None).
+    diagonal is computed (U, V, vinv are None): the unit pivots are
+    eliminated first and only the residual goes through the full elimination.
+    With transforms the pivot rule of `_SnfWorker` is kept throughout, since
+    the transforms it fixes are what canonical solutions depend on.
     """
-    return _SnfWorker(A, transforms).result()
+    if transforms:
+        return _SnfWorker(A).result()
+    units, residual = _eliminate_units(A)
+    diag = [1] * units + _SnfWorker(residual, transforms=False).run()
+    S = IntMatrix(A.rows, A.cols, {(t, t): d for t, d in enumerate(diag)})
+    return SmithForm(S, None, None, None, tuple(diag))
 
 
 def invariant_factors(A):
@@ -383,7 +453,11 @@ def kernel_basis(A):
     """Columns spanning ker A; the basis is saturated (spans all of the
     integer kernel) because it consists of columns of a unimodular matrix."""
     snf = smith_normal_form(A)
-    return [snf.V.column(j) for j in snf.kernel_columns()]
+    kernel = {j: {} for j in snf.kernel_columns()}
+    for (i, j), v in snf.V.entries.items():
+        if j in kernel:
+            kernel[j][i] = v
+    return list(kernel.values())
 
 
 @dataclass(frozen=True)
@@ -573,13 +647,10 @@ class ChainComplex:
         kpos = {j: t for t, j in enumerate(kcols)}
         # image columns expressed in kernel coordinates
         x_entries = {}
-        for j in range(B.cols):
-            col = snf_a.vinv.apply(B.column(j))
-            for i, v in col.items():
-                if i in kpos:
-                    x_entries[(kpos[i], j)] = v
-                elif v:
-                    raise AssertionError("image column escapes the kernel")
+        for (i, j), v in (snf_a.vinv @ B).entries.items():
+            if i not in kpos:
+                raise AssertionError("image column escapes the kernel")
+            x_entries[(kpos[i], j)] = v
         X = IntMatrix(len(kcols), B.cols, x_entries)
         snf_x = smith_normal_form(X)
         orders = []

@@ -1,14 +1,17 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here recomputes results along a second route: dense textbook
-Smith normal form, definition-level missing faces and substitution, and
-permutation-search shiftedness.  None of it shares code with the package
-internals it checks.
+Smith normal form, a sparse Smith normal form that scans the whole matrix
+for every pivot (the reference for the package's fast one), definition-level
+missing faces and substitution, and permutation-search shiftedness.  None of
+it shares code with the package internals it checks beyond the IntMatrix and
+SmithForm containers.
 """
 
 from itertools import combinations, permutations
 
 from momangle.complexes import SimplicialComplex
+from momangle.exactalg import IntMatrix, SmithForm
 
 
 def dense_snf_diagonal(rows):
@@ -64,6 +67,201 @@ def dense_snf_diagonal(rows):
         diag.append(abs(p))
         t += 1
     return diag
+
+
+class _ReferenceSnfWorker:
+    """Row/column elimination state for the Smith normal form.
+
+    Pivot rule: smallest nonzero magnitude, ties broken by (row, col); this
+    fixes the transforms and therefore every canonical solution downstream.
+    """
+
+    def __init__(self, A, transforms=True):
+        self.m, self.n = A.rows, A.cols
+        self.a = {}
+        self.colind = {}
+        for (i, j), v in A.entries.items():
+            self.a.setdefault(i, {})[j] = v
+            self.colind.setdefault(j, set()).add(i)
+        self.transforms = transforms
+        if transforms:
+            self.u = {i: {i: 1} for i in range(self.m)}     # rows of U
+            self.v = {j: {j: 1} for j in range(self.n)}     # columns of V
+            self.vinv = {j: {j: 1} for j in range(self.n)}  # rows of V^-1
+
+    # -- elementary operations (mirrored into the transforms) --------------
+
+    def _set(self, i, j, val):
+        row = self.a.setdefault(i, {})
+        if val:
+            row[j] = val
+            self.colind.setdefault(j, set()).add(i)
+        else:
+            if j in row:
+                del row[j]
+                self.colind[j].discard(i)
+
+    def row_swap(self, i, k):
+        if i == k:
+            return
+        ri, rk = self.a.get(i, {}), self.a.get(k, {})
+        for j in set(ri) | set(rk):
+            s = self.colind[j]
+            s.discard(i), s.discard(k)
+        self.a[i], self.a[k] = rk, ri
+        for j in self.a[i]:
+            self.colind[j].add(i)
+        for j in self.a[k]:
+            self.colind[j].add(k)
+        if self.transforms:
+            self.u[i], self.u[k] = self.u[k], self.u[i]
+
+    def row_addmul(self, i, k, q):
+        """row_i += q * row_k."""
+        if not q:
+            return
+        for j, v in list(self.a.get(k, {}).items()):
+            self._set(i, j, self.a.get(i, {}).get(j, 0) + q * v)
+        if self.transforms:
+            ui = self.u[i]
+            for j, v in self.u[k].items():
+                w = ui.get(j, 0) + q * v
+                if w:
+                    ui[j] = w
+                elif j in ui:
+                    del ui[j]
+
+    def row_negate(self, i):
+        for j, v in self.a.get(i, {}).items():
+            self.a[i][j] = -v
+        if self.transforms:
+            self.u[i] = {j: -v for j, v in self.u[i].items()}
+
+    def col_swap(self, j, k):
+        if j == k:
+            return
+        rows = self.colind.get(j, set()) | self.colind.get(k, set())
+        for i in rows:
+            row = self.a[i]
+            vj, vk = row.get(j, 0), row.get(k, 0)
+            self._set(i, j, vk)
+            self._set(i, k, vj)
+        if self.transforms:
+            self.v[j], self.v[k] = self.v[k], self.v[j]
+            self.vinv[j], self.vinv[k] = self.vinv[k], self.vinv[j]
+
+    def col_addmul(self, j, k, q):
+        """col_j += q * col_k; V gets the same op, V^-1 the inverse row op."""
+        if not q:
+            return
+        for i in list(self.colind.get(k, set())):
+            v = self.a[i].get(k, 0)
+            self._set(i, j, self.a[i].get(j, 0) + q * v)
+        if self.transforms:
+            vj = self.v[j]
+            for i, v in self.v[k].items():
+                w = vj.get(i, 0) + q * v
+                if w:
+                    vj[i] = w
+                elif i in vj:
+                    del vj[i]
+            # (I + q E_{kj})^-1 = I - q E_{kj}: row_k of V^-1 -= q * row_j
+            rk = self.vinv[k]
+            for jj, v in self.vinv[j].items():
+                w = rk.get(jj, 0) - q * v
+                if w:
+                    rk[jj] = w
+                elif jj in rk:
+                    del rk[jj]
+
+    # -- the algorithm ------------------------------------------------------
+
+    def find_pivot(self, t):
+        best = None
+        for i, row in self.a.items():
+            if i < t or not row:
+                continue
+            for j, v in row.items():
+                if j < t:
+                    continue
+                key = (abs(v), i, j)
+                if best is None or key < best:
+                    best = key
+        return None if best is None else (best[1], best[2])
+
+    def run(self):
+        diag = []
+        t = 0
+        limit = min(self.m, self.n)
+        while t < limit:
+            pos = self.find_pivot(t)
+            if pos is None:
+                break
+            self.row_swap(t, pos[0])
+            self.col_swap(t, pos[1])
+            if self.a[t][t] < 0:
+                self.row_negate(t)
+            while True:
+                p = self.a[t][t]
+                dirty = False
+                for i in sorted(self.colind.get(t, set())):
+                    if i == t:
+                        continue
+                    q = self.a[i][t] // p
+                    self.row_addmul(i, t, -q)
+                    if self.a.get(i, {}).get(t):
+                        dirty = True
+                for j in sorted(self.a.get(t, {})):
+                    if j == t:
+                        continue
+                    q = self.a[t][j] // p
+                    self.col_addmul(j, t, -q)
+                    if self.a[t].get(j):
+                        dirty = True
+                if dirty:
+                    # a remainder smaller than the pivot appeared; adopt it
+                    pos = self.find_pivot(t)
+                    self.row_swap(t, pos[0])
+                    self.col_swap(t, pos[1])
+                    if self.a[t][t] < 0:
+                        self.row_negate(t)
+                    continue
+                # pivot must divide everything that remains
+                p = self.a[t][t]
+                offender = None
+                for i, row in self.a.items():
+                    if i <= t:
+                        continue
+                    for j, v in row.items():
+                        if j > t and v % p:
+                            offender = (i, j) if offender is None else min(offender, (i, j))
+                if offender is None:
+                    break
+                self.row_addmul(t, offender[0], 1)
+            diag.append(self.a[t][t])
+            t += 1
+        return diag
+
+    def result(self):
+        diag = self.run()
+        S = IntMatrix(self.m, self.n,
+                      {(t, t): d for t, d in enumerate(diag) if d})
+        if not self.transforms:
+            return SmithForm(S, None, None, None, tuple(diag))
+        U = IntMatrix(self.m, self.m, {(i, j): v for i, row in self.u.items()
+                                       for j, v in row.items()})
+        V = IntMatrix(self.n, self.n, {(i, j): v for j, col in self.v.items()
+                                       for i, v in col.items()})
+        vinv = IntMatrix(self.n, self.n, {(i, j): v for i, row in self.vinv.items()
+                                          for j, v in row.items()})
+        return SmithForm(S, U, V, vinv, tuple(diag))
+
+
+def reference_snf(A, transforms=True):
+    """Smith normal form by the full-scan elimination above: the pivot is the
+    least (|v|, row, col) found by scanning the whole remaining matrix, and
+    every pivot is checked against every remaining entry for divisibility."""
+    return _ReferenceSnfWorker(A, transforms).result()
 
 
 def dense_homology(out_matrix, in_matrix, dim):

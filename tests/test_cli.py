@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from momangle.cli import main
+from momangle.cli import build_parser, main
 from conftest import SUB5_EXPR
 
 
@@ -234,3 +234,27 @@ def test_zigzag_with_two_digit_labels(capsys):
     cycle = TaylorChain.from_text(data["cycle"])
     assert set(cycle.terms) == {((10, 11),)}
     assert cycle.to_text() == data["cycle"]
+
+
+def test_parser_reused_across_calls(capsys):
+    """One parser serves every call: bad, good, then bad argv again give the
+    exit codes and outputs a freshly built parser gives for each."""
+    argvs = [["homology", "--complex", "pt", "--max-vertices", "x"],
+             ["mf", "--complex", SUB5_EXPR],
+             ["homology", "--complex", "pt", "--max-vertices", "x"],
+             ["frobnicate"],
+             ["homology", "--complex", SUB5_EXPR, "--format", "text"]]
+
+    def run(argv):
+        code, out, err = run_cli(capsys, *argv)
+        return code, [line for line in out.splitlines() if "elapsed_s" not in line], err
+
+    fresh = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    build_parser.cache_clear()
+    reused = [run(argv) for argv in argvs]
+    assert build_parser.cache_info().misses == 1
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [1, 0, 1, 1, 0]

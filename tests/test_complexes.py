@@ -67,6 +67,17 @@ def test_facets_against_bruteforce():
     assert boundary(point()).facets == ((),)
 
 
+def test_faces_within_against_bruteforce():
+    # subsets may repeat labels or hold labels outside 1..m, as `hochster --subset` can
+    rng = random.Random(4)
+    for _ in range(25):
+        K = random_complex(rng.randint(1, 7), rng)
+        for _ in range(6):
+            S = [rng.randint(0, K.m + 2) for _ in range(rng.randint(0, K.m + 1))]
+            brute = sorted((f for f in K.faces if set(f) <= set(S)), key=lambda f: (len(f), f))
+            assert K.faces_within(S) == brute, (K, S)
+
+
 def test_full_subcomplex(sub5):
     sub = sub5.full_subcomplex((1, 2))
     assert sub.m == 2 and (1, 2) in sub

@@ -5,7 +5,7 @@ import pytest
 from momangle.exactalg import (ChainComplex, HomologyGroup, IntMatrix,
                                direct_sum, invariant_factors, kernel_basis,
                                smith_normal_form, solve_integer)
-from oracles import dense_snf_diagonal
+from oracles import dense_snf_diagonal, reference_snf
 
 
 def dense_det(rows):
@@ -216,3 +216,19 @@ def test_from_boundary_rejects_unknown_target():
     with pytest.raises(ValueError, match="not in the target basis"):
         ChainComplex.from_boundary({1: ["a"], 0: ["x"]},
                                    lambda lab: {"z": 1} if lab == "a" else {})
+
+
+def test_snf_matches_reference_on_chain_complexes(rp2, sub5):
+    """Every differential of the Z_K and Taylor blocks of two complexes: the
+    same Smith form as the full-scan reference, with and without transforms."""
+    from momangle.moment_angle import all_subsets, zk_block
+    from momangle.taylor import taylor_components
+    blocks = [zk_block(rp2, S) for S in all_subsets(rp2.m)]
+    blocks += list(taylor_components(sub5).values())
+    count = 0
+    for C in blocks:
+        for A in C.differentials.values():
+            assert smith_normal_form(A) == reference_snf(A)
+            assert smith_normal_form(A, transforms=False) == reference_snf(A, transforms=False)
+            count += A.nnz() > 0
+    assert count > 100
