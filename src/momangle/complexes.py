@@ -35,7 +35,20 @@ def face(vertices):
     return t
 
 
-def _mask(f):
+def _is_canonical(f):
+    """True for a tuple of strictly increasing positive ints, `face`'s output."""
+    if type(f) is not tuple:
+        return False
+    prev = 0
+    for v in f:
+        if type(v) is not int or v <= prev:
+            return False
+        prev = v
+    return True
+
+
+def face_mask(f):
+    """Bitmask of a set of labels: bit v - 1 for vertex v."""
     m = 0
     for v in f:
         m |= 1 << (v - 1)
@@ -63,7 +76,7 @@ class SimplicialComplex:
         fs.add(())
         self.m = m
         self.faces = frozenset(fs)
-        masks = {f: _mask(f) for f in fs}
+        masks = {f: face_mask(f) for f in fs}
         self._masks = frozenset(masks.values())
         for f in fs:
             for v in f:
@@ -95,7 +108,8 @@ class SimplicialComplex:
     # -- basics --------------------------------------------------------------
 
     def __contains__(self, f):
-        return _mask(face(f)) in self._masks
+        # canonical tuples, the package's own, skip `face`'s normalisation
+        return (f if _is_canonical(f) else face(f)) in self.faces
 
     def __eq__(self, other):
         return (isinstance(other, SimplicialComplex)
@@ -122,8 +136,8 @@ class SimplicialComplex:
         first call: the routes call this for up to every subset of 1..m."""
         if self._by_size is None:
             order = sorted(self.faces, key=lambda f: (len(f), f))
-            self._by_size = (order, [_mask(f) for f in order])
-        outside = ~_mask(v for v in subset if v > 0)
+            self._by_size = (order, [face_mask(f) for f in order])
+        outside = ~face_mask(v for v in subset if v > 0)
         faces, masks = self._by_size
         return [f for f, mask in zip(faces, masks) if not mask & outside]
 

@@ -65,6 +65,13 @@ class IntMatrix:
     def nnz(self):
         return len(self.entries)
 
+    def columns(self):
+        """Entries grouped by column: {j: [(i, value), ...]}, nonzero columns only."""
+        out = {}
+        for (i, j), v in self.entries.items():
+            out.setdefault(j, []).append((i, v))
+        return out
+
     def __matmul__(self, other):
         if isinstance(other, IntMatrix):
             if self.cols != other.rows:
@@ -453,11 +460,8 @@ def kernel_basis(A):
     """Columns spanning ker A; the basis is saturated (spans all of the
     integer kernel) because it consists of columns of a unimodular matrix."""
     snf = smith_normal_form(A)
-    kernel = {j: {} for j in snf.kernel_columns()}
-    for (i, j), v in snf.V.entries.items():
-        if j in kernel:
-            kernel[j][i] = v
-    return list(kernel.values())
+    columns = snf.V.columns()
+    return [dict(columns[j]) for j in snf.kernel_columns()]
 
 
 @dataclass(frozen=True)
@@ -585,9 +589,19 @@ class ChainComplex:
         return A
 
     def check_squares_to_zero(self):
+        """Push each column of d_d through d_{d-1}; the entries of every
+        differential are grouped by column once."""
+        columns = {d: A.columns() for d, A in self.differentials.items()}
         for d in self.degrees:
-            if self.dim(d) and self.dim(d - 1) and self.dim(d - 2):
-                if not (self.differential(d - 1) @ self.differential(d)).is_zero():
+            lower = columns.get(d - 1)
+            if not lower:
+                continue
+            for column in columns.get(d, {}).values():
+                image = {}
+                for k, v in column:
+                    for i, w in lower.get(k, ()):
+                        image[i] = image.get(i, 0) + v * w
+                if any(image.values()):
                     raise ValueError(f"d^2 != 0 between degrees {d} and {d-2}")
 
     def vector(self, d, chain):

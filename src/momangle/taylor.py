@@ -13,10 +13,12 @@ exterior monomials w_{J_1} ^ ... ^ w_{J_s} over distinct missing faces,
 
 the new factor entering at the front and the word then being sorted back
 into the fixed generator order (cardinality first, then lexicographic).
-The differential never changes the union of the word, so the complex splits
-over vertex subsets S, and a word with s factors sits in total degree
-2|S| - s.  The route computes per block (`taylor_components`); the whole
-complex is the tests' reference.
+Basis words keep their factors in that order, so a new factor J lands at
+position p, the number of factors before it in generator order, with sign
+(-1)^p; no word is ever sorted (`insertions`).  The differential never
+changes the union of the word, so the complex splits over vertex subsets S,
+and a word with s factors sits in total degree 2|S| - s.  The route computes
+per block (`taylor_components`); the whole complex is the tests' reference.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations, product
 
-from .complexes import (SimplicialComplex, SizeLimitError, face, read_signed_sum,
-                        read_text, read_word, signed_sum_text, word_text)
+from .complexes import (SimplicialComplex, SizeLimitError, face, face_mask,
+                        read_signed_sum, read_text, read_word, signed_sum_text,
+                        word_text)
 from .exactalg import ChainComplex
 from .moment_angle import class_by_support, degree_sums, support_table
 
@@ -38,8 +41,9 @@ def gen_key(f):
 
 
 def mf_order(K):
-    """Missing faces in the fixed generator order."""
-    return tuple(sorted(K.missing_faces(), key=gen_key))
+    """Missing faces in the fixed generator order, which is the order
+    `missing_faces` already returns them in."""
+    return K.missing_faces()
 
 
 def normalise_word(faces_):
@@ -172,27 +176,57 @@ def _read_taylor_atom(sc):
 
 # -- the face (comodule) Taylor complex ------------------------------------------
 
+def insertions(word, gens, masks, within):
+    """The terms the Taylor differential adds to a basis word (factors in
+    generator order): each generator F of `gens` outside the word whose
+    bitmask (from `masks`) lies inside the bitmask `within` enters at
+    position p, the number of factors before it in generator order, with sign
+    (-1)^p.  Yields (F, new word, sign)."""
+    p, n = 0, len(word)
+    for F, mask in zip(gens, masks):
+        if p < n and word[p] == F:
+            p += 1
+        elif not mask & ~within:
+            yield F, word[:p] + (F,) + word[p:], -1 if p % 2 else 1
+
+
+def word_boundary(word, gens, masks, union):
+    """Differential of a basis word whose factors cover the bitmask `union`."""
+    return {new: sign for _, new, sign in insertions(word, gens, masks, union)}
+
+
+def generator_masks(K):
+    """The generators in order with their vertex bitmasks."""
+    gens = mf_order(K)
+    return gens, [face_mask(F) for F in gens]
+
+
+def union_mask(word):
+    """Vertex bitmask of the union of a word's factors."""
+    return face_mask(v for F in word for v in F)
+
+
 def taylor_boundary_word(K, word):
-    """Differential of one exterior monomial as {word: coeff}."""
-    mfs = mf_order(K)
-    union = set().union(*word) if word else set()
-    have = set(word)
-    out = {}
-    for F in mfs:
-        if F in have or not set(F) <= union:
-            continue
-        # the new factor enters at the front and the word is sorted back
-        new, sign = normalise_word((F,) + word)
-        out[new] = out.get(new, 0) + sign
-    return out
+    """Differential of one basis word (factors in generator order) as
+    {word: coeff}."""
+    return word_boundary(word, *generator_masks(K), union_mask(word))
 
 
 def taylor_boundary(K, chain):
+    gens, masks = generator_masks(K)
     out = {}
     for word, c in chain.terms.items():
-        for tgt, s in taylor_boundary_word(K, word).items():
+        for tgt, s in word_boundary(word, gens, masks, union_mask(word)).items():
             out[tgt] = out.get(tgt, 0) + c * s
     return TaylorChain(out)
+
+
+def _checked_generators(K):
+    gens, masks = generator_masks(K)
+    if len(gens) > MAX_GENERATORS:
+        raise SizeLimitError(
+            f"|MF(K)|={len(gens)} exceeds the Taylor bound {MAX_GENERATORS}")
+    return gens, masks
 
 
 def taylor_face_complex(K):
@@ -201,12 +235,10 @@ def taylor_face_complex(K):
     Basis at degree -s: all words of s distinct missing faces.  The grading
     by union subsets is implicit (the differential preserves it); use
     `taylor_components` for the split."""
-    mfs = mf_order(K)
-    if len(mfs) > MAX_GENERATORS:
-        raise SizeLimitError(
-            f"|MF(K)|={len(mfs)} exceeds the Taylor bound {MAX_GENERATORS}")
-    basis = {-s: list(combinations(mfs, s)) for s in range(len(mfs) + 1)}
-    return ChainComplex.from_boundary(basis, lambda w: taylor_boundary_word(K, w))
+    gens, masks = _checked_generators(K)
+    basis = {-s: list(combinations(gens, s)) for s in range(len(gens) + 1)}
+    return ChainComplex.from_boundary(
+        basis, lambda w: word_boundary(w, gens, masks, union_mask(w)))
 
 
 def word_support(word):
@@ -216,17 +248,23 @@ def word_support(word):
 
 @lru_cache(maxsize=8)
 def taylor_components(K):
-    """Per-subset split: S -> ChainComplex of words with union exactly S."""
-    mfs = mf_order(K)
-    if len(mfs) > MAX_GENERATORS:
-        raise SizeLimitError(
-            f"|MF(K)|={len(mfs)} exceeds the Taylor bound {MAX_GENERATORS}")
-    by_subset = {}
-    for s in range(len(mfs) + 1):
-        for w in combinations(mfs, s):
-            by_subset.setdefault(word_support(w), {}).setdefault(-s, []).append(w)
-    return {S: ChainComplex.from_boundary(basis, lambda w: taylor_boundary_word(K, w))
-            for S, basis in by_subset.items()}
+    """Per-subset split: S -> ChainComplex of words with union exactly S.
+
+    Every word of a block has the block's union, so its boundary is taken
+    against that one bitmask."""
+    gens, masks = _checked_generators(K)
+    by_union = {}
+    for s in range(len(gens) + 1):
+        for combo in combinations(zip(gens, masks), s):
+            union = 0
+            for _, mask in combo:
+                union |= mask
+            word = tuple(F for F, _ in combo)
+            by_union.setdefault(union, {}).setdefault(-s, []).append(word)
+    return {tuple(v for v in range(1, K.m + 1) if union >> (v - 1) & 1):
+            ChainComplex.from_boundary(
+                basis, lambda w, union=union: word_boundary(w, gens, masks, union))
+            for union, basis in by_union.items()}
 
 
 def taylor_homology_by_support(K):

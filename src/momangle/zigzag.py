@@ -27,11 +27,11 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import signed_sum_text, word_text
+from .complexes import face_mask, signed_sum_text, word_text
 from .exactalg import boundary_matrix, solve_integer
 from .moment_angle import CellChain, cell_boundary, cell_letters
-from .taylor import (TaylorChain, mf_order, normalise_word, taylor_boundary,
-                     taylor_cycle_is_boundary)
+from .taylor import (TaylorChain, generator_masks, insertions, mf_order,
+                     taylor_boundary, taylor_cycle_is_boundary, union_mask)
 
 
 class BicomplexChain:
@@ -112,17 +112,17 @@ def vertical_diff(e):
 
 
 def horizontal_diff(K, e):
-    """Taylor differential: absorb a missing face out of the disc letters."""
+    """Taylor differential: absorb a missing face out of the disc letters.
+
+    W is a basis word (factors in generator order); F enters it by the Taylor
+    complex's own insertion rule, and the letters of F outside W leave I."""
+    gens, masks = generator_masks(K)
     out = {}
     for (I, J, W), c in e.terms.items():
-        union, iset = set().union(*W), set(I)
-        for F in mf_order(K):
-            needed = set(F) - union
-            if F in W or not needed <= iset:
-                continue
-            # the new factor enters at the front and the word is sorted back
-            newW, sign = normalise_word((F,) + W)
-            key = (tuple(v for v in I if v not in needed), J, newW)
+        union = union_mask(W)
+        for F, newW, sign in insertions(W, gens, masks, union | face_mask(I)):
+            needed = face_mask(F) & ~union
+            key = (tuple(v for v in I if not needed >> (v - 1) & 1), J, newW)
             out[key] = out.get(key, 0) + sign * c
     return BicomplexChain(out)
 

@@ -2,8 +2,10 @@
 
 Everything here recomputes results along a second route: dense textbook
 Smith normal form, a sparse Smith normal form that scans the whole matrix
-for every pivot (the reference for the package's fast one), definition-level
-missing faces and substitution, and permutation-search shiftedness.  None of
+for every pivot (the reference for the package's fast one), the Taylor
+differential by front insertion and sorting back (the reference for the
+package's insertion by position), definition-level missing faces and
+substitution, and permutation-search shiftedness.  None of
 it shares code with the package internals it checks beyond the IntMatrix and
 SmithForm containers.
 """
@@ -262,6 +264,43 @@ def reference_snf(A, transforms=True):
     least (|v|, row, col) found by scanning the whole remaining matrix, and
     every pivot is checked against every remaining entry for divisibility."""
     return _ReferenceSnfWorker(A, transforms).result()
+
+
+def _reference_gen_key(f):
+    return (len(f), f)
+
+
+def _reference_normalise_word(faces_):
+    """Sort an exterior word into generator order; None when a factor repeats."""
+    word = list(faces_)
+    sign = 1
+    for i in range(1, len(word)):
+        j = i
+        while j and _reference_gen_key(word[j - 1]) > _reference_gen_key(word[j]):
+            word[j - 1], word[j] = word[j], word[j - 1]
+            sign = -sign
+            j -= 1
+    for a, b in zip(word, word[1:]):
+        if a == b:
+            return None, 0
+    return tuple(word), sign
+
+
+def reference_taylor_boundary_word(K, word):
+    """Differential of one exterior monomial as {word: coeff}: every missing
+    face inside the union and outside the word enters at the front, and the
+    word is sorted back by insertion, one swap and one sign change at a time."""
+    mfs = tuple(sorted(K.missing_faces(), key=_reference_gen_key))
+    union = set().union(*word) if word else set()
+    have = set(word)
+    out = {}
+    for F in mfs:
+        if F in have or not set(F) <= union:
+            continue
+        # the new factor enters at the front and the word is sorted back
+        new, sign = _reference_normalise_word((F,) + word)
+        out[new] = out.get(new, 0) + sign
+    return out
 
 
 def dense_homology(out_matrix, in_matrix, dim):

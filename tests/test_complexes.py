@@ -4,7 +4,7 @@ import random
 import pytest
 
 from momangle.complexes import (ParseError, SimplicialComplex, SizeLimitError,
-                                boundary, expression_vertex_count, is_shifted,
+                                boundary, face, expression_vertex_count, is_shifted,
                                 is_subcomplex, join, parse_complex, point,
                                 reduced_homology, simplex, simplex_boundary,
                                 substitute, substitution_missing_faces)
@@ -76,6 +76,33 @@ def test_faces_within_against_bruteforce():
             S = [rng.randint(0, K.m + 2) for _ in range(rng.randint(0, K.m + 1))]
             brute = sorted((f for f in K.faces if set(f) <= set(S)), key=lambda f: (len(f), f))
             assert K.faces_within(S) == brute, (K, S)
+
+
+def test_contains_normalises_like_face():
+    """Canonical tuples are looked up directly; every other argument goes
+    through `face`, with its normalisation and its errors."""
+    K = SimplicialComplex.from_facets(4, [(1, 2), (3, 4)])
+    assert (1, 2) in K and (3, 4) in K and () in K
+    assert (1, 3) not in K and (5,) not in K and (1, 2, 3) not in K
+    assert (2, 1) in K and [2, 1] in K and (True, 2) in K
+    with pytest.raises(ValueError, match="duplicate vertex"):
+        (1, 1) in K
+    with pytest.raises(ValueError, match="must be positive"):
+        (0, 2) in K
+    with pytest.raises(ValueError):
+        (v for v in (1, 2)) in K
+    cases = [lambda: (1, 1), lambda: (0, 2), lambda: (2, 1), lambda: [1, 2],
+             lambda: [3], lambda: (v for v in (1, 2)), lambda: (1.0, 2), lambda: (1.5, 2),
+             lambda: (-1,)]
+    for make in cases:
+        try:
+            expected = face(make()) in K.faces
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                make() in K
+            assert str(got.value) == str(exc)
+        else:
+            assert (make() in K) == expected
 
 
 def test_full_subcomplex(sub5):

@@ -192,6 +192,24 @@ def test_d_squared_enforced():
         ChainComplex({-1: ["x", "y"], 0: ["a", "b"], 1: ["u", "v"]}, bad)
 
 
+@pytest.mark.parametrize("columns", [
+    # kernel of d_0 is spanned by (1, -1, 0); the last column leaves it in one entry
+    [(1, -1, 0), (2, -2, 0), (1, -1, 1)],
+    # the bad entry is 1 + 1 from two terms that should have cancelled
+    [(1, -1, 0), (1, 1, 0), (0, 0, 0)],
+])
+def test_d_squared_one_bad_entry(columns):
+    d0 = IntMatrix.from_rows([[1, 1, 0], [0, 0, 1]])
+    d1 = IntMatrix.from_rows([list(row) for row in zip(*columns)])
+    assert sum(1 for v in (d0 @ d1).entries.values() if v) == 1
+    with pytest.raises(ValueError, match=r"d\^2 != 0 between degrees 1 and -1"):
+        ChainComplex({-1: ["x", "y"], 0: ["a", "b", "c"], 1: ["u", "v", "w"]},
+                     {0: d0, 1: d1})
+    # the same complex with the bad column dropped is accepted
+    ok = IntMatrix.from_rows([list(row) for row in zip(*columns[:1])])
+    ChainComplex({-1: ["x", "y"], 0: ["a", "b", "c"], 1: ["u"]}, {0: d0, 1: ok})
+
+
 def test_direct_sum_invariant_factors():
     a = HomologyGroup(1, (2,))
     b = HomologyGroup(0, (3,))

@@ -5,16 +5,17 @@ import pytest
 from momangle import taylor as ty
 from momangle.complexes import (SimplicialComplex, SizeLimitError,
                                 simplex_boundary)
-from momangle.exactalg import HomologyGroup
+from momangle.exactalg import ChainComplex, HomologyGroup
 from momangle.moment_angle import hochster_table, zk_homology
 from momangle.taylor import (MonomialIdeal, TaylorChain, cone_reconstruction,
                              mf_order, nested_taylor_cycle, normalise_word,
                              taylor_boundary, taylor_boundary_word,
-                             taylor_face_complex, taylor_homology,
-                             taylor_homology_by_support, taylor_module_resolution,
-                             verify_taylor_is_resolution)
+                             taylor_components, taylor_face_complex,
+                             taylor_homology, taylor_homology_by_support,
+                             taylor_module_resolution, verify_taylor_is_resolution,
+                             word_support)
 from momangle.whitehead import parse_whitehead
-from oracles import random_complex
+from oracles import random_complex, reference_taylor_boundary_word
 
 
 def sf(m, *supports):
@@ -104,6 +105,56 @@ def test_multidegree_preserved_on_random_words():
         union = set().union(*word)
         for tgt in taylor_boundary_word(K, word):
             assert set().union(*tgt) == union
+
+
+def test_boundary_and_blocks_match_sorting_reference():
+    """Every basis word's boundary equals the sort-based reference's, and
+    every block of the split is the matching rows and columns of the whole
+    complex, labels and entries."""
+    rng = random.Random(17)
+    complexes = 0
+    while complexes < 30:
+        K = random_complex(rng.randint(3, 8), rng)
+        if not 3 <= len(mf_order(K)) <= 9:
+            continue
+        complexes += 1
+        C = taylor_face_complex(K)
+        for words in C.basis.values():
+            for w in words:
+                assert taylor_boundary_word(K, w) == reference_taylor_boundary_word(K, w), (K, w)
+        blocks = taylor_components.__wrapped__(K)
+        assert sum(B.dim(d) for B in blocks.values() for d in B.basis) == 2 ** len(mf_order(K))
+        for S, B in blocks.items():
+            for d, labels in B.basis.items():
+                assert labels == [w for w in C.basis[d] if word_support(w) == S]
+                mine = {(B.basis[d - 1][i], B.basis[d][j]): v
+                        for (i, j), v in B.differential(d).entries.items()}
+                cols = set(labels)
+                whole = {(C.basis[d - 1][i], C.basis[d][j]): v
+                         for (i, j), v in C.differential(d).entries.items()
+                         if C.basis[d][j] in cols}
+                assert mine == whole, (K, S, d)
+
+
+def test_block_with_a_flipped_sign_is_refused(monkeypatch, sub5):
+    """One sign flipped in one block's boundary callable breaks d^2 = 0
+    (d(w123^w145) has two terms whose boundaries cancel), and building the
+    blocks must refuse it."""
+    build = ChainComplex.from_boundary.__func__
+
+    def flipped(cls, basis, boundary):
+        def bad(word):
+            out = dict(boundary(word))
+            if word == ((1, 2, 3), (1, 4, 5)):
+                first = next(iter(out))
+                out[first] = -out[first]
+            return out
+        return build(cls, basis, bad)
+
+    assert taylor_components.__wrapped__(sub5)
+    monkeypatch.setattr(ChainComplex, "from_boundary", classmethod(flipped))
+    with pytest.raises(ValueError, match=r"d\^2 != 0 between degrees -2 and -4"):
+        taylor_components.__wrapped__(sub5)
 
 
 def test_degree_bookkeeping_example():
