@@ -62,14 +62,17 @@ class SimplicialComplex:
     (used by `full_subcomplex`, whose output is re-indexed).
     """
 
-    __slots__ = ("m", "faces", "facets", "labels", "_masks", "_by_size", "_mf", "_hash")
+    __slots__ = ("m", "faces", "facets", "labels", "_masks", "_facet_masks", "_by_size",
+                 "_mf", "_hash")
 
     def __init__(self, m, faces, labels=None):
         if m > 64:
             raise SizeLimitError(f"m={m} exceeds the bitset bound of 64")
         fs = set()
         for f in faces:
-            f = face(f)
+            # canonical tuples, the package's own, skip `face`'s normalisation
+            if not _is_canonical(f):
+                f = face(f)
             if f and f[-1] > m:
                 raise ValueError(f"label {f[-1]} out of range 1..{m}")
             fs.add(f)
@@ -78,16 +81,21 @@ class SimplicialComplex:
         self.faces = frozenset(fs)
         masks = {f: face_mask(f) for f in fs}
         self._masks = frozenset(masks.values())
-        for f in fs:
-            for v in f:
-                sub = tuple(x for x in f if x != v)
-                if sub not in fs:
+        for f, mask in masks.items():
+            rest = mask
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                if mask ^ bit not in self._masks:
+                    v = bit.bit_length()
+                    sub = tuple(x for x in f if x != v)
                     raise ValueError(f"not downward closed: {sub} missing under {f}")
         # downward closed, so a face is a facet iff no one-vertex extension is a face
         bits = [1 << i for i in range(m)]
         maximal = [f for f, mask in masks.items()
                    if not any(mask | b in self._masks for b in bits if not mask & b)]
         self.facets = tuple(sorted(maximal, key=lambda f: (len(f), f)))
+        self._facet_masks = tuple(masks[f] for f in self.facets)
         self.labels = tuple(labels) if labels is not None else None
         self._by_size = None
         self._mf = None
@@ -129,6 +137,25 @@ class SimplicialComplex:
 
     def has_all_singletons(self):
         return all((v,) in self.faces for v in range(1, self.m + 1))
+
+    def cone_point_within(self, subset):
+        """Least vertex v of `subset` over which the full subcomplex K_S is a
+        cone (I + v is a face for every face I of K_S), or None.  Every face
+        of K_S lies in some F & S with F a facet, so by downward closure v is
+        a cone point iff (F & S) + v is a face for every facet F."""
+        smask = face_mask(subset)
+        candidates = smask
+        for fmask in self._facet_masks:
+            inside = fmask & smask
+            rest = candidates & ~inside
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                if inside | bit not in self._masks:
+                    candidates ^= bit
+            if not candidates:
+                return None
+        return (candidates & -candidates).bit_length()
 
     def faces_within(self, subset):
         """Faces contained in `subset`, keeping original labels, sorted by

@@ -544,6 +544,10 @@ class HomologyClass:
         return all(c == 0 for c in self.coords)
 
 
+def _label_index(basis):
+    return {d: {lab: i for i, lab in enumerate(labels)} for d, labels in basis.items()}
+
+
 class ChainComplex:
     """Finite complex of free Z-modules with labelled bases.
 
@@ -554,8 +558,7 @@ class ChainComplex:
 
     def __init__(self, basis, differentials):
         self.basis = {d: list(labels) for d, labels in basis.items()}
-        self.index = {d: {lab: i for i, lab in enumerate(labels)}
-                      for d, labels in self.basis.items()}
+        self._index = None
         self.differentials = dict(differentials)
         self._factors = {}
         self._present = {}
@@ -571,9 +574,18 @@ class ChainComplex:
         """Complex on `basis` ({degree: [label, ...]}, label order kept) whose
         differential sends a label to `boundary(label)`, {label: coeff} in the
         degree below; a target outside that degree's basis raises."""
-        index = {d: {lab: i for i, lab in enumerate(labels)} for d, labels in basis.items()}
-        return cls(basis, {d: boundary_matrix(labels, index.get(d - 1, {}), boundary)
-                           for d, labels in basis.items()})
+        index = _label_index(basis)
+        C = cls(basis, {d: boundary_matrix(labels, index.get(d - 1, {}), boundary)
+                        for d, labels in basis.items()})
+        C._index = index
+        return C
+
+    @property
+    def index(self):
+        """{degree: {label: position}}, built once, on first use."""
+        if self._index is None:
+            self._index = _label_index(self.basis)
+        return self._index
 
     @property
     def degrees(self):

@@ -4,10 +4,11 @@ Everything here recomputes results along a second route: dense textbook
 Smith normal form, a sparse Smith normal form that scans the whole matrix
 for every pivot (the reference for the package's fast one), the Taylor
 differential by front insertion and sorting back (the reference for the
-package's insertion by position), definition-level missing faces and
-substitution, and permutation-search shiftedness.  None of
-it shares code with the package internals it checks beyond the IntMatrix and
-SmithForm containers.
+package's insertion by position), the cell boundary by sorting and counting
+(the reference for the package's bisection), definition-level missing
+faces, substitution and cone points, and permutation-search shiftedness.
+None of it shares code with the package internals it checks beyond the
+IntMatrix and SmithForm containers.
 """
 
 from itertools import combinations, permutations
@@ -303,6 +304,17 @@ def reference_taylor_boundary_word(K, word):
     return out
 
 
+def reference_cell_boundary(cell):
+    """Boundary of the cell (J, I) as {cell: coeff}: each disc letter i joins
+    J by sorting, with the sign of the number of circle letters below it."""
+    J, I = cell
+    out = {}
+    for i in I:
+        sign = -1 if sum(1 for j in J if j < i) % 2 else 1
+        out[(tuple(sorted(J + (i,))), tuple(x for x in I if x != i))] = sign
+    return out
+
+
 def dense_homology(out_matrix, in_matrix, dim):
     """(rank, torsion) of ker(out)/im(in) from dense matrices."""
     rank_out = len([d for d in dense_snf_diagonal(out_matrix) if d]) if out_matrix else 0
@@ -356,6 +368,16 @@ def brute_missing_faces(K):
             if all(tuple(v for v in cand if v != x) in K for x in cand):
                 out.append(cand)
     return sorted(out, key=lambda f: (len(f), f))
+
+
+def brute_cone_point(K, S):
+    """Least v in S with I + v a face of K for every face I of K inside S,
+    straight from the definition of a cone; None when there is none."""
+    inside = [f for f in K.faces if set(f) <= set(S)]
+    for v in sorted(S):
+        if all(tuple(sorted(set(f) | {v})) in K.faces for f in inside):
+            return v
+    return None
 
 
 def brute_substitute_faces(slot, parts):

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -76,6 +77,26 @@ def test_faces_within_against_bruteforce():
             S = [rng.randint(0, K.m + 2) for _ in range(rng.randint(0, K.m + 1))]
             brute = sorted((f for f in K.faces if set(f) <= set(S)), key=lambda f: (len(f), f))
             assert K.faces_within(S) == brute, (K, S)
+
+
+def test_init_normalises_like_face():
+    """Canonical tuples skip `face`; lists, unsorted tuples, bools and floats
+    are normalised by it, and bad faces raise its errors, as before."""
+    K = SimplicialComplex(3, [(), (1,), (2,), (3,), (1, 2)])
+    assert SimplicialComplex(3, [[], [1], [2], [3], [2, 1]]) == K
+    assert SimplicialComplex(3, [(True,), (2,), (3,), (2, 1), (1.0, 2), (1, 2)]) == K
+    bad = [([(1,), (1, 1)], "duplicate vertex in face (1, 1)"),
+           ([[2, 2]], "duplicate vertex in face (2, 2)"),
+           ([(2, 1, 1)], "duplicate vertex in face (2, 1, 1)"),
+           ([(0,)], "vertex labels must be positive: (0,)"),
+           ([(1,), (0, 1)], "vertex labels must be positive: (0, 1)"),
+           ([(1,), (4,)], "label 4 out of range 1..3"),
+           ([(1,), [4, 1]], "label 4 out of range 1..3"),
+           ([(1,), (1, 2)], "not downward closed: (2,) missing under (1, 2)"),
+           ([(1,), (2,), [3, 1]], "not downward closed: (3,) missing under (1, 3)")]
+    for faces_, message in bad:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SimplicialComplex(3, faces_)
 
 
 def test_contains_normalises_like_face():

@@ -9,7 +9,8 @@ from momangle.exactalg import HomologyGroup
 from momangle.moment_angle import (CellChain, cell_boundary, hochster_embed,
                                    hochster_table, reduced_ranks, shuffle_sign,
                                    zk_chain_complex, zk_homology)
-from oracles import random_complex, simplicial_homology_dense
+from oracles import (random_complex, reference_cell_boundary,
+                     simplicial_homology_dense)
 
 
 def test_two_points_is_three_sphere(two_points):
@@ -29,6 +30,15 @@ def test_boundary_sign_rule():
     # d(D1 S2) = +S1 S2: the new circle letter sees no smaller ones
     assert cell_boundary(((2,), (1,))) == {((1, 2), ()): 1}
     assert cell_boundary(((1,), (2,))) == {((1, 2), ()): -1}
+
+
+def test_cell_boundary_matches_sorting_reference():
+    rng = random.Random(5)
+    for _ in range(25):
+        K = random_complex(rng.randint(2, 7), rng)
+        for cells in ma.zk_cells(K).values():
+            for cell in cells:
+                assert cell_boundary(cell) == reference_cell_boundary(cell), cell
 
 
 def test_d_squared_zero_random_chains():

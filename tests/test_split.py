@@ -4,7 +4,9 @@ Cellular homology, cellular cycle classes and the Taylor index ranks are
 computed block by block (one block per vertex subset S); here they are
 compared with the whole cellular complex of Z_K and the whole Taylor face
 complex on seeded random complexes and on one with RP^2 as a full
-subcomplex, so that Z/2 torsion occurs.
+subcomplex, so that Z/2 torsion occurs.  The cellular table skips the blocks
+whose full subcomplex is a cone; here the skip is checked against every
+block built, and the cone test against its definition.
 """
 
 import json
@@ -16,12 +18,13 @@ import pytest
 from momangle import complexes as cx
 from momangle.cli import main
 from momangle.exactalg import kernel_basis
-from momangle.moment_angle import (CellChain, cell_boundary, hochster_embed,
-                                   hochster_table, zk_chain_complex, zk_class,
+from momangle.moment_angle import (CellChain, all_subsets, cell_boundary,
+                                   hochster_embed, hochster_table, support_table,
+                                   zk_block, zk_chain_complex, zk_class,
                                    zk_homology, zk_homology_by_support)
 from momangle.taylor import taylor_face_complex, taylor_homology_by_support
 from momangle.whitehead import bracket, hurewicz_chain, leaf, parse_whitehead
-from oracles import random_complex
+from oracles import brute_cone_point, random_complex
 
 
 def rp2_cone(rng):
@@ -44,6 +47,18 @@ def complexes():
         if 2 <= len(K.missing_faces()) <= 8:
             out.append(K)
     return out + [rp2_cone(rng)]
+
+
+def seeded_complexes(seed):
+    """25 seeded random complexes on 3 to 7 vertices."""
+    rng = random.Random(seed)
+    return [random_complex(rng.randint(3, 7), rng) for _ in range(25)]
+
+
+def cone_cases():
+    """The complexes above (the RP^2 cone among them), 25 seeded random ones,
+    a full simplex and the boundary of one."""
+    return complexes() + seeded_complexes(23) + [cx.simplex(5), cx.simplex_boundary(5)]
 
 
 def hurewicz_chains(K, rng):
@@ -132,3 +147,36 @@ def test_taylor_ranks_by_index_match_whole_complex(K, tmp_path, capsys):
     whole = taylor_face_complex(K)
     assert ranks == [whole.dim(-s) for s in range(len(ranks))]
     assert sum(whole.dim(d) for d in whole.degrees) == sum(ranks)
+
+
+@pytest.mark.parametrize("K", cone_cases(), ids=lambda K: f"m{K.m}-{len(K.faces)}faces")
+def test_cone_blocks_skipped_exactly(K):
+    """The table with cone blocks skipped equals the table of every block
+    built, and every skipped block, built, has no homology."""
+    every = support_table(((S, zk_block(K, S)) for S in all_subsets(K.m)), lambda S, d: d)
+    assert zk_homology_by_support(K) == every
+    for S in all_subsets(K.m):
+        if K.cone_point_within(S) is not None:
+            assert S and zk_block(K, S).homology_all() == {}, S
+
+
+def test_cone_skip_covers_the_cases():
+    skipped = [sum(K.cone_point_within(S) is not None for S in all_subsets(K.m))
+               for K in cone_cases()]
+    assert skipped[-2] == 2 ** 5 - 1      # the full simplex: every nonempty S
+    assert skipped[-1] == 2 ** 5 - 2      # bd(simplex): all but the whole set
+    assert all(skipped)                   # a singleton is always a cone
+
+
+def test_cone_point_matches_definition():
+    for K in seeded_complexes(29):
+        for S in all_subsets(K.m):
+            assert K.cone_point_within(S) == brute_cone_point(K, S), (K, S)
+
+
+def test_ghost_vertex_refused_before_any_skip():
+    """Vertex 3 is no face, so Z_K is undefined; no block may be skipped
+    ahead of the refusal."""
+    K = cx.SimplicialComplex(3, [(1, 2), (1,), (2,)])
+    with pytest.raises(ValueError, match="every singleton"):
+        zk_homology_by_support(K)
