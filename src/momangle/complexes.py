@@ -177,15 +177,23 @@ class SimplicialComplex:
         if self.m > MAX_VERTICES:
             raise SizeLimitError(
                 f"missing-face enumeration refuses m={self.m} > {MAX_VERTICES}")
-        top = max((len(f) for f in self.faces), default=0) + 1
+        # a missing face less its largest vertex is a face, so every missing
+        # face is found exactly once as a face plus a vertex above its top
         found = []
-        vs = range(1, self.m + 1)
-        for k in range(1, min(top, self.m) + 1):
-            for cand in combinations(vs, k):
-                if cand in self:
+        masks = self._masks
+        for mask in masks:
+            for v in range(mask.bit_length(), self.m):
+                cand = mask | 1 << v
+                if cand in masks:
                     continue
-                if all(cand[:i] + cand[i + 1:] in self for i in range(k)):
-                    found.append(cand)
+                rest = mask
+                while rest:
+                    bit = rest & -rest
+                    if cand ^ bit not in masks:
+                        break
+                    rest ^= bit
+                else:
+                    found.append(tuple(i + 1 for i in range(v + 1) if cand >> i & 1))
         found.sort(key=lambda f: (len(f), f))
         self._mf = tuple(found)
         return self._mf

@@ -38,6 +38,15 @@ class IntMatrix:
                     self.entries[(i, j)] = int(v)
 
     @classmethod
+    def _adopt(cls, rows, cols, entries):
+        """Matrix that takes `entries` as it is, unchecked: for the package's
+        own results, whose indices are in range and whose values are nonzero
+        ints by construction."""
+        A = cls.__new__(cls)
+        A.rows, A.cols, A.entries = rows, cols, entries
+        return A
+
+    @classmethod
     def identity(cls, n):
         return cls(n, n, {(i, i): 1 for i in range(n)})
 
@@ -91,7 +100,7 @@ class IntMatrix:
                 for j, s in acc.items():
                     if s:
                         out[(i, j)] = s
-            return IntMatrix(self.rows, other.cols, out)
+            return IntMatrix._adopt(self.rows, other.cols, out)
         return NotImplemented
 
     def apply(self, vec):
@@ -134,6 +143,24 @@ class SmithForm:
     def kernel_columns(self):
         """Indices j with S[j,j] absent or zero: V's columns there span ker A."""
         return list(range(self.rank, self.V.cols))
+
+    def solve(self, b):
+        """The canonical integer solution x of A x = b, or None when there is
+        none; needs the transforms.  b is a sparse vector {row: value} with
+        rows inside A.  x has
+        zero coordinates along the kernel columns of V, so it is the same bit
+        for bit on every run: x = V y with y_t = (U b)_t / diag_t."""
+        c = self.U.apply(b)
+        y = {}
+        for t, d in enumerate(self.diag):
+            ct = c.pop(t, 0)
+            if ct % d:
+                return None
+            if ct:
+                y[t] = ct // d
+        if any(c.values()):
+            return None
+        return self.V.apply(y)
 
 
 class _SnfWorker:
@@ -315,13 +342,14 @@ class _SnfWorker:
 
     def result(self):
         diag = self.run()
-        S = IntMatrix(self.m, self.n, {(t, t): d for t, d in enumerate(diag)})
-        U = IntMatrix(self.m, self.m, {(i, j): v for i, row in self.u.items()
-                                       for j, v in row.items()})
-        V = IntMatrix(self.n, self.n, {(i, j): v for j, col in self.v.items()
-                                       for i, v in col.items()})
-        vinv = IntMatrix(self.n, self.n, {(i, j): v for i, row in self.vinv.items()
-                                          for j, v in row.items()})
+        adopt = IntMatrix._adopt
+        S = adopt(self.m, self.n, {(t, t): d for t, d in enumerate(diag)})
+        U = adopt(self.m, self.m, {(i, j): v for i, row in self.u.items()
+                                   for j, v in row.items()})
+        V = adopt(self.n, self.n, {(i, j): v for j, col in self.v.items()
+                                   for i, v in col.items()})
+        vinv = adopt(self.n, self.n, {(i, j): v for i, row in self.vinv.items()
+                                      for j, v in row.items()})
         return SmithForm(S, U, V, vinv, tuple(diag))
 
 
@@ -383,9 +411,9 @@ def _eliminate_units(A):
         units += 1
     row_at = {i: t for t, i in enumerate(sorted(i for i, row in rows.items() if row))}
     col_at = {j: t for t, j in enumerate(sorted(cols))}
-    return units, IntMatrix(len(row_at), len(col_at),
-                            {(row_at[i], col_at[j]): v for i, row in rows.items()
-                             for j, v in row.items()})
+    return units, IntMatrix._adopt(len(row_at), len(col_at),
+                                   {(row_at[i], col_at[j]): v for i, row in rows.items()
+                                    for j, v in row.items()})
 
 
 def smith_normal_form(A, transforms=True):
@@ -402,7 +430,7 @@ def smith_normal_form(A, transforms=True):
         return _SnfWorker(A).result()
     units, residual = _eliminate_units(A)
     diag = [1] * units + _SnfWorker(residual, transforms=False).run()
-    S = IntMatrix(A.rows, A.cols, {(t, t): d for t, d in enumerate(diag)})
+    S = IntMatrix._adopt(A.rows, A.cols, {(t, t): d for t, d in enumerate(diag)})
     return SmithForm(S, None, None, None, tuple(diag))
 
 
@@ -424,8 +452,9 @@ def boundary_matrix(sources, target_index, boundary):
             if i is None:
                 raise ValueError(f"boundary of {label!r} hits {target!r}, "
                                  "which is not in the target basis")
-            entries[(i, j)] = c
-    return IntMatrix(len(target_index), len(sources), entries)
+            if c:
+                entries[(i, j)] = c
+    return IntMatrix._adopt(len(target_index), len(sources), entries)
 
 
 def solve_integer(A, b):
@@ -438,22 +467,7 @@ def solve_integer(A, b):
     for i in b:
         if not 0 <= i < A.rows:
             raise ValueError("vector index outside matrix rows")
-    snf = smith_normal_form(A)
-    c = snf.U.apply(b)
-    y = {}
-    for t, d in enumerate(snf.diag):
-        ct = c.pop(t, 0)
-        if d == 0:
-            if ct:
-                return None
-            continue
-        if ct % d:
-            return None
-        if ct:
-            y[t] = ct // d
-    if any(c.values()):
-        return None
-    return snf.V.apply(y)
+    return smith_normal_form(A).solve(b)
 
 
 def kernel_basis(A):

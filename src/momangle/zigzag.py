@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .complexes import face_mask, signed_sum_text, word_text
-from .exactalg import boundary_matrix, solve_integer
+from .exactalg import boundary_matrix, smith_normal_form
 from .moment_angle import CellChain, cell_boundary, cell_letters
 from .taylor import (TaylorChain, generator_masks, insertions, mf_order,
                      taylor_boundary, taylor_cycle_is_boundary, union_mask)
@@ -147,57 +148,65 @@ class ZigzagError(RuntimeError):
     convention is broken; either way this must not pass silently."""
 
 
-def _slice_basis(K, S, circle_count, words):
-    """Bicomplex basis triples in multidegree S with |J| = circle_count."""
-    out = []
-    for W in words:
-        union = set()
-        for F in W:
-            union.update(F)
-        T = [v for v in S if v not in union]
-        if circle_count > len(T):
-            continue
-        for J in combinations(T, circle_count):
-            jset = set(J)
-            I = tuple(v for v in T if v not in jset)
-            out.append((I, J, W))
-    return out
+@lru_cache(maxsize=32)
+def _koszul_block(n, j):
+    """The vertical block of one word whose T_W is relabelled onto 1..n,
+    from circle degree j - 1 to j: the Koszul matrix of the simplex on 1..n.
+    A basis triple of the block is named by its circle letters J alone (the
+    disc letters are the rest of 1..n).  Returns (row of each target J,
+    source Js in column order, Smith form with transforms)."""
+    letters = range(1, n + 1)
+
+    def column(J):
+        I = tuple(v for v in letters if v not in J)
+        return {J2: sign for (J2, _), sign in cell_boundary((J, I)).items()}
+
+    rows = {J: t for t, J in enumerate(combinations(letters, j))}
+    sources = list(combinations(letters, j - 1)) if j else []
+    return rows, sources, smith_normal_form(boundary_matrix(sources, rows, column))
 
 
-def _words_in(K, S):
-    """Exterior words over missing faces inside S, grouped by length."""
-    sset = set(S)
-    mfs = [F for F in mf_order(K) if set(F) <= sset]
-    by_len = {}
-    for s in range(len(mfs) + 1):
-        by_len[s] = list(combinations(mfs, s))
-    return by_len
+def _solve_vertical(K, S, eta):
+    """Find phi with vertical_diff(phi) = eta inside the multidegree slice S.
 
-
-def _solve_vertical(K, S, eta, words_by_len):
-    """Find phi with vertical_diff(phi) = eta inside the multidegree slice."""
+    The vertical differential keeps the word W and moves disc letters of
+    T_W = S - union(W) into circles, so the slice is block diagonal with one
+    Koszul block per word.  Each word of eta is solved on its own, against
+    the cached block of (|T_W|, j) after the order-preserving relabelling
+    T_W -> 1..n; words absent from eta have the zero preimage."""
     degs = eta.circle_degrees()
     if len(degs) != 1:
         raise ZigzagError("staircase element mixes circle degrees")
     j = degs[0]
-    word_lens = sorted({len(W) for (_, _, W) in eta.terms})
-    target_basis = []
-    source_basis = []
-    for wl in word_lens:
-        target_basis.extend(_slice_basis(K, S, j, words_by_len[wl]))
-        source_basis.extend(_slice_basis(K, S, j - 1, words_by_len[wl]))
-    tindex = {lab: i for i, lab in enumerate(target_basis)}
-    A = boundary_matrix(source_basis, tindex,
-                        lambda lab: vertical_diff(BicomplexChain({lab: 1})).terms)
-    b = {}
+    position = {F: k for k, F in enumerate(mf_order(K))}
+    smask = face_mask(S)
+    by_word = {}
     for lab, c in eta.terms.items():
-        if lab not in tindex:
+        I, J, W = lab
+        if W not in by_word:
+            order = [position.get(F) for F in W]
+            if (None in order or any(p >= q for p, q in zip(order, order[1:]))
+                    or union_mask(W) & ~smask):
+                raise ZigzagError(f"element leaves the multidegree slice: {lab}")
+            union = set().union(*W)
+            T = [v for v in S if v not in union]
+            by_word[W] = (T, {v: k for k, v in enumerate(T, 1)}, {})
+        T, relabel, b = by_word[W]
+        rel = tuple(relabel.get(v, 0) for v in J)
+        if (0 in rel or any(p >= q for p, q in zip(rel, rel[1:]))
+                or I != tuple(v for v in T if v not in J)):
             raise ZigzagError(f"element leaves the multidegree slice: {lab}")
-        b[tindex[lab]] = c
-    x = solve_integer(A, b)
-    if x is None:
-        raise ZigzagError("no integer vertical preimage; input cycle or signs broken")
-    return BicomplexChain({source_basis[i]: v for i, v in x.items()})
+        b[rel] = c
+    phi = {}
+    for W, (T, _, b) in by_word.items():
+        rows, sources, snf = _koszul_block(len(T), j)
+        x = snf.solve({rows[J]: c for J, c in b.items()})
+        if x is None:
+            raise ZigzagError("no integer vertical preimage; input cycle or signs broken")
+        for col, c in x.items():
+            J = tuple(T[k - 1] for k in sources[col])
+            phi[(tuple(v for v in T if v not in J), J, W)] = c
+    return BicomplexChain(phi)
 
 
 def koszul_to_taylor(K, z):
@@ -219,9 +228,8 @@ def koszul_to_taylor(K, z):
     steps = []
     total = TaylorChain.zero()
     for S, eta in sorted(start.multidegree_components().items()):
-        words_by_len = _words_in(K, S)
         while eta and not eta.is_pure_taylor():
-            phi = _solve_vertical(K, S, eta, words_by_len)
+            phi = _solve_vertical(K, S, eta)
             steps.append(ZigzagStep("solve-vertical", phi))
             eta = horizontal_diff(K, phi)
             steps.append(ZigzagStep("apply-horizontal", eta))

@@ -5,8 +5,10 @@ Smith normal form, a sparse Smith normal form that scans the whole matrix
 for every pivot (the reference for the package's fast one), the Taylor
 differential by front insertion and sorting back (the reference for the
 package's insertion by position), the cell boundary by sorting and counting
-(the reference for the package's bisection), definition-level missing
-faces, substitution and cone points, and permutation-search shiftedness.
+(the reference for the package's bisection), the staircase's vertical
+solve over the whole multidegree slice (the reference for the package's
+solve one word at a time), definition-level missing faces, substitution
+and cone points, and permutation-search shiftedness.
 None of it shares code with the package internals it checks beyond the
 IntMatrix and SmithForm containers.
 """
@@ -315,6 +317,79 @@ def reference_cell_boundary(cell):
     return out
 
 
+def _reference_slice_basis(S, circle_count, words):
+    """Bicomplex basis triples in multidegree S with |J| = circle_count."""
+    out = []
+    for W in words:
+        union = set()
+        for F in W:
+            union.update(F)
+        T = [v for v in S if v not in union]
+        if circle_count > len(T):
+            continue
+        for J in combinations(T, circle_count):
+            jset = set(J)
+            I = tuple(v for v in T if v not in jset)
+            out.append((I, J, W))
+    return out
+
+
+def _reference_words_in(K, S):
+    """Exterior words over missing faces inside S, grouped by length."""
+    sset = set(S)
+    mfs = [F for F in K.missing_faces() if set(F) <= sset]
+    return {s: list(combinations(mfs, s)) for s in range(len(mfs) + 1)}
+
+
+def _reference_vertical_column(label):
+    """Vertical differential of one basis triple (I, J, W): each disc letter
+    i joins J by sorting, with the sign of the circle letters below it."""
+    I, J, W = label
+    out = {}
+    for i in I:
+        sign = -1 if sum(1 for j in J if j < i) % 2 else 1
+        out[(tuple(x for x in I if x != i), tuple(sorted(J + (i,))), W)] = sign
+    return out
+
+
+def reference_solve_vertical(K, S, eta):
+    """The staircase's vertical preimage over the whole multidegree slice:
+    one matrix over every exterior word of the slice's word lengths, reduced
+    by the full-scan Smith form; the canonical solution has zero coordinates
+    along the kernel columns of V.  Returns {(I, J, W): coeff}, or raises
+    ValueError where the package raises ZigzagError."""
+    degs = sorted({len(J) for (_, J, _) in eta})
+    if len(degs) != 1:
+        raise ValueError("staircase element mixes circle degrees")
+    j = degs[0]
+    words_by_len = _reference_words_in(K, S)
+    target_basis, source_basis = [], []
+    for wl in sorted({len(W) for (_, _, W) in eta}):
+        target_basis.extend(_reference_slice_basis(S, j, words_by_len[wl]))
+        source_basis.extend(_reference_slice_basis(S, j - 1, words_by_len[wl]))
+    tindex = {lab: i for i, lab in enumerate(target_basis)}
+    entries = {}
+    for col, lab in enumerate(source_basis):
+        for target, c in _reference_vertical_column(lab).items():
+            entries[(tindex[target], col)] = c
+    b = {}
+    for lab, c in eta.items():
+        if lab not in tindex:
+            raise ValueError(f"element leaves the multidegree slice: {lab}")
+        b[tindex[lab]] = c
+    snf = reference_snf(IntMatrix(len(target_basis), len(source_basis), entries))
+    c = snf.U.apply(b)
+    y = {}
+    for t, d in enumerate(snf.diag):
+        ct = c.pop(t, 0)
+        if ct % d:
+            raise ValueError("no integer vertical preimage")
+        y[t] = ct // d
+    if any(c.values()):
+        raise ValueError("no integer vertical preimage")
+    return {source_basis[i]: v for i, v in snf.V.apply(y).items()}
+
+
 def dense_homology(out_matrix, in_matrix, dim):
     """(rank, torsion) of ker(out)/im(in) from dense matrices."""
     rank_out = len([d for d in dense_snf_diagonal(out_matrix) if d]) if out_matrix else 0
@@ -363,9 +438,9 @@ def brute_missing_faces(K):
     out = []
     for k in range(1, K.m + 1):
         for cand in combinations(range(1, K.m + 1), k):
-            if cand in K:
+            if cand in K.faces:
                 continue
-            if all(tuple(v for v in cand if v != x) in K for x in cand):
+            if all(tuple(v for v in cand if v != x) in K.faces for x in cand):
                 out.append(cand)
     return sorted(out, key=lambda f: (len(f), f))
 

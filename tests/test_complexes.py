@@ -58,6 +58,21 @@ def test_missing_faces_against_bruteforce():
         assert list(K.missing_faces()) == brute_missing_faces(K)
 
 
+def test_missing_faces_against_bruteforce_with_ghost_vertices():
+    # vertices outside every face are missing faces of their own
+    rng = random.Random(8)
+    ghosts_seen = 0
+    for _ in range(25):
+        m = rng.randint(2, 8)
+        ghosts = set(rng.sample(range(1, m + 1), rng.randint(0, m // 2)))
+        faces = [f for f in random_complex(m, rng).faces if not ghosts & set(f)]
+        K = SimplicialComplex(m, faces)
+        ghosts_seen += len(ghosts)
+        assert list(K.missing_faces()) == brute_missing_faces(K)
+        assert all((v,) in K.missing_faces() for v in ghosts)
+    assert ghosts_seen
+
+
 def test_facets_against_bruteforce():
     # boundary(K) drops the vertices that are facets of K: ghost vertices
     rng = random.Random(3)

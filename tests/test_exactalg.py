@@ -73,6 +73,32 @@ def test_solve_integer_basics():
     assert solve_integer(IntMatrix.from_rows([[2]]), {0: 3}) is None
 
 
+def test_int_matrix_refuses_out_of_range_entries():
+    for key in [(2, 0), (0, 3), (-1, 0), (0, -1)]:
+        with pytest.raises(ValueError, match="outside 2x3"):
+            IntMatrix(2, 3, {key: 1})
+    assert IntMatrix(2, 3, {(1, 2): 5, (0, 0): 0}).entries == {(1, 2): 5}
+
+
+def test_smith_form_solve_matches_reference():
+    # the canonical solution from the reference's transforms, on systems
+    # with and without a solution
+    rng = random.Random(11)
+    for _ in range(60):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        A = IntMatrix(m, n, {(i, j): rng.randint(-3, 3)
+                             for i in range(m) for j in range(n) if rng.random() < 0.5})
+        b = {i: rng.randint(-4, 4) for i in range(m) if rng.random() < 0.6}
+        ref = reference_snf(A)
+        c = ref.U.apply(b)
+        want = None
+        if all(c.get(t, 0) % d == 0 for t, d in enumerate(ref.diag)) and \
+                not any(v for t, v in c.items() if t >= ref.rank):
+            want = ref.V.apply({t: c.get(t, 0) // d for t, d in enumerate(ref.diag)})
+        assert smith_normal_form(A).solve(b) == want
+        assert solve_integer(A, b) == want
+
+
 def test_solve_integer_reproduces_rhs():
     rng = random.Random(5)
     for _ in range(40):

@@ -1,16 +1,20 @@
 import json
 import random
+from itertools import combinations
+from math import comb
 
 import pytest
 
-from momangle.complexes import simplex_boundary
+from momangle import zigzag
+from momangle.complexes import SimplicialComplex, simplex_boundary
 from momangle.moment_angle import CellChain
 from momangle.taylor import TaylorChain, nested_taylor_cycle, taylor_boundary
 from momangle.whitehead import delta_w, hurewicz_chain, parse_whitehead
-from momangle.zigzag import (BicomplexChain, ZigzagError, classes_equal,
+from momangle.zigzag import (BicomplexChain, ZigzagError, _koszul_block,
+                             _solve_vertical, classes_equal,
                              classes_equal_up_to_sign, horizontal_diff,
                              koszul_to_taylor, vertical_diff)
-from oracles import random_complex
+from oracles import random_complex, reference_solve_vertical
 
 
 def B(terms):
@@ -193,3 +197,135 @@ def test_zigzag_random_nested_on_canonical_complex():
         K = dw.complex.relabelled(dw.vertex_to_leaf(), m=max(w.leaves()))
         cyc, _ = koszul_to_taylor(K, hurewicz_chain(w, K.m))
         assert classes_equal_up_to_sign(K, cyc, nested_taylor_cycle(w, K)), text
+
+
+# -- the per-word vertical solve against the full-slice reference ---------------
+
+# the bracket shapes of the benchmark's realise jobs, leaves numbered 1..L
+REALISE_SHAPES = [
+    (1, 2, 3, 4), (1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 6),
+    ((1, 2), 3, 4), ((1, 2, 3), 4, 5), ((1, 2), (3, 4), 5),
+    ((1, 2, 3), (4, 5), 6), ((1, 2), (3, 4), 5, 6),
+    (((1, 2), 3), 4, 5), ((((1, 2), 3), 4), 5), (((1, 2, 3), 4), 5, 6),
+    (((1, 2), 3), (4, 5), 6), (((1, 2), 3), (4, 5, 6), 7),
+]
+
+
+def _shape_text(shape, label):
+    if isinstance(shape, int):
+        return str(label[shape])
+    return "[" + ",".join(_shape_text(c, label) for c in shape) + "]"
+
+
+def _shape_leaves(shape):
+    return 1 if isinstance(shape, int) else sum(map(_shape_leaves, shape))
+
+
+def _ambient_product(rng):
+    """(K, w): a realise shape on random vertices of 1..m, and bd_Delta(w)
+    with up to three random faces through the extra vertices."""
+    shape = rng.choice(REALISE_SHAPES)
+    L = _shape_leaves(shape)
+    m = L + rng.randint(0, 2)
+    placed = rng.sample(range(1, m + 1), L)
+    w = parse_whitehead(_shape_text(shape, dict(zip(range(1, L + 1), placed))))
+    dw = delta_w(w)
+    facets = list(dw.complex.relabelled(dw.vertex_to_leaf(), m=m).facets)
+    outside = [v for v in range(1, m + 1) if v not in placed]
+    for _ in range(rng.randint(0, 3) if outside else 0):
+        facets.append(rng.sample(placed, rng.randint(0, L - 1))
+                      + rng.sample(outside, rng.randint(1, len(outside))))
+    return SimplicialComplex.from_facets(m, facets), w
+
+
+def _reference_staircase(K, z, monkeypatch):
+    """koszul_to_taylor with every vertical preimage taken over the whole
+    multidegree slice."""
+    with monkeypatch.context() as patch:
+        patch.setattr(zigzag, "_solve_vertical", lambda K, S, eta: BicomplexChain(
+            reference_solve_vertical(K, S, eta.terms)))
+        return koszul_to_taylor(K, z)
+
+
+def test_per_word_solve_matches_full_slice_on_hurewicz_chains(monkeypatch):
+    rng = random.Random(2024)
+    chains = solves = 0
+    while chains < 200:
+        K, w = _ambient_product(rng)
+        z = hurewicz_chain(w, K.m)
+        cycle, trace = koszul_to_taylor(K, z)
+        ref_cycle, ref_trace = _reference_staircase(K, z, monkeypatch)
+        assert trace == ref_trace, (K, w)
+        assert trace.to_json() == ref_trace.to_json()
+        assert cycle == ref_cycle
+        chains += 1
+        solves += len(trace.steps) // 2
+    assert solves > 2 * chains
+
+
+def _random_word_system(rng):
+    """(K, S, eta): eta the vertical image of random elements on two to four
+    words of missing faces inside S, at one circle degree, with |T_W| <= 9.
+    The draw is kept only when the reference's whole slice (every word of
+    the chosen lengths) has at most 400 triples in each degree."""
+    while True:
+        m = rng.randint(4, 9)
+        K = random_complex(m, rng, max_facet_count=m)
+        S = tuple(range(1, m + 1))
+        words = [W for k in range(3) for W in combinations(K.missing_faces(), k)]
+        if len(words) < 2:
+            continue
+        chosen = rng.sample(words, rng.randint(2, min(4, len(words))))
+        free = {W: [v for v in S if v not in set().union(*W)] for W in words}
+        j = rng.randint(1, min(6, max(len(free[W]) for W in chosen)))
+        lengths = {len(W) for W in chosen}
+        if any(sum(comb(len(T), k) for W, T in free.items() if len(W) in lengths) > 400
+               for k in (j - 1, j)):
+            continue
+        phi = {}
+        for W in chosen:
+            pool = list(combinations(free[W], j - 1)) if j <= len(free[W]) else []
+            for J in rng.sample(pool, min(3, len(pool))):
+                phi[(tuple(v for v in free[W] if v not in J), J, W)] = rng.randint(-3, 3)
+        eta = vertical_diff(BicomplexChain(phi))
+        if len({W for (_, _, W) in eta.terms}) >= 2:
+            return K, S, eta
+
+
+def test_per_word_solve_matches_full_slice_on_block_diagonal_systems():
+    rng = random.Random(77)
+    for _ in range(120):
+        K, S, eta = _random_word_system(rng)
+        phi = _solve_vertical(K, S, eta)
+        assert phi == BicomplexChain(reference_solve_vertical(K, S, eta.terms))
+        assert vertical_diff(phi) == eta
+
+
+def test_vertical_solve_refusals(sub5):
+    def refuses(S, terms, message):
+        with pytest.raises(ZigzagError, match=message):
+            _solve_vertical(sub5, S, B(terms))
+
+    slice_message = "leaves the multidegree slice"
+    refuses((1, 2, 3), {((1,), (2, 3), ()): 1, ((1, 2), (3,), ()): 1},
+            "mixes circle degrees")
+    # I + J + union(W) must be S, with I and J in increasing order
+    refuses((1, 2, 3), {((1,), (2,), ()): 1}, slice_message)
+    refuses((1, 2, 3), {((1, 3), (2, 4), ()): 1}, slice_message)
+    refuses((1, 2, 3), {((3, 1), (2,), ()): 1}, slice_message)
+    refuses((1, 2, 3), {((1,), (3, 2), ()): 1}, slice_message)
+    refuses((1, 2, 3), {((1,), (), ((1, 2, 3),)): 1}, slice_message)
+    # W: distinct missing faces of K inside S, in generator order
+    refuses((1, 2, 3), {((3,), (), ((1, 2),)): 1}, slice_message)
+    refuses((1, 2, 3), {((2,), (3,), ((1, 4, 5),)): 1}, slice_message)
+    refuses((1, 2, 3, 4, 5), {((3,), (), ((2, 4, 5), (1, 4, 5))): 1}, slice_message)
+    # d(D1 S2) = S1 S2 is not zero, so D1 S2 is no cycle and has no
+    # preimage; nor has a disc letter at circle degree 0
+    refuses((1, 2), {((1,), (2,), ()): 1}, "no integer vertical preimage")
+    refuses((1,), {((1,), (), ()): 1}, "no integer vertical preimage")
+    with pytest.raises(ZigzagError, match="not a cycle"):
+        koszul_to_taylor(sub5, CellChain.from_text("D1*S2"))
+
+
+def test_koszul_block_cache_is_bounded():
+    assert _koszul_block.cache_info().maxsize is not None
