@@ -127,7 +127,12 @@ def cmd_zigzag(K, w, args, out):
 def cmd_hochster(K, w, args, out):
     subsets = None
     if args.subset:
-        subsets = [tuple(sorted(int(x) for x in args.subset.split(",")))]
+        subset = [int(x) for x in args.subset.split(",")]
+        if len(set(subset)) != len(subset):
+            raise ValueError(f"--subset {args.subset} repeats a vertex")
+        if not all(1 <= v <= K.m for v in subset):
+            raise ValueError(f"--subset {args.subset} is not within the vertices 1..{K.m}")
+        subsets = [tuple(sorted(subset))]
     per_subset, aggregate = ma.hochster_table(K, subsets)
     out["by_subset"] = [
         {"subset": list(J), "degree": d, "group": group_json(h)}

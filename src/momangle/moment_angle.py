@@ -254,8 +254,7 @@ def zk_homology_by_support(K):
     A block whose full subcomplex K_S is a cone is the shifted reduced chain
     complex of a cone, so it is acyclic (Hochster's formula) and is neither
     built nor reduced; the empty S has no vertex and is always built.  The
-    Hochster and Taylor tables build every block, so `verify` checks this
-    rule."""
+    Hochster table builds every block, so `verify` checks this rule."""
     if K.m > ZK_MAX_VERTICES:
         raise SizeLimitError(f"Z_K cell enumeration refuses m={K.m} > {ZK_MAX_VERTICES}")
     _require_singletons(K)

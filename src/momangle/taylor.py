@@ -17,8 +17,18 @@ Basis words keep their factors in that order, so a new factor J lands at
 position p, the number of factors before it in generator order, with sign
 (-1)^p; no word is ever sorted (`insertions`).  The differential never
 changes the union of the word, so the complex splits over vertex subsets S,
-and a word with s factors sits in total degree 2|S| - s.  The route computes
-per block (`taylor_components`); the whole complex is the tests' reference.
+and a word with s factors sits in total degree 2|S| - s.
+
+The route computes per block on Lyubeznik's words only (`taylor_components`).
+A word F_{i_1} ^ ... ^ F_{i_s} (i_1 < ... < i_s) is admissible when no
+generator F_q with q < i_t lies inside F_{i_t} u ... u F_{i_s}, for every t.
+The admissible words span a subcomplex of the module resolution that still
+resolves the ideal, over any ring (Lyubeznik, J. Pure Appl. Algebra 51,
+1988; Batzies-Welker, J. reine angew. Math. 543, 2002, by an acyclic Morse
+matching).  Dually, the other words span an acyclic subcomplex of the face
+complex, closed under insertion, and the admissible words carry the quotient
+with the same homology over Z, torsion included.  The whole complex
+(`taylor_face_complex`) is the tests' reference.
 """
 
 from __future__ import annotations
@@ -230,11 +240,12 @@ def _checked_generators(K):
 
 
 def taylor_face_complex(K):
-    """The whole Taylor complex of the face coalgebra as one ChainComplex.
+    """The whole Taylor complex of the face coalgebra as one ChainComplex,
+    the reference the blocks of `taylor_components` are tested against.
 
-    Basis at degree -s: all words of s distinct missing faces.  The grading
-    by union subsets is implicit (the differential preserves it); use
-    `taylor_components` for the split."""
+    Basis at degree -s: all words of s distinct missing faces, admissible or
+    not.  The grading by union subsets is implicit (the differential
+    preserves it)."""
     gens, masks = _checked_generators(K)
     basis = {-s: list(combinations(gens, s)) for s in range(len(gens) + 1)}
     return ChainComplex.from_boundary(
@@ -246,25 +257,65 @@ def word_support(word):
     return tuple(sorted(set().union(*word)))
 
 
+def admissible_words(masks):
+    """Lyubeznik's admissible words as index tuples, {union mask: words}.
+
+    Words are grown right to left: generator j is put in front of an
+    admissible word w (j below w's first index) when no generator before j
+    lies inside the new union.  The suffixes of the new word are w's, so the
+    new word is admissible, and every admissible word is reached this way
+    from its own suffix.  The words of a union come by factor count, and
+    lexicographically within one count."""
+    first_inside = {}
+
+    def first(union):
+        if union not in first_inside:
+            first_inside[union] = next(q for q, mask in enumerate(masks)
+                                       if not mask & ~union)
+        return first_inside[union]
+
+    by_union = {0: [()]}
+    layer = [((i,), mask) for i, mask in enumerate(masks)]
+    while layer:
+        grown = []
+        for word, union in layer:
+            by_union.setdefault(union, []).append(word)
+            for j in range(word[0]):
+                new = union | masks[j]
+                if first(new) == j:
+                    grown.append(((j,) + word, new))
+        layer = sorted(grown)
+    return by_union
+
+
 @lru_cache(maxsize=8)
 def taylor_components(K):
-    """Per-subset split: S -> ChainComplex of words with union exactly S.
+    """Per-subset split on the admissible words: S -> ChainComplex of the
+    admissible words with union exactly S.
 
-    Every word of a block has the block's union, so its boundary is taken
-    against that one bitmask."""
+    A block's basis is the full block's, in its order (by factor count, then
+    lexicographically), with the words that are not admissible left out; the
+    differential is the insertion differential with the targets that are not
+    admissible dropped.  That is
+    the quotient by an acyclic subcomplex, so every block has the homology
+    of the full block.  A union that carries no admissible word has no
+    block; its full block is acyclic.  Every word of a block has the block's
+    union, so its boundary is taken against that one bitmask."""
     gens, masks = _checked_generators(K)
-    by_union = {}
-    for s in range(len(gens) + 1):
-        for combo in combinations(zip(gens, masks), s):
-            union = 0
-            for _, mask in combo:
-                union |= mask
-            word = tuple(F for F, _ in combo)
-            by_union.setdefault(union, {}).setdefault(-s, []).append(word)
+    blocks = {}
+    for union, words in admissible_words(masks).items():
+        basis = {}
+        for word in words:
+            basis.setdefault(-len(word), []).append(tuple(gens[i] for i in word))
+        blocks[union] = basis
+    kept = {w for basis in blocks.values() for words in basis.values() for w in words}
+
+    def boundary(word, union):
+        return {new: sign for _, new, sign in insertions(word, gens, masks, union)
+                if new in kept}
     return {tuple(v for v in range(1, K.m + 1) if union >> (v - 1) & 1):
-            ChainComplex.from_boundary(
-                basis, lambda w, union=union: word_boundary(w, gens, masks, union))
-            for union, basis in by_union.items()}
+            ChainComplex.from_boundary(basis, lambda w, union=union: boundary(w, union))
+            for union, basis in blocks.items()}
 
 
 def taylor_homology_by_support(K):
@@ -278,9 +329,21 @@ def taylor_homology(K):
 
 
 def taylor_class(K, chain):
-    """Class of a Taylor cycle, reduced only in the components it touches."""
-    return class_by_support(taylor_components(K).__getitem__, word_support,
-                            -chain.s, chain.terms)
+    """Class of a Taylor cycle, reduced only in the components it touches.
+
+    The cycle is projected onto the admissible words first: the projection
+    is a chain map and a quasi-isomorphism, so the cycle bounds exactly when
+    its projection does.  A term whose support has no block is dropped."""
+    if taylor_boundary(K, chain):
+        raise ValueError("chain is not a cycle")
+    blocks = taylor_components(K)
+    degree = -chain.s
+
+    def admissible(word):
+        block = blocks.get(word_support(word))
+        return block is not None and word in block.index.get(degree, ())
+    return class_by_support(blocks.__getitem__, word_support, degree,
+                            {w: c for w, c in chain.terms.items() if admissible(w)})
 
 
 def taylor_cycle_is_boundary(K, chain):

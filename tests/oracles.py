@@ -4,19 +4,21 @@ Everything here recomputes results along a second route: dense textbook
 Smith normal form, a sparse Smith normal form that scans the whole matrix
 for every pivot (the reference for the package's fast one), the Taylor
 differential by front insertion and sorting back (the reference for the
-package's insertion by position), the cell boundary by sorting and counting
-(the reference for the package's bisection), the staircase's vertical
-solve over the whole multidegree slice (the reference for the package's
-solve one word at a time), definition-level missing faces, substitution
-and cone points, and permutation-search shiftedness.
+package's insertion by position), the whole per-support split of the Taylor
+complex and Lyubeznik admissibility from its definition (the reference for
+the package's blocks on the admissible words only), the cell boundary by
+sorting and counting (the reference for the package's bisection), the
+staircase's vertical solve over the whole multidegree slice (the reference
+for the package's solve one word at a time), definition-level missing
+faces, substitution and cone points, and permutation-search shiftedness.
 None of it shares code with the package internals it checks beyond the
-IntMatrix and SmithForm containers.
+IntMatrix, SmithForm and ChainComplex containers.
 """
 
 from itertools import combinations, permutations
 
 from momangle.complexes import SimplicialComplex
-from momangle.exactalg import IntMatrix, SmithForm
+from momangle.exactalg import ChainComplex, IntMatrix, SmithForm
 
 
 def dense_snf_diagonal(rows):
@@ -304,6 +306,34 @@ def reference_taylor_boundary_word(K, word):
         new, sign = _reference_normalise_word((F,) + word)
         out[new] = out.get(new, 0) + sign
     return out
+
+
+def reference_taylor_components(K):
+    """Every Taylor word of K, admissible or not, split by its union S:
+    {S: ChainComplex}, words by factor count and then lexicographically in
+    generator order, with the sort-based differential."""
+    mfs = tuple(sorted(K.missing_faces(), key=_reference_gen_key))
+    by_support = {}
+    for s in range(len(mfs) + 1):
+        for word in combinations(mfs, s):
+            S = tuple(sorted(set().union(*word)))
+            by_support.setdefault(S, {}).setdefault(-s, []).append(word)
+    return {S: ChainComplex.from_boundary(
+                basis, lambda w: reference_taylor_boundary_word(K, w))
+            for S, basis in by_support.items()}
+
+
+def lyubeznik_admissible(K, word):
+    """Lyubeznik's rule for a word F_{i_1} ^ ... ^ F_{i_s} with i_1 < ... <
+    i_s: no generator F_q with q < i_t lies inside F_{i_t} u ... u F_{i_s},
+    for any t."""
+    mfs = sorted(K.missing_faces(), key=_reference_gen_key)
+    index = [mfs.index(F) for F in word]
+    for t in range(len(word)):
+        union = set().union(*word[t:])
+        if any(set(mfs[q]) <= union for q in range(index[t])):
+            return False
+    return True
 
 
 def reference_cell_boundary(cell):

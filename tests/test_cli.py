@@ -63,6 +63,18 @@ def test_hochster_verb(capsys):
         {"subset": [1, 2, 3], "degree": 5, "group": {"rank": 1, "torsion": []}}]
 
 
+@pytest.mark.parametrize("subset, reason", [
+    ("1,9", "not within the vertices 1..3"),
+    ("1,1", "repeats a vertex"),
+    ("0,1", "not within the vertices 1..3"),
+])
+def test_hochster_subset_is_validated(capsys, subset, reason):
+    code, out, err = run_cli(capsys, "hochster", "--complex", "bd(simplex(1,2,3))",
+                             "--subset", subset)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and reason in err
+
+
 def test_wedge_basis_verb(capsys):
     data = run_json(capsys, "wedge-basis", "--complex", "bd(simplex(1,2,3))")
     assert data["is_basis"] is True

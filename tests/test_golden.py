@@ -25,6 +25,8 @@ BD3 = "bd(simplex(1,2,3))"
 DW_22_1 = "subst(bd(simplex(1,2,3)); bd(simplex(1,2)), bd(simplex(1,2)), pt)"
 # the edges of a tetrahedron: shifted, with a wedge basis spread over many subsets
 GRAPH4 = "bd(bd(simplex(1,2,3,4)))"
+# the complete graph on five vertices: ten missing triangles, |MF| = 10
+GRAPH5 = "bd(bd(bd(simplex(1,2,3,4,5))))"
 
 PAIRS = [(SUB5, "[[1,2,3],4,5]"), (SUB5, "[[1,4,5],2]"), (SUB5, "[1,2,3]"),
          (SUB5, "[1,4,5]"), (BD3, "[1,2,3]"), (DW_22_1, "[[1,2],[3,4],5]"),
@@ -39,6 +41,7 @@ CASES = (
        for K, w in PAIRS]
     + [["zigzag", "--complex", K, "--w", w, "--format", "text"]
        for K, w in PAIRS]
+    + [[verb, "--complex", K] for verb in ("taylor", "verify") for K in (GRAPH4, GRAPH5)]
 )
 
 

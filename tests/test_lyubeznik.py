@@ -1,0 +1,179 @@
+"""The Taylor route on Lyubeznik's admissible words against the whole
+per-support split of the Taylor complex (`oracles.reference_taylor_components`).
+
+The words that are not admissible span an acyclic subcomplex, so the blocks
+on the admissible words must give every homology group of the whole split,
+torsion included, and a cycle must bound in the whole split exactly when its
+projection onto the admissible words bounds in the blocks.  The complexes are
+seeded random ones, RP^2 (Z/2 torsion) and cones over RP^2 with a seventh
+vertex, canonical complexes of nested products with random faces added, and
+the K6 graph, the largest Taylor input the size gate admits.
+"""
+
+import random
+
+import pytest
+
+from momangle import complexes as cx
+from momangle.exactalg import kernel_basis
+from momangle.moment_angle import support_table, zk_homology_by_support
+from momangle.taylor import (TaylorChain, mf_order, nested_taylor_cycle,
+                             taylor_boundary, taylor_class, taylor_components,
+                             taylor_homology_by_support, word_support)
+from momangle.whitehead import delta_w, parse_whitehead
+from oracles import (lyubeznik_admissible, random_complex,
+                     reference_taylor_components)
+
+RP2_FACETS = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
+              (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)]
+
+NESTED_SHAPES = ["[[1,2],3]", "[[1,2,3],4]", "[[1,2],3,4]", "[[[1,2],3],4]",
+                 "[[1,2,3],4,5]", "[[[1,2],3],4,5]"]
+
+
+def rp2_cone(rng, triangles):
+    """RP^2 on 1..6 with vertex 7 coned over every edge and `triangles`
+    random triangles: 20 - `triangles` missing faces, and H_1(RP^2) = Z/2 in
+    the block of 1..6."""
+    edges = sorted({e for f in RP2_FACETS for e in ((f[0], f[1]), (f[0], f[2]), (f[1], f[2]))})
+    coned = [f + (7,) for f in edges + rng.sample(RP2_FACETS, triangles)]
+    return cx.SimplicialComplex.from_facets(7, RP2_FACETS + coned)
+
+
+def random_complexes(seed, count, low, high):
+    """`count` seeded random complexes with low to high missing faces."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        K = random_complex(rng.randint(3, 7), rng)
+        if low <= len(mf_order(K)) <= high:
+            out.append(K)
+    return out
+
+
+def nested_cases(rng):
+    """(K, nested cycle) pairs: the canonical complex of each nested shape,
+    with up to two random faces added, and the product's closed-form cycle
+    where K still has one."""
+    out = []
+    for shape in NESTED_SHAPES:
+        w = parse_whitehead(shape)
+        base = delta_w(w).complex
+        for _ in range(3):
+            facets = list(base.facets)
+            for _ in range(rng.randint(0, 2)):
+                facets.append(tuple(sorted(rng.sample(range(1, base.m + 1),
+                                                      rng.randint(2, base.m - 1)))))
+            K = cx.SimplicialComplex.from_facets(base.m, facets)
+            try:
+                out.append((K, nested_taylor_cycle(w, K)))
+            except ValueError:
+                continue
+    return out
+
+
+def table_of(blocks):
+    return support_table(blocks.items(), lambda S, d: 2 * len(S) + d)
+
+
+def reference_is_boundary(blocks, chain):
+    """Whether a cycle bounds in the whole split, piece by piece."""
+    pieces = {}
+    for w, c in chain.terms.items():
+        pieces.setdefault(word_support(w), {})[w] = c
+    return all(blocks[S].is_boundary(-chain.s, piece) for S, piece in pieces.items())
+
+
+def chain_of(block, d, vec):
+    return TaylorChain(block.chain_from_vector(d, vec))
+
+
+def random_boundary(K, block, d, rng):
+    """Boundary of a random integer chain of the block's degree d + 1."""
+    words = block.basis.get(d + 1, [])
+    picked = rng.sample(words, min(3, len(words)))
+    return taylor_boundary(K, TaylorChain({w: rng.choice([-2, -1, 1, 3]) for w in picked}))
+
+
+def test_taylor_table_matches_whole_split(rp2):
+    rng = random.Random(41)
+    cases = random_complexes(37, 25, 2, 10) + [rp2] + [rp2_cone(rng, k) for k in (6, 7, 8)]
+    torsion = 0
+    for K in cases:
+        table = taylor_homology_by_support(K)
+        assert table == table_of(reference_taylor_components(K)), K.facets
+        torsion += any(h.torsion for h in table.values())
+    assert torsion >= 4   # RP^2 and its three cones
+
+
+def cycle_cases(K, ref, rng):
+    """Cycles of the whole split: kernel columns of its differentials (some
+    bound, some do not), their doubles, boundaries of random chains, sums of
+    the two, and boundaries of words that are not admissible (cycles whose
+    projection onto the admissible words is zero)."""
+    out = []
+    for S in rng.sample(sorted(ref), min(6, len(ref))):
+        block = ref[S]
+        for d in block.basis:
+            kernel = kernel_basis(block.differential(d))
+            for vec in rng.sample(kernel, min(2, len(kernel))):
+                z = chain_of(block, d, vec)
+                b = random_boundary(K, block, d, rng)
+                out += [z, z.scaled(2), b, z + b]
+            dropped = [w for w in block.basis[d] if not lyubeznik_admissible(K, w)]
+            for w in rng.sample(dropped, min(2, len(dropped))):
+                out.append(taylor_boundary(K, TaylorChain({w: 1})))
+    return [z for z in out if z]
+
+
+def test_taylor_class_matches_whole_split(rp2, sub5, filled6):
+    rng = random.Random(43)
+    seen = set()
+    projected_away = 0
+    for K in random_complexes(47, 20, 2, 8) + [rp2, sub5, filled6]:
+        ref = reference_taylor_components(K)
+        for z in cycle_cases(K, ref, rng):
+            answer = reference_is_boundary(ref, z)
+            assert taylor_class(K, z).is_boundary == answer, (K.facets, z)
+            seen.add(answer)
+            projected_away += not any(lyubeznik_admissible(K, w) for w in z.terms)
+    assert seen == {True, False}
+    assert projected_away >= 20
+
+
+def test_nested_cycle_classes_match_whole_split():
+    rng = random.Random(53)
+    cases = nested_cases(rng)
+    assert len(cases) >= 12
+    seen = set()
+    for K, z in cases:
+        ref = reference_taylor_components(K)
+        block = ref[word_support(next(iter(z.terms)))]
+        boundaries = [b for b in (random_boundary(K, block, -z.s, rng) for _ in range(2)) if b]
+        for chain in [z, z.scaled(2)] + boundaries + [z + b for b in boundaries]:
+            answer = reference_is_boundary(ref, chain)
+            assert taylor_class(K, chain).is_boundary == answer, (K.facets, chain)
+            seen.add(answer)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("text", ["w123^w145", "w145^w245^w345"])
+def test_taylor_class_refuses_a_non_cycle(sub5, text):
+    """w145^w245^w345 is not admissible (w123 lies inside its union), so its
+    projection is zero; it is still refused, as the whole split refuses it."""
+    chain = TaylorChain.from_text(text)
+    ref = reference_taylor_components(sub5)
+    with pytest.raises(ValueError, match="not a cycle"):
+        reference_is_boundary(ref, chain)
+    with pytest.raises(ValueError, match="not a cycle"):
+        taylor_class(sub5, chain)
+
+
+def test_k6_graph_against_cellular():
+    """|MF| = 20, the largest the size gate admits: 2^20 words in the whole
+    complex, 184 admissible ones."""
+    K = cx.parse_complex("bd(bd(bd(bd(simplex(1,2,3,4,5,6)))))")
+    assert len(mf_order(K)) == 20
+    blocks = taylor_components(K)
+    assert sum(B.dim(d) for B in blocks.values() for d in B.basis) == 184
+    assert taylor_homology_by_support(K) == zk_homology_by_support(K)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from momangle import taylor as ty
-from momangle.complexes import (SimplicialComplex, SizeLimitError,
+from momangle.complexes import (SimplicialComplex, SizeLimitError, parse_complex,
                                 simplex_boundary)
 from momangle.exactalg import ChainComplex, HomologyGroup
 from momangle.moment_angle import hochster_table, zk_homology
@@ -15,7 +15,11 @@ from momangle.taylor import (MonomialIdeal, TaylorChain, cone_reconstruction,
                              taylor_module_resolution, verify_taylor_is_resolution,
                              word_support)
 from momangle.whitehead import parse_whitehead
-from oracles import random_complex, reference_taylor_boundary_word
+from oracles import (lyubeznik_admissible, random_complex,
+                     reference_taylor_boundary_word)
+
+# the complete graph on six vertices: its 20 triangles are its missing faces
+K6_GRAPH = "bd(bd(bd(bd(simplex(1,2,3,4,5,6)))))"
 
 
 def sf(m, *supports):
@@ -109,8 +113,9 @@ def test_multidegree_preserved_on_random_words():
 
 def test_boundary_and_blocks_match_sorting_reference():
     """Every basis word's boundary equals the sort-based reference's, and
-    every block of the split is the matching rows and columns of the whole
-    complex, labels and entries."""
+    every block of the split is the admissible rows and columns of the whole
+    complex at its union, labels (in order) and entries, with admissibility
+    taken from Lyubeznik's definition."""
     rng = random.Random(17)
     complexes = 0
     while complexes < 30:
@@ -122,39 +127,45 @@ def test_boundary_and_blocks_match_sorting_reference():
         for words in C.basis.values():
             for w in words:
                 assert taylor_boundary_word(K, w) == reference_taylor_boundary_word(K, w), (K, w)
+        admissible = {w for words in C.basis.values() for w in words
+                      if lyubeznik_admissible(K, w)}
         blocks = taylor_components.__wrapped__(K)
-        assert sum(B.dim(d) for B in blocks.values() for d in B.basis) == 2 ** len(mf_order(K))
+        assert set(blocks) == {word_support(w) for w in admissible}
         for S, B in blocks.items():
+            for d in C.basis:
+                labels = [w for w in C.basis[d] if w in admissible and word_support(w) == S]
+                assert B.basis.get(d, []) == labels, (K, S, d)
             for d, labels in B.basis.items():
-                assert labels == [w for w in C.basis[d] if word_support(w) == S]
                 mine = {(B.basis[d - 1][i], B.basis[d][j]): v
                         for (i, j), v in B.differential(d).entries.items()}
                 cols = set(labels)
                 whole = {(C.basis[d - 1][i], C.basis[d][j]): v
                          for (i, j), v in C.differential(d).entries.items()
-                         if C.basis[d][j] in cols}
+                         if C.basis[d][j] in cols and C.basis[d - 1][i] in admissible}
                 assert mine == whole, (K, S, d)
 
 
-def test_block_with_a_flipped_sign_is_refused(monkeypatch, sub5):
-    """One sign flipped in one block's boundary callable breaks d^2 = 0
-    (d(w123^w145) has two terms whose boundaries cancel), and building the
-    blocks must refuse it."""
+def test_block_with_a_flipped_sign_is_refused(monkeypatch):
+    """One sign flipped in one block's boundary callable breaks d^2 = 0, and
+    building the blocks must refuse it.  On the K6 graph the block of the
+    whole vertex set spans degrees -2, -3 and -4, and its one word of degree
+    -2, w123^w456, has a boundary whose terms' boundaries cancel."""
+    K6 = parse_complex(K6_GRAPH)
     build = ChainComplex.from_boundary.__func__
 
     def flipped(cls, basis, boundary):
         def bad(word):
             out = dict(boundary(word))
-            if word == ((1, 2, 3), (1, 4, 5)):
+            if word == ((1, 2, 3), (4, 5, 6)):
                 first = next(iter(out))
                 out[first] = -out[first]
             return out
         return build(cls, basis, bad)
 
-    assert taylor_components.__wrapped__(sub5)
+    assert taylor_components.__wrapped__(K6)
     monkeypatch.setattr(ChainComplex, "from_boundary", classmethod(flipped))
     with pytest.raises(ValueError, match=r"d\^2 != 0 between degrees -2 and -4"):
-        taylor_components.__wrapped__(sub5)
+        taylor_components.__wrapped__(K6)
 
 
 def test_degree_bookkeeping_example():
