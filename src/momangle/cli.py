@@ -94,6 +94,8 @@ def cmd_status(K, w, args, out):
         out["status"] = wh.single_product_status(K, w.leaves())
     else:
         out["status"] = wh.nested_shape_status(K, w)
+        if out["status"] != wh.UNDEFINED and not wh.criterion_applies(K, w):
+            out["notes"] = [wh.OUTSIDE_CRITERION]
 
 
 def cmd_realises(K, w, args, out):

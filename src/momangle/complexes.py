@@ -162,7 +162,7 @@ class SimplicialComplex:
         (size, labels).  The faces and their bitmasks are sorted once, on the
         first call: the routes call this for up to every subset of 1..m."""
         if self._by_size is None:
-            order = sorted(self.faces, key=lambda f: (len(f), f))
+            order = sorted(sorted(self.faces), key=len)
             self._by_size = (order, [face_mask(f) for f in order])
         outside = ~face_mask(v for v in subset if v > 0)
         faces, masks = self._by_size

@@ -15,17 +15,20 @@ map and reproduce the canonical bracket chains with a plus sign.
 
 The boundary keeps the support J + I, so the chains split into one block
 per vertex subset S (the Hochster splitting); homology and classes are
-computed per block, and the whole complex is the tests' reference.
+computed per block, and the whole complex is the tests' reference.  The
+homology table reduces only the blocks that can carry homology, each modulo
+an acyclic star (`zk_homology_by_support`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from functools import lru_cache, reduce
-from itertools import combinations
+from itertools import chain, combinations
 
-from .complexes import (ParseError, SizeLimitError, read_signed_sum, read_text,
-                        reduced_chain_complex, signed_sum_text)
+from .complexes import (ParseError, SizeLimitError, face_mask, read_signed_sum,
+                        read_text, reduced_chain_complex, signed_sum_text)
 from .exactalg import ChainComplex, HomologyClass, direct_sum
 
 ZK_MAX_VERTICES = 24
@@ -201,16 +204,74 @@ def zk_chain_complex(K):
 
 def zk_block(K, S):
     """The block of support S: cells (S - I, I) for the faces I of K inside S."""
+    _require_support(K, S)
+    return _block_on_faces(S, K.faces_within(S), cell_boundary)
+
+
+def _require_support(K, S):
     _require_singletons(K)
     if S and S[-1] > K.m:
         raise ValueError(f"support {S} leaves the vertices 1..{K.m}")
+
+
+def _block_on_faces(S, faces, boundary):
+    """Complex on the cells (S - I, I), I in `faces`, sorted within each degree."""
     cells = {}
-    for I in K.faces_within(S):
+    for I in faces:
         J = tuple(v for v in S if v not in I)
         cells.setdefault(2 * len(I) + len(J), []).append((J, I))
     for cs in cells.values():
         cs.sort()
-    return ChainComplex.from_boundary(cells, cell_boundary)
+    return ChainComplex.from_boundary(cells, boundary)
+
+
+def lattice_supports(K):
+    """The empty set and every union of missing faces of K, by size and then
+    lexicographically.  A vertex of S lies in no missing face inside S
+    exactly when it is a cone point of K_S, so these are the empty set and
+    the supports S with no cone point: every other block is acyclic."""
+    unions = {0}
+    for f in K.missing_faces():
+        bits = face_mask(f)
+        unions |= {u | bits for u in unions}
+    supports = (tuple(v for v in range(1, K.m + 1) if u >> (v - 1) & 1) for u in unions)
+    return sorted(supports, key=lambda S: (len(S), S))
+
+
+def star_vertex(faces, S):
+    """The vertex v of S whose star in K_S holds the most faces, the least
+    such v on ties; `faces` are the faces of K_S.  The star pairs each face
+    I without v with I + v, so it has twice as many faces as contain v, and
+    its quotient leaves the fewest cells.  One count over the faces' letters
+    serves every vertex."""
+    counts = Counter(chain.from_iterable(faces))
+    return min(S, key=lambda v: (-counts[v], v))
+
+
+def _in_star(K, v, I):
+    """Is I + v a face of K?"""
+    p = bisect_left(I, v)
+    return p < len(I) and I[p] == v or I[:p] + (v,) + I[p:] in K.faces
+
+
+def zk_star_quotient(K, S):
+    """The block of S modulo the star of v = star_vertex in K_S: the cells
+    (S - I, I) with I + v no face of K, and `cell_boundary` with every
+    target inside the star dropped.
+
+    The star's cells span a subcomplex, since d only drops disc letters, and
+    it is the shifted augmented chain complex of a cone, so it is acyclic;
+    the quotient has the block's homology over Z, torsion included.  The
+    empty S has no vertex; its block, Z in degree 0, is returned whole."""
+    if not S:
+        return zk_block(K, S)
+    _require_support(K, S)
+    faces = K.faces_within(S)
+    v = star_vertex(faces, S)
+
+    def boundary(cell):
+        return {t: c for t, c in cell_boundary(cell).items() if not _in_star(K, v, t[1])}
+    return _block_on_faces(S, [I for I in faces if not _in_star(K, v, I)], boundary)
 
 
 def support_table(blocks, shift):
@@ -251,15 +312,17 @@ def all_subsets(m):
 def zk_homology_by_support(K):
     """Homology of every support block, {(S, degree): group}, nontrivial only.
 
-    A block whose full subcomplex K_S is a cone is the shifted reduced chain
-    complex of a cone, so it is acyclic (Hochster's formula) and is neither
-    built nor reduced; the empty S has no vertex and is always built.  The
-    Hochster table builds every block, so `verify` checks this rule."""
+    Only the empty set and the unions of missing faces are visited
+    (`lattice_supports`): any other S has a cone point, so K_S is a cone and
+    its block, the shifted augmented chain complex of K_S, is acyclic.  Each
+    visited block is reduced modulo the acyclic star of one vertex
+    (`zk_star_quotient`), which keeps its homology, torsion included.
+    `zk_class` and the Hochster table still build full blocks, so `verify`
+    checks both rules."""
     if K.m > ZK_MAX_VERTICES:
         raise SizeLimitError(f"Z_K cell enumeration refuses m={K.m} > {ZK_MAX_VERTICES}")
     _require_singletons(K)
-    blocks = ((S, zk_block(K, S)) for S in all_subsets(K.m)
-              if K.cone_point_within(S) is None)
+    blocks = ((S, zk_star_quotient(K, S)) for S in lattice_supports(K))
     return support_table(blocks, lambda S, d: d)
 
 

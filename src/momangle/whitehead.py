@@ -28,6 +28,9 @@ from .moment_angle import (CellChain, degree_sums, zk_class,
 UNDEFINED = "undefined"
 DEFINED_TRIVIAL = "defined-trivial"
 DEFINED_NONTRIVIAL = "defined-nontrivial"
+DEFINED_UNKNOWN = "defined-unknown"
+OUTSIDE_CRITERION = ("outside the paper's criterion: an inner product's leaf set "
+                     "is a face of K, so the status is decided as `realises` does")
 
 
 @dataclass(frozen=True)
@@ -282,19 +285,39 @@ def trivialising_join(w):
     return complex_, leaf_map
 
 
+def _has_trivialising_join(K, w):
+    join_complex, join_leaf_map = trivialising_join(w)
+    return cx.is_subcomplex(join_complex, K, {v: l for l, v in join_leaf_map.items()})
+
+
+def criterion_applies(K, w):
+    """Is every inner leaf set of [w_1,...,w_q, leaves] a missing face of K,
+    so that each w_j is a nontrivial single product?  The paper proves the
+    nested criterion for those only."""
+    missing = set(K.missing_faces())
+    return all(c.leaves() in missing for c in w.bracket_children())
+
+
 def nested_shape_status(K, w, check_witness=True):
     """Exact status for products [w_1,...,w_q, leaves] with single w_j:
     defined iff K contains the canonical complex, trivial iff K contains the
-    trivialising join."""
+    trivialising join.
+
+    The trivial/nontrivial part holds where `criterion_applies`.  Outside
+    it the status is decided as `realises_sufficient` does: a nonzero
+    canonical class means nontrivial, the trivialising join means trivial,
+    and otherwise it is DEFINED_UNKNOWN."""
     subs, leaves_ = _nested_shape_parts(w)
     if not subs:
         return single_product_status(K, leaves_, check_witness)
     dw = delta_w(w)
     if not _embeds_via_leaves(dw, K):
         return UNDEFINED
-    join_complex, join_leaf_map = trivialising_join(w)
-    trivial = cx.is_subcomplex(join_complex, K,
-                               {v: l for l, v in join_leaf_map.items()})
+    trivial = _has_trivialising_join(K, w)
+    if not criterion_applies(K, w):
+        if leaves_ and not zk_class(K, hurewicz_chain(w)).is_boundary:
+            return DEFINED_NONTRIVIAL
+        return DEFINED_TRIVIAL if trivial else DEFINED_UNKNOWN
     status = DEFINED_TRIVIAL if trivial else DEFINED_NONTRIVIAL
     if check_witness and leaves_:
         cls = zk_class(K, hurewicz_chain(w))
@@ -358,12 +381,9 @@ def realises_sufficient(K, w):
         if full:
             nontrivial = "no"
             notes.append("K is the full simplex; Z_K is contractible")
-        elif special:
-            join_complex, join_leaf_map = trivialising_join(w)
-            if cx.is_subcomplex(join_complex, K,
-                                {v: l for l, v in join_leaf_map.items()}):
-                nontrivial = "no"
-                notes.append("trivialising join is a subcomplex")
+        elif special and _has_trivialising_join(K, w):
+            nontrivial = "no"
+            notes.append("trivialising join is a subcomplex")
     return RealisationReport(defined, nontrivial, witness, tuple(notes))
 
 

@@ -12,13 +12,19 @@ staircase's vertical solve over the whole multidegree slice (the reference
 for the package's solve one word at a time), definition-level missing
 faces, substitution and cone points, and permutation-search shiftedness.
 None of it shares code with the package internals it checks beyond the
-IntMatrix, SmithForm and ChainComplex containers.
+IntMatrix, SmithForm and ChainComplex containers, with one exception: the
+cellular table over every vertex subset, in full blocks with the cone
+blocks skipped (the reference for the package's star quotients over the
+missing-face lattice), is the route the package used before and builds on
+its full blocks (`zk_block`), which the whole complex checks elsewhere.
 """
 
 from itertools import combinations, permutations
 
-from momangle.complexes import SimplicialComplex
+from momangle.complexes import SimplicialComplex, SizeLimitError
 from momangle.exactalg import ChainComplex, IntMatrix, SmithForm
+from momangle.moment_angle import (ZK_MAX_VERTICES, all_subsets, support_table,
+                                   zk_block)
 
 
 def dense_snf_diagonal(rows):
@@ -418,6 +424,17 @@ def reference_solve_vertical(K, S, eta):
     if any(c.values()):
         raise ValueError("no integer vertical preimage")
     return {source_basis[i]: v for i, v in snf.V.apply(y).items()}
+
+
+def reference_zk_homology_by_support(K):
+    """The cellular table {(S, degree): group} over every vertex subset S:
+    the nonempty S with a cone point are skipped, every other block is
+    built whole (`zk_block`) and reduced."""
+    if K.m > ZK_MAX_VERTICES:
+        raise SizeLimitError(f"Z_K cell enumeration refuses m={K.m} > {ZK_MAX_VERTICES}")
+    blocks = ((S, zk_block(K, S)) for S in all_subsets(K.m)
+              if K.cone_point_within(S) is None)
+    return support_table(blocks, lambda S, d: d)
 
 
 def dense_homology(out_matrix, in_matrix, dim):

@@ -224,13 +224,30 @@ def test_bad_inputs_exit_without_traceback(tmp_path, capsys, argv, expected):
         assert err.startswith("error: ")
 
 
-def test_self_check_failure_exits_3(tmp_path, capsys):
-    # the criterion calls this product nontrivial, but its canonical class bounds
+def test_status_outside_the_criterion_exits_0(tmp_path, capsys):
+    # the inner leaf set [6,7] is a face of K, so the nested criterion does
+    # not apply; the canonical class bounds and the trivialising join is
+    # absent, so the status is unknown, as `realises` reports
     path = tmp_path / "k.json"
     path.write_text(json.dumps({"m": 8, "facets": [
         [2, 6], [2, 7], [2, 3, 5], [2, 3, 8], [2, 5, 8], [1, 4, 5, 7], [3, 4, 5, 6, 7, 8]]}))
-    code, out, err = run_cli(capsys, "status", "--complex", str(path),
-                             "--w", "[[3,5,8],[6,7],2]")
+    data = run_json(capsys, "status", "--complex", str(path), "--w", "[[3,5,8],[6,7],2]")
+    assert data["status"] == "defined-unknown"
+    assert data["notes"] == [
+        "outside the paper's criterion: an inner product's leaf set is a face "
+        "of K, so the status is decided as `realises` does"]
+    inside = run_json(capsys, "status", "--complex", SUB5_EXPR, "--w", "[[1,2,3],4,5]")
+    assert "notes" not in inside
+
+
+def test_self_check_failure_exits_3(capsys, monkeypatch):
+    from momangle import cli
+
+    def failing(K, w):
+        raise AssertionError("nontrivial product with a bounding canonical class")
+    monkeypatch.setattr(cli.wh, "nested_shape_status", failing)
+    code, out, err = run_cli(capsys, "status", "--complex", SUB5_EXPR,
+                             "--w", "[[1,2,3],4,5]")
     assert code == 3
     assert "Traceback" not in err
     assert "bounding canonical class" in json.loads(out)["verification_error"]

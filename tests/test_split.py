@@ -4,9 +4,12 @@ Cellular homology, cellular cycle classes and the Taylor index ranks are
 computed block by block (one block per vertex subset S); here they are
 compared with the whole cellular complex of Z_K and the whole Taylor face
 complex on seeded random complexes and on one with RP^2 as a full
-subcomplex, so that Z/2 torsion occurs.  The cellular table skips the blocks
-whose full subcomplex is a cone; here the skip is checked against every
-block built, and the cone test against its definition.
+subcomplex, so that Z/2 torsion occurs.  The cellular table visits only the
+empty set and the unions of missing faces, and reduces each of their blocks
+modulo the star of one vertex; here the table is checked against every
+block built and against the route it replaced (every subset, full blocks,
+cone blocks skipped), each quotient against its full block, and mutated
+quotients must be refused or change a group.
 """
 
 import json
@@ -17,21 +20,27 @@ import pytest
 
 from momangle import complexes as cx
 from momangle.cli import main
-from momangle.exactalg import kernel_basis
+from momangle.exactalg import ChainComplex, HomologyGroup, kernel_basis
 from momangle.moment_angle import (CellChain, all_subsets, cell_boundary,
-                                   hochster_embed, hochster_table, support_table,
-                                   zk_block, zk_chain_complex, zk_class,
-                                   zk_homology, zk_homology_by_support)
+                                   hochster_embed, hochster_table, lattice_supports,
+                                   star_vertex, support_table, zk_block,
+                                   zk_chain_complex, zk_class, zk_homology,
+                                   zk_homology_by_support, zk_star_quotient)
 from momangle.taylor import taylor_face_complex, taylor_homology_by_support
 from momangle.whitehead import bracket, hurewicz_chain, leaf, parse_whitehead
-from oracles import brute_cone_point, random_complex
+from oracles import (brute_cone_point, random_complex,
+                     reference_zk_homology_by_support)
+
+
+def rp2_complex():
+    return cx.SimplicialComplex.from_facets(
+        6, [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
+            (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)])
 
 
 def rp2_cone(rng):
     """RP^2 on 1..6 with vertex 7 coned over a random set of its faces."""
-    rp2 = cx.SimplicialComplex.from_facets(
-        6, [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
-            (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)])
+    rp2 = rp2_complex()
     faces = sorted(f for f in rp2.faces if f)
     coned = [f + (7,) for f in rng.sample(faces, 8)]
     return cx.SimplicialComplex.from_facets(7, list(rp2.facets) + coned)
@@ -98,8 +107,7 @@ def test_block_homology_matches_whole_complex(K):
 def test_three_routes_agree_per_support(K):
     cell = zk_homology_by_support(K)
     assert cell == hochster_table(K)[0]
-    if len(K.missing_faces()) <= 8:  # the RP^2 cone has 19, so 2^19 Taylor words
-        assert taylor_homology_by_support(K) == cell
+    assert taylor_homology_by_support(K) == cell
 
 
 @pytest.mark.parametrize("K", complexes(), ids=lambda K: f"m{K.m}-{len(K.faces)}faces")
@@ -180,3 +188,97 @@ def test_ghost_vertex_refused_before_any_skip():
     K = cx.SimplicialComplex(3, [(1, 2), (1,), (2,)])
     with pytest.raises(ValueError, match="every singleton"):
         zk_homology_by_support(K)
+
+
+# -- the missing-face lattice and the star quotients ---------------------------
+
+def quotient_cases():
+    """The cone cases, three more RP^2 cones, RP^2 itself and the boundary
+    of a larger simplex."""
+    return (cone_cases() + [rp2_cone(random.Random(s)) for s in (3, 5, 7)]
+            + [rp2_complex(), cx.simplex_boundary(9)])
+
+
+def cells_left(K, S, v):
+    """Cells of the block of S outside the star of v, from the definition."""
+    return sum(tuple(sorted(set(I) | {v})) not in K.faces for I in K.faces_within(S))
+
+
+def block_of(S, faces, boundary):
+    cells = {}
+    for I in faces:
+        J = tuple(u for u in S if u not in I)
+        cells.setdefault(2 * len(I) + len(J), []).append((J, I))
+    return ChainComplex.from_boundary(cells, boundary)
+
+
+@pytest.mark.parametrize("K", quotient_cases(), ids=lambda K: f"m{K.m}-{len(K.faces)}faces")
+def test_table_matches_the_route_it_replaced(K):
+    assert zk_homology_by_support(K) == reference_zk_homology_by_support(K)
+
+
+def test_the_cases_carry_torsion():
+    torsion = [K for K in quotient_cases()
+               if any(h.torsion for h in zk_homology_by_support(K).values())]
+    assert len(torsion) >= 5
+
+
+@pytest.mark.parametrize("K", quotient_cases(), ids=lambda K: f"m{K.m}-{len(K.faces)}faces")
+def test_lattice_is_the_non_cone_supports(K):
+    supports = lattice_supports(K)
+    assert supports == sorted(supports, key=lambda S: (len(S), S))
+    assert set(supports) == {()} | {S for S in all_subsets(K.m)
+                                    if S and K.cone_point_within(S) is None}
+
+
+@pytest.mark.parametrize("K", quotient_cases(), ids=lambda K: f"m{K.m}-{len(K.faces)}faces")
+def test_quotient_keeps_the_block_homology(K):
+    for S in lattice_supports(K):
+        assert zk_star_quotient(K, S).homology_all() == zk_block(K, S).homology_all(), S
+
+
+@pytest.mark.parametrize("K", quotient_cases(), ids=lambda K: f"m{K.m}-{len(K.faces)}faces")
+def test_star_vertex_leaves_the_fewest_cells(K):
+    for S in lattice_supports(K)[1:]:
+        faces = K.faces_within(S)
+        v = star_vertex(faces, S)
+        left = {u: cells_left(K, S, u) for u in S}
+        assert v == min(S, key=lambda u: (left[u], u)), S
+        assert all(star_vertex(faces, S) == v for _ in range(3))
+        Q = zk_star_quotient(K, S)
+        assert sum(Q.dim(d) for d in Q.degrees) == left[v]
+
+
+@pytest.mark.parametrize("K", quotient_cases(), ids=lambda K: f"m{K.m}-{len(K.faces)}faces")
+def test_mutated_quotients_are_refused_or_change_a_group(K):
+    """Keeping the targets inside the star leaves the quotient's basis, and
+    keeping the star's cells with their boundary dropped adds free groups."""
+    for S in lattice_supports(K)[1:]:
+        faces = K.faces_within(S)
+        v = star_vertex(faces, S)
+
+        def in_star(I):
+            return tuple(sorted(set(I) | {v})) in K.faces
+
+        def dropped(cell):
+            return {t: c for t, c in cell_boundary(cell).items() if not in_star(t[1])}
+
+        left = [I for I in faces if not in_star(I)]
+        with pytest.raises(ValueError, match="not in the target basis"):
+            block_of(S, left, cell_boundary)
+        every = block_of(S, faces, dropped)
+        extra = sum(h.rank for h in every.homology_all().values())
+        assert extra == len(faces) - len(left) + sum(
+            h.rank for h in zk_block(K, S).homology_all().values())
+
+
+def test_sphere_table_visits_two_blocks():
+    """bd(simplex) on 14 vertices: the lattice is the empty set and the
+    whole vertex set, and the star quotient of the whole set is one cell."""
+    K = cx.simplex_boundary(14)
+    whole = tuple(range(1, 15))
+    assert lattice_supports(K) == [(), whole]
+    Q = zk_star_quotient(K, whole)
+    assert {d: Q.dim(d) for d in Q.degrees} == {27: 1}
+    assert zk_homology_by_support(K) == {((), 0): HomologyGroup(1),
+                                         (whole, 27): HomologyGroup(1)}

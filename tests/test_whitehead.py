@@ -1,18 +1,21 @@
+import json
 import random
 
 import pytest
 
 from momangle import complexes as cx
+from momangle.cli import main
 from momangle.complexes import (SimplicialComplex, join, simplex,
                                 simplex_boundary)
-from momangle.moment_angle import CellChain, zk_homology
+from momangle.moment_angle import CellChain, zk_class, zk_homology
 from momangle.whitehead import (DEFINED_NONTRIVIAL, DEFINED_TRIVIAL,
-                                UNDEFINED, bracket, delta_w,
+                                DEFINED_UNKNOWN, UNDEFINED, bracket,
+                                criterion_applies, delta_w,
                                 fillable_wedge_basis, hurewicz_chain, leaf,
                                 nested_shape_status, parse_whitehead,
                                 realises_sufficient, shifted_wedge_basis,
                                 single_product_status,
-                                sphere_fundamental_cycle)
+                                sphere_fundamental_cycle, trivialising_join)
 from oracles import random_shifted_complex
 
 
@@ -187,6 +190,50 @@ def test_nested_shape_status_examples(sub5):
 def test_nested_shape_status_rejects_deep_nesting(sub5):
     with pytest.raises(ValueError):
         nested_shape_status(sub5, W("[[[1,2],3],4]"))
+
+
+SHAPES = ("[[1,2],3]", "[[1,2],3,4]", "[[1,2,3],4]", "[[1,2],[3,4],5]",
+          "[[1,2,3],[4,5],6]", "[[1,2],[3,4,5],6]")
+
+
+def canonical_plus_faces(w, rng):
+    """bd_Delta(w) on its own leaves, plus 0-4 random faces on the leaves."""
+    dw = delta_w(w)
+    n = len(w.leaves())
+    K = dw.complex.relabelled(dw.vertex_to_leaf(), m=n)
+    extra = [rng.sample(range(1, n + 1), rng.randint(2, n)) for _ in range(rng.randint(0, 4))]
+    return SimplicialComplex.from_facets(n, list(K.facets) + extra)
+
+
+@pytest.mark.parametrize("text", SHAPES)
+def test_nested_status_against_the_canonical_class(text, tmp_path, capsys):
+    """Inside the criterion's domain the status is the class's
+    boundary-ness, with the witness check on; outside it the status never
+    contradicts the class or the trivialising join, and the CLI exits 0."""
+    w = W(text)
+    rng = random.Random(1)
+    seen = set()
+    for k in range(40):
+        K = canonical_plus_faces(w, rng)
+        bounds = zk_class(K, hurewicz_chain(w)).is_boundary
+        status = nested_shape_status(K, w)
+        # w is defined on K, so each inner leaf set is a face or a missing face
+        inside = all(c.leaves() not in K for c in w.bracket_children())
+        assert criterion_applies(K, w) == inside
+        seen.add(inside)
+        if inside:
+            assert status == (DEFINED_TRIVIAL if bounds else DEFINED_NONTRIVIAL), K
+        else:
+            join_complex, leaf_map = trivialising_join(w)
+            joined = cx.is_subcomplex(join_complex, K, {v: l for l, v in leaf_map.items()})
+            expected = (DEFINED_NONTRIVIAL if not bounds
+                        else DEFINED_TRIVIAL if joined else DEFINED_UNKNOWN)
+            assert status == expected, K
+            path = tmp_path / f"k{k}.json"
+            path.write_text(json.dumps(K.to_json_dict()))
+            assert main(["status", "--complex", str(path), "--w", text]) == 0
+            assert json.loads(capsys.readouterr().out)["status"] == status
+    assert seen == {True, False}
 
 
 def test_realises_on_canonical_complex():
