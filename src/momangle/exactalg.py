@@ -435,7 +435,9 @@ def smith_normal_form(A, transforms=True):
 
 
 def invariant_factors(A):
-    """Nonzero invariant factors of A (rank-many entries)."""
+    """Nonzero invariant factors of A (rank-many entries); no SNF when A has no entries."""
+    if A.is_zero():
+        return []
     return [d for d in smith_normal_form(A, transforms=False).diag if d]
 
 

@@ -13,6 +13,14 @@ with sub-products w_1..w_q and leaves i_1..i_p gets
 with the top sphere the join of the children's spheres and bd_simplex(p).
 The canonical cellular chain multiplies the children's chains by the usual
 boundary-of-polydisc factor (one circle letter per position).
+
+The missing faces of bd_Delta(w) in leaf labels are, recursively, the
+sub-brackets' plus every {i_1..i_p, x_1..x_q} with x_j a leaf of w_j
+(`canonical_missing_faces`).  A complex on the leaves sits in K exactly
+when every missing face of K among the leaves contains one of its missing
+faces (`_sits_in`), so "defined" and "trivial" (the trivialising join's
+missing faces are the leaf sets of w_1..w_q) need no complex built;
+`delta_w` builds bd_Delta(w) for the `delta-w` verb.
 """
 
 from __future__ import annotations
@@ -96,14 +104,16 @@ def bracket(children):
     kids = tuple(children)
     if len(kids) < 2:
         raise ValueError("a bracket needs at least two arguments")
+    # read once per child: `leaves` recurses and sorts
+    leaf_sets = [c.leaves() for c in kids]
     seen = set()
-    for c in kids:
-        for v in c.leaves():
+    for ls in leaf_sets:
+        for v in ls:
             if v in seen:
                 raise ValueError(f"leaf {v} appears twice")
             seen.add(v)
-    kids = tuple(sorted(kids, key=lambda c: (1 if c.is_leaf else 0, c.leaves()[0])))
-    return WhiteheadExpr(children=kids)
+    order = sorted(range(len(kids)), key=lambda i: (kids[i].is_leaf, leaf_sets[i][0]))
+    return WhiteheadExpr(children=tuple(kids[i] for i in order))
 
 
 def parse_whitehead(text):
@@ -225,12 +235,41 @@ def hurewicz_chain(w, m=None):
 
 # -- realisability criteria ----------------------------------------------------
 
-def _embeds_via_leaves(dw, K):
-    """Does the canonical complex sit inside K with leaves at themselves?"""
-    labelling = dw.vertex_to_leaf()
-    if any(l > K.m for l in labelling.values()):
+def canonical_missing_faces(w):
+    """Missing faces of bd_Delta(w) as leaf-label bitmasks: each
+    sub-bracket's, plus, for this bracket, its own leaves together with one
+    leaf from each sub-bracket child (every such choice)."""
+    if w.is_leaf:
+        raise ValueError("bare leaves have no canonical complex")
+    out = []
+    choices = [cx.face_mask(w.leaf_children())]
+    for c in w.bracket_children():
+        out.extend(canonical_missing_faces(c))
+        choices = [mask | 1 << (v - 1) for mask in choices for v in c.leaves()]
+    return tuple(out + choices)
+
+
+def _inner_leaf_sets(w):
+    """Leaf sets of the sub-brackets as bitmasks: the missing faces of the
+    trivialising join bd(w_1) * ... * bd(w_q) * simplex(leaves)."""
+    return tuple(cx.face_mask(c.leaves()) for c in w.bracket_children())
+
+
+def _subset_missing_faces(K, J):
+    """Missing faces of the full subcomplex K_J in K's labels, ghost vertices
+    of K_J included; K's own missing faces are never enumerated."""
+    sub = K.full_subcomplex(J)
+    return [tuple(sub.labels[v - 1] for v in mf) for mf in sub.missing_faces()]
+
+
+def _sits_in(K, generators, leaves):
+    """Does the complex on the vertex set `leaves` with missing faces
+    `generators` (bitmasks) sit in K, leaves at themselves?  Exactly when no
+    missing face of K among the leaves is one of its faces."""
+    if max(leaves) > K.m:
         return False
-    return cx.is_subcomplex(dw.complex, K, labelling)
+    return all(any(g & mask == g for g in generators)
+               for mask in map(cx.face_mask, _subset_missing_faces(K, leaves)))
 
 
 def single_product_status(K, I, check_witness=True):
@@ -241,10 +280,9 @@ def single_product_status(K, I, check_witness=True):
         raise ValueError("need at least two distinct vertices")
     if I[-1] > K.m:
         raise ValueError("vertex outside K")
-    defined = all(I[:k] + I[k + 1:] in K for k in range(len(I)))
-    if not defined:
+    if not _sits_in(K, (cx.face_mask(I),), I):
         return UNDEFINED
-    if I in K:
+    if _sits_in(K, (), I):
         return DEFINED_TRIVIAL
     if check_witness:
         w = bracket([leaf(v) for v in I])
@@ -262,40 +300,13 @@ def _nested_shape_parts(w):
     return subs, w.leaf_children()
 
 
-def trivialising_join(w):
-    """The join bd(w_1) * ... * bd(w_q) * simplex(leaves) whose presence in K
-    kills the product, with the leaf map onto consecutive blocks."""
-    subs, leaves_ = _nested_shape_parts(w)
-    complex_ = None
-    leaf_map = {}
-    off = 0
-    for c in subs:
-        ls = c.leaves()
-        piece = cx.simplex_boundary(len(ls))
-        complex_ = piece if complex_ is None else cx.join(complex_, piece)
-        for i, l in enumerate(ls):
-            leaf_map[l] = off + i + 1
-        off += len(ls)
-    if leaves_:
-        piece = cx.simplex(len(leaves_))
-        complex_ = piece if complex_ is None else cx.join(complex_, piece)
-        for i, l in enumerate(sorted(leaves_)):
-            leaf_map[l] = off + i + 1
-        off += len(leaves_)
-    return complex_, leaf_map
-
-
-def _has_trivialising_join(K, w):
-    join_complex, join_leaf_map = trivialising_join(w)
-    return cx.is_subcomplex(join_complex, K, {v: l for l, v in join_leaf_map.items()})
-
-
 def criterion_applies(K, w):
-    """Is every inner leaf set of [w_1,...,w_q, leaves] a missing face of K,
-    so that each w_j is a nontrivial single product?  The paper proves the
-    nested criterion for those only."""
-    missing = set(K.missing_faces())
-    return all(c.leaves() in missing for c in w.bracket_children())
+    """Is every inner leaf set of [w_1,...,w_q, leaves] a missing face of K
+    (its boundary sits in K, its simplex does not), so that each w_j is a
+    nontrivial single product?  The paper proves the nested criterion for
+    those only."""
+    return all(_sits_in(K, (cx.face_mask(c.leaves()),), c.leaves())
+               and not _sits_in(K, (), c.leaves()) for c in w.bracket_children())
 
 
 def nested_shape_status(K, w, check_witness=True):
@@ -310,10 +321,9 @@ def nested_shape_status(K, w, check_witness=True):
     subs, leaves_ = _nested_shape_parts(w)
     if not subs:
         return single_product_status(K, leaves_, check_witness)
-    dw = delta_w(w)
-    if not _embeds_via_leaves(dw, K):
+    if not _sits_in(K, canonical_missing_faces(w), w.leaves()):
         return UNDEFINED
-    trivial = _has_trivialising_join(K, w)
+    trivial = _sits_in(K, _inner_leaf_sets(w), w.leaves())
     if not criterion_applies(K, w):
         if leaves_ and not zk_class(K, hurewicz_chain(w)).is_boundary:
             return DEFINED_NONTRIVIAL
@@ -346,23 +356,14 @@ def realises_sufficient(K, w):
     """
     if w.is_leaf:
         raise ValueError("bare leaves are not products")
-    notes = []
-    dw = delta_w(w)
     special = all(c.is_single() for c in w.bracket_children())
-    embedded = _embeds_via_leaves(dw, K)
-    if embedded:
-        defined = "yes"
-    elif special:
-        defined = "no"
-        notes.append("smallest-complex criterion applies: not defined")
-    else:
-        defined = "unknown-sufficient-only"
-        notes.append("canonical complex does not embed; converse is open")
-    witness = None
-    nontrivial = "unknown"
-    if defined != "yes":
-        return RealisationReport(defined, "no" if defined == "no" else "unknown",
-                                 None, tuple(notes))
+    if not _sits_in(K, canonical_missing_faces(w), w.leaves()):
+        if special:
+            return RealisationReport(
+                "no", "no", None, ("smallest-complex criterion applies: not defined",))
+        return RealisationReport("unknown-sufficient-only", "unknown", None,
+                                 ("canonical complex does not embed; converse is open",))
+    notes = []
     full = not K.missing_faces()
     try:
         chain = hurewicz_chain(w, K.m)
@@ -370,21 +371,17 @@ def realises_sufficient(K, w):
         notes.append(str(exc))
         chain = None
     if chain is not None:
-        cls = zk_class(K, chain)
-        if not cls.is_boundary:
-            nontrivial = "yes"
-            witness = chain
-        else:
-            notes.append("canonical class vanishes")
-            nontrivial = "unknown"
-    if nontrivial != "yes":
-        if full:
-            nontrivial = "no"
-            notes.append("K is the full simplex; Z_K is contractible")
-        elif special and _has_trivialising_join(K, w):
-            nontrivial = "no"
-            notes.append("trivialising join is a subcomplex")
-    return RealisationReport(defined, nontrivial, witness, tuple(notes))
+        if not zk_class(K, chain).is_boundary:
+            return RealisationReport("yes", "yes", chain)
+        notes.append("canonical class vanishes")
+    nontrivial = "unknown"
+    if full:
+        nontrivial = "no"
+        notes.append("K is the full simplex; Z_K is contractible")
+    elif special and _sits_in(K, _inner_leaf_sets(w), w.leaves()):
+        nontrivial = "no"
+        notes.append("trivialising join is a subcomplex")
+    return RealisationReport("yes", nontrivial, None, tuple(notes))
 
 
 # -- wedge bases for shifted and fillable complexes ------------------------------
@@ -410,11 +407,6 @@ def _nested_entry(I, rest):
     for j in sorted(rest):
         expr = bracket([expr, leaf(j)])
     return expr
-
-
-def _subset_missing_faces(K, J):
-    sub = K.full_subcomplex(J)
-    return [tuple(sub.labels[v - 1] for v in mf) for mf in sub.missing_faces()]
 
 
 def _basis_verdict(K, entries):

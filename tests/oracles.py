@@ -12,16 +12,21 @@ staircase's vertical solve over the whole multidegree slice (the reference
 for the package's solve one word at a time), definition-level missing
 faces, substitution and cone points, and permutation-search shiftedness.
 None of it shares code with the package internals it checks beyond the
-IntMatrix, SmithForm and ChainComplex containers, with one exception: the
-cellular table over every vertex subset, in full blocks with the cone
-blocks skipped (the reference for the package's star quotients over the
-missing-face lattice), is the route the package used before and builds on
+IntMatrix, SmithForm and ChainComplex containers, with two exceptions,
+each the route the package used before.  The cellular table over every
+vertex subset, in full blocks with the cone blocks skipped (the reference
+for the package's star quotients over the missing-face lattice), builds on
 its full blocks (`zk_block`), which the whole complex checks elsewhere.
+Whether bd_Delta(w) or the trivialising join sits in K is decided by
+building the complex (`delta_w`, `join`) and checking it face by face (the
+reference for the package's test on missing faces); the tests check those
+builds against the substitution's definition.
 """
 
 from itertools import combinations, permutations
 
-from momangle.complexes import SimplicialComplex, SizeLimitError
+from momangle.complexes import (SimplicialComplex, SizeLimitError, is_subcomplex,
+                                join, simplex, simplex_boundary)
 from momangle.exactalg import ChainComplex, IntMatrix, SmithForm
 from momangle.moment_angle import (ZK_MAX_VERTICES, all_subsets, support_table,
                                    zk_block)
@@ -522,6 +527,33 @@ def brute_substitute_faces(slot, parts):
             faces.add(tuple(sorted(acc)))
     faces.add(())
     return faces
+
+
+def reference_trivialising_join(w):
+    """The join bd(w_1) * ... * bd(w_q) * simplex(leaves) of a product
+    [w_1,...,w_q, leaves] with single w_j, built, with the leaf map onto
+    consecutive blocks of its vertices."""
+    complex_ = None
+    leaf_map = {}
+    blocks = [(c.leaves(), simplex_boundary) for c in w.bracket_children()]
+    if w.leaf_children():
+        blocks.append((tuple(sorted(w.leaf_children())), simplex))
+    for ls, build in blocks:
+        piece = build(len(ls))
+        for i, l in enumerate(ls):
+            leaf_map[l] = (complex_.m if complex_ else 0) + i + 1
+        complex_ = piece if complex_ is None else join(complex_, piece)
+    return complex_, leaf_map
+
+
+def reference_sits_in(L, leaf_map, K):
+    """Does the built complex L sit in K with its vertex leaf_map[l] at l,
+    checked face by face (`is_subcomplex`)?  With `delta_w(w)` this is
+    whether w is defined on K, with `reference_trivialising_join(w)` whether
+    the product is trivial."""
+    if max(leaf_map) > K.m:
+        return False
+    return is_subcomplex(L, K, {v: l for l, v in leaf_map.items()})
 
 
 def brute_is_shifted(K):

@@ -1,22 +1,27 @@
 import json
 import random
+from itertools import combinations
 
 import pytest
 
 from momangle import complexes as cx
+from momangle import whitehead as wh
 from momangle.cli import main
 from momangle.complexes import (SimplicialComplex, join, simplex,
                                 simplex_boundary)
 from momangle.moment_angle import CellChain, zk_class, zk_homology
 from momangle.whitehead import (DEFINED_NONTRIVIAL, DEFINED_TRIVIAL,
                                 DEFINED_UNKNOWN, UNDEFINED, bracket,
-                                criterion_applies, delta_w,
+                                canonical_missing_faces, criterion_applies,
+                                delta_w,
                                 fillable_wedge_basis, hurewicz_chain, leaf,
                                 nested_shape_status, parse_whitehead,
                                 realises_sufficient, shifted_wedge_basis,
                                 single_product_status,
-                                sphere_fundamental_cycle, trivialising_join)
-from oracles import random_shifted_complex
+                                sphere_fundamental_cycle)
+from oracles import (random_complex, random_shifted_complex,
+                     reference_sits_in, reference_trivialising_join)
+from test_golden import CASES as GOLDEN_CASES
 
 
 def W(text):
@@ -224,8 +229,7 @@ def test_nested_status_against_the_canonical_class(text, tmp_path, capsys):
         if inside:
             assert status == (DEFINED_TRIVIAL if bounds else DEFINED_NONTRIVIAL), K
         else:
-            join_complex, leaf_map = trivialising_join(w)
-            joined = cx.is_subcomplex(join_complex, K, {v: l for l, v in leaf_map.items()})
+            joined = reference_sits_in(*reference_trivialising_join(w), K)
             expected = (DEFINED_NONTRIVIAL if not bounds
                         else DEFINED_TRIVIAL if joined else DEFINED_UNKNOWN)
             assert status == expected, K
@@ -253,6 +257,137 @@ def test_realises_on_full_simplex():
 def test_realises_consistent_with_nested_status(sub5):
     rep = realises_sufficient(sub5, W("[[1,2,3],4,5]"))
     assert (rep.defined, rep.nontrivial) == ("yes", "yes")
+
+
+# -- the missing-face rule ------------------------------------------------------------
+
+def random_expression(rng, labels):
+    """A random bracket on the labels (at least two): each argument is a
+    leaf or, while at least two labels are left, a random sub-bracket."""
+    labels = rng.sample(labels, len(labels))
+    while True:
+        args, rest = [], list(labels)
+        while rest:
+            k = rng.randint(2, len(rest)) if len(rest) > 1 and rng.random() < 0.4 else 1
+            part, rest = rest[:k], rest[k:]
+            args.append(leaf(part[0]) if k == 1 else random_expression(rng, part))
+        if len(args) > 1:
+            return bracket(args)
+
+
+def has_leafless_bracket(w):
+    return not w.is_leaf and (not w.leaf_children()
+                              or any(map(has_leafless_bracket, w.bracket_children())))
+
+
+def test_canonical_missing_faces_closed_form():
+    """MF(bd_Delta(w)) on the leaves equals the closed form."""
+    rng = random.Random(21)
+    exprs = [W(t) for t in ("[1,2]", "[[1,2],[3,4]]", "[[1,2],[3,4],[5,6]]",
+                            "[[[1,2],3],[4,5]]", "[[1,2,3],4,5]")]
+    exprs += [random_expression(rng, rng.sample(range(1, 11), rng.randint(2, 8)))
+              for _ in range(300)]
+    leafless = 0
+    for w in exprs:
+        dw = delta_w(w)
+        back = dw.vertex_to_leaf()
+        assert sorted(back) == list(range(1, dw.complex.m + 1))
+        assert sorted(back.values()) == list(w.leaves())
+        built = {cx.face_mask(back[v] for v in f) for f in dw.complex.missing_faces()}
+        closed = canonical_missing_faces(w)
+        assert len(closed) == len(set(closed)) and set(closed) == built, w.to_text()
+        leafless += has_leafless_bracket(w)
+    assert leafless >= 20
+
+
+def closure(faces):
+    return {sub for f in faces for k in range(len(f) + 1) for sub in combinations(sorted(f), k)}
+
+
+def rule_inputs(rng, w, dw):
+    """K around bd_Delta(w) on w's leaves: plus or minus random faces, with
+    ghost vertices and vertices above the leaves, or a random complex, with
+    m sometimes below the largest leaf."""
+    top = max(w.leaves())
+    if rng.random() < 0.3:
+        K = random_complex(rng.randint(2, top + 1), rng)
+        faces = set(K.faces)
+        m = K.m
+    else:
+        m = top + rng.randint(0, 2)
+        back = dw.vertex_to_leaf()
+        faces = {tuple(sorted(back[v] for v in f)) for f in dw.complex.faces}
+        for _ in range(rng.randint(0, 3)):
+            if rng.random() < 0.5:
+                faces |= closure([rng.sample(range(1, m + 1), rng.randint(1, min(m, 4)))])
+            else:
+                gone = rng.choice(sorted(faces - {()}))
+                faces = {f for f in faces if not set(gone) <= set(f)}
+    if rng.random() < 0.2:
+        ghost = rng.randint(1, m)
+        faces = {f for f in faces if ghost not in f}
+    return SimplicialComplex(m, faces)
+
+
+def test_sits_in_against_the_built_complexes():
+    """The missing-face test decides both containments as building
+    bd_Delta(w) and the trivialising join and embedding them does."""
+    rng = random.Random(22)
+    exprs = [random_expression(rng, list(range(1, rng.randint(3, 6) + 1)))
+             for _ in range(40)]
+    exprs += [W(t) for t in SHAPES]
+    answers = {"defined": set(), "trivial": set()}
+    ghost_leaf = leaf_above_m = checked = 0
+    while checked < 3000:
+        for w in exprs:
+            dw = delta_w(w)
+            special = all(c.is_single() for c in w.bracket_children())
+            for _ in range(2):
+                K = rule_inputs(rng, w, dw)
+                leaf_above_m += max(w.leaves()) > K.m
+                ghost_leaf += any(v <= K.m and (v,) not in K for v in w.leaves())
+                defined = wh._sits_in(K, canonical_missing_faces(w), w.leaves())
+                assert defined == reference_sits_in(dw.complex, dw.leaf_map, K), (w, K)
+                answers["defined"].add(defined)
+                if special:
+                    trivial = wh._sits_in(K, wh._inner_leaf_sets(w), w.leaves())
+                    assert trivial == reference_sits_in(*reference_trivialising_join(w), K)
+                    answers["trivial"].add(trivial)
+                checked += 1
+    assert answers == {"defined": {True, False}, "trivial": {True, False}}
+    assert ghost_leaf > 100 and leaf_above_m > 100
+
+
+def test_status_and_realises_build_no_complex(monkeypatch):
+    """On the golden inputs `status` and `realises` decide from missing faces
+    alone: neither bd_Delta(w) is built nor a complex embedded."""
+    calls = []
+
+    def spy(name):
+        def refuse(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+        return refuse
+    monkeypatch.setattr(wh, "delta_w", spy("delta_w"))
+    monkeypatch.setattr(cx, "is_subcomplex", spy("is_subcomplex"))
+    argvs = [a for a in GOLDEN_CASES if a[0] in ("status", "realises")]
+    assert argvs
+    for argv in argvs:
+        assert main(argv) == 0, argv
+    assert calls == []
+
+
+def test_undefined_above_the_missing_face_bound(tmp_path, capsys):
+    """The rule enumerates missing faces among the leaves only, never all of
+    K's, so an undefined product on m > 24 is answered, not refused."""
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({"m": 26, "facets": [[5, 6]]}))
+    common = ["--complex", str(path), "--w", "[[1,2,3],4]", "--max-vertices", "30"]
+    assert main(["status"] + common) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == UNDEFINED
+    assert main(["realises"] + common) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["defined"], rep["nontrivial"]) == ("no", "no")
 
 
 # -- wedge bases ---------------------------------------------------------------------
