@@ -172,31 +172,42 @@ class SimplicialComplex:
 
     def missing_faces(self):
         """Minimal non-faces, sorted by (cardinality, lexicographic)."""
-        if self._mf is not None:
-            return self._mf
-        if self.m > MAX_VERTICES:
-            raise SizeLimitError(
-                f"missing-face enumeration refuses m={self.m} > {MAX_VERTICES}")
+        if self._mf is None:
+            self._mf = tuple(self.missing_faces_within(range(1, self.m + 1)))
+        return self._mf
+
+    def missing_faces_within(self, subset):
+        """Missing faces of the full subcomplex K_S in K's labels, ghost
+        vertices of K_S included, sorted as `missing_faces` sorts them.  No
+        subcomplex is built: K's face masks inside S are scanned in place."""
+        smask = face_mask(subset)
+        if smask >> self.m:
+            raise ValueError("subset outside vertex range")
+        if (n := smask.bit_count()) > MAX_VERTICES:
+            raise SizeLimitError(f"missing-face enumeration refuses m={n} > {MAX_VERTICES}")
         # a missing face less its largest vertex is a face, so every missing
-        # face is found exactly once as a face plus a vertex above its top
+        # face is found exactly once as a face plus a vertex of S above its top
+        bits = [1 << i for i in range(self.m) if smask >> i & 1]
+        above = [[b for b in bits if b >> t] for t in range(self.m + 1)]
         found = []
         masks = self._masks
         for mask in masks:
-            for v in range(mask.bit_length(), self.m):
-                cand = mask | 1 << v
+            if mask & ~smask:
+                continue
+            for bit in above[mask.bit_length()]:
+                cand = mask | bit
                 if cand in masks:
                     continue
                 rest = mask
                 while rest:
-                    bit = rest & -rest
-                    if cand ^ bit not in masks:
+                    low = rest & -rest
+                    if cand ^ low not in masks:
                         break
-                    rest ^= bit
+                    rest ^= low
                 else:
-                    found.append(tuple(i + 1 for i in range(v + 1) if cand >> i & 1))
+                    found.append(tuple(i + 1 for i in range(cand.bit_length()) if cand >> i & 1))
         found.sort(key=lambda f: (len(f), f))
-        self._mf = tuple(found)
-        return self._mf
+        return found
 
     # -- subcomplexes -----------------------------------------------------------
 

@@ -15,9 +15,9 @@ map and reproduce the canonical bracket chains with a plus sign.
 
 The boundary keeps the support J + I, so the chains split into one block
 per vertex subset S (the Hochster splitting); homology and classes are
-computed per block, and the whole complex is the tests' reference.  The
-homology table reduces only the blocks that can carry homology, each modulo
-an acyclic star (`zk_homology_by_support`).
+computed per block modulo an acyclic star (`zk_star_quotient`), and the
+whole complex is the tests' reference: the table visits only the blocks
+that can carry homology, and a class projects onto the blocks it touches.
 """
 
 from __future__ import annotations
@@ -202,18 +202,6 @@ def zk_chain_complex(K):
     return ChainComplex.from_boundary(zk_cells(K), cell_boundary)
 
 
-def zk_block(K, S):
-    """The block of support S: cells (S - I, I) for the faces I of K inside S."""
-    _require_support(K, S)
-    return _block_on_faces(S, K.faces_within(S), cell_boundary)
-
-
-def _require_support(K, S):
-    _require_singletons(K)
-    if S and S[-1] > K.m:
-        raise ValueError(f"support {S} leaves the vertices 1..{K.m}")
-
-
 def _block_on_faces(S, faces, boundary):
     """Complex on the cells (S - I, I), I in `faces`, sorted within each degree."""
     cells = {}
@@ -263,9 +251,11 @@ def zk_star_quotient(K, S):
     it is the shifted augmented chain complex of a cone, so it is acyclic;
     the quotient has the block's homology over Z, torsion included.  The
     empty S has no vertex; its block, Z in degree 0, is returned whole."""
+    _require_singletons(K)
     if not S:
-        return zk_block(K, S)
-    _require_support(K, S)
+        return _block_on_faces(S, [()], cell_boundary)
+    if S[-1] > K.m:
+        raise ValueError(f"support {S} leaves the vertices 1..{K.m}")
     faces = K.faces_within(S)
     v = star_vertex(faces, S)
 
@@ -290,15 +280,26 @@ def degree_sums(per_support):
 
 
 def class_by_support(block, support, degree, terms):
-    """Class of a chain reduced only in the blocks it touches: the terms are
-    split by `support(key)`, each piece is classed in `block(S)` at `degree`,
-    and the coordinates run block by block in sorted S order."""
+    """Class of a cycle, reduced only in the blocks it touches.
+
+    `block(S)` is the quotient of S's whole block by an acyclic subcomplex,
+    or None (S's piece is dropped).  Each piece of the terms, split by
+    `support(key)`, is projected onto `block(S)`'s basis at `degree` and
+    classed there even when empty, so one support's coordinates always have
+    one length; they run in sorted S order.  The projection is a
+    quasi-isomorphism, so the cycle bounds exactly when every piece does.
+    The caller checks that every key is a basis element of the whole complex
+    and that the chain is a cycle there."""
     pieces = {}
     for key, c in terms.items():
         pieces.setdefault(support(key), {})[key] = c
     coords, orders = (), ()
     for S, piece in sorted(pieces.items()):
-        cls = block(S).class_of(degree, piece)
+        C = block(S)
+        if C is None:
+            continue
+        basis = C.index.get(degree, {})
+        cls = C.class_of(degree, {key: c for key, c in piece.items() if key in basis})
         coords += cls.coords
         orders += cls.orders
     return HomologyClass(coords, orders)
@@ -317,8 +318,8 @@ def zk_homology_by_support(K):
     its block, the shifted augmented chain complex of K_S, is acyclic.  Each
     visited block is reduced modulo the acyclic star of one vertex
     (`zk_star_quotient`), which keeps its homology, torsion included.
-    `zk_class` and the Hochster table still build full blocks, so `verify`
-    checks both rules."""
+    `zk_class` projects a cycle onto the same quotients.  The Hochster table
+    still builds every full subcomplex, so `verify` checks both rules."""
     if K.m > ZK_MAX_VERTICES:
         raise SizeLimitError(f"Z_K cell enumeration refuses m={K.m} > {ZK_MAX_VERTICES}")
     _require_singletons(K)
@@ -337,9 +338,14 @@ def reduced_ranks(homology):
 
 
 def zk_class(K, chain):
-    """Homology class of a cellular cycle in Z_K, reduced only in the blocks
-    the chain touches."""
-    return class_by_support(lambda S: zk_block(K, S),
+    """Homology class of a cellular cycle in Z_K, projected onto the star
+    quotient of each block it touches; cells outside Z_K and non-cycles are
+    refused."""
+    if not chain.supported_in(K):
+        raise ValueError("chain has a cell outside Z_K")
+    if chain.boundary():
+        raise ValueError("chain is not a cycle")
+    return class_by_support(lambda S: zk_star_quotient(K, S),
                             lambda cell: tuple(sorted(cell[0] + cell[1])),
                             chain.degree, chain.terms)
 

@@ -223,9 +223,13 @@ def taylor_boundary_word(K, word):
 
 
 def taylor_boundary(K, chain):
+    """Differential of a Taylor chain; factors must be missing faces of K."""
     gens, masks = generator_masks(K)
+    known = set(gens)
     out = {}
     for word, c in chain.terms.items():
+        if not known.issuperset(word):
+            raise ValueError(f"factors {sorted(set(word) - known)} are not missing faces of K")
         for tgt, s in word_boundary(word, gens, masks, union_mask(word)).items():
             out[tgt] = out.get(tgt, 0) + c * s
     return TaylorChain(out)
@@ -329,21 +333,12 @@ def taylor_homology(K):
 
 
 def taylor_class(K, chain):
-    """Class of a Taylor cycle, reduced only in the components it touches.
-
-    The cycle is projected onto the admissible words first: the projection
-    is a chain map and a quasi-isomorphism, so the cycle bounds exactly when
-    its projection does.  A term whose support has no block is dropped."""
+    """Class of a Taylor cycle, projected onto the admissible words of each
+    component it touches (`class_by_support`); non-cycles and factors that
+    are not missing faces of K are refused (`taylor_boundary`)."""
     if taylor_boundary(K, chain):
         raise ValueError("chain is not a cycle")
-    blocks = taylor_components(K)
-    degree = -chain.s
-
-    def admissible(word):
-        block = blocks.get(word_support(word))
-        return block is not None and word in block.index.get(degree, ())
-    return class_by_support(blocks.__getitem__, word_support, degree,
-                            {w: c for w, c in chain.terms.items() if admissible(w)})
+    return class_by_support(taylor_components(K).get, word_support, -chain.s, chain.terms)
 
 
 def taylor_cycle_is_boundary(K, chain):

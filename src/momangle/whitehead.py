@@ -255,13 +255,6 @@ def _inner_leaf_sets(w):
     return tuple(cx.face_mask(c.leaves()) for c in w.bracket_children())
 
 
-def _subset_missing_faces(K, J):
-    """Missing faces of the full subcomplex K_J in K's labels, ghost vertices
-    of K_J included; K's own missing faces are never enumerated."""
-    sub = K.full_subcomplex(J)
-    return [tuple(sub.labels[v - 1] for v in mf) for mf in sub.missing_faces()]
-
-
 def _sits_in(K, generators, leaves):
     """Does the complex on the vertex set `leaves` with missing faces
     `generators` (bitmasks) sit in K, leaves at themselves?  Exactly when no
@@ -269,7 +262,7 @@ def _sits_in(K, generators, leaves):
     if max(leaves) > K.m:
         return False
     return all(any(g & mask == g for g in generators)
-               for mask in map(cx.face_mask, _subset_missing_faces(K, leaves)))
+               for mask in map(cx.face_mask, K.missing_faces_within(leaves)))
 
 
 def single_product_status(K, I, check_witness=True):
@@ -402,11 +395,13 @@ class WedgeBasis:
     details: tuple = ()
 
 
-def _nested_entry(I, rest):
+def _wedge_entry(J, I):
+    """The entry of [[...[[mu_I], mu_j1]...], mu_jq] over J - I, ascending."""
     expr = bracket([leaf(v) for v in I])
-    for j in sorted(rest):
-        expr = bracket([expr, leaf(j)])
-    return expr
+    for j in J:
+        if j not in I:
+            expr = bracket([expr, leaf(j)])
+    return WedgeEntry(J, I, expr, hurewicz_chain(expr))
 
 
 def _basis_verdict(K, entries):
@@ -434,8 +429,7 @@ def _basis_verdict(K, entries):
             rows.append(cls.coords)
         if len(rows) != group.rank:
             ok = False
-            details.append(
-                f"{where}: {len(rows)} chains against rank {group.rank}")
+            details.append(f"{where}: {len(rows)} chains against rank {group.rank}")
             continue
         if not rows:
             continue
@@ -465,12 +459,9 @@ def shifted_wedge_basis(K, order=None):
     for k in range(1, K.m + 1):
         for J in combinations(range(1, K.m + 1), k):
             top = max(J, key=lambda v: rank[v])
-            for I in _subset_missing_faces(K, J):
-                if top not in I:
-                    continue
-                rest = tuple(v for v in J if v not in set(I))
-                expr = _nested_entry(I, rest)
-                entries.append(WedgeEntry(J, I, expr, hurewicz_chain(expr)))
+            for I in K.missing_faces_within(J):
+                if top in I:
+                    entries.append(_wedge_entry(J, I))
     return _basis_verdict(K, entries)
 
 
@@ -484,7 +475,7 @@ def fillable_wedge_basis(K, fillings):
     for k in range(1, K.m + 1):
         for J in combinations(range(1, K.m + 1), k):
             fill = fillings.get(J, ())
-            mfs = set(_subset_missing_faces(K, J))
+            mfs = set(K.missing_faces_within(J))
             for f in fill:
                 if f not in mfs:
                     raise ValueError(f"{f} is not a missing face of K_{J}")
@@ -492,8 +483,5 @@ def fillable_wedge_basis(K, fillings):
             if not cx.is_acyclic(filled):
                 raise ValueError(
                     f"filling for J={J} is not acyclic over the integers")
-            for I in fill:
-                rest = tuple(v for v in J if v not in set(I))
-                expr = _nested_entry(I, rest)
-                entries.append(WedgeEntry(J, I, expr, hurewicz_chain(expr)))
+            entries.extend(_wedge_entry(J, I) for I in fill)
     return _basis_verdict(K, entries)

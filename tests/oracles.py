@@ -10,26 +10,25 @@ the package's blocks on the admissible words only), the cell boundary by
 sorting and counting (the reference for the package's bisection), the
 staircase's vertical solve over the whole multidegree slice (the reference
 for the package's solve one word at a time), definition-level missing
-faces, substitution and cone points, and permutation-search shiftedness.
+faces, substitution and cone points, permutation-search shiftedness, and
+the full cellular blocks of Z_K with the cellular table and cycle classes
+reduced in them (the reference for the package's star quotients over the
+missing-face lattice, and for its classes projected onto those quotients).
 None of it shares code with the package internals it checks beyond the
-IntMatrix, SmithForm and ChainComplex containers, with two exceptions,
-each the route the package used before.  The cellular table over every
-vertex subset, in full blocks with the cone blocks skipped (the reference
-for the package's star quotients over the missing-face lattice), builds on
-its full blocks (`zk_block`), which the whole complex checks elsewhere.
-Whether bd_Delta(w) or the trivialising join sits in K is decided by
-building the complex (`delta_w`, `join`) and checking it face by face (the
-reference for the package's test on missing faces); the tests check those
-builds against the substitution's definition.
+IntMatrix, SmithForm, ChainComplex and HomologyClass containers, with one
+exception, the route the package used before: whether bd_Delta(w) or the
+trivialising join sits in K is decided by building the complex (`delta_w`,
+`join`) and checking it face by face (the reference for the package's test
+on missing faces); the tests check those builds against the substitution's
+definition.
 """
 
 from itertools import combinations, permutations
 
 from momangle.complexes import (SimplicialComplex, SizeLimitError, is_subcomplex,
                                 join, simplex, simplex_boundary)
-from momangle.exactalg import ChainComplex, IntMatrix, SmithForm
-from momangle.moment_angle import (ZK_MAX_VERTICES, all_subsets, support_table,
-                                   zk_block)
+from momangle.exactalg import ChainComplex, HomologyClass, IntMatrix, SmithForm
+from momangle.moment_angle import ZK_MAX_VERTICES, all_subsets, support_table
 
 
 def dense_snf_diagonal(rows):
@@ -431,15 +430,41 @@ def reference_solve_vertical(K, S, eta):
     return {source_basis[i]: v for i, v in snf.V.apply(y).items()}
 
 
+def reference_zk_block(K, S):
+    """The whole cellular block of support S: the cells (S - I, I) for every
+    face I of K inside S, sorted within each degree."""
+    cells = {}
+    for I in (f for f in K.faces if set(f) <= set(S)):
+        J = tuple(v for v in S if v not in I)
+        cells.setdefault(2 * len(I) + len(J), []).append((J, I))
+    for cs in cells.values():
+        cs.sort()
+    return ChainComplex.from_boundary(cells, reference_cell_boundary)
+
+
 def reference_zk_homology_by_support(K):
     """The cellular table {(S, degree): group} over every vertex subset S:
     the nonempty S with a cone point are skipped, every other block is
-    built whole (`zk_block`) and reduced."""
+    built whole (`reference_zk_block`) and reduced."""
     if K.m > ZK_MAX_VERTICES:
         raise SizeLimitError(f"Z_K cell enumeration refuses m={K.m} > {ZK_MAX_VERTICES}")
-    blocks = ((S, zk_block(K, S)) for S in all_subsets(K.m)
+    blocks = ((S, reference_zk_block(K, S)) for S in all_subsets(K.m)
               if K.cone_point_within(S) is None)
     return support_table(blocks, lambda S, d: d)
+
+
+def reference_zk_class(K, chain):
+    """Class of a cellular cycle, each piece of support S classed in the
+    whole block of S; the coordinates run in sorted S order."""
+    pieces = {}
+    for (J, I), c in chain.terms.items():
+        pieces.setdefault(tuple(sorted(J + I)), {})[(J, I)] = c
+    coords, orders = (), ()
+    for S, piece in sorted(pieces.items()):
+        cls = reference_zk_block(K, S).class_of(chain.degree, piece)
+        coords += cls.coords
+        orders += cls.orders
+    return HomologyClass(coords, orders)
 
 
 def dense_homology(out_matrix, in_matrix, dim):

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from itertools import combinations
 
 import pytest
 
@@ -296,3 +297,40 @@ def test_expression_vertex_count():
 def test_json_roundtrip(sub5):
     data = json.loads(json.dumps(sub5.to_json_dict()))
     assert SimplicialComplex.from_json_dict(data) == sub5
+
+
+def with_ghosts(K, rng):
+    """K with every face through one or two random vertices removed, which
+    leaves those vertices as ghosts: missing faces of size one."""
+    ghosts = set(rng.sample(range(1, K.m + 1), rng.randint(1, 2)))
+    return SimplicialComplex(K.m, [f for f in K.faces if not ghosts & set(f)])
+
+
+def test_missing_faces_within_matches_the_full_subcomplex():
+    rng = random.Random(61)
+    ghost_faces = 0
+    for _ in range(30):
+        K = random_complex(rng.randint(3, 7), rng)
+        if rng.random() < 0.7:
+            K = with_ghosts(K, rng)
+        assert list(K.missing_faces()) == brute_missing_faces(K)
+        for k in range(K.m + 1):
+            for J in combinations(range(1, K.m + 1), k):
+                sub = K.full_subcomplex(J)
+                expected = [tuple(sub.labels[v - 1] for v in f) for f in sub.missing_faces()]
+                assert K.missing_faces_within(J) == expected, (K, J)
+                ghost_faces += sum(len(f) == 1 for f in expected)
+    assert ghost_faces > 100
+
+
+def test_missing_faces_within_bounds():
+    """The subset's size is gated as K_S's own vertex count was; labels
+    outside 1..m are refused."""
+    K = SimplicialComplex(30, [(v,) for v in range(1, 31)])
+    assert len(K.missing_faces_within(range(3, 27))) == 24 * 23 // 2
+    with pytest.raises(SizeLimitError, match="m=25"):
+        K.missing_faces_within(range(1, 26))
+    with pytest.raises(SizeLimitError, match="m=30"):
+        K.missing_faces()
+    with pytest.raises(ValueError, match="outside vertex range"):
+        K.missing_faces_within((1, 31))

@@ -19,8 +19,11 @@ from momangle.exactalg import kernel_basis
 from momangle.moment_angle import support_table, zk_homology_by_support
 from momangle.taylor import (TaylorChain, mf_order, nested_taylor_cycle,
                              taylor_boundary, taylor_class, taylor_components,
-                             taylor_homology_by_support, word_support)
+                             taylor_cycle_is_boundary, taylor_homology_by_support,
+                             word_support)
 from momangle.whitehead import delta_w, parse_whitehead
+from momangle.zigzag import classes_equal
+from conftest import SUB5_EXPR
 from oracles import (lyubeznik_admissible, random_complex,
                      reference_taylor_components)
 
@@ -167,6 +170,39 @@ def test_taylor_class_refuses_a_non_cycle(sub5, text):
         reference_is_boundary(ref, chain)
     with pytest.raises(ValueError, match="not a cycle"):
         taylor_class(sub5, chain)
+
+
+def test_projected_away_cycles_keep_their_coordinates(rp2, sub5):
+    """A cycle with no admissible word is still classed in its block, with
+    one coordinate per summand of the block's homology."""
+    rng = random.Random(59)
+    checked = 0
+    for K in random_complexes(47, 10, 2, 8) + [rp2, sub5]:
+        blocks = taylor_components(K)
+        for z in cycle_cases(K, reference_taylor_components(K), rng):
+            if any(lyubeznik_admissible(K, w) for w in z.terms):
+                continue
+            cls = taylor_class(K, z)
+            assert cls.is_boundary
+            (S,) = {word_support(w) for w in z.terms}
+            h = blocks[S].homology(-z.s) if S in blocks else None
+            assert len(cls.coords) == (h.rank + len(h.torsion) if h else 0)
+            checked += 1
+    assert checked >= 20
+
+
+@pytest.mark.parametrize("expr, text", [("bd(simplex(1,2,3))", "w12"),
+                                        ("bd(simplex(1,2,3))", "w12^w123"),
+                                        (SUB5_EXPR, "w12^w145 - w13^w145")])
+def test_factors_that_are_not_missing_faces_are_refused(expr, text):
+    """{1,2} is a face of bd(simplex(1,2,3)), not a generator, so w12 is no
+    chain of the Taylor complex; its boundary would read zero."""
+    K, chain = cx.parse_complex(expr), TaylorChain.from_text(text)
+    for check in (taylor_boundary, taylor_class, taylor_cycle_is_boundary):
+        with pytest.raises(ValueError, match="not missing faces of K"):
+            check(K, chain)
+    with pytest.raises(ValueError, match="not missing faces of K"):
+        classes_equal(K, chain, chain)
 
 
 def test_k6_graph_against_cellular():

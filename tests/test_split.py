@@ -9,7 +9,8 @@ empty set and the unions of missing faces, and reduces each of their blocks
 modulo the star of one vertex; here the table is checked against every
 block built and against the route it replaced (every subset, full blocks,
 cone blocks skipped), each quotient against its full block, and mutated
-quotients must be refused or change a group.
+quotients must be refused or change a group.  Cycle classes, projected onto
+the same quotients, are checked against classes in the full blocks.
 """
 
 import json
@@ -23,13 +24,13 @@ from momangle.cli import main
 from momangle.exactalg import ChainComplex, HomologyGroup, kernel_basis
 from momangle.moment_angle import (CellChain, all_subsets, cell_boundary,
                                    hochster_embed, hochster_table, lattice_supports,
-                                   star_vertex, support_table, zk_block,
-                                   zk_chain_complex, zk_class, zk_homology,
-                                   zk_homology_by_support, zk_star_quotient)
+                                   star_vertex, support_table, zk_chain_complex,
+                                   zk_class, zk_homology, zk_homology_by_support,
+                                   zk_star_quotient)
 from momangle.taylor import taylor_face_complex, taylor_homology_by_support
 from momangle.whitehead import bracket, hurewicz_chain, leaf, parse_whitehead
-from oracles import (brute_cone_point, random_complex,
-                     reference_zk_homology_by_support)
+from oracles import (brute_cone_point, random_complex, reference_zk_block,
+                     reference_zk_class, reference_zk_homology_by_support)
 
 
 def rp2_complex():
@@ -161,11 +162,12 @@ def test_taylor_ranks_by_index_match_whole_complex(K, tmp_path, capsys):
 def test_cone_blocks_skipped_exactly(K):
     """The table with cone blocks skipped equals the table of every block
     built, and every skipped block, built, has no homology."""
-    every = support_table(((S, zk_block(K, S)) for S in all_subsets(K.m)), lambda S, d: d)
+    every = support_table(((S, reference_zk_block(K, S)) for S in all_subsets(K.m)),
+                          lambda S, d: d)
     assert zk_homology_by_support(K) == every
     for S in all_subsets(K.m):
         if K.cone_point_within(S) is not None:
-            assert S and zk_block(K, S).homology_all() == {}, S
+            assert S and reference_zk_block(K, S).homology_all() == {}, S
 
 
 def test_cone_skip_covers_the_cases():
@@ -234,7 +236,8 @@ def test_lattice_is_the_non_cone_supports(K):
 @pytest.mark.parametrize("K", quotient_cases(), ids=lambda K: f"m{K.m}-{len(K.faces)}faces")
 def test_quotient_keeps_the_block_homology(K):
     for S in lattice_supports(K):
-        assert zk_star_quotient(K, S).homology_all() == zk_block(K, S).homology_all(), S
+        assert (zk_star_quotient(K, S).homology_all()
+                == reference_zk_block(K, S).homology_all()), S
 
 
 @pytest.mark.parametrize("K", quotient_cases(), ids=lambda K: f"m{K.m}-{len(K.faces)}faces")
@@ -269,7 +272,7 @@ def test_mutated_quotients_are_refused_or_change_a_group(K):
         every = block_of(S, faces, dropped)
         extra = sum(h.rank for h in every.homology_all().values())
         assert extra == len(faces) - len(left) + sum(
-            h.rank for h in zk_block(K, S).homology_all().values())
+            h.rank for h in reference_zk_block(K, S).homology_all().values())
 
 
 def test_sphere_table_visits_two_blocks():
@@ -282,3 +285,90 @@ def test_sphere_table_visits_two_blocks():
     assert {d: Q.dim(d) for d in Q.degrees} == {27: 1}
     assert zk_homology_by_support(K) == {((), 0): HomologyGroup(1),
                                          (whole, 27): HomologyGroup(1)}
+
+
+# -- cycle classes on the star quotients ----------------------------------------
+
+def cell_support(cell):
+    return tuple(sorted(cell[0] + cell[1]))
+
+
+def class_length(K, S, d):
+    """Coordinates of a class of support S in degree d: one per free and
+    per torsion summand of the block's H_d."""
+    h = zk_star_quotient(K, S).homology(d)
+    return h.rank + len(h.torsion)
+
+
+def class_against_reference(K, z):
+    """zk_class against the full blocks' class: the same boundary-ness, and
+    as many coordinates as the touched blocks' homology has summands."""
+    cls, ref = zk_class(K, z), reference_zk_class(K, z)
+    assert cls.is_boundary == ref.is_boundary, z
+    expected = sum(class_length(K, S, z.degree) for S in {cell_support(c) for c in z.terms})
+    assert len(cls.coords) == len(cls.orders) == len(ref.coords) == expected, z
+    return cls
+
+
+def test_classes_match_the_full_blocks():
+    rng = random.Random(31)
+    seen = set()
+    for K in complexes():
+        C = zk_chain_complex(K)
+        for h in hurewicz_chains(K, rng):
+            b = random_boundary(C, h.degree, rng)
+            for z in (h, b, h + b, h.scaled(2) - b):
+                if z:
+                    seen.add(class_against_reference(K, z).is_boundary)
+    assert seen == {True, False}
+
+
+def test_torsion_classes_match_the_full_blocks():
+    """The Z/2 of H_1(RP^2) in degree 8: odd multiples survive, even ones
+    bound, on the star quotient as in the full block."""
+    K = rp2_cone(random.Random(11))
+    J = (1, 2, 3, 4, 5, 6)
+    S = cx.reduced_chain_complex(K.faces_within(J))
+    seen = set()
+    for col in kernel_basis(S.differential(1)):
+        z = {S.basis[1][i]: v for i, v in col.items()}
+        for k in (1, 2, 3):
+            cls = class_against_reference(K, hochster_embed(K, J, {f: k * v for f, v in z.items()}))
+            assert cls.orders == (2,)
+            seen.add((k, cls.is_boundary))
+    assert (1, False) in seen and (2, True) in seen and (3, False) in seen
+
+
+@pytest.mark.parametrize("K", quotient_cases(), ids=lambda K: f"m{K.m}-{len(K.faces)}faces")
+def test_cycles_in_the_star_project_to_zero(K):
+    """Boundaries of cells (S - I, I) with v in I lie wholly in the star of
+    v, so their projection is empty; each is still classed in its block."""
+    rng = random.Random(len(K.faces))
+    for S in lattice_supports(K)[1:]:
+        v = star_vertex(K.faces_within(S), S)
+        inside = [(tuple(u for u in S if u not in I), I) for I in K.faces_within(S) if v in I]
+        Q = zk_star_quotient(K, S)
+        for cell in rng.sample(inside, min(3, len(inside))):
+            z = CellChain(cell_boundary(cell)).scaled(rng.choice([-2, 1, 3]))
+            if not z:
+                continue
+            assert not set(z.terms) & set(Q.index.get(z.degree, ()))
+            assert class_against_reference(K, z).is_boundary
+
+
+def test_class_refuses_cells_outside_zk():
+    """d(D1*D2*D3) is a cycle, but its cells carry the edges of three
+    isolated points, which are no faces."""
+    z = CellChain.from_text("D1*D2*D3").boundary()
+    assert z and not z.boundary()
+    with pytest.raises(ValueError, match="outside Z_K"):
+        zk_class(cx.SimplicialComplex.from_facets(3, []), z)
+
+
+@pytest.mark.parametrize("text", ["D1*S2", "S1*D2", "D1*S2 - S1*D2"])
+def test_class_refuses_non_cycles(two_points, text):
+    """D1*S2 lies in the star of vertex 1, so its projection is empty; it is
+    refused all the same."""
+    assert star_vertex(two_points.faces_within((1, 2)), (1, 2)) == 1
+    with pytest.raises(ValueError, match="not a cycle"):
+        zk_class(two_points, CellChain.from_text(text))

@@ -450,3 +450,32 @@ def test_fillable_rejects_nonacyclic_filling(four_cycle):
         fillable_wedge_basis(four_cycle,
                              {(1, 2, 3, 4): [(1, 3)],
                               (1, 3): [(1, 3)], (2, 4): [(2, 4)]})
+
+
+def test_classes_build_only_star_quotients(monkeypatch):
+    """Classing the golden inputs' Hurewicz chains builds one star quotient
+    per support the chain touches, never a larger block."""
+    from momangle.exactalg import ChainComplex
+    from momangle.moment_angle import zk_star_quotient
+    pairs = sorted({(a[a.index("--complex") + 1], a[a.index("--w") + 1])
+                    for a in GOLDEN_CASES if "--w" in a})
+    cases = []
+    for text, w in pairs:
+        K = cx.parse_complex(text)
+        chain = hurewicz_chain(W(w), K.m)
+        if chain.supported_in(K):
+            supports = sorted({tuple(sorted(J + I)) for J, I in chain.terms})
+            sizes = [sum(map(len, zk_star_quotient(K, S).basis.values())) for S in supports]
+            cases.append((K, chain, sizes))
+    assert len(cases) >= 5
+    built = []
+    raw = ChainComplex.from_boundary.__func__
+
+    def spy(cls, basis, boundary):
+        built.append(sum(map(len, basis.values())))
+        return raw(cls, basis, boundary)
+    monkeypatch.setattr(ChainComplex, "from_boundary", classmethod(spy))
+    for K, chain, sizes in cases:
+        built.clear()
+        zk_class(K, chain)
+        assert built == sizes, (K, chain)
