@@ -93,9 +93,9 @@ def cmd_status(K, w, args, out):
     if w.is_single():
         out["status"] = wh.single_product_status(K, w.leaves())
     else:
-        out["status"] = wh.nested_shape_status(K, w)
-        if out["status"] != wh.UNDEFINED and not wh.criterion_applies(K, w):
-            out["notes"] = [wh.OUTSIDE_CRITERION]
+        out["status"], notes = wh.nested_shape_report(K, w)
+        if notes:
+            out["notes"] = list(notes)
 
 
 def cmd_realises(K, w, args, out):

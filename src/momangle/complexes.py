@@ -157,16 +157,30 @@ class SimplicialComplex:
                 return None
         return (candidates & -candidates).bit_length()
 
-    def faces_within(self, subset):
-        """Faces contained in `subset`, keeping original labels, sorted by
-        (size, labels).  The faces and their bitmasks are sorted once, on the
-        first call: the routes call this for up to every subset of 1..m."""
+    def _sorted_faces(self):
+        """(faces, bitmasks) sorted by (size, labels), built on the first
+        call: the routes ask for the faces inside up to every subset of 1..m."""
         if self._by_size is None:
             order = sorted(sorted(self.faces), key=len)
             self._by_size = (order, [face_mask(f) for f in order])
+        return self._by_size
+
+    def faces_within(self, subset):
+        """Faces contained in `subset`, keeping original labels, sorted by
+        (size, labels)."""
         outside = ~face_mask(v for v in subset if v > 0)
-        faces, masks = self._by_size
+        faces, masks = self._sorted_faces()
         return [f for f, mask in zip(faces, masks) if not mask & outside]
+
+    def face_masks_within(self, subset):
+        """Bitmasks of the faces contained in `subset`, in `faces_within`'s order."""
+        outside = ~face_mask(subset)
+        return [mask for mask in self._sorted_faces()[1] if not mask & outside]
+
+    @property
+    def face_masks(self):
+        """The bitmasks of all faces, a frozenset."""
+        return self._masks
 
     # -- missing faces ---------------------------------------------------------
 

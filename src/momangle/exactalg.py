@@ -5,8 +5,14 @@ form with unimodular transforms, integer linear solving, and homology of
 integer chain complexes (rank plus invariant-factor torsion).  No modular or
 floating-point shortcuts anywhere; torsion correctness depends on it.
 
-Every chain complex is built by `ChainComplex.from_boundary`; the routes
-build one per vertex-support block and direct-sum the results.
+Homology has one rule, `column_homology`: it takes the ranks of the chain
+groups and the nonzero columns of the differentials, checks d^2 = 0 on the
+columns and reduces only the differentials that have entries.  The cellular
+table calls it on the star quotients' columns with no complex built;
+`ChainComplex.homology_all` calls it for every labelled complex, which
+`ChainComplex.from_boundary` builds from a boundary callable (the Taylor
+blocks, simplicial chains, the references) and the cellular classes build
+from the same columns.
 
 Conventions:
   * matrices are sparse maps (row, col) -> nonzero int;
@@ -560,6 +566,53 @@ class HomologyClass:
         return all(c == 0 for c in self.coords)
 
 
+def check_columns(columns):
+    """Push each column of d_d through d_{d-1}, degree by degree; columns are
+    {d: {col: [(row, value), ...]}}.  Raises ValueError unless d^2 = 0."""
+    for d in sorted(columns):
+        lower = columns.get(d - 1)
+        if not lower:
+            continue
+        for column in columns[d].values():
+            image = {}
+            for k, v in column:
+                for i, w in lower.get(k, ()):
+                    image[i] = image.get(i, 0) + v * w
+            if any(image.values()):
+                raise ValueError(f"d^2 != 0 between degrees {d} and {d-2}")
+
+
+def _column_groups(dims, columns):
+    """{d: H_d}, nontrivial groups only, from the ranks `dims` and the
+    differentials' nonzero columns; only the differentials with entries
+    reach `invariant_factors`."""
+    factors = {d: invariant_factors(IntMatrix._adopt(
+                   dims.get(d - 1, 0), dims.get(d, 0),
+                   {(i, j): v for j, column in cols.items() for i, v in column}))
+               for d, cols in columns.items() if cols}
+    out = {}
+    for d in sorted(dims):
+        into = factors.get(d + 1, ())
+        rank = dims[d] - len(factors.get(d, ())) - len(into)
+        torsion = tuple(f for f in into if f > 1)
+        if rank or torsion:
+            out[d] = HomologyGroup(rank, torsion)
+    return out
+
+
+def column_homology(dims, columns):
+    """Homology of the complex with rank dims[d] in degree d whose
+    differential out of degree d has the nonzero columns columns[d],
+    {col: [(row, value), ...]}; {d: group}, nontrivial groups only.
+
+    The one homology rule: d^2 = 0 is checked on the columns
+    (`check_columns`), then H_d has rank dims[d] less the ranks of the
+    differentials out of and into degree d, and the torsion of the one into
+    it.  No labelled complex is needed."""
+    check_columns(columns)
+    return _column_groups(dims, columns)
+
+
 def _label_index(basis):
     return {d: {lab: i for i, lab in enumerate(labels)} for d, labels in basis.items()}
 
@@ -576,7 +629,7 @@ class ChainComplex:
         self.basis = {d: list(labels) for d, labels in basis.items()}
         self._index = None
         self.differentials = dict(differentials)
-        self._factors = {}
+        self._groups = None
         self._present = {}
         for d, A in self.differentials.items():
             if A.cols != len(self.basis.get(d, ())):
@@ -616,21 +669,12 @@ class ChainComplex:
             A = IntMatrix.zero(self.dim(d - 1), self.dim(d))
         return A
 
+    def _columns(self):
+        return {d: A.columns() for d, A in self.differentials.items()}
+
     def check_squares_to_zero(self):
-        """Push each column of d_d through d_{d-1}; the entries of every
-        differential are grouped by column once."""
-        columns = {d: A.columns() for d, A in self.differentials.items()}
-        for d in self.degrees:
-            lower = columns.get(d - 1)
-            if not lower:
-                continue
-            for column in columns.get(d, {}).values():
-                image = {}
-                for k, v in column:
-                    for i, w in lower.get(k, ()):
-                        image[i] = image.get(i, 0) + v * w
-                if any(image.values()):
-                    raise ValueError(f"d^2 != 0 between degrees {d} and {d-2}")
+        """`check_columns` on the differentials' columns."""
+        check_columns(self._columns())
 
     def vector(self, d, chain):
         """Sparse coordinate vector of {label: coeff} in the degree-d basis."""
@@ -651,30 +695,20 @@ class ChainComplex:
     def boundary_vector(self, d, chain):
         return self.differential(d).apply(self.vector(d, chain))
 
-    def _factors_at(self, d):
-        """Invariant factors of the differential at d, reduced once for H_d and H_d-1."""
-        if d not in self._factors:
-            self._factors[d] = invariant_factors(self.differential(d))
-        return self._factors[d]
+    def homology_all(self, nontrivial_only=True):
+        """{d: H_d} over the basis degrees by `column_homology`'s rule on the
+        differentials' columns (d^2 = 0 was checked at construction),
+        computed once."""
+        if self._groups is None:
+            dims = {d: len(labels) for d, labels in self.basis.items()}
+            self._groups = _column_groups(dims, self._columns())
+        if nontrivial_only:
+            return dict(self._groups)
+        return {d: self._groups.get(d, TRIVIAL_GROUP) for d in self.degrees}
 
     def homology(self, d):
         """H_d as rank plus torsion; degrees outside the range give 0."""
-        if not self.dim(d):
-            return TRIVIAL_GROUP
-        rank_out = len(self._factors_at(d))
-        facs = self._factors_at(d + 1)
-        rank = self.dim(d) - rank_out - len(facs)
-        torsion = tuple(f for f in facs if f > 1)
-        return HomologyGroup(rank, torsion)
-
-    def homology_all(self, nontrivial_only=True):
-        out = {}
-        for d in self.degrees:
-            h = self.homology(d)
-            if h.is_trivial() and nontrivial_only:
-                continue
-            out[d] = h
-        return out
+        return self.homology_all().get(d, TRIVIAL_GROUP)
 
     # -- cycle classes ------------------------------------------------------
 

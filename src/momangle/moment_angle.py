@@ -15,21 +15,28 @@ map and reproduce the canonical bracket chains with a plus sign.
 
 The boundary keeps the support J + I, so the chains split into one block
 per vertex subset S (the Hochster splitting); homology and classes are
-computed per block modulo an acyclic star (`zk_star_quotient`), and the
-whole complex is the tests' reference: the table visits only the blocks
-that can carry homology, and a class projects onto the blocks it touches.
+computed per block modulo the acyclic star of one vertex v, and the whole
+complex is the tests' reference: the table visits only the blocks that can
+carry homology, and a class projects onto the blocks it touches.
+
+Inside S a cell is its disc mask f (the bits of I), of degree
+|S| + popcount(f); it lies in the star of v exactly when f & vb or f | vb
+is a face (vb the bit of v).  Its boundary drops one bit b of f with sign
+(-1)^popcount((S & ~f) & (b - 1)), the circle letters below b.  The table
+reads each quotient's homology from these boundary columns
+(`exactalg.column_homology`); only cycle classes build a labelled
+ChainComplex of a quotient (`zk_star_quotient`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from functools import lru_cache, reduce
-from itertools import chain, combinations
+from itertools import combinations
 
 from .complexes import (ParseError, SizeLimitError, face_mask, read_signed_sum,
                         read_text, reduced_chain_complex, signed_sum_text)
-from .exactalg import ChainComplex, HomologyClass, direct_sum
+from .exactalg import ChainComplex, HomologyClass, IntMatrix, column_homology, direct_sum
 
 ZK_MAX_VERTICES = 24
 
@@ -202,17 +209,6 @@ def zk_chain_complex(K):
     return ChainComplex.from_boundary(zk_cells(K), cell_boundary)
 
 
-def _block_on_faces(S, faces, boundary):
-    """Complex on the cells (S - I, I), I in `faces`, sorted within each degree."""
-    cells = {}
-    for I in faces:
-        J = tuple(v for v in S if v not in I)
-        cells.setdefault(2 * len(I) + len(J), []).append((J, I))
-    for cs in cells.values():
-        cs.sort()
-    return ChainComplex.from_boundary(cells, boundary)
-
-
 def lattice_supports(K):
     """The empty set and every union of missing faces of K, by size and then
     lexicographically.  A vertex of S lies in no missing face inside S
@@ -228,40 +224,96 @@ def lattice_supports(K):
 
 def star_vertex(faces, S):
     """The vertex v of S whose star in K_S holds the most faces, the least
-    such v on ties; `faces` are the faces of K_S.  The star pairs each face
-    I without v with I + v, so it has twice as many faces as contain v, and
-    its quotient leaves the fewest cells.  One count over the faces' letters
-    serves every vertex."""
-    counts = Counter(chain.from_iterable(faces))
-    return min(S, key=lambda v: (-counts[v], v))
+    such v on ties; `faces` are the bitmasks of the faces of K_S.  The star
+    pairs each face I without v with I + v, so it has twice as many faces
+    as contain v, and its quotient leaves the fewest cells.  S ascends, so
+    the first greatest count is the least such v."""
+    counts = [len([f for f in faces if f & b]) for b in [1 << (v - 1) for v in S]]
+    return S[counts.index(max(counts))]
 
 
-def _in_star(K, v, I):
-    """Is I + v a face of K?"""
-    p = bisect_left(I, v)
-    return p < len(I) and I[p] == v or I[:p] + (v,) + I[p:] in K.faces
+def _star_cells(S, faces, is_face):
+    """The block of S modulo the star of v = star_vertex, on disc masks.
+
+    `faces` are the bitmasks of the faces of K_S in `faces_within`'s order,
+    `is_face` holds the bitmasks of every face of K.  The cell (S - I, I) is
+    the mask f of I, of degree |S| + |I|; it lies in the star of v exactly
+    when f & vb or f | vb is a face (vb the bit of v), and the quotient
+    keeps the other cells.  Dropping the disc letter with bit b of f gives
+    the target f ^ b with sign (-1)^popcount((S & ~f) & (b - 1)), the circle
+    letters below b; a target in the star is dropped, and one that is
+    neither in the quotient nor in the star raises.
+
+    Returns (cells, columns): {degree: [f, ...]} in the order of the cells'
+    (J, I) labels, J ascending, and {degree: {column: [(row, sign), ...]}},
+    the nonzero columns of the quotient's differential.  The empty S has no
+    vertex; its block, Z in degree 0, is returned whole."""
+    if not S:
+        return {0: [0]}, {}
+    smask = face_mask(S)
+    vb = 1 << (star_vertex(faces, S) - 1)
+    cells = {}
+    for f in faces:
+        if not (f & vb or f | vb in is_face):
+            cells.setdefault(len(S) + f.bit_count(), []).append(f)
+    index = {}
+    for d, fs in cells.items():
+        # `faces` run by (size, labels); among the I of one size, J = S - I
+        # ascends as I descends
+        fs.reverse()
+        index[d] = {f: j for j, f in enumerate(fs)}
+    columns = {}
+    for d, fs in cells.items():
+        below = index.get(d - 1, {})
+        out = {}
+        for j, f in enumerate(fs):
+            circles = smask & ~f
+            column = []
+            rest = f
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                t = f ^ b
+                if t | vb in is_face:       # in the star; t & vb is 0, as f & vb is
+                    continue
+                i = below.get(t)
+                if i is None:
+                    raise ValueError(f"boundary of {_mask_cell(S, f)} hits "
+                                     f"{_mask_cell(S, t)}, which is not in the target basis")
+                column.append((i, -1 if (circles & (b - 1)).bit_count() & 1 else 1))
+            if column:
+                out[j] = column
+        if out:
+            columns[d] = out
+    return cells, columns
+
+
+def _mask_cell(S, f):
+    """The label (J, I) of the cell of S with disc mask f."""
+    return (tuple(v for v in S if not f >> (v - 1) & 1),
+            tuple(v for v in S if f >> (v - 1) & 1))
 
 
 def zk_star_quotient(K, S):
-    """The block of S modulo the star of v = star_vertex in K_S: the cells
-    (S - I, I) with I + v no face of K, and `cell_boundary` with every
-    target inside the star dropped.
+    """The block of S modulo the star of v = star_vertex in K_S, as a
+    labelled ChainComplex for cycle classes: the cells (S - I, I) with I + v
+    no face of K, and `cell_boundary` with every target inside the star
+    dropped, built by `_star_cells` on face masks.
 
     The star's cells span a subcomplex, since d only drops disc letters, and
     it is the shifted augmented chain complex of a cone, so it is acyclic;
     the quotient has the block's homology over Z, torsion included.  The
     empty S has no vertex; its block, Z in degree 0, is returned whole."""
     _require_singletons(K)
-    if not S:
-        return _block_on_faces(S, [()], cell_boundary)
-    if S[-1] > K.m:
+    if S and S[-1] > K.m:
         raise ValueError(f"support {S} leaves the vertices 1..{K.m}")
-    faces = K.faces_within(S)
-    v = star_vertex(faces, S)
-
-    def boundary(cell):
-        return {t: c for t, c in cell_boundary(cell).items() if not _in_star(K, v, t[1])}
-    return _block_on_faces(S, [I for I in faces if not _in_star(K, v, I)], boundary)
+    cells, columns = _star_cells(S, K.face_masks_within(S), K.face_masks)
+    return ChainComplex(
+        {d: [_mask_cell(S, f) for f in fs] for d, fs in cells.items()},
+        {d: IntMatrix._adopt(len(cells.get(d - 1, ())), len(fs),
+                             {(i, j): c for j, column in columns.get(d, {}).items()
+                              for i, c in column})
+         for d, fs in cells.items()})
 
 
 def support_table(blocks, shift):
@@ -316,15 +368,25 @@ def zk_homology_by_support(K):
     Only the empty set and the unions of missing faces are visited
     (`lattice_supports`): any other S has a cone point, so K_S is a cone and
     its block, the shifted augmented chain complex of K_S, is acyclic.  Each
-    visited block is reduced modulo the acyclic star of one vertex
-    (`zk_star_quotient`), which keeps its homology, torsion included.
-    `zk_class` projects a cycle onto the same quotients.  The Hochster table
-    still builds every full subcomplex, so `verify` checks both rules."""
+    visited block is reduced modulo the acyclic star of one vertex, which
+    keeps its homology, torsion included: `_star_cells` builds the quotient
+    on face masks (the cell with disc mask f has degree |S| + |f| and lies
+    in the star of v when f & vb or f | vb is a face; dropping the disc bit
+    b has sign (-1)^popcount((S & ~f) & (b - 1))), and `column_homology`
+    reads the groups from its boundary columns, with no labelled complex
+    built.  Only cycle classes build one (`zk_star_quotient`), and `zk_class`
+    projects a cycle onto the same quotients.  The Hochster table still
+    builds every full subcomplex, so `verify` checks both rules."""
     if K.m > ZK_MAX_VERTICES:
         raise SizeLimitError(f"Z_K cell enumeration refuses m={K.m} > {ZK_MAX_VERTICES}")
     _require_singletons(K)
-    blocks = ((S, zk_star_quotient(K, S)) for S in lattice_supports(K))
-    return support_table(blocks, lambda S, d: d)
+    table = {}
+    for S in lattice_supports(K):
+        cells, columns = _star_cells(S, K.face_masks_within(S), K.face_masks)
+        dims = {d: len(fs) for d, fs in cells.items()}
+        for d, h in column_homology(dims, columns).items():
+            table[(S, d)] = h
+    return table
 
 
 def zk_homology(K):
@@ -337,15 +399,17 @@ def reduced_ranks(homology):
     return {d: h.rank for d, h in homology.items() if d > 0 and h.rank}
 
 
-def zk_class(K, chain):
+def zk_class(K, chain, block=None):
     """Homology class of a cellular cycle in Z_K, projected onto the star
     quotient of each block it touches; cells outside Z_K and non-cycles are
-    refused."""
+    refused.  `block(S)`, by default `zk_star_quotient(K, S)`, gives the
+    quotients: a memo of it classes many chains against one quotient per
+    support."""
     if not chain.supported_in(K):
         raise ValueError("chain has a cell outside Z_K")
     if chain.boundary():
         raise ValueError("chain is not a cycle")
-    return class_by_support(lambda S: zk_star_quotient(K, S),
+    return class_by_support(block or (lambda S: zk_star_quotient(K, S)),
                             lambda cell: tuple(sorted(cell[0] + cell[1])),
                             chain.degree, chain.terms)
 

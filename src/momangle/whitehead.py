@@ -26,12 +26,13 @@ missing faces are the leaf sets of w_1..w_q) need no complex built;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 
 from . import complexes as cx
 from .exactalg import TRIVIAL_GROUP, IntMatrix, invariant_factors, kernel_basis
 from .moment_angle import (CellChain, degree_sums, zk_class,
-                           zk_homology_by_support)
+                           zk_homology_by_support, zk_star_quotient)
 
 UNDEFINED = "undefined"
 DEFINED_TRIVIAL = "defined-trivial"
@@ -311,16 +312,25 @@ def nested_shape_status(K, w, check_witness=True):
     it the status is decided as `realises_sufficient` does: a nonzero
     canonical class means nontrivial, the trivialising join means trivial,
     and otherwise it is DEFINED_UNKNOWN."""
+    return nested_shape_report(K, w, check_witness)[0]
+
+
+def nested_shape_report(K, w, check_witness=True):
+    """(status, notes): `nested_shape_status`, with OUTSIDE_CRITERION as the
+    note when w is defined but the criterion does not apply.  The criterion
+    is decided once, for both."""
     subs, leaves_ = _nested_shape_parts(w)
     if not subs:
-        return single_product_status(K, leaves_, check_witness)
+        return single_product_status(K, leaves_, check_witness), ()
     if not _sits_in(K, canonical_missing_faces(w), w.leaves()):
-        return UNDEFINED
+        return UNDEFINED, ()
     trivial = _sits_in(K, _inner_leaf_sets(w), w.leaves())
     if not criterion_applies(K, w):
         if leaves_ and not zk_class(K, hurewicz_chain(w)).is_boundary:
-            return DEFINED_NONTRIVIAL
-        return DEFINED_TRIVIAL if trivial else DEFINED_UNKNOWN
+            status = DEFINED_NONTRIVIAL
+        else:
+            status = DEFINED_TRIVIAL if trivial else DEFINED_UNKNOWN
+        return status, (OUTSIDE_CRITERION,)
     status = DEFINED_TRIVIAL if trivial else DEFINED_NONTRIVIAL
     if check_witness and leaves_:
         cls = zk_class(K, hurewicz_chain(w))
@@ -328,7 +338,7 @@ def nested_shape_status(K, w, check_witness=True):
             raise AssertionError("trivial product with a nonzero canonical class")
         if not trivial and cls.is_boundary:
             raise AssertionError("nontrivial product with a bounding canonical class")
-    return status
+    return status, ()
 
 
 @dataclass(frozen=True)
@@ -406,8 +416,10 @@ def _wedge_entry(J, I):
 
 def _basis_verdict(K, entries):
     """Do the entries' classes form a Z-basis of H_*(Z_K)?  Checked per
-    (J, degree) block: an entry's chain lies in the block of its subset J."""
+    (J, degree) block: an entry's chain lies in the block of its subset J.
+    The entries of one subset are classed against one star quotient."""
     per_block = zk_homology_by_support(K)
+    quotient = cache(lambda S: zk_star_quotient(K, S))
     by_block = {}
     for e in entries:
         by_block.setdefault((e.subset, e.chain.degree), []).append(e)
@@ -422,7 +434,7 @@ def _basis_verdict(K, entries):
             continue
         rows = []
         for e in by_block.get((J, d), ()):
-            cls = zk_class(K, e.chain)
+            cls = zk_class(K, e.chain, quotient)
             if any(o != 0 for o in cls.orders):
                 ok = False
                 details.append(f"{where}: unexpected torsion coordinate")

@@ -13,7 +13,9 @@ for the package's solve one word at a time), definition-level missing
 faces, substitution and cone points, permutation-search shiftedness, and
 the full cellular blocks of Z_K with the cellular table and cycle classes
 reduced in them (the reference for the package's star quotients over the
-missing-face lattice, and for its classes projected onto those quotients).
+missing-face lattice, and for its classes projected onto those quotients),
+and the star quotient on (J, I) labels built through `from_boundary` (the
+reference for the package's quotient built on face masks).
 None of it shares code with the package internals it checks beyond the
 IntMatrix, SmithForm, ChainComplex and HomologyClass containers, with one
 exception, the route the package used before: whether bd_Delta(w) or the
@@ -440,6 +442,33 @@ def reference_zk_block(K, S):
     for cs in cells.values():
         cs.sort()
     return ChainComplex.from_boundary(cells, reference_cell_boundary)
+
+
+def reference_zk_star_quotient(K, S):
+    """The star quotient of S's block on (J, I) labels, built by
+    `ChainComplex.from_boundary`: v is the vertex of S in the most faces of
+    K_S, the least on ties; the cells (S - I, I) with I + v no face of K,
+    sorted within each degree, and `reference_cell_boundary` with the
+    targets whose disc set plus v is a face dropped.  The empty S gives its
+    whole block, one cell in degree 0."""
+    if not S:
+        return reference_zk_block(K, S)
+    faces = [f for f in K.faces if set(f) <= set(S)]
+    v = min(S, key=lambda u: (-sum(u in f for f in faces), u))
+
+    def in_star(I):
+        return tuple(sorted(set(I) | {v})) in K.faces
+
+    cells = {}
+    for I in faces:
+        if not in_star(I):
+            J = tuple(u for u in S if u not in I)
+            cells.setdefault(2 * len(I) + len(J), []).append((J, I))
+    for cs in cells.values():
+        cs.sort()
+    return ChainComplex.from_boundary(
+        cells, lambda cell: {t: c for t, c in reference_cell_boundary(cell).items()
+                             if not in_star(t[1])})
 
 
 def reference_zk_homology_by_support(K):

@@ -240,12 +240,28 @@ def test_status_outside_the_criterion_exits_0(tmp_path, capsys):
     assert "notes" not in inside
 
 
+def test_status_decides_the_criterion_once(tmp_path, capsys, monkeypatch):
+    """One `status` call asks `criterion_applies` once, inside the
+    criterion's domain and outside it (where the note comes from it)."""
+    from momangle import whitehead as wh
+    calls = []
+    raw = wh.criterion_applies
+    monkeypatch.setattr(wh, "criterion_applies", lambda K, w: calls.append(w) or raw(K, w))
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({"m": 8, "facets": [
+        [2, 6], [2, 7], [2, 3, 5], [2, 3, 8], [2, 5, 8], [1, 4, 5, 7], [3, 4, 5, 6, 7, 8]]}))
+    outside = run_json(capsys, "status", "--complex", str(path), "--w", "[[3,5,8],[6,7],2]")
+    assert len(outside["notes"]) == 1 and len(calls) == 1
+    inside = run_json(capsys, "status", "--complex", SUB5_EXPR, "--w", "[[1,2,3],4,5]")
+    assert "notes" not in inside and len(calls) == 2
+
+
 def test_self_check_failure_exits_3(capsys, monkeypatch):
     from momangle import cli
 
     def failing(K, w):
         raise AssertionError("nontrivial product with a bounding canonical class")
-    monkeypatch.setattr(cli.wh, "nested_shape_status", failing)
+    monkeypatch.setattr(cli.wh, "nested_shape_report", failing)
     code, out, err = run_cli(capsys, "status", "--complex", SUB5_EXPR,
                              "--w", "[[1,2,3],4,5]")
     assert code == 3

@@ -2,13 +2,15 @@ import random
 
 import pytest
 
+from momangle import complexes as cx
 from momangle import exactalg
-from momangle.exactalg import (ChainComplex, HomologyGroup, IntMatrix,
+from momangle import moment_angle
+from momangle.exactalg import (ChainComplex, HomologyGroup, IntMatrix, column_homology,
                                direct_sum, invariant_factors, kernel_basis,
                                smith_normal_form, solve_integer)
 from momangle.moment_angle import lattice_supports, zk_star_quotient
 from oracles import (dense_homology, dense_snf_diagonal, random_complex,
-                     reference_snf, reference_zk_block)
+                     reference_snf, reference_zk_block, reference_zk_star_quotient)
 
 
 def dense_det(rows):
@@ -305,3 +307,70 @@ def test_snf_matches_reference_on_chain_complexes(rp2, sub5):
             assert smith_normal_form(A, transforms=False) == reference_snf(A, transforms=False)
             count += A.nnz() > 0
     assert count > 100
+
+
+def dense_groups(C):
+    """{d: group} of a labelled complex from its dense matrices, nontrivial only."""
+    out = {}
+    for d in C.degrees:
+        rank, torsion = dense_homology(C.differential(d).to_dense(),
+                                       C.differential(d + 1).to_dense(), C.dim(d))
+        if rank or torsion:
+            out[d] = HomologyGroup(rank, torsion)
+    return out
+
+
+def test_column_rule_matches_the_reference_blocks(rp2, sub5):
+    """The column rule on the mask builder's columns gives the dense homology
+    of the reference quotient and of the whole block, Z/2 included."""
+    rng = random.Random(19)
+    torsion = 0
+    for K in [rp2, sub5] + [random_complex(rng.randint(3, 6), rng) for _ in range(10)]:
+        for S in lattice_supports(K):
+            cells, columns = moment_angle._star_cells(S, K.face_masks_within(S), K.face_masks)
+            got = column_homology({d: len(fs) for d, fs in cells.items()}, columns)
+            R = reference_zk_star_quotient(K, S)
+            assert got == R.homology_all() == dense_groups(R), (K, S)
+            assert got == dense_groups(reference_zk_block(K, S)), (K, S)
+            torsion += any(h.torsion for h in got.values())
+    assert torsion
+
+
+def test_column_rule_on_labelled_complexes(rp2):
+    """`ChainComplex.homology_all` and `column_homology` on the same columns
+    agree, and match the dense reference."""
+    rng = random.Random(4)
+    for K in [rp2] + [random_complex(rng.randint(3, 7), rng) for _ in range(15)]:
+        C = cx.reduced_chain_complex(K.faces)
+        dims = {d: C.dim(d) for d in C.degrees}
+        columns = {d: A.columns() for d, A in C.differentials.items()}
+        assert column_homology(dims, columns) == C.homology_all() == dense_groups(C), K
+
+
+def test_column_rule_checks_d_squared():
+    """d d != 0 is refused with the message `check_squares_to_zero` gives."""
+    dims = {1: 1, 0: 1, -1: 1}
+    with pytest.raises(ValueError, match=r"d\^2 != 0 between degrees 1 and -1"):
+        column_homology(dims, {1: {0: [(0, 1)]}, 0: {0: [(0, 1)]}})
+    assert column_homology(dims, {1: {0: [(0, 2)]}}) == {-1: HomologyGroup(1),
+                                                         0: HomologyGroup(0, (2,))}
+
+
+def test_flipped_column_is_refused(rp2):
+    """Negating one column of a differential, where the column and the
+    matching row of the differential above both have entries, breaks
+    d^2 = 0, and the column rule refuses it."""
+    refused = 0
+    for faces in (rp2.faces, cx.simplex(4).faces):
+        C = cx.reduced_chain_complex(faces)
+        dims = {d: C.dim(d) for d in C.degrees}
+        columns = {d: A.columns() for d, A in C.differentials.items()}
+        for d, cols in columns.items():
+            hit = {i for column in columns.get(d + 1, {}).values() for i, _ in column}
+            for j in sorted(hit & set(cols))[:1]:
+                bad = {e: dict(c) for e, c in columns.items()}
+                bad[d][j] = [(i, -c) for i, c in cols[j]]
+                with pytest.raises(ValueError, match=r"d\^2 != 0"):
+                    column_homology(dims, bad)
+                refused += 1
+    assert refused >= 4

@@ -22,6 +22,7 @@ import pytest
 from momangle import complexes as cx
 from momangle.cli import main
 from momangle.exactalg import ChainComplex, HomologyGroup, kernel_basis
+from momangle import moment_angle
 from momangle.moment_angle import (CellChain, all_subsets, cell_boundary,
                                    hochster_embed, hochster_table, lattice_supports,
                                    star_vertex, support_table, zk_chain_complex,
@@ -30,7 +31,8 @@ from momangle.moment_angle import (CellChain, all_subsets, cell_boundary,
 from momangle.taylor import taylor_face_complex, taylor_homology_by_support
 from momangle.whitehead import bracket, hurewicz_chain, leaf, parse_whitehead
 from oracles import (brute_cone_point, random_complex, reference_zk_block,
-                     reference_zk_class, reference_zk_homology_by_support)
+                     reference_zk_class, reference_zk_homology_by_support,
+                     reference_zk_star_quotient)
 
 
 def rp2_complex():
@@ -243,11 +245,11 @@ def test_quotient_keeps_the_block_homology(K):
 @pytest.mark.parametrize("K", quotient_cases(), ids=lambda K: f"m{K.m}-{len(K.faces)}faces")
 def test_star_vertex_leaves_the_fewest_cells(K):
     for S in lattice_supports(K)[1:]:
-        faces = K.faces_within(S)
-        v = star_vertex(faces, S)
+        masks = K.face_masks_within(S)
+        v = star_vertex(masks, S)
         left = {u: cells_left(K, S, u) for u in S}
         assert v == min(S, key=lambda u: (left[u], u)), S
-        assert all(star_vertex(faces, S) == v for _ in range(3))
+        assert all(star_vertex(masks, S) == v for _ in range(3))
         Q = zk_star_quotient(K, S)
         assert sum(Q.dim(d) for d in Q.degrees) == left[v]
 
@@ -258,7 +260,7 @@ def test_mutated_quotients_are_refused_or_change_a_group(K):
     keeping the star's cells with their boundary dropped adds free groups."""
     for S in lattice_supports(K)[1:]:
         faces = K.faces_within(S)
-        v = star_vertex(faces, S)
+        v = star_vertex(K.face_masks_within(S), S)
 
         def in_star(I):
             return tuple(sorted(set(I) | {v})) in K.faces
@@ -285,6 +287,72 @@ def test_sphere_table_visits_two_blocks():
     assert {d: Q.dim(d) for d in Q.degrees} == {27: 1}
     assert zk_homology_by_support(K) == {((), 0): HomologyGroup(1),
                                          (whole, 27): HomologyGroup(1)}
+
+
+# -- the star quotient on face masks --------------------------------------------
+
+def mask_cases():
+    """Seeded random complexes, four RP^2 cones, a full simplex and the
+    boundary of one."""
+    rng = random.Random(41)
+    return ([random_complex(rng.randint(3, 7), rng) for _ in range(16)]
+            + [rp2_cone(random.Random(s)) for s in (3, 5, 7, 11)]
+            + [cx.simplex(5), cx.simplex_boundary(5)])
+
+
+def matrices(C):
+    return {d: (A.rows, A.cols, A.entries) for d, A in C.differentials.items()}
+
+
+@pytest.mark.parametrize("K", mask_cases(), ids=lambda K: f"m{K.m}-{len(K.faces)}faces")
+def test_mask_quotient_is_the_labelled_reference(K):
+    """On every vertex subset, the quotient built on face masks has the
+    reference's basis in the reference's label order and the same entries."""
+    for S in all_subsets(K.m):
+        Q, R = zk_star_quotient(K, S), reference_zk_star_quotient(K, S)
+        assert Q.basis == R.basis, S
+        assert matrices(Q) == matrices(R), S
+
+
+@pytest.mark.parametrize("K", mask_cases(), ids=lambda K: f"m{K.m}-{len(K.faces)}faces")
+def test_table_reads_the_reference_quotients(K):
+    """The table, read from the mask builder's columns, is the homology of
+    the reference quotients over the lattice supports."""
+    want = support_table(((S, reference_zk_star_quotient(K, S)) for S in lattice_supports(K)),
+                         lambda S, d: d)
+    assert zk_homology_by_support(K) == want
+
+
+def test_mask_builder_refuses_a_target_outside_its_basis():
+    """A face family that is not closed downward leaves a boundary target
+    neither in the quotient nor in the star: on RP^2, the star of 1 holds
+    neither the edge 3 4 nor the triangle 3 4 5, whose boundary hits it."""
+    K = rp2_complex()
+    S = tuple(range(1, 7))
+    faces = K.face_masks_within(S)
+    assert star_vertex(faces, S) == 1
+    assert (3, 4, 5) in K.faces and (1, 3, 4) not in K.faces
+    edge = cx.face_mask((3, 4))
+    with pytest.raises(ValueError, match="not in the target basis"):
+        moment_angle._star_cells(S, [f for f in faces if f != edge], K.face_masks)
+
+
+def test_table_checks_singletons_once(monkeypatch, rp2):
+    """The table asks once per complex whether every singleton is a face;
+    a star quotient built alone still refuses a ghost vertex."""
+    calls = []
+    raw = cx.SimplicialComplex.has_all_singletons
+    monkeypatch.setattr(cx.SimplicialComplex, "has_all_singletons",
+                        lambda K: calls.append(K) or raw(K))
+    K = rp2_cone(random.Random(3))
+    assert len(lattice_supports(K)) > 20
+    zk_homology_by_support(K)
+    assert calls == [K]
+    ghost = cx.SimplicialComplex(3, [(), (1,), (2,)])
+    with pytest.raises(ValueError, match="singleton"):
+        zk_star_quotient(ghost, (1, 2))
+    with pytest.raises(ValueError, match="singleton"):
+        zk_homology_by_support(ghost)
 
 
 # -- cycle classes on the star quotients ----------------------------------------
@@ -345,7 +413,7 @@ def test_cycles_in_the_star_project_to_zero(K):
     v, so their projection is empty; each is still classed in its block."""
     rng = random.Random(len(K.faces))
     for S in lattice_supports(K)[1:]:
-        v = star_vertex(K.faces_within(S), S)
+        v = star_vertex(K.face_masks_within(S), S)
         inside = [(tuple(u for u in S if u not in I), I) for I in K.faces_within(S) if v in I]
         Q = zk_star_quotient(K, S)
         for cell in rng.sample(inside, min(3, len(inside))):
@@ -369,6 +437,6 @@ def test_class_refuses_cells_outside_zk():
 def test_class_refuses_non_cycles(two_points, text):
     """D1*S2 lies in the star of vertex 1, so its projection is empty; it is
     refused all the same."""
-    assert star_vertex(two_points.faces_within((1, 2)), (1, 2)) == 1
+    assert star_vertex(two_points.face_masks_within((1, 2)), (1, 2)) == 1
     with pytest.raises(ValueError, match="not a cycle"):
         zk_class(two_points, CellChain.from_text(text))

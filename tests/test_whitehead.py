@@ -455,7 +455,7 @@ def test_fillable_rejects_nonacyclic_filling(four_cycle):
 def test_classes_build_only_star_quotients(monkeypatch):
     """Classing the golden inputs' Hurewicz chains builds one star quotient
     per support the chain touches, never a larger block."""
-    from momangle.exactalg import ChainComplex
+    from momangle import moment_angle
     from momangle.moment_angle import zk_star_quotient
     pairs = sorted({(a[a.index("--complex") + 1], a[a.index("--w") + 1])
                     for a in GOLDEN_CASES if "--w" in a})
@@ -469,13 +469,31 @@ def test_classes_build_only_star_quotients(monkeypatch):
             cases.append((K, chain, sizes))
     assert len(cases) >= 5
     built = []
-    raw = ChainComplex.from_boundary.__func__
+    raw = moment_angle._star_cells
 
-    def spy(cls, basis, boundary):
-        built.append(sum(map(len, basis.values())))
-        return raw(cls, basis, boundary)
-    monkeypatch.setattr(ChainComplex, "from_boundary", classmethod(spy))
+    def spy(S, faces, is_face):
+        cells, columns = raw(S, faces, is_face)
+        built.append(sum(map(len, cells.values())))
+        return cells, columns
+    monkeypatch.setattr(moment_angle, "_star_cells", spy)
     for K, chain, sizes in cases:
         built.clear()
         zk_class(K, chain)
         assert built == sizes, (K, chain)
+
+
+def test_wedge_basis_builds_one_quotient_per_support(monkeypatch):
+    """The verdict classes every entry of one subset against one star
+    quotient: on bd(bd(bd(simplex(1,...,7)))) its 71 entries touch 29
+    subsets, and each quotient is built once."""
+    built = []
+    raw = wh.zk_star_quotient
+
+    def spy(K, S):
+        built.append(S)
+        return raw(K, S)
+    monkeypatch.setattr(wh, "zk_star_quotient", spy)
+    basis = shifted_wedge_basis(cx.parse_complex("bd(bd(bd(simplex(1,2,3,4,5,6,7))))"))
+    assert basis.is_basis and len(basis.entries) == 71
+    assert sorted(built) == sorted({e.subset for e in basis.entries})
+    assert len(built) == 29
