@@ -294,11 +294,13 @@ def _mask_cell(S, f):
             tuple(v for v in S if f >> (v - 1) & 1))
 
 
-def zk_star_quotient(K, S):
+def zk_star_quotient(K, S, built=None):
     """The block of S modulo the star of v = star_vertex in K_S, as a
     labelled ChainComplex for cycle classes: the cells (S - I, I) with I + v
     no face of K, and `cell_boundary` with every target inside the star
-    dropped, built by `_star_cells` on face masks.
+    dropped, built by `_star_cells` on face masks.  `built`, the (cells,
+    columns) that `_star_cells` already gave for S (`zk_homology_by_support`
+    keeps them on request), is labelled instead of being built again.
 
     The star's cells span a subcomplex, since d only drops disc letters, and
     it is the shifted augmented chain complex of a cone, so it is acyclic;
@@ -307,7 +309,7 @@ def zk_star_quotient(K, S):
     _require_singletons(K)
     if S and S[-1] > K.m:
         raise ValueError(f"support {S} leaves the vertices 1..{K.m}")
-    cells, columns = _star_cells(S, K.face_masks_within(S), K.face_masks)
+    cells, columns = built or _star_cells(S, K.face_masks_within(S), K.face_masks)
     return ChainComplex(
         {d: [_mask_cell(S, f) for f in fs] for d, fs in cells.items()},
         {d: IntMatrix._adopt(len(cells.get(d - 1, ())), len(fs),
@@ -362,7 +364,7 @@ def all_subsets(m):
     return (S for k in range(m + 1) for S in combinations(range(1, m + 1), k))
 
 
-def zk_homology_by_support(K):
+def zk_homology_by_support(K, quotients=None):
     """Homology of every support block, {(S, degree): group}, nontrivial only.
 
     Only the empty set and the unions of missing faces are visited
@@ -375,14 +377,18 @@ def zk_homology_by_support(K):
     b has sign (-1)^popcount((S & ~f) & (b - 1))), and `column_homology`
     reads the groups from its boundary columns, with no labelled complex
     built.  Only cycle classes build one (`zk_star_quotient`), and `zk_class`
-    projects a cycle onto the same quotients.  The Hochster table still
-    builds every full subcomplex, so `verify` checks both rules."""
+    projects a cycle onto the same quotients.  `quotients`, a dict when
+    given, receives the (cells, columns) of each visited S among its keys,
+    so the classes can label the table's own builds.  The Hochster table still builds every full
+    subcomplex, so `verify` checks both rules."""
     if K.m > ZK_MAX_VERTICES:
         raise SizeLimitError(f"Z_K cell enumeration refuses m={K.m} > {ZK_MAX_VERTICES}")
     _require_singletons(K)
     table = {}
     for S in lattice_supports(K):
         cells, columns = _star_cells(S, K.face_masks_within(S), K.face_masks)
+        if quotients is not None and S in quotients:
+            quotients[S] = cells, columns
         dims = {d: len(fs) for d, fs in cells.items()}
         for d, h in column_homology(dims, columns).items():
             table[(S, d)] = h

@@ -19,7 +19,7 @@ position p, the number of factors before it in generator order, with sign
 changes the union of the word, so the complex splits over vertex subsets S,
 and a word with s factors sits in total degree 2|S| - s.
 
-The route computes per block on Lyubeznik's words only (`taylor_components`).
+The route computes per block on Lyubeznik's words only (`admissible_words`).
 A word F_{i_1} ^ ... ^ F_{i_s} (i_1 < ... < i_s) is admissible when no
 generator F_q with q < i_t lies inside F_{i_t} u ... u F_{i_s}, for every t.
 The admissible words span a subcomplex of the module resolution that still
@@ -27,8 +27,14 @@ resolves the ideal, over any ring (Lyubeznik, J. Pure Appl. Algebra 51,
 1988; Batzies-Welker, J. reine angew. Math. 543, 2002, by an acyclic Morse
 matching).  Dually, the other words span an acyclic subcomplex of the face
 complex, closed under insertion, and the admissible words carry the quotient
-with the same homology over Z, torsion included.  The whole complex
-(`taylor_face_complex`) is the tests' reference.
+with the same homology over Z, torsion included.
+
+The homology table (`taylor_homology_by_support`) keeps each admissible word
+as a bitmask of generator indices: generator bit b enters word x as x | b
+with sign (-1)^popcount(x & (b - 1)), and `column_homology` reads each
+block's groups from those columns, with no labelled complex built.  Cycle
+classes use the labelled blocks (`taylor_components`), the table's in-tree
+reference; the whole complex (`taylor_face_complex`) is the tests'.
 """
 
 from __future__ import annotations
@@ -40,8 +46,8 @@ from itertools import combinations, product
 from .complexes import (SimplicialComplex, SizeLimitError, face, face_mask,
                         read_signed_sum, read_text, read_word, signed_sum_text,
                         word_text)
-from .exactalg import ChainComplex
-from .moment_angle import class_by_support, degree_sums, support_table
+from .exactalg import ChainComplex, column_homology
+from .moment_angle import class_by_support, degree_sums
 
 MAX_GENERATORS = 20
 
@@ -262,14 +268,17 @@ def word_support(word):
 
 
 def admissible_words(masks):
-    """Lyubeznik's admissible words as index tuples, {union mask: words}.
+    """Lyubeznik's admissible words as bitmasks of generator indices (bit i
+    for the generator with vertex bitmask masks[i]), {union mask: words}.
 
     Words are grown right to left: generator j is put in front of an
-    admissible word w (j below w's first index) when no generator before j
+    admissible word w (j below w's lowest index) when no generator before j
     lies inside the new union.  The suffixes of the new word are w's, so the
     new word is admissible, and every admissible word is reached this way
     from its own suffix.  The words of a union come by factor count, and
-    lexicographically within one count."""
+    within one count lexicographically in their index tuples: a layer's
+    words are ordered by their new front index j, then by the position of
+    the word they grew from in the layer before."""
     first_inside = {}
 
     def first(union):
@@ -278,24 +287,31 @@ def admissible_words(masks):
                                        if not mask & ~union)
         return first_inside[union]
 
-    by_union = {0: [()]}
-    layer = [((i,), mask) for i, mask in enumerate(masks)]
+    by_union = {0: [0]}
+    layer = [(1 << i, mask) for i, mask in enumerate(masks)]
     while layer:
         grown = []
-        for word, union in layer:
+        for k, (word, union) in enumerate(layer):
             by_union.setdefault(union, []).append(word)
-            for j in range(word[0]):
+            for j in range((word & -word).bit_length() - 1):
                 new = union | masks[j]
                 if first(new) == j:
-                    grown.append(((j,) + word, new))
-        layer = sorted(grown)
+                    grown.append((j, k, word | 1 << j, new))
+        grown.sort()
+        layer = [(word, union) for _, _, word, union in grown]
     return by_union
+
+
+def _union_support(K, union):
+    """The vertices of a union bitmask, ascending."""
+    return tuple(v for v in range(1, K.m + 1) if union >> (v - 1) & 1)
 
 
 @lru_cache(maxsize=8)
 def taylor_components(K):
     """Per-subset split on the admissible words: S -> ChainComplex of the
-    admissible words with union exactly S.
+    admissible words with union exactly S, for cycle classes (`taylor_class`)
+    and as the labelled reference of `taylor_homology_by_support`.
 
     A block's basis is the full block's, in its order (by factor count, then
     lexicographically), with the words that are not admissible left out; the
@@ -310,21 +326,60 @@ def taylor_components(K):
     for union, words in admissible_words(masks).items():
         basis = {}
         for word in words:
-            basis.setdefault(-len(word), []).append(tuple(gens[i] for i in word))
+            basis.setdefault(-word.bit_count(), []).append(
+                tuple(F for i, F in enumerate(gens) if word >> i & 1))
         blocks[union] = basis
     kept = {w for basis in blocks.values() for words in basis.values() for w in words}
 
     def boundary(word, union):
         return {new: sign for _, new, sign in insertions(word, gens, masks, union)
                 if new in kept}
-    return {tuple(v for v in range(1, K.m + 1) if union >> (v - 1) & 1):
+    return {_union_support(K, union):
             ChainComplex.from_boundary(basis, lambda w, union=union: boundary(w, union))
             for union, basis in blocks.items()}
 
 
+def _word_columns(words, inside):
+    """(dims, columns) of one block for `column_homology`: `words` are its
+    admissible words as index bitmasks in basis order, `inside` the bits of
+    the generators whose vertex bitmask lies inside the block's union.  The
+    word with index mask x sits in degree -popcount(x); inserting generator
+    bit b outside x gives x | b with sign (-1)^popcount(x & (b - 1)), the
+    factors before it, and a target that is not admissible is dropped."""
+    index, dims = {}, {}
+    for word in words:
+        d = -word.bit_count()
+        index[word] = dims.get(d, 0)
+        dims[d] = index[word] + 1
+    columns = {}
+    for word, j in index.items():
+        column = []
+        for b in inside:
+            if not word & b and (i := index.get(word | b)) is not None:
+                column.append((i, -1 if (word & (b - 1)).bit_count() & 1 else 1))
+        if column:
+            columns.setdefault(-word.bit_count(), {})[j] = column
+    return dims, columns
+
+
 def taylor_homology_by_support(K):
-    """Homology of every component, {(S, 2|S| - s): group}, nontrivial only."""
-    return support_table(taylor_components(K).items(), lambda S, d: 2 * len(S) + d)
+    """Homology of every component, {(S, 2|S| - s): group}, nontrivial only.
+
+    Each union of admissible words (`admissible_words`) is one block, kept
+    on index bitmasks: its differential inserts each generator inside the
+    union that is not in the word, with the sign of the factors before it,
+    and drops the targets that are not admissible (`_word_columns`), so it
+    is `taylor_components`' block in the same basis order.
+    `column_homology` reads the groups from the boundary columns, d^2 = 0
+    checked, with no labelled complex built."""
+    _, masks = _checked_generators(K)
+    table = {}
+    for union, words in admissible_words(masks).items():
+        inside = [1 << q for q, mask in enumerate(masks) if not mask & ~union]
+        S = _union_support(K, union)
+        for d, h in column_homology(*_word_columns(words, inside)).items():
+            table[(S, 2 * len(S) + d)] = h
+    return table
 
 
 def taylor_homology(K):

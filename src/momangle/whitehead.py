@@ -256,14 +256,22 @@ def _inner_leaf_sets(w):
     return tuple(cx.face_mask(c.leaves()) for c in w.bracket_children())
 
 
-def _sits_in(K, generators, leaves):
-    """Does the complex on the vertex set `leaves` with missing faces
-    `generators` (bitmasks) sit in K, leaves at themselves?  Exactly when no
-    missing face of K among the leaves is one of its faces."""
+def _leaf_missing_faces(K, leaves):
+    """The missing faces of K among `leaves` as bitmasks, or None when a leaf
+    is no vertex of K: the one scan of K per leaf set, against which
+    `_sits_in` tests every generator set on those leaves."""
     if max(leaves) > K.m:
-        return False
-    return all(any(g & mask == g for g in generators)
-               for mask in map(cx.face_mask, K.missing_faces_within(leaves)))
+        return None
+    return [cx.face_mask(f) for f in K.missing_faces_within(leaves)]
+
+
+def _sits_in(generators, missing):
+    """Does the complex on the leaves with missing faces `generators`
+    (bitmasks) sit in K, leaves at themselves?  Exactly when no missing face
+    of K among the leaves, `missing` from `_leaf_missing_faces`, is one of
+    its faces."""
+    return missing is not None and all(any(g & mask == g for g in generators)
+                                       for mask in missing)
 
 
 def single_product_status(K, I, check_witness=True):
@@ -274,9 +282,10 @@ def single_product_status(K, I, check_witness=True):
         raise ValueError("need at least two distinct vertices")
     if I[-1] > K.m:
         raise ValueError("vertex outside K")
-    if not _sits_in(K, (cx.face_mask(I),), I):
+    missing = _leaf_missing_faces(K, I)
+    if not _sits_in((cx.face_mask(I),), missing):
         return UNDEFINED
-    if _sits_in(K, (), I):
+    if _sits_in((), missing):
         return DEFINED_TRIVIAL
     if check_witness:
         w = bracket([leaf(v) for v in I])
@@ -299,8 +308,11 @@ def criterion_applies(K, w):
     (its boundary sits in K, its simplex does not), so that each w_j is a
     nontrivial single product?  The paper proves the nested criterion for
     those only."""
-    return all(_sits_in(K, (cx.face_mask(c.leaves()),), c.leaves())
-               and not _sits_in(K, (), c.leaves()) for c in w.bracket_children())
+    for c in w.bracket_children():
+        missing = _leaf_missing_faces(K, c.leaves())
+        if not _sits_in((cx.face_mask(c.leaves()),), missing) or _sits_in((), missing):
+            return False
+    return True
 
 
 def nested_shape_status(K, w, check_witness=True):
@@ -322,9 +334,10 @@ def nested_shape_report(K, w, check_witness=True):
     subs, leaves_ = _nested_shape_parts(w)
     if not subs:
         return single_product_status(K, leaves_, check_witness), ()
-    if not _sits_in(K, canonical_missing_faces(w), w.leaves()):
+    missing = _leaf_missing_faces(K, w.leaves())
+    if not _sits_in(canonical_missing_faces(w), missing):
         return UNDEFINED, ()
-    trivial = _sits_in(K, _inner_leaf_sets(w), w.leaves())
+    trivial = _sits_in(_inner_leaf_sets(w), missing)
     if not criterion_applies(K, w):
         if leaves_ and not zk_class(K, hurewicz_chain(w)).is_boundary:
             status = DEFINED_NONTRIVIAL
@@ -360,7 +373,8 @@ def realises_sufficient(K, w):
     if w.is_leaf:
         raise ValueError("bare leaves are not products")
     special = all(c.is_single() for c in w.bracket_children())
-    if not _sits_in(K, canonical_missing_faces(w), w.leaves()):
+    missing = _leaf_missing_faces(K, w.leaves())
+    if not _sits_in(canonical_missing_faces(w), missing):
         if special:
             return RealisationReport(
                 "no", "no", None, ("smallest-complex criterion applies: not defined",))
@@ -381,7 +395,7 @@ def realises_sufficient(K, w):
     if full:
         nontrivial = "no"
         notes.append("K is the full simplex; Z_K is contractible")
-    elif special and _sits_in(K, _inner_leaf_sets(w), w.leaves()):
+    elif special and _sits_in(_inner_leaf_sets(w), missing):
         nontrivial = "no"
         notes.append("trivialising join is a subcomplex")
     return RealisationReport("yes", nontrivial, None, tuple(notes))
@@ -417,9 +431,11 @@ def _wedge_entry(J, I):
 def _basis_verdict(K, entries):
     """Do the entries' classes form a Z-basis of H_*(Z_K)?  Checked per
     (J, degree) block: an entry's chain lies in the block of its subset J.
-    The entries of one subset are classed against one star quotient."""
-    per_block = zk_homology_by_support(K)
-    quotient = cache(lambda S: zk_star_quotient(K, S))
+    The entries of one subset are classed against one star quotient, the
+    table's own build of it where the table visited the subset."""
+    built = dict.fromkeys(e.subset for e in entries)
+    per_block = zk_homology_by_support(K, built)
+    quotient = cache(lambda S: zk_star_quotient(K, S, built.get(S)))
     by_block = {}
     for e in entries:
         by_block.setdefault((e.subset, e.chain.degree), []).append(e)

@@ -17,8 +17,9 @@ import pytest
 from momangle import complexes as cx
 from momangle.exactalg import kernel_basis
 from momangle.moment_angle import support_table, zk_homology_by_support
-from momangle.taylor import (TaylorChain, mf_order, nested_taylor_cycle,
-                             taylor_boundary, taylor_class, taylor_components,
+from momangle.taylor import (TaylorChain, admissible_words, mf_order,
+                             nested_taylor_cycle, taylor_boundary,
+                             taylor_class, taylor_components,
                              taylor_cycle_is_boundary, taylor_homology_by_support,
                              word_support)
 from momangle.whitehead import delta_w, parse_whitehead
@@ -99,12 +100,15 @@ def random_boundary(K, block, d, rng):
 
 
 def test_taylor_table_matches_whole_split(rp2):
+    """The table read from index-bitmask columns equals the whole split's
+    and the labelled admissible blocks' (`taylor_components`)."""
     rng = random.Random(41)
     cases = random_complexes(37, 25, 2, 10) + [rp2] + [rp2_cone(rng, k) for k in (6, 7, 8)]
     torsion = 0
     for K in cases:
         table = taylor_homology_by_support(K)
         assert table == table_of(reference_taylor_components(K)), K.facets
+        assert table == table_of(taylor_components(K)), K.facets
         torsion += any(h.torsion for h in table.values())
     assert torsion >= 4   # RP^2 and its three cones
 
@@ -207,9 +211,14 @@ def test_factors_that_are_not_missing_faces_are_refused(expr, text):
 
 def test_k6_graph_against_cellular():
     """|MF| = 20, the largest the size gate admits: 2^20 words in the whole
-    complex, 184 admissible ones."""
+    complex, too many to build as a reference, 184 admissible ones.  The
+    table read from their index bitmasks equals the labelled blocks' and
+    the cellular table."""
     K = cx.parse_complex("bd(bd(bd(bd(simplex(1,2,3,4,5,6)))))")
-    assert len(mf_order(K)) == 20
+    masks = [cx.face_mask(F) for F in mf_order(K)]
+    assert len(masks) == 20
+    assert sum(map(len, admissible_words(masks).values())) == 184
     blocks = taylor_components(K)
     assert sum(B.dim(d) for B in blocks.values() for d in B.basis) == 184
-    assert taylor_homology_by_support(K) == zk_homology_by_support(K)
+    table = taylor_homology_by_support(K)
+    assert table == table_of(blocks) == zk_homology_by_support(K)

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -166,6 +167,66 @@ def test_block_with_a_flipped_sign_is_refused(monkeypatch):
     monkeypatch.setattr(ChainComplex, "from_boundary", classmethod(flipped))
     with pytest.raises(ValueError, match=r"d\^2 != 0 between degrees -2 and -4"):
         taylor_components.__wrapped__(K6)
+
+
+def test_mask_column_with_a_flipped_sign_is_refused(monkeypatch):
+    """The mask-built table checks d^2 = 0 on its columns: one sign flipped
+    in the column of w123^w456, the one word of degree -2 in the K6 graph's
+    block of the whole vertex set, is refused by `check_columns`."""
+    K6 = parse_complex(K6_GRAPH)
+    gens = mf_order(K6)
+    target = 1 << gens.index((1, 2, 3)) | 1 << gens.index((4, 5, 6))
+    columns_of = ty._word_columns
+    flipped = []
+
+    def bad(words, inside):
+        dims, columns = columns_of(words, inside)
+        if target in words:
+            j = [w for w in words if w.bit_count() == 2].index(target)
+            (i, v), *rest = columns[-2][j]
+            columns[-2][j] = [(i, -v)] + rest
+            flipped.append(target)
+        return dims, columns
+
+    assert taylor_homology_by_support(K6)
+    monkeypatch.setattr(ty, "_word_columns", bad)
+    with pytest.raises(ValueError, match=r"d\^2 != 0 between degrees -2 and -4"):
+        taylor_homology_by_support(K6)
+    assert flipped == [target]
+
+
+@pytest.mark.parametrize("name", ["sub5", "rp2"])
+def test_mask_table_with_a_kept_inadmissible_word_changes(name, request, monkeypatch):
+    """Keeping one word that is not admissible in its union's block, with
+    the insertions into and out of it, must be refused (d^2 != 0) or change
+    a group: the block's Euler characteristic moves by one.  Tried for every
+    such word of the 5-vertex substitution complex and 30 seeded ones of
+    RP^2."""
+    K = request.getfixturevalue(name)
+    gens = mf_order(K)
+    clean = taylor_homology_by_support(K)
+    dropped = [word for s in range(2, len(gens) + 1)
+               for word in combinations(gens, s)
+               if not lyubeznik_admissible(K, word)]
+    if len(dropped) > 30:
+        dropped = random.Random(71).sample(dropped, 30)
+    assert dropped
+    admissible = ty.admissible_words
+    for word in dropped:
+        union = ty.union_mask(word)
+        bits = sum(1 << gens.index(F) for F in word)
+
+        def keep(masks):
+            out = admissible(masks)
+            out.setdefault(union, []).append(bits)
+            return out
+        monkeypatch.setattr(ty, "admissible_words", keep)
+        try:
+            table = taylor_homology_by_support(K)
+        except ValueError as exc:
+            assert "d^2 != 0" in str(exc)
+        else:
+            assert table != clean, word
 
 
 def test_degree_bookkeeping_example():

@@ -21,7 +21,7 @@ from momangle.whitehead import (DEFINED_NONTRIVIAL, DEFINED_TRIVIAL,
                                 sphere_fundamental_cycle)
 from oracles import (random_complex, random_shifted_complex,
                      reference_sits_in, reference_trivialising_join)
-from test_golden import CASES as GOLDEN_CASES
+from test_golden import CASES as GOLDEN_CASES, load_golden, run as run_golden
 
 
 def W(text):
@@ -346,11 +346,12 @@ def test_sits_in_against_the_built_complexes():
                 K = rule_inputs(rng, w, dw)
                 leaf_above_m += max(w.leaves()) > K.m
                 ghost_leaf += any(v <= K.m and (v,) not in K for v in w.leaves())
-                defined = wh._sits_in(K, canonical_missing_faces(w), w.leaves())
+                missing = wh._leaf_missing_faces(K, w.leaves())
+                defined = wh._sits_in(canonical_missing_faces(w), missing)
                 assert defined == reference_sits_in(dw.complex, dw.leaf_map, K), (w, K)
                 answers["defined"].add(defined)
                 if special:
-                    trivial = wh._sits_in(K, wh._inner_leaf_sets(w), w.leaves())
+                    trivial = wh._sits_in(wh._inner_leaf_sets(w), missing)
                     assert trivial == reference_sits_in(*reference_trivialising_join(w), K)
                     answers["trivial"].add(trivial)
                 checked += 1
@@ -375,6 +376,23 @@ def test_status_and_realises_build_no_complex(monkeypatch):
     for argv in argvs:
         assert main(argv) == 0, argv
     assert calls == []
+
+
+@pytest.mark.parametrize("argv", [a for a in GOLDEN_CASES if a[0] in ("status", "realises")],
+                         ids=lambda a: " ".join(a[:1] + a[2:]))
+def test_one_missing_face_scan_per_leaf_set(argv, monkeypatch):
+    """`status` and `realises` scan K's missing faces among a leaf set once
+    and decide both "defined" and "trivial" from that one list, with the
+    golden reports unchanged."""
+    scans = []
+    raw = wh._leaf_missing_faces
+
+    def spy(K, leaves):
+        scans.append(frozenset(leaves))
+        return raw(K, leaves)
+    monkeypatch.setattr(wh, "_leaf_missing_faces", spy)
+    assert run_golden(argv) == load_golden()[tuple(argv)]
+    assert scans and len(scans) == len(set(scans)), scans
 
 
 def test_undefined_above_the_missing_face_bound(tmp_path, capsys):
@@ -489,11 +507,38 @@ def test_wedge_basis_builds_one_quotient_per_support(monkeypatch):
     built = []
     raw = wh.zk_star_quotient
 
-    def spy(K, S):
+    def spy(K, S, *table_build):
         built.append(S)
-        return raw(K, S)
+        return raw(K, S, *table_build)
     monkeypatch.setattr(wh, "zk_star_quotient", spy)
     basis = shifted_wedge_basis(cx.parse_complex("bd(bd(bd(simplex(1,2,3,4,5,6,7))))"))
     assert basis.is_basis and len(basis.entries) == 71
     assert sorted(built) == sorted({e.subset for e in basis.entries})
     assert len(built) == 29
+
+
+def test_wedge_basis_labels_the_tables_own_quotients(monkeypatch, capsys):
+    """The table builds the star quotient of each of its 30 supports once on
+    face masks, and the classes label those builds: on
+    bd(bd(bd(simplex(1,...,7)))) `_star_cells` runs 30 times, not 30 + 29,
+    and the report equals the one from quotients built afresh for the
+    classes.  Every order shifts this complex; naming one skips the search
+    over all 7! orders."""
+    from momangle import moment_angle as ma
+    argv = ["wedge-basis", "--complex", "bd(bd(bd(simplex(1,2,3,4,5,6,7))))",
+            "--order", "1,2,3,4,5,6,7"]
+    raw_cells, raw_table = ma._star_cells, wh.zk_homology_by_support
+    calls = []
+    monkeypatch.setattr(ma, "_star_cells", lambda *a: calls.append(a[0]) or raw_cells(*a))
+    assert main(argv) == 0
+    shared = json.loads(capsys.readouterr().out)
+    assert len(calls) == len(set(calls)) == 30
+    # keep nothing from the table: every class builds its own quotient
+    monkeypatch.setattr(wh, "zk_homology_by_support", lambda K, quotients: raw_table(K))
+    calls.clear()
+    assert main(argv) == 0
+    fresh = json.loads(capsys.readouterr().out)
+    assert len(calls) == 30 + 29
+    for report in (shared, fresh):
+        report.pop("elapsed_s")
+    assert shared["is_basis"] and shared == fresh
