@@ -123,7 +123,7 @@ def cmd_zigzag(K, w, args, out):
     cycle, trace = zz.koszul_to_taylor(K, z)
     out["input_chain"] = z.to_text()
     out["cycle"] = cycle.to_text()
-    out["trace"] = json.loads(trace.to_json())
+    out["trace"] = trace.to_list()
 
 
 def cmd_hochster(K, w, args, out):

@@ -34,7 +34,10 @@ as a bitmask of generator indices: generator bit b enters word x as x | b
 with sign (-1)^popcount(x & (b - 1)), and `column_homology` reads each
 block's groups from those columns, with no labelled complex built.  Cycle
 classes use the labelled blocks (`taylor_components`), the table's in-tree
-reference; the whole complex (`taylor_face_complex`) is the tests'.
+reference; the whole complex (`taylor_face_complex`) is the tests'.  The
+closed form of nested products (`nested_taylor_cycle`) and the zigzag keep
+their words on the same index bitmasks, with the same sign
+(`insertion_sign`), and check their cycles there (`index_boundary`).
 """
 
 from __future__ import annotations
@@ -43,11 +46,12 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations, product
 
-from .complexes import (SimplicialComplex, SizeLimitError, face, face_mask,
-                        read_signed_sum, read_text, read_word, signed_sum_text,
-                        word_text)
+from .complexes import (SimplicialComplex, SizeLimitError, _is_canonical, face,
+                        face_mask, read_signed_sum, read_text, read_word,
+                        signed_sum_text, word_text)
 from .exactalg import ChainComplex, column_homology
 from .moment_angle import class_by_support, degree_sums
+from .whitehead import _sits_in, canonical_missing_faces
 
 MAX_GENERATORS = 20
 
@@ -78,6 +82,20 @@ def normalise_word(faces_):
     return tuple(word), sign
 
 
+def _is_basis_word(word):
+    """True for a tuple of canonical faces in strictly increasing generator
+    order, `normalise_word`'s output."""
+    if type(word) is not tuple:
+        return False
+    prev = ()
+    for f in word:
+        if (not _is_canonical(f) or len(f) < len(prev)
+                or len(f) == len(prev) and f <= prev):
+            return False
+        prev = f
+    return True
+
+
 class TaylorChain:
     """Sparse integer sum of exterior monomials over missing faces.
 
@@ -94,9 +112,12 @@ class TaylorChain:
         for word, c in terms.items():
             if not c:
                 continue
-            word, sign = normalise_word(tuple(face(f) for f in word))
-            if word is None:
-                raise ValueError("repeated factor in exterior word")
+            # basis words, the package's own, skip `normalise_word`
+            sign = 1
+            if not _is_basis_word(word):
+                word, sign = normalise_word(tuple(face(f) for f in word))
+                if word is None:
+                    raise ValueError("repeated factor in exterior word")
             if self.s is None:
                 self.s = len(word)
             elif len(word) != self.s:
@@ -220,6 +241,44 @@ def generator_masks(K):
 def union_mask(word):
     """Vertex bitmask of the union of a word's factors."""
     return face_mask(v for F in word for v in F)
+
+
+def index_union(word, masks):
+    """Vertex bitmask of the union of a word kept as an index bitmask (bit q
+    for the generator with vertex bitmask masks[q])."""
+    union = 0
+    while word:
+        low = word & -word
+        union |= masks[low.bit_length() - 1]
+        word ^= low
+    return union
+
+
+def index_word(word, gens):
+    """The basis word (factors in generator order) of an index bitmask."""
+    return tuple(F for q, F in enumerate(gens) if word >> q & 1)
+
+
+def insertion_sign(word, b):
+    """The sign with which generator bit b enters the index bitmask `word`:
+    (-1)^popcount(word & (b - 1)), one transposition per factor before it,
+    as in `insertions`."""
+    return -1 if (word & (b - 1)).bit_count() & 1 else 1
+
+
+def index_boundary(chain, masks):
+    """Differential of {index bitmask: coeff}: each generator bit outside a
+    word whose face lies inside the word's union enters it with
+    `insertion_sign`.  Zero coefficients are dropped."""
+    out, inside = {}, {}
+    for word, c in chain.items():
+        union = index_union(word, masks)
+        if union not in inside:
+            inside[union] = [1 << q for q, mask in enumerate(masks) if not mask & ~union]
+        for b in inside[union]:
+            if not word & b:
+                out[word | b] = out.get(word | b, 0) + insertion_sign(word, b) * c
+    return {word: c for word, c in out.items() if c}
 
 
 def taylor_boundary_word(K, word):
@@ -418,39 +477,59 @@ def nested_levels(w):
 
 
 def nested_taylor_cycle(w, K):
-    """Closed-form Taylor cycle of a nested product.
+    """Closed-form Taylor cycle of a nested product, on generator index
+    bitmasks.
 
-    Factor k (k = 1..n) collects the missing faces whose leftover past the
-    first n-k levels is exactly the level-(n-k+1) leaf set; the rightmost
-    factor is the single generator on the innermost leaves.  The result is
-    asserted to be a cycle of the face Taylor complex.
+    With L_1, ..., L_n the leaf sets level by level, innermost first, factor
+    k sums the generators F with F - (L_1 + ... + L_{k-1}) = L_k; the
+    innermost factor is the generator L_1.  The words are the exterior
+    products of one generator per factor, grown innermost first: each
+    factor enters at the front and moves to its place in generator order
+    with `insertion_sign`, (-1)^popcount(word & (b - 1)).
+
+    Every word has the union L = L_1 + ... + L_n, so the differential wedges
+    the chain with the sum of the generators inside L.  A generator inside
+    L whose highest level is k and which contains L_k is one of factor k's,
+    and its terms cancel in pairs; one that meets L_k without containing it
+    is in no factor and gives terms that nothing cancels.  So the chain is a cycle exactly when every generator
+    inside L contains the whole of its highest level.  Refused (ValueError)
+    when w is not nested, when bd_Delta(w) does not sit in K (the product is
+    not defined there), when a level matches no generator, or when a
+    generator breaks that rule; the result is asserted to be a cycle.
     """
     levels = nested_levels(w)
-    n = len(levels)
-    mfs = mf_order(K)
-    factors = []
-    for k in range(1, n + 1):
-        absorbed = set()
-        for j in range(n - k):
-            absorbed.update(levels[j])
-        target = levels[n - k]
-        hits = [F for F in mfs if tuple(sorted(set(F) - absorbed)) == target]
-        if not hits:
-            raise ValueError(
-                f"no missing face matches level {n - k + 1} leaves {target}")
-        factors.append(hits)
-    if factors[-1] != [tuple(levels[0])]:
-        raise AssertionError("rightmost factor is not the innermost generator")
-    terms = {}
-    for pick in product(*factors):
-        word, sign = normalise_word(pick)
-        if word is None:
-            continue
-        terms[word] = terms.get(word, 0) + sign
-    chain = TaylorChain(terms)
-    if taylor_boundary(K, chain):
+    gens, masks = generator_masks(K)
+    leaves = face_mask(w.leaves())
+    # K's missing faces among the leaves are the generators inside them
+    inside = [q for q, mask in enumerate(masks) if not mask & ~leaves]
+    if leaves >> K.m or not _sits_in(canonical_missing_faces(w), [masks[q] for q in inside]):
+        raise ValueError(f"bd_Delta({w.to_text()}) does not sit in K: "
+                         "the product is not defined")
+    level_masks = [face_mask(level) for level in levels]
+    hits, absorbed = [], 0
+    for target in level_masks:
+        hits.append([1 << q for q, mask in enumerate(masks) if mask & ~absorbed == target])
+        absorbed |= target
+    for i in reversed(range(len(levels))):
+        if not hits[i]:
+            raise ValueError(f"no missing face matches level {i + 1} leaves {levels[i]}")
+    for q in inside:
+        top = max(i for i, level in enumerate(level_masks) if masks[q] & level)
+        if level_masks[top] & ~masks[q]:
+            raise ValueError(f"the closed form of {w.to_text()} is no cycle of K: the "
+                             f"missing face {gens[q]} meets the level {top + 1} leaves "
+                             f"{levels[top]} without containing them")
+    words = {0: 1}
+    for bits in hits:
+        grown = {}
+        for word, c in words.items():
+            for b in bits:
+                if not word & b:
+                    grown[word | b] = grown.get(word | b, 0) + insertion_sign(word, b) * c
+        words = grown
+    if index_boundary(words, masks):
         raise AssertionError("closed-form chain is not a cycle")
-    return chain
+    return TaylorChain({index_word(word, gens): c for word, c in words.items()})
 
 
 # -- monomial ideals and the module-version resolution ------------------------------

@@ -19,6 +19,19 @@ drops by one per round, and once it reaches zero the element is forced to
 be a pure Taylor cycle in the same Cotor class.  Each preimage is the
 canonical solution of an exact integer solve, so traces are reproducible
 bit for bit; the one remaining freedom is the global sign of the answer.
+
+The staircase (`koszul_to_taylor`) runs on bitmasks, one slice S at a
+time.  A term is keyed (J, W): J the bitmask of its circle letters, W the
+bitmask of its word's generator indices (bit q for the q-th generator of
+`mf_order`, as in the Taylor table).  The disc letters are not stored: I is
+S - J - union(W).  A vertical preimage is solved one word at a time against
+the cached Koszul block of T_W = S - union(W), relabelled onto 1..n by
+walking the bits of T_W; the horizontal step inserts generator bit b into W
+with `insertion_sign`, (-1)^popcount(W & (b - 1)).  Labels are built at the
+edges only: the input chain is read off its labels, the output cycle is
+checked on masks and then labelled, and a trace step keeps its masks until
+its element is asked for.  `vertical_diff`, `horizontal_diff` and
+`_solve_vertical` are the labelled forms, for tests and callers.
 """
 
 from __future__ import annotations
@@ -28,11 +41,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .complexes import face_mask, signed_sum_text, word_text
+from .complexes import _is_canonical, face_mask, signed_sum_text, word_text
 from .exactalg import boundary_matrix, smith_normal_form
 from .moment_angle import CellChain, cell_boundary, cell_letters
-from .taylor import (TaylorChain, generator_masks, insertions, mf_order,
-                     taylor_boundary, taylor_cycle_is_boundary, union_mask)
+from .taylor import (TaylorChain, generator_masks, index_boundary, index_union,
+                     index_word, insertion_sign, insertions, taylor_boundary,
+                     taylor_cycle_is_boundary, union_mask)
 
 
 class BicomplexChain:
@@ -128,19 +142,51 @@ def horizontal_diff(K, e):
     return BicomplexChain(out)
 
 
-@dataclass(frozen=True)
 class ZigzagStep:
-    kind: str              # "solve-vertical" | "apply-horizontal"
-    element: BicomplexChain
+    """One staircase step: its kind, "solve-vertical" or "apply-horizontal",
+    and its element.  The staircase hands over the element on its slice's
+    masks, (S, {(J, W): coeff}, (gens, masks, names)), labelled when
+    `element` or `==` asks for it and written out from the masks by
+    `to_text`; a BicomplexChain is kept as it is."""
+
+    __slots__ = ("kind", "_element", "_masks")
+
+    def __init__(self, kind, element):
+        self.kind = kind
+        labelled = isinstance(element, BicomplexChain)
+        self._element = element if labelled else None
+        self._masks = None if labelled else element
+
+    @property
+    def element(self):
+        if self._element is None:
+            self._element = _labelled(*self._masks)
+        return self._element
+
+    def to_text(self):
+        if self._element is None:
+            return _text(*self._masks)
+        return self._element.to_text()
+
+    def __eq__(self, other):
+        return (isinstance(other, ZigzagStep) and self.kind == other.kind
+                and self.element == other.element)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"ZigzagStep({self.kind!r}, {self.element!r})"
 
 
 @dataclass(frozen=True)
 class ZigzagTrace:
     steps: tuple
 
+    def to_list(self):
+        return [{"kind": s.kind, "element": s.to_text()} for s in self.steps]
+
     def to_json(self, indent=None):
-        return json.dumps([{"kind": s.kind, "element": s.element.to_text()}
-                           for s in self.steps], indent=indent)
+        return json.dumps(self.to_list(), indent=indent)
 
 
 class ZigzagError(RuntimeError):
@@ -166,79 +212,175 @@ def _koszul_block(n, j):
     return rows, sources, smith_normal_form(boundary_matrix(sources, rows, column))
 
 
-def _solve_vertical(K, S, eta):
-    """Find phi with vertical_diff(phi) = eta inside the multidegree slice S.
+# -- the staircase on masks ------------------------------------------------------
+
+def _bits(mask):
+    """The positions of the set bits of a bitmask, ascending from 0."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _vertices(mask):
+    """The vertices of a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return tuple(out)
+
+
+def _masked(gens, masks, terms, S=None):
+    """Labelled terms {(I, J, W): coeff} as {S: {(J, W): coeff}}, S the
+    support of each term, J its circle bitmask and W the index bitmask of
+    its word.  A term must be a basis triple: I and J increasing, W distinct
+    generators in generator order whose union meets neither, and, when the
+    bitmask S is given, I + J + union(W) = S."""
+    position = {F: q for q, F in enumerate(gens)}
+    out = {}
+    for lab, c in terms.items():
+        I, J, W = lab
+        qs = [position.get(F, -1) for F in W]
+        basis = (_is_canonical(I) and _is_canonical(J) and -1 not in qs
+                 and qs == sorted(set(qs)))
+        word = sum(1 << q for q in qs) if basis else 0
+        union = index_union(word, masks)
+        disc, circle = face_mask(I), face_mask(J)
+        if (not basis or (disc | circle) & union
+                or S is not None and disc | circle | union != S):
+            raise ZigzagError(f"element leaves the multidegree slice: {lab}")
+        out.setdefault(disc | circle | union, {})[(circle, word)] = c
+    return out
+
+
+def _labels(S, terms, generators):
+    """The label (I, J, W) of each of the slice S's terms {(J, W): coeff},
+    with its coefficient and the generator indices of W."""
+    gens, masks, _ = generators
+    for (J, W), c in terms.items():
+        qs = _bits(W)
+        I = S & ~J & ~index_union(W, masks)
+        yield (_vertices(I), _vertices(J), tuple(gens[q] for q in qs)), c, qs
+
+
+def _labelled(S, terms, generators):
+    """The BicomplexChain of the slice S's terms {(J, W): coeff}."""
+    return BicomplexChain({lab: c for lab, c, _ in _labels(S, terms, generators)})
+
+
+def _text(S, terms, generators):
+    """`BicomplexChain.to_text` of the slice S's terms, each generator's
+    name written once per staircase."""
+    names = generators[2]
+    return signed_sum_text(
+        ("*".join(cell_letters(J, I) + [names[q] for q in qs]), c)
+        for (I, J, _), c, qs in sorted(_labels(S, terms, generators)))
+
+
+def _is_vertical_cycle(S, terms, masks):
+    """Does the vertical differential kill the slice S's terms?  Disc bit i
+    becomes a circle with the sign (-1)^popcount(J & (i - 1)) of
+    `cell_boundary`."""
+    out = {}
+    for (J, W), c in terms.items():
+        for q in _bits(S & ~J & ~index_union(W, masks)):
+            i = 1 << q
+            out[(J | i, W)] = out.get((J | i, W), 0) + (-c if (J & (i - 1)).bit_count() & 1 else c)
+    return not any(out.values())
+
+
+def _vertical_preimage(S, eta, masks):
+    """phi with vertical(phi) = eta inside the slice S, on masks.
 
     The vertical differential keeps the word W and moves disc letters of
     T_W = S - union(W) into circles, so the slice is block diagonal with one
     Koszul block per word.  Each word of eta is solved on its own, against
-    the cached block of (|T_W|, j) after the order-preserving relabelling
-    T_W -> 1..n; words absent from eta have the zero preimage."""
-    degs = eta.circle_degrees()
-    if len(degs) != 1:
+    the cached block of (|T_W|, j), J carried to and from the relabelled
+    1..n by walking the bits of T_W; words absent from eta have the zero
+    preimage."""
+    degrees = {J.bit_count() for J, _ in eta}
+    if len(degrees) != 1:
         raise ZigzagError("staircase element mixes circle degrees")
-    j = degs[0]
-    position = {F: k for k, F in enumerate(mf_order(K))}
-    smask = face_mask(S)
+    j = degrees.pop()
     by_word = {}
-    for lab, c in eta.terms.items():
-        I, J, W = lab
-        if W not in by_word:
-            order = [position.get(F) for F in W]
-            if (None in order or any(p >= q for p, q in zip(order, order[1:]))
-                    or union_mask(W) & ~smask):
-                raise ZigzagError(f"element leaves the multidegree slice: {lab}")
-            union = set().union(*W)
-            T = [v for v in S if v not in union]
-            by_word[W] = (T, {v: k for k, v in enumerate(T, 1)}, {})
-        T, relabel, b = by_word[W]
-        rel = tuple(relabel.get(v, 0) for v in J)
-        if (0 in rel or any(p >= q for p, q in zip(rel, rel[1:]))
-                or I != tuple(v for v in T if v not in J)):
-            raise ZigzagError(f"element leaves the multidegree slice: {lab}")
-        b[rel] = c
+    for (J, W), c in eta.items():
+        by_word.setdefault(W, {})[J] = c
     phi = {}
-    for W, (T, _, b) in by_word.items():
-        rows, sources, snf = _koszul_block(len(T), j)
-        x = snf.solve({rows[J]: c for J, c in b.items()})
+    for W, b in by_word.items():
+        bits = [1 << q for q in _bits(S & ~index_union(W, masks))]
+        rows, sources, snf = _koszul_block(len(bits), j)
+        x = snf.solve({rows[tuple(k for k, bit in enumerate(bits, 1) if J & bit)]: c
+                       for J, c in b.items()})
         if x is None:
             raise ZigzagError("no integer vertical preimage; input cycle or signs broken")
         for col, c in x.items():
-            J = tuple(T[k - 1] for k in sources[col])
-            phi[(tuple(v for v in T if v not in J), J, W)] = c
-    return BicomplexChain(phi)
+            if c:
+                phi[(sum(bits[k - 1] for k in sources[col]), W)] = c
+    return phi
+
+
+def _horizontal(S, phi, masks):
+    """The horizontal differential inside the slice S, on masks: generator
+    bit b enters W when its face lies in union(W) + I = S - J, with
+    `insertion_sign`; the letters it takes from I need no bookkeeping, I
+    being S - J - union(W)."""
+    inside = [(1 << q, mask) for q, mask in enumerate(masks) if not mask & ~S]
+    out = {}
+    for (J, W), c in phi.items():
+        for b, mask in inside:
+            if not W & b and not mask & J:
+                out[(J, W | b)] = out.get((J, W | b), 0) + insertion_sign(W, b) * c
+    return {key: c for key, c in out.items() if c}
+
+
+def _solve_vertical(K, S, eta):
+    """The staircase's vertical solve (`_vertical_preimage`) on labels: the
+    preimage of eta inside the multidegree slice S (a vertex tuple), whose
+    terms must be basis triples of S."""
+    gens, masks = generator_masks(K)
+    smask = face_mask(S)
+    terms = _masked(gens, masks, eta.terms, smask).get(smask, {})
+    return _labelled(smask, _vertical_preimage(smask, terms, masks), (gens, masks, None))
 
 
 def koszul_to_taylor(K, z):
     """Translate a cellular cycle of Z_K into a Taylor cycle of the same
     Cotor class, returning (cycle, trace).
 
-    Works one square-free multidegree at a time: solve a vertical preimage,
-    apply the horizontal differential, repeat until the circle letters are
-    exhausted; the remaining element is a pure Taylor cycle.
+    Works one square-free multidegree at a time, on masks: solve a vertical
+    preimage, apply the horizontal differential, repeat until the circle
+    letters are exhausted; the remaining element is a pure Taylor cycle,
+    checked to be one before it is labelled.
     """
+    gens, masks = generator_masks(K)
     if isinstance(z, CellChain):
         if not z.supported_in(K):
             raise ZigzagError("chain uses cells outside Z_K")
-        start = BicomplexChain.from_cell_chain(z)
+        terms = {(I, J, ()): c for (J, I), c in z.terms.items()}
     else:
-        start = z
-    if vertical_diff(start):
+        terms = z.terms
+    slices = _masked(gens, masks, terms)
+    if not all(_is_vertical_cycle(S, eta, masks) for S, eta in slices.items()):
         raise ZigzagError("input chain is not a cycle")
+    generators = (gens, masks, ["w" + word_text(F) for F in gens])
     steps = []
-    total = TaylorChain.zero()
-    for S, eta in sorted(start.multidegree_components().items()):
-        while eta and not eta.is_pure_taylor():
-            phi = _solve_vertical(K, S, eta)
-            steps.append(ZigzagStep("solve-vertical", phi))
-            eta = horizontal_diff(K, phi)
-            steps.append(ZigzagStep("apply-horizontal", eta))
-        part = eta.taylor_part()
-        if part:
-            total = total + part
-    if taylor_boundary(K, total):
+    total = {}
+    for S in sorted(slices, key=_vertices):
+        eta = slices[S]
+        while eta and any(J or index_union(W, masks) != S for J, W in eta):
+            phi = _vertical_preimage(S, eta, masks)
+            steps.append(ZigzagStep("solve-vertical", (S, phi, generators)))
+            eta = _horizontal(S, phi, masks)
+            steps.append(ZigzagStep("apply-horizontal", (S, eta, generators)))
+        total.update({W: c for (_, W), c in eta.items()})
+    if index_boundary(total, masks):
         raise ZigzagError("staircase output is not a Taylor cycle")
-    return total, ZigzagTrace(tuple(steps))
+    cycle = TaylorChain({index_word(W, gens): c for W, c in total.items()})
+    return cycle, ZigzagTrace(tuple(steps))
 
 
 def classes_equal(K, t1, t2):

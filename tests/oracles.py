@@ -17,20 +17,28 @@ missing-face lattice, and for its classes projected onto those quotients),
 and the star quotient on (J, I) labels built through `from_boundary` (the
 reference for the package's quotient built on face masks).
 None of it shares code with the package internals it checks beyond the
-IntMatrix, SmithForm, ChainComplex and HomologyClass containers, with one
-exception, the route the package used before: whether bd_Delta(w) or the
+IntMatrix, SmithForm, ChainComplex and HomologyClass containers, with two
+exceptions, routes the package used before.  Whether bd_Delta(w) or the
 trivialising join sits in K is decided by building the complex (`delta_w`,
 `join`) and checking it face by face (the reference for the package's test
 on missing faces); the tests check those builds against the substitution's
-definition.
+definition.  The staircase and the nested closed form run on labelled
+triples and words, sorted back into generator order by `normalise_word`
+(the reference for the package's staircase and closed form on generator
+bitmasks); they share the package's labelled differentials, Koszul blocks
+and trace containers, which the tests check on their own.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
-from momangle.complexes import (SimplicialComplex, SizeLimitError, is_subcomplex,
-                                join, simplex, simplex_boundary)
+from momangle.complexes import (SimplicialComplex, SizeLimitError, face_mask,
+                                is_subcomplex, join, simplex, simplex_boundary)
 from momangle.exactalg import ChainComplex, HomologyClass, IntMatrix, SmithForm
-from momangle.moment_angle import ZK_MAX_VERTICES, all_subsets, support_table
+from momangle.moment_angle import ZK_MAX_VERTICES, CellChain, all_subsets, support_table
+from momangle.taylor import (TaylorChain, mf_order, nested_levels, normalise_word,
+                             taylor_boundary, union_mask)
+from momangle.zigzag import (BicomplexChain, ZigzagError, ZigzagStep, ZigzagTrace,
+                             _koszul_block, horizontal_diff, vertical_diff)
 
 
 def dense_snf_diagonal(rows):
@@ -430,6 +438,105 @@ def reference_solve_vertical(K, S, eta):
     if any(c.values()):
         raise ValueError("no integer vertical preimage")
     return {source_basis[i]: v for i, v in snf.V.apply(y).items()}
+
+
+def reference_per_word_solve_vertical(K, S, eta):
+    """The staircase's vertical preimage on labelled triples, one word at a
+    time: each word W of eta is solved against the Koszul block of
+    (|T_W|, j) after the order-preserving relabelling T_W -> 1..n.  Raises
+    ZigzagError with the package's messages."""
+    degs = eta.circle_degrees()
+    if len(degs) != 1:
+        raise ZigzagError("staircase element mixes circle degrees")
+    j = degs[0]
+    position = {F: k for k, F in enumerate(mf_order(K))}
+    smask = face_mask(S)
+    by_word = {}
+    for lab, c in eta.terms.items():
+        I, J, W = lab
+        if W not in by_word:
+            order = [position.get(F) for F in W]
+            if (None in order or any(p >= q for p, q in zip(order, order[1:]))
+                    or union_mask(W) & ~smask):
+                raise ZigzagError(f"element leaves the multidegree slice: {lab}")
+            union = set().union(*W)
+            T = [v for v in S if v not in union]
+            by_word[W] = (T, {v: k for k, v in enumerate(T, 1)}, {})
+        T, relabel, b = by_word[W]
+        rel = tuple(relabel.get(v, 0) for v in J)
+        if (0 in rel or any(p >= q for p, q in zip(rel, rel[1:]))
+                or I != tuple(v for v in T if v not in J)):
+            raise ZigzagError(f"element leaves the multidegree slice: {lab}")
+        b[rel] = c
+    phi = {}
+    for W, (T, _, b) in by_word.items():
+        rows, sources, snf = _koszul_block(len(T), j)
+        x = snf.solve({rows[J]: c for J, c in b.items()})
+        if x is None:
+            raise ZigzagError("no integer vertical preimage; input cycle or signs broken")
+        for col, c in x.items():
+            J = tuple(T[k - 1] for k in sources[col])
+            phi[(tuple(v for v in T if v not in J), J, W)] = c
+    return BicomplexChain(phi)
+
+
+def reference_koszul_to_taylor(K, z, solve=reference_per_word_solve_vertical):
+    """The staircase on labelled triples: per multidegree, `solve(K, S, eta)`
+    for a vertical preimage, `horizontal_diff`, repeat until the element is
+    a pure Taylor chain; the words are sorted back into generator order and
+    the output checked by `taylor_boundary`.  Returns (cycle, trace)."""
+    if isinstance(z, CellChain):
+        if not z.supported_in(K):
+            raise ZigzagError("chain uses cells outside Z_K")
+        start = BicomplexChain.from_cell_chain(z)
+    else:
+        start = z
+    if vertical_diff(start):
+        raise ZigzagError("input chain is not a cycle")
+    steps = []
+    total = TaylorChain.zero()
+    for S, eta in sorted(start.multidegree_components().items()):
+        while eta and not eta.is_pure_taylor():
+            phi = solve(K, S, eta)
+            steps.append(ZigzagStep("solve-vertical", phi))
+            eta = horizontal_diff(K, phi)
+            steps.append(ZigzagStep("apply-horizontal", eta))
+        part = eta.taylor_part()
+        if part:
+            total = total + part
+    if taylor_boundary(K, total):
+        raise ZigzagError("staircase output is not a Taylor cycle")
+    return total, ZigzagTrace(tuple(steps))
+
+
+def reference_full_slice_solve(K, S, eta):
+    """`reference_solve_vertical` as a `solve` for `reference_koszul_to_taylor`."""
+    return BicomplexChain(reference_solve_vertical(K, S, eta.terms))
+
+
+def reference_nested_taylor_cycle(w, K):
+    """The closed form on labelled words: every pick of one missing face per
+    level factor, sorted into generator order by `normalise_word`.  Raises
+    ValueError when a level matches no missing face."""
+    levels = nested_levels(w)
+    n = len(levels)
+    mfs = mf_order(K)
+    factors = []
+    for k in range(1, n + 1):
+        absorbed = set()
+        for j in range(n - k):
+            absorbed.update(levels[j])
+        target = levels[n - k]
+        hits = [F for F in mfs if tuple(sorted(set(F) - absorbed)) == target]
+        if not hits:
+            raise ValueError(f"no missing face matches level {n - k + 1} leaves {target}")
+        factors.append(hits)
+    terms = {}
+    for pick in product(*factors):
+        word, sign = normalise_word(pick)
+        if word is not None:
+            terms[word] = terms.get(word, 0) + sign
+    return TaylorChain(terms)
 
 
 def reference_zk_block(K, S):

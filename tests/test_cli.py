@@ -1,9 +1,14 @@
 import json
+import random
+from collections import Counter
 
 import pytest
 
 from momangle.cli import build_parser, main
+from momangle.complexes import SimplicialComplex
+from momangle.whitehead import delta_w, parse_whitehead
 from conftest import SUB5_EXPR
+from oracles import random_complex
 
 
 def run_cli(capsys, *args):
@@ -192,7 +197,8 @@ def test_roundtrip_emitted_complex(tmp_path, capsys):
 
 BAD_FILES = {"bad.json": "{not json", "no_facets.json": '{"m": 3}',
              "no_m.json": '{"facets": [[1, 2]]}',
-             "undefined.json": '{"m": 3, "facets": [[1, 2], [3]]}'}
+             "undefined.json": '{"m": 3, "facets": [[1, 2], [3]]}',
+             "points4.json": '{"m": 4, "facets": []}'}
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -202,6 +208,7 @@ BAD_FILES = {"bad.json": "{not json", "no_facets.json": '{"m": 3}',
     (["mf", "--complex", "no_m.json"], 1),
     (["delta-w", "--w", "[[1,2],[3,4]]"], 0),
     (["zigzag", "--complex", "undefined.json", "--w", "[1,2,3]"], 1),
+    (["taylor-cycle", "--complex", "points4.json", "--w", "[[2,3],1,4]"], 1),
     (["homology", "--complex", "pt", "--bogus"], 1),
     ([], 1),
     (["frobnicate"], 1),
@@ -222,6 +229,47 @@ def test_bad_inputs_exit_without_traceback(tmp_path, capsys, argv, expected):
         assert json.loads(out)["sphere_facets"] is None
     else:
         assert err.startswith("error: ")
+
+
+def _random_nested_text(rng, vertices):
+    """A nested product on at least three of `vertices`, as text."""
+    leaves = rng.sample(vertices, rng.randint(3, len(vertices)))
+    cut = rng.randint(2, len(leaves) - 1)
+    text, rest = "[" + ",".join(map(str, leaves[:cut])) + "]", leaves[cut:]
+    while rest:
+        take = rng.randint(1, len(rest))
+        text = "[" + ",".join([text] + list(map(str, rest[:take]))) + "]"
+        rest = rest[take:]
+    return text
+
+
+def test_taylor_cycle_exits_0_or_1(tmp_path, capsys):
+    """`taylor-cycle` on random nested products never fails its own cycle
+    check: a product that is not defined, or whose closed form is no cycle
+    of K, is refused with exit 1.  Half the complexes are `random_complex`,
+    half bd_Delta(w) with up to three random faces added; both exit codes
+    occur."""
+    rng = random.Random(1600)
+    path = tmp_path / "k.json"
+    codes = Counter()
+    for trial in range(400):
+        m = rng.randint(3, 8)
+        text = _random_nested_text(rng, list(range(1, m + 1)))
+        if trial % 2:
+            K = random_complex(m, rng)
+        else:
+            w = parse_whitehead(text)
+            dw = delta_w(w)
+            facets = list(dw.complex.relabelled(dw.vertex_to_leaf(), m=m).facets)
+            facets += [rng.sample(range(1, m + 1), rng.randint(2, m - 1))
+                       for _ in range(rng.randint(0, 3))]
+            K = SimplicialComplex.from_facets(m, facets)
+        path.write_text(json.dumps(K.to_json_dict()))
+        code, _, err = run_cli(capsys, "taylor-cycle", "--complex", str(path), "--w", text)
+        assert code in (0, 1), (K.to_json_dict(), text, err)
+        assert "Traceback" not in err
+        codes[code, trial % 2] += 1
+    assert all(codes[code, half] for code in (0, 1) for half in (0, 1)), codes
 
 
 def test_status_outside_the_criterion_exits_0(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -15,9 +16,9 @@ from momangle.taylor import (MonomialIdeal, TaylorChain, cone_reconstruction,
                              taylor_homology, taylor_homology_by_support,
                              taylor_module_resolution, verify_taylor_is_resolution,
                              word_support)
-from momangle.whitehead import parse_whitehead
+from momangle.whitehead import delta_w, parse_whitehead
 from oracles import (lyubeznik_admissible, random_complex,
-                     reference_taylor_boundary_word)
+                     reference_nested_taylor_cycle, reference_taylor_boundary_word)
 
 # the complete graph on six vertices: its 20 triangles are its missing faces
 K6_GRAPH = "bd(bd(bd(bd(simplex(1,2,3,4,5,6)))))"
@@ -43,6 +44,23 @@ def test_chain_homogeneity_and_degree():
     assert c.s == 2 and c.union_size == 4 and c.degree == 6
     with pytest.raises(ValueError):
         TaylorChain({((1, 2, 3),): 1, ((1, 2, 3), (1, 4, 5)): 1})
+
+
+def test_basis_words_skip_normalisation(monkeypatch):
+    """Words already in generator order are taken as they are; any other
+    word is sorted back with its sign, and a repeated factor is refused."""
+    calls = []
+    raw = ty.normalise_word
+    monkeypatch.setattr(ty, "normalise_word", lambda w: calls.append(w) or raw(w))
+    basis = TaylorChain({((1, 2), (1, 4, 5), (2, 4, 5)): 3, ((1, 2), (3, 4, 5)): 0})
+    assert basis.terms == {((1, 2), (1, 4, 5), (2, 4, 5)): 3} and not calls
+    for word, expected in [(((2, 4, 5), (1, 4, 5)), {((1, 4, 5), (2, 4, 5)): -1}),
+                           (((1, 4, 5), (1, 2)), {((1, 2), (1, 4, 5)): -1}),
+                           (((5, 4, 1), (2, 4, 5)), {((1, 4, 5), (2, 4, 5)): 1})]:
+        assert TaylorChain({word: 1}).terms == expected
+    assert len(calls) == 3
+    with pytest.raises(ValueError, match="repeated factor"):
+        TaylorChain({((1, 2, 3), (1, 2, 3)): 1})
 
 
 def test_text_roundtrip():
@@ -279,6 +297,77 @@ def test_nested_cycle_is_cycle(sub5):
     w = parse_whitehead("[[1,2,3],4,5]")
     c = nested_taylor_cycle(w, sub5)
     assert not taylor_boundary(sub5, c)
+
+
+def _random_nested(rng):
+    """A nested product on the leaves 1..L (3 <= L <= 8), shuffled."""
+    leaves = list(range(1, rng.randint(3, 8) + 1))
+    rng.shuffle(leaves)
+    cut = rng.randint(2, len(leaves) - 1)
+    text, rest = "[" + ",".join(map(str, leaves[:cut])) + "]", leaves[cut:]
+    while rest:
+        take = rng.randint(1, len(rest))
+        text = "[" + ",".join([text] + list(map(str, rest[:take]))) + "]"
+        rest = rest[take:]
+    return parse_whitehead(text)
+
+
+def test_nested_cycle_matches_labelled_reference():
+    """The closed form on index bitmasks against the labelled reference on 30
+    random nested products, each on bd_Delta(w) with up to two random faces
+    added: the same chain, or the same refusal, or, where the reference's
+    chain is no cycle, a refusal before anything is built."""
+    rng = random.Random(30)
+    built = refused = 0
+    for _ in range(30):
+        w = _random_nested(rng)
+        dw = delta_w(w)
+        base = dw.complex.relabelled(dw.vertex_to_leaf(), m=len(w.leaves()))
+        facets = list(base.facets) + [rng.sample(range(1, base.m + 1), rng.randint(2, base.m - 1))
+                                      for _ in range(rng.randint(0, 2))]
+        K = SimplicialComplex.from_facets(base.m, facets)
+        try:
+            reference = reference_nested_taylor_cycle(w, K)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                nested_taylor_cycle(w, K)
+            continue
+        if taylor_boundary(K, reference):
+            with pytest.raises(ValueError, match="is no cycle of K"):
+                nested_taylor_cycle(w, K)
+            refused += 1
+            continue
+        assert nested_taylor_cycle(w, K) == reference, (w, K)
+        built += 1
+    assert built >= 15 and refused
+
+
+def test_nested_cycle_refuses_undefined_products():
+    """bd_Delta(w) must sit in K: on four points the edge 23 is missing, so
+    [[2,3],1,4] is not defined there (the closed form is no cycle)."""
+    K = SimplicialComplex.from_facets(4, [])
+    w = parse_whitehead("[[2,3],1,4]")
+    with pytest.raises(ValueError, match="does not sit in K"):
+        nested_taylor_cycle(w, K)
+    assert taylor_boundary(K, reference_nested_taylor_cycle(w, K))
+    with pytest.raises(ValueError, match="does not sit in K"):
+        nested_taylor_cycle(parse_whitehead("[[1,2],3]"), simplex_boundary(2))
+
+
+def test_nested_cycle_refuses_where_it_is_no_cycle():
+    """[[[[1,4,5],6],7],2,3] is defined on bd_Delta(w) with the edge 17
+    filled in, but the new missing faces 127 and 137 meet the level-4
+    leaves 23 without containing them, so the closed form is no cycle there; with
+    the edge 17 missing it is one."""
+    w = parse_whitehead("[[[[1,4,5],6],7],2,3]")
+    dw = delta_w(w)
+    base = dw.complex.relabelled(dw.vertex_to_leaf(), m=7)
+    K = SimplicialComplex.from_facets(7, list(base.facets) + [(1, 7)])
+    assert {(1, 2, 7), (1, 3, 7)} <= set(K.missing_faces())
+    assert taylor_boundary(K, reference_nested_taylor_cycle(w, K))
+    with pytest.raises(ValueError, match=r"missing face \(1, 2, 7\) meets the level 4 leaves \(2, 3\)"):
+        nested_taylor_cycle(w, K)
+    assert not taylor_boundary(base, nested_taylor_cycle(w, base))
 
 
 def test_nested_cycle_rejects_missing_level(sub5):

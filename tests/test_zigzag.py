@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from momangle import zigzag
+from momangle import parse_complex, zigzag
 from momangle.complexes import SimplicialComplex, simplex_boundary
 from momangle.moment_angle import CellChain
 from momangle.taylor import TaylorChain, nested_taylor_cycle, taylor_boundary
@@ -14,7 +14,9 @@ from momangle.zigzag import (BicomplexChain, ZigzagError, _koszul_block,
                              _solve_vertical, classes_equal,
                              classes_equal_up_to_sign, horizontal_diff,
                              koszul_to_taylor, vertical_diff)
-from oracles import random_complex, reference_solve_vertical
+from oracles import (random_complex, reference_full_slice_solve, reference_koszul_to_taylor,
+                     reference_per_word_solve_vertical, reference_solve_vertical)
+from test_golden import PAIRS as GOLDEN_PAIRS
 
 
 def B(terms):
@@ -199,7 +201,7 @@ def test_zigzag_random_nested_on_canonical_complex():
         assert classes_equal_up_to_sign(K, cyc, nested_taylor_cycle(w, K)), text
 
 
-# -- the per-word vertical solve against the full-slice reference ---------------
+# -- the staircase on masks against the labelled references ----------------------
 
 # the bracket shapes of the benchmark's realise jobs, leaves numbered 1..L
 REALISE_SHAPES = [
@@ -238,29 +240,68 @@ def _ambient_product(rng):
     return SimplicialComplex.from_facets(m, facets), w
 
 
-def _reference_staircase(K, z, monkeypatch):
-    """koszul_to_taylor with every vertical preimage taken over the whole
-    multidegree slice."""
-    with monkeypatch.context() as patch:
-        patch.setattr(zigzag, "_solve_vertical", lambda K, S, eta: BicomplexChain(
-            reference_solve_vertical(K, S, eta.terms)))
-        return koszul_to_taylor(K, z)
+def _outcome(translate, K, z):
+    """(cycle, trace, trace JSON) of a staircase, or its ZigzagError message."""
+    try:
+        cycle, trace = translate(K, z)
+    except ZigzagError as exc:
+        return str(exc)
+    return cycle, trace, trace.to_json()
 
 
-def test_per_word_solve_matches_full_slice_on_hurewicz_chains(monkeypatch):
+def _horizontal_elements(trace):
+    """The staircase's apply-horizontal elements: vertical cycles whose
+    words are not empty, so a staircase can be started from each."""
+    return [s.element for s in trace.steps if s.kind == "apply-horizontal"]
+
+
+def test_staircase_matches_labelled_reference():
+    """The staircase on masks against the labelled one (one solve per word):
+    cycle, trace (==) and trace JSON, on 200 seeded ambient products, on
+    BicomplexChain inputs with nonempty words taken from their traces, and
+    on the golden pairs; on the ambient products the labelled staircase
+    with full-slice solves must agree as well."""
     rng = random.Random(2024)
-    chains = solves = 0
+    chains = solves = words = 0
     while chains < 200:
         K, w = _ambient_product(rng)
         z = hurewicz_chain(w, K.m)
         cycle, trace = koszul_to_taylor(K, z)
-        ref_cycle, ref_trace = _reference_staircase(K, z, monkeypatch)
-        assert trace == ref_trace, (K, w)
-        assert trace.to_json() == ref_trace.to_json()
-        assert cycle == ref_cycle
+        reference = reference_koszul_to_taylor(K, z)
+        assert (cycle, trace) == reference, (K, w)
+        assert trace.to_json() == reference[1].to_json()
+        assert reference_koszul_to_taylor(K, z, reference_full_slice_solve) == reference
+        for eta in _horizontal_elements(trace):
+            assert _outcome(koszul_to_taylor, K, eta) == \
+                _outcome(reference_koszul_to_taylor, K, eta)
+            words += 1
         chains += 1
         solves += len(trace.steps) // 2
-    assert solves > 2 * chains
+    assert solves > 2 * chains and words > 2 * chains
+    for K_text, w_text in GOLDEN_PAIRS:
+        K, w = parse_complex(K_text), parse_whitehead(w_text)
+        z = hurewicz_chain(w, K.m)
+        assert _outcome(koszul_to_taylor, K, z) == _outcome(reference_koszul_to_taylor, K, z)
+
+
+def test_staircase_output_check_catches_a_broken_insertion_sign(sub5, monkeypatch):
+    """With the parity of the horizontal step's insertion sign dropped (every
+    generator enters with +1) the staircase no longer lands on a Taylor
+    cycle, and its output check says so.  Flipping the parity instead
+    negates each horizontal step, which only moves the answer by the global
+    sign the staircase leaves free."""
+    w = parse_whitehead("[[[1,4,5],2],3]")
+    z = hurewicz_chain(w, sub5.m)
+    cycle, _ = koszul_to_taylor(sub5, z)
+    with monkeypatch.context() as patch:
+        patch.setattr(zigzag, "insertion_sign", lambda word, b: 1)
+        with pytest.raises(ZigzagError, match="staircase output is not a Taylor cycle"):
+            koszul_to_taylor(sub5, z)
+    sign = zigzag.insertion_sign
+    with monkeypatch.context() as patch:
+        patch.setattr(zigzag, "insertion_sign", lambda word, b: -sign(word, b))
+        flipped, _ = koszul_to_taylor(sub5, z)
+    assert flipped in (cycle, -cycle)
 
 
 def _random_word_system(rng):
@@ -298,13 +339,15 @@ def test_per_word_solve_matches_full_slice_on_block_diagonal_systems():
         K, S, eta = _random_word_system(rng)
         phi = _solve_vertical(K, S, eta)
         assert phi == BicomplexChain(reference_solve_vertical(K, S, eta.terms))
+        assert phi == reference_per_word_solve_vertical(K, S, eta)
         assert vertical_diff(phi) == eta
 
 
-def test_vertical_solve_refusals(sub5):
+@pytest.mark.parametrize("solve", [_solve_vertical, reference_per_word_solve_vertical])
+def test_vertical_solve_refusals(sub5, solve):
     def refuses(S, terms, message):
         with pytest.raises(ZigzagError, match=message):
-            _solve_vertical(sub5, S, B(terms))
+            solve(sub5, S, B(terms))
 
     slice_message = "leaves the multidegree slice"
     refuses((1, 2, 3), {((1,), (2, 3), ()): 1, ((1, 2), (3,), ()): 1},
