@@ -55,6 +55,16 @@ def face_mask(f):
     return m
 
 
+def mask_face(mask):
+    """The vertices of a bitmask, ascending: the inverse of `face_mask`."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return tuple(out)
+
+
 class SimplicialComplex:
     """Immutable downward-closed face family on {1..m}.
 
@@ -219,7 +229,7 @@ class SimplicialComplex:
                         break
                     rest ^= low
                 else:
-                    found.append(tuple(i + 1 for i in range(cand.bit_length()) if cand >> i & 1))
+                    found.append(mask_face(cand))
         found.sort(key=lambda f: (len(f), f))
         return found
 

@@ -5,14 +5,16 @@ form with unimodular transforms, integer linear solving, and homology of
 integer chain complexes (rank plus invariant-factor torsion).  No modular or
 floating-point shortcuts anywhere; torsion correctness depends on it.
 
-Homology has one rule, `column_homology`: it takes the ranks of the chain
-groups and the nonzero columns of the differentials, checks d^2 = 0 on the
-columns and reduces only the differentials that have entries.  The cellular
-table calls it on the star quotients' columns with no complex built;
-`ChainComplex.homology_all` calls it for every labelled complex, which
-`ChainComplex.from_boundary` builds from a boundary callable (the Taylor
-blocks, simplicial chains, the references) and the cellular classes build
-from the same columns.
+A chain complex has one shape: the nonzero columns of its differentials,
+{d: {col: [(row, value), ...]}}, over the ranks of its chain groups.
+Homology has one rule on that shape, `column_homology`: it checks d^2 = 0
+on the columns and reduces only the differentials that have entries.  The
+cellular and Taylor tables call it on their mask builders' columns with no
+complex built.  A `ChainComplex` labels the same columns with a basis, for
+cycle classes: the star quotients and the Taylor blocks label their mask
+builders' output, and `ChainComplex.from_boundary` takes the columns of a
+boundary callable (`boundary_matrix`) for simplicial chains, the whole
+complexes and the references.
 
 Conventions:
   * matrices are sparse maps (row, col) -> nonzero int;
@@ -582,13 +584,18 @@ def check_columns(columns):
                 raise ValueError(f"d^2 != 0 between degrees {d} and {d-2}")
 
 
+def _column_matrix(rows, cols, columns):
+    """The rows x cols IntMatrix of the columns {col: [(row, value), ...]};
+    a zero value is dropped, as no SNF pivot may be zero."""
+    return IntMatrix._adopt(rows, cols, {(i, j): v for j, column in columns.items()
+                                         for i, v in column if v})
+
+
 def _column_groups(dims, columns):
     """{d: H_d}, nontrivial groups only, from the ranks `dims` and the
     differentials' nonzero columns; only the differentials with entries
     reach `invariant_factors`."""
-    factors = {d: invariant_factors(IntMatrix._adopt(
-                   dims.get(d - 1, 0), dims.get(d, 0),
-                   {(i, j): v for j, column in cols.items() for i, v in column}))
+    factors = {d: invariant_factors(_column_matrix(dims.get(d - 1, 0), dims.get(d, 0), cols))
                for d, cols in columns.items() if cols}
     out = {}
     for d in sorted(dims):
@@ -620,21 +627,23 @@ def _label_index(basis):
 class ChainComplex:
     """Finite complex of free Z-modules with labelled bases.
 
-    basis: {degree: [label, ...]}; differentials: {degree d: IntMatrix}
-    mapping C_d -> C_{d-1} in the bases' label order.  d(d(x)) = 0 is verified
-    at construction.
+    basis: {degree: [label, ...]}; columns: {degree d: {col: [(row, value),
+    ...]}}, the nonzero columns of d: C_d -> C_{d-1} in the bases' label
+    order, the shape `column_homology` reads.  An index outside the basis
+    and d(d(x)) != 0 are refused at construction.
     """
 
-    def __init__(self, basis, differentials):
+    def __init__(self, basis, columns):
         self.basis = {d: list(labels) for d, labels in basis.items()}
         self._index = None
-        self.differentials = dict(differentials)
+        self.columns = dict(columns)
         self._groups = None
         self._present = {}
-        for d, A in self.differentials.items():
-            if A.cols != len(self.basis.get(d, ())):
+        for d, cols in self.columns.items():
+            n, rows = self.dim(d), self.dim(d - 1)
+            if any(not 0 <= j < n for j in cols):
                 raise ValueError(f"differential at degree {d}: bad column count")
-            if A.rows != len(self.basis.get(d - 1, ())):
+            if any(not 0 <= i < rows for column in cols.values() for i, _ in column):
                 raise ValueError(f"differential at degree {d}: bad row count")
         self.check_squares_to_zero()
 
@@ -644,7 +653,7 @@ class ChainComplex:
         differential sends a label to `boundary(label)`, {label: coeff} in the
         degree below; a target outside that degree's basis raises."""
         index = _label_index(basis)
-        C = cls(basis, {d: boundary_matrix(labels, index.get(d - 1, {}), boundary)
+        C = cls(basis, {d: boundary_matrix(labels, index.get(d - 1, {}), boundary).columns()
                         for d, labels in basis.items()})
         C._index = index
         return C
@@ -664,17 +673,12 @@ class ChainComplex:
         return len(self.basis.get(d, ()))
 
     def differential(self, d):
-        A = self.differentials.get(d)
-        if A is None:
-            A = IntMatrix.zero(self.dim(d - 1), self.dim(d))
-        return A
-
-    def _columns(self):
-        return {d: A.columns() for d, A in self.differentials.items()}
+        """The IntMatrix of d: C_d -> C_{d-1}, built from the columns."""
+        return _column_matrix(self.dim(d - 1), self.dim(d), self.columns.get(d, {}))
 
     def check_squares_to_zero(self):
         """`check_columns` on the differentials' columns."""
-        check_columns(self._columns())
+        check_columns(self.columns)
 
     def vector(self, d, chain):
         """Sparse coordinate vector of {label: coeff} in the degree-d basis."""
@@ -695,16 +699,13 @@ class ChainComplex:
     def boundary_vector(self, d, chain):
         return self.differential(d).apply(self.vector(d, chain))
 
-    def homology_all(self, nontrivial_only=True):
-        """{d: H_d} over the basis degrees by `column_homology`'s rule on the
-        differentials' columns (d^2 = 0 was checked at construction),
-        computed once."""
+    def homology_all(self):
+        """{d: H_d}, nontrivial groups only, by `column_homology`'s rule on the
+        columns (d^2 = 0 was checked at construction), computed once."""
         if self._groups is None:
             dims = {d: len(labels) for d, labels in self.basis.items()}
-            self._groups = _column_groups(dims, self._columns())
-        if nontrivial_only:
-            return dict(self._groups)
-        return {d: self._groups.get(d, TRIVIAL_GROUP) for d in self.degrees}
+            self._groups = _column_groups(dims, self.columns)
+        return dict(self._groups)
 
     def homology(self, d):
         """H_d as rank plus torsion; degrees outside the range give 0."""

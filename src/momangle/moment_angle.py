@@ -24,7 +24,7 @@ Inside S a cell is its disc mask f (the bits of I), of degree
 is a face (vb the bit of v).  Its boundary drops one bit b of f with sign
 (-1)^popcount((S & ~f) & (b - 1)), the circle letters below b.  The table
 reads each quotient's homology from these boundary columns
-(`exactalg.column_homology`); only cycle classes build a labelled
+(`exactalg.column_homology`); only cycle classes label them, as the
 ChainComplex of a quotient (`zk_star_quotient`).
 """
 
@@ -34,9 +34,9 @@ from bisect import bisect_left
 from functools import lru_cache, reduce
 from itertools import combinations
 
-from .complexes import (ParseError, SizeLimitError, face_mask, read_signed_sum,
+from .complexes import (ParseError, SizeLimitError, face_mask, mask_face, read_signed_sum,
                         read_text, reduced_chain_complex, signed_sum_text)
-from .exactalg import ChainComplex, HomologyClass, IntMatrix, column_homology, direct_sum
+from .exactalg import ChainComplex, HomologyClass, column_homology, direct_sum
 
 ZK_MAX_VERTICES = 24
 
@@ -218,8 +218,7 @@ def lattice_supports(K):
     for f in K.missing_faces():
         bits = face_mask(f)
         unions |= {u | bits for u in unions}
-    supports = (tuple(v for v in range(1, K.m + 1) if u >> (v - 1) & 1) for u in unions)
-    return sorted(supports, key=lambda S: (len(S), S))
+    return sorted(map(mask_face, unions), key=lambda S: (len(S), S))
 
 
 def star_vertex(faces, S):
@@ -290,17 +289,18 @@ def _star_cells(S, faces, is_face):
 
 def _mask_cell(S, f):
     """The label (J, I) of the cell of S with disc mask f."""
-    return (tuple(v for v in S if not f >> (v - 1) & 1),
-            tuple(v for v in S if f >> (v - 1) & 1))
+    return mask_face(face_mask(S) & ~f), mask_face(f)
 
 
 def zk_star_quotient(K, S, built=None):
     """The block of S modulo the star of v = star_vertex in K_S, as a
     labelled ChainComplex for cycle classes: the cells (S - I, I) with I + v
     no face of K, and `cell_boundary` with every target inside the star
-    dropped, built by `_star_cells` on face masks.  `built`, the (cells,
-    columns) that `_star_cells` already gave for S (`zk_homology_by_support`
-    keeps them on request), is labelled instead of being built again.
+    dropped.  `_star_cells` builds the cells and boundary columns on face
+    masks; each mask is labelled (J, I) and the columns are kept as they
+    are.  `built`, the (cells, columns) that `_star_cells` already gave for
+    S (`zk_homology_by_support` keeps them on request), is labelled instead
+    of being built again.
 
     The star's cells span a subcomplex, since d only drops disc letters, and
     it is the shifted augmented chain complex of a cone, so it is acyclic;
@@ -310,12 +310,8 @@ def zk_star_quotient(K, S, built=None):
     if S and S[-1] > K.m:
         raise ValueError(f"support {S} leaves the vertices 1..{K.m}")
     cells, columns = built or _star_cells(S, K.face_masks_within(S), K.face_masks)
-    return ChainComplex(
-        {d: [_mask_cell(S, f) for f in fs] for d, fs in cells.items()},
-        {d: IntMatrix._adopt(len(cells.get(d - 1, ())), len(fs),
-                             {(i, j): c for j, column in columns.get(d, {}).items()
-                              for i, c in column})
-         for d, fs in cells.items()})
+    return ChainComplex({d: [_mask_cell(S, f) for f in fs] for d, fs in cells.items()},
+                        columns)
 
 
 def support_table(blocks, shift):
@@ -376,8 +372,8 @@ def zk_homology_by_support(K, quotients=None):
     in the star of v when f & vb or f | vb is a face; dropping the disc bit
     b has sign (-1)^popcount((S & ~f) & (b - 1))), and `column_homology`
     reads the groups from its boundary columns, with no labelled complex
-    built.  Only cycle classes build one (`zk_star_quotient`), and `zk_class`
-    projects a cycle onto the same quotients.  `quotients`, a dict when
+    built.  Only cycle classes label the columns (`zk_star_quotient`), and
+    `zk_class` projects a cycle onto the same quotients.  `quotients`, a dict when
     given, receives the (cells, columns) of each visited S among its keys,
     so the classes can label the table's own builds.  The Hochster table still builds every full
     subcomplex, so `verify` checks both rules."""

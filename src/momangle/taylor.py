@@ -29,12 +29,15 @@ matching).  Dually, the other words span an acyclic subcomplex of the face
 complex, closed under insertion, and the admissible words carry the quotient
 with the same homology over Z, torsion included.
 
-The homology table (`taylor_homology_by_support`) keeps each admissible word
-as a bitmask of generator indices: generator bit b enters word x as x | b
-with sign (-1)^popcount(x & (b - 1)), and `column_homology` reads each
-block's groups from those columns, with no labelled complex built.  Cycle
-classes use the labelled blocks (`taylor_components`), the table's in-tree
-reference; the whole complex (`taylor_face_complex`) is the tests'.  The
+Each block is built once, on index bitmasks (`_blocks`): an admissible
+word is a bitmask of generator indices, generator bit b enters word x as
+x | b with sign (-1)^popcount(x & (b - 1)), and the block is its boundary
+columns.  The homology table (`taylor_homology_by_support`) reads each
+block's groups from those columns (`column_homology`), with no labelled
+complex built; cycle classes label the same columns with the words
+(`taylor_components`).  The independent references are the tests'
+`oracles.reference_taylor_components` and the whole complex
+(`taylor_face_complex`), built label by label through `insertions`.  The
 closed form of nested products (`nested_taylor_cycle`) and the zigzag keep
 their words on the same index bitmasks, with the same sign
 (`insertion_sign`), and check their cycles there (`index_boundary`).
@@ -47,7 +50,7 @@ from functools import lru_cache, reduce
 from itertools import combinations, product
 
 from .complexes import (SimplicialComplex, SizeLimitError, _is_canonical, face,
-                        face_mask, read_signed_sum, read_text, read_word,
+                        face_mask, mask_face, read_signed_sum, read_text, read_word,
                         signed_sum_text, word_text)
 from .exactalg import ChainComplex, column_homology
 from .moment_angle import class_by_support, degree_sums
@@ -361,41 +364,26 @@ def admissible_words(masks):
     return by_union
 
 
-def _union_support(K, union):
-    """The vertices of a union bitmask, ascending."""
-    return tuple(v for v in range(1, K.m + 1) if union >> (v - 1) & 1)
-
-
 @lru_cache(maxsize=8)
 def taylor_components(K):
     """Per-subset split on the admissible words: S -> ChainComplex of the
-    admissible words with union exactly S, for cycle classes (`taylor_class`)
-    and as the labelled reference of `taylor_homology_by_support`.
+    admissible words with union exactly S, for cycle classes (`taylor_class`).
 
-    A block's basis is the full block's, in its order (by factor count, then
-    lexicographically), with the words that are not admissible left out; the
-    differential is the insertion differential with the targets that are not
-    admissible dropped.  That is
-    the quotient by an acyclic subcomplex, so every block has the homology
-    of the full block.  A union that carries no admissible word has no
-    block; its full block is acyclic.  Every word of a block has the block's
-    union, so its boundary is taken against that one bitmask."""
+    Each block is `_blocks`' columns with every index bitmask labelled as
+    its word (`index_word`): the full block's basis, in its order (by factor
+    count, then lexicographically), with the words that are not admissible
+    left out, and the insertion differential with the targets that are not
+    admissible dropped.  That is the quotient by an acyclic subcomplex, so
+    every block has the homology of the full block.  A union that carries
+    no admissible word has no block; its full block is acyclic."""
     gens, masks = _checked_generators(K)
     blocks = {}
-    for union, words in admissible_words(masks).items():
+    for union, words, _, columns in _blocks(masks):
         basis = {}
         for word in words:
-            basis.setdefault(-word.bit_count(), []).append(
-                tuple(F for i, F in enumerate(gens) if word >> i & 1))
-        blocks[union] = basis
-    kept = {w for basis in blocks.values() for words in basis.values() for w in words}
-
-    def boundary(word, union):
-        return {new: sign for _, new, sign in insertions(word, gens, masks, union)
-                if new in kept}
-    return {_union_support(K, union):
-            ChainComplex.from_boundary(basis, lambda w, union=union: boundary(w, union))
-            for union, basis in blocks.items()}
+            basis.setdefault(-word.bit_count(), []).append(index_word(word, gens))
+        blocks[mask_face(union)] = ChainComplex(basis, columns)
+    return blocks
 
 
 def _word_columns(words, inside):
@@ -421,22 +409,29 @@ def _word_columns(words, inside):
     return dims, columns
 
 
+def _blocks(masks):
+    """(union, words, dims, columns) of every block of admissible words, on
+    index bitmasks: `admissible_words`' unions in their order, each with its
+    words in basis order and `_word_columns`' ranks and boundary columns."""
+    for union, words in admissible_words(masks).items():
+        inside = [1 << q for q, mask in enumerate(masks) if not mask & ~union]
+        yield (union, words, *_word_columns(words, inside))
+
+
 def taylor_homology_by_support(K):
     """Homology of every component, {(S, 2|S| - s): group}, nontrivial only.
 
-    Each union of admissible words (`admissible_words`) is one block, kept
-    on index bitmasks: its differential inserts each generator inside the
-    union that is not in the word, with the sign of the factors before it,
-    and drops the targets that are not admissible (`_word_columns`), so it
-    is `taylor_components`' block in the same basis order.
-    `column_homology` reads the groups from the boundary columns, d^2 = 0
-    checked, with no labelled complex built."""
+    Each union of admissible words is one block, kept on index bitmasks
+    (`_blocks`): its differential inserts each generator inside the union
+    that is not in the word, with the sign of the factors before it, and
+    drops the targets that are not admissible, so it has the columns that
+    `taylor_components` labels.  `column_homology` reads the groups from
+    the boundary columns, d^2 = 0 checked, with no labelled complex built."""
     _, masks = _checked_generators(K)
     table = {}
-    for union, words in admissible_words(masks).items():
-        inside = [1 << q for q, mask in enumerate(masks) if not mask & ~union]
-        S = _union_support(K, union)
-        for d, h in column_homology(*_word_columns(words, inside)).items():
+    for union, _, dims, columns in _blocks(masks):
+        S = mask_face(union)
+        for d, h in column_homology(dims, columns).items():
             table[(S, 2 * len(S) + d)] = h
     return table
 

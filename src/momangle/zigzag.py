@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .complexes import _is_canonical, face_mask, signed_sum_text, word_text
+from .complexes import _is_canonical, face_mask, mask_face, signed_sum_text, word_text
 from .exactalg import boundary_matrix, smith_normal_form
 from .moment_angle import CellChain, cell_boundary, cell_letters
 from .taylor import (TaylorChain, generator_masks, index_boundary, index_union,
@@ -137,7 +137,7 @@ def horizontal_diff(K, e):
         union = union_mask(W)
         for F, newW, sign in insertions(W, gens, masks, union | face_mask(I)):
             needed = face_mask(F) & ~union
-            key = (tuple(v for v in I if not needed >> (v - 1) & 1), J, newW)
+            key = (mask_face(face_mask(I) & ~needed), J, newW)
             out[key] = out.get(key, 0) + sign * c
     return BicomplexChain(out)
 
@@ -224,16 +224,6 @@ def _bits(mask):
     return out
 
 
-def _vertices(mask):
-    """The vertices of a bitmask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length())
-        mask ^= low
-    return tuple(out)
-
-
 def _masked(gens, masks, terms, S=None):
     """Labelled terms {(I, J, W): coeff} as {S: {(J, W): coeff}}, S the
     support of each term, J its circle bitmask and W the index bitmask of
@@ -264,7 +254,7 @@ def _labels(S, terms, generators):
     for (J, W), c in terms.items():
         qs = _bits(W)
         I = S & ~J & ~index_union(W, masks)
-        yield (_vertices(I), _vertices(J), tuple(gens[q] for q in qs)), c, qs
+        yield (mask_face(I), mask_face(J), tuple(gens[q] for q in qs)), c, qs
 
 
 def _labelled(S, terms, generators):
@@ -369,7 +359,7 @@ def koszul_to_taylor(K, z):
     generators = (gens, masks, ["w" + word_text(F) for F in gens])
     steps = []
     total = {}
-    for S in sorted(slices, key=_vertices):
+    for S in sorted(slices, key=mask_face):
         eta = slices[S]
         while eta and any(J or index_union(W, masks) != S for J, W in eta):
             phi = _vertical_preimage(S, eta, masks)

@@ -6,8 +6,9 @@ from itertools import combinations
 import pytest
 
 from momangle.complexes import (ParseError, SimplicialComplex, SizeLimitError,
-                                boundary, face, expression_vertex_count, is_shifted,
-                                is_subcomplex, join, parse_complex, point,
+                                boundary, face, face_mask, expression_vertex_count,
+                                is_shifted, is_subcomplex, join, mask_face,
+                                parse_complex, point,
                                 reduced_homology, simplex, simplex_boundary,
                                 substitute, substitution_missing_faces)
 from oracles import (brute_facets, brute_is_shifted, brute_missing_faces,
@@ -35,6 +36,14 @@ def test_from_facets_singletons_always_present():
 def test_from_facets_label_out_of_range():
     with pytest.raises(ValueError):
         SimplicialComplex.from_facets(2, [(1, 3)])
+
+
+def test_mask_face_inverts_face_mask():
+    vertices = range(1, 11)
+    for k in range(len(vertices) + 1):
+        for f in combinations(vertices, k):
+            assert mask_face(face_mask(f)) == f
+    assert mask_face(0) == ()
 
 
 def test_downward_closure_enforced():
