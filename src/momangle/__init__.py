@@ -18,7 +18,7 @@ from .moment_angle import (CellChain, hochster_embed, hochster_table,
 from .taylor import (MonomialIdeal, TaylorChain, cone_reconstruction,
                      mf_order, nested_taylor_cycle, taylor_boundary,
                      taylor_face_complex, taylor_homology,
-                     taylor_module_resolution, verify_taylor_is_resolution)
+                     verify_taylor_is_resolution)
 from .whitehead import (WhiteheadExpr, bracket, delta_w, fillable_wedge_basis,
                         hurewicz_chain, leaf, nested_shape_status,
                         parse_whitehead, realises_sufficient,

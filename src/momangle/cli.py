@@ -155,22 +155,26 @@ def cmd_wedge_basis(K, w, args, out):
 
 def cmd_verify(K, w, args, out):
     """Cross-route suite: the cellular, Hochster and Taylor tables must agree
-    block by block, {(S, degree): group} with S = the empty set included,
-    and the Taylor complex must resolve the Stanley-Reisner ideal of K."""
+    block by block, {(S, degree): group} with S = the empty set included;
+    the Hochster table's cone-free subsets must be the cellular table's
+    lattice; Lyubeznik's subcomplex must resolve the Stanley-Reisner ideal
+    of K.  Past the Taylor bound both Taylor checks are skipped."""
     failures = []
     cell = ma.zk_homology_by_support(K)
-    hoch, hoch_sums = ma.hochster_table(K)
+    subsets = ma.cone_free_subsets(K)
+    hoch, hoch_sums = ma.hochster_table(K, subsets)
     if cell != hoch:
         failures.append("cellular vs Hochster homology differ")
+    if subsets != ma.lattice_supports(K):
+        failures.append("cone-free subsets vs missing-face lattice differ")
     try:
         if ty.taylor_homology_by_support(K) != cell:
             failures.append("Taylor vs cellular homology differ")
-    except cx.SizeLimitError as exc:
-        out.setdefault("skipped", []).append(str(exc))
-    if K.missing_faces():
         report = ty.verify_taylor_is_resolution(ty.MonomialIdeal.stanley_reisner(K))
         if not report.ok():
             failures.append(f"Taylor resolution check failed: {report.failures}")
+    except cx.SizeLimitError as exc:
+        out.setdefault("skipped", []).append(str(exc))
     out["routes"] = {
         "cellular": homology_json(ma.degree_sums(cell)),
         "hochster": homology_json(hoch_sums),

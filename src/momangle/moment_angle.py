@@ -209,15 +209,20 @@ def zk_chain_complex(K):
     return ChainComplex.from_boundary(zk_cells(K), cell_boundary)
 
 
+def mask_lattice(masks):
+    """0 and every OR of some of the bitmasks `masks`, as a set."""
+    unions = {0}
+    for bits in masks:
+        unions |= {u | bits for u in unions}
+    return unions
+
+
 def lattice_supports(K):
     """The empty set and every union of missing faces of K, by size and then
     lexicographically.  A vertex of S lies in no missing face inside S
     exactly when it is a cone point of K_S, so these are the empty set and
     the supports S with no cone point: every other block is acyclic."""
-    unions = {0}
-    for f in K.missing_faces():
-        bits = face_mask(f)
-        unions |= {u | bits for u in unions}
+    unions = mask_lattice(face_mask(f) for f in K.missing_faces())
     return sorted(map(mask_face, unions), key=lambda S: (len(S), S))
 
 
@@ -455,18 +460,31 @@ def hochster_embed(K, J, simplicial_chain):
     return CellChain(out)
 
 
-def hochster_table(K, subsets=None):
-    """Reduced homology of every full subcomplex, placed into Z_K degrees.
-
-    Returns (per_subset, aggregate): per_subset maps (J, degree) to the
-    group contributed by K_J (simplicial degree p-1 sits in degree p+|J|),
-    aggregate direct-sums the contributions per degree.  J = the empty set
-    contributes the basepoint class in degree 0.  `subsets`, sorted tuples,
-    limits J; the default is every subset.
-    """
+def _refuse_past_hochster_bound(K):
     if K.m > 20:
         raise SizeLimitError(f"Hochster table refuses m={K.m} > 20")
+
+
+def cone_free_subsets(K):
+    """The empty set and the subsets J with no cone point of K_J, found from
+    the facets (`cone_point_within`); `verify` checks they are
+    `lattice_supports(K)`.  A cone K_J is contractible."""
+    _refuse_past_hochster_bound(K)
+    return [J for J in all_subsets(K.m) if not J or K.cone_point_within(J) is None]
+
+
+def hochster_table(K, subsets=None):
+    """Reduced homology of the full subcomplexes, placed into Z_K degrees.
+
+    Returns (per_subset, aggregate): per_subset maps (J, degree) to the
+    nontrivial group contributed by K_J (simplicial degree p-1 sits in
+    degree p+|J|), aggregate direct-sums the contributions per degree.
+    J = the empty set contributes the basepoint class in degree 0.
+    `subsets`, sorted tuples, limits J; the default `cone_free_subsets`
+    leaves out only contractible K_J, so it gives every subset's table.
+    """
+    _refuse_past_hochster_bound(K)
     blocks = ((J, reduced_chain_complex(K.faces_within(J)))
-              for J in (all_subsets(K.m) if subsets is None else subsets))
+              for J in (cone_free_subsets(K) if subsets is None else subsets))
     per_subset = support_table(blocks, lambda J, d: d + len(J) + 1)
     return per_subset, degree_sums(per_subset)

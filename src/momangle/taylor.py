@@ -41,19 +41,21 @@ complex built; cycle classes label the same columns with the words
 closed form of nested products (`nested_taylor_cycle`) and the zigzag keep
 their words on the same index bitmasks, with the same sign
 (`insertion_sign`), and check their cycles there (`index_boundary`).
+Lyubeznik's theorem itself is checked on the same builder, one slice of
+the lcm lattice at a time (`verify_taylor_is_resolution`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import combinations, product
+from itertools import accumulate, combinations
 
 from .complexes import (SimplicialComplex, SizeLimitError, _is_canonical, face,
                         face_mask, mask_face, read_signed_sum, read_text, read_word,
                         signed_sum_text, word_text)
 from .exactalg import ChainComplex, column_homology
-from .moment_angle import class_by_support, degree_sums
+from .moment_angle import class_by_support, degree_sums, mask_lattice
 from .whitehead import _sits_in, canonical_missing_faces
 
 MAX_GENERATORS = 20
@@ -305,10 +307,13 @@ def taylor_boundary(K, chain):
 
 def _checked_generators(K):
     gens, masks = generator_masks(K)
-    if len(gens) > MAX_GENERATORS:
-        raise SizeLimitError(
-            f"|MF(K)|={len(gens)} exceeds the Taylor bound {MAX_GENERATORS}")
+    _refuse_past_bound(len(gens))
     return gens, masks
+
+
+def _refuse_past_bound(count):
+    if count > MAX_GENERATORS:
+        raise SizeLimitError(f"|MF(K)|={count} exceeds the Taylor bound {MAX_GENERATORS}")
 
 
 def taylor_face_complex(K):
@@ -527,7 +532,7 @@ def nested_taylor_cycle(w, K):
     return TaylorChain({index_word(word, gens): c for word, c in words.items()})
 
 
-# -- monomial ideals and the module-version resolution ------------------------------
+# -- monomial ideals and Lyubeznik's resolution on the lcm lattice -------------------
 
 def _lcm(exps):
     out = None
@@ -587,8 +592,13 @@ class MonomialIdeal:
                     faces_.append(cand)
         return SimplicialComplex(self.m, faces_)
 
-    def lcm_all(self):
-        return _lcm(self.gens)
+    def masks(self):
+        """The generators polarised into bitmasks: variable v gets a run of
+        as many bits as its largest exponent, and exponent e sets the first
+        e of them, so lcm is OR and divisibility is containment."""
+        widths = [max((g[v] for g in self.gens), default=0) for v in range(self.m)]
+        starts = list(accumulate(widths, initial=0))
+        return [sum(((1 << e) - 1) << at for e, at in zip(g, starts)) for g in self.gens]
 
 
 def taylor_module_differential(gens):
@@ -611,35 +621,6 @@ def taylor_module_differential(gens):
     return entries
 
 
-def taylor_module_resolution(ideal, bound=None):
-    """Truncated module-version Taylor complex as one ChainComplex.
-
-    Degree s has basis (beta, J): beta a multidegree below the bound with
-    lcm(J) dividing it; the differential drops one generator at a time and
-    keeps the multidegree.  For square-free ideals the natural bound is the
-    square-free cube; otherwise the lcm of all generators.
-    """
-    if bound is None:
-        bound = (tuple(1 for _ in range(ideal.m)) if ideal.is_squarefree()
-                 else ideal.lcm_all())
-    betas = [tuple(b) for b in product(*(range(x + 1) for x in bound))]
-    lcms = {J: _lcm([ideal.gens[j] for j in J]) if J else tuple(0 for _ in range(ideal.m))
-            for s in range(len(ideal.gens) + 1)
-            for J in combinations(range(len(ideal.gens)), s)}
-    basis = {}
-    for J, lc in lcms.items():
-        for beta in betas:
-            if _divides(lc, beta):
-                basis.setdefault(len(J), []).append((beta, J))
-    for s in basis:
-        basis[s].sort()
-
-    def boundary(label):
-        beta, J = label
-        return {(beta, J[:n] + J[n + 1:]): -1 if n % 2 else 1 for n in range(len(J))}
-    return ChainComplex.from_boundary(basis, boundary)
-
-
 @dataclass(frozen=True)
 class ResolutionReport:
     module_exact: bool
@@ -649,30 +630,26 @@ class ResolutionReport:
         return self.module_exact
 
 
-def verify_taylor_is_resolution(ideal, bound=None):
-    """Per-multidegree exactness of the module Taylor complex.
+def verify_taylor_is_resolution(ideal):
+    """Exactness of Lyubeznik's resolution of S/ideal, on polarised masks.
 
-    Exactness means vanishing homology in positive indices and a degree-zero
-    cokernel equal to the monomial span of the quotient ring: Z exactly at
-    the multidegrees no generator divides."""
-    C = taylor_module_resolution(ideal, bound)
+    For each nonzero U of the lcm lattice, the admissible words with union
+    inside U, the empty word included, span its slice; `_word_columns`
+    gives their insertion columns, the dual of the deletion differential,
+    and a finite free complex over Z is exact exactly when its dual is, so
+    every group `column_homology` reads must vanish.  Any other multidegree
+    has the slice of the lcm of the generators dividing it, or Z in degree
+    0 when none does.  A failure is (the generators inside U, word length,
+    group)."""
+    masks = ideal.masks()
+    _refuse_past_bound(len(masks))
+    by_union = admissible_words(masks)
     failures = []
-    by_beta = {}
-    for s, labs in C.basis.items():
-        for beta, J in labs:
-            by_beta.setdefault(beta, set()).add(s)
-    # homology degreewise; the complex already splits by beta, so a global
-    # check at each s is equivalent to all per-multidegree checks at s
-    for s in sorted(C.basis):
-        h = C.homology(s)
-        if s >= 1 and not h.is_trivial():
-            failures.append((s, str(h)))
-    h0 = C.homology(0)
-    expected_rank = sum(
-        1 for beta in by_beta
-        if not any(_divides(g, beta) for g in ideal.gens))
-    if h0.torsion or h0.rank != expected_rank:
-        failures.append((0, f"H_0 = {h0}, expected Z^{expected_rank}"))
+    for U in sorted(mask_lattice(masks) - {0}):
+        words = [word for union, ws in by_union.items() if not union & ~U for word in ws]
+        inside = [q for q, mask in enumerate(masks) if not mask & ~U]
+        groups = column_homology(*_word_columns(words, [1 << q for q in inside]))
+        failures += [(tuple(inside), -d, str(h)) for d, h in groups.items()]
     return ResolutionReport(not failures, tuple(failures))
 
 

@@ -14,8 +14,11 @@ faces, substitution and cone points, permutation-search shiftedness, and
 the full cellular blocks of Z_K with the cellular table and cycle classes
 reduced in them (the reference for the package's star quotients over the
 missing-face lattice, and for its classes projected onto those quotients),
-and the star quotient on (J, I) labels built through `from_boundary` (the
-reference for the package's quotient built on face masks).
+the star quotient on (J, I) labels built through `from_boundary` (the
+reference for the package's quotient built on face masks), and the whole
+module Taylor complex in a box of multidegrees with its exactness read
+degree by degree (the reference for the package's Lyubeznik check on the
+lcm lattice).
 None of it shares code with the package internals it checks beyond the
 IntMatrix, SmithForm, ChainComplex and HomologyClass containers, with two
 exceptions, routes the package used before.  Whether bd_Delta(w) or the
@@ -739,6 +742,58 @@ def brute_is_shifted(K):
         if good:
             wits.append(perm)
     return wits
+
+
+def _reference_lcm(exps, m):
+    return tuple(max((e[v] for e in exps), default=0) for v in range(m))
+
+
+def _reference_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def taylor_module_resolution(ideal, bound=None):
+    """Truncated module-version Taylor complex as one ChainComplex.
+
+    Degree s has basis (beta, J): beta a multidegree below the bound with
+    lcm(J) dividing it; the differential drops one generator at a time and
+    keeps the multidegree.  For square-free ideals the natural bound is the
+    square-free cube; otherwise the lcm of all generators.
+    """
+    if bound is None:
+        bound = (tuple(1 for _ in range(ideal.m)) if ideal.is_squarefree()
+                 else _reference_lcm(ideal.gens, ideal.m))
+    betas = [tuple(b) for b in product(*(range(x + 1) for x in bound))]
+    basis = {}
+    for s in range(len(ideal.gens) + 1):
+        for J in combinations(range(len(ideal.gens)), s):
+            lc = _reference_lcm([ideal.gens[j] for j in J], ideal.m)
+            for beta in betas:
+                if _reference_divides(lc, beta):
+                    basis.setdefault(s, []).append((beta, J))
+    for s in basis:
+        basis[s].sort()
+
+    def boundary(label):
+        beta, J = label
+        return {(beta, J[:n] + J[n + 1:]): -1 if n % 2 else 1 for n in range(len(J))}
+    return ChainComplex.from_boundary(basis, boundary)
+
+
+def reference_resolution_failures(ideal, bound=None):
+    """Where the whole module Taylor complex in the box `bound` fails to
+    resolve S/ideal, [(s, group text)]: homology in every index s >= 1 must
+    vanish, and H_0 must be Z exactly at the multidegrees of the box that no
+    generator divides.  The complex splits by multidegree, so one homology
+    per index s covers every slice at s."""
+    C = taylor_module_resolution(ideal, bound)
+    failures = [(s, str(h)) for s, h in sorted(C.homology_all().items()) if s >= 1]
+    h0 = C.homology(0)
+    expected_rank = sum(1 for beta, _ in C.basis[0]
+                        if not any(_reference_divides(g, beta) for g in ideal.gens))
+    if h0.torsion or h0.rank != expected_rank:
+        failures.append((0, f"H_0 = {h0}, expected Z^{expected_rank}"))
+    return failures
 
 
 def random_complex(m, rng, max_facet_count=None):

@@ -128,6 +128,27 @@ def test_verify_compares_routes_block_by_block(capsys, monkeypatch):
     assert "Taylor vs cellular" in json.loads(out)["verification_error"]
 
 
+def test_verify_skips_the_taylor_checks_past_the_bound(tmp_path, capsys):
+    # 8 isolated points have 28 missing edges, past the Taylor bound of 20:
+    # the table and the resolution check are both skipped, nothing hangs
+    path = tmp_path / "points8.json"
+    path.write_text('{"m": 8, "facets": []}')
+    code, out, err = run_cli(capsys, "verify", "--complex", str(path))
+    assert code == 0 and "Traceback" not in err
+    report = json.loads(out)
+    assert report["skipped"] == ["|MF(K)|=28 exceeds the Taylor bound 20"]
+    assert report["failures"] == []
+
+
+def test_verify_checks_the_lattice_against_the_cone_test(capsys, monkeypatch):
+    from momangle import moment_angle as ma
+    real = ma.lattice_supports
+    monkeypatch.setattr(ma, "lattice_supports", lambda K: real(K)[:-1])
+    code, out, _ = run_cli(capsys, "verify", "--complex", SUB5_EXPR)
+    assert code == 3
+    assert "cone-free subsets vs missing-face lattice" in json.loads(out)["verification_error"]
+
+
 @pytest.mark.parametrize("verb, calls", [("taylor", 0), ("verify", 1)])
 def test_hochster_table_runs_only_in_verify(capsys, monkeypatch, verb, calls):
     import momangle

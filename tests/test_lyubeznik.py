@@ -7,14 +7,18 @@ torsion included, and a cycle must bound in the whole split exactly when its
 projection onto the admissible words bounds in the blocks.  The complexes are
 seeded random ones, RP^2 (Z/2 torsion) and cones over RP^2 with a seventh
 vertex, canonical complexes of nested products with random faces added, and
-the K6 graph, the largest Taylor input the size gate admits.
+the K6 graph, the largest Taylor input the size gate admits.  Wrong word
+sets fed to `verify_taylor_is_resolution` must be refused, by d^2 != 0 or
+by a slice of the lcm lattice that is not exact.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 
 from momangle import complexes as cx
+from momangle import taylor as ty
 from momangle.exactalg import kernel_basis
 from momangle.moment_angle import support_table, zk_homology_by_support
 from momangle.taylor import (TaylorChain, admissible_words, mf_order,
@@ -222,3 +226,73 @@ def test_k6_graph_against_cellular():
     assert sum(B.dim(d) for B in blocks.values() for d in B.basis) == 184
     table = taylor_homology_by_support(K)
     assert table == table_of(blocks) == zk_homology_by_support(K)
+
+
+# -- the resolution check bites on wrong word sets ----------------------------------
+
+def mutation_cases():
+    """The paper's complex, an RP^2 cone and the K6 graph."""
+    return [cx.parse_complex(SUB5_EXPR), rp2_cone(random.Random(2), 6),
+            cx.parse_complex("bd(bd(bd(bd(simplex(1,2,3,4,5,6)))))")]
+
+
+def resolution_report(K):
+    return ty.verify_taylor_is_resolution(ty.MonomialIdeal.stanley_reisner(K))
+
+
+def first_suffix_only(masks):
+    """Words kept when no generator before their first index lies inside
+    their union: Lyubeznik's rule tested on the first suffix only."""
+    by_union = {}
+    for s in range(len(masks) + 1):
+        for word in combinations(range(len(masks)), s):
+            union = 0
+            for q in word:
+                union |= masks[q]
+            if not any(not masks[q] & ~union for q in range(word[0] if word else 0)):
+                by_union.setdefault(union, []).append(sum(1 << q for q in word))
+    return by_union
+
+
+def test_the_real_rule_passes():
+    for K in mutation_cases():
+        assert resolution_report(K).ok(), K
+
+
+@pytest.mark.parametrize("K", mutation_cases()[:2], ids=["paper", "rp2-cone"])
+def test_first_suffix_rule_is_refused(monkeypatch, K):
+    monkeypatch.setattr(ty, "admissible_words", first_suffix_only)
+    with pytest.raises(ValueError, match=r"d\^2 != 0"):
+        resolution_report(K)
+
+
+@pytest.mark.parametrize("K", mutation_cases()[1:], ids=["rp2-cone", "k6"])
+def test_a_missing_two_word_is_refused(monkeypatch, K):
+    """A 2-word inside an admissible 3-word left out breaks d^2 = 0 there."""
+    real = admissible_words(ty.MonomialIdeal.stanley_reisner(K).masks())
+    threes = [w for ws in real.values() for w in ws if w.bit_count() == 3]
+    dropped = next(w for ws in real.values() for w in ws
+                   if w.bit_count() == 2 and any(w & ~t == 0 for t in threes))
+    monkeypatch.setattr(ty, "admissible_words", lambda masks: {
+        union: [w for w in ws if w != dropped] for union, ws in real.items()})
+    with pytest.raises(ValueError, match=r"d\^2 != 0"):
+        resolution_report(K)
+
+
+@pytest.mark.parametrize("K", mutation_cases(), ids=["paper", "rp2-cone", "k6"])
+def test_a_missing_top_word_is_not_exact(monkeypatch, K):
+    """The longest word of the top union, left out, keeps d^2 = 0 (no word
+    lies above it), so only the exactness test can see it."""
+    masks = ty.MonomialIdeal.stanley_reisner(K).masks()
+    real = admissible_words(masks)
+    top = 0
+    for mask in masks:
+        top |= mask
+    dropped = real[top][-1]
+    assert dropped.bit_count() == max(w.bit_count() for w in real[top])
+    monkeypatch.setattr(ty, "admissible_words", lambda masks: {
+        union: [w for w in ws if w != dropped] for union, ws in real.items()})
+    report = resolution_report(K)
+    assert not report.ok() and report.failures
+    inside, s, group = report.failures[-1]
+    assert inside == tuple(range(len(masks))) and group != "0"

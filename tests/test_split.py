@@ -10,7 +10,9 @@ modulo the star of one vertex; here the table is checked against every
 block built and against the route it replaced (every subset, full blocks,
 cone blocks skipped), each quotient against its full block, and mutated
 quotients must be refused or change a group.  Cycle classes, projected onto
-the same quotients, are checked against classes in the full blocks.
+the same quotients, are checked against classes in the full blocks.  The
+Hochster table, on the subsets without a cone point by default, is checked
+against the table over every subset.
 """
 
 import json
@@ -23,7 +25,7 @@ from momangle import complexes as cx
 from momangle.cli import main
 from momangle.exactalg import ChainComplex, HomologyGroup, kernel_basis
 from momangle import moment_angle
-from momangle.moment_angle import (CellChain, all_subsets, cell_boundary,
+from momangle.moment_angle import (CellChain, all_subsets, cell_boundary, cone_free_subsets,
                                    hochster_embed, hochster_table, lattice_supports,
                                    star_vertex, support_table, zk_chain_complex,
                                    zk_class, zk_homology, zk_homology_by_support,
@@ -233,6 +235,25 @@ def test_lattice_is_the_non_cone_supports(K):
     assert supports == sorted(supports, key=lambda S: (len(S), S))
     assert set(supports) == {()} | {S for S in all_subsets(K.m)
                                     if S and K.cone_point_within(S) is None}
+
+
+@pytest.mark.parametrize("K", quotient_cases(), ids=lambda K: f"m{K.m}-{len(K.faces)}faces")
+def test_hochster_skips_only_cones(K):
+    assert cone_free_subsets(K) == lattice_supports(K)
+    assert hochster_table(K) == hochster_table(K, list(all_subsets(K.m)))
+
+
+def test_hochster_skips_only_cones_on_seeded_complexes():
+    rng = random.Random(1)
+    for _ in range(60):
+        K = random_complex(rng.randint(2, 8), rng)
+        assert cone_free_subsets(K) == lattice_supports(K), K
+        assert hochster_table(K) == hochster_table(K, list(all_subsets(K.m))), K
+
+
+def test_cone_free_subsets_gated():
+    with pytest.raises(cx.SizeLimitError, match="Hochster table refuses m=21"):
+        cone_free_subsets(cx.SimplicialComplex.from_facets(21, []))
 
 
 @pytest.mark.parametrize("K", quotient_cases(), ids=lambda K: f"m{K.m}-{len(K.faces)}faces")

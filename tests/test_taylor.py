@@ -14,11 +14,11 @@ from momangle.taylor import (MonomialIdeal, TaylorChain, cone_reconstruction,
                              taylor_boundary, taylor_boundary_word,
                              taylor_components, taylor_face_complex,
                              taylor_homology, taylor_homology_by_support,
-                             taylor_module_resolution, verify_taylor_is_resolution,
-                             word_support)
+                             verify_taylor_is_resolution, word_support)
 from momangle.whitehead import delta_w, parse_whitehead
 from oracles import (lyubeznik_admissible, random_complex,
-                     reference_nested_taylor_cycle, reference_taylor_boundary_word)
+                     reference_nested_taylor_cycle, reference_resolution_failures,
+                     reference_taylor_boundary_word, taylor_module_resolution)
 
 # the complete graph on six vertices: its 20 triangles are its missing faces
 K6_GRAPH = "bd(bd(bd(bd(simplex(1,2,3,4,5,6)))))"
@@ -376,7 +376,7 @@ def test_squarefree_complex_roundtrip(sub5):
 
 def test_module_resolution_single_generator():
     ideal = MonomialIdeal(2, [(1, 1)])
-    report = verify_taylor_is_resolution(ideal, bound=(2, 2))
+    report = verify_taylor_is_resolution(ideal)
     assert report.module_exact and report.ok()
 
 
@@ -417,19 +417,56 @@ def test_module_resolution_random_general_exponents():
     rng = random.Random(23)
     done = 0
     while done < 10:
-        m = rng.randint(2, 3)
-        cand = {tuple(rng.randint(0, 2) for _ in range(m))
-                for _ in range(rng.randint(1, 4))}
-        cand = [g for g in cand if any(g)]
-        gens = [g for g in cand
-                if not any(h != g and all(a <= b for a, b in zip(h, g))
-                           for h in cand)]
-        if not gens:
+        ideal = random_general_ideal(rng)
+        if not ideal.gens:
             continue
-        ideal = MonomialIdeal(m, sorted(gens))
         report = verify_taylor_is_resolution(ideal)
-        assert report.module_exact, (gens, report.failures)
+        assert report.module_exact, (ideal.gens, report.failures)
         done += 1
+
+
+def test_polarised_masks():
+    # x^2, xy, y^3: x gets bits 0-1, y bits 2-4; lcm is OR, division containment
+    ideal = MonomialIdeal(2, [(2, 0), (1, 1), (0, 3)])
+    assert ideal.masks() == [0b11, 0b101, 0b11100]
+    assert sf(4, (1, 3), (3, 4)).masks() == [0b011, 0b110]   # vertex 2 occurs in none
+    assert MonomialIdeal(3, []).masks() == []
+
+
+def random_general_ideal(rng):
+    """Minimal generators of a random monomial ideal in 2 or 3 variables with
+    exponents up to 2."""
+    m = rng.randint(2, 3)
+    cand = {tuple(rng.randint(0, 2) for _ in range(m)) for _ in range(rng.randint(1, 4))}
+    cand = [g for g in cand if any(g)]
+    return MonomialIdeal(m, sorted(g for g in cand if not any(
+        h != g and all(a <= b for a, b in zip(h, g)) for h in cand)))
+
+
+def test_lattice_check_agrees_with_the_whole_module_complex():
+    """The check on the lcm lattice and the whole module Taylor complex,
+    read degree by degree, both find the resolutions exact: seeded
+    square-free ideals, general exponents and a box past the cube."""
+    assert reference_resolution_failures(MonomialIdeal(2, [(1, 1)]), bound=(2, 2)) == []
+    rng = random.Random(31)
+    ideals = []
+    while len(ideals) < 12:
+        K = random_complex(rng.randint(2, 5), rng)
+        if 1 <= len(K.missing_faces()) <= 6:
+            ideals.append(MonomialIdeal.stanley_reisner(K))
+    while len(ideals) < 24:
+        ideal = random_general_ideal(rng)
+        if ideal.gens:
+            ideals.append(ideal)
+    for ideal in ideals:
+        assert verify_taylor_is_resolution(ideal).ok(), ideal
+        assert reference_resolution_failures(ideal) == [], ideal
+
+
+def test_resolution_check_gated_by_generator_count():
+    ideal = MonomialIdeal.stanley_reisner(SimplicialComplex.from_facets(8, []))
+    with pytest.raises(SizeLimitError, match="28 exceeds the Taylor bound 20"):
+        verify_taylor_is_resolution(ideal)
 
 
 def test_cone_reconstruction_two_generators():
