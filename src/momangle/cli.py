@@ -224,12 +224,17 @@ def build_parser():
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb in COMMANDS:
         p = sub.add_parser(verb)
-        p.add_argument("--complex", required=verb in NEEDS_COMPLEX,
-                       help="builder expression or path to .json")
-        p.add_argument("--w", required=verb in NEEDS_W,
-                       help="Whitehead expression, e.g. [[1,2,3],4,5]")
-        p.add_argument("--subset", help="comma-separated vertex subset")
-        p.add_argument("--order", help="comma-separated shifted vertex order")
+        # each verb takes only the options it reads, so an ignored one is an error
+        if verb in NEEDS_COMPLEX:
+            p.add_argument("--complex", required=True,
+                           help="builder expression or path to .json")
+        if verb in NEEDS_W:
+            p.add_argument("--w", required=True,
+                           help="Whitehead expression, e.g. [[1,2,3],4,5]")
+        if verb == "hochster":
+            p.add_argument("--subset", help="comma-separated vertex subset")
+        if verb == "wedge-basis":
+            p.add_argument("--order", help="comma-separated shifted vertex order")
         p.add_argument("--format", choices=["json", "text"], default="json")
         p.add_argument("--max-vertices", type=int, default=20)
     return parser
@@ -256,8 +261,8 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     out = {"verb": args.verb,
-           "inputs": {k: getattr(args, k) for k in ("complex", "w", "subset")
-                      if getattr(args, k) is not None},
+           "inputs": {k: getattr(args, k, None) for k in ("complex", "w", "subset")
+                      if getattr(args, k, None) is not None},
            "engine": f"momangle {__version__}"}
     started = time.perf_counter()
     code = EXIT_OK

@@ -14,7 +14,7 @@ tolerable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .exactalg import ChainComplex
 
@@ -385,45 +385,48 @@ def is_subcomplex(K_small, K_big, labelling=None):
 @dataclass(frozen=True)
 class ShiftedResult:
     shifted: bool
-    witnesses: tuple  # vertex orders (ascending significance) that work
+    witnesses: tuple  # the vertex order (ascending significance) that works, if any
 
     def __bool__(self):
         return self.shifted
 
 
+def _dominates(K, u, v):
+    """Does u dominate v: does every face holding v but not u stay a face
+    with v replaced by u?  Facets suffice: such a face f lies in a facet F,
+    and f - v + u lies in F - v + u."""
+    ubit, vbit = 1 << (u - 1), 1 << (v - 1)
+    return all(not fmask & vbit or fmask ^ vbit | ubit in K._masks
+               for fmask in K._facet_masks)
+
+
 def _order_is_shifted(K, order):
-    """order[v] = position; larger position may replace smaller inside faces."""
-    pos = {v: i for i, v in enumerate(order)}
-    for f in K.faces:
-        for v in f:
-            rest = tuple(x for x in f if x != v)
-            for w in range(1, K.m + 1):
-                if w in f or pos[w] <= pos[v]:
-                    continue
-                if tuple(sorted(rest + (w,))) not in K:
-                    return False
-    return True
+    """Is K shifted for `order` (smallest first): does each vertex dominate
+    every earlier one?  Dominance is transitive, so each vertex dominating
+    the one before it is enough."""
+    return all(_dominates(K, u, v) for v, u in zip(order, order[1:]))
 
 
 def is_shifted(K, order=None):
     """Shiftedness test.
 
     With `order` given (a permutation of 1..m, smallest first), only that
-    order is checked.  Otherwise all m! orders are tried for m <= 7 and
-    every witnessing order is reported; beyond that an order is mandatory.
+    order is checked.  Otherwise the vertices are sorted by how many others
+    they dominate, labels ascending on ties, and that order is checked: K is
+    shifted iff dominance is total, and then this order is the
+    lexicographically first witness (Klivans, Discrete Math. 2007).  Either
+    way `witnesses` holds the order checked if it works.
     """
-    if order is not None:
+    vertices = tuple(range(1, K.m + 1))
+    if order is None:
+        count = {u: sum(_dominates(K, u, v) for v in vertices if v != u) for u in vertices}
+        order = tuple(sorted(vertices, key=lambda u: (count[u], u)))
+    else:
         order = tuple(order)
-        if sorted(order) != list(range(1, K.m + 1)):
+        if sorted(order) != list(vertices):
             raise ValueError("order must be a permutation of 1..m")
-        ok = _order_is_shifted(K, order)
-        return ShiftedResult(ok, (order,) if ok else ())
-    if K.m > 7:
-        raise SizeLimitError(
-            "exhaustive order search is limited to m <= 7; pass an order")
-    wits = tuple(p for p in permutations(range(1, K.m + 1))
-                 if _order_is_shifted(K, p))
-    return ShiftedResult(bool(wits), wits)
+    ok = _order_is_shifted(K, order)
+    return ShiftedResult(ok, (order,) if ok else ())
 
 
 # -- reduced simplicial chains ------------------------------------------------

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from math import gcd
 
 
 class IntMatrix:
@@ -516,39 +517,20 @@ class HomologyGroup:
 TRIVIAL_GROUP = HomologyGroup(0, ())
 
 
-def _factorise(n):
-    out = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def direct_sum(a, b):
-    """Direct sum of homology groups, re-normalised to invariant factors."""
+    """Direct sum of homology groups, re-normalised to invariant factors: one
+    pairwise (gcd, lcm) sweep leaves the torsion's p-adic exponents sorted
+    ascending for every prime p at once, so each entry divides the next."""
     if a is None:
         return b
     if b is None:
         return a
-    primary = {}
-    for group in (a, b):
-        for f in group.torsion:
-            for p, e in _factorise(f).items():
-                primary.setdefault(p, []).append(e)
-    chains = []
-    for p, exps in primary.items():
-        exps.sort(reverse=True)
-        for k, e in enumerate(exps):
-            while len(chains) <= k:
-                chains.append(1)
-            chains[k] *= p ** e
-    chains.sort()
-    return HomologyGroup(a.rank + b.rank, tuple(chains))
+    fs = [*a.torsion, *b.torsion]
+    for i in range(len(fs)):
+        for j in range(i + 1, len(fs)):
+            g = gcd(fs[i], fs[j])
+            fs[i], fs[j] = g, fs[i] // g * fs[j]
+    return HomologyGroup(a.rank + b.rank, tuple(f for f in fs if f != 1))
 
 
 @dataclass(frozen=True)

@@ -129,11 +129,11 @@ class CellChain:
 
         Sign: sort the concatenated letters by vertex; each transposition of
         two circle letters contributes -1 (disc letters are even)."""
+        if set(self.support()) & set(other.support()):
+            raise ValueError("product factors share a vertex")
         out = {}
         for (J1, I1), c1 in self.terms.items():
             for (J2, I2), c2 in other.terms.items():
-                if (set(J1) | set(I1)) & (set(J2) | set(I2)):
-                    raise ValueError("product factors share a vertex")
                 inv = sum(1 for a in J1 for b in J2 if b < a)
                 sign = -1 if inv % 2 else 1
                 cell = (tuple(sorted(J1 + J2)), tuple(sorted(I1 + I2)))

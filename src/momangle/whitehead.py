@@ -472,10 +472,12 @@ def _basis_verdict(K, entries):
 def shifted_wedge_basis(K, order=None):
     """Whitehead wedge basis of a shifted complex.
 
-    For every vertex subset J, each missing face of K_J containing the
+    For every vertex subset J, each missing face I of K_J containing the
     order-maximal vertex of J contributes the nested product
     [[...[[mu_I], mu_j1]...], mu_jq] over J - I; the verdict certifies the
-    emitted chains as a Z-basis of H_*(Z_K).
+    emitted chains as a Z-basis of H_*(Z_K).  Those pairs are read off the
+    missing faces of K: J is I together with any set of vertices ranked
+    below I's top vertex, and the entries come sorted by (|J|, J, |I|, I).
     """
     res = cx.is_shifted(K, order)
     if not res:
@@ -483,14 +485,13 @@ def shifted_wedge_basis(K, order=None):
                          else "K is not shifted for the given order")
     witness = res.witnesses[0]
     rank = {v: i for i, v in enumerate(witness)}
-    entries = []
-    for k in range(1, K.m + 1):
-        for J in combinations(range(1, K.m + 1), k):
-            top = max(J, key=lambda v: rank[v])
-            for I in K.missing_faces_within(J):
-                if top in I:
-                    entries.append(_wedge_entry(J, I))
-    return _basis_verdict(K, entries)
+    pairs = []
+    for I in K.missing_faces():
+        below = [v for v in witness[:max(map(rank.get, I))] if v not in I]
+        for k in range(len(below) + 1):
+            pairs.extend((tuple(sorted(I + T)), I) for T in combinations(below, k))
+    pairs.sort(key=lambda p: (len(p[0]), p[0], len(p[1]), p[1]))
+    return _basis_verdict(K, [_wedge_entry(J, I) for J, I in pairs])
 
 
 def fillable_wedge_basis(K, fillings):

@@ -10,9 +10,13 @@ the package's blocks on the admissible words only), the cell boundary by
 sorting and counting (the reference for the package's bisection), the
 staircase's vertical solve over the whole multidegree slice (the reference
 for the package's solve one word at a time), definition-level missing
-faces, substitution and cone points, permutation-search shiftedness, and
-the full cellular blocks of Z_K with the cellular table and cycle classes
-reduced in them (the reference for the package's star quotients over the
+faces, substitution and cone points, permutation-search shiftedness (the
+reference for the package's order by facet dominance), the shifted wedge
+basis's pairs by a scan of every vertex subset (the reference for reading
+them off the missing faces), the direct sum of homology groups by
+trial-division factorisation (the reference for the package's gcd and lcm
+sweep), and the full cellular blocks of Z_K with the cellular table and
+cycle classes reduced in them (the reference for the package's star quotients over the
 missing-face lattice, and for its classes projected onto those quotients),
 the star quotient on (J, I) labels built through `from_boundary` (the
 reference for the package's quotient built on face masks), and the whole
@@ -36,7 +40,8 @@ from itertools import combinations, permutations, product
 
 from momangle.complexes import (SimplicialComplex, SizeLimitError, face_mask,
                                 is_subcomplex, join, simplex, simplex_boundary)
-from momangle.exactalg import ChainComplex, HomologyClass, IntMatrix, SmithForm
+from momangle.exactalg import (ChainComplex, HomologyClass, HomologyGroup, IntMatrix,
+                               SmithForm)
 from momangle.moment_angle import ZK_MAX_VERTICES, CellChain, all_subsets, support_table
 from momangle.taylor import (TaylorChain, mf_order, nested_levels, normalise_word,
                              taylor_boundary, union_mask)
@@ -720,28 +725,69 @@ def reference_sits_in(L, leaf_map, K):
     return is_subcomplex(L, K, {v: l for l, v in leaf_map.items()})
 
 
+def brute_order_is_shifted(K, order):
+    """Is every face, with any vertex replaced by a later one of `order`
+    outside it, still a face?"""
+    pos = {v: i for i, v in enumerate(order)}
+    for f in K.faces:
+        for v in f:
+            for u in range(1, K.m + 1):
+                if u in f or pos[u] <= pos[v]:
+                    continue
+                if tuple(sorted([x for x in f if x != v] + [u])) not in K.faces:
+                    return False
+    return True
+
+
 def brute_is_shifted(K):
-    """All witnessing orders by raw permutation search."""
-    wits = []
-    for perm in permutations(range(1, K.m + 1)):
-        pos = {v: i for i, v in enumerate(perm)}
-        good = True
-        for f in K.faces:
-            if not good:
-                break
-            for v in f:
-                for u in range(1, K.m + 1):
-                    if u in f or pos[u] <= pos[v]:
-                        continue
-                    g = tuple(sorted([x for x in f if x != v] + [u]))
-                    if g not in K.faces:
-                        good = False
-                        break
-                if not good:
-                    break
-        if good:
-            wits.append(perm)
-    return wits
+    """The witnessing orders by raw permutation search, lazily, in
+    lexicographic order."""
+    return (perm for perm in permutations(range(1, K.m + 1))
+            if brute_order_is_shifted(K, perm))
+
+
+def reference_shifted_wedge_pairs(K, order):
+    """The (J, I) pairs of the shifted wedge basis by a scan of every vertex
+    subset J: each missing face I of K_J holding J's order-maximal vertex."""
+    rank = {v: i for i, v in enumerate(order)}
+    pairs = []
+    for k in range(1, K.m + 1):
+        for J in combinations(range(1, K.m + 1), k):
+            top = max(J, key=lambda v: rank[v])
+            pairs.extend((J, I) for I in K.missing_faces_within(J) if top in I)
+    return pairs
+
+
+def _factorise(n):
+    out = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def reference_direct_sum(a, b):
+    """Direct sum of homology groups by trial-division factorisation into
+    primary parts, regrouped into invariant factors."""
+    primary = {}
+    for group in (a, b):
+        for f in group.torsion:
+            for p, e in _factorise(f).items():
+                primary.setdefault(p, []).append(e)
+    chains = []
+    for p, exps in primary.items():
+        exps.sort(reverse=True)
+        for k, e in enumerate(exps):
+            while len(chains) <= k:
+                chains.append(1)
+            chains[k] *= p ** e
+    chains.sort()
+    return HomologyGroup(a.rank + b.rank, tuple(chains))
 
 
 def _reference_lcm(exps, m):
@@ -803,6 +849,15 @@ def random_complex(m, rng, max_facet_count=None):
         k = rng.randint(1, m)
         facets.append(tuple(sorted(rng.sample(range(1, m + 1), k))))
     return SimplicialComplex.from_facets(m, facets)
+
+
+def random_graph_complex(m, rng):
+    """A random graph on 1..m with some of its triangles filled."""
+    edges = [e for e in combinations(range(1, m + 1), 2) if rng.random() < 0.6]
+    edge_set = set(edges)
+    triangles = [t for t in combinations(range(1, m + 1), 3)
+                 if set(combinations(t, 2)) <= edge_set and rng.random() < 0.5]
+    return SimplicialComplex.from_facets(m, edges + triangles)
 
 
 def random_shifted_complex(m, rng):

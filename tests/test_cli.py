@@ -238,6 +238,10 @@ BAD_FILES = {"bad.json": "{not json", "no_facets.json": '{"m": 3}',
     (["mf", "--complex", "bd(" * 1000 + "pt" + ")" * 1000], 1),
     (["hurewicz", "--w", "".join(f"[{v}," for v in range(1, 1501)) + "1501"
       + "]" * 1500], 1),
+    # an option the verb does not read is refused, not ignored
+    (["verify", "--complex", "bd(simplex(1,2,3))", "--w", "[1,2]"], 1),
+    (["homology", "--complex", "pt", "--order", "5,6", "--subset", "9"], 1),
+    (["delta-w", "--w", "[1,2]", "--complex", "nonsense("], 1),
 ])
 def test_bad_inputs_exit_without_traceback(tmp_path, capsys, argv, expected):
     for name, text in BAD_FILES.items():
@@ -246,7 +250,7 @@ def test_bad_inputs_exit_without_traceback(tmp_path, capsys, argv, expected):
     code, out, err = run_cli(capsys, *argv)
     assert code == expected, err
     assert "Traceback" not in err
-    if argv[:1] == ["delta-w"]:
+    if expected == 0:
         assert json.loads(out)["sphere_facets"] is None
     else:
         assert err.startswith("error: ")

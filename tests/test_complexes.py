@@ -6,13 +6,14 @@ from itertools import combinations
 import pytest
 
 from momangle.complexes import (ParseError, SimplicialComplex, SizeLimitError,
-                                boundary, face, face_mask, expression_vertex_count,
+                                _order_is_shifted, boundary, face, face_mask, expression_vertex_count,
                                 is_shifted, is_subcomplex, join, mask_face,
                                 parse_complex, point,
                                 reduced_homology, simplex, simplex_boundary,
                                 substitute, substitution_missing_faces)
 from oracles import (brute_facets, brute_is_shifted, brute_missing_faces,
-                     brute_substitute_faces, random_complex)
+                     brute_order_is_shifted, brute_substitute_faces, random_complex,
+                     random_graph_complex, random_shifted_complex)
 
 
 def test_from_facets_triangle_boundary():
@@ -250,12 +251,13 @@ def test_is_subcomplex(sub5):
 
 def test_is_shifted_examples(sub5):
     assert is_shifted(simplex(4))
-    res = is_shifted(simplex_boundary(3))
-    assert res.shifted and len(res.witnesses) == 6
+    K = simplex_boundary(3)
+    res = is_shifted(K)
+    assert res.shifted and res.witnesses == (next(brute_is_shifted(K)),)
     got = is_shifted(sub5)
-    wits = brute_is_shifted(sub5)
+    wits = list(brute_is_shifted(sub5))
     assert got.shifted == bool(wits)
-    assert list(got.witnesses) == wits
+    assert list(got.witnesses) == wits[:1]
 
 
 def test_is_shifted_with_given_order():
@@ -265,9 +267,59 @@ def test_is_shifted_with_given_order():
         is_shifted(K, order=(1, 2))
 
 
-def test_is_shifted_size_gate():
-    with pytest.raises(SizeLimitError):
-        is_shifted(simplex(8))
+def test_is_shifted_decides_past_seven_vertices():
+    """No order is needed above 7 vertices: a relabelled shifted complex on
+    8 to 12 vertices is found shifted, and its order passes the
+    definition-level check."""
+    assert is_shifted(simplex(8)).witnesses == (tuple(range(1, 9)),)
+    rng = random.Random(1900)
+    for m in range(8, 13):
+        perm = rng.sample(range(1, m + 1), m)
+        K = random_shifted_complex(m, rng).relabelled(dict(enumerate(perm, 1)), m=m)
+        res = is_shifted(K)
+        assert res.shifted
+        assert brute_order_is_shifted(K, res.witnesses[0])
+
+
+def _shifted_or_graph(m, rng, shifted):
+    """A random shifted complex relabelled by a random permutation, so the
+    natural order is rarely its witness, or a random graph with some filled
+    triangles, rarely shifted."""
+    if not shifted:
+        return random_graph_complex(m, rng)
+    perm = rng.sample(range(1, m + 1), m)
+    return random_shifted_complex(m, rng).relabelled(dict(enumerate(perm, 1)), m=m)
+
+
+@pytest.mark.parametrize("shifted", [True, False])
+def test_is_shifted_against_permutation_search(shifted):
+    """The dominance order's verdict is the permutation search's, and its
+    order is the search's first witness."""
+    rng = random.Random(1901 + shifted)
+    verdicts = set()
+    for m in (4, 5, 6):
+        for _ in range(100):
+            K = _shifted_or_graph(m, rng, shifted)
+            first = next(brute_is_shifted(K), None)
+            res = is_shifted(K)
+            assert res.witnesses == ((first,) if first else ()), K
+            verdicts.add(res.shifted)
+    assert verdicts == ({True} if shifted else {True, False})
+
+
+def test_order_is_shifted_against_definition():
+    """The facet dominance check of one order agrees with replacing vertices
+    inside every face, on shifted and unshifted complexes in random orders."""
+    rng = random.Random(1903)
+    answers = set()
+    for trial in range(300):
+        m = rng.randint(2, 6)
+        K = _shifted_or_graph(m, rng, trial % 2)
+        order = tuple(rng.sample(range(1, m + 1), m))
+        got = _order_is_shifted(K, order)
+        assert got == brute_order_is_shifted(K, order), (K, order)
+        answers.add(got)
+    assert answers == {True, False}
 
 
 def test_boundary_of_simplex():

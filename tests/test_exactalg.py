@@ -10,7 +10,7 @@ from momangle.exactalg import (ChainComplex, HomologyGroup, IntMatrix, column_ho
                                smith_normal_form, solve_integer)
 from momangle.moment_angle import lattice_supports, zk_star_quotient
 from oracles import (dense_homology, dense_snf_diagonal, random_complex,
-                     reference_snf, reference_zk_block, reference_zk_star_quotient)
+                     reference_direct_sum, reference_snf, reference_zk_block, reference_zk_star_quotient)
 
 
 def dense_det(rows):
@@ -269,6 +269,31 @@ def test_direct_sum_invariant_factors():
     assert direct_sum(a, b) == HomologyGroup(1, (6,))
     c = HomologyGroup(0, (2,))
     assert direct_sum(a, c) == HomologyGroup(1, (2, 2))
+
+
+def test_direct_sum_against_factorisation():
+    """The gcd and lcm sweep gives the invariant factors that regrouping the
+    primary parts gives, on seeded groups with shared and coprime torsion."""
+    rng = random.Random(1905)
+
+    def random_group():
+        group = HomologyGroup(rng.randint(0, 2))
+        for _ in range(rng.randint(0, 3)):
+            cyclic = HomologyGroup(0, (rng.choice((2, 3, 4, 5, 6, 8, 9, 12, 25, 30)),))
+            group = reference_direct_sum(group, cyclic)
+        return group
+
+    for _ in range(2000):
+        a, b = random_group(), random_group()
+        assert direct_sum(a, b) == reference_direct_sum(a, b), (a, b)
+
+
+def test_direct_sum_of_a_large_prime():
+    """No trial division: a Mersenne prime's torsion sums at once."""
+    p = 2 ** 61 - 1
+    assert direct_sum(HomologyGroup(0, (p,)), HomologyGroup(0, (2,))) == HomologyGroup(0, (2 * p,))
+    assert (direct_sum(HomologyGroup(1, (p,)), HomologyGroup(0, (p, 3 * p)))
+            == HomologyGroup(1, (p, p, 3 * p)))
 
 
 def test_invariant_factors_zero_matrix():

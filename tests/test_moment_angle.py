@@ -83,6 +83,16 @@ def test_product_koszul_sign():
         a.product(CellChain.from_text("S4"))
 
 
+def test_product_refuses_a_shared_vertex():
+    """A circle or disc vertex in both factors is refused, a zero factor is
+    not."""
+    a = CellChain.from_text("D1*D4*S5 + S1*D4*D5")
+    for other in ("S4", "S5", "D1*S2", "S2 + S5"):
+        with pytest.raises(ValueError, match="share a vertex"):
+            a.product(CellChain.from_text(other))
+    assert not a.product(CellChain.zero())
+
+
 def test_text_roundtrip_and_reordering():
     chain = CellChain.from_text("D1*D2*S3 + D1*S2*D3 + S1*D2*D3")
     assert CellChain.from_text(chain.to_text()) == chain

@@ -20,7 +20,8 @@ from momangle.whitehead import (DEFINED_NONTRIVIAL, DEFINED_TRIVIAL,
                                 single_product_status,
                                 sphere_fundamental_cycle)
 from oracles import (random_complex, random_shifted_complex,
-                     reference_sits_in, reference_trivialising_join)
+                     reference_shifted_wedge_pairs, reference_sits_in,
+                     reference_trivialising_join)
 from test_golden import CASES as GOLDEN_CASES, load_golden, run as run_golden
 
 
@@ -434,6 +435,21 @@ def test_shifted_wedge_basis_random():
     for _ in range(8):
         K = random_shifted_complex(rng.randint(3, 6), rng)
         basis = shifted_wedge_basis(K, order=tuple(range(1, K.m + 1)))
+        assert basis.is_basis, basis.details
+
+
+def test_shifted_wedge_basis_pairs_against_subset_scan():
+    """The entries read off the missing faces are the (J, I) pairs, in
+    order, of a scan of every vertex subset, on shifted complexes relabelled
+    so their witness is rarely the natural order."""
+    rng = random.Random(1904)
+    for _ in range(300):
+        m = rng.randint(2, 8)
+        perm = rng.sample(range(1, m + 1), m)
+        K = random_shifted_complex(m, rng).relabelled(dict(enumerate(perm, 1)), m=m)
+        basis = shifted_wedge_basis(K)
+        expected = reference_shifted_wedge_pairs(K, cx.is_shifted(K).witnesses[0])
+        assert [(e.subset, e.missing_face) for e in basis.entries] == expected, K
         assert basis.is_basis, basis.details
 
 
