@@ -43,10 +43,7 @@ def load_complex(source, max_vertices):
     try:
         with open(source) as fh:
             data = json.load(fh)
-        if int(data["m"]) > max_vertices:
-            raise cx.SizeLimitError(
-                f"complex has {data['m']} vertices, above --max-vertices {max_vertices}")
-        return cx.SimplicialComplex.from_json_dict(data)
+        return cx.SimplicialComplex.from_json_dict(data, max_vertices)
     except (OSError, KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"cannot load a complex from {source}: {exc!r}") from exc
 
@@ -90,12 +87,9 @@ def cmd_hurewicz(K, w, args, out):
 
 
 def cmd_status(K, w, args, out):
-    if w.is_single():
-        out["status"] = wh.single_product_status(K, w.leaves())
-    else:
-        out["status"], notes = wh.nested_shape_report(K, w)
-        if notes:
-            out["notes"] = list(notes)
+    out["status"], notes = wh.nested_shape_report(K, w)
+    if notes:
+        out["notes"] = list(notes)
 
 
 def cmd_realises(K, w, args, out):

@@ -256,8 +256,20 @@ class SimplicialComplex:
         return {"m": self.m, "facets": [list(f) for f in self.facets if f]}
 
     @classmethod
-    def from_json_dict(cls, data):
-        return cls.from_facets(int(data["m"]), [face(f) for f in data["facets"]])
+    def from_json_dict(cls, data, max_vertices=None):
+        """K from {"m": ..., "facets": [[...], ...]}.  m and every label must
+        be JSON integers (not bools, floats or strings) and m >= 0; a K of
+        more than `max_vertices` vertices is refused before it is built."""
+        m, facets = data["m"], data["facets"]
+        if type(m) is not int or m < 0:
+            raise ValueError(f"m must be a nonnegative integer, not {m!r}")
+        for f in facets:
+            for v in f:
+                if type(v) is not int:
+                    raise ValueError(f"vertex labels must be integers, not {v!r}")
+        if max_vertices is not None and m > max_vertices:
+            raise SizeLimitError(f"complex has {m} vertices, above the bound {max_vertices}")
+        return cls.from_facets(m, facets)
 
 
 # -- point / simplex helpers ------------------------------------------------
@@ -455,8 +467,8 @@ def is_acyclic(K_or_faces):
 # -- text forms ----------------------------------------------------------------
 #
 # Every text form (builder expressions, Whitehead brackets, cell and Taylor
-# chains) is read by one `Scanner`; chains are signed sums, read by
-# `read_signed_sum` and written by `signed_sum_text`.
+# chains) is read by one `Scanner`; chains are signed sums (`SignedSum`),
+# read by `read_signed_sum` and written by `signed_sum_text`.
 
 class ParseError(ValueError):
     def __init__(self, message, pos):
@@ -559,6 +571,46 @@ def signed_sum_text(terms):
         word = word or "1"
         bits.append(word if c == 1 else "-" + word if c == -1 else f"{c}*{word}")
     return " + ".join(bits).replace("+ -", "- ") or "0"
+
+
+class SignedSum:
+    """Sparse integer sum `terms = {key: coefficient}`, the arithmetic shared
+    by cell, Taylor and bicomplex chains.  A subclass's `__init__` validates
+    and normalises the keys and drops zero coefficients; results are rebuilt
+    through it, and a subclass writes its own `to_text`."""
+
+    __slots__ = ("terms",)
+
+    @classmethod
+    def zero(cls):
+        return cls({})
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __neg__(self):
+        return self.scaled(-1)
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = out.get(key, 0) + c
+        return type(self)(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scaled(self, k):
+        return type(self)({key: k * c for key, c in self.terms.items()})
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.to_text()})"
 
 
 def word_text(labels):

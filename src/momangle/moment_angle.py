@@ -34,8 +34,8 @@ from bisect import bisect_left
 from functools import lru_cache, reduce
 from itertools import combinations
 
-from .complexes import (ParseError, SizeLimitError, face_mask, mask_face, read_signed_sum,
-                        read_text, reduced_chain_complex, signed_sum_text)
+from .complexes import (ParseError, SignedSum, SizeLimitError, face_mask, mask_face,
+                        read_signed_sum, read_text, reduced_chain_complex, signed_sum_text)
 from .exactalg import ChainComplex, HomologyClass, column_homology, direct_sum
 
 ZK_MAX_VERTICES = 24
@@ -57,10 +57,10 @@ def cell_boundary(cell):
     return out
 
 
-class CellChain:
+class CellChain(SignedSum):
     """Homogeneous sparse integer combination of cells of (D^2)^m."""
 
-    __slots__ = ("terms", "degree")
+    __slots__ = ("degree",)
 
     def __init__(self, terms):
         self.terms = {}
@@ -80,36 +80,8 @@ class CellChain:
         self.degree = degree if degree is not None else 0
 
     @classmethod
-    def zero(cls):
-        return cls({})
-
-    @classmethod
     def unit(cls):
         return cls({((), ()): 1})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, CellChain) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __neg__(self):
-        return CellChain({c: -v for c, v in self.terms.items()})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for c, v in other.terms.items():
-            out[c] = out.get(c, 0) + v
-        return CellChain(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, k):
-        return CellChain({c: k * v for c, v in self.terms.items()})
 
     def support(self):
         verts = set()
@@ -155,9 +127,6 @@ class CellChain:
         """Parse a signed sum of S/D words; letters may appear in any order,
         reordering circle letters flips the sign by the Koszul rule."""
         return read_text(text, lambda sc: read_signed_sum(sc, _read_cell_word, cls.zero()))
-
-    def __repr__(self):
-        return f"CellChain({self.to_text()})"
 
 
 def cell_letters(J, I):

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate, combinations
 
-from .complexes import (SimplicialComplex, SizeLimitError, _is_canonical, face,
+from .complexes import (SignedSum, SimplicialComplex, SizeLimitError, _is_canonical, face,
                         face_mask, mask_face, read_signed_sum, read_text, read_word,
                         signed_sum_text, word_text)
 from .exactalg import ChainComplex, column_homology
@@ -101,7 +101,7 @@ def _is_basis_word(word):
     return True
 
 
-class TaylorChain:
+class TaylorChain(SignedSum):
     """Sparse integer sum of exterior monomials over missing faces.
 
     The factor count s is uniform across terms; finished cycles are also
@@ -109,7 +109,7 @@ class TaylorChain:
     partial products built factor by factor need not be yet.
     """
 
-    __slots__ = ("terms", "s")
+    __slots__ = ("s",)
 
     def __init__(self, terms):
         self.terms = {}
@@ -132,10 +132,6 @@ class TaylorChain:
         if not self.terms:
             self.s = self.s or 0
 
-    @classmethod
-    def zero(cls):
-        return cls({})
-
     @property
     def union_size(self):
         sizes = {len(set().union(*w)) if w else 0 for w in self.terms} or {0}
@@ -147,27 +143,6 @@ class TaylorChain:
     def degree(self):
         return 2 * self.union_size - self.s
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, TaylorChain) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __neg__(self):
-        return TaylorChain({w: -c for w, c in self.terms.items()})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return TaylorChain(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def wedge(self, other):
         out = {}
         for w1, c1 in self.terms.items():
@@ -177,9 +152,6 @@ class TaylorChain:
                     continue
                 out[word] = out.get(word, 0) + sign * c1 * c2
         return TaylorChain(out)
-
-    def scaled(self, k):
-        return TaylorChain({w: k * c for w, c in self.terms.items()})
 
     def to_text(self):
         """Canonical text: words fully expanded with factors in descending
@@ -195,9 +167,6 @@ class TaylorChain:
         """Parse sums of ^-products; parenthesised sums distribute, e.g.
         `(w145+w245+w345)^w123`."""
         return read_text(text, lambda sc: read_signed_sum(sc, _read_taylor_term, cls.zero()))
-
-    def __repr__(self):
-        return f"TaylorChain({self.to_text()})"
 
 
 def _read_taylor_term(sc):

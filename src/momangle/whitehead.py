@@ -274,7 +274,7 @@ def _sits_in(generators, missing):
                                        for mask in missing)
 
 
-def single_product_status(K, I, check_witness=True):
+def single_product_status(K, I):
     """Status of a single product on the vertex list I: defined iff the
     boundary of the simplex on I sits in K, trivial iff I itself is a face."""
     I = tuple(sorted(set(I)))
@@ -287,11 +287,9 @@ def single_product_status(K, I, check_witness=True):
         return UNDEFINED
     if _sits_in((), missing):
         return DEFINED_TRIVIAL
-    if check_witness:
-        w = bracket([leaf(v) for v in I])
-        if zk_class(K, hurewicz_chain(w)).is_boundary:
-            raise AssertionError(
-                f"canonical cycle of {I} unexpectedly bounds in Z_K")
+    w = bracket([leaf(v) for v in I])
+    if zk_class(K, hurewicz_chain(w)).is_boundary:
+        raise AssertionError(f"canonical cycle of {I} unexpectedly bounds in Z_K")
     return DEFINED_NONTRIVIAL
 
 
@@ -315,7 +313,7 @@ def criterion_applies(K, w):
     return True
 
 
-def nested_shape_status(K, w, check_witness=True):
+def nested_shape_status(K, w):
     """Exact status for products [w_1,...,w_q, leaves] with single w_j:
     defined iff K contains the canonical complex, trivial iff K contains the
     trivialising join.
@@ -324,16 +322,16 @@ def nested_shape_status(K, w, check_witness=True):
     it the status is decided as `realises_sufficient` does: a nonzero
     canonical class means nontrivial, the trivialising join means trivial,
     and otherwise it is DEFINED_UNKNOWN."""
-    return nested_shape_report(K, w, check_witness)[0]
+    return nested_shape_report(K, w)[0]
 
 
-def nested_shape_report(K, w, check_witness=True):
+def nested_shape_report(K, w):
     """(status, notes): `nested_shape_status`, with OUTSIDE_CRITERION as the
     note when w is defined but the criterion does not apply.  The criterion
     is decided once, for both."""
     subs, leaves_ = _nested_shape_parts(w)
     if not subs:
-        return single_product_status(K, leaves_, check_witness), ()
+        return single_product_status(K, leaves_), ()
     missing = _leaf_missing_faces(K, w.leaves())
     if not _sits_in(canonical_missing_faces(w), missing):
         return UNDEFINED, ()
@@ -345,7 +343,7 @@ def nested_shape_report(K, w, check_witness=True):
             status = DEFINED_TRIVIAL if trivial else DEFINED_UNKNOWN
         return status, (OUTSIDE_CRITERION,)
     status = DEFINED_TRIVIAL if trivial else DEFINED_NONTRIVIAL
-    if check_witness and leaves_:
+    if leaves_:
         cls = zk_class(K, hurewicz_chain(w))
         if trivial and not cls.is_boundary:
             raise AssertionError("trivial product with a nonzero canonical class")

@@ -41,7 +41,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .complexes import _is_canonical, face_mask, mask_face, signed_sum_text, word_text
+from .complexes import (SignedSum, _is_canonical, face_mask, mask_face, signed_sum_text,
+                        word_text)
 from .exactalg import boundary_matrix, smith_normal_form
 from .moment_angle import CellChain, cell_boundary, cell_letters
 from .taylor import (TaylorChain, generator_masks, index_boundary, index_union,
@@ -49,10 +50,10 @@ from .taylor import (TaylorChain, generator_masks, index_boundary, index_union,
                      taylor_cycle_is_boundary, union_mask)
 
 
-class BicomplexChain:
+class BicomplexChain(SignedSum):
     """Sparse integer combination of bicomplex basis triples (I, J, W)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms):
         self.terms = {}
@@ -69,24 +70,6 @@ class BicomplexChain:
     @classmethod
     def from_cell_chain(cls, chain):
         return cls({(I, J, ()): c for (J, I), c in chain.terms.items()})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, BicomplexChain) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return BicomplexChain(out)
-
-    def __neg__(self):
-        return BicomplexChain({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def circle_degrees(self):
         return sorted({len(J) for (_, J, _) in self.terms})
@@ -112,9 +95,6 @@ class BicomplexChain:
         return signed_sum_text(
             ("*".join(cell_letters(J, I) + ["w" + word_text(F) for F in W]), c)
             for (I, J, W), c in sorted(self.terms.items()))
-
-    def __repr__(self):
-        return f"BicomplexChain({self.to_text()})"
 
 
 def vertical_diff(e):

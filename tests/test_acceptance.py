@@ -166,7 +166,7 @@ def test_criterion_08_single_product_statuses():
         K = random_complex(rng.randint(2, 6), rng)
         size = rng.randint(2, K.m)
         I = tuple(sorted(rng.sample(range(1, K.m + 1), size)))
-        status = single_product_status(K, I, check_witness=False)
+        status = single_product_status(K, I)
         boundary_in = all(tuple(v for v in I if v != x) in K for x in I)
         face_in = I in K
         if not boundary_in:
@@ -220,8 +220,7 @@ def test_criterion_09_smallest_realisation():
             if len(facet) < 2:
                 continue
             smaller = SimplicialComplex(K.m, set(K.faces) - {facet})
-            assert nested_shape_status(smaller, w, check_witness=False) == \
-                UNDEFINED, (w.to_text(), facet)
+            assert nested_shape_status(smaller, w) == UNDEFINED, (w.to_text(), facet)
         done += 1
     print("ACCEPTANCE 9: PASS - 30 random shapes: smallest-complex criterion and facet-removal spot-check")
 

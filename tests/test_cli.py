@@ -219,7 +219,13 @@ def test_roundtrip_emitted_complex(tmp_path, capsys):
 BAD_FILES = {"bad.json": "{not json", "no_facets.json": '{"m": 3}',
              "no_m.json": '{"facets": [[1, 2]]}',
              "undefined.json": '{"m": 3, "facets": [[1, 2], [3]]}',
-             "points4.json": '{"m": 4, "facets": []}'}
+             "points4.json": '{"m": 4, "facets": []}',
+             # m and every label must be JSON integers, m >= 0
+             "float_label.json": '{"m": 3, "facets": [[1.5, 2]]}',
+             "bool_label.json": '{"m": 3, "facets": [[true, 2]]}',
+             "string_label.json": '{"m": 3, "facets": [["2", 3]]}',
+             "float_m.json": '{"m": 3.9, "facets": [[1, 2]]}',
+             "negative_m.json": '{"m": -1, "facets": []}'}
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -230,6 +236,11 @@ BAD_FILES = {"bad.json": "{not json", "no_facets.json": '{"m": 3}',
     (["delta-w", "--w", "[[1,2],[3,4]]"], 0),
     (["zigzag", "--complex", "undefined.json", "--w", "[1,2,3]"], 1),
     (["taylor-cycle", "--complex", "points4.json", "--w", "[[2,3],1,4]"], 1),
+    (["mf", "--complex", "float_label.json"], 1),
+    (["mf", "--complex", "bool_label.json"], 1),
+    (["mf", "--complex", "string_label.json"], 1),
+    (["mf", "--complex", "float_m.json"], 1),
+    (["mf", "--complex", "negative_m.json"], 1),
     (["homology", "--complex", "pt", "--bogus"], 1),
     ([], 1),
     (["frobnicate"], 1),

@@ -360,6 +360,29 @@ def test_json_roundtrip(sub5):
     assert SimplicialComplex.from_json_dict(data) == sub5
 
 
+@pytest.mark.parametrize("data, named", [
+    ({"m": 3, "facets": [[1.5, 2]]}, "1.5"),
+    ({"m": 3, "facets": [[True, 2]]}, "True"),
+    ({"m": 3, "facets": [["2", 3]]}, "'2'"),
+    ({"m": 3.9, "facets": [[1, 2]]}, "3.9"),
+    ({"m": -1, "facets": []}, "-1"),
+    ({"m": True, "facets": []}, "True"),
+    # the labels are checked before the size, so a bad one is never a refusal
+    ({"m": 30, "facets": [[1.0]]}, "1.0"),
+])
+def test_json_refuses_non_integer_labels(data, named):
+    with pytest.raises(ValueError, match=re.escape(named)) as exc:
+        SimplicialComplex.from_json_dict(data, max_vertices=20)
+    assert not isinstance(exc.value, SizeLimitError)
+
+
+def test_json_size_bound():
+    data = {"m": 21, "facets": [[1, 21]]}
+    with pytest.raises(SizeLimitError, match="21 vertices"):
+        SimplicialComplex.from_json_dict(data, max_vertices=20)
+    assert SimplicialComplex.from_json_dict(data).m == 21
+
+
 def with_ghosts(K, rng):
     """K with every face through one or two random vertices removed, which
     leaves those vertices as ghosts: missing faces of size one."""

@@ -1,5 +1,6 @@
-"""Text forms: the shared scanner, signed sums and generator words, and
-round trips of every printed object through its reader."""
+"""Text forms: the shared scanner, signed sums (their text and their shared
+arithmetic) and generator words, and round trips of every printed object
+through its reader."""
 
 import pytest
 
@@ -47,6 +48,27 @@ def test_signed_sums():
 def test_bicomplex_text_uses_the_shared_writer():
     e = BicomplexChain({((1,), (2,), ((3, 10),)): -2, ((), (), ((1, 2),)): 1})
     assert e.to_text() == "w12 - 2*D1*S2*w3.10"
+
+
+CHAIN_TYPES = (CellChain, TaylorChain, BicomplexChain)
+
+
+@pytest.mark.parametrize("cls, a, b", [
+    (CellChain, ((1,), (2,)), ((2,), (1,))),
+    (TaylorChain, ((1, 2),), ((3, 4),)),
+    (BicomplexChain, ((1,), (2,), ((3, 4),)), ((), (), ((1, 2),))),
+])
+def test_signed_sum_arithmetic(cls, a, b):
+    """The arithmetic every chain type takes from `SignedSum`."""
+    x, y = cls({a: 2, b: -1}), cls({b: 3})
+    assert not x + (-x) and x + (-x) == cls.zero()
+    assert (x + y) - y == x and x - y == cls({a: 2, b: -4})
+    assert not x.scaled(0) and x.scaled(-3) == cls({a: -6, b: 3})
+    same = cls({b: -1, a: 2})
+    assert same == x and hash(same) == hash(x) and len({x, same, y}) == 2
+    assert repr(x) == f"{cls.__name__}({x.to_text()})"
+    # equal only within one type, even with the same (empty) terms
+    assert all(cls.zero() != other.zero() for other in CHAIN_TYPES if other is not cls)
 
 
 hypothesis = pytest.importorskip("hypothesis")

@@ -1,0 +1,76 @@
+"""Digest of the CLI reports on one benchmark job list.
+
+    python3 tools/report_digest.py --workload cellular|taylor|realise \
+        --seed N --seconds S
+
+Builds the seeded job list of bench/workloads.py (the jobs `bench/run.py`
+would time at that seed and --seconds), with its input files in a temporary
+directory, and runs every argv through `momangle.cli.main` in this process.
+Prints one JSON line: the workload, seed and seconds, the number of calls,
+and a sha256 over the (exit code, report) pairs in order, each report
+without `elapsed_s` (a time) and `inputs` (holds the temporary paths); a
+call that prints no report counts as report null.  Two versions of the
+program that give the same digest gave byte-for-byte the same answers.
+
+tools/report_digests.json holds the digests at seed 1 and --seconds 2, one
+object per workload; to write it again:
+
+    for w in cellular taylor realise; do
+        python3 tools/report_digest.py --workload $w --seed 1 --seconds 2
+    done | python3 -c 'import json, sys; print(json.dumps([json.loads(l) for l in sys.stdin], indent=2))' \
+        > tools/report_digests.json
+
+momangle is imported from src/ next to this directory, and the workloads
+from bench/, which is only read: no bytecode is written there.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def digest(workload, seed, seconds):
+    from momangle import cli
+    from workloads import WORKLOADS
+
+    make, _, rate = WORKLOADS[workload]
+    pairs = []
+    with tempfile.TemporaryDirectory() as inputs:
+        for job in make(random.Random(seed), rate * seconds, inputs):
+            for argv in job.argvs:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    code = cli.main(argv)
+                report = json.loads(out.getvalue() or "null")
+                if report is not None:
+                    del report["elapsed_s"], report["inputs"]
+                pairs.append([code, report])
+    text = json.dumps(pairs, sort_keys=True)
+    return {"workload": workload, "seed": seed, "seconds": seconds, "calls": len(pairs),
+            "sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", required=True, choices=("cellular", "taylor", "realise"))
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=int, default=2)
+    args = parser.parse_args(argv)
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    print(json.dumps(digest(args.workload, args.seed, args.seconds)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
