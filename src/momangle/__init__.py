@@ -12,12 +12,10 @@ from .complexes import (SimplicialComplex, SizeLimitError, ParseError,
 from .exactalg import (ChainComplex, HomologyGroup, IntMatrix, direct_sum,
                        invariant_factors, kernel_basis, smith_normal_form,
                        solve_integer)
-from .moment_angle import (CellChain, hochster_embed, hochster_table,
-                           reduced_ranks, shuffle_sign, zk_chain_complex,
+from .moment_angle import (CellChain, hochster_table, zk_chain_complex,
                            zk_homology)
-from .taylor import (MonomialIdeal, TaylorChain, cone_reconstruction,
-                     mf_order, nested_taylor_cycle, taylor_boundary,
-                     taylor_face_complex, taylor_homology,
+from .taylor import (MonomialIdeal, TaylorChain, mf_order, nested_taylor_cycle,
+                     taylor_boundary, taylor_face_complex, taylor_homology,
                      verify_taylor_is_resolution)
 from .whitehead import (WhiteheadExpr, bracket, delta_w, fillable_wedge_basis,
                         hurewicz_chain, leaf, nested_shape_status,

@@ -65,6 +65,13 @@ def mask_face(mask):
     return tuple(out)
 
 
+def _refuse_past_bitset_bound(m):
+    """Faces are bitmasks of at most 64 bits; both constructors refuse a
+    larger m before they enumerate anything."""
+    if m > 64:
+        raise SizeLimitError(f"m={m} exceeds the bitset bound of 64")
+
+
 class SimplicialComplex:
     """Immutable downward-closed face family on {1..m}.
 
@@ -76,8 +83,7 @@ class SimplicialComplex:
                  "_mf", "_hash")
 
     def __init__(self, m, faces, labels=None):
-        if m > 64:
-            raise SizeLimitError(f"m={m} exceeds the bitset bound of 64")
+        _refuse_past_bitset_bound(m)
         fs = set()
         for f in faces:
             # canonical tuples, the package's own, skip `face`'s normalisation
@@ -114,6 +120,7 @@ class SimplicialComplex:
     @classmethod
     def from_facets(cls, m, facets):
         """Downward closure of the facets plus all singletons and the empty face."""
+        _refuse_past_bitset_bound(m)
         fs = {(), *((i,) for i in range(1, m + 1))}
         for f in facets:
             f = face(f)
@@ -682,12 +689,6 @@ def _build(node):
         return node
     name, *args = node
     return _BUILDERS[name](*map(_build, args))
-
-
-def expression_vertex_count(text):
-    """Vertex count of a builder expression, without constructing anything
-    (the construction is exponential in it, so gate first)."""
-    return _vertex_count(read_text(text, _parse_expr))
 
 
 def parse_complex(text, max_vertices=None):

@@ -10,8 +10,9 @@ exterior letters:
 
 Products of cell chains concatenate letters and sort them by vertex; only
 the odd (circle) letters contribute signs, by the usual Koszul rule.  These
-two conventions together make the Hochster embedding below an honest chain
-map and reproduce the canonical bracket chains with a plus sign.
+two conventions together make the Hochster embedding of simplicial chains
+(`tests/oracles.hochster_embed`) an honest chain map and reproduce the
+canonical bracket chains with a plus sign.
 
 The boundary keeps the support J + I, so the chains split into one block
 per vertex subset S (the Hochster splitting); homology and classes are
@@ -370,11 +371,6 @@ def zk_homology(K):
     return degree_sums(zk_homology_by_support(K))
 
 
-def reduced_ranks(homology):
-    """Positive-degree ranks only, the usual wedge-of-spheres fingerprint."""
-    return {d: h.rank for d, h in homology.items() if d > 0 and h.rank}
-
-
 def zk_class(K, chain, block=None):
     """Homology class of a cellular cycle in Z_K, projected onto the star
     quotient of each block it touches; cells outside Z_K and non-cycles are
@@ -391,43 +387,6 @@ def zk_class(K, chain, block=None):
 
 
 # -- Hochster decomposition -----------------------------------------------------
-
-def shuffle_sign(L, J):
-    """Sign attached to a simplex L inside the subset J.
-
-    This is the sign of the shuffle sorting (J-L, L) into J, twisted by
-    (-1)^(q(q-1)/2) with q = |J-L|.  The twist is what makes the embedding
-    of simplicial chains a chain map against the cellular boundary above; it
-    is +1 whenever L fills all of J.
-    """
-    Lset = set(L)
-    rest = [j for j in J if j not in Lset]
-    inv = sum(1 for l in L for j in rest if l < j)
-    q = len(rest)
-    return -1 if (inv + q * (q - 1) // 2) % 2 else 1
-
-
-def hochster_embed(K, J, simplicial_chain):
-    """Embed a simplicial chain on K_J into the cellular chains of Z_K:
-    L -> shuffle_sign(L, J) * kappa(J - L, L).
-
-    The chain is keyed by faces of K_J in the original labels; a simplex of
-    simplicial degree p-1 lands in cellular degree p + |J|."""
-    J = tuple(sorted(set(J)))
-    Jset = set(J)
-    out = {}
-    for L, c in simplicial_chain.items():
-        if not c:
-            continue
-        L = tuple(sorted(L))
-        if not set(L) <= Jset:
-            raise ValueError(f"simplex {L} is not inside J={J}")
-        if L not in K:
-            raise ValueError(f"support {L} is not a face of K_J")
-        cell = (tuple(j for j in J if j not in set(L)), L)
-        out[cell] = out.get(cell, 0) + shuffle_sign(L, J) * c
-    return CellChain(out)
-
 
 def _refuse_past_hochster_bound(K):
     if K.m > 20:

@@ -255,12 +255,6 @@ def index_boundary(chain, masks):
     return {word: c for word, c in out.items() if c}
 
 
-def taylor_boundary_word(K, word):
-    """Differential of one basis word (factors in generator order) as
-    {word: coeff}."""
-    return word_boundary(word, *generator_masks(K), union_mask(word))
-
-
 def taylor_boundary(K, chain):
     """Differential of a Taylor chain; factors must be missing faces of K."""
     gens, masks = generator_masks(K)
@@ -503,13 +497,6 @@ def nested_taylor_cycle(w, K):
 
 # -- monomial ideals and Lyubeznik's resolution on the lcm lattice -------------------
 
-def _lcm(exps):
-    out = None
-    for e in exps:
-        out = e if out is None else tuple(max(a, b) for a, b in zip(out, e))
-    return out
-
-
 def _divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
@@ -570,26 +557,6 @@ class MonomialIdeal:
         return [sum(((1 << e) - 1) << at for e, at in zip(g, starts)) for g in self.gens]
 
 
-def taylor_module_differential(gens):
-    """Symbolic Taylor differential over a raw generator list.
-
-    Entries are keyed ((target index set), (source index set)) and valued
-    (sign, quotient exponent vector), quotient = lcm(J) / lcm(J minus j).
-    """
-    t = len(gens)
-    entries = {}
-    for s in range(1, t + 1):
-        for J in combinations(range(t), s):
-            lc = _lcm([gens[j] for j in J])
-            for n, j in enumerate(J):
-                rest = J[:n] + J[n + 1:]
-                lr = _lcm([gens[r] for r in rest]) if rest else tuple(0 for _ in lc)
-                quotient = tuple(a - b for a, b in zip(lc, lr))
-                sign = -1 if n % 2 else 1
-                entries[(rest, J)] = (sign, quotient)
-    return entries
-
-
 @dataclass(frozen=True)
 class ResolutionReport:
     module_exact: bool
@@ -620,76 +587,3 @@ def verify_taylor_is_resolution(ideal):
         groups = column_homology(*_word_columns(words, [1 << q for q in inside]))
         failures += [(tuple(inside), -d, str(h)) for d, h in groups.items()]
     return ResolutionReport(not failures, tuple(failures))
-
-
-@dataclass(frozen=True)
-class ConeReport:
-    levels: tuple        # (t, matches) per recursion level
-    matches: bool
-
-
-def _reduced_gens(gens, last):
-    return tuple(tuple(max(a - b, 0) for a, b in zip(g, last)) for g in gens)
-
-
-def cone_reconstruction(ideal):
-    """Rebuild the Taylor differential as an iterated mapping cone.
-
-    At each level t the cone of the comparison morphism from the reduced
-    list (generators divided by their gcd with the last one) into the
-    shorter Taylor complex is matched against the direct construction under
-    the index map e_J -> e_J, bar e_J -> (-1)^{|J|} e_{J + {t}}; with the
-    cone differential taken as (phi - d) on the shifted summand the match is
-    exact, signs included."""
-    gens = ideal.gens
-    if len(gens) > 8:
-        raise SizeLimitError("cone reconstruction is limited to 8 generators")
-    levels = []
-    overall = True
-    for t in range(1, len(gens) + 1):
-        prefix = gens[:t]
-        ok = _cone_level_matches(prefix)
-        levels.append((t, ok))
-        overall = overall and ok
-    return ConeReport(tuple(levels), overall)
-
-
-def _cone_level_matches(gens):
-    t = len(gens)
-    if t == 1:
-        return True
-    last = gens[-1]
-    short = gens[:-1]
-    reduced = _reduced_gens(short, last)
-    d_short = taylor_module_differential(short)
-    d_reduced = taylor_module_differential(reduced)
-    d_full = taylor_module_differential(gens)
-    zero = tuple(0 for _ in range(len(last)))
-    # cone basis: ("plain", J) in level |J|, ("bar", J) in level |J|+1
-    cone = {}
-    for (rest, J), (sign, q) in d_short.items():
-        cone[(("plain", rest), ("plain", J))] = (sign, q)
-    for s in range(0, t):
-        for J in combinations(range(t - 1), s):
-            lc = _lcm([gens[j] for j in J] + [last])
-            lj = _lcm([gens[j] for j in J]) if J else zero
-            phi_quotient = tuple(a - b for a, b in zip(lc, lj))
-            cone[(("plain", J), ("bar", J))] = (1, phi_quotient)
-    for (rest, J), (sign, q) in d_reduced.items():
-        cone[(("bar", rest), ("bar", J))] = (-sign, q)
-    # transport through psi and compare with the direct differential
-    def psi(label):
-        kind, J = label
-        if kind == "plain":
-            return 1, J
-        return (-1) ** len(J), tuple(sorted(J + (t - 1,)))
-
-    transported = {}
-    for (row, col), (sign, q) in cone.items():
-        s_r, jr = psi(row)
-        s_c, jc = psi(col)
-        key = (jr, jc)
-        transported[key] = (sign * s_r * s_c, q)
-    if set(transported) != set(d_full):
-        return False
-    return all(transported[k] == d_full[k] for k in d_full)

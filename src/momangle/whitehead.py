@@ -30,7 +30,7 @@ from functools import cache
 from itertools import combinations
 
 from . import complexes as cx
-from .exactalg import TRIVIAL_GROUP, IntMatrix, invariant_factors, kernel_basis
+from .exactalg import TRIVIAL_GROUP, IntMatrix, invariant_factors
 from .moment_angle import (CellChain, degree_sums, zk_class,
                            zk_homology_by_support, zk_star_quotient)
 
@@ -183,17 +183,6 @@ def delta_w(w):
     return DeltaW(sub.complex, sphere, leaf_map)
 
 
-def sphere_fundamental_cycle(sphere):
-    """Generator of the top reduced homology of a simplicial sphere."""
-    C = cx.reduced_chain_complex(sphere.faces)
-    top = max(C.degrees)
-    cols = kernel_basis(C.differential(top))
-    if len(cols) != 1:
-        raise ValueError("complex is not a homology sphere in top degree")
-    labels = C.basis[top]
-    return {labels[i]: v for i, v in cols[0].items()}
-
-
 # -- canonical chains ----------------------------------------------------------
 
 def _disc_boundary_factor(leaves_):
@@ -276,12 +265,11 @@ def _sits_in(generators, missing):
 
 def single_product_status(K, I):
     """Status of a single product on the vertex list I: defined iff the
-    boundary of the simplex on I sits in K, trivial iff I itself is a face."""
+    boundary of the simplex on I sits in K, trivial iff I itself is a face.
+    A vertex of I outside K leaves it undefined."""
     I = tuple(sorted(set(I)))
     if len(I) < 2:
         raise ValueError("need at least two distinct vertices")
-    if I[-1] > K.m:
-        raise ValueError("vertex outside K")
     missing = _leaf_missing_faces(K, I)
     if not _sits_in((cx.face_mask(I),), missing):
         return UNDEFINED

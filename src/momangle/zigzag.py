@@ -30,13 +30,12 @@ walking the bits of T_W; the horizontal step inserts generator bit b into W
 with `insertion_sign`, (-1)^popcount(W & (b - 1)).  Labels are built at the
 edges only: the input chain is read off its labels, the output cycle is
 checked on masks and then labelled, and a trace step keeps its masks until
-its element is asked for.  `vertical_diff`, `horizontal_diff` and
-`_solve_vertical` are the labelled forms, for tests and callers.
+its element is asked for.  `vertical_diff` and `horizontal_diff` are the
+labelled forms, for tests and callers.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -164,9 +163,6 @@ class ZigzagTrace:
 
     def to_list(self):
         return [{"kind": s.kind, "element": s.to_text()} for s in self.steps]
-
-    def to_json(self, indent=None):
-        return json.dumps(self.to_list(), indent=indent)
 
 
 class ZigzagError(RuntimeError):
@@ -305,16 +301,6 @@ def _horizontal(S, phi, masks):
             if not W & b and not mask & J:
                 out[(J, W | b)] = out.get((J, W | b), 0) + insertion_sign(W, b) * c
     return {key: c for key, c in out.items() if c}
-
-
-def _solve_vertical(K, S, eta):
-    """The staircase's vertical solve (`_vertical_preimage`) on labels: the
-    preimage of eta inside the multidegree slice S (a vertex tuple), whose
-    terms must be basis triples of S."""
-    gens, masks = generator_masks(K)
-    smask = face_mask(S)
-    terms = _masked(gens, masks, eta.terms, smask).get(smask, {})
-    return _labelled(smask, _vertical_preimage(smask, terms, masks), (gens, masks, None))
 
 
 def koszul_to_taylor(K, z):

@@ -19,10 +19,13 @@ sweep), and the full cellular blocks of Z_K with the cellular table and
 cycle classes reduced in them (the reference for the package's star quotients over the
 missing-face lattice, and for its classes projected onto those quotients),
 the star quotient on (J, I) labels built through `from_boundary` (the
-reference for the package's quotient built on face masks), and the whole
+reference for the package's quotient built on face masks), the whole
 module Taylor complex in a box of multidegrees with its exactness read
 degree by degree (the reference for the package's Lyubeznik check on the
-lcm lattice).
+lcm lattice), the module Taylor differential rebuilt as iterated mapping
+cones (`cone_reconstruction`), and the Hochster embedding of simplicial
+chains into the cellular chains of Z_K (`hochster_embed`, the chain map the
+package's sign conventions are chosen for).
 None of it shares code with the package internals it checks beyond the
 IntMatrix, SmithForm, ChainComplex and HomologyClass containers, with two
 exceptions, routes the package used before.  Whether bd_Delta(w) or the
@@ -34,8 +37,11 @@ triples and words, sorted back into generator order by `normalise_word`
 (the reference for the package's staircase and closed form on generator
 bitmasks); they share the package's labelled differentials, Koszul blocks
 and trace containers, which the tests check on their own.
+`taylor_boundary_word` is no oracle: it is the package's own insertion
+rule on one word, the form the tests compare with the reference.
 """
 
+from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from momangle.complexes import (SimplicialComplex, SizeLimitError, face_mask,
@@ -43,8 +49,8 @@ from momangle.complexes import (SimplicialComplex, SizeLimitError, face_mask,
 from momangle.exactalg import (ChainComplex, HomologyClass, HomologyGroup, IntMatrix,
                                SmithForm)
 from momangle.moment_angle import ZK_MAX_VERTICES, CellChain, all_subsets, support_table
-from momangle.taylor import (TaylorChain, mf_order, nested_levels, normalise_word,
-                             taylor_boundary, union_mask)
+from momangle.taylor import (TaylorChain, generator_masks, mf_order, nested_levels,
+                             normalise_word, taylor_boundary, union_mask, word_boundary)
 from momangle.zigzag import (BicomplexChain, ZigzagError, ZigzagStep, ZigzagTrace,
                              _koszul_block, horizontal_diff, vertical_diff)
 
@@ -336,6 +342,13 @@ def reference_taylor_boundary_word(K, word):
     return out
 
 
+def taylor_boundary_word(K, word):
+    """The package's differential of one basis word, `word_boundary`'s
+    insertion by position, as {word: coeff}: the form the tests compare
+    with `reference_taylor_boundary_word`."""
+    return word_boundary(word, *generator_masks(K), union_mask(word))
+
+
 def reference_taylor_components(K):
     """Every Taylor word of K, admissible or not, split by its union S:
     {S: ChainComplex}, words by factor count and then lexicographically in
@@ -611,6 +624,48 @@ def reference_zk_class(K, chain):
     return HomologyClass(coords, orders)
 
 
+def reduced_ranks(homology):
+    """Positive-degree ranks only, the usual wedge-of-spheres fingerprint."""
+    return {d: h.rank for d, h in homology.items() if d > 0 and h.rank}
+
+
+def shuffle_sign(L, J):
+    """Sign attached to a simplex L inside the subset J.
+
+    This is the sign of the shuffle sorting (J-L, L) into J, twisted by
+    (-1)^(q(q-1)/2) with q = |J-L|.  The twist is what makes the embedding
+    of simplicial chains a chain map against the cellular boundary; it is +1
+    whenever L fills all of J.
+    """
+    Lset = set(L)
+    rest = [j for j in J if j not in Lset]
+    inv = sum(1 for l in L for j in rest if l < j)
+    q = len(rest)
+    return -1 if (inv + q * (q - 1) // 2) % 2 else 1
+
+
+def hochster_embed(K, J, simplicial_chain):
+    """Embed a simplicial chain on K_J into the cellular chains of Z_K:
+    L -> shuffle_sign(L, J) * kappa(J - L, L).
+
+    The chain is keyed by faces of K_J in the original labels; a simplex of
+    simplicial degree p-1 lands in cellular degree p + |J|."""
+    J = tuple(sorted(set(J)))
+    Jset = set(J)
+    out = {}
+    for L, c in simplicial_chain.items():
+        if not c:
+            continue
+        L = tuple(sorted(L))
+        if not set(L) <= Jset:
+            raise ValueError(f"simplex {L} is not inside J={J}")
+        if L not in K:
+            raise ValueError(f"support {L} is not a face of K_J")
+        cell = (tuple(j for j in J if j not in set(L)), L)
+        out[cell] = out.get(cell, 0) + shuffle_sign(L, J) * c
+    return CellChain(out)
+
+
 def dense_homology(out_matrix, in_matrix, dim):
     """(rank, torsion) of ker(out)/im(in) from dense matrices."""
     rank_out = len([d for d in dense_snf_diagonal(out_matrix) if d]) if out_matrix else 0
@@ -840,6 +895,100 @@ def reference_resolution_failures(ideal, bound=None):
     if h0.torsion or h0.rank != expected_rank:
         failures.append((0, f"H_0 = {h0}, expected Z^{expected_rank}"))
     return failures
+
+
+def taylor_module_differential(gens, m):
+    """Symbolic Taylor differential over a raw list of exponent vectors of
+    length m.
+
+    Entries are keyed ((target index set), (source index set)) and valued
+    (sign, quotient exponent vector), quotient = lcm(J) / lcm(J minus j).
+    """
+    t = len(gens)
+    entries = {}
+    for s in range(1, t + 1):
+        for J in combinations(range(t), s):
+            lc = _reference_lcm([gens[j] for j in J], m)
+            for n, j in enumerate(J):
+                rest = J[:n] + J[n + 1:]
+                lr = _reference_lcm([gens[r] for r in rest], m)
+                quotient = tuple(a - b for a, b in zip(lc, lr))
+                sign = -1 if n % 2 else 1
+                entries[(rest, J)] = (sign, quotient)
+    return entries
+
+
+@dataclass(frozen=True)
+class ConeReport:
+    levels: tuple        # (t, matches) per recursion level
+    matches: bool
+
+
+def _reduced_gens(gens, last):
+    return tuple(tuple(max(a - b, 0) for a, b in zip(g, last)) for g in gens)
+
+
+def cone_reconstruction(ideal):
+    """Rebuild the Taylor differential as an iterated mapping cone.
+
+    At each level t the cone of the comparison morphism from the reduced
+    list (generators divided by their gcd with the last one) into the
+    shorter Taylor complex is matched against the direct construction under
+    the index map e_J -> e_J, bar e_J -> (-1)^{|J|} e_{J + {t}}; with the
+    cone differential taken as (phi - d) on the shifted summand the match is
+    exact, signs included."""
+    gens = ideal.gens
+    if len(gens) > 8:
+        raise SizeLimitError("cone reconstruction is limited to 8 generators")
+    levels = []
+    overall = True
+    for t in range(1, len(gens) + 1):
+        prefix = gens[:t]
+        ok = _cone_level_matches(prefix)
+        levels.append((t, ok))
+        overall = overall and ok
+    return ConeReport(tuple(levels), overall)
+
+
+def _cone_level_matches(gens):
+    t = len(gens)
+    if t == 1:
+        return True
+    last = gens[-1]
+    m = len(last)
+    short = gens[:-1]
+    reduced = _reduced_gens(short, last)
+    d_short = taylor_module_differential(short, m)
+    d_reduced = taylor_module_differential(reduced, m)
+    d_full = taylor_module_differential(gens, m)
+    # cone basis: ("plain", J) in level |J|, ("bar", J) in level |J|+1
+    cone = {}
+    for (rest, J), (sign, q) in d_short.items():
+        cone[(("plain", rest), ("plain", J))] = (sign, q)
+    for s in range(0, t):
+        for J in combinations(range(t - 1), s):
+            lc = _reference_lcm([gens[j] for j in J] + [last], m)
+            lj = _reference_lcm([gens[j] for j in J], m)
+            phi_quotient = tuple(a - b for a, b in zip(lc, lj))
+            cone[(("plain", J), ("bar", J))] = (1, phi_quotient)
+    for (rest, J), (sign, q) in d_reduced.items():
+        cone[(("bar", rest), ("bar", J))] = (-sign, q)
+    # transport through psi and compare with the direct differential
+    def psi(label):
+        kind, J = label
+        if kind == "plain":
+            return 1, J
+        return (-1) ** len(J), tuple(sorted(J + (t - 1,)))
+
+    transported = {}
+    for (row, col), (sign, q) in cone.items():
+        s_r, jr = psi(row)
+        s_c, jc = psi(col)
+        key = (jr, jc)
+        transported[key] = (sign * s_r * s_c, q)
+    if set(transported) != set(d_full):
+        return False
+    return all(transported[k] == d_full[k] for k in d_full)
 
 
 def random_complex(m, rng, max_facet_count=None):

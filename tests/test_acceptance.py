@@ -12,10 +12,9 @@ from momangle.complexes import (SimplicialComplex, join, parse_complex, point,
                                 simplex, simplex_boundary, substitute,
                                 substitution_missing_faces)
 from momangle.exactalg import HomologyGroup
-from momangle.moment_angle import CellChain, hochster_table, reduced_ranks, zk_homology
-from momangle.taylor import (MonomialIdeal, TaylorChain, cone_reconstruction,
-                             mf_order, nested_taylor_cycle,
-                             taylor_boundary_word, taylor_face_complex,
+from momangle.moment_angle import CellChain, hochster_table, zk_homology
+from momangle.taylor import (MonomialIdeal, TaylorChain, mf_order,
+                             nested_taylor_cycle, taylor_face_complex,
                              taylor_homology, taylor_homology_by_support,
                              verify_taylor_is_resolution)
 from momangle.whitehead import (DEFINED_NONTRIVIAL, DEFINED_TRIVIAL,
@@ -24,8 +23,9 @@ from momangle.whitehead import (DEFINED_NONTRIVIAL, DEFINED_TRIVIAL,
                                 shifted_wedge_basis, single_product_status)
 from momangle.zigzag import classes_equal_up_to_sign, koszul_to_taylor
 
-from oracles import (random_complex, random_shifted_complex,
-                     reference_trivialising_join)
+from oracles import (cone_reconstruction, random_complex, random_shifted_complex,
+                     reduced_ranks, reference_trivialising_join,
+                     taylor_boundary_word)
 from test_taylor import SUB5_DIFFERENTIALS
 
 WEDGE_SUB5 = {5: 4, 6: 3, 7: 1, 8: 1}

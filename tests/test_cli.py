@@ -225,7 +225,9 @@ BAD_FILES = {"bad.json": "{not json", "no_facets.json": '{"m": 3}',
              "bool_label.json": '{"m": 3, "facets": [[true, 2]]}',
              "string_label.json": '{"m": 3, "facets": [["2", 3]]}',
              "float_m.json": '{"m": 3.9, "facets": [[1, 2]]}',
-             "negative_m.json": '{"m": -1, "facets": []}'}
+             "negative_m.json": '{"m": -1, "facets": []}',
+             # admitted by --max-vertices, refused by the bitset bound
+             "points300000.json": '{"m": 300000, "facets": []}'}
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -241,6 +243,9 @@ BAD_FILES = {"bad.json": "{not json", "no_facets.json": '{"m": 3}',
     (["mf", "--complex", "string_label.json"], 1),
     (["mf", "--complex", "float_m.json"], 1),
     (["mf", "--complex", "negative_m.json"], 1),
+    (["mf", "--complex", "points300000.json", "--max-vertices", "1000000"], 2),
+    # a leaf outside K: the product is not defined
+    (["status", "--complex", "pt", "--w", "[1,2]"], 0),
     (["homology", "--complex", "pt", "--bogus"], 1),
     ([], 1),
     (["frobnicate"], 1),
@@ -262,9 +267,11 @@ def test_bad_inputs_exit_without_traceback(tmp_path, capsys, argv, expected):
     assert code == expected, err
     assert "Traceback" not in err
     if expected == 0:
-        assert json.loads(out)["sphere_facets"] is None
+        key, value = {"delta-w": ("sphere_facets", None),
+                      "status": ("status", "undefined")}[argv[0]]
+        assert json.loads(out)[key] == value
     else:
-        assert err.startswith("error: ")
+        assert err.startswith("size refusal: " if expected == 2 else "error: ")
 
 
 def _random_nested_text(rng, vertices):
@@ -306,6 +313,13 @@ def test_taylor_cycle_exits_0_or_1(tmp_path, capsys):
         assert "Traceback" not in err
         codes[code, trial % 2] += 1
     assert all(codes[code, half] for code in (0, 1) for half in (0, 1)), codes
+
+
+@pytest.mark.parametrize("w", ["[1,2]", "[[1,2],3]"])
+def test_status_with_a_leaf_outside_K_is_undefined(capsys, w):
+    # single and nested products agree with `realises`: not defined
+    assert run_json(capsys, "status", "--complex", "pt", "--w", w)["status"] == "undefined"
+    assert run_json(capsys, "realises", "--complex", "pt", "--w", w)["defined"] == "no"
 
 
 def test_status_outside_the_criterion_exits_0(tmp_path, capsys):

@@ -1,12 +1,13 @@
 import json
 import random
 import re
+import tracemalloc
 from itertools import combinations
 
 import pytest
 
 from momangle.complexes import (ParseError, SimplicialComplex, SizeLimitError,
-                                _order_is_shifted, boundary, face, face_mask, expression_vertex_count,
+                                _order_is_shifted, boundary, face, face_mask,
                                 is_shifted, is_subcomplex, join, mask_face,
                                 parse_complex, point,
                                 reduced_homology, simplex, simplex_boundary,
@@ -348,8 +349,11 @@ def test_parser_errors():
             parse_complex(text)
 
 
-def test_expression_vertex_count():
-    assert expression_vertex_count("join(simplex(1,2),bd(simplex(1,2,3)))") == 5
+def test_parse_complex_counts_vertices_before_building():
+    text = "join(simplex(1,2),bd(simplex(1,2,3)))"
+    assert parse_complex(text, max_vertices=5).m == 5
+    with pytest.raises(SizeLimitError, match="builds 5 vertices"):
+        parse_complex(text, max_vertices=4)
     with pytest.raises(SizeLimitError):
         parse_complex("simplex(" + ",".join(map(str, range(1, 26))) + ")",
                       max_vertices=10)
@@ -381,6 +385,21 @@ def test_json_size_bound():
     with pytest.raises(SizeLimitError, match="21 vertices"):
         SimplicialComplex.from_json_dict(data, max_vertices=20)
     assert SimplicialComplex.from_json_dict(data).m == 21
+
+
+def test_bitset_bound_refused_before_enumeration():
+    # both constructors refuse m > 64 before any face is built: 300000
+    # singletons would peak at tens of MiB
+    for build in (SimplicialComplex.from_facets, SimplicialComplex):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match="bitset bound of 64"):
+                build(300000, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (build, peak)
+    assert SimplicialComplex.from_facets(64, []).m == 64
 
 
 def with_ghosts(K, rng):

@@ -6,10 +6,10 @@ from momangle import complexes as cx
 from momangle import moment_angle as ma
 from momangle.complexes import SimplicialComplex, simplex, simplex_boundary
 from momangle.exactalg import HomologyGroup
-from momangle.moment_angle import (CellChain, cell_boundary, hochster_embed,
-                                   hochster_table, reduced_ranks, shuffle_sign,
+from momangle.moment_angle import (CellChain, cell_boundary, hochster_table,
                                    zk_chain_complex, zk_homology)
-from oracles import (random_complex, reference_cell_boundary,
+from oracles import (hochster_embed, random_complex, reduced_ranks,
+                     reference_cell_boundary, shuffle_sign,
                      simplicial_homology_dense)
 
 

@@ -26,13 +26,12 @@ from momangle.cli import main
 from momangle.exactalg import ChainComplex, HomologyGroup, kernel_basis
 from momangle import moment_angle
 from momangle.moment_angle import (CellChain, all_subsets, cell_boundary, cone_free_subsets,
-                                   hochster_embed, hochster_table, lattice_supports,
-                                   star_vertex, support_table, zk_chain_complex,
+                                   hochster_table, lattice_supports, star_vertex, support_table, zk_chain_complex,
                                    zk_class, zk_homology, zk_homology_by_support,
                                    zk_star_quotient)
 from momangle.taylor import taylor_face_complex, taylor_homology_by_support
 from momangle.whitehead import bracket, hurewicz_chain, leaf, parse_whitehead
-from oracles import (brute_cone_point, random_complex, reference_zk_block,
+from oracles import (brute_cone_point, hochster_embed, random_complex, reference_zk_block,
                      reference_zk_class, reference_zk_homology_by_support,
                      reference_zk_star_quotient)
 

@@ -9,16 +9,16 @@ from momangle.complexes import (SimplicialComplex, SizeLimitError, parse_complex
                                 simplex_boundary)
 from momangle.exactalg import HomologyGroup
 from momangle.moment_angle import hochster_table, zk_homology
-from momangle.taylor import (MonomialIdeal, TaylorChain, cone_reconstruction,
-                             mf_order, nested_taylor_cycle, normalise_word,
-                             taylor_boundary, taylor_boundary_word,
+from momangle.taylor import (MonomialIdeal, TaylorChain, mf_order,
+                             nested_taylor_cycle, normalise_word, taylor_boundary,
                              taylor_components, taylor_face_complex,
                              taylor_homology, taylor_homology_by_support,
                              verify_taylor_is_resolution, word_support)
 from momangle.whitehead import delta_w, parse_whitehead
-from oracles import (lyubeznik_admissible, random_complex,
+from oracles import (cone_reconstruction, lyubeznik_admissible, random_complex,
                      reference_nested_taylor_cycle, reference_resolution_failures,
-                     reference_taylor_boundary_word, taylor_module_resolution)
+                     reference_taylor_boundary_word, taylor_boundary_word,
+                     taylor_module_resolution)
 
 # the complete graph on six vertices: its 20 triangles are its missing faces
 K6_GRAPH = "bd(bd(bd(bd(simplex(1,2,3,4,5,6)))))"

@@ -4,8 +4,8 @@ through its reader."""
 
 import pytest
 
-from momangle.complexes import (ParseError, Scanner, expression_vertex_count,
-                                parse_complex, word_text, read_word)
+from momangle.complexes import (ParseError, Scanner, SizeLimitError, parse_complex,
+                                word_text, read_word)
 from momangle.moment_angle import CellChain
 from momangle.taylor import TaylorChain
 from momangle.whitehead import bracket, leaf, parse_whitehead
@@ -160,4 +160,7 @@ def test_whitehead_round_trip(w):
 def test_vertex_count_matches_the_built_complex(expr):
     text, n = expr
     assume(n <= 8)
-    assert expression_vertex_count(text) == n == parse_complex(text).m
+    # the gate counts the vertices before anything is built
+    assert parse_complex(text, max_vertices=n).m == n
+    with pytest.raises(SizeLimitError):
+        parse_complex(text, max_vertices=n - 1)

@@ -39,22 +39,42 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def digest(workload, seed, seconds):
-    from momangle import cli
+def use_checkout():
+    """Import momangle from src/ and the workloads from bench/, writing no
+    bytecode."""
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+
+def job_argvs(workload, seed, seconds, inputs):
+    """The argvs of the seeded job list, in order; its input files are
+    written under the directory `inputs`."""
     from workloads import WORKLOADS
 
     make, _, rate = WORKLOADS[workload]
+    return [argv for job in make(random.Random(seed), rate * seconds, inputs)
+            for argv in job.argvs]
+
+
+def call(argv):
+    """(exit code, printed report) of one `cli.main` call."""
+    from momangle import cli
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def digest(workload, seed, seconds):
     pairs = []
     with tempfile.TemporaryDirectory() as inputs:
-        for job in make(random.Random(seed), rate * seconds, inputs):
-            for argv in job.argvs:
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                    code = cli.main(argv)
-                report = json.loads(out.getvalue() or "null")
-                if report is not None:
-                    del report["elapsed_s"], report["inputs"]
-                pairs.append([code, report])
+        for argv in job_argvs(workload, seed, seconds, inputs):
+            code, text = call(argv)
+            report = json.loads(text or "null")
+            if report is not None:
+                del report["elapsed_s"], report["inputs"]
+            pairs.append([code, report])
     text = json.dumps(pairs, sort_keys=True)
     return {"workload": workload, "seed": seed, "seconds": seconds, "calls": len(pairs),
             "sha256": hashlib.sha256(text.encode()).hexdigest()}
@@ -66,8 +86,7 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=int, default=2)
     args = parser.parse_args(argv)
-    sys.dont_write_bytecode = True
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    use_checkout()
     print(json.dumps(digest(args.workload, args.seed, args.seconds)))
     return 0
 
