@@ -122,7 +122,7 @@ def cmd_zigzag(K, w, args, out):
 
 def cmd_hochster(K, w, args, out):
     subsets = None
-    if args.subset:
+    if args.subset is not None:
         subset = [int(x) for x in args.subset.split(",")]
         if len(set(subset)) != len(subset):
             raise ValueError(f"--subset {args.subset} repeats a vertex")
@@ -137,7 +137,7 @@ def cmd_hochster(K, w, args, out):
 
 
 def cmd_wedge_basis(K, w, args, out):
-    order = tuple(int(x) for x in args.order.split(",")) if args.order else None
+    order = tuple(int(x) for x in args.order.split(",")) if args.order is not None else None
     basis = wh.shifted_wedge_basis(K, order)
     out["is_basis"] = basis.is_basis
     out["entries"] = [

@@ -1,20 +1,19 @@
 """Simplicial complexes on labelled vertex sets and the substitution construction.
 
-A complex lives on the vertex set {1..m}; faces are strictly increasing
-tuples of labels, with the empty face always present.  Constructors close
-downwards and (for `from_facets`) add every singleton, matching the standing
-convention that a complex contains the empty set and all vertices.  Sphere
-subcomplexes produced elsewhere may omit singletons (ghost vertices), which
-`SimplicialComplex` tolerates as long as downward closure holds.
-
-Faces double as bitmasks internally (m <= 64) to keep the 2^m subset loops
-tolerable.
+A complex on the vertex set {1..m} (m <= 64) is the set of bitmasks of its
+faces, bit v - 1 for vertex v, the empty face always among them.  Every
+constructor ends in one checked constructor on masks (`_adopt`): face lists
+are normalised by `face`, `from_facets` adds every singleton, and `simplex`,
+`boundary`, `join` and `substitute` write masks directly.  Faces as
+increasing label tuples (`faces`, `facets`, `faces_within`) are decoded from
+the masks by `mask_face`.  Sphere subcomplexes produced elsewhere may omit
+singletons (ghost vertices), which is fine as long as downward closure holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, chain
 
 from .exactalg import ChainComplex
 
@@ -65,95 +64,110 @@ def mask_face(mask):
     return tuple(out)
 
 
-def _refuse_past_bitset_bound(m):
-    """Faces are bitmasks of at most 64 bits; both constructors refuse a
-    larger m before they enumerate anything."""
-    if m > 64:
-        raise SizeLimitError(f"m={m} exceeds the bitset bound of 64")
+def _masks_of(m, faces):
+    """The bitmask of each face, lazily, after `face` and the range check."""
+    for f in faces:
+        f = face(f)
+        if f and f[-1] > m:
+            raise ValueError(f"label {f[-1]} out of range 1..{m}")
+        yield face_mask(f)
+
+
+def _submasks(mask):
+    """Every bitmask inside `mask`, 0 included."""
+    subs = [0]
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        subs += [s | bit for s in subs]
+    return subs
 
 
 class SimplicialComplex:
-    """Immutable downward-closed face family on {1..m}.
+    """Immutable downward-closed face family on {1..m}, stored as the
+    bitmasks of its faces.
 
     `labels`, when set, records the original labels of the vertices 1..m
     (used by `full_subcomplex`, whose output is re-indexed).
     """
 
-    __slots__ = ("m", "faces", "facets", "labels", "_masks", "_facet_masks", "_by_size",
-                 "_mf", "_hash")
+    __slots__ = ("m", "labels", "face_masks", "_facet_masks", "_by_size", "_faces", "_mf")
 
     def __init__(self, m, faces, labels=None):
-        _refuse_past_bitset_bound(m)
-        fs = set()
-        for f in faces:
-            # canonical tuples, the package's own, skip `face`'s normalisation
-            if not _is_canonical(f):
-                f = face(f)
-            if f and f[-1] > m:
-                raise ValueError(f"label {f[-1]} out of range 1..{m}")
-            fs.add(f)
-        fs.add(())
+        self._adopt(m, _masks_of(m, faces), labels)
+
+    @classmethod
+    def _from_masks(cls, m, masks):
+        """The complex with the face bitmasks `masks`, checked by `_adopt`."""
+        return cls.__new__(cls)._adopt(m, masks)
+
+    def _adopt(self, m, masks, labels=None):
+        """The one constructor on face bitmasks, which every other ends in:
+        refuses m past the bitset bound before it reads the iterable `masks`,
+        adds the empty face, checks downward closure and finds the facets."""
+        if m > 64:
+            raise SizeLimitError(f"m={m} exceeds the bitset bound of 64")
         self.m = m
-        self.faces = frozenset(fs)
-        masks = {f: face_mask(f) for f in fs}
-        self._masks = frozenset(masks.values())
-        for f, mask in masks.items():
+        self.face_masks = masks = frozenset(chain((0,), masks))
+        for mask in masks:
             rest = mask
             while rest:
                 bit = rest & -rest
                 rest ^= bit
-                if mask ^ bit not in self._masks:
-                    v = bit.bit_length()
-                    sub = tuple(x for x in f if x != v)
-                    raise ValueError(f"not downward closed: {sub} missing under {f}")
+                if mask ^ bit not in masks:
+                    raise ValueError(f"not downward closed: {mask_face(mask ^ bit)} "
+                                     f"missing under {mask_face(mask)}")
         # downward closed, so a face is a facet iff no one-vertex extension is a face
-        bits = [1 << i for i in range(m)]
-        maximal = [f for f, mask in masks.items()
-                   if not any(mask | b in self._masks for b in bits if not mask & b)]
-        self.facets = tuple(sorted(maximal, key=lambda f: (len(f), f)))
-        self._facet_masks = tuple(masks[f] for f in self.facets)
+        facets = list(masks)
+        for bit in (1 << i for i in range(m)):
+            facets = [f for f in facets if f & bit or f | bit not in masks]
+        self._facet_masks = tuple(sorted(facets, key=lambda f: (f.bit_count(), mask_face(f))))
         self.labels = tuple(labels) if labels is not None else None
-        self._by_size = None
-        self._mf = None
-        self._hash = hash((self.m, self.faces))
+        self._by_size = self._faces = self._mf = None
+        return self
 
     @classmethod
     def from_facets(cls, m, facets):
         """Downward closure of the facets plus all singletons and the empty face."""
-        _refuse_past_bitset_bound(m)
-        fs = {(), *((i,) for i in range(1, m + 1))}
-        for f in facets:
-            f = face(f)
-            if f and f[-1] > m:
-                raise ValueError(f"label {f[-1]} out of range 1..{m}")
-            for k in range(len(f) + 1):
-                fs.update(combinations(f, k))
-        return cls(m, fs)
+        return cls._from_masks(m, chain((1 << i for i in range(m)),
+                                        chain.from_iterable(map(_submasks, _masks_of(m, facets)))))
 
     # -- basics --------------------------------------------------------------
 
+    @property
+    def faces(self):
+        """Every face as a tuple of labels, decoded from the masks on first read."""
+        if self._faces is None:
+            self._faces = frozenset(map(mask_face, self.face_masks))
+        return self._faces
+
+    @property
+    def facets(self):
+        """The maximal faces, sorted by (size, labels)."""
+        return tuple(map(mask_face, self._facet_masks))
+
     def __contains__(self, f):
-        # canonical tuples, the package's own, skip `face`'s normalisation
-        return (f if _is_canonical(f) else face(f)) in self.faces
+        f = face(f)
+        return not f or f[-1] <= self.m and face_mask(f) in self.face_masks
 
     def __eq__(self, other):
         return (isinstance(other, SimplicialComplex)
-                and self.m == other.m and self.faces == other.faces)
+                and self.m == other.m and self.face_masks == other.face_masks)
 
     def __hash__(self):
-        return self._hash
+        return hash((self.m, self.face_masks))
 
     def __repr__(self):
         return f"SimplicialComplex(m={self.m}, facets={list(self.facets)})"
 
     def dimension(self):
-        return max((len(f) for f in self.faces), default=0) - 1
+        return max(f.bit_count() for f in self._facet_masks) - 1
 
     def vertices(self):
-        return tuple(v for v in range(1, self.m + 1) if (v,) in self.faces)
+        return tuple(v for v in range(1, self.m + 1) if 1 << (v - 1) in self.face_masks)
 
     def has_all_singletons(self):
-        return all((v,) in self.faces for v in range(1, self.m + 1))
+        return all(1 << i in self.face_masks for i in range(self.m))
 
     def cone_point_within(self, subset):
         """Least vertex v of `subset` over which the full subcomplex K_S is a
@@ -168,36 +182,36 @@ class SimplicialComplex:
             while rest:
                 bit = rest & -rest
                 rest ^= bit
-                if inside | bit not in self._masks:
+                if inside | bit not in self.face_masks:
                     candidates ^= bit
             if not candidates:
                 return None
         return (candidates & -candidates).bit_length()
 
-    def _sorted_faces(self):
-        """(faces, bitmasks) sorted by (size, labels), built on the first
-        call: the routes ask for the faces inside up to every subset of 1..m."""
+    def _sorted_masks(self):
+        """The face bitmasks sorted by (size, labels), built on the first call.
+        Each size comes from the one below, in order: every face, in turn,
+        plus every vertex above its top that keeps it a face; by downward
+        closure each face comes once, from itself less its top vertex."""
         if self._by_size is None:
-            order = sorted(sorted(self.faces), key=len)
-            self._by_size = (order, [face_mask(f) for f in order])
+            bits = [1 << i for i in range(self.m)]
+            order, start = [0], 0
+            while start < len(order):
+                level, start = order[start:], len(order)
+                order += [f | b for f in level for b in bits[f.bit_length():]
+                          if f | b in self.face_masks]
+            self._by_size = order
         return self._by_size
 
     def faces_within(self, subset):
         """Faces contained in `subset`, keeping original labels, sorted by
-        (size, labels)."""
-        outside = ~face_mask(v for v in subset if v > 0)
-        faces, masks = self._sorted_faces()
-        return [f for f, mask in zip(faces, masks) if not mask & outside]
+        (size, labels); labels of `subset` below 1 are ignored."""
+        return list(map(mask_face, self.face_masks_within(v for v in subset if v > 0)))
 
     def face_masks_within(self, subset):
         """Bitmasks of the faces contained in `subset`, in `faces_within`'s order."""
         outside = ~face_mask(subset)
-        return [mask for mask in self._sorted_faces()[1] if not mask & outside]
-
-    @property
-    def face_masks(self):
-        """The bitmasks of all faces, a frozenset."""
-        return self._masks
+        return [mask for mask in self._sorted_masks() if not mask & outside]
 
     # -- missing faces ---------------------------------------------------------
 
@@ -221,7 +235,7 @@ class SimplicialComplex:
         bits = [1 << i for i in range(self.m) if smask >> i & 1]
         above = [[b for b in bits if b >> t] for t in range(self.m + 1)]
         found = []
-        masks = self._masks
+        masks = self.face_masks
         for mask in masks:
             if mask & ~smask:
                 continue
@@ -282,40 +296,31 @@ class SimplicialComplex:
 # -- point / simplex helpers ------------------------------------------------
 
 def point():
-    return SimplicialComplex.from_facets(1, [(1,)])
+    return simplex(1)
 
 
 def simplex(k):
     """Full simplex on 1..k."""
-    return SimplicialComplex.from_facets(k, [tuple(range(1, k + 1))])
+    return SimplicialComplex._from_masks(k, range(1 << k))
 
 
 def simplex_boundary(k):
     """boundary of the (k-1)-simplex on 1..k; for k=1 the empty complex {()}."""
-    full = tuple(range(1, k + 1))
-    if k == 1:
-        return SimplicialComplex(1, [()])
-    return SimplicialComplex.from_facets(
-        k, [full[:i] + full[i + 1:] for i in range(k)])
+    return SimplicialComplex._from_masks(k, range((1 << k) - 1))
 
 
 def boundary(K):
     """Complex generated by all non-maximal faces of K (bd of a simplex
-    recovers the usual boundary sphere)."""
-    facets = set(K.facets)
-    faces = [f for f in K.faces if f not in facets]
-    # vertices that were facets disappear from the face set but keep labels
-    return SimplicialComplex(K.m, faces)
+    recovers the usual boundary sphere); vertices that were facets of K
+    become ghosts."""
+    facets = set(K._facet_masks)
+    return SimplicialComplex._from_masks(K.m, (f for f in K.face_masks if f not in facets))
 
 
 def join(K1, K2):
     """Simplicial join; the second factor is relabelled onto m1+1..m1+m2."""
-    off = K1.m
-    faces = []
-    for f1 in K1.faces:
-        for f2 in K2.faces:
-            faces.append(f1 + tuple(v + off for v in f2))
-    return SimplicialComplex(K1.m + K2.m, faces)
+    return SimplicialComplex._from_masks(
+        K1.m + K2.m, (f1 | f2 << K1.m for f1 in K1.face_masks for f2 in K2.face_masks))
 
 
 @dataclass(frozen=True)
@@ -338,38 +343,23 @@ def substitute(K, parts):
     indexed by a face of K.  Parts are relabelled onto consecutive blocks."""
     if len(parts) != K.m:
         raise ValueError(f"need {K.m} parts, got {len(parts)}")
-    offsets = []
-    off = 0
-    for p in parts:
-        offsets.append(off)
-        off += p.m
-    total = off
-    faces = set()
-    for slot_face in K.faces:
-        choices = [()]
-        for s in slot_face:
-            part = parts[s - 1]
-            shift = offsets[s - 1]
-            new_choices = []
-            for base in choices:
-                for pf in part.faces:
-                    if pf:
-                        new_choices.append(base + tuple(v + shift for v in pf))
-            choices = new_choices
-        faces.update(tuple(sorted(c)) for c in choices)
-    faces.add(())
-    return Substitution(SimplicialComplex(total, faces), tuple(offsets))
+    offsets = list(accumulate((p.m for p in parts), initial=0))
+    pools = [[f << off for f in p.face_masks if f] for p, off in zip(parts, offsets)]
+
+    def unions(slot_face):
+        choices = [0]
+        for s in mask_face(slot_face):
+            choices = [c | f for c in choices for f in pools[s - 1]]
+        return choices
+    faces = chain.from_iterable(map(unions, K.face_masks))
+    return Substitution(SimplicialComplex._from_masks(offsets[-1], faces), tuple(offsets[:-1]))
 
 
 def substitution_missing_faces(K, parts):
     """Missing faces of the substitution via the disjoint-union formula:
     each part's own missing faces, plus one transversal per missing face of
     the slot complex (one vertex out of each involved part)."""
-    offsets = []
-    off = 0
-    for p in parts:
-        offsets.append(off)
-        off += p.m
+    offsets = list(accumulate((p.m for p in parts), initial=0))
     out = []
     for i, p in enumerate(parts):
         for mf in p.missing_faces():
@@ -379,8 +369,7 @@ def substitution_missing_faces(K, parts):
         for s in slot_mf:
             part = parts[s - 1]
             shift = offsets[s - 1]
-            verts = [v + shift for v in range(1, part.m + 1)
-                     if (v,) in part.faces]
+            verts = [v + shift for v in part.vertices()]
             transversals = [t + (v,) for t in transversals for v in verts]
         out.extend(tuple(sorted(t)) for t in transversals)
     return sorted(set(out), key=lambda f: (len(f), f))
@@ -389,16 +378,18 @@ def substitution_missing_faces(K, parts):
 def is_subcomplex(K_small, K_big, labelling=None):
     """True iff every face of K_small maps to a face of K_big.
 
-    labelling maps small labels to big labels (default: identity)."""
+    labelling maps small labels to big labels (default: identity); a vertex
+    sent outside 1..K_big.m is no face of K_big."""
     if labelling is None:
         labelling = {v: v for v in range(1, K_small.m + 1)}
     if len(set(labelling.values())) != len(labelling):
         raise ValueError("labelling must be injective")
-    for f in K_small.faces:
-        img = tuple(sorted(labelling[v] for v in f))
-        if img not in K_big:
+    bits = {}
+    for v in K_small.vertices():
+        if not 1 <= labelling[v] <= K_big.m:
             return False
-    return True
+        bits[v] = 1 << (labelling[v] - 1)
+    return all(sum(map(bits.get, mask_face(f))) in K_big.face_masks for f in K_small.face_masks)
 
 
 @dataclass(frozen=True)
@@ -415,7 +406,7 @@ def _dominates(K, u, v):
     with v replaced by u?  Facets suffice: such a face f lies in a facet F,
     and f - v + u lies in F - v + u."""
     ubit, vbit = 1 << (u - 1), 1 << (v - 1)
-    return all(not fmask & vbit or fmask ^ vbit | ubit in K._masks
+    return all(not fmask & vbit or fmask ^ vbit | ubit in K.face_masks
                for fmask in K._facet_masks)
 
 

@@ -114,7 +114,7 @@ class CellChain(SignedSum):
         return CellChain(out)
 
     def supported_in(self, K):
-        return all(I in K for _, I in self.terms)
+        return all(max(I, default=0) <= K.m and face_mask(I) in K.face_masks for _, I in self.terms)
 
     # -- text form ------------------------------------------------------------
 
@@ -157,7 +157,7 @@ def zk_cells(K):
     if K.m > ZK_MAX_VERTICES:
         raise SizeLimitError(f"Z_K cell enumeration refuses m={K.m} > {ZK_MAX_VERTICES}")
     by_degree = {}
-    for I in sorted(K.faces, key=lambda f: (len(f), f)):
+    for I in K.faces_within(range(1, K.m + 1)):
         rest = [v for v in range(1, K.m + 1) if v not in set(I)]
         for k in range(len(rest) + 1):
             for J in combinations(rest, k):

@@ -462,12 +462,14 @@ def nested_taylor_cycle(w, K):
     """
     levels = nested_levels(w)
     gens, masks = generator_masks(K)
+    undefined = f"bd_Delta({w.to_text()}) does not sit in K: the product is not defined"
+    if max(w.leaves()) > K.m:
+        raise ValueError(undefined)
     leaves = face_mask(w.leaves())
     # K's missing faces among the leaves are the generators inside them
     inside = [q for q, mask in enumerate(masks) if not mask & ~leaves]
-    if leaves >> K.m or not _sits_in(canonical_missing_faces(w), [masks[q] for q in inside]):
-        raise ValueError(f"bd_Delta({w.to_text()}) does not sit in K: "
-                         "the product is not defined")
+    if not _sits_in(canonical_missing_faces(w), [masks[q] for q in inside]):
+        raise ValueError(undefined)
     level_masks = [face_mask(level) for level in levels]
     hits, absorbed = [], 0
     for target in level_masks:

@@ -31,7 +31,7 @@ from itertools import combinations
 
 from . import complexes as cx
 from .exactalg import TRIVIAL_GROUP, IntMatrix, invariant_factors
-from .moment_angle import (CellChain, degree_sums, zk_class,
+from .moment_angle import (CellChain, _require_singletons, degree_sums, zk_class,
                            zk_homology_by_support, zk_star_quotient)
 
 UNDEFINED = "undefined"
@@ -271,7 +271,7 @@ def single_product_status(K, I):
     if len(I) < 2:
         raise ValueError("need at least two distinct vertices")
     missing = _leaf_missing_faces(K, I)
-    if not _sits_in((cx.face_mask(I),), missing):
+    if missing is None or not _sits_in((cx.face_mask(I),), missing):
         return UNDEFINED
     if _sits_in((), missing):
         return DEFINED_TRIVIAL
@@ -296,7 +296,8 @@ def criterion_applies(K, w):
     those only."""
     for c in w.bracket_children():
         missing = _leaf_missing_faces(K, c.leaves())
-        if not _sits_in((cx.face_mask(c.leaves()),), missing) or _sits_in((), missing):
+        if (missing is None or not _sits_in((cx.face_mask(c.leaves()),), missing)
+                or _sits_in((), missing)):
             return False
     return True
 
@@ -321,7 +322,7 @@ def nested_shape_report(K, w):
     if not subs:
         return single_product_status(K, leaves_), ()
     missing = _leaf_missing_faces(K, w.leaves())
-    if not _sits_in(canonical_missing_faces(w), missing):
+    if missing is None or not _sits_in(canonical_missing_faces(w), missing):
         return UNDEFINED, ()
     trivial = _sits_in(_inner_leaf_sets(w), missing)
     if not criterion_applies(K, w):
@@ -360,7 +361,7 @@ def realises_sufficient(K, w):
         raise ValueError("bare leaves are not products")
     special = all(c.is_single() for c in w.bracket_children())
     missing = _leaf_missing_faces(K, w.leaves())
-    if not _sits_in(canonical_missing_faces(w), missing):
+    if missing is None or not _sits_in(canonical_missing_faces(w), missing):
         if special:
             return RealisationReport(
                 "no", "no", None, ("smallest-complex criterion applies: not defined",))
@@ -464,7 +465,9 @@ def shifted_wedge_basis(K, order=None):
     emitted chains as a Z-basis of H_*(Z_K).  Those pairs are read off the
     missing faces of K: J is I together with any set of vertices ranked
     below I's top vertex, and the entries come sorted by (|J|, J, |I|, I).
+    A ghost vertex is refused first, as by the other Z_K routes.
     """
+    _require_singletons(K)
     res = cx.is_shifted(K, order)
     if not res:
         raise ValueError("K is not shifted" if order is None

@@ -10,7 +10,9 @@ the package's blocks on the admissible words only), the cell boundary by
 sorting and counting (the reference for the package's bisection), the
 staircase's vertical solve over the whole multidegree slice (the reference
 for the package's solve one word at a time), definition-level missing
-faces, substitution and cone points, permutation-search shiftedness (the
+faces, substitution and cone points, the closure of facets, boundary, join
+and bd_Delta(w) on sets of face tuples (`TupleComplex`, the reference for
+the package's constructors on face bitmasks), permutation-search shiftedness (the
 reference for the package's order by facet dominance), the shifted wedge
 basis's pairs by a scan of every vertex subset (the reference for reading
 them off the missing faces), the direct sum of homology groups by
@@ -751,6 +753,59 @@ def brute_substitute_faces(slot, parts):
             faces.add(tuple(sorted(acc)))
     faces.add(())
     return faces
+
+
+@dataclass(frozen=True)
+class TupleComplex:
+    """A complex as its vertex count and its set of face tuples, the store
+    the package kept before its face bitmasks; the brute-force functions
+    above read it as they read a SimplicialComplex."""
+
+    m: int
+    faces: frozenset
+
+
+def reference_from_facets(m, facets):
+    """Every subset of every facet, every singleton and the empty face."""
+    faces = {(), *((v,) for v in range(1, m + 1))}
+    for f in facets:
+        f = tuple(sorted(f))
+        faces.update(c for k in range(len(f) + 1) for c in combinations(f, k))
+    return TupleComplex(m, frozenset(faces))
+
+
+def reference_boundary(K):
+    """The faces of K that are no facet (`brute_facets`), the empty face kept."""
+    facets = set(brute_facets(K))
+    return TupleComplex(K.m, frozenset(f for f in K.faces if f not in facets) | {()})
+
+
+def reference_join(K1, K2):
+    """Every face of K1 followed by every face of K2 shifted past K1's vertices."""
+    return TupleComplex(K1.m + K2.m, frozenset(
+        f1 + tuple(v + K1.m for v in f2) for f1 in K1.faces for f2 in K2.faces))
+
+
+def reference_delta_w(w):
+    """(bd_Delta(w), its top sphere or None) as TupleComplexes, built on
+    face tuples as `delta_w` builds them: the boundary of a simplex with
+    the sub-brackets' complexes and one point per leaf substituted, and the
+    join of the children's spheres and the boundary of the leaf simplex."""
+    subs = [reference_delta_w(c) for c in w.bracket_children()]
+    p = len(w.leaf_children())
+    point = reference_from_facets(1, [(1,)])
+    parts = [sub for sub, _ in subs] + [point] * p
+    slot = reference_boundary(reference_from_facets(len(parts), [range(1, len(parts) + 1)]))
+    complex_ = TupleComplex(sum(q.m for q in parts), frozenset(brute_substitute_faces(slot, parts)))
+    spheres = [sphere for _, sphere in subs]
+    if (spheres and not p) or None in spheres:
+        return complex_, None
+    if p:
+        spheres.append(reference_boundary(reference_from_facets(p, [range(1, p + 1)])))
+    sphere = spheres[0]
+    for other in spheres[1:]:
+        sphere = reference_join(sphere, other)
+    return complex_, sphere
 
 
 def reference_trivialising_join(w):

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -258,6 +259,18 @@ BAD_FILES = {"bad.json": "{not json", "no_facets.json": '{"m": 3}',
     (["verify", "--complex", "bd(simplex(1,2,3))", "--w", "[1,2]"], 1),
     (["homology", "--complex", "pt", "--order", "5,6", "--subset", "9"], 1),
     (["delta-w", "--w", "[1,2]", "--complex", "nonsense("], 1),
+    # a leaf far outside K: answered from the range check, before any bitmask
+    # is made of the leaves
+    (["status", "--complex", "pt", "--w", "[1,1000000000]"], 0),
+    (["status", "--complex", "pt", "--w", "[1,99999999999999999999]"], 0),
+    (["status", "--complex", "pt", "--w", "[[1,2],99999999999999999999]"], 0),
+    (["realises", "--complex", "pt", "--w", "[1,1000000000]"], 0),
+    (["realises", "--complex", "pt", "--w", "[1,99999999999999999999]"], 0),
+    (["taylor-cycle", "--complex", "pt", "--w", "[1,1000000000]"], 1),
+    (["taylor-cycle", "--complex", "pt", "--w", "[1,99999999999999999999]"], 1),
+    # an empty option value is parsed like any other, not dropped
+    (["hochster", "--complex", "pt", "--subset", ""], 1),
+    (["wedge-basis", "--complex", "pt", "--order", ""], 1),
 ])
 def test_bad_inputs_exit_without_traceback(tmp_path, capsys, argv, expected):
     for name, text in BAD_FILES.items():
@@ -268,7 +281,8 @@ def test_bad_inputs_exit_without_traceback(tmp_path, capsys, argv, expected):
     assert "Traceback" not in err
     if expected == 0:
         key, value = {"delta-w": ("sphere_facets", None),
-                      "status": ("status", "undefined")}[argv[0]]
+                      "status": ("status", "undefined"),
+                      "realises": ("defined", "no")}[argv[0]]
         assert json.loads(out)[key] == value
     else:
         assert err.startswith("size refusal: " if expected == 2 else "error: ")
@@ -315,11 +329,37 @@ def test_taylor_cycle_exits_0_or_1(tmp_path, capsys):
     assert all(codes[code, half] for code in (0, 1) for half in (0, 1)), codes
 
 
-@pytest.mark.parametrize("w", ["[1,2]", "[[1,2],3]"])
+@pytest.mark.parametrize("w", ["[1,2]", "[[1,2],3]", "[1,1000]", "[[1,2],1000]"])
 def test_status_with_a_leaf_outside_K_is_undefined(capsys, w):
     # single and nested products agree with `realises`: not defined
     assert run_json(capsys, "status", "--complex", "pt", "--w", w)["status"] == "undefined"
-    assert run_json(capsys, "realises", "--complex", "pt", "--w", w)["defined"] == "no"
+    data = run_json(capsys, "realises", "--complex", "pt", "--w", w)
+    assert (data["defined"], data["nontrivial"]) == ("no", "no")
+    code, _, err = run_cli(capsys, "taylor-cycle", "--complex", "pt", "--w", w)
+    assert code == 1
+    assert err == f"error: bd_Delta({w}) does not sit in K: the product is not defined\n"
+
+
+@pytest.mark.parametrize("verb", ["status", "realises", "taylor-cycle"])
+def test_a_far_leaf_label_costs_no_memory(capsys, verb):
+    """The leaf 10^9 is compared with m before it could become a bitmask
+    of 10^9 bits (125 MB)."""
+    tracemalloc.start()
+    try:
+        run_cli(capsys, verb, "--complex", "pt", "--w", "[1,1000000000]")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+
+
+def test_wedge_basis_refuses_ghost_vertices(capsys):
+    """A ghost vertex is a missing face of one vertex; it is refused as the
+    other Z_K verbs refuse it, not by the bracket it would give."""
+    for verb in ("wedge-basis", "homology", "verify"):
+        code, out, err = run_cli(capsys, verb, "--complex", "bd(bd(simplex(1,2)))")
+        assert code == 1 and out == ""
+        assert err == "error: Z_K needs every singleton to be a face\n", verb
 
 
 def test_status_outside_the_criterion_exits_0(tmp_path, capsys):

@@ -1,8 +1,10 @@
 import json
 import random
 import re
+import sys
 import tracemalloc
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -12,9 +14,12 @@ from momangle.complexes import (ParseError, SimplicialComplex, SizeLimitError,
                                 parse_complex, point,
                                 reduced_homology, simplex, simplex_boundary,
                                 substitute, substitution_missing_faces)
-from oracles import (brute_facets, brute_is_shifted, brute_missing_faces,
+from momangle.whitehead import bracket, delta_w, leaf, parse_whitehead
+from oracles import (TupleComplex, brute_facets, brute_is_shifted, brute_missing_faces,
                      brute_order_is_shifted, brute_substitute_faces, random_complex,
-                     random_graph_complex, random_shifted_complex)
+                     random_graph_complex, random_shifted_complex, reference_boundary,
+                     reference_delta_w, reference_from_facets, reference_join)
+from test_split import complexes as split_complexes
 
 
 def test_from_facets_triangle_boundary():
@@ -107,8 +112,8 @@ def test_faces_within_against_bruteforce():
 
 
 def test_init_normalises_like_face():
-    """Canonical tuples skip `face`; lists, unsorted tuples, bools and floats
-    are normalised by it, and bad faces raise its errors, as before."""
+    """Every face goes through `face`: lists, unsorted tuples, bools and
+    floats are normalised by it, and bad faces raise its errors."""
     K = SimplicialComplex(3, [(), (1,), (2,), (3,), (1, 2)])
     assert SimplicialComplex(3, [[], [1], [2], [3], [2, 1]]) == K
     assert SimplicialComplex(3, [(True,), (2,), (3,), (2, 1), (1.0, 2), (1, 2)]) == K
@@ -127,8 +132,8 @@ def test_init_normalises_like_face():
 
 
 def test_contains_normalises_like_face():
-    """Canonical tuples are looked up directly; every other argument goes
-    through `face`, with its normalisation and its errors."""
+    """Every argument goes through `face`, with its normalisation and its
+    errors, before its bitmask is looked up."""
     K = SimplicialComplex.from_facets(4, [(1, 2), (3, 4)])
     assert (1, 2) in K and (3, 4) in K and () in K
     assert (1, 3) not in K and (5,) not in K and (1, 2, 3) not in K
@@ -437,3 +442,163 @@ def test_missing_faces_within_bounds():
         K.missing_faces()
     with pytest.raises(ValueError, match="outside vertex range"):
         K.missing_faces_within((1, 31))
+
+
+# -- constructors on face bitmasks against the tuple references ------------------
+
+def same_as_reference(K, R):
+    """K against the TupleComplex R: faces, facets, missing faces, the
+    singleton and dimension reads, membership, `faces_within`, and == and
+    hash against R's faces given as a face list."""
+    assert K.m == R.m and K.faces == R.faces
+    assert list(K.facets) == brute_facets(R)
+    assert list(K.missing_faces()) == brute_missing_faces(R)
+    assert K.vertices() == tuple(v for v in range(1, R.m + 1) if (v,) in R.faces)
+    assert K.has_all_singletons() == all((v,) in R.faces for v in range(1, R.m + 1))
+    assert K.dimension() == max(map(len, R.faces)) - 1
+    everything = range(1, R.m + 1)
+    assert K.faces_within(everything) == sorted(R.faces, key=lambda f: (len(f), f))
+    for k in range(R.m + 1):
+        for f in combinations(everything, k):
+            assert (f in K) == (f in R.faces)
+    L = SimplicialComplex(R.m, R.faces)
+    assert K == L and hash(K) == hash(L)
+
+
+def test_from_facets_matches_the_tuple_closure():
+    """On the split complexes' facets and on seeded facet lists."""
+    rng = random.Random(2200)
+    cases = [(K.m, K.facets) for K in split_complexes()]
+    for _ in range(40):
+        m = rng.randint(0, 7)
+        cases.append((m, [rng.sample(range(1, m + 1), rng.randint(0, m))
+                          for _ in range(rng.randint(0, 5))]))
+    for m, facets in cases:
+        same_as_reference(SimplicialComplex.from_facets(m, facets),
+                          reference_from_facets(m, facets))
+
+
+def test_boundary_join_and_substitute_match_the_tuple_references():
+    """On the split complexes: the boundary of each (and of that, which
+    leaves ghost vertices), the join of neighbours, and each substituted
+    into the boundary of a triangle together with two others."""
+    Ks = split_complexes()
+    Rs = [TupleComplex(K.m, K.faces) for K in Ks]
+    slot, slot_ref = simplex_boundary(3), reference_boundary(reference_from_facets(3, [(1, 2, 3)]))
+    for i, (K, R) in enumerate(zip(Ks, Rs)):
+        same_as_reference(boundary(K), reference_boundary(R))
+        same_as_reference(boundary(boundary(K)), reference_boundary(reference_boundary(R)))
+        j = (i + 1) % len(Ks)
+        if K.m + Ks[j].m <= 12:
+            same_as_reference(join(K, Ks[j]), reference_join(R, Rs[j]))
+        parts = [K, point(), simplex_boundary(2)]
+        part_refs = [R, reference_from_facets(1, [(1,)]),
+                     reference_boundary(reference_from_facets(2, [(1, 2)]))]
+        same_as_reference(substitute(slot, parts).complex,
+                          TupleComplex(K.m + 3, frozenset(brute_substitute_faces(slot_ref, part_refs))))
+
+
+def random_expression(rng, depth, budget):
+    """A random builder expression on at most `budget` vertices, as its text
+    and the TupleComplex the references build for it; a `bd` of a `bd`
+    leaves ghost vertices."""
+    kind = rng.choice(["simplex", "bd", "bd", "join", "subst"]) if depth else "simplex"
+    if kind == "bd":
+        text, R = random_expression(rng, depth - 1, budget)
+        return f"bd({text})", reference_boundary(R)
+    if kind == "join" and budget >= 2:
+        text1, R1 = random_expression(rng, depth - 1, rng.randint(1, budget - 1))
+        text2, R2 = random_expression(rng, depth - 1, budget - R1.m)
+        return f"join({text1},{text2})", reference_join(R1, R2)
+    if kind == "subst" and budget >= 2:
+        slot_text, slot = random_expression(rng, depth - 1, min(3, budget))
+        parts, left = [], budget
+        for i in range(slot.m):
+            text, P = random_expression(rng, depth - 1, rng.randint(1, left - (slot.m - 1 - i)))
+            parts.append((text, P))
+            left -= P.m
+        faces = frozenset(brute_substitute_faces(slot, [P for _, P in parts]))
+        return (f"subst({slot_text};{','.join(text for text, _ in parts)})",
+                TupleComplex(budget - left, faces))
+    k = rng.randint(1, min(3, budget))
+    return f"simplex({','.join(map(str, range(1, k + 1)))})", reference_from_facets(k, [range(1, k + 1)])
+
+
+def test_builder_expressions_match_the_tuple_references():
+    """Seeded expressions of every builder, ghost vertices included."""
+    rng = random.Random(2201)
+    ghosts = 0
+    for _ in range(120):
+        text, R = random_expression(rng, 3, 8)
+        K = parse_complex(text)
+        same_as_reference(K, R)
+        ghosts += not K.has_all_singletons()
+    assert ghosts >= 10, ghosts
+
+
+def random_bracket(rng, leaves):
+    """A random bracket on the labels `leaves` (at least two): some children
+    leaves, some sub-brackets, sometimes none of its own leaves."""
+    while True:
+        rest, children = list(leaves), []
+        rng.shuffle(rest)
+        while rest:
+            size = min(len(rest), len(leaves) - 1, rng.choice([1, 1, 2, 3]))
+            chunk, rest = rest[:size], rest[size:]
+            children.append(leaf(chunk[0]) if size == 1 else random_bracket(rng, chunk))
+        if len(children) >= 2:
+            return bracket(children)
+
+
+def test_delta_w_matches_the_tuple_reference():
+    """bd_Delta(w) and its top sphere on seeded brackets of 2 to 7 leaves,
+    with and without a sphere."""
+    rng = random.Random(2202)
+    spheres = set()
+    for _ in range(60):
+        w = random_bracket(rng, range(1, rng.randint(2, 7) + 1))
+        dw = delta_w(w)
+        R, sphere = reference_delta_w(w)
+        same_as_reference(dw.complex, R)
+        spheres.add(sphere is None)
+        if sphere is None:
+            assert dw.sphere is None, w
+        else:
+            same_as_reference(dw.sphere, sphere)
+    assert spheres == {True, False}
+
+
+@pytest.mark.parametrize("build, bound", [
+    (lambda: SimplicialComplex.from_facets(16, [range(1, 17)]), 14),
+    (lambda: delta_w(parse_whitehead(str(list(range(1, 15))))), 4.5),
+], ids=["simplex16", "delta_w14"])
+def test_faces_are_stored_once(build, bound):
+    """A complex keeps each face as one bitmask: the 16-vertex simplex
+    (65536 faces) and bd_Delta of a 14-leaf bracket stay under these peaks
+    in MiB (21.5 and 6.7 when each face was also a tuple)."""
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * 2 ** 20, peak / 2 ** 20
+
+
+def test_realise_traffic_never_reads_faces(tmp_path, monkeypatch):
+    """The seed-1 `realise` job list of the benchmark (tools/report_digest.py
+    builds it) runs on face bitmasks: no verb decodes the `faces` view."""
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(root / "bench"))
+    monkeypatch.syspath_prepend(str(root / "tools"))
+    import report_digest
+    reads = []
+    raw = SimplicialComplex.faces
+    monkeypatch.setattr(SimplicialComplex, "faces",
+                        property(lambda K: reads.append(K) or raw.fget(K)))
+    codes = [report_digest.call(argv)[0]
+             for argv in report_digest.job_argvs("realise", 1, 2, str(tmp_path))]
+    assert len(codes) > 100 and set(codes) == {0}
+    assert reads == []
+    assert sorted(point().faces) == [(), (1,)] and len(reads) == 1
