@@ -12,9 +12,9 @@ on the columns and reduces only the differentials that have entries.  The
 cellular and Taylor tables call it on their mask builders' columns with no
 complex built.  A `ChainComplex` labels the same columns with a basis, for
 cycle classes: the star quotients and the Taylor blocks label their mask
-builders' output, and `ChainComplex.from_boundary` takes the columns of a
-boundary callable (`boundary_matrix`) for simplicial chains, the whole
-complexes and the references.
+builders' output, and `ChainComplex.from_boundary` writes the columns of
+a boundary callable on labels, for simplicial chains, the whole complexes
+and the references.
 
 Conventions:
   * matrices are sparse maps (row, col) -> nonzero int;
@@ -450,24 +450,6 @@ def invariant_factors(A):
     return [d for d in smith_normal_form(A, transforms=False).diag if d]
 
 
-def boundary_matrix(sources, target_index, boundary):
-    """Matrix of `boundary` (label -> {label: coeff}) with one column per
-    source label, in order, and rows from `target_index` ({label: row}).
-
-    A target outside the index raises: a boundary that leaves the given
-    basis is a construction error, never a term to drop."""
-    entries = {}
-    for j, label in enumerate(sources):
-        for target, c in boundary(label).items():
-            i = target_index.get(target)
-            if i is None:
-                raise ValueError(f"boundary of {label!r} hits {target!r}, "
-                                 "which is not in the target basis")
-            if c:
-                entries[(i, j)] = c
-    return IntMatrix._adopt(len(target_index), len(sources), entries)
-
-
 def solve_integer(A, b):
     """One integer solution x of A x = b, or None when none exists.
 
@@ -633,10 +615,24 @@ class ChainComplex:
     def from_boundary(cls, basis, boundary):
         """Complex on `basis` ({degree: [label, ...]}, label order kept) whose
         differential sends a label to `boundary(label)`, {label: coeff} in the
-        degree below; a target outside that degree's basis raises."""
+        degree below, written into the columns; a target outside that
+        degree's basis raises."""
         index = _label_index(basis)
-        C = cls(basis, {d: boundary_matrix(labels, index.get(d - 1, {}), boundary).columns()
-                        for d, labels in basis.items()})
+        columns = {}
+        for d, labels in basis.items():
+            rows, columns[d] = index.get(d - 1, {}), {}
+            for j, label in enumerate(labels):
+                column = []
+                for target, c in boundary(label).items():
+                    i = rows.get(target)
+                    if i is None:
+                        raise ValueError(f"boundary of {label!r} hits {target!r}, "
+                                         "which is not in the target basis")
+                    if c:
+                        column.append((i, c))
+                if column:
+                    columns[d][j] = column
+        C = cls(basis, columns)
         C._index = index
         return C
 

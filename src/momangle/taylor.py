@@ -13,11 +13,13 @@ exterior monomials w_{J_1} ^ ... ^ w_{J_s} over distinct missing faces,
 
 the new factor entering at the front and the word then being sorted back
 into the fixed generator order (cardinality first, then lexicographic).
-Basis words keep their factors in that order, so a new factor J lands at
-position p, the number of factors before it in generator order, with sign
-(-1)^p; no word is ever sorted (`insertions`).  The differential never
-changes the union of the word, so the complex splits over vertex subsets S,
-and a word with s factors sits in total degree 2|S| - s.
+Basis words keep their factors in that order, and every differential here
+keeps them as bitmasks of generator indices (bit q for the q-th generator),
+so generator bit b enters word x as x | b behind the factors before it,
+with sign (-1)^popcount(x & (b - 1)) (`insertion_sign`); no word is ever
+sorted.  The differential never changes the union of the word, so the
+complex splits over vertex subsets S, and a word with s factors sits in
+total degree 2|S| - s.
 
 The route computes per block on Lyubeznik's words only (`admissible_words`).
 A word F_{i_1} ^ ... ^ F_{i_s} (i_1 < ... < i_s) is admissible when no
@@ -30,17 +32,19 @@ complex, closed under insertion, and the admissible words carry the quotient
 with the same homology over Z, torsion included.
 
 Each block is built once, on index bitmasks (`_blocks`): an admissible
-word is a bitmask of generator indices, generator bit b enters word x as
-x | b with sign (-1)^popcount(x & (b - 1)), and the block is its boundary
-columns.  The homology table (`taylor_homology_by_support`) reads each
-block's groups from those columns (`column_homology`), with no labelled
-complex built; cycle classes label the same columns with the words
-(`taylor_components`).  The independent references are the tests'
-`oracles.reference_taylor_components` and the whole complex
-(`taylor_face_complex`), built label by label through `insertions`.  The
-closed form of nested products (`nested_taylor_cycle`) and the zigzag keep
-their words on the same index bitmasks, with the same sign
-(`insertion_sign`), and check their cycles there (`index_boundary`).
+word is a bitmask of generator indices, and the block is its insertion
+columns (`_word_columns`).  The homology table
+(`taylor_homology_by_support`) reads each block's groups from those columns
+(`column_homology`), with no labelled complex built; cycle classes label
+the same columns with the words (`taylor_components`).  The independent
+reference is the tests' sort-based `oracles.reference_taylor_components`.
+Labelled words meet the rule at the edges only: `taylor_boundary`, which
+also gives the whole complex (`taylor_face_complex`) its differential,
+reads each word as its index bitmask (`word_index`), differentiates there
+(`index_boundary`) and labels the result (`index_word`).  The closed form
+of nested products (`nested_taylor_cycle`) and the zigzag keep their words
+on the same index bitmasks, with the same sign (`insertion_sign`), and
+check their cycles there (`index_boundary`).
 Lyubeznik's theorem itself is checked on the same builder, one slice of
 the lcm lattice at a time (`verify_taylor_is_resolution`).
 """
@@ -187,34 +191,10 @@ def _read_taylor_atom(sc):
 
 # -- the face (comodule) Taylor complex ------------------------------------------
 
-def insertions(word, gens, masks, within):
-    """The terms the Taylor differential adds to a basis word (factors in
-    generator order): each generator F of `gens` outside the word whose
-    bitmask (from `masks`) lies inside the bitmask `within` enters at
-    position p, the number of factors before it in generator order, with sign
-    (-1)^p.  Yields (F, new word, sign)."""
-    p, n = 0, len(word)
-    for F, mask in zip(gens, masks):
-        if p < n and word[p] == F:
-            p += 1
-        elif not mask & ~within:
-            yield F, word[:p] + (F,) + word[p:], -1 if p % 2 else 1
-
-
-def word_boundary(word, gens, masks, union):
-    """Differential of a basis word whose factors cover the bitmask `union`."""
-    return {new: sign for _, new, sign in insertions(word, gens, masks, union)}
-
-
 def generator_masks(K):
     """The generators in order with their vertex bitmasks."""
     gens = mf_order(K)
     return gens, [face_mask(F) for F in gens]
-
-
-def union_mask(word):
-    """Vertex bitmask of the union of a word's factors."""
-    return face_mask(v for F in word for v in F)
 
 
 def index_union(word, masks):
@@ -233,10 +213,17 @@ def index_word(word, gens):
     return tuple(F for q, F in enumerate(gens) if word >> q & 1)
 
 
+def word_index(word, position):
+    """The index bitmask of a labelled word, `position` giving each
+    generator's bit index; a factor that is not a generator is refused."""
+    if unknown := set(word) - position.keys():
+        raise ValueError(f"factors {sorted(unknown)} are not missing faces of K")
+    return sum(1 << position[F] for F in word)
+
+
 def insertion_sign(word, b):
     """The sign with which generator bit b enters the index bitmask `word`:
-    (-1)^popcount(word & (b - 1)), one transposition per factor before it,
-    as in `insertions`."""
+    (-1)^popcount(word & (b - 1)), one transposition per factor before it."""
     return -1 if (word & (b - 1)).bit_count() & 1 else 1
 
 
@@ -256,16 +243,14 @@ def index_boundary(chain, masks):
 
 
 def taylor_boundary(K, chain):
-    """Differential of a Taylor chain; factors must be missing faces of K."""
+    """Differential of a Taylor chain; factors must be missing faces of K.
+    The words are read as index bitmasks (`word_index`), differentiated by
+    `index_boundary` and labelled back (`index_word`)."""
     gens, masks = generator_masks(K)
-    known = set(gens)
-    out = {}
-    for word, c in chain.terms.items():
-        if not known.issuperset(word):
-            raise ValueError(f"factors {sorted(set(word) - known)} are not missing faces of K")
-        for tgt, s in word_boundary(word, gens, masks, union_mask(word)).items():
-            out[tgt] = out.get(tgt, 0) + c * s
-    return TaylorChain(out)
+    position = {F: q for q, F in enumerate(gens)}
+    index = {word_index(word, position): c for word, c in chain.terms.items()}
+    return TaylorChain({index_word(word, gens): c
+                        for word, c in index_boundary(index, masks).items()})
 
 
 def _checked_generators(K):
@@ -285,11 +270,11 @@ def taylor_face_complex(K):
 
     Basis at degree -s: all words of s distinct missing faces, admissible or
     not.  The grading by union subsets is implicit (the differential
-    preserves it)."""
-    gens, masks = _checked_generators(K)
+    preserves it); the differential is `taylor_boundary`'s."""
+    gens, _ = _checked_generators(K)
     basis = {-s: list(combinations(gens, s)) for s in range(len(gens) + 1)}
     return ChainComplex.from_boundary(
-        basis, lambda w: word_boundary(w, gens, masks, union_mask(w)))
+        basis, lambda w: taylor_boundary(K, TaylorChain({w: 1})).terms)
 
 
 def word_support(word):

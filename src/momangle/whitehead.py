@@ -293,13 +293,16 @@ def criterion_applies(K, w):
     """Is every inner leaf set of [w_1,...,w_q, leaves] a missing face of K
     (its boundary sits in K, its simplex does not), so that each w_j is a
     nontrivial single product?  The paper proves the nested criterion for
-    those only."""
-    for c in w.bracket_children():
-        missing = _leaf_missing_faces(K, c.leaves())
-        if (missing is None or not _sits_in((cx.face_mask(c.leaves()),), missing)
-                or _sits_in((), missing)):
-            return False
-    return True
+    those only.  Decided on one scan of K among the inner leaves."""
+    inner = [v for c in w.bracket_children() for v in c.leaves()]
+    return _criterion_holds(w, _leaf_missing_faces(K, inner) if inner else [])
+
+
+def _criterion_holds(w, missing):
+    """`criterion_applies` on K's missing faces among leaves that include
+    every inner leaf set (`_leaf_missing_faces`): as no missing face holds
+    another, an inner leaf set is one exactly when it is on that list."""
+    return missing is not None and all(mask in missing for mask in _inner_leaf_sets(w))
 
 
 def nested_shape_status(K, w):
@@ -317,7 +320,7 @@ def nested_shape_status(K, w):
 def nested_shape_report(K, w):
     """(status, notes): `nested_shape_status`, with OUTSIDE_CRITERION as the
     note when w is defined but the criterion does not apply.  The criterion
-    is decided once, for both."""
+    is decided once, for both, from the one scan of K among the leaves."""
     subs, leaves_ = _nested_shape_parts(w)
     if not subs:
         return single_product_status(K, leaves_), ()
@@ -325,7 +328,7 @@ def nested_shape_report(K, w):
     if missing is None or not _sits_in(canonical_missing_faces(w), missing):
         return UNDEFINED, ()
     trivial = _sits_in(_inner_leaf_sets(w), missing)
-    if not criterion_applies(K, w):
+    if not _criterion_holds(w, missing):
         if leaves_ and not zk_class(K, hurewicz_chain(w)).is_boundary:
             status = DEFINED_NONTRIVIAL
         else:

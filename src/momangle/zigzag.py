@@ -25,13 +25,14 @@ time.  A term is keyed (J, W): J the bitmask of its circle letters, W the
 bitmask of its word's generator indices (bit q for the q-th generator of
 `mf_order`, as in the Taylor table).  The disc letters are not stored: I is
 S - J - union(W).  A vertical preimage is solved one word at a time against
-the cached Koszul block of T_W = S - union(W), relabelled onto 1..n by
-walking the bits of T_W; the horizontal step inserts generator bit b into W
-with `insertion_sign`, (-1)^popcount(W & (b - 1)).  Labels are built at the
-edges only: the input chain is read off its labels, the output cycle is
-checked on masks and then labelled, and a trace step keeps its masks until
-its element is asked for.  `vertical_diff` and `horizontal_diff` are the
-labelled forms, for tests and callers.
+the cached Koszul block of T_W = S - union(W), whose bits move onto the
+bits of 1..n and back; the horizontal step inserts generator bit b into W
+with `insertion_sign`, (-1)^popcount(W & (b - 1)), and a disc bit i joins
+J by the same rule, so `taylor._word_columns` builds the Koszul blocks.
+Labels are built at the edges only: the input chain is read off its
+labels, the output cycle is checked on masks and then labelled, and a trace
+step keeps its masks until its element is asked for.  `vertical_diff` and
+`horizontal_diff` are the labelled forms, for tests and callers.
 """
 
 from __future__ import annotations
@@ -42,11 +43,11 @@ from itertools import combinations
 
 from .complexes import (SignedSum, _is_canonical, face_mask, mask_face, signed_sum_text,
                         word_text)
-from .exactalg import boundary_matrix, smith_normal_form
-from .moment_angle import CellChain, cell_boundary, cell_letters
-from .taylor import (TaylorChain, generator_masks, index_boundary, index_union,
-                     index_word, insertion_sign, insertions, taylor_boundary,
-                     taylor_cycle_is_boundary, union_mask)
+from .exactalg import _column_matrix, smith_normal_form
+from .moment_angle import CellChain, cell_letters
+from .taylor import (TaylorChain, _word_columns, generator_masks, index_boundary,
+                     index_union, index_word, insertion_sign, taylor_boundary,
+                     taylor_cycle_is_boundary, word_index)
 
 
 class BicomplexChain(SignedSum):
@@ -97,27 +98,33 @@ class BicomplexChain(SignedSum):
 
 
 def vertical_diff(e):
-    """Koszul differential, extended identically over the Taylor word."""
+    """Koszul differential, extended identically over the Taylor word: the
+    cellular boundary of each term's cell (J, I)."""
     out = {}
     for (I, J, W), c in e.terms.items():
-        for (J2, I2), sign in cell_boundary((J, I)).items():
-            out[(I2, J2, W)] = out.get((I2, J2, W), 0) + sign * c
+        for (J2, I2), term in CellChain({(J, I): c}).boundary().terms.items():
+            out[(I2, J2, W)] = out.get((I2, J2, W), 0) + term
     return BicomplexChain(out)
 
 
 def horizontal_diff(K, e):
     """Taylor differential: absorb a missing face out of the disc letters.
 
-    W is a basis word (factors in generator order); F enters it by the Taylor
-    complex's own insertion rule, and the letters of F outside W leave I."""
+    W is a basis word (factors in generator order), read as its index
+    bitmask (`word_index`); a missing face F outside W and inside union(W) + I
+    enters it with `insertion_sign`, and the letters of F outside union(W)
+    leave I."""
     gens, masks = generator_masks(K)
+    position = {F: q for q, F in enumerate(gens)}
     out = {}
     for (I, J, W), c in e.terms.items():
-        union = union_mask(W)
-        for F, newW, sign in insertions(W, gens, masks, union | face_mask(I)):
-            needed = face_mask(F) & ~union
-            key = (mask_face(face_mask(I) & ~needed), J, newW)
-            out[key] = out.get(key, 0) + sign * c
+        word, disc = word_index(W, position), face_mask(I)
+        union = index_union(word, masks)
+        for q, mask in enumerate(masks):
+            b = 1 << q
+            if not word & b and not mask & ~(union | disc):
+                key = (mask_face(disc & ~(mask & ~union)), J, index_word(word | b, gens))
+                out[key] = out.get(key, 0) + insertion_sign(word, b) * c
     return BicomplexChain(out)
 
 
@@ -174,18 +181,18 @@ class ZigzagError(RuntimeError):
 def _koszul_block(n, j):
     """The vertical block of one word whose T_W is relabelled onto 1..n,
     from circle degree j - 1 to j: the Koszul matrix of the simplex on 1..n.
-    A basis triple of the block is named by its circle letters J alone (the
-    disc letters are the rest of 1..n).  Returns (row of each target J,
-    source Js in column order, Smith form with transforms)."""
-    letters = range(1, n + 1)
+    A basis triple of the block is named by the bitmask of its circle letters
+    J alone (bit k for letter k + 1; the disc letters are the rest of 1..n),
+    sources and rows in `combinations` order, and `_word_columns` inserts
+    the disc letters.  Returns (row of each target J, source Js in column
+    order, Smith form with transforms)."""
+    def circles(k):
+        return [sum(1 << i for i in c) for c in combinations(range(n), k)] if k >= 0 else []
 
-    def column(J):
-        I = tuple(v for v in letters if v not in J)
-        return {J2: sign for (J2, _), sign in cell_boundary((J, I)).items()}
-
-    rows = {J: t for t, J in enumerate(combinations(letters, j))}
-    sources = list(combinations(letters, j - 1)) if j else []
-    return rows, sources, smith_normal_form(boundary_matrix(sources, rows, column))
+    sources, targets = circles(j - 1), circles(j)
+    _, columns = _word_columns(sources + targets, [1 << i for i in range(n)])
+    matrix = _column_matrix(len(targets), len(sources), columns.get(1 - j, {}))
+    return {J: t for t, J in enumerate(targets)}, sources, smith_normal_form(matrix)
 
 
 # -- the staircase on masks ------------------------------------------------------
@@ -249,13 +256,13 @@ def _text(S, terms, generators):
 
 def _is_vertical_cycle(S, terms, masks):
     """Does the vertical differential kill the slice S's terms?  Disc bit i
-    becomes a circle with the sign (-1)^popcount(J & (i - 1)) of
+    enters the circle bitmask J with `insertion_sign`, the sign of
     `cell_boundary`."""
     out = {}
     for (J, W), c in terms.items():
         for q in _bits(S & ~J & ~index_union(W, masks)):
             i = 1 << q
-            out[(J | i, W)] = out.get((J | i, W), 0) + (-c if (J & (i - 1)).bit_count() & 1 else c)
+            out[(J | i, W)] = out.get((J | i, W), 0) + insertion_sign(J, i) * c
     return not any(out.values())
 
 
@@ -265,9 +272,9 @@ def _vertical_preimage(S, eta, masks):
     The vertical differential keeps the word W and moves disc letters of
     T_W = S - union(W) into circles, so the slice is block diagonal with one
     Koszul block per word.  Each word of eta is solved on its own, against
-    the cached block of (|T_W|, j), J carried to and from the relabelled
-    1..n by walking the bits of T_W; words absent from eta have the zero
-    preimage."""
+    the cached block of (|T_W|, j), the bits of J moved to and from the
+    relabelled 1..n by walking the bits of T_W; words absent from eta have
+    the zero preimage."""
     degrees = {J.bit_count() for J, _ in eta}
     if len(degrees) != 1:
         raise ZigzagError("staircase element mixes circle degrees")
@@ -279,13 +286,13 @@ def _vertical_preimage(S, eta, masks):
     for W, b in by_word.items():
         bits = [1 << q for q in _bits(S & ~index_union(W, masks))]
         rows, sources, snf = _koszul_block(len(bits), j)
-        x = snf.solve({rows[tuple(k for k, bit in enumerate(bits, 1) if J & bit)]: c
+        x = snf.solve({rows[sum(1 << k for k, bit in enumerate(bits) if J & bit)]: c
                        for J, c in b.items()})
         if x is None:
             raise ZigzagError("no integer vertical preimage; input cycle or signs broken")
         for col, c in x.items():
             if c:
-                phi[(sum(bits[k - 1] for k in sources[col]), W)] = c
+                phi[(sum(bits[k] for k in _bits(sources[col])), W)] = c
     return phi
 
 

@@ -2,14 +2,15 @@
 
 Everything here recomputes results along a second route: dense textbook
 Smith normal form, a sparse Smith normal form that scans the whole matrix
-for every pivot (the reference for the package's fast one), the Taylor
-differential by front insertion and sorting back (the reference for the
-package's insertion by position), the whole per-support split of the Taylor
-complex and Lyubeznik admissibility from its definition (the reference for
-the package's blocks on the admissible words only), the cell boundary by
-sorting and counting (the reference for the package's bisection), the
-staircase's vertical solve over the whole multidegree slice (the reference
-for the package's solve one word at a time), definition-level missing
+for every pivot (the reference for the package's fast one), the Taylor and
+horizontal differentials by front insertion and sorting back (the
+reference for the package's insertion on index bitmasks), the whole
+per-support split of the Taylor complex and Lyubeznik admissibility from
+its definition (the reference for the package's blocks on the admissible
+words only), the cell boundary by sorting and counting (the reference for
+the package's bisection), the staircase's vertical solve over the whole
+multidegree slice (the reference for the package's solve one word at a
+time), definition-level missing
 faces, substitution and cone points, the closure of facets, boundary, join
 and bd_Delta(w) on sets of face tuples (`TupleComplex`, the reference for
 the package's constructors on face bitmasks), permutation-search shiftedness (the
@@ -37,7 +38,7 @@ on missing faces); the tests check those builds against the substitution's
 definition.  The staircase and the nested closed form run on labelled
 triples and words, sorted back into generator order by `normalise_word`
 (the reference for the package's staircase and closed form on generator
-bitmasks); they share the package's labelled differentials, Koszul blocks
+bitmasks); they share the package's vertical differential, Koszul blocks
 and trace containers, which the tests check on their own.
 `taylor_boundary_word` is no oracle: it is the package's own insertion
 rule on one word, the form the tests compare with the reference.
@@ -51,10 +52,10 @@ from momangle.complexes import (SimplicialComplex, SizeLimitError, face_mask,
 from momangle.exactalg import (ChainComplex, HomologyClass, HomologyGroup, IntMatrix,
                                SmithForm)
 from momangle.moment_angle import ZK_MAX_VERTICES, CellChain, all_subsets, support_table
-from momangle.taylor import (TaylorChain, generator_masks, mf_order, nested_levels,
-                             normalise_word, taylor_boundary, union_mask, word_boundary)
+from momangle.taylor import (TaylorChain, mf_order, nested_levels, normalise_word,
+                             taylor_boundary)
 from momangle.zigzag import (BicomplexChain, ZigzagError, ZigzagStep, ZigzagTrace,
-                             _koszul_block, horizontal_diff, vertical_diff)
+                             _koszul_block, vertical_diff)
 
 
 def dense_snf_diagonal(rows):
@@ -345,10 +346,10 @@ def reference_taylor_boundary_word(K, word):
 
 
 def taylor_boundary_word(K, word):
-    """The package's differential of one basis word, `word_boundary`'s
-    insertion by position, as {word: coeff}: the form the tests compare
-    with `reference_taylor_boundary_word`."""
-    return word_boundary(word, *generator_masks(K), union_mask(word))
+    """The package's differential of one basis word, `taylor_boundary`'s
+    insertion on index bitmasks, as {word: coeff}: the form the tests
+    compare with `reference_taylor_boundary_word`."""
+    return taylor_boundary(K, TaylorChain({word: 1})).terms
 
 
 def reference_taylor_components(K):
@@ -473,16 +474,15 @@ def reference_per_word_solve_vertical(K, S, eta):
         raise ZigzagError("staircase element mixes circle degrees")
     j = degs[0]
     position = {F: k for k, F in enumerate(mf_order(K))}
-    smask = face_mask(S)
     by_word = {}
     for lab, c in eta.terms.items():
         I, J, W = lab
         if W not in by_word:
             order = [position.get(F) for F in W]
-            if (None in order or any(p >= q for p, q in zip(order, order[1:]))
-                    or union_mask(W) & ~smask):
-                raise ZigzagError(f"element leaves the multidegree slice: {lab}")
             union = set().union(*W)
+            if (None in order or any(p >= q for p, q in zip(order, order[1:]))
+                    or not union <= set(S)):
+                raise ZigzagError(f"element leaves the multidegree slice: {lab}")
             T = [v for v in S if v not in union]
             by_word[W] = (T, {v: k for k, v in enumerate(T, 1)}, {})
         T, relabel, b = by_word[W]
@@ -494,20 +494,39 @@ def reference_per_word_solve_vertical(K, S, eta):
     phi = {}
     for W, (T, _, b) in by_word.items():
         rows, sources, snf = _koszul_block(len(T), j)
-        x = snf.solve({rows[J]: c for J, c in b.items()})
+        x = snf.solve({rows[face_mask(J)]: c for J, c in b.items()})
         if x is None:
             raise ZigzagError("no integer vertical preimage; input cycle or signs broken")
         for col, c in x.items():
-            J = tuple(T[k - 1] for k in sources[col])
+            J = tuple(T[k] for k in range(len(T)) if sources[col] >> k & 1)
             phi[(tuple(v for v in T if v not in J), J, W)] = c
     return BicomplexChain(phi)
 
 
+def reference_horizontal_diff(K, e):
+    """The horizontal differential on labelled triples (I, J, W): every
+    missing face F outside W and inside union(W) + I enters W at the front
+    and is sorted back by insertion, one swap and one sign change at a time;
+    the letters of F outside union(W) leave I."""
+    mfs = tuple(sorted(K.missing_faces(), key=_reference_gen_key))
+    out = {}
+    for (I, J, W), c in e.terms.items():
+        union = set().union(*W)
+        for F in mfs:
+            if F in W or not set(F) <= union | set(I):
+                continue
+            new, sign = _reference_normalise_word((F,) + W)
+            key = (tuple(v for v in I if v not in F or v in union), J, new)
+            out[key] = out.get(key, 0) + sign * c
+    return BicomplexChain(out)
+
+
 def reference_koszul_to_taylor(K, z, solve=reference_per_word_solve_vertical):
     """The staircase on labelled triples: per multidegree, `solve(K, S, eta)`
-    for a vertical preimage, `horizontal_diff`, repeat until the element is
-    a pure Taylor chain; the words are sorted back into generator order and
-    the output checked by `taylor_boundary`.  Returns (cycle, trace)."""
+    for a vertical preimage, `reference_horizontal_diff`, repeat until the
+    element is a pure Taylor chain; the words are sorted back into generator
+    order and the output checked by `taylor_boundary`.  Returns (cycle,
+    trace)."""
     if isinstance(z, CellChain):
         if not z.supported_in(K):
             raise ZigzagError("chain uses cells outside Z_K")
@@ -522,7 +541,7 @@ def reference_koszul_to_taylor(K, z, solve=reference_per_word_solve_vertical):
         while eta and not eta.is_pure_taylor():
             phi = solve(K, S, eta)
             steps.append(ZigzagStep("solve-vertical", phi))
-            eta = horizontal_diff(K, phi)
+            eta = reference_horizontal_diff(K, phi)
             steps.append(ZigzagStep("apply-horizontal", eta))
         part = eta.taylor_part()
         if part:

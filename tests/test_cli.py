@@ -379,12 +379,14 @@ def test_status_outside_the_criterion_exits_0(tmp_path, capsys):
 
 
 def test_status_decides_the_criterion_once(tmp_path, capsys, monkeypatch):
-    """One `status` call asks `criterion_applies` once, inside the
-    criterion's domain and outside it (where the note comes from it)."""
+    """One `status` call scans K's missing faces among the leaves once
+    (`_leaf_missing_faces`) and decides the criterion from that list, inside
+    the criterion's domain and outside it (where the note comes from it)."""
     from momangle import whitehead as wh
     calls = []
-    raw = wh.criterion_applies
-    monkeypatch.setattr(wh, "criterion_applies", lambda K, w: calls.append(w) or raw(K, w))
+    raw = wh._leaf_missing_faces
+    monkeypatch.setattr(wh, "_leaf_missing_faces",
+                        lambda K, leaves: calls.append(leaves) or raw(K, leaves))
     path = tmp_path / "k.json"
     path.write_text(json.dumps({"m": 8, "facets": [
         [2, 6], [2, 7], [2, 3, 5], [2, 3, 8], [2, 5, 8], [1, 4, 5, 7], [3, 4, 5, 6, 7, 8]]}))

@@ -334,6 +334,16 @@ def test_from_boundary_keeps_label_order():
     assert C.differential(1).to_dense() == [[2, -1], [0, 1]]
 
 
+def test_from_boundary_writes_nonzero_columns_only():
+    """`from_boundary` keeps an entry per nonzero coefficient, in the order
+    the boundary gives them, a column only where it has one, and an empty
+    column dict for every degree of the basis."""
+    table = {"a": {"x": 0}, "b": {"y": 3, "x": 0, "z": -1}}
+    C = ChainComplex.from_boundary({2: [], 1: ["a", "b"], 0: ["x", "y", "z"]},
+                                   lambda lab: table.get(lab, {}))
+    assert C.columns == {2: {}, 1: {1: [(1, 3), (2, -1)]}, 0: {}}
+
+
 def test_from_boundary_rejects_unknown_target():
     with pytest.raises(ValueError, match="not in the target basis"):
         ChainComplex.from_boundary({1: ["a"], 0: ["x"]},

@@ -5,8 +5,8 @@ from itertools import combinations
 import pytest
 
 from momangle import taylor as ty
-from momangle.complexes import (SimplicialComplex, SizeLimitError, parse_complex,
-                                simplex_boundary)
+from momangle.complexes import (SimplicialComplex, SizeLimitError, face_mask,
+                                parse_complex, simplex_boundary)
 from momangle.exactalg import HomologyGroup
 from momangle.moment_angle import hochster_table, zk_homology
 from momangle.taylor import (MonomialIdeal, TaylorChain, mf_order,
@@ -212,7 +212,7 @@ def test_mask_table_with_a_kept_inadmissible_word_changes(name, request, monkeyp
     assert dropped
     admissible = ty.admissible_words
     for word in dropped:
-        union = ty.union_mask(word)
+        union = face_mask(set().union(*word))
         bits = sum(1 << gens.index(F) for F in word)
 
         def keep(masks):

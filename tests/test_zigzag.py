@@ -7,6 +7,7 @@ import pytest
 
 from momangle import parse_complex, zigzag
 from momangle.complexes import SimplicialComplex, face_mask, simplex_boundary
+from momangle.exactalg import IntMatrix, smith_normal_form
 from momangle.moment_angle import CellChain
 from momangle.taylor import (TaylorChain, generator_masks, nested_taylor_cycle,
                              taylor_boundary)
@@ -15,7 +16,8 @@ from momangle.zigzag import (BicomplexChain, ZigzagError, _koszul_block, _labell
                              _vertical_preimage, classes_equal,
                              classes_equal_up_to_sign, horizontal_diff,
                              koszul_to_taylor, vertical_diff)
-from oracles import (random_complex, reference_full_slice_solve, reference_koszul_to_taylor,
+from oracles import (random_complex, reference_cell_boundary, reference_full_slice_solve,
+                     reference_horizontal_diff, reference_koszul_to_taylor,
                      reference_per_word_solve_vertical, reference_solve_vertical)
 from test_golden import PAIRS as GOLDEN_PAIRS
 
@@ -72,6 +74,51 @@ def test_horizontal_diff_generator_sign(sub5):
     e = B({((2,), (), ((1, 4, 5),)): 1})
     assert horizontal_diff(sub5, e) == \
         B({((), (), ((1, 4, 5), (2, 4, 5))): -1})
+
+
+def test_horizontal_diff_matches_the_sorting_reference():
+    """`horizontal_diff` on index bitmasks equals the front-insert-and-sort
+    reference on seeded triples, including ones whose disc and circle
+    letters overlap the word's union."""
+    rng = random.Random(23)
+    overlapping = checked = 0
+    while checked < 300:
+        K = random_complex(rng.randint(2, 6), rng)
+        mfs = list(K.missing_faces())
+        if not mfs:
+            continue
+        verts = rng.sample(range(1, K.m + 1), rng.randint(1, K.m))
+        cut = rng.randint(0, len(verts))
+        I, J = tuple(sorted(verts[:cut])), tuple(sorted(verts[cut:]))
+        W = tuple(sorted(rng.sample(mfs, rng.randint(0, min(3, len(mfs)))),
+                         key=lambda f: (len(f), f)))
+        e = B({(I, J, W): rng.choice([-2, -1, 1, 3])})
+        assert horizontal_diff(K, e) == reference_horizontal_diff(K, e), (K, e)
+        overlapping += bool(set(I + J) & set().union(*W))
+        checked += 1
+    assert overlapping > 50
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_koszul_block_matches_the_labelled_matrix(n):
+    """Every Koszul block up to n = 7 is the matrix of the cell boundary on
+    labelled (J, I) over `combinations` (circle degree j - 1 to j), with
+    its circle bitmasks in that order and the same Smith form, transforms
+    included, so every canonical solve is pinned too."""
+    letters = range(1, n + 1)
+    for j in range(n + 1):
+        targets = list(combinations(letters, j))
+        sources = list(combinations(letters, j - 1)) if j else []
+        row = {J: t for t, J in enumerate(targets)}
+        entries = {}
+        for col, J in enumerate(sources):
+            I = tuple(v for v in letters if v not in J)
+            for (J2, _), sign in reference_cell_boundary((J, I)).items():
+                entries[(row[J2], col)] = sign
+        rows, masks, snf = _koszul_block(n, j)
+        assert rows == {face_mask(J): t for t, J in enumerate(targets)}
+        assert masks == [face_mask(J) for J in sources]
+        assert snf == smith_normal_form(IntMatrix(len(targets), len(sources), entries))
 
 
 def test_differentials_commute():
@@ -296,16 +343,20 @@ def test_staircase_matches_labelled_reference():
 
 
 def test_staircase_output_check_catches_a_broken_insertion_sign(sub5, monkeypatch):
-    """With the parity of the horizontal step's insertion sign dropped (every
-    generator enters with +1) the staircase no longer lands on a Taylor
-    cycle, and its output check says so.  Flipping the parity instead
-    negates each horizontal step, which only moves the answer by the global
-    sign the staircase leaves free."""
+    """With the parity of the insertion sign dropped (every letter enters
+    with +1) the input check, which shares the rule, refuses the cellular
+    cycle; with that check passed over, the horizontal steps no longer land
+    on a Taylor cycle, and the output check says so.  Flipping the parity
+    instead negates each horizontal step and the input check's image, which
+    only moves the answer by the global sign the staircase leaves free."""
     w = parse_whitehead("[[[1,4,5],2],3]")
     z = hurewicz_chain(w, sub5.m)
     cycle, _ = koszul_to_taylor(sub5, z)
     with monkeypatch.context() as patch:
         patch.setattr(zigzag, "insertion_sign", lambda word, b: 1)
+        with pytest.raises(ZigzagError, match="input chain is not a cycle"):
+            koszul_to_taylor(sub5, z)
+        patch.setattr(zigzag, "_is_vertical_cycle", lambda S, terms, masks: True)
         with pytest.raises(ZigzagError, match="staircase output is not a Taylor cycle"):
             koszul_to_taylor(sub5, z)
     sign = zigzag.insertion_sign
