@@ -14,9 +14,8 @@ from .exactalg import (ChainComplex, HomologyGroup, IntMatrix, direct_sum,
                        solve_integer)
 from .moment_angle import (CellChain, hochster_table, zk_chain_complex,
                            zk_homology)
-from .taylor import (MonomialIdeal, TaylorChain, mf_order, nested_taylor_cycle,
-                     taylor_boundary, taylor_face_complex, taylor_homology,
-                     verify_taylor_is_resolution)
+from .taylor import (MonomialIdeal, TaylorChain, nested_taylor_cycle, taylor_boundary,
+                     taylor_face_complex, taylor_homology, verify_taylor_is_resolution)
 from .whitehead import (WhiteheadExpr, bracket, delta_w, fillable_wedge_basis,
                         hurewicz_chain, leaf, nested_shape_status,
                         parse_whitehead, realises_sufficient,

@@ -101,7 +101,7 @@ def cmd_realises(K, w, args, out):
 
 
 def cmd_taylor(K, w, args, out):
-    n = len(ty.mf_order(K))
+    n = len(K.missing_faces())
     out["ranks_by_index"] = [comb(n, s) for s in range(n + 1)]
     out["homology"] = homology_json(ty.taylor_homology(K))
 
@@ -283,7 +283,7 @@ def main(argv=None):
     out["elapsed_s"] = round(time.perf_counter() - started, 6)
     if K is not None and "verification_error" not in out:
         try:
-            out["generator_order"] = [cx.word_text(f) for f in ty.mf_order(K)]
+            out["generator_order"] = [cx.word_text(f) for f in K.missing_faces()]
         except cx.SizeLimitError:
             pass
     if args.format == "json":

@@ -8,13 +8,18 @@ floating-point shortcuts anywhere; torsion correctness depends on it.
 A chain complex has one shape: the nonzero columns of its differentials,
 {d: {col: [(row, value), ...]}}, over the ranks of its chain groups.
 Homology has one rule on that shape, `column_homology`: it checks d^2 = 0
-on the columns and reduces only the differentials that have entries.  The
-cellular and Taylor tables call it on their mask builders' columns with no
-complex built.  A `ChainComplex` labels the same columns with a basis, for
-cycle classes: the star quotients and the Taylor blocks label their mask
-builders' output, and `ChainComplex.from_boundary` writes the columns of
-a boundary callable on labels, for simplicial chains, the whole complexes
-and the references.
+on the columns and reduces only the differentials that have entries.
+
+Every complex kept on bitmasks (the cellular star quotients, the Taylor
+blocks, Lyubeznik's slices and the staircase's Koszul blocks) is exterior:
+its differential lets one bit b enter a word x as x | b, with the sign
+(-1)^popcount(x & (b - 1)) of the set bits below b (`insertion_sign`).
+Its columns have one builder, `insertion_columns`, which the cellular and
+Taylor tables feed to `column_homology` with no complex built.  A
+`ChainComplex` labels the same columns with a basis, for cycle classes
+(`insertion_complex`), and `ChainComplex.from_boundary` writes the columns
+of a boundary callable on labels, for simplicial chains, the whole
+complexes and the references.
 
 Conventions:
   * matrices are sparse maps (row, col) -> nonzero int;
@@ -582,6 +587,49 @@ def column_homology(dims, columns):
     it.  No labelled complex is needed."""
     check_columns(columns)
     return _column_groups(dims, columns)
+
+
+def insertion_sign(word, b):
+    """The sign with which bit b enters the bitmask `word`:
+    (-1)^popcount(word & (b - 1)), one transposition per set bit below b."""
+    return -1 if (word & (b - 1)).bit_count() & 1 else 1
+
+
+def insertion_columns(words, inside):
+    """(dims, columns) of an exterior complex on bitmasks, for
+    `column_homology`: `words` are its basis in order, `inside` the bitmask
+    of the bits that may enter a word.  The word x sits in degree
+    -popcount(x); each bit b of inside & ~x enters it as x | b with
+    `insertion_sign`, and a target that is not one of `words` is dropped.
+    The columns list their rows by ascending b."""
+    index, dims = {}, {}
+    for word in words:
+        d = -word.bit_count()
+        index[word] = dims.get(d, 0)
+        dims[d] = index[word] + 1
+    columns = {}
+    for word, j in index.items():
+        column = []
+        rest = inside & ~word
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            if (i := index.get(word | b)) is not None:
+                column.append((i, -1 if (word & (b - 1)).bit_count() & 1 else 1))
+        if column:
+            columns.setdefault(-word.bit_count(), {})[j] = column
+    return dims, columns
+
+
+def insertion_complex(words, inside, label, shift=0):
+    """`insertion_columns(words, inside)` labelled for cycle classes: the
+    ChainComplex whose basis names each word label(word), block degree d
+    placed at shift + d, with the columns as they are."""
+    _, columns = insertion_columns(words, inside)
+    basis = {}
+    for word in words:
+        basis.setdefault(shift - word.bit_count(), []).append(label(word))
+    return ChainComplex(basis, {shift + d: cols for d, cols in columns.items()})
 
 
 def _label_index(basis):

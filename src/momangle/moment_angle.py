@@ -14,30 +14,35 @@ two conventions together make the Hochster embedding of simplicial chains
 (`tests/oracles.hochster_embed`) an honest chain map and reproduce the
 canonical bracket chains with a plus sign.
 
+On bitmasks this is an exterior complex: the disc letter i joins the
+circle mask J as the bit b of i with `exactalg.insertion_sign`,
+(-1)^popcount(J & (b - 1)), the one rule the Taylor and Koszul blocks use.
+
 The boundary keeps the support J + I, so the chains split into one block
 per vertex subset S (the Hochster splitting); homology and classes are
 computed per block modulo the acyclic star of one vertex v, and the whole
 complex is the tests' reference: the table visits only the blocks that can
 carry homology, and a class projects onto the blocks it touches.
 
-Inside S a cell is its disc mask f (the bits of I), of degree
-|S| + popcount(f); it lies in the star of v exactly when f & vb or f | vb
-is a face (vb the bit of v).  Its boundary drops one bit b of f with sign
-(-1)^popcount((S & ~f) & (b - 1)), the circle letters below b.  The table
-reads each quotient's homology from these boundary columns
-(`exactalg.column_homology`); only cycle classes label them, as the
+Inside S a cell is its circle mask J, and I = S - J; it lies in the star of
+v exactly when I & vb or I | vb is a face (vb the bit of v).  Choosing the
+quotient's basis is the one cellular step (`_star_cells`); its columns are
+`exactalg.insertion_columns` of the circle masks with S as the bits that
+may enter, the table reads the homology from them (`insertion_table`,
+shared with the Taylor route), and only cycle classes label them, as the
 ChainComplex of a quotient (`zk_star_quotient`).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import lru_cache, reduce
 from itertools import combinations
 
-from .complexes import (ParseError, SignedSum, SizeLimitError, face_mask, mask_face,
-                        read_signed_sum, read_text, reduced_chain_complex, signed_sum_text)
-from .exactalg import ChainComplex, HomologyClass, column_homology, direct_sum
+from .complexes import (ParseError, SignedSum, SizeLimitError, _is_canonical, face_mask,
+                        mask_face, read_signed_sum, read_text, reduced_chain_complex,
+                        signed_sum_text)
+from .exactalg import (ChainComplex, HomologyClass, column_homology, direct_sum,
+                       insertion_columns, insertion_complex, insertion_sign)
 
 ZK_MAX_VERTICES = 24
 
@@ -49,13 +54,11 @@ def cell_degree(cell):
 
 def cell_boundary(cell):
     """Boundary of a single cell (J, I), both increasing, as {cell: coeff}:
-    the disc letter i becomes a circle at its position p in J, sign (-1)^p."""
+    the disc letter i joins J with `insertion_sign` on J's bitmask."""
     J, I = cell
-    out = {}
-    for k, i in enumerate(I):
-        p = bisect_left(J, i)
-        out[(J[:p] + (i,) + J[p:], I[:k] + I[k + 1:])] = -1 if p % 2 else 1
-    return out
+    circles = face_mask(J)
+    return {(tuple(sorted(J + (i,))), I[:k] + I[k + 1:]): insertion_sign(circles, 1 << (i - 1))
+            for k, i in enumerate(I)}
 
 
 class CellChain(SignedSum):
@@ -70,6 +73,8 @@ class CellChain(SignedSum):
             if not c:
                 continue
             J, I = tuple(cell[0]), tuple(cell[1])
+            if not (_is_canonical(J) and _is_canonical(I)):
+                raise ValueError(f"cell {cell} has letters out of order or repeated")
             if set(J) & set(I):
                 raise ValueError(f"cell {cell} has overlapping S and D sets")
             d = cell_degree((J, I))
@@ -207,75 +212,34 @@ def star_vertex(faces, S):
 
 
 def _star_cells(S, faces, is_face):
-    """The block of S modulo the star of v = star_vertex, on disc masks.
+    """The basis of the block of S modulo the star of v = star_vertex, as
+    (words, inside) for `insertion_columns`.
 
     `faces` are the bitmasks of the faces of K_S in `faces_within`'s order,
-    `is_face` holds the bitmasks of every face of K.  The cell (S - I, I) is
-    the mask f of I, of degree |S| + |I|; it lies in the star of v exactly
-    when f & vb or f | vb is a face (vb the bit of v), and the quotient
-    keeps the other cells.  Dropping the disc letter with bit b of f gives
-    the target f ^ b with sign (-1)^popcount((S & ~f) & (b - 1)), the circle
-    letters below b; a target in the star is dropped, and one that is
-    neither in the quotient nor in the star raises.
-
-    Returns (cells, columns): {degree: [f, ...]} in the order of the cells'
-    (J, I) labels, J ascending, and {degree: {column: [(row, sign), ...]}},
-    the nonzero columns of the quotient's differential.  The empty S has no
-    vertex; its block, Z in degree 0, is returned whole."""
+    `is_face` holds the bitmasks of every face of K.  The cell (J, S - J) is
+    its circle mask J; it lies in the star of v exactly when I & vb or
+    I | vb is a face (I = S - J, vb the bit of v), and the quotient keeps
+    the other cells.  Dropping disc letter b is b entering J, and a target
+    in the star is no word, so the builder drops it.  `faces` run by (size,
+    labels), so walked in reverse they give the words by (size, labels) of
+    J.  `inside` is S's mask.  The empty S has no vertex; its block, one
+    cell in degree 0, is returned whole."""
     if not S:
-        return {0: [0]}, {}
+        return [0], 0
     smask = face_mask(S)
     vb = 1 << (star_vertex(faces, S) - 1)
-    cells = {}
-    for f in faces:
-        if not (f & vb or f | vb in is_face):
-            cells.setdefault(len(S) + f.bit_count(), []).append(f)
-    index = {}
-    for d, fs in cells.items():
-        # `faces` run by (size, labels); among the I of one size, J = S - I
-        # ascends as I descends
-        fs.reverse()
-        index[d] = {f: j for j, f in enumerate(fs)}
-    columns = {}
-    for d, fs in cells.items():
-        below = index.get(d - 1, {})
-        out = {}
-        for j, f in enumerate(fs):
-            circles = smask & ~f
-            column = []
-            rest = f
-            while rest:
-                b = rest & -rest
-                rest ^= b
-                t = f ^ b
-                if t | vb in is_face:       # in the star; t & vb is 0, as f & vb is
-                    continue
-                i = below.get(t)
-                if i is None:
-                    raise ValueError(f"boundary of {_mask_cell(S, f)} hits "
-                                     f"{_mask_cell(S, t)}, which is not in the target basis")
-                column.append((i, -1 if (circles & (b - 1)).bit_count() & 1 else 1))
-            if column:
-                out[j] = column
-        if out:
-            columns[d] = out
-    return cells, columns
-
-
-def _mask_cell(S, f):
-    """The label (J, I) of the cell of S with disc mask f."""
-    return mask_face(face_mask(S) & ~f), mask_face(f)
+    return [smask & ~f for f in reversed(faces) if not (f & vb or f | vb in is_face)], smask
 
 
 def zk_star_quotient(K, S, built=None):
     """The block of S modulo the star of v = star_vertex in K_S, as a
     labelled ChainComplex for cycle classes: the cells (S - I, I) with I + v
     no face of K, and `cell_boundary` with every target inside the star
-    dropped.  `_star_cells` builds the cells and boundary columns on face
-    masks; each mask is labelled (J, I) and the columns are kept as they
-    are.  `built`, the (cells, columns) that `_star_cells` already gave for
-    S (`zk_homology_by_support` keeps them on request), is labelled instead
-    of being built again.
+    dropped.  `_star_cells` chooses the circle masks, `insertion_columns`
+    gives their columns, and each mask J is labelled (J, S - J) in Z_K
+    degree 2|S| - |J|.  `built`, the (words, inside) that `_star_cells`
+    already gave for S (`zk_homology_by_support` keeps them on request), is
+    labelled instead of being chosen again.
 
     The star's cells span a subcomplex, since d only drops disc letters, and
     it is the shifted augmented chain complex of a cone, so it is acyclic;
@@ -284,9 +248,9 @@ def zk_star_quotient(K, S, built=None):
     _require_singletons(K)
     if S and S[-1] > K.m:
         raise ValueError(f"support {S} leaves the vertices 1..{K.m}")
-    cells, columns = built or _star_cells(S, K.face_masks_within(S), K.face_masks)
-    return ChainComplex({d: [_mask_cell(S, f) for f in fs] for d, fs in cells.items()},
-                        columns)
+    words, inside = built or _star_cells(S, K.face_masks_within(S), K.face_masks)
+    return insertion_complex(words, inside, lambda J: (mask_face(J), mask_face(inside & ~J)),
+                             2 * len(S))
 
 
 def support_table(blocks, shift):
@@ -294,6 +258,18 @@ def support_table(blocks, shift):
     nontrivial only; `shift(S, d)` places block degree d in Z_K.  Every
     route returns its homology in this shape."""
     return {(S, shift(S, d)): h for S, C in blocks for d, h in C.homology_all().items()}
+
+
+def insertion_table(blocks):
+    """`support_table` of (S, words, inside) blocks read from their
+    `insertion_columns`, with no labelled complex built: a word with s bits
+    sits in Z_K degree 2|S| - s.  The cellular and Taylor tables both come
+    from here."""
+    table = {}
+    for S, words, inside in blocks:
+        for d, h in column_homology(*insertion_columns(words, inside)).items():
+            table[(S, 2 * len(S) + d)] = h
+    return table
 
 
 def degree_sums(per_support):
@@ -342,28 +318,25 @@ def zk_homology_by_support(K, quotients=None):
     (`lattice_supports`): any other S has a cone point, so K_S is a cone and
     its block, the shifted augmented chain complex of K_S, is acyclic.  Each
     visited block is reduced modulo the acyclic star of one vertex, which
-    keeps its homology, torsion included: `_star_cells` builds the quotient
-    on face masks (the cell with disc mask f has degree |S| + |f| and lies
-    in the star of v when f & vb or f | vb is a face; dropping the disc bit
-    b has sign (-1)^popcount((S & ~f) & (b - 1))), and `column_homology`
-    reads the groups from its boundary columns, with no labelled complex
-    built.  Only cycle classes label the columns (`zk_star_quotient`), and
-    `zk_class` projects a cycle onto the same quotients.  `quotients`, a dict when
-    given, receives the (cells, columns) of each visited S among its keys,
-    so the classes can label the table's own builds.  The Hochster table still builds every full
-    subcomplex, so `verify` checks both rules."""
+    keeps its homology, torsion included: `_star_cells` chooses the cells
+    off the star as circle masks, and `insertion_table` reads the groups
+    from their insertion columns, with no labelled complex built.  Only
+    cycle classes label the columns (`zk_star_quotient`), and `zk_class`
+    projects a cycle onto the same quotients.  `quotients`, a dict when
+    given, receives the (words, inside) of each visited S among its keys,
+    so the classes can label the table's own builds.  The Hochster table
+    still builds every full subcomplex, so `verify` checks both rules."""
     if K.m > ZK_MAX_VERTICES:
         raise SizeLimitError(f"Z_K cell enumeration refuses m={K.m} > {ZK_MAX_VERTICES}")
     _require_singletons(K)
-    table = {}
-    for S in lattice_supports(K):
-        cells, columns = _star_cells(S, K.face_masks_within(S), K.face_masks)
-        if quotients is not None and S in quotients:
-            quotients[S] = cells, columns
-        dims = {d: len(fs) for d, fs in cells.items()}
-        for d, h in column_homology(dims, columns).items():
-            table[(S, d)] = h
-    return table
+
+    def blocks():
+        for S in lattice_supports(K):
+            words, inside = _star_cells(S, K.face_masks_within(S), K.face_masks)
+            if quotients is not None and S in quotients:
+                quotients[S] = words, inside
+            yield S, words, inside
+    return insertion_table(blocks())
 
 
 def zk_homology(K):

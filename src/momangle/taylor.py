@@ -16,10 +16,10 @@ into the fixed generator order (cardinality first, then lexicographic).
 Basis words keep their factors in that order, and every differential here
 keeps them as bitmasks of generator indices (bit q for the q-th generator),
 so generator bit b enters word x as x | b behind the factors before it,
-with sign (-1)^popcount(x & (b - 1)) (`insertion_sign`); no word is ever
-sorted.  The differential never changes the union of the word, so the
-complex splits over vertex subsets S, and a word with s factors sits in
-total degree 2|S| - s.
+with sign (-1)^popcount(x & (b - 1)) (`exactalg.insertion_sign`); no word
+is ever sorted.  The differential never changes the union of the word, so
+the complex splits over vertex subsets S, and a word with s factors sits
+in total degree 2|S| - s.
 
 The route computes per block on Lyubeznik's words only (`admissible_words`).
 A word F_{i_1} ^ ... ^ F_{i_s} (i_1 < ... < i_s) is admissible when no
@@ -31,20 +31,23 @@ matching).  Dually, the other words span an acyclic subcomplex of the face
 complex, closed under insertion, and the admissible words carry the quotient
 with the same homology over Z, torsion included.
 
-Each block is built once, on index bitmasks (`_blocks`): an admissible
-word is a bitmask of generator indices, and the block is its insertion
-columns (`_word_columns`).  The homology table
-(`taylor_homology_by_support`) reads each block's groups from those columns
-(`column_homology`), with no labelled complex built; cycle classes label
-the same columns with the words (`taylor_components`).  The independent
-reference is the tests' sort-based `oracles.reference_taylor_components`.
-Labelled words meet the rule at the edges only: `taylor_boundary`, which
-also gives the whole complex (`taylor_face_complex`) its differential,
-reads each word as its index bitmask (`word_index`), differentiates there
-(`index_boundary`) and labels the result (`index_word`).  The closed form
-of nested products (`nested_taylor_cycle`) and the zigzag keep their words
-on the same index bitmasks, with the same sign (`insertion_sign`), and
-check their cycles there (`index_boundary`).
+Each block is an (S, words, inside) triple on index bitmasks (`_blocks`):
+an admissible word is a bitmask of generator indices, `inside` the bits of
+the generators inside S, and the block's columns are their insertion
+columns (`exactalg.insertion_columns`, the builder the cellular star
+quotients and the staircase's Koszul blocks also read).  The homology
+table (`taylor_homology_by_support`) reads each block's groups from those
+columns through the cellular table's loop (`moment_angle.insertion_table`),
+with no labelled complex built; cycle classes label the same columns with
+the words (`taylor_components`).  The independent reference is the tests'
+sort-based `oracles.reference_taylor_components`.  Labelled words meet the
+rule at the edges only: `taylor_boundary` and the whole complex
+(`taylor_face_complex`) read each word as its index bitmask
+(`word_index`), differentiate there (`index_boundary`) and label the
+result (`index_word`).  The closed form of nested products
+(`nested_taylor_cycle`) and the zigzag keep their words on the same index
+bitmasks, with the same sign (`insertion_sign`), and check their cycles
+there (`index_boundary`).
 Lyubeznik's theorem itself is checked on the same builder, one slice of
 the lcm lattice at a time (`verify_taylor_is_resolution`).
 """
@@ -58,8 +61,9 @@ from itertools import accumulate, combinations
 from .complexes import (SignedSum, SimplicialComplex, SizeLimitError, _is_canonical, face,
                         face_mask, mask_face, read_signed_sum, read_text, read_word,
                         signed_sum_text, word_text)
-from .exactalg import ChainComplex, column_homology
-from .moment_angle import class_by_support, degree_sums, mask_lattice
+from .exactalg import (ChainComplex, column_homology, insertion_columns, insertion_complex,
+                       insertion_sign)
+from .moment_angle import class_by_support, degree_sums, insertion_table, mask_lattice
 from .whitehead import _sits_in, canonical_missing_faces
 
 MAX_GENERATORS = 20
@@ -67,12 +71,6 @@ MAX_GENERATORS = 20
 
 def gen_key(f):
     return (len(f), f)
-
-
-def mf_order(K):
-    """Missing faces in the fixed generator order, which is the order
-    `missing_faces` already returns them in."""
-    return K.missing_faces()
 
 
 def normalise_word(faces_):
@@ -192,8 +190,9 @@ def _read_taylor_atom(sc):
 # -- the face (comodule) Taylor complex ------------------------------------------
 
 def generator_masks(K):
-    """The generators in order with their vertex bitmasks."""
-    gens = mf_order(K)
+    """The generators in order, `missing_faces`' (cardinality first, then
+    lexicographic), with their vertex bitmasks."""
+    gens = K.missing_faces()
     return gens, [face_mask(F) for F in gens]
 
 
@@ -219,12 +218,6 @@ def word_index(word, position):
     if unknown := set(word) - position.keys():
         raise ValueError(f"factors {sorted(unknown)} are not missing faces of K")
     return sum(1 << position[F] for F in word)
-
-
-def insertion_sign(word, b):
-    """The sign with which generator bit b enters the index bitmask `word`:
-    (-1)^popcount(word & (b - 1)), one transposition per factor before it."""
-    return -1 if (word & (b - 1)).bit_count() & 1 else 1
 
 
 def index_boundary(chain, masks):
@@ -270,11 +263,15 @@ def taylor_face_complex(K):
 
     Basis at degree -s: all words of s distinct missing faces, admissible or
     not.  The grading by union subsets is implicit (the differential
-    preserves it); the differential is `taylor_boundary`'s."""
-    gens, _ = _checked_generators(K)
+    preserves it); the differential is `taylor_boundary`'s, with the
+    generators read once: each word is read as its index bitmask
+    (`word_index`), differentiated by `index_boundary` and labelled back."""
+    gens, masks = _checked_generators(K)
+    position = {F: q for q, F in enumerate(gens)}
     basis = {-s: list(combinations(gens, s)) for s in range(len(gens) + 1)}
     return ChainComplex.from_boundary(
-        basis, lambda w: taylor_boundary(K, TaylorChain({w: 1})).terms)
+        basis, lambda w: {index_word(word, gens): c for word, c in
+                          index_boundary({word_index(w, position): 1}, masks).items()})
 
 
 def word_support(word):
@@ -322,53 +319,26 @@ def taylor_components(K):
     """Per-subset split on the admissible words: S -> ChainComplex of the
     admissible words with union exactly S, for cycle classes (`taylor_class`).
 
-    Each block is `_blocks`' columns with every index bitmask labelled as
-    its word (`index_word`): the full block's basis, in its order (by factor
-    count, then lexicographically), with the words that are not admissible
-    left out, and the insertion differential with the targets that are not
-    admissible dropped.  That is the quotient by an acyclic subcomplex, so
+    Each block is `_blocks`' insertion columns with every index bitmask
+    labelled as its word (`index_word`, by `insertion_complex`): the full
+    block's basis, in its order (by factor count, then lexicographically),
+    with the words that are not admissible left out, and the insertion
+    differential with the targets that are not admissible dropped.  That is the quotient by an acyclic subcomplex, so
     every block has the homology of the full block.  A union that carries
     no admissible word has no block; its full block is acyclic."""
     gens, masks = _checked_generators(K)
-    blocks = {}
-    for union, words, _, columns in _blocks(masks):
-        basis = {}
-        for word in words:
-            basis.setdefault(-word.bit_count(), []).append(index_word(word, gens))
-        blocks[mask_face(union)] = ChainComplex(basis, columns)
-    return blocks
-
-
-def _word_columns(words, inside):
-    """(dims, columns) of one block for `column_homology`: `words` are its
-    admissible words as index bitmasks in basis order, `inside` the bits of
-    the generators whose vertex bitmask lies inside the block's union.  The
-    word with index mask x sits in degree -popcount(x); inserting generator
-    bit b outside x gives x | b with sign (-1)^popcount(x & (b - 1)), the
-    factors before it, and a target that is not admissible is dropped."""
-    index, dims = {}, {}
-    for word in words:
-        d = -word.bit_count()
-        index[word] = dims.get(d, 0)
-        dims[d] = index[word] + 1
-    columns = {}
-    for word, j in index.items():
-        column = []
-        for b in inside:
-            if not word & b and (i := index.get(word | b)) is not None:
-                column.append((i, -1 if (word & (b - 1)).bit_count() & 1 else 1))
-        if column:
-            columns.setdefault(-word.bit_count(), {})[j] = column
-    return dims, columns
+    return {S: insertion_complex(words, inside, lambda word: index_word(word, gens))
+            for S, words, inside in _blocks(masks)}
 
 
 def _blocks(masks):
-    """(union, words, dims, columns) of every block of admissible words, on
-    index bitmasks: `admissible_words`' unions in their order, each with its
-    words in basis order and `_word_columns`' ranks and boundary columns."""
+    """(S, words, inside) of every block of admissible words, on index
+    bitmasks: `admissible_words`' unions in their order, each with its words
+    in basis order and the bitmask of the generators inside it, the bits
+    that `insertion_columns` lets enter a word."""
     for union, words in admissible_words(masks).items():
-        inside = [1 << q for q, mask in enumerate(masks) if not mask & ~union]
-        yield (union, words, *_word_columns(words, inside))
+        yield (mask_face(union), words,
+               sum(1 << q for q, mask in enumerate(masks) if not mask & ~union))
 
 
 def taylor_homology_by_support(K):
@@ -378,15 +348,11 @@ def taylor_homology_by_support(K):
     (`_blocks`): its differential inserts each generator inside the union
     that is not in the word, with the sign of the factors before it, and
     drops the targets that are not admissible, so it has the columns that
-    `taylor_components` labels.  `column_homology` reads the groups from
-    the boundary columns, d^2 = 0 checked, with no labelled complex built."""
+    `taylor_components` labels.  `insertion_table` reads the groups from
+    the insertion columns, d^2 = 0 checked, with no labelled complex built,
+    as the cellular table does."""
     _, masks = _checked_generators(K)
-    table = {}
-    for union, _, dims, columns in _blocks(masks):
-        S = mask_face(union)
-        for d, h in column_homology(dims, columns).items():
-            table[(S, 2 * len(S) + d)] = h
-    return table
+    return insertion_table(_blocks(masks))
 
 
 def taylor_homology(K):
@@ -557,7 +523,7 @@ def verify_taylor_is_resolution(ideal):
     """Exactness of Lyubeznik's resolution of S/ideal, on polarised masks.
 
     For each nonzero U of the lcm lattice, the admissible words with union
-    inside U, the empty word included, span its slice; `_word_columns`
+    inside U, the empty word included, span its slice; `insertion_columns`
     gives their insertion columns, the dual of the deletion differential,
     and a finite free complex over Z is exact exactly when its dual is, so
     every group `column_homology` reads must vanish.  Any other multidegree
@@ -571,6 +537,6 @@ def verify_taylor_is_resolution(ideal):
     for U in sorted(mask_lattice(masks) - {0}):
         words = [word for union, ws in by_union.items() if not union & ~U for word in ws]
         inside = [q for q, mask in enumerate(masks) if not mask & ~U]
-        groups = column_homology(*_word_columns(words, [1 << q for q in inside]))
+        groups = column_homology(*insertion_columns(words, sum(1 << q for q in inside)))
         failures += [(tuple(inside), -d, str(h)) for d, h in groups.items()]
     return ResolutionReport(not failures, tuple(failures))

@@ -22,13 +22,15 @@ bit for bit; the one remaining freedom is the global sign of the answer.
 
 The staircase (`koszul_to_taylor`) runs on bitmasks, one slice S at a
 time.  A term is keyed (J, W): J the bitmask of its circle letters, W the
-bitmask of its word's generator indices (bit q for the q-th generator of
-`mf_order`, as in the Taylor table).  The disc letters are not stored: I is
+bitmask of its word's generator indices (bit q for the q-th missing face
+of K, as in the Taylor table).  The disc letters are not stored: I is
 S - J - union(W).  A vertical preimage is solved one word at a time against
 the cached Koszul block of T_W = S - union(W), whose bits move onto the
 bits of 1..n and back; the horizontal step inserts generator bit b into W
-with `insertion_sign`, (-1)^popcount(W & (b - 1)), and a disc bit i joins
-J by the same rule, so `taylor._word_columns` builds the Koszul blocks.
+with `exactalg.insertion_sign`, (-1)^popcount(W & (b - 1)), and a disc bit
+i joins J by the same rule, so `exactalg.insertion_columns`, the builder
+of the Taylor blocks and the cellular star quotients, builds the Koszul
+blocks.
 Labels are built at the edges only: the input chain is read off its
 labels, the output cycle is checked on masks and then labelled, and a trace
 step keeps its masks until its element is asked for.  `vertical_diff` and
@@ -43,11 +45,10 @@ from itertools import combinations
 
 from .complexes import (SignedSum, _is_canonical, face_mask, mask_face, signed_sum_text,
                         word_text)
-from .exactalg import _column_matrix, smith_normal_form
+from .exactalg import _column_matrix, insertion_columns, insertion_sign, smith_normal_form
 from .moment_angle import CellChain, cell_letters
-from .taylor import (TaylorChain, _word_columns, generator_masks, index_boundary,
-                     index_union, index_word, insertion_sign, taylor_boundary,
-                     taylor_cycle_is_boundary, word_index)
+from .taylor import (TaylorChain, generator_masks, index_boundary, index_union, index_word,
+                     taylor_boundary, taylor_cycle_is_boundary, word_index)
 
 
 class BicomplexChain(SignedSum):
@@ -183,14 +184,14 @@ def _koszul_block(n, j):
     from circle degree j - 1 to j: the Koszul matrix of the simplex on 1..n.
     A basis triple of the block is named by the bitmask of its circle letters
     J alone (bit k for letter k + 1; the disc letters are the rest of 1..n),
-    sources and rows in `combinations` order, and `_word_columns` inserts
-    the disc letters.  Returns (row of each target J, source Js in column
-    order, Smith form with transforms)."""
+    sources and rows in `combinations` order, and `insertion_columns`
+    inserts the disc letters.  Returns (row of each target J, source Js in
+    column order, Smith form with transforms)."""
     def circles(k):
         return [sum(1 << i for i in c) for c in combinations(range(n), k)] if k >= 0 else []
 
     sources, targets = circles(j - 1), circles(j)
-    _, columns = _word_columns(sources + targets, [1 << i for i in range(n)])
+    _, columns = insertion_columns(sources + targets, (1 << n) - 1)
     matrix = _column_matrix(len(targets), len(sources), columns.get(1 - j, {}))
     return {J: t for t, J in enumerate(targets)}, sources, smith_normal_form(matrix)
 

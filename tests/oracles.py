@@ -8,9 +8,9 @@ reference for the package's insertion on index bitmasks), the whole
 per-support split of the Taylor complex and Lyubeznik admissibility from
 its definition (the reference for the package's blocks on the admissible
 words only), the cell boundary by sorting and counting (the reference for
-the package's bisection), the staircase's vertical solve over the whole
-multidegree slice (the reference for the package's solve one word at a
-time), definition-level missing
+the package's insertion sign on the circle bitmask), the staircase's
+vertical solve over the whole multidegree slice (the reference for the
+package's solve one word at a time), definition-level missing
 faces, substitution and cone points, the closure of facets, boundary, join
 and bd_Delta(w) on sets of face tuples (`TupleComplex`, the reference for
 the package's constructors on face bitmasks), permutation-search shiftedness (the
@@ -22,7 +22,10 @@ sweep), and the full cellular blocks of Z_K with the cellular table and
 cycle classes reduced in them (the reference for the package's star quotients over the
 missing-face lattice, and for its classes projected onto those quotients),
 the star quotient on (J, I) labels built through `from_boundary` (the
-reference for the package's quotient built on face masks), the whole
+reference for the package's quotient built on face masks), the star
+quotient's cells and columns written out cell by cell on disc masks
+(`reference_star_cells`, the reference for the package's circle masks read
+through the one column builder), the whole
 module Taylor complex in a box of multidegrees with its exactness read
 degree by degree (the reference for the package's Lyubeznik check on the
 lcm lattice), the module Taylor differential rebuilt as iterated mapping
@@ -52,7 +55,7 @@ from momangle.complexes import (SimplicialComplex, SizeLimitError, face_mask,
 from momangle.exactalg import (ChainComplex, HomologyClass, HomologyGroup, IntMatrix,
                                SmithForm)
 from momangle.moment_angle import ZK_MAX_VERTICES, CellChain, all_subsets, support_table
-from momangle.taylor import (TaylorChain, mf_order, nested_levels, normalise_word,
+from momangle.taylor import (TaylorChain, nested_levels, normalise_word,
                              taylor_boundary)
 from momangle.zigzag import (BicomplexChain, ZigzagError, ZigzagStep, ZigzagTrace,
                              _koszul_block, vertical_diff)
@@ -473,7 +476,7 @@ def reference_per_word_solve_vertical(K, S, eta):
     if len(degs) != 1:
         raise ZigzagError("staircase element mixes circle degrees")
     j = degs[0]
-    position = {F: k for k, F in enumerate(mf_order(K))}
+    position = {F: k for k, F in enumerate(K.missing_faces())}
     by_word = {}
     for lab, c in eta.terms.items():
         I, J, W = lab
@@ -562,7 +565,7 @@ def reference_nested_taylor_cycle(w, K):
     ValueError when a level matches no missing face."""
     levels = nested_levels(w)
     n = len(levels)
-    mfs = mf_order(K)
+    mfs = K.missing_faces()
     factors = []
     for k in range(1, n + 1):
         absorbed = set()
@@ -618,6 +621,64 @@ def reference_zk_star_quotient(K, S):
     return ChainComplex.from_boundary(
         cells, lambda cell: {t: c for t, c in reference_cell_boundary(cell).items()
                              if not in_star(t[1])})
+
+
+def reference_star_cells(S, faces, is_face):
+    """The star quotient of S's block on disc masks, with its columns
+    written out cell by cell: the package's builder before the cellular
+    blocks read `insertion_columns`.
+
+    `faces` are the bitmasks of the faces of K_S in `faces_within`'s order,
+    `is_face` holds the bitmasks of every face of K; v is the vertex of S in
+    the most faces, the least on ties.  The cell (S - I, I) is the mask f of
+    I, of degree |S| + |I|; it lies in the star of v exactly when f & vb or
+    f | vb is a face, and the quotient keeps the other cells.  Dropping the
+    disc letter with bit b of f gives the target f ^ b with sign
+    (-1)^popcount((S & ~f) & (b - 1)); a target in the star is dropped, and
+    one that is neither in the quotient nor in the star raises.
+
+    Returns (cells, columns): {degree: [f, ...]} in the order of the cells'
+    (J, I) labels, J ascending, and {degree: {column: [(row, sign), ...]}}.
+    The empty S gives its whole block, Z in degree 0."""
+    if not S:
+        return {0: [0]}, {}
+    smask = face_mask(S)
+    v = min(S, key=lambda u: (-sum(1 for f in faces if f >> (u - 1) & 1), u))
+    vb = 1 << (v - 1)
+    cells = {}
+    for f in faces:
+        if not (f & vb or f | vb in is_face):
+            cells.setdefault(len(S) + f.bit_count(), []).append(f)
+    index = {}
+    for d, fs in cells.items():
+        # `faces` run by (size, labels); among the I of one size, J = S - I
+        # ascends as I descends
+        fs.reverse()
+        index[d] = {f: j for j, f in enumerate(fs)}
+    columns = {}
+    for d, fs in cells.items():
+        below = index.get(d - 1, {})
+        out = {}
+        for j, f in enumerate(fs):
+            circles = smask & ~f
+            column = []
+            rest = f
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                t = f ^ b
+                if t | vb in is_face:
+                    continue
+                i = below.get(t)
+                if i is None:
+                    raise ValueError(f"boundary of the disc mask {f:b} hits {t:b}, "
+                                     "which is not in the target basis")
+                column.append((i, -1 if (circles & (b - 1)).bit_count() & 1 else 1))
+            if column:
+                out[j] = column
+        if out:
+            columns[d] = out
+    return cells, columns
 
 
 def reference_zk_homology_by_support(K):

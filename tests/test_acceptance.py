@@ -13,7 +13,7 @@ from momangle.complexes import (SimplicialComplex, join, parse_complex, point,
                                 substitution_missing_faces)
 from momangle.exactalg import HomologyGroup
 from momangle.moment_angle import CellChain, hochster_table, zk_homology
-from momangle.taylor import (MonomialIdeal, TaylorChain, mf_order,
+from momangle.taylor import (MonomialIdeal, TaylorChain,
                              nested_taylor_cycle, taylor_face_complex,
                              taylor_homology, taylor_homology_by_support,
                              verify_taylor_is_resolution)
@@ -106,7 +106,7 @@ def test_criterion_05_s10_zigzag(filled6):
     # in the (S=[6], s=2) slot, whose boundary space is zero (no missing face
     # covers all six vertices), so homologous means equal on the nose; a
     # cycle of the form u ^ w_F would carry F in all of its words
-    mfs = mf_order(filled6)
+    mfs = filled6.missing_faces()
     assert all(len(F) < 6 for F in mfs)
     for F in mfs:
         assert not all(F in word for word in cycle.terms), F

@@ -6,11 +6,12 @@ from momangle import complexes as cx
 from momangle import exactalg
 from momangle import moment_angle
 from momangle.exactalg import (ChainComplex, HomologyGroup, IntMatrix, column_homology,
-                               direct_sum, invariant_factors, kernel_basis,
-                               smith_normal_form, solve_integer)
+                               direct_sum, insertion_columns, invariant_factors,
+                               kernel_basis, smith_normal_form, solve_integer)
 from momangle.moment_angle import lattice_supports, zk_star_quotient
 from oracles import (dense_homology, dense_snf_diagonal, random_complex,
-                     reference_direct_sum, reference_snf, reference_zk_block, reference_zk_star_quotient)
+                     reference_direct_sum, reference_snf, reference_star_cells,
+                     reference_zk_block, reference_zk_star_quotient)
 
 
 def dense_det(rows):
@@ -378,14 +379,19 @@ def dense_groups(C):
 
 
 def test_column_rule_matches_the_reference_blocks(rp2, sub5):
-    """The column rule on the mask builder's columns gives the dense homology
-    of the reference quotient and of the whole block, Z/2 included."""
+    """The column rule on the insertion columns of the star quotients' words,
+    placed in Z_K degrees, gives the homology of the cell-by-cell mask
+    builder (`reference_star_cells`) and the dense homology of the reference
+    quotient and of the whole block, Z/2 included."""
     rng = random.Random(19)
     torsion = 0
     for K in [rp2, sub5] + [random_complex(rng.randint(3, 6), rng) for _ in range(10)]:
         for S in lattice_supports(K):
-            cells, columns = moment_angle._star_cells(S, K.face_masks_within(S), K.face_masks)
-            got = column_homology({d: len(fs) for d, fs in cells.items()}, columns)
+            args = S, K.face_masks_within(S), K.face_masks
+            groups = column_homology(*insertion_columns(*moment_angle._star_cells(*args)))
+            got = {2 * len(S) + d: h for d, h in groups.items()}
+            cells, columns = reference_star_cells(*args)
+            assert got == column_homology({d: len(fs) for d, fs in cells.items()}, columns)
             R = reference_zk_star_quotient(K, S)
             assert got == R.homology_all() == dense_groups(R), (K, S)
             assert got == dense_groups(reference_zk_block(K, S)), (K, S)

@@ -21,7 +21,7 @@ from momangle import complexes as cx
 from momangle import taylor as ty
 from momangle.exactalg import kernel_basis
 from momangle.moment_angle import support_table, zk_homology_by_support
-from momangle.taylor import (TaylorChain, admissible_words, mf_order,
+from momangle.taylor import (TaylorChain, admissible_words,
                              nested_taylor_cycle, taylor_boundary,
                              taylor_class, taylor_components,
                              taylor_cycle_is_boundary, taylor_homology_by_support,
@@ -54,7 +54,7 @@ def random_complexes(seed, count, low, high):
     out = []
     while len(out) < count:
         K = random_complex(rng.randint(3, 7), rng)
-        if low <= len(mf_order(K)) <= high:
+        if low <= len(K.missing_faces()) <= high:
             out.append(K)
     return out
 
@@ -219,7 +219,7 @@ def test_k6_graph_against_cellular():
     table read from their index bitmasks equals the labelled blocks' and
     the cellular table."""
     K = cx.parse_complex("bd(bd(bd(bd(simplex(1,2,3,4,5,6)))))")
-    masks = [cx.face_mask(F) for F in mf_order(K)]
+    masks = [cx.face_mask(F) for F in K.missing_faces()]
     assert len(masks) == 20
     assert sum(map(len, admissible_words(masks).values())) == 184
     blocks = taylor_components(K)

@@ -58,6 +58,16 @@ def test_d_squared_zero_random_chains():
         assert not chain.boundary().boundary()
 
 
+def test_cell_chain_refuses_unsorted_or_repeated_letters():
+    """A cell's circle and disc letters must each be strictly increasing:
+    `S1*S1` is no cell, and `(2, 1)` would carry the opposite sign of the
+    cell `S1*S2` it names.  The sorted cell is still accepted."""
+    for cell in [((1, 1), ()), ((), (2, 2)), ((2, 1), (3,)), ((1,), (3, 2)), ((0,), ())]:
+        with pytest.raises(ValueError, match="out of order or repeated"):
+            CellChain({cell: 1})
+    assert CellChain({((1, 2), (3,)): 1}).to_text() == "S1*S2*D3"
+
+
 def test_sphere_homology_for_simplex_boundaries():
     for m in range(2, 6):
         hom = zk_homology(simplex_boundary(m))

@@ -23,16 +23,16 @@ import pytest
 
 from momangle import complexes as cx
 from momangle.cli import main
-from momangle.exactalg import ChainComplex, HomologyGroup, kernel_basis
-from momangle import moment_angle
+from momangle import exactalg, moment_angle, taylor
+from momangle.exactalg import ChainComplex, HomologyGroup, insertion_columns, kernel_basis
 from momangle.moment_angle import (CellChain, all_subsets, cell_boundary, cone_free_subsets,
                                    hochster_table, lattice_supports, star_vertex, support_table, zk_chain_complex,
                                    zk_class, zk_homology, zk_homology_by_support,
                                    zk_star_quotient)
 from momangle.taylor import taylor_face_complex, taylor_homology_by_support
 from momangle.whitehead import bracket, hurewicz_chain, leaf, parse_whitehead
-from oracles import (brute_cone_point, hochster_embed, random_complex, reference_zk_block,
-                     reference_zk_class, reference_zk_homology_by_support,
+from oracles import (brute_cone_point, hochster_embed, random_complex, reference_star_cells,
+                     reference_zk_block, reference_zk_class, reference_zk_homology_by_support,
                      reference_zk_star_quotient)
 
 
@@ -343,18 +343,64 @@ def test_table_reads_the_reference_quotients(K):
     assert zk_homology_by_support(K) == want
 
 
-def test_mask_builder_refuses_a_target_outside_its_basis():
-    """A face family that is not closed downward leaves a boundary target
-    neither in the quotient nor in the star: on RP^2, the star of 1 holds
-    neither the edge 3 4 nor the triangle 3 4 5, whose boundary hits it."""
-    K = rp2_complex()
-    S = tuple(range(1, 7))
-    faces = K.face_masks_within(S)
-    assert star_vertex(faces, S) == 1
-    assert (3, 4, 5) in K.faces and (1, 3, 4) not in K.faces
-    edge = cx.face_mask((3, 4))
-    with pytest.raises(ValueError, match="not in the target basis"):
-        moment_angle._star_cells(S, [f for f in faces if f != edge], K.face_masks)
+def star_word_cases():
+    """The split complexes above (the RP^2 cone among them), four more RP^2
+    cones, and 200 seeded random complexes on 3 to 7 vertices."""
+    rng = random.Random(29)
+    return (cone_cases() + [rp2_cone(random.Random(s)) for s in (3, 5, 7, 11)]
+            + [random_complex(rng.randint(3, 7), rng) for _ in range(200)])
+
+
+def test_star_words_give_the_reference_columns():
+    """`insertion_columns` on `_star_cells`' circle masks gives the ranks and
+    columns that the cell-by-cell mask builder (`reference_star_cells`)
+    writes, block degree d placed at 2|S| + d, with each degree's words in
+    the reference's order, on every lattice support."""
+    blocks = torsion = 0
+    for K in star_word_cases():
+        for S in lattice_supports(K):
+            args = S, K.face_masks_within(S), K.face_masks
+            words, inside = moment_angle._star_cells(*args)
+            dims, columns = insertion_columns(words, inside)
+            cells, ref_columns = reference_star_cells(*args)
+            shift = 2 * len(S)
+            assert inside == cx.face_mask(S), (K, S)
+            assert {shift + d: n for d, n in dims.items()} == {
+                d: len(fs) for d, fs in cells.items()}, (K, S)
+            assert {shift + d: cols for d, cols in columns.items()} == ref_columns, (K, S)
+            for d, fs in cells.items():
+                assert [J for J in words if shift - J.bit_count() == d] == [
+                    inside & ~f for f in fs], (K, S, d)
+            blocks += 1
+        torsion += any(h.torsion for h in zk_homology_by_support(K).values())
+    assert blocks > 2000 and torsion >= 5
+
+
+def test_verify_checks_the_shared_builder_against_hochster(monkeypatch, tmp_path, capsys):
+    """The cellular and Taylor tables read one column builder, so the
+    Hochster route, which shares no code with it, is `verify`'s independent
+    check: on RP^2 and on seeded RP^2 cones the three routes agree, Z/2
+    included (exit 0), and with every entry of `insertion_columns` made +1
+    where the tables read it, `verify` on RP^2 does not exit 0."""
+    def verify(K):
+        path = tmp_path / "K.json"
+        path.write_text(json.dumps({"m": K.m, "facets": [list(f) for f in K.facets]}))
+        code = main(["verify", "--complex", str(path)])
+        capsys.readouterr()
+        return code
+
+    cases = [rp2_complex()] + [rp2_cone(random.Random(s)) for s in (3, 5, 7, 11, 13)]
+    assert all(any(h.torsion for h in zk_homology_by_support(K).values()) for K in cases)
+    assert [verify(K) for K in cases] == [0] * len(cases)
+    real = exactalg.insertion_columns
+
+    def unsigned(words, inside):
+        dims, columns = real(words, inside)
+        return dims, {d: {j: [(i, 1) for i, _ in column] for j, column in cols.items()}
+                      for d, cols in columns.items()}
+    for module in (moment_angle, taylor):
+        monkeypatch.setattr(module, "insertion_columns", unsigned)
+    assert verify(cases[0]) != 0
 
 
 def test_table_checks_singletons_once(monkeypatch, rp2):

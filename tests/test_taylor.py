@@ -4,12 +4,13 @@ from itertools import combinations
 
 import pytest
 
+from momangle import exactalg, moment_angle
 from momangle import taylor as ty
 from momangle.complexes import (SimplicialComplex, SizeLimitError, face_mask,
                                 parse_complex, simplex_boundary)
 from momangle.exactalg import HomologyGroup
 from momangle.moment_angle import hochster_table, zk_homology
-from momangle.taylor import (MonomialIdeal, TaylorChain, mf_order,
+from momangle.taylor import (MonomialIdeal, TaylorChain,
                              nested_taylor_cycle, normalise_word, taylor_boundary,
                              taylor_components, taylor_face_complex,
                              taylor_homology, taylor_homology_by_support,
@@ -31,7 +32,7 @@ def sf(m, *supports):
 # -- exterior words and chains ---------------------------------------------------
 
 def test_generator_order(sub5):
-    assert mf_order(sub5) == ((1, 2, 3), (1, 4, 5), (2, 4, 5), (3, 4, 5))
+    assert sub5.missing_faces() == ((1, 2, 3), (1, 4, 5), (2, 4, 5), (3, 4, 5))
 
 
 def test_normalise_word_signs():
@@ -84,6 +85,29 @@ def test_face_complex_figure_one_ranks(sub5):
     assert [C.dim(-s) for s in range(5)] == [1, 4, 6, 4, 1]
 
 
+def test_face_complex_reads_the_generators_once(monkeypatch):
+    """`taylor_face_complex` asks for K's generators once per call, not once
+    per basis word, and its columns are `taylor_boundary`'s on every basis
+    word of seeded complexes."""
+    calls = []
+    raw = ty.generator_masks
+    monkeypatch.setattr(ty, "generator_masks", lambda K: calls.append(K) or raw(K))
+    rng = random.Random(37)
+    complexes = 0
+    while complexes < 12:
+        K = random_complex(rng.randint(3, 7), rng)
+        if not 2 <= len(K.missing_faces()) <= 8:
+            continue
+        complexes += 1
+        calls.clear()
+        C = taylor_face_complex(K)
+        assert calls == [K]
+        for d, words in C.basis.items():
+            for j, w in enumerate(words):
+                column = {C.basis[d - 1][i]: v for i, v in C.columns[d].get(j, ())}
+                assert column == taylor_boundary(K, TaylorChain({w: 1})).terms, (K, w)
+
+
 # hand-checked differential table of the 5-vertex substitution complex,
 # derived entry by entry from the front-insertion rule
 SUB5_DIFFERENTIALS = {
@@ -120,7 +144,7 @@ def test_multidegree_preserved_on_random_words():
     rng = random.Random(3)
     for _ in range(20):
         K = random_complex(rng.randint(2, 5), rng)
-        mfs = mf_order(K)
+        mfs = K.missing_faces()
         if not mfs:
             continue
         word = tuple(sorted(rng.sample(mfs, rng.randint(1, min(3, len(mfs)))),
@@ -139,7 +163,7 @@ def test_boundary_and_blocks_match_sorting_reference():
     complexes = 0
     while complexes < 30:
         K = random_complex(rng.randint(3, 8), rng)
-        if not 3 <= len(mf_order(K)) <= 9:
+        if not 3 <= len(K.missing_faces()) <= 9:
             continue
         complexes += 1
         C = taylor_face_complex(K)
@@ -169,11 +193,13 @@ def test_mask_column_with_a_flipped_sign_is_refused(monkeypatch):
     one sign flipped in the column of w123^w456, the one word of degree -2
     in the K6 graph's block of the whole vertex set, is refused by
     `check_columns` in both.  That block spans degrees -2, -3 and -4, and
-    the word's boundary has terms whose boundaries cancel."""
+    the word's boundary has terms whose boundaries cancel.  The builder is
+    patched where each reads it: the table's loop in `moment_angle`, the
+    labelled blocks' `insertion_complex` in `exactalg`."""
     K6 = parse_complex(K6_GRAPH)
-    gens = mf_order(K6)
+    gens = K6.missing_faces()
     target = 1 << gens.index((1, 2, 3)) | 1 << gens.index((4, 5, 6))
-    columns_of = ty._word_columns
+    columns_of = exactalg.insertion_columns
     flipped = []
 
     def bad(words, inside):
@@ -186,7 +212,8 @@ def test_mask_column_with_a_flipped_sign_is_refused(monkeypatch):
         return dims, columns
 
     assert taylor_homology_by_support(K6) and taylor_components.__wrapped__(K6)
-    monkeypatch.setattr(ty, "_word_columns", bad)
+    monkeypatch.setattr(moment_angle, "insertion_columns", bad)
+    monkeypatch.setattr(exactalg, "insertion_columns", bad)
     with pytest.raises(ValueError, match=r"d\^2 != 0 between degrees -2 and -4"):
         taylor_homology_by_support(K6)
     with pytest.raises(ValueError, match=r"d\^2 != 0 between degrees -2 and -4"):
@@ -202,7 +229,7 @@ def test_mask_table_with_a_kept_inadmissible_word_changes(name, request, monkeyp
     such word of the 5-vertex substitution complex and 30 seeded ones of
     RP^2."""
     K = request.getfixturevalue(name)
-    gens = mf_order(K)
+    gens = K.missing_faces()
     clean = taylor_homology_by_support(K)
     dropped = [word for s in range(2, len(gens) + 1)
                for word in combinations(gens, s)
