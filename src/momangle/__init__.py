@@ -20,6 +20,5 @@ from .whitehead import (WhiteheadExpr, bracket, delta_w, fillable_wedge_basis,
                         hurewicz_chain, leaf, nested_shape_status,
                         parse_whitehead, realises_sufficient,
                         shifted_wedge_basis, single_product_status)
-from .zigzag import (BicomplexChain, ZigzagTrace, classes_equal,
-                     classes_equal_up_to_sign, horizontal_diff,
-                     koszul_to_taylor, vertical_diff)
+from .zigzag import (ZigzagTrace, classes_equal, classes_equal_up_to_sign,
+                     koszul_to_taylor)

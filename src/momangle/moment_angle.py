@@ -119,7 +119,10 @@ class CellChain(SignedSum):
         return CellChain(out)
 
     def supported_in(self, K):
-        return all(max(I, default=0) <= K.m and face_mask(I) in K.face_masks for _, I in self.terms)
+        """Is every cell one of Z_K: its letters in 1..K.m and its disc set
+        a face of K?"""
+        return all(max(J + I, default=0) <= K.m and face_mask(I) in K.face_masks
+                   for J, I in self.terms)
 
     # -- text form ------------------------------------------------------------
 
@@ -325,7 +328,8 @@ def zk_homology_by_support(K, quotients=None):
     projects a cycle onto the same quotients.  `quotients`, a dict when
     given, receives the (words, inside) of each visited S among its keys,
     so the classes can label the table's own builds.  The Hochster table
-    still builds every full subcomplex, so `verify` checks both rules."""
+    finds its subsets by cone points instead (`cone_free_subsets`), so
+    `verify` checks that the two rules pick the same supports."""
     if K.m > ZK_MAX_VERTICES:
         raise SizeLimitError(f"Z_K cell enumeration refuses m={K.m} > {ZK_MAX_VERTICES}")
     _require_singletons(K)

@@ -31,10 +31,11 @@ with `exactalg.insertion_sign`, (-1)^popcount(W & (b - 1)), and a disc bit
 i joins J by the same rule, so `exactalg.insertion_columns`, the builder
 of the Taylor blocks and the cellular star quotients, builds the Koszul
 blocks.
-Labels are built at the edges only: the input chain is read off its
-labels, the output cycle is checked on masks and then labelled, and a trace
-step keeps its masks until its element is asked for.  `vertical_diff` and
-`horizontal_diff` are the labelled forms, for tests and callers.
+Labels are built only for the returned cycle, once it is checked on masks,
+and for the text of the trace: the input cell chain goes onto masks by
+support (S = J + I, the word empty), and a trace step keeps its slice's
+masks.  The labelled bicomplex on triples, with both differentials, is the
+reference the tests hold the staircase to (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -43,126 +44,26 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .complexes import (SignedSum, _is_canonical, face_mask, mask_face, signed_sum_text,
-                        word_text)
+from .complexes import face_mask, mask_face, signed_sum_text, word_text
 from .exactalg import _column_matrix, insertion_columns, insertion_sign, smith_normal_form
-from .moment_angle import CellChain, cell_letters
+from .moment_angle import cell_letters
 from .taylor import (TaylorChain, generator_masks, index_boundary, index_union, index_word,
-                     taylor_boundary, taylor_cycle_is_boundary, word_index)
-
-
-class BicomplexChain(SignedSum):
-    """Sparse integer combination of bicomplex basis triples (I, J, W)."""
-
-    __slots__ = ()
-
-    def __init__(self, terms):
-        self.terms = {}
-        for (I, J, W), c in terms.items():
-            if not c:
-                continue
-            I, J, W = tuple(I), tuple(J), tuple(W)
-            if set(I) & set(J):
-                raise ValueError("I and J overlap")
-            if len(set(W)) != len(W):
-                raise ValueError("repeated missing face in W")
-            self.terms[(I, J, W)] = int(c)
-
-    @classmethod
-    def from_cell_chain(cls, chain):
-        return cls({(I, J, ()): c for (J, I), c in chain.terms.items()})
-
-    def circle_degrees(self):
-        return sorted({len(J) for (_, J, _) in self.terms})
-
-    def is_pure_taylor(self):
-        return all(not I and not J for (I, J, _) in self.terms)
-
-    def taylor_part(self):
-        return TaylorChain({W: c for (I, J, W), c in self.terms.items()
-                            if not I and not J})
-
-    def multidegree_components(self):
-        """Split by the vertex support I + J + union(W)."""
-        out = {}
-        for (I, J, W), c in self.terms.items():
-            S = set(I) | set(J)
-            for F in W:
-                S.update(F)
-            out.setdefault(tuple(sorted(S)), {})[(I, J, W)] = c
-        return {S: BicomplexChain(t) for S, t in out.items()}
-
-    def to_text(self):
-        return signed_sum_text(
-            ("*".join(cell_letters(J, I) + ["w" + word_text(F) for F in W]), c)
-            for (I, J, W), c in sorted(self.terms.items()))
-
-
-def vertical_diff(e):
-    """Koszul differential, extended identically over the Taylor word: the
-    cellular boundary of each term's cell (J, I)."""
-    out = {}
-    for (I, J, W), c in e.terms.items():
-        for (J2, I2), term in CellChain({(J, I): c}).boundary().terms.items():
-            out[(I2, J2, W)] = out.get((I2, J2, W), 0) + term
-    return BicomplexChain(out)
-
-
-def horizontal_diff(K, e):
-    """Taylor differential: absorb a missing face out of the disc letters.
-
-    W is a basis word (factors in generator order), read as its index
-    bitmask (`word_index`); a missing face F outside W and inside union(W) + I
-    enters it with `insertion_sign`, and the letters of F outside union(W)
-    leave I."""
-    gens, masks = generator_masks(K)
-    position = {F: q for q, F in enumerate(gens)}
-    out = {}
-    for (I, J, W), c in e.terms.items():
-        word, disc = word_index(W, position), face_mask(I)
-        union = index_union(word, masks)
-        for q, mask in enumerate(masks):
-            b = 1 << q
-            if not word & b and not mask & ~(union | disc):
-                key = (mask_face(disc & ~(mask & ~union)), J, index_word(word | b, gens))
-                out[key] = out.get(key, 0) + insertion_sign(word, b) * c
-    return BicomplexChain(out)
+                     taylor_boundary, taylor_cycle_is_boundary)
 
 
 class ZigzagStep:
     """One staircase step: its kind, "solve-vertical" or "apply-horizontal",
-    and its element.  The staircase hands over the element on its slice's
-    masks, (S, {(J, W): coeff}, (gens, masks, names)), labelled when
-    `element` or `==` asks for it and written out from the masks by
-    `to_text`; a BicomplexChain is kept as it is."""
+    and its element on its slice's masks: the bitmask S of the slice and the
+    terms {(J, W): coeff}.  `to_text` writes the element out from the
+    masks."""
 
-    __slots__ = ("kind", "_element", "_masks")
+    __slots__ = ("kind", "S", "terms", "_generators")
 
-    def __init__(self, kind, element):
-        self.kind = kind
-        labelled = isinstance(element, BicomplexChain)
-        self._element = element if labelled else None
-        self._masks = None if labelled else element
-
-    @property
-    def element(self):
-        if self._element is None:
-            self._element = _labelled(*self._masks)
-        return self._element
+    def __init__(self, kind, S, terms, generators):
+        self.kind, self.S, self.terms, self._generators = kind, S, terms, generators
 
     def to_text(self):
-        if self._element is None:
-            return _text(*self._masks)
-        return self._element.to_text()
-
-    def __eq__(self, other):
-        return (isinstance(other, ZigzagStep) and self.kind == other.kind
-                and self.element == other.element)
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"ZigzagStep({self.kind!r}, {self.element!r})"
+        return _text(self.S, self.terms, self._generators)
 
 
 @dataclass(frozen=True)
@@ -208,55 +109,22 @@ def _bits(mask):
     return out
 
 
-def _masked(gens, masks, terms, S=None):
-    """Labelled terms {(I, J, W): coeff} as {S: {(J, W): coeff}}, S the
-    support of each term, J its circle bitmask and W the index bitmask of
-    its word.  A term must be a basis triple: I and J increasing, W distinct
-    generators in generator order whose union meets neither, and, when the
-    bitmask S is given, I + J + union(W) = S."""
-    position = {F: q for q, F in enumerate(gens)}
-    out = {}
-    for lab, c in terms.items():
-        I, J, W = lab
-        qs = [position.get(F, -1) for F in W]
-        basis = (_is_canonical(I) and _is_canonical(J) and -1 not in qs
-                 and qs == sorted(set(qs)))
-        word = sum(1 << q for q in qs) if basis else 0
-        union = index_union(word, masks)
-        disc, circle = face_mask(I), face_mask(J)
-        if (not basis or (disc | circle) & union
-                or S is not None and disc | circle | union != S):
-            raise ZigzagError(f"element leaves the multidegree slice: {lab}")
-        out.setdefault(disc | circle | union, {})[(circle, word)] = c
-    return out
-
-
-def _labels(S, terms, generators):
-    """The label (I, J, W) of each of the slice S's terms {(J, W): coeff},
-    with its coefficient and the generator indices of W."""
-    gens, masks, _ = generators
+def _text(S, terms, generators):
+    """The slice S's terms {(J, W): coeff} as a signed sum of words in the
+    letters of I and J and the names of W's generators, sorted by the label
+    (I, J, W), each generator's name written once per staircase."""
+    gens, masks, names = generators
+    labelled = []
     for (J, W), c in terms.items():
         qs = _bits(W)
         I = S & ~J & ~index_union(W, masks)
-        yield (mask_face(I), mask_face(J), tuple(gens[q] for q in qs)), c, qs
+        labelled.append(((mask_face(I), mask_face(J), tuple(gens[q] for q in qs)), c, qs))
+    return signed_sum_text(("*".join(cell_letters(J, I) + [names[q] for q in qs]), c)
+                           for (I, J, _), c, qs in sorted(labelled))
 
 
-def _labelled(S, terms, generators):
-    """The BicomplexChain of the slice S's terms {(J, W): coeff}."""
-    return BicomplexChain({lab: c for lab, c, _ in _labels(S, terms, generators)})
-
-
-def _text(S, terms, generators):
-    """`BicomplexChain.to_text` of the slice S's terms, each generator's
-    name written once per staircase."""
-    names = generators[2]
-    return signed_sum_text(
-        ("*".join(cell_letters(J, I) + [names[q] for q in qs]), c)
-        for (I, J, _), c, qs in sorted(_labels(S, terms, generators)))
-
-
-def _is_vertical_cycle(S, terms, masks):
-    """Does the vertical differential kill the slice S's terms?  Disc bit i
+def _vertical(S, terms, masks):
+    """The vertical differential inside the slice S, on masks: disc bit i
     enters the circle bitmask J with `insertion_sign`, the sign of
     `cell_boundary`."""
     out = {}
@@ -264,7 +132,7 @@ def _is_vertical_cycle(S, terms, masks):
         for q in _bits(S & ~J & ~index_union(W, masks)):
             i = 1 << q
             out[(J | i, W)] = out.get((J | i, W), 0) + insertion_sign(J, i) * c
-    return not any(out.values())
+    return {key: c for key, c in out.items() if c}
 
 
 def _vertical_preimage(S, eta, masks):
@@ -311,25 +179,9 @@ def _horizontal(S, phi, masks):
     return {key: c for key, c in out.items() if c}
 
 
-def koszul_to_taylor(K, z):
-    """Translate a cellular cycle of Z_K into a Taylor cycle of the same
-    Cotor class, returning (cycle, trace).
-
-    Works one square-free multidegree at a time, on masks: solve a vertical
-    preimage, apply the horizontal differential, repeat until the circle
-    letters are exhausted; the remaining element is a pure Taylor cycle,
-    checked to be one before it is labelled.
-    """
-    gens, masks = generator_masks(K)
-    if isinstance(z, CellChain):
-        if not z.supported_in(K):
-            raise ZigzagError("chain uses cells outside Z_K")
-        terms = {(I, J, ()): c for (J, I), c in z.terms.items()}
-    else:
-        terms = z.terms
-    slices = _masked(gens, masks, terms)
-    if not all(_is_vertical_cycle(S, eta, masks) for S, eta in slices.items()):
-        raise ZigzagError("input chain is not a cycle")
+def _staircase(gens, masks, slices):
+    """The staircase from vertical cycles {S: {(J, W): coeff}}, slice by
+    slice in the order of their vertex sets, returning (cycle, trace)."""
     generators = (gens, masks, ["w" + word_text(F) for F in gens])
     steps = []
     total = {}
@@ -337,14 +189,35 @@ def koszul_to_taylor(K, z):
         eta = slices[S]
         while eta and any(J or index_union(W, masks) != S for J, W in eta):
             phi = _vertical_preimage(S, eta, masks)
-            steps.append(ZigzagStep("solve-vertical", (S, phi, generators)))
+            steps.append(ZigzagStep("solve-vertical", S, phi, generators))
             eta = _horizontal(S, phi, masks)
-            steps.append(ZigzagStep("apply-horizontal", (S, eta, generators)))
+            steps.append(ZigzagStep("apply-horizontal", S, eta, generators))
         total.update({W: c for (_, W), c in eta.items()})
     if index_boundary(total, masks):
         raise ZigzagError("staircase output is not a Taylor cycle")
     cycle = TaylorChain({index_word(W, gens): c for W, c in total.items()})
     return cycle, ZigzagTrace(tuple(steps))
+
+
+def koszul_to_taylor(K, z):
+    """Translate a cellular cycle of Z_K, a CellChain, into a Taylor cycle
+    of the same Cotor class, returning (cycle, trace).
+
+    Works one square-free multidegree at a time, on masks: solve a vertical
+    preimage, apply the horizontal differential, repeat until the circle
+    letters are exhausted; the remaining element is a pure Taylor cycle,
+    checked to be one before it is labelled.
+    """
+    if not z.supported_in(K):
+        raise ZigzagError("chain uses cells outside Z_K")
+    gens, masks = generator_masks(K)
+    slices = {}
+    for (J, I), c in z.terms.items():
+        circle = face_mask(J)
+        slices.setdefault(circle | face_mask(I), {})[(circle, 0)] = c
+    if any(_vertical(S, eta, masks) for S, eta in slices.items()):
+        raise ZigzagError("input chain is not a cycle")
+    return _staircase(gens, masks, slices)
 
 
 def classes_equal(K, t1, t2):

@@ -41,8 +41,10 @@ on missing faces); the tests check those builds against the substitution's
 definition.  The staircase and the nested closed form run on labelled
 triples and words, sorted back into generator order by `normalise_word`
 (the reference for the package's staircase and closed form on generator
-bitmasks); they share the package's vertical differential, Koszul blocks
-and trace containers, which the tests check on their own.
+bitmasks); the labelled bicomplex (`BicomplexChain`, `vertical_diff`) and
+the reference's trace, (kind, element) pairs, live here, and the staircase
+shares only the package's Koszul blocks, which the tests check on their
+own.
 `taylor_boundary_word` is no oracle: it is the package's own insertion
 rule on one word, the form the tests compare with the reference.
 """
@@ -50,15 +52,16 @@ rule on one word, the form the tests compare with the reference.
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
-from momangle.complexes import (SimplicialComplex, SizeLimitError, face_mask,
-                                is_subcomplex, join, simplex, simplex_boundary)
+from momangle.complexes import (SignedSum, SimplicialComplex, SizeLimitError, face_mask,
+                                is_subcomplex, join, signed_sum_text, simplex,
+                                simplex_boundary, word_text)
 from momangle.exactalg import (ChainComplex, HomologyClass, HomologyGroup, IntMatrix,
                                SmithForm)
-from momangle.moment_angle import ZK_MAX_VERTICES, CellChain, all_subsets, support_table
+from momangle.moment_angle import (ZK_MAX_VERTICES, CellChain, all_subsets, cell_letters,
+                                   support_table)
 from momangle.taylor import (TaylorChain, nested_levels, normalise_word,
                              taylor_boundary)
-from momangle.zigzag import (BicomplexChain, ZigzagError, ZigzagStep, ZigzagTrace,
-                             _koszul_block, vertical_diff)
+from momangle.zigzag import ZigzagError, _koszul_block
 
 
 def dense_snf_diagonal(rows):
@@ -394,6 +397,63 @@ def reference_cell_boundary(cell):
     return out
 
 
+class BicomplexChain(SignedSum):
+    """Sparse integer combination of bicomplex basis triples (I, J, W)."""
+
+    __slots__ = ()
+
+    def __init__(self, terms):
+        self.terms = {}
+        for (I, J, W), c in terms.items():
+            if not c:
+                continue
+            I, J, W = tuple(I), tuple(J), tuple(W)
+            if set(I) & set(J):
+                raise ValueError("I and J overlap")
+            if len(set(W)) != len(W):
+                raise ValueError("repeated missing face in W")
+            self.terms[(I, J, W)] = int(c)
+
+    @classmethod
+    def from_cell_chain(cls, chain):
+        return cls({(I, J, ()): c for (J, I), c in chain.terms.items()})
+
+    def circle_degrees(self):
+        return sorted({len(J) for (_, J, _) in self.terms})
+
+    def is_pure_taylor(self):
+        return all(not I and not J for (I, J, _) in self.terms)
+
+    def taylor_part(self):
+        return TaylorChain({W: c for (I, J, W), c in self.terms.items()
+                            if not I and not J})
+
+    def multidegree_components(self):
+        """Split by the vertex support I + J + union(W)."""
+        out = {}
+        for (I, J, W), c in self.terms.items():
+            S = set(I) | set(J)
+            for F in W:
+                S.update(F)
+            out.setdefault(tuple(sorted(S)), {})[(I, J, W)] = c
+        return {S: BicomplexChain(t) for S, t in out.items()}
+
+    def to_text(self):
+        return signed_sum_text(
+            ("*".join(cell_letters(J, I) + ["w" + word_text(F) for F in W]), c)
+            for (I, J, W), c in sorted(self.terms.items()))
+
+
+def vertical_diff(e):
+    """Koszul differential, extended identically over the Taylor word: the
+    cellular boundary of each term's cell (J, I)."""
+    out = {}
+    for (I, J, W), c in e.terms.items():
+        for (J2, I2), term in CellChain({(J, I): c}).boundary().terms.items():
+            out[(I2, J2, W)] = out.get((I2, J2, W), 0) + term
+    return BicomplexChain(out)
+
+
 def _reference_slice_basis(S, circle_count, words):
     """Bicomplex basis triples in multidegree S with |J| = circle_count."""
     out = []
@@ -528,8 +588,9 @@ def reference_koszul_to_taylor(K, z, solve=reference_per_word_solve_vertical):
     """The staircase on labelled triples: per multidegree, `solve(K, S, eta)`
     for a vertical preimage, `reference_horizontal_diff`, repeat until the
     element is a pure Taylor chain; the words are sorted back into generator
-    order and the output checked by `taylor_boundary`.  Returns (cycle,
-    trace)."""
+    order and the output checked by `taylor_boundary`.  z is a CellChain or
+    a BicomplexChain.  Returns (cycle, steps), the steps (kind, element)
+    pairs."""
     if isinstance(z, CellChain):
         if not z.supported_in(K):
             raise ZigzagError("chain uses cells outside Z_K")
@@ -543,15 +604,21 @@ def reference_koszul_to_taylor(K, z, solve=reference_per_word_solve_vertical):
     for S, eta in sorted(start.multidegree_components().items()):
         while eta and not eta.is_pure_taylor():
             phi = solve(K, S, eta)
-            steps.append(ZigzagStep("solve-vertical", phi))
+            steps.append(("solve-vertical", phi))
             eta = reference_horizontal_diff(K, phi)
-            steps.append(ZigzagStep("apply-horizontal", eta))
+            steps.append(("apply-horizontal", eta))
         part = eta.taylor_part()
         if part:
             total = total + part
     if taylor_boundary(K, total):
         raise ZigzagError("staircase output is not a Taylor cycle")
-    return total, ZigzagTrace(tuple(steps))
+    return total, tuple(steps)
+
+
+def reference_trace_list(steps):
+    """The JSON form of `reference_koszul_to_taylor`'s steps, as
+    `ZigzagTrace.to_list` writes the package's trace."""
+    return [{"kind": kind, "element": e.to_text()} for kind, e in steps]
 
 
 def reference_full_slice_solve(K, S, eta):

@@ -9,7 +9,7 @@ from momangle.complexes import (ParseError, Scanner, SizeLimitError, parse_compl
 from momangle.moment_angle import CellChain
 from momangle.taylor import TaylorChain
 from momangle.whitehead import bracket, leaf, parse_whitehead
-from momangle.zigzag import BicomplexChain
+from oracles import BicomplexChain
 
 
 def test_word_text_switches_to_dots_above_nine():
@@ -59,7 +59,8 @@ CHAIN_TYPES = (CellChain, TaylorChain, BicomplexChain)
     (BicomplexChain, ((1,), (2,), ((3, 4),)), ((), (), ((1, 2),))),
 ])
 def test_signed_sum_arithmetic(cls, a, b):
-    """The arithmetic every chain type takes from `SignedSum`."""
+    """The arithmetic every chain type takes from `SignedSum`: the
+    package's two and the reference staircase's `BicomplexChain`."""
     x, y = cls({a: 2, b: -1}), cls({b: 3})
     assert not x + (-x) and x + (-x) == cls.zero()
     assert (x + y) - y == x and x - y == cls({a: 2, b: -4})

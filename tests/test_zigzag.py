@@ -6,19 +6,19 @@ from math import comb
 import pytest
 
 from momangle import parse_complex, zigzag
-from momangle.complexes import SimplicialComplex, face_mask, simplex_boundary
+from momangle.complexes import SimplicialComplex, face_mask, mask_face, simplex_boundary
 from momangle.exactalg import IntMatrix, smith_normal_form
-from momangle.moment_angle import CellChain
-from momangle.taylor import (TaylorChain, generator_masks, nested_taylor_cycle,
+from momangle.moment_angle import CellChain, zk_class
+from momangle.taylor import (TaylorChain, generator_masks, index_union, nested_taylor_cycle,
                              taylor_boundary)
 from momangle.whitehead import delta_w, hurewicz_chain, parse_whitehead
-from momangle.zigzag import (BicomplexChain, ZigzagError, _koszul_block, _labelled, _masked,
-                             _vertical_preimage, classes_equal,
-                             classes_equal_up_to_sign, horizontal_diff,
-                             koszul_to_taylor, vertical_diff)
-from oracles import (random_complex, reference_cell_boundary, reference_full_slice_solve,
-                     reference_horizontal_diff, reference_koszul_to_taylor,
-                     reference_per_word_solve_vertical, reference_solve_vertical)
+from momangle.zigzag import (ZigzagError, _horizontal, _koszul_block, _staircase, _vertical,
+                             _vertical_preimage, classes_equal, classes_equal_up_to_sign,
+                             koszul_to_taylor)
+from oracles import (BicomplexChain, random_complex, reference_cell_boundary,
+                     reference_full_slice_solve, reference_horizontal_diff,
+                     reference_koszul_to_taylor, reference_per_word_solve_vertical,
+                     reference_solve_vertical, reference_trace_list, vertical_diff)
 from test_golden import PAIRS as GOLDEN_PAIRS
 
 
@@ -26,77 +26,119 @@ def B(terms):
     return BicomplexChain(terms)
 
 
+def masked(K, e):
+    """A labelled element as the staircase's slices {S: {(J, W): coeff}}."""
+    gens, masks = generator_masks(K)
+    position = {F: q for q, F in enumerate(gens)}
+    out = {}
+    for (I, J, W), c in e.terms.items():
+        word = sum(1 << position[F] for F in W)
+        S = face_mask(I) | face_mask(J) | index_union(word, masks)
+        out.setdefault(S, {})[(face_mask(J), word)] = c
+    return out
+
+
+def labelled(K, S, terms):
+    """The slice S's terms {(J, W): coeff} as a BicomplexChain."""
+    gens, masks = generator_masks(K)
+    return B({(mask_face(S & ~J & ~index_union(W, masks)), mask_face(J),
+               tuple(F for q, F in enumerate(gens) if W >> q & 1)): c
+              for (J, W), c in terms.items()})
+
+
 def solve_vertical(K, S, eta):
     """The staircase's vertical solve (`_vertical_preimage`) on labels: the
-    preimage of eta inside the multidegree slice S (a vertex tuple), whose
-    terms must be basis triples of S."""
-    gens, masks = generator_masks(K)
+    preimage of eta, whose terms are basis triples of the multidegree slice
+    S (a vertex tuple)."""
+    masks = generator_masks(K)[1]
     smask = face_mask(S)
-    terms = _masked(gens, masks, eta.terms, smask).get(smask, {})
-    return _labelled(smask, _vertical_preimage(smask, terms, masks), (gens, masks, None))
+    return labelled(K, smask, _vertical_preimage(smask, masked(K, eta)[smask], masks))
+
+
+def _random_ideal_complex(rng, top):
+    """A seeded complex on 2..top vertices with at least one missing face."""
+    while True:
+        K = random_complex(rng.randint(2, top), rng)
+        if K.missing_faces():
+            return K
+
+
+def _random_slice(rng, K, count=4):
+    """(S, terms): a random set S of at least half of K's vertices and up
+    to `count` basis terms of its slice, each a word W of up to two
+    generators inside S and a circle set J among the other letters of S."""
+    masks = generator_masks(K)[1]
+    S = face_mask(rng.sample(range(1, K.m + 1), rng.randint((K.m + 1) // 2, K.m)))
+    inside = [q for q, mask in enumerate(masks) if not mask & ~S]
+    terms = {}
+    for _ in range(count):
+        W = sum(1 << q for q in rng.sample(inside, rng.randint(0, min(2, len(inside)))))
+        free = mask_face(S & ~index_union(W, masks))
+        J = face_mask(rng.sample(free, rng.randint(0, len(free) // 2)))
+        terms[(J, W)] = rng.choice([-2, -1, 1, 3])
+    return S, terms
 
 
 def test_vertical_diff_single_disc():
-    e = B({((1,), (), ()): 1})
-    assert vertical_diff(e) == B({((), (1,), ()): 1})
+    assert _vertical(0b1, {(0, 0): 1}, []) == {(0b1, 0): 1}
 
 
 def test_vertical_diff_squares_to_zero():
     rng = random.Random(2)
-    for _ in range(30):
-        m = rng.randint(2, 6)
-        terms = {}
-        for _ in range(4):
-            verts = rng.sample(range(1, m + 1), rng.randint(1, m))
-            cut = rng.randint(0, len(verts))
-            I, J = tuple(sorted(verts[:cut])), tuple(sorted(verts[cut:]))
-            W = ((1, 2, 9),) if rng.random() < 0.3 else ()
-            terms[(I, J, W)] = rng.randint(-2, 2)
-        e = B(terms)
-        assert not vertical_diff(vertical_diff(e))
+    nonzero = 0
+    for _ in range(60):
+        K = _random_ideal_complex(rng, 6)
+        masks = generator_masks(K)[1]
+        S, terms = _random_slice(rng, K)
+        image = _vertical(S, terms, masks)
+        assert not _vertical(S, image, masks)
+        nonzero += bool(image)
+    assert nonzero > 50
 
 
 def test_vertical_restricts_to_cell_boundary(sub5):
-    chain = hurewicz_chain(parse_whitehead("[[1,2,3],4,5]"))
-    via_cells = chain.boundary()
-    via_bicomplex = vertical_diff(BicomplexChain.from_cell_chain(chain))
-    assert via_bicomplex == BicomplexChain.from_cell_chain(via_cells)
-    assert not via_bicomplex
+    """On a word-free slice the vertical differential is the cellular
+    boundary, sign included, on seeded cells of 1..5."""
+    rng = random.Random(5)
+    for _ in range(100):
+        verts = rng.sample(range(1, 6), rng.randint(1, 5))
+        cut = rng.randint(0, len(verts))
+        chain = CellChain({(tuple(sorted(verts[cut:])), tuple(sorted(verts[:cut]))): 2})
+        (S, terms), = masked(sub5, BicomplexChain.from_cell_chain(chain)).items()
+        assert labelled(sub5, S, _vertical(S, terms, [])) == \
+            BicomplexChain.from_cell_chain(chain.boundary())
+    z = hurewicz_chain(parse_whitehead("[[1,2,3],4,5]"))
+    (S, terms), = masked(sub5, BicomplexChain.from_cell_chain(z)).items()
+    assert not _vertical(S, terms, []) and not z.boundary()
 
 
 def test_horizontal_diff_absorbs_missing_face(sub5):
-    e = B({((1, 2, 3), (), ()): 1})
-    assert horizontal_diff(sub5, e) == B({((), (), ((1, 2, 3),)): 1})
+    (S, terms), = masked(sub5, B({((1, 2, 3), (), ()): 1})).items()
+    assert labelled(sub5, S, _horizontal(S, terms, generator_masks(sub5)[1])) == \
+        B({((), (), ((1, 2, 3),)): 1})
 
 
 def test_horizontal_diff_generator_sign(sub5):
     # absorbing (2,4,5) after (1,4,5) passes one smaller generator
-    e = B({((2,), (), ((1, 4, 5),)): 1})
-    assert horizontal_diff(sub5, e) == \
+    (S, terms), = masked(sub5, B({((2,), (), ((1, 4, 5),)): 1})).items()
+    assert labelled(sub5, S, _horizontal(S, terms, generator_masks(sub5)[1])) == \
         B({((), (), ((1, 4, 5), (2, 4, 5))): -1})
 
 
 def test_horizontal_diff_matches_the_sorting_reference():
-    """`horizontal_diff` on index bitmasks equals the front-insert-and-sort
-    reference on seeded triples, including ones whose disc and circle
-    letters overlap the word's union."""
+    """`_horizontal` on index bitmasks equals the front-insert-and-sort
+    reference on seeded slice triples."""
     rng = random.Random(23)
-    overlapping = checked = 0
+    checked = absorbed = 0
     while checked < 300:
-        K = random_complex(rng.randint(2, 6), rng)
-        mfs = list(K.missing_faces())
-        if not mfs:
-            continue
-        verts = rng.sample(range(1, K.m + 1), rng.randint(1, K.m))
-        cut = rng.randint(0, len(verts))
-        I, J = tuple(sorted(verts[:cut])), tuple(sorted(verts[cut:]))
-        W = tuple(sorted(rng.sample(mfs, rng.randint(0, min(3, len(mfs)))),
-                         key=lambda f: (len(f), f)))
-        e = B({(I, J, W): rng.choice([-2, -1, 1, 3])})
-        assert horizontal_diff(K, e) == reference_horizontal_diff(K, e), (K, e)
-        overlapping += bool(set(I + J) & set().union(*W))
+        K = _random_ideal_complex(rng, 6)
+        masks = generator_masks(K)[1]
+        S, terms = _random_slice(rng, K, count=rng.randint(1, 3))
+        image = _horizontal(S, terms, masks)
+        assert labelled(K, S, image) == reference_horizontal_diff(K, labelled(K, S, terms))
+        absorbed += bool(image)
         checked += 1
-    assert overlapping > 50
+    assert absorbed > 100
 
 
 @pytest.mark.parametrize("n", range(8))
@@ -123,24 +165,15 @@ def test_koszul_block_matches_the_labelled_matrix(n):
 
 def test_differentials_commute():
     rng = random.Random(7)
-    for _ in range(25):
-        K = random_complex(rng.randint(2, 5), rng)
-        mfs = list(K.missing_faces())
-        terms = {}
-        for _ in range(3):
-            verts = rng.sample(range(1, K.m + 1), rng.randint(1, K.m))
-            cut = rng.randint(0, len(verts))
-            I, J = tuple(sorted(verts[:cut])), tuple(sorted(verts[cut:]))
-            W = tuple(sorted(rng.sample(mfs, rng.randint(0, min(2, len(mfs)))),
-                             key=lambda f: (len(f), f)))
-            if len(set(W)) != len(W):
-                continue
-            terms[(I, J, W)] = rng.randint(-2, 2)
-        if not terms:
-            continue
-        e = B(terms)
-        assert horizontal_diff(K, vertical_diff(e)) == \
-            vertical_diff(horizontal_diff(K, e))
+    nonzero = 0
+    for _ in range(150):
+        K = _random_ideal_complex(rng, 5)
+        masks = generator_masks(K)[1]
+        S, terms = _random_slice(rng, K, count=3)
+        hv = _horizontal(S, _vertical(S, terms, masks), masks)
+        assert hv == _vertical(S, _horizontal(S, terms, masks), masks)
+        nonzero += bool(hv)
+    assert nonzero > 30
 
 
 def test_zigzag_simplex_boundaries():
@@ -165,24 +198,25 @@ def test_zigzag_trace_satisfies_staircase(sub5):
     w = parse_whitehead("[[1,2,3],4,5]")
     z = hurewicz_chain(w)
     cyc, trace = koszul_to_taylor(sub5, z)
-    previous = BicomplexChain.from_cell_chain(z)
+    masks = generator_masks(sub5)[1]
+    (S, previous), = masked(sub5, BicomplexChain.from_cell_chain(z)).items()
     steps = list(trace.steps)
     while steps:
         solve = steps.pop(0)
         push = steps.pop(0)
-        assert solve.kind == "solve-vertical"
-        assert vertical_diff(solve.element) == previous
-        assert push.kind == "apply-horizontal"
-        assert horizontal_diff(sub5, solve.element) == push.element
-        previous = push.element
-    assert previous.taylor_part() == cyc
+        assert solve.kind == "solve-vertical" and solve.S == S
+        assert _vertical(S, solve.terms, masks) == previous
+        assert push.kind == "apply-horizontal" and push.S == S
+        assert _horizontal(S, solve.terms, masks) == push.terms
+        previous = push.terms
+    assert labelled(sub5, S, previous).taylor_part() == cyc
 
 
 def test_zigzag_circle_degree_decreases(sub5):
     w = parse_whitehead("[[[1,4,5],2],3]")
     z = hurewicz_chain(w)
     _, trace = koszul_to_taylor(sub5, z)
-    degrees = [s.element.circle_degrees() for s in trace.steps
+    degrees = [sorted({J.bit_count() for J, _ in s.terms}) for s in trace.steps
                if s.kind == "apply-horizontal"]
     flat = [d for ds in degrees for d in ds]
     assert flat == sorted(flat, reverse=True)
@@ -195,6 +229,18 @@ def test_zigzag_rejects_non_cycles(sub5):
     with pytest.raises(ZigzagError):
         # support outside Z_K: (1,4,5) is a missing face
         koszul_to_taylor(sub5, CellChain.from_text("D1*D4*D5"))
+
+
+def test_circle_letters_beyond_the_vertices_are_refused(sub5):
+    """A circle letter above K.m is no cell of Z_K: the staircase and the
+    cycle classes both refuse it as outside Z_K."""
+    for text in ("S9", "S1*S9"):
+        chain = CellChain.from_text(text)
+        assert not chain.supported_in(sub5)
+        with pytest.raises(ZigzagError, match="outside Z_K"):
+            koszul_to_taylor(sub5, chain)
+        with pytest.raises(ValueError, match="outside Z_K"):
+            zk_class(sub5, chain)
 
 
 def test_zigzag_of_bounding_cycle_is_zero(sub5):
@@ -298,27 +344,45 @@ def _ambient_product(rng):
     return SimplicialComplex.from_facets(m, facets), w
 
 
-def _outcome(translate, K, z):
-    """(cycle, trace, trace JSON) of a staircase, or its ZigzagError message."""
+def _outcome(K, z):
+    """(cycle, trace JSON) of the staircase on masks, or its ZigzagError
+    message."""
     try:
-        cycle, trace = translate(K, z)
+        cycle, trace = koszul_to_taylor(K, z)
     except ZigzagError as exc:
         return str(exc)
-    return cycle, trace, json.dumps(trace.to_list())
+    return cycle, json.dumps(trace.to_list())
 
 
-def _horizontal_elements(trace):
-    """The staircase's apply-horizontal elements: vertical cycles whose
-    words are not empty, so a staircase can be started from each."""
-    return [s.element for s in trace.steps if s.kind == "apply-horizontal"]
+def _reference_outcome(K, z):
+    """(cycle, trace JSON) of the labelled staircase, or its ZigzagError
+    message."""
+    try:
+        cycle, steps = reference_koszul_to_taylor(K, z)
+    except ZigzagError as exc:
+        return str(exc)
+    return cycle, json.dumps(reference_trace_list(steps))
+
+
+def _restarts(K, trace, steps):
+    """(cycle, trace JSON) of both staircases restarted from each of their
+    apply-horizontal elements: vertical cycles whose words are not empty."""
+    gens, masks = generator_masks(K)
+    ours = [s for s in trace.steps if s.kind == "apply-horizontal"]
+    theirs = [e for kind, e in steps if kind == "apply-horizontal"]
+    assert len(ours) == len(theirs)
+    for step, e in zip(ours, theirs):
+        assert not _vertical(step.S, step.terms, masks)
+        cycle, restart = _staircase(gens, masks, {step.S: step.terms})
+        yield (cycle, json.dumps(restart.to_list())), _reference_outcome(K, e)
 
 
 def test_staircase_matches_labelled_reference():
     """The staircase on masks against the labelled one (one solve per word):
-    cycle, trace (==) and trace JSON, on 200 seeded ambient products, on
-    BicomplexChain inputs with nonempty words taken from their traces, and
-    on the golden pairs; on the ambient products the labelled staircase
-    with full-slice solves must agree as well."""
+    cycle and trace JSON, on 200 seeded ambient products, on restarts from
+    every apply-horizontal element of their traces, and on the golden pairs;
+    on the ambient products the labelled staircase with full-slice solves
+    must agree as well."""
     rng = random.Random(2024)
     chains = solves = words = 0
     while chains < 200:
@@ -326,12 +390,11 @@ def test_staircase_matches_labelled_reference():
         z = hurewicz_chain(w, K.m)
         cycle, trace = koszul_to_taylor(K, z)
         reference = reference_koszul_to_taylor(K, z)
-        assert (cycle, trace) == reference, (K, w)
-        assert json.dumps(trace.to_list()) == json.dumps(reference[1].to_list())
+        assert (cycle, json.dumps(trace.to_list())) == \
+            (reference[0], json.dumps(reference_trace_list(reference[1]))), (K, w)
         assert reference_koszul_to_taylor(K, z, reference_full_slice_solve) == reference
-        for eta in _horizontal_elements(trace):
-            assert _outcome(koszul_to_taylor, K, eta) == \
-                _outcome(reference_koszul_to_taylor, K, eta)
+        for ours, theirs in _restarts(K, trace, reference[1]):
+            assert ours == theirs
             words += 1
         chains += 1
         solves += len(trace.steps) // 2
@@ -339,7 +402,31 @@ def test_staircase_matches_labelled_reference():
     for K_text, w_text in GOLDEN_PAIRS:
         K, w = parse_complex(K_text), parse_whitehead(w_text)
         z = hurewicz_chain(w, K.m)
-        assert _outcome(koszul_to_taylor, K, z) == _outcome(reference_koszul_to_taylor, K, z)
+        assert _outcome(K, z) == _reference_outcome(K, z)
+
+
+@pytest.mark.parametrize("K_text, w_text, elements", [
+    ("join(bd(simplex(1,2,3,4,5,6,7,8,9)), bd(simplex(1,2)))", "[10,11]",
+     ["D10*D11", "w10.11"]),
+    (None, "[[2,10],11]",
+     ["-D2*S10*D11 - S2*D10*D11", "-S2*w10.11 - S10*w2.11",
+      "-D2*w10.11 - D10*w2.11", "-w2.10*w2.11 - w2.10*w10.11"]),
+])
+def test_trace_writes_two_digit_labels_as_the_reference(K_text, w_text, elements):
+    """Labels above 9 in the trace text: a word name is dotted (`w10.11`)
+    and a cell letter is not (`D10`), also where a step mixes the two; the
+    trace JSON equals the labelled reference's.  Without K_text, K is the
+    canonical bd_Delta(w) on the leaves."""
+    w = parse_whitehead(w_text)
+    if K_text:
+        K = parse_complex(K_text)
+    else:
+        dw = delta_w(w)
+        K = dw.complex.relabelled(dw.vertex_to_leaf(), m=max(w.leaves()))
+    z = hurewicz_chain(w, K.m)
+    outcome = _outcome(K, z)
+    assert [step["element"] for step in json.loads(outcome[1])] == elements
+    assert outcome == _reference_outcome(K, z)
 
 
 def test_staircase_output_check_catches_a_broken_insertion_sign(sub5, monkeypatch):
@@ -356,7 +443,7 @@ def test_staircase_output_check_catches_a_broken_insertion_sign(sub5, monkeypatc
         patch.setattr(zigzag, "insertion_sign", lambda word, b: 1)
         with pytest.raises(ZigzagError, match="input chain is not a cycle"):
             koszul_to_taylor(sub5, z)
-        patch.setattr(zigzag, "_is_vertical_cycle", lambda S, terms, masks: True)
+        patch.setattr(zigzag, "_vertical", lambda S, terms, masks: {})
         with pytest.raises(ZigzagError, match="staircase output is not a Taylor cycle"):
             koszul_to_taylor(sub5, z)
     sign = zigzag.insertion_sign
@@ -405,11 +492,13 @@ def test_per_word_solve_matches_full_slice_on_block_diagonal_systems():
         assert vertical_diff(phi) == eta
 
 
-@pytest.mark.parametrize("solve", [solve_vertical, reference_per_word_solve_vertical])
-def test_vertical_solve_refusals(sub5, solve):
+def test_reference_vertical_solve_refusals(sub5):
+    """The labelled solve refuses what leaves its slice; the staircase on
+    masks holds only slice terms, so of these only the circle-degree and
+    preimage refusals are its own (`test_mask_vertical_solve_refusals`)."""
     def refuses(S, terms, message):
         with pytest.raises(ZigzagError, match=message):
-            solve(sub5, S, B(terms))
+            reference_per_word_solve_vertical(sub5, S, B(terms))
 
     slice_message = "leaves the multidegree slice"
     refuses((1, 2, 3), {((1,), (2, 3), ()): 1, ((1, 2), (3,), ()): 1},
@@ -424,10 +513,20 @@ def test_vertical_solve_refusals(sub5, solve):
     refuses((1, 2, 3), {((3,), (), ((1, 2),)): 1}, slice_message)
     refuses((1, 2, 3), {((2,), (3,), ((1, 4, 5),)): 1}, slice_message)
     refuses((1, 2, 3, 4, 5), {((3,), (), ((2, 4, 5), (1, 4, 5))): 1}, slice_message)
-    # d(D1 S2) = S1 S2 is not zero, so D1 S2 is no cycle and has no
-    # preimage; nor has a disc letter at circle degree 0
     refuses((1, 2), {((1,), (2,), ()): 1}, "no integer vertical preimage")
     refuses((1,), {((1,), (), ()): 1}, "no integer vertical preimage")
+
+
+def test_mask_vertical_solve_refusals(sub5):
+    masks = generator_masks(sub5)[1]
+    with pytest.raises(ZigzagError, match="mixes circle degrees"):
+        _vertical_preimage(0b111, {(0b110, 0): 1, (0b100, 0): 1}, masks)
+    # d(D1 S2) = S1 S2 is not zero, so D1 S2 is no cycle and has no
+    # preimage; nor has a disc letter at circle degree 0
+    with pytest.raises(ZigzagError, match="no integer vertical preimage"):
+        _vertical_preimage(0b11, {(0b10, 0): 1}, masks)
+    with pytest.raises(ZigzagError, match="no integer vertical preimage"):
+        _vertical_preimage(0b1, {(0, 0): 1}, masks)
     with pytest.raises(ZigzagError, match="not a cycle"):
         koszul_to_taylor(sub5, CellChain.from_text("D1*S2"))
 

@@ -12,12 +12,12 @@ without `elapsed_s` (a time) and `inputs` (holds the temporary paths); a
 call that prints no report counts as report null.  Two versions of the
 program that give the same digest gave byte-for-byte the same answers.
 
-tools/report_digests.json holds the digests at seed 1 and --seconds 2, one
-object per workload; to write it again:
+tools/report_digests.json holds the digests at seeds 1 and 7 and
+--seconds 2, one object per workload and seed; to write it again:
 
-    for w in cellular taylor realise; do
-        python3 tools/report_digest.py --workload $w --seed 1 --seconds 2
-    done | python3 -c 'import json, sys; print(json.dumps([json.loads(l) for l in sys.stdin], indent=2))' \
+    for s in 1 7; do for w in cellular taylor realise; do
+        python3 tools/report_digest.py --workload $w --seed $s --seconds 2
+    done; done | python3 -c 'import json, sys; print(json.dumps([json.loads(l) for l in sys.stdin], indent=2))' \
         > tools/report_digests.json
 
 momangle is imported from src/ next to this directory, and the workloads
