@@ -91,7 +91,8 @@ class SimplicialComplex:
     (used by `full_subcomplex`, whose output is re-indexed).
     """
 
-    __slots__ = ("m", "labels", "face_masks", "_facet_masks", "_by_size", "_faces", "_mf")
+    __slots__ = ("m", "labels", "face_masks", "_facet_masks", "_by_size", "_index", "_faces",
+                 "_mf")
 
     def __init__(self, m, faces, labels=None):
         self._adopt(m, _masks_of(m, faces), labels)
@@ -123,7 +124,7 @@ class SimplicialComplex:
             facets = [f for f in facets if f & bit or f | bit not in masks]
         self._facet_masks = tuple(sorted(facets, key=lambda f: (f.bit_count(), mask_face(f))))
         self.labels = tuple(labels) if labels is not None else None
-        self._by_size = self._faces = self._mf = None
+        self._by_size = self._index = self._faces = self._mf = None
         return self
 
     @classmethod
@@ -202,6 +203,13 @@ class SimplicialComplex:
                           if f | b in self.face_masks]
             self._by_size = order
         return self._by_size
+
+    def face_index(self):
+        """The `FaceIndex` of the faces in `_sorted_masks` order, built on the
+        first call; its vertex bitsets are built later still, on first use."""
+        if self._index is None:
+            self._index = FaceIndex(self._sorted_masks(), self.face_masks, self.m)
+        return self._index
 
     def faces_within(self, subset):
         """Faces contained in `subset`, keeping original labels, sorted by
@@ -291,6 +299,47 @@ class SimplicialComplex:
         if max_vertices is not None and m > max_vertices:
             raise SizeLimitError(f"complex has {m} vertices, above the bound {max_vertices}")
         return cls.from_facets(m, facets)
+
+
+_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+class FaceIndex:
+    """A complex's faces in `_sorted_masks` order, `order`, with per-vertex
+    bitsets over them, bit i standing for face order[i]; `every` sets the
+    bit of every face.  `containing()[v - 1]` marks the faces that contain
+    v; the list is built for every vertex at once on the first call.
+    `star(v)` marks the faces f for which f + v is a face, built for v
+    alone on its first call.  A complex whose table visits no nonempty
+    support builds neither.
+
+    Each bitset is one string of binary digits, highest face first, read
+    by `int` and written by C-level maps: linear in the number of faces,
+    with no big-integer shift and no Python step per face.  The
+    `containing` strings are the columns of one table, each face f written
+    as `bin(f | 1 << m)`, read off with a stride of m + 3."""
+
+    __slots__ = ("order", "every", "_is_face", "_m", "_containing", "_star")
+
+    def __init__(self, order, is_face, m):
+        self.order, self.every = order, (1 << len(order)) - 1
+        self._is_face, self._m = is_face, m
+        self._containing, self._star = None, {}
+
+    def containing(self):
+        if self._containing is None:
+            m = self._m
+            # "0b1" and then the digits of bits m - 1 down to 0
+            table = "".join(map(bin, map((1 << m).__or__, reversed(self.order))))
+            self._containing = [int(table[m + 3 - u::m + 3], 2) for u in range(1, m + 1)]
+        return self._containing
+
+    def star(self, v):
+        if (bits := self._star.get(v)) is None:
+            with_v = map((1 << (v - 1)).__or__, reversed(self.order))
+            flags = bytes(map(self._is_face.__contains__, with_v))
+            bits = self._star[v] = int(flags.translate(_BINARY_DIGITS), 2)
+        return bits
 
 
 # -- point / simplex helpers ------------------------------------------------

@@ -19,7 +19,9 @@ Taylor tables feed to `column_homology` with no complex built.  A
 `ChainComplex` labels the same columns with a basis, for cycle classes
 (`insertion_complex`), and `ChainComplex.from_boundary` writes the columns
 of a boundary callable on labels, for simplicial chains, the whole
-complexes and the references.
+complexes and the references.  Homology groups are frozen values, and the
+column rule and `direct_sum` take them from one bounded memo
+(`_shared_group`), so the many small blocks that share a group share it.
 
 Conventions:
   * matrices are sparse maps (row, col) -> nonzero int;
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 
@@ -504,6 +507,14 @@ class HomologyGroup:
 TRIVIAL_GROUP = HomologyGroup(0, ())
 
 
+@lru_cache(maxsize=1024)
+def _shared_group(rank, torsion):
+    """The HomologyGroup(rank, torsion), one shared value per pair while it
+    is among the 1024 most recent: groups are frozen, so the many blocks and
+    degree sums with one group need not each build it afresh."""
+    return HomologyGroup(rank, torsion)
+
+
 def direct_sum(a, b):
     """Direct sum of homology groups, re-normalised to invariant factors: one
     pairwise (gcd, lcm) sweep leaves the torsion's p-adic exponents sorted
@@ -517,7 +528,7 @@ def direct_sum(a, b):
         for j in range(i + 1, len(fs)):
             g = gcd(fs[i], fs[j])
             fs[i], fs[j] = g, fs[i] // g * fs[j]
-    return HomologyGroup(a.rank + b.rank, tuple(f for f in fs if f != 1))
+    return _shared_group(a.rank + b.rank, tuple(f for f in fs if f != 1))
 
 
 @dataclass(frozen=True)
@@ -572,7 +583,7 @@ def _column_groups(dims, columns):
         rank = dims[d] - len(factors.get(d, ())) - len(into)
         torsion = tuple(f for f in into if f > 1)
         if rank or torsion:
-            out[d] = HomologyGroup(rank, torsion)
+            out[d] = _shared_group(rank, torsion)
     return out
 
 

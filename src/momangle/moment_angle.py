@@ -25,8 +25,11 @@ complex is the tests' reference: the table visits only the blocks that can
 carry homology, and a class projects onto the blocks it touches.
 
 Inside S a cell is its circle mask J, and I = S - J; it lies in the star of
-v exactly when I & vb or I | vb is a face (vb the bit of v).  Choosing the
-quotient's basis is the one cellular step (`_star_cells`); its columns are
+v exactly when I + v is a face.  Choosing the quotient's basis is the one
+cellular step (`_star_cells`): it reads K's face index, whose per-vertex
+bitsets over the faces give the faces of K_S, the vertex v and the faces
+off its star in a few integer operations per block, and whose bitsets are
+built only when a nonempty support first asks for them.  Its columns are
 `exactalg.insertion_columns` of the circle masks with S as the bits that
 may enter, the table reads the homology from them (`insertion_table`,
 shared with the Taylor route), and only cycle classes label them, as the
@@ -204,38 +207,42 @@ def lattice_supports(K):
     return sorted(map(mask_face, unions), key=lambda S: (len(S), S))
 
 
-def star_vertex(faces, S):
-    """The vertex v of S whose star in K_S holds the most faces, the least
-    such v on ties; `faces` are the bitmasks of the faces of K_S.  The star
-    pairs each face I without v with I + v, so it has twice as many faces
-    as contain v, and its quotient leaves the fewest cells.  S ascends, so
-    the first greatest count is the least such v."""
-    counts = [len([f for f in faces if f & b]) for b in [1 << (v - 1) for v in S]]
-    return S[counts.index(max(counts))]
+def _star_cells(K, S):
+    """The basis of the block of S modulo the star of one vertex v, as
+    (words, inside) for `insertion_columns`; it reads K's `FaceIndex`.
 
-
-def _star_cells(S, faces, is_face):
-    """The basis of the block of S modulo the star of v = star_vertex, as
-    (words, inside) for `insertion_columns`.
-
-    `faces` are the bitmasks of the faces of K_S in `faces_within`'s order,
-    `is_face` holds the bitmasks of every face of K.  The cell (J, S - J) is
-    its circle mask J; it lies in the star of v exactly when I & vb or
-    I | vb is a face (I = S - J, vb the bit of v), and the quotient keeps
-    the other cells.  Dropping disc letter b is b entering J, and a target
-    in the star is no word, so the builder drops it.  `faces` run by (size,
-    labels), so walked in reverse they give the words by (size, labels) of
-    J.  `inside` is S's mask.  The empty S has no vertex; its block, one
-    cell in degree 0, is returned whole."""
+    `within`, the faces of K_S, are the faces that contain no vertex outside
+    S.  v is the vertex of S in the most of them, the least such v on ties:
+    the star pairs each face I without v with I + v, so it has twice as many
+    faces as contain v, and its quotient leaves the fewest cells.  The cell
+    (J, S - J) is its circle mask J; it lies in the star exactly when I + v
+    is a face (I = S - J), and the quotient keeps the other cells.  Dropping
+    disc letter b is b entering J, and a target in the star is no word, so
+    the builder drops it.  The faces run by (size, labels), so read from the
+    highest bit down they give the words by (size, labels) of J.  `inside`
+    is S's mask.  The empty S has no vertex; its block, one cell in degree
+    0, is returned whole, with no index built."""
     if not S:
         return [0], 0
-    smask = face_mask(S)
-    vb = 1 << (star_vertex(faces, S) - 1)
-    return [smask & ~f for f in reversed(faces) if not (f & vb or f | vb in is_face)], smask
+    smask, index = face_mask(S), K.face_index()
+    containing, within = index.containing(), index.every
+    for i, bits in enumerate(containing):
+        if not smask >> i & 1:
+            within &= ~bits
+    most = -1
+    for u in S:
+        if (count := (within & containing[u - 1]).bit_count()) > most:
+            v, most = u, count
+    order, rest, words = index.order, within & ~index.star(v), []
+    while rest:
+        top = rest.bit_length() - 1
+        words.append(smask & ~order[top])
+        rest ^= 1 << top
+    return words, smask
 
 
 def zk_star_quotient(K, S, built=None):
-    """The block of S modulo the star of v = star_vertex in K_S, as a
+    """The block of S modulo the star of `_star_cells`' vertex v in K_S, as a
     labelled ChainComplex for cycle classes: the cells (S - I, I) with I + v
     no face of K, and `cell_boundary` with every target inside the star
     dropped.  `_star_cells` chooses the circle masks, `insertion_columns`
@@ -251,7 +258,7 @@ def zk_star_quotient(K, S, built=None):
     _require_singletons(K)
     if S and S[-1] > K.m:
         raise ValueError(f"support {S} leaves the vertices 1..{K.m}")
-    words, inside = built or _star_cells(S, K.face_masks_within(S), K.face_masks)
+    words, inside = built or _star_cells(K, S)
     return insertion_complex(words, inside, lambda J: (mask_face(J), mask_face(inside & ~J)),
                              2 * len(S))
 
@@ -336,7 +343,7 @@ def zk_homology_by_support(K, quotients=None):
 
     def blocks():
         for S in lattice_supports(K):
-            words, inside = _star_cells(S, K.face_masks_within(S), K.face_masks)
+            words, inside = _star_cells(K, S)
             if quotients is not None and S in quotients:
                 quotients[S] = words, inside
             yield S, words, inside

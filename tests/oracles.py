@@ -25,7 +25,9 @@ the star quotient on (J, I) labels built through `from_boundary` (the
 reference for the package's quotient built on face masks), the star
 quotient's cells and columns written out cell by cell on disc masks
 (`reference_star_cells`, the reference for the package's circle masks read
-through the one column builder), the whole
+through the one column builder) and its vertex chosen by a list scan of
+the faces of K_S (`reference_star_vertex`, the reference for the package's
+chooser on the face index's bitsets), the whole
 module Taylor complex in a box of multidegrees with its exactness read
 degree by degree (the reference for the package's Lyubeznik check on the
 lcm lattice), the module Taylor differential rebuilt as iterated mapping
@@ -688,6 +690,18 @@ def reference_zk_star_quotient(K, S):
     return ChainComplex.from_boundary(
         cells, lambda cell: {t: c for t, c in reference_cell_boundary(cell).items()
                              if not in_star(t[1])})
+
+
+def reference_star_vertex(faces, S):
+    """The vertex v of S whose star in K_S holds the most faces, the least
+    such v on ties, by one list scan per vertex: the package's chooser
+    before the cellular table read K's face index.  `faces` are the
+    bitmasks of the faces of K_S.  The star pairs each face I without v
+    with I + v, so it has twice as many faces as contain v, and its
+    quotient leaves the fewest cells.  S ascends, so the first greatest
+    count is the least such v."""
+    counts = [len([f for f in faces if f & b]) for b in [1 << (v - 1) for v in S]]
+    return S[counts.index(max(counts))]
 
 
 def reference_star_cells(S, faces, is_face):

@@ -8,7 +8,8 @@ from momangle import moment_angle
 from momangle.exactalg import (ChainComplex, HomologyGroup, IntMatrix, column_homology,
                                direct_sum, insertion_columns, invariant_factors,
                                kernel_basis, smith_normal_form, solve_integer)
-from momangle.moment_angle import lattice_supports, zk_star_quotient
+from momangle.moment_angle import (degree_sums, lattice_supports, zk_homology_by_support,
+                                   zk_star_quotient)
 from oracles import (dense_homology, dense_snf_diagonal, random_complex,
                      reference_direct_sum, reference_snf, reference_star_cells,
                      reference_zk_block, reference_zk_star_quotient)
@@ -289,6 +290,36 @@ def test_direct_sum_against_factorisation():
         assert direct_sum(a, b) == reference_direct_sum(a, b), (a, b)
 
 
+def test_shared_groups_equal_fresh_ones(rp2):
+    """The column rule and `direct_sum` take their groups from one memo:
+    each equals the HomologyGroup built afresh from its rank and torsion,
+    and one (rank, torsion) is one shared value.  The degree sums of the
+    cellular tables and seeded sums with torsion on both sides still match
+    the factorisation reference, and a memo miss still checks the invariant
+    factors."""
+    rng = random.Random(26)
+    torsion = 0
+    for K in [rp2] + [random_complex(rng.randint(3, 7), rng) for _ in range(20)]:
+        per_support = zk_homology_by_support(K)
+        want = {}
+        for (_, d), h in per_support.items():
+            assert h == HomologyGroup(h.rank, h.torsion), (K, d)
+            assert exactalg._shared_group(h.rank, h.torsion) is h, (K, d)
+            want[d] = reference_direct_sum(want[d], h) if d in want else h
+        sums = degree_sums(per_support)
+        assert sums == dict(sorted(want.items())), K
+        assert all(h == HomologyGroup(h.rank, h.torsion) for h in sums.values()), K
+        torsion += any(h.torsion for h in sums.values())
+    assert torsion
+    for _ in range(200):
+        a, b = (HomologyGroup(rng.randint(0, 2), tuple(rng.choice(((2,), (2, 4), (3,), (6, 12)))))
+                for _ in range(2))
+        first = direct_sum(a, b)
+        assert first == reference_direct_sum(a, b) and direct_sum(a, b) is first, (a, b)
+    with pytest.raises(ValueError, match="divide successively"):
+        exactalg._shared_group(0, (3, 2))
+
+
 def test_direct_sum_of_a_large_prime():
     """No trial division: a Mersenne prime's torsion sums at once."""
     p = 2 ** 61 - 1
@@ -387,10 +418,9 @@ def test_column_rule_matches_the_reference_blocks(rp2, sub5):
     torsion = 0
     for K in [rp2, sub5] + [random_complex(rng.randint(3, 6), rng) for _ in range(10)]:
         for S in lattice_supports(K):
-            args = S, K.face_masks_within(S), K.face_masks
-            groups = column_homology(*insertion_columns(*moment_angle._star_cells(*args)))
+            groups = column_homology(*insertion_columns(*moment_angle._star_cells(K, S)))
             got = {2 * len(S) + d: h for d, h in groups.items()}
-            cells, columns = reference_star_cells(*args)
+            cells, columns = reference_star_cells(S, K.face_masks_within(S), K.face_masks)
             assert got == column_homology({d: len(fs) for d, fs in cells.items()}, columns)
             R = reference_zk_star_quotient(K, S)
             assert got == R.homology_all() == dense_groups(R), (K, S)

@@ -26,12 +26,13 @@ from momangle.cli import main
 from momangle import exactalg, moment_angle, taylor
 from momangle.exactalg import ChainComplex, HomologyGroup, insertion_columns, kernel_basis
 from momangle.moment_angle import (CellChain, all_subsets, cell_boundary, cone_free_subsets,
-                                   hochster_table, lattice_supports, star_vertex, support_table, zk_chain_complex,
+                                   hochster_table, lattice_supports, support_table, zk_chain_complex,
                                    zk_class, zk_homology, zk_homology_by_support,
                                    zk_star_quotient)
 from momangle.taylor import taylor_face_complex, taylor_homology_by_support
 from momangle.whitehead import bracket, hurewicz_chain, leaf, parse_whitehead
 from oracles import (brute_cone_point, hochster_embed, random_complex, reference_star_cells,
+                     reference_star_vertex,
                      reference_zk_block, reference_zk_class, reference_zk_homology_by_support,
                      reference_zk_star_quotient)
 
@@ -263,14 +264,15 @@ def test_quotient_keeps_the_block_homology(K):
 
 
 @pytest.mark.parametrize("K", quotient_cases(), ids=lambda K: f"m{K.m}-{len(K.faces)}faces")
-def test_star_vertex_leaves_the_fewest_cells(K):
+def test_star_vertex_leaves_the_fewest_cells(K, monkeypatch):
+    chosen = chosen_vertices(monkeypatch)
     for S in lattice_supports(K)[1:]:
-        masks = K.face_masks_within(S)
-        v = star_vertex(masks, S)
+        v = reference_star_vertex(K.face_masks_within(S), S)
         left = {u: cells_left(K, S, u) for u in S}
         assert v == min(S, key=lambda u: (left[u], u)), S
-        assert all(star_vertex(masks, S) == v for _ in range(3))
+        chosen.clear()
         Q = zk_star_quotient(K, S)
+        assert chosen == [v], S
         assert sum(Q.dim(d) for d in Q.degrees) == left[v]
 
 
@@ -280,7 +282,7 @@ def test_mutated_quotients_are_refused_or_change_a_group(K):
     keeping the star's cells with their boundary dropped adds free groups."""
     for S in lattice_supports(K)[1:]:
         faces = K.faces_within(S)
-        v = star_vertex(K.face_masks_within(S), S)
+        v = reference_star_vertex(K.face_masks_within(S), S)
 
         def in_star(I):
             return tuple(sorted(set(I) | {v})) in K.faces
@@ -359,10 +361,9 @@ def test_star_words_give_the_reference_columns():
     blocks = torsion = 0
     for K in star_word_cases():
         for S in lattice_supports(K):
-            args = S, K.face_masks_within(S), K.face_masks
-            words, inside = moment_angle._star_cells(*args)
+            words, inside = moment_angle._star_cells(K, S)
             dims, columns = insertion_columns(words, inside)
-            cells, ref_columns = reference_star_cells(*args)
+            cells, ref_columns = reference_star_cells(S, K.face_masks_within(S), K.face_masks)
             shift = 2 * len(S)
             assert inside == cx.face_mask(S), (K, S)
             assert {shift + d: n for d, n in dims.items()} == {
@@ -374,6 +375,80 @@ def test_star_words_give_the_reference_columns():
             blocks += 1
         torsion += any(h.torsion for h in zk_homology_by_support(K).values())
     assert blocks > 2000 and torsion >= 5
+
+
+def chosen_vertices(monkeypatch):
+    """The list that records each star vertex `_star_cells` chooses, read by
+    a spy on the face index's star bitsets, one entry per call."""
+    chosen, raw = [], cx.FaceIndex.star
+    monkeypatch.setattr(cx.FaceIndex, "star", lambda index, v: chosen.append(v) or raw(index, v))
+    return chosen
+
+
+def chooser_cases():
+    """The split complexes, the RP^2 cones, 200 seeded random complexes on
+    4 to 9 vertices and two points, whose star vertex is a tie."""
+    rng = random.Random(31)
+    return (complexes() + [rp2_cone(random.Random(s)) for s in (3, 5, 7, 11)]
+            + [random_complex(rng.randint(4, 9), rng) for _ in range(200)]
+            + [cx.SimplicialComplex.from_facets(2, [])])
+
+
+def test_face_index_chooses_the_reference_star_quotient(monkeypatch):
+    """On every nonempty vertex subset S, not only the lattice supports,
+    `_star_cells` reads from K's face index the vertex the list scan
+    chooses (`reference_star_vertex`), the cell-by-cell builder's words
+    (`reference_star_cells`) in its order, and S's mask as `inside`.  The
+    index is kept on K, so each complex's later subsets read the bitsets its
+    earlier ones built."""
+    chosen = chosen_vertices(monkeypatch)
+    ties = 0
+    for K in chooser_cases():
+        for S in all_subsets(K.m):
+            if not S:
+                continue
+            faces = K.face_masks_within(S)
+            v = reference_star_vertex(faces, S)
+            chosen.clear()
+            words, inside = moment_angle._star_cells(K, S)
+            assert chosen == [v], (K, S)
+            cells, _ = reference_star_cells(S, faces, K.face_masks)
+            assert inside == cx.face_mask(S), (K, S)
+            assert words == [inside & ~f for d in sorted(cells, reverse=True)
+                             for f in cells[d]], (K, S)
+            counts = [sum(f >> (u - 1) & 1 for f in faces) for u in S]
+            ties += counts.count(max(counts)) > 1
+    assert chosen == [1] and ties > 100
+
+
+def test_table_builds_the_face_index_lazily(monkeypatch):
+    """The face index is built on the first nonempty support, once per
+    complex, and its vertex bitsets on first use: the 12-vertex simplex,
+    whose only support is the empty set, builds none; bd(simplex(1..16))
+    builds one index, every `containing` bitset and the star of one vertex;
+    8 isolated points visit their 247 nonempty supports through one index,
+    which builds the star of each vertex chosen, every one but 8, the
+    greatest of each support it lies in, so never the least on a tie."""
+    built = []
+
+    class Spied(cx.FaceIndex):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+    monkeypatch.setattr(cx, "FaceIndex", Spied)
+    assert main(["homology", "--complex", "simplex(1,2,3,4,5,6,7,8,9,10,11,12)"]) == 0
+    assert built == []
+    sphere = "bd(simplex(1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16))"
+    assert main(["homology", "--complex", sphere]) == 0
+    [index] = built
+    assert len(index._containing) == 16 and list(index._star) == [1]
+    built.clear()
+    points = cx.SimplicialComplex.from_facets(8, [])
+    assert len(zk_homology_by_support(points)) == 2 ** 8 - 8
+    [index] = built
+    assert len(index._containing) == 8 and sorted(index._star) == list(range(1, 8))
 
 
 def test_verify_checks_the_shared_builder_against_hochster(monkeypatch, tmp_path, capsys):
@@ -479,7 +554,7 @@ def test_cycles_in_the_star_project_to_zero(K):
     v, so their projection is empty; each is still classed in its block."""
     rng = random.Random(len(K.faces))
     for S in lattice_supports(K)[1:]:
-        v = star_vertex(K.face_masks_within(S), S)
+        v = reference_star_vertex(K.face_masks_within(S), S)
         inside = [(tuple(u for u in S if u not in I), I) for I in K.faces_within(S) if v in I]
         Q = zk_star_quotient(K, S)
         for cell in rng.sample(inside, min(3, len(inside))):
@@ -503,6 +578,6 @@ def test_class_refuses_cells_outside_zk():
 def test_class_refuses_non_cycles(two_points, text):
     """D1*S2 lies in the star of vertex 1, so its projection is empty; it is
     refused all the same."""
-    assert star_vertex(two_points.face_masks_within((1, 2)), (1, 2)) == 1
+    assert reference_star_vertex(two_points.face_masks_within((1, 2)), (1, 2)) == 1
     with pytest.raises(ValueError, match="not a cycle"):
         zk_class(two_points, CellChain.from_text(text))

@@ -515,8 +515,8 @@ def test_classes_build_only_star_quotients(monkeypatch):
     built = []
     raw = moment_angle._star_cells
 
-    def spy(S, faces, is_face):
-        words, inside = raw(S, faces, is_face)
+    def spy(K, S):
+        words, inside = raw(K, S)
         built.append(len(words))
         return words, inside
     monkeypatch.setattr(moment_angle, "_star_cells", spy)
@@ -555,7 +555,7 @@ def test_wedge_basis_labels_the_tables_own_quotients(monkeypatch, capsys):
             "--order", "1,2,3,4,5,6,7"]
     raw_cells, raw_table = ma._star_cells, wh.zk_homology_by_support
     calls = []
-    monkeypatch.setattr(ma, "_star_cells", lambda *a: calls.append(a[0]) or raw_cells(*a))
+    monkeypatch.setattr(ma, "_star_cells", lambda K, S: calls.append(S) or raw_cells(K, S))
     assert main(argv) == 0
     shared = json.loads(capsys.readouterr().out)
     assert len(calls) == len(set(calls)) == 30
