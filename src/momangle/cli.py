@@ -16,7 +16,8 @@ import json
 import sys
 import time
 from functools import lru_cache
-from math import comb
+from json.encoder import encode_basestring_ascii as _quote
+from math import comb, inf
 
 from . import __version__
 from . import complexes as cx
@@ -248,6 +249,68 @@ def render_text(out, indent=0):
     return "\n".join(lines)
 
 
+def _float_text(x):
+    """A float as `json.dumps` writes it, NaN and the infinities included."""
+    if x != x:
+        return "NaN"
+    if x == inf:
+        return "Infinity"
+    if x == -inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key):
+    """A dict key as `json.dumps` quotes it: a str as it is, a float, bool,
+    None or int by its JSON text; any other key is refused, as there."""
+    if isinstance(key, str):
+        return _quote(key)
+    if isinstance(key, float):
+        return _quote(_float_text(key))
+    if key is True or key is False or key is None:
+        return _quote(_scalar_text(key))
+    if isinstance(key, int):
+        return _quote(int.__repr__(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _scalar_text(value):
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def report_json(value, newline="\n"):
+    """`json.dumps(value, indent=2)`, byte for byte.  The standard encoder
+    runs in pure Python, one generator per container, whenever it indents;
+    this walk joins each container's items at once and quotes strings with
+    the C-level `encode_basestring_ascii`."""
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return ("[" + inner + ("," + inner).join([report_json(v, inner) for v in value])
+                + newline + "]")
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        return ("{" + inner + ("," + inner).join([_key_text(k) + ": " + report_json(v, inner)
+                                                  for k, v in value.items()])
+                + newline + "}")
+    return _scalar_text(value)
+
+
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
@@ -287,7 +350,7 @@ def main(argv=None):
         except cx.SizeLimitError:
             pass
     if args.format == "json":
-        print(json.dumps(out, indent=2, sort_keys=False))
+        print(report_json(out))
     else:
         print(render_text(out))
     return code

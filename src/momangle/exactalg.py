@@ -7,19 +7,22 @@ floating-point shortcuts anywhere; torsion correctness depends on it.
 
 A chain complex has one shape: the nonzero columns of its differentials,
 {d: {col: [(row, value), ...]}}, over the ranks of its chain groups.
-Homology has one rule on that shape, `column_homology`: it checks d^2 = 0
-on the columns and reduces only the differentials that have entries.
+Homology has one rule on that shape, `column_homology`: a complex with no
+column is its ranks; otherwise it checks d^2 = 0 on the columns and
+reduces only the differentials that have entries, a one-column one by the
+gcd of its entries and only the wider ones by the Smith normal form.
 
 Every complex kept on bitmasks (the cellular star quotients, the Taylor
 blocks, Lyubeznik's slices and the staircase's Koszul blocks) is exterior:
 its differential lets one bit b enter a word x as x | b, with the sign
 (-1)^popcount(x & (b - 1)) of the set bits below b (`insertion_sign`).
 Its columns have one builder, `insertion_columns`, which the cellular and
-Taylor tables feed to `column_homology` with no complex built.  A
-`ChainComplex` labels the same columns with a basis, for cycle classes
-(`insertion_complex`), and `ChainComplex.from_boundary` writes the columns
-of a boundary callable on labels, for simplicial chains, the whole
-complexes and the references.  Homology groups are frozen values, and the
+Taylor tables feed to `column_homology` with no complex built.  An
+insertion adds one bit, so a block with no two adjacent degrees occupied
+needs no columns, and the builder makes none.  A `ChainComplex` labels the
+same columns with a basis, for cycle classes (`insertion_complex`), and
+`ChainComplex.from_boundary` writes the columns of a boundary callable on
+labels, for simplicial chains, the whole complexes and the references.  Homology groups are frozen values, and the
 column rule and `direct_sum` take them from one bounded memo
 (`_shared_group`), so the many small blocks that share a group share it.
 
@@ -518,11 +521,14 @@ def _shared_group(rank, torsion):
 def direct_sum(a, b):
     """Direct sum of homology groups, re-normalised to invariant factors: one
     pairwise (gcd, lcm) sweep leaves the torsion's p-adic exponents sorted
-    ascending for every prime p at once, so each entry divides the next."""
+    ascending for every prime p at once, so each entry divides the next.
+    Two torsion-free groups sum their ranks, with no sweep."""
     if a is None:
         return b
     if b is None:
         return a
+    if not (a.torsion or b.torsion):
+        return _shared_group(a.rank + b.rank, ())
     fs = [*a.torsion, *b.torsion]
     for i in range(len(fs)):
         for j in range(i + 1, len(fs)):
@@ -571,11 +577,22 @@ def _column_matrix(rows, cols, columns):
                                          for i, v in column if v})
 
 
+def _factors(rows, cols, columns):
+    """The nonzero invariant factors of the differential with the nonzero
+    columns `columns`: one column has a single one, the gcd of its entries;
+    only two or more columns reach `invariant_factors`, and so the SNF."""
+    if len(columns) == 1:
+        (column,) = columns.values()
+        g = gcd(*(v for _, v in column))
+        return [g] if g else []
+    return invariant_factors(_column_matrix(rows, cols, columns))
+
+
 def _column_groups(dims, columns):
     """{d: H_d}, nontrivial groups only, from the ranks `dims` and the
     differentials' nonzero columns; only the differentials with entries
-    reach `invariant_factors`."""
-    factors = {d: invariant_factors(_column_matrix(dims.get(d - 1, 0), dims.get(d, 0), cols))
+    have invariant factors to find (`_factors`)."""
+    factors = {d: _factors(dims.get(d - 1, 0), dims.get(d, 0), cols)
                for d, cols in columns.items() if cols}
     out = {}
     for d in sorted(dims):
@@ -592,10 +609,13 @@ def column_homology(dims, columns):
     differential out of degree d has the nonzero columns columns[d],
     {col: [(row, value), ...]}; {d: group}, nontrivial groups only.
 
-    The one homology rule: d^2 = 0 is checked on the columns
+    The one homology rule: a complex with no column is its ranks, in
+    ascending degree.  Otherwise d^2 = 0 is checked on the columns
     (`check_columns`), then H_d has rank dims[d] less the ranks of the
     differentials out of and into degree d, and the torsion of the one into
     it.  No labelled complex is needed."""
+    if not any(columns.values()):
+        return {d: _shared_group(n, ()) for d, n in sorted(dims.items()) if n}
     check_columns(columns)
     return _column_groups(dims, columns)
 
@@ -612,12 +632,20 @@ def insertion_columns(words, inside):
     of the bits that may enter a word.  The word x sits in degree
     -popcount(x); each bit b of inside & ~x enters it as x | b with
     `insertion_sign`, and a target that is not one of `words` is dropped.
-    The columns list their rows by ascending b."""
-    index, dims = {}, {}
+    The columns list their rows by ascending b.  An insertion adds one bit,
+    so when no occupied degree d has d - 1 occupied as well no target can
+    be a word: the complex has no columns, and no index or scan is made."""
+    dims = {}
     for word in words:
         d = -word.bit_count()
-        index[word] = dims.get(d, 0)
-        dims[d] = index[word] + 1
+        dims[d] = dims.get(d, 0) + 1
+    if not any(d - 1 in dims for d in dims):
+        return dims, {}
+    index, seen = {}, {}
+    for word in words:
+        d = -word.bit_count()
+        index[word] = seen.get(d, 0)
+        seen[d] = index[word] + 1
     columns = {}
     for word, j in index.items():
         column = []

@@ -198,23 +198,31 @@ def mask_lattice(masks):
     return unions
 
 
+def _lattice(K):
+    """(S, mask) of the empty set and every union of missing faces of K, in
+    `lattice_supports`' order: each union is written as a tuple once."""
+    unions = mask_lattice(face_mask(f) for f in K.missing_faces())
+    return sorted(((mask_face(u), u) for u in unions), key=lambda p: (len(p[0]), p[0]))
+
+
 def lattice_supports(K):
     """The empty set and every union of missing faces of K, by size and then
     lexicographically.  A vertex of S lies in no missing face inside S
     exactly when it is a cone point of K_S, so these are the empty set and
     the supports S with no cone point: every other block is acyclic."""
-    unions = mask_lattice(face_mask(f) for f in K.missing_faces())
-    return sorted(map(mask_face, unions), key=lambda S: (len(S), S))
+    return [S for S, _ in _lattice(K)]
 
 
-def _star_cells(K, S):
-    """The basis of the block of S modulo the star of one vertex v, as
-    (words, inside) for `insertion_columns`; it reads K's `FaceIndex`.
+def _star_cells(K, S, smask):
+    """The basis of the block of S, whose bitmask is `smask`, modulo the
+    star of one vertex v, as (words, inside) for `insertion_columns`; it
+    reads K's `FaceIndex`.
 
     `within`, the faces of K_S, are the faces that contain no vertex outside
-    S.  v is the vertex of S in the most of them, the least such v on ties:
-    the star pairs each face I without v with I + v, so it has twice as many
-    faces as contain v, and its quotient leaves the fewest cells.  The cell
+    S, so only the vertices outside S are read.  v is the vertex of S in the
+    most of them, the least such v on ties: the star pairs each face I
+    without v with I + v, so it has twice as many faces as contain v, and
+    its quotient leaves the fewest cells.  The cell
     (J, S - J) is its circle mask J; it lies in the star exactly when I + v
     is a face (I = S - J), and the quotient keeps the other cells.  Dropping
     disc letter b is b entering J, and a target in the star is no word, so
@@ -222,13 +230,15 @@ def _star_cells(K, S):
     highest bit down they give the words by (size, labels) of J.  `inside`
     is S's mask.  The empty S has no vertex; its block, one cell in degree
     0, is returned whole, with no index built."""
-    if not S:
+    if not smask:
         return [0], 0
-    smask, index = face_mask(S), K.face_index()
+    index = K.face_index()
     containing, within = index.containing(), index.every
-    for i, bits in enumerate(containing):
-        if not smask >> i & 1:
-            within &= ~bits
+    outside = ((1 << K.m) - 1) & ~smask
+    while outside:
+        low = outside & -outside
+        within &= ~containing[low.bit_length() - 1]
+        outside ^= low
     most = -1
     for u in S:
         if (count := (within & containing[u - 1]).bit_count()) > most:
@@ -258,7 +268,7 @@ def zk_star_quotient(K, S, built=None):
     _require_singletons(K)
     if S and S[-1] > K.m:
         raise ValueError(f"support {S} leaves the vertices 1..{K.m}")
-    words, inside = built or _star_cells(K, S)
+    words, inside = built or _star_cells(K, S, face_mask(S))
     return insertion_complex(words, inside, lambda J: (mask_face(J), mask_face(inside & ~J)),
                              2 * len(S))
 
@@ -342,8 +352,8 @@ def zk_homology_by_support(K, quotients=None):
     _require_singletons(K)
 
     def blocks():
-        for S in lattice_supports(K):
-            words, inside = _star_cells(K, S)
+        for S, smask in _lattice(K):
+            words, inside = _star_cells(K, S, smask)
             if quotients is not None and S in quotients:
                 quotients[S] = words, inside
             yield S, words, inside

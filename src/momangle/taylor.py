@@ -57,6 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate, combinations
+from operator import or_
 
 from .complexes import (SignedSum, SimplicialComplex, SizeLimitError, _is_canonical, face,
                         face_mask, mask_face, read_signed_sum, read_text, read_word,
@@ -335,10 +336,20 @@ def _blocks(masks):
     """(S, words, inside) of every block of admissible words, on index
     bitmasks: `admissible_words`' unions in their order, each with its words
     in basis order and the bitmask of the generators inside it, the bits
-    that `insertion_columns` lets enter a word."""
+    that `insertion_columns` lets enter a word.  A generator is inside the
+    union when it holds no vertex outside it, so `inside` is every
+    generator less those at the vertices outside the union, read from one
+    bitset of generators per vertex."""
+    top, every = reduce(or_, masks, 0), (1 << len(masks)) - 1
+    at_vertex = [sum(1 << q for q, mask in enumerate(masks) if mask >> i & 1)
+                 for i in range(top.bit_length())]
     for union, words in admissible_words(masks).items():
-        yield (mask_face(union), words,
-               sum(1 << q for q, mask in enumerate(masks) if not mask & ~union))
+        inside, outside = every, top & ~union
+        while outside:
+            low = outside & -outside
+            inside &= ~at_vertex[low.bit_length() - 1]
+            outside ^= low
+        yield mask_face(union), words, inside
 
 
 def taylor_homology_by_support(K):

@@ -27,7 +27,12 @@ quotient's cells and columns written out cell by cell on disc masks
 (`reference_star_cells`, the reference for the package's circle masks read
 through the one column builder) and its vertex chosen by a list scan of
 the faces of K_S (`reference_star_vertex`, the reference for the package's
-chooser on the face index's bitsets), the whole
+chooser on the face index's bitsets), the columns of an exterior complex
+with every word indexed and every bit tried (`reference_insertion_columns`)
+and their groups with every differential through the full-scan Smith
+normal form (`reference_column_groups`), the references for the package's
+builder that skips single-degree blocks and its rule that reads a
+one-column differential's gcd, the whole
 module Taylor complex in a box of multidegrees with its exactness read
 degree by degree (the reference for the package's Lyubeznik check on the
 lcm lattice), the module Taylor differential rebuilt as iterated mapping
@@ -314,6 +319,50 @@ def reference_snf(A, transforms=True):
     least (|v|, row, col) found by scanning the whole remaining matrix, and
     every pivot is checked against every remaining entry for divisibility."""
     return _ReferenceSnfWorker(A, transforms).result()
+
+
+def reference_insertion_columns(words, inside):
+    """(dims, columns) of an exterior complex on bitmasks, every word indexed
+    and every bit of inside & ~x tried for every word x: the package's
+    column builder before it skipped the complexes whose occupied degrees
+    are never adjacent.  The word x sits in degree -popcount(x); bit b
+    enters it as x | b with sign (-1)^popcount(x & (b - 1)), a target that
+    is not a word is dropped, and the rows run by ascending b."""
+    index, dims = {}, {}
+    for word in words:
+        d = -word.bit_count()
+        index[word] = dims.get(d, 0)
+        dims[d] = index[word] + 1
+    columns = {}
+    for word, j in index.items():
+        column = []
+        for k in range(inside.bit_length()):
+            b = 1 << k
+            if inside & b and not word & b and (i := index.get(word | b)) is not None:
+                column.append((i, -1 if (word & (b - 1)).bit_count() & 1 else 1))
+        if column:
+            columns.setdefault(-word.bit_count(), {})[j] = column
+    return dims, columns
+
+
+def reference_column_groups(dims, columns):
+    """{d: H_d}, nontrivial only, from the ranks `dims` and the nonzero
+    columns of the differentials: every differential with an entry goes
+    through the full-scan Smith normal form (`reference_snf`), one column or
+    many, and the groups are built afresh, in ascending degree."""
+    factors = {}
+    for d, cols in columns.items():
+        A = IntMatrix(dims.get(d - 1, 0), dims.get(d, 0),
+                      {(i, j): v for j, column in cols.items() for i, v in column})
+        factors[d] = [f for f in reference_snf(A, transforms=False).diag if f]
+    out = {}
+    for d in sorted(dims):
+        into = factors.get(d + 1, ())
+        rank = dims[d] - len(factors.get(d, ())) - len(into)
+        torsion = tuple(f for f in into if f > 1)
+        if rank or torsion:
+            out[d] = HomologyGroup(rank, torsion)
+    return out
 
 
 def _reference_gen_key(f):

@@ -5,11 +5,12 @@ from collections import Counter
 
 import pytest
 
-from momangle.cli import build_parser, main
+from momangle.cli import build_parser, main, report_json
 from momangle.complexes import SimplicialComplex
 from momangle.whitehead import delta_w, parse_whitehead
 from conftest import SUB5_EXPR
 from oracles import random_complex
+from test_golden import CASES as GOLDEN_CASES
 
 
 def run_cli(capsys, *args):
@@ -443,3 +444,51 @@ def test_parser_reused_across_calls(capsys):
     assert build_parser.cache_info().misses == 1
     assert reused == fresh
     assert [code for code, _, _ in reused] == [1, 0, 1, 1, 0]
+
+
+def random_json_value(rng, depth=0):
+    """A seeded value of every kind `json.dumps` writes: strings with
+    escapes and non-ASCII letters, ints, floats with NaN and the
+    infinities, bools, None, empty and nested lists, tuples and dicts, and
+    dict keys of every admitted type."""
+    kind = rng.random()
+    if depth > 3 or kind < 0.4:
+        return rng.choice([None, True, False, 0, -5, 2 ** 70, 1.5, -0.0, 1e300, 3.14,
+                           float("nan"), float("inf"), float("-inf"),
+                           "", "S1*D2", 'a"b\\c\n\t\u00e9\u2603\U0001f600'])
+    if kind < 0.6:
+        return [random_json_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    if kind < 0.7:
+        return tuple(random_json_value(rng, depth + 1) for _ in range(rng.randint(0, 3)))
+    keys = ["k", "\u00e9", 1, -3, 2.5, float("inf"), True, False, None]
+    return {rng.choice(keys): random_json_value(rng, depth + 1) for _ in range(rng.randint(0, 4))}
+
+
+def test_report_writer_is_json_dumps_byte_for_byte():
+    """`report_json` writes what `json.dumps(value, indent=2)` writes, on
+    seeded values with non-str keys, floats and empty containers, and
+    refuses what it refuses."""
+    rng = random.Random(51)
+    for _ in range(3000):
+        value = random_json_value(rng)
+        assert report_json(value) == json.dumps(value, indent=2), value
+    for bad in ({(1, 2): 1}, [object()], {"a": {1, 2}}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2)
+        with pytest.raises(TypeError):
+            report_json(bad)
+
+
+def test_reports_are_indented_json(capsys):
+    """Every golden JSON report is printed as `json.dumps(report, indent=2)`
+    prints it; a call refused before its report prints none."""
+    count = 0
+    for argv in GOLDEN_CASES:
+        if "--format" in argv:
+            continue
+        main(list(argv))
+        if not (out := capsys.readouterr().out):
+            continue
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+        count += 1
+    assert count > 30

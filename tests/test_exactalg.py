@@ -11,7 +11,8 @@ from momangle.exactalg import (ChainComplex, HomologyGroup, IntMatrix, column_ho
 from momangle.moment_angle import (degree_sums, lattice_supports, zk_homology_by_support,
                                    zk_star_quotient)
 from oracles import (dense_homology, dense_snf_diagonal, random_complex,
-                     reference_direct_sum, reference_snf, reference_star_cells,
+                     reference_column_groups, reference_direct_sum, reference_snf,
+                     reference_star_cells,
                      reference_zk_block, reference_zk_star_quotient)
 
 
@@ -294,9 +295,9 @@ def test_shared_groups_equal_fresh_ones(rp2):
     """The column rule and `direct_sum` take their groups from one memo:
     each equals the HomologyGroup built afresh from its rank and torsion,
     and one (rank, torsion) is one shared value.  The degree sums of the
-    cellular tables and seeded sums with torsion on both sides still match
-    the factorisation reference, and a memo miss still checks the invariant
-    factors."""
+    cellular tables and seeded sums, torsion-free or with torsion on either
+    side, still match the factorisation reference, and a memo miss still
+    checks the invariant factors."""
     rng = random.Random(26)
     torsion = 0
     for K in [rp2] + [random_complex(rng.randint(3, 7), rng) for _ in range(20)]:
@@ -312,12 +313,37 @@ def test_shared_groups_equal_fresh_ones(rp2):
         torsion += any(h.torsion for h in sums.values())
     assert torsion
     for _ in range(200):
-        a, b = (HomologyGroup(rng.randint(0, 2), tuple(rng.choice(((2,), (2, 4), (3,), (6, 12)))))
+        a, b = (HomologyGroup(rng.randint(0, 2), rng.choice(((), (2,), (2, 4), (3,), (6, 12))))
                 for _ in range(2))
         first = direct_sum(a, b)
         assert first == reference_direct_sum(a, b) and direct_sum(a, b) is first, (a, b)
     with pytest.raises(ValueError, match="divide successively"):
         exactalg._shared_group(0, (3, 2))
+
+
+def test_one_column_gcd_is_the_invariant_factor():
+    """A differential with one nonzero column has one invariant factor, the
+    gcd of the column's entries (none when they are all zero), as the Smith
+    normal form finds: on seeded columns with zeros, negatives and
+    non-units, directly and through the column rule."""
+    assert exactalg._factors(3, 1, {0: [(0, 2), (1, 4), (2, -6)]}) == [2]
+    assert exactalg._factors(2, 1, {0: [(0, -4), (1, 6)]}) == [2]
+    assert exactalg._factors(2, 1, {0: [(0, 0), (1, 0)]}) == []
+    rng = random.Random(28)
+    values = (0, 0, 1, -1, 2, -2, 3, 4, -4, 6, -6, 9, 12, -15, 2 ** 61 - 1)
+    torsion = 0
+    for _ in range(1000):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 4)
+        j = rng.randrange(cols)
+        column = [(i, rng.choice(values)) for i in sorted(rng.sample(range(rows), rng.randint(1, rows)))]
+        A = IntMatrix(rows, cols, {(i, j): v for i, v in column})
+        got = exactalg._factors(rows, cols, {j: column})
+        assert got == invariant_factors(A) == [
+            f for f in reference_snf(A, transforms=False).diag if f], column
+        dims, columns = {0: rows, 1: cols}, {1: {j: column}}
+        assert column_homology(dims, columns) == reference_column_groups(dims, columns), column
+        torsion += got not in ([], [1])
+    assert torsion > 300
 
 
 def test_direct_sum_of_a_large_prime():
@@ -418,7 +444,7 @@ def test_column_rule_matches_the_reference_blocks(rp2, sub5):
     torsion = 0
     for K in [rp2, sub5] + [random_complex(rng.randint(3, 6), rng) for _ in range(10)]:
         for S in lattice_supports(K):
-            groups = column_homology(*insertion_columns(*moment_angle._star_cells(K, S)))
+            groups = column_homology(*insertion_columns(*moment_angle._star_cells(K, S, cx.face_mask(S))))
             got = {2 * len(S) + d: h for d, h in groups.items()}
             cells, columns = reference_star_cells(S, K.face_masks_within(S), K.face_masks)
             assert got == column_homology({d: len(fs) for d, fs in cells.items()}, columns)

@@ -24,15 +24,16 @@ import pytest
 from momangle import complexes as cx
 from momangle.cli import main
 from momangle import exactalg, moment_angle, taylor
-from momangle.exactalg import ChainComplex, HomologyGroup, insertion_columns, kernel_basis
+from momangle.exactalg import (ChainComplex, HomologyGroup, column_homology, insertion_columns,
+                               kernel_basis)
 from momangle.moment_angle import (CellChain, all_subsets, cell_boundary, cone_free_subsets,
                                    hochster_table, lattice_supports, support_table, zk_chain_complex,
                                    zk_class, zk_homology, zk_homology_by_support,
                                    zk_star_quotient)
 from momangle.taylor import taylor_face_complex, taylor_homology_by_support
 from momangle.whitehead import bracket, hurewicz_chain, leaf, parse_whitehead
-from oracles import (brute_cone_point, hochster_embed, random_complex, reference_star_cells,
-                     reference_star_vertex,
+from oracles import (brute_cone_point, hochster_embed, random_complex, reference_column_groups,
+                     reference_insertion_columns, reference_star_cells, reference_star_vertex,
                      reference_zk_block, reference_zk_class, reference_zk_homology_by_support,
                      reference_zk_star_quotient)
 
@@ -361,7 +362,7 @@ def test_star_words_give_the_reference_columns():
     blocks = torsion = 0
     for K in star_word_cases():
         for S in lattice_supports(K):
-            words, inside = moment_angle._star_cells(K, S)
+            words, inside = moment_angle._star_cells(K, S, cx.face_mask(S))
             dims, columns = insertion_columns(words, inside)
             cells, ref_columns = reference_star_cells(S, K.face_masks_within(S), K.face_masks)
             shift = 2 * len(S)
@@ -410,7 +411,7 @@ def test_face_index_chooses_the_reference_star_quotient(monkeypatch):
             faces = K.face_masks_within(S)
             v = reference_star_vertex(faces, S)
             chosen.clear()
-            words, inside = moment_angle._star_cells(K, S)
+            words, inside = moment_angle._star_cells(K, S, cx.face_mask(S))
             assert chosen == [v], (K, S)
             cells, _ = reference_star_cells(S, faces, K.face_masks)
             assert inside == cx.face_mask(S), (K, S)
@@ -419,6 +420,62 @@ def test_face_index_chooses_the_reference_star_quotient(monkeypatch):
             counts = [sum(f >> (u - 1) & 1 for f in faces) for u in S]
             ties += counts.count(max(counts)) > 1
     assert chosen == [1] and ties > 100
+
+
+def test_column_rule_matches_the_references_on_every_block():
+    """On every cellular block (the lattice supports' star quotients) and
+    every Taylor block of the chooser's complexes (those with at most 12
+    missing faces), `insertion_columns` gives the ranks and columns of the
+    builder that indexes every word (`reference_insertion_columns`), none at
+    all when no two occupied degrees are adjacent, and `column_homology`
+    gives the groups of the rule that sends every differential through the
+    Smith normal form (`reference_column_groups`), in ascending degree."""
+    seen = {"no column": 0, "one column": 0, "more columns": 0, "torsion": 0}
+    for K in chooser_cases():
+        blocks = [(S, *moment_angle._star_cells(K, S, cx.face_mask(S)))
+                  for S in lattice_supports(K)]
+        if len(K.missing_faces()) <= 12:
+            blocks += taylor._blocks(taylor.generator_masks(K)[1])
+        for S, words, inside in blocks:
+            dims, columns = insertion_columns(words, inside)
+            assert (dims, columns) == reference_insertion_columns(words, inside), (K, S)
+            got = column_homology(dims, columns)
+            assert list(got.items()) == list(reference_column_groups(dims, columns).items()), (K, S)
+            widths = [len(cols) for cols in columns.values()]
+            seen["no column"] += not widths
+            seen["one column"] += widths.count(1)
+            seen["more columns"] += sum(n > 1 for n in widths)
+            seen["torsion"] += any(h.torsion for h in got.values())
+    assert seen["no column"] > 5000 and seen["one column"] > 300, seen
+    assert seen["more columns"] > 100 and seen["torsion"] >= 5, seen
+
+
+def test_single_degree_blocks_reach_no_check_and_no_snf(monkeypatch, tmp_path, capsys):
+    """`homology` on 8 isolated points visits 247 nonempty supports, each a
+    star quotient in one degree, and none of them reaches `check_columns`
+    or `smith_normal_form`; the report is still the Hochster table's.  On
+    RP^2 the block with Z/2 still goes through the Smith normal form."""
+    points = cx.SimplicialComplex.from_facets(8, [])
+    assert len(lattice_supports(points)) == 1 + 247
+    want = {str(d): {"rank": h.rank, "torsion": list(h.torsion)}
+            for d, h in hochster_table(points)[1].items()}
+    path = tmp_path / "points8.json"
+    path.write_text(json.dumps({"m": 8, "facets": []}))
+    checked, diagonals = [], []
+    real_check, real_snf = exactalg.check_columns, exactalg.smith_normal_form
+
+    def snf(A, transforms=True):
+        form = real_snf(A, transforms)
+        diagonals.append(form.diag)
+        return form
+    monkeypatch.setattr(exactalg, "check_columns", lambda cols: checked.append(cols) or real_check(cols))
+    monkeypatch.setattr(exactalg, "smith_normal_form", snf)
+    assert main(["homology", "--complex", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["homology"] == want
+    assert checked == [] and diagonals == []
+    table = zk_homology_by_support(rp2_complex())
+    assert table[(tuple(range(1, 7)), 8)] == HomologyGroup(0, (2,))
+    assert checked and any(2 in diag for diag in diagonals)
 
 
 def test_table_builds_the_face_index_lazily(monkeypatch):

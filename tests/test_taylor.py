@@ -188,6 +188,29 @@ def test_boundary_and_blocks_match_sorting_reference():
                 assert mine == whole, (K, S, d)
 
 
+def test_block_inside_is_the_generators_inside_the_union():
+    """Each Taylor block's `inside`, read from the per-vertex generator
+    bitsets of the vertices outside its union, is exactly the set of
+    generators whose vertices all lie in the union, the scan of every
+    generator it replaced.  A wider `inside` would give the same columns,
+    since a generator with a vertex outside the union takes a word out of
+    the block, so the columns cannot show it."""
+    rng = random.Random(27)
+    blocks = wider = 0
+    for _ in range(60):
+        K = random_complex(rng.randint(3, 9), rng)
+        if len(K.missing_faces()) > 14:
+            continue
+        _, masks = ty.generator_masks(K)
+        for S, words, inside in ty._blocks(masks):
+            union = face_mask(S)
+            assert inside == sum(1 << q for q, mask in enumerate(masks)
+                                 if not mask & ~union), (K, S)
+            blocks += 1
+            wider += inside != (1 << len(masks)) - 1
+    assert blocks > 300 and wider > 100
+
+
 def test_mask_column_with_a_flipped_sign_is_refused(monkeypatch):
     """The table and the labelled blocks check d^2 = 0 on the same columns:
     one sign flipped in the column of w123^w456, the one word of degree -2

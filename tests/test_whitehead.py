@@ -515,8 +515,8 @@ def test_classes_build_only_star_quotients(monkeypatch):
     built = []
     raw = moment_angle._star_cells
 
-    def spy(K, S):
-        words, inside = raw(K, S)
+    def spy(K, S, smask):
+        words, inside = raw(K, S, smask)
         built.append(len(words))
         return words, inside
     monkeypatch.setattr(moment_angle, "_star_cells", spy)
@@ -555,7 +555,8 @@ def test_wedge_basis_labels_the_tables_own_quotients(monkeypatch, capsys):
             "--order", "1,2,3,4,5,6,7"]
     raw_cells, raw_table = ma._star_cells, wh.zk_homology_by_support
     calls = []
-    monkeypatch.setattr(ma, "_star_cells", lambda K, S: calls.append(S) or raw_cells(K, S))
+    monkeypatch.setattr(ma, "_star_cells",
+                        lambda K, S, smask: calls.append(S) or raw_cells(K, S, smask))
     assert main(argv) == 0
     shared = json.loads(capsys.readouterr().out)
     assert len(calls) == len(set(calls)) == 30
