@@ -7,6 +7,15 @@ the missing-face generator order so Taylor output is reproducible.
 
 Exit codes: 0 success, 1 parse/validation error, 2 size refusal,
 3 verification failure.
+
+Many calls in one process (a notebook, a test run, a driver calling `main`
+in a loop) build each input once.  The complex is memoised on the text of
+its builder expression or JSON file, with `--max-vertices` (`_load`: a file
+is read on every call, so an edited file gives its new complex), the
+bracket on its text (`whitehead.parse_whitehead`), the canonical chain per
+bracket and its class per (K, w) (`whitehead`), and the missing-face lattice
+per K (`moment_angle._lattice`).  Every memo is bounded, and none holds an
+exception: a refusal or a parse error is raised again on the next call.
 """
 
 from __future__ import annotations
@@ -40,13 +49,23 @@ def load_complex(source, max_vertices):
     """K from a builder expression or a .json file, refused above
     `max_vertices` before it is built."""
     if not source.endswith(".json"):
-        return cx.parse_complex(source, max_vertices=max_vertices)
+        return _load(source, max_vertices, False)
     try:
         with open(source) as fh:
-            data = json.load(fh)
-        return cx.SimplicialComplex.from_json_dict(data, max_vertices)
+            text = fh.read()
+        return _load(text, max_vertices, True)
     except (OSError, KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"cannot load a complex from {source}: {exc!r}") from exc
+
+
+@lru_cache(maxsize=8)
+def _load(text, max_vertices, is_json):
+    """The complex of a builder expression, or of a JSON file's text, one
+    per (text, max_vertices) in a process: K is immutable, and the verbs on
+    one complex share its missing faces and face index."""
+    if is_json:
+        return cx.SimplicialComplex.from_json_dict(json.loads(text), max_vertices)
+    return cx.parse_complex(text, max_vertices=max_vertices)
 
 
 def group_json(h):

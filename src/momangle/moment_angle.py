@@ -198,11 +198,14 @@ def mask_lattice(masks):
     return unions
 
 
+@lru_cache(maxsize=8)
 def _lattice(K):
     """(S, mask) of the empty set and every union of missing faces of K, in
-    `lattice_supports`' order: each union is written as a tuple once."""
+    `lattice_supports`' order: each union is written as a tuple once, and a
+    bounded memo keeps the last few complexes' lattices (`verify` reads
+    one twice)."""
     unions = mask_lattice(face_mask(f) for f in K.missing_faces())
-    return sorted(((mask_face(u), u) for u in unions), key=lambda p: (len(p[0]), p[0]))
+    return tuple(sorted(((mask_face(u), u) for u in unions), key=lambda p: (len(p[0]), p[0])))
 
 
 def lattice_supports(K):

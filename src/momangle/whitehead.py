@@ -21,12 +21,18 @@ when every missing face of K among the leaves contains one of its missing
 faces (`_sits_in`), so "defined" and "trivial" (the trivialising join's
 missing faces are the leaf sets of w_1..w_q) need no complex built;
 `delta_w` builds bd_Delta(w) for the `delta-w` verb.
+
+`parse_whitehead`, `_canonical_chain` and `_canonical_class` are bounded
+memos: a process parses a bracket text, builds a canonical chain and
+classes a (K, w) once while it stays in its memo, so `status` and
+`realises` on one pair share a class.  A memo never holds an exception, so
+a bad input fails again on the next call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations
 
 from . import complexes as cx
@@ -48,18 +54,20 @@ class WhiteheadExpr:
 
     label: int = 0
     children: tuple = ()
+    _leaves: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        # built bottom-up: the children hold their sorted leaves already
+        object.__setattr__(self, "_leaves", tuple(sorted(
+            v for c in self.children for v in c._leaves)) if self.children else (self.label,))
 
     @property
     def is_leaf(self):
         return not self.children
 
     def leaves(self):
-        if self.is_leaf:
-            return (self.label,)
-        out = []
-        for c in self.children:
-            out.extend(c.leaves())
-        return tuple(sorted(out))
+        """The leaf labels, sorted."""
+        return self._leaves
 
     def bracket_children(self):
         return tuple(c for c in self.children if not c.is_leaf)
@@ -105,7 +113,6 @@ def bracket(children):
     kids = tuple(children)
     if len(kids) < 2:
         raise ValueError("a bracket needs at least two arguments")
-    # read once per child: `leaves` recurses and sorts
     leaf_sets = [c.leaves() for c in kids]
     seen = set()
     for ls in leaf_sets:
@@ -117,8 +124,11 @@ def bracket(children):
     return WhiteheadExpr(children=tuple(kids[i] for i in order))
 
 
+@lru_cache(maxsize=128)
 def parse_whitehead(text):
-    """Nested integer lists: expr := int | '[' expr (',' expr)+ ']'."""
+    """Nested integer lists: expr := int | '[' expr (',' expr)+ ']'.  A
+    bounded memo on the text: the expression is immutable, so every call
+    on one text shares it."""
     return cx.read_text(text, _read_whitehead)
 
 
@@ -207,6 +217,13 @@ def hurewicz_chain(w, m=None):
         bad = [v for v in w.leaves() if v > m]
         if bad:
             raise ValueError(f"leaves {bad} outside 1..{m}")
+    return _canonical_chain(w)
+
+
+@lru_cache(maxsize=128)
+def _canonical_chain(w):
+    """`hurewicz_chain(w)` of a bracket, one per w in a process (a chain is
+    never changed once built); the leaf bound is checked outside."""
     subs = w.bracket_children()
     leaves_ = w.leaf_children()
     if subs and not leaves_:
@@ -214,7 +231,7 @@ def hurewicz_chain(w, m=None):
             "brackets with sub-products only have no canonical cellular chain")
     chain = None
     for c in subs:
-        sub = hurewicz_chain(c)
+        sub = _canonical_chain(c)
         chain = sub if chain is None else chain.product(sub)
     factor = _disc_boundary_factor(tuple(sorted(leaves_)))
     chain = factor if chain is None else chain.product(factor)
@@ -224,6 +241,14 @@ def hurewicz_chain(w, m=None):
 
 
 # -- realisability criteria ----------------------------------------------------
+
+@lru_cache(maxsize=16)
+def _canonical_class(K, w):
+    """The class of w's canonical chain in Z_K, one per (K, w) in a process:
+    `status` and `realises` on one pair reduce it once.  The caller has
+    checked that every leaf of w is a vertex of K."""
+    return zk_class(K, hurewicz_chain(w, K.m))
+
 
 def canonical_missing_faces(w):
     """Missing faces of bd_Delta(w) as leaf-label bitmasks: each
@@ -275,8 +300,7 @@ def single_product_status(K, I):
         return UNDEFINED
     if _sits_in((), missing):
         return DEFINED_TRIVIAL
-    w = bracket([leaf(v) for v in I])
-    if zk_class(K, hurewicz_chain(w)).is_boundary:
+    if _canonical_class(K, bracket([leaf(v) for v in I])).is_boundary:
         raise AssertionError(f"canonical cycle of {I} unexpectedly bounds in Z_K")
     return DEFINED_NONTRIVIAL
 
@@ -329,14 +353,14 @@ def nested_shape_report(K, w):
         return UNDEFINED, ()
     trivial = _sits_in(_inner_leaf_sets(w), missing)
     if not _criterion_holds(w, missing):
-        if leaves_ and not zk_class(K, hurewicz_chain(w)).is_boundary:
+        if leaves_ and not _canonical_class(K, w).is_boundary:
             status = DEFINED_NONTRIVIAL
         else:
             status = DEFINED_TRIVIAL if trivial else DEFINED_UNKNOWN
         return status, (OUTSIDE_CRITERION,)
     status = DEFINED_TRIVIAL if trivial else DEFINED_NONTRIVIAL
     if leaves_:
-        cls = zk_class(K, hurewicz_chain(w))
+        cls = _canonical_class(K, w)
         if trivial and not cls.is_boundary:
             raise AssertionError("trivial product with a nonzero canonical class")
         if not trivial and cls.is_boundary:
@@ -378,7 +402,7 @@ def realises_sufficient(K, w):
         notes.append(str(exc))
         chain = None
     if chain is not None:
-        if not zk_class(K, chain).is_boundary:
+        if not _canonical_class(K, w).is_boundary:
             return RealisationReport("yes", "yes", chain)
         notes.append("canonical class vanishes")
     nontrivial = "unknown"

@@ -446,6 +446,53 @@ def test_parser_reused_across_calls(capsys):
     assert [code for code, _, _ in reused] == [1, 0, 1, 1, 0]
 
 
+def test_an_edited_json_file_gives_its_new_complex(tmp_path, capsys):
+    """The complex is memoised on the file's text, not its path: a file
+    rewritten between two calls in one process is read and built again."""
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({"m": 2, "facets": []}))
+    two_points = run_json(capsys, "homology", "--complex", str(path))
+    path.write_text(json.dumps({"m": 2, "facets": [[1, 2]]}))
+    edge = run_json(capsys, "homology", "--complex", str(path))
+    assert two_points["ranks"] == {"0": 1, "3": 1}
+    assert edge["ranks"] == {"0": 1}
+    assert edge["generator_order"] == []
+
+
+def test_refusals_and_parse_errors_are_not_memoised(tmp_path, capsys):
+    """A size refusal, then the same file under the default bound, runs; a
+    bad bracket or a bad file fails on every call, not only the first."""
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({"m": 3, "facets": [[1, 2]]}))
+    code, out, err = run_cli(capsys, "mf", "--complex", str(path), "--max-vertices", "2")
+    assert code == 2 and out == "" and "size refusal" in err
+    assert run_json(capsys, "mf", "--complex", str(path))["missing_faces"] == [[1, 3], [2, 3]]
+    for _ in range(2):
+        code, out, err = run_cli(capsys, "status", "--complex", SUB5_EXPR, "--w", "[1,[2]]")
+        assert code == 1 and out == "" and err.startswith("error: ")
+    path.write_text('{"m": 3}')
+    for _ in range(2):
+        code, _, err = run_cli(capsys, "mf", "--complex", str(path))
+        assert code == 1 and "cannot load a complex" in err
+
+
+def test_every_memo_is_bounded():
+    from momangle import cli, moment_angle, whitehead
+    memos = [cli._load, whitehead.parse_whitehead, whitehead._canonical_chain,
+             whitehead._canonical_class, moment_angle._lattice]
+    assert all(0 < memo.cache_info().maxsize < 1000 for memo in memos)
+
+
+def test_verify_builds_the_lattice_once(capsys, monkeypatch):
+    from momangle import moment_angle as ma
+    calls = []
+    raw = ma.mask_lattice
+    monkeypatch.setattr(ma, "mask_lattice", lambda masks: calls.append(1) or raw(masks))
+    ma._lattice.cache_clear()
+    assert run_json(capsys, "verify", "--complex", SUB5_EXPR)["failures"] == []
+    assert len(calls) == 1
+
+
 def random_json_value(rng, depth=0):
     """A seeded value of every kind `json.dumps` writes: strings with
     escapes and non-ASCII letters, ints, floats with NaN and the

@@ -19,6 +19,7 @@ from momangle.whitehead import (DEFINED_NONTRIVIAL, DEFINED_TRIVIAL,
                                 nested_shape_status, parse_whitehead,
                                 realises_sufficient, shifted_wedge_basis,
                                 single_product_status)
+from conftest import SUB5_EXPR
 from oracles import (hochster_embed, random_complex, random_shifted_complex,
                      reference_shifted_wedge_pairs, reference_sits_in,
                      reference_trivialising_join)
@@ -494,6 +495,30 @@ def test_fillable_rejects_nonacyclic_filling(four_cycle):
         fillable_wedge_basis(four_cycle,
                              {(1, 2, 3, 4): [(1, 3)],
                               (1, 3): [(1, 3)], (2, 4): [(2, 4)]})
+
+
+def test_a_memoised_chain_still_checks_its_leaves():
+    w = W("[[1,2],3]")
+    assert hurewicz_chain(w) is hurewicz_chain(w, 3)
+    with pytest.raises(ValueError, match=r"leaves \[3\] outside 1..2"):
+        hurewicz_chain(w, 2)
+
+
+def test_status_and_realises_class_the_cycle_once(capsys, monkeypatch):
+    """One (K, w) is classed once in a process: `status` then `realises`
+    on it reduce its canonical cycle in one `ChainComplex.class_of` call."""
+    from momangle.exactalg import ChainComplex
+    calls = []
+    raw = ChainComplex.class_of
+    monkeypatch.setattr(ChainComplex, "class_of",
+                        lambda C, d, chain: calls.append(d) or raw(C, d, chain))
+    wh._canonical_class.cache_clear()
+    common = ["--complex", SUB5_EXPR, "--w", "[[1,2,3],4,5]"]
+    assert main(["status"] + common) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == DEFINED_NONTRIVIAL
+    assert main(["realises"] + common) == 0
+    assert json.loads(capsys.readouterr().out)["nontrivial"] == "yes"
+    assert calls == [8]
 
 
 def test_classes_build_only_star_quotients(monkeypatch):
