@@ -140,10 +140,22 @@ def cmd_zigzag(K, w, args, out):
     out["trace"] = trace.to_list()
 
 
+def _integers(option, text):
+    """The comma-separated integers of `option`'s value `text`; a token that
+    is none is named, with its option."""
+    out = []
+    for token in text.split(","):
+        try:
+            out.append(int(token))
+        except ValueError:
+            raise ValueError(f"{option} {text!r}: token {token!r} is not an integer") from None
+    return out
+
+
 def cmd_hochster(K, w, args, out):
     subsets = None
     if args.subset is not None:
-        subset = [int(x) for x in args.subset.split(",")]
+        subset = _integers("--subset", args.subset)
         if len(set(subset)) != len(subset):
             raise ValueError(f"--subset {args.subset} repeats a vertex")
         if not all(1 <= v <= K.m for v in subset):
@@ -157,7 +169,7 @@ def cmd_hochster(K, w, args, out):
 
 
 def cmd_wedge_basis(K, w, args, out):
-    order = tuple(int(x) for x in args.order.split(",")) if args.order is not None else None
+    order = tuple(_integers("--order", args.order)) if args.order is not None else None
     basis = wh.shifted_wedge_basis(K, order)
     out["is_basis"] = basis.is_basis
     out["entries"] = [

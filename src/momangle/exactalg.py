@@ -22,9 +22,17 @@ insertion adds one bit, so a block with no two adjacent degrees occupied
 needs no columns, and the builder makes none.  A `ChainComplex` labels the
 same columns with a basis, for cycle classes (`insertion_complex`), and
 `ChainComplex.from_boundary` writes the columns of a boundary callable on
-labels, for simplicial chains, the whole complexes and the references.  Homology groups are frozen values, and the
-column rule and `direct_sum` take them from one bounded memo
-(`_shared_group`), so the many small blocks that share a group share it.
+labels, for simplicial chains, the whole complexes and the references.
+Homology groups are frozen values, and the column rule and `direct_sum`
+take them from one bounded memo (`_shared_group`), so the many small
+blocks that share a group share it.
+
+The Smith normal form has one elimination state, `_SnfWorker`: A's rows
+alone, beside U's rows, V's columns and V^-1's rows, and every row or
+column addition on any of them is one sparse update (`_addmul`).  Its pivot
+rule fixes the transforms, and with them every canonical solve and class.
+Without transforms the unit pivots go first (`_eliminate_units`), and only
+a residual with entries goes through the same worker for its diagonal.
 
 Conventions:
   * matrices are sparse maps (row, col) -> nonzero int;
@@ -39,6 +47,18 @@ import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+
+
+def _addmul(dst, src, q):
+    """dst += q * src on sparse maps {index: value}, an entry that reaches
+    zero dropped: every row and column addition of the Smith form, on A and
+    on its transforms, and the row sums of a matrix product."""
+    for k, v in src.items():
+        w = dst.get(k, 0) + q * v
+        if w:
+            dst[k] = w
+        elif k in dst:
+            del dst[k]
 
 
 class IntMatrix:
@@ -105,22 +125,13 @@ class IntMatrix:
         if isinstance(other, IntMatrix):
             if self.cols != other.rows:
                 raise ValueError("dimension mismatch")
-            by_row = {}
-            for (i, k), v in self.entries.items():
-                by_row.setdefault(i, []).append((k, v))
-            other_rows = {}
+            other_rows, out = {}, {}
             for (k, j), w in other.entries.items():
-                other_rows.setdefault(k, []).append((j, w))
-            out = {}
-            for i, terms in by_row.items():
-                acc = {}
-                for k, v in terms:
-                    for j, w in other_rows.get(k, ()):
-                        acc[j] = acc.get(j, 0) + v * w
-                for j, s in acc.items():
-                    if s:
-                        out[(i, j)] = s
-            return IntMatrix._adopt(self.rows, other.cols, out)
+                other_rows.setdefault(k, {})[j] = w
+            for (i, k), v in self.entries.items():
+                _addmul(out.setdefault(i, {}), other_rows.get(k, {}), v)
+            return IntMatrix._adopt(self.rows, other.cols, {
+                (i, j): s for i, row in out.items() for j, s in row.items()})
         return NotImplemented
 
     def apply(self, vec):
@@ -184,191 +195,114 @@ class SmithForm:
 
 
 class _SnfWorker:
-    """Row/column elimination state for the Smith normal form.
+    """Elimination state for the Smith normal form: A's rows, U's rows, V's
+    columns and V^-1's rows, each a sparse map {index: value}.
 
-    Pivot rule: smallest nonzero magnitude, ties broken by (row, col); this
-    fixes the transforms and therefore every canonical solution downstream.
+    Step t moves the least (|v|, row, col) among the rows and columns from t
+    on to (t, t) and clears its column with row additions and its row with
+    column additions; a remainder is moved in the pivot's place, and a
+    pivot that does not divide a later row takes that row in.  This pivot
+    rule fixes the transforms and therefore every canonical solution
+    downstream.  When step t starts, every row above t holds its pivot
+    alone, so a column operation walks the rows from t on (`_rows_from`).
     """
 
-    def __init__(self, A, transforms=True):
+    def __init__(self, A):
         self.m, self.n = A.rows, A.cols
-        self.a = {}
-        self.colind = {}
+        self.a = [{} for _ in range(self.m)]
         for (i, j), v in A.entries.items():
-            self.a.setdefault(i, {})[j] = v
-            self.colind.setdefault(j, set()).add(i)
-        self.transforms = transforms
-        if transforms:
-            self.u = {i: {i: 1} for i in range(self.m)}     # rows of U
-            self.v = {j: {j: 1} for j in range(self.n)}     # columns of V
-            self.vinv = {j: {j: 1} for j in range(self.n)}  # rows of V^-1
+            self.a[i][j] = v
+        self.u = [{i: 1} for i in range(self.m)]
+        self.v = [{j: 1} for j in range(self.n)]
+        self.vinv = [{j: 1} for j in range(self.n)]
 
-    # -- elementary operations (mirrored into the transforms) --------------
+    def _rows_from(self, t):
+        """The rows that a column operation of step t walks: every row above
+        t holds its pivot alone, with no entry in a column from t on."""
+        return self.a[t:]
 
-    def _set(self, i, j, val):
-        row = self.a.setdefault(i, {})
-        if val:
-            row[j] = val
-            self.colind.setdefault(j, set()).add(i)
-        else:
-            if j in row:
-                del row[j]
-                self.colind[j].discard(i)
-
-    def row_swap(self, i, k):
-        if i == k:
-            return
-        ri, rk = self.a.get(i, {}), self.a.get(k, {})
-        for j in set(ri) | set(rk):
-            s = self.colind[j]
-            s.discard(i), s.discard(k)
-        self.a[i], self.a[k] = rk, ri
-        for j in self.a[i]:
-            self.colind[j].add(i)
-        for j in self.a[k]:
-            self.colind[j].add(k)
-        if self.transforms:
-            self.u[i], self.u[k] = self.u[k], self.u[i]
-
-    def row_addmul(self, i, k, q):
-        """row_i += q * row_k."""
-        if not q:
-            return
-        for j, v in list(self.a.get(k, {}).items()):
-            self._set(i, j, self.a.get(i, {}).get(j, 0) + q * v)
-        if self.transforms:
-            ui = self.u[i]
-            for j, v in self.u[k].items():
-                w = ui.get(j, 0) + q * v
-                if w:
-                    ui[j] = w
-                elif j in ui:
-                    del ui[j]
-
-    def row_negate(self, i):
-        for j, v in self.a.get(i, {}).items():
-            self.a[i][j] = -v
-        if self.transforms:
-            self.u[i] = {j: -v for j, v in self.u[i].items()}
-
-    def col_swap(self, j, k):
-        if j == k:
-            return
-        rows = self.colind.get(j, set()) | self.colind.get(k, set())
-        for i in rows:
-            row = self.a[i]
-            vj, vk = row.get(j, 0), row.get(k, 0)
-            self._set(i, j, vk)
-            self._set(i, k, vj)
-        if self.transforms:
-            self.v[j], self.v[k] = self.v[k], self.v[j]
-            self.vinv[j], self.vinv[k] = self.vinv[k], self.vinv[j]
-
-    def col_addmul(self, j, k, q):
-        """col_j += q * col_k; V gets the same op, V^-1 the inverse row op."""
-        if not q:
-            return
-        for i in list(self.colind.get(k, set())):
-            v = self.a[i].get(k, 0)
-            self._set(i, j, self.a[i].get(j, 0) + q * v)
-        if self.transforms:
-            vj = self.v[j]
-            for i, v in self.v[k].items():
-                w = vj.get(i, 0) + q * v
-                if w:
-                    vj[i] = w
-                elif i in vj:
-                    del vj[i]
-            # (I + q E_{kj})^-1 = I - q E_{kj}: row_k of V^-1 -= q * row_j
-            rk = self.vinv[k]
-            for jj, v in self.vinv[j].items():
-                w = rk.get(jj, 0) - q * v
-                if w:
-                    rk[jj] = w
-                elif jj in rk:
-                    del rk[jj]
-
-    # -- the algorithm ------------------------------------------------------
-
-    def find_pivot(self, t):
-        """Least (|v|, row, col) among the rows and columns from t on.  A unit
-        is the least magnitude there is, so the scan, in row order, stops at
-        the first row that holds one."""
-        best = None
+    def _move_pivot(self, t):
+        """Swap the least (|v|, row, col) from row and column t on into
+        (t, t), one row and one column swap, and make it positive; False when
+        no entry is left.  The rows from t hold no entry left of column t.  A
+        unit is the least magnitude there is, so the scan, in row order,
+        stops at the first row that holds one."""
+        a, best = self.a, None
         for i in range(t, self.m):
-            for j, v in self.a.get(i, {}).items():
-                if j >= t:
-                    key = (abs(v), i, j)
-                    if best is None or key < best:
-                        best = key
+            for j, v in a[i].items():
+                if best is None or (abs(v), i, j) < best:
+                    best = (abs(v), i, j)
             if best is not None and best[0] == 1:
                 break
-        return None if best is None else best[1:]
+        if best is None:
+            return False
+        _, r, c = best
+        a[t], a[r] = a[r], a[t]
+        self.u[t], self.u[r] = self.u[r], self.u[t]
+        if c != t:
+            for row in self._rows_from(t):
+                x, y = row.pop(t, 0), row.pop(c, 0)
+                if x:
+                    row[c] = x
+                if y:
+                    row[t] = y
+            self.v[t], self.v[c] = self.v[c], self.v[t]
+            self.vinv[t], self.vinv[c] = self.vinv[c], self.vinv[t]
+        if a[t][t] < 0:
+            a[t] = {j: -v for j, v in a[t].items()}
+            self.u[t] = {j: -v for j, v in self.u[t].items()}
+        return True
 
     def run(self):
+        """The invariant factors, in order; U, V and V^-1 follow every
+        operation: V the column additions, V^-1 their inverse row ones."""
+        a, u, v, vinv = self.a, self.u, self.v, self.vinv
         diag = []
-        t = 0
-        limit = min(self.m, self.n)
-        while t < limit:
-            pos = self.find_pivot(t)
-            if pos is None:
+        for t in range(min(self.m, self.n)):
+            if not self._move_pivot(t):
                 break
-            self.row_swap(t, pos[0])
-            self.col_swap(t, pos[1])
-            if self.a[t][t] < 0:
-                self.row_negate(t)
             while True:
-                p = self.a[t][t]
-                dirty = False
-                for i in sorted(self.colind.get(t, set())):
-                    if i == t:
-                        continue
-                    q = self.a[i][t] // p
-                    self.row_addmul(i, t, -q)
-                    if self.a.get(i, {}).get(t):
-                        dirty = True
-                for j in sorted(self.a.get(t, {})):
-                    if j == t:
-                        continue
-                    q = self.a[t][j] // p
-                    self.col_addmul(j, t, -q)
-                    if self.a[t].get(j):
-                        dirty = True
-                if dirty:
-                    # a remainder smaller than the pivot appeared; adopt it
-                    pos = self.find_pivot(t)
-                    self.row_swap(t, pos[0])
-                    self.col_swap(t, pos[1])
-                    if self.a[t][t] < 0:
-                        self.row_negate(t)
+                pivot, p = a[t], a[t][t]
+                remainder = False
+                for i in range(t + 1, self.m):
+                    if t in a[i]:
+                        q = a[i][t] // p
+                        _addmul(a[i], pivot, -q)
+                        _addmul(u[i], u[t], -q)
+                        remainder = remainder or t in a[i]
+                # col_j -= q_j col_t for every j: one update per row with column t
+                qs = {j: q for j, x in sorted(pivot.items()) if j != t and (q := x // p)}
+                for row in self._rows_from(t):
+                    if t in row:
+                        _addmul(row, qs, -row[t])
+                for j, q in qs.items():
+                    _addmul(v[j], v[t], -q)
+                    _addmul(vinv[t], vinv[j], q)    # (I - q E_tj)^-1 = I + q E_tj
+                if remainder or len(pivot) > 1:
+                    self._move_pivot(t)
+                    if a[t][t] >= p:                # every remainder is below p
+                        raise AssertionError("a Smith form step did not shrink its pivot")
                     continue
-                # pivot must divide everything that remains; a unit does
-                p = self.a[t][t]
                 if p == 1:
+                    break                           # a unit divides everything
+                r = next((i for i in range(t + 1, self.m)
+                          if any(x % p for x in a[i].values())), None)
+                if r is None:
                     break
-                offender = None
-                for i, row in self.a.items():
-                    if i <= t:
-                        continue
-                    for j, v in row.items():
-                        if j > t and v % p:
-                            offender = (i, j) if offender is None else min(offender, (i, j))
-                if offender is None:
-                    break
-                self.row_addmul(t, offender[0], 1)
-            diag.append(self.a[t][t])
-            t += 1
+                _addmul(pivot, a[r], 1)
+                _addmul(u[t], u[r], 1)
+            diag.append(a[t][t])
         return diag
 
     def result(self):
         diag = self.run()
         adopt = IntMatrix._adopt
         S = adopt(self.m, self.n, {(t, t): d for t, d in enumerate(diag)})
-        U = adopt(self.m, self.m, {(i, j): v for i, row in self.u.items()
+        U = adopt(self.m, self.m, {(i, j): v for i, row in enumerate(self.u)
                                    for j, v in row.items()})
-        V = adopt(self.n, self.n, {(i, j): v for j, col in self.v.items()
+        V = adopt(self.n, self.n, {(i, j): v for j, col in enumerate(self.v)
                                    for i, v in col.items()})
-        vinv = adopt(self.n, self.n, {(i, j): v for i, row in self.vinv.items()
+        vinv = adopt(self.n, self.n, {(i, j): v for i, row in enumerate(self.vinv)
                                       for j, v in row.items()})
         return SmithForm(S, U, V, vinv, tuple(diag))
 
@@ -440,16 +374,17 @@ def smith_normal_form(A, transforms=True):
     """Smith normal form of an integer matrix.
 
     Returns a SmithForm with U @ A @ V == S, the diagonal of S being the
-    invariant factors in divisibility order.  With transforms=False only the
-    diagonal is computed (U, V, vinv are None): the unit pivots are
-    eliminated first and only the residual goes through the full elimination.
-    With transforms the pivot rule of `_SnfWorker` is kept throughout, since
-    the transforms it fixes are what canonical solutions depend on.
+    invariant factors in divisibility order.  With transforms the pivot rule
+    of `_SnfWorker` is kept throughout, since the transforms it fixes are
+    what canonical solutions depend on.  With transforms=False only the
+    diagonal is returned (U, V, vinv are None): the unit pivots are
+    eliminated first, and a residual with entries goes through the same
+    worker, whose transforms are dropped; an empty residual skips it.
     """
     if transforms:
         return _SnfWorker(A).result()
     units, residual = _eliminate_units(A)
-    diag = [1] * units + _SnfWorker(residual, transforms=False).run()
+    diag = [1] * units + (_SnfWorker(residual).run() if residual.entries else [])
     S = IntMatrix._adopt(A.rows, A.cols, {(t, t): d for t, d in enumerate(diag)})
     return SmithForm(S, None, None, None, tuple(diag))
 

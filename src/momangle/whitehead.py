@@ -289,20 +289,14 @@ def _sits_in(generators, missing):
 
 
 def single_product_status(K, I):
-    """Status of a single product on the vertex list I: defined iff the
-    boundary of the simplex on I sits in K, trivial iff I itself is a face.
-    A vertex of I outside K leaves it undefined."""
+    """Status of a single product on the vertex list I, the nested shape
+    with no w_j (`nested_shape_status`): defined iff the boundary of the
+    simplex on I sits in K, trivial iff I itself is a face.  A vertex of I
+    outside K leaves it undefined."""
     I = tuple(sorted(set(I)))
     if len(I) < 2:
         raise ValueError("need at least two distinct vertices")
-    missing = _leaf_missing_faces(K, I)
-    if missing is None or not _sits_in((cx.face_mask(I),), missing):
-        return UNDEFINED
-    if _sits_in((), missing):
-        return DEFINED_TRIVIAL
-    if _canonical_class(K, bracket([leaf(v) for v in I])).is_boundary:
-        raise AssertionError(f"canonical cycle of {I} unexpectedly bounds in Z_K")
-    return DEFINED_NONTRIVIAL
+    return nested_shape_status(K, bracket([leaf(v) for v in I]))
 
 
 def _nested_shape_parts(w):
@@ -330,8 +324,8 @@ def _criterion_holds(w, missing):
 
 
 def nested_shape_status(K, w):
-    """Exact status for products [w_1,...,w_q, leaves] with single w_j:
-    defined iff K contains the canonical complex, trivial iff K contains the
+    """Exact status for products [w_1,...,w_q, leaves] with single w_j, a
+    single product being the one with q = 0: defined iff K contains the canonical complex, trivial iff K contains the
     trivialising join.
 
     The trivial/nontrivial part holds where `criterion_applies`.  Outside
@@ -346,8 +340,6 @@ def nested_shape_report(K, w):
     note when w is defined but the criterion does not apply.  The criterion
     is decided once, for both, from the one scan of K among the leaves."""
     subs, leaves_ = _nested_shape_parts(w)
-    if not subs:
-        return single_product_status(K, leaves_), ()
     missing = _leaf_missing_faces(K, w.leaves())
     if missing is None or not _sits_in(canonical_missing_faces(w), missing):
         return UNDEFINED, ()
@@ -359,7 +351,7 @@ def nested_shape_report(K, w):
             status = DEFINED_TRIVIAL if trivial else DEFINED_UNKNOWN
         return status, (OUTSIDE_CRITERION,)
     status = DEFINED_TRIVIAL if trivial else DEFINED_NONTRIVIAL
-    if leaves_:
+    if leaves_ and (subs or not trivial):   # a trivial single product spans a face
         cls = _canonical_class(K, w)
         if trivial and not cls.is_boundary:
             raise AssertionError("trivial product with a nonzero canonical class")
