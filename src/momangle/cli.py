@@ -376,10 +376,7 @@ def main(argv=None):
         code = EXIT_VERIFY
     out["elapsed_s"] = round(time.perf_counter() - started, 6)
     if K is not None and "verification_error" not in out:
-        try:
-            out["generator_order"] = [cx.word_text(f) for f in K.missing_faces()]
-        except cx.SizeLimitError:
-            pass
+        out["generator_order"] = list(K.generators().names)
     if args.format == "json":
         print(report_json(out))
     else:

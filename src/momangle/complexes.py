@@ -8,16 +8,18 @@ are normalised by `face`, `from_facets` adds every singleton, and `simplex`,
 increasing label tuples (`faces`, `facets`, `faces_within`) are decoded from
 the masks by `mask_face`.  Sphere subcomplexes produced elsewhere may omit
 singletons (ghost vertices), which is fine as long as downward closure holds.
+The faces and the missing faces each get one `VertexIndex` (`FaceIndex`,
+`Generators`), whose `within(S)` gives those of the full subcomplex K_S.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate, chain
+from operator import or_
 
 from .exactalg import ChainComplex
-
-MAX_VERTICES = 24
 
 
 class SizeLimitError(ValueError):
@@ -92,7 +94,7 @@ class SimplicialComplex:
     """
 
     __slots__ = ("m", "labels", "face_masks", "_facet_masks", "_by_size", "_index", "_faces",
-                 "_mf")
+                 "_mf", "_generators")
 
     def __init__(self, m, faces, labels=None):
         self._adopt(m, _masks_of(m, faces), labels)
@@ -124,7 +126,7 @@ class SimplicialComplex:
             facets = [f for f in facets if f & bit or f | bit not in masks]
         self._facet_masks = tuple(sorted(facets, key=lambda f: (f.bit_count(), mask_face(f))))
         self.labels = tuple(labels) if labels is not None else None
-        self._by_size = self._index = self._faces = self._mf = None
+        self._by_size = self._index = self._faces = self._mf = self._generators = None
         return self
 
     @classmethod
@@ -224,43 +226,44 @@ class SimplicialComplex:
     # -- missing faces ---------------------------------------------------------
 
     def missing_faces(self):
-        """Minimal non-faces, sorted by (cardinality, lexicographic)."""
+        """Minimal non-faces, ghost vertices among them, sorted by
+        (cardinality, lexicographic).  A missing face less its top vertex is
+        a face, so each is found once, as a face plus a vertex above its top."""
         if self._mf is None:
-            self._mf = tuple(self.missing_faces_within(range(1, self.m + 1)))
+            above = [[1 << i for i in range(t, self.m)] for t in range(self.m + 1)]
+            found = []
+            masks = self.face_masks
+            for mask in masks:
+                for bit in above[mask.bit_length()]:
+                    cand = mask | bit
+                    if cand in masks:
+                        continue
+                    rest = mask
+                    while rest:
+                        low = rest & -rest
+                        if cand ^ low not in masks:
+                            break
+                        rest ^= low
+                    else:
+                        found.append(mask_face(cand))
+            self._mf = tuple(sorted(found, key=lambda f: (len(f), f)))
         return self._mf
+
+    def generators(self):
+        """The `Generators` of `missing_faces`, built on the first call."""
+        if self._generators is None:
+            self._generators = Generators(self.missing_faces())
+        return self._generators
 
     def missing_faces_within(self, subset):
         """Missing faces of the full subcomplex K_S in K's labels, ghost
-        vertices of K_S included, sorted as `missing_faces` sorts them.  No
-        subcomplex is built: K's face masks inside S are scanned in place."""
+        vertices of K_S included, sorted as `missing_faces` sorts them: the
+        missing faces of K inside S (`Generators.within`)."""
         smask = face_mask(subset)
         if smask >> self.m:
             raise ValueError("subset outside vertex range")
-        if (n := smask.bit_count()) > MAX_VERTICES:
-            raise SizeLimitError(f"missing-face enumeration refuses m={n} > {MAX_VERTICES}")
-        # a missing face less its largest vertex is a face, so every missing
-        # face is found exactly once as a face plus a vertex of S above its top
-        bits = [1 << i for i in range(self.m) if smask >> i & 1]
-        above = [[b for b in bits if b >> t] for t in range(self.m + 1)]
-        found = []
-        masks = self.face_masks
-        for mask in masks:
-            if mask & ~smask:
-                continue
-            for bit in above[mask.bit_length()]:
-                cand = mask | bit
-                if cand in masks:
-                    continue
-                rest = mask
-                while rest:
-                    low = rest & -rest
-                    if cand ^ low not in masks:
-                        break
-                    rest ^= low
-                else:
-                    found.append(mask_face(cand))
-        found.sort(key=lambda f: (len(f), f))
-        return found
+        gens = self.generators()
+        return list(gens.labels(gens.within(smask)))
 
     # -- subcomplexes -----------------------------------------------------------
 
@@ -304,27 +307,20 @@ class SimplicialComplex:
 _BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
-class FaceIndex:
-    """A complex's faces in `_sorted_masks` order, `order`, with per-vertex
-    bitsets over them, bit i standing for face order[i]; `every` sets the
-    bit of every face.  `containing()[v - 1]` marks the faces that contain
-    v; the list is built for every vertex at once on the first call.
-    `star(v)` marks the faces f for which f + v is a face, built for v
-    alone on its first call.  A complex whose table visits no nonempty
-    support builds neither.
+class VertexIndex:
+    """Bitmasks `order` over the vertices 1..m with one bitset over them per
+    vertex, bit i for order[i] (`every` sets them all): `containing()[v - 1]`
+    marks the members that contain v, and `within(smask)` those inside the
+    vertex set smask, every member less those at a vertex outside it.  The
+    bitsets are built for every vertex at once on first use, as the columns
+    of one string table of binary digits, each member f written as
+    `bin(f | 1 << m)` and read by `int` with a stride of m + 3: linear in the
+    members, with no big-integer shift and no Python step per member."""
 
-    Each bitset is one string of binary digits, highest face first, read
-    by `int` and written by C-level maps: linear in the number of faces,
-    with no big-integer shift and no Python step per face.  The
-    `containing` strings are the columns of one table, each face f written
-    as `bin(f | 1 << m)`, read off with a stride of m + 3."""
+    __slots__ = ("order", "every", "_m", "_containing")
 
-    __slots__ = ("order", "every", "_is_face", "_m", "_containing", "_star")
-
-    def __init__(self, order, is_face, m):
-        self.order, self.every = order, (1 << len(order)) - 1
-        self._is_face, self._m = is_face, m
-        self._containing, self._star = None, {}
+    def __init__(self, order, m):
+        self.order, self.every, self._m, self._containing = order, (1 << len(order)) - 1, m, None
 
     def containing(self):
         if self._containing is None:
@@ -334,12 +330,72 @@ class FaceIndex:
             self._containing = [int(table[m + 3 - u::m + 3], 2) for u in range(1, m + 1)]
         return self._containing
 
+    def within(self, smask):
+        containing, inside = self.containing(), self.every
+        outside = ((1 << self._m) - 1) & ~smask
+        while outside:
+            low = outside & -outside
+            inside &= ~containing[low.bit_length() - 1]
+            outside ^= low
+        return inside
+
+
+class FaceIndex(VertexIndex):
+    """A complex's faces in `_sorted_masks` order as a `VertexIndex`, so
+    `within(S)` marks the faces of K_S.  `star(v)` marks the faces f for
+    which f + v is a face, built for v alone on its first call.  A complex
+    whose table visits no nonempty support builds no bitset."""
+
+    __slots__ = ("_is_face", "_star")
+
+    def __init__(self, order, is_face, m):
+        super().__init__(order, m)
+        self._is_face, self._star = is_face, {}
+
     def star(self, v):
         if (bits := self._star.get(v)) is None:
             with_v = map((1 << (v - 1)).__or__, reversed(self.order))
             flags = bytes(map(self._is_face.__contains__, with_v))
             bits = self._star[v] = int(flags.translate(_BINARY_DIGITS), 2)
         return bits
+
+
+class Generators(VertexIndex):
+    """A `VertexIndex` over generator bitmasks `masks`: K's missing faces
+    `faces` in `missing_faces`' order, named once by `word_text` in `names`,
+    or bitmasks alone (faces None), such as polarised monomials.  A word is
+    a bitmask of generator indices, bit q for the q-th generator, so
+    `within(S)` is the word of the generators inside S."""
+
+    __slots__ = ("faces", "masks", "names", "_position")
+
+    def __init__(self, faces, masks=None):
+        masks = list(map(face_mask, faces)) if masks is None else masks
+        super().__init__(masks, reduce(or_, masks, 0).bit_length())
+        self.faces, self.masks = faces, masks
+        self.names = () if faces is None else tuple(map(word_text, faces))
+        self._position = None
+
+    def union(self, word):
+        """Vertex bitmask of the union of the word's generators."""
+        masks, union = self.masks, 0
+        while word:
+            low = word & -word
+            union |= masks[low.bit_length() - 1]
+            word ^= low
+        return union
+
+    def labels(self, word):
+        """The face tuples of the word, in generator order."""
+        return tuple(F for q, F in enumerate(self.faces) if word >> q & 1)
+
+    def word(self, labels):
+        """The word of face tuples `labels`, each of which must be a generator."""
+        if self._position is None:
+            self._position = {F: q for q, F in enumerate(self.faces)}
+        if unknown := set(labels) - self._position.keys():
+            raise ValueError(f"factors {sorted(unknown)} are not missing faces of K")
+        return sum(1 << self._position[F] for F in labels)
 
 
 # -- point / simplex helpers ------------------------------------------------

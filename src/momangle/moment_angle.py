@@ -204,7 +204,7 @@ def _lattice(K):
     `lattice_supports`' order: each union is written as a tuple once, and a
     bounded memo keeps the last few complexes' lattices (`verify` reads
     one twice)."""
-    unions = mask_lattice(face_mask(f) for f in K.missing_faces())
+    unions = mask_lattice(K.generators().masks)
     return tuple(sorted(((mask_face(u), u) for u in unions), key=lambda p: (len(p[0]), p[0])))
 
 
@@ -222,7 +222,7 @@ def _star_cells(K, S, smask):
     reads K's `FaceIndex`.
 
     `within`, the faces of K_S, are the faces that contain no vertex outside
-    S, so only the vertices outside S are read.  v is the vertex of S in the
+    S (`VertexIndex.within`).  v is the vertex of S in the
     most of them, the least such v on ties: the star pairs each face I
     without v with I + v, so it has twice as many faces as contain v, and
     its quotient leaves the fewest cells.  The cell
@@ -236,12 +236,7 @@ def _star_cells(K, S, smask):
     if not smask:
         return [0], 0
     index = K.face_index()
-    containing, within = index.containing(), index.every
-    outside = ((1 << K.m) - 1) & ~smask
-    while outside:
-        low = outside & -outside
-        within &= ~containing[low.bit_length() - 1]
-        outside ^= low
+    containing, within = index.containing(), index.within(smask)
     most = -1
     for u in S:
         if (count := (within & containing[u - 1]).bit_count()) > most:
@@ -267,10 +262,12 @@ def zk_star_quotient(K, S, built=None):
     The star's cells span a subcomplex, since d only drops disc letters, and
     it is the shifted augmented chain complex of a cone, so it is acyclic;
     the quotient has the block's homology over Z, torsion included.  The
-    empty S has no vertex; its block, Z in degree 0, is returned whole."""
-    _require_singletons(K)
+    empty S has no vertex; its block, Z in degree 0, is returned whole.  A
+    ghost vertex of K is refused inside S only."""
     if S and S[-1] > K.m:
         raise ValueError(f"support {S} leaves the vertices 1..{K.m}")
+    if any(1 << (v - 1) not in K.face_masks for v in S):
+        raise ValueError("Z_K needs every singleton to be a face")
     words, inside = built or _star_cells(K, S, face_mask(S))
     return insertion_complex(words, inside, lambda J: (mask_face(J), mask_face(inside & ~J)),
                              2 * len(S))

@@ -14,7 +14,8 @@ exterior monomials w_{J_1} ^ ... ^ w_{J_s} over distinct missing faces,
 the new factor entering at the front and the word then being sorted back
 into the fixed generator order (cardinality first, then lexicographic).
 Basis words keep their factors in that order, and every differential here
-keeps them as bitmasks of generator indices (bit q for the q-th generator),
+keeps them as bitmasks of generator indices, K's `complexes.Generators`
+table (bit q for the q-th generator, `within(S)` the generators inside S),
 so generator bit b enters word x as x | b behind the factors before it,
 with sign (-1)^popcount(x & (b - 1)) (`exactalg.insertion_sign`); no word
 is ever sorted.  The differential never changes the union of the word, so
@@ -32,8 +33,8 @@ complex, closed under insertion, and the admissible words carry the quotient
 with the same homology over Z, torsion included.
 
 Each block is an (S, words, inside) triple on index bitmasks (`_blocks`):
-an admissible word is a bitmask of generator indices, `inside` the bits of
-the generators inside S, and the block's columns are their insertion
+an admissible word is a bitmask of generator indices, `inside` the
+generators inside S, and the block's columns are their insertion
 columns (`exactalg.insertion_columns`, the builder the cellular star
 quotients and the staircase's Koszul blocks also read).  The homology
 table (`taylor_homology_by_support`) reads each block's groups from those
@@ -43,8 +44,8 @@ the words (`taylor_components`).  The independent reference is the tests'
 sort-based `oracles.reference_taylor_components`.  Labelled words meet the
 rule at the edges only: `taylor_boundary` and the whole complex
 (`taylor_face_complex`) read each word as its index bitmask
-(`word_index`), differentiate there (`index_boundary`) and label the
-result (`index_word`).  The closed form of nested products
+(`Generators.word`), differentiate there (`index_boundary`) and label the
+result (`Generators.labels`).  The closed form of nested products
 (`nested_taylor_cycle`) and the zigzag keep their words on the same index
 bitmasks, with the same sign (`insertion_sign`), and check their cycles
 there (`index_boundary`).
@@ -57,11 +58,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate, combinations
-from operator import or_
 
-from .complexes import (SignedSum, SimplicialComplex, SizeLimitError, _is_canonical, face,
-                        face_mask, mask_face, read_signed_sum, read_text, read_word,
-                        signed_sum_text, word_text)
+from .complexes import (Generators, SignedSum, SimplicialComplex, SizeLimitError,
+                        _is_canonical, face, face_mask, mask_face, read_signed_sum, read_text,
+                        read_word, signed_sum_text, word_text)
 from .exactalg import (ChainComplex, column_homology, insertion_columns, insertion_complex,
                        insertion_sign)
 from .moment_angle import class_by_support, degree_sums, insertion_table, mask_lattice
@@ -190,46 +190,16 @@ def _read_taylor_atom(sc):
 
 # -- the face (comodule) Taylor complex ------------------------------------------
 
-def generator_masks(K):
-    """The generators in order, `missing_faces`' (cardinality first, then
-    lexicographic), with their vertex bitmasks."""
-    gens = K.missing_faces()
-    return gens, [face_mask(F) for F in gens]
-
-
-def index_union(word, masks):
-    """Vertex bitmask of the union of a word kept as an index bitmask (bit q
-    for the generator with vertex bitmask masks[q])."""
-    union = 0
-    while word:
-        low = word & -word
-        union |= masks[low.bit_length() - 1]
-        word ^= low
-    return union
-
-
-def index_word(word, gens):
-    """The basis word (factors in generator order) of an index bitmask."""
-    return tuple(F for q, F in enumerate(gens) if word >> q & 1)
-
-
-def word_index(word, position):
-    """The index bitmask of a labelled word, `position` giving each
-    generator's bit index; a factor that is not a generator is refused."""
-    if unknown := set(word) - position.keys():
-        raise ValueError(f"factors {sorted(unknown)} are not missing faces of K")
-    return sum(1 << position[F] for F in word)
-
-
-def index_boundary(chain, masks):
-    """Differential of {index bitmask: coeff}: each generator bit outside a
-    word whose face lies inside the word's union enters it with
-    `insertion_sign`.  Zero coefficients are dropped."""
+def index_boundary(chain, gens):
+    """Differential of {word: coeff} on the `Generators` gens: each
+    generator bit outside a word whose face lies inside the word's union
+    (`within`) enters it with `insertion_sign`.  Zero coefficients are
+    dropped."""
     out, inside = {}, {}
     for word, c in chain.items():
-        union = index_union(word, masks)
+        union = gens.union(word)
         if union not in inside:
-            inside[union] = [1 << q for q, mask in enumerate(masks) if not mask & ~union]
+            inside[union] = [1 << (q - 1) for q in mask_face(gens.within(union))]
         for b in inside[union]:
             if not word & b:
                 out[word | b] = out.get(word | b, 0) + insertion_sign(word, b) * c
@@ -238,19 +208,17 @@ def index_boundary(chain, masks):
 
 def taylor_boundary(K, chain):
     """Differential of a Taylor chain; factors must be missing faces of K.
-    The words are read as index bitmasks (`word_index`), differentiated by
-    `index_boundary` and labelled back (`index_word`)."""
-    gens, masks = generator_masks(K)
-    position = {F: q for q, F in enumerate(gens)}
-    index = {word_index(word, position): c for word, c in chain.terms.items()}
-    return TaylorChain({index_word(word, gens): c
-                        for word, c in index_boundary(index, masks).items()})
+    The words are read as index bitmasks (`Generators.word`),
+    differentiated by `index_boundary` and labelled back."""
+    gens = K.generators()
+    index = {gens.word(word): c for word, c in chain.terms.items()}
+    return TaylorChain({gens.labels(word): c for word, c in index_boundary(index, gens).items()})
 
 
 def _checked_generators(K):
-    gens, masks = generator_masks(K)
-    _refuse_past_bound(len(gens))
-    return gens, masks
+    gens = K.generators()
+    _refuse_past_bound(len(gens.masks))
+    return gens
 
 
 def _refuse_past_bound(count):
@@ -266,13 +234,13 @@ def taylor_face_complex(K):
     not.  The grading by union subsets is implicit (the differential
     preserves it); the differential is `taylor_boundary`'s, with the
     generators read once: each word is read as its index bitmask
-    (`word_index`), differentiated by `index_boundary` and labelled back."""
-    gens, masks = _checked_generators(K)
-    position = {F: q for q, F in enumerate(gens)}
-    basis = {-s: list(combinations(gens, s)) for s in range(len(gens) + 1)}
+    (`Generators.word`), differentiated by `index_boundary` and labelled
+    back."""
+    gens = _checked_generators(K)
+    basis = {-s: list(combinations(gens.faces, s)) for s in range(len(gens.faces) + 1)}
     return ChainComplex.from_boundary(
-        basis, lambda w: {index_word(word, gens): c for word, c in
-                          index_boundary({word_index(w, position): 1}, masks).items()})
+        basis, lambda w: {gens.labels(word): c for word, c in
+                          index_boundary({gens.word(w): 1}, gens).items()})
 
 
 def word_support(word):
@@ -321,35 +289,24 @@ def taylor_components(K):
     admissible words with union exactly S, for cycle classes (`taylor_class`).
 
     Each block is `_blocks`' insertion columns with every index bitmask
-    labelled as its word (`index_word`, by `insertion_complex`): the full
+    labelled as its word (`Generators.labels`, by `insertion_complex`): the full
     block's basis, in its order (by factor count, then lexicographically),
     with the words that are not admissible left out, and the insertion
     differential with the targets that are not admissible dropped.  That is the quotient by an acyclic subcomplex, so
     every block has the homology of the full block.  A union that carries
     no admissible word has no block; its full block is acyclic."""
-    gens, masks = _checked_generators(K)
-    return {S: insertion_complex(words, inside, lambda word: index_word(word, gens))
-            for S, words, inside in _blocks(masks)}
+    gens = _checked_generators(K)
+    return {S: insertion_complex(words, inside, gens.labels) for S, words, inside in _blocks(gens)}
 
 
-def _blocks(masks):
-    """(S, words, inside) of every block of admissible words, on index
-    bitmasks: `admissible_words`' unions in their order, each with its words
-    in basis order and the bitmask of the generators inside it, the bits
-    that `insertion_columns` lets enter a word.  A generator is inside the
-    union when it holds no vertex outside it, so `inside` is every
-    generator less those at the vertices outside the union, read from one
-    bitset of generators per vertex."""
-    top, every = reduce(or_, masks, 0), (1 << len(masks)) - 1
-    at_vertex = [sum(1 << q for q, mask in enumerate(masks) if mask >> i & 1)
-                 for i in range(top.bit_length())]
-    for union, words in admissible_words(masks).items():
-        inside, outside = every, top & ~union
-        while outside:
-            low = outside & -outside
-            inside &= ~at_vertex[low.bit_length() - 1]
-            outside ^= low
-        yield mask_face(union), words, inside
+def _blocks(gens):
+    """(S, words, inside) of every block of admissible words of the
+    `Generators` gens, on index bitmasks: `admissible_words`' unions in
+    their order, each with its words in basis order and the generators
+    inside it (`within`), the bits that `insertion_columns` lets enter a
+    word."""
+    for union, words in admissible_words(gens.masks).items():
+        yield mask_face(union), words, gens.within(union)
 
 
 def taylor_homology_by_support(K):
@@ -362,8 +319,7 @@ def taylor_homology_by_support(K):
     `taylor_components` labels.  `insertion_table` reads the groups from
     the insertion columns, d^2 = 0 checked, with no labelled complex built,
     as the cellular table does."""
-    _, masks = _checked_generators(K)
-    return insertion_table(_blocks(masks))
+    return insertion_table(_blocks(_checked_generators(K)))
 
 
 def taylor_homology(K):
@@ -423,13 +379,13 @@ def nested_taylor_cycle(w, K):
     generator breaks that rule; the result is asserted to be a cycle.
     """
     levels = nested_levels(w)
-    gens, masks = generator_masks(K)
+    gens = K.generators()
+    masks = gens.masks
     undefined = f"bd_Delta({w.to_text()}) does not sit in K: the product is not defined"
     if max(w.leaves()) > K.m:
         raise ValueError(undefined)
-    leaves = face_mask(w.leaves())
     # K's missing faces among the leaves are the generators inside them
-    inside = [q for q, mask in enumerate(masks) if not mask & ~leaves]
+    inside = [v - 1 for v in mask_face(gens.within(face_mask(w.leaves())))]
     if not _sits_in(canonical_missing_faces(w), [masks[q] for q in inside]):
         raise ValueError(undefined)
     level_masks = [face_mask(level) for level in levels]
@@ -444,7 +400,7 @@ def nested_taylor_cycle(w, K):
         top = max(i for i, level in enumerate(level_masks) if masks[q] & level)
         if level_masks[top] & ~masks[q]:
             raise ValueError(f"the closed form of {w.to_text()} is no cycle of K: the "
-                             f"missing face {gens[q]} meets the level {top + 1} leaves "
+                             f"missing face {gens.faces[q]} meets the level {top + 1} leaves "
                              f"{levels[top]} without containing them")
     words = {0: 1}
     for bits in hits:
@@ -454,9 +410,9 @@ def nested_taylor_cycle(w, K):
                 if not word & b:
                     grown[word | b] = grown.get(word | b, 0) + insertion_sign(word, b) * c
         words = grown
-    if index_boundary(words, masks):
+    if index_boundary(words, gens):
         raise AssertionError("closed-form chain is not a cycle")
-    return TaylorChain({index_word(word, gens): c for word, c in words.items()})
+    return TaylorChain({gens.labels(word): c for word, c in words.items()})
 
 
 # -- monomial ideals and Lyubeznik's resolution on the lcm lattice -------------------
@@ -541,13 +497,14 @@ def verify_taylor_is_resolution(ideal):
     has the slice of the lcm of the generators dividing it, or Z in degree
     0 when none does.  A failure is (the generators inside U, word length,
     group)."""
-    masks = ideal.masks()
-    _refuse_past_bound(len(masks))
-    by_union = admissible_words(masks)
+    gens = Generators(None, ideal.masks())
+    _refuse_past_bound(len(gens.masks))
+    by_union = admissible_words(gens.masks)
     failures = []
-    for U in sorted(mask_lattice(masks) - {0}):
+    for U in sorted(mask_lattice(gens.masks) - {0}):
         words = [word for union, ws in by_union.items() if not union & ~U for word in ws]
-        inside = [q for q, mask in enumerate(masks) if not mask & ~U]
-        groups = column_homology(*insertion_columns(words, sum(1 << q for q in inside)))
-        failures += [(tuple(inside), -d, str(h)) for d, h in groups.items()]
+        inside = gens.within(U)
+        groups = column_homology(*insertion_columns(words, inside))
+        failures += [(tuple(v - 1 for v in mask_face(inside)), -d, str(h))
+                     for d, h in groups.items()]
     return ResolutionReport(not failures, tuple(failures))

@@ -272,11 +272,12 @@ def _inner_leaf_sets(w):
 
 def _leaf_missing_faces(K, leaves):
     """The missing faces of K among `leaves` as bitmasks, or None when a leaf
-    is no vertex of K: the one scan of K per leaf set, against which
-    `_sits_in` tests every generator set on those leaves."""
+    is no vertex of K: K's generators inside the leaves (`Generators.within`),
+    against which `_sits_in` tests every generator set on those leaves."""
     if max(leaves) > K.m:
         return None
-    return [cx.face_mask(f) for f in K.missing_faces_within(leaves)]
+    gens = K.generators()
+    return [gens.masks[q - 1] for q in cx.mask_face(gens.within(cx.face_mask(leaves)))]
 
 
 def _sits_in(generators, missing):
@@ -311,7 +312,7 @@ def criterion_applies(K, w):
     """Is every inner leaf set of [w_1,...,w_q, leaves] a missing face of K
     (its boundary sits in K, its simplex does not), so that each w_j is a
     nontrivial single product?  The paper proves the nested criterion for
-    those only.  Decided on one scan of K among the inner leaves."""
+    those only.  Decided on K's missing faces among the inner leaves."""
     inner = [v for c in w.bracket_children() for v in c.leaves()]
     return _criterion_holds(w, _leaf_missing_faces(K, inner) if inner else [])
 
@@ -338,7 +339,7 @@ def nested_shape_status(K, w):
 def nested_shape_report(K, w):
     """(status, notes): `nested_shape_status`, with OUTSIDE_CRITERION as the
     note when w is defined but the criterion does not apply.  The criterion
-    is decided once, for both, from the one scan of K among the leaves."""
+    is decided once, for both, from K's missing faces among the leaves."""
     subs, leaves_ = _nested_shape_parts(w)
     missing = _leaf_missing_faces(K, w.leaves())
     if missing is None or not _sits_in(canonical_missing_faces(w), missing):

@@ -22,15 +22,16 @@ bit for bit; the one remaining freedom is the global sign of the answer.
 
 The staircase (`koszul_to_taylor`) runs on bitmasks, one slice S at a
 time.  A term is keyed (J, W): J the bitmask of its circle letters, W the
-bitmask of its word's generator indices (bit q for the q-th missing face
-of K, as in the Taylor table).  The disc letters are not stored: I is
-S - J - union(W).  A vertical preimage is solved one word at a time against
-the cached Koszul block of T_W = S - union(W), whose bits move onto the
-bits of 1..n and back; the horizontal step inserts generator bit b into W
-with `exactalg.insertion_sign`, (-1)^popcount(W & (b - 1)), and a disc bit
-i joins J by the same rule, so `exactalg.insertion_columns`, the builder
-of the Taylor blocks and the cellular star quotients, builds the Koszul
-blocks.
+bitmask of its word's generator indices on K's `complexes.Generators`
+(bit q for the q-th missing face of K, as in the Taylor table).  The disc
+letters are not stored: I is S - J - union(W).  A vertical preimage is
+solved one word at a time against the cached Koszul block of
+T_W = S - union(W), whose bits move onto the bits of 1..n and back; the
+horizontal step inserts the bit b of a generator inside S (`within`) and
+off J into W with `exactalg.insertion_sign`, (-1)^popcount(W & (b - 1)),
+and a disc bit i joins J by the same rule, so `exactalg.insertion_columns`,
+the builder of the Taylor blocks and the cellular star quotients, builds
+the Koszul blocks.
 Labels are built only for the returned cycle, once it is checked on masks,
 and for the text of the trace: the input cell chain goes onto masks by
 support (S = J + I, the word empty), and a trace step keeps its slice's
@@ -44,11 +45,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .complexes import face_mask, mask_face, signed_sum_text, word_text
+from .complexes import face_mask, mask_face, signed_sum_text
 from .exactalg import _column_matrix, insertion_columns, insertion_sign, smith_normal_form
 from .moment_angle import cell_letters
-from .taylor import (TaylorChain, generator_masks, index_boundary, index_union, index_word,
-                     taylor_boundary, taylor_cycle_is_boundary)
+from .taylor import TaylorChain, index_boundary, taylor_boundary, taylor_cycle_is_boundary
 
 
 class ZigzagStep:
@@ -99,43 +99,31 @@ def _koszul_block(n, j):
 
 # -- the staircase on masks ------------------------------------------------------
 
-def _bits(mask):
-    """The positions of the set bits of a bitmask, ascending from 0."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _text(S, terms, generators):
+def _text(S, terms, gens):
     """The slice S's terms {(J, W): coeff} as a signed sum of words in the
     letters of I and J and the names of W's generators, sorted by the label
-    (I, J, W), each generator's name written once per staircase."""
-    gens, masks, names = generators
-    labelled = []
+    (I, J, W)."""
+    faces, names, labelled = gens.faces, gens.names, []
     for (J, W), c in terms.items():
-        qs = _bits(W)
-        I = S & ~J & ~index_union(W, masks)
-        labelled.append(((mask_face(I), mask_face(J), tuple(gens[q] for q in qs)), c, qs))
-    return signed_sum_text(("*".join(cell_letters(J, I) + [names[q] for q in qs]), c)
+        qs, I = mask_face(W), S & ~J & ~gens.union(W)
+        labelled.append(((mask_face(I), mask_face(J), tuple(faces[q - 1] for q in qs)), c, qs))
+    return signed_sum_text(("*".join(cell_letters(J, I) + ["w" + names[q - 1] for q in qs]), c)
                            for (I, J, _), c, qs in sorted(labelled))
 
 
-def _vertical(S, terms, masks):
+def _vertical(S, terms, gens):
     """The vertical differential inside the slice S, on masks: disc bit i
     enters the circle bitmask J with `insertion_sign`, the sign of
     `cell_boundary`."""
     out = {}
     for (J, W), c in terms.items():
-        for q in _bits(S & ~J & ~index_union(W, masks)):
-            i = 1 << q
+        for v in mask_face(S & ~J & ~gens.union(W)):
+            i = 1 << (v - 1)
             out[(J | i, W)] = out.get((J | i, W), 0) + insertion_sign(J, i) * c
     return {key: c for key, c in out.items() if c}
 
 
-def _vertical_preimage(S, eta, masks):
+def _vertical_preimage(S, eta, gens):
     """phi with vertical(phi) = eta inside the slice S, on masks.
 
     The vertical differential keeps the word W and moves disc letters of
@@ -153,7 +141,7 @@ def _vertical_preimage(S, eta, masks):
         by_word.setdefault(W, {})[J] = c
     phi = {}
     for W, b in by_word.items():
-        bits = [1 << q for q in _bits(S & ~index_union(W, masks))]
+        bits = [1 << (v - 1) for v in mask_face(S & ~gens.union(W))]
         rows, sources, snf = _koszul_block(len(bits), j)
         x = snf.solve({rows[sum(1 << k for k, bit in enumerate(bits) if J & bit)]: c
                        for J, c in b.items()})
@@ -161,16 +149,16 @@ def _vertical_preimage(S, eta, masks):
             raise ZigzagError("no integer vertical preimage; input cycle or signs broken")
         for col, c in x.items():
             if c:
-                phi[(sum(bits[k] for k in _bits(sources[col])), W)] = c
+                phi[(sum(bits[k - 1] for k in mask_face(sources[col])), W)] = c
     return phi
 
 
-def _horizontal(S, phi, masks):
+def _horizontal(S, phi, gens):
     """The horizontal differential inside the slice S, on masks: generator
     bit b enters W when its face lies in union(W) + I = S - J, with
     `insertion_sign`; the letters it takes from I need no bookkeeping, I
     being S - J - union(W)."""
-    inside = [(1 << q, mask) for q, mask in enumerate(masks) if not mask & ~S]
+    inside = [(1 << (q - 1), gens.masks[q - 1]) for q in mask_face(gens.within(S))]
     out = {}
     for (J, W), c in phi.items():
         for b, mask in inside:
@@ -179,23 +167,23 @@ def _horizontal(S, phi, masks):
     return {key: c for key, c in out.items() if c}
 
 
-def _staircase(gens, masks, slices):
-    """The staircase from vertical cycles {S: {(J, W): coeff}}, slice by
-    slice in the order of their vertex sets, returning (cycle, trace)."""
-    generators = (gens, masks, ["w" + word_text(F) for F in gens])
+def _staircase(gens, slices):
+    """The staircase from vertical cycles {S: {(J, W): coeff}} on the
+    `Generators` gens, slice by slice in the order of their vertex sets,
+    returning (cycle, trace)."""
     steps = []
     total = {}
     for S in sorted(slices, key=mask_face):
         eta = slices[S]
-        while eta and any(J or index_union(W, masks) != S for J, W in eta):
-            phi = _vertical_preimage(S, eta, masks)
-            steps.append(ZigzagStep("solve-vertical", S, phi, generators))
-            eta = _horizontal(S, phi, masks)
-            steps.append(ZigzagStep("apply-horizontal", S, eta, generators))
+        while eta and any(J or gens.union(W) != S for J, W in eta):
+            phi = _vertical_preimage(S, eta, gens)
+            steps.append(ZigzagStep("solve-vertical", S, phi, gens))
+            eta = _horizontal(S, phi, gens)
+            steps.append(ZigzagStep("apply-horizontal", S, eta, gens))
         total.update({W: c for (_, W), c in eta.items()})
-    if index_boundary(total, masks):
+    if index_boundary(total, gens):
         raise ZigzagError("staircase output is not a Taylor cycle")
-    cycle = TaylorChain({index_word(W, gens): c for W, c in total.items()})
+    cycle = TaylorChain({gens.labels(W): c for W, c in total.items()})
     return cycle, ZigzagTrace(tuple(steps))
 
 
@@ -210,14 +198,14 @@ def koszul_to_taylor(K, z):
     """
     if not z.supported_in(K):
         raise ZigzagError("chain uses cells outside Z_K")
-    gens, masks = generator_masks(K)
+    gens = K.generators()
     slices = {}
     for (J, I), c in z.terms.items():
         circle = face_mask(J)
         slices.setdefault(circle | face_mask(I), {})[(circle, 0)] = c
-    if any(_vertical(S, eta, masks) for S, eta in slices.items()):
+    if any(_vertical(S, eta, gens) for S, eta in slices.items()):
         raise ZigzagError("input chain is not a cycle")
-    return _staircase(gens, masks, slices)
+    return _staircase(gens, slices)
 
 
 def classes_equal(K, t1, t2):

@@ -11,7 +11,9 @@ words only), the cell boundary by sorting and counting (the reference for
 the package's insertion sign on the circle bitmask), the staircase's
 vertical solve over the whole multidegree slice (the reference for the
 package's solve one word at a time), definition-level missing
-faces, substitution and cone points, the closure of facets, boundary, join
+faces, the missing faces of a full subcomplex by a scan of K's face masks
+inside it (`reference_missing_faces_within`, the reference for the
+package's generator table), substitution and cone points, the closure of facets, boundary, join
 and bd_Delta(w) on sets of face tuples (`TupleComplex`, the reference for
 the package's constructors on face bitmasks), permutation-search shiftedness (the
 reference for the package's order by facet dominance), the shifted wedge
@@ -931,6 +933,27 @@ def brute_missing_faces(K):
             if all(tuple(v for v in cand if v != x) in K.faces for x in cand):
                 out.append(cand)
     return sorted(out, key=lambda f: (len(f), f))
+
+
+def reference_missing_faces_within(K, subset):
+    """Missing faces of the full subcomplex K_S in K's labels, ghost
+    vertices included, by a scan of K's face masks inside S: a missing face
+    less its largest vertex is a face, so each is found once as a face plus
+    a vertex of S above its top whose every facet is a face.  The
+    package's own rule before its generator table."""
+    smask = face_mask(subset)
+    bits = [1 << i for i in range(K.m) if smask >> i & 1]
+    found = []
+    for mask in K.face_masks:
+        if mask & ~smask:
+            continue
+        for bit in bits:
+            cand = mask | bit
+            if bit <= mask or cand in K.face_masks:
+                continue
+            if all(cand ^ 1 << i in K.face_masks for i in range(K.m) if mask >> i & 1):
+                found.append(tuple(v for v in range(1, K.m + 1) if cand >> (v - 1) & 1))
+    return sorted(found, key=lambda f: (len(f), f))
 
 
 def brute_cone_point(K, S):

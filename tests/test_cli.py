@@ -2,6 +2,7 @@ import json
 import random
 import tracemalloc
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -222,6 +223,7 @@ BAD_FILES = {"bad.json": "{not json", "no_facets.json": '{"m": 3}',
              "no_m.json": '{"facets": [[1, 2]]}',
              "undefined.json": '{"m": 3, "facets": [[1, 2], [3]]}',
              "points4.json": '{"m": 4, "facets": []}',
+             "points40.json": '{"m": 40, "facets": []}',
              # m and every label must be JSON integers, m >= 0
              "float_label.json": '{"m": 3, "facets": [[1.5, 2]]}',
              "bool_label.json": '{"m": 3, "facets": [[true, 2]]}',
@@ -249,11 +251,24 @@ BAD_FILES = {"bad.json": "{not json", "no_facets.json": '{"m": 3}',
     (["mf", "--complex", "points300000.json", "--max-vertices", "1000000"], 2),
     # a leaf outside K: the product is not defined
     (["status", "--complex", "pt", "--w", "[1,2]"], {"status": "undefined"}),
-    # a single product whose leaves span a face answers with no class, though
-    # Z_K is refused on this K (a ghost vertex) and `realises` exits 1 there
+    # a ghost vertex outside the leaves: a single product whose leaves span a
+    # face answers, and `realises` classes its chain in the blocks of the
+    # leaves, whose singletons are all faces
     (["status", "--complex", "join(simplex(1,2),bd(pt))", "--w", "[1,2]"],
      {"status": "defined-trivial"}),
-    (["realises", "--complex", "join(simplex(1,2),bd(pt))", "--w", "[1,2]"], 1),
+    (["realises", "--complex", "join(simplex(1,2),bd(pt))", "--w", "[1,2]"],
+     {"defined": "yes", "nontrivial": "no",
+      "notes": ["canonical class vanishes", "trivialising join is a subcomplex"]}),
+    # 40 isolated points past the default bound: their 780 edges are found
+    # with no vertex gate and named in every report, and only the Taylor
+    # gate refuses them
+    (["mf", "--complex", "points40.json", "--max-vertices", "40"],
+     {"missing_faces": [list(f) for f in combinations(range(1, 41), 2)]}),
+    (["status", "--complex", "points40.json", "--max-vertices", "40", "--w", "[1,2]"],
+     {"status": "defined-nontrivial",
+      "generator_order": [f"{i}.{j}" if j > 9 else f"{i}{j}"
+                          for i, j in combinations(range(1, 41), 2)]}),
+    (["taylor", "--complex", "points40.json", "--max-vertices", "40"], 2),
     (["homology", "--complex", "pt", "--bogus"], 1),
     ([], 1),
     (["frobnicate"], 1),

@@ -18,7 +18,8 @@ from momangle.whitehead import bracket, delta_w, leaf, parse_whitehead
 from oracles import (TupleComplex, brute_facets, brute_is_shifted, brute_missing_faces,
                      brute_order_is_shifted, brute_substitute_faces, random_complex,
                      random_graph_complex, random_shifted_complex, reference_boundary,
-                     reference_delta_w, reference_from_facets, reference_join)
+                     reference_delta_w, reference_from_facets, reference_join,
+                     reference_missing_faces_within)
 from test_split import complexes as split_complexes
 
 
@@ -431,15 +432,45 @@ def test_missing_faces_within_matches_the_full_subcomplex():
     assert ghost_faces > 100
 
 
+def test_generator_table_against_the_subset_scan():
+    """On every vertex subset S of seeded complexes with ghost vertices,
+    `missing_faces_within` and the generator table's `within` give the
+    missing faces that a scan of K's faces inside S finds
+    (`reference_missing_faces_within`), ghost singletons among them."""
+    rng = random.Random(67)
+    subsets = ghost_faces = 0
+    for _ in range(30):
+        K = with_ghosts(random_complex(rng.randint(3, 8), rng), rng)
+        gens = K.generators()
+        for k in range(K.m + 1):
+            for S in combinations(range(1, K.m + 1), k):
+                want = reference_missing_faces_within(K, S)
+                assert K.missing_faces_within(S) == want, (K, S)
+                assert gens.labels(gens.within(face_mask(S))) == tuple(want), (K, S)
+                subsets += 1
+                ghost_faces += sum(len(f) == 1 for f in want)
+    assert subsets > 2000 and ghost_faces > 1000
+
+
+def test_face_index_within_is_the_faces_of_the_full_subcomplex():
+    """`FaceIndex.within(S)` marks exactly `face_masks_within(S)`, on every
+    vertex subset of the split complexes."""
+    for K in split_complexes():
+        index = K.face_index()
+        for k in range(K.m + 1):
+            for S in combinations(range(1, K.m + 1), k):
+                got = index.within(face_mask(S))
+                assert [f for i, f in enumerate(index.order) if got >> i & 1] == \
+                    K.face_masks_within(S), (K, S)
+
+
 def test_missing_faces_within_bounds():
-    """The subset's size is gated as K_S's own vertex count was; labels
-    outside 1..m are refused."""
+    """No vertex count is gated: the missing faces come from one scan of
+    K's faces, linear in their number; labels outside 1..m are refused."""
     K = SimplicialComplex(30, [(v,) for v in range(1, 31)])
     assert len(K.missing_faces_within(range(3, 27))) == 24 * 23 // 2
-    with pytest.raises(SizeLimitError, match="m=25"):
-        K.missing_faces_within(range(1, 26))
-    with pytest.raises(SizeLimitError, match="m=30"):
-        K.missing_faces()
+    assert len(K.missing_faces_within(range(1, 26))) == 25 * 24 // 2 == 300
+    assert len(K.missing_faces()) == 30 * 29 // 2 == 435
     with pytest.raises(ValueError, match="outside vertex range"):
         K.missing_faces_within((1, 31))
 

@@ -112,7 +112,7 @@ def verb_differentials(K):
     out = []
     for S, smask in ma._lattice(K):
         out += differentials(*insertion_columns(*ma._star_cells(K, S, smask)))
-    for _, words, inside in ty._blocks(ty.generator_masks(K)[1]):
+    for _, words, inside in ty._blocks(K.generators()):
         out += differentials(*insertion_columns(words, inside))
     for J in ma.cone_free_subsets(K):
         C = reduced_chain_complex(K.faces_within(J))

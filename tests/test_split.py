@@ -435,7 +435,7 @@ def test_column_rule_matches_the_references_on_every_block():
         blocks = [(S, *moment_angle._star_cells(K, S, cx.face_mask(S)))
                   for S in lattice_supports(K)]
         if len(K.missing_faces()) <= 12:
-            blocks += taylor._blocks(taylor.generator_masks(K)[1])
+            blocks += taylor._blocks(K.generators())
         for S, words, inside in blocks:
             dims, columns = insertion_columns(words, inside)
             assert (dims, columns) == reference_insertion_columns(words, inside), (K, S)
@@ -537,7 +537,8 @@ def test_verify_checks_the_shared_builder_against_hochster(monkeypatch, tmp_path
 
 def test_table_checks_singletons_once(monkeypatch, rp2):
     """The table asks once per complex whether every singleton is a face;
-    a star quotient built alone still refuses a ghost vertex."""
+    a star quotient built alone refuses a ghost vertex inside its support,
+    and only there."""
     calls = []
     raw = cx.SimplicialComplex.has_all_singletons
     monkeypatch.setattr(cx.SimplicialComplex, "has_all_singletons",
@@ -548,7 +549,8 @@ def test_table_checks_singletons_once(monkeypatch, rp2):
     assert calls == [K]
     ghost = cx.SimplicialComplex(3, [(), (1,), (2,)])
     with pytest.raises(ValueError, match="singleton"):
-        zk_star_quotient(ghost, (1, 2))
+        zk_star_quotient(ghost, (1, 3))
+    assert zk_star_quotient(ghost, (1, 2)).homology_all()
     with pytest.raises(ValueError, match="singleton"):
         zk_homology_by_support(ghost)
 

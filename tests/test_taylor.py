@@ -1,12 +1,12 @@
 import random
 import re
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from momangle import exactalg, moment_angle
 from momangle import taylor as ty
-from momangle.complexes import (SimplicialComplex, SizeLimitError, face_mask,
+from momangle.complexes import (Generators, SimplicialComplex, SizeLimitError, face_mask,
                                 parse_complex, simplex_boundary)
 from momangle.exactalg import HomologyGroup
 from momangle.moment_angle import hochster_table, zk_homology
@@ -90,8 +90,8 @@ def test_face_complex_reads_the_generators_once(monkeypatch):
     per basis word, and its columns are `taylor_boundary`'s on every basis
     word of seeded complexes."""
     calls = []
-    raw = ty.generator_masks
-    monkeypatch.setattr(ty, "generator_masks", lambda K: calls.append(K) or raw(K))
+    raw = SimplicialComplex.generators
+    monkeypatch.setattr(SimplicialComplex, "generators", lambda K: calls.append(K) or raw(K))
     rng = random.Random(37)
     complexes = 0
     while complexes < 12:
@@ -201,8 +201,8 @@ def test_block_inside_is_the_generators_inside_the_union():
         K = random_complex(rng.randint(3, 9), rng)
         if len(K.missing_faces()) > 14:
             continue
-        _, masks = ty.generator_masks(K)
-        for S, words, inside in ty._blocks(masks):
+        masks = K.generators().masks
+        for S, words, inside in ty._blocks(K.generators()):
             union = face_mask(S)
             assert inside == sum(1 << q for q, mask in enumerate(masks)
                                  if not mask & ~union), (K, S)
@@ -481,6 +481,28 @@ def test_polarised_masks():
     assert ideal.masks() == [0b11, 0b101, 0b11100]
     assert sf(4, (1, 3), (3, 4)).masks() == [0b011, 0b110]   # vertex 2 occurs in none
     assert MonomialIdeal(3, []).masks() == []
+
+
+def test_polarised_within_is_divisibility():
+    """On polarised generators of seeded general-exponent ideals, the
+    generator table's `within` at the lcm of every set of generators marks
+    exactly the generators that divide that lcm.  The generators share one
+    total degree, so none divides another."""
+    rng = random.Random(43)
+    more = 0
+    for _ in range(40):
+        m, d = rng.choice([(2, 4), (3, 3), (3, 4)])
+        same_degree = [g for g in product(range(d + 1), repeat=m) if sum(g) == d]
+        ideal = MonomialIdeal(m, rng.sample(same_degree, rng.randint(2, min(7, len(same_degree)))))
+        gens = Generators(None, ideal.masks())
+        for picked in range(1 << len(ideal.gens)):
+            lcm = [max((g[v] for q, g in enumerate(ideal.gens) if picked >> q & 1), default=0)
+                   for v in range(ideal.m)]
+            dividing = sum(1 << q for q, g in enumerate(ideal.gens)
+                           if all(a <= b for a, b in zip(g, lcm)))
+            assert gens.within(gens.union(picked)) == dividing, (ideal, picked)
+            more += dividing != picked
+    assert more > 500
 
 
 def random_general_ideal(rng):

@@ -6,11 +6,10 @@ from math import comb
 import pytest
 
 from momangle import parse_complex, zigzag
-from momangle.complexes import SimplicialComplex, face_mask, mask_face, simplex_boundary
+from momangle.complexes import Generators, SimplicialComplex, face_mask, mask_face, simplex_boundary
 from momangle.exactalg import IntMatrix, smith_normal_form
 from momangle.moment_angle import CellChain, zk_class
-from momangle.taylor import (TaylorChain, generator_masks, index_union, nested_taylor_cycle,
-                             taylor_boundary)
+from momangle.taylor import TaylorChain, nested_taylor_cycle, taylor_boundary
 from momangle.whitehead import delta_w, hurewicz_chain, parse_whitehead
 from momangle.zigzag import (ZigzagError, _horizontal, _koszul_block, _staircase, _vertical,
                              _vertical_preimage, classes_equal, classes_equal_up_to_sign,
@@ -28,21 +27,21 @@ def B(terms):
 
 def masked(K, e):
     """A labelled element as the staircase's slices {S: {(J, W): coeff}}."""
-    gens, masks = generator_masks(K)
-    position = {F: q for q, F in enumerate(gens)}
+    gens = K.generators()
+    position = {F: q for q, F in enumerate(gens.faces)}
     out = {}
     for (I, J, W), c in e.terms.items():
         word = sum(1 << position[F] for F in W)
-        S = face_mask(I) | face_mask(J) | index_union(word, masks)
+        S = face_mask(I) | face_mask(J) | gens.union(word)
         out.setdefault(S, {})[(face_mask(J), word)] = c
     return out
 
 
 def labelled(K, S, terms):
     """The slice S's terms {(J, W): coeff} as a BicomplexChain."""
-    gens, masks = generator_masks(K)
-    return B({(mask_face(S & ~J & ~index_union(W, masks)), mask_face(J),
-               tuple(F for q, F in enumerate(gens) if W >> q & 1)): c
+    gens = K.generators()
+    return B({(mask_face(S & ~J & ~gens.union(W)), mask_face(J),
+               tuple(F for q, F in enumerate(gens.faces) if W >> q & 1)): c
               for (J, W), c in terms.items()})
 
 
@@ -50,9 +49,9 @@ def solve_vertical(K, S, eta):
     """The staircase's vertical solve (`_vertical_preimage`) on labels: the
     preimage of eta, whose terms are basis triples of the multidegree slice
     S (a vertex tuple)."""
-    masks = generator_masks(K)[1]
+    gens = K.generators()
     smask = face_mask(S)
-    return labelled(K, smask, _vertical_preimage(smask, masked(K, eta)[smask], masks))
+    return labelled(K, smask, _vertical_preimage(smask, masked(K, eta)[smask], gens))
 
 
 def _random_ideal_complex(rng, top):
@@ -67,20 +66,20 @@ def _random_slice(rng, K, count=4):
     """(S, terms): a random set S of at least half of K's vertices and up
     to `count` basis terms of its slice, each a word W of up to two
     generators inside S and a circle set J among the other letters of S."""
-    masks = generator_masks(K)[1]
+    gens = K.generators()
     S = face_mask(rng.sample(range(1, K.m + 1), rng.randint((K.m + 1) // 2, K.m)))
-    inside = [q for q, mask in enumerate(masks) if not mask & ~S]
+    inside = [q for q, mask in enumerate(gens.masks) if not mask & ~S]
     terms = {}
     for _ in range(count):
         W = sum(1 << q for q in rng.sample(inside, rng.randint(0, min(2, len(inside)))))
-        free = mask_face(S & ~index_union(W, masks))
+        free = mask_face(S & ~gens.union(W))
         J = face_mask(rng.sample(free, rng.randint(0, len(free) // 2)))
         terms[(J, W)] = rng.choice([-2, -1, 1, 3])
     return S, terms
 
 
 def test_vertical_diff_single_disc():
-    assert _vertical(0b1, {(0, 0): 1}, []) == {(0b1, 0): 1}
+    assert _vertical(0b1, {(0, 0): 1}, Generators(())) == {(0b1, 0): 1}
 
 
 def test_vertical_diff_squares_to_zero():
@@ -88,10 +87,10 @@ def test_vertical_diff_squares_to_zero():
     nonzero = 0
     for _ in range(60):
         K = _random_ideal_complex(rng, 6)
-        masks = generator_masks(K)[1]
+        gens = K.generators()
         S, terms = _random_slice(rng, K)
-        image = _vertical(S, terms, masks)
-        assert not _vertical(S, image, masks)
+        image = _vertical(S, terms, gens)
+        assert not _vertical(S, image, gens)
         nonzero += bool(image)
     assert nonzero > 50
 
@@ -105,23 +104,23 @@ def test_vertical_restricts_to_cell_boundary(sub5):
         cut = rng.randint(0, len(verts))
         chain = CellChain({(tuple(sorted(verts[cut:])), tuple(sorted(verts[:cut]))): 2})
         (S, terms), = masked(sub5, BicomplexChain.from_cell_chain(chain)).items()
-        assert labelled(sub5, S, _vertical(S, terms, [])) == \
+        assert labelled(sub5, S, _vertical(S, terms, Generators(()))) == \
             BicomplexChain.from_cell_chain(chain.boundary())
     z = hurewicz_chain(parse_whitehead("[[1,2,3],4,5]"))
     (S, terms), = masked(sub5, BicomplexChain.from_cell_chain(z)).items()
-    assert not _vertical(S, terms, []) and not z.boundary()
+    assert not _vertical(S, terms, Generators(())) and not z.boundary()
 
 
 def test_horizontal_diff_absorbs_missing_face(sub5):
     (S, terms), = masked(sub5, B({((1, 2, 3), (), ()): 1})).items()
-    assert labelled(sub5, S, _horizontal(S, terms, generator_masks(sub5)[1])) == \
+    assert labelled(sub5, S, _horizontal(S, terms, sub5.generators())) == \
         B({((), (), ((1, 2, 3),)): 1})
 
 
 def test_horizontal_diff_generator_sign(sub5):
     # absorbing (2,4,5) after (1,4,5) passes one smaller generator
     (S, terms), = masked(sub5, B({((2,), (), ((1, 4, 5),)): 1})).items()
-    assert labelled(sub5, S, _horizontal(S, terms, generator_masks(sub5)[1])) == \
+    assert labelled(sub5, S, _horizontal(S, terms, sub5.generators())) == \
         B({((), (), ((1, 4, 5), (2, 4, 5))): -1})
 
 
@@ -132,9 +131,9 @@ def test_horizontal_diff_matches_the_sorting_reference():
     checked = absorbed = 0
     while checked < 300:
         K = _random_ideal_complex(rng, 6)
-        masks = generator_masks(K)[1]
+        gens = K.generators()
         S, terms = _random_slice(rng, K, count=rng.randint(1, 3))
-        image = _horizontal(S, terms, masks)
+        image = _horizontal(S, terms, gens)
         assert labelled(K, S, image) == reference_horizontal_diff(K, labelled(K, S, terms))
         absorbed += bool(image)
         checked += 1
@@ -168,10 +167,10 @@ def test_differentials_commute():
     nonzero = 0
     for _ in range(150):
         K = _random_ideal_complex(rng, 5)
-        masks = generator_masks(K)[1]
+        gens = K.generators()
         S, terms = _random_slice(rng, K, count=3)
-        hv = _horizontal(S, _vertical(S, terms, masks), masks)
-        assert hv == _vertical(S, _horizontal(S, terms, masks), masks)
+        hv = _horizontal(S, _vertical(S, terms, gens), gens)
+        assert hv == _vertical(S, _horizontal(S, terms, gens), gens)
         nonzero += bool(hv)
     assert nonzero > 30
 
@@ -198,16 +197,16 @@ def test_zigzag_trace_satisfies_staircase(sub5):
     w = parse_whitehead("[[1,2,3],4,5]")
     z = hurewicz_chain(w)
     cyc, trace = koszul_to_taylor(sub5, z)
-    masks = generator_masks(sub5)[1]
+    gens = sub5.generators()
     (S, previous), = masked(sub5, BicomplexChain.from_cell_chain(z)).items()
     steps = list(trace.steps)
     while steps:
         solve = steps.pop(0)
         push = steps.pop(0)
         assert solve.kind == "solve-vertical" and solve.S == S
-        assert _vertical(S, solve.terms, masks) == previous
+        assert _vertical(S, solve.terms, gens) == previous
         assert push.kind == "apply-horizontal" and push.S == S
-        assert _horizontal(S, solve.terms, masks) == push.terms
+        assert _horizontal(S, solve.terms, gens) == push.terms
         previous = push.terms
     assert labelled(sub5, S, previous).taylor_part() == cyc
 
@@ -367,13 +366,13 @@ def _reference_outcome(K, z):
 def _restarts(K, trace, steps):
     """(cycle, trace JSON) of both staircases restarted from each of their
     apply-horizontal elements: vertical cycles whose words are not empty."""
-    gens, masks = generator_masks(K)
+    gens = K.generators()
     ours = [s for s in trace.steps if s.kind == "apply-horizontal"]
     theirs = [e for kind, e in steps if kind == "apply-horizontal"]
     assert len(ours) == len(theirs)
     for step, e in zip(ours, theirs):
-        assert not _vertical(step.S, step.terms, masks)
-        cycle, restart = _staircase(gens, masks, {step.S: step.terms})
+        assert not _vertical(step.S, step.terms, gens)
+        cycle, restart = _staircase(gens, {step.S: step.terms})
         yield (cycle, json.dumps(restart.to_list())), _reference_outcome(K, e)
 
 
@@ -443,7 +442,7 @@ def test_staircase_output_check_catches_a_broken_insertion_sign(sub5, monkeypatc
         patch.setattr(zigzag, "insertion_sign", lambda word, b: 1)
         with pytest.raises(ZigzagError, match="input chain is not a cycle"):
             koszul_to_taylor(sub5, z)
-        patch.setattr(zigzag, "_vertical", lambda S, terms, masks: {})
+        patch.setattr(zigzag, "_vertical", lambda S, terms, gens: {})
         with pytest.raises(ZigzagError, match="staircase output is not a Taylor cycle"):
             koszul_to_taylor(sub5, z)
     sign = zigzag.insertion_sign
@@ -518,15 +517,15 @@ def test_reference_vertical_solve_refusals(sub5):
 
 
 def test_mask_vertical_solve_refusals(sub5):
-    masks = generator_masks(sub5)[1]
+    gens = sub5.generators()
     with pytest.raises(ZigzagError, match="mixes circle degrees"):
-        _vertical_preimage(0b111, {(0b110, 0): 1, (0b100, 0): 1}, masks)
+        _vertical_preimage(0b111, {(0b110, 0): 1, (0b100, 0): 1}, gens)
     # d(D1 S2) = S1 S2 is not zero, so D1 S2 is no cycle and has no
     # preimage; nor has a disc letter at circle degree 0
     with pytest.raises(ZigzagError, match="no integer vertical preimage"):
-        _vertical_preimage(0b11, {(0b10, 0): 1}, masks)
+        _vertical_preimage(0b11, {(0b10, 0): 1}, gens)
     with pytest.raises(ZigzagError, match="no integer vertical preimage"):
-        _vertical_preimage(0b1, {(0, 0): 1}, masks)
+        _vertical_preimage(0b1, {(0, 0): 1}, gens)
     with pytest.raises(ZigzagError, match="not a cycle"):
         koszul_to_taylor(sub5, CellChain.from_text("D1*S2"))
 
