@@ -8,6 +8,13 @@ the missing-face generator order so Taylor output is reproducible.
 Exit codes: 0 success, 1 parse/validation error, 2 size refusal,
 3 verification failure.
 
+The argv is a verb of `COMMANDS` and then the options `VERB_OPTIONS` gives
+it, in any order (`read_argv`).  An option may be a unique prefix
+(`--comp`), take its value as `--option=value`, and be repeated, the last
+value kept; a value that begins with '-' is read as an option unless it is
+a negative number.  `-h`/`--help` prints the usage, of the command or of a
+verb, and exits 0; any other option, a stray token or `--` exits 1.
+
 Many calls in one process (a notebook, a test run, a driver calling `main`
 in a loop) build each input once.  The complex is memoised on the text of
 its builder expression or JSON file, with `--max-vertices` (`_load`: a file
@@ -20,13 +27,14 @@ exception: a refusal or a parse error is raised again on the next call.
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 import time
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from math import comb, inf
+from types import SimpleNamespace
 
 from . import __version__
 from . import complexes as cx
@@ -51,11 +59,13 @@ def load_complex(source, max_vertices):
     if not source.endswith(".json"):
         return _load(source, max_vertices, False)
     try:
-        with open(source) as fh:
+        with open(source, encoding="utf-8") as fh:
             text = fh.read()
         return _load(text, max_vertices, True)
-    except (OSError, KeyError, TypeError, OverflowError) as exc:
-        raise ValueError(f"cannot load a complex from {source}: {exc!r}") from exc
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError,
+            OverflowError) as exc:
+        raise ValueError(f"cannot load a complex from {source}: "
+                         f"{type(exc).__name__}: {exc}") from exc
 
 
 @lru_cache(maxsize=8)
@@ -232,38 +242,136 @@ NEEDS_COMPLEX = {"homology", "mf", "subst", "status", "realises", "taylor",
 NEEDS_W = {"delta-w", "hurewicz", "status", "realises", "taylor-cycle", "zigzag"}
 
 
-class ArgumentParser(argparse.ArgumentParser):
-    """Leaves the exit code to `main`: a bad argument is a parse error (exit
-    1), not argparse's exit 2, which the exit codes keep for size refusals."""
+# the options each verb reads, in usage order: --complex and --w are
+# required where a verb has them, and an option a verb does not read is an error
+REQUIRED = ("complex", "w")
+COMMON = ("format", "max-vertices")
+VERB_OPTIONS = {verb: (("complex",) if verb in NEEDS_COMPLEX else ())
+                + (("w",) if verb in NEEDS_W else ())
+                + {"hochster": ("subset",), "wedge-basis": ("order",)}.get(verb, ())
+                + COMMON
+                for verb in COMMANDS}
+OPTIONS = {  # option: (value name, help)
+    "complex": ("K", "builder expression or path to .json"),
+    "w": ("W", "Whitehead expression, e.g. [[1,2,3],4,5]"),
+    "subset": ("S", "comma-separated vertex subset"),
+    "order": ("O", "comma-separated shifted vertex order"),
+    "format": ("json|text", "report format (default json)"),
+    "max-vertices": ("N", "bound on the vertices of --complex and the leaves of --w (default 20)"),
+}
+GRAMMAR = """\
+An option may be shortened to a unique prefix (--comp for --complex) and
+given its value as --option=value; a repeated option keeps its last value.
+A value that begins with '-' and is not a negative number is given as
+--option=value."""
+_NEGATIVE = re.compile(r"-\d+|-\d*\.\d+")
 
-    def error(self, message):
-        raise ValueError(message)
+
+class Help(Exception):
+    """`-h`/`--help`: the usage text to print, with exit code 0."""
 
 
-@lru_cache(maxsize=1)
-def build_parser():
-    """The parser, built once per process: building its subparsers costs
-    far more than a parse, and parsing leaves the parser unchanged."""
-    parser = ArgumentParser(
-        prog="momangle",
-        description="moment-angle complex homology and Whitehead product tooling")
-    sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in COMMANDS:
-        p = sub.add_parser(verb)
-        # each verb takes only the options it reads, so an ignored one is an error
-        if verb in NEEDS_COMPLEX:
-            p.add_argument("--complex", required=True,
-                           help="builder expression or path to .json")
-        if verb in NEEDS_W:
-            p.add_argument("--w", required=True,
-                           help="Whitehead expression, e.g. [[1,2,3],4,5]")
-        if verb == "hochster":
-            p.add_argument("--subset", help="comma-separated vertex subset")
-        if verb == "wedge-basis":
-            p.add_argument("--order", help="comma-separated shifted vertex order")
-        p.add_argument("--format", choices=["json", "text"], default="json")
-        p.add_argument("--max-vertices", type=int, default=20)
-    return parser
+def _synopsis(options):
+    return " ".join(f"--{o} {OPTIONS[o][0]}" if o in REQUIRED else f"[--{o} {OPTIONS[o][0]}]"
+                    for o in options)
+
+
+def usage(verb=None):
+    """The help of `momangle -h` (every verb), or of `momangle VERB -h`."""
+    if verb is None:
+        lines = ["usage: momangle VERB [options]", "",
+                 "moment-angle complex homology and Whitehead product tooling", "", "verbs:"]
+        lines += [f"  {v:<13} {_synopsis(o for o in VERB_OPTIONS[v] if o not in COMMON)}"
+                  for v in COMMANDS]
+        lines += ["", "options of every verb:"]
+        options, help_line = COMMON, "this help; momangle VERB -h gives a verb's"
+    else:
+        options, help_line = VERB_OPTIONS[verb], "this help"
+        lines = [f"usage: momangle {verb} {_synopsis(options)}", "", "options:"]
+    lines += [f"  --{o + ' ' + OPTIONS[o][0]:<18} {OPTIONS[o][1]}" for o in options]
+    return "\n".join(lines + [f"  {'-h, --help':<20} {help_line}", "", GRAMMAR])
+
+
+def _option(token, names):
+    """How `token` reads among the options `names` ("help" included): None
+    for a verb or a value, else (name, the text after '=' or None), with
+    name None for an option that is none of them."""
+    if token == "--":
+        raise ValueError("'--' is not accepted: a value that begins with '-' "
+                         "is given as --option=value")
+    if token[:1] != "-" or token == "-" or _NEGATIVE.fullmatch(token):
+        return None
+    if token[1] == "h":
+        # -h, or -hh run together; any other tail is a value help refuses
+        return "help", token[2:].lstrip("h") or None
+    if token[1] == "-":
+        name, eq, value = token[2:].partition("=")
+        matches = [name] if name in names else [n for n in names if n.startswith(name)]
+        if len(matches) > 1:
+            raise ValueError(f"ambiguous option: {token} could match "
+                             + ", ".join(f"--{n}" for n in matches))
+        if matches:
+            return matches[0], value if eq else None
+    # no option of ours: a token with a space in it is a value, as in argparse
+    return None if " " in token else (None, None)
+
+
+def _value(name, text):
+    if name == "format" and text not in ("json", "text"):
+        raise ValueError(f"--format {text!r}: choose json or text")
+    if name == "max-vertices":
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError(f"--max-vertices {text!r} is not an integer") from None
+    return text
+
+
+def read_argv(argv):
+    """The verb and option values of `argv`, as attributes `verb`, `complex`,
+    `w`, `subset`, `order`, `format` and `max_vertices` (None where not
+    given, format json and max_vertices 20 by default).  Options are read
+    left to right, so `-h` raises `Help` unless an earlier token is a bad
+    value; a stray token, an unknown option or a missing --complex/--w is
+    a ValueError once the whole argv is read."""
+    args = SimpleNamespace(verb=None, complex=None, w=None, subset=None, order=None,
+                           format="json", max_vertices=20)
+    names, stray = ("help",), []
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        option = _option(token, names)
+        if option is None:
+            if args.verb is not None:
+                stray.append(token)
+                continue
+            if token not in COMMANDS:
+                raise ValueError(f"invalid verb {token!r} (choose from {', '.join(COMMANDS)})")
+            args.verb, names = token, VERB_OPTIONS[token] + ("help",)
+            continue
+        name, value = option
+        if name is None:
+            stray.append(token)
+        elif name == "help":
+            if value is not None:
+                raise ValueError(f"-h/--help takes no value: {token}")
+            raise Help(usage(args.verb))
+        else:
+            if value is None:
+                if i == len(argv) or _option(argv[i], names) is not None:
+                    raise ValueError(f"--{name} expects a value")
+                value = argv[i]
+                i += 1
+            setattr(args, name.replace("-", "_"), _value(name, value))
+    if args.verb is None:
+        raise ValueError(f"a verb is required (choose from {', '.join(COMMANDS)})")
+    missing = [f"--{o}" for o in REQUIRED if o in names and getattr(args, o) is None]
+    if missing:
+        raise ValueError("the following arguments are required: " + ", ".join(missing))
+    if stray:
+        raise ValueError("unrecognized arguments: " + " ".join(stray))
+    return args
 
 
 def render_text(out, indent=0):
@@ -344,13 +452,16 @@ def report_json(value, newline="\n"):
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        args = read_argv(sys.argv[1:] if argv is None else list(argv))
+    except Help as text:
+        print(text)
+        return EXIT_OK
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     out = {"verb": args.verb,
-           "inputs": {k: getattr(args, k, None) for k in ("complex", "w", "subset")
-                      if getattr(args, k, None) is not None},
+           "inputs": {k: getattr(args, k) for k in ("complex", "w", "subset")
+                      if getattr(args, k) is not None},
            "engine": f"momangle {__version__}"}
     started = time.perf_counter()
     code = EXIT_OK

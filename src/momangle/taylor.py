@@ -158,12 +158,17 @@ class TaylorChain(SignedSum):
 
     def to_text(self):
         """Canonical text: words fully expanded with factors in descending
-        generator order (so `w245^w145`, not `-w145^w245`)."""
+        generator order (so `w245^w145`, not `-w145^w245`), in the
+        lexicographic generator order of the words.  Each distinct factor
+        is named and ranked once per chain, not once per term."""
+        factors = sorted({f for word in self.terms for f in word}, key=gen_key)
+        rank = {f: i for i, f in enumerate(factors)}
+        name = {f: "w" + word_text(f) for f in factors}
         return signed_sum_text(
-            ("^".join("w" + word_text(f) for f in reversed(word)),
+            ("^".join([name[f] for f in reversed(word)]),
              -c if (len(word) * (len(word) - 1) // 2) % 2 else c)
             for word, c in sorted(self.terms.items(),
-                                  key=lambda t: tuple(map(gen_key, t[0]))))
+                                  key=lambda t: [rank[f] for f in t[0]]))
 
     @classmethod
     def from_text(cls, text):

@@ -40,7 +40,10 @@ degree by degree (the reference for the package's Lyubeznik check on the
 lcm lattice), the module Taylor differential rebuilt as iterated mapping
 cones (`cone_reconstruction`), and the Hochster embedding of simplicial
 chains into the cellular chains of Z_K (`hochster_embed`, the chain map the
-package's sign conventions are chosen for).
+package's sign conventions are chosen for), and the homology of Z_K in
+closed form for isolated points, polygons, simplices and their boundaries
+(`closed_form_homology`, a reference for the three routes that builds no
+chain complex).
 None of it shares code with the package internals it checks beyond the
 IntMatrix, SmithForm, ChainComplex and HomologyClass containers, with two
 exceptions, routes the package used before.  Whether bd_Delta(w) or the
@@ -60,6 +63,7 @@ rule on one word, the form the tests compare with the reference.
 
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from math import comb
 
 from momangle.complexes import (SignedSum, SimplicialComplex, SizeLimitError, face_mask,
                                 is_subcomplex, join, signed_sum_text, simplex,
@@ -1320,3 +1324,44 @@ def random_shifted_complex(m, rng):
                             faces.add(g)
                             changed = True
     return SimplicialComplex(m, faces)
+
+
+# -- closed forms ---------------------------------------------------------------
+
+CLOSED_FORM_FAMILIES = ("points", "polygon", "simplex-boundary", "simplex")
+
+
+def closed_form_family(family, n):
+    """K of a `closed_form_homology` family: n isolated points, the n-gon
+    (n >= 4), bd(simplex(n)) (n >= 2) or simplex(n)."""
+    if family == "points":
+        return SimplicialComplex.from_facets(n, [])
+    if family == "polygon":
+        return SimplicialComplex.from_facets(n, [(i, i % n + 1) for i in range(1, n + 1)])
+    return {"simplex-boundary": simplex_boundary, "simplex": simplex}[family](n)
+
+
+def closed_form_homology(family, n):
+    """{degree: rank} of H_*(Z_K), nonzero degrees only (every group is
+    free), from the known homotopy types, with no chain complex built:
+
+    - n isolated points: Z_K is the wedge over 2 <= k <= n of (k-1) C(n,k)
+      spheres S^{k+1} (Grbic-Theriault);
+    - the n-gon: Z_K is the connected sum over 3 <= k <= n-1 of (k-2)
+      C(n-2,k-1) copies of S^k x S^{n+2-k} (McGavran);
+    - bd(simplex(n)): Z_K = S^{2n-1}; simplex(n): Z_K = D^{2n}."""
+    ranks = {0: 1}
+    if family == "points":
+        for k in range(2, n + 1):
+            ranks[k + 1] = (k - 1) * comb(n, k)
+    elif family == "polygon":
+        ranks[n + 2] = 1
+        for k in range(3, n):
+            copies = (k - 2) * comb(n - 2, k - 1)
+            for d in (k, n + 2 - k):
+                ranks[d] = ranks.get(d, 0) + copies
+    elif family == "simplex-boundary":
+        ranks[2 * n - 1] = 1
+    elif family != "simplex":
+        raise ValueError(f"no closed form for {family!r}")
+    return {d: r for d, r in sorted(ranks.items()) if r}

@@ -6,7 +6,8 @@ from itertools import combinations
 
 import pytest
 
-from momangle.cli import build_parser, main, report_json
+from momangle import cli
+from momangle.cli import main, read_argv, report_json
 from momangle.complexes import SimplicialComplex
 from momangle.whitehead import delta_w, parse_whitehead
 from conftest import SUB5_EXPR
@@ -455,8 +456,9 @@ def test_zigzag_with_two_digit_labels(capsys):
 
 
 def test_parser_reused_across_calls(capsys):
-    """One parser serves every call: bad, good, then bad argv again give the
-    exit codes and outputs a freshly built parser gives for each."""
+    """The argv reader keeps nothing between calls: bad, good, then bad argv
+    again give the exit codes and outputs that each gives in the reverse
+    order of calls, and no argparse parser is built or kept."""
     argvs = [["homology", "--complex", "pt", "--max-vertices", "x"],
              ["mf", "--complex", SUB5_EXPR],
              ["homology", "--complex", "pt", "--max-vertices", "x"],
@@ -467,15 +469,120 @@ def test_parser_reused_across_calls(capsys):
         code, out, err = run_cli(capsys, *argv)
         return code, [line for line in out.splitlines() if "elapsed_s" not in line], err
 
-    fresh = []
-    for argv in argvs:
-        build_parser.cache_clear()
-        fresh.append(run(argv))
-    build_parser.cache_clear()
+    fresh = [run(argv) for argv in reversed(argvs)][::-1]
     reused = [run(argv) for argv in argvs]
-    assert build_parser.cache_info().misses == 1
+    assert "argparse" not in vars(cli)
     assert reused == fresh
     assert [code for code, _, _ in reused] == [1, 0, 1, 1, 0]
+
+
+SIMPLEX11 = "simplex(" + ",".join(map(str, range(1, 12))) + ")"
+
+
+@pytest.mark.parametrize("argv, code", [
+    # an option may be a unique prefix, and take its value after '='
+    (["homology", "--comp", "pt"], 0),
+    (["homology", "--c", "pt"], 0),
+    (["homology", "--complex", "pt", "--max-v=3"], 0),
+    (["homology", "--complex=pt", "--format=text"], 0),
+    # a repeated option keeps its last value
+    (["homology", "--complex", "nonsense(", "--complex", "pt"], 0),
+    (["homology", "--complex", "pt", "--complex", "nonsense("], 1),
+    (["homology", "--complex", "pt", "--format", "xml", "--format", "json"], 1),
+    # help, for the whole command and for a verb, before any missing option
+    (["-h"], 0),
+    (["--help"], 0),
+    (["homology", "-h"], 0),
+    (["homology", "--h"], 0),
+    (["-h", "frobnicate"], 0),
+    # no verb, or none of the 13
+    (["frobnicate"], 1),
+    ([], 1),
+    (["--complex", "pt", "homology"], 1),
+    # an option with no value, a stray token, '--', a value not among the choices
+    (["homology", "--complex"], 1),
+    (["homology", "--complex", "pt", "stray"], 1),
+    (["homology", "--complex", "pt", "--"], 1),
+    (["homology", "--", "--complex", "pt"], 1),
+    (["--", "homology", "--complex", "pt"], 1),
+    (["homology", "--complex", "pt", "--format", "xml"], 1),
+    (["homology", "--complex", "pt", "--help=yes"], 1),
+    # a value that begins with '-' reads as an option unless it is a number
+    (["hochster", "--complex", "pt", "--subset", "-1,2"], 1),
+    (["hochster", "--complex", "pt", "--subset=-1,2"], 1),
+    # int() reads --max-vertices: 1_0 is 10, which refuses 11 vertices, and -1
+    # is a number that refuses every complex
+    (["mf", "--complex", SIMPLEX11, "--max-vertices", "1_0"], 2),
+    (["mf", "--complex", SIMPLEX11, "--max-vertices", "1_1"], 0),
+    (["homology", "--complex", "pt", "--max-vertices", "-1"], 2),
+    (["homology", "--complex", "pt", "--max-vertices", "-1.5"], 1),
+])
+def test_argv_contract(capsys, argv, code):
+    """Each form exits as the argparse parser this reader replaced did."""
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code, err
+    assert "Traceback" not in err
+    if code == 1:
+        assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, code", [
+    # argparse read -h=h as -h twice; the reader refuses the value of -h
+    (["homology", "-h=h"], 1),
+    # argparse refused an ambiguous option (an empty name after '--') before
+    # it read any other token; the reader reads left to right, so an earlier
+    # -h answers first, and with no -h the option still exits 1
+    (["homology", "-h", "--=x"], 0),
+    (["homology", "--complex", "pt", "--=x"], 1),
+])
+def test_argv_forms_read_otherwise_than_by_argparse(capsys, argv, code):
+    got, _, err = run_cli(capsys, *argv)
+    assert got == code, err
+
+
+def test_argv_values():
+    def read(*argv):
+        args = read_argv(list(argv))
+        return [getattr(args, k) for k in ("verb", "complex", "w", "subset", "order",
+                                           "format", "max_vertices")]
+
+    assert read("homology", "--c", "pt", "--max-v=3") == [
+        "homology", "pt", None, None, None, "json", 3]
+    assert read("status", "--w", "[1,2]", "--comp=a", "--f", "text", "--complex", "b",
+                "--format=json") == ["status", "b", "[1,2]", None, None, "json", 20]
+    assert read("hochster", "--complex", "pt", "--subset", "1,2")[3] == "1,2"
+    assert read("wedge-basis", "--complex", "pt", "--o=-1,2")[4] == "-1,2"
+    assert read("mf", "--complex", "pt", "--max-vertices", "1_0")[6] == 10
+    assert read("mf", "--complex", "pt", "--max-vertices", "-1")[6] == -1
+    assert read("mf", "--complex", "-", "--max-vertices", " 7 ")[1:] == [
+        "-", None, None, None, "json", 7]
+
+
+def test_help_lists_the_verbs_and_a_verbs_options(capsys):
+    code, out, err = run_cli(capsys, "--help")
+    assert code == 0 and err == ""
+    verbs = out.split("verbs:\n")[1].split("\n\n")[0]
+    assert [line.split()[0] for line in verbs.splitlines()] == list(cli.COMMANDS)
+    for verb, options in [("homology", ["--complex", "--format", "--max-vertices"]),
+                          ("hochster", ["--complex", "--subset", "--format", "--max-vertices"]),
+                          ("delta-w", ["--w", "--format", "--max-vertices"])]:
+        code, out, err = run_cli(capsys, verb, "-h")
+        assert code == 0 and err == ""
+        assert out.startswith(f"usage: momangle {verb} ")
+        assert [line.split()[0] for line in out.splitlines() if line.startswith("  --")] == options
+
+
+@pytest.mark.parametrize("name, content", [
+    ("truncated.json", b'{"m": 3,'),
+    ("trailing.json", b'{"m": 3, "facets": []} x'),
+    ("latin1.json", b'{"m": 3, "facets": [], "name": "caf\xe9"}'),
+])
+def test_json_load_errors_name_the_file(tmp_path, capsys, name, content):
+    path = tmp_path / name
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "mf", "--complex", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot load a complex from {path}: "), err
 
 
 def test_an_edited_json_file_gives_its_new_complex(tmp_path, capsys):

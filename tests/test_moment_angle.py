@@ -8,8 +8,9 @@ from momangle.complexes import SimplicialComplex, simplex, simplex_boundary
 from momangle.exactalg import HomologyGroup
 from momangle.moment_angle import (CellChain, cell_boundary, hochster_table,
                                    zk_chain_complex, zk_homology)
-from oracles import (hochster_embed, random_complex, reduced_ranks,
-                     reference_cell_boundary, shuffle_sign,
+from momangle.taylor import MAX_GENERATORS, taylor_homology
+from oracles import (closed_form_family, closed_form_homology, hochster_embed,
+                     random_complex, reduced_ranks, reference_cell_boundary, shuffle_sign,
                      simplicial_homology_dense)
 
 
@@ -220,3 +221,25 @@ def test_subset_homology_against_dense_oracle(rp2):
 def test_zk_size_gate():
     with pytest.raises(cx.SizeLimitError):
         ma.zk_cells(SimplicialComplex(25, [()]))
+
+
+@pytest.mark.parametrize("family, sizes", [
+    ("points", range(1, 10)), ("polygon", range(4, 11)),
+    ("simplex-boundary", range(2, 11)), ("simplex", range(1, 11))])
+def test_routes_match_the_closed_forms(family, sizes):
+    """The cellular, Hochster and Taylor tables of three families against
+    their closed forms; past the Taylor gate (7 points have 21 missing
+    faces) the Taylor route must refuse instead."""
+    def nonzero(table):
+        return {d: h for d, h in table.items() if not h.is_trivial()}
+
+    for n in sizes:
+        K = closed_form_family(family, n)
+        want = {d: HomologyGroup(r) for d, r in closed_form_homology(family, n).items()}
+        assert nonzero(zk_homology(K)) == want, (family, n)
+        assert nonzero(hochster_table(K)[1]) == want, (family, n)
+        if len(K.missing_faces()) <= MAX_GENERATORS:
+            assert nonzero(taylor_homology(K)) == want, (family, n)
+        else:
+            with pytest.raises(cx.SizeLimitError):
+                taylor_homology(K)

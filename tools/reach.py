@@ -8,7 +8,8 @@ Runs these argvs through `momangle.cli.main` in this process, under
 - every argv of tests/golden_cli.json;
 - the seed-1, 2-second job lists of the three benchmark workloads, built as
   tools/report_digest.py builds them;
-- one argv for each verb the golden file lacks (`EXTRA` below).
+- one argv for each verb the golden file lacks, and the help of the
+  command and of one verb (`EXTRA` below).
 
 Prints, as a sorted JSON list, the qualified names (`module.Class.method`,
 `module.function.inner`) of the `def`s in src/momangle whose code was never
@@ -34,7 +35,7 @@ import report_digest
 
 SUB5 = "subst(bd(simplex(1,2,3)); bd(simplex(1,2,3)), pt, pt)"
 
-# the verbs tests/golden_cli.json does not call
+# the verbs tests/golden_cli.json does not call, and -h
 EXTRA = [
     ["mf", "--complex", SUB5],
     ["subst", "--complex", SUB5],
@@ -42,6 +43,9 @@ EXTRA = [
     ["hurewicz", "--w", "[[1,2,3],4,5]"],
     ["hochster", "--complex", SUB5],
     ["hochster", "--complex", SUB5, "--subset", "1,2,3"],
+    # the usage texts, which no report prints
+    ["--help"],
+    ["hochster", "-h"],
 ]
 
 
