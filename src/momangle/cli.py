@@ -194,13 +194,17 @@ def cmd_verify(K, w, args, out):
     block by block, {(S, degree): group} with S = the empty set included;
     the Hochster table's cone-free subsets must be the cellular table's
     lattice; Lyubeznik's subcomplex must resolve the Stanley-Reisner ideal
-    of K.  Past the Taylor bound both Taylor checks are skipped."""
+    of K; the twin-orbit sums of `homology` must be the cellular table's
+    degree sums.  Past the Taylor bound both Taylor checks are skipped."""
     failures = []
     cell = ma.zk_homology_by_support(K)
+    cell_sums = ma.degree_sums(cell)
     subsets = ma.cone_free_subsets(K)
     hoch, hoch_sums = ma.hochster_table(K, subsets)
     if cell != hoch:
         failures.append("cellular vs Hochster homology differ")
+    if ma.zk_homology(K) != cell_sums:
+        failures.append("orbit sums vs cellular table differ")
     if subsets != ma.lattice_supports(K):
         failures.append("cone-free subsets vs missing-face lattice differ")
     try:
@@ -212,7 +216,7 @@ def cmd_verify(K, w, args, out):
     except cx.SizeLimitError as exc:
         out.setdefault("skipped", []).append(str(exc))
     out["routes"] = {
-        "cellular": homology_json(ma.degree_sums(cell)),
+        "cellular": homology_json(cell_sums),
         "hochster": homology_json(hoch_sums),
     }
     out["failures"] = failures

@@ -34,18 +34,30 @@ built only when a nonempty support first asks for them.  Its columns are
 may enter, the table reads the homology from them (`insertion_table`,
 shared with the Taylor route), and only cycle classes label them, as the
 ChainComplex of a quotient (`zk_star_quotient`).
+
+The degree table (`zk_homology`) reduces one support per twin orbit.  Two
+vertices are twins when swapping them maps the missing faces of K onto
+themselves; the swap is an automorphism of K, so the blocks of S and of its
+image have the same groups in the same degree.  `twin_classes` reads the
+classes off the generator table, `twin_orbits` reaches one representative
+per orbit, the lowest vertices of each class, by closure over the missing
+faces, and each representative's groups count once per member of its
+orbit.  The per-support table stays direct: its rows and classes are read
+per support, and `verify` checks the orbit sums against it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import combinations
+from itertools import accumulate, combinations
+from math import comb, prod
+from operator import or_
 
 from .complexes import (ParseError, SignedSum, SizeLimitError, _is_canonical, face_mask,
                         mask_face, read_signed_sum, read_text, reduced_chain_complex,
                         signed_sum_text)
-from .exactalg import (ChainComplex, HomologyClass, column_homology, direct_sum,
-                       insertion_columns, insertion_complex, insertion_sign)
+from .exactalg import (ChainComplex, HomologyClass, HomologyGroup, column_homology,
+                       direct_sum, insertion_columns, insertion_complex, insertion_sign)
 
 ZK_MAX_VERTICES = 24
 
@@ -181,6 +193,13 @@ def zk_cells(K):
 def _require_singletons(K):
     if not K.has_all_singletons():
         raise ValueError("Z_K needs every singleton to be a face")
+
+
+def _admit(K):
+    """Refuse K past the Z_K vertex gate, then K with a ghost vertex."""
+    if K.m > ZK_MAX_VERTICES:
+        raise SizeLimitError(f"Z_K cell enumeration refuses m={K.m} > {ZK_MAX_VERTICES}")
+    _require_singletons(K)
 
 
 @lru_cache(maxsize=8)
@@ -347,9 +366,7 @@ def zk_homology_by_support(K, quotients=None):
     so the classes can label the table's own builds.  The Hochster table
     finds its subsets by cone points instead (`cone_free_subsets`), so
     `verify` checks that the two rules pick the same supports."""
-    if K.m > ZK_MAX_VERTICES:
-        raise SizeLimitError(f"Z_K cell enumeration refuses m={K.m} > {ZK_MAX_VERTICES}")
-    _require_singletons(K)
+    _admit(K)
 
     def blocks():
         for S, smask in _lattice(K):
@@ -360,9 +377,93 @@ def zk_homology_by_support(K, quotients=None):
     return insertion_table(blocks())
 
 
+def twin_classes(gens):
+    """The twin classes of two or more vertices of the generator table
+    `gens`, each as its vertices, ascending, in the order of their least
+    vertex.
+
+    u and v are twins when swapping them maps the generators onto
+    themselves.  The swap moves only A, the generators with u and not v,
+    and B, those with v and not u, which the per-vertex bitsets
+    `containing()` give; so u and v are twins exactly when |A| = |B| and
+    every mask of A with u and v swapped is again a generator.  Twinness is
+    an equivalence relation, so each vertex is tested against one member of
+    each class found so far.  A vertex in no generator, a cone point of K,
+    is in no class."""
+    containing, masks = gens.containing(), gens.masks
+    present = set(masks)
+    classes = []  # [index of the first member, mask of the members]
+    for u, own in enumerate(containing):
+        if not own:
+            continue
+        for c in classes:
+            other = containing[c[0]]
+            moved, swap = own & ~other, 1 << u | 1 << c[0]
+            if moved.bit_count() == (other & ~own).bit_count():
+                while moved and masks[(low := moved & -moved).bit_length() - 1] ^ swap in present:
+                    moved ^= low
+                if not moved:
+                    c[1] |= 1 << u
+                    break
+        else:
+            classes.append([u, 1 << u])
+    return [mask_face(members) for _, members in classes if members & (members - 1)]
+
+
+def twin_orbits(K):
+    """One support per twin orbit of `lattice_supports(K)`, as {bitmask:
+    orbit size}, the empty set first.
+
+    The twin swaps generate the product of the symmetric groups of the
+    `twin_classes`, so a support's orbit is the number k_c of its vertices
+    in each class c: it has the product of C(|c|, k_c) members, and its
+    representative takes the lowest k_c vertices of each class.  An
+    automorphism maps a union of missing faces to another, so the
+    representatives are reached by closure, level by level, with no lattice
+    built: from each representative r of a level and each missing face g,
+    the representative of r + g."""
+    gens = K.generators()
+    parts = []  # (class mask, its complement, lowest k members by k, C(|c|, k) by k)
+    for c in twin_classes(gens):
+        bits = [1 << (v - 1) for v in c]
+        parts.append((sum(bits), ~sum(bits), [0, *accumulate(bits, or_)],
+                      [comb(len(c), k) for k in range(len(c) + 1)]))
+    orbits, level = {0: 1}, [0]
+    while level:
+        new = []
+        for x in {r | g for r in level for g in gens.masks}.difference(orbits):
+            for cmask, rest, lowest, _ in parts:
+                x = x & rest | lowest[(x & cmask).bit_count()]
+            if x not in orbits:
+                orbits[x] = prod(count[(x & cmask).bit_count()] for cmask, _, _, count in parts)
+                new.append(x)
+        level = new
+    return orbits
+
+
+def _repeated(h, times):
+    """The group h taken `times` times: each torsion factor repeats in
+    place, so the factors still divide one another in turn."""
+    if times == 1:
+        return h
+    return HomologyGroup(h.rank * times, tuple(t for t in h.torsion for _ in range(times)))
+
+
 def zk_homology(K):
-    """Integral homology of Z_K by the cellular route, degree -> group."""
-    return degree_sums(zk_homology_by_support(K))
+    """Integral homology of Z_K by the cellular route, degree -> group,
+    summed over twin orbits: a twin swap is an automorphism of K, so the
+    blocks of a support and of its image have the same groups in the same
+    degree.  Each `twin_orbits` representative is reduced as
+    `zk_homology_by_support` reduces it, and its groups count once per
+    member of its orbit; `verify` compares the sums with that table's."""
+    _admit(K)
+    out = {}
+    for smask, size in twin_orbits(K).items():
+        S = mask_face(smask)
+        for d, h in column_homology(*insertion_columns(*_star_cells(K, S, smask))).items():
+            d += 2 * len(S)
+            out[d] = direct_sum(out.get(d), _repeated(h, size))
+    return dict(sorted(out.items()))
 
 
 def zk_class(K, chain, block=None):

@@ -41,7 +41,8 @@ lcm lattice), the module Taylor differential rebuilt as iterated mapping
 cones (`cone_reconstruction`), and the Hochster embedding of simplicial
 chains into the cellular chains of Z_K (`hochster_embed`, the chain map the
 package's sign conventions are chosen for), and the homology of Z_K in
-closed form for isolated points, polygons, simplices and their boundaries
+closed form for isolated points, polygons, joins of copies of S^0 (the
+cross-polytopes), simplices and their boundaries
 (`closed_form_homology`, a reference for the three routes that builds no
 chain complex).
 None of it shares code with the package internals it checks beyond the
@@ -1328,16 +1329,21 @@ def random_shifted_complex(m, rng):
 
 # -- closed forms ---------------------------------------------------------------
 
-CLOSED_FORM_FAMILIES = ("points", "polygon", "simplex-boundary", "simplex")
+CLOSED_FORM_FAMILIES = ("points", "polygon", "cross-polytope", "simplex-boundary", "simplex")
 
 
 def closed_form_family(family, n):
     """K of a `closed_form_homology` family: n isolated points, the n-gon
-    (n >= 4), bd(simplex(n)) (n >= 2) or simplex(n)."""
+    (n >= 4), the join of n copies of S^0 on the pairs (2i - 1, 2i),
+    bd(simplex(n)) (n >= 2) or simplex(n)."""
     if family == "points":
         return SimplicialComplex.from_facets(n, [])
     if family == "polygon":
         return SimplicialComplex.from_facets(n, [(i, i % n + 1) for i in range(1, n + 1)])
+    if family == "cross-polytope":
+        return SimplicialComplex.from_facets(
+            2 * n, [tuple(2 * i + 1 + b for i, b in enumerate(bits))
+                    for bits in product((0, 1), repeat=n)])
     return {"simplex-boundary": simplex_boundary, "simplex": simplex}[family](n)
 
 
@@ -1349,11 +1355,16 @@ def closed_form_homology(family, n):
       spheres S^{k+1} (Grbic-Theriault);
     - the n-gon: Z_K is the connected sum over 3 <= k <= n-1 of (k-2)
       C(n-2,k-1) copies of S^k x S^{n+2-k} (McGavran);
+    - the join of n copies of S^0: Z_K is the product of the Z_K of its
+      factors, (S^3)^n, with rank C(n, k) in degree 3k;
     - bd(simplex(n)): Z_K = S^{2n-1}; simplex(n): Z_K = D^{2n}."""
     ranks = {0: 1}
     if family == "points":
         for k in range(2, n + 1):
             ranks[k + 1] = (k - 1) * comb(n, k)
+    elif family == "cross-polytope":
+        for k in range(1, n + 1):
+            ranks[3 * k] = comb(n, k)
     elif family == "polygon":
         ranks[n + 2] = 1
         for k in range(3, n):

@@ -632,6 +632,38 @@ def test_verify_builds_the_lattice_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_verify_checks_the_orbit_sums(capsys, monkeypatch, tmp_path):
+    """A twin pass that merges the vertices 1 and 2 of the path 1-2-3-4,
+    which are no twins, makes `homology`'s orbit sums differ from the
+    direct cellular table, and `verify` exits 3 on it."""
+    from momangle import moment_angle as ma
+    path = str(tmp_path / "path.json")
+    with open(path, "w") as fh:
+        json.dump({"m": 4, "facets": [[1, 2], [2, 3], [3, 4]]}, fh)
+    assert run_json(capsys, "verify", "--complex", path)["failures"] == []
+    monkeypatch.setattr(ma, "twin_classes", lambda gens: [(1, 2)])
+    code, out, _ = run_cli(capsys, "verify", "--complex", path)
+    assert code == 3
+    assert json.loads(out)["failures"] == ["orbit sums vs cellular table differ"]
+
+
+def test_homology_walks_one_block_per_orbit(capsys, monkeypatch, tmp_path):
+    """`homology` on 20 isolated points reduces one block per twin orbit, 20
+    of them, where the lattice holds 1048556 supports, and builds no
+    lattice."""
+    from momangle import moment_angle as ma
+    blocks, lattices = [], []
+    star_cells, mask_lattice = ma._star_cells, ma.mask_lattice
+    monkeypatch.setattr(ma, "_star_cells", lambda *a: blocks.append(1) or star_cells(*a))
+    monkeypatch.setattr(ma, "mask_lattice", lambda m: lattices.append(1) or mask_lattice(m))
+    ma._lattice.cache_clear()
+    path = tmp_path / "points20.json"
+    path.write_text(json.dumps({"m": 20, "facets": []}))
+    report = run_json(capsys, "homology", "--complex", str(path))
+    assert report["ranks"]["3"] == 190
+    assert len(blocks) <= 20 and not lattices
+
+
 def random_json_value(rng, depth=0):
     """A seeded value of every kind `json.dumps` writes: strings with
     escapes and non-ASCII letters, ints, floats with NaN and the

@@ -224,10 +224,10 @@ def test_zk_size_gate():
 
 
 @pytest.mark.parametrize("family, sizes", [
-    ("points", range(1, 10)), ("polygon", range(4, 11)),
+    ("points", range(1, 10)), ("polygon", range(4, 11)), ("cross-polytope", range(1, 6)),
     ("simplex-boundary", range(2, 11)), ("simplex", range(1, 11))])
 def test_routes_match_the_closed_forms(family, sizes):
-    """The cellular, Hochster and Taylor tables of three families against
+    """The cellular, Hochster and Taylor tables of five families against
     their closed forms; past the Taylor gate (7 points have 21 missing
     faces) the Taylor route must refuse instead."""
     def nonzero(table):
@@ -243,3 +243,74 @@ def test_routes_match_the_closed_forms(family, sizes):
         else:
             with pytest.raises(cx.SizeLimitError):
                 taylor_homology(K)
+
+
+def points(n):
+    return SimplicialComplex.from_facets(n, [])
+
+
+def disjoint_edges(n):
+    return SimplicialComplex.from_facets(2 * n, [(2 * i + 1, 2 * i + 2) for i in range(n)])
+
+
+def direct_sums(K):
+    return ma.degree_sums(ma.zk_homology_by_support(K))
+
+
+def test_twin_classes(sub5, rp2):
+    """Twins swap onto the same missing faces: every isolated point, the two
+    ends of each disjoint edge, no two vertices of RP^2, and in bd(bd(1,2,3),
+    4, 5) the triangle's vertices and the two points."""
+    def classes(K):
+        return ma.twin_classes(K.generators())
+
+    assert classes(points(9)) == [tuple(range(1, 10))]
+    assert classes(disjoint_edges(5)) == [(1, 2), (3, 4), (5, 6), (7, 8), (9, 10)]
+    assert classes(rp2) == []
+    assert classes(sub5) == [(1, 2, 3), (4, 5)]
+    # a cone point lies in no missing face and in no class
+    assert classes(cx.join(points(3), simplex(2))) == [(1, 2, 3)]
+
+
+def test_twin_orbit_representatives(sub5):
+    """A representative takes the lowest vertices of each class, and its
+    orbit size is the product of the binomials: the supports of 5 isolated
+    points are the k lowest vertices, C(5, k) times each."""
+    assert ma.twin_orbits(points(5)) == {0: 1, 0b11: 10, 0b111: 10, 0b1111: 5, 0b11111: 1}
+    # the missing faces 123, 145, 245, 345 and the classes 123 and 45: the
+    # orbits of 123, 145 (with 245, 345), 1245 (with 1345, 2345) and 12345
+    assert ma.twin_orbits(sub5) == {0: 1, 0b111: 1, 0b11001: 3, 0b11011: 3, 0b11111: 1}
+    assert sum(ma.twin_orbits(sub5).values()) == len(ma.lattice_supports(sub5))
+
+
+def test_orbit_sums_match_the_direct_table_on_random_complexes():
+    """200 seeded complexes on 3 to 9 vertices with few facets, so that most
+    have a twin pair: the orbit sums are the direct table's degree sums."""
+    rng = random.Random(33)
+    with_twins = 0
+    for _ in range(200):
+        K = random_complex(rng.randint(3, 9), rng, rng.randint(2, 5))
+        with_twins += bool(ma.twin_classes(K.generators()))
+        assert zk_homology(K) == direct_sums(K), K.facets
+    assert with_twins > 100
+
+
+def test_orbit_sums_match_the_direct_table_on_families(rp2):
+    """Isolated points, disjoint edges, a sphere, RP^2 and its joins with 3
+    and 4 points, where the Z/2 of each suspension of RP^2 counts once per
+    pair of points: Z/2^6 in degree 11 for 4 points."""
+    joins = [cx.join(rp2, points(k)) for k in (3, 4)]
+    cases = ([points(n) for n in range(1, 11)] + [disjoint_edges(n) for n in range(1, 7)]
+             + [simplex_boundary(7), rp2] + joins)
+    for K in cases:
+        assert zk_homology(K) == direct_sums(K), K.facets
+    assert zk_homology(joins[0])[11].torsion == (2,) * 3
+    assert zk_homology(joins[1])[11].torsion == (2,) * 6
+
+
+def test_homology_of_points_at_scale():
+    """n isolated points for 11 <= n <= 20, where the lattice holds up to
+    2^20 supports and the orbit walk visits n."""
+    for n in range(11, 21):
+        want = {d: HomologyGroup(r) for d, r in closed_form_homology("points", n).items()}
+        assert zk_homology(points(n)) == want, n
