@@ -195,7 +195,8 @@ def cmd_verify(K, w, args, out):
     the Hochster table's cone-free subsets must be the cellular table's
     lattice; Lyubeznik's subcomplex must resolve the Stanley-Reisner ideal
     of K; the twin-orbit sums of `homology` must be the cellular table's
-    degree sums.  Past the Taylor bound both Taylor checks are skipped."""
+    degree sums, and the block sums of `taylor` the Taylor table's.  Past
+    the Taylor bound the three Taylor checks are skipped."""
     failures = []
     cell = ma.zk_homology_by_support(K)
     cell_sums = ma.degree_sums(cell)
@@ -208,8 +209,11 @@ def cmd_verify(K, w, args, out):
     if subsets != ma.lattice_supports(K):
         failures.append("cone-free subsets vs missing-face lattice differ")
     try:
-        if ty.taylor_homology_by_support(K) != cell:
+        taylor = ty.taylor_homology_by_support(K)
+        if taylor != cell:
             failures.append("Taylor vs cellular homology differ")
+        if ty.taylor_homology(K) != ma.degree_sums(taylor):
+            failures.append("Taylor sums vs Taylor table differ")
         report = ty.verify_taylor_is_resolution(ty.MonomialIdeal.stanley_reisner(K))
         if not report.ok():
             failures.append(f"Taylor resolution check failed: {report.failures}")

@@ -26,10 +26,11 @@ carry homology, and a class projects onto the blocks it touches.
 
 Inside S a cell is its circle mask J, and I = S - J; it lies in the star of
 v exactly when I + v is a face.  Choosing the quotient's basis is the one
-cellular step (`_star_cells`): it reads K's face index, whose per-vertex
+cellular step (`_off_star`): it reads K's face index, whose per-vertex
 bitsets over the faces give the faces of K_S, the vertex v and the faces
-off its star in a few integer operations per block, and whose bitsets are
-built only when a nonempty support first asks for them.  Its columns are
+off its star, as one bitset, in a few integer operations per block, and
+whose bitsets are built only when a nonempty support first asks for them;
+`_star_cells` writes the circle masks of those faces.  Its columns are
 `exactalg.insertion_columns` of the circle masks with S as the bits that
 may enter, the table reads the homology from them (`insertion_table`,
 shared with the Taylor route), and only cycle classes label them, as the
@@ -42,8 +43,13 @@ image have the same groups in the same degree.  `twin_classes` reads the
 classes off the generator table, `twin_orbits` reaches one representative
 per orbit, the lowest vertices of each class, by closure over the missing
 faces, and each representative's groups count once per member of its
-orbit.  The per-support table stays direct: its rows and classes are read
-per support, and `verify` checks the orbit sums against it.
+orbit.  The faces run by size, so the lowest and highest bits of the
+off-star bitset are its smallest and largest faces: when they have one
+size the block lies in one degree, has no differential, and adds its
+number of cells, times the orbit size, to that degree's rank, with no word
+or column built.  Only the other blocks are read from their columns.  The
+per-support table stays direct: its rows and classes are read per support,
+and `verify` checks the orbit sums against it.
 """
 
 from __future__ import annotations
@@ -235,37 +241,50 @@ def lattice_supports(K):
     return [S for S, _ in _lattice(K)]
 
 
-def _star_cells(K, S, smask):
-    """The basis of the block of S, whose bitmask is `smask`, modulo the
-    star of one vertex v, as (words, inside) for `insertion_columns`; it
-    reads K's `FaceIndex`.
+def _off_star(K, S, smask):
+    """The faces I of K_S for which the cell (S - I, I) is off the star of
+    one vertex v of S, whose bitmask is `smask`, as (rest, order): bit i of
+    `rest` marks the face order[i].  It reads K's `FaceIndex`.
 
     `within`, the faces of K_S, are the faces that contain no vertex outside
     S (`VertexIndex.within`).  v is the vertex of S in the
     most of them, the least such v on ties: the star pairs each face I
     without v with I + v, so it has twice as many faces as contain v, and
-    its quotient leaves the fewest cells.  The cell
-    (J, S - J) is its circle mask J; it lies in the star exactly when I + v
-    is a face (I = S - J), and the quotient keeps the other cells.  Dropping
-    disc letter b is b entering J, and a target in the star is no word, so
-    the builder drops it.  The faces run by (size, labels), so read from the
-    highest bit down they give the words by (size, labels) of J.  `inside`
-    is S's mask.  The empty S has no vertex; its block, one cell in degree
-    0, is returned whole, with no index built."""
+    its quotient leaves the fewest cells.  The cell (S - I, I) lies in the
+    star exactly when I + v is a face (`FaceIndex.star`).  The faces run by
+    (size, labels), so the lowest and highest bits of `rest` are its
+    smallest and largest faces.  A cone point of K_S is the vertex in the
+    most faces, and `rest` is 0.  The empty S has no vertex; its block, one
+    cell in degree 0, is kept whole as the empty face, with no index built."""
     if not smask:
-        return [0], 0
+        return 1, (0,)
     index = K.face_index()
     containing, within = index.containing(), index.within(smask)
     most = -1
     for u in S:
         if (count := (within & containing[u - 1]).bit_count()) > most:
             v, most = u, count
-    order, rest, words = index.order, within & ~index.star(v), []
+    return within & ~index.star(v), index.order
+
+
+def _star_cells(K, S, smask):
+    """The basis of the block of S, whose bitmask is `smask`, modulo the
+    star of one vertex v, as (words, inside) for `insertion_columns`: the
+    cells off the star (`_off_star`), each as its circle mask J = S - I.
+    Dropping disc letter b is b entering J, and a target in the star is no
+    word, so the builder drops it.  `inside` is S's mask."""
+    return _circle_masks(*_off_star(K, S, smask), smask), smask
+
+
+def _circle_masks(rest, order, smask):
+    """The circle masks S - I of the faces I that `_off_star`'s (rest,
+    order) marks, read from the highest face down, so by (size, labels)."""
+    words = []
     while rest:
         top = rest.bit_length() - 1
         words.append(smask & ~order[top])
         rest ^= 1 << top
-    return words, smask
+    return words
 
 
 def zk_star_quotient(K, S, built=None):
@@ -317,6 +336,15 @@ def degree_sums(per_support):
     for (_, d), h in per_support.items():
         out[d] = direct_sum(out.get(d), h)
     return dict(sorted(out.items()))
+
+
+def with_ranks(groups, ranks):
+    """The degree table `groups` with Z^n summed into each degree d of
+    `ranks`, {d: n}, by degree: the free part of the blocks in one degree,
+    counted as integers."""
+    for d, n in ranks.items():
+        groups[d] = direct_sum(groups.get(d), HomologyGroup(n))
+    return dict(sorted(groups.items()))
 
 
 def class_by_support(block, support, degree, terms):
@@ -455,15 +483,26 @@ def zk_homology(K):
     blocks of a support and of its image have the same groups in the same
     degree.  Each `twin_orbits` representative is reduced as
     `zk_homology_by_support` reduces it, and its groups count once per
-    member of its orbit; `verify` compares the sums with that table's."""
+    member of its orbit; `verify` compares the sums with that table's.
+
+    A representative whose faces off the star all have one size, its
+    smallest and largest (`_off_star`), has no differential: its cells
+    (S - I, I) add Z^(their number) in degree |S| + |I|, with no word or
+    column built.  A support with no cell off the star adds nothing."""
     _admit(K)
-    out = {}
+    groups, ranks = {}, {}
     for smask, size in twin_orbits(K).items():
-        S = mask_face(smask)
-        for d, h in column_homology(*insertion_columns(*_star_cells(K, S, smask))).items():
-            d += 2 * len(S)
-            out[d] = direct_sum(out.get(d), _repeated(h, size))
-    return dict(sorted(out.items()))
+        rest, order = _off_star(K, mask_face(smask), smask)
+        if not rest:
+            continue
+        n, large = smask.bit_count(), order[rest.bit_length() - 1].bit_count()
+        if order[(rest & -rest).bit_length() - 1].bit_count() == large:
+            ranks[n + large] = ranks.get(n + large, 0) + rest.bit_count() * size
+            continue
+        columns = insertion_columns(_circle_masks(rest, order, smask), smask)
+        for d, h in column_homology(*columns).items():
+            groups[2 * n + d] = direct_sum(groups.get(2 * n + d), _repeated(h, size))
+    return with_ranks(groups, ranks)
 
 
 def zk_class(K, chain, block=None):

@@ -36,13 +36,18 @@ Each block is an (S, words, inside) triple on index bitmasks (`_blocks`):
 an admissible word is a bitmask of generator indices, `inside` the
 generators inside S, and the block's columns are their insertion
 columns (`exactalg.insertion_columns`, the builder the cellular star
-quotients and the staircase's Koszul blocks also read).  The homology
+quotients and the staircase's Koszul blocks also read).  The per-support
 table (`taylor_homology_by_support`) reads each block's groups from those
 columns through the cellular table's loop (`moment_angle.insertion_table`),
-with no labelled complex built; cycle classes label the same columns with
-the words (`taylor_components`).  The independent reference is the tests'
-sort-based `oracles.reference_taylor_components`.  Labelled words meet the
-rule at the edges only: `taylor_boundary` and the whole complex
+with no labelled complex built.  The degree table (`taylor_homology`) sums
+the blocks directly: a block whose first and last words have one factor
+count lies in one degree and adds its number of words to that degree's
+rank, with no column built, and only the other blocks are read from their
+columns; `verify` checks the sums against the per-support table.  Cycle
+classes label the same columns with the words (`taylor_components`).  The
+independent reference is the tests' sort-based
+`oracles.reference_taylor_components`.  Labelled words meet the rule at
+the edges only: `taylor_boundary` and the whole complex
 (`taylor_face_complex`) read each word as its index bitmask
 (`Generators.word`), differentiate there (`index_boundary`) and label the
 result (`Generators.labels`).  The closed form of nested products
@@ -62,9 +67,9 @@ from itertools import accumulate, combinations
 from .complexes import (Generators, SignedSum, SimplicialComplex, SizeLimitError,
                         _is_canonical, face, face_mask, mask_face, read_signed_sum, read_text,
                         read_word, signed_sum_text, word_text)
-from .exactalg import (ChainComplex, column_homology, insertion_columns, insertion_complex,
-                       insertion_sign)
-from .moment_angle import class_by_support, degree_sums, insertion_table, mask_lattice
+from .exactalg import (ChainComplex, column_homology, direct_sum, insertion_columns,
+                       insertion_complex, insertion_sign)
+from .moment_angle import class_by_support, insertion_table, mask_lattice, with_ranks
 from .whitehead import _sits_in, canonical_missing_faces
 
 MAX_GENERATORS = 20
@@ -328,8 +333,23 @@ def taylor_homology_by_support(K):
 
 
 def taylor_homology(K):
-    """Homology of Z_K via the Taylor complex, total degree 2|S|-s."""
-    return degree_sums(taylor_homology_by_support(K))
+    """Homology of Z_K via the Taylor complex, total degree 2|S| - s, summed
+    block by block.  `admissible_words` lists a union's words by factor
+    count, so when its first and last word have the same count s the block
+    has no differential: it adds Z^(its words) in degree 2|S| - s, with no
+    column and no `within` built.  The other blocks are read from their
+    insertion columns as `taylor_homology_by_support` reads them; `verify`
+    compares the sums with that table's."""
+    gens = _checked_generators(K)
+    groups, ranks = {}, {}
+    for union, words in admissible_words(gens.masks).items():
+        shift = 2 * union.bit_count()
+        if (s := words[0].bit_count()) == words[-1].bit_count():
+            ranks[shift - s] = ranks.get(shift - s, 0) + len(words)
+            continue
+        for d, h in column_homology(*insertion_columns(words, gens.within(union))).items():
+            groups[shift + d] = direct_sum(groups.get(shift + d), h)
+    return with_ranks(groups, ranks)
 
 
 def taylor_class(K, chain):

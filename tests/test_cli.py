@@ -647,14 +647,32 @@ def test_verify_checks_the_orbit_sums(capsys, monkeypatch, tmp_path):
     assert json.loads(out)["failures"] == ["orbit sums vs cellular table differ"]
 
 
+def test_verify_checks_the_taylor_block_sums(capsys, monkeypatch):
+    """`taylor` reads a block in one degree off its two ends and counts its
+    rank as an integer; one such count off by one, in the lowest degree it
+    reaches, makes `taylor`'s sums differ from the Taylor table's degree
+    sums, and `verify` exits 3 on it."""
+    from momangle import taylor as ty
+    assert run_json(capsys, "verify", "--complex", SUB5_EXPR)["failures"] == []
+    real = ty.with_ranks
+
+    def off_by_one(groups, ranks):
+        low = min(ranks)
+        return real(groups, {**ranks, low: ranks[low] + 1})
+    monkeypatch.setattr(ty, "with_ranks", off_by_one)
+    code, out, _ = run_cli(capsys, "verify", "--complex", SUB5_EXPR)
+    assert code == 3
+    assert json.loads(out)["failures"] == ["Taylor sums vs Taylor table differ"]
+
+
 def test_homology_walks_one_block_per_orbit(capsys, monkeypatch, tmp_path):
     """`homology` on 20 isolated points reduces one block per twin orbit, 20
     of them, where the lattice holds 1048556 supports, and builds no
     lattice."""
     from momangle import moment_angle as ma
     blocks, lattices = [], []
-    star_cells, mask_lattice = ma._star_cells, ma.mask_lattice
-    monkeypatch.setattr(ma, "_star_cells", lambda *a: blocks.append(1) or star_cells(*a))
+    off_star, mask_lattice = ma._off_star, ma.mask_lattice
+    monkeypatch.setattr(ma, "_off_star", lambda *a: blocks.append(1) or off_star(*a))
     monkeypatch.setattr(ma, "mask_lattice", lambda m: lattices.append(1) or mask_lattice(m))
     ma._lattice.cache_clear()
     path = tmp_path / "points20.json"

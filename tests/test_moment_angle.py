@@ -308,6 +308,21 @@ def test_orbit_sums_match_the_direct_table_on_families(rp2):
     assert zk_homology(joins[1])[11].torsion == (2,) * 6
 
 
+def test_support_with_a_cone_point_gives_no_group(monkeypatch):
+    """A support with a cone point has no face off the star of the vertex
+    in the most faces, the cone point: `_off_star` gives 0, and an orbit
+    walk that reached such a support would add no group to `homology`, not
+    a group read off the last face of the index."""
+    K = cx.join(points(2), simplex(1))  # the edges 13 and 23, cone point 3
+    assert ma._off_star(K, (1, 2, 3), 0b111)[0] == 0
+    assert ma._off_star(K, (1, 2), 0b11)[0] != 0
+    want = zk_homology(K)
+    assert want == direct_sums(K) == {0: HomologyGroup(1), 3: HomologyGroup(1)}
+    orbits = ma.twin_orbits
+    monkeypatch.setattr(ma, "twin_orbits", lambda K: {**orbits(K), 0b111: 1})
+    assert zk_homology(K) == want
+
+
 def test_homology_of_points_at_scale():
     """n isolated points for 11 <= n <= 20, where the lattice holds up to
     2^20 supports and the orbit walk visits n."""

@@ -32,10 +32,14 @@ from momangle.moment_angle import (CellChain, all_subsets, cell_boundary, cone_f
                                    zk_star_quotient)
 from momangle.taylor import taylor_face_complex, taylor_homology_by_support
 from momangle.whitehead import bracket, hurewicz_chain, leaf, parse_whitehead
-from oracles import (brute_cone_point, hochster_embed, random_complex, reference_column_groups,
-                     reference_insertion_columns, reference_star_cells, reference_star_vertex,
-                     reference_zk_block, reference_zk_class, reference_zk_homology_by_support,
+from oracles import (brute_cone_point, closed_form_family, hochster_embed, random_complex,
+                     random_graph_complex, reference_column_groups, reference_insertion_columns,
+                     reference_star_cells, reference_star_vertex, reference_zk_block,
+                     reference_zk_class, reference_zk_homology_by_support,
                      reference_zk_star_quotient)
+
+
+K6_GRAPH = "bd(bd(bd(bd(simplex(1,2,3,4,5,6)))))"
 
 
 def rp2_complex():
@@ -476,6 +480,66 @@ def test_single_degree_blocks_reach_no_check_and_no_snf(monkeypatch, tmp_path, c
     table = zk_homology_by_support(rp2_complex())
     assert table[(tuple(range(1, 7)), 8)] == HomologyGroup(0, (2,))
     assert checked and any(2 in diag for diag in diagonals)
+
+
+def one_degree_cases():
+    """120 seeded complexes, 60 seeded graphs with some triangles filled
+    (blocks of up to 5 words in one degree), RP^2 and five seeded RP^2
+    cones (Z/2), the K6 graph and the `closed_form_homology` families."""
+    rng = random.Random(34)
+    seeded = [random_complex(rng.randint(3, 9), rng, rng.randint(2, 8)) for _ in range(120)]
+    graphs = [random_graph_complex(rng.randint(5, 7), rng) for _ in range(60)]
+    rp2s = [rp2_complex()] + [rp2_cone(rng) for _ in range(5)]
+    families = [closed_form_family(family, n) for family, sizes in [
+        ("points", range(1, 8)), ("polygon", range(4, 9)), ("cross-polytope", range(1, 5)),
+        ("simplex-boundary", range(2, 9)), ("simplex", range(1, 7))] for n in sizes]
+    return seeded + graphs + rp2s + [cx.parse_complex(K6_GRAPH)] + families
+
+
+def test_blocks_list_their_words_by_degree():
+    """The degree tables read a block's degrees off its two ends, which
+    holds because `_star_cells` lists each support's circle masks by
+    non-decreasing popcount and `admissible_words` each union's words by
+    non-decreasing factor count.  `taylor`'s block sums are the Taylor
+    table's degree sums."""
+    taylor_cases = 0
+    for K in one_degree_cases():
+        for S in lattice_supports(K):
+            counts = [J.bit_count() for J in moment_angle._star_cells(K, S, cx.face_mask(S))[0]]
+            assert counts == sorted(counts), (K.facets, S)
+        if len(K.missing_faces()) > taylor.MAX_GENERATORS:
+            continue
+        for union, words in taylor.admissible_words(K.generators().masks).items():
+            counts = [word.bit_count() for word in words]
+            assert counts == sorted(counts), (K.facets, union)
+        want = moment_angle.degree_sums(taylor_homology_by_support(K))
+        assert taylor.taylor_homology(K) == want, K.facets
+        taylor_cases += 1
+    assert taylor_cases > 180
+
+
+def test_one_degree_blocks_build_no_columns(monkeypatch, tmp_path, capsys):
+    """`insertion_columns` is entered only by blocks whose first and last
+    words differ in degree: `homology` on 8 isolated points, whose blocks
+    are each in one degree, enters it for no support, and `taylor` on the
+    K6 graph only for its 7 blocks in two or more degrees, of 43."""
+    ends = []
+    real = exactalg.insertion_columns
+
+    def spy(words, inside):
+        ends.append((words[0].bit_count(), words[-1].bit_count()))
+        return real(words, inside)
+    monkeypatch.setattr(moment_angle, "insertion_columns", spy)
+    monkeypatch.setattr(taylor, "insertion_columns", spy)
+    path = tmp_path / "points8.json"
+    path.write_text(json.dumps({"m": 8, "facets": []}))
+    assert main(["homology", "--complex", str(path)]) == 0
+    assert ends == []
+    assert main(["taylor", "--complex", K6_GRAPH]) == 0
+    unions = taylor.admissible_words(cx.parse_complex(K6_GRAPH).generators().masks)
+    assert all(first != last for first, last in ends)
+    assert len(ends) == sum(w[0].bit_count() != w[-1].bit_count() for w in unions.values()) == 7
+    capsys.readouterr()
 
 
 def test_table_builds_the_face_index_lazily(monkeypatch):
