@@ -16,16 +16,18 @@ Every complex kept on bitmasks (the cellular star quotients, the Taylor
 blocks, Lyubeznik's slices and the staircase's Koszul blocks) is exterior:
 its differential lets one bit b enter a word x as x | b, with the sign
 (-1)^popcount(x & (b - 1)) of the set bits below b (`insertion_sign`).
-Its columns have one builder, `insertion_columns`, which the cellular and
-Taylor tables feed to `column_homology` with no complex built.  An
-insertion adds one bit, so a block with no two adjacent degrees occupied
-needs no columns, and the builder makes none.  A `ChainComplex` labels the
+Its columns have one builder, `insertion_columns`, which one fold
+(`moment_angle.fold_blocks`) feeds to `column_homology` for every cellular
+and Taylor table, with no complex built.  An insertion adds one bit, so a
+block with no two adjacent degrees occupied needs no columns, and the
+builder makes none; the fold does not even ask it for a block whose
+words all have one popcount.  A `ChainComplex` labels the
 same columns with a basis, for cycle classes (`insertion_complex`), and
 `ChainComplex.from_boundary` writes the columns of a boundary callable on
 labels, for simplicial chains, the whole complexes and the references.
-Homology groups are frozen values, and the column rule and `direct_sum`
-take them from one bounded memo (`_shared_group`), so the many small
-blocks that share a group share it.
+Homology groups are frozen values, and the column rule, `direct_sum` and
+the fold take them from one bounded memo (`_shared_group`), so the many
+small blocks that share a group share it.
 
 The Smith normal form has one elimination state, `_SnfWorker`: A's rows
 alone, beside U's rows, V's columns and V^-1's rows, and every row or

@@ -25,31 +25,33 @@ complex is the tests' reference: the table visits only the blocks that can
 carry homology, and a class projects onto the blocks it touches.
 
 Inside S a cell is its circle mask J, and I = S - J; it lies in the star of
-v exactly when I + v is a face.  Choosing the quotient's basis is the one
-cellular step (`_off_star`): it reads K's face index, whose per-vertex
-bitsets over the faces give the faces of K_S, the vertex v and the faces
-off its star, as one bitset, in a few integer operations per block, and
-whose bitsets are built only when a nonempty support first asks for them;
-`_star_cells` writes the circle masks of those faces.  Its columns are
-`exactalg.insertion_columns` of the circle masks with S as the bits that
-may enter, the table reads the homology from them (`insertion_table`,
-shared with the Taylor route), and only cycle classes label them, as the
-ChainComplex of a quotient (`zk_star_quotient`).
+v exactly when I + v is a face.  A support travels as its bitmask.
+Choosing the quotient's basis is the one cellular step (`_off_star`): it
+reads K's face index, whose per-vertex bitsets over the faces give the
+faces of K_S, the vertex v and the faces off its star, as one bitset, in a
+few integer operations per block, and whose bitsets are built only when a
+nonempty support first asks for them; `_star_cells` writes the circle
+masks of those faces, by non-decreasing popcount.  Only cycle classes
+label them, as the ChainComplex of a quotient (`zk_star_quotient`).
 
-The degree table (`zk_homology`) reduces one support per twin orbit.  Two
-vertices are twins when swapping them maps the missing faces of K onto
-themselves; the swap is an automorphism of K, so the blocks of S and of its
-image have the same groups in the same degree.  `twin_classes` reads the
-classes off the generator table, `twin_orbits` reaches one representative
-per orbit, the lowest vertices of each class, by closure over the missing
-faces, and each representative's groups count once per member of its
-orbit.  The faces run by size, so the lowest and highest bits of the
-off-star bitset are its smallest and largest faces: when they have one
-size the block lies in one degree, has no differential, and adds its
-number of cells, times the orbit size, to that degree's rank, with no word
-or column built.  Only the other blocks are read from their columns.  The
-per-support table stays direct: its rows and classes are read per support,
-and `verify` checks the orbit sums against it.
+Every table of the cellular and Taylor routes, per support or summed by
+degree, is one walk over blocks (union, times, words) and one fold,
+`fold_blocks`: a block whose first and last words have one popcount lies in
+one degree, has no differential, and adds its number of words to that
+degree's rank as an integer, with no column built; every other block is
+read from `exactalg.insertion_columns` with `column_homology`, the
+support's own mask as the bits that may enter a circle mask.  The
+per-support table (`zk_homology_by_support`) walks the lattice of unions of
+missing faces, once per support.  The degree table (`zk_homology`) walks
+one support per twin orbit.  Two vertices are twins when swapping them
+maps the missing faces of K onto themselves; the swap is an automorphism
+of K, so the blocks of S and of its image have the same groups in the same
+degree.  `twin_classes` reads the classes off the generator table,
+`twin_orbits` reaches one representative per orbit, the lowest vertices of
+each class, by closure over the missing faces, and the fold counts each
+representative's groups once per member of its orbit.  `verify` checks
+the orbit sums against the per-support table, and that table against
+Hochster's, which shares no code with the fold.
 """
 
 from __future__ import annotations
@@ -62,8 +64,9 @@ from operator import or_
 from .complexes import (ParseError, SignedSum, SizeLimitError, _is_canonical, face_mask,
                         mask_face, read_signed_sum, read_text, reduced_chain_complex,
                         signed_sum_text)
-from .exactalg import (ChainComplex, HomologyClass, HomologyGroup, column_homology,
-                       direct_sum, insertion_columns, insertion_complex, insertion_sign)
+from .exactalg import (ChainComplex, HomologyClass, HomologyGroup, _shared_group,
+                       column_homology, direct_sum, insertion_columns, insertion_complex,
+                       insertion_sign)
 
 ZK_MAX_VERTICES = 24
 
@@ -225,12 +228,11 @@ def mask_lattice(masks):
 
 @lru_cache(maxsize=8)
 def _lattice(K):
-    """(S, mask) of the empty set and every union of missing faces of K, in
-    `lattice_supports`' order: each union is written as a tuple once, and a
-    bounded memo keeps the last few complexes' lattices (`verify` reads
-    one twice)."""
+    """The bitmasks of the empty set and of every union of missing faces of
+    K, in `lattice_supports`' order; a bounded memo keeps the last few
+    complexes' lattices (`verify` reads one twice)."""
     unions = mask_lattice(K.generators().masks)
-    return tuple(sorted(((mask_face(u), u) for u in unions), key=lambda p: (len(p[0]), p[0])))
+    return tuple(sorted(unions, key=lambda u: (u.bit_count(), mask_face(u))))
 
 
 def lattice_supports(K):
@@ -238,13 +240,14 @@ def lattice_supports(K):
     lexicographically.  A vertex of S lies in no missing face inside S
     exactly when it is a cone point of K_S, so these are the empty set and
     the supports S with no cone point: every other block is acyclic."""
-    return [S for S, _ in _lattice(K)]
+    return [mask_face(u) for u in _lattice(K)]
 
 
-def _off_star(K, S, smask):
+def _off_star(K, smask):
     """The faces I of K_S for which the cell (S - I, I) is off the star of
-    one vertex v of S, whose bitmask is `smask`, as (rest, order): bit i of
-    `rest` marks the face order[i].  It reads K's `FaceIndex`.
+    one vertex v of the support S, whose bitmask is `smask`, as (rest,
+    order): bit i of `rest` marks the face order[i].  It reads K's
+    `FaceIndex`.
 
     `within`, the faces of K_S, are the faces that contain no vertex outside
     S (`VertexIndex.within`).  v is the vertex of S in the
@@ -260,25 +263,24 @@ def _off_star(K, S, smask):
         return 1, (0,)
     index = K.face_index()
     containing, within = index.containing(), index.within(smask)
-    most = -1
-    for u in S:
+    most, bits = -1, smask
+    while bits:
+        u = (bits & -bits).bit_length()
+        bits &= bits - 1
         if (count := (within & containing[u - 1]).bit_count()) > most:
             v, most = u, count
     return within & ~index.star(v), index.order
 
 
-def _star_cells(K, S, smask):
-    """The basis of the block of S, whose bitmask is `smask`, modulo the
-    star of one vertex v, as (words, inside) for `insertion_columns`: the
-    cells off the star (`_off_star`), each as its circle mask J = S - I.
-    Dropping disc letter b is b entering J, and a target in the star is no
-    word, so the builder drops it.  `inside` is S's mask."""
-    return _circle_masks(*_off_star(K, S, smask), smask), smask
-
-
-def _circle_masks(rest, order, smask):
-    """The circle masks S - I of the faces I that `_off_star`'s (rest,
-    order) marks, read from the highest face down, so by (size, labels)."""
+def _star_cells(K, smask):
+    """The basis of the block of the support whose bitmask is `smask`,
+    modulo the star of one vertex v, as words for `insertion_columns` with
+    `smask` as the bits that may enter: the cells off the star
+    (`_off_star`), each as its circle mask J = S - I, read from the largest
+    face down, so by non-decreasing popcount.  Dropping disc letter b is b
+    entering J, and a target in the star is no word, so the builder drops
+    it."""
+    rest, order = _off_star(K, smask)
     words = []
     while rest:
         top = rest.bit_length() - 1
@@ -293,9 +295,9 @@ def zk_star_quotient(K, S, built=None):
     no face of K, and `cell_boundary` with every target inside the star
     dropped.  `_star_cells` chooses the circle masks, `insertion_columns`
     gives their columns, and each mask J is labelled (J, S - J) in Z_K
-    degree 2|S| - |J|.  `built`, the (words, inside) that `_star_cells`
-    already gave for S (`zk_homology_by_support` keeps them on request), is
-    labelled instead of being chosen again.
+    degree 2|S| - |J|.  `built`, the words that `_star_cells` already gave
+    for S (`zk_homology_by_support` keeps them on request), is labelled
+    instead of being chosen again.
 
     The star's cells span a subcomplex, since d only drops disc letters, and
     it is the shifted augmented chain complex of a cone, so it is acyclic;
@@ -306,8 +308,9 @@ def zk_star_quotient(K, S, built=None):
         raise ValueError(f"support {S} leaves the vertices 1..{K.m}")
     if any(1 << (v - 1) not in K.face_masks for v in S):
         raise ValueError("Z_K needs every singleton to be a face")
-    words, inside = built or _star_cells(K, S, face_mask(S))
-    return insertion_complex(words, inside, lambda J: (mask_face(J), mask_face(inside & ~J)),
+    smask = face_mask(S)
+    words = _star_cells(K, smask) if built is None else built
+    return insertion_complex(words, smask, lambda J: (mask_face(J), mask_face(smask & ~J)),
                              2 * len(S))
 
 
@@ -318,16 +321,43 @@ def support_table(blocks, shift):
     return {(S, shift(S, d)): h for S, C in blocks for d, h in C.homology_all().items()}
 
 
-def insertion_table(blocks):
-    """`support_table` of (S, words, inside) blocks read from their
-    `insertion_columns`, with no labelled complex built: a word with s bits
-    sits in Z_K degree 2|S| - s.  The cellular and Taylor tables both come
-    from here."""
-    table = {}
-    for S, words, inside in blocks:
+def fold_blocks(blocks, within=None, by_support=False):
+    """The homology of exterior blocks on bitmasks, degree -> group summed
+    over the blocks, or {(S, degree): group} with `by_support`; nontrivial
+    groups only.  Every cellular and Taylor table is one walk and this fold.
+
+    A block is (union, times, words): the bitmask of its support S, how
+    many times its groups count (a twin orbit's size), and its basis on
+    bitmasks by non-decreasing popcount, a word with s bits in Z_K degree
+    2|S| - s.  A block whose first and last words have one popcount lies in
+    one degree and has no differential: its words, times `times`, add to
+    that degree's rank, with no column built.  The others are read from
+    their insertion columns (`column_homology`), `within(union)` giving the
+    bits that may enter a word, or the union itself when `within` is None;
+    so `within` runs only for the blocks that build columns.  A block with
+    no word adds nothing.  Ranks are summed as integers and each key's
+    group is made once, at the end.  The per-support table keeps the walk's
+    order, each block's degrees ascending; the degree sums run by degree."""
+    ranks, torsion = {}, {}
+    for union, times, words in blocks:
+        if not words:
+            continue
+        shift = 2 * union.bit_count()
+        S = mask_face(union) if by_support else None
+        if (s := words[0].bit_count()) == words[-1].bit_count():
+            key = (S, shift - s) if by_support else shift - s
+            ranks[key] = ranks.get(key, 0) + len(words) * times
+            continue
+        inside = within(union) if within else union
         for d, h in column_homology(*insertion_columns(words, inside)).items():
-            table[(S, 2 * len(S) + d)] = h
-    return table
+            key = (S, shift + d) if by_support else shift + d
+            ranks[key] = ranks.get(key, 0) + h.rank * times
+            if h.torsion:
+                # each factor repeats in place, so they still divide in turn
+                repeated = HomologyGroup(0, tuple(t for t in h.torsion for _ in range(times)))
+                torsion[key] = direct_sum(torsion.get(key), repeated)
+    return {key: direct_sum(torsion.get(key), _shared_group(ranks[key], ()))
+            for key in (ranks if by_support else sorted(ranks))}
 
 
 def degree_sums(per_support):
@@ -336,15 +366,6 @@ def degree_sums(per_support):
     for (_, d), h in per_support.items():
         out[d] = direct_sum(out.get(d), h)
     return dict(sorted(out.items()))
-
-
-def with_ranks(groups, ranks):
-    """The degree table `groups` with Z^n summed into each degree d of
-    `ranks`, {d: n}, by degree: the free part of the blocks in one degree,
-    counted as integers."""
-    for d, n in ranks.items():
-        groups[d] = direct_sum(groups.get(d), HomologyGroup(n))
-    return dict(sorted(groups.items()))
 
 
 def class_by_support(block, support, degree, terms):
@@ -386,23 +407,23 @@ def zk_homology_by_support(K, quotients=None):
     its block, the shifted augmented chain complex of K_S, is acyclic.  Each
     visited block is reduced modulo the acyclic star of one vertex, which
     keeps its homology, torsion included: `_star_cells` chooses the cells
-    off the star as circle masks, and `insertion_table` reads the groups
-    from their insertion columns, with no labelled complex built.  Only
-    cycle classes label the columns (`zk_star_quotient`), and `zk_class`
-    projects a cycle onto the same quotients.  `quotients`, a dict when
-    given, receives the (words, inside) of each visited S among its keys,
-    so the classes can label the table's own builds.  The Hochster table
-    finds its subsets by cone points instead (`cone_free_subsets`), so
-    `verify` checks that the two rules pick the same supports."""
+    off the star as circle masks, and `fold_blocks` reads the groups, with
+    no labelled complex built.  Only cycle classes label the words
+    (`zk_star_quotient`), and `zk_class` projects a cycle onto the same
+    quotients.  `quotients`, a dict when given, receives the words of each
+    visited support whose bitmask is among its keys, so the classes can
+    label the table's own builds.  The Hochster table finds its subsets by
+    cone points instead (`cone_free_subsets`), so `verify` checks that the
+    two rules pick the same supports."""
     _admit(K)
 
     def blocks():
-        for S, smask in _lattice(K):
-            words, inside = _star_cells(K, S, smask)
-            if quotients is not None and S in quotients:
-                quotients[S] = words, inside
-            yield S, words, inside
-    return insertion_table(blocks())
+        for smask in _lattice(K):
+            words = _star_cells(K, smask)
+            if quotients is not None and smask in quotients:
+                quotients[smask] = words
+            yield smask, 1, words
+    return fold_blocks(blocks(), by_support=True)
 
 
 def twin_classes(gens):
@@ -469,40 +490,17 @@ def twin_orbits(K):
     return orbits
 
 
-def _repeated(h, times):
-    """The group h taken `times` times: each torsion factor repeats in
-    place, so the factors still divide one another in turn."""
-    if times == 1:
-        return h
-    return HomologyGroup(h.rank * times, tuple(t for t in h.torsion for _ in range(times)))
-
-
 def zk_homology(K):
     """Integral homology of Z_K by the cellular route, degree -> group,
     summed over twin orbits: a twin swap is an automorphism of K, so the
     blocks of a support and of its image have the same groups in the same
     degree.  Each `twin_orbits` representative is reduced as
-    `zk_homology_by_support` reduces it, and its groups count once per
-    member of its orbit; `verify` compares the sums with that table's.
-
-    A representative whose faces off the star all have one size, its
-    smallest and largest (`_off_star`), has no differential: its cells
-    (S - I, I) add Z^(their number) in degree |S| + |I|, with no word or
-    column built.  A support with no cell off the star adds nothing."""
+    `zk_homology_by_support` reduces it, and `fold_blocks` counts its groups
+    once per member of its orbit; `verify` compares the sums with that
+    table's.  A support with no cell off the star adds nothing."""
     _admit(K)
-    groups, ranks = {}, {}
-    for smask, size in twin_orbits(K).items():
-        rest, order = _off_star(K, mask_face(smask), smask)
-        if not rest:
-            continue
-        n, large = smask.bit_count(), order[rest.bit_length() - 1].bit_count()
-        if order[(rest & -rest).bit_length() - 1].bit_count() == large:
-            ranks[n + large] = ranks.get(n + large, 0) + rest.bit_count() * size
-            continue
-        columns = insertion_columns(_circle_masks(rest, order, smask), smask)
-        for d, h in column_homology(*columns).items():
-            groups[2 * n + d] = direct_sum(groups.get(2 * n + d), _repeated(h, size))
-    return with_ranks(groups, ranks)
+    return fold_blocks((smask, size, _star_cells(K, smask))
+                       for smask, size in twin_orbits(K).items())
 
 
 def zk_class(K, chain, block=None):

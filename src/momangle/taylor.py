@@ -32,20 +32,20 @@ matching).  Dually, the other words span an acyclic subcomplex of the face
 complex, closed under insertion, and the admissible words carry the quotient
 with the same homology over Z, torsion included.
 
-Each block is an (S, words, inside) triple on index bitmasks (`_blocks`):
-an admissible word is a bitmask of generator indices, `inside` the
-generators inside S, and the block's columns are their insertion
+Each block is a (union, 1, words) triple on index bitmasks (`_blocks`):
+the vertex bitmask of its union, and its admissible words, each a bitmask
+of generator indices; the generators inside the union (`within`) are the
+bits that may enter a word, and the block's columns are their insertion
 columns (`exactalg.insertion_columns`, the builder the cellular star
-quotients and the staircase's Koszul blocks also read).  The per-support
-table (`taylor_homology_by_support`) reads each block's groups from those
-columns through the cellular table's loop (`moment_angle.insertion_table`),
-with no labelled complex built.  The degree table (`taylor_homology`) sums
-the blocks directly: a block whose first and last words have one factor
-count lies in one degree and adds its number of words to that degree's
-rank, with no column built, and only the other blocks are read from their
-columns; `verify` checks the sums against the per-support table.  Cycle
-classes label the same columns with the words (`taylor_components`).  The
-independent reference is the tests' sort-based
+quotients and the staircase's Koszul blocks also read).  Both tables, per
+support (`taylor_homology_by_support`) and summed by degree
+(`taylor_homology`), are `_blocks` read by the cellular tables' fold
+(`moment_angle.fold_blocks`), with no labelled complex built: a block
+whose first and last words have one factor count lies in one degree and
+adds its number of words to that degree's rank, with no column and no
+`within` built, and only the other blocks are read from their columns.
+Cycle classes label the same columns with the words (`taylor_components`).
+The independent reference is the tests' sort-based
 `oracles.reference_taylor_components`.  Labelled words meet the rule at
 the edges only: `taylor_boundary` and the whole complex
 (`taylor_face_complex`) read each word as its index bitmask
@@ -67,9 +67,9 @@ from itertools import accumulate, combinations
 from .complexes import (Generators, SignedSum, SimplicialComplex, SizeLimitError,
                         _is_canonical, face, face_mask, mask_face, read_signed_sum, read_text,
                         read_word, signed_sum_text, word_text)
-from .exactalg import (ChainComplex, column_homology, direct_sum, insertion_columns,
-                       insertion_complex, insertion_sign)
-from .moment_angle import class_by_support, insertion_table, mask_lattice, with_ranks
+from .exactalg import (ChainComplex, column_homology, insertion_columns, insertion_complex,
+                       insertion_sign)
+from .moment_angle import class_by_support, fold_blocks, mask_lattice
 from .whitehead import _sits_in, canonical_missing_faces
 
 MAX_GENERATORS = 20
@@ -298,25 +298,25 @@ def taylor_components(K):
     """Per-subset split on the admissible words: S -> ChainComplex of the
     admissible words with union exactly S, for cycle classes (`taylor_class`).
 
-    Each block is `_blocks`' insertion columns with every index bitmask
-    labelled as its word (`Generators.labels`, by `insertion_complex`): the full
-    block's basis, in its order (by factor count, then lexicographically),
-    with the words that are not admissible left out, and the insertion
-    differential with the targets that are not admissible dropped.  That is the quotient by an acyclic subcomplex, so
+    Each block is `_blocks`' insertion columns, with the generators inside
+    the union (`within`) as the bits that may enter a word and every index
+    bitmask labelled as its word (`Generators.labels`, by
+    `insertion_complex`): the full block's basis, in its order (by factor
+    count, then lexicographically), with the words that are not admissible
+    left out, and the insertion differential with the targets that are not
+    admissible dropped.  That is the quotient by an acyclic subcomplex, so
     every block has the homology of the full block.  A union that carries
     no admissible word has no block; its full block is acyclic."""
     gens = _checked_generators(K)
-    return {S: insertion_complex(words, inside, gens.labels) for S, words, inside in _blocks(gens)}
+    return {mask_face(union): insertion_complex(words, gens.within(union), gens.labels)
+            for union, _, words in _blocks(gens)}
 
 
 def _blocks(gens):
-    """(S, words, inside) of every block of admissible words of the
-    `Generators` gens, on index bitmasks: `admissible_words`' unions in
-    their order, each with its words in basis order and the generators
-    inside it (`within`), the bits that `insertion_columns` lets enter a
-    word."""
-    for union, words in admissible_words(gens.masks).items():
-        yield mask_face(union), words, gens.within(union)
+    """The blocks of admissible words of the `Generators` gens, as
+    `fold_blocks` reads them: (union, 1, words) on index bitmasks, in
+    `admissible_words`' order, each union's words in basis order."""
+    return ((union, 1, words) for union, words in admissible_words(gens.masks).items())
 
 
 def taylor_homology_by_support(K):
@@ -326,30 +326,21 @@ def taylor_homology_by_support(K):
     (`_blocks`): its differential inserts each generator inside the union
     that is not in the word, with the sign of the factors before it, and
     drops the targets that are not admissible, so it has the columns that
-    `taylor_components` labels.  `insertion_table` reads the groups from
-    the insertion columns, d^2 = 0 checked, with no labelled complex built,
-    as the cellular table does."""
-    return insertion_table(_blocks(_checked_generators(K)))
+    `taylor_components` labels.  `fold_blocks` reads the groups, with the
+    generators inside the union (`within`) as the bits that may enter and
+    no labelled complex built, as it reads the cellular table's."""
+    gens = _checked_generators(K)
+    return fold_blocks(_blocks(gens), gens.within, by_support=True)
 
 
 def taylor_homology(K):
-    """Homology of Z_K via the Taylor complex, total degree 2|S| - s, summed
-    block by block.  `admissible_words` lists a union's words by factor
-    count, so when its first and last word have the same count s the block
-    has no differential: it adds Z^(its words) in degree 2|S| - s, with no
-    column and no `within` built.  The other blocks are read from their
-    insertion columns as `taylor_homology_by_support` reads them; `verify`
-    compares the sums with that table's."""
+    """Homology of Z_K via the Taylor complex, total degree 2|S| - s: the
+    per-support table's blocks summed by `fold_blocks`.  `admissible_words`
+    lists a union's words by factor count, so a block whose first and last
+    words have one count is Z^(its words) in one degree, with no column and
+    no `within` built."""
     gens = _checked_generators(K)
-    groups, ranks = {}, {}
-    for union, words in admissible_words(gens.masks).items():
-        shift = 2 * union.bit_count()
-        if (s := words[0].bit_count()) == words[-1].bit_count():
-            ranks[shift - s] = ranks.get(shift - s, 0) + len(words)
-            continue
-        for d, h in column_homology(*insertion_columns(words, gens.within(union))).items():
-            groups[shift + d] = direct_sum(groups.get(shift + d), h)
-    return with_ranks(groups, ranks)
+    return fold_blocks(_blocks(gens), gens.within)
 
 
 def taylor_class(K, chain):

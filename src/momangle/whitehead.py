@@ -440,9 +440,9 @@ def _basis_verdict(K, entries):
     (J, degree) block: an entry's chain lies in the block of its subset J.
     The entries of one subset are classed against one star quotient, the
     table's own build of it where the table visited the subset."""
-    built = dict.fromkeys(e.subset for e in entries)
+    built = dict.fromkeys(cx.face_mask(e.subset) for e in entries)
     per_block = zk_homology_by_support(K, built)
-    quotient = cache(lambda S: zk_star_quotient(K, S, built.get(S)))
+    quotient = cache(lambda S: zk_star_quotient(K, S, built.get(cx.face_mask(S))))
     by_block = {}
     for e in entries:
         by_block.setdefault((e.subset, e.chain.degree), []).append(e)

@@ -647,22 +647,27 @@ def test_verify_checks_the_orbit_sums(capsys, monkeypatch, tmp_path):
     assert json.loads(out)["failures"] == ["orbit sums vs cellular table differ"]
 
 
-def test_verify_checks_the_taylor_block_sums(capsys, monkeypatch):
-    """`taylor` reads a block in one degree off its two ends and counts its
-    rank as an integer; one such count off by one, in the lowest degree it
-    reaches, makes `taylor`'s sums differ from the Taylor table's degree
-    sums, and `verify` exits 3 on it."""
+def test_verify_checks_the_one_degree_count(capsys, monkeypatch):
+    """Every cellular and Taylor table counts a block in one degree by the
+    length of its word list, in one fold (`fold_blocks`).  Word lists that
+    each report one word more than they hold break that count and no other
+    reading, since the columns iterate the words; `verify` exits 3 on it,
+    as the cellular table no longer matches Hochster's, which shares no
+    code with the fold."""
+    from momangle import moment_angle as ma
     from momangle import taylor as ty
     assert run_json(capsys, "verify", "--complex", SUB5_EXPR)["failures"] == []
-    real = ty.with_ranks
 
-    def off_by_one(groups, ranks):
-        low = min(ranks)
-        return real(groups, {**ranks, low: ranks[low] + 1})
-    monkeypatch.setattr(ty, "with_ranks", off_by_one)
+    class Longer(list):
+        def __len__(self):
+            return super().__len__() + 1
+    cells, admissible = ma._star_cells, ty.admissible_words
+    monkeypatch.setattr(ma, "_star_cells", lambda K, smask: Longer(cells(K, smask)))
+    monkeypatch.setattr(ty, "admissible_words", lambda masks: {
+        union: Longer(words) for union, words in admissible(masks).items()})
     code, out, _ = run_cli(capsys, "verify", "--complex", SUB5_EXPR)
     assert code == 3
-    assert json.loads(out)["failures"] == ["Taylor sums vs Taylor table differ"]
+    assert "cellular vs Hochster homology differ" in json.loads(out)["failures"]
 
 
 def test_homology_walks_one_block_per_orbit(capsys, monkeypatch, tmp_path):

@@ -110,10 +110,11 @@ def verb_differentials(K):
     """The star-quotient, Taylor-block and Hochster-block differentials of
     K, as the cellular, Taylor and Hochster tables build them."""
     out = []
-    for S, smask in ma._lattice(K):
-        out += differentials(*insertion_columns(*ma._star_cells(K, S, smask)))
-    for _, words, inside in ty._blocks(K.generators()):
-        out += differentials(*insertion_columns(words, inside))
+    for smask in ma._lattice(K):
+        out += differentials(*insertion_columns(ma._star_cells(K, smask), smask))
+    gens = K.generators()
+    for union, _, words in ty._blocks(gens):
+        out += differentials(*insertion_columns(words, gens.within(union)))
     for J in ma.cone_free_subsets(K):
         C = reduced_chain_complex(K.faces_within(J))
         out += [C.differential(d) for d, cols in C.columns.items() if cols]

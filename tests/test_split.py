@@ -366,11 +366,11 @@ def test_star_words_give_the_reference_columns():
     blocks = torsion = 0
     for K in star_word_cases():
         for S in lattice_supports(K):
-            words, inside = moment_angle._star_cells(K, S, cx.face_mask(S))
+            inside = cx.face_mask(S)
+            words = moment_angle._star_cells(K, inside)
             dims, columns = insertion_columns(words, inside)
             cells, ref_columns = reference_star_cells(S, K.face_masks_within(S), K.face_masks)
             shift = 2 * len(S)
-            assert inside == cx.face_mask(S), (K, S)
             assert {shift + d: n for d, n in dims.items()} == {
                 d: len(fs) for d, fs in cells.items()}, (K, S)
             assert {shift + d: cols for d, cols in columns.items()} == ref_columns, (K, S)
@@ -402,8 +402,8 @@ def chooser_cases():
 def test_face_index_chooses_the_reference_star_quotient(monkeypatch):
     """On every nonempty vertex subset S, not only the lattice supports,
     `_star_cells` reads from K's face index the vertex the list scan
-    chooses (`reference_star_vertex`), the cell-by-cell builder's words
-    (`reference_star_cells`) in its order, and S's mask as `inside`.  The
+    chooses (`reference_star_vertex`) and the cell-by-cell builder's words
+    (`reference_star_cells`) in its order.  The
     index is kept on K, so each complex's later subsets read the bitsets its
     earlier ones built."""
     chosen = chosen_vertices(monkeypatch)
@@ -415,10 +415,10 @@ def test_face_index_chooses_the_reference_star_quotient(monkeypatch):
             faces = K.face_masks_within(S)
             v = reference_star_vertex(faces, S)
             chosen.clear()
-            words, inside = moment_angle._star_cells(K, S, cx.face_mask(S))
+            inside = cx.face_mask(S)
+            words = moment_angle._star_cells(K, inside)
             assert chosen == [v], (K, S)
             cells, _ = reference_star_cells(S, faces, K.face_masks)
-            assert inside == cx.face_mask(S), (K, S)
             assert words == [inside & ~f for d in sorted(cells, reverse=True)
                              for f in cells[d]], (K, S)
             counts = [sum(f >> (u - 1) & 1 for f in faces) for u in S]
@@ -436,10 +436,12 @@ def test_column_rule_matches_the_references_on_every_block():
     Smith normal form (`reference_column_groups`), in ascending degree."""
     seen = {"no column": 0, "one column": 0, "more columns": 0, "torsion": 0}
     for K in chooser_cases():
-        blocks = [(S, *moment_angle._star_cells(K, S, cx.face_mask(S)))
+        blocks = [(S, moment_angle._star_cells(K, cx.face_mask(S)), cx.face_mask(S))
                   for S in lattice_supports(K)]
         if len(K.missing_faces()) <= 12:
-            blocks += taylor._blocks(K.generators())
+            gens = K.generators()
+            blocks += [(cx.mask_face(union), words, gens.within(union))
+                       for union, _, words in taylor._blocks(gens)]
         for S, words, inside in blocks:
             dims, columns = insertion_columns(words, inside)
             assert (dims, columns) == reference_insertion_columns(words, inside), (K, S)
@@ -490,32 +492,65 @@ def one_degree_cases():
     seeded = [random_complex(rng.randint(3, 9), rng, rng.randint(2, 8)) for _ in range(120)]
     graphs = [random_graph_complex(rng.randint(5, 7), rng) for _ in range(60)]
     rp2s = [rp2_complex()] + [rp2_cone(rng) for _ in range(5)]
-    families = [closed_form_family(family, n) for family, sizes in [
+    return seeded + graphs + rp2s + [cx.parse_complex(K6_GRAPH)] + closed_form_cases()
+
+
+def closed_form_cases():
+    """The `closed_form_homology` families at small sizes."""
+    return [closed_form_family(family, n) for family, sizes in [
         ("points", range(1, 8)), ("polygon", range(4, 9)), ("cross-polytope", range(1, 5)),
         ("simplex-boundary", range(2, 9)), ("simplex", range(1, 7))] for n in sizes]
-    return seeded + graphs + rp2s + [cx.parse_complex(K6_GRAPH)] + families
 
 
 def test_blocks_list_their_words_by_degree():
-    """The degree tables read a block's degrees off its two ends, which
-    holds because `_star_cells` lists each support's circle masks by
+    """The fold reads a block's degrees off its two ends, which holds
+    because `_star_cells` lists each support's circle masks by
     non-decreasing popcount and `admissible_words` each union's words by
-    non-decreasing factor count.  `taylor`'s block sums are the Taylor
-    table's degree sums."""
+    non-decreasing factor count."""
     taylor_cases = 0
     for K in one_degree_cases():
         for S in lattice_supports(K):
-            counts = [J.bit_count() for J in moment_angle._star_cells(K, S, cx.face_mask(S))[0]]
+            counts = [J.bit_count() for J in moment_angle._star_cells(K, cx.face_mask(S))]
             assert counts == sorted(counts), (K.facets, S)
         if len(K.missing_faces()) > taylor.MAX_GENERATORS:
             continue
         for union, words in taylor.admissible_words(K.generators().masks).items():
             counts = [word.bit_count() for word in words]
             assert counts == sorted(counts), (K.facets, union)
-        want = moment_angle.degree_sums(taylor_homology_by_support(K))
-        assert taylor.taylor_homology(K) == want, K.facets
         taylor_cases += 1
     assert taylor_cases > 180
+
+
+def test_fold_reads_every_block_as_its_columns():
+    """The fold's one-degree rule against the generic reading it skips: on
+    `star_word_cases`, the K6 graph and the `closed_form_cases`, the
+    per-support tables, cellular and Taylor, are their walks' blocks read
+    one by one as `column_homology(*insertion_columns(words, inside))`,
+    block degree d placed at 2|S| + d, in the walk's order, and the degree
+    tables, `homology`'s over twin orbits and `taylor`'s, are those reads
+    summed by degree."""
+    one_degree = columns = torsion = 0
+    for K in star_word_cases() + [cx.parse_complex(K6_GRAPH)] + closed_form_cases():
+        supports = [cx.face_mask(S) for S in lattice_supports(K)]
+        walks = [(zk_homology_by_support(K), zk_homology(K),
+                  [(u, moment_angle._star_cells(K, u), u) for u in supports])]
+        if len(K.missing_faces()) <= taylor.MAX_GENERATORS:
+            gens = K.generators()
+            walks.append((taylor_homology_by_support(K), taylor.taylor_homology(K),
+                          [(u, words, gens.within(u)) for u, _, words in taylor._blocks(gens)]))
+        for table, sums, blocks in walks:
+            want = {}
+            for union, words, inside in blocks:
+                S = cx.mask_face(union)
+                for d, h in column_homology(*insertion_columns(words, inside)).items():
+                    want[(S, 2 * len(S) + d)] = h
+                if words:
+                    one = words[0].bit_count() == words[-1].bit_count()
+                    one_degree, columns = one_degree + one, columns + (not one)
+            assert list(table.items()) == list(want.items()), K.facets
+            assert sums == moment_angle.degree_sums(want), K.facets
+            torsion += any(h.torsion for h in want.values())
+    assert one_degree > 4000 and columns > 900 and torsion >= 5, (one_degree, columns, torsion)
 
 
 def test_one_degree_blocks_build_no_columns(monkeypatch, tmp_path, capsys):

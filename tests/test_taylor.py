@@ -189,8 +189,9 @@ def test_boundary_and_blocks_match_sorting_reference():
 
 
 def test_block_inside_is_the_generators_inside_the_union():
-    """Each Taylor block's `inside`, read from the per-vertex generator
-    bitsets of the vertices outside its union, is exactly the set of
+    """The bits that may enter a Taylor block's words, `within` of its
+    union, read from the per-vertex generator bitsets of the vertices
+    outside the union, are exactly the set of
     generators whose vertices all lie in the union, the scan of every
     generator it replaced.  A wider `inside` would give the same columns,
     since a generator with a vertex outside the union takes a word out of
@@ -201,11 +202,12 @@ def test_block_inside_is_the_generators_inside_the_union():
         K = random_complex(rng.randint(3, 9), rng)
         if len(K.missing_faces()) > 14:
             continue
-        masks = K.generators().masks
-        for S, words, inside in ty._blocks(K.generators()):
-            union = face_mask(S)
+        gens = K.generators()
+        masks = gens.masks
+        for union, _, words in ty._blocks(gens):
+            inside = gens.within(union)
             assert inside == sum(1 << q for q, mask in enumerate(masks)
-                                 if not mask & ~union), (K, S)
+                                 if not mask & ~union), (K, union)
             blocks += 1
             wider += inside != (1 << len(masks)) - 1
     assert blocks > 300 and wider > 100

@@ -540,10 +540,10 @@ def test_classes_build_only_star_quotients(monkeypatch):
     built = []
     raw = moment_angle._star_cells
 
-    def spy(K, S, smask):
-        words, inside = raw(K, S, smask)
+    def spy(K, smask):
+        words = raw(K, smask)
         built.append(len(words))
-        return words, inside
+        return words
     monkeypatch.setattr(moment_angle, "_star_cells", spy)
     for K, chain, sizes in cases:
         built.clear()
@@ -581,7 +581,7 @@ def test_wedge_basis_labels_the_tables_own_quotients(monkeypatch, capsys):
     raw_cells, raw_table = ma._star_cells, wh.zk_homology_by_support
     calls = []
     monkeypatch.setattr(ma, "_star_cells",
-                        lambda K, S, smask: calls.append(S) or raw_cells(K, S, smask))
+                        lambda K, smask: calls.append(smask) or raw_cells(K, smask))
     assert main(argv) == 0
     shared = json.loads(capsys.readouterr().out)
     assert len(calls) == len(set(calls)) == 30
