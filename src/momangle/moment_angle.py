@@ -503,16 +503,21 @@ def zk_homology(K):
                        for smask, size in twin_orbits(K).items())
 
 
-def zk_class(K, chain, block=None):
-    """Homology class of a cellular cycle in Z_K, projected onto the star
-    quotient of each block it touches; cells outside Z_K and non-cycles are
-    refused.  `block(S)`, by default `zk_star_quotient(K, S)`, gives the
-    quotients: a memo of it classes many chains against one quotient per
-    support."""
+def require_zk_cycle(K, chain):
+    """Refuse a cell chain with a cell outside Z_K, or one that is no cycle."""
     if not chain.supported_in(K):
         raise ValueError("chain has a cell outside Z_K")
     if chain.boundary():
         raise ValueError("chain is not a cycle")
+
+
+def zk_class(K, chain, block=None):
+    """Homology class of a cellular cycle in Z_K, projected onto the star
+    quotient of each block it touches; cells outside Z_K and non-cycles are
+    refused (`require_zk_cycle`).  `block(S)`, by default
+    `zk_star_quotient(K, S)`, gives the quotients: a memo of it classes many
+    chains against one quotient per support."""
+    require_zk_cycle(K, chain)
     return class_by_support(block or (lambda S: zk_star_quotient(K, S)),
                             lambda cell: tuple(sorted(cell[0] + cell[1])),
                             chain.degree, chain.terms)

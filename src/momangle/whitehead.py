@@ -22,23 +22,31 @@ faces (`_sits_in`), so "defined" and "trivial" (the trivialising join's
 missing faces are the leaf sets of w_1..w_q) need no complex built;
 `delta_w` builds bd_Delta(w) for the `delta-w` verb.
 
-`parse_whitehead`, `_canonical_chain` and `_canonical_class` are bounded
+Whether the canonical cycle z bounds in Z_K (`_canonical_bounds`) is
+decided by a certificate where one exists, as the paper decides it: a term
+of z on a cell that is in no cell's boundary is a one-cell cocycle pairing
+z to a nonzero coefficient (`_cocycle_cell`), and the product of the
+sub-products' chains with the disc on the bracket's own leaves, where it
+lies in Z_K, is a chain whose boundary is +-z (`_trivialising_filling`).
+Only where neither exists is z reduced in the star quotients (`zk_class`).
+
+`parse_whitehead`, `_canonical_chain` and `_canonical_bounds` are bounded
 memos: a process parses a bracket text, builds a canonical chain and
-classes a (K, w) once while it stays in its memo, so `status` and
-`realises` on one pair share a class.  A memo never holds an exception, so
-a bad input fails again on the next call.
+decides a (K, w) once while it stays in its memo, so `status` and
+`realises` on one pair share a verdict.  A memo never holds an exception,
+so a bad input fails again on the next call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache, lru_cache, reduce
 from itertools import combinations
 
 from . import complexes as cx
 from .exactalg import TRIVIAL_GROUP, IntMatrix, invariant_factors
-from .moment_angle import (CellChain, _require_singletons, degree_sums, zk_class,
-                           zk_homology_by_support, zk_star_quotient)
+from .moment_angle import (CellChain, _require_singletons, degree_sums, require_zk_cycle,
+                           zk_class, zk_homology_by_support, zk_star_quotient)
 
 UNDEFINED = "undefined"
 DEFINED_TRIVIAL = "defined-trivial"
@@ -243,11 +251,51 @@ def _canonical_chain(w):
 # -- realisability criteria ----------------------------------------------------
 
 @lru_cache(maxsize=16)
-def _canonical_class(K, w):
-    """The class of w's canonical chain in Z_K, one per (K, w) in a process:
-    `status` and `realises` on one pair reduce it once.  The caller has
-    checked that every leaf of w is a vertex of K."""
-    return zk_class(K, hurewicz_chain(w, K.m))
+def _canonical_bounds(K, w):
+    """Does w's canonical cycle z bound in Z_K?  One verdict per (K, w) in a
+    process: `status` and `realises` on one pair decide it once.  The
+    caller has checked that every leaf of w is a vertex of K.
+
+    z is refused first as `zk_class` refuses it (`require_zk_cycle`).  Two
+    certificates then decide it with no Smith form: a term of z that lies
+    in no cell's boundary (`_cocycle_cell`) means z does not bound, and a
+    filling of z in Z_K (`_trivialising_filling`) means it does.  Only
+    where neither exists is z classed in the star quotients (`zk_class`)."""
+    z = hurewicz_chain(w, K.m)
+    require_zk_cycle(K, z)
+    if _cocycle_cell(K, z) is not None:
+        return False
+    if _trivialising_filling(K, w, z) is not None:
+        return True
+    return zk_class(K, z).is_boundary
+
+
+def _cocycle_cell(K, z):
+    """A term kappa(J, I) of the cycle z whose disc set I is a facet of K_S,
+    S = J + I: I + j is no face of K for any j in J.  The boundary only
+    moves a disc letter to the circles, so no cell of Z_K has that term in
+    its boundary, and the cochain dual to it is a cocycle.  It pairs with z
+    to the term's coefficient, which is nonzero, so z does not bound.  None
+    when no term is such a cell."""
+    faces = K.face_masks
+    for J, I in z.terms:
+        disc = cx.face_mask(I)
+        if all(disc | 1 << (j - 1) not in faces for j in J):
+            return J, I
+    return None
+
+
+def _trivialising_filling(K, w, z):
+    """c = z(w_1)...z(w_q).kappa(0, L), over w's sub-products w_j and its
+    leaf children L, when every cell of c is in Z_K and its boundary is +-z,
+    so that z bounds; otherwise None.  The z(w_j) are cycles and the
+    boundary of kappa(0, L) is the leaf factor of z, so the Z_K test is the
+    one that can fail.  For the special shapes c lies in Z_K exactly when
+    the trivialising join bd(w_1)*...*bd(w_q)*simplex(L) is in K."""
+    disc = CellChain({((), tuple(sorted(w.leaf_children()))): 1})
+    c = reduce(CellChain.product, map(_canonical_chain, w.bracket_children()),
+               CellChain.unit()).product(disc)
+    return c if c.supported_in(K) and c.boundary() in (z, -z) else None
 
 
 def canonical_missing_faces(w):
@@ -346,17 +394,17 @@ def nested_shape_report(K, w):
         return UNDEFINED, ()
     trivial = _sits_in(_inner_leaf_sets(w), missing)
     if not _criterion_holds(w, missing):
-        if leaves_ and not _canonical_class(K, w).is_boundary:
+        if leaves_ and not _canonical_bounds(K, w):
             status = DEFINED_NONTRIVIAL
         else:
             status = DEFINED_TRIVIAL if trivial else DEFINED_UNKNOWN
         return status, (OUTSIDE_CRITERION,)
     status = DEFINED_TRIVIAL if trivial else DEFINED_NONTRIVIAL
     if leaves_ and (subs or not trivial):   # a trivial single product spans a face
-        cls = _canonical_class(K, w)
-        if trivial and not cls.is_boundary:
+        bounds = _canonical_bounds(K, w)
+        if trivial and not bounds:
             raise AssertionError("trivial product with a nonzero canonical class")
-        if not trivial and cls.is_boundary:
+        if not trivial and bounds:
             raise AssertionError("nontrivial product with a bounding canonical class")
     return status, ()
 
@@ -395,7 +443,7 @@ def realises_sufficient(K, w):
         notes.append(str(exc))
         chain = None
     if chain is not None:
-        if not _canonical_class(K, w).is_boundary:
+        if not _canonical_bounds(K, w):
             return RealisationReport("yes", "yes", chain)
         notes.append("canonical class vanishes")
     nontrivial = "unknown"

@@ -42,7 +42,7 @@ cones (`cone_reconstruction`), and the Hochster embedding of simplicial
 chains into the cellular chains of Z_K (`hochster_embed`, the chain map the
 package's sign conventions are chosen for), and the homology of Z_K in
 closed form for isolated points, polygons, joins of copies of S^0 (the
-cross-polytopes), simplices and their boundaries
+cross-polytopes), disjoint edges, simplices and their boundaries
 (`closed_form_homology`, a reference for the three routes that builds no
 chain complex).
 None of it shares code with the package internals it checks beyond the
@@ -75,6 +75,7 @@ from momangle.moment_angle import (ZK_MAX_VERTICES, CellChain, all_subsets, cell
                                    support_table)
 from momangle.taylor import (TaylorChain, nested_levels, normalise_word,
                              taylor_boundary)
+from momangle.whitehead import bracket, delta_w, leaf
 from momangle.zigzag import ZigzagError, _koszul_block
 
 
@@ -1327,17 +1328,75 @@ def random_shifted_complex(m, rng):
     return SimplicialComplex(m, faces)
 
 
+RP2_FACETS = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
+              (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)]
+
+
+def random_bracket(rng, leaves):
+    """A random bracket on the labels `leaves` in which every bracket has a
+    leaf of its own, so every sub-product carries a canonical chain; two
+    labels, and about two in five larger sets, make one single product."""
+    leaves = list(leaves)
+    if len(leaves) <= 2 or rng.random() < 0.4:
+        return bracket([leaf(v) for v in leaves])
+    rng.shuffle(leaves)
+    own = rng.randint(1, len(leaves) - 2)
+    kids = [leaf(v) for v in leaves[:own]]
+    rest = leaves[own:]
+    while rest:
+        k = len(rest) if len(rest) <= 3 else rng.randint(2, len(rest) - 2)
+        kids.append(random_bracket(rng, rest[:k]))
+        rest = rest[k:]
+    return bracket(kids)
+
+
+def random_product_pair(rng, max_vertices=8, max_leaves=7):
+    """(K, w): a `random_bracket` w on random vertices of 1..m and K its
+    canonical complex bd_Delta(w), with every vertex of 1..m a face, and
+    then one of: nothing more, one facet fewer, a few random faces, an RP^2
+    on six vertices (the leaves where w has six or more), the face of every
+    leaf but one of each sub-product with w's own leaves (the trivialising
+    join where the sub-products are single), or the leaf set of one
+    sub-product with a few random faces."""
+    m = rng.randint(4, max_vertices)
+    w = random_bracket(rng, rng.sample(range(1, m + 1), rng.randint(2, min(m, max_leaves))))
+    dw = delta_w(w)
+    label = {v: l for l, v in dw.leaf_map.items()}
+    facets = [tuple(label[v] for v in f) for f in dw.complex.facets]
+    subs = w.bracket_children()
+    kind = rng.choice(["delta", "minus", "extra", "rp2", "join", "inner"])
+    if kind == "minus" and len(facets) > 1:
+        facets.remove(rng.choice(facets))
+    elif kind == "extra":
+        facets += [tuple(rng.sample(range(1, m + 1), rng.randint(2, 4)))
+                   for _ in range(rng.randint(1, 3))]
+    elif kind == "rp2" and m >= 6:
+        on = w.leaves() if len(w.leaves()) >= 6 else range(1, m + 1)
+        verts = rng.sample(on, 6)
+        facets += [tuple(verts[v - 1] for v in f) for f in RP2_FACETS]
+    elif kind == "join":
+        facets.append(tuple(v for c in subs for v in c.leaves()[1:]) + w.leaf_children())
+    elif kind == "inner" and subs:
+        facets.append(rng.choice(subs).leaves())
+        facets += [tuple(rng.sample(range(1, m + 1), rng.randint(2, 3)))
+                   for _ in range(rng.randint(0, 2))]
+    return SimplicialComplex.from_facets(m, facets + [(v,) for v in range(1, m + 1)]), w
+
+
 # -- closed forms ---------------------------------------------------------------
 
-CLOSED_FORM_FAMILIES = ("points", "polygon", "cross-polytope", "simplex-boundary", "simplex")
+CLOSED_FORM_FAMILIES = ("points", "polygon", "cross-polytope", "disjoint-edges",
+                        "simplex-boundary", "simplex")
 
 
 def closed_form_family(family, n):
     """K of a `closed_form_homology` family: n isolated points, the n-gon
-    (n >= 4), the join of n copies of S^0 on the pairs (2i - 1, 2i),
-    bd(simplex(n)) (n >= 2) or simplex(n)."""
+    (n >= 4), the join of n copies of S^0 on the pairs (2i - 1, 2i), the n
+    disjoint edges (2i - 1, 2i), bd(simplex(n)) (n >= 2) or simplex(n)."""
     if family == "points":
         return SimplicialComplex.from_facets(n, [])
+    if family == "disjoint-edges":
+        return SimplicialComplex.from_facets(2 * n, [(2 * i - 1, 2 * i) for i in range(1, n + 1)])
     if family == "polygon":
         return SimplicialComplex.from_facets(n, [(i, i % n + 1) for i in range(1, n + 1)])
     if family == "cross-polytope":
@@ -1357,6 +1416,9 @@ def closed_form_homology(family, n):
       C(n-2,k-1) copies of S^k x S^{n+2-k} (McGavran);
     - the join of n copies of S^0: Z_K is the product of the Z_K of its
       factors, (S^3)^n, with rank C(n, k) in degree 3k;
+    - n disjoint edges, by Hochster: a full subcomplex on a whole edges and
+      b single vertices of b other edges, chosen in C(n, a) C(n - a, b) 2^b
+      ways, is a + b points, so it adds rank a + b - 1 in degree 2a + b + 1;
     - bd(simplex(n)): Z_K = S^{2n-1}; simplex(n): Z_K = D^{2n}."""
     ranks = {0: 1}
     if family == "points":
@@ -1365,6 +1427,11 @@ def closed_form_homology(family, n):
     elif family == "cross-polytope":
         for k in range(1, n + 1):
             ranks[3 * k] = comb(n, k)
+    elif family == "disjoint-edges":
+        for a in range(n + 1):
+            for b in range(max(2 - a, 0), n - a + 1):
+                d = 2 * a + b + 1
+                ranks[d] = ranks.get(d, 0) + comb(n, a) * comb(n - a, b) * 2 ** b * (a + b - 1)
     elif family == "polygon":
         ranks[n + 2] = 1
         for k in range(3, n):

@@ -29,11 +29,8 @@ from momangle.taylor import (TaylorChain, admissible_words,
 from momangle.whitehead import delta_w, parse_whitehead
 from momangle.zigzag import classes_equal
 from conftest import SUB5_EXPR
-from oracles import (lyubeznik_admissible, random_complex,
+from oracles import (RP2_FACETS, lyubeznik_admissible, random_complex,
                      reference_taylor_components)
-
-RP2_FACETS = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
-              (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)]
 
 NESTED_SHAPES = ["[[1,2],3]", "[[1,2,3],4]", "[[1,2],3,4]", "[[[1,2],3],4]",
                  "[[1,2,3],4,5]", "[[[1,2],3],4,5]"]

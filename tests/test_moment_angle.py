@@ -225,11 +225,12 @@ def test_zk_size_gate():
 
 @pytest.mark.parametrize("family, sizes", [
     ("points", range(1, 10)), ("polygon", range(4, 11)), ("cross-polytope", range(1, 6)),
-    ("simplex-boundary", range(2, 11)), ("simplex", range(1, 11))])
+    ("disjoint-edges", range(1, 7)), ("simplex-boundary", range(2, 11)),
+    ("simplex", range(1, 11))])
 def test_routes_match_the_closed_forms(family, sizes):
-    """The cellular, Hochster and Taylor tables of five families against
+    """The cellular, Hochster and Taylor tables of six families against
     their closed forms; past the Taylor gate (7 points have 21 missing
-    faces) the Taylor route must refuse instead."""
+    faces, 4 disjoint edges 24) the Taylor route must refuse instead."""
     def nonzero(table):
         return {d: h for d, h in table.items() if not h.is_trivial()}
 
@@ -333,11 +334,12 @@ def test_homology_of_points_at_scale():
 
 @pytest.mark.parametrize("family, sizes", [
     ("polygon", range(11, 15)), ("cross-polytope", range(6, 9)),
-    ("simplex-boundary", range(14, 19))])
+    ("disjoint-edges", range(7, 9)), ("simplex-boundary", range(14, 19))])
 def test_homology_of_the_families_at_scale(family, sizes):
     """`homology` against the closed forms past the sizes where the three
     routes are compared: the 11- to 14-gon, the cross-polytopes on 12 to 16
-    vertices, whose twin classes are its antipodal pairs, and bd(simplex(n))
+    vertices, whose twin classes are its antipodal pairs, 7 and 8 disjoint
+    edges, whose twin classes are its edges, and bd(simplex(n))
     for 14 <= n <= 18, whose one missing face leaves a lattice of two
     supports."""
     for n in sizes:

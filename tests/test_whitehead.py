@@ -20,7 +20,7 @@ from momangle.whitehead import (DEFINED_NONTRIVIAL, DEFINED_TRIVIAL,
                                 realises_sufficient, shifted_wedge_basis,
                                 single_product_status)
 from conftest import SUB5_EXPR
-from oracles import (hochster_embed, random_complex, random_shifted_complex,
+from oracles import (hochster_embed, random_complex, random_product_pair, random_shifted_complex,
                      reference_shifted_wedge_pairs, reference_sits_in,
                      reference_trivialising_join)
 from test_golden import CASES as GOLDEN_CASES, load_golden, run as run_golden
@@ -504,21 +504,113 @@ def test_a_memoised_chain_still_checks_its_leaves():
         hurewicz_chain(w, 2)
 
 
-def test_status_and_realises_class_the_cycle_once(capsys, monkeypatch):
-    """One (K, w) is classed once in a process: `status` then `realises`
-    on it reduce its canonical cycle in one `ChainComplex.class_of` call."""
+# (K, w) pairs on which neither certificate decides the canonical class: a
+# Z/2 class on an RP^2 with a coned triangle (A), a free class outside the
+# paper's criterion (B) and a class that vanishes although no filling of
+# the canonical shape exists (C)
+ROW_A = ({"m": 7, "facets": [[1, 2, 3], [1, 2, 4], [1, 4, 5], [1, 5, 6], [2, 3, 5], [2, 4, 6],
+                             [2, 5, 6], [3, 4, 5], [3, 4, 6], [4, 5, 7], [1, 3, 6, 7]]},
+         "[[1,3],[[4,6],2],5]")
+ROW_B = ({"m": 7, "facets": [[1, 3, 6], [1, 4, 6], [2, 3, 5], [2, 3, 7], [2, 4, 6], [2, 4, 7],
+                             [2, 5, 6], [3, 4, 5], [3, 4, 6], [3, 6, 7], [4, 5, 7], [5, 6, 7]]},
+         "[[3,6],[4,5],2]")
+ROW_C = ({"m": 5, "facets": [[2, 3], [3, 5], [1, 2, 4]]}, "[[[[1,5],3],2],4]")
+
+
+def row_complex(row):
+    return SimplicialComplex.from_json_dict(row[0])
+
+
+def class_of_spy(monkeypatch):
+    """The degrees of every `ChainComplex.class_of` call from here on, with
+    the verdict memo emptied."""
     from momangle.exactalg import ChainComplex
     calls = []
     raw = ChainComplex.class_of
     monkeypatch.setattr(ChainComplex, "class_of",
                         lambda C, d, chain: calls.append(d) or raw(C, d, chain))
-    wh._canonical_class.cache_clear()
+    wh._canonical_bounds.cache_clear()
+    return calls
+
+
+def test_certificates_decide_with_no_class(capsys, monkeypatch):
+    """On bd(bd(1,2,3), 4, 5) the canonical cycle of [[1,2,3],4,5] has a
+    term on a facet of K_S: `status` and `realises` answer with no
+    `class_of` call."""
+    calls = class_of_spy(monkeypatch)
     common = ["--complex", SUB5_EXPR, "--w", "[[1,2,3],4,5]"]
     assert main(["status"] + common) == 0
     assert json.loads(capsys.readouterr().out)["status"] == DEFINED_NONTRIVIAL
     assert main(["realises"] + common) == 0
     assert json.loads(capsys.readouterr().out)["nontrivial"] == "yes"
-    assert calls == [8]
+    assert calls == []
+
+
+@pytest.mark.parametrize("row, status, realised", [
+    (ROW_A, (1, "expected the shape [w_1,...,w_q, leaves] with single-product w_j"),
+     ("yes", "yes", "-D1*S2*S3*D4*S5*S6 + D1*S2*S3*S4*S5*D6 + S1*S2*D3*D4*S5*S6 "
+      "- S1*S2*D3*S4*S5*D6", [])),
+    (ROW_B, (0, DEFINED_NONTRIVIAL, [wh.OUTSIDE_CRITERION]),
+     ("yes", "yes", "-S2*D3*D4*S5*S6 - S2*D3*S4*D5*S6 + S2*S3*D4*S5*D6 + S2*S3*S4*D5*D6", [])),
+    (ROW_C, (1, "expected the shape [w_1,...,w_q, leaves] with single-product w_j"),
+     ("yes", "unknown", None, ["canonical class vanishes"]))], ids=["A", "B", "C"])
+def test_fallback_rows(row, status, realised, capsys, monkeypatch, tmp_path):
+    """Three (K, w) that neither certificate decides keep their answers,
+    and the star quotients decide them once per process: `status` then
+    `realises` make one `class_of` call between them."""
+    K, w = row_complex(row), W(row[1])
+    z = hurewicz_chain(w, K.m)
+    assert wh._cocycle_cell(K, z) is None and wh._trivialising_filling(K, w, z) is None
+    calls = class_of_spy(monkeypatch)
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(row[0]))
+    common = ["--complex", str(path), "--w", row[1]]
+    code = main(["status"] + common)
+    out, err = capsys.readouterr()
+    if code == 0:
+        report = json.loads(out)
+        assert (code, report["status"], report["notes"]) == status
+    else:
+        assert (code, err.strip()) == (status[0], "error: " + status[1])
+    assert main(["realises"] + common) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["defined"], report["nontrivial"], report["witness"],
+            report["notes"]) == realised
+    assert len(calls) == 1
+
+
+def test_canonical_verdict_against_the_class():
+    """The verdict against `zk_class(...).is_boundary` on 240 seeded (K, w)
+    whose canonical cycle lies in Z_K, some of them on an RP^2, and on the
+    three fallback rows; a cycle with a cell outside Z_K is refused as
+    `zk_class` refuses it.  Each of the three ways to decide occurs: a
+    one-cell cocycle, the trivialising filling, and the star quotients,
+    which answer both ways."""
+    rng = random.Random(36)
+    pairs = [(row_complex(row), W(row[1])) for row in (ROW_A, ROW_B, ROW_C)]
+    refused = 0
+    while len(pairs) < 243:
+        K, w = random_product_pair(rng)
+        z = hurewicz_chain(w, K.m)
+        if z.supported_in(K):
+            pairs.append((K, w))
+            continue
+        refused += 1
+        with pytest.raises(ValueError, match="chain has a cell outside Z_K"):
+            wh._canonical_bounds(K, w)
+    ways = {}
+    for K, w in pairs:
+        z = hurewicz_chain(w, K.m)
+        bounds = zk_class(K, z).is_boundary
+        assert wh._canonical_bounds(K, w) == bounds, (K.facets, w)
+        if wh._cocycle_cell(K, z):
+            way = "cocycle"
+        elif wh._trivialising_filling(K, w, z):
+            way = "filling"
+        else:
+            way = "fallback, bounds" if bounds else "fallback, nonzero"
+        ways[way] = ways.get(way, 0) + 1
+    assert refused and len(ways) == 4, ways
 
 
 def test_classes_build_only_star_quotients(monkeypatch):
