@@ -194,12 +194,14 @@ def cmd_verify(K, w, args, out):
     block by block, {(S, degree): group} with S = the empty set included;
     the Hochster table's cone-free subsets must be the cellular table's
     lattice; Lyubeznik's subcomplex must resolve the Stanley-Reisner ideal
-    of K; the twin-orbit sums of `homology` must be the cellular table's
-    degree sums.  Every cellular and Taylor table is one walk read by one
-    fold (`moment_angle.fold_blocks`), so `taylor`'s sums are the Taylor
-    table's by construction; a fault in the fold shows against Hochster,
-    which shares no code with it.  Past the Taylor bound the two Taylor
-    checks are skipped."""
+    of K; the degree table of `homology`, folded over the connected parts
+    of K and their twin orbits (`moment_angle.zk_homology`), must be the
+    cellular table's degree sums, which reduce every support, those that
+    meet two parts included.  Every cellular and Taylor table is one walk
+    read by one fold (`moment_angle.fold_blocks`), so `taylor`'s sums are
+    the Taylor table's by construction; a fault in the fold shows against
+    Hochster, which shares no code with it.  Past the Taylor bound the two
+    Taylor checks are skipped."""
     failures = []
     cell = ma.zk_homology_by_support(K)
     cell_sums = ma.degree_sums(cell)

@@ -456,22 +456,32 @@ def _shared_group(rank, torsion):
 
 
 def direct_sum(a, b):
-    """Direct sum of homology groups, re-normalised to invariant factors: one
-    pairwise (gcd, lcm) sweep leaves the torsion's p-adic exponents sorted
-    ascending for every prime p at once, so each entry divides the next.
-    Two torsion-free groups sum their ranks, with no sweep."""
+    """Direct sum of homology groups, re-normalised to invariant factors.
+    When the sorted merge of the two torsion tuples already divides in
+    turn, it is the answer as it stands, found in linear time: two
+    torsion-free groups, or the many copies of one factor that the cellular
+    degree sums repeat.  Any other merge goes through `_sweep`."""
     if a is None:
         return b
     if b is None:
         return a
-    if not (a.torsion or b.torsion):
-        return _shared_group(a.rank + b.rank, ())
-    fs = [*a.torsion, *b.torsion]
+    fs = sorted(a.torsion + b.torsion)
+    if all(y % x == 0 for x, y in zip(fs, fs[1:])):
+        return _shared_group(a.rank + b.rank, tuple(fs))
+    return _shared_group(a.rank + b.rank, _sweep(fs))
+
+
+def _sweep(fs):
+    """Invariant factors of the torsion factors `fs`: one pairwise (gcd,
+    lcm) sweep leaves their p-adic exponents sorted ascending for every
+    prime p at once, so each entry divides the next; the 1s are dropped.
+    Quadratic in the number of factors."""
+    fs = list(fs)
     for i in range(len(fs)):
         for j in range(i + 1, len(fs)):
             g = gcd(fs[i], fs[j])
             fs[i], fs[j] = g, fs[i] // g * fs[j]
-    return _shared_group(a.rank + b.rank, tuple(f for f in fs if f != 1))
+    return tuple(f for f in fs if f != 1)
 
 
 @dataclass(frozen=True)

@@ -42,16 +42,21 @@ degree's rank as an integer, with no column built; every other block is
 read from `exactalg.insertion_columns` with `column_homology`, the
 support's own mask as the bits that may enter a circle mask.  The
 per-support table (`zk_homology_by_support`) walks the lattice of unions of
-missing faces, once per support.  The degree table (`zk_homology`) walks
-one support per twin orbit.  Two vertices are twins when swapping them
-maps the missing faces of K onto themselves; the swap is an automorphism
-of K, so the blocks of S and of its image have the same groups in the same
-degree.  `twin_classes` reads the classes off the generator table,
-`twin_orbits` reaches one representative per orbit, the lowest vertices of
-each class, by closure over the missing faces, and the fold counts each
-representative's groups once per member of its orbit.  `verify` checks
-the orbit sums against the per-support table, and that table against
-Hochster's, which shares no code with the fold.
+missing faces, once per support.  The degree table (`zk_homology`) is one
+fold over the connected parts of K's 1-skeleton (`connected_parts`): K is
+their disjoint union, and by Hochster's formula its groups are each part's
+own groups, spread to the supports that add vertices of other parts by
+binomial counts, plus the extra H~_0 of the supports that meet two or more
+parts, so no support across two parts is reduced.  Inside a part the
+table walks one support per twin orbit.  Two vertices are twins when
+swapping them maps the missing faces of K onto themselves; the swap is an
+automorphism of K, so the blocks of S and of its image have the same
+groups in the same degree.  `twin_classes` reads the classes off the
+generator table, `twin_orbits` reaches one representative per orbit, the
+lowest vertices of each class, by closure over the part's missing faces,
+and the fold counts each representative's groups once per member of its
+orbit.  `verify` checks the degree table against the per-support table,
+and that table against Hochster's, which shares no code with the fold.
 """
 
 from __future__ import annotations
@@ -350,14 +355,23 @@ def fold_blocks(blocks, within=None, by_support=False):
             continue
         inside = within(union) if within else union
         for d, h in column_homology(*insertion_columns(words, inside)).items():
-            key = (S, shift + d) if by_support else shift + d
-            ranks[key] = ranks.get(key, 0) + h.rank * times
-            if h.torsion:
-                # each factor repeats in place, so they still divide in turn
-                repeated = HomologyGroup(0, tuple(t for t in h.torsion for _ in range(times)))
-                torsion[key] = direct_sum(torsion.get(key), repeated)
-    return {key: direct_sum(torsion.get(key), _shared_group(ranks[key], ()))
-            for key in (ranks if by_support else sorted(ranks))}
+            _add_group(ranks, torsion, (S, shift + d) if by_support else shift + d, h, times)
+    return _groups(ranks, torsion, ranks if by_support else sorted(ranks))
+
+
+def _add_group(ranks, torsion, key, h, times):
+    """Add `times` copies of the group h at `key`: its rank to the integer
+    `ranks[key]`, its torsion through `direct_sum` to `torsion[key]`."""
+    ranks[key] = ranks.get(key, 0) + h.rank * times
+    if h.torsion:
+        # each factor repeats in place, so they still divide in turn
+        repeated = HomologyGroup(0, tuple(t for t in h.torsion for _ in range(times)))
+        torsion[key] = direct_sum(torsion.get(key), repeated)
+
+
+def _groups(ranks, torsion, keys):
+    """The group at each key, made once from its summed rank and torsion."""
+    return {key: direct_sum(torsion.get(key), _shared_group(ranks[key], ())) for key in keys}
 
 
 def degree_sums(per_support):
@@ -459,48 +473,122 @@ def twin_classes(gens):
     return [mask_face(members) for _, members in classes if members & (members - 1)]
 
 
-def twin_orbits(K):
-    """One support per twin orbit of `lattice_supports(K)`, as {bitmask:
-    orbit size}, the empty set first.
+def twin_orbits(masks, classes):
+    """One support per twin orbit of the nonempty unions of the generator
+    bitmasks `masks`, as {bitmask: orbit size}; `classes` are the
+    `twin_classes` the unions may meet, as vertex tuples.
 
     The twin swaps generate the product of the symmetric groups of the
-    `twin_classes`, so a support's orbit is the number k_c of its vertices
-    in each class c: it has the product of C(|c|, k_c) members, and its
+    classes, so a support's orbit is the number k_c of its vertices in each
+    class c: it has the product of C(|c|, k_c) members, and its
     representative takes the lowest k_c vertices of each class.  An
     automorphism maps a union of missing faces to another, so the
     representatives are reached by closure, level by level, with no lattice
     built: from each representative r of a level and each missing face g,
     the representative of r + g."""
-    gens = K.generators()
-    parts = []  # (class mask, its complement, lowest k members by k, C(|c|, k) by k)
-    for c in twin_classes(gens):
+    kinds = []  # (class mask, its complement, lowest k members by k, C(|c|, k) by k)
+    for c in classes:
         bits = [1 << (v - 1) for v in c]
-        parts.append((sum(bits), ~sum(bits), [0, *accumulate(bits, or_)],
+        kinds.append((sum(bits), ~sum(bits), [0, *accumulate(bits, or_)],
                       [comb(len(c), k) for k in range(len(c) + 1)]))
-    orbits, level = {0: 1}, [0]
+    orbits, level = {}, [0]
     while level:
         new = []
-        for x in {r | g for r in level for g in gens.masks}.difference(orbits):
-            for cmask, rest, lowest, _ in parts:
+        for x in {r | g for r in level for g in masks}.difference(orbits):
+            for cmask, rest, lowest, _ in kinds:
                 x = x & rest | lowest[(x & cmask).bit_count()]
             if x not in orbits:
-                orbits[x] = prod(count[(x & cmask).bit_count()] for cmask, _, _, count in parts)
+                orbits[x] = prod(count[(x & cmask).bit_count()] for cmask, _, _, count in kinds)
                 new.append(x)
         level = new
     return orbits
 
 
+def connected_parts(gens, m):
+    """The vertex sets of the connected parts of K's 1-skeleton, as
+    bitmasks, by least vertex.  Every singleton of K is a face, so u and v
+    are adjacent exactly when {u, v} is no missing face, and a search over
+    per-vertex bitsets reads the parts off the generator table `gens`, with
+    no face read."""
+    every = (1 << m) - 1
+    apart = [0] * m  # apart[u - 1]: the v with {u, v} a missing face
+    for g in gens.masks:
+        if g.bit_count() == 2:
+            low = g & -g
+            apart[low.bit_length() - 1] |= g ^ low
+            apart[(g ^ low).bit_length() - 1] |= low
+    parts, left = [], every
+    while left:
+        part = frontier = left & -left
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= every & ~apart[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~part
+            part |= frontier
+        parts.append(part)
+        left &= ~part
+    return parts
+
+
+def _bridging_ranks(m, sizes):
+    """{s + 1: E(s)}, nonzero only: a support S of s vertices that meets k
+    of the connected parts, whose sizes are `sizes`, has k - 1 more classes
+    in H~_0(K_S) than its parts have, in Z_K degree s + 1.  Summed over the
+    supports of size s, E(s) = (r - 1) C(m, s) - sum over parts j of
+    C(m - m_j, s), for s >= 2 (E(1) = 0)."""
+    out = {}
+    for s in range(2, m + 1):
+        extra = (len(sizes) - 1) * comb(m, s)
+        for size in sizes:
+            extra -= comb(m - size, s)
+        if extra:
+            out[s + 1] = extra
+    return out
+
+
 def zk_homology(K):
-    """Integral homology of Z_K by the cellular route, degree -> group,
-    summed over twin orbits: a twin swap is an automorphism of K, so the
-    blocks of a support and of its image have the same groups in the same
-    degree.  Each `twin_orbits` representative is reduced as
-    `zk_homology_by_support` reduces it, and `fold_blocks` counts its groups
-    once per member of its orbit; `verify` compares the sums with that
-    table's.  A support with no cell off the star adds nothing."""
+    """Integral homology of Z_K by the cellular route, degree -> group, as
+    one fold over the connected parts P_1..P_r (sizes m_j) of K's
+    1-skeleton (`connected_parts`).
+
+    K is their disjoint union, and each K_S the disjoint union of its parts'
+    full subcomplexes, so by Hochster's formula H(Z_K) is Z in degree 0;
+    plus, for each part j, the groups G_j of its own nonempty supports,
+    each C(m - m_j, t) times in degree d + t for t = 0..m - m_j (the t
+    vertices of S outside P_j), torsion repeated factor by factor; plus
+    Z^E(s) in degree s + 1 (`_bridging_ranks`), the extra H~_0 of the
+    supports that meet two or more parts.  A connected K is r = 1, where
+    the factor is C(0, 0) = 1 and E vanishes.
+
+    A missing face meets one part or is an edge between two, so G_j is
+    read from the unions of the missing faces inside P_j, summed over twin
+    orbits: a twin swap is an automorphism of K, so the blocks of a support
+    and of its image have the same groups in the same degree.  The twin
+    classes are found once on K; a twin pair across two parts is two
+    isolated points, so a class that meets a part with a missing face
+    inside lies in it.  Each `twin_orbits` representative is reduced as
+    `zk_homology_by_support` reduces it, and `fold_blocks` counts its
+    groups once per member of its orbit; a part with no missing face
+    inside, a point or a simplex, reduces nothing.  `verify` compares the
+    sums with the per-support table's."""
     _admit(K)
-    return fold_blocks((smask, size, _star_cells(K, smask))
-                       for smask, size in twin_orbits(K).items())
+    gens = K.generators()
+    classes, parts = twin_classes(gens), connected_parts(gens, K.m)
+    ranks, torsion = {0: 1}, {}
+    for part in parts:
+        inside = [g for g in gens.masks if not g & ~part]
+        orbits = twin_orbits(inside, [c for c in classes if part >> (c[0] - 1) & 1])
+        table = fold_blocks((smask, size, _star_cells(K, smask)) for smask, size in orbits.items())
+        rest = K.m - part.bit_count()
+        for d, h in table.items():
+            for t in range(rest + 1):
+                _add_group(ranks, torsion, d + t, h, comb(rest, t))
+    for d, extra in _bridging_ranks(K.m, [part.bit_count() for part in parts]).items():
+        ranks[d] = ranks.get(d, 0) + extra
+    return _groups(ranks, torsion, sorted(ranks))
 
 
 def require_zk_cycle(K, chain):

@@ -45,7 +45,7 @@ from itertools import combinations
 
 from . import complexes as cx
 from .exactalg import TRIVIAL_GROUP, IntMatrix, invariant_factors
-from .moment_angle import (CellChain, _require_singletons, degree_sums, require_zk_cycle,
+from .moment_angle import (CellChain, _require_singletons, degree_sums,
                            zk_class, zk_homology_by_support, zk_star_quotient)
 
 UNDEFINED = "undefined"
@@ -231,7 +231,10 @@ def hurewicz_chain(w, m=None):
 @lru_cache(maxsize=128)
 def _canonical_chain(w):
     """`hurewicz_chain(w)` of a bracket, one per w in a process (a chain is
-    never changed once built); the leaf bound is checked outside."""
+    never changed once built); the leaf bound is checked outside.  The chain
+    is a cycle by construction, and it is checked to be one here, once per
+    w, with `require_zk_cycle`'s refusal; whether it lies in Z_K depends on
+    K and is checked by the caller."""
     subs = w.bracket_children()
     leaves_ = w.leaf_children()
     if subs and not leaves_:
@@ -245,6 +248,8 @@ def _canonical_chain(w):
     chain = factor if chain is None else chain.product(factor)
     if chain.degree != w.dimension():
         raise AssertionError("canonical chain degree mismatch")
+    if chain.boundary():
+        raise ValueError("chain is not a cycle")
     return chain
 
 
@@ -256,13 +261,16 @@ def _canonical_bounds(K, w):
     process: `status` and `realises` on one pair decide it once.  The
     caller has checked that every leaf of w is a vertex of K.
 
-    z is refused first as `zk_class` refuses it (`require_zk_cycle`).  Two
-    certificates then decide it with no Smith form: a term of z that lies
-    in no cell's boundary (`_cocycle_cell`) means z does not bound, and a
-    filling of z in Z_K (`_trivialising_filling`) means it does.  Only
-    where neither exists is z classed in the star quotients (`zk_class`)."""
+    z is refused first when a cell of it lies outside Z_K, as `zk_class`
+    refuses it; `_canonical_chain` has checked once per w that z is a
+    cycle.  Two certificates then decide it with no Smith form: a term of z
+    that lies in no cell's boundary (`_cocycle_cell`) means z does not
+    bound, and a filling of z in Z_K (`_trivialising_filling`) means it
+    does.  Only where neither exists is z classed in the star quotients
+    (`zk_class`)."""
     z = hurewicz_chain(w, K.m)
-    require_zk_cycle(K, z)
+    if not z.supported_in(K):
+        raise ValueError("chain has a cell outside Z_K")
     if _cocycle_cell(K, z) is not None:
         return False
     if _trivialising_filling(K, w, z) is not None:

@@ -671,9 +671,10 @@ def test_verify_checks_the_one_degree_count(capsys, monkeypatch):
 
 
 def test_homology_walks_one_block_per_orbit(capsys, monkeypatch, tmp_path):
-    """`homology` on 20 isolated points reduces one block per twin orbit, 20
-    of them, where the lattice holds 1048556 supports, and builds no
-    lattice."""
+    """`homology` on 20 isolated points reduces no block, where the lattice
+    holds 1048556 supports, and builds no lattice: each point is a
+    connected part with no missing face inside, so every group is a
+    binomial count of the fold over the parts."""
     from momangle import moment_angle as ma
     blocks, lattices = [], []
     off_star, mask_lattice = ma._off_star, ma.mask_lattice
@@ -684,7 +685,52 @@ def test_homology_walks_one_block_per_orbit(capsys, monkeypatch, tmp_path):
     path.write_text(json.dumps({"m": 20, "facets": []}))
     report = run_json(capsys, "homology", "--complex", str(path))
     assert report["ranks"]["3"] == 190
-    assert len(blocks) <= 20 and not lattices
+    assert not blocks and not lattices
+
+
+RP2_FACETS = [[1, 2, 3], [1, 2, 4], [1, 3, 5], [1, 4, 6], [1, 5, 6],
+              [2, 3, 6], [2, 4, 5], [2, 5, 6], [3, 4, 5], [3, 4, 6]]
+
+
+def test_homology_reduces_no_support_across_parts(capsys, monkeypatch, tmp_path):
+    """No reduced support meets two connected parts: `homology` on 12
+    disjoint edges (m = 24) reduces no block, and on RP^2 beside 14
+    isolated points only RP^2's own nonempty supports, each once (RP^2 has
+    no twin pair), with Z/2 in degree 8 and C(14, 1) copies of it in
+    degree 9."""
+    from momangle import moment_angle as ma
+    from momangle.complexes import face_mask
+    seen = []
+    star_cells = ma._star_cells
+    monkeypatch.setattr(ma, "_star_cells",
+                        lambda K, smask: seen.append(smask) or star_cells(K, smask))
+    edges = tmp_path / "edges12.json"
+    edges.write_text(json.dumps({"m": 24, "facets": [[2 * i + 1, 2 * i + 2] for i in range(12)]}))
+    report = run_json(capsys, "homology", "--complex", str(edges), "--max-vertices", "30")
+    assert report["ranks"]["3"] == 264 and seen == []
+    union = tmp_path / "rp2-points.json"
+    union.write_text(json.dumps({"m": 20, "facets": RP2_FACETS}))
+    report = run_json(capsys, "homology", "--complex", str(union))
+    rp2 = SimplicialComplex.from_facets(6, [tuple(f) for f in RP2_FACETS])
+    assert sorted(seen) == sorted(face_mask(S) for S in ma.lattice_supports(rp2) if S)
+    assert report["homology"]["8"]["torsion"] == [2]
+    assert report["homology"]["9"]["torsion"] == [2] * 14
+
+
+def test_verify_checks_the_union_fold(capsys, monkeypatch, tmp_path):
+    """A fold over connected parts that drops the extra H~_0 of the supports
+    meeting two or more parts (`_bridging_ranks`) makes `homology`'s sums
+    differ from the direct cellular table on an edge beside a triangle's
+    boundary, and `verify` exits 3 on it."""
+    from momangle import moment_angle as ma
+    path = str(tmp_path / "union.json")
+    with open(path, "w") as fh:
+        json.dump({"m": 5, "facets": [[1, 2], [3, 4], [4, 5], [3, 5]]}, fh)
+    assert run_json(capsys, "verify", "--complex", path)["failures"] == []
+    monkeypatch.setattr(ma, "_bridging_ranks", lambda m, sizes: {})
+    code, out, _ = run_cli(capsys, "verify", "--complex", path)
+    assert code == 3
+    assert json.loads(out)["failures"] == ["orbit sums vs cellular table differ"]
 
 
 def random_json_value(rng, depth=0):

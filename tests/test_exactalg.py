@@ -291,6 +291,42 @@ def test_direct_sum_against_factorisation():
         assert direct_sum(a, b) == reference_direct_sum(a, b), (a, b)
 
 
+def test_direct_sum_merges_chains_and_sweeps_the_rest(monkeypatch):
+    """When the sorted merge of the two torsion tuples divides in turn,
+    `direct_sum` returns it with no sweep; every other merge goes through
+    the pairwise sweep, and both agree with the sweep and with the
+    factorisation reference on seeded groups, many copies of one factor
+    among them."""
+    assert direct_sum(HomologyGroup(0, (2,)), HomologyGroup(0, (3,))) == HomologyGroup(0, (6,))
+    assert direct_sum(HomologyGroup(1, (2, 4)), HomologyGroup(0, (8,))) == HomologyGroup(1, (2, 4, 8))
+    assert direct_sum(HomologyGroup(0, (2, 4)), HomologyGroup(2, (3,))) == HomologyGroup(2, (2, 12))
+    assert direct_sum(HomologyGroup(0, (2, 4)), HomologyGroup(0, (6,))) == HomologyGroup(0, (2, 2, 12))
+    rng = random.Random(37)
+    factors = (2, 3, 4, 6, 8, 9, 12, 25)
+    sweeps = []
+    sweep = exactalg._sweep
+    monkeypatch.setattr(exactalg, "_sweep", lambda fs: sweeps.append(1) or sweep(fs))
+
+    def random_group():
+        if rng.random() < 0.3:  # a cellular degree sum: one factor many times
+            return HomologyGroup(rng.randint(0, 3), (rng.choice(factors),) * rng.randint(1, 40))
+        torsion = sweep([rng.choice(factors) for _ in range(rng.randint(0, 4))])
+        return HomologyGroup(rng.randint(0, 3), torsion)
+
+    chains = 0
+    for _ in range(2000):
+        a, b = random_group(), random_group()
+        merged = sorted(a.torsion + b.torsion)
+        chain = all(y % x == 0 for x, y in zip(merged, merged[1:]))
+        before = len(sweeps)
+        got = direct_sum(a, b)
+        assert len(sweeps) == before + (not chain), (a, b)
+        assert got == HomologyGroup(a.rank + b.rank, sweep(a.torsion + b.torsion)), (a, b)
+        assert got == reference_direct_sum(a, b), (a, b)
+        chains += chain
+    assert 400 < chains < 1600
+
+
 def test_shared_groups_equal_fresh_ones(rp2):
     """The column rule and `direct_sum` take their groups from one memo:
     each equals the HomologyGroup built afresh from its rank and torsion,

@@ -275,13 +275,18 @@ def test_twin_classes(sub5, rp2):
 
 def test_twin_orbit_representatives(sub5):
     """A representative takes the lowest vertices of each class, and its
-    orbit size is the product of the binomials: the supports of 5 isolated
-    points are the k lowest vertices, C(5, k) times each."""
-    assert ma.twin_orbits(points(5)) == {0: 1, 0b11: 10, 0b111: 10, 0b1111: 5, 0b11111: 1}
+    orbit size is the product of the binomials: the nonempty supports of 5
+    isolated points, walked as one vertex set, are the k lowest vertices,
+    C(5, k) times each."""
+    def orbits(K):
+        gens = K.generators()
+        return ma.twin_orbits(gens.masks, ma.twin_classes(gens))
+
+    assert orbits(points(5)) == {0b11: 10, 0b111: 10, 0b1111: 5, 0b11111: 1}
     # the missing faces 123, 145, 245, 345 and the classes 123 and 45: the
     # orbits of 123, 145 (with 245, 345), 1245 (with 1345, 2345) and 12345
-    assert ma.twin_orbits(sub5) == {0: 1, 0b111: 1, 0b11001: 3, 0b11011: 3, 0b11111: 1}
-    assert sum(ma.twin_orbits(sub5).values()) == len(ma.lattice_supports(sub5))
+    assert orbits(sub5) == {0b111: 1, 0b11001: 3, 0b11011: 3, 0b11111: 1}
+    assert 1 + sum(orbits(sub5).values()) == len(ma.lattice_supports(sub5))
 
 
 def test_orbit_sums_match_the_direct_table_on_random_complexes():
@@ -320,7 +325,8 @@ def test_support_with_a_cone_point_gives_no_group(monkeypatch):
     want = zk_homology(K)
     assert want == direct_sums(K) == {0: HomologyGroup(1), 3: HomologyGroup(1)}
     orbits = ma.twin_orbits
-    monkeypatch.setattr(ma, "twin_orbits", lambda K: {**orbits(K), 0b111: 1})
+    monkeypatch.setattr(ma, "twin_orbits",
+                        lambda masks, classes: {**orbits(masks, classes), 0b111: 1})
     assert zk_homology(K) == want
 
 
@@ -346,3 +352,79 @@ def test_homology_of_the_families_at_scale(family, sizes):
         want = {d: HomologyGroup(r) for d, r in closed_form_homology(family, n).items()}
         assert zk_homology(closed_form_family(family, n)) == want, (family, n)
 
+
+
+RP2_FACETS = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
+              (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)]
+
+# connected parts on local labels 1..size: RP^2 (Z/2), a point, an edge, a
+# triangle's boundary, a 4-cycle (two twin pairs), and two points joined with
+# an edge, whose two cone points 3 and 4 are twins of the union but in no
+# class of the part itself
+PARTS = {"rp2": (6, RP2_FACETS), "point": (1, []), "edge": (2, [(1, 2)]),
+         "circle": (3, [(1, 2), (1, 3), (2, 3)]),
+         "square": (4, [(1, 2), (2, 3), (3, 4), (1, 4)]),
+         "suspended-edge": (4, [(1, 3, 4), (2, 3, 4)])}
+
+
+def disjoint_union(names, rng):
+    """The disjoint union of the named `PARTS`, its vertices shuffled."""
+    m = sum(PARTS[name][0] for name in names)
+    labels, start, facets = rng.sample(range(1, m + 1), m), 0, []
+    for name in names:
+        size, part = PARTS[name]
+        facets += [tuple(labels[start + v - 1] for v in f) for f in part]
+        start += size
+    return SimplicialComplex.from_facets(m, facets)
+
+
+def test_union_fold_matches_the_direct_table():
+    """The fold over connected parts against the direct per-support table
+    on seeded, label-shuffled disjoint unions of RP^2, points, edges,
+    circles, squares and a part with two twin cone points, and on m = 0, 1
+    and 2; torsion in RP^2's degrees repeats once per choice of the other
+    vertices."""
+    rng = random.Random(37)
+    cases = [SimplicialComplex.from_facets(0, []), points(1), points(2), simplex(2)]
+    cases += [disjoint_union(names, rng) for names in (
+        ["rp2", "point"], ["rp2", "point", "point"], ["rp2", "edge", "point"],
+        ["rp2", "circle"], ["suspended-edge", "point", "edge"], ["square", "square"])]
+    small = ["point", "edge", "circle", "square", "suspended-edge"]
+    while len(cases) < 40:
+        names = [rng.choice(small) for _ in range(rng.randint(2, 4))]
+        if sum(PARTS[name][0] for name in names) <= 10:
+            cases.append(disjoint_union(names, rng))
+    disconnected = 0
+    for K in cases:
+        disconnected += len(ma.connected_parts(K.generators(), K.m)) > 1
+        assert zk_homology(K) == direct_sums(K), (K.m, K.facets)
+    assert disconnected > 30
+    # RP^2 with two points: Z/2 in degree 8, twice in 9 and once in 10
+    torsion = {d: h.torsion for d, h in zk_homology(cases[5]).items() if h.torsion}
+    assert torsion == {8: (2,), 9: (2, 2), 10: (2,)}
+
+
+def test_connected_parts():
+    """The parts of the 1-skeleton by least vertex, read off the missing
+    edges: one per point, one per edge, and RP^2 whole."""
+    def parts(K):
+        return [ma.mask_face(p) for p in ma.connected_parts(K.generators(), K.m)]
+
+    assert parts(points(3)) == [(1,), (2,), (3,)]
+    assert parts(disjoint_edges(3)) == [(1, 2), (3, 4), (5, 6)]
+    assert parts(SimplicialComplex.from_facets(5, [(1, 4), (4, 5), (2, 3)])) == [(1, 4, 5), (2, 3)]
+    assert parts(SimplicialComplex.from_facets(0, [])) == []
+    rp2 = SimplicialComplex.from_facets(8, RP2_FACETS)
+    assert parts(rp2) == [(1, 2, 3, 4, 5, 6), (7,), (8,)]
+
+
+@pytest.mark.parametrize("family, sizes", [
+    ("disjoint-edges", range(9, 13)), ("points", range(21, 25))])
+def test_homology_of_disjoint_unions_at_scale(family, sizes):
+    """9 to 12 disjoint edges (m = 24 at the top) and 21 to 24 isolated
+    points against their closed forms: every part has at most two
+    vertices and no missing face inside, so the groups are the binomial
+    counts of the fold alone."""
+    for n in sizes:
+        want = {d: HomologyGroup(r) for d, r in closed_form_homology(family, n).items()}
+        assert zk_homology(closed_form_family(family, n)) == want, (family, n)

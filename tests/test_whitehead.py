@@ -613,6 +613,34 @@ def test_canonical_verdict_against_the_class():
     assert refused and len(ways) == 4, ways
 
 
+def test_canonical_cycle_is_checked_once_per_bracket(monkeypatch):
+    """z = `_canonical_chain(w)` depends on w alone, so its cycle test runs
+    once per w, in that memo, and `_canonical_bounds` on one w over several
+    complexes tests only that z lies in each Z_K.  A canonical chain that
+    is no cycle is refused with `zk_class`'s message."""
+    w = W("[[1,2],3,4]")
+    complexes = [cx.parse_complex(text) for text in (
+        "bd(simplex(1,2,3,4))", SUB5_EXPR, "subst(bd(simplex(1,2,3)); bd(simplex(1,2)), pt, pt)")]
+    checked = []
+    boundary = CellChain.boundary
+    monkeypatch.setattr(CellChain, "boundary", lambda c: checked.append(c) or boundary(c))
+    wh._canonical_chain.cache_clear()
+    wh._canonical_bounds.cache_clear()
+    try:
+        for K in complexes:
+            wh._canonical_bounds(K, w)
+        z = wh._canonical_chain(w)
+        assert sum(c is z for c in checked) == 1
+        wh._canonical_chain.cache_clear()
+        monkeypatch.setattr(wh, "_disc_boundary_factor",
+                            lambda leaves_: CellChain({(leaves_[:1], leaves_[1:]): 1}))
+        with pytest.raises(ValueError, match="chain is not a cycle"):
+            wh._canonical_bounds(complexes[0], W("[1,2,3,4]"))
+    finally:
+        wh._canonical_chain.cache_clear()
+        wh._canonical_bounds.cache_clear()
+
+
 def test_classes_build_only_star_quotients(monkeypatch):
     """Classing the golden inputs' Hurewicz chains builds one star quotient
     per support the chain touches, never a larger block."""
