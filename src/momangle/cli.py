@@ -20,9 +20,11 @@ in a loop) build each input once.  The complex is memoised on the text of
 its builder expression or JSON file, with `--max-vertices` (`_load`: a file
 is read on every call, so an edited file gives its new complex), the
 bracket on its text (`whitehead.parse_whitehead`), the canonical chain per
-bracket and its class per (K, w) (`whitehead`), and the missing-face lattice
-per K (`moment_angle._lattice`).  Every memo is bounded, and none holds an
-exception: a refusal or a parse error is raised again on the next call.
+bracket, and per (K, w) its class and the one containment answer that
+`status`, `realises` and `taylor-cycle` read (`whitehead`), and the
+missing-face lattice per K (`moment_angle._lattice`).  Every memo is
+bounded, and none holds an exception: a refusal or a parse error is raised
+again on the next call.
 """
 
 from __future__ import annotations
@@ -117,9 +119,9 @@ def cmd_hurewicz(K, w, args, out):
 
 
 def cmd_status(K, w, args, out):
-    out["status"], notes = wh.nested_shape_report(K, w)
-    if notes:
-        out["notes"] = list(notes)
+    out["status"] = wh.nested_shape_status(K, w)
+    if out["status"] != wh.UNDEFINED and not wh.criterion_applies(K, w):
+        out["notes"] = [wh.OUTSIDE_CRITERION]
 
 
 def cmd_realises(K, w, args, out):

@@ -294,15 +294,13 @@ def _star_cells(K, smask):
     return words
 
 
-def zk_star_quotient(K, S, built=None):
+def zk_star_quotient(K, S):
     """The block of S modulo the star of `_star_cells`' vertex v in K_S, as a
     labelled ChainComplex for cycle classes: the cells (S - I, I) with I + v
     no face of K, and `cell_boundary` with every target inside the star
     dropped.  `_star_cells` chooses the circle masks, `insertion_columns`
     gives their columns, and each mask J is labelled (J, S - J) in Z_K
-    degree 2|S| - |J|.  `built`, the words that `_star_cells` already gave
-    for S (`zk_homology_by_support` keeps them on request), is labelled
-    instead of being chosen again.
+    degree 2|S| - |J|.
 
     The star's cells span a subcomplex, since d only drops disc letters, and
     it is the shifted augmented chain complex of a cone, so it is acyclic;
@@ -314,9 +312,8 @@ def zk_star_quotient(K, S, built=None):
     if any(1 << (v - 1) not in K.face_masks for v in S):
         raise ValueError("Z_K needs every singleton to be a face")
     smask = face_mask(S)
-    words = _star_cells(K, smask) if built is None else built
-    return insertion_complex(words, smask, lambda J: (mask_face(J), mask_face(smask & ~J)),
-                             2 * len(S))
+    return insertion_complex(_star_cells(K, smask), smask,
+                             lambda J: (mask_face(J), mask_face(smask & ~J)), 2 * len(S))
 
 
 def support_table(blocks, shift):
@@ -413,7 +410,7 @@ def all_subsets(m):
     return (S for k in range(m + 1) for S in combinations(range(1, m + 1), k))
 
 
-def zk_homology_by_support(K, quotients=None):
+def zk_homology_by_support(K):
     """Homology of every support block, {(S, degree): group}, nontrivial only.
 
     Only the empty set and the unions of missing faces are visited
@@ -424,20 +421,12 @@ def zk_homology_by_support(K, quotients=None):
     off the star as circle masks, and `fold_blocks` reads the groups, with
     no labelled complex built.  Only cycle classes label the words
     (`zk_star_quotient`), and `zk_class` projects a cycle onto the same
-    quotients.  `quotients`, a dict when given, receives the words of each
-    visited support whose bitmask is among its keys, so the classes can
-    label the table's own builds.  The Hochster table finds its subsets by
-    cone points instead (`cone_free_subsets`), so `verify` checks that the
-    two rules pick the same supports."""
+    quotients.  The Hochster table finds its subsets by cone points instead
+    (`cone_free_subsets`), so `verify` checks that the two rules pick the
+    same supports."""
     _admit(K)
-
-    def blocks():
-        for smask in _lattice(K):
-            words = _star_cells(K, smask)
-            if quotients is not None and smask in quotients:
-                quotients[smask] = words
-            yield smask, 1, words
-    return fold_blocks(blocks(), by_support=True)
+    return fold_blocks(((smask, 1, _star_cells(K, smask)) for smask in _lattice(K)),
+                       by_support=True)
 
 
 def twin_classes(gens):

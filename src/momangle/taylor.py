@@ -70,7 +70,7 @@ from .complexes import (Generators, SignedSum, SimplicialComplex, SizeLimitError
 from .exactalg import (ChainComplex, column_homology, insertion_columns, insertion_complex,
                        insertion_sign)
 from .moment_angle import class_by_support, fold_blocks, mask_lattice
-from .whitehead import _sits_in, canonical_missing_faces
+from .whitehead import _containment
 
 MAX_GENERATORS = 20
 
@@ -395,15 +395,12 @@ def nested_taylor_cycle(w, K):
     generator breaks that rule; the result is asserted to be a cycle.
     """
     levels = nested_levels(w)
+    if not _containment(K, w)[0]:
+        raise ValueError(f"bd_Delta({w.to_text()}) does not sit in K: the product is not defined")
     gens = K.generators()
     masks = gens.masks
-    undefined = f"bd_Delta({w.to_text()}) does not sit in K: the product is not defined"
-    if max(w.leaves()) > K.m:
-        raise ValueError(undefined)
     # K's missing faces among the leaves are the generators inside them
     inside = [v - 1 for v in mask_face(gens.within(face_mask(w.leaves())))]
-    if not _sits_in(canonical_missing_faces(w), [masks[q] for q in inside]):
-        raise ValueError(undefined)
     level_masks = [face_mask(level) for level in levels]
     hits, absorbed = [], 0
     for target in level_masks:

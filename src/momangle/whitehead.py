@@ -20,7 +20,15 @@ sub-brackets' plus every {i_1..i_p, x_1..x_q} with x_j a leaf of w_j
 when every missing face of K among the leaves contains one of its missing
 faces (`_sits_in`), so "defined" and "trivial" (the trivialising join's
 missing faces are the leaf sets of w_1..w_q) need no complex built;
-`delta_w` builds bd_Delta(w) for the `delta-w` verb.
+`delta_w` builds bd_Delta(w) for the `delta-w` verb.  Both, and the
+paper's criterion (every inner leaf set a missing face of K), are one
+answer per (K, w) (`_containment`), which `status`, `realises` and the
+closed-form Taylor cycle read.
+
+A (K, w) has one verdict, shown two ways.  `realises_sufficient` reads
+it off the canonical cycle.  `nested_shape_status` gives the criterion's
+answer where it applies, checked against `realises_sufficient`, and
+`realises_sufficient`'s answer everywhere else.
 
 Whether the canonical cycle z bounds in Z_K (`_canonical_bounds`) is
 decided by a certificate where one exists, as the paper decides it: a term
@@ -30,11 +38,11 @@ sub-products' chains with the disc on the bracket's own leaves, where it
 lies in Z_K, is a chain whose boundary is +-z (`_trivialising_filling`).
 Only where neither exists is z reduced in the star quotients (`zk_class`).
 
-`parse_whitehead`, `_canonical_chain` and `_canonical_bounds` are bounded
-memos: a process parses a bracket text, builds a canonical chain and
-decides a (K, w) once while it stays in its memo, so `status` and
-`realises` on one pair share a verdict.  A memo never holds an exception,
-so a bad input fails again on the next call.
+`parse_whitehead`, `_canonical_chain`, `_containment` and
+`_canonical_bounds` are bounded memos: a process parses a bracket text,
+builds a canonical chain and decides a (K, w) once while it stays in its
+memo, so `status` and `realises` on one pair share a verdict.  A memo
+never holds an exception, so a bad input fails again on the next call.
 """
 
 from __future__ import annotations
@@ -63,11 +71,16 @@ class WhiteheadExpr:
     label: int = 0
     children: tuple = ()
     _leaves: tuple = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        # built bottom-up: the children hold their sorted leaves already
+        # built bottom-up: the children hold their sorted leaves and hashes already
         object.__setattr__(self, "_leaves", tuple(sorted(
             v for c in self.children for v in c._leaves)) if self.children else (self.label,))
+        object.__setattr__(self, "_hash", hash((self.label, self.children)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def is_leaf(self):
@@ -320,29 +333,31 @@ def canonical_missing_faces(w):
     return tuple(out + choices)
 
 
-def _inner_leaf_sets(w):
-    """Leaf sets of the sub-brackets as bitmasks: the missing faces of the
-    trivialising join bd(w_1) * ... * bd(w_q) * simplex(leaves)."""
-    return tuple(cx.face_mask(c.leaves()) for c in w.bracket_children())
-
-
-def _leaf_missing_faces(K, leaves):
-    """The missing faces of K among `leaves` as bitmasks, or None when a leaf
-    is no vertex of K: K's generators inside the leaves (`Generators.within`),
-    against which `_sits_in` tests every generator set on those leaves."""
-    if max(leaves) > K.m:
-        return None
-    gens = K.generators()
-    return [gens.masks[q - 1] for q in cx.mask_face(gens.within(cx.face_mask(leaves)))]
-
-
 def _sits_in(generators, missing):
     """Does the complex on the leaves with missing faces `generators`
     (bitmasks) sit in K, leaves at themselves?  Exactly when no missing face
-    of K among the leaves, `missing` from `_leaf_missing_faces`, is one of
-    its faces."""
-    return missing is not None and all(any(g & mask == g for g in generators)
-                                       for mask in missing)
+    of K among the leaves, `missing`, is one of its faces."""
+    return all(any(g & mask == g for g in generators) for mask in missing)
+
+
+@lru_cache(maxsize=16)
+def _containment(K, w):
+    """(defined, joined, criterion) of the bracket w on K, one answer per
+    (K, w) in a process: does bd_Delta(w) sit in K, does the trivialising
+    join, and is every inner leaf set a missing face of K (the paper's
+    criterion, `criterion_applies`).  All three are read off one scan, K's
+    generators inside w's leaves (`Generators.within`); as no missing face
+    holds another, an inner leaf set is a missing face exactly when it is on
+    that list.  A leaf past K.m makes all three false."""
+    leaves_ = w.leaves()
+    if leaves_[-1] > K.m:
+        return False, False, False
+    gens = K.generators()
+    missing = [gens.masks[q - 1] for q in cx.mask_face(gens.within(cx.face_mask(leaves_)))]
+    # the inner leaf sets are the missing faces of the trivialising join
+    inner = [cx.face_mask(c.leaves()) for c in w.bracket_children()]
+    return (_sits_in(canonical_missing_faces(w), missing), _sits_in(inner, missing),
+            all(mask in missing for mask in inner))
 
 
 def single_product_status(K, I):
@@ -356,65 +371,40 @@ def single_product_status(K, I):
     return nested_shape_status(K, bracket([leaf(v) for v in I]))
 
 
-def _nested_shape_parts(w):
-    subs = w.bracket_children()
-    if w.is_leaf or any(not c.is_single() for c in subs):
-        raise ValueError(
-            "expected the shape [w_1,...,w_q, leaves] with single-product w_j")
-    return subs, w.leaf_children()
-
-
 def criterion_applies(K, w):
     """Is every inner leaf set of [w_1,...,w_q, leaves] a missing face of K
     (its boundary sits in K, its simplex does not), so that each w_j is a
     nontrivial single product?  The paper proves the nested criterion for
-    those only.  Decided on K's missing faces among the inner leaves."""
-    inner = [v for c in w.bracket_children() for v in c.leaves()]
-    return _criterion_holds(w, _leaf_missing_faces(K, inner) if inner else [])
-
-
-def _criterion_holds(w, missing):
-    """`criterion_applies` on K's missing faces among leaves that include
-    every inner leaf set (`_leaf_missing_faces`): as no missing face holds
-    another, an inner leaf set is one exactly when it is on that list."""
-    return missing is not None and all(mask in missing for mask in _inner_leaf_sets(w))
+    those only.  False when a leaf is no vertex of K (`_containment`)."""
+    return _containment(K, w)[2]
 
 
 def nested_shape_status(K, w):
     """Exact status for products [w_1,...,w_q, leaves] with single w_j, a
-    single product being the one with q = 0: defined iff K contains the canonical complex, trivial iff K contains the
-    trivialising join.
+    single product being the one with q = 0: defined iff K contains the
+    canonical complex, trivial iff K contains the trivialising join.
 
-    The trivial/nontrivial part holds where `criterion_applies`.  Outside
-    it the status is decided as `realises_sufficient` does: a nonzero
-    canonical class means nontrivial, the trivialising join means trivial,
-    and otherwise it is DEFINED_UNKNOWN."""
-    return nested_shape_report(K, w)[0]
-
-
-def nested_shape_report(K, w):
-    """(status, notes): `nested_shape_status`, with OUTSIDE_CRITERION as the
-    note when w is defined but the criterion does not apply.  The criterion
-    is decided once, for both, from K's missing faces among the leaves."""
-    subs, leaves_ = _nested_shape_parts(w)
-    missing = _leaf_missing_faces(K, w.leaves())
-    if missing is None or not _sits_in(canonical_missing_faces(w), missing):
-        return UNDEFINED, ()
-    trivial = _sits_in(_inner_leaf_sets(w), missing)
-    if not _criterion_holds(w, missing):
-        if leaves_ and not _canonical_bounds(K, w):
-            status = DEFINED_NONTRIVIAL
-        else:
-            status = DEFINED_TRIVIAL if trivial else DEFINED_UNKNOWN
-        return status, (OUTSIDE_CRITERION,)
-    status = DEFINED_TRIVIAL if trivial else DEFINED_NONTRIVIAL
-    if leaves_ and (subs or not trivial):   # a trivial single product spans a face
-        bounds = _canonical_bounds(K, w)
-        if trivial and not bounds:
+    The trivial/nontrivial part holds where `criterion_applies`, and there
+    `realises_sufficient` is checked against it.  Outside it the status is
+    `realises_sufficient`'s verdict: nontrivial, trivial or
+    DEFINED_UNKNOWN."""
+    subs = w.bracket_children()
+    if w.is_leaf or any(not c.is_single() for c in subs):
+        raise ValueError(
+            "expected the shape [w_1,...,w_q, leaves] with single-product w_j")
+    defined, joined, criterion = _containment(K, w)
+    if not defined:
+        return UNDEFINED
+    if not criterion:
+        return {"yes": DEFINED_NONTRIVIAL, "no": DEFINED_TRIVIAL}.get(
+            realises_sufficient(K, w).nontrivial, DEFINED_UNKNOWN)
+    if w.leaf_children() and (subs or not joined):   # a trivial single product spans a face
+        realised = realises_sufficient(K, w).nontrivial == "yes"
+        if joined and realised:
             raise AssertionError("trivial product with a nonzero canonical class")
-        if not trivial and bounds:
+        if not joined and not realised:
             raise AssertionError("nontrivial product with a bounding canonical class")
-    return status, ()
+    return DEFINED_TRIVIAL if joined else DEFINED_NONTRIVIAL
 
 
 @dataclass(frozen=True)
@@ -436,8 +426,8 @@ def realises_sufficient(K, w):
     if w.is_leaf:
         raise ValueError("bare leaves are not products")
     special = all(c.is_single() for c in w.bracket_children())
-    missing = _leaf_missing_faces(K, w.leaves())
-    if missing is None or not _sits_in(canonical_missing_faces(w), missing):
+    defined, joined, _ = _containment(K, w)
+    if not defined:
         if special:
             return RealisationReport(
                 "no", "no", None, ("smallest-complex criterion applies: not defined",))
@@ -458,7 +448,7 @@ def realises_sufficient(K, w):
     if full:
         nontrivial = "no"
         notes.append("K is the full simplex; Z_K is contractible")
-    elif special and _sits_in(_inner_leaf_sets(w), missing):
+    elif special and joined:
         nontrivial = "no"
         notes.append("trivialising join is a subcomplex")
     return RealisationReport("yes", nontrivial, None, tuple(notes))
@@ -494,11 +484,9 @@ def _wedge_entry(J, I):
 def _basis_verdict(K, entries):
     """Do the entries' classes form a Z-basis of H_*(Z_K)?  Checked per
     (J, degree) block: an entry's chain lies in the block of its subset J.
-    The entries of one subset are classed against one star quotient, the
-    table's own build of it where the table visited the subset."""
-    built = dict.fromkeys(cx.face_mask(e.subset) for e in entries)
-    per_block = zk_homology_by_support(K, built)
-    quotient = cache(lambda S: zk_star_quotient(K, S, built.get(cx.face_mask(S))))
+    The entries of one subset are classed against one star quotient."""
+    per_block = zk_homology_by_support(K)
+    quotient = cache(lambda S: zk_star_quotient(K, S))
     by_block = {}
     for e in entries:
         by_block.setdefault((e.subset, e.chain.degree), []).append(e)

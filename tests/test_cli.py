@@ -412,30 +412,31 @@ def test_status_outside_the_criterion_exits_0(tmp_path, capsys):
     assert "notes" not in inside
 
 
-def test_status_decides_the_criterion_once(tmp_path, capsys, monkeypatch):
+def test_status_decides_the_criterion_once(tmp_path, capsys):
     """One `status` call scans K's missing faces among the leaves once
-    (`_leaf_missing_faces`) and decides the criterion from that list, inside
-    the criterion's domain and outside it (where the note comes from it)."""
+    (`_containment`, one miss) and reads the criterion, the note and the
+    self-checks from that answer, inside the criterion's domain and outside
+    it (where the note comes from it)."""
     from momangle import whitehead as wh
-    calls = []
-    raw = wh._leaf_missing_faces
-    monkeypatch.setattr(wh, "_leaf_missing_faces",
-                        lambda K, leaves: calls.append(leaves) or raw(K, leaves))
     path = tmp_path / "k.json"
     path.write_text(json.dumps({"m": 8, "facets": [
         [2, 6], [2, 7], [2, 3, 5], [2, 3, 8], [2, 5, 8], [1, 4, 5, 7], [3, 4, 5, 6, 7, 8]]}))
-    outside = run_json(capsys, "status", "--complex", str(path), "--w", "[[3,5,8],[6,7],2]")
-    assert len(outside["notes"]) == 1 and len(calls) == 1
-    inside = run_json(capsys, "status", "--complex", SUB5_EXPR, "--w", "[[1,2,3],4,5]")
-    assert "notes" not in inside and len(calls) == 2
+    cases = ((str(path), "[[3,5,8],[6,7],2]", 1), (SUB5_EXPR, "[[1,2,3],4,5]", 0))
+    for complex_, w, notes in cases:
+        wh._containment.cache_clear()
+        data = run_json(capsys, "status", "--complex", complex_, "--w", w)
+        assert len(data.get("notes", ())) == notes
+        info = wh._containment.cache_info()
+        assert info.misses == 1 and info.hits >= 1, (w, info)
 
 
 def test_self_check_failure_exits_3(capsys, monkeypatch):
-    from momangle import cli
-
-    def failing(K, w):
-        raise AssertionError("nontrivial product with a bounding canonical class")
-    monkeypatch.setattr(cli.wh, "nested_shape_report", failing)
+    """Inside the criterion's domain `status` checks its verdict against
+    `realises`; a `realises` that finds no nonzero class for a nontrivial
+    product fails that check, and the CLI exits 3 with the check's text."""
+    from momangle import whitehead as wh
+    monkeypatch.setattr(wh, "realises_sufficient",
+                        lambda K, w: wh.RealisationReport("yes", "unknown", None))
     code, out, err = run_cli(capsys, "status", "--complex", SUB5_EXPR,
                              "--w", "[[1,2,3],4,5]")
     assert code == 3
@@ -618,7 +619,7 @@ def test_refusals_and_parse_errors_are_not_memoised(tmp_path, capsys):
 def test_every_memo_is_bounded():
     from momangle import cli, moment_angle, whitehead
     memos = [cli._load, whitehead.parse_whitehead, whitehead._canonical_chain,
-             whitehead._canonical_bounds, moment_angle._lattice]
+             whitehead._canonical_bounds, whitehead._containment, moment_angle._lattice]
     assert all(0 < memo.cache_info().maxsize < 1000 for memo in memos)
 
 

@@ -7,7 +7,8 @@ import json
 import random
 
 from momangle.cli import main
-from momangle.whitehead import DEFINED_NONTRIVIAL, DEFINED_TRIVIAL, UNDEFINED
+from momangle.whitehead import (DEFINED_NONTRIVIAL, DEFINED_TRIVIAL, DEFINED_UNKNOWN,
+                                OUTSIDE_CRITERION, UNDEFINED)
 from oracles import random_complex, random_product_pair
 
 PRODUCT_VERBS = ("status", "realises", "zigzag", "taylor-cycle", "hurewicz", "delta-w")
@@ -19,9 +20,11 @@ def test_product_verbs_agree_on_random_pairs(tmp_path, capsys):
     and raises nothing.  Where `status` and `realises` both answer, they
     agree: `undefined` exactly when `defined` is not `yes`, a trivial
     product is not realised nontrivially, and a nontrivial one is not
-    realised trivially."""
+    realised trivially.  Outside the paper's criterion (the status carries
+    its note) the status is `realises`' verdict: nontrivial, trivial or
+    unknown as `nontrivial` is yes, no or unknown."""
     rng = random.Random(17)
-    statuses = {}
+    statuses, outside = {}, 0
     for i in range(100):
         K, w = random_product_pair(rng, max_vertices=7, max_leaves=6)
         if i % 4 == 0:
@@ -46,5 +49,11 @@ def test_product_verbs_agree_on_random_pairs(tmp_path, capsys):
         assert (status == UNDEFINED) == (defined != "yes"), where
         assert status != DEFINED_TRIVIAL or nontrivial != "yes", where
         assert status != DEFINED_NONTRIVIAL or nontrivial != "no", where
+        if reports["status"].get("notes") == [OUTSIDE_CRITERION]:
+            verdict = {"yes": DEFINED_NONTRIVIAL, "no": DEFINED_TRIVIAL}.get(
+                nontrivial, DEFINED_UNKNOWN)
+            assert status == verdict, where
+            outside += 1
         statuses[status] = statuses.get(status, 0) + 1
     assert {UNDEFINED, DEFINED_TRIVIAL, DEFINED_NONTRIVIAL} <= set(statuses), statuses
+    assert outside > 0

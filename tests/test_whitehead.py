@@ -343,12 +343,14 @@ def rule_inputs(rng, w, dw):
 
 def test_sits_in_against_the_built_complexes():
     """The missing-face test decides both containments as building
-    bd_Delta(w) and the trivialising join and embedding them does."""
+    bd_Delta(w) and the trivialising join and embedding them does, and the
+    criterion holds exactly when every leaf is a vertex of K and every inner
+    leaf set is one of K's missing faces."""
     rng = random.Random(22)
     exprs = [random_expression(rng, list(range(1, rng.randint(3, 6) + 1)))
              for _ in range(40)]
     exprs += [W(t) for t in SHAPES]
-    answers = {"defined": set(), "trivial": set()}
+    answers = {"defined": set(), "trivial": set(), "criterion": set()}
     ghost_leaf = leaf_above_m = checked = 0
     while checked < 3000:
         for w in exprs:
@@ -358,16 +360,18 @@ def test_sits_in_against_the_built_complexes():
                 K = rule_inputs(rng, w, dw)
                 leaf_above_m += max(w.leaves()) > K.m
                 ghost_leaf += any(v <= K.m and (v,) not in K for v in w.leaves())
-                missing = wh._leaf_missing_faces(K, w.leaves())
-                defined = wh._sits_in(canonical_missing_faces(w), missing)
+                defined, joined, criterion = wh._containment(K, w)
                 assert defined == reference_sits_in(dw.complex, dw.leaf_map, K), (w, K)
                 answers["defined"].add(defined)
                 if special:
-                    trivial = wh._sits_in(wh._inner_leaf_sets(w), missing)
-                    assert trivial == reference_sits_in(*reference_trivialising_join(w), K)
-                    answers["trivial"].add(trivial)
+                    assert joined == reference_sits_in(*reference_trivialising_join(w), K)
+                    answers["trivial"].add(joined)
+                inner_missing = max(w.leaves()) <= K.m and all(
+                    c.leaves() in K.missing_faces() for c in w.bracket_children())
+                assert criterion == inner_missing, (w, K)
+                answers["criterion"].add(criterion)
                 checked += 1
-    assert answers == {"defined": {True, False}, "trivial": {True, False}}
+    assert answers == dict.fromkeys(answers, {True, False})
     assert ghost_leaf > 100 and leaf_above_m > 100
 
 
@@ -392,19 +396,19 @@ def test_status_and_realises_build_no_complex(monkeypatch):
 
 @pytest.mark.parametrize("argv", [a for a in GOLDEN_CASES if a[0] in ("status", "realises")],
                          ids=lambda a: " ".join(a[:1] + a[2:]))
-def test_one_missing_face_scan_per_leaf_set(argv, monkeypatch):
-    """`status` and `realises` scan K's missing faces among a leaf set once
-    and decide both "defined" and "trivial" from that one list, with the
-    golden reports unchanged."""
-    scans = []
-    raw = wh._leaf_missing_faces
-
-    def spy(K, leaves):
-        scans.append(frozenset(leaves))
-        return raw(K, leaves)
-    monkeypatch.setattr(wh, "_leaf_missing_faces", spy)
+def test_one_missing_face_scan_per_leaf_set(argv, capsys):
+    """`status`, `realises` and `taylor-cycle` on one (K, w) scan K's missing
+    faces among w's leaves once (`_containment`, one miss) and decide
+    "defined", "trivial" and the criterion from that one answer, with the
+    golden report unchanged."""
+    wh._containment.cache_clear()
     assert run_golden(argv) == load_golden()[tuple(argv)]
-    assert scans and len(scans) == len(set(scans)), scans
+    rest = argv[argv.index("--complex"):]
+    for verb in ("status", "realises", "taylor-cycle"):
+        main([verb] + rest)
+    capsys.readouterr()
+    info = wh._containment.cache_info()
+    assert info.misses == 1 and info.hits >= 3, info
 
 
 def test_undefined_above_the_missing_face_bound(tmp_path, capsys):
@@ -678,9 +682,9 @@ def test_wedge_basis_builds_one_quotient_per_support(monkeypatch):
     built = []
     raw = wh.zk_star_quotient
 
-    def spy(K, S, *table_build):
+    def spy(K, S):
         built.append(S)
-        return raw(K, S, *table_build)
+        return raw(K, S)
     monkeypatch.setattr(wh, "zk_star_quotient", spy)
     basis = shifted_wedge_basis(cx.parse_complex("bd(bd(bd(simplex(1,2,3,4,5,6,7))))"))
     assert basis.is_basis and len(basis.entries) == 71
@@ -688,29 +692,22 @@ def test_wedge_basis_builds_one_quotient_per_support(monkeypatch):
     assert len(built) == 29
 
 
-def test_wedge_basis_labels_the_tables_own_quotients(monkeypatch, capsys):
-    """The table builds the star quotient of each of its 30 supports once on
-    face masks, and the classes label those builds: on
-    bd(bd(bd(simplex(1,...,7)))) `_star_cells` runs 30 times, not 30 + 29,
-    and the report equals the one from quotients built afresh for the
-    classes.  Every order shifts this complex; naming one skips the search
-    over all 7! orders."""
-    from momangle import moment_angle as ma
+def test_wedge_basis_report_is_the_same_without_the_quotient_memo(monkeypatch, capsys):
+    """The verdict classes the entries of one subset against one memoised
+    star quotient; the report equals the one where every class builds its
+    own quotient afresh.  Every order shifts bd(bd(bd(simplex(1,...,7))));
+    naming one skips the search over all 7! orders."""
     argv = ["wedge-basis", "--complex", "bd(bd(bd(simplex(1,2,3,4,5,6,7))))",
             "--order", "1,2,3,4,5,6,7"]
-    raw_cells, raw_table = ma._star_cells, wh.zk_homology_by_support
-    calls = []
-    monkeypatch.setattr(ma, "_star_cells",
-                        lambda K, smask: calls.append(smask) or raw_cells(K, smask))
     assert main(argv) == 0
     shared = json.loads(capsys.readouterr().out)
-    assert len(calls) == len(set(calls)) == 30
-    # keep nothing from the table: every class builds its own quotient
-    monkeypatch.setattr(wh, "zk_homology_by_support", lambda K, quotients: raw_table(K))
-    calls.clear()
+    built = []
+    raw = wh.zk_star_quotient
+    monkeypatch.setattr(wh, "zk_star_quotient", lambda K, S: built.append(S) or raw(K, S))
+    monkeypatch.setattr(wh, "cache", lambda f: f)
     assert main(argv) == 0
     fresh = json.loads(capsys.readouterr().out)
-    assert len(calls) == 30 + 29
+    assert len(built) == 71   # one quotient per entry, where the memo builds 29
     for report in (shared, fresh):
         report.pop("elapsed_s")
     assert shared["is_basis"] and shared == fresh
