@@ -386,8 +386,14 @@ class Generators(VertexIndex):
         return union
 
     def labels(self, word):
-        """The face tuples of the word, in generator order."""
-        return tuple(F for q, F in enumerate(self.faces) if word >> q & 1)
+        """The face tuples of the word, in generator order, read off its
+        bits."""
+        faces, out = self.faces, []
+        while word:
+            low = word & -word
+            out.append(faces[low.bit_length() - 1])
+            word ^= low
+        return tuple(out)
 
     def word(self, labels):
         """The word of face tuples `labels`, each of which must be a generator."""

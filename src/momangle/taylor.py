@@ -202,17 +202,26 @@ def _read_taylor_atom(sc):
 
 def index_boundary(chain, gens):
     """Differential of {word: coeff} on the `Generators` gens: each
-    generator bit outside a word whose face lies inside the word's union
-    (`within`) enters it with `insertion_sign`.  Zero coefficients are
-    dropped."""
-    out, inside = {}, {}
+    generator bit b outside a word whose face lies inside the word's union
+    (`within`) enters it with `insertion_sign`'s rule,
+    (-1)^popcount(word & (b - 1)), written inline as in
+    `insertion_columns`.  The words are grouped by their union, so each
+    union's inside bits are read once and each bit walks its group's words.
+    Zero coefficients are dropped."""
+    groups = {}
     for word, c in chain.items():
-        union = gens.union(word)
-        if union not in inside:
-            inside[union] = [1 << (q - 1) for q in mask_face(gens.within(union))]
-        for b in inside[union]:
-            if not word & b:
-                out[word | b] = out.get(word | b, 0) + insertion_sign(word, b) * c
+        groups.setdefault(gens.union(word), []).append((word, c))
+    out = {}
+    for union, words in groups.items():
+        rest = gens.within(union)
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            below = b - 1
+            for word, c in words:
+                if not word & b:
+                    sign = -1 if (word & below).bit_count() & 1 else 1
+                    out[word | b] = out.get(word | b, 0) + sign * c
     return {word: c for word, c in out.items() if c}
 
 

@@ -25,17 +25,22 @@ time.  A term is keyed (J, W): J the bitmask of its circle letters, W the
 bitmask of its word's generator indices on K's `complexes.Generators`
 (bit q for the q-th missing face of K, as in the Taylor table).  The disc
 letters are not stored: I is S - J - union(W).  A vertical preimage is
-solved one word at a time against the cached Koszul block of
-T_W = S - union(W), whose bits move onto the bits of 1..n and back; the
-horizontal step inserts the bit b of a generator inside S (`within`) and
-off J into W with `exactalg.insertion_sign`, (-1)^popcount(W & (b - 1)),
-and a disc bit i joins J by the same rule, so `exactalg.insertion_columns`,
-the builder of the Taylor blocks and the cellular star quotients, builds
-the Koszul blocks.
+solved one word at a time in the Koszul block of T_W = S - union(W), whose
+bits move onto the bits of 1..n and back; the horizontal step inserts the
+bit b of a generator inside S (`within`) and off J into W with
+`exactalg.insertion_sign`, (-1)^popcount(W & (b - 1)), and a disc bit i
+joins J by the same rule, so `exactalg.insertion_columns`, the builder of
+the Taylor blocks and the cellular star quotients, builds the Koszul
+blocks.  Every invariant factor of a Koszul block is 1, so the canonical
+solution `SmithForm.solve` would give, V (U b)[:rank], is linear in b:
+each cached block (`_koszul_block`) holds it for every target J, with the
+entries of U e_J past the rank, and a preimage is the same canonical
+solution read from those tables, a sum of rows, with no matrix product.
 Labels are built only for the returned cycle, once it is checked on masks,
 and for the text of the trace: the input cell chain goes onto masks by
 support (S = J + I, the word empty), and a trace step keeps its slice's
-masks.  The labelled bicomplex on triples, with both differentials, is the
+masks, written out from per-vertex letter tables.  The labelled bicomplex
+on triples, with both differentials and Koszul blocks of its own, is the
 reference the tests hold the staircase to (`tests/oracles.py`).
 """
 
@@ -44,10 +49,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import itemgetter
 
 from .complexes import face_mask, mask_face, signed_sum_text
 from .exactalg import _column_matrix, insertion_columns, insertion_sign, smith_normal_form
-from .moment_angle import cell_letters
 from .taylor import TaylorChain, index_boundary, taylor_boundary, taylor_cycle_is_boundary
 
 
@@ -79,36 +84,112 @@ class ZigzagError(RuntimeError):
     convention is broken; either way this must not pass silently."""
 
 
-@lru_cache(maxsize=32)
-def _koszul_block(n, j):
+def _koszul_matrix(n, j):
     """The vertical block of one word whose T_W is relabelled onto 1..n,
     from circle degree j - 1 to j: the Koszul matrix of the simplex on 1..n.
     A basis triple of the block is named by the bitmask of its circle letters
     J alone (bit k for letter k + 1; the disc letters are the rest of 1..n),
     sources and rows in `combinations` order, and `insertion_columns`
-    inserts the disc letters.  Returns (row of each target J, source Js in
-    column order, Smith form with transforms)."""
+    inserts the disc letters.  Returns (target Js in row order, source Js in
+    column order, matrix)."""
     def circles(k):
         return [sum(1 << i for i in c) for c in combinations(range(n), k)] if k >= 0 else []
 
     sources, targets = circles(j - 1), circles(j)
     _, columns = insertion_columns(sources + targets, (1 << n) - 1)
-    matrix = _column_matrix(len(targets), len(sources), columns.get(1 - j, {}))
-    return {J: t for t, J in enumerate(targets)}, sources, smith_normal_form(matrix)
+    return targets, sources, _column_matrix(len(targets), len(sources), columns.get(1 - j, {}))
+
+
+@lru_cache(maxsize=32)
+def _koszul_block(n, j):
+    """The canonical preimages of `_koszul_matrix(n, j)`, one row per target
+    J: {J: (preimage, residue)}, read once off the Smith form U A V = S.
+    Every invariant factor of a Koszul block is 1 (the simplex's Koszul
+    complex is exact over the integers), and this is checked before the
+    table is built.  So for b = sum c_J e_J the canonical solution
+    V (U b)[:rank] of `SmithForm.solve` is the sum of the rows
+    c_J V (U e_J)[:rank], and b is an image exactly when the rows'
+    residues, the entries of U e_J past the rank, cancel.  A preimage is
+    ((source J, coeff), ...), a residue ((t, coeff), ...)."""
+    targets, sources, matrix = _koszul_matrix(n, j)
+    snf = smith_normal_form(matrix)
+    if any(d != 1 for d in snf.diag):
+        raise ZigzagError(f"Koszul block ({n}, {j}) has an invariant factor other than 1")
+    u_columns, v_columns = {}, {}
+    for (t, r), u in snf.U.entries.items():
+        u_columns.setdefault(r, []).append((t, u))
+    for (col, t), v in snf.V.entries.items():
+        v_columns.setdefault(t, []).append((col, v))
+    rank, table = snf.rank, {}
+    for r, J in enumerate(targets):
+        preimage, residue = {}, []
+        for t, u in u_columns.get(r, ()):
+            if t >= rank:
+                residue.append((t, u))
+                continue
+            for col, v in v_columns.get(t, ()):
+                preimage[sources[col]] = preimage.get(sources[col], 0) + v * u
+        table[J] = (tuple((src, c) for src, c in preimage.items() if c), tuple(residue))
+    return table
+
+
+def _table_solve(table, b):
+    """The canonical preimage {source J: coeff} of b = {target J: coeff}
+    from a `_koszul_block` table, the sum of its rows; refused when the
+    rows past the rank do not cancel, b being no image."""
+    x, residue = {}, {}
+    for J, c in b.items():
+        preimage, rest = table[J]
+        for src, v in preimage:
+            x[src] = x.get(src, 0) + v * c
+        for t, v in rest:
+            residue[t] = residue.get(t, 0) + v * c
+    if any(residue.values()):
+        raise ZigzagError("no integer vertical preimage; input cycle or signs broken")
+    return {src: c for src, c in x.items() if c}
 
 
 # -- the staircase on masks ------------------------------------------------------
 
+@lru_cache(maxsize=32)
+def _letters(n):
+    """The letter tables of the vertices 1..n, each at index v - 1: the
+    disc letters `D{v}` and the circle letters `S{v}`."""
+    return tuple(f"D{v}" for v in range(1, n + 1)), tuple(f"S{v}" for v in range(1, n + 1))
+
+
 def _text(S, terms, gens):
     """The slice S's terms {(J, W): coeff} as a signed sum of words in the
     letters of I and J and the names of W's generators, sorted by the label
-    (I, J, W)."""
-    faces, names, labelled = gens.faces, gens.names, []
+    (I, J, W).  One walk of W's bits gives its faces, names and union, and
+    one walk of the bits of J + I, in vertex order, gives the letters from
+    the letter tables and the labels I and J."""
+    discs, circles = _letters(S.bit_length())
+    faces, names, masks, rows = gens.faces, gens.names, gens.masks, []
     for (J, W), c in terms.items():
-        qs, I = mask_face(W), S & ~J & ~gens.union(W)
-        labelled.append(((mask_face(I), mask_face(J), tuple(faces[q - 1] for q in qs)), c, qs))
-    return signed_sum_text(("*".join(cell_letters(J, I) + ["w" + names[q - 1] for q in qs]), c)
-                           for (I, J, _), c, qs in sorted(labelled))
+        word, letters, union, rest = [], [], 0, W
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            q = low.bit_length() - 1
+            word.append(faces[q])
+            letters.append("w" + names[q])
+            union |= masks[q]
+        I = S & ~J & ~union
+        discs_, circles_, cell, rest = [], [], [], J | I
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length()
+            if low & I:
+                discs_.append(v)
+                cell.append(discs[v - 1])
+            else:
+                circles_.append(v)
+                cell.append(circles[v - 1])
+        rows.append(((tuple(discs_), tuple(circles_), tuple(word)), "*".join(cell + letters), c))
+    rows.sort(key=itemgetter(0))
+    return signed_sum_text((text, c) for _, text, c in rows)
 
 
 def _vertical(S, terms, gens):
@@ -128,10 +209,10 @@ def _vertical_preimage(S, eta, gens):
 
     The vertical differential keeps the word W and moves disc letters of
     T_W = S - union(W) into circles, so the slice is block diagonal with one
-    Koszul block per word.  Each word of eta is solved on its own, against
-    the cached block of (|T_W|, j), the bits of J moved to and from the
-    relabelled 1..n by walking the bits of T_W; words absent from eta have
-    the zero preimage."""
+    Koszul block per word.  Each word of eta is solved on its own, from the
+    cached preimage table of (|T_W|, j) (`_table_solve`), the bits of J
+    moved down to the relabelled 1..n and the preimage's bits back up to
+    T_W (`_move`); words absent from eta have the zero preimage."""
     degrees = {J.bit_count() for J, _ in eta}
     if len(degrees) != 1:
         raise ZigzagError("staircase element mixes circle degrees")
@@ -141,16 +222,24 @@ def _vertical_preimage(S, eta, gens):
         by_word.setdefault(W, {})[J] = c
     phi = {}
     for W, b in by_word.items():
-        bits = [1 << (v - 1) for v in mask_face(S & ~gens.union(W))]
-        rows, sources, snf = _koszul_block(len(bits), j)
-        x = snf.solve({rows[sum(1 << k for k, bit in enumerate(bits) if J & bit)]: c
-                       for J, c in b.items()})
-        if x is None:
-            raise ZigzagError("no integer vertical preimage; input cycle or signs broken")
-        for col, c in x.items():
-            if c:
-                phi[(sum(bits[k - 1] for k in mask_face(sources[col])), W)] = c
+        up = [1 << (v - 1) for v in mask_face(S & ~gens.union(W))]
+        down = [0] * S.bit_length()
+        for k, bit in enumerate(up):
+            down[bit.bit_length() - 1] = 1 << k
+        x = _table_solve(_koszul_block(len(up), j), {_move(J, down): c for J, c in b.items()})
+        for src, c in x.items():
+            phi[(_move(src, up), W)] = c
     return phi
+
+
+def _move(mask, place):
+    """The bits of `mask` moved to place[k], k each bit's position."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= place[low.bit_length() - 1]
+    return out
 
 
 def _horizontal(S, phi, gens):

@@ -56,13 +56,17 @@ triples and words, sorted back into generator order by `normalise_word`
 (the reference for the package's staircase and closed form on generator
 bitmasks); the labelled bicomplex (`BicomplexChain`, `vertical_diff`) and
 the reference's trace, (kind, element) pairs, live here, and the staircase
-shares only the package's Koszul blocks, which the tests check on their
-own.
+solves in Koszul blocks of its own, labelled matrices reduced by the
+full-scan Smith form (`reference_koszul_block`, the reference for the
+package's preimage tables).  The canonical chain of a bracket is built on
+labelled cells by `CellChain.product` (`reference_canonical_chain`, the
+reference for the package's product on vertex bitmasks).
 `taylor_boundary_word` is no oracle: it is the package's own insertion
 rule on one word, the form the tests compare with the reference.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 from itertools import combinations, permutations, product
 from math import comb
 
@@ -76,7 +80,7 @@ from momangle.moment_angle import (ZK_MAX_VERTICES, CellChain, all_subsets, cell
 from momangle.taylor import (TaylorChain, nested_levels, normalise_word,
                              taylor_boundary)
 from momangle.whitehead import bracket, delta_w, leaf
-from momangle.zigzag import ZigzagError, _koszul_block
+from momangle.zigzag import ZigzagError
 
 
 def dense_snf_diagonal(rows):
@@ -445,6 +449,23 @@ def lyubeznik_admissible(K, word):
     return True
 
 
+def reference_canonical_chain(w):
+    """The canonical chain of a bracket on labelled cells: the
+    `CellChain.product` of the sub-products' chains with the
+    boundary-of-polydisc factor on the bracket's own leaves, checked by
+    `CellChain.boundary` to be a cycle.  Raises the package's refusals."""
+    subs, leaves_ = w.bracket_children(), tuple(sorted(w.leaf_children()))
+    if subs and not leaves_:
+        raise ValueError("brackets with sub-products only have no canonical cellular chain")
+    factor = CellChain({((v,), tuple(x for x in leaves_ if x != v)): 1 for v in leaves_})
+    chain = reduce(CellChain.product, [*map(reference_canonical_chain, subs), factor])
+    if chain.degree != w.dimension():
+        raise AssertionError("canonical chain degree mismatch")
+    if chain.boundary():
+        raise ValueError("chain is not a cycle")
+    return chain
+
+
 def reference_cell_boundary(cell):
     """Boundary of the cell (J, I) as {cell: coeff}: each disc letter i joins
     J by sorting, with the sign of the number of circle letters below it."""
@@ -573,17 +594,51 @@ def reference_solve_vertical(K, S, eta):
         if lab not in tindex:
             raise ValueError(f"element leaves the multidegree slice: {lab}")
         b[tindex[lab]] = c
-    snf = reference_snf(IntMatrix(len(target_basis), len(source_basis), entries))
+    x = _reference_canonical_solve(
+        reference_snf(IntMatrix(len(target_basis), len(source_basis), entries)), b)
+    if x is None:
+        raise ValueError("no integer vertical preimage")
+    return {source_basis[i]: v for i, v in x.items()}
+
+
+def _reference_canonical_solve(snf, b):
+    """The canonical solution V y, y_t = (U b)_t / diag_t, of A x = b from
+    a full-scan Smith form, or None when there is no integer one."""
     c = snf.U.apply(b)
     y = {}
     for t, d in enumerate(snf.diag):
         ct = c.pop(t, 0)
         if ct % d:
-            raise ValueError("no integer vertical preimage")
+            return None
         y[t] = ct // d
     if any(c.values()):
-        raise ValueError("no integer vertical preimage")
-    return {source_basis[i]: v for i, v in snf.V.apply(y).items()}
+        return None
+    return snf.V.apply(y)
+
+
+def reference_koszul_matrix(n, j):
+    """(targets, sources, matrix): the Koszul matrix of the simplex on 1..n
+    from circle degree j - 1 to j on labelled circle sets, rows and columns
+    in `combinations` order, each column the boundary of the cell
+    (J, 1..n - J) by sorting (`reference_cell_boundary`)."""
+    letters = range(1, n + 1)
+    targets = list(combinations(letters, j))
+    sources = list(combinations(letters, j - 1)) if j else []
+    row = {J: t for t, J in enumerate(targets)}
+    entries = {}
+    for col, J in enumerate(sources):
+        I = tuple(v for v in letters if v not in J)
+        for (J2, _), sign in reference_cell_boundary((J, I)).items():
+            entries[(row[J2], col)] = sign
+    return targets, sources, IntMatrix(len(targets), len(sources), entries)
+
+
+@lru_cache(maxsize=None)
+def reference_koszul_block(n, j):
+    """`reference_koszul_matrix(n, j)` with its full-scan Smith form in
+    place of the matrix, the block the labelled staircase solves in."""
+    targets, sources, matrix = reference_koszul_matrix(n, j)
+    return targets, sources, reference_snf(matrix)
 
 
 def reference_per_word_solve_vertical(K, S, eta):
@@ -615,12 +670,13 @@ def reference_per_word_solve_vertical(K, S, eta):
         b[rel] = c
     phi = {}
     for W, (T, _, b) in by_word.items():
-        rows, sources, snf = _koszul_block(len(T), j)
-        x = snf.solve({rows[face_mask(J)]: c for J, c in b.items()})
+        targets, sources, snf = reference_koszul_block(len(T), j)
+        row = {J: t for t, J in enumerate(targets)}
+        x = _reference_canonical_solve(snf, {row[J]: c for J, c in b.items()})
         if x is None:
             raise ZigzagError("no integer vertical preimage; input cycle or signs broken")
         for col, c in x.items():
-            J = tuple(T[k] for k in range(len(T)) if sources[col] >> k & 1)
+            J = tuple(T[k - 1] for k in sources[col])
             phi[(tuple(v for v in T if v not in J), J, W)] = c
     return BicomplexChain(phi)
 

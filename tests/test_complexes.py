@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from momangle.complexes import (ParseError, SimplicialComplex, SizeLimitError,
+from momangle.complexes import (Generators, ParseError, SimplicialComplex, SizeLimitError,
                                 _order_is_shifted, boundary, face, face_mask,
                                 is_shifted, is_subcomplex, join, mask_face,
                                 parse_complex, point,
@@ -450,6 +450,20 @@ def test_generator_table_against_the_subset_scan():
                 subsets += 1
                 ghost_faces += sum(len(f) == 1 for f in want)
     assert subsets > 2000 and ghost_faces > 1000
+
+
+def test_generator_labels_walk_the_words_bits():
+    """`Generators.labels` reads a word's faces off its set bits; on seeded
+    words over 20 generators it equals the scan of every generator."""
+    rng = random.Random(71)
+    faces = sorted({tuple(sorted(rng.sample(range(1, 13), rng.randint(2, 4))))
+                    for _ in range(60)}, key=lambda f: (len(f), f))[:20]
+    gens = Generators(faces)
+    assert len(gens.faces) == 20
+    for _ in range(500):
+        word = rng.getrandbits(20) & rng.getrandbits(20)
+        assert gens.labels(word) == tuple(F for q, F in enumerate(faces) if word >> q & 1)
+    assert gens.labels(0) == () and gens.labels((1 << 20) - 1) == tuple(faces)
 
 
 def test_face_index_within_is_the_faces_of_the_full_subcomplex():

@@ -21,9 +21,10 @@ from momangle.whitehead import (DEFINED_NONTRIVIAL, DEFINED_TRIVIAL,
                                 single_product_status)
 from conftest import SUB5_EXPR
 from oracles import (hochster_embed, random_complex, random_product_pair, random_shifted_complex,
-                     reference_shifted_wedge_pairs, reference_sits_in,
-                     reference_trivialising_join)
+                     reference_canonical_chain, reference_shifted_wedge_pairs,
+                     reference_sits_in, reference_trivialising_join)
 from test_golden import CASES as GOLDEN_CASES, load_golden, run as run_golden
+from test_zigzag import REALISE_SHAPES, _shape_text
 
 
 def W(text):
@@ -564,7 +565,7 @@ def test_fallback_rows(row, status, realised, capsys, monkeypatch, tmp_path):
     `realises` make one `class_of` call between them."""
     K, w = row_complex(row), W(row[1])
     z = hurewicz_chain(w, K.m)
-    assert wh._cocycle_cell(K, z) is None and wh._trivialising_filling(K, w, z) is None
+    assert wh._cocycle_cell(K, z) is None and wh._trivialising_filling(K, w) is None
     calls = class_of_spy(monkeypatch)
     path = tmp_path / "k.json"
     path.write_text(json.dumps(row[0]))
@@ -609,7 +610,7 @@ def test_canonical_verdict_against_the_class():
         assert wh._canonical_bounds(K, w) == bounds, (K.facets, w)
         if wh._cocycle_cell(K, z):
             way = "cocycle"
-        elif wh._trivialising_filling(K, w, z):
+        elif wh._trivialising_filling(K, w):
             way = "filling"
         else:
             way = "fallback, bounds" if bounds else "fallback, nonzero"
@@ -618,31 +619,77 @@ def test_canonical_verdict_against_the_class():
 
 
 def test_canonical_cycle_is_checked_once_per_bracket(monkeypatch):
-    """z = `_canonical_chain(w)` depends on w alone, so its cycle test runs
-    once per w, in that memo, and `_canonical_bounds` on one w over several
-    complexes tests only that z lies in each Z_K.  A canonical chain that
-    is no cycle is refused with `zk_class`'s message."""
+    """w's canonical chain on masks (`_canonical_masks(w)`) depends on w
+    alone, so its cycle test (`_mask_boundary`) runs once per w, in that
+    memo, and `_canonical_bounds` on one w over several complexes tests only
+    that z lies in each Z_K.  A canonical chain that is no cycle is refused
+    with `zk_class`'s message."""
     w = W("[[1,2],3,4]")
     complexes = [cx.parse_complex(text) for text in (
         "bd(simplex(1,2,3,4))", SUB5_EXPR, "subst(bd(simplex(1,2,3)); bd(simplex(1,2)), pt, pt)")]
     checked = []
-    boundary = CellChain.boundary
-    monkeypatch.setattr(CellChain, "boundary", lambda c: checked.append(c) or boundary(c))
-    wh._canonical_chain.cache_clear()
-    wh._canonical_bounds.cache_clear()
+    boundary = wh._mask_boundary
+    monkeypatch.setattr(wh, "_mask_boundary", lambda c: checked.append(c) or boundary(c))
+    memos = (wh._canonical_masks, wh._canonical_chain, wh._canonical_bounds)
+    for memo in memos:
+        memo.cache_clear()
     try:
         for K in complexes:
             wh._canonical_bounds(K, w)
-        z = wh._canonical_chain(w)
+        z = wh._canonical_masks(w)
         assert sum(c is z for c in checked) == 1
-        wh._canonical_chain.cache_clear()
-        monkeypatch.setattr(wh, "_disc_boundary_factor",
-                            lambda leaves_: CellChain({(leaves_[:1], leaves_[1:]): 1}))
+        for memo in memos:
+            memo.cache_clear()
+        monkeypatch.setattr(wh, "_leaf_factor", lambda L: {(L & -L, L & (L - 1)): 1})
         with pytest.raises(ValueError, match="chain is not a cycle"):
             wh._canonical_bounds(complexes[0], W("[1,2,3,4]"))
     finally:
-        wh._canonical_chain.cache_clear()
-        wh._canonical_bounds.cache_clear()
+        for memo in memos:
+            memo.cache_clear()
+
+
+def _general_bracket(rng, labels):
+    """A random bracket on the labels: any split into two or more parts, a
+    part of one label a leaf and a larger part a bracket of its own, so that
+    brackets with sub-products only occur too."""
+    cuts = sorted(rng.sample(range(1, len(labels)), rng.randint(1, len(labels) - 1)))
+    parts = [labels[a:b] for a, b in zip([0] + cuts, cuts + [len(labels)])]
+    return bracket([leaf(p[0]) if len(p) == 1 else _general_bracket(rng, p) for p in parts])
+
+
+def _canonical_outcome(build, w):
+    """The chain `build(w)` and its text, or the type and message it
+    raises."""
+    try:
+        chain = build(w)
+    except (ValueError, AssertionError) as exc:
+        return type(exc).__name__, str(exc)
+    return chain, chain.to_text()
+
+
+def test_canonical_chain_on_masks_matches_the_labelled_product():
+    """`hurewicz_chain`, built on masks, equals the labelled build by
+    `CellChain.product` (`reference_canonical_chain`), terms and text, or
+    refuses with the same message: on the bracket shapes of the realise
+    job list, on `[[1,2,3],[4,5]]`, and on 300 seeded brackets of up to 9
+    leaves, of every shape, on labels up to 40."""
+    shapes = [_shape_text(shape, {v: v for v in range(1, 10)}) for shape in REALISE_SHAPES]
+    for text in shapes + ["[[1,2,3],[4,5]]"]:
+        w = W(text)
+        assert _canonical_outcome(hurewicz_chain, w) == \
+            _canonical_outcome(reference_canonical_chain, w), text
+    with pytest.raises(ValueError, match="sub-products only have no canonical cellular chain"):
+        hurewicz_chain(W("[[1,2,3],[4,5]]"))
+    rng = random.Random(29)
+    outcomes = {"chain": 0, "refused": 0, "two-digit": 0}
+    for _ in range(300):
+        labels = rng.sample(range(1, 41), rng.randint(2, 9))
+        w = _general_bracket(rng, labels)
+        got = _canonical_outcome(hurewicz_chain, w)
+        assert got == _canonical_outcome(reference_canonical_chain, w), w
+        outcomes["refused" if isinstance(got[0], str) else "chain"] += 1
+        outcomes["two-digit"] += max(labels) > 9 and not isinstance(got[0], str)
+    assert min(outcomes.values()) > 25, outcomes
 
 
 def test_classes_build_only_star_quotients(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from itertools import combinations
@@ -7,15 +8,15 @@ import pytest
 
 from momangle import parse_complex, zigzag
 from momangle.complexes import Generators, SimplicialComplex, face_mask, mask_face, simplex_boundary
-from momangle.exactalg import IntMatrix, smith_normal_form
+from momangle.exactalg import smith_normal_form
 from momangle.moment_angle import CellChain, zk_class
 from momangle.taylor import TaylorChain, nested_taylor_cycle, taylor_boundary
 from momangle.whitehead import delta_w, hurewicz_chain, parse_whitehead
-from momangle.zigzag import (ZigzagError, _horizontal, _koszul_block, _staircase, _vertical,
-                             _vertical_preimage, classes_equal, classes_equal_up_to_sign,
-                             koszul_to_taylor)
-from oracles import (BicomplexChain, random_complex, reference_cell_boundary,
-                     reference_full_slice_solve, reference_horizontal_diff,
+from momangle.zigzag import (ZigzagError, _horizontal, _koszul_block, _koszul_matrix, _staircase,
+                             _table_solve, _vertical, _vertical_preimage, classes_equal,
+                             classes_equal_up_to_sign, koszul_to_taylor)
+from oracles import (BicomplexChain, random_complex, reference_full_slice_solve,
+                     reference_horizontal_diff, reference_koszul_matrix,
                      reference_koszul_to_taylor, reference_per_word_solve_vertical,
                      reference_solve_vertical, reference_trace_list, vertical_diff)
 from test_golden import PAIRS as GOLDEN_PAIRS
@@ -142,24 +143,63 @@ def test_horizontal_diff_matches_the_sorting_reference():
 
 @pytest.mark.parametrize("n", range(8))
 def test_koszul_block_matches_the_labelled_matrix(n):
-    """Every Koszul block up to n = 7 is the matrix of the cell boundary on
+    """Every Koszul matrix up to n = 7 is the matrix of the cell boundary on
     labelled (J, I) over `combinations` (circle degree j - 1 to j), with
-    its circle bitmasks in that order and the same Smith form, transforms
-    included, so every canonical solve is pinned too."""
-    letters = range(1, n + 1)
-    for j in range(n + 1):
-        targets = list(combinations(letters, j))
-        sources = list(combinations(letters, j - 1)) if j else []
-        row = {J: t for t, J in enumerate(targets)}
-        entries = {}
-        for col, J in enumerate(sources):
-            I = tuple(v for v in letters if v not in J)
-            for (J2, _), sign in reference_cell_boundary((J, I)).items():
-                entries[(row[J2], col)] = sign
-        rows, masks, snf = _koszul_block(n, j)
-        assert rows == {face_mask(J): t for t, J in enumerate(targets)}
-        assert masks == [face_mask(J) for J in sources]
-        assert snf == smith_normal_form(IntMatrix(len(targets), len(sources), entries))
+    its circle bitmasks in that order, so the Smith form it is reduced by,
+    and with it every canonical solve, is pinned too."""
+    for j in range(n + 2):
+        targets, sources, matrix = reference_koszul_matrix(n, j)
+        assert _koszul_matrix(n, j) == ([face_mask(J) for J in targets],
+                                        [face_mask(J) for J in sources], matrix)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_koszul_tables_solve_as_the_smith_form(n):
+    """For every (n, j) with n <= 8, the preimage table's solve equals
+    `smith_normal_form(M).solve(b)` on the labelled Koszul matrix M, bit for
+    bit, on seeded image vectors b = M x; on seeded vectors that are no
+    image the table refuses with the staircase's message where the Smith
+    form has no solution."""
+    rng = random.Random(100 + n)
+    images = refusals = 0
+    for j in range(n + 2):
+        targets, sources, matrix = reference_koszul_matrix(n, j)
+        if not targets:
+            assert _koszul_block(n, j) == {}
+            continue
+        snf = smith_normal_form(matrix)
+        table = _koszul_block(n, j)
+        assert set(table) == {face_mask(J) for J in targets}
+        for draw in range(12):
+            if draw % 2 and sources:
+                x = {col: rng.randint(-3, 3) for col in rng.sample(range(len(sources)),
+                                                                 min(3, len(sources)))}
+                b = matrix.apply(x)
+            else:
+                b = {t: rng.choice([-2, -1, 1, 2]) for t in rng.sample(
+                    range(len(targets)), rng.randint(1, min(3, len(targets))))}
+            want = snf.solve(b)
+            rows = {face_mask(targets[t]): c for t, c in b.items()}
+            if want is None:
+                with pytest.raises(ZigzagError, match="no integer vertical preimage"):
+                    _table_solve(table, rows)
+                refusals += 1
+            else:
+                assert _table_solve(table, rows) == \
+                    {face_mask(sources[col]): c for col, c in want.items() if c}
+                images += 1
+    assert images >= 2 * n and refusals
+
+
+def test_koszul_block_refuses_an_invariant_factor_other_than_one(monkeypatch):
+    """The tables assume every invariant factor is 1; a Smith form with
+    another one is refused before any table is built."""
+    def doubled(A, transforms=True):
+        snf = smith_normal_form(A, transforms)
+        return dataclasses.replace(snf, diag=(2,) + snf.diag[1:])
+    monkeypatch.setattr(zigzag, "smith_normal_form", doubled)
+    with pytest.raises(ZigzagError, match="invariant factor other than 1"):
+        _koszul_block.__wrapped__(3, 2)
 
 
 def test_differentials_commute():
