@@ -14,9 +14,13 @@ two conventions together make the Hochster embedding of simplicial chains
 (`tests/oracles.hochster_embed`) an honest chain map and reproduce the
 canonical bracket chains with a plus sign.
 
-On bitmasks this is an exterior complex: the disc letter i joins the
-circle mask J as the bit b of i with `exactalg.insertion_sign`,
-(-1)^popcount(J & (b - 1)), the one rule the Taylor and Koszul blocks use.
+A cell is the pair (J, I) of vertex bitmasks, bit v - 1 for vertex v, in
+every chain, complex and class of the package; labels are written only in
+a chain's text (`CellChain.to_text`, `from_text`).  On bitmasks this is an
+exterior complex: the disc letter i joins the circle mask J as the bit b
+of i with `exactalg.insertion_sign`, (-1)^popcount(J & (b - 1)), the one
+rule the Taylor and Koszul blocks use, and the product's sign is that
+sign over the circle bits of its first factor.
 
 The boundary keeps the support J + I, so the chains split into one block
 per vertex subset S (the Hochster splitting); homology and classes are
@@ -32,7 +36,8 @@ faces of K_S, the vertex v and the faces off its star, as one bitset, in a
 few integer operations per block, and whose bitsets are built only when a
 nonempty support first asks for them; `_star_cells` writes the circle
 masks of those faces, by non-decreasing popcount.  Only cycle classes
-label them, as the ChainComplex of a quotient (`zk_star_quotient`).
+name each word J as its cell (J, S - J), in the ChainComplex of a quotient
+(`zk_star_quotient`).
 
 Every table of the cellular and Taylor routes, per support or summed by
 degree, is one walk over blocks (union, times, words) and one fold,
@@ -66,7 +71,7 @@ from itertools import accumulate, combinations
 from math import comb, prod
 from operator import or_
 
-from .complexes import (ParseError, SignedSum, SizeLimitError, _is_canonical, face_mask,
+from .complexes import (ParseError, SignedSum, SizeLimitError, face_mask,
                         mask_face, read_signed_sum, read_text, reduced_chain_complex,
                         signed_sum_text)
 from .exactalg import (ChainComplex, HomologyClass, HomologyGroup, _shared_group,
@@ -76,22 +81,21 @@ from .exactalg import (ChainComplex, HomologyClass, HomologyGroup, _shared_group
 ZK_MAX_VERTICES = 24
 
 
-def cell_degree(cell):
-    J, I = cell
-    return 2 * len(I) + len(J)
-
-
 def cell_boundary(cell):
-    """Boundary of a single cell (J, I), both increasing, as {cell: coeff}:
-    the disc letter i joins J with `insertion_sign` on J's bitmask."""
+    """Boundary of a single cell (J, I), vertex bitmasks, as {cell: coeff}:
+    each disc bit i of I joins J with `insertion_sign(J, i)`."""
     J, I = cell
-    circles = face_mask(J)
-    return {(tuple(sorted(J + (i,))), I[:k] + I[k + 1:]): insertion_sign(circles, 1 << (i - 1))
-            for k, i in enumerate(I)}
+    out, rest = {}, I
+    while rest:
+        i = rest & -rest
+        rest ^= i
+        out[(J | i, I ^ i)] = insertion_sign(J, i)
+    return out
 
 
 class CellChain(SignedSum):
-    """Homogeneous sparse integer combination of cells of (D^2)^m."""
+    """Homogeneous sparse integer combination of cells of (D^2)^m, each
+    cell (J, I) the bitmasks of its circle and its disc letters."""
 
     __slots__ = ("degree",)
 
@@ -101,28 +105,26 @@ class CellChain(SignedSum):
         for cell, c in terms.items():
             if not c:
                 continue
-            J, I = tuple(cell[0]), tuple(cell[1])
-            if not (_is_canonical(J) and _is_canonical(I)):
-                raise ValueError(f"cell {cell} has letters out of order or repeated")
-            if set(J) & set(I):
+            J, I = cell
+            if not (_is_mask(J) and _is_mask(I)):
+                raise ValueError(f"cell {cell} is not a pair of vertex bitmasks")
+            if J & I:
                 raise ValueError(f"cell {cell} has overlapping S and D sets")
-            d = cell_degree((J, I))
+            d = J.bit_count() + 2 * I.bit_count()
             if degree is None:
                 degree = d
             elif degree != d:
                 raise ValueError("cell chain is not homogeneous")
-            self.terms[(J, I)] = int(c)
+            self.terms[cell] = int(c)
         self.degree = degree if degree is not None else 0
 
     @classmethod
     def unit(cls):
-        return cls({((), ()): 1})
+        return cls({(0, 0): 1})
 
     def support(self):
-        verts = set()
-        for J, I in self.terms:
-            verts.update(J), verts.update(I)
-        return tuple(sorted(verts))
+        """The bitmask of the vertices the cells use."""
+        return reduce(or_, (J | I for J, I in self.terms), 0)
 
     def boundary(self):
         out = {}
@@ -134,31 +136,36 @@ class CellChain(SignedSum):
     def product(self, other):
         """Concatenation product; factors must have disjoint vertex support.
 
-        Sign: sort the concatenated letters by vertex; each transposition of
-        two circle letters contributes -1 (disc letters are even)."""
-        if set(self.support()) & set(other.support()):
+        Sorting the letters by vertex moves each circle bit j of a first
+        factor's cell past the second's circle bits below it, so the sign
+        is the product of `insertion_sign(J2, j)` over the bits j of J1
+        (disc letters are even)."""
+        if self.support() & other.support():
             raise ValueError("product factors share a vertex")
         out = {}
         for (J1, I1), c1 in self.terms.items():
             for (J2, I2), c2 in other.terms.items():
-                inv = sum(1 for a in J1 for b in J2 if b < a)
-                sign = -1 if inv % 2 else 1
-                cell = (tuple(sorted(J1 + J2)), tuple(sorted(I1 + I2)))
-                out[cell] = out.get(cell, 0) + sign * c1 * c2
+                cell, sign, rest = (J1 | J2, I1 | I2), c1 * c2, J1
+                while rest:
+                    j = rest & -rest
+                    rest ^= j
+                    sign *= insertion_sign(J2, j)
+                out[cell] = out.get(cell, 0) + sign
         return CellChain(out)
 
     def supported_in(self, K):
         """Is every cell one of Z_K: its letters in 1..K.m and its disc set
         a face of K?"""
-        return all(max(J + I, default=0) <= K.m and face_mask(I) in K.face_masks
-                   for J, I in self.terms)
+        return all(not (J | I) >> K.m and I in K.face_masks for J, I in self.terms)
 
     # -- text form ------------------------------------------------------------
 
     def to_text(self):
+        """The signed sum of the cells' words, sorted by their (I, J) labels."""
         return signed_sum_text(
             ("*".join(cell_letters(J, I)), c)
-            for (J, I), c in sorted(self.terms.items(), key=lambda t: (t[0][1], t[0][0])))
+            for (J, I), c in sorted(self.terms.items(),
+                                    key=lambda t: (mask_face(t[0][1]), mask_face(t[0][0]))))
 
     @classmethod
     def from_text(cls, text):
@@ -167,9 +174,14 @@ class CellChain(SignedSum):
         return read_text(text, lambda sc: read_signed_sum(sc, _read_cell_word, cls.zero()))
 
 
+def _is_mask(x):
+    """True for an int >= 0 that is no bool: a vertex bitmask."""
+    return type(x) is int and x >= 0
+
+
 def cell_letters(J, I):
     """The letters of the cell (J, I) in vertex order: `S` circles, `D` discs."""
-    return [("D%d" if v in I else "S%d") % v for v in sorted(J + I)]
+    return [("D%d" if I >> (v - 1) & 1 else "S%d") % v for v in mask_face(J | I)]
 
 
 def _read_cell_word(sc):
@@ -180,27 +192,33 @@ def _read_cell_word(sc):
 
 
 def _read_cell_letter(sc):
-    if sc.accept("S"):
-        return CellChain({((sc.integer(),), ()): 1})
-    if sc.accept("D"):
-        return CellChain({((), (sc.integer(),)): 1})
-    raise ParseError("expected 'S' or 'D'", sc.pos)
+    circle = sc.accept("S")
+    if not (circle or sc.accept("D")):
+        raise ParseError("expected 'S' or 'D'", sc.pos)
+    pos = sc.pos
+    v = sc.integer()
+    if v < 1:
+        raise ParseError("vertex labels start at 1", pos)
+    return CellChain({(1 << (v - 1), 0) if circle else (0, 1 << (v - 1)): 1})
 
 
 # -- the chain complex of Z_K -------------------------------------------------
 
 def zk_cells(K):
-    """All cells kappa(J, I) with I in K, grouped by degree."""
+    """All cells (J, I) of Z_K on bitmasks, I a face of K and J any set of
+    the other vertices, grouped by degree, each degree sorted by (J, I)."""
     if K.m > ZK_MAX_VERTICES:
         raise SizeLimitError(f"Z_K cell enumeration refuses m={K.m} > {ZK_MAX_VERTICES}")
     by_degree = {}
-    for I in K.faces_within(range(1, K.m + 1)):
-        rest = [v for v in range(1, K.m + 1) if v not in set(I)]
-        for k in range(len(rest) + 1):
-            for J in combinations(rest, k):
-                by_degree.setdefault(2 * len(I) + k, []).append((J, I))
-    for d in by_degree:
-        by_degree[d].sort()
+    for I in K.face_masks:
+        J = rest = ((1 << K.m) - 1) & ~I
+        while True:
+            by_degree.setdefault(2 * I.bit_count() + J.bit_count(), []).append((J, I))
+            if not J:
+                break
+            J = (J - 1) & rest
+    for cells in by_degree.values():
+        cells.sort()
     return by_degree
 
 
@@ -296,10 +314,10 @@ def _star_cells(K, smask):
 
 def zk_star_quotient(K, S):
     """The block of S modulo the star of `_star_cells`' vertex v in K_S, as a
-    labelled ChainComplex for cycle classes: the cells (S - I, I) with I + v
+    ChainComplex on cells for cycle classes: the cells (S - I, I) with I + v
     no face of K, and `cell_boundary` with every target inside the star
     dropped.  `_star_cells` chooses the circle masks, `insertion_columns`
-    gives their columns, and each mask J is labelled (J, S - J) in Z_K
+    gives their columns, and each mask J names the cell (J, S - J) in Z_K
     degree 2|S| - |J|.
 
     The star's cells span a subcomplex, since d only drops disc letters, and
@@ -312,8 +330,7 @@ def zk_star_quotient(K, S):
     if any(1 << (v - 1) not in K.face_masks for v in S):
         raise ValueError("Z_K needs every singleton to be a face")
     smask = face_mask(S)
-    return insertion_complex(_star_cells(K, smask), smask,
-                             lambda J: (mask_face(J), mask_face(smask & ~J)), 2 * len(S))
+    return insertion_complex(_star_cells(K, smask), smask, lambda J: (J, smask ^ J), 2 * len(S))
 
 
 def support_table(blocks, shift):
@@ -419,7 +436,7 @@ def zk_homology_by_support(K):
     visited block is reduced modulo the acyclic star of one vertex, which
     keeps its homology, torsion included: `_star_cells` chooses the cells
     off the star as circle masks, and `fold_blocks` reads the groups, with
-    no labelled complex built.  Only cycle classes label the words
+    no ChainComplex built.  Only cycle classes name the words as cells
     (`zk_star_quotient`), and `zk_class` projects a cycle onto the same
     quotients.  The Hochster table finds its subsets by cone points instead
     (`cone_free_subsets`), so `verify` checks that the two rules pick the
@@ -596,7 +613,7 @@ def zk_class(K, chain, block=None):
     chains against one quotient per support."""
     require_zk_cycle(K, chain)
     return class_by_support(block or (lambda S: zk_star_quotient(K, S)),
-                            lambda cell: tuple(sorted(cell[0] + cell[1])),
+                            lambda cell: mask_face(cell[0] | cell[1]),
                             chain.degree, chain.terms)
 
 

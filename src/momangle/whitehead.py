@@ -12,13 +12,10 @@ with sub-products w_1..w_q and leaves i_1..i_p gets
 
 with the top sphere the join of the children's spheres and bd_simplex(p).
 The canonical cellular chain multiplies the children's chains by the usual
-boundary-of-polydisc factor (one circle letter per position).  It is built
-on vertex bitmasks, {(J, I): coeff} with J the circle and I the disc
-letters (`_canonical_masks`): the product's sign is the parity of the
-inversions between the two circle sets, read through
-`exactalg.insertion_sign`, and the cycle check runs on the masks once per
-w.  The chain is labelled into a `CellChain` once, at the edge, for the
-reports and the cellular routes (`_canonical_chain`).
+boundary-of-polydisc factor (one circle letter per position), through
+`CellChain.product`, whose cells are vertex bitmasks (J, I), J the circle
+and I the disc letters; it is built and checked to be a cycle once per w
+(`_canonical_chain`).
 
 The missing faces of bd_Delta(w) in leaf labels are, recursively, the
 sub-brackets' plus every {i_1..i_p, x_1..x_q} with x_j a leaf of w_j
@@ -40,16 +37,15 @@ Whether the canonical cycle z bounds in Z_K (`_canonical_bounds`) is
 decided by a certificate where one exists, as the paper decides it: a term
 of z on a cell that is in no cell's boundary is a one-cell cocycle pairing
 z to a nonzero coefficient (`_cocycle_cell`), and the product of the
-sub-products' mask chains with the disc on the bracket's own leaves, where
-it lies in Z_K, is a chain whose boundary is +-z (`_trivialising_filling`).
+sub-products' chains with the disc on the bracket's own leaves, where it
+lies in Z_K, is a chain whose boundary is +-z (`_trivialising_filling`).
 Only where neither exists is z reduced in the star quotients (`zk_class`).
 
-`parse_whitehead`, `_canonical_masks`, `_canonical_chain`, `_containment`
-and `_canonical_bounds` are bounded memos: a process parses a bracket text,
-builds and labels a canonical chain and decides a (K, w) once while it
-stays in its memo, so `status` and `realises` on one pair share a
-verdict.  A memo never holds an exception, so a bad input fails again on
-the next call.
+`parse_whitehead`, `_canonical_chain`, `_containment` and
+`_canonical_bounds` are bounded memos: a process parses a bracket text,
+builds a canonical chain and decides a (K, w) once while it stays in its
+memo, so `status` and `realises` on one pair share a verdict.  A memo
+never holds an exception, so a bad input fails again on the next call.
 """
 
 from __future__ import annotations
@@ -57,10 +53,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, lru_cache, reduce
 from itertools import combinations
-from operator import or_
 
 from . import complexes as cx
-from .exactalg import TRIVIAL_GROUP, IntMatrix, insertion_sign, invariant_factors
+from .exactalg import TRIVIAL_GROUP, IntMatrix, invariant_factors
 from .moment_angle import (CellChain, _require_singletons, degree_sums,
                            zk_class, zk_homology_by_support, zk_star_quotient)
 
@@ -225,52 +220,14 @@ def delta_w(w):
 # -- canonical chains ----------------------------------------------------------
 
 def _leaf_factor(L):
-    """The boundary-of-polydisc factor on the leaf bitmask L, as a mask
-    chain: one circle letter v and the discs L - v, for each bit v of L."""
+    """The boundary-of-polydisc factor on the leaf bitmask L: one circle
+    letter v and the discs L - v, for each bit v of L."""
     out, rest = {}, L
     while rest:
         v = rest & -rest
         rest ^= v
         out[(v, L ^ v)] = 1
-    return out
-
-
-def _mask_product(a, b):
-    """The concatenation product of two mask chains {(J, I): coeff} on
-    disjoint vertex supports.  Sorting the letters by vertex moves each
-    circle bit of a past the circle bits of b below it, so the sign is the
-    product of `insertion_sign(J_b, j)` over the bits j of J_a, the parity
-    of the inversions between the two circle sets (disc letters are even)."""
-    if _mask_support(a) & _mask_support(b):
-        raise ValueError("product factors share a vertex")
-    out = {}
-    for (J1, I1), c1 in a.items():
-        for (J2, I2), c2 in b.items():
-            sign, rest = c1 * c2, J1
-            while rest:
-                j = rest & -rest
-                rest ^= j
-                sign *= insertion_sign(J2, j)
-            out[(J1 | J2, I1 | I2)] = out.get((J1 | J2, I1 | I2), 0) + sign
-    return {cell: c for cell, c in out.items() if c}
-
-
-def _mask_support(chain):
-    """The bitmask of the vertices a mask chain's cells use."""
-    return reduce(or_, (J | I for J, I in chain), 0)
-
-
-def _mask_boundary(chain):
-    """The cellular boundary of a mask chain: each disc bit i of I joins the
-    circles J with `insertion_sign(J, i)`, the sign of `cell_boundary`."""
-    out = {}
-    for (J, I), c in chain.items():
-        rest = I
-        while rest:
-            i = rest & -rest
-            rest ^= i
-            out[(J | i, I ^ i)] = out.get((J | i, I ^ i), 0) + insertion_sign(J, i) * c
-    return {cell: c for cell, c in out.items() if c}
+    return CellChain(out)
 
 
 def hurewicz_chain(w, m=None):
@@ -291,36 +248,25 @@ def hurewicz_chain(w, m=None):
 
 
 @lru_cache(maxsize=128)
-def _canonical_masks(w):
-    """The canonical chain of a bracket on vertex bitmasks, {(J, I): coeff}
-    with J the circle letters and I the disc letters: the product of the
-    sub-products' mask chains with the leaf factor (`_leaf_factor`).  One
-    per w in a process, never changed once built.  The chain is a cycle by
-    construction, and it is checked to be one here, once per w
-    (`_mask_boundary`), with `require_zk_cycle`'s refusal; whether it lies
-    in Z_K depends on K and is checked by the caller."""
+def _canonical_chain(w):
+    """`hurewicz_chain(w)` of a bracket: the `CellChain.product` of the
+    sub-products' chains with the leaf factor (`_leaf_factor`).  One per w
+    in a process, never changed once built.  The chain is a cycle by
+    construction, and it is checked to be one here, once per w, with
+    `require_zk_cycle`'s refusal; the leaf bound, and whether the chain lies
+    in Z_K, depend on K and are checked by the caller."""
     subs = w.bracket_children()
     leaves_ = w.leaf_children()
     if subs and not leaves_:
         raise ValueError(
             "brackets with sub-products only have no canonical cellular chain")
     factor = _leaf_factor(cx.face_mask(leaves_))
-    chain = reduce(_mask_product, [*map(_canonical_masks, subs), factor])
-    J, I = next(iter(chain))
-    if J.bit_count() + 2 * I.bit_count() != w.dimension():
+    chain = reduce(CellChain.product, [*map(_canonical_chain, subs), factor])
+    if chain.degree != w.dimension():
         raise AssertionError("canonical chain degree mismatch")
-    if _mask_boundary(chain):
+    if chain.boundary():
         raise ValueError("chain is not a cycle")
     return chain
-
-
-@lru_cache(maxsize=128)
-def _canonical_chain(w):
-    """`hurewicz_chain(w)` of a bracket: `_canonical_masks(w)` labelled
-    once per w in a process, through `CellChain`'s validation; the leaf
-    bound is checked outside."""
-    return CellChain({(cx.mask_face(J), cx.mask_face(I)): c
-                      for (J, I), c in _canonical_masks(w).items()})
 
 
 # -- realisability criteria ----------------------------------------------------
@@ -332,7 +278,7 @@ def _canonical_bounds(K, w):
     caller has checked that every leaf of w is a vertex of K.
 
     z is refused first when a cell of it lies outside Z_K, as `zk_class`
-    refuses it; `_canonical_masks` has checked once per w that z is a
+    refuses it; `_canonical_chain` has checked once per w that z is a
     cycle.  Two certificates then decide it with no Smith form: a term of z
     that lies in no cell's boundary (`_cocycle_cell`) means z does not
     bound, and a filling of z in Z_K (`_trivialising_filling`) means it
@@ -357,26 +303,25 @@ def _cocycle_cell(K, z):
     when no term is such a cell."""
     faces = K.face_masks
     for J, I in z.terms:
-        disc = cx.face_mask(I)
-        if all(disc | 1 << (j - 1) not in faces for j in J):
+        if all(I | 1 << (j - 1) not in faces for j in cx.mask_face(J)):
             return J, I
     return None
 
 
 def _trivialising_filling(K, w):
     """c = z(w_1)...z(w_q).kappa(0, L), over w's sub-products w_j and its
-    leaf children L, as a mask chain, when every cell of c is in Z_K and its
-    boundary is +-z, so that w's canonical cycle z bounds; otherwise None.
+    leaf children L, when every cell of c is in Z_K and its boundary is
+    +-z, so that w's canonical cycle z bounds; otherwise None.
     The z(w_j) are cycles and the boundary of kappa(0, L) is the leaf factor
     of z, so the Z_K test is the one that can fail.  For the special shapes
     c lies in Z_K exactly when the trivialising join
     bd(w_1)*...*bd(w_q)*simplex(L) is in K."""
-    disc = {(0, cx.face_mask(w.leaf_children())): 1}
-    c = reduce(_mask_product, [*map(_canonical_masks, w.bracket_children()), disc])
-    if any((J | I) >> K.m or I not in K.face_masks for J, I in c):
+    disc = CellChain({(0, cx.face_mask(w.leaf_children())): 1})
+    c = reduce(CellChain.product, [*map(_canonical_chain, w.bracket_children()), disc])
+    if not c.supported_in(K):
         return None
-    z, boundary = _canonical_masks(w), _mask_boundary(c)
-    return c if boundary == z or boundary == {cell: -v for cell, v in z.items()} else None
+    z, boundary = _canonical_chain(w), c.boundary()
+    return c if boundary == z or boundary == -z else None
 
 
 def canonical_missing_faces(w):

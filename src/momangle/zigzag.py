@@ -37,9 +37,9 @@ each cached block (`_koszul_block`) holds it for every target J, with the
 entries of U e_J past the rank, and a preimage is the same canonical
 solution read from those tables, a sum of rows, with no matrix product.
 Labels are built only for the returned cycle, once it is checked on masks,
-and for the text of the trace: the input cell chain goes onto masks by
-support (S = J + I, the word empty), and a trace step keeps its slice's
-masks, written out from per-vertex letter tables.  The labelled bicomplex
+and for the text of the trace: the input cell chain's (J, I) masks are
+sliced as they are (S = J | I, the word empty), and a trace step keeps its
+slice's masks, written out from per-vertex letter tables.  The labelled bicomplex
 on triples, with both differentials and Koszul blocks of its own, is the
 reference the tests hold the staircase to (`tests/oracles.py`).
 """
@@ -51,7 +51,7 @@ from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter
 
-from .complexes import face_mask, mask_face, signed_sum_text
+from .complexes import mask_face, signed_sum_text
 from .exactalg import _column_matrix, insertion_columns, insertion_sign, smith_normal_form
 from .taylor import TaylorChain, index_boundary, taylor_boundary, taylor_cycle_is_boundary
 
@@ -290,8 +290,7 @@ def koszul_to_taylor(K, z):
     gens = K.generators()
     slices = {}
     for (J, I), c in z.terms.items():
-        circle = face_mask(J)
-        slices.setdefault(circle | face_mask(I), {})[(circle, 0)] = c
+        slices.setdefault(J | I, {})[(J, 0)] = c
     if any(_vertical(S, eta, gens) for S, eta in slices.items()):
         raise ZigzagError("input chain is not a cycle")
     return _staircase(gens, slices)

@@ -59,8 +59,14 @@ the reference's trace, (kind, element) pairs, live here, and the staircase
 solves in Koszul blocks of its own, labelled matrices reduced by the
 full-scan Smith form (`reference_koszul_block`, the reference for the
 package's preimage tables).  The canonical chain of a bracket is built on
-labelled cells by `CellChain.product` (`reference_canonical_chain`, the
-reference for the package's product on vertex bitmasks).
+label tuples by a sorting product of its own and checked to be a cycle by
+`reference_cell_boundary` (`reference_canonical_chain`, the reference for
+`CellChain.product` on vertex bitmasks).  The package keys a cell (J, I)
+by vertex bitmasks; the references work on label tuples, and cross over
+only at the edge: `labelled_cell` and `labelled_cells` write package cells
+as tuples, and `cell_chain` makes a package CellChain of tuple cells
+(`hochster_embed`, `BicomplexChain.from_cell_chain` and
+`reference_zk_class` go through them).
 `taylor_boundary_word` is no oracle: it is the package's own insertion
 rule on one word, the form the tests compare with the reference.
 """
@@ -71,7 +77,7 @@ from itertools import combinations, permutations, product
 from math import comb
 
 from momangle.complexes import (SignedSum, SimplicialComplex, SizeLimitError, face_mask,
-                                is_subcomplex, join, signed_sum_text, simplex,
+                                is_subcomplex, join, mask_face, signed_sum_text, simplex,
                                 simplex_boundary, word_text)
 from momangle.exactalg import (ChainComplex, HomologyClass, HomologyGroup, IntMatrix,
                                SmithForm)
@@ -449,21 +455,60 @@ def lyubeznik_admissible(K, word):
     return True
 
 
-def reference_canonical_chain(w):
-    """The canonical chain of a bracket on labelled cells: the
-    `CellChain.product` of the sub-products' chains with the
-    boundary-of-polydisc factor on the bracket's own leaves, checked by
-    `CellChain.boundary` to be a cycle.  Raises the package's refusals."""
+def labelled_cell(cell):
+    """A package cell (J, I) on vertex bitmasks as its label tuples."""
+    J, I = cell
+    return mask_face(J), mask_face(I)
+
+
+def labelled_cells(terms):
+    """Package cell terms {(J, I) bitmasks: coeff} on label tuples."""
+    return {labelled_cell(cell): c for cell, c in terms.items()}
+
+
+def cell_chain(label_terms):
+    """The package's CellChain of {(J, I) label tuples: coeff}."""
+    return CellChain({(face_mask(J), face_mask(I)): c for (J, I), c in label_terms.items()})
+
+
+def _reference_cell_product(a, b):
+    """The concatenation product of two chains {(J, I) label tuples: coeff}
+    on disjoint vertices: the letters sorted by vertex, each inversion
+    between two circle letters a sign change (disc letters are even)."""
+    out = {}
+    for (J1, I1), c1 in a.items():
+        for (J2, I2), c2 in b.items():
+            inversions = sum(1 for x in J1 for y in J2 if y < x)
+            cell = (tuple(sorted(J1 + J2)), tuple(sorted(I1 + I2)))
+            out[cell] = out.get(cell, 0) + (-1) ** inversions * c1 * c2
+    return {cell: c for cell, c in out.items() if c}
+
+
+def _reference_canonical_terms(w):
+    """`reference_canonical_chain(w)` on label tuples."""
     subs, leaves_ = w.bracket_children(), tuple(sorted(w.leaf_children()))
     if subs and not leaves_:
         raise ValueError("brackets with sub-products only have no canonical cellular chain")
-    factor = CellChain({((v,), tuple(x for x in leaves_ if x != v)): 1 for v in leaves_})
-    chain = reduce(CellChain.product, [*map(reference_canonical_chain, subs), factor])
-    if chain.degree != w.dimension():
+    factor = {((v,), tuple(x for x in leaves_ if x != v)): 1 for v in leaves_}
+    terms = reduce(_reference_cell_product, [*map(_reference_canonical_terms, subs), factor])
+    if any(2 * len(I) + len(J) != w.dimension() for J, I in terms):
         raise AssertionError("canonical chain degree mismatch")
-    if chain.boundary():
+    boundary = {}
+    for cell, c in terms.items():
+        for target, sign in reference_cell_boundary(cell).items():
+            boundary[target] = boundary.get(target, 0) + sign * c
+    if any(boundary.values()):
         raise ValueError("chain is not a cycle")
-    return chain
+    return terms
+
+
+def reference_canonical_chain(w):
+    """The canonical chain of a bracket built on labelled cells: the sorting
+    product of the sub-products' chains with the boundary-of-polydisc
+    factor on the bracket's own leaves, checked to be a cycle by
+    `reference_cell_boundary`, then put onto bitmasks.  Raises the
+    package's refusals."""
+    return cell_chain(_reference_canonical_terms(w))
 
 
 def reference_cell_boundary(cell):
@@ -496,7 +541,7 @@ class BicomplexChain(SignedSum):
 
     @classmethod
     def from_cell_chain(cls, chain):
-        return cls({(I, J, ()): c for (J, I), c in chain.terms.items()})
+        return cls({(I, J, ()): c for (J, I), c in labelled_cells(chain.terms).items()})
 
     def circle_degrees(self):
         return sorted({len(J) for (_, J, _) in self.terms})
@@ -520,7 +565,8 @@ class BicomplexChain(SignedSum):
 
     def to_text(self):
         return signed_sum_text(
-            ("*".join(cell_letters(J, I) + ["w" + word_text(F) for F in W]), c)
+            ("*".join(cell_letters(face_mask(J), face_mask(I))
+                      + ["w" + word_text(F) for F in W]), c)
             for (I, J, W), c in sorted(self.terms.items()))
 
 
@@ -529,8 +575,8 @@ def vertical_diff(e):
     cellular boundary of each term's cell (J, I)."""
     out = {}
     for (I, J, W), c in e.terms.items():
-        for (J2, I2), term in CellChain({(J, I): c}).boundary().terms.items():
-            out[(I2, J2, W)] = out.get((I2, J2, W), 0) + term
+        for (J2, I2), sign in reference_cell_boundary((J, I)).items():
+            out[(I2, J2, W)] = out.get((I2, J2, W), 0) + sign * c
     return BicomplexChain(out)
 
 
@@ -890,7 +936,7 @@ def reference_zk_class(K, chain):
     """Class of a cellular cycle, each piece of support S classed in the
     whole block of S; the coordinates run in sorted S order."""
     pieces = {}
-    for (J, I), c in chain.terms.items():
+    for (J, I), c in labelled_cells(chain.terms).items():
         pieces.setdefault(tuple(sorted(J + I)), {})[(J, I)] = c
     coords, orders = (), ()
     for S, piece in sorted(pieces.items()):
@@ -939,7 +985,7 @@ def hochster_embed(K, J, simplicial_chain):
             raise ValueError(f"support {L} is not a face of K_J")
         cell = (tuple(j for j in J if j not in set(L)), L)
         out[cell] = out.get(cell, 0) + shuffle_sign(L, J) * c
-    return CellChain(out)
+    return cell_chain(out)
 
 
 def dense_homology(out_matrix, in_matrix, dim):

@@ -618,9 +618,8 @@ def test_refusals_and_parse_errors_are_not_memoised(tmp_path, capsys):
 
 def test_every_memo_is_bounded():
     from momangle import cli, moment_angle, whitehead
-    memos = [cli._load, whitehead.parse_whitehead, whitehead._canonical_masks,
-             whitehead._canonical_chain, whitehead._canonical_bounds, whitehead._containment,
-             moment_angle._lattice]
+    memos = [cli._load, whitehead.parse_whitehead, whitehead._canonical_chain,
+             whitehead._canonical_bounds, whitehead._containment, moment_angle._lattice]
     assert all(0 < memo.cache_info().maxsize < 1000 for memo in memos)
 
 

@@ -619,8 +619,8 @@ def test_canonical_verdict_against_the_class():
 
 
 def test_canonical_cycle_is_checked_once_per_bracket(monkeypatch):
-    """w's canonical chain on masks (`_canonical_masks(w)`) depends on w
-    alone, so its cycle test (`_mask_boundary`) runs once per w, in that
+    """w's canonical chain (`_canonical_chain(w)`) depends on w alone, so
+    its cycle test (`CellChain.boundary` on it) runs once per w, in that
     memo, and `_canonical_bounds` on one w over several complexes tests only
     that z lies in each Z_K.  A canonical chain that is no cycle is refused
     with `zk_class`'s message."""
@@ -628,19 +628,20 @@ def test_canonical_cycle_is_checked_once_per_bracket(monkeypatch):
     complexes = [cx.parse_complex(text) for text in (
         "bd(simplex(1,2,3,4))", SUB5_EXPR, "subst(bd(simplex(1,2,3)); bd(simplex(1,2)), pt, pt)")]
     checked = []
-    boundary = wh._mask_boundary
-    monkeypatch.setattr(wh, "_mask_boundary", lambda c: checked.append(c) or boundary(c))
-    memos = (wh._canonical_masks, wh._canonical_chain, wh._canonical_bounds)
+    boundary = CellChain.boundary
+    monkeypatch.setattr(CellChain, "boundary", lambda c: checked.append(c) or boundary(c))
+    memos = (wh._canonical_chain, wh._canonical_bounds)
     for memo in memos:
         memo.cache_clear()
     try:
         for K in complexes:
             wh._canonical_bounds(K, w)
-        z = wh._canonical_masks(w)
+        z = wh._canonical_chain(w)
         assert sum(c is z for c in checked) == 1
         for memo in memos:
             memo.cache_clear()
-        monkeypatch.setattr(wh, "_leaf_factor", lambda L: {(L & -L, L & (L - 1)): 1})
+        monkeypatch.setattr(wh, "_leaf_factor",
+                            lambda L: CellChain({(L & -L, L & (L - 1)): 1}))
         with pytest.raises(ValueError, match="chain is not a cycle"):
             wh._canonical_bounds(complexes[0], W("[1,2,3,4]"))
     finally:
@@ -704,7 +705,7 @@ def test_classes_build_only_star_quotients(monkeypatch):
         K = cx.parse_complex(text)
         chain = hurewicz_chain(W(w), K.m)
         if chain.supported_in(K):
-            supports = sorted({tuple(sorted(J + I)) for J, I in chain.terms})
+            supports = sorted({cx.mask_face(J | I) for J, I in chain.terms})
             sizes = [sum(map(len, zk_star_quotient(K, S).basis.values())) for S in supports]
             cases.append((K, chain, sizes))
     assert len(cases) >= 5

@@ -15,7 +15,7 @@ from momangle.whitehead import delta_w, hurewicz_chain, parse_whitehead
 from momangle.zigzag import (ZigzagError, _horizontal, _koszul_block, _koszul_matrix, _staircase,
                              _table_solve, _vertical, _vertical_preimage, classes_equal,
                              classes_equal_up_to_sign, koszul_to_taylor)
-from oracles import (BicomplexChain, random_complex, reference_full_slice_solve,
+from oracles import (BicomplexChain, cell_chain, random_complex, reference_full_slice_solve,
                      reference_horizontal_diff, reference_koszul_matrix,
                      reference_koszul_to_taylor, reference_per_word_solve_vertical,
                      reference_solve_vertical, reference_trace_list, vertical_diff)
@@ -103,7 +103,7 @@ def test_vertical_restricts_to_cell_boundary(sub5):
     for _ in range(100):
         verts = rng.sample(range(1, 6), rng.randint(1, 5))
         cut = rng.randint(0, len(verts))
-        chain = CellChain({(tuple(sorted(verts[cut:])), tuple(sorted(verts[:cut]))): 2})
+        chain = cell_chain({(tuple(sorted(verts[cut:])), tuple(sorted(verts[:cut]))): 2})
         (S, terms), = masked(sub5, BicomplexChain.from_cell_chain(chain)).items()
         assert labelled(sub5, S, _vertical(S, terms, Generators(()))) == \
             BicomplexChain.from_cell_chain(chain.boundary())
