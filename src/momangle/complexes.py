@@ -36,18 +36,6 @@ def face(vertices):
     return t
 
 
-def _is_canonical(f):
-    """True for a tuple of strictly increasing positive ints, `face`'s output."""
-    if type(f) is not tuple:
-        return False
-    prev = 0
-    for v in f:
-        if type(v) is not int or v <= prev:
-            return False
-        prev = v
-    return True
-
-
 def face_mask(f):
     """Bitmask of a set of labels: bit v - 1 for vertex v."""
     m = 0
@@ -263,7 +251,7 @@ class SimplicialComplex:
         if smask >> self.m:
             raise ValueError("subset outside vertex range")
         gens = self.generators()
-        return list(gens.labels(gens.within(smask)))
+        return [gens.faces[q - 1] for q in mask_face(gens.within(smask))]
 
     # -- subcomplexes -----------------------------------------------------------
 
@@ -385,23 +373,19 @@ class Generators(VertexIndex):
             word ^= low
         return union
 
-    def labels(self, word):
-        """The face tuples of the word, in generator order, read off its
-        bits."""
-        faces, out = self.faces, []
-        while word:
-            low = word & -word
-            out.append(faces[low.bit_length() - 1])
-            word ^= low
-        return tuple(out)
-
     def word(self, labels):
-        """The word of face tuples `labels`, each of which must be a generator."""
+        """The word of face tuples `labels`, each of which must be a generator,
+        and none twice."""
         if self._position is None:
             self._position = {F: q for q, F in enumerate(self.faces)}
         if unknown := set(labels) - self._position.keys():
             raise ValueError(f"factors {sorted(unknown)} are not missing faces of K")
-        return sum(1 << self._position[F] for F in labels)
+        word = 0
+        for F in labels:
+            if word >> self._position[F] & 1:
+                raise ValueError(f"repeated factor {F} in exterior word")
+            word |= 1 << self._position[F]
+        return word
 
 
 # -- point / simplex helpers ------------------------------------------------
@@ -686,13 +670,10 @@ class SignedSum:
     """Sparse integer sum `terms = {key: coefficient}`, the arithmetic shared
     by cell, Taylor and bicomplex chains.  A subclass's `__init__` validates
     and normalises the keys and drops zero coefficients; results are rebuilt
-    through it, and a subclass writes its own `to_text`."""
+    through it (`_like`, which a chain that holds more than its terms
+    overrides), and a subclass writes its own `to_text`."""
 
     __slots__ = ("terms",)
-
-    @classmethod
-    def zero(cls):
-        return cls({})
 
     def __bool__(self):
         return bool(self.terms)
@@ -710,13 +691,17 @@ class SignedSum:
         out = dict(self.terms)
         for key, c in other.terms.items():
             out[key] = out.get(key, 0) + c
-        return type(self)(out)
+        return self._like(out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scaled(self, k):
-        return type(self)({key: k * c for key, c in self.terms.items()})
+        return self._like({key: k * c for key, c in self.terms.items()})
+
+    def _like(self, terms):
+        """A chain of this one's kind with the given terms."""
+        return type(self)(terms)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.to_text()})"

@@ -573,6 +573,18 @@ def insertion_sign(word, b):
     return -1 if (word & (b - 1)).bit_count() & 1 else 1
 
 
+def concatenation_sign(first, second):
+    """The sign that sorts the bits of `first`, written before those of
+    `second`, into one increasing word: `insertion_sign(second, j)` for each
+    bit j of first, as j moves past the bits of second below it."""
+    sign = 1
+    while first:
+        j = first & -first
+        first ^= j
+        sign *= insertion_sign(second, j)
+    return sign
+
+
 def insertion_columns(words, inside):
     """(dims, columns) of an exterior complex on bitmasks, for
     `column_homology`: `words` are its basis in order, `inside` the bitmask

@@ -20,7 +20,8 @@ a chain's text (`CellChain.to_text`, `from_text`).  On bitmasks this is an
 exterior complex: the disc letter i joins the circle mask J as the bit b
 of i with `exactalg.insertion_sign`, (-1)^popcount(J & (b - 1)), the one
 rule the Taylor and Koszul blocks use, and the product's sign is that
-sign over the circle bits of its first factor.
+sign over the circle bits of its first factor (`concatenation_sign`, the
+sign of the Taylor chains' exterior product too).
 
 The boundary keeps the support J + I, so the chains split into one block
 per vertex subset S (the Hochster splitting); homology and classes are
@@ -75,8 +76,8 @@ from .complexes import (ParseError, SignedSum, SizeLimitError, face_mask,
                         mask_face, read_signed_sum, read_text, reduced_chain_complex,
                         signed_sum_text)
 from .exactalg import (ChainComplex, HomologyClass, HomologyGroup, _shared_group,
-                       column_homology, direct_sum, insertion_columns, insertion_complex,
-                       insertion_sign)
+                       column_homology, concatenation_sign, direct_sum, insertion_columns,
+                       insertion_complex, insertion_sign)
 
 ZK_MAX_VERTICES = 24
 
@@ -138,19 +139,14 @@ class CellChain(SignedSum):
 
         Sorting the letters by vertex moves each circle bit j of a first
         factor's cell past the second's circle bits below it, so the sign
-        is the product of `insertion_sign(J2, j)` over the bits j of J1
-        (disc letters are even)."""
+        is `concatenation_sign(J1, J2)` (disc letters are even)."""
         if self.support() & other.support():
             raise ValueError("product factors share a vertex")
         out = {}
         for (J1, I1), c1 in self.terms.items():
             for (J2, I2), c2 in other.terms.items():
-                cell, sign, rest = (J1 | J2, I1 | I2), c1 * c2, J1
-                while rest:
-                    j = rest & -rest
-                    rest ^= j
-                    sign *= insertion_sign(J2, j)
-                out[cell] = out.get(cell, 0) + sign
+                cell = (J1 | J2, I1 | I2)
+                out[cell] = out.get(cell, 0) + concatenation_sign(J1, J2) * c1 * c2
         return CellChain(out)
 
     def supported_in(self, K):
@@ -171,7 +167,7 @@ class CellChain(SignedSum):
     def from_text(cls, text):
         """Parse a signed sum of S/D words; letters may appear in any order,
         reordering circle letters flips the sign by the Koszul rule."""
-        return read_text(text, lambda sc: read_signed_sum(sc, _read_cell_word, cls.zero()))
+        return read_text(text, lambda sc: read_signed_sum(sc, _read_cell_word, cls({})))
 
 
 def _is_mask(x):

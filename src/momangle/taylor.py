@@ -44,16 +44,19 @@ support (`taylor_homology_by_support`) and summed by degree
 whose first and last words have one factor count lies in one degree and
 adds its number of words to that degree's rank, with no column and no
 `within` built, and only the other blocks are read from their columns.
-Cycle classes label the same columns with the words (`taylor_components`).
-The independent reference is the tests' sort-based
-`oracles.reference_taylor_components`.  Labelled words meet the rule at
-the edges only: `taylor_boundary` and the whole complex
-(`taylor_face_complex`) read each word as its index bitmask
-(`Generators.word`), differentiate there (`index_boundary`) and label the
-result (`Generators.labels`).  The closed form of nested products
-(`nested_taylor_cycle`) and the zigzag keep their words on the same index
-bitmasks, with the same sign (`insertion_sign`), and check their cycles
-there (`index_boundary`).
+Cycle classes take the same columns with the words as their basis
+(`taylor_components`).  The independent reference is the tests'
+sort-based `oracles.reference_taylor_components`.
+
+A Taylor chain (`TaylorChain`) holds K's `Generators` and its words on
+the same index bitmasks, so one word format serves every part of the
+route: `taylor_boundary` and the whole complex (`taylor_face_complex`)
+are `index_boundary` on the words, the closed form of nested products
+(`nested_taylor_cycle`) and the zigzag return their words as they are,
+and cycle classes split the words by their unions (`Generators.union`).
+Labels are written and read only in a chain's text, where the reader's
+`^` moves one word's bits past the other's with `insertion_sign`
+(`exactalg.concatenation_sign`).
 Lyubeznik's theorem itself is checked on the same builder, one slice of
 the lcm lattice at a time (`verify_taylor_is_resolution`).
 """
@@ -64,85 +67,62 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate, combinations
 
-from .complexes import (Generators, SignedSum, SimplicialComplex, SizeLimitError,
-                        _is_canonical, face, face_mask, mask_face, read_signed_sum, read_text,
-                        read_word, signed_sum_text, word_text)
-from .exactalg import (ChainComplex, column_homology, insertion_columns, insertion_complex,
-                       insertion_sign)
-from .moment_angle import class_by_support, fold_blocks, mask_lattice
+from .complexes import (Generators, SignedSum, SimplicialComplex, SizeLimitError, face,
+                        face_mask, mask_face, read_signed_sum, read_text, read_word,
+                        signed_sum_text)
+from .exactalg import (ChainComplex, column_homology, concatenation_sign, insertion_columns,
+                       insertion_complex, insertion_sign)
+from .moment_angle import _is_mask, class_by_support, fold_blocks, mask_lattice
 from .whitehead import _containment
 
 MAX_GENERATORS = 20
 
 
-def gen_key(f):
-    return (len(f), f)
-
-
-def normalise_word(faces_):
-    """Sort an exterior word into generator order; None when a factor repeats."""
-    word = list(faces_)
-    sign = 1
-    for i in range(1, len(word)):
-        j = i
-        while j and gen_key(word[j - 1]) > gen_key(word[j]):
-            word[j - 1], word[j] = word[j], word[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(word, word[1:]):
-        if a == b:
-            return None, 0
-    return tuple(word), sign
-
-
-def _is_basis_word(word):
-    """True for a tuple of canonical faces in strictly increasing generator
-    order, `normalise_word`'s output."""
-    if type(word) is not tuple:
-        return False
-    prev = ()
-    for f in word:
-        if (not _is_canonical(f) or len(f) < len(prev)
-                or len(f) == len(prev) and f <= prev):
-            return False
-        prev = f
-    return True
-
-
 class TaylorChain(SignedSum):
-    """Sparse integer sum of exterior monomials over missing faces.
+    """Sparse integer sum of exterior monomials over K's missing faces:
+    `terms` {word: coeff}, each word the bitmask of its generator indices on
+    K's `Generators` `gens` (bit q for the q-th missing face), so its
+    factors are in generator order as they stand.  Labels are written only
+    in its text (`to_text`, `from_text`).  Chains over two generator tables
+    are never equal and do not add.
 
     The factor count s is uniform across terms; finished cycles are also
     uniform in union size (so the total degree 2|union| - s is defined), but
     partial products built factor by factor need not be yet.
     """
 
-    __slots__ = ("s",)
+    __slots__ = ("gens", "s")
 
-    def __init__(self, terms):
-        self.terms = {}
-        self.s = None
+    def __init__(self, gens, terms):
+        self.gens, self.terms, s = gens, {}, None
         for word, c in terms.items():
             if not c:
                 continue
-            # basis words, the package's own, skip `normalise_word`
-            sign = 1
-            if not _is_basis_word(word):
-                word, sign = normalise_word(tuple(face(f) for f in word))
-                if word is None:
-                    raise ValueError("repeated factor in exterior word")
-            if self.s is None:
-                self.s = len(word)
-            elif len(word) != self.s:
+            if not _is_mask(word) or word & ~gens.every:
+                raise ValueError(f"word {word!r} is no bitmask of K's generator indices")
+            if s is None:
+                s = word.bit_count()
+            elif word.bit_count() != s:
                 raise ValueError("Taylor chain mixes factor counts")
-            self.terms[word] = self.terms.get(word, 0) + sign * int(c)
-        self.terms = {w: c for w, c in self.terms.items() if c}
-        if not self.terms:
-            self.s = self.s or 0
+            self.terms[word] = int(c)
+        self.s = s or 0
+
+    def _like(self, terms):
+        return TaylorChain(self.gens, terms)
+
+    def __eq__(self, other):
+        return super().__eq__(other) and self.gens.masks == other.gens.masks
+
+    __hash__ = SignedSum.__hash__
+
+    def __add__(self, other):
+        if self.gens.masks != other.gens.masks:
+            raise ValueError("Taylor chains over different generator tables")
+        return super().__add__(other)
 
     @property
     def union_size(self):
-        sizes = {len(set().union(*w)) if w else 0 for w in self.terms} or {0}
+        sizes = {self.gens.union(w).bit_count() for w in self.terms} or {0}
         if len(sizes) > 1:
             raise ValueError("chain is not homogeneous in union size")
         return sizes.pop()
@@ -151,51 +131,52 @@ class TaylorChain(SignedSum):
     def degree(self):
         return 2 * self.union_size - self.s
 
-    def wedge(self, other):
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                word, sign = normalise_word(w1 + w2)
-                if word is None:
-                    continue
-                out[word] = out.get(word, 0) + sign * c1 * c2
-        return TaylorChain(out)
-
     def to_text(self):
         """Canonical text: words fully expanded with factors in descending
         generator order (so `w245^w145`, not `-w145^w245`), in the
-        lexicographic generator order of the words.  Each distinct factor
-        is named and ranked once per chain, not once per term."""
-        factors = sorted({f for word in self.terms for f in word}, key=gen_key)
-        rank = {f: i for i, f in enumerate(factors)}
-        name = {f: "w" + word_text(f) for f in factors}
-        return signed_sum_text(
-            ("^".join([name[f] for f in reversed(word)]),
-             -c if (len(word) * (len(word) - 1) // 2) % 2 else c)
-            for word, c in sorted(self.terms.items(),
-                                  key=lambda t: [rank[f] for f in t[0]]))
+        lexicographic order of their generator index tuples."""
+        names = self.gens.names
+        flip = -1 if self.s * (self.s - 1) // 2 % 2 else 1
+        rows = sorted((mask_face(word), c) for word, c in self.terms.items())
+        return signed_sum_text(("^".join(["w" + names[q - 1] for q in reversed(qs)]), flip * c)
+                               for qs, c in rows)
 
     @classmethod
-    def from_text(cls, text):
-        """Parse sums of ^-products; parenthesised sums distribute, e.g.
-        `(w145+w245+w345)^w123`."""
-        return read_text(text, lambda sc: read_signed_sum(sc, _read_taylor_term, cls.zero()))
+    def from_text(cls, K, text):
+        """Parse sums of ^-products over K's missing faces; parenthesised
+        sums distribute, e.g. `(w145+w245+w345)^w123`."""
+        gens = K.generators()
+        return read_text(text, lambda sc: read_signed_sum(
+            sc, lambda sc: _read_taylor_term(sc, gens), cls(gens, {})))
 
 
-def _read_taylor_term(sc):
+def _read_taylor_term(sc, gens):
     """`atom {'^' atom}` with atom := '1' | 'w' WORD | '(' signed sum ')'."""
-    return reduce(TaylorChain.wedge, sc.items(lambda: _read_taylor_atom(sc), "^"))
+    return reduce(_wedge, sc.items(lambda: _read_taylor_atom(sc, gens), "^"))
 
 
-def _read_taylor_atom(sc):
+def _read_taylor_atom(sc, gens):
     if sc.accept("("):
-        inner = read_signed_sum(sc, _read_taylor_term, TaylorChain.zero(), stop=")")
+        inner = read_signed_sum(sc, lambda sc: _read_taylor_term(sc, gens),
+                                TaylorChain(gens, {}), stop=")")
         sc.expect(")")
         return inner
     if sc.accept("1"):
-        return TaylorChain({(): 1})
+        return TaylorChain(gens, {0: 1})
     sc.expect("w")
-    return TaylorChain({(read_word(sc),): 1})
+    return TaylorChain(gens, {gens.word((face(read_word(sc)),)): 1})
+
+
+def _wedge(a, b):
+    """The exterior product of two chains on one table: words that share a
+    generator vanish, and a's word moves past b's bits below it
+    (`concatenation_sign`)."""
+    out = {}
+    for w1, c1 in a.terms.items():
+        for w2, c2 in b.terms.items():
+            if not w1 & w2:
+                out[w1 | w2] = out.get(w1 | w2, 0) + concatenation_sign(w1, w2) * c1 * c2
+    return a._like(out)
 
 
 # -- the face (comodule) Taylor complex ------------------------------------------
@@ -226,12 +207,12 @@ def index_boundary(chain, gens):
 
 
 def taylor_boundary(K, chain):
-    """Differential of a Taylor chain; factors must be missing faces of K.
-    The words are read as index bitmasks (`Generators.word`),
-    differentiated by `index_boundary` and labelled back."""
+    """Differential of a Taylor chain of K, `index_boundary` on its words;
+    a chain over another generator table is refused."""
     gens = K.generators()
-    index = {gens.word(word): c for word, c in chain.terms.items()}
-    return TaylorChain({gens.labels(word): c for word, c in index_boundary(index, gens).items()})
+    if chain.gens.masks != gens.masks:
+        raise ValueError("chain is not written on K's missing faces")
+    return TaylorChain(gens, index_boundary(chain.terms, gens))
 
 
 def _checked_generators(K):
@@ -250,21 +231,14 @@ def taylor_face_complex(K):
     the reference the blocks of `taylor_components` are tested against.
 
     Basis at degree -s: all words of s distinct missing faces, admissible or
-    not.  The grading by union subsets is implicit (the differential
-    preserves it); the differential is `taylor_boundary`'s, with the
-    generators read once: each word is read as its index bitmask
-    (`Generators.word`), differentiated by `index_boundary` and labelled
-    back."""
+    not, as index bitmasks in the lexicographic order of their index tuples.
+    The grading by union subsets is implicit (the differential preserves
+    it); the differential is `taylor_boundary`'s, `index_boundary` with the
+    generators read once."""
     gens = _checked_generators(K)
-    basis = {-s: list(combinations(gens.faces, s)) for s in range(len(gens.faces) + 1)}
-    return ChainComplex.from_boundary(
-        basis, lambda w: {gens.labels(word): c for word, c in
-                          index_boundary({gens.word(w): 1}, gens).items()})
-
-
-def word_support(word):
-    """The union S of the factors of an exterior word, sorted."""
-    return tuple(sorted(set().union(*word)))
+    bits = [1 << q for q in range(len(gens.masks))]
+    basis = {-s: [sum(c) for c in combinations(bits, s)] for s in range(len(bits) + 1)}
+    return ChainComplex.from_boundary(basis, lambda w: index_boundary({w: 1}, gens))
 
 
 def admissible_words(masks):
@@ -304,20 +278,21 @@ def admissible_words(masks):
 
 @lru_cache(maxsize=8)
 def taylor_components(K):
-    """Per-subset split on the admissible words: S -> ChainComplex of the
-    admissible words with union exactly S, for cycle classes (`taylor_class`).
+    """Per-subset split on the admissible words: the vertex bitmask of S ->
+    ChainComplex of the admissible words with union exactly S, for cycle
+    classes (`taylor_class`).
 
     Each block is `_blocks`' insertion columns, with the generators inside
-    the union (`within`) as the bits that may enter a word and every index
-    bitmask labelled as its word (`Generators.labels`, by
-    `insertion_complex`): the full block's basis, in its order (by factor
-    count, then lexicographically), with the words that are not admissible
-    left out, and the insertion differential with the targets that are not
-    admissible dropped.  That is the quotient by an acyclic subcomplex, so
-    every block has the homology of the full block.  A union that carries
-    no admissible word has no block; its full block is acyclic."""
+    the union (`within`) as the bits that may enter a word and the index
+    bitmasks as its basis (`insertion_complex`): the full block's basis, in
+    its order (by factor count, then lexicographically), with the words that
+    are not admissible left out, and the insertion differential with the
+    targets that are not admissible dropped.  That is the quotient by an
+    acyclic subcomplex, so every block has the homology of the full block.
+    A union that carries no admissible word has no block; its full block is
+    acyclic."""
     gens = _checked_generators(K)
-    return {mask_face(union): insertion_complex(words, gens.within(union), gens.labels)
+    return {union: insertion_complex(words, gens.within(union), int)
             for union, _, words in _blocks(gens)}
 
 
@@ -334,10 +309,10 @@ def taylor_homology_by_support(K):
     Each union of admissible words is one block, kept on index bitmasks
     (`_blocks`): its differential inserts each generator inside the union
     that is not in the word, with the sign of the factors before it, and
-    drops the targets that are not admissible, so it has the columns that
-    `taylor_components` labels.  `fold_blocks` reads the groups, with the
+    drops the targets that are not admissible, so it has the columns of
+    `taylor_components`' blocks.  `fold_blocks` reads the groups, with the
     generators inside the union (`within`) as the bits that may enter and
-    no labelled complex built, as it reads the cellular table's."""
+    no ChainComplex built, as it reads the cellular table's."""
     gens = _checked_generators(K)
     return fold_blocks(_blocks(gens), gens.within, by_support=True)
 
@@ -354,11 +329,12 @@ def taylor_homology(K):
 
 def taylor_class(K, chain):
     """Class of a Taylor cycle, projected onto the admissible words of each
-    component it touches (`class_by_support`); non-cycles and factors that
-    are not missing faces of K are refused (`taylor_boundary`)."""
+    component it touches (`class_by_support`, the components in the order
+    of their union bitmasks); non-cycles and chains over another generator
+    table are refused (`taylor_boundary`)."""
     if taylor_boundary(K, chain):
         raise ValueError("chain is not a cycle")
-    return class_by_support(taylor_components(K).get, word_support, -chain.s, chain.terms)
+    return class_by_support(taylor_components(K).get, chain.gens.union, -chain.s, chain.terms)
 
 
 def taylor_cycle_is_boundary(K, chain):
@@ -434,7 +410,7 @@ def nested_taylor_cycle(w, K):
         words = grown
     if index_boundary(words, gens):
         raise AssertionError("closed-form chain is not a cycle")
-    return TaylorChain({gens.labels(word): c for word, c in words.items()})
+    return TaylorChain(gens, words)
 
 
 # -- monomial ideals and Lyubeznik's resolution on the lcm lattice -------------------

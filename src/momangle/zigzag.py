@@ -36,10 +36,11 @@ solution `SmithForm.solve` would give, V (U b)[:rank], is linear in b:
 each cached block (`_koszul_block`) holds it for every target J, with the
 entries of U e_J past the rank, and a preimage is the same canonical
 solution read from those tables, a sum of rows, with no matrix product.
-Labels are built only for the returned cycle, once it is checked on masks,
-and for the text of the trace: the input cell chain's (J, I) masks are
-sliced as they are (S = J | I, the word empty), and a trace step keeps its
-slice's masks, written out from per-vertex letter tables.  The labelled bicomplex
+No label is built on the way: the input cell chain's (J, I) masks are
+sliced as they are (S = J | I, the word empty), the returned cycle is a
+`TaylorChain` on the slices' last words as they are, once it is checked on
+masks, and a trace step keeps its slice's masks, written out from
+per-vertex letter tables only for its text.  The labelled bicomplex
 on triples, with both differentials and Koszul blocks of its own, is the
 reference the tests hold the staircase to (`tests/oracles.py`).
 """
@@ -272,8 +273,7 @@ def _staircase(gens, slices):
         total.update({W: c for (_, W), c in eta.items()})
     if index_boundary(total, gens):
         raise ZigzagError("staircase output is not a Taylor cycle")
-    cycle = TaylorChain({gens.labels(W): c for W, c in total.items()})
-    return cycle, ZigzagTrace(tuple(steps))
+    return TaylorChain(gens, total), ZigzagTrace(tuple(steps))
 
 
 def koszul_to_taylor(K, z):
@@ -283,7 +283,7 @@ def koszul_to_taylor(K, z):
     Works one square-free multidegree at a time, on masks: solve a vertical
     preimage, apply the horizontal differential, repeat until the circle
     letters are exhausted; the remaining element is a pure Taylor cycle,
-    checked to be one before it is labelled.
+    checked to be one on its words.
     """
     if not z.supported_in(K):
         raise ZigzagError("chain uses cells outside Z_K")

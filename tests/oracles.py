@@ -52,10 +52,11 @@ trivialising join sits in K is decided by building the complex (`delta_w`,
 `join`) and checking it face by face (the reference for the package's test
 on missing faces); the tests check those builds against the substitution's
 definition.  The staircase and the nested closed form run on labelled
-triples and words, sorted back into generator order by `normalise_word`
-(the reference for the package's staircase and closed form on generator
-bitmasks); the labelled bicomplex (`BicomplexChain`, `vertical_diff`) and
-the reference's trace, (kind, element) pairs, live here, and the staircase
+triples and words, sorted back into generator order by
+`_reference_normalise_word` (the reference for the package's staircase and
+closed form on generator bitmasks); the labelled bicomplex
+(`BicomplexChain`, `vertical_diff`) and the reference's trace, (kind,
+element) pairs, live here, and the staircase
 solves in Koszul blocks of its own, labelled matrices reduced by the
 full-scan Smith form (`reference_koszul_block`, the reference for the
 package's preimage tables).  The canonical chain of a bracket is built on
@@ -66,7 +67,12 @@ by vertex bitmasks; the references work on label tuples, and cross over
 only at the edge: `labelled_cell` and `labelled_cells` write package cells
 as tuples, and `cell_chain` makes a package CellChain of tuple cells
 (`hochster_embed`, `BicomplexChain.from_cell_chain` and
-`reference_zk_class` go through them).
+`reference_zk_class` go through them).  Likewise the package keys a
+Taylor word by the bitmask of its generator indices on K's table, and the
+references work on label words: `taylor_chain` makes K's TaylorChain of
+label words, `labelled_words` writes a chain's words as labels, and
+`reference_taylor_text` writes label words as text with sorting of its
+own (the reference for `TaylorChain.to_text` on index bitmasks).
 `taylor_boundary_word` is no oracle: it is the package's own insertion
 rule on one word, the form the tests compare with the reference.
 """
@@ -83,8 +89,7 @@ from momangle.exactalg import (ChainComplex, HomologyClass, HomologyGroup, IntMa
                                SmithForm)
 from momangle.moment_angle import (ZK_MAX_VERTICES, CellChain, all_subsets, cell_letters,
                                    support_table)
-from momangle.taylor import (TaylorChain, nested_levels, normalise_word,
-                             taylor_boundary)
+from momangle.taylor import TaylorChain, nested_levels, taylor_boundary
 from momangle.whitehead import bracket, delta_w, leaf
 from momangle.zigzag import ZigzagError
 
@@ -421,10 +426,56 @@ def reference_taylor_boundary_word(K, word):
 
 
 def taylor_boundary_word(K, word):
-    """The package's differential of one basis word, `taylor_boundary`'s
-    insertion on index bitmasks, as {word: coeff}: the form the tests
+    """The package's differential of one label word, `taylor_boundary`'s
+    insertion on index bitmasks, as {label word: coeff}: the form the tests
     compare with `reference_taylor_boundary_word`."""
-    return taylor_boundary(K, TaylorChain({word: 1})).terms
+    return labelled_words(taylor_boundary(K, taylor_chain(K, {word: 1})))
+
+
+def taylor_chain(K, label_terms):
+    """The package's TaylorChain of K from {label word: coeff}: each word's
+    factors sorted into generator order with their sign
+    (`_reference_normalise_word`) and read as an index bitmask by
+    `Generators.word`, which refuses a repeated factor and one that is no
+    missing face of K."""
+    gens = K.generators()
+    terms = {}
+    for word, c in label_terms.items():
+        _, sign = _reference_normalise_word(word)
+        key = gens.word(word)
+        terms[key] = terms.get(key, 0) + sign * c
+    return TaylorChain(gens, terms)
+
+
+def labelled_word(gens, word):
+    """A package word, a bitmask of indices into the `Generators` gens, as
+    its label word, the faces in generator order."""
+    return tuple(gens.faces[q - 1] for q in mask_face(word))
+
+
+def labelled_words(chain):
+    """A package TaylorChain's terms on label words, {label word: coeff}."""
+    return {labelled_word(chain.gens, word): c for word, c in chain.terms.items()}
+
+
+def reference_taylor_text(label_terms):
+    """The text of {label word: coeff}, written on labels: each word sorted
+    into generator order with its sign (`_reference_normalise_word`), a
+    repeated factor's word dropped, then factors named by `word_text` in
+    descending generator order, the sign of reversing s factors,
+    (-1)^(s(s - 1)/2), on the coefficient, and the words sorted by the ranks
+    of their factors in generator order."""
+    terms = {}
+    for word, c in label_terms.items():
+        word, sign = _reference_normalise_word(word)
+        if word is not None:
+            terms[word] = terms.get(word, 0) + sign * c
+    factors = sorted({f for word in terms for f in word}, key=_reference_gen_key)
+    rank = {f: i for i, f in enumerate(factors)}
+    return signed_sum_text(
+        ("^".join("w" + word_text(f) for f in reversed(word)),
+         -c if (len(word) * (len(word) - 1) // 2) % 2 else c)
+        for word, c in sorted(terms.items(), key=lambda t: [rank[f] for f in t[0]]) if c)
 
 
 def reference_taylor_components(K):
@@ -549,9 +600,9 @@ class BicomplexChain(SignedSum):
     def is_pure_taylor(self):
         return all(not I and not J for (I, J, _) in self.terms)
 
-    def taylor_part(self):
-        return TaylorChain({W: c for (I, J, W), c in self.terms.items()
-                            if not I and not J})
+    def taylor_part(self, K):
+        return taylor_chain(K, {W: c for (I, J, W), c in self.terms.items()
+                                if not I and not J})
 
     def multidegree_components(self):
         """Split by the vertex support I + J + union(W)."""
@@ -761,14 +812,14 @@ def reference_koszul_to_taylor(K, z, solve=reference_per_word_solve_vertical):
     if vertical_diff(start):
         raise ZigzagError("input chain is not a cycle")
     steps = []
-    total = TaylorChain.zero()
+    total = taylor_chain(K, {})
     for S, eta in sorted(start.multidegree_components().items()):
         while eta and not eta.is_pure_taylor():
             phi = solve(K, S, eta)
             steps.append(("solve-vertical", phi))
             eta = reference_horizontal_diff(K, phi)
             steps.append(("apply-horizontal", eta))
-        part = eta.taylor_part()
+        part = eta.taylor_part(K)
         if part:
             total = total + part
     if taylor_boundary(K, total):
@@ -789,7 +840,8 @@ def reference_full_slice_solve(K, S, eta):
 
 def reference_nested_taylor_cycle(w, K):
     """The closed form on labelled words: every pick of one missing face per
-    level factor, sorted into generator order by `normalise_word`.  Raises
+    level factor, sorted into generator order by `_reference_normalise_word`
+    and read into K's TaylorChain at the edge (`taylor_chain`).  Raises
     ValueError when a level matches no missing face."""
     levels = nested_levels(w)
     n = len(levels)
@@ -806,10 +858,10 @@ def reference_nested_taylor_cycle(w, K):
         factors.append(hits)
     terms = {}
     for pick in product(*factors):
-        word, sign = normalise_word(pick)
+        word, sign = _reference_normalise_word(pick)
         if word is not None:
             terms[word] = terms.get(word, 0) + sign
-    return TaylorChain(terms)
+    return taylor_chain(K, terms)
 
 
 def reference_zk_block(K, S):

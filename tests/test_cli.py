@@ -8,10 +8,10 @@ import pytest
 
 from momangle import cli
 from momangle.cli import main, read_argv, report_json
-from momangle.complexes import SimplicialComplex
+from momangle.complexes import SimplicialComplex, parse_complex
 from momangle.whitehead import delta_w, parse_whitehead
 from conftest import SUB5_EXPR
-from oracles import random_complex
+from oracles import labelled_words, random_complex
 from test_golden import CASES as GOLDEN_CASES
 
 
@@ -446,14 +446,30 @@ def test_self_check_failure_exits_3(capsys, monkeypatch):
 
 def test_zigzag_with_two_digit_labels(capsys):
     from momangle.taylor import TaylorChain
-    data = run_json(capsys, "zigzag", "--complex",
-                    "join(bd(simplex(1,2,3,4,5,6,7,8,9)),bd(simplex(1,2)))",
-                    "--w", "[10,11]")
+    expr = "join(bd(simplex(1,2,3,4,5,6,7,8,9)),bd(simplex(1,2)))"
+    data = run_json(capsys, "zigzag", "--complex", expr, "--w", "[10,11]")
     assert data["cycle"] in ("w10.11", "-w10.11")
     assert data["generator_order"] == ["10.11", "123456789"]
-    cycle = TaylorChain.from_text(data["cycle"])
-    assert set(cycle.terms) == {((10, 11),)}
+    cycle = TaylorChain.from_text(parse_complex(expr), data["cycle"])
+    assert labelled_words(cycle).keys() == {((10, 11),)}
     assert cycle.to_text() == data["cycle"]
+    # multi-word cycles with dotted names: the words run in the order of
+    # their generator index tuples, so `w9.12` comes before `w10.11`, which
+    # neither a string sort nor a sort by the integer index mask gives
+    expr = "join(simplex(1,2,3,4,5,6,7,8),bd(bd(bd(simplex(1,2,3,4)))))"
+    twelve = ["--complex", expr, "--w", "[[[9,10],11],12]"]
+    expected = {
+        "taylor-cycle": "w9.12^w9.11^w9.10 + w10.12^w9.11^w9.10 + w11.12^w9.11^w9.10"
+                        " - w10.11^w9.12^w9.10 + w10.12^w10.11^w9.10 + w11.12^w10.11^w9.10",
+        "zigzag": "w9.12^w9.11^w9.10 - w11.12^w9.12^w9.10 + w10.12^w10.11^w9.10"
+                  " - w11.12^w10.12^w9.10 + w10.11^w9.12^w9.11 + w10.12^w9.12^w9.11"
+                  " + w10.12^w10.11^w9.11 - w11.12^w10.12^w9.11 + w10.12^w10.11^w9.12"
+                  " + w11.12^w10.11^w9.12"}
+    for verb, text in expected.items():
+        data = run_json(capsys, verb, *twelve)
+        assert data["cycle"] == text, verb
+        assert data["generator_order"] == ["9.10", "9.11", "9.12", "10.11", "10.12", "11.12"]
+        assert TaylorChain.from_text(parse_complex(expr), text).to_text() == text
 
 
 def test_parser_reused_across_calls(capsys):

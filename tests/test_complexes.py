@@ -446,15 +446,19 @@ def test_generator_table_against_the_subset_scan():
             for S in combinations(range(1, K.m + 1), k):
                 want = reference_missing_faces_within(K, S)
                 assert K.missing_faces_within(S) == want, (K, S)
-                assert gens.labels(gens.within(face_mask(S))) == tuple(want), (K, S)
+                assert gens.within(face_mask(S)) == \
+                    sum(1 << gens.faces.index(F) for F in want), (K, S)
                 subsets += 1
                 ghost_faces += sum(len(f) == 1 for f in want)
     assert subsets > 2000 and ghost_faces > 1000
 
 
-def test_generator_labels_walk_the_words_bits():
-    """`Generators.labels` reads a word's faces off its set bits; on seeded
-    words over 20 generators it equals the scan of every generator."""
+def test_generator_word_sets_one_bit_per_factor():
+    """`Generators.word` sets the bit of each factor, in any order, on
+    seeded words over 20 generators, and refuses a repeated factor, which
+    would carry into another generator's bit if the bits were added: on the
+    facets 12, 34, 13 the generators are 14, 23, 24, and 23 twice would read
+    as 24."""
     rng = random.Random(71)
     faces = sorted({tuple(sorted(rng.sample(range(1, 13), rng.randint(2, 4))))
                     for _ in range(60)}, key=lambda f: (len(f), f))[:20]
@@ -462,8 +466,18 @@ def test_generator_labels_walk_the_words_bits():
     assert len(gens.faces) == 20
     for _ in range(500):
         word = rng.getrandbits(20) & rng.getrandbits(20)
-        assert gens.labels(word) == tuple(F for q, F in enumerate(faces) if word >> q & 1)
-    assert gens.labels(0) == () and gens.labels((1 << 20) - 1) == tuple(faces)
+        labels = [F for q, F in enumerate(faces) if word >> q & 1]
+        rng.shuffle(labels)
+        assert gens.word(labels) == word
+    assert gens.word(()) == 0 and gens.word(faces) == (1 << 20) - 1
+    K = SimplicialComplex.from_facets(4, [(1, 2), (3, 4), (1, 3)])
+    assert K.missing_faces() == ((1, 4), (2, 3), (2, 4))
+    assert K.generators().word(((2, 4),)) == 0b100
+    for word in [((2, 3), (2, 3)), ((1, 4), (2, 3), (1, 4))]:
+        with pytest.raises(ValueError, match="repeated factor"):
+            K.generators().word(word)
+    with pytest.raises(ValueError, match=r"factors \[\(1, 2\)\] are not missing faces of K"):
+        K.generators().word(((1, 2), (2, 3)))
 
 
 def test_face_index_within_is_the_faces_of_the_full_subcomplex():

@@ -24,13 +24,12 @@ from momangle.moment_angle import support_table, zk_homology_by_support
 from momangle.taylor import (TaylorChain, admissible_words,
                              nested_taylor_cycle, taylor_boundary,
                              taylor_class, taylor_components,
-                             taylor_cycle_is_boundary, taylor_homology_by_support,
-                             word_support)
+                             taylor_cycle_is_boundary, taylor_homology_by_support)
 from momangle.whitehead import delta_w, parse_whitehead
 from momangle.zigzag import classes_equal
 from conftest import SUB5_EXPR
-from oracles import (RP2_FACETS, lyubeznik_admissible, random_complex,
-                     reference_taylor_components)
+from oracles import (RP2_FACETS, labelled_words, lyubeznik_admissible, random_complex,
+                     reference_taylor_components, taylor_chain)
 
 NESTED_SHAPES = ["[[1,2],3]", "[[1,2,3],4]", "[[1,2],3,4]", "[[[1,2],3],4]",
                  "[[1,2,3],4,5]", "[[[1,2],3],4,5]"]
@@ -81,23 +80,34 @@ def table_of(blocks):
     return support_table(blocks.items(), lambda S, d: 2 * len(S) + d)
 
 
+def labelled_unions(blocks):
+    """`taylor_components`' blocks keyed by their unions as label tuples."""
+    return {cx.mask_face(S): B for S, B in blocks.items()}
+
+
+def word_support(word):
+    """The union S of the factors of a label word, sorted."""
+    return tuple(sorted(set().union(*word)))
+
+
 def reference_is_boundary(blocks, chain):
-    """Whether a cycle bounds in the whole split, piece by piece."""
+    """Whether a cycle bounds in the whole split, piece by piece, on the
+    label words of the package's chain."""
     pieces = {}
-    for w, c in chain.terms.items():
+    for w, c in labelled_words(chain).items():
         pieces.setdefault(word_support(w), {})[w] = c
     return all(blocks[S].is_boundary(-chain.s, piece) for S, piece in pieces.items())
 
 
-def chain_of(block, d, vec):
-    return TaylorChain(block.chain_from_vector(d, vec))
+def chain_of(K, block, d, vec):
+    return taylor_chain(K, block.chain_from_vector(d, vec))
 
 
 def random_boundary(K, block, d, rng):
     """Boundary of a random integer chain of the block's degree d + 1."""
     words = block.basis.get(d + 1, [])
     picked = rng.sample(words, min(3, len(words)))
-    return taylor_boundary(K, TaylorChain({w: rng.choice([-2, -1, 1, 3]) for w in picked}))
+    return taylor_boundary(K, taylor_chain(K, {w: rng.choice([-2, -1, 1, 3]) for w in picked}))
 
 
 def test_taylor_table_matches_whole_split(rp2):
@@ -109,7 +119,7 @@ def test_taylor_table_matches_whole_split(rp2):
     for K in cases:
         table = taylor_homology_by_support(K)
         assert table == table_of(reference_taylor_components(K)), K.facets
-        assert table == table_of(taylor_components(K)), K.facets
+        assert table == table_of(labelled_unions(taylor_components(K))), K.facets
         torsion += any(h.torsion for h in table.values())
     assert torsion >= 4   # RP^2 and its three cones
 
@@ -125,12 +135,12 @@ def cycle_cases(K, ref, rng):
         for d in block.basis:
             kernel = kernel_basis(block.differential(d))
             for vec in rng.sample(kernel, min(2, len(kernel))):
-                z = chain_of(block, d, vec)
+                z = chain_of(K, block, d, vec)
                 b = random_boundary(K, block, d, rng)
                 out += [z, z.scaled(2), b, z + b]
             dropped = [w for w in block.basis[d] if not lyubeznik_admissible(K, w)]
             for w in rng.sample(dropped, min(2, len(dropped))):
-                out.append(taylor_boundary(K, TaylorChain({w: 1})))
+                out.append(taylor_boundary(K, taylor_chain(K, {w: 1})))
     return [z for z in out if z]
 
 
@@ -144,7 +154,7 @@ def test_taylor_class_matches_whole_split(rp2, sub5, filled6):
             answer = reference_is_boundary(ref, z)
             assert taylor_class(K, z).is_boundary == answer, (K.facets, z)
             seen.add(answer)
-            projected_away += not any(lyubeznik_admissible(K, w) for w in z.terms)
+            projected_away += not any(lyubeznik_admissible(K, w) for w in labelled_words(z))
     assert seen == {True, False}
     assert projected_away >= 20
 
@@ -156,7 +166,7 @@ def test_nested_cycle_classes_match_whole_split():
     seen = set()
     for K, z in cases:
         ref = reference_taylor_components(K)
-        block = ref[word_support(next(iter(z.terms)))]
+        block = ref[cx.mask_face(z.gens.union(next(iter(z.terms))))]
         boundaries = [b for b in (random_boundary(K, block, -z.s, rng) for _ in range(2)) if b]
         for chain in [z, z.scaled(2)] + boundaries + [z + b for b in boundaries]:
             answer = reference_is_boundary(ref, chain)
@@ -169,7 +179,7 @@ def test_nested_cycle_classes_match_whole_split():
 def test_taylor_class_refuses_a_non_cycle(sub5, text):
     """w145^w245^w345 is not admissible (w123 lies inside its union), so its
     projection is zero; it is still refused, as the whole split refuses it."""
-    chain = TaylorChain.from_text(text)
+    chain = TaylorChain.from_text(sub5, text)
     ref = reference_taylor_components(sub5)
     with pytest.raises(ValueError, match="not a cycle"):
         reference_is_boundary(ref, chain)
@@ -185,11 +195,11 @@ def test_projected_away_cycles_keep_their_coordinates(rp2, sub5):
     for K in random_complexes(47, 10, 2, 8) + [rp2, sub5]:
         blocks = taylor_components(K)
         for z in cycle_cases(K, reference_taylor_components(K), rng):
-            if any(lyubeznik_admissible(K, w) for w in z.terms):
+            if any(lyubeznik_admissible(K, w) for w in labelled_words(z)):
                 continue
             cls = taylor_class(K, z)
             assert cls.is_boundary
-            (S,) = {word_support(w) for w in z.terms}
+            (S,) = {z.gens.union(w) for w in z.terms}
             h = blocks[S].homology(-z.s) if S in blocks else None
             assert len(cls.coords) == (h.rank + len(h.torsion) if h else 0)
             checked += 1
@@ -201,12 +211,17 @@ def test_projected_away_cycles_keep_their_coordinates(rp2, sub5):
                                         (SUB5_EXPR, "w12^w145 - w13^w145")])
 def test_factors_that_are_not_missing_faces_are_refused(expr, text):
     """{1,2} is a face of bd(simplex(1,2,3)), not a generator, so w12 is no
-    chain of the Taylor complex; its boundary would read zero."""
-    K, chain = cx.parse_complex(expr), TaylorChain.from_text(text)
-    for check in (taylor_boundary, taylor_class, taylor_cycle_is_boundary):
-        with pytest.raises(ValueError, match="not missing faces of K"):
-            check(K, chain)
+    chain of the Taylor complex: the reader refuses it.  A chain read over
+    another complex's generators, where {1,2} is one, is refused by every
+    check on K; its boundary there would read zero."""
+    K = cx.parse_complex(expr)
     with pytest.raises(ValueError, match="not missing faces of K"):
+        TaylorChain.from_text(K, text)
+    chain = TaylorChain.from_text(cx.parse_complex("bd(simplex(1,2))"), "w12")
+    for check in (taylor_boundary, taylor_class, taylor_cycle_is_boundary):
+        with pytest.raises(ValueError, match="not written on K's missing faces"):
+            check(K, chain)
+    with pytest.raises(ValueError, match="not written on K's missing faces"):
         classes_equal(K, chain, chain)
 
 
@@ -222,7 +237,7 @@ def test_k6_graph_against_cellular():
     blocks = taylor_components(K)
     assert sum(B.dim(d) for B in blocks.values() for d in B.basis) == 184
     table = taylor_homology_by_support(K)
-    assert table == table_of(blocks) == zk_homology_by_support(K)
+    assert table == table_of(labelled_unions(blocks)) == zk_homology_by_support(K)
 
 
 # -- the resolution check bites on wrong word sets ----------------------------------

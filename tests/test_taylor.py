@@ -7,18 +7,18 @@ import pytest
 from momangle import exactalg, moment_angle
 from momangle import taylor as ty
 from momangle.complexes import (Generators, SimplicialComplex, SizeLimitError, face_mask,
-                                parse_complex, simplex_boundary)
+                                mask_face, parse_complex, simplex_boundary)
 from momangle.exactalg import HomologyGroup
 from momangle.moment_angle import hochster_table, zk_homology
 from momangle.taylor import (MonomialIdeal, TaylorChain,
-                             nested_taylor_cycle, normalise_word, taylor_boundary,
+                             nested_taylor_cycle, taylor_boundary,
                              taylor_components, taylor_face_complex,
                              taylor_homology, taylor_homology_by_support,
-                             verify_taylor_is_resolution, word_support)
+                             verify_taylor_is_resolution)
 from momangle.whitehead import delta_w, parse_whitehead
-from oracles import (cone_reconstruction, lyubeznik_admissible, random_complex,
+from oracles import (cone_reconstruction, labelled_word, lyubeznik_admissible, random_complex,
                      reference_nested_taylor_cycle, reference_resolution_failures,
-                     reference_taylor_boundary_word, taylor_boundary_word,
+                     reference_taylor_boundary_word, taylor_boundary_word, taylor_chain,
                      taylor_module_resolution)
 
 # the complete graph on six vertices: its 20 triangles are its missing faces
@@ -35,41 +35,69 @@ def test_generator_order(sub5):
     assert sub5.missing_faces() == ((1, 2, 3), (1, 4, 5), (2, 4, 5), (3, 4, 5))
 
 
-def test_normalise_word_signs():
-    assert normalise_word(((2, 4, 5), (1, 4, 5))) == (((1, 4, 5), (2, 4, 5)), -1)
-    assert normalise_word(((1, 4, 5), (1, 4, 5))) == (None, 0)
+def test_reader_wedge_signs(sub5):
+    """The reader's `^` sorts the factors into generator order with the sign
+    of the transpositions, and a repeated factor gives zero: on sub5's
+    generators 123, 145, 245, 345 (bits 0 to 3)."""
+    read = lambda text: TaylorChain.from_text(sub5, text).terms
+    assert read("w245^w145") == {0b0110: -1} and read("w145^w245") == {0b0110: 1}
+    assert read("w345^w245^w123") == {0b1101: -1}
+    assert read("w345^w123^w245") == {0b1101: 1}
+    assert read("(w145 + w345)^w123") == {0b0011: -1, 0b1001: -1}
+    assert read("w145^w145") == {} and read("w123^w145^w123") == {}
+    # a repeated factor is a zero word, not another generator's bit
+    K = SimplicialComplex.from_facets(4, [(1, 2), (3, 4), (1, 3)])
+    assert not TaylorChain.from_text(K, "w23^w23") and not TaylorChain.from_text(K, "w23^w14^w23")
+    assert TaylorChain.from_text(simplex_boundary(2), "w12^w12") == \
+        TaylorChain(simplex_boundary(2).generators(), {})
 
 
-def test_chain_homogeneity_and_degree():
-    c = TaylorChain({((2, 4, 5), (1, 4, 5)): 1})
+def test_chain_homogeneity_and_degree(sub5):
+    gens = sub5.generators()
+    c = TaylorChain(gens, {0b0110: 1})
     assert c.s == 2 and c.union_size == 4 and c.degree == 6
-    with pytest.raises(ValueError):
-        TaylorChain({((1, 2, 3),): 1, ((1, 2, 3), (1, 4, 5)): 1})
+    with pytest.raises(ValueError, match="mixes factor counts"):
+        TaylorChain(gens, {0b0001: 1, 0b0011: 1})
 
 
-def test_basis_words_skip_normalisation(monkeypatch):
-    """Words already in generator order are taken as they are; any other
-    word is sorted back with its sign, and a repeated factor is refused."""
-    calls = []
-    raw = ty.normalise_word
-    monkeypatch.setattr(ty, "normalise_word", lambda w: calls.append(w) or raw(w))
-    basis = TaylorChain({((1, 2), (1, 4, 5), (2, 4, 5)): 3, ((1, 2), (3, 4, 5)): 0})
-    assert basis.terms == {((1, 2), (1, 4, 5), (2, 4, 5)): 3} and not calls
-    for word, expected in [(((2, 4, 5), (1, 4, 5)), {((1, 4, 5), (2, 4, 5)): -1}),
-                           (((1, 4, 5), (1, 2)), {((1, 2), (1, 4, 5)): -1}),
-                           (((5, 4, 1), (2, 4, 5)), {((1, 4, 5), (2, 4, 5)): 1})]:
-        assert TaylorChain({word: 1}).terms == expected
-    assert len(calls) == 3
-    with pytest.raises(ValueError, match="repeated factor"):
-        TaylorChain({((1, 2, 3), (1, 2, 3)): 1})
+def test_chain_refuses_what_is_no_word(sub5):
+    """A word is an int >= 0, no bool, with no bit past K's generators."""
+    gens = sub5.generators()
+    for word in [((1, 2, 3),), -1, True, 0b10000]:
+        with pytest.raises(ValueError, match="no bitmask of K's generator indices"):
+            TaylorChain(gens, {word: 1})
+    assert TaylorChain(gens, {0b1111: 3}).terms == {0b1111: 3}
 
 
-def test_text_roundtrip():
-    c = TaylorChain.from_text("(w145+w245+w345)^w123")
+def test_chains_over_different_tables(sub5, rp2):
+    """Two chains over different generator tables are never equal, not even
+    when both are zero or share their terms, and they do not add; chains
+    over equal tables of two complexes are equal."""
+    a, b = TaylorChain(sub5.generators(), {0b1: 1}), TaylorChain(rp2.generators(), {0b1: 1})
+    assert a.terms == b.terms and a != b
+    assert TaylorChain(sub5.generators(), {}) != TaylorChain(rp2.generators(), {})
+    with pytest.raises(ValueError, match="different generator tables"):
+        a + b
+    with pytest.raises(ValueError, match="not written on K's missing faces"):
+        taylor_boundary(rp2, a)
+    twin = parse_complex("subst(bd(simplex(1,2,3)); bd(simplex(1,2,3)), pt, pt)")
+    assert twin is not sub5 and TaylorChain(twin.generators(), {0b1: 1}) == a
+
+
+def test_text_roundtrip(sub5):
+    c = TaylorChain.from_text(sub5, "(w145+w245+w345)^w123")
     assert c.to_text() == "w145^w123 + w245^w123 + w345^w123"
-    assert TaylorChain.from_text(c.to_text()) == c
-    assert TaylorChain.from_text("2*w123^w145 - w123^w145") == \
-        TaylorChain.from_text("w123^w145")
+    assert TaylorChain.from_text(sub5, c.to_text()) == c
+    assert TaylorChain.from_text(sub5, "2*w123^w145 - w123^w145") == \
+        TaylorChain.from_text(sub5, "w123^w145")
+
+
+def test_reader_refuses_factors_that_are_no_missing_faces(sub5):
+    """A factor that is no missing face of K is refused by the reader; a
+    factor's labels are read as a face, in any order."""
+    with pytest.raises(ValueError, match=r"factors \[\(1, 2\)\] are not missing faces of K"):
+        TaylorChain.from_text(sub5, "w12^w145")
+    assert TaylorChain.from_text(sub5, "w541") == TaylorChain.from_text(sub5, "w145")
 
 
 # -- the face complex -----------------------------------------------------------
@@ -105,7 +133,8 @@ def test_face_complex_reads_the_generators_once(monkeypatch):
         for d, words in C.basis.items():
             for j, w in enumerate(words):
                 column = {C.basis[d - 1][i]: v for i, v in C.columns[d].get(j, ())}
-                assert column == taylor_boundary(K, TaylorChain({w: 1})).terms, (K, w)
+                assert column == taylor_boundary(K, TaylorChain(K.generators(), {w: 1})).terms, \
+                    (K, w)
 
 
 # hand-checked differential table of the 5-vertex substitution complex,
@@ -148,7 +177,7 @@ def test_multidegree_preserved_on_random_words():
         if not mfs:
             continue
         word = tuple(sorted(rng.sample(mfs, rng.randint(1, min(3, len(mfs)))),
-                            key=ty.gen_key))
+                            key=mfs.index))
         union = set().union(*word)
         for tgt in taylor_boundary_word(K, word):
             assert set().union(*tgt) == union
@@ -166,17 +195,20 @@ def test_boundary_and_blocks_match_sorting_reference():
         if not 3 <= len(K.missing_faces()) <= 9:
             continue
         complexes += 1
+        gens = K.generators()
         C = taylor_face_complex(K)
         for words in C.basis.values():
             for w in words:
-                assert taylor_boundary_word(K, w) == reference_taylor_boundary_word(K, w), (K, w)
+                label = labelled_word(gens, w)
+                assert taylor_boundary_word(K, label) == \
+                    reference_taylor_boundary_word(K, label), (K, label)
         admissible = {w for words in C.basis.values() for w in words
-                      if lyubeznik_admissible(K, w)}
+                      if lyubeznik_admissible(K, labelled_word(gens, w))}
         blocks = taylor_components.__wrapped__(K)
-        assert set(blocks) == {word_support(w) for w in admissible}
+        assert set(blocks) == {gens.union(w) for w in admissible}
         for S, B in blocks.items():
             for d in C.basis:
-                labels = [w for w in C.basis[d] if w in admissible and word_support(w) == S]
+                labels = [w for w in C.basis[d] if w in admissible and gens.union(w) == S]
                 assert B.basis.get(d, []) == labels, (K, S, d)
             for d, labels in B.basis.items():
                 mine = {(B.basis[d - 1][i], B.basis[d][j]): v
@@ -282,8 +314,8 @@ def test_mask_table_with_a_kept_inadmissible_word_changes(name, request, monkeyp
                 assert table != want, (route.__name__, word)
 
 
-def test_degree_bookkeeping_example():
-    c = TaylorChain.from_text("w245^w145")
+def test_degree_bookkeeping_example(sub5):
+    c = TaylorChain.from_text(sub5, "w245^w145")
     assert (c.s, c.union_size, c.degree) == (2, 4, 6)
 
 
@@ -320,12 +352,12 @@ def test_taylor_size_gate():
 def test_nested_cycle_table_rows(sub5):
     w = parse_whitehead("[[1,2,3],4,5]")
     assert nested_taylor_cycle(w, sub5) == \
-        TaylorChain.from_text("(w145+w245+w345)^w123")
+        TaylorChain.from_text(sub5, "(w145+w245+w345)^w123")
     w8 = parse_whitehead("[[[1,4,5],2],3]")
     assert nested_taylor_cycle(w8, sub5) == \
-        TaylorChain.from_text("(w123+w345)^w245^w145")
+        TaylorChain.from_text(sub5, "(w123+w345)^w245^w145")
     w5 = parse_whitehead("[[1,4,5],2]")
-    assert nested_taylor_cycle(w5, sub5) == TaylorChain.from_text("w245^w145")
+    assert nested_taylor_cycle(w5, sub5) == TaylorChain.from_text(sub5, "w245^w145")
 
 
 def test_nested_cycle_is_cycle(sub5):

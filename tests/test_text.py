@@ -2,14 +2,25 @@
 arithmetic) and generator words, and round trips of every printed object
 through its reader."""
 
+import random
+from functools import partial
+
 import pytest
 
 from momangle.complexes import (ParseError, Scanner, SizeLimitError, parse_complex,
                                 word_text, read_word)
 from momangle.moment_angle import CellChain
-from momangle.taylor import TaylorChain
+from momangle.taylor import MonomialIdeal, TaylorChain
 from momangle.whitehead import bracket, leaf, parse_whitehead
-from oracles import BicomplexChain, cell_chain
+from oracles import BicomplexChain, cell_chain, reference_taylor_text, taylor_chain
+
+# a complex on 12 vertices with the given missing faces, of one to four
+# vertices, labels above 9 among them: in generator order 5, 12, 1.10, 34,
+# 9.12, 10.11, 239, 4.11.12, 678, 6.7.11.12
+TEXT_K = MonomialIdeal.squarefree(12, [(1, 2), (3, 4), (5,), (9, 12), (10, 11), (1, 10),
+                                       (2, 3, 9), (4, 11, 12), (6, 7, 8),
+                                       (6, 7, 11, 12)]).complex()
+TWELVE = "join(simplex(1,2,3,4,5,6,7,8),bd(bd(bd(simplex(1,2,3,4)))))"
 
 
 def test_word_text_switches_to_dots_above_nine():
@@ -26,19 +37,19 @@ def test_parse_errors_carry_the_column():
     with pytest.raises(ParseError, match="column 4"):
         CellChain.from_text("D1*X2")
     with pytest.raises(ParseError, match="expected '\\)'"):
-        TaylorChain.from_text("(w12+w34")
+        TaylorChain.from_text(TEXT_K, "(w12+w34")
     with pytest.raises(ParseError, match="trailing input"):
         parse_complex("pt pt")
 
 
 def test_signed_sums():
-    assert CellChain.from_text("0") == CellChain.zero()
+    assert CellChain.from_text("0") == CellChain({})
     assert CellChain.from_text("1") == CellChain.unit()
     assert CellChain.from_text("-3*1").to_text() == "-3*1"
     assert CellChain.from_text("+ D1*S2 - 2*S1*D2").to_text() == "D1*S2 - 2*S1*D2"
-    assert TaylorChain.from_text("2*(w12 - w34)^w5 + w34^w5").to_text() == \
+    assert TaylorChain.from_text(TEXT_K, "2*(w12 - w34)^w5 + w34^w5").to_text() == \
         "2*w12^w5 - w34^w5"
-    assert TaylorChain.from_text("1") == TaylorChain({(): 1})
+    assert TaylorChain.from_text(TEXT_K, "1") == TaylorChain(TEXT_K.generators(), {0: 1})
     with pytest.raises(ParseError):
         CellChain.from_text("D1*S2 D3")
     with pytest.raises(ValueError):
@@ -50,26 +61,53 @@ def test_bicomplex_text_uses_the_shared_writer():
     assert e.to_text() == "w12 - 2*D1*S2*w3.10"
 
 
-CHAIN_TYPES = (CellChain, TaylorChain, BicomplexChain)
+CHAIN_TYPES = (CellChain, partial(TaylorChain, TEXT_K.generators()), BicomplexChain)
 
 
-@pytest.mark.parametrize("cls, a, b", [
+@pytest.mark.parametrize("make, a, b", [
     (CellChain, (0b1, 0b10), (0b10, 0b1)),
-    (TaylorChain, ((1, 2),), ((3, 4),)),
+    # the generators 12 and 34 of TEXT_K
+    (CHAIN_TYPES[1], 0b10, 0b1000),
     (BicomplexChain, ((1,), (2,), ((3, 4),)), ((), (), ((1, 2),))),
 ])
-def test_signed_sum_arithmetic(cls, a, b):
+def test_signed_sum_arithmetic(make, a, b):
     """The arithmetic every chain type takes from `SignedSum`: the
     package's two and the reference staircase's `BicomplexChain`."""
-    x, y = cls({a: 2, b: -1}), cls({b: 3})
-    assert not x + (-x) and x + (-x) == cls.zero()
-    assert (x + y) - y == x and x - y == cls({a: 2, b: -4})
-    assert not x.scaled(0) and x.scaled(-3) == cls({a: -6, b: 3})
-    same = cls({b: -1, a: 2})
+    x, y = make({a: 2, b: -1}), make({b: 3})
+    assert not x + (-x) and x + (-x) == make({})
+    assert (x + y) - y == x and x - y == make({a: 2, b: -4})
+    assert not x.scaled(0) and x.scaled(-3) == make({a: -6, b: 3})
+    same = make({b: -1, a: 2})
     assert same == x and hash(same) == hash(x) and len({x, same, y}) == 2
-    assert repr(x) == f"{cls.__name__}({x.to_text()})"
+    assert repr(x) == f"{type(x).__name__}({x.to_text()})"
     # equal only within one type, even with the same (empty) terms
-    assert all(cls.zero() != other.zero() for other in CHAIN_TYPES if other is not cls)
+    assert all(make({}) != other({}) for other in CHAIN_TYPES if other is not make)
+
+
+def test_taylor_text_matches_the_labelled_reference(sub5):
+    """On 500 seeded chains over three complexes (TEXT_K, the 12-vertex
+    join whose generators 9.12 and 10.11 a string sort would swap, and
+    sub5), with factors drawn in any order, the text written from index
+    bitmasks is the labelled reference's, and reading it back gives the
+    chain.  The draws include the empty word `1`, the zero chain and
+    dotted names."""
+    rng = random.Random(89)
+    complexes = [TEXT_K, parse_complex(TWELVE), sub5]
+    zero = unit = dotted = 0
+    for k in range(500):
+        K = complexes[k % 3]
+        faces = K.missing_faces()
+        s = rng.randint(0, min(4, len(faces)))
+        terms = {tuple(rng.sample(faces, s)): rng.choice([-3, -2, -1, 0, 1, 1, 2])
+                 for _ in range(rng.randint(0, 5))}
+        c = taylor_chain(K, terms)
+        text = c.to_text()
+        assert text == reference_taylor_text(terms), (K, terms)
+        assert TaylorChain.from_text(K, text) == c, text
+        zero += not c
+        unit += text in ("1", "-1") or text.endswith("*1")
+        dotted += "." in text
+    assert zero > 20 and unit > 20 and dotted > 150
 
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -93,14 +131,13 @@ def cell_chains(draw):
 
 @st.composite
 def taylor_chains(draw):
+    """Chains over TEXT_K's ten generators, each word s distinct bits."""
     s = draw(st.integers(0, 3))
-    faces = st.lists(LABELS, min_size=1, max_size=3, unique=True).map(
-        lambda f: tuple(sorted(f)))
+    bits = st.lists(st.integers(0, 9), min_size=s, max_size=s, unique=True)
     terms = {}
     for _ in range(draw(st.integers(0, 4))):
-        terms[tuple(draw(st.lists(faces, min_size=s, max_size=s, unique=True)))] = \
-            draw(COEFFS)
-    return TaylorChain(terms)
+        terms[sum(1 << q for q in draw(bits))] = draw(COEFFS)
+    return TaylorChain(TEXT_K.generators(), terms)
 
 
 SHAPES = st.recursive(st.none(), lambda kids: st.lists(kids, min_size=2, max_size=3),
@@ -147,7 +184,7 @@ def test_cell_chain_round_trip(c):
 @settings(max_examples=100, deadline=None)
 @given(taylor_chains())
 def test_taylor_chain_round_trip(c):
-    assert TaylorChain.from_text(c.to_text()) == c
+    assert TaylorChain.from_text(TEXT_K, c.to_text()) == c
 
 
 @settings(max_examples=100, deadline=None)
