@@ -140,7 +140,8 @@ def cmd_taylor(K, w, args, out):
 
 def cmd_taylor_cycle(K, w, args, out):
     chain = ty.nested_taylor_cycle(w, K)
-    out["degree"] = chain.degree
+    # every word of the closed form has the union L, the leaves
+    out["degree"] = 2 * len(w.leaves()) - chain.s
     out["cycle"] = chain.to_text()
 
 

@@ -716,11 +716,17 @@ def word_text(labels):
 
 
 def read_word(sc):
-    """The labels of one `word_text` word."""
+    """The labels of one `word_text` word; a dotted word with an empty label
+    (`1..2`, `.1`) is refused at the word's column."""
+    sc.peek()
+    start = sc.pos
     text = sc.token(lambda ch: ch.isdecimal() or ch == ".", "vertex labels")
     if "." not in text:
         return tuple(map(int, text))
-    return tuple(map(int, text.removesuffix(".").split(".")))
+    labels = text.removesuffix(".").split(".")
+    if not all(labels):
+        raise ParseError(f"empty vertex label in {text!r}", start)
+    return tuple(map(int, labels))
 
 
 # -- builder expressions -------------------------------------------------------

@@ -15,14 +15,18 @@ gcd of its entries and only the wider ones by the Smith normal form.
 Every complex kept on bitmasks (the cellular star quotients, the Taylor
 blocks, Lyubeznik's slices and the staircase's Koszul blocks) is exterior:
 its differential lets one bit b enter a word x as x | b, with the sign
-(-1)^popcount(x & (b - 1)) of the set bits below b (`insertion_sign`).
-Its columns have one builder, `insertion_columns`, which one fold
-(`moment_angle.fold_blocks`) feeds to `column_homology` for every cellular
-and Taylor table, with no complex built.  An insertion adds one bit, so a
-block with no two adjacent degrees occupied needs no columns, and the
-builder makes none; the fold does not even ask it for a block whose
-words all have one popcount.  A `ChainComplex` labels the
-same columns with a basis, for cycle classes (`insertion_complex`), and
+(-1)^popcount(x & (b - 1)) of the set bits below b (`insertion_sign`, for
+one bit).  Beside it the rule has two writers, both here: on a chain
+{word: coeff}, the one chain insertion `insert_bits`, which every chain
+differential of the package calls (the cell boundary, the Taylor
+differential, the closed form's growth and the staircase's two steps); and
+on a block's basis, the one column builder `insertion_columns`, which one
+fold (`moment_angle.fold_blocks`) feeds to `column_homology` for every
+cellular and Taylor table, with no complex built.  An insertion adds one
+bit, so a block with no two adjacent degrees occupied needs no columns, and
+the builder makes none; the fold does not even ask it for a block whose
+words all have one popcount.  A `ChainComplex` labels the same columns with
+a basis, for cycle classes (`insertion_complex`), and
 `ChainComplex.from_boundary` writes the columns of a boundary callable on
 labels, for simplicial chains, the whole complexes and the references.
 Homology groups are frozen values, and the column rule, `direct_sum` and
@@ -583,6 +587,24 @@ def concatenation_sign(first, second):
         first ^= j
         sign *= insertion_sign(second, j)
     return sign
+
+
+def insert_bits(chain, bits, out=None):
+    """The sum over the bits b of `bits` of b ^ chain on {word: coeff}: each
+    b not in a word x enters it as x | b with `insertion_sign`'s parity,
+    (-1)^popcount(x & (b - 1)), the one chain-level insertion of the
+    package.  The terms are added into `out` when it is given, so calls
+    grouped by the key that fixes `bits` share one sum, and `out` is
+    returned; a coefficient that cancels to zero is kept."""
+    if out is None:
+        out = {}
+    for word, c in chain.items():
+        rest = bits & ~word
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            out[word | b] = out.get(word | b, 0) + (-c if (word & (b - 1)).bit_count() & 1 else c)
+    return out
 
 
 def insertion_columns(words, inside):

@@ -18,10 +18,12 @@ A cell is the pair (J, I) of vertex bitmasks, bit v - 1 for vertex v, in
 every chain, complex and class of the package; labels are written only in
 a chain's text (`CellChain.to_text`, `from_text`).  On bitmasks this is an
 exterior complex: the disc letter i joins the circle mask J as the bit b
-of i with `exactalg.insertion_sign`, (-1)^popcount(J & (b - 1)), the one
-rule the Taylor and Koszul blocks use, and the product's sign is that
-sign over the circle bits of its first factor (`concatenation_sign`, the
-sign of the Taylor chains' exterior product too).
+of i with the parity (-1)^popcount(J & (b - 1)), by the package's one
+chain insertion, `exactalg.insert_bits`, which the Taylor chains and the
+staircase use too, and by its column builder in the blocks; the product's
+sign is that sign over the circle bits of its first factor
+(`concatenation_sign`, the sign of the Taylor chains' exterior product
+too).
 
 The boundary keeps the support J + I, so the chains split into one block
 per vertex subset S (the Hochster splitting); homology and classes are
@@ -76,22 +78,16 @@ from .complexes import (ParseError, SignedSum, SizeLimitError, face_mask,
                         mask_face, read_signed_sum, read_text, reduced_chain_complex,
                         signed_sum_text)
 from .exactalg import (ChainComplex, HomologyClass, HomologyGroup, _shared_group,
-                       column_homology, concatenation_sign, direct_sum, insertion_columns,
-                       insertion_complex, insertion_sign)
+                       column_homology, concatenation_sign, direct_sum, insert_bits,
+                       insertion_columns, insertion_complex)
 
 ZK_MAX_VERTICES = 24
 
 
 def cell_boundary(cell):
     """Boundary of a single cell (J, I), vertex bitmasks, as {cell: coeff}:
-    each disc bit i of I joins J with `insertion_sign(J, i)`."""
-    J, I = cell
-    out, rest = {}, I
-    while rest:
-        i = rest & -rest
-        rest ^= i
-        out[(J | i, I ^ i)] = insertion_sign(J, i)
-    return out
+    `CellChain.boundary` of the one cell."""
+    return CellChain({cell: 1}).boundary().terms
 
 
 class CellChain(SignedSum):
@@ -128,10 +124,16 @@ class CellChain(SignedSum):
         return reduce(or_, (J | I for J, I in self.terms), 0)
 
     def boundary(self):
+        """The cells grouped by their support S = J | I: the disc bits, S
+        less J, enter each circle mask J by `exactalg.insert_bits`, one call
+        per support, and a cell J' of S keeps the disc mask S - J'."""
+        by_support = {}
+        for (J, I), c in self.terms.items():
+            by_support.setdefault(J | I, {})[J] = c
         out = {}
-        for cell, c in self.terms.items():
-            for tgt, s in cell_boundary(cell).items():
-                out[tgt] = out.get(tgt, 0) + c * s
+        for S, circles in by_support.items():
+            for J, c in insert_bits(circles, S).items():
+                out[(J, S ^ J)] = c
         return CellChain(out)
 
     def product(self, other):

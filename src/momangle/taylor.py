@@ -17,10 +17,12 @@ Basis words keep their factors in that order, and every differential here
 keeps them as bitmasks of generator indices, K's `complexes.Generators`
 table (bit q for the q-th generator, `within(S)` the generators inside S),
 so generator bit b enters word x as x | b behind the factors before it,
-with sign (-1)^popcount(x & (b - 1)) (`exactalg.insertion_sign`); no word
-is ever sorted.  The differential never changes the union of the word, so
-the complex splits over vertex subsets S, and a word with s factors sits
-in total degree 2|S| - s.
+with sign (-1)^popcount(x & (b - 1)); no word is ever sorted.  A chain's
+differential is the package's one chain insertion, `exactalg.insert_bits`,
+and a block's columns are its column builder, `insertion_columns`.  The
+differential never changes the union of the word, so the complex splits
+over vertex subsets S, and a word with s factors sits in total degree
+2|S| - s.
 
 The route computes per block on Lyubeznik's words only (`admissible_words`).
 A word F_{i_1} ^ ... ^ F_{i_s} (i_1 < ... < i_s) is admissible when no
@@ -52,8 +54,11 @@ A Taylor chain (`TaylorChain`) holds K's `Generators` and its words on
 the same index bitmasks, so one word format serves every part of the
 route: `taylor_boundary` and the whole complex (`taylor_face_complex`)
 are `index_boundary` on the words, the closed form of nested products
-(`nested_taylor_cycle`) and the zigzag return their words as they are,
-and cycle classes split the words by their unions (`Generators.union`).
+(`nested_taylor_cycle`) grows its words by the same insertion, one call
+per level, and it and the zigzag return their words as they are, each a
+cycle by an exact rule of its own that the shared insertion makes a
+theorem, not by walking its output again; cycle classes split the words
+by their unions (`Generators.union`).
 Labels are written and read only in a chain's text, where the reader's
 `^` moves one word's bits past the other's with `insertion_sign`
 (`exactalg.concatenation_sign`).
@@ -67,11 +72,11 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate, combinations
 
-from .complexes import (Generators, SignedSum, SimplicialComplex, SizeLimitError, face,
-                        face_mask, mask_face, read_signed_sum, read_text, read_word,
+from .complexes import (Generators, ParseError, SignedSum, SimplicialComplex, SizeLimitError,
+                        face, face_mask, mask_face, read_signed_sum, read_text, read_word,
                         signed_sum_text)
-from .exactalg import (ChainComplex, column_homology, concatenation_sign, insertion_columns,
-                       insertion_complex, insertion_sign)
+from .exactalg import (ChainComplex, column_homology, concatenation_sign, insert_bits,
+                       insertion_columns, insertion_complex)
 from .moment_angle import _is_mask, class_by_support, fold_blocks, mask_lattice
 from .whitehead import _containment
 
@@ -163,8 +168,14 @@ def _read_taylor_atom(sc, gens):
         return inner
     if sc.accept("1"):
         return TaylorChain(gens, {0: 1})
+    sc.peek()
+    pos = sc.pos
     sc.expect("w")
-    return TaylorChain(gens, {gens.word((face(read_word(sc)),)): 1})
+    labels = read_word(sc)
+    try:
+        return TaylorChain(gens, {gens.word((face(labels),)): 1})
+    except ValueError as exc:
+        raise ParseError(str(exc), pos) from None
 
 
 def _wedge(a, b):
@@ -182,27 +193,17 @@ def _wedge(a, b):
 # -- the face (comodule) Taylor complex ------------------------------------------
 
 def index_boundary(chain, gens):
-    """Differential of {word: coeff} on the `Generators` gens: each
-    generator bit b outside a word whose face lies inside the word's union
-    (`within`) enters it with `insertion_sign`'s rule,
-    (-1)^popcount(word & (b - 1)), written inline as in
-    `insertion_columns`.  The words are grouped by their union, so each
-    union's inside bits are read once and each bit walks its group's words.
+    """Differential of {word: coeff} on the `Generators` gens: the
+    generators inside a word's union (`within`) enter it by
+    `exactalg.insert_bits`.  The words are grouped by their union, so each
+    union's inside bits are read once and one insertion serves its group.
     Zero coefficients are dropped."""
     groups = {}
     for word, c in chain.items():
-        groups.setdefault(gens.union(word), []).append((word, c))
+        groups.setdefault(gens.union(word), {})[word] = c
     out = {}
     for union, words in groups.items():
-        rest = gens.within(union)
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            below = b - 1
-            for word, c in words:
-                if not word & b:
-                    sign = -1 if (word & below).bit_count() & 1 else 1
-                    out[word | b] = out.get(word | b, 0) + sign * c
+        insert_bits(words, gens.within(union), out)
     return {word: c for word, c in out.items() if c}
 
 
@@ -363,21 +364,25 @@ def nested_taylor_cycle(w, K):
     bitmasks.
 
     With L_1, ..., L_n the leaf sets level by level, innermost first, factor
-    k sums the generators F with F - (L_1 + ... + L_{k-1}) = L_k; the
-    innermost factor is the generator L_1.  The words are the exterior
-    products of one generator per factor, grown innermost first: each
-    factor enters at the front and moves to its place in generator order
-    with `insertion_sign`, (-1)^popcount(word & (b - 1)).
+    k is f_k, the sum of the generators F with F - (L_1 + ... + L_{k-1}) =
+    L_k; the innermost factor is the generator L_1.  The chain P = f_n ^ ...
+    ^ f_1 is grown innermost first, one `exactalg.insert_bits` call per
+    level: each factor enters every word at the front and moves to its place
+    in generator order.
 
     Every word has the union L = L_1 + ... + L_n, so the differential wedges
-    the chain with the sum of the generators inside L.  A generator inside
-    L whose highest level is k and which contains L_k is one of factor k's,
-    and its terms cancel in pairs; one that meets L_k without containing it
-    is in no factor and gives terms that nothing cancels.  So the chain is a cycle exactly when every generator
-    inside L contains the whole of its highest level.  Refused (ValueError)
-    when w is not nested, when bd_Delta(w) does not sit in K (the product is
-    not defined there), when a level matches no generator, or when a
-    generator breaks that rule; the result is asserted to be a cycle.
+    P with g, the sum of the generators inside L, by the same insertion
+    (`index_boundary`).  The factors use disjoint generators and f_k ^ f_k =
+    0, so d(P) = r ^ P, r the sum of the generators inside L that are in no
+    factor; P is a nonzero decomposable product and r shares no generator
+    with it, so P is a cycle exactly when r = 0.  A generator inside L whose
+    highest level is k lies in factor k exactly when it contains L_k.  So
+    the factor rule, every generator inside L contains the whole of its
+    highest level, is the exact cycle check, made before any word is built;
+    the words are not walked again.  Refused (ValueError) when w is not
+    nested, when bd_Delta(w) does not sit in K (the product is not defined
+    there), when a level matches no generator, or when a generator breaks
+    that rule.
     """
     levels = nested_levels(w)
     if not _containment(K, w)[0]:
@@ -389,7 +394,7 @@ def nested_taylor_cycle(w, K):
     level_masks = [face_mask(level) for level in levels]
     hits, absorbed = [], 0
     for target in level_masks:
-        hits.append([1 << q for q, mask in enumerate(masks) if mask & ~absorbed == target])
+        hits.append(sum(1 << q for q, mask in enumerate(masks) if mask & ~absorbed == target))
         absorbed |= target
     for i in reversed(range(len(levels))):
         if not hits[i]:
@@ -402,14 +407,7 @@ def nested_taylor_cycle(w, K):
                              f"{levels[top]} without containing them")
     words = {0: 1}
     for bits in hits:
-        grown = {}
-        for word, c in words.items():
-            for b in bits:
-                if not word & b:
-                    grown[word | b] = grown.get(word | b, 0) + insertion_sign(word, b) * c
-        words = grown
-    if index_boundary(words, gens):
-        raise AssertionError("closed-form chain is not a cycle")
+        words = insert_bits(words, bits)
     return TaylorChain(gens, words)
 
 

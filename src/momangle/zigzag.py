@@ -21,28 +21,31 @@ canonical solution of an exact integer solve, so traces are reproducible
 bit for bit; the one remaining freedom is the global sign of the answer.
 
 The staircase (`koszul_to_taylor`) runs on bitmasks, one slice S at a
-time.  A term is keyed (J, W): J the bitmask of its circle letters, W the
-bitmask of its word's generator indices on K's `complexes.Generators`
-(bit q for the q-th missing face of K, as in the Taylor table).  The disc
-letters are not stored: I is S - J - union(W).  A vertical preimage is
-solved one word at a time in the Koszul block of T_W = S - union(W), whose
-bits move onto the bits of 1..n and back; the horizontal step inserts the
-bit b of a generator inside S (`within`) and off J into W with
-`exactalg.insertion_sign`, (-1)^popcount(W & (b - 1)), and a disc bit i
-joins J by the same rule, so `exactalg.insertion_columns`, the builder of
-the Taylor blocks and the cellular star quotients, builds the Koszul
-blocks.  Every invariant factor of a Koszul block is 1, so the canonical
-solution `SmithForm.solve` would give, V (U b)[:rank], is linear in b:
-each cached block (`_koszul_block`) holds it for every target J, with the
+time.  A term is keyed (J, W): J the bitmask of its circle letters, W
+the bitmask of its word's generator indices on K's
+`complexes.Generators` (bit q for the q-th missing face of K, as in the
+Taylor table).  The disc letters are not stored: I is S - J - union(W).
+A vertical preimage is solved one word at a time in the Koszul block of
+T_W = S - union(W), whose bits move onto the bits of 1..n and back.
+Both differentials are the package's one chain insertion,
+`exactalg.insert_bits`, with the parity (-1)^popcount(x & (b - 1)): the
+horizontal step inserts the generators inside S and off J,
+`within(S & ~J)`, into W, and the vertical step the disc bits into J.  So
+`exactalg.insertion_columns`, the builder of the Taylor blocks and the
+cellular star quotients, builds the Koszul blocks.  Every invariant
+factor of a Koszul block is 1, so the canonical solution
+`SmithForm.solve` would give, V (U b)[:rank], is linear in b: each
+cached block (`_koszul_block`) holds it for every target J, with the
 entries of U e_J past the rank, and a preimage is the same canonical
 solution read from those tables, a sum of rows, with no matrix product.
 No label is built on the way: the input cell chain's (J, I) masks are
 sliced as they are (S = J | I, the word empty), the returned cycle is a
-`TaylorChain` on the slices' last words as they are, once it is checked on
-masks, and a trace step keeps its slice's masks, written out from
-per-vertex letter tables only for its text.  The labelled bicomplex
-on triples, with both differentials and Koszul blocks of its own, is the
-reference the tests hold the staircase to (`tests/oracles.py`).
+`TaylorChain` on the slices' last words as they are, a cycle by the rule
+a slice leaves the loop on (`_staircase`), and a trace step keeps its
+slice's masks, written out from per-vertex letter tables only for its
+text.  The labelled bicomplex on triples, with both differentials and
+Koszul blocks of its own, is the reference the tests hold the staircase
+to (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -53,8 +56,8 @@ from itertools import combinations
 from operator import itemgetter
 
 from .complexes import mask_face, signed_sum_text
-from .exactalg import _column_matrix, insertion_columns, insertion_sign, smith_normal_form
-from .taylor import TaylorChain, index_boundary, taylor_boundary, taylor_cycle_is_boundary
+from .exactalg import _column_matrix, insert_bits, insertion_columns, smith_normal_form
+from .taylor import TaylorChain, taylor_boundary, taylor_cycle_is_boundary
 
 
 class ZigzagStep:
@@ -193,16 +196,25 @@ def _text(S, terms, gens):
     return signed_sum_text((text, c) for _, text, c in rows)
 
 
-def _vertical(S, terms, gens):
-    """The vertical differential inside the slice S, on masks: disc bit i
-    enters the circle bitmask J with `insertion_sign`, the sign of
-    `cell_boundary`."""
-    out = {}
+def _by_word(terms):
+    """The terms {(J, W): coeff} grouped by their word, {W: {J: coeff}}."""
+    by_word = {}
     for (J, W), c in terms.items():
-        for v in mask_face(S & ~J & ~gens.union(W)):
-            i = 1 << (v - 1)
-            out[(J | i, W)] = out.get((J | i, W), 0) + insertion_sign(J, i) * c
-    return {key: c for key, c in out.items() if c}
+        by_word.setdefault(W, {})[J] = c
+    return by_word
+
+
+def _vertical(S, terms, gens):
+    """The vertical differential inside the slice S, on masks: the disc bits
+    of each word W, S - union(W) less J, enter the circle bitmask J by
+    `exactalg.insert_bits`, the insertion of `cell_boundary`, one call per
+    word."""
+    out = {}
+    for W, circles in _by_word(terms).items():
+        for J, c in insert_bits(circles, S & ~gens.union(W)).items():
+            if c:
+                out[(J, W)] = c
+    return out
 
 
 def _vertical_preimage(S, eta, gens):
@@ -218,11 +230,8 @@ def _vertical_preimage(S, eta, gens):
     if len(degrees) != 1:
         raise ZigzagError("staircase element mixes circle degrees")
     j = degrees.pop()
-    by_word = {}
-    for (J, W), c in eta.items():
-        by_word.setdefault(W, {})[J] = c
     phi = {}
-    for W, b in by_word.items():
+    for W, b in _by_word(eta).items():
         up = [1 << (v - 1) for v in mask_face(S & ~gens.union(W))]
         down = [0] * S.bit_length()
         for k, bit in enumerate(up):
@@ -244,23 +253,38 @@ def _move(mask, place):
 
 
 def _horizontal(S, phi, gens):
-    """The horizontal differential inside the slice S, on masks: generator
-    bit b enters W when its face lies in union(W) + I = S - J, with
-    `insertion_sign`; the letters it takes from I need no bookkeeping, I
-    being S - J - union(W)."""
-    inside = [(1 << (q - 1), gens.masks[q - 1]) for q in mask_face(gens.within(S))]
-    out = {}
+    """The horizontal differential inside the slice S, on masks: the
+    generators whose face lies in union(W) + I = S - J, `within(S & ~J)`,
+    enter W by `exactalg.insert_bits`, one call per circle bitmask J; the
+    letters a generator takes from I need no bookkeeping, I being
+    S - J - union(W)."""
+    by_circles = {}
     for (J, W), c in phi.items():
-        for b, mask in inside:
-            if not W & b and not mask & J:
-                out[(J, W | b)] = out.get((J, W | b), 0) + insertion_sign(W, b) * c
-    return {key: c for key, c in out.items() if c}
+        by_circles.setdefault(J, {})[W] = c
+    out = {}
+    for J, words in by_circles.items():
+        for W, c in insert_bits(words, gens.within(S & ~J)).items():
+            if c:
+                out[(J, W)] = c
+    return out
 
 
 def _staircase(gens, slices):
     """The staircase from vertical cycles {S: {(J, W): coeff}} on the
     `Generators` gens, slice by slice in the order of their vertex sets,
-    returning (cycle, trace)."""
+    returning (cycle, trace).
+
+    A slice leaves the loop only when every term has J = 0 and
+    union(W) = S, which is the exact check that its last element eta is a
+    Taylor cycle.  If the loop ran, eta = `_horizontal`(phi), and the
+    horizontal step keeps J, so eta is the image of phi_0, the part of phi
+    with J = 0: eta = g_S ^ phi_0, g_S the sum of the generators inside S.
+    Every word of eta has the union S, so `index_boundary`(eta) = g_S ^ eta
+    = g_S ^ g_S ^ phi_0 = 0, both differentials being the one insertion
+    (`exactalg.insert_bits`) and g_S ^ g_S = 0.  If it did not run on a
+    slice of `koszul_to_taylor`, whose words are empty, S is empty and eta
+    the empty word, which no generator enters.  So the output is not walked
+    again."""
     steps = []
     total = {}
     for S in sorted(slices, key=mask_face):
@@ -271,8 +295,6 @@ def _staircase(gens, slices):
             eta = _horizontal(S, phi, gens)
             steps.append(ZigzagStep("apply-horizontal", S, eta, gens))
         total.update({W: c for (_, W), c in eta.items()})
-    if index_boundary(total, gens):
-        raise ZigzagError("staircase output is not a Taylor cycle")
     return TaylorChain(gens, total), ZigzagTrace(tuple(steps))
 
 
@@ -282,8 +304,9 @@ def koszul_to_taylor(K, z):
 
     Works one square-free multidegree at a time, on masks: solve a vertical
     preimage, apply the horizontal differential, repeat until the circle
-    letters are exhausted; the remaining element is a pure Taylor cycle,
-    checked to be one on its words.
+    letters are exhausted; the remaining element is a pure Taylor cycle, by
+    the rule each slice leaves the loop on (`_staircase`).  The input is
+    checked to be a cycle, by the same insertion.
     """
     if not z.supported_in(K):
         raise ZigzagError("chain uses cells outside Z_K")

@@ -9,10 +9,12 @@ import pytest
 from momangle import cli
 from momangle.cli import main, read_argv, report_json
 from momangle.complexes import SimplicialComplex, parse_complex
+from momangle.taylor import TaylorChain
 from momangle.whitehead import delta_w, parse_whitehead
 from conftest import SUB5_EXPR
 from oracles import labelled_words, random_complex
 from test_golden import CASES as GOLDEN_CASES
+from test_golden import load_golden
 
 
 def run_cli(capsys, *args):
@@ -363,6 +365,28 @@ def test_taylor_cycle_exits_0_or_1(tmp_path, capsys):
     assert all(codes[code, half] for code in (0, 1) for half in (0, 1)), codes
 
 
+def test_taylor_cycle_degree_is_read_off_the_leaves(tmp_path, capsys):
+    """`taylor-cycle` writes the degree 2|L| - s, L the leaves, without
+    walking the words; it is the chain's own `TaylorChain.degree` on every
+    golden `taylor-cycle` case and on 60 seeded nested products over
+    bd_Delta(w) with the leaves among up to two more vertices."""
+    cases = [entry["argv"][1:] for entry in load_golden().values()
+             if entry["argv"][0] == "taylor-cycle" and entry["code"] == 0]
+    rng = random.Random(41)
+    for trial in range(60):
+        m = rng.randint(3, 8)
+        text = _random_nested_text(rng, list(range(1, m + 1)))
+        dw = delta_w(parse_whitehead(text))
+        path = tmp_path / f"k{trial}.json"
+        path.write_text(json.dumps(dw.complex.relabelled(dw.vertex_to_leaf(), m=m).to_json_dict()))
+        cases.append(["--complex", str(path), "--w", text])
+    for args in cases:
+        data = run_json(capsys, "taylor-cycle", *args)
+        K = cli.load_complex(args[1], 20)
+        assert data["degree"] == TaylorChain.from_text(K, data["cycle"]).degree, args
+    assert len(cases) >= 65
+
+
 @pytest.mark.parametrize("w", ["[1,2]", "[[1,2],3]", "[1,1000]", "[[1,2],1000]"])
 def test_status_with_a_leaf_outside_K_is_undefined(capsys, w):
     # single and nested products agree with `realises`: not defined
@@ -445,7 +469,6 @@ def test_self_check_failure_exits_3(capsys, monkeypatch):
 
 
 def test_zigzag_with_two_digit_labels(capsys):
-    from momangle.taylor import TaylorChain
     expr = "join(bd(simplex(1,2,3,4,5,6,7,8,9)),bd(simplex(1,2)))"
     data = run_json(capsys, "zigzag", "--complex", expr, "--w", "[10,11]")
     assert data["cycle"] in ("w10.11", "-w10.11")

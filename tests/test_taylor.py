@@ -6,8 +6,8 @@ import pytest
 
 from momangle import exactalg, moment_angle
 from momangle import taylor as ty
-from momangle.complexes import (Generators, SimplicialComplex, SizeLimitError, face_mask,
-                                mask_face, parse_complex, simplex_boundary)
+from momangle.complexes import (Generators, ParseError, SimplicialComplex, SizeLimitError,
+                                face_mask, mask_face, parse_complex, simplex_boundary)
 from momangle.exactalg import HomologyGroup
 from momangle.moment_angle import hochster_table, zk_homology
 from momangle.taylor import (MonomialIdeal, TaylorChain,
@@ -93,10 +93,19 @@ def test_text_roundtrip(sub5):
 
 
 def test_reader_refuses_factors_that_are_no_missing_faces(sub5):
-    """A factor that is no missing face of K is refused by the reader; a
-    factor's labels are read as a face, in any order."""
-    with pytest.raises(ValueError, match=r"factors \[\(1, 2\)\] are not missing faces of K"):
-        TaylorChain.from_text(sub5, "w12^w145")
+    """A factor that is no missing face of K, or that repeats a vertex, is
+    refused by the reader as a `ParseError` at the factor's column (its
+    `w`), as a syntax error is, and an empty label of a dotted word at the
+    word's column; a factor's labels are read as a face, in any order."""
+    for text, message, column in (
+            ("w12^w145", r"factors \[\(1, 2\)\] are not missing faces of K", 1),
+            ("w145 ^ w12", r"factors \[\(1, 2\)\] are not missing faces of K", 8),
+            ("w145 - (w245 + w114)^w123", r"duplicate vertex in face \(1, 1, 4\)", 16),
+            ("w145 ^ w1..2", r"empty vertex label in '1..2'", 9),
+            ("w.1", r"empty vertex label in '.1'", 2)):
+        with pytest.raises(ParseError, match=message + rf".*\(line 1, column {column}\)") as info:
+            TaylorChain.from_text(sub5, text)
+        assert info.value.pos == column - 1
     assert TaylorChain.from_text(sub5, "w541") == TaylorChain.from_text(sub5, "w145")
 
 
@@ -379,6 +388,17 @@ def _random_nested(rng):
     return parse_whitehead(text)
 
 
+def _random_nested_case(rng):
+    """(K, w): a `_random_nested` product w, and bd_Delta(w) on its leaves
+    with up to two random faces added."""
+    w = _random_nested(rng)
+    dw = delta_w(w)
+    base = dw.complex.relabelled(dw.vertex_to_leaf(), m=len(w.leaves()))
+    facets = list(base.facets) + [rng.sample(range(1, base.m + 1), rng.randint(2, base.m - 1))
+                                  for _ in range(rng.randint(0, 2))]
+    return SimplicialComplex.from_facets(base.m, facets), w
+
+
 def test_nested_cycle_matches_labelled_reference():
     """The closed form on index bitmasks against the labelled reference on 30
     random nested products, each on bd_Delta(w) with up to two random faces
@@ -387,12 +407,7 @@ def test_nested_cycle_matches_labelled_reference():
     rng = random.Random(30)
     built = refused = 0
     for _ in range(30):
-        w = _random_nested(rng)
-        dw = delta_w(w)
-        base = dw.complex.relabelled(dw.vertex_to_leaf(), m=len(w.leaves()))
-        facets = list(base.facets) + [rng.sample(range(1, base.m + 1), rng.randint(2, base.m - 1))
-                                      for _ in range(rng.randint(0, 2))]
-        K = SimplicialComplex.from_facets(base.m, facets)
+        K, w = _random_nested_case(rng)
         try:
             reference = reference_nested_taylor_cycle(w, K)
         except ValueError as exc:
@@ -435,6 +450,27 @@ def test_nested_cycle_refuses_where_it_is_no_cycle():
     with pytest.raises(ValueError, match=r"missing face \(1, 2, 7\) meets the level 4 leaves \(2, 3\)"):
         nested_taylor_cycle(w, K)
     assert not taylor_boundary(base, nested_taylor_cycle(w, base))
+
+
+@pytest.mark.parametrize("text, m, filled, breaking, position", [
+    ("[[[1,3],4],2,5]", 5, [(2, 3, 4)], (3, 4, 5), -1),
+    ("[[[1,2],3],4,5]", 5, [(1, 3, 4)], (1, 3, 5), 2),
+    ("[[[3,4,5,7],2],1,6]", 8, [(2, 3, 5, 6, 7, 8), (1, 2, 4, 5, 6, 7, 8)], (1, 2, 3), 0),
+])
+def test_nested_cycle_refuses_a_single_breaking_generator(text, m, filled, breaking, position):
+    """bd_Delta(w) with faces filled in, where one missing face breaks the
+    factor rule: the last, a middle and the first of the generators inside
+    the leaves.  The factor rule, the closed form's only cycle check, must
+    reach every generator inside the leaves to refuse it."""
+    w = parse_whitehead(text)
+    dw = delta_w(w)
+    base = dw.complex.relabelled(dw.vertex_to_leaf(), m=m)
+    K = SimplicialComplex.from_facets(m, list(base.facets) + filled)
+    inside = [F for F in K.missing_faces() if set(F) <= set(w.leaves())]
+    assert inside.index(breaking) == position % len(inside)
+    assert taylor_boundary(K, reference_nested_taylor_cycle(w, K))
+    with pytest.raises(ValueError, match=re.escape(f"missing face {breaking} meets the level 3")):
+        nested_taylor_cycle(w, K)
 
 
 def test_nested_cycle_rejects_missing_level(sub5):

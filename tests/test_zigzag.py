@@ -6,21 +6,26 @@ from math import comb
 
 import pytest
 
-from momangle import parse_complex, zigzag
+from momangle import exactalg, moment_angle, parse_complex, taylor, zigzag
 from momangle.complexes import Generators, SimplicialComplex, face_mask, mask_face, simplex_boundary
-from momangle.exactalg import smith_normal_form
+from momangle.exactalg import insertion_sign, smith_normal_form
 from momangle.moment_angle import CellChain, zk_class
-from momangle.taylor import TaylorChain, nested_taylor_cycle, taylor_boundary
+from momangle.taylor import (TaylorChain, index_boundary, nested_taylor_cycle, taylor_boundary,
+                             taylor_face_complex)
 from momangle.whitehead import delta_w, hurewicz_chain, parse_whitehead
 from momangle.zigzag import (ZigzagError, _horizontal, _koszul_block, _koszul_matrix, _staircase,
                              _table_solve, _vertical, _vertical_preimage, classes_equal,
                              classes_equal_up_to_sign, koszul_to_taylor)
 from oracles import (BicomplexChain, cell_chain, random_complex, reference_full_slice_solve,
                      reference_horizontal_diff, reference_koszul_matrix,
-                     reference_koszul_to_taylor, reference_per_word_solve_vertical,
-                     reference_solve_vertical, reference_trace_list, taylor_chain,
-                     vertical_diff)
+                     reference_koszul_to_taylor, reference_nested_taylor_cycle,
+                     reference_per_word_solve_vertical, reference_solve_vertical,
+                     reference_trace_list, taylor_chain, vertical_diff)
 from test_golden import PAIRS as GOLDEN_PAIRS
+from test_golden import SUB5 as GOLDEN_SUB5
+from test_golden import load_golden
+from test_golden import run as run_golden
+from test_taylor import _random_nested_case
 
 
 def B(terms):
@@ -469,28 +474,113 @@ def test_trace_writes_two_digit_labels_as_the_reference(K_text, w_text, elements
     assert outcome == _reference_outcome(K, z)
 
 
-def test_staircase_output_check_catches_a_broken_insertion_sign(sub5, monkeypatch):
-    """With the parity of the insertion sign dropped (every letter enters
-    with +1) the input check, which shares the rule, refuses the cellular
-    cycle; with that check passed over, the horizontal steps no longer land
-    on a Taylor cycle, and the output check says so.  Flipping the parity
-    instead negates each horizontal step and the input check's image, which
-    only moves the answer by the global sign the staircase leaves free."""
+def _insertion_with_parity(parity):
+    """`exactalg.insert_bits` with the sign `parity(word, b)` for bit b
+    entering word."""
+    def insert(chain, bits, out=None):
+        out = {} if out is None else out
+        for word, c in chain.items():
+            rest = bits & ~word
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                out[word | b] = out.get(word | b, 0) + parity(word, b) * c
+        return out
+    return insert
+
+
+def _patch_insertion(patch, parity):
+    """Every binding of the one chain insertion in the package replaced."""
+    for module in (exactalg, moment_angle, taylor, zigzag):
+        patch.setattr(module, "insert_bits", _insertion_with_parity(parity))
+
+
+def test_a_broken_shared_insertion_is_refused(sub5, monkeypatch):
+    """The one chain insertion with its parity dropped (every bit enters
+    with +1): the staircase's input check, the same insertion, refuses the
+    cellular cycle, and the whole Taylor complex fails `ChainComplex`'s
+    d^2 check.  With its parity flipped, d^2 = 0 still holds and the
+    staircase only moves by the global sign it leaves free, but a closed
+    form of an odd number of levels changes sign, which the golden reports
+    pin (`taylor-cycle` on [1,2,3])."""
     w = parse_whitehead("[[[1,4,5],2],3]")
     z = hurewicz_chain(w, sub5.m)
     cycle, _ = koszul_to_taylor(sub5, z)
+    argv = ["taylor-cycle", "--complex", GOLDEN_SUB5, "--w", "[1,2,3]"]
+    assert run_golden(argv) == load_golden()[tuple(argv)]
     with monkeypatch.context() as patch:
-        patch.setattr(zigzag, "insertion_sign", lambda word, b: 1)
+        _patch_insertion(patch, lambda word, b: 1)
         with pytest.raises(ZigzagError, match="input chain is not a cycle"):
             koszul_to_taylor(sub5, z)
-        patch.setattr(zigzag, "_vertical", lambda S, terms, gens: {})
-        with pytest.raises(ZigzagError, match="staircase output is not a Taylor cycle"):
-            koszul_to_taylor(sub5, z)
-    sign = zigzag.insertion_sign
+        with pytest.raises(ValueError, match=r"d\^2 != 0"):
+            taylor_face_complex(sub5)
     with monkeypatch.context() as patch:
-        patch.setattr(zigzag, "insertion_sign", lambda word, b: -sign(word, b))
+        _patch_insertion(patch, lambda word, b: -insertion_sign(word, b))
         flipped, _ = koszul_to_taylor(sub5, z)
+        assert taylor_face_complex(sub5).dim(-2) == 6
+        assert nested_taylor_cycle(w, sub5) == \
+            -TaylorChain.from_text(sub5, "(w123+w345)^w245^w145")
+        assert run_golden(argv) != load_golden()[tuple(argv)]
     assert flipped in (cycle, -cycle)
+
+
+def test_closed_forms_and_staircase_outputs_are_cycles():
+    """`index_boundary` is 0 on every closed form and every staircase output,
+    the check neither makes on its own words: the golden pairs, and 40
+    seeded nested products on bd_Delta(w) with up to two random faces added
+    (`test_taylor._random_nested_case`).  A closed form its factor rule
+    refuses is no cycle (checked on the labelled reference), and the
+    staircase refuses only a canonical cycle with cells outside Z_K."""
+    rng = random.Random(30)
+    cases = [(parse_complex(K_text), parse_whitehead(w_text)) for K_text, w_text in GOLDEN_PAIRS]
+    cases += [_random_nested_case(rng) for _ in range(40)]
+    forms = outputs = refused = 0
+    for K, w in cases:
+        gens = K.generators()
+        try:
+            form = nested_taylor_cycle(w, K)
+        except ValueError as exc:
+            if "is no cycle of K" in str(exc):
+                assert taylor_boundary(K, reference_nested_taylor_cycle(w, K))
+                refused += 1
+        else:
+            assert form and not index_boundary(form.terms, gens), (K, w)
+            forms += 1
+        try:
+            cycle, _ = koszul_to_taylor(K, hurewicz_chain(w, K.m))
+        except ZigzagError as exc:
+            assert "outside Z_K" in str(exc)
+            continue
+        assert not index_boundary(cycle.terms, gens), (K, w)
+        outputs += bool(cycle)
+    assert forms >= 25 and outputs >= 25 and refused
+
+
+def test_closed_form_and_staircase_do_not_walk_their_output(sub5, monkeypatch):
+    """Neither `nested_taylor_cycle` nor `koszul_to_taylor` calls
+    `index_boundary`: each is a cycle by its own exact rule."""
+    def spy(chain, gens):
+        raise AssertionError("index_boundary called")
+    for module in (taylor, zigzag):
+        monkeypatch.setattr(module, "index_boundary", spy, raising=False)
+    for text in ("[[1,2,3],4,5]", "[[[1,4,5],2],3]"):
+        w = parse_whitehead(text)
+        assert nested_taylor_cycle(w, sub5)
+        assert koszul_to_taylor(sub5, hurewicz_chain(w, sub5.m))[0]
+
+
+def test_staircase_keeps_a_slice_with_disc_letters(sub5):
+    """A slice leaves the staircase only when every term has no circle
+    letter and a word of union S: an element with no circle letter whose
+    words leave disc letters (here the empty word on S = 1..5) is no Taylor
+    cycle, and the loop takes it to the vertical solve, which refuses it
+    because it is no vertical cycle."""
+    gens = sub5.generators()
+    for S, W in ((0b11111, 0), (0b11111, gens.word(((1, 2, 3),)))):
+        with pytest.raises(ZigzagError, match="no integer vertical preimage"):
+            _staircase(gens, {S: {(0, W): 1}})
+    cycle, trace = _staircase(gens, {0: {(0, 0): 1}})
+    assert cycle.terms == {0: 1} and not trace.steps
 
 
 def _random_word_system(rng):
