@@ -113,6 +113,11 @@ def cmd_delta_w(K, w, args, out):
 
 
 def cmd_hurewicz(K, w, args, out):
+    # no K bounds the leaves here, and the chain's cells are bitmasks over
+    # their labels: a label above --max-vertices is refused before any is made
+    top = max(w.leaves())
+    if top > args.max_vertices:
+        raise cx.SizeLimitError(f"leaf {top} above --max-vertices {args.max_vertices}")
     chain = wh.hurewicz_chain(w)
     out["degree"] = chain.degree
     out["chain"] = chain.to_text()

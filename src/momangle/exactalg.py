@@ -13,7 +13,7 @@ reduces only the differentials that have entries, a one-column one by the
 gcd of its entries and only the wider ones by the Smith normal form.
 
 Every complex kept on bitmasks (the cellular star quotients, the Taylor
-blocks, Lyubeznik's slices and the staircase's Koszul blocks) is exterior:
+blocks, Lyubeznik's slices and the staircase's slices) is exterior:
 its differential lets one bit b enter a word x as x | b, with the sign
 (-1)^popcount(x & (b - 1)) of the set bits below b (`insertion_sign`, for
 one bit).  Beside it the rule has two writers, both here: on a chain
@@ -22,7 +22,9 @@ differential of the package calls (the cell boundary, the Taylor
 differential, the closed form's growth and the staircase's two steps); and
 on a block's basis, the one column builder `insertion_columns`, which one
 fold (`moment_angle.fold_blocks`) feeds to `column_homology` for every
-cellular and Taylor table, with no complex built.  An insertion adds one
+cellular and Taylor table, with no complex built.  The staircase builds
+no block: its vertical blocks are Koszul complexes of simplices, solved
+by their contracting homotopy (`zigzag._homotopy`).  An insertion adds one
 bit, so a block with no two adjacent degrees occupied needs no columns, and
 the builder makes none; the fold does not even ask it for a block whose
 words all have one popcount.  A `ChainComplex` labels the same columns with
@@ -36,7 +38,9 @@ small blocks that share a group share it.
 The Smith normal form has one elimination state, `_SnfWorker`: A's rows
 alone, beside U's rows, V's columns and V^-1's rows, and every row or
 column addition on any of them is one sparse update (`_addmul`).  Its pivot
-rule fixes the transforms, and with them every canonical solve and class.
+rule fixes the transforms, and with them every cycle class
+(`ChainComplex.class_of`) and canonical solve (`SmithForm.solve`, which no
+verb calls).
 Without transforms the unit pivots go first (`_eliminate_units`), and only
 a residual with entries goes through the same worker for its diagonal.
 
@@ -208,8 +212,8 @@ class _SnfWorker:
     on to (t, t) and clears its column with row additions and its row with
     column additions; a remainder is moved in the pivot's place, and a
     pivot that does not divide a later row takes that row in.  This pivot
-    rule fixes the transforms and therefore every canonical solution
-    downstream.  When step t starts, every row above t holds its pivot
+    rule fixes the transforms and therefore every cycle class downstream.
+    When step t starts, every row above t holds its pivot
     alone, so a column operation walks the rows from t on (`_rows_from`).
     """
 

@@ -610,9 +610,15 @@ def zk_class(K, chain, block=None):
     `zk_star_quotient(K, S)`, gives the quotients: a memo of it classes many
     chains against one quotient per support."""
     require_zk_cycle(K, chain)
+    return zk_cycle_class(K, chain, block)
+
+
+def zk_cycle_class(K, cycle, block=None):
+    """`zk_class` of a cycle its caller has already checked to lie in Z_K
+    and to be one (`require_zk_cycle`), with no check made again."""
     return class_by_support(block or (lambda S: zk_star_quotient(K, S)),
                             lambda cell: mask_face(cell[0] | cell[1]),
-                            chain.degree, chain.terms)
+                            cycle.degree, cycle.terms)
 
 
 # -- Hochster decomposition -----------------------------------------------------

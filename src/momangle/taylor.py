@@ -39,7 +39,7 @@ the vertex bitmask of its union, and its admissible words, each a bitmask
 of generator indices; the generators inside the union (`within`) are the
 bits that may enter a word, and the block's columns are their insertion
 columns (`exactalg.insertion_columns`, the builder the cellular star
-quotients and the staircase's Koszul blocks also read).  Both tables, per
+quotients also read).  Both tables, per
 support (`taylor_homology_by_support`) and summed by degree
 (`taylor_homology`), are `_blocks` read by the cellular tables' fold
 (`moment_angle.fold_blocks`), with no labelled complex built: a block

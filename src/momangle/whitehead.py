@@ -39,7 +39,8 @@ of z on a cell that is in no cell's boundary is a one-cell cocycle pairing
 z to a nonzero coefficient (`_cocycle_cell`), and the product of the
 sub-products' chains with the disc on the bracket's own leaves, where it
 lies in Z_K, is a chain whose boundary is +-z (`_trivialising_filling`).
-Only where neither exists is z reduced in the star quotients (`zk_class`).
+Only where neither exists is z reduced in the star quotients
+(`zk_cycle_class`, the checks already made).
 
 `parse_whitehead`, `_canonical_chain`, `_containment` and
 `_canonical_bounds` are bounded memos: a process parses a bracket text,
@@ -56,8 +57,8 @@ from itertools import combinations
 
 from . import complexes as cx
 from .exactalg import TRIVIAL_GROUP, IntMatrix, invariant_factors
-from .moment_angle import (CellChain, _require_singletons, degree_sums,
-                           zk_class, zk_homology_by_support, zk_star_quotient)
+from .moment_angle import (CellChain, _require_singletons, degree_sums, zk_class,
+                           zk_cycle_class, zk_homology_by_support, zk_star_quotient)
 
 UNDEFINED = "undefined"
 DEFINED_TRIVIAL = "defined-trivial"
@@ -282,8 +283,8 @@ def _canonical_bounds(K, w):
     cycle.  Two certificates then decide it with no Smith form: a term of z
     that lies in no cell's boundary (`_cocycle_cell`) means z does not
     bound, and a filling of z in Z_K (`_trivialising_filling`) means it
-    does.  Only where neither exists is z classed in the star quotients
-    (`zk_class`)."""
+    does.  Only where neither exists is z classed in the star quotients,
+    with neither check made again (`zk_cycle_class`)."""
     z = hurewicz_chain(w, K.m)
     if not z.supported_in(K):
         raise ValueError("chain has a cell outside Z_K")
@@ -291,7 +292,7 @@ def _canonical_bounds(K, w):
         return False
     if _trivialising_filling(K, w) is not None:
         return True
-    return zk_class(K, z).is_boundary
+    return zk_cycle_class(K, z).is_boundary
 
 
 def _cocycle_cell(K, z):

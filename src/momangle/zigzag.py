@@ -16,47 +16,44 @@ front-insertion sign of the Taylor complex), which is the form in which the
 staircase equations are solved: starting from a cellular cycle, alternately
 take a vertical preimage and push it horizontally.  The circle degree |J|
 drops by one per round, and once it reaches zero the element is forced to
-be a pure Taylor cycle in the same Cotor class.  Each preimage is the
-canonical solution of an exact integer solve, so traces are reproducible
-bit for bit; the one remaining freedom is the global sign of the answer.
+be a pure Taylor cycle in the same Cotor class.  Each preimage is fixed
+by one rule, the contracting homotopy of the vertical block, so traces are
+reproducible bit for bit; the one remaining freedom is the global sign of
+the answer.
 
 The staircase (`koszul_to_taylor`) runs on bitmasks, one slice S at a
 time.  A term is keyed (J, W): J the bitmask of its circle letters, W
 the bitmask of its word's generator indices on K's
 `complexes.Generators` (bit q for the q-th missing face of K, as in the
 Taylor table).  The disc letters are not stored: I is S - J - union(W).
-A vertical preimage is solved one word at a time in the Koszul block of
-T_W = S - union(W), whose bits move onto the bits of 1..n and back.
 Both differentials are the package's one chain insertion,
 `exactalg.insert_bits`, with the parity (-1)^popcount(x & (b - 1)): the
 horizontal step inserts the generators inside S and off J,
-`within(S & ~J)`, into W, and the vertical step the disc bits into J.  So
-`exactalg.insertion_columns`, the builder of the Taylor blocks and the
-cellular star quotients, builds the Koszul blocks.  Every invariant
-factor of a Koszul block is 1, so the canonical solution
-`SmithForm.solve` would give, V (U b)[:rank], is linear in b: each
-cached block (`_koszul_block`) holds it for every target J, with the
-entries of U e_J past the rank, and a preimage is the same canonical
-solution read from those tables, a sum of rows, with no matrix product.
+`within(S & ~J)`, into W, and the vertical step the disc bits into J.
+The vertical block of a word W is the Koszul complex of the simplex on
+T_W = S - union(W), which is exact, and a preimage is its contracting
+homotopy: the top bit of T_W taken out of J (`_homotopy`).  It
+equals the canonical solution of the Smith form on the Koszul matrix,
+so no matrix is built, and the one check that the preimage maps back is
+what refuses an input that is no cycle or a broken sign.
 No label is built on the way: the input cell chain's (J, I) masks are
 sliced as they are (S = J | I, the word empty), the returned cycle is a
 `TaylorChain` on the slices' last words as they are, a cycle by the rule
 a slice leaves the loop on (`_staircase`), and a trace step keeps its
 slice's masks, written out from per-vertex letter tables only for its
 text.  The labelled bicomplex on triples, with both differentials and
-Koszul blocks of its own, is the reference the tests hold the staircase
-to (`tests/oracles.py`).
+Smith-form-solved Koszul blocks of its own, is the reference the tests
+hold the staircase to (`tests/oracles.py`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from operator import itemgetter
 
 from .complexes import mask_face, signed_sum_text
-from .exactalg import _column_matrix, insert_bits, insertion_columns, smith_normal_form
+from .exactalg import insert_bits, insertion_sign
 from .taylor import TaylorChain, taylor_boundary, taylor_cycle_is_boundary
 
 
@@ -86,71 +83,6 @@ class ZigzagTrace:
 class ZigzagError(RuntimeError):
     """A staircase solve failed: the input was not a cycle or a sign
     convention is broken; either way this must not pass silently."""
-
-
-def _koszul_matrix(n, j):
-    """The vertical block of one word whose T_W is relabelled onto 1..n,
-    from circle degree j - 1 to j: the Koszul matrix of the simplex on 1..n.
-    A basis triple of the block is named by the bitmask of its circle letters
-    J alone (bit k for letter k + 1; the disc letters are the rest of 1..n),
-    sources and rows in `combinations` order, and `insertion_columns`
-    inserts the disc letters.  Returns (target Js in row order, source Js in
-    column order, matrix)."""
-    def circles(k):
-        return [sum(1 << i for i in c) for c in combinations(range(n), k)] if k >= 0 else []
-
-    sources, targets = circles(j - 1), circles(j)
-    _, columns = insertion_columns(sources + targets, (1 << n) - 1)
-    return targets, sources, _column_matrix(len(targets), len(sources), columns.get(1 - j, {}))
-
-
-@lru_cache(maxsize=32)
-def _koszul_block(n, j):
-    """The canonical preimages of `_koszul_matrix(n, j)`, one row per target
-    J: {J: (preimage, residue)}, read once off the Smith form U A V = S.
-    Every invariant factor of a Koszul block is 1 (the simplex's Koszul
-    complex is exact over the integers), and this is checked before the
-    table is built.  So for b = sum c_J e_J the canonical solution
-    V (U b)[:rank] of `SmithForm.solve` is the sum of the rows
-    c_J V (U e_J)[:rank], and b is an image exactly when the rows'
-    residues, the entries of U e_J past the rank, cancel.  A preimage is
-    ((source J, coeff), ...), a residue ((t, coeff), ...)."""
-    targets, sources, matrix = _koszul_matrix(n, j)
-    snf = smith_normal_form(matrix)
-    if any(d != 1 for d in snf.diag):
-        raise ZigzagError(f"Koszul block ({n}, {j}) has an invariant factor other than 1")
-    u_columns, v_columns = {}, {}
-    for (t, r), u in snf.U.entries.items():
-        u_columns.setdefault(r, []).append((t, u))
-    for (col, t), v in snf.V.entries.items():
-        v_columns.setdefault(t, []).append((col, v))
-    rank, table = snf.rank, {}
-    for r, J in enumerate(targets):
-        preimage, residue = {}, []
-        for t, u in u_columns.get(r, ()):
-            if t >= rank:
-                residue.append((t, u))
-                continue
-            for col, v in v_columns.get(t, ()):
-                preimage[sources[col]] = preimage.get(sources[col], 0) + v * u
-        table[J] = (tuple((src, c) for src, c in preimage.items() if c), tuple(residue))
-    return table
-
-
-def _table_solve(table, b):
-    """The canonical preimage {source J: coeff} of b = {target J: coeff}
-    from a `_koszul_block` table, the sum of its rows; refused when the
-    rows past the rank do not cancel, b being no image."""
-    x, residue = {}, {}
-    for J, c in b.items():
-        preimage, rest = table[J]
-        for src, v in preimage:
-            x[src] = x.get(src, 0) + v * c
-        for t, v in rest:
-            residue[t] = residue.get(t, 0) + v * c
-    if any(residue.values()):
-        raise ZigzagError("no integer vertical preimage; input cycle or signs broken")
-    return {src: c for src, c in x.items() if c}
 
 
 # -- the staircase on masks ------------------------------------------------------
@@ -217,39 +149,49 @@ def _vertical(S, terms, gens):
     return out
 
 
-def _vertical_preimage(S, eta, gens):
-    """phi with vertical(phi) = eta inside the slice S, on masks.
+def _homotopy(S, terms, gens):
+    """The contracting homotopy h of the vertical differential d inside the
+    slice S, on masks: on each word W, the top bit t of T_W = S - union(W)
+    leaves every circle bitmask J that holds it, h(J) =
+    `insertion_sign`(J - t, t) (J - t), and a J without t goes to 0.
 
-    The vertical differential keeps the word W and moves disc letters of
-    T_W = S - union(W) into circles, so the slice is block diagonal with one
-    Koszul block per word.  Each word of eta is solved on its own, from the
-    cached preimage table of (|T_W|, j) (`_table_solve`), the bits of J
-    moved down to the relabelled 1..n and the preimage's bits back up to
-    T_W (`_move`); words absent from eta have the zero preimage."""
+    The vertical block of W is the Koszul complex of the simplex on T_W:
+    d lets the bits of T_W off J enter J by `insert_bits`.  For any t in
+    T_W, d h + h d = id.  On J holding t, d h(J) holds J, t entering J - t
+    with the sign h took it out with, and h d(J) has no term at J; on J
+    without t, h d(J) holds J, t entering and leaving again, and d h(J) =
+    0.  Every other term lets one bit b != t in and t out, in one order or
+    the other, and the two cancel, since inserting b anticommutes with
+    removing t: when b < t, b's sign is the same with t in or out and t's
+    sign changes as b passes below it; when b > t, the other way round.
+    A word whose T_W is empty has no t: its block is Z in circle degree 0,
+    not exact, and h maps it to 0."""
+    out = {}
+    for W, circles in _by_word(terms).items():
+        t = 1 << (S & ~gens.union(W)).bit_length() >> 1     # 0 when T_W is empty
+        for J, c in circles.items():
+            if J & t:
+                out[(J ^ t, W)] = insertion_sign(J ^ t, t) * c
+    return out
+
+
+def _vertical_preimage(S, eta, gens):
+    """phi with vertical(phi) = eta inside the slice S, on masks: phi = h eta
+    (`_homotopy`), since a vertical cycle eta is d h eta + h d eta = d h eta.
+    With t the top bit of T_W this is, bit for bit, the canonical solve of
+    the Smith form (`SmithForm.solve`) on the Koszul matrix
+    (tests/test_zigzag.py).  An eta that is no vertical cycle has no
+    preimage, nor a word whose T_W is empty, and the one check
+    vertical(phi) = eta, one `insert_bits` per word, refuses both; it
+    refuses as well a broken insertion sign, for which d h + h d = id
+    fails."""
     degrees = {J.bit_count() for J, _ in eta}
     if len(degrees) != 1:
         raise ZigzagError("staircase element mixes circle degrees")
-    j = degrees.pop()
-    phi = {}
-    for W, b in _by_word(eta).items():
-        up = [1 << (v - 1) for v in mask_face(S & ~gens.union(W))]
-        down = [0] * S.bit_length()
-        for k, bit in enumerate(up):
-            down[bit.bit_length() - 1] = 1 << k
-        x = _table_solve(_koszul_block(len(up), j), {_move(J, down): c for J, c in b.items()})
-        for src, c in x.items():
-            phi[(_move(src, up), W)] = c
+    phi = _homotopy(S, eta, gens)
+    if _vertical(S, phi, gens) != eta:
+        raise ZigzagError("no integer vertical preimage; input cycle or signs broken")
     return phi
-
-
-def _move(mask, place):
-    """The bits of `mask` moved to place[k], k each bit's position."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        out |= place[low.bit_length() - 1]
-    return out
 
 
 def _horizontal(S, phi, gens):

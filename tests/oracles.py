@@ -59,7 +59,7 @@ closed form on generator bitmasks); the labelled bicomplex
 element) pairs, live here, and the staircase
 solves in Koszul blocks of its own, labelled matrices reduced by the
 full-scan Smith form (`reference_koszul_block`, the reference for the
-package's preimage tables).  The canonical chain of a bracket is built on
+package's contracting homotopy).  The canonical chain of a bracket is built on
 label tuples by a sorting product of its own and checked to be a cycle by
 `reference_cell_boundary` (`reference_canonical_chain`, the reference for
 `CellChain.product` on vertex bitmasks).  The package keys a cell (J, I)

@@ -293,6 +293,13 @@ BAD_FILES = {"bad.json": "{not json", "no_facets.json": '{"m": 3}',
     (["realises", "--complex", "pt", "--w", "[1,99999999999999999999]"], {"defined": "no"}),
     (["taylor-cycle", "--complex", "pt", "--w", "[1,1000000000]"], 1),
     (["taylor-cycle", "--complex", "pt", "--w", "[1,99999999999999999999]"], 1),
+    # with no K, a leaf label above --max-vertices is a size refusal before
+    # the chain's cells are made bitmasks over it; delta-w relabels its
+    # leaves and answers
+    (["hurewicz", "--w", "[1,99999999999999999999]"], 2),
+    (["hurewicz", "--w", "[1,2,100000000]"], 2),
+    (["delta-w", "--w", "[1,99999999999999999999]"], {"dimension": 3}),
+    (["delta-w", "--w", "[1,2,100000000]"], {"dimension": 5}),
     # an empty option value is parsed like any other, not dropped
     (["hochster", "--complex", "pt", "--subset", ""], 1),
     (["wedge-basis", "--complex", "pt", "--order", ""], 1),

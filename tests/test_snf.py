@@ -8,7 +8,7 @@ column addition one sparse update.  Without transforms the unit pivots are
 eliminated first, so only the invariant factors must agree; with
 transforms the pivot rule is the reference's, so every matrix must agree
 entry for entry: on random matrices, and on the differentials the verbs
-factor, up to the largest Koszul blocks of the staircase.
+factor, and on the Koszul matrices up to n = 7.
 """
 
 import random
@@ -17,11 +17,10 @@ import pytest
 
 from momangle import moment_angle as ma
 from momangle import taylor as ty
-from momangle import zigzag
 from momangle.complexes import SimplicialComplex, reduced_chain_complex
 from momangle.exactalg import (IntMatrix, _column_matrix, _eliminate_units, insertion_columns,
                                invariant_factors, smith_normal_form)
-from oracles import random_complex, reference_snf
+from oracles import random_complex, reference_koszul_matrix, reference_snf
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -83,21 +82,17 @@ def assert_matches_reference(A):
     assert smith_normal_form(A, transforms=False) == reference_snf(A, transforms=False)
 
 
-def test_koszul_blocks_match_reference(monkeypatch):
-    """Every matrix `_koszul_block(n, j)` factors for n <= 7: the
-    staircase's transforms Smith forms, up to 35 x 35 (n = 7, j = 4)."""
-    seen = []
-
-    def spy(A, transforms=True):
-        seen.append(A)
-        return smith_normal_form(A, transforms)
-    monkeypatch.setattr(zigzag, "smith_normal_form", spy)
-    for n in range(1, 8):
-        for j in range(n + 2):
-            zigzag._koszul_block.__wrapped__(n, j)
+def test_koszul_blocks_match_reference():
+    """Every Koszul matrix of the simplex on 1..n for n <= 7
+    (`oracles.reference_koszul_matrix`, circle degree j - 1 to j) factors as
+    the reference does, up to 35 x 35 (n = 7, j = 4): exact blocks whose
+    invariant factors are all 1, which the staircase's homotopy solves in
+    the same canonical way (tests/test_zigzag.py)."""
+    seen = [reference_koszul_matrix(n, j)[2] for n in range(1, 8) for j in range(n + 2)]
     assert max(A.nnz() for A in seen) == 140
     for A in seen:
         assert_matches_reference(A)
+        assert set(smith_normal_form(A).diag) <= {1}
 
 
 def differentials(dims, columns):

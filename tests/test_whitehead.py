@@ -649,6 +649,30 @@ def test_canonical_cycle_is_checked_once_per_bracket(monkeypatch):
             memo.cache_clear()
 
 
+@pytest.mark.parametrize("row", [ROW_A, ROW_B, ROW_C], ids=["A", "B", "C"])
+def test_fallback_checks_the_cycle_once(row, monkeypatch):
+    """On the three fallback rows the star quotients class z with no check
+    made again: its boundary is taken once per w, in `_canonical_chain`,
+    and its Z_K support once, in `_canonical_bounds`."""
+    K, w = row_complex(row), W(row[1])
+    checked, supported = [], []
+    boundary, supported_in = CellChain.boundary, CellChain.supported_in
+    monkeypatch.setattr(CellChain, "boundary", lambda c: checked.append(c) or boundary(c))
+    monkeypatch.setattr(CellChain, "supported_in",
+                        lambda c, K: supported.append(c) or supported_in(c, K))
+    memos = (wh._canonical_chain, wh._canonical_bounds)
+    for memo in memos:
+        memo.cache_clear()
+    try:
+        assert wh._canonical_bounds(K, w) == (row is ROW_C)
+        z = wh._canonical_chain(w)
+        assert sum(c is z for c in checked) == 1
+        assert sum(c is z for c in supported) == 1
+    finally:
+        for memo in memos:
+            memo.cache_clear()
+
+
 def _general_bracket(rng, labels):
     """A random bracket on the labels: any split into two or more parts, a
     part of one label a leaf and a larger part a bracket of its own, so that

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 from itertools import combinations
@@ -13,9 +12,9 @@ from momangle.moment_angle import CellChain, zk_class
 from momangle.taylor import (TaylorChain, index_boundary, nested_taylor_cycle, taylor_boundary,
                              taylor_face_complex)
 from momangle.whitehead import delta_w, hurewicz_chain, parse_whitehead
-from momangle.zigzag import (ZigzagError, _horizontal, _koszul_block, _koszul_matrix, _staircase,
-                             _table_solve, _vertical, _vertical_preimage, classes_equal,
-                             classes_equal_up_to_sign, koszul_to_taylor)
+from momangle.zigzag import (ZigzagError, _homotopy, _horizontal, _staircase, _vertical,
+                             _vertical_preimage, classes_equal, classes_equal_up_to_sign,
+                             koszul_to_taylor)
 from oracles import (BicomplexChain, cell_chain, random_complex, reference_full_slice_solve,
                      reference_horizontal_diff, reference_koszul_matrix,
                      reference_koszul_to_taylor, reference_nested_taylor_cycle,
@@ -147,35 +146,20 @@ def test_horizontal_diff_matches_the_sorting_reference():
     assert absorbed > 100
 
 
-@pytest.mark.parametrize("n", range(8))
-def test_koszul_block_matches_the_labelled_matrix(n):
-    """Every Koszul matrix up to n = 7 is the matrix of the cell boundary on
-    labelled (J, I) over `combinations` (circle degree j - 1 to j), with
-    its circle bitmasks in that order, so the Smith form it is reduced by,
-    and with it every canonical solve, is pinned too."""
-    for j in range(n + 2):
-        targets, sources, matrix = reference_koszul_matrix(n, j)
-        assert _koszul_matrix(n, j) == ([face_mask(J) for J in targets],
-                                        [face_mask(J) for J in sources], matrix)
-
-
-@pytest.mark.parametrize("n", range(9))
-def test_koszul_tables_solve_as_the_smith_form(n):
-    """For every (n, j) with n <= 8, the preimage table's solve equals
-    `smith_normal_form(M).solve(b)` on the labelled Koszul matrix M, bit for
-    bit, on seeded image vectors b = M x; on seeded vectors that are no
-    image the table refuses with the staircase's message where the Smith
-    form has no solution."""
+@pytest.mark.parametrize("n", range(11))
+def test_koszul_homotopy_solves_as_the_smith_form(n):
+    """For every (n, j) with n <= 10, the staircase's preimage, the
+    homotopy with the top bit, equals `smith_normal_form(M).solve(b)` on
+    the labelled Koszul matrix M of the simplex on 1..n, bit for bit, on
+    seeded image vectors b = M x; on seeded vectors that are no image it
+    refuses with the staircase's message where the Smith form has no
+    solution."""
     rng = random.Random(100 + n)
+    S, gens = (1 << n) - 1, Generators(())
     images = refusals = 0
-    for j in range(n + 2):
+    for j in range(n + 1):
         targets, sources, matrix = reference_koszul_matrix(n, j)
-        if not targets:
-            assert _koszul_block(n, j) == {}
-            continue
         snf = smith_normal_form(matrix)
-        table = _koszul_block(n, j)
-        assert set(table) == {face_mask(J) for J in targets}
         for draw in range(12):
             if draw % 2 and sources:
                 x = {col: rng.randint(-3, 3) for col in rng.sample(range(len(sources)),
@@ -184,28 +168,39 @@ def test_koszul_tables_solve_as_the_smith_form(n):
             else:
                 b = {t: rng.choice([-2, -1, 1, 2]) for t in rng.sample(
                     range(len(targets)), rng.randint(1, min(3, len(targets))))}
+            if not b:
+                continue
             want = snf.solve(b)
-            rows = {face_mask(targets[t]): c for t, c in b.items()}
+            eta = {(face_mask(targets[t]), 0): c for t, c in b.items()}
             if want is None:
                 with pytest.raises(ZigzagError, match="no integer vertical preimage"):
-                    _table_solve(table, rows)
+                    _vertical_preimage(S, eta, gens)
                 refusals += 1
             else:
-                assert _table_solve(table, rows) == \
-                    {face_mask(sources[col]): c for col, c in want.items() if c}
+                assert _vertical_preimage(S, eta, gens) == \
+                    {(face_mask(sources[col]), 0): c for col, c in want.items() if c}
                 images += 1
     assert images >= 2 * n and refusals
 
 
-def test_koszul_block_refuses_an_invariant_factor_other_than_one(monkeypatch):
-    """The tables assume every invariant factor is 1; a Smith form with
-    another one is refused before any table is built."""
-    def doubled(A, transforms=True):
-        snf = smith_normal_form(A, transforms)
-        return dataclasses.replace(snf, diag=(2,) + snf.diag[1:])
-    monkeypatch.setattr(zigzag, "smith_normal_form", doubled)
-    with pytest.raises(ZigzagError, match="invariant factor other than 1"):
-        _koszul_block.__wrapped__(3, 2)
+def test_homotopy_contracts_the_vertical_differential():
+    """d h + h d = id on seeded slice chains of several words and circle
+    degrees, d the vertical differential and h the homotopy, except on a
+    word W with union(W) = S: its block is Z in circle degree 0, which h
+    and d both send to 0."""
+    rng = random.Random(44)
+    moved = 0
+    for _ in range(200):
+        K = _random_ideal_complex(rng, 7)
+        gens = K.generators()
+        S, terms = _random_slice(rng, K, count=rng.randint(1, 6))
+        total = _vertical(S, _homotopy(S, terms, gens), gens)
+        for key, c in _homotopy(S, _vertical(S, terms, gens), gens).items():
+            total[key] = total.get(key, 0) + c
+        assert {key: c for key, c in total.items() if c} == \
+            {(J, W): c for (J, W), c in terms.items() if gens.union(W) != S}
+        moved += bool(_homotopy(S, terms, gens))
+    assert moved > 60
 
 
 def test_differentials_commute():
@@ -499,13 +494,14 @@ def test_a_broken_shared_insertion_is_refused(sub5, monkeypatch):
     """The one chain insertion with its parity dropped (every bit enters
     with +1): the staircase's input check, the same insertion, refuses the
     cellular cycle, and the whole Taylor complex fails `ChainComplex`'s
-    d^2 check.  With its parity flipped, d^2 = 0 still holds and the
-    staircase only moves by the global sign it leaves free, but a closed
-    form of an odd number of levels changes sign, which the golden reports
-    pin (`taylor-cycle` on [1,2,3])."""
+    d^2 check.  With its parity flipped, d^2 = 0 still holds, but the
+    vertical step is then -d against the homotopy's `insertion_sign`, so
+    the staircase refuses at its vertical check, and a closed form of an
+    odd number of levels changes sign, which the golden reports pin
+    (`taylor-cycle` on [1,2,3])."""
     w = parse_whitehead("[[[1,4,5],2],3]")
     z = hurewicz_chain(w, sub5.m)
-    cycle, _ = koszul_to_taylor(sub5, z)
+    koszul_to_taylor(sub5, z)
     argv = ["taylor-cycle", "--complex", GOLDEN_SUB5, "--w", "[1,2,3]"]
     assert run_golden(argv) == load_golden()[tuple(argv)]
     with monkeypatch.context() as patch:
@@ -516,12 +512,12 @@ def test_a_broken_shared_insertion_is_refused(sub5, monkeypatch):
             taylor_face_complex(sub5)
     with monkeypatch.context() as patch:
         _patch_insertion(patch, lambda word, b: -insertion_sign(word, b))
-        flipped, _ = koszul_to_taylor(sub5, z)
+        with pytest.raises(ZigzagError, match="no integer vertical preimage"):
+            koszul_to_taylor(sub5, z)
         assert taylor_face_complex(sub5).dim(-2) == 6
         assert nested_taylor_cycle(w, sub5) == \
             -TaylorChain.from_text(sub5, "(w123+w345)^w245^w145")
         assert run_golden(argv) != load_golden()[tuple(argv)]
-    assert flipped in (cycle, -cycle)
 
 
 def test_closed_forms_and_staircase_outputs_are_cycles():
@@ -660,6 +656,3 @@ def test_mask_vertical_solve_refusals(sub5):
     with pytest.raises(ZigzagError, match="not a cycle"):
         koszul_to_taylor(sub5, CellChain.from_text("D1*S2"))
 
-
-def test_koszul_block_cache_is_bounded():
-    assert _koszul_block.cache_info().maxsize is not None
