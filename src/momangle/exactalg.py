@@ -27,10 +27,12 @@ no block: its vertical blocks are Koszul complexes of simplices, solved
 by their contracting homotopy (`zigzag._homotopy`).  An insertion adds one
 bit, so a block with no two adjacent degrees occupied needs no columns, and
 the builder makes none; the fold does not even ask it for a block whose
-words all have one popcount.  A `ChainComplex` labels the same columns with
-a basis, for cycle classes (`insertion_complex`), and
-`ChainComplex.from_boundary` writes the columns of a boundary callable on
-labels, for simplicial chains, the whole complexes and the references.
+words all have one popcount.  Whether cycles bound in a block, or are a
+basis of its homology, is one lattice index on the same columns, with no
+transforms (`image_factors`).  A `ChainComplex` labels the same columns
+with a basis (`insertion_complex`), and `ChainComplex.from_boundary`
+writes the columns of a boundary callable on labels, for simplicial
+chains, the whole complexes and the references.
 Homology groups are frozen values, and the column rule, `direct_sum` and
 the fold take them from one bounded memo (`_shared_group`), so the many
 small blocks that share a group share it.
@@ -38,9 +40,9 @@ small blocks that share a group share it.
 The Smith normal form has one elimination state, `_SnfWorker`: A's rows
 alone, beside U's rows, V's columns and V^-1's rows, and every row or
 column addition on any of them is one sparse update (`_addmul`).  Its pivot
-rule fixes the transforms, and with them every cycle class
-(`ChainComplex.class_of`) and canonical solve (`SmithForm.solve`, which no
-verb calls).
+rule fixes the transforms, and with them the class coordinates
+(`ChainComplex.class_of`) and canonical solves (`SmithForm.solve`) that the
+tests hold the package to; no verb reaches the transforms.
 Without transforms the unit pivots go first (`_eliminate_units`), and only
 a residual with entries goes through the same worker for its diagonal.
 
@@ -212,7 +214,7 @@ class _SnfWorker:
     on to (t, t) and clears its column with row additions and its row with
     column additions; a remainder is moved in the pivot's place, and a
     pivot that does not divide a later row takes that row in.  This pivot
-    rule fixes the transforms and therefore every cycle class downstream.
+    rule fixes the transforms and therefore the class coordinates.
     When step t starts, every row above t holds its pivot
     alone, so a column operation walks the rows from t on (`_rows_from`).
     """
@@ -573,6 +575,27 @@ def column_homology(dims, columns):
         return {d: _shared_group(n, ()) for d, n in sorted(dims.items()) if n}
     check_columns(columns)
     return _column_groups(dims, columns)
+
+
+def image_factors(words, inside, s, chains):
+    """The nonzero invariant factors of B and of [B | Z] by `_factors`, with
+    no transforms, on the exterior block (`insertion_columns`) with basis
+    `words` and the bits `inside` that may enter: B inserts the words of
+    s - 1 bits into those of s bits, and Z is the `chains`, {word: coeff}
+    on words of s bits, projected onto the block's words.
+
+    The product of the factors is the index of the lattice in its
+    saturation.  A cycle z bounds exactly when B and [B | z] have as many
+    factors with one product, for then im B + Zz is im B.  Where H is free
+    im B is saturated, and the factors of [B | Z] after B's count are
+    those of Z's coordinates in H: rank-H ones exactly when Z is a basis."""
+    dims, columns = insertion_columns([w for w in words if w.bit_count() in (s - 1, s)], inside)
+    rows = {word: i for i, word in enumerate(w for w in words if w.bit_count() == s)}
+    image, n = columns.get(1 - s, {}), dims.get(1 - s, 0)
+    with_z = dict(image)
+    for k, chain in enumerate(chains):
+        with_z[n + k] = [(rows[word], c) for word, c in chain.items() if c and word in rows]
+    return _factors(len(rows), n, image), _factors(len(rows), n + len(chains), with_z)
 
 
 def insertion_sign(word, b):

@@ -15,7 +15,7 @@ two conventions together make the Hochster embedding of simplicial chains
 canonical bracket chains with a plus sign.
 
 A cell is the pair (J, I) of vertex bitmasks, bit v - 1 for vertex v, in
-every chain, complex and class of the package; labels are written only in
+every chain and complex of the package; labels are written only in
 a chain's text (`CellChain.to_text`, `from_text`).  On bitmasks this is an
 exterior complex: the disc letter i joins the circle mask J as the bit b
 of i with the parity (-1)^popcount(J & (b - 1)), by the package's one
@@ -26,10 +26,10 @@ sign is that sign over the circle bits of its first factor
 too).
 
 The boundary keeps the support J + I, so the chains split into one block
-per vertex subset S (the Hochster splitting); homology and classes are
+per vertex subset S (the Hochster splitting); homology and boundaries are
 computed per block modulo the acyclic star of one vertex v, and the whole
 complex is the tests' reference: the table visits only the blocks that can
-carry homology, and a class projects onto the blocks it touches.
+carry homology, and a cycle projects onto the blocks it touches.
 
 Inside S a cell is its circle mask J, and I = S - J; it lies in the star of
 v exactly when I + v is a face.  A support travels as its bitmask.
@@ -38,9 +38,8 @@ reads K's face index, whose per-vertex bitsets over the faces give the
 faces of K_S, the vertex v and the faces off its star, as one bitset, in a
 few integer operations per block, and whose bitsets are built only when a
 nonempty support first asks for them; `_star_cells` writes the circle
-masks of those faces, by non-decreasing popcount.  Only cycle classes
-name each word J as its cell (J, S - J), in the ChainComplex of a quotient
-(`zk_star_quotient`).
+masks of those faces, by non-decreasing popcount; a cycle's piece on S
+bounds when its words J lie in the image there (`zk_bounds`).
 
 Every table of the cellular and Taylor routes, per support or summed by
 degree, is one walk over blocks (union, times, words) and one fold,
@@ -74,12 +73,11 @@ from itertools import accumulate, combinations
 from math import comb, prod
 from operator import or_
 
-from .complexes import (ParseError, SignedSum, SizeLimitError, face_mask,
-                        mask_face, read_signed_sum, read_text, reduced_chain_complex,
-                        signed_sum_text)
-from .exactalg import (ChainComplex, HomologyClass, HomologyGroup, _shared_group,
-                       column_homology, concatenation_sign, direct_sum, insert_bits,
-                       insertion_columns, insertion_complex)
+from .complexes import (ParseError, SignedSum, SizeLimitError, mask_face, read_signed_sum,
+                        read_text, reduced_chain_complex, signed_sum_text)
+from .exactalg import (ChainComplex, HomologyGroup, _shared_group, column_homology,
+                       concatenation_sign, direct_sum, image_factors, insert_bits,
+                       insertion_columns)
 
 ZK_MAX_VERTICES = 24
 
@@ -310,27 +308,6 @@ def _star_cells(K, smask):
     return words
 
 
-def zk_star_quotient(K, S):
-    """The block of S modulo the star of `_star_cells`' vertex v in K_S, as a
-    ChainComplex on cells for cycle classes: the cells (S - I, I) with I + v
-    no face of K, and `cell_boundary` with every target inside the star
-    dropped.  `_star_cells` chooses the circle masks, `insertion_columns`
-    gives their columns, and each mask J names the cell (J, S - J) in Z_K
-    degree 2|S| - |J|.
-
-    The star's cells span a subcomplex, since d only drops disc letters, and
-    it is the shifted augmented chain complex of a cone, so it is acyclic;
-    the quotient has the block's homology over Z, torsion included.  The
-    empty S has no vertex; its block, Z in degree 0, is returned whole.  A
-    ghost vertex of K is refused inside S only."""
-    if S and S[-1] > K.m:
-        raise ValueError(f"support {S} leaves the vertices 1..{K.m}")
-    if any(1 << (v - 1) not in K.face_masks for v in S):
-        raise ValueError("Z_K needs every singleton to be a face")
-    smask = face_mask(S)
-    return insertion_complex(_star_cells(K, smask), smask, lambda J: (J, smask ^ J), 2 * len(S))
-
-
 def support_table(blocks, shift):
     """Homology of (S, ChainComplex) blocks as {(S, Z_K degree): group},
     nontrivial only; `shift(S, d)` places block degree d in Z_K.  Every
@@ -394,30 +371,25 @@ def degree_sums(per_support):
     return dict(sorted(out.items()))
 
 
-def class_by_support(block, support, degree, terms):
-    """Class of a cycle, reduced only in the blocks it touches.
-
-    `block(S)` is the quotient of S's whole block by an acyclic subcomplex,
-    or None (S's piece is dropped).  Each piece of the terms, split by
-    `support(key)`, is projected onto `block(S)`'s basis at `degree` and
-    classed there even when empty, so one support's coordinates always have
-    one length; they run in sorted S order.  The projection is a
-    quasi-isomorphism, so the cycle bounds exactly when every piece does.
-    The caller checks that every key is a basis element of the whole complex
-    and that the chain is a cycle there."""
+def bounds_by_support(block, split, terms):
+    """Does the cycle with the terms {key: coeff} bound?  `split(key)` gives
+    a key's support S and its word; `block(S)` is the (words, inside) of the
+    quotient of S's block by an acyclic subcomplex, or None, where S's piece
+    bounds.  The projection onto a quotient is a quasi-isomorphism, so the
+    cycle bounds exactly when each piece's projection lies in im B there:
+    B and [B | z] have as many invariant factors, with one product
+    (`exactalg.image_factors`).  The caller checks that the chain is a cycle
+    on basis elements of the whole complex."""
     pieces = {}
     for key, c in terms.items():
-        pieces.setdefault(support(key), {})[key] = c
-    coords, orders = (), ()
-    for S, piece in sorted(pieces.items()):
-        C = block(S)
-        if C is None:
-            continue
-        basis = C.index.get(degree, {})
-        cls = C.class_of(degree, {key: c for key, c in piece.items() if key in basis})
-        coords += cls.coords
-        orders += cls.orders
-    return HomologyClass(coords, orders)
+        S, word = split(key)
+        pieces.setdefault(S, {})[word] = c
+    for S, piece in pieces.items():
+        if (found := block(S)) is not None:
+            image, with_z = image_factors(*found, next(iter(piece)).bit_count(), [piece])
+            if len(image) != len(with_z) or prod(image) != prod(with_z):
+                return False
+    return True
 
 
 def all_subsets(m):
@@ -434,14 +406,20 @@ def zk_homology_by_support(K):
     visited block is reduced modulo the acyclic star of one vertex, which
     keeps its homology, torsion included: `_star_cells` chooses the cells
     off the star as circle masks, and `fold_blocks` reads the groups, with
-    no ChainComplex built.  Only cycle classes name the words as cells
-    (`zk_star_quotient`), and `zk_class` projects a cycle onto the same
+    no ChainComplex built.  `zk_bounds` projects a cycle onto the same
     quotients.  The Hochster table finds its subsets by cone points instead
     (`cone_free_subsets`), so `verify` checks that the two rules pick the
     same supports."""
-    _admit(K)
-    return fold_blocks(((smask, 1, _star_cells(K, smask)) for smask in _lattice(K)),
+    return fold_blocks(((smask, 1, words) for smask, words in _lattice_cells(K)),
                        by_support=True)
+
+
+def _lattice_cells(K):
+    """(smask, `_star_cells(K, smask)`) for every support of `_lattice(K)`,
+    in its order, once `_admit` has passed K: the blocks of the per-support
+    table, built as they are read."""
+    _admit(K)
+    return ((smask, _star_cells(K, smask)) for smask in _lattice(K))
 
 
 def twin_classes(gens):
@@ -595,30 +573,27 @@ def zk_homology(K):
     return _groups(ranks, torsion, sorted(ranks))
 
 
-def require_zk_cycle(K, chain):
-    """Refuse a cell chain with a cell outside Z_K, or one that is no cycle."""
+def zk_bounds(K, chain):
+    """Does the cellular cycle `chain` bound in Z_K?  Each piece is decided
+    in the star quotient of its support (`_star_cells`, with the support's
+    mask as the bits that may enter), by `bounds_by_support`.  A cell
+    outside Z_K, a letter past K.m among them, is refused, then a chain that
+    is no cycle, then a ghost vertex inside a support the chain touches."""
     if not chain.supported_in(K):
         raise ValueError("chain has a cell outside Z_K")
     if chain.boundary():
         raise ValueError("chain is not a cycle")
+    return _zk_cycle_bounds(K, chain)
 
 
-def zk_class(K, chain, block=None):
-    """Homology class of a cellular cycle in Z_K, projected onto the star
-    quotient of each block it touches; cells outside Z_K and non-cycles are
-    refused (`require_zk_cycle`).  `block(S)`, by default
-    `zk_star_quotient(K, S)`, gives the quotients: a memo of it classes many
-    chains against one quotient per support."""
-    require_zk_cycle(K, chain)
-    return zk_cycle_class(K, chain, block)
-
-
-def zk_cycle_class(K, cycle, block=None):
-    """`zk_class` of a cycle its caller has already checked to lie in Z_K
-    and to be one (`require_zk_cycle`), with no check made again."""
-    return class_by_support(block or (lambda S: zk_star_quotient(K, S)),
-                            lambda cell: mask_face(cell[0] | cell[1]),
-                            cycle.degree, cycle.terms)
+def _zk_cycle_bounds(K, cycle):
+    """`zk_bounds` of a cycle its caller has already checked to lie in Z_K
+    and to be one, with neither check made again; a ghost vertex inside a
+    support the cycle touches is still refused."""
+    if any(1 << (v - 1) not in K.face_masks for v in mask_face(cycle.support())):
+        raise ValueError("Z_K needs every singleton to be a face")
+    return bounds_by_support(lambda S: (_star_cells(K, S), S),
+                             lambda cell: (cell[0] | cell[1], cell[0]), cycle.terms)
 
 
 # -- Hochster decomposition -----------------------------------------------------

@@ -46,8 +46,9 @@ support (`taylor_homology_by_support`) and summed by degree
 whose first and last words have one factor count lies in one degree and
 adds its number of words to that degree's rank, with no column and no
 `within` built, and only the other blocks are read from their columns.
-Cycle classes take the same columns with the words as their basis
-(`taylor_components`).  The independent reference is the tests'
+Whether a cycle bounds is read off the same columns
+(`taylor_cycle_is_boundary`); `taylor_components` labels them with the
+words, for the tests' classes.  The independent reference is the tests'
 sort-based `oracles.reference_taylor_components`.
 
 A Taylor chain (`TaylorChain`) holds K's `Generators` and its words on
@@ -57,8 +58,8 @@ are `index_boundary` on the words, the closed form of nested products
 (`nested_taylor_cycle`) grows its words by the same insertion, one call
 per level, and it and the zigzag return their words as they are, each a
 cycle by an exact rule of its own that the shared insertion makes a
-theorem, not by walking its output again; cycle classes split the words
-by their unions (`Generators.union`).
+theorem, not by walking its output again; the boundary test splits the
+words by their unions (`Generators.union`).
 Labels are written and read only in a chain's text, where the reader's
 `^` moves one word's bits past the other's with `insertion_sign`
 (`exactalg.concatenation_sign`).
@@ -77,7 +78,7 @@ from .complexes import (Generators, ParseError, SignedSum, SimplicialComplex, Si
                         signed_sum_text)
 from .exactalg import (ChainComplex, column_homology, concatenation_sign, insert_bits,
                        insertion_columns, insertion_complex)
-from .moment_angle import _is_mask, class_by_support, fold_blocks, mask_lattice
+from .moment_angle import _is_mask, bounds_by_support, fold_blocks, mask_lattice
 from .whitehead import _containment
 
 MAX_GENERATORS = 20
@@ -280,8 +281,8 @@ def admissible_words(masks):
 @lru_cache(maxsize=8)
 def taylor_components(K):
     """Per-subset split on the admissible words: the vertex bitmask of S ->
-    ChainComplex of the admissible words with union exactly S, for cycle
-    classes (`taylor_class`).
+    ChainComplex of the admissible words with union exactly S, the labelled
+    blocks the tests class Taylor cycles in; no verb builds them.
 
     Each block is `_blocks`' insertion columns, with the generators inside
     the union (`within`) as the bits that may enter a word and the index
@@ -328,18 +329,21 @@ def taylor_homology(K):
     return fold_blocks(_blocks(gens), gens.within)
 
 
-def taylor_class(K, chain):
-    """Class of a Taylor cycle, projected onto the admissible words of each
-    component it touches (`class_by_support`, the components in the order
-    of their union bitmasks); non-cycles and chains over another generator
-    table are refused (`taylor_boundary`)."""
+def taylor_cycle_is_boundary(K, chain):
+    """Does the Taylor cycle `chain` bound?  `bounds_by_support` on the
+    blocks of admissible words, the generators inside a union as the bits
+    that may enter; a union with no admissible word has an acyclic block.
+    A chain over another generator table, even an empty one, and a
+    non-cycle are refused (`taylor_boundary`), then K past the Taylor gate."""
     if taylor_boundary(K, chain):
         raise ValueError("chain is not a cycle")
-    return class_by_support(taylor_components(K).get, chain.gens.union, -chain.s, chain.terms)
-
-
-def taylor_cycle_is_boundary(K, chain):
-    return not chain or taylor_class(K, chain).is_boundary
+    if not chain:
+        return True
+    gens = _checked_generators(K)
+    by_union = admissible_words(gens.masks)
+    return bounds_by_support(
+        lambda union: (by_union[union], gens.within(union)) if union in by_union else None,
+        lambda word: (gens.union(word), word), chain.terms)
 
 
 # -- the canonical nested-product cycle -------------------------------------------

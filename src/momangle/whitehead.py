@@ -40,7 +40,7 @@ z to a nonzero coefficient (`_cocycle_cell`), and the product of the
 sub-products' chains with the disc on the bracket's own leaves, where it
 lies in Z_K, is a chain whose boundary is +-z (`_trivialising_filling`).
 Only where neither exists is z reduced in the star quotients
-(`zk_cycle_class`, the checks already made).
+(`moment_angle._zk_cycle_bounds`, the checks already made).
 
 `parse_whitehead`, `_canonical_chain`, `_containment` and
 `_canonical_bounds` are bounded memos: a process parses a bracket text,
@@ -52,13 +52,13 @@ never holds an exception, so a bad input fails again on the next call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, lru_cache, reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 
 from . import complexes as cx
-from .exactalg import TRIVIAL_GROUP, IntMatrix, invariant_factors
-from .moment_angle import (CellChain, _require_singletons, degree_sums, zk_class,
-                           zk_cycle_class, zk_homology_by_support, zk_star_quotient)
+from .exactalg import TRIVIAL_GROUP, image_factors
+from .moment_angle import (CellChain, _lattice_cells, _require_singletons, _zk_cycle_bounds,
+                           degree_sums, fold_blocks)
 
 UNDEFINED = "undefined"
 DEFINED_TRIVIAL = "defined-trivial"
@@ -254,7 +254,7 @@ def _canonical_chain(w):
     sub-products' chains with the leaf factor (`_leaf_factor`).  One per w
     in a process, never changed once built.  The chain is a cycle by
     construction, and it is checked to be one here, once per w, with
-    `require_zk_cycle`'s refusal; the leaf bound, and whether the chain lies
+    `zk_bounds`' refusal; the leaf bound, and whether the chain lies
     in Z_K, depend on K and are checked by the caller."""
     subs = w.bracket_children()
     leaves_ = w.leaf_children()
@@ -278,13 +278,13 @@ def _canonical_bounds(K, w):
     process: `status` and `realises` on one pair decide it once.  The
     caller has checked that every leaf of w is a vertex of K.
 
-    z is refused first when a cell of it lies outside Z_K, as `zk_class`
+    z is refused first when a cell of it lies outside Z_K, as `zk_bounds`
     refuses it; `_canonical_chain` has checked once per w that z is a
     cycle.  Two certificates then decide it with no Smith form: a term of z
     that lies in no cell's boundary (`_cocycle_cell`) means z does not
     bound, and a filling of z in Z_K (`_trivialising_filling`) means it
-    does.  Only where neither exists is z classed in the star quotients,
-    with neither check made again (`zk_cycle_class`)."""
+    does.  Only where neither exists is z reduced in the star quotients,
+    with neither check made again (`moment_angle._zk_cycle_bounds`)."""
     z = hurewicz_chain(w, K.m)
     if not z.supported_in(K):
         raise ValueError("chain has a cell outside Z_K")
@@ -292,7 +292,7 @@ def _canonical_bounds(K, w):
         return False
     if _trivialising_filling(K, w) is not None:
         return True
-    return zk_cycle_class(K, z).is_boundary
+    return _zk_cycle_bounds(K, z)
 
 
 def _cocycle_cell(K, z):
@@ -488,14 +488,17 @@ def _wedge_entry(J, I):
 
 
 def _basis_verdict(K, entries):
-    """Do the entries' classes form a Z-basis of H_*(Z_K)?  Checked per
-    (J, degree) block: an entry's chain lies in the block of its subset J.
-    The entries of one subset are classed against one star quotient."""
-    per_block = zk_homology_by_support(K)
-    quotient = cache(lambda S: zk_star_quotient(K, S))
+    """Do the entries' chains form a Z-basis of H_*(Z_K)?  Checked per
+    (J, degree) block, where an entry's chain lies by its subset J, on one
+    [B | Z] of the entries' circle masks (`exactalg.image_factors`); each
+    lattice support's star cells are built once, for that and the groups."""
+    cells = dict(_lattice_cells(K))
+    per_block = fold_blocks(((smask, 1, words) for smask, words in cells.items()),
+                            by_support=True)
     by_block = {}
     for e in entries:
-        by_block.setdefault((e.subset, e.chain.degree), []).append(e)
+        by_block.setdefault((e.subset, e.chain.degree), []).append(
+            {circles: c for (circles, _), c in e.chain.terms.items()})
     details = []
     ok = True
     for J, d in sorted({k for k in per_block if k[1] > 0} | set(by_block)):
@@ -505,21 +508,14 @@ def _basis_verdict(K, entries):
             ok = False
             details.append(f"{where}: torsion {group.torsion} present")
             continue
-        rows = []
-        for e in by_block.get((J, d), ()):
-            cls = zk_class(K, e.chain, quotient)
-            if any(o != 0 for o in cls.orders):
-                ok = False
-                details.append(f"{where}: unexpected torsion coordinate")
-            rows.append(cls.coords)
-        if len(rows) != group.rank:
+        chains = by_block.get((J, d), [])
+        if len(chains) != group.rank:
             ok = False
-            details.append(f"{where}: {len(rows)} chains against rank {group.rank}")
+            details.append(f"{where}: {len(chains)} chains against rank {group.rank}")
             continue
-        if not rows:
-            continue
-        M = IntMatrix.from_rows([list(r) for r in rows])
-        facs = invariant_factors(M)
+        smask = cx.face_mask(J)
+        image, with_z = image_factors(cells[smask], smask, 2 * len(J) - d, chains)
+        facs = with_z[len(image):]
         if len(facs) != group.rank or any(f != 1 for f in facs):
             ok = False
             details.append(f"{where}: invariant factors {facs}")

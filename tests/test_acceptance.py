@@ -174,8 +174,7 @@ def test_criterion_08_single_product_statuses():
             continue
         assert status == (DEFINED_TRIVIAL if face_in else DEFINED_NONTRIVIAL)
         w = wh.bracket([wh.leaf(v) for v in I])
-        cls = ma.zk_class(K, hurewicz_chain(w, K.m))
-        assert cls.is_boundary == (status == DEFINED_TRIVIAL)
+        assert ma.zk_bounds(K, hurewicz_chain(w, K.m)) == (status == DEFINED_TRIVIAL)
         if status == DEFINED_NONTRIVIAL:
             checked_nontrivial += 1
     assert checked_nontrivial >= 10

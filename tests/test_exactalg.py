@@ -1,4 +1,5 @@
 import random
+from math import prod
 
 import pytest
 
@@ -6,14 +7,15 @@ from momangle import complexes as cx
 from momangle import exactalg
 from momangle import moment_angle
 from momangle.exactalg import (ChainComplex, HomologyGroup, IntMatrix, column_homology,
-                               direct_sum, insert_bits, insertion_columns, invariant_factors,
-                               kernel_basis, smith_normal_form, solve_integer)
-from momangle.moment_angle import (degree_sums, lattice_supports, zk_homology_by_support,
-                                   zk_star_quotient)
+                               direct_sum, image_factors, insert_bits, insertion_columns,
+                               insertion_complex, invariant_factors, kernel_basis,
+                               smith_normal_form, solve_integer)
+from momangle.moment_angle import degree_sums, lattice_supports, zk_homology_by_support
 from oracles import (dense_homology, dense_snf_diagonal, random_complex,
                      reference_column_groups, reference_direct_sum, reference_snf,
                      reference_star_cells,
                      reference_zk_block, reference_zk_star_quotient)
+from test_split import star_quotient
 
 
 def dense_det(rows):
@@ -409,7 +411,7 @@ def test_entry_free_differentials_are_not_reduced(monkeypatch, rp2, sub5):
     entry_free = 0
     for K in [rp2, sub5] + [random_complex(rng.randint(3, 6), rng) for _ in range(12)]:
         for S in lattice_supports(K):
-            C = zk_star_quotient(K, S)
+            C = star_quotient(K, S)
             for d in C.degrees:
                 out, into = C.differential(d), C.differential(d + 1)
                 entry_free += out.is_zero() + into.is_zero()
@@ -490,6 +492,46 @@ def test_column_rule_matches_the_reference_blocks(rp2, sub5):
             assert got == dense_groups(reference_zk_block(K, S)), (K, S)
             torsion += any(h.torsion for h in got.values())
     assert torsion
+
+
+def test_image_factors_match_class_coordinates(rp2, sub5):
+    """On the star quotients of RP^2, the paper's complex and seeded random
+    complexes, `image_factors` agrees with the class coordinates of
+    `ChainComplex.class_of` on the same columns labelled by their words: a
+    kernel cycle, or twice it, bounds exactly when B and [B | z] have as many
+    factors with one product, and where H is free the factors of [B | Z] past
+    B's count, Z random sums of kernel cycles, are those of Z's coordinate
+    rows."""
+    rng = random.Random(48)
+    seen = set()
+    for K in [rp2, sub5] + [random_complex(rng.randint(3, 6), rng) for _ in range(10)]:
+        for S in lattice_supports(K):
+            smask = cx.face_mask(S)
+            words = moment_angle._star_cells(K, smask)
+            C = insertion_complex(words, smask, int)
+            for d in C.degrees:
+                cycles = [C.chain_from_vector(d, col) for col in kernel_basis(C.differential(d))]
+                for z in cycles:
+                    for k in (1, 2):
+                        kz = {word: k * c for word, c in z.items()}
+                        image, with_z = image_factors(words, smask, -d, [kz])
+                        bounds = len(image) == len(with_z) and prod(image) == prod(with_z)
+                        assert bounds == C.class_of(d, kz).is_boundary, (K, S, d, kz)
+                        seen.add((k, bounds, bool(C.homology(d).torsion)))
+                h = C.homology(d)
+                if not cycles or h.torsion:
+                    continue
+                Z = [{} for _ in range(h.rank)]
+                for chain in Z:
+                    for z in cycles:
+                        k = rng.randint(-2, 2)
+                        for word, c in z.items():
+                            chain[word] = chain.get(word, 0) + k * c
+                image, with_z = image_factors(words, smask, -d, Z)
+                assert image == [1] * len(image)
+                rows = [list(C.class_of(d, chain).coords) for chain in Z]
+                assert with_z[len(image):] == invariant_factors(IntMatrix.from_rows(rows))
+    assert (1, False, True) in seen and (2, True, True) in seen and (1, False, False) in seen
 
 
 def test_column_rule_on_labelled_complexes(rp2):

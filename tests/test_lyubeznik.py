@@ -22,14 +22,13 @@ from momangle import taylor as ty
 from momangle.exactalg import kernel_basis
 from momangle.moment_angle import support_table, zk_homology_by_support
 from momangle.taylor import (TaylorChain, admissible_words,
-                             nested_taylor_cycle, taylor_boundary,
-                             taylor_class, taylor_components,
+                             nested_taylor_cycle, taylor_boundary, taylor_components,
                              taylor_cycle_is_boundary, taylor_homology_by_support)
 from momangle.whitehead import delta_w, parse_whitehead
-from momangle.zigzag import classes_equal
+from momangle.zigzag import classes_equal, koszul_to_taylor
 from conftest import SUB5_EXPR
-from oracles import (RP2_FACETS, labelled_words, lyubeznik_admissible, random_complex,
-                     reference_taylor_components, taylor_chain)
+from oracles import (RP2_FACETS, hochster_embed, labelled_words, lyubeznik_admissible,
+                     random_complex, reference_taylor_components, taylor_chain)
 
 NESTED_SHAPES = ["[[1,2],3]", "[[1,2,3],4]", "[[1,2],3,4]", "[[[1,2],3],4]",
                  "[[1,2,3],4,5]", "[[[1,2],3],4,5]"]
@@ -152,7 +151,7 @@ def test_taylor_class_matches_whole_split(rp2, sub5, filled6):
         ref = reference_taylor_components(K)
         for z in cycle_cases(K, ref, rng):
             answer = reference_is_boundary(ref, z)
-            assert taylor_class(K, z).is_boundary == answer, (K.facets, z)
+            assert taylor_cycle_is_boundary(K, z) == answer, (K.facets, z)
             seen.add(answer)
             projected_away += not any(lyubeznik_admissible(K, w) for w in labelled_words(z))
     assert seen == {True, False}
@@ -170,7 +169,7 @@ def test_nested_cycle_classes_match_whole_split():
         boundaries = [b for b in (random_boundary(K, block, -z.s, rng) for _ in range(2)) if b]
         for chain in [z, z.scaled(2)] + boundaries + [z + b for b in boundaries]:
             answer = reference_is_boundary(ref, chain)
-            assert taylor_class(K, chain).is_boundary == answer, (K.facets, chain)
+            assert taylor_cycle_is_boundary(K, chain) == answer, (K.facets, chain)
             seen.add(answer)
     assert seen == {True, False}
 
@@ -184,26 +183,42 @@ def test_taylor_class_refuses_a_non_cycle(sub5, text):
     with pytest.raises(ValueError, match="not a cycle"):
         reference_is_boundary(ref, chain)
     with pytest.raises(ValueError, match="not a cycle"):
-        taylor_class(sub5, chain)
+        taylor_cycle_is_boundary(sub5, chain)
 
 
-def test_projected_away_cycles_keep_their_coordinates(rp2, sub5):
-    """A cycle with no admissible word is still classed in its block, with
-    one coordinate per summand of the block's homology."""
+def test_projected_away_cycles_bound(rp2, sub5):
+    """A cycle with no admissible word projects to zero, so it bounds,
+    whether or not its union carries an admissible word."""
     rng = random.Random(59)
     checked = 0
     for K in random_complexes(47, 10, 2, 8) + [rp2, sub5]:
-        blocks = taylor_components(K)
         for z in cycle_cases(K, reference_taylor_components(K), rng):
             if any(lyubeznik_admissible(K, w) for w in labelled_words(z)):
                 continue
-            cls = taylor_class(K, z)
-            assert cls.is_boundary
-            (S,) = {z.gens.union(w) for w in z.terms}
-            h = blocks[S].homology(-z.s) if S in blocks else None
-            assert len(cls.coords) == (h.rank + len(h.torsion) if h else 0)
+            assert taylor_cycle_is_boundary(K, z)
             checked += 1
     assert checked >= 20
+
+
+def test_cycle_is_boundary_sees_the_z2_of_rp2(rp2):
+    """The Z/2 of H_1(RP^2) in degree 8, carried to a Taylor cycle t by the
+    staircase: t does not bound and 2t does, as in the whole split.  A rule
+    that compares only the ranks of B and [B | t] says both bound."""
+    J = tuple(range(1, 7))
+    S = cx.reduced_chain_complex(rp2.faces_within(J))
+    ref = reference_taylor_components(rp2)
+    seen = set()
+    for col in kernel_basis(S.differential(1)):
+        z = hochster_embed(rp2, J, {S.basis[1][i]: v for i, v in col.items()})
+        t, _ = koszul_to_taylor(rp2, z)
+        if not t:
+            continue
+        assert t.degree == 8
+        for k in (1, 2):
+            bounds = taylor_cycle_is_boundary(rp2, t.scaled(k))
+            assert bounds == reference_is_boundary(ref, t.scaled(k))
+            seen.add((k, bounds))
+    assert (1, False) in seen and (2, True) in seen and (2, False) not in seen
 
 
 @pytest.mark.parametrize("expr, text", [("bd(simplex(1,2,3))", "w12"),
@@ -218,11 +233,15 @@ def test_factors_that_are_not_missing_faces_are_refused(expr, text):
     with pytest.raises(ValueError, match="not missing faces of K"):
         TaylorChain.from_text(K, text)
     chain = TaylorChain.from_text(cx.parse_complex("bd(simplex(1,2))"), "w12")
-    for check in (taylor_boundary, taylor_class, taylor_cycle_is_boundary):
-        with pytest.raises(ValueError, match="not written on K's missing faces"):
-            check(K, chain)
+    empty = TaylorChain(chain.gens, {})
+    for check in (taylor_boundary, taylor_cycle_is_boundary):
+        for other in (chain, empty):
+            with pytest.raises(ValueError, match="not written on K's missing faces"):
+                check(K, other)
     with pytest.raises(ValueError, match="not written on K's missing faces"):
         classes_equal(K, chain, chain)
+    with pytest.raises(ValueError, match="not written on K's missing faces"):
+        classes_equal(K, empty, empty)
 
 
 def test_k6_graph_against_cellular():

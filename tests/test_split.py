@@ -9,8 +9,9 @@ empty set and the unions of missing faces, and reduces each of their blocks
 modulo the star of one vertex; here the table is checked against every
 block built and against the route it replaced (every subset, full blocks,
 cone blocks skipped), each quotient against its full block, and mutated
-quotients must be refused or change a group.  Cycle classes, projected onto
-the same quotients, are checked against classes in the full blocks.  The
+quotients must be refused or change a group.  Whether a cycle bounds,
+decided on the same quotients, is checked against classes in the full
+blocks.  The
 Hochster table, on the subsets without a cone point by default, is checked
 against the table over every subset.
 """
@@ -25,11 +26,10 @@ from momangle import complexes as cx
 from momangle.cli import main
 from momangle import exactalg, moment_angle, taylor
 from momangle.exactalg import (ChainComplex, HomologyGroup, column_homology, insertion_columns,
-                               kernel_basis)
+                               insertion_complex, kernel_basis)
 from momangle.moment_angle import (CellChain, all_subsets, cell_boundary, cone_free_subsets,
-                                   hochster_table, lattice_supports, support_table, zk_chain_complex,
-                                   zk_class, zk_homology, zk_homology_by_support,
-                                   zk_star_quotient)
+                                   hochster_table, lattice_supports, support_table, zk_bounds,
+                                   zk_chain_complex, zk_homology, zk_homology_by_support)
 from momangle.taylor import taylor_face_complex, taylor_homology_by_support
 from momangle.whitehead import bracket, hurewicz_chain, leaf, parse_whitehead
 from oracles import (brute_cone_point, cell_chain, closed_form_family, hochster_embed,
@@ -134,9 +134,9 @@ def test_block_classes_match_whole_complex(K):
         cases = [h, b, h + b, h.scaled(2) - b] + [h + g for g in others[:2]]
         for z in cases:
             if z:
-                assert zk_class(K, z).is_boundary == C.is_boundary(d, z.terms), z
+                assert zk_bounds(K, z) == C.is_boundary(d, z.terms), z
         if b:
-            assert zk_class(K, b).is_boundary
+            assert zk_bounds(K, b)
 
 
 def test_block_classes_see_torsion():
@@ -151,7 +151,7 @@ def test_block_classes_see_torsion():
         z = {S.basis[1][i]: v for i, v in col.items()}
         for k in (1, 2, 3):
             chain = hochster_embed(K, J, {f: k * v for f, v in z.items()})
-            block = zk_class(K, chain).is_boundary
+            block = zk_bounds(K, chain)
             assert block == C.is_boundary(chain.degree, chain.terms)
             seen.add((k, block))
     assert (1, False) in seen and (2, True) in seen
@@ -262,10 +262,20 @@ def test_cone_free_subsets_gated():
         cone_free_subsets(cx.SimplicialComplex.from_facets(21, []))
 
 
+def star_quotient(K, S):
+    """The star quotient of S's block labelled on cells: `_star_cells`'
+    circle masks through `insertion_complex`, each mask J the cell
+    (J, S - J) in Z_K degree 2|S| - |J|.  Its columns are those the table
+    folds and `zk_bounds` reads."""
+    smask = cx.face_mask(S)
+    return insertion_complex(moment_angle._star_cells(K, smask), smask,
+                             lambda J: (J, smask ^ J), 2 * len(S))
+
+
 @pytest.mark.parametrize("K", quotient_cases(), ids=lambda K: f"m{K.m}-{len(K.faces)}faces")
 def test_quotient_keeps_the_block_homology(K):
     for S in lattice_supports(K):
-        assert (zk_star_quotient(K, S).homology_all()
+        assert (star_quotient(K, S).homology_all()
                 == reference_zk_block(K, S).homology_all()), S
 
 
@@ -277,7 +287,7 @@ def test_star_vertex_leaves_the_fewest_cells(K, monkeypatch):
         left = {u: cells_left(K, S, u) for u in S}
         assert v == min(S, key=lambda u: (left[u], u)), S
         chosen.clear()
-        Q = zk_star_quotient(K, S)
+        Q = star_quotient(K, S)
         assert chosen == [v], S
         assert sum(Q.dim(d) for d in Q.degrees) == left[v]
 
@@ -311,7 +321,7 @@ def test_sphere_table_visits_two_blocks():
     K = cx.simplex_boundary(14)
     whole = tuple(range(1, 15))
     assert lattice_supports(K) == [(), whole]
-    Q = zk_star_quotient(K, whole)
+    Q = star_quotient(K, whole)
     assert {d: Q.dim(d) for d in Q.degrees} == {27: 1}
     assert zk_homology_by_support(K) == {((), 0): HomologyGroup(1),
                                          (whole, 27): HomologyGroup(1)}
@@ -337,7 +347,7 @@ def test_mask_quotient_is_the_labelled_reference(K):
     """On every vertex subset, the quotient built on face masks has the
     reference's basis in the reference's label order and the same entries."""
     for S in all_subsets(K.m):
-        Q, R = zk_star_quotient(K, S), reference_zk_star_quotient(K, S)
+        Q, R = star_quotient(K, S), reference_zk_star_quotient(K, S)
         assert {d: list(map(labelled_cell, cells)) for d, cells in Q.basis.items()} == R.basis, S
         assert matrices(Q) == matrices(R), S
 
@@ -637,7 +647,7 @@ def test_verify_checks_the_shared_builder_against_hochster(monkeypatch, tmp_path
 
 def test_table_checks_singletons_once(monkeypatch, rp2):
     """The table asks once per complex whether every singleton is a face;
-    a star quotient built alone refuses a ghost vertex inside its support,
+    `zk_bounds` refuses a ghost vertex inside a support its cycle touches,
     and only there."""
     calls = []
     raw = cx.SimplicialComplex.has_all_singletons
@@ -649,33 +659,19 @@ def test_table_checks_singletons_once(monkeypatch, rp2):
     assert calls == [K]
     ghost = cx.SimplicialComplex(3, [(), (1,), (2,)])
     with pytest.raises(ValueError, match="singleton"):
-        zk_star_quotient(ghost, (1, 3))
-    assert zk_star_quotient(ghost, (1, 2)).homology_all()
+        zk_bounds(ghost, CellChain.from_text("S1*S3"))
+    assert not zk_bounds(ghost, CellChain.from_text("D1*D2").boundary())
     with pytest.raises(ValueError, match="singleton"):
         zk_homology_by_support(ghost)
 
 
-# -- cycle classes on the star quotients ----------------------------------------
+# -- boundaries on the star quotients -------------------------------------------
 
-def cell_support(cell):
-    return cx.mask_face(cell[0] | cell[1])
-
-
-def class_length(K, S, d):
-    """Coordinates of a class of support S in degree d: one per free and
-    per torsion summand of the block's H_d."""
-    h = zk_star_quotient(K, S).homology(d)
-    return h.rank + len(h.torsion)
-
-
-def class_against_reference(K, z):
-    """zk_class against the full blocks' class: the same boundary-ness, and
-    as many coordinates as the touched blocks' homology has summands."""
-    cls, ref = zk_class(K, z), reference_zk_class(K, z)
-    assert cls.is_boundary == ref.is_boundary, z
-    expected = sum(class_length(K, S, z.degree) for S in {cell_support(c) for c in z.terms})
-    assert len(cls.coords) == len(cls.orders) == len(ref.coords) == expected, z
-    return cls
+def bounds_against_reference(K, z):
+    """zk_bounds against the class in the full blocks."""
+    bounds = zk_bounds(K, z)
+    assert bounds == reference_zk_class(K, z).is_boundary, z
+    return bounds
 
 
 def test_classes_match_the_full_blocks():
@@ -687,50 +683,79 @@ def test_classes_match_the_full_blocks():
             b = random_boundary(C, h.degree, rng)
             for z in (h, b, h + b, h.scaled(2) - b):
                 if z:
-                    seen.add(class_against_reference(K, z).is_boundary)
+                    seen.add(bounds_against_reference(K, z))
     assert seen == {True, False}
 
 
-def test_torsion_classes_match_the_full_blocks():
-    """The Z/2 of H_1(RP^2) in degree 8: odd multiples survive, even ones
-    bound, on the star quotient as in the full block."""
-    K = rp2_cone(random.Random(11))
+@pytest.mark.parametrize("K", [rp2_cone(random.Random(11)), rp2_complex()], ids=["cone", "rp2"])
+def test_torsion_classes_match_the_full_blocks(K):
+    """The Z/2 of H_1(RP^2) in degree 8, on an RP^2 cone and on RP^2
+    itself: odd multiples survive, even ones bound, on the star quotient as
+    in the full block.  A rule that compares only the ranks of B and
+    [B | z] says every multiple bounds."""
     J = (1, 2, 3, 4, 5, 6)
     S = cx.reduced_chain_complex(K.faces_within(J))
     seen = set()
     for col in kernel_basis(S.differential(1)):
         z = {S.basis[1][i]: v for i, v in col.items()}
         for k in (1, 2, 3):
-            cls = class_against_reference(K, hochster_embed(K, J, {f: k * v for f, v in z.items()}))
-            assert cls.orders == (2,)
-            seen.add((k, cls.is_boundary))
+            chain = hochster_embed(K, J, {f: k * v for f, v in z.items()})
+            assert reference_zk_class(K, chain).orders == (2,)
+            seen.add((k, bounds_against_reference(K, chain)))
     assert (1, False) in seen and (2, True) in seen and (3, False) in seen
+
+
+def test_kernel_cycles_match_the_full_blocks():
+    """Cycles of the whole complex from `kernel_basis`, half of them plus a
+    random boundary, on 40 seeded random complexes with 3 to 6 vertices and
+    on RP^2: `zk_bounds` agrees with the classes in the full blocks, and
+    both answers occur, the Z/2 of RP^2 among the nonzero ones."""
+    rng = random.Random(48)
+    rp2 = rp2_complex()
+    seen = set()
+    for K in [random_complex(rng.randint(3, 6), rng) for _ in range(40)] + [rp2]:
+        C = zk_chain_complex(K)
+        for d in C.degrees:
+            cycles = kernel_basis(C.differential(d))
+            if K is not rp2 or d != 8:
+                cycles = rng.sample(cycles, min(4, len(cycles)))
+            for col in cycles:
+                z = CellChain(C.chain_from_vector(d, col))
+                if rng.random() < 0.5:
+                    z = z + random_boundary(C, d, rng)
+                if z:
+                    seen.add((K is rp2 and d, bounds_against_reference(K, z)))
+    assert {bounds for _, bounds in seen} == {True, False}
+    assert (8, False) in seen and (8, True) in seen
 
 
 @pytest.mark.parametrize("K", quotient_cases(), ids=lambda K: f"m{K.m}-{len(K.faces)}faces")
 def test_cycles_in_the_star_project_to_zero(K):
     """Boundaries of cells (S - I, I) with v in I lie wholly in the star of
-    v, so their projection is empty; each is still classed in its block."""
+    v, so their projection is empty; each still bounds in its block."""
     rng = random.Random(len(K.faces))
     for S in lattice_supports(K)[1:]:
         v = reference_star_vertex(K.face_masks_within(S), S)
         inside = [(tuple(u for u in S if u not in I), I) for I in K.faces_within(S) if v in I]
-        Q = zk_star_quotient(K, S)
+        Q = star_quotient(K, S)
         for cell in rng.sample(inside, min(3, len(inside))):
             z = cell_chain(reference_cell_boundary(cell)).scaled(rng.choice([-2, 1, 3]))
             if not z:
                 continue
             assert not set(z.terms) & set(Q.index.get(z.degree, ()))
-            assert class_against_reference(K, z).is_boundary
+            assert bounds_against_reference(K, z)
 
 
 def test_class_refuses_cells_outside_zk():
     """d(D1*D2*D3) is a cycle, but its cells carry the edges of three
-    isolated points, which are no faces."""
+    isolated points, which are no faces; a letter past K.m is no cell of
+    Z_K either."""
     z = CellChain.from_text("D1*D2*D3").boundary()
     assert z and not z.boundary()
     with pytest.raises(ValueError, match="outside Z_K"):
-        zk_class(cx.SimplicialComplex.from_facets(3, []), z)
+        zk_bounds(cx.SimplicialComplex.from_facets(3, []), z)
+    with pytest.raises(ValueError, match="outside Z_K"):
+        zk_bounds(cx.SimplicialComplex.from_facets(3, []), CellChain.from_text("S1*S4"))
 
 
 @pytest.mark.parametrize("text", ["D1*S2", "S1*D2", "D1*S2 - S1*D2"])
@@ -739,4 +764,5 @@ def test_class_refuses_non_cycles(two_points, text):
     refused all the same."""
     assert reference_star_vertex(two_points.face_masks_within((1, 2)), (1, 2)) == 1
     with pytest.raises(ValueError, match="not a cycle"):
-        zk_class(two_points, CellChain.from_text(text))
+        zk_bounds(two_points, CellChain.from_text(text))
+

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -10,7 +12,7 @@ from momangle.cli import main
 from momangle.complexes import (SimplicialComplex, join, simplex,
                                 simplex_boundary)
 from momangle.exactalg import kernel_basis
-from momangle.moment_angle import CellChain, zk_class, zk_homology
+from momangle.moment_angle import CellChain, lattice_supports, zk_bounds, zk_homology
 from momangle.whitehead import (DEFINED_NONTRIVIAL, DEFINED_TRIVIAL,
                                 DEFINED_UNKNOWN, UNDEFINED, bracket,
                                 canonical_missing_faces, criterion_applies,
@@ -139,8 +141,8 @@ def test_bracket_chain_matches_embedded_sphere_class():
         embedded = hochster_embed(K, w.leaves(), fund)
         hc = hurewicz_chain(w, K.m)
         assert embedded.degree == hc.degree
-        same = zk_class(K, embedded - hc).is_boundary
-        flipped = zk_class(K, embedded + hc).is_boundary
+        same = zk_bounds(K, embedded - hc)
+        flipped = zk_bounds(K, embedded + hc)
         assert same or flipped, text
 
 
@@ -233,7 +235,7 @@ def test_nested_status_against_the_canonical_class(text, tmp_path, capsys):
     seen = set()
     for k in range(40):
         K = canonical_plus_faces(w, rng)
-        bounds = zk_class(K, hurewicz_chain(w)).is_boundary
+        bounds = zk_bounds(K, hurewicz_chain(w))
         status = nested_shape_status(K, w)
         # w is defined on K, so each inner leaf set is a face or a missing face
         inside = all(c.leaves() not in K for c in w.bracket_children())
@@ -526,14 +528,12 @@ def row_complex(row):
     return SimplicialComplex.from_json_dict(row[0])
 
 
-def class_of_spy(monkeypatch):
-    """The degrees of every `ChainComplex.class_of` call from here on, with
-    the verdict memo emptied."""
-    from momangle.exactalg import ChainComplex
+def fallback_spy(monkeypatch):
+    """The degrees of every cycle `_canonical_bounds` hands to its fallback,
+    `_zk_cycle_bounds`, from here on, with the verdict memo emptied."""
     calls = []
-    raw = ChainComplex.class_of
-    monkeypatch.setattr(ChainComplex, "class_of",
-                        lambda C, d, chain: calls.append(d) or raw(C, d, chain))
+    raw = wh._zk_cycle_bounds
+    monkeypatch.setattr(wh, "_zk_cycle_bounds", lambda K, z: calls.append(z.degree) or raw(K, z))
     wh._canonical_bounds.cache_clear()
     return calls
 
@@ -541,8 +541,8 @@ def class_of_spy(monkeypatch):
 def test_certificates_decide_with_no_class(capsys, monkeypatch):
     """On bd(bd(1,2,3), 4, 5) the canonical cycle of [[1,2,3],4,5] has a
     term on a facet of K_S: `status` and `realises` answer with no
-    `class_of` call."""
-    calls = class_of_spy(monkeypatch)
+    fallback decision."""
+    calls = fallback_spy(monkeypatch)
     common = ["--complex", SUB5_EXPR, "--w", "[[1,2,3],4,5]"]
     assert main(["status"] + common) == 0
     assert json.loads(capsys.readouterr().out)["status"] == DEFINED_NONTRIVIAL
@@ -562,11 +562,11 @@ def test_certificates_decide_with_no_class(capsys, monkeypatch):
 def test_fallback_rows(row, status, realised, capsys, monkeypatch, tmp_path):
     """Three (K, w) that neither certificate decides keep their answers,
     and the star quotients decide them once per process: `status` then
-    `realises` make one `class_of` call between them."""
+    `realises` make one fallback decision between them."""
     K, w = row_complex(row), W(row[1])
     z = hurewicz_chain(w, K.m)
     assert wh._cocycle_cell(K, z) is None and wh._trivialising_filling(K, w) is None
-    calls = class_of_spy(monkeypatch)
+    calls = fallback_spy(monkeypatch)
     path = tmp_path / "k.json"
     path.write_text(json.dumps(row[0]))
     common = ["--complex", str(path), "--w", row[1]]
@@ -585,10 +585,10 @@ def test_fallback_rows(row, status, realised, capsys, monkeypatch, tmp_path):
 
 
 def test_canonical_verdict_against_the_class():
-    """The verdict against `zk_class(...).is_boundary` on 240 seeded (K, w)
-    whose canonical cycle lies in Z_K, some of them on an RP^2, and on the
-    three fallback rows; a cycle with a cell outside Z_K is refused as
-    `zk_class` refuses it.  Each of the three ways to decide occurs: a
+    """The verdict against `zk_bounds` on 240 seeded (K, w) whose canonical
+    cycle lies in Z_K, some of them on an RP^2, and on the three fallback
+    rows; a cycle with a cell outside Z_K is refused as `zk_bounds`
+    refuses it.  Each of the three ways to decide occurs: a
     one-cell cocycle, the trivialising filling, and the star quotients,
     which answer both ways."""
     rng = random.Random(36)
@@ -606,7 +606,7 @@ def test_canonical_verdict_against_the_class():
     ways = {}
     for K, w in pairs:
         z = hurewicz_chain(w, K.m)
-        bounds = zk_class(K, z).is_boundary
+        bounds = zk_bounds(K, z)
         assert wh._canonical_bounds(K, w) == bounds, (K.facets, w)
         if wh._cocycle_cell(K, z):
             way = "cocycle"
@@ -623,7 +623,7 @@ def test_canonical_cycle_is_checked_once_per_bracket(monkeypatch):
     its cycle test (`CellChain.boundary` on it) runs once per w, in that
     memo, and `_canonical_bounds` on one w over several complexes tests only
     that z lies in each Z_K.  A canonical chain that is no cycle is refused
-    with `zk_class`'s message."""
+    with `zk_bounds`' message."""
     w = W("[[1,2],3,4]")
     complexes = [cx.parse_complex(text) for text in (
         "bd(simplex(1,2,3,4))", SUB5_EXPR, "subst(bd(simplex(1,2,3)); bd(simplex(1,2)), pt, pt)")]
@@ -651,7 +651,7 @@ def test_canonical_cycle_is_checked_once_per_bracket(monkeypatch):
 
 @pytest.mark.parametrize("row", [ROW_A, ROW_B, ROW_C], ids=["A", "B", "C"])
 def test_fallback_checks_the_cycle_once(row, monkeypatch):
-    """On the three fallback rows the star quotients class z with no check
+    """On the three fallback rows the star quotients decide z with no check
     made again: its boundary is taken once per w, in `_canonical_chain`,
     and its Z_K support once, in `_canonical_bounds`."""
     K, w = row_complex(row), W(row[1])
@@ -718,10 +718,9 @@ def test_canonical_chain_on_masks_matches_the_labelled_product():
 
 
 def test_classes_build_only_star_quotients(monkeypatch):
-    """Classing the golden inputs' Hurewicz chains builds one star quotient
-    per support the chain touches, never a larger block."""
+    """Deciding whether the golden inputs' Hurewicz chains bound builds the
+    star cells of each support the chain touches, never a larger block."""
     from momangle import moment_angle
-    from momangle.moment_angle import zk_star_quotient
     pairs = sorted({(a[a.index("--complex") + 1], a[a.index("--w") + 1])
                     for a in GOLDEN_CASES if "--w" in a})
     cases = []
@@ -729,8 +728,8 @@ def test_classes_build_only_star_quotients(monkeypatch):
         K = cx.parse_complex(text)
         chain = hurewicz_chain(W(w), K.m)
         if chain.supported_in(K):
-            supports = sorted({cx.mask_face(J | I) for J, I in chain.terms})
-            sizes = [sum(map(len, zk_star_quotient(K, S).basis.values())) for S in supports]
+            supports = sorted({J | I for J, I in chain.terms})
+            sizes = [len(moment_angle._star_cells(K, S)) for S in supports]
             cases.append((K, chain, sizes))
     assert len(cases) >= 5
     built = []
@@ -743,43 +742,136 @@ def test_classes_build_only_star_quotients(monkeypatch):
     monkeypatch.setattr(moment_angle, "_star_cells", spy)
     for K, chain, sizes in cases:
         built.clear()
-        zk_class(K, chain)
+        zk_bounds(K, chain)
         assert built == sizes, (K, chain)
 
 
+BD3_7 = "bd(bd(bd(simplex(1,2,3,4,5,6,7))))"
+
+
+def star_cells_spy(monkeypatch):
+    """The supports of every `_star_cells` call the wedge verdict makes."""
+    built = []
+    from momangle import moment_angle
+    raw = moment_angle._star_cells
+    monkeypatch.setattr(moment_angle, "_star_cells",
+                        lambda K, smask: built.append(smask) or raw(K, smask))
+    return built
+
+
 def test_wedge_basis_builds_one_quotient_per_support(monkeypatch):
-    """The verdict classes every entry of one subset against one star
-    quotient: on bd(bd(bd(simplex(1,...,7)))) its 71 entries touch 29
-    subsets, and each quotient is built once."""
-    built = []
-    raw = wh.zk_star_quotient
-
-    def spy(K, S):
-        built.append(S)
-        return raw(K, S)
-    monkeypatch.setattr(wh, "zk_star_quotient", spy)
-    basis = shifted_wedge_basis(cx.parse_complex("bd(bd(bd(simplex(1,2,3,4,5,6,7))))"))
+    """The verdict builds each lattice support's star cells once and reads
+    them for the per-support groups and for the [B | Z] of every entry
+    subset: on bd(bd(bd(simplex(1,...,7)))) its 71 entries touch 29 of the
+    30 supports, and `_star_cells` runs 30 times, where building a quotient
+    per entry subset beside the table ran it 59 times."""
+    built = star_cells_spy(monkeypatch)
+    K = cx.parse_complex(BD3_7)
+    basis = shifted_wedge_basis(K)
     assert basis.is_basis and len(basis.entries) == 71
-    assert sorted(built) == sorted({e.subset for e in basis.entries})
-    assert len(built) == 29
+    assert sorted(built) == sorted(cx.face_mask(S) for S in lattice_supports(K))
+    assert len(built) == 30
+    assert {cx.face_mask(e.subset) for e in basis.entries} < set(built)
+    assert len({e.subset for e in basis.entries}) == 29
 
 
-def test_wedge_basis_report_is_the_same_without_the_quotient_memo(monkeypatch, capsys):
-    """The verdict classes the entries of one subset against one memoised
-    star quotient; the report equals the one where every class builds its
-    own quotient afresh.  Every order shifts bd(bd(bd(simplex(1,...,7))));
-    naming one skips the search over all 7! orders."""
-    argv = ["wedge-basis", "--complex", "bd(bd(bd(simplex(1,2,3,4,5,6,7))))",
-            "--order", "1,2,3,4,5,6,7"]
-    assert main(argv) == 0
-    shared = json.loads(capsys.readouterr().out)
-    built = []
-    raw = wh.zk_star_quotient
-    monkeypatch.setattr(wh, "zk_star_quotient", lambda K, S: built.append(S) or raw(K, S))
-    monkeypatch.setattr(wh, "cache", lambda f: f)
-    assert main(argv) == 0
-    fresh = json.loads(capsys.readouterr().out)
-    assert len(built) == 71   # one quotient per entry, where the memo builds 29
-    for report in (shared, fresh):
+# sha256 of the bd(bd(bd(simplex(1,...,7)))) wedge-basis report without its
+# elapsed_s, as JSON with sorted keys, taken when each entry was classed in
+# a memoised star quotient by Smith forms with transforms
+BD3_7_REPORT = "dfc108566f5841a89154e5b9c15c20e9f5c535bc1da8f970a2d09e49d376cf20"
+
+
+def report_digest(report):
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+def test_wedge_basis_report_is_pinned_with_one_star_cells_pass(monkeypatch, capsys):
+    """With and without an order, the report is the one the class
+    coordinates gave, and the star cells of each support are built once.
+    Every order shifts bd(bd(bd(simplex(1,...,7)))); naming one skips the
+    search over all 7! orders."""
+    built = star_cells_spy(monkeypatch)
+    for order in ([], ["--order", "1,2,3,4,5,6,7"]):
+        built.clear()
+        assert main(["wedge-basis", "--complex", BD3_7] + order) == 0
+        report = json.loads(capsys.readouterr().out)
         report.pop("elapsed_s")
-    assert shared["is_basis"] and shared == fresh
+        assert report["is_basis"] and report_digest(report) == BD3_7_REPORT
+        assert len(built) == len(set(built)) == 30
+
+
+def test_wedge_basis_names_the_factors_past_the_image():
+    """One entry's chain doubled: its block's [B | Z] has the factors of B
+    and then [2], and only the factors past B's count are printed, as the
+    class coordinates printed them.  On bd(bd(bd(simplex(1,...,7)))) B is
+    zero in every entry's block; on two disjoint edges {1,3} and {4,5}
+    beside the point 2, H~_0 of the edges is Z in degree 5 of the block of
+    {1,3,4,5}, where B has one factor, and vertex 1 less vertex 4 spans
+    it."""
+    K = cx.parse_complex(BD3_7)
+    entries = list(shifted_wedge_basis(K).entries)
+    at = next(i for i, e in enumerate(entries) if e.subset == (1, 2, 3, 4, 5))
+    entries[at] = replace(entries[at], chain=entries[at].chain.scaled(2))
+    verdict = wh._basis_verdict(K, entries)
+    assert not verdict.is_basis
+    assert verdict.details == ("subset [1, 2, 3, 4, 5], degree 9: invariant factors [2]",)
+    K = SimplicialComplex.from_facets(5, [(1, 3), (2,), (4, 5)])
+    J = (1, 3, 4, 5)
+    z = hochster_embed(K, J, {(1,): 1, (4,): -1})
+    where = "subset [1, 3, 4, 5], degree 5"
+    for k, lines in ((1, []), (2, [f"{where}: invariant factors [2]"]),
+                     (3, [f"{where}: invariant factors [3]"])):
+        details = wh._basis_verdict(K, [wh.WedgeEntry(J, (), None, z.scaled(k))]).details
+        assert [line for line in details if line.startswith(where)] == lines, k
+
+
+def row_reports(row, tmp_path, capsys):
+    """(exit code, report without its elapsed_s, stderr) of `status` and
+    then `realises` on a fallback row read from a complex file, with the
+    verdict memo emptied first, so that the fallback decides the row once
+    between them."""
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(row[0]))
+    common = ["--complex", str(path), "--w", row[1]]
+    wh._canonical_bounds.cache_clear()
+    reports = []
+    for verb in ("status", "realises"):
+        code = main([verb] + common)
+        out, err = capsys.readouterr()
+        report = json.loads(out) if out else None
+        if report is not None:
+            report.pop("elapsed_s")
+        reports.append((code, report, err))
+    return reports
+
+
+def test_no_verb_reaches_the_transforms(monkeypatch, tmp_path, capsys):
+    """Every golden argv, the three fallback rows through `status` and
+    `realises`, and `wedge-basis` on bd(bd(bd(simplex(1,...,7)))) give
+    their reports with `ChainComplex.class_of` and the Smith form with
+    transforms made to raise."""
+    from momangle import exactalg
+    rows = (ROW_A, ROW_B, ROW_C)
+    unguarded = [row_reports(row, tmp_path, capsys) for row in rows]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a verb reached class coordinates")
+    snf = exactalg.smith_normal_form
+
+    def without_transforms(A, transforms=True):
+        if transforms:
+            refuse()
+        return snf(A, transforms)
+    monkeypatch.setattr(exactalg.ChainComplex, "class_of", refuse)
+    monkeypatch.setattr(exactalg, "smith_normal_form", without_transforms)
+    wh._canonical_bounds.cache_clear()
+    golden = load_golden()
+    for argv in GOLDEN_CASES:
+        assert run_golden(argv) == golden[tuple(argv)], argv
+    calls = fallback_spy(monkeypatch)
+    for row, want in zip(rows, unguarded):
+        calls.clear()
+        assert row_reports(row, tmp_path, capsys) == want
+        assert len(calls) == 1
+    report = run_golden(["wedge-basis", "--complex", BD3_7])["report"]
+    assert report_digest(report) == BD3_7_REPORT

@@ -8,7 +8,7 @@ import pytest
 from momangle import exactalg, moment_angle, parse_complex, taylor, zigzag
 from momangle.complexes import Generators, SimplicialComplex, face_mask, mask_face, simplex_boundary
 from momangle.exactalg import insertion_sign, smith_normal_form
-from momangle.moment_angle import CellChain, zk_class
+from momangle.moment_angle import CellChain, zk_bounds
 from momangle.taylor import (TaylorChain, index_boundary, nested_taylor_cycle, taylor_boundary,
                              taylor_face_complex)
 from momangle.whitehead import delta_w, hurewicz_chain, parse_whitehead
@@ -273,14 +273,14 @@ def test_zigzag_rejects_non_cycles(sub5):
 
 def test_circle_letters_beyond_the_vertices_are_refused(sub5):
     """A circle letter above K.m is no cell of Z_K: the staircase and the
-    cycle classes both refuse it as outside Z_K."""
+    boundary test both refuse it as outside Z_K."""
     for text in ("S9", "S1*S9"):
         chain = CellChain.from_text(text)
         assert not chain.supported_in(sub5)
         with pytest.raises(ZigzagError, match="outside Z_K"):
             koszul_to_taylor(sub5, chain)
         with pytest.raises(ValueError, match="outside Z_K"):
-            zk_class(sub5, chain)
+            zk_bounds(sub5, chain)
 
 
 def test_zigzag_of_bounding_cycle_is_zero(sub5):
