@@ -22,7 +22,7 @@ is read on every call, so an edited file gives its new complex), the
 bracket on its text (`whitehead.parse_whitehead`), the canonical chain per
 bracket, and per (K, w) its class and the one containment answer that
 `status`, `realises` and `taylor-cycle` read (`whitehead`), and the
-missing-face lattice per K (`moment_angle._lattice`).  Every memo is
+missing-face lattice per K (`moment_angle.lattice_supports`).  Every memo is
 bounded, and none holds an exception: a refusal or a parse error is raised
 again on the next call.
 """
@@ -178,11 +178,11 @@ def cmd_hochster(K, w, args, out):
             raise ValueError(f"--subset {args.subset} repeats a vertex")
         if not all(1 <= v <= K.m for v in subset):
             raise ValueError(f"--subset {args.subset} is not within the vertices 1..{K.m}")
-        subsets = [tuple(sorted(subset))]
+        subsets = [cx.face_mask(subset)]
     per_subset, aggregate = ma.hochster_table(K, subsets)
-    out["by_subset"] = [
-        {"subset": list(J), "degree": d, "group": group_json(h)}
-        for (J, d), h in sorted(per_subset.items())]
+    rows = sorted((cx.mask_face(smask), d, h) for (smask, d), h in per_subset.items())
+    out["by_subset"] = [{"subset": list(J), "degree": d, "group": group_json(h)}
+                        for J, d, h in rows]
     out["aggregate"] = homology_json(aggregate)
 
 
@@ -219,7 +219,7 @@ def cmd_verify(K, w, args, out):
         failures.append("cellular vs Hochster homology differ")
     if ma.zk_homology(K) != cell_sums:
         failures.append("orbit sums vs cellular table differ")
-    if subsets != ma.lattice_supports(K):
+    if set(subsets) != set(ma.lattice_supports(K)):
         failures.append("cone-free subsets vs missing-face lattice differ")
     try:
         taylor = ty.taylor_homology_by_support(K)

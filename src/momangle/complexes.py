@@ -160,12 +160,12 @@ class SimplicialComplex:
     def has_all_singletons(self):
         return all(1 << i in self.face_masks for i in range(self.m))
 
-    def cone_point_within(self, subset):
-        """Least vertex v of `subset` over which the full subcomplex K_S is a
-        cone (I + v is a face for every face I of K_S), or None.  Every face
-        of K_S lies in some F & S with F a facet, so by downward closure v is
-        a cone point iff (F & S) + v is a face for every facet F."""
-        smask = face_mask(subset)
+    def cone_point_within(self, smask):
+        """Least vertex v of the subset S with bitmask `smask` over which the
+        full subcomplex K_S is a cone (I + v is a face for every face I of
+        K_S), or None.  Every face of K_S lies in some F & S with F a facet,
+        so by downward closure v is a cone point iff (F & S) + v is a face
+        for every facet F."""
         candidates = smask
         for fmask in self._facet_masks:
             inside = fmask & smask

@@ -32,7 +32,8 @@ complex is the tests' reference: the table visits only the blocks that can
 carry homology, and a cycle projects onto the blocks it touches.
 
 Inside S a cell is its circle mask J, and I = S - J; it lies in the star of
-v exactly when I + v is a face.  A support travels as its bitmask.
+v exactly when I + v is a face.  A support travels as its bitmask in
+every table, walk and check; labels are written only in the reports.
 Choosing the quotient's basis is the one cellular step (`_off_star`): it
 reads K's face index, whose per-vertex bitsets over the faces give the
 faces of K_S, the vertex v and the faces off its star, as one bitset, in a
@@ -49,21 +50,22 @@ degree's rank as an integer, with no column built; every other block is
 read from `exactalg.insertion_columns` with `column_homology`, the
 support's own mask as the bits that may enter a circle mask.  The
 per-support table (`zk_homology_by_support`) walks the lattice of unions of
-missing faces, once per support.  The degree table (`zk_homology`) is one
-fold over the connected parts of K's 1-skeleton (`connected_parts`): K is
-their disjoint union, and by Hochster's formula its groups are each part's
-own groups, spread to the supports that add vertices of other parts by
-binomial counts, plus the extra H~_0 of the supports that meet two or more
-parts, so no support across two parts is reduced.  Inside a part the
-table walks one support per twin orbit.  Two vertices are twins when
-swapping them maps the missing faces of K onto themselves; the swap is an
-automorphism of K, so the blocks of S and of its image have the same
-groups in the same degree.  `twin_classes` reads the classes off the
-generator table, `twin_orbits` reaches one representative per orbit, the
-lowest vertices of each class, by closure over the part's missing faces,
-and the fold counts each representative's groups once per member of its
-orbit.  `verify` checks the degree table against the per-support table,
-and that table against Hochster's, which shares no code with the fold.
+missing faces (`lattice_supports`), once per support.  The degree table
+(`zk_homology`) is one fold over the connected parts of K's 1-skeleton
+(`connected_parts`): K is their disjoint union, and by Hochster's formula
+its groups are each part's own groups, spread to the supports that add
+vertices of other parts by binomial counts, plus the extra H~_0 of the
+supports that meet two or more parts, so no support across two parts is
+reduced.  Inside a part the table walks one support per twin orbit.  Two
+vertices are twins when swapping them maps the missing faces of K onto
+themselves; the swap is an automorphism of K, so the blocks of S and of its
+image have the same groups in the same degree.  `twin_classes` reads the
+classes off the generator table, `twin_orbits` reaches one representative
+per orbit, the lowest vertices of each class, by closure over the part's
+missing faces (with no class, the one closure that walks the lattice), and
+the fold counts each representative's groups once per member of its orbit.
+`verify` checks the degree table against the per-support table, and that
+table against Hochster's, which shares no code with the fold.
 """
 
 from __future__ import annotations
@@ -237,29 +239,14 @@ def zk_chain_complex(K):
     return ChainComplex.from_boundary(zk_cells(K), cell_boundary)
 
 
-def mask_lattice(masks):
-    """0 and every OR of some of the bitmasks `masks`, as a set."""
-    unions = {0}
-    for bits in masks:
-        unions |= {u | bits for u in unions}
-    return unions
-
-
 @lru_cache(maxsize=8)
-def _lattice(K):
-    """The bitmasks of the empty set and of every union of missing faces of
-    K, in `lattice_supports`' order; a bounded memo keeps the last few
-    complexes' lattices (`verify` reads one twice)."""
-    unions = mask_lattice(K.generators().masks)
-    return tuple(sorted(unions, key=lambda u: (u.bit_count(), mask_face(u))))
-
-
 def lattice_supports(K):
-    """The empty set and every union of missing faces of K, by size and then
-    lexicographically.  A vertex of S lies in no missing face inside S
-    exactly when it is a cone point of K_S, so these are the empty set and
-    the supports S with no cone point: every other block is acyclic."""
-    return [mask_face(u) for u in _lattice(K)]
+    """The bitmasks of the empty set and of every union of missing faces of
+    K, in the order `twin_orbits` with no twin class walks them.  A vertex
+    of S in no missing face inside S is a cone point of K_S, so these are
+    the supports with no cone point: every other block is acyclic.  A
+    bounded memo (`verify` reads one twice)."""
+    return (0, *twin_orbits(K.generators().masks, ()))
 
 
 def _off_star(K, smask):
@@ -318,7 +305,8 @@ def support_table(blocks, shift):
 def fold_blocks(blocks, within=None, by_support=False):
     """The homology of exterior blocks on bitmasks, degree -> group summed
     over the blocks, or {(S, degree): group} with `by_support`; nontrivial
-    groups only.  Every cellular and Taylor table is one walk and this fold.
+    groups only, S the support's bitmask.  Every cellular and Taylor table is
+    one walk and this fold.
 
     A block is (union, times, words): the bitmask of its support S, how
     many times its groups count (a twin orbit's size), and its basis on
@@ -337,14 +325,13 @@ def fold_blocks(blocks, within=None, by_support=False):
         if not words:
             continue
         shift = 2 * union.bit_count()
-        S = mask_face(union) if by_support else None
         if (s := words[0].bit_count()) == words[-1].bit_count():
-            key = (S, shift - s) if by_support else shift - s
+            key = (union, shift - s) if by_support else shift - s
             ranks[key] = ranks.get(key, 0) + len(words) * times
             continue
         inside = within(union) if within else union
         for d, h in column_homology(*insertion_columns(words, inside)).items():
-            _add_group(ranks, torsion, (S, shift + d) if by_support else shift + d, h, times)
+            _add_group(ranks, torsion, (union, shift + d) if by_support else shift + d, h, times)
     return _groups(ranks, torsion, ranks if by_support else sorted(ranks))
 
 
@@ -415,11 +402,11 @@ def zk_homology_by_support(K):
 
 
 def _lattice_cells(K):
-    """(smask, `_star_cells(K, smask)`) for every support of `_lattice(K)`,
-    in its order, once `_admit` has passed K: the blocks of the per-support
-    table, built as they are read."""
+    """(smask, `_star_cells(K, smask)`) for every support of
+    `lattice_supports(K)`, in its order, once `_admit` has passed K: the
+    blocks of the per-support table, built as they are read."""
     _admit(K)
-    return ((smask, _star_cells(K, smask)) for smask in _lattice(K))
+    return ((smask, _star_cells(K, smask)) for smask in lattice_supports(K))
 
 
 def twin_classes(gens):
@@ -467,7 +454,8 @@ def twin_orbits(masks, classes):
     automorphism maps a union of missing faces to another, so the
     representatives are reached by closure, level by level, with no lattice
     built: from each representative r of a level and each missing face g,
-    the representative of r + g."""
+    the representative of r + g.  With no class each orbit is one union:
+    the lattice `lattice_supports` and the Taylor resolution check walk."""
     kinds = []  # (class mask, its complement, lowest k members by k, C(|c|, k) by k)
     for c in classes:
         bits = [1 << (v - 1) for v in c]
@@ -590,7 +578,8 @@ def _zk_cycle_bounds(K, cycle):
     """`zk_bounds` of a cycle its caller has already checked to lie in Z_K
     and to be one, with neither check made again; a ghost vertex inside a
     support the cycle touches is still refused."""
-    if any(1 << (v - 1) not in K.face_masks for v in mask_face(cycle.support())):
+    support = cycle.support()
+    if any(support >> i & 1 and 1 << i not in K.face_masks for i in range(K.m)):
         raise ValueError("Z_K needs every singleton to be a face")
     return bounds_by_support(lambda S: (_star_cells(K, S), S),
                              lambda cell: (cell[0] | cell[1], cell[0]), cycle.terms)
@@ -604,25 +593,32 @@ def _refuse_past_hochster_bound(K):
 
 
 def cone_free_subsets(K):
-    """The empty set and the subsets J with no cone point of K_J, found from
-    the facets (`cone_point_within`); `verify` checks they are
-    `lattice_supports(K)`.  A cone K_J is contractible."""
+    """The bitmasks of the empty set and of the subsets S with no cone point
+    of K_S, found by scanning every mask with the facets
+    (`cone_point_within`); `verify` checks they are `lattice_supports(K)`.
+    A cone K_S is contractible."""
     _refuse_past_hochster_bound(K)
-    return [J for J in all_subsets(K.m) if not J or K.cone_point_within(J) is None]
+    return [smask for smask in range(1 << K.m)
+            if not smask or K.cone_point_within(smask) is None]
 
 
 def hochster_table(K, subsets=None):
     """Reduced homology of the full subcomplexes, placed into Z_K degrees.
 
-    Returns (per_subset, aggregate): per_subset maps (J, degree) to the
-    nontrivial group contributed by K_J (simplicial degree p-1 sits in
-    degree p+|J|), aggregate direct-sums the contributions per degree.
-    J = the empty set contributes the basepoint class in degree 0.
-    `subsets`, sorted tuples, limits J; the default `cone_free_subsets`
-    leaves out only contractible K_J, so it gives every subset's table.
+    Returns (per_subset, aggregate): per_subset maps (S, degree), S the
+    bitmask of a vertex subset J, to the nontrivial group contributed by K_J
+    (simplicial degree p-1 sits in degree p+|J|), aggregate direct-sums the
+    contributions per degree.  J = the empty set contributes the basepoint
+    class in degree 0.  `subsets`, bitmasks within 1..K.m, limits J; the
+    default `cone_free_subsets` leaves out only contractible K_J, so it
+    gives every subset's table.  Each block is built on the labelled faces
+    of K_J (`faces_within`), sharing no code with the cellular fold.
     """
     _refuse_past_hochster_bound(K)
-    blocks = ((J, reduced_chain_complex(K.faces_within(J)))
-              for J in (cone_free_subsets(K) if subsets is None else subsets))
-    per_subset = support_table(blocks, lambda J, d: d + len(J) + 1)
+    subsets = cone_free_subsets(K) if subsets is None else list(subsets)
+    if bad := [u for u in subsets if not _is_mask(u) or u >> K.m]:
+        raise ValueError(f"subset {bad[0]!r} is no bitmask of the vertices 1..{K.m}")
+    blocks = ((smask, reduced_chain_complex(K.faces_within(mask_face(smask))))
+              for smask in subsets)
+    per_subset = support_table(blocks, lambda smask, d: d + smask.bit_count() + 1)
     return per_subset, degree_sums(per_subset)

@@ -78,7 +78,7 @@ from .complexes import (Generators, ParseError, SignedSum, SimplicialComplex, Si
                         signed_sum_text)
 from .exactalg import (ChainComplex, column_homology, concatenation_sign, insert_bits,
                        insertion_columns, insertion_complex)
-from .moment_angle import _is_mask, bounds_by_support, fold_blocks, mask_lattice
+from .moment_angle import _is_mask, bounds_by_support, fold_blocks, twin_orbits
 from .whitehead import _containment
 
 MAX_GENERATORS = 20
@@ -489,7 +489,8 @@ class ResolutionReport:
 def verify_taylor_is_resolution(ideal):
     """Exactness of Lyubeznik's resolution of S/ideal, on polarised masks.
 
-    For each nonzero U of the lcm lattice, the admissible words with union
+    For each nonzero U of the lcm lattice, the unions of generator masks
+    (`twin_orbits` with no twin class), the admissible words with union
     inside U, the empty word included, span its slice; `insertion_columns`
     gives their insertion columns, the dual of the deletion differential,
     and a finite free complex over Z is exact exactly when its dual is, so
@@ -501,7 +502,7 @@ def verify_taylor_is_resolution(ideal):
     _refuse_past_bound(len(gens.masks))
     by_union = admissible_words(gens.masks)
     failures = []
-    for U in sorted(mask_lattice(gens.masks) - {0}):
+    for U in sorted(twin_orbits(gens.masks, ())):
         words = [word for union, ws in by_union.items() if not union & ~U for word in ws]
         inside = gens.within(U)
         groups = column_homology(*insertion_columns(words, inside))

@@ -489,32 +489,33 @@ def _wedge_entry(J, I):
 
 def _basis_verdict(K, entries):
     """Do the entries' chains form a Z-basis of H_*(Z_K)?  Checked per
-    (J, degree) block, where an entry's chain lies by its subset J, on one
-    [B | Z] of the entries' circle masks (`exactalg.image_factors`); each
-    lattice support's star cells are built once, for that and the groups."""
+    (support, degree) block, where an entry's chain lies by its support, on
+    one [B | Z] of the entries' circle masks (`exactalg.image_factors`);
+    each lattice support's star cells are built once, for that and the
+    groups.  The details name and order the blocks by their labels."""
     cells = dict(_lattice_cells(K))
     per_block = fold_blocks(((smask, 1, words) for smask, words in cells.items()),
                             by_support=True)
     by_block = {}
     for e in entries:
-        by_block.setdefault((e.subset, e.chain.degree), []).append(
+        by_block.setdefault((e.chain.support(), e.chain.degree), []).append(
             {circles: c for (circles, _), c in e.chain.terms.items()})
     details = []
     ok = True
-    for J, d in sorted({k for k in per_block if k[1] > 0} | set(by_block)):
-        where = f"subset {list(J)}, degree {d}"
-        group = per_block.get((J, d), TRIVIAL_GROUP)
+    for smask, d in sorted({k for k in per_block if k[1] > 0} | set(by_block),
+                           key=lambda k: (cx.mask_face(k[0]), k[1])):
+        where = f"subset {list(cx.mask_face(smask))}, degree {d}"
+        group = per_block.get((smask, d), TRIVIAL_GROUP)
         if group.torsion:
             ok = False
             details.append(f"{where}: torsion {group.torsion} present")
             continue
-        chains = by_block.get((J, d), [])
+        chains = by_block.get((smask, d), [])
         if len(chains) != group.rank:
             ok = False
             details.append(f"{where}: {len(chains)} chains against rank {group.rank}")
             continue
-        smask = cx.face_mask(J)
-        image, with_z = image_factors(cells[smask], smask, 2 * len(J) - d, chains)
+        image, with_z = image_factors(cells[smask], smask, 2 * smask.bit_count() - d, chains)
         facs = with_z[len(image):]
         if len(facs) != group.rank or any(f != 1 for f in facs):
             ok = False

@@ -974,14 +974,25 @@ def reference_star_cells(S, faces, is_face):
 
 
 def reference_zk_homology_by_support(K):
-    """The cellular table {(S, degree): group} over every vertex subset S:
-    the nonempty S with a cone point are skipped, every other block is
-    built whole (`reference_zk_block`) and reduced."""
+    """The cellular table {(S, degree): group}, S the bitmask of a vertex
+    subset, over every subset: the nonempty S with a cone point are
+    skipped, every other block is built whole (`reference_zk_block`) and
+    reduced."""
     if K.m > ZK_MAX_VERTICES:
         raise SizeLimitError(f"Z_K cell enumeration refuses m={K.m} > {ZK_MAX_VERTICES}")
-    blocks = ((S, reference_zk_block(K, S)) for S in all_subsets(K.m)
-              if K.cone_point_within(S) is None)
+    blocks = ((face_mask(S), reference_zk_block(K, S)) for S in all_subsets(K.m)
+              if K.cone_point_within(face_mask(S)) is None)
     return support_table(blocks, lambda S, d: d)
+
+
+def reference_mask_lattice(masks):
+    """0 and every OR of some of the bitmasks `masks`, as a set, by one
+    pass per mask over the unions found so far: the package's lattice
+    before its supports were walked level by level (`twin_orbits`)."""
+    unions = {0}
+    for bits in masks:
+        unions |= {u | bits for u in unions}
+    return unions
 
 
 def reference_zk_class(K, chain):

@@ -110,7 +110,7 @@ def test_verify_exit_code_on_disagreement(capsys, monkeypatch):
     from momangle import cli
     from momangle.exactalg import HomologyGroup
     monkeypatch.setattr(cli.ty, "taylor_homology_by_support",
-                        lambda K: {((), 99): HomologyGroup(1)})
+                        lambda K: {(0, 99): HomologyGroup(1)})
     code, out, _ = run_cli(capsys, "verify", "--complex", SUB5_EXPR)
     assert code == 3
     assert "Taylor vs cellular" in json.loads(out)["verification_error"]
@@ -121,11 +121,12 @@ def test_verify_compares_routes_block_by_block(capsys, monkeypatch):
     # sums stay equal, the per-support tables do not
     from momangle import cli
     from momangle import moment_angle as ma
+    from momangle.complexes import face_mask
     real = cli.ty.taylor_homology_by_support
 
     def moved(K):
         table = dict(real(K))
-        table[((1, 2, 4), 5)] = table.pop(((1, 2, 3), 5))
+        table[(face_mask((1, 2, 4)), 5)] = table.pop((face_mask((1, 2, 3)), 5))
         assert ma.degree_sums(table) == ma.degree_sums(real(K))
         return table
     monkeypatch.setattr(cli.ty, "taylor_homology_by_support", moved)
@@ -665,18 +666,24 @@ def test_refusals_and_parse_errors_are_not_memoised(tmp_path, capsys):
 def test_every_memo_is_bounded():
     from momangle import cli, moment_angle, whitehead
     memos = [cli._load, whitehead.parse_whitehead, whitehead._canonical_chain,
-             whitehead._canonical_bounds, whitehead._containment, moment_angle._lattice]
+             whitehead._canonical_bounds, whitehead._containment, moment_angle.lattice_supports]
     assert all(0 < memo.cache_info().maxsize < 1000 for memo in memos)
 
 
 def test_verify_builds_the_lattice_once(capsys, monkeypatch):
+    """`verify` reads the lattice twice, for the cellular table and for the
+    cone-free check, and walks it once: one `twin_orbits` call on the whole
+    generator table, the memo's one miss."""
     from momangle import moment_angle as ma
     calls = []
-    raw = ma.mask_lattice
-    monkeypatch.setattr(ma, "mask_lattice", lambda masks: calls.append(1) or raw(masks))
-    ma._lattice.cache_clear()
+    raw = ma.twin_orbits
+    monkeypatch.setattr(ma, "twin_orbits",
+                        lambda masks, classes: calls.append(masks) or raw(masks, classes))
+    ma.lattice_supports.cache_clear()
     assert run_json(capsys, "verify", "--complex", SUB5_EXPR)["failures"] == []
-    assert len(calls) == 1
+    K = cli.load_complex(SUB5_EXPR, 20)
+    assert sum(masks is K.generators().masks for masks in calls) == 1
+    assert ma.lattice_supports.cache_info().misses == 1
 
 
 def test_verify_checks_the_orbit_sums(capsys, monkeypatch, tmp_path):
@@ -724,10 +731,10 @@ def test_homology_walks_one_block_per_orbit(capsys, monkeypatch, tmp_path):
     binomial count of the fold over the parts."""
     from momangle import moment_angle as ma
     blocks, lattices = [], []
-    off_star, mask_lattice = ma._off_star, ma.mask_lattice
+    off_star, lattice_supports = ma._off_star, ma.lattice_supports
     monkeypatch.setattr(ma, "_off_star", lambda *a: blocks.append(1) or off_star(*a))
-    monkeypatch.setattr(ma, "mask_lattice", lambda m: lattices.append(1) or mask_lattice(m))
-    ma._lattice.cache_clear()
+    monkeypatch.setattr(ma, "lattice_supports",
+                        lambda K: lattices.append(1) or lattice_supports(K))
     path = tmp_path / "points20.json"
     path.write_text(json.dumps({"m": 20, "facets": []}))
     report = run_json(capsys, "homology", "--complex", str(path))
@@ -746,7 +753,6 @@ def test_homology_reduces_no_support_across_parts(capsys, monkeypatch, tmp_path)
     no twin pair), with Z/2 in degree 8 and C(14, 1) copies of it in
     degree 9."""
     from momangle import moment_angle as ma
-    from momangle.complexes import face_mask
     seen = []
     star_cells = ma._star_cells
     monkeypatch.setattr(ma, "_star_cells",
@@ -759,7 +765,7 @@ def test_homology_reduces_no_support_across_parts(capsys, monkeypatch, tmp_path)
     union.write_text(json.dumps({"m": 20, "facets": RP2_FACETS}))
     report = run_json(capsys, "homology", "--complex", str(union))
     rp2 = SimplicialComplex.from_facets(6, [tuple(f) for f in RP2_FACETS])
-    assert sorted(seen) == sorted(face_mask(S) for S in ma.lattice_supports(rp2) if S)
+    assert sorted(seen) == sorted(S for S in ma.lattice_supports(rp2) if S)
     assert report["homology"]["8"]["torsion"] == [2]
     assert report["homology"]["9"]["torsion"] == [2] * 14
 

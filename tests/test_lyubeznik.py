@@ -76,7 +76,10 @@ def nested_cases(rng):
 
 
 def table_of(blocks):
-    return support_table(blocks.items(), lambda S, d: 2 * len(S) + d)
+    """The table of blocks keyed by their unions as label tuples, each
+    keyed by its bitmask in the table."""
+    return support_table(((cx.face_mask(S), B) for S, B in blocks.items()),
+                         lambda S, d: 2 * S.bit_count() + d)
 
 
 def labelled_unions(blocks):

@@ -8,11 +8,11 @@ from momangle.complexes import ParseError, SimplicialComplex, simplex, simplex_b
 from momangle.exactalg import HomologyGroup
 from momangle.moment_angle import (CellChain, cell_boundary, hochster_table,
                                    zk_chain_complex, zk_homology)
-from momangle.taylor import MAX_GENERATORS, taylor_homology
+from momangle.taylor import MAX_GENERATORS, MonomialIdeal, taylor_homology
 from oracles import (cell_chain, closed_form_family, closed_form_homology, hochster_embed,
                      labelled_cell, labelled_cells, random_complex, reduced_ranks,
-                     reference_cell_boundary, reference_zk_class, shuffle_sign,
-                     simplicial_homology_dense)
+                     reference_cell_boundary, reference_mask_lattice, reference_zk_class,
+                     shuffle_sign, simplicial_homology_dense)
 
 
 def test_two_points_is_three_sphere(two_points):
@@ -197,9 +197,21 @@ def test_embed_degree_bookkeeping():
 
 def test_hochster_table_triangle_boundary():
     per, agg = hochster_table(simplex_boundary(3))
-    assert per[((1, 2, 3), 5)] == HomologyGroup(1)
+    assert per[(cx.face_mask((1, 2, 3)), 5)] == HomologyGroup(1)
     positive = {d: h for d, h in agg.items() if d > 0 and not h.is_trivial()}
     assert positive == {5: HomologyGroup(1)}
+
+
+def test_hochster_table_refuses_a_mask_past_the_vertices():
+    """Subsets are vertex bitmasks, so no label can repeat, and a bit past
+    K.m, which names no vertex of K, is refused, as is a label tuple: on
+    bd(simplex(1,2,3)) the subsets (1,2,3,9) and (1,1,2,3) once landed Z in
+    degree 6, where (1,2,3) has it in degree 5."""
+    K = simplex_boundary(3)
+    assert hochster_table(K, [0b111])[0] == {(0b111, 5): HomologyGroup(1)}
+    for bad in (0b100000111, 0b1000, -1, True, (1, 2, 3)):
+        with pytest.raises(ValueError, match="no bitmask of the vertices 1..3"):
+            hochster_table(K, [0b11, bad])
 
 
 def test_hochster_table_full_simplex_empty():
@@ -229,8 +241,8 @@ def test_subset_homology_against_dense_oracle(rp2):
     per, _ = hochster_table(rp2)
     got = {}
     for (J, degree), h in per.items():
-        if J == tuple(range(1, 7)):
-            got[degree - len(J) - 1] = (h.rank, h.torsion)
+        if J == cx.face_mask(range(1, 7)):
+            got[degree - J.bit_count() - 1] = (h.rank, h.torsion)
     assert got == simplicial_homology_dense(rp2.faces)
 
 
@@ -303,6 +315,33 @@ def test_twin_orbit_representatives(sub5):
     # orbits of 123, 145 (with 245, 345), 1245 (with 1345, 2345) and 12345
     assert orbits(sub5) == {0b111: 1, 0b11001: 3, 0b11011: 3, 0b11111: 1}
     assert 1 + sum(orbits(sub5).values()) == len(ma.lattice_supports(sub5))
+
+
+def test_one_closure_walks_every_lattice():
+    """Seeded: with no twin class `twin_orbits` reaches every nonzero union
+    of its masks once, each an orbit of one, so `lattice_supports(K)` is the
+    brute OR-closure of K's missing faces (`reference_mask_lattice`), 0
+    first and no union twice, and as a set the cone-free subsets; so is the
+    closure of polarised monomial generators, the lcm lattice the Taylor
+    resolution check walks, and of the empty table."""
+    rng = random.Random(49)
+    cases = [random_complex(rng.randint(1, 8), rng) for _ in range(150)]
+    for K in cases + [points(10), disjoint_edges(4), simplex_boundary(9)]:
+        supports = ma.lattice_supports(K)
+        assert supports[0] == 0 and len(set(supports)) == len(supports), K
+        assert set(supports) == reference_mask_lattice(K.generators().masks), K
+        assert set(supports) == set(ma.cone_free_subsets(K)), K
+    for _ in range(150):
+        m = rng.randint(1, 4)
+        vectors = {tuple(rng.randint(0, 3) for _ in range(m)) for _ in range(rng.randint(1, 6))}
+        vectors.discard((0,) * m)
+        minimal = [a for a in vectors
+                   if not any(b != a and all(x <= y for x, y in zip(b, a)) for b in vectors)]
+        masks = MonomialIdeal(m, minimal).masks()
+        orbits = ma.twin_orbits(masks, ())
+        assert set(orbits.values()) <= {1} and 0 not in orbits, minimal
+        assert {0} | set(orbits) == reference_mask_lattice(masks), minimal
+    assert ma.twin_orbits([], ()) == {} and reference_mask_lattice([]) == {0}
 
 
 def test_orbit_sums_match_the_direct_table_on_random_complexes():

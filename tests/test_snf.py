@@ -17,7 +17,7 @@ import pytest
 
 from momangle import moment_angle as ma
 from momangle import taylor as ty
-from momangle.complexes import SimplicialComplex, reduced_chain_complex
+from momangle.complexes import SimplicialComplex, mask_face, reduced_chain_complex
 from momangle.exactalg import (IntMatrix, _column_matrix, _eliminate_units, insertion_columns,
                                invariant_factors, smith_normal_form)
 from oracles import random_complex, reference_koszul_matrix, reference_snf
@@ -105,13 +105,13 @@ def verb_differentials(K):
     """The star-quotient, Taylor-block and Hochster-block differentials of
     K, as the cellular, Taylor and Hochster tables build them."""
     out = []
-    for smask in ma._lattice(K):
+    for smask in ma.lattice_supports(K):
         out += differentials(*insertion_columns(ma._star_cells(K, smask), smask))
     gens = K.generators()
     for union, _, words in ty._blocks(gens):
         out += differentials(*insertion_columns(words, gens.within(union)))
-    for J in ma.cone_free_subsets(K):
-        C = reduced_chain_complex(K.faces_within(J))
+    for smask in ma.cone_free_subsets(K):
+        C = reduced_chain_complex(K.faces_within(mask_face(smask)))
         out += [C.differential(d) for d, cols in C.columns.items() if cols]
     return out
 
