@@ -71,7 +71,7 @@ table against Hochster's, which shares no code with the fold.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import accumulate, combinations
+from itertools import accumulate
 from math import comb, prod
 from operator import or_
 
@@ -379,11 +379,6 @@ def bounds_by_support(block, split, terms):
     return True
 
 
-def all_subsets(m):
-    """Every vertex subset of 1..m, by size and then lexicographically."""
-    return (S for k in range(m + 1) for S in combinations(range(1, m + 1), k))
-
-
 def zk_homology_by_support(K):
     """Homology of every support block, {(S, degree): group}, nontrivial only.
 
@@ -578,8 +573,7 @@ def _zk_cycle_bounds(K, cycle):
     """`zk_bounds` of a cycle its caller has already checked to lie in Z_K
     and to be one, with neither check made again; a ghost vertex inside a
     support the cycle touches is still refused."""
-    support = cycle.support()
-    if any(support >> i & 1 and 1 << i not in K.face_masks for i in range(K.m)):
+    if cycle.support() & sum(1 << i for i in range(K.m) if 1 << i not in K.face_masks):
         raise ValueError("Z_K needs every singleton to be a face")
     return bounds_by_support(lambda S: (_star_cells(K, S), S),
                              lambda cell: (cell[0] | cell[1], cell[0]), cycle.terms)
@@ -609,14 +603,16 @@ def hochster_table(K, subsets=None):
     bitmask of a vertex subset J, to the nontrivial group contributed by K_J
     (simplicial degree p-1 sits in degree p+|J|), aggregate direct-sums the
     contributions per degree.  J = the empty set contributes the basepoint
-    class in degree 0.  `subsets`, bitmasks within 1..K.m, limits J; the
-    default `cone_free_subsets` leaves out only contractible K_J, so it
-    gives every subset's table.  Each block is built on the labelled faces
-    of K_J (`faces_within`), sharing no code with the cellular fold.
+    class in degree 0.  `subsets`, a collection of bitmasks within 1..K.m
+    (checked), limits J; the default `cone_free_subsets` leaves out only
+    contractible K_J, so it gives every subset's table.  Each block is built
+    on the labelled faces of K_J (`faces_within`), sharing no code with the
+    cellular fold.
     """
     _refuse_past_hochster_bound(K)
-    subsets = cone_free_subsets(K) if subsets is None else list(subsets)
-    if bad := [u for u in subsets if not _is_mask(u) or u >> K.m]:
+    if subsets is None:
+        subsets = cone_free_subsets(K)
+    elif bad := [u for u in subsets if not _is_mask(u) or u >> K.m]:
         raise ValueError(f"subset {bad[0]!r} is no bitmask of the vertices 1..{K.m}")
     blocks = ((smask, reduced_chain_complex(K.faces_within(mask_face(smask))))
               for smask in subsets)

@@ -87,8 +87,7 @@ from momangle.complexes import (SignedSum, SimplicialComplex, SizeLimitError, fa
                                 simplex_boundary, word_text)
 from momangle.exactalg import (ChainComplex, HomologyClass, HomologyGroup, IntMatrix,
                                SmithForm)
-from momangle.moment_angle import (ZK_MAX_VERTICES, CellChain, all_subsets, cell_letters,
-                                   support_table)
+from momangle.moment_angle import ZK_MAX_VERTICES, CellChain, cell_letters, support_table
 from momangle.taylor import TaylorChain, nested_levels, taylor_boundary
 from momangle.whitehead import bracket, delta_w, leaf
 from momangle.zigzag import ZigzagError
@@ -862,6 +861,12 @@ def reference_nested_taylor_cycle(w, K):
         if word is not None:
             terms[word] = terms.get(word, 0) + sign
     return taylor_chain(K, terms)
+
+
+def all_subsets(m):
+    """Every vertex subset of 1..m as a label tuple, by size and then
+    lexicographically: the supports the labelled references walk."""
+    return (S for k in range(m + 1) for S in combinations(range(1, m + 1), k))
 
 
 def reference_zk_block(K, S):

@@ -11,7 +11,7 @@ from momangle.exactalg import (ChainComplex, HomologyGroup, IntMatrix, column_ho
                                insertion_complex, invariant_factors, kernel_basis,
                                smith_normal_form, solve_integer)
 from momangle.moment_angle import degree_sums, lattice_supports, zk_homology_by_support
-from oracles import (dense_homology, dense_snf_diagonal, random_complex,
+from oracles import (all_subsets, dense_homology, dense_snf_diagonal, random_complex,
                      reference_column_groups, reference_direct_sum, reference_snf,
                      reference_star_cells,
                      reference_zk_block, reference_zk_star_quotient)
@@ -449,7 +449,6 @@ def test_from_boundary_rejects_unknown_target():
 def test_snf_matches_reference_on_chain_complexes(rp2, sub5):
     """Every differential of the Z_K and Taylor blocks of two complexes: the
     same Smith form as the full-scan reference, with and without transforms."""
-    from momangle.moment_angle import all_subsets
     from momangle.taylor import taylor_components
     blocks = [reference_zk_block(rp2, S) for S in all_subsets(rp2.m)]
     blocks += list(taylor_components(sub5).values())

@@ -27,12 +27,12 @@ from momangle.cli import main
 from momangle import exactalg, moment_angle, taylor
 from momangle.exactalg import (ChainComplex, HomologyGroup, column_homology, insertion_columns,
                                insertion_complex, kernel_basis)
-from momangle.moment_angle import (CellChain, all_subsets, cell_boundary, cone_free_subsets,
+from momangle.moment_angle import (CellChain, cell_boundary, cone_free_subsets,
                                    hochster_table, lattice_supports, support_table, zk_bounds,
                                    zk_chain_complex, zk_homology, zk_homology_by_support)
 from momangle.taylor import taylor_face_complex, taylor_homology_by_support
 from momangle.whitehead import bracket, hurewicz_chain, leaf, parse_whitehead
-from oracles import (brute_cone_point, cell_chain, closed_form_family, hochster_embed,
+from oracles import (all_subsets, brute_cone_point, cell_chain, closed_form_family, hochster_embed,
                      labelled_cell, random_complex, random_graph_complex,
                      reference_cell_boundary, reference_column_groups, reference_insertion_columns,
                      reference_star_cells, reference_star_vertex, reference_zk_block,

@@ -1,13 +1,12 @@
 """A fixed ladder of CLI runs at scale, each in its own process.
 
-    python3 tools/ladder.py [--only 'VERB CASE' ...] [--out BENCH_ladder.json]
-                            [--src DIR] [--cap-mib N]
+    python3 tools/ladder.py [--only 'VERB CASE' ...] [--out BENCH_ladder.json] [--src DIR]
 
 Runs every row of `ROWS` as `python -m momangle.cli VERB --complex CASE ...`
 in a child process, one after the other, with momangle imported from `--src`
 (src/ next to this directory by default), and writes one JSON object to
-`--out`: the host, the address-space cap and one row per run, in `ROWS`
-order.  `--only` keeps the named rows ("homology polygon-12").
+`--out`: the host, the address-space cap `CAP_MIB` and one row per run, in
+`ROWS` order.  `--only` keeps the named rows ("homology polygon-12").
 
 A row holds the verb, the case, the child's exit code, its wall time from
 start to exit, start-up included, polled every 5 ms ("past N s" when it hit
@@ -43,6 +42,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CAP_MIB = 1024  # each child's address-space cap
 
 
 def nested(n):
@@ -141,23 +141,29 @@ GROUPS = {
 }
 
 
-def run(argv, src, timeout, cap, report_path, err_path):
+def run(argv, src, timeout, report_path, err_path):
     """(exit code, wall s, killed at its timeout, peak RSS in MiB) of one
-    child, polled every 5 ms; no thread runs beside `preexec_fn`."""
+    child, polled every 5 ms; no thread runs beside `preexec_fn`.  A child
+    not yet reaped when the loop stops early (Ctrl-C) is killed and reaped."""
     def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+        resource.setrlimit(resource.RLIMIT_AS, (CAP_MIB << 20, CAP_MIB << 20))
 
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     with open(report_path, "wb") as out, open(err_path, "wb") as err:
         started = time.perf_counter()
         child = subprocess.Popen([sys.executable, "-m", "momangle.cli", *argv],
                                  stdout=out, stderr=err, env=env, preexec_fn=limit)
-        killed = False
-        while not (done := os.wait4(child.pid, os.WNOHANG))[0]:
-            if not killed and time.perf_counter() - started > timeout:
+        killed, done = False, (0,)
+        try:
+            while not (done := os.wait4(child.pid, os.WNOHANG))[0]:
+                if not killed and time.perf_counter() - started > timeout:
+                    child.kill()
+                    killed = True
+                time.sleep(0.005)
+        finally:
+            if not done[0]:
                 child.kill()
-                killed = True
-            time.sleep(0.005)
+                os.wait4(child.pid, 0)
         wall = time.perf_counter() - started
     _, status, usage = done
     child.returncode = code = os.waitstatus_to_exitcode(status)
@@ -170,7 +176,6 @@ def main():
                         help="run only this row, e.g. 'verify points-16'")
     parser.add_argument("--out", default=str(ROOT / "BENCH_ladder.json"))
     parser.add_argument("--src", default=str(ROOT / "src"), help="the momangle source to run")
-    parser.add_argument("--cap-mib", type=int, default=1024, help="address-space cap per child")
     args = parser.parse_args()
     rows = [r for r in ROWS if not args.only or f"{r[0]} {r[1]}" in args.only]
     if args.only and len(rows) != len(set(args.only)):
@@ -186,8 +191,7 @@ def main():
         for verb, case, extra, timeout in rows:
             argv = [verb, *(["--complex", complexes[case]] if complexes[case] else []), *extra]
             report, err = Path(tmp) / "report", Path(tmp) / "stderr"
-            code, wall, timed_out, rss = run(argv, args.src, timeout,
-                                             args.cap_mib << 20, report, err)
+            code, wall, timed_out, rss = run(argv, args.src, timeout, report, err)
             row = {"verb": verb, "case": case, "exit": code,
                    "wall_s": f"past {timeout} s" if timed_out else round(wall, 3),
                    "peak_rss_mib": round(rss, 1), "report_bytes": report.stat().st_size}
@@ -205,7 +209,7 @@ def main():
             out.append(row)
     host = {"python": platform.python_version(), "machine": platform.machine(),
             "cpus": os.cpu_count()}
-    Path(args.out).write_text(json.dumps({"host": host, "cap_mib": args.cap_mib, "rows": out},
+    Path(args.out).write_text(json.dumps({"host": host, "cap_mib": CAP_MIB, "rows": out},
                                          indent=2) + "\n")
     return 1 if wrong else 0
 
