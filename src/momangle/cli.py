@@ -5,8 +5,8 @@ One verb per invocation; complexes come either from a builder expression
 {"m": ..., "facets": [[...], ...]}.  Reports are JSON by default and embed
 the missing-face generator order so Taylor output is reproducible.
 
-Exit codes: 0 success, 1 parse/validation error, 2 size refusal,
-3 verification failure.
+Exit codes: 0 success, 1 parse/validation error, 2 size refusal (a
+MemoryError among them), 3 verification failure.
 
 The argv is a verb of `COMMANDS` and then the options `VERB_OPTIONS` gives
 it, in any order (`read_argv`).  An option may be a unique prefix
@@ -507,6 +507,10 @@ def main(argv=None):
             return EXIT_SIZE
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except MemoryError:
+        # an input whose work does not fit in memory is refused for its size
+        print(f"size refusal: {args.verb} ran out of memory", file=sys.stderr)
+        return EXIT_SIZE
     except (VerificationFailure, AssertionError) as exc:
         # an AssertionError is one of the engine's own self-checks failing
         out["verification_error"] = str(exc)

@@ -1,21 +1,27 @@
 """Simplicial complexes on labelled vertex sets and the substitution construction.
 
-A complex on the vertex set {1..m} (m <= 64) is the set of bitmasks of its
-faces, bit v - 1 for vertex v, the empty face always among them.  Every
-constructor ends in one checked constructor on masks (`_adopt`): face lists
-are normalised by `face`, `from_facets` adds every singleton, and `simplex`,
-`boundary`, `join` and `substitute` write masks directly.  Faces as
-increasing label tuples (`faces`, `facets`, `faces_within`) are decoded from
-the masks by `mask_face`.  Sphere subcomplexes produced elsewhere may omit
-singletons (ghost vertices), which is fine as long as downward closure holds.
-The faces and the missing faces each get one `VertexIndex` (`FaceIndex`,
-`Generators`), whose `within(S)` gives those of the full subcomplex K_S.
+A complex on the vertex set {1..m} (m <= 64) is kept as the bitmasks of its
+facets, bit v - 1 for vertex v.  Facets come first: `from_facets` (and so
+every JSON complex) keeps its validated facets less those inside another,
+and `simplex`, `boundary`, `join` and `substitute` write theirs in closed
+form.  Only the face-list constructor (`__init__`) checks downward closure,
+as the one input that can break it.  The faces are built from the facets
+on first read (`face_masks`, the face index, `faces`); facets, dimension,
+vertices, `==` and `hash` never build them.  Faces as increasing label
+tuples (`faces`, `facets`, `faces_within`) are decoded from the masks by
+`mask_face`.  Sphere subcomplexes produced elsewhere may omit singletons
+(ghost vertices), which is fine as long as downward closure holds.
+The missing faces come from the facets by one bit-parallel pass over the
+2^m vertex sets (`_missing_by_shifts`) while m <= 22, and from a scan of
+the faces above that.  The faces and the missing faces each get one
+`VertexIndex` (`FaceIndex`, `Generators`), whose `within(S)` gives those
+of the full subcomplex K_S.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import accumulate, chain
 from operator import or_
 
@@ -64,7 +70,12 @@ def _masks_of(m, faces):
 
 
 def _submasks(mask):
-    """Every bitmask inside `mask`, 0 included."""
+    """Every bitmask inside `mask`, 0 included: a run of consecutive bits
+    (the simplex's one facet) as the multiples of its low bit, read lazily,
+    any other mask as a list built one bit at a time."""
+    low = mask & -mask
+    if not mask & (mask + low):
+        return range(0, mask + 1, low or 1)
     subs = [0]
     while mask:
         bit = mask & -mask
@@ -73,33 +84,46 @@ def _submasks(mask):
     return subs
 
 
+def _maximal(masks):
+    """The masks of the set `masks` that lie inside no other of them.  A
+    mask can only lie inside a larger one, so each is tested against those
+    kept with more bits, and masks of one size are never compared."""
+    kept, larger, size = [], 0, None
+    for f in sorted(masks, key=int.bit_count, reverse=True):
+        if f.bit_count() != size:
+            size, larger = f.bit_count(), len(kept)
+        if all(f | g != g for g in kept[:larger]):
+            kept.append(f)
+    return kept
+
+
+def _refuse_past_bitset(m):
+    if m > 64:
+        raise SizeLimitError(f"m={m} exceeds the bitset bound of 64")
+
+
 class SimplicialComplex:
     """Immutable downward-closed face family on {1..m}, stored as the
-    bitmasks of its faces.
+    bitmasks of its facets, ascending; the complex {()} has the one facet
+    0.  The face list (`__init__`) is the one input that can break downward
+    closure, so it alone is checked; every other constructor writes facets
+    that are maximal by construction.  The faces (`face_masks`, `faces`,
+    `face_index`) are built from the facets on first read, and facets,
+    dimension, vertices, `==` and `hash` never build them.
 
     `labels`, when set, records the original labels of the vertices 1..m
     (used by `full_subcomplex`, whose output is re-indexed).
     """
 
-    __slots__ = ("m", "labels", "face_masks", "_facet_masks", "_by_size", "_index", "_faces",
+    __slots__ = ("m", "labels", "_facet_masks", "_face_masks", "_by_size", "_index", "_faces",
                  "_mf", "_generators")
 
     def __init__(self, m, faces, labels=None):
-        self._adopt(m, _masks_of(m, faces), labels)
-
-    @classmethod
-    def _from_masks(cls, m, masks):
-        """The complex with the face bitmasks `masks`, checked by `_adopt`."""
-        return cls.__new__(cls)._adopt(m, masks)
-
-    def _adopt(self, m, masks, labels=None):
-        """The one constructor on face bitmasks, which every other ends in:
-        refuses m past the bitset bound before it reads the iterable `masks`,
-        adds the empty face, checks downward closure and finds the facets."""
-        if m > 64:
-            raise SizeLimitError(f"m={m} exceeds the bitset bound of 64")
-        self.m = m
-        self.face_masks = masks = frozenset(chain((0,), masks))
+        """The complex of the face list `faces`, the empty face added:
+        refuses m past the bitset bound before it reads `faces`, then a face
+        that is not downward closed, and finds the facets."""
+        _refuse_past_bitset(m)
+        masks = frozenset(chain((0,), _masks_of(m, faces)))
         for mask in masks:
             rest = mask
             while rest:
@@ -112,18 +136,44 @@ class SimplicialComplex:
         facets = list(masks)
         for bit in (1 << i for i in range(m)):
             facets = [f for f in facets if f & bit or f | bit not in masks]
-        self._facet_masks = tuple(sorted(facets, key=lambda f: (f.bit_count(), mask_face(f))))
+        self._adopt(m, facets, labels)
+        self._face_masks = masks
+
+    @classmethod
+    def _from_facet_masks(cls, m, facets):
+        """The complex whose facets are the bitmasks `facets`, maximal and
+        distinct, unchecked; no facet at all gives the complex {()}."""
+        _refuse_past_bitset(m)
+        return cls.__new__(cls)._adopt(m, facets)
+
+    def _adopt(self, m, facets, labels=None):
+        self.m = m
+        self._facet_masks = tuple(sorted(facets)) or (0,)
         self.labels = tuple(labels) if labels is not None else None
-        self._by_size = self._index = self._faces = self._mf = self._generators = None
+        self._face_masks = self._by_size = self._index = self._faces = None
+        self._mf = self._generators = None
         return self
 
     @classmethod
     def from_facets(cls, m, facets):
-        """Downward closure of the facets plus all singletons and the empty face."""
-        return cls._from_masks(m, chain((1 << i for i in range(m)),
-                                        chain.from_iterable(map(_submasks, _masks_of(m, facets)))))
+        """Downward closure of the facets plus all singletons and the empty
+        face: its facets are the given ones (repeated and empty ones
+        allowed) less those inside another, and each vertex in none of them
+        as a facet of its own."""
+        _refuse_past_bitset(m)
+        masks = set(_masks_of(m, facets))
+        covered = reduce(or_, masks, 0)
+        masks.update(1 << i for i in range(m) if not covered >> i & 1)
+        return cls._from_facet_masks(m, _maximal(masks))
 
     # -- basics --------------------------------------------------------------
+
+    @property
+    def face_masks(self):
+        """Every face bitmask, the subsets of the facets, built on first read."""
+        if self._face_masks is None:
+            self._face_masks = frozenset(chain.from_iterable(map(_submasks, self._facet_masks)))
+        return self._face_masks
 
     @property
     def faces(self):
@@ -135,7 +185,7 @@ class SimplicialComplex:
     @property
     def facets(self):
         """The maximal faces, sorted by (size, labels)."""
-        return tuple(map(mask_face, self._facet_masks))
+        return tuple(sorted(map(mask_face, self._facet_masks), key=lambda f: (len(f), f)))
 
     def __contains__(self, f):
         f = face(f)
@@ -143,22 +193,26 @@ class SimplicialComplex:
 
     def __eq__(self, other):
         return (isinstance(other, SimplicialComplex)
-                and self.m == other.m and self.face_masks == other.face_masks)
+                and self.m == other.m and self._facet_masks == other._facet_masks)
 
     def __hash__(self):
-        return hash((self.m, self.face_masks))
+        return hash((self.m, self._facet_masks))
 
     def __repr__(self):
         return f"SimplicialComplex(m={self.m}, facets={list(self.facets)})"
 
     def dimension(self):
-        return max(f.bit_count() for f in self._facet_masks) - 1
+        return max(map(int.bit_count, self._facet_masks)) - 1
+
+    def _vertex_mask(self):
+        """The bitmask of the vertices that are faces: the facets' union."""
+        return reduce(or_, self._facet_masks)
 
     def vertices(self):
-        return tuple(v for v in range(1, self.m + 1) if 1 << (v - 1) in self.face_masks)
+        return mask_face(self._vertex_mask())
 
     def has_all_singletons(self):
-        return all(1 << i in self.face_masks for i in range(self.m))
+        return self._vertex_mask() == (1 << self.m) - 1
 
     def cone_point_within(self, smask):
         """Least vertex v of the subset S with bitmask `smask` over which the
@@ -166,14 +220,14 @@ class SimplicialComplex:
         K_S), or None.  Every face of K_S lies in some F & S with F a facet,
         so by downward closure v is a cone point iff (F & S) + v is a face
         for every facet F."""
-        candidates = smask
+        candidates, faces = smask, self.face_masks
         for fmask in self._facet_masks:
             inside = fmask & smask
             rest = candidates & ~inside
             while rest:
                 bit = rest & -rest
                 rest ^= bit
-                if inside | bit not in self.face_masks:
+                if inside | bit not in faces:
                     candidates ^= bit
             if not candidates:
                 return None
@@ -185,12 +239,11 @@ class SimplicialComplex:
         plus every vertex above its top that keeps it a face; by downward
         closure each face comes once, from itself less its top vertex."""
         if self._by_size is None:
-            bits = [1 << i for i in range(self.m)]
+            bits, faces = [1 << i for i in range(self.m)], self.face_masks
             order, start = [0], 0
             while start < len(order):
                 level, start = order[start:], len(order)
-                order += [f | b for f in level for b in bits[f.bit_length():]
-                          if f | b in self.face_masks]
+                order += [f | b for f in level for b in bits[f.bit_length():] if f | b in faces]
             self._by_size = order
         return self._by_size
 
@@ -215,26 +268,15 @@ class SimplicialComplex:
 
     def missing_faces(self):
         """Minimal non-faces, ghost vertices among them, sorted by
-        (cardinality, lexicographic).  A missing face less its top vertex is
-        a face, so each is found once, as a face plus a vertex above its top."""
+        (cardinality, lexicographic): from the facets by one bit-parallel
+        pass while m <= SHIFT_PASS_MAX_VERTICES (`_missing_by_shifts`),
+        above that by a scan of the faces (`_missing_by_scan`)."""
         if self._mf is None:
-            above = [[1 << i for i in range(t, self.m)] for t in range(self.m + 1)]
-            found = []
-            masks = self.face_masks
-            for mask in masks:
-                for bit in above[mask.bit_length()]:
-                    cand = mask | bit
-                    if cand in masks:
-                        continue
-                    rest = mask
-                    while rest:
-                        low = rest & -rest
-                        if cand ^ low not in masks:
-                            break
-                        rest ^= low
-                    else:
-                        found.append(mask_face(cand))
-            self._mf = tuple(sorted(found, key=lambda f: (len(f), f)))
+            if self.m <= SHIFT_PASS_MAX_VERTICES:
+                found = _missing_by_shifts(self.m, self._facet_masks)
+            else:
+                found = _missing_by_scan(self.m, self.face_masks)
+            self._mf = tuple(sorted(map(mask_face, found), key=lambda f: (len(f), f)))
         return self._mf
 
     def generators(self):
@@ -290,6 +332,72 @@ class SimplicialComplex:
         if max_vertices is not None and m > max_vertices:
             raise SizeLimitError(f"complex has {m} vertices, above the bound {max_vertices}")
         return cls.from_facets(m, facets)
+
+
+SHIFT_PASS_MAX_VERTICES = 22  # 2^22 bits: a table of 512 KiB per vertex
+
+
+@lru_cache(maxsize=4)
+def _upper_halves(m):
+    """For each vertex i < m, the integer of 2^m bits whose bit p is set
+    exactly when the vertex set p holds i: the upper half of every run of
+    2^(i+1) bits, doubled until it spans all 2^m.  A bounded memo."""
+    halves = []
+    for i in range(m):
+        half = 1 << i
+        pattern, width = ((1 << half) - 1) << half, 2 * half
+        while width < 1 << m:
+            pattern |= pattern << width
+            width *= 2
+        halves.append(pattern)
+    return tuple(halves)
+
+
+def _missing_by_shifts(m, facets):
+    """The bitmasks of the minimal non-faces of the complex with the facet
+    bitmasks `facets`, in one bit-parallel pass over the 2^m vertex sets,
+    bit p of one integer standing for the set p: the facets are marked,
+    closed downward with one shift per vertex (a face p holding vertex i
+    marks p - 2^i), and a non-face is kept when every set one vertex
+    smaller is a face."""
+    marks = bytearray(max(1, 1 << m >> 3))
+    for f in facets:
+        marks[f >> 3] |= 1 << (f & 7)
+    faces, halves = int.from_bytes(marks, "little"), _upper_halves(m)
+    for i, upper in enumerate(halves):
+        faces |= (faces & upper) >> (1 << i)
+    broken = 0  # the sets p that hold a vertex i with p - 2^i no face
+    for i, upper in enumerate(halves):
+        broken |= upper & ~(faces << (1 << i))
+    digits = format(((1 << (1 << m)) - 1) & ~(faces | broken), "b")[::-1]
+    found, p = [], digits.find("1")
+    while p >= 0:
+        found.append(p)
+        p = digits.find("1", p + 1)
+    return found
+
+
+def _missing_by_scan(m, masks):
+    """The bitmasks of the minimal non-faces of the complex with the face
+    bitmasks `masks`, by a scan of the faces: a missing face less its top
+    vertex is a face, so each is found once, as a face plus a vertex above
+    its top whose every one-smaller subset is a face."""
+    above = [[1 << i for i in range(t, m)] for t in range(m + 1)]
+    found = []
+    for mask in masks:
+        for bit in above[mask.bit_length()]:
+            cand = mask | bit
+            if cand in masks:
+                continue
+            rest = mask
+            while rest:
+                low = rest & -rest
+                if cand ^ low not in masks:
+                    break
+                rest ^= low
+            else:
+                found.append(cand)
+    return found
 
 
 _BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -395,27 +503,29 @@ def point():
 
 
 def simplex(k):
-    """Full simplex on 1..k."""
-    return SimplicialComplex._from_masks(k, range(1 << k))
+    """Full simplex on 1..k: the one facet of every vertex."""
+    return SimplicialComplex._from_facet_masks(k, [(1 << k) - 1])
 
 
 def simplex_boundary(k):
     """boundary of the (k-1)-simplex on 1..k; for k=1 the empty complex {()}."""
-    return SimplicialComplex._from_masks(k, range((1 << k) - 1))
+    return SimplicialComplex._from_facet_masks(k, [((1 << k) - 1) ^ 1 << i for i in range(k)])
 
 
 def boundary(K):
     """Complex generated by all non-maximal faces of K (bd of a simplex
     recovers the usual boundary sphere); vertices that were facets of K
-    become ghosts."""
-    facets = set(K._facet_masks)
-    return SimplicialComplex._from_masks(K.m, (f for f in K.face_masks if f not in facets))
+    become ghosts.  Its facets are the F - v, F a facet of K and v in F,
+    that lie inside no other of them."""
+    return SimplicialComplex._from_facet_masks(
+        K.m, _maximal({F ^ 1 << (v - 1) for F in K._facet_masks for v in mask_face(F)}))
 
 
 def join(K1, K2):
-    """Simplicial join; the second factor is relabelled onto m1+1..m1+m2."""
-    return SimplicialComplex._from_masks(
-        K1.m + K2.m, (f1 | f2 << K1.m for f1 in K1.face_masks for f2 in K2.face_masks))
+    """Simplicial join; the second factor is relabelled onto m1+1..m1+m2.
+    Its facets are the unions of one facet of each."""
+    return SimplicialComplex._from_facet_masks(
+        K1.m + K2.m, (f1 | f2 << K1.m for f1 in K1._facet_masks for f2 in K2._facet_masks))
 
 
 @dataclass(frozen=True)
@@ -434,20 +544,26 @@ class Substitution:
 
 
 def substitute(K, parts):
-    """Substitution complex K(K_1,...,K_m): faces are unions of part faces
-    indexed by a face of K.  Parts are relabelled onto consecutive blocks."""
+    """Substitution complex K(K_1,...,K_m): faces are unions of nonempty
+    part faces indexed by a face of K.  Parts are relabelled onto
+    consecutive blocks.  Its facets are the unions of one facet per part
+    over each facet of K_U, U the slots whose parts have a vertex: a part
+    {()} fills no slot."""
     if len(parts) != K.m:
         raise ValueError(f"need {K.m} parts, got {len(parts)}")
     offsets = list(accumulate((p.m for p in parts), initial=0))
-    pools = [[f << off for f in p.face_masks if f] for p, off in zip(parts, offsets)]
+    pools = [[f << off for f in p._facet_masks if f] for p, off in zip(parts, offsets)]
+    usable = sum(1 << s for s, pool in enumerate(pools) if pool)
+    slots = {F & usable for F in K._facet_masks}
 
     def unions(slot_face):
         choices = [0]
         for s in mask_face(slot_face):
             choices = [c | f for c in choices for f in pools[s - 1]]
         return choices
-    faces = chain.from_iterable(map(unions, K.face_masks))
-    return Substitution(SimplicialComplex._from_masks(offsets[-1], faces), tuple(offsets[:-1]))
+    facets = chain.from_iterable(map(unions, _maximal(slots)))
+    return Substitution(SimplicialComplex._from_facet_masks(offsets[-1], facets),
+                        tuple(offsets[:-1]))
 
 
 def substitution_missing_faces(K, parts):
@@ -484,7 +600,8 @@ def is_subcomplex(K_small, K_big, labelling=None):
         if not 1 <= labelling[v] <= K_big.m:
             return False
         bits[v] = 1 << (labelling[v] - 1)
-    return all(sum(map(bits.get, mask_face(f))) in K_big.face_masks for f in K_small.face_masks)
+    faces = K_big.face_masks
+    return all(sum(map(bits.get, mask_face(f))) in faces for f in K_small.face_masks)
 
 
 @dataclass(frozen=True)
@@ -500,9 +617,8 @@ def _dominates(K, u, v):
     """Does u dominate v: does every face holding v but not u stay a face
     with v replaced by u?  Facets suffice: such a face f lies in a facet F,
     and f - v + u lies in F - v + u."""
-    ubit, vbit = 1 << (u - 1), 1 << (v - 1)
-    return all(not fmask & vbit or fmask ^ vbit | ubit in K.face_masks
-               for fmask in K._facet_masks)
+    ubit, vbit, faces = 1 << (u - 1), 1 << (v - 1), K.face_masks
+    return all(not fmask & vbit or fmask ^ vbit | ubit in faces for fmask in K._facet_masks)
 
 
 def _order_is_shifted(K, order):

@@ -9,8 +9,10 @@ A chain complex has one shape: the nonzero columns of its differentials,
 {d: {col: [(row, value), ...]}}, over the ranks of its chain groups.
 Homology has one rule on that shape, `column_homology`: a complex with no
 column is its ranks; otherwise it checks d^2 = 0 on the columns and
-reduces only the differentials that have entries, a one-column one by the
-gcd of its entries and only the wider ones by the Smith normal form.
+reduces only the differentials that have entries: a one-column one by the
+gcd of its entries, a wider one by eliminating its unit pivots straight
+from its columns (`_eliminate_units`), and only a residual that still has
+entries by the Smith normal form.
 
 Every complex kept on bitmasks (the cellular star quotients, the Taylor
 blocks, Lyubeznik's slices and the staircase's slices) is exterior:
@@ -43,8 +45,9 @@ column addition on any of them is one sparse update (`_addmul`).  Its pivot
 rule fixes the transforms, and with them the class coordinates
 (`ChainComplex.class_of`) and canonical solves (`SmithForm.solve`) that the
 tests hold the package to; no verb reaches the transforms.
-Without transforms the unit pivots go first (`_eliminate_units`), and only
-a residual with entries goes through the same worker for its diagonal.
+Without transforms the unit pivots go first (`_eliminate_units`, on the
+matrix's columns), and only a residual with entries goes through the same
+worker for its diagonal.
 
 Conventions:
   * matrices are sparse maps (row, col) -> nonzero int;
@@ -319,22 +322,27 @@ class _SnfWorker:
         return SmithForm(S, U, V, vinv, tuple(diag))
 
 
-def _eliminate_units(A):
-    """Eliminate the +-1 pivots of A sparsely, without transforms.
+def _eliminate_units(columns):
+    """Eliminate the +-1 pivots sparsely, without transforms, from the
+    nonzero columns of a matrix, {col: [(row, value), ...]}; a zero value
+    is dropped.
 
     Repeatedly take the column with the fewest entries that holds a unit, and
     in it the unit whose row has the fewest entries; clear the column with row
     operations and drop the pivot's row and column.  What is left is the
     Schur complement, which has no +-1 entry.  This is algebraic discrete
-    Morse reduction (Skoldberg 2006; Jollenbeck-Welker 2009): A's invariant
-    factors are one 1 per eliminated unit followed by the residual's.
+    Morse reduction (Skoldberg 2006; Jollenbeck-Welker 2009): the matrix's
+    invariant factors are one 1 per eliminated unit followed by the
+    residual's.
 
     Returns (number of units eliminated, residual IntMatrix).
     """
     rows, cols = {}, {}
-    for (i, j), v in A.entries.items():
-        rows.setdefault(i, {})[j] = v
-        cols.setdefault(j, set()).add(i)
+    for j, column in columns.items():
+        for i, v in column:
+            if v:
+                rows.setdefault(i, {})[j] = v
+                cols.setdefault(j, set()).add(i)
     heap = [(len(rs), j) for j, rs in cols.items()]
     heapq.heapify(heap)
     units = 0
@@ -395,7 +403,7 @@ def smith_normal_form(A, transforms=True):
     """
     if transforms:
         return _SnfWorker(A).result()
-    units, residual = _eliminate_units(A)
+    units, residual = _eliminate_units(A.columns())
     diag = [1] * units + (_SnfWorker(residual).run() if residual.entries else [])
     S = IntMatrix._adopt(A.rows, A.cols, {(t, t): d for t, d in enumerate(diag)})
     return SmithForm(S, None, None, None, tuple(diag))
@@ -534,23 +542,25 @@ def _column_matrix(rows, cols, columns):
                                          for i, v in column if v})
 
 
-def _factors(rows, cols, columns):
+def _factors(columns):
     """The nonzero invariant factors of the differential with the nonzero
     columns `columns`: one column has a single one, the gcd of its entries;
-    only two or more columns reach `invariant_factors`, and so the SNF."""
+    wider ones eliminate their unit pivots on the columns
+    (`_eliminate_units`), and only a residual with entries reaches
+    `invariant_factors`, and so the SNF."""
     if len(columns) == 1:
         (column,) = columns.values()
         g = gcd(*(v for _, v in column))
         return [g] if g else []
-    return invariant_factors(_column_matrix(rows, cols, columns))
+    units, residual = _eliminate_units(columns)
+    return [1] * units + (invariant_factors(residual) if residual.entries else [])
 
 
 def _column_groups(dims, columns):
     """{d: H_d}, nontrivial groups only, from the ranks `dims` and the
     differentials' nonzero columns; only the differentials with entries
     have invariant factors to find (`_factors`)."""
-    factors = {d: _factors(dims.get(d - 1, 0), dims.get(d, 0), cols)
-               for d, cols in columns.items() if cols}
+    factors = {d: _factors(cols) for d, cols in columns.items() if cols}
     out = {}
     for d in sorted(dims):
         into = factors.get(d + 1, ())
@@ -595,7 +605,7 @@ def image_factors(words, inside, s, chains):
     with_z = dict(image)
     for k, chain in enumerate(chains):
         with_z[n + k] = [(rows[word], c) for word, c in chain.items() if c and word in rows]
-    return _factors(len(rows), n, image), _factors(len(rows), n + len(chains), with_z)
+    return _factors(image), _factors(with_z)
 
 
 def insertion_sign(word, b):

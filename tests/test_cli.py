@@ -172,6 +172,53 @@ def test_hochster_table_runs_only_in_verify(capsys, monkeypatch, verb, calls):
     assert len(seen) == calls
 
 
+def face_reads(monkeypatch):
+    """Every read of a complex's face bitmasks, which builds them from the
+    facets the first time, as a list of the complexes read."""
+    reads, raw = [], SimplicialComplex.face_masks
+    monkeypatch.setattr(SimplicialComplex, "face_masks",
+                        property(lambda K: reads.append(K) or raw.fget(K)))
+    cli._load.cache_clear()
+    return reads
+
+
+SIMPLEX12 = "simplex(" + ",".join(map(str, range(1, 13))) + ")"
+
+
+@pytest.mark.parametrize("argv", [
+    ("taylor", "--complex", "JSON"),
+    ("mf", "--complex", "JSON"),
+    ("homology", "--complex", SIMPLEX12),
+    ("status", "--complex", SIMPLEX12, "--w", "[1,2]"),
+], ids=["taylor-json", "mf-json", "homology-simplex12", "status-simplex12"])
+def test_facet_reads_build_no_face(capsys, monkeypatch, tmp_path, argv):
+    """`taylor` and `mf` on a JSON complex, and `homology` and `status`
+    on the 12-vertex simplex, read the facets and the missing faces only,
+    and build no face."""
+    path = tmp_path / "sub5.json"
+    path.write_text(json.dumps(parse_complex(SUB5_EXPR).to_json_dict()))
+    reads = face_reads(monkeypatch)
+    argv = [str(path) if a == "JSON" else a for a in argv]
+    report = run_json(capsys, *argv)
+    assert reads == []
+    assert report["generator_order"] == ([] if "simplex" in argv[2] else ["123", "145", "245", "345"])
+    assert run_json(capsys, "subst", "--complex", argv[2])["complex"]["facets"] and reads == []
+
+
+def test_memory_error_is_a_size_refusal(capsys, monkeypatch):
+    """A complex whose construction runs out of memory exits 2 with a
+    one-line refusal and no traceback, as past a size bound."""
+    from momangle import complexes
+
+    def exhausted(text, max_vertices=None):
+        raise MemoryError()
+    monkeypatch.setattr(complexes, "parse_complex", exhausted)
+    cli._load.cache_clear()
+    code, out, err = run_cli(capsys, "status", "--complex", "simplex(1,2,3)", "--w", "[1,2]")
+    assert (code, out) == (2, "")
+    assert err == "size refusal: status ran out of memory\n" and "Traceback" not in err
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "mf", "--complex", "nonsense(")
     assert code == 1 and "unknown builder" in err
@@ -664,9 +711,10 @@ def test_refusals_and_parse_errors_are_not_memoised(tmp_path, capsys):
 
 
 def test_every_memo_is_bounded():
-    from momangle import cli, moment_angle, whitehead
+    from momangle import cli, complexes, moment_angle, whitehead
     memos = [cli._load, whitehead.parse_whitehead, whitehead._canonical_chain,
-             whitehead._canonical_bounds, whitehead._containment, moment_angle.lattice_supports]
+             whitehead._canonical_bounds, whitehead._containment, moment_angle.lattice_supports,
+             complexes._upper_halves]
     assert all(0 < memo.cache_info().maxsize < 1000 for memo in memos)
 
 

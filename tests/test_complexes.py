@@ -3,11 +3,12 @@ import random
 import re
 import sys
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 
+from momangle import complexes as cx
 from momangle.complexes import (Generators, ParseError, SimplicialComplex, SizeLimitError,
                                 _order_is_shifted, boundary, face, face_mask,
                                 is_shifted, is_subcomplex, join, mask_face,
@@ -625,6 +626,143 @@ def test_delta_w_matches_the_tuple_reference():
         else:
             same_as_reference(dw.sphere, sphere)
     assert spheres == {True, False}
+
+
+# -- facets first, against the eager tuple builder ----------------------------------
+
+def same_as_eager(K, R):
+    """`same_as_reference`, with the facet reads and the JSON form taken
+    first, before any face is built; and == and hash against K rebuilt from
+    its facet list, reversed, where every vertex is a face."""
+    assert K.dimension() == max(map(len, R.faces)) - 1
+    assert K.facets == tuple(brute_facets(R))
+    assert K.to_json_dict() == {"m": R.m, "facets": [list(f) for f in brute_facets(R) if f]}
+    same_as_reference(K, R)
+    if K.has_all_singletons():
+        L = SimplicialComplex.from_facets(R.m, list(reversed(K.facets)) + [()])
+        assert K == L and hash(K) == hash(L) and L.missing_faces() == K.missing_faces()
+
+
+def bracket_shapes(n):
+    """Every bracket shape on n >= 2 leaves, as nested lists of leaf counts:
+    two or more children, each a leaf (1) or a shape on fewer leaves, the
+    children by non-increasing size and shape."""
+    def shapes(k):
+        return [1] if k == 1 else bracket_shapes(k)
+
+    def children(left, most, first):
+        """Child lists with `left` leaves, no child above `most` leaves, and
+        of `most` leaves none before shape index `first`."""
+        if not left:
+            yield []
+        for size in range(min(left, most), 0, -1):
+            options = shapes(size)
+            for i in range(first if size == most else 0, len(options)):
+                for rest in children(left - size, size, i):
+                    yield [options[i]] + rest
+    return [kids for kids in children(n, n - 1, 0)]
+
+
+def shape_text(shape, labels):
+    """The bracket text of a shape, its leaves labelled from `labels` in order."""
+    if shape == 1:
+        return str(next(labels))
+    return "[" + ",".join(shape_text(child, labels) for child in shape) + "]"
+
+
+def test_bracket_shapes_are_the_series_reduced_trees():
+    """1, 2, 5, 12, 33 and 90 shapes on 2..7 leaves (OEIS A000669)."""
+    assert [len(bracket_shapes(n)) for n in range(2, 8)] == [1, 2, 5, 12, 33, 90]
+
+
+def test_facets_first_matches_the_eager_builder():
+    """Seeded facet lists with non-maximal, repeated and empty facets and
+    uncovered vertices, m = 0 among them; `bd` of those (ghost vertices),
+    joins and substitutions of them; face lists through `__init__`; and
+    bd_Delta(w) with its top sphere for every bracket shape on 2 to 7
+    leaves."""
+    rng = random.Random(5009)
+    built = []
+    for _ in range(60):
+        m = rng.randint(0, 7)
+        facets = [rng.sample(range(1, m + 1), rng.randint(0, m)) for _ in range(rng.randint(0, 6))]
+        facets += [facets[0][::-1]] if facets else []            # repeated, reordered
+        facets += [facets[0][:1]] if facets else []              # non-maximal
+        facets += [[]]                                          # empty
+        K, R = SimplicialComplex.from_facets(m, facets), reference_from_facets(m, facets)
+        same_as_eager(K, R)
+        same_as_eager(boundary(K), reference_boundary(R))
+        same_as_eager(boundary(boundary(K)), reference_boundary(reference_boundary(R)))
+        same_as_eager(SimplicialComplex(m, R.faces), R)
+        built.append((K, R))
+    assert any(not boundary(boundary(K)).has_all_singletons() for K, _ in built)
+    assert any(K.m == 0 for K, _ in built)
+    joins = substitutions = 0
+    for (K1, R1), (K2, R2) in zip(built, built[1:]):
+        if K1.m + K2.m <= 10:
+            same_as_eager(join(K1, K2), reference_join(R1, R2))
+            joins += 1
+        if 1 <= K1.m <= 4 and K1.m + 3 * K2.m <= 12:
+            substitutions += 1
+            parts = [K2, boundary(boundary(K2)), point(), simplex_boundary(1)][:K1.m]
+            refs = [R2, reference_boundary(reference_boundary(R2)), reference_from_facets(1, [(1,)]),
+                    TupleComplex(1, frozenset({()}))][:K1.m]
+            same_as_eager(substitute(K1, parts).complex,
+                          TupleComplex(sum(P.m for P in parts),
+                                       frozenset(brute_substitute_faces(R1, refs))))
+    assert joins > 20 and substitutions > 5, (joins, substitutions)
+    for n in range(2, 8):
+        for shape in bracket_shapes(n):
+            w = parse_whitehead(shape_text(shape, iter(range(1, n + 1))))
+            dw, (R, sphere) = delta_w(w), reference_delta_w(w)
+            same_as_eager(dw.complex, R)
+            if sphere is not None:
+                same_as_eager(dw.sphere, sphere)
+
+
+def shift_pass_cases():
+    """Seeded facet lists for every m from 0 to 12, with their boundaries
+    (ghost vertices), and at m = 22 and 23 sparse ones and their
+    boundaries, the 22-vertex cross-polytope (2048 facets) and 23 isolated
+    points."""
+    rng = random.Random(5010)
+    out = []
+    for m in range(13):
+        for _ in range(6):
+            K = random_complex(m, rng, rng.choice([2, 6, 3 * m])) if m else SimplicialComplex(0, [])
+            out += [K, boundary(K)]
+    cross = SimplicialComplex.from_facets(
+        22, [[2 * i + 1 + b for i, b in enumerate(bits)] for bits in product((0, 1), repeat=11)])
+    out += [cross, SimplicialComplex.from_facets(23, [])]
+    for m in (22, 23):
+        sparse = SimplicialComplex.from_facets(m, [rng.sample(range(1, m + 1), rng.randint(1, 8))
+                                                   for _ in range(12)])
+        out += [sparse, boundary(sparse)]
+    return out
+
+
+def test_the_shift_pass_is_the_face_scan():
+    """The bit-parallel pass over the 2^m vertex sets and the scan of the
+    faces find the same missing faces; `missing_faces` takes the pass up to
+    22 vertices and the scan above."""
+    scanned, cases = [], shift_pass_cases()
+    for K in cases:
+        by_scan = sorted(cx._missing_by_scan(K.m, K.face_masks))
+        assert sorted(cx._missing_by_shifts(K.m, K._facet_masks)) == by_scan, K
+        assert sorted(map(face_mask, K.missing_faces())) == by_scan, K
+        scanned.append(K.m > cx.SHIFT_PASS_MAX_VERTICES)
+    assert cx.SHIFT_PASS_MAX_VERTICES == 22 and sum(scanned) == 3
+    assert {K.m for K in cases} == set(range(13)) | {22, 23}
+
+
+def test_missing_faces_take_the_face_scan_only_past_22_vertices(monkeypatch):
+    scans = []
+    raw = cx._missing_by_scan
+    monkeypatch.setattr(cx, "_missing_by_scan", lambda m, masks: scans.append(m) or raw(m, masks))
+    for m in (22, 23):
+        K = SimplicialComplex.from_facets(m, [(1, 2), (2, 3)])
+        assert K.missing_faces()[:2] == ((1, 3), (1, 4))
+    assert scans == [23]
 
 
 @pytest.mark.parametrize("build, bound", [

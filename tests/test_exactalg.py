@@ -364,9 +364,9 @@ def test_one_column_gcd_is_the_invariant_factor():
     gcd of the column's entries (none when they are all zero), as the Smith
     normal form finds: on seeded columns with zeros, negatives and
     non-units, directly and through the column rule."""
-    assert exactalg._factors(3, 1, {0: [(0, 2), (1, 4), (2, -6)]}) == [2]
-    assert exactalg._factors(2, 1, {0: [(0, -4), (1, 6)]}) == [2]
-    assert exactalg._factors(2, 1, {0: [(0, 0), (1, 0)]}) == []
+    assert exactalg._factors({0: [(0, 2), (1, 4), (2, -6)]}) == [2]
+    assert exactalg._factors({0: [(0, -4), (1, 6)]}) == [2]
+    assert exactalg._factors({0: [(0, 0), (1, 0)]}) == []
     rng = random.Random(28)
     values = (0, 0, 1, -1, 2, -2, 3, 4, -4, 6, -6, 9, 12, -15, 2 ** 61 - 1)
     torsion = 0
@@ -375,7 +375,7 @@ def test_one_column_gcd_is_the_invariant_factor():
         j = rng.randrange(cols)
         column = [(i, rng.choice(values)) for i in sorted(rng.sample(range(rows), rng.randint(1, rows)))]
         A = IntMatrix(rows, cols, {(i, j): v for i, v in column})
-        got = exactalg._factors(rows, cols, {j: column})
+        got = exactalg._factors({j: column})
         assert got == invariant_factors(A) == [
             f for f in reference_snf(A, transforms=False).diag if f], column
         dims, columns = {0: rows, 1: cols}, {1: {j: column}}

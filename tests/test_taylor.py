@@ -348,6 +348,41 @@ def test_taylor_homology_projective_plane(rp2):
     assert {d: h for d, h in hom.items() if d > 0} == cellular
 
 
+def test_the_taylor_fold_reduces_residuals_only(monkeypatch, rp2, sub5, filled6):
+    """Each Taylor block eliminates its unit pivots on its columns, and only
+    a residual that still has entries reaches `smith_normal_form`, without
+    transforms: on RP^2 the Z/2 is found there, on sub5 and filled6 no
+    Smith form runs, and on seeded complexes every table stays the cellular
+    route's."""
+    residuals, reduced = [], []
+    real_units, real_snf = exactalg._eliminate_units, exactalg.smith_normal_form
+
+    def units(columns):
+        found = real_units(columns)
+        residuals.append(found[1])
+        return found
+
+    def snf(A, transforms=True):
+        reduced.append((A, transforms))
+        return real_snf(A, transforms)
+    monkeypatch.setattr(exactalg, "_eliminate_units", units)
+    monkeypatch.setattr(exactalg, "smith_normal_form", snf)
+    rng = random.Random(5011)
+    by_complex = []
+    for K in [rp2, sub5, filled6] + [random_complex(rng.randint(4, 7), rng) for _ in range(20)]:
+        if len(K.missing_faces()) > 12:
+            continue
+        want = {d: h for d, h in zk_homology(K).items() if not h.is_trivial()}
+        before = len(reduced)
+        assert taylor_homology(K) == want, K
+        by_complex.append(reduced[before:])
+    for A, transforms in sum(by_complex, []):
+        assert transforms is False and any(A is R for R in residuals)
+        assert A.entries and all(abs(v) != 1 for v in A.entries.values())
+    assert by_complex[0] and not by_complex[1] and not by_complex[2]
+    assert len(residuals) > 20
+
+
 def test_taylor_size_gate():
     # complete bipartite-ish complex with many missing faces
     K = SimplicialComplex.from_facets(8, [(i,) for i in range(1, 9)])
