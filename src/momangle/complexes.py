@@ -13,13 +13,15 @@ tuples (`faces`, `facets`, `faces_within`) are decoded from the masks by
 (ghost vertices), which is fine as long as downward closure holds.
 The missing faces come from the facets by one bit-parallel pass over the
 2^m vertex sets (`_missing_by_shifts`) while m <= 22, and from a scan of
-the faces above that.  The faces and the missing faces each get one
-`VertexIndex` (`FaceIndex`, `Generators`), whose `within(S)` gives those
-of the full subcomplex K_S.
+the faces above that; Hochster's cone-free sets by another such pass
+(`_cone_free_by_shifts`), which reads no missing face.  The faces and the
+missing faces each get one `VertexIndex` (`FaceIndex`, `Generators`),
+whose `within(S)` gives those of the full subcomplex K_S.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate, chain
@@ -214,25 +216,6 @@ class SimplicialComplex:
     def has_all_singletons(self):
         return self._vertex_mask() == (1 << self.m) - 1
 
-    def cone_point_within(self, smask):
-        """Least vertex v of the subset S with bitmask `smask` over which the
-        full subcomplex K_S is a cone (I + v is a face for every face I of
-        K_S), or None.  Every face of K_S lies in some F & S with F a facet,
-        so by downward closure v is a cone point iff (F & S) + v is a face
-        for every facet F."""
-        candidates, faces = smask, self.face_masks
-        for fmask in self._facet_masks:
-            inside = fmask & smask
-            rest = candidates & ~inside
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                if inside | bit not in faces:
-                    candidates ^= bit
-            if not candidates:
-                return None
-        return (candidates & -candidates).bit_length()
-
     def _sorted_masks(self):
         """The face bitmasks sorted by (size, labels), built on the first call.
         Each size comes from the one below, in order: every face, in turn,
@@ -340,41 +323,60 @@ SHIFT_PASS_MAX_VERTICES = 22  # 2^22 bits: a table of 512 KiB per vertex
 @lru_cache(maxsize=4)
 def _upper_halves(m):
     """For each vertex i < m, the integer of 2^m bits whose bit p is set
-    exactly when the vertex set p holds i: the upper half of every run of
-    2^(i+1) bits, doubled until it spans all 2^m.  A bounded memo."""
-    halves = []
-    for i in range(m):
-        half = 1 << i
-        pattern, width = ((1 << half) - 1) << half, 2 * half
-        while width < 1 << m:
-            pattern |= pattern << width
-            width *= 2
-        halves.append(pattern)
-    return tuple(halves)
+    exactly when the vertex set p holds i.  The sets without i are the low
+    half of every run of 2^(i+1) bits, and those without i - 1 are that
+    XOR itself shifted by 2^(i-1).  A bounded memo."""
+    every = (1 << (1 << m)) - 1
+    halves, low = [], every >> (1 << m >> 1)
+    for i in reversed(range(m)):
+        halves.append(every ^ low)
+        low ^= low << (1 << i >> 1)
+    return tuple(reversed(halves))
+
+
+def _face_indicator(m, facets):
+    """The integer of 2^m bits with bit p set when the vertex set p is a face
+    of the complex with the facet bitmasks `facets`: the facets marked, and
+    closed downward with one shift per vertex (face p holding i marks p - 2^i)."""
+    marks = bytearray(max(1, 1 << m >> 3))
+    for f in facets:
+        marks[f >> 3] |= 1 << (f & 7)
+    faces = int.from_bytes(marks, "little")
+    for i, upper in enumerate(_upper_halves(m)):
+        faces |= (faces & upper) >> (1 << i)
+    return faces
+
+
+def _set_bits(x):
+    """The positions of the set bits of x, ascending, off its binary digits."""
+    return [digit.start() for digit in re.finditer("1", format(x, "b")[::-1])]
 
 
 def _missing_by_shifts(m, facets):
     """The bitmasks of the minimal non-faces of the complex with the facet
-    bitmasks `facets`, in one bit-parallel pass over the 2^m vertex sets,
-    bit p of one integer standing for the set p: the facets are marked,
-    closed downward with one shift per vertex (a face p holding vertex i
-    marks p - 2^i), and a non-face is kept when every set one vertex
-    smaller is a face."""
-    marks = bytearray(max(1, 1 << m >> 3))
-    for f in facets:
-        marks[f >> 3] |= 1 << (f & 7)
-    faces, halves = int.from_bytes(marks, "little"), _upper_halves(m)
-    for i, upper in enumerate(halves):
-        faces |= (faces & upper) >> (1 << i)
+    bitmasks `facets`, ascending, by one bit-parallel pass over the 2^m
+    vertex sets: a non-face whose every set one vertex smaller is a face."""
+    faces = _face_indicator(m, facets)
     broken = 0  # the sets p that hold a vertex i with p - 2^i no face
-    for i, upper in enumerate(halves):
+    for i, upper in enumerate(_upper_halves(m)):
         broken |= upper & ~(faces << (1 << i))
-    digits = format(((1 << (1 << m)) - 1) & ~(faces | broken), "b")[::-1]
-    found, p = [], digits.find("1")
-    while p >= 0:
-        found.append(p)
-        p = digits.find("1", p + 1)
-    return found
+    return _set_bits(((1 << (1 << m)) - 1) & ~(faces | broken))
+
+
+def _cone_free_by_shifts(m, facets):
+    """The bitmasks of the vertex sets S with no cone point of K_S, 0 among
+    them, ascending, for K with the facet bitmasks `facets`: v is no cone
+    point of K_S when S holds I + v, I a face without v and I + v none.  Per
+    v one AND and one shift of `_face_indicator` mark those I + v, and one
+    shift per vertex closes them upward into U_v; S is cone-free when each v
+    is outside S or S lies in U_v."""
+    faces, halves, free = _face_indicator(m, facets), _upper_halves(m), (1 << (1 << m)) - 1
+    for v, holds_v in enumerate(halves):
+        up = (faces & ~holds_v & ~(faces >> (1 << v))) << (1 << v)
+        for i, upper in enumerate(halves):
+            up |= (up & ~upper) << (1 << i)
+        free &= ~holds_v | up
+    return _set_bits(free)
 
 
 def _missing_by_scan(m, masks):

@@ -75,8 +75,8 @@ from itertools import accumulate
 from math import comb, prod
 from operator import or_
 
-from .complexes import (ParseError, SignedSum, SizeLimitError, mask_face, read_signed_sum,
-                        read_text, reduced_chain_complex, signed_sum_text)
+from .complexes import (ParseError, SignedSum, SizeLimitError, _cone_free_by_shifts, mask_face,
+                        read_signed_sum, read_text, reduced_chain_complex, signed_sum_text)
 from .exactalg import (ChainComplex, HomologyGroup, _shared_group, column_homology,
                        concatenation_sign, direct_sum, image_factors, insert_bits,
                        insertion_columns)
@@ -389,9 +389,9 @@ def zk_homology_by_support(K):
     keeps its homology, torsion included: `_star_cells` chooses the cells
     off the star as circle masks, and `fold_blocks` reads the groups, with
     no ChainComplex built.  `zk_bounds` projects a cycle onto the same
-    quotients.  The Hochster table finds its subsets by cone points instead
-    (`cone_free_subsets`), so `verify` checks that the two rules pick the
-    same supports."""
+    quotients.  The Hochster table finds its subsets by a pass over K's
+    faces instead (`cone_free_subsets`), so `verify` checks that the two
+    rules pick the same supports."""
     return fold_blocks(((smask, 1, words) for smask, words in _lattice_cells(K)),
                        by_support=True)
 
@@ -573,7 +573,7 @@ def _zk_cycle_bounds(K, cycle):
     """`zk_bounds` of a cycle its caller has already checked to lie in Z_K
     and to be one, with neither check made again; a ghost vertex inside a
     support the cycle touches is still refused."""
-    if cycle.support() & sum(1 << i for i in range(K.m) if 1 << i not in K.face_masks):
+    if cycle.support() & ((1 << K.m) - 1) & ~K._vertex_mask():
         raise ValueError("Z_K needs every singleton to be a face")
     return bounds_by_support(lambda S: (_star_cells(K, S), S),
                              lambda cell: (cell[0] | cell[1], cell[0]), cycle.terms)
@@ -587,13 +587,11 @@ def _refuse_past_hochster_bound(K):
 
 
 def cone_free_subsets(K):
-    """The bitmasks of the empty set and of the subsets S with no cone point
-    of K_S, found by scanning every mask with the facets
-    (`cone_point_within`); `verify` checks they are `lattice_supports(K)`.
-    A cone K_S is contractible."""
+    """The bitmasks of the subsets S with no cone point of K_S, a cone being
+    contractible, ascending, by one pass over K's faces that reads no missing
+    face (`_cone_free_by_shifts`); `verify` checks they are `lattice_supports(K)`."""
     _refuse_past_hochster_bound(K)
-    return [smask for smask in range(1 << K.m)
-            if not smask or K.cone_point_within(smask) is None]
+    return _cone_free_by_shifts(K.m, K._facet_masks)
 
 
 def hochster_table(K, subsets=None):

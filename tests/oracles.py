@@ -986,7 +986,7 @@ def reference_zk_homology_by_support(K):
     if K.m > ZK_MAX_VERTICES:
         raise SizeLimitError(f"Z_K cell enumeration refuses m={K.m} > {ZK_MAX_VERTICES}")
     blocks = ((face_mask(S), reference_zk_block(K, S)) for S in all_subsets(K.m)
-              if K.cone_point_within(face_mask(S)) is None)
+              if brute_cone_point(K, S) is None)
     return support_table(blocks, lambda S, d: d)
 
 

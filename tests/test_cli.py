@@ -9,10 +9,11 @@ import pytest
 from momangle import cli
 from momangle.cli import main, read_argv, report_json
 from momangle.complexes import SimplicialComplex, parse_complex
+from momangle.moment_angle import cone_free_subsets, lattice_supports
 from momangle.taylor import TaylorChain
 from momangle.whitehead import delta_w, parse_whitehead
 from conftest import SUB5_EXPR
-from oracles import labelled_words, random_complex
+from oracles import closed_form_family, labelled_words, random_complex
 from test_golden import CASES as GOLDEN_CASES
 from test_golden import load_golden
 
@@ -203,6 +204,18 @@ def test_facet_reads_build_no_face(capsys, monkeypatch, tmp_path, argv):
     assert reads == []
     assert report["generator_order"] == ([] if "simplex" in argv[2] else ["123", "145", "245", "345"])
     assert run_json(capsys, "subst", "--complex", argv[2])["complex"]["facets"] and reads == []
+
+
+@pytest.mark.parametrize("K", [parse_complex(SUB5_EXPR), closed_form_family("cross-polytope", 8)],
+                         ids=["sub5", "cross-polytope-8"])
+def test_cone_free_subsets_read_the_facets_alone(monkeypatch, K):
+    """Hochster's supports come from a pass over the facets of a K built
+    from them: no face bitmask is read and no missing face is found, and
+    they are the lattice that the missing faces give."""
+    reads = face_reads(monkeypatch)
+    subsets = cone_free_subsets(K)
+    assert reads == [] and K._mf is None
+    assert subsets == sorted(lattice_supports(K))
 
 
 def test_memory_error_is_a_size_refusal(capsys, monkeypatch):

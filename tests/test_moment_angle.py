@@ -323,10 +323,14 @@ def test_one_closure_walks_every_lattice():
     brute OR-closure of K's missing faces (`reference_mask_lattice`), 0
     first and no union twice, and as a set the cone-free subsets; so is the
     closure of polarised monomial generators, the lcm lattice the Taylor
-    resolution check walks, and of the empty table."""
+    resolution check walks, and of the empty table.  The families at 16
+    vertices (the 16-gon, 16 points, the 8-pair cross-polytope) hold up to
+    65520 supports."""
     rng = random.Random(49)
     cases = [random_complex(rng.randint(1, 8), rng) for _ in range(150)]
-    for K in cases + [points(10), disjoint_edges(4), simplex_boundary(9)]:
+    families = [closed_form_family(*case)
+                for case in [("polygon", 16), ("points", 16), ("cross-polytope", 8)]]
+    for K in cases + [points(10), disjoint_edges(4), simplex_boundary(9)] + families:
         supports = ma.lattice_supports(K)
         assert supports[0] == 0 and len(set(supports)) == len(supports), K
         assert set(supports) == reference_mask_lattice(K.generators().masks), K

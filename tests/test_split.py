@@ -176,12 +176,12 @@ def test_cone_blocks_skipped_exactly(K):
                            for S in all_subsets(K.m)), lambda S, d: d)
     assert zk_homology_by_support(K) == every
     for S in all_subsets(K.m):
-        if K.cone_point_within(cx.face_mask(S)) is not None:
+        if brute_cone_point(K, S) is not None:
             assert S and reference_zk_block(K, S).homology_all() == {}, S
 
 
 def test_cone_skip_covers_the_cases():
-    skipped = [sum(K.cone_point_within(smask) is not None for smask in range(1 << K.m))
+    skipped = [sum(brute_cone_point(K, S) is not None for S in all_subsets(K.m))
                for K in cone_cases()]
     assert skipped[-2] == 2 ** 5 - 1      # the full simplex: every nonempty S
     assert skipped[-1] == 2 ** 5 - 2      # bd(simplex): all but the whole set
@@ -189,9 +189,13 @@ def test_cone_skip_covers_the_cases():
 
 
 def test_cone_point_matches_definition():
-    for K in seeded_complexes(29):
-        for S in all_subsets(K.m):
-            assert K.cone_point_within(cx.face_mask(S)) == brute_cone_point(K, S), (K, S)
+    """The pass is the definition: `cone_free_subsets` lists, ascending,
+    exactly the subsets with no cone point, on seeded complexes, on m = 0,
+    on two with a ghost vertex (bd(pt) and vertex 3 below) and on RP^2."""
+    ghosts = [cx.simplex_boundary(1), cx.SimplicialComplex(3, [(1, 2), (1,), (2,)])]
+    for K in seeded_complexes(29) + [cx.simplex(0)] + ghosts + [rp2_complex()]:
+        want = sorted(cx.face_mask(S) for S in all_subsets(K.m) if brute_cone_point(K, S) is None)
+        assert cone_free_subsets(K) == want, K
 
 
 def test_ghost_vertex_refused_before_any_skip():
@@ -239,8 +243,8 @@ def test_the_cases_carry_torsion():
 def test_lattice_is_the_non_cone_supports(K):
     supports = lattice_supports(K)
     assert len(set(supports)) == len(supports)
-    assert set(supports) == {0} | {smask for smask in range(1 << K.m)
-                                   if smask and K.cone_point_within(smask) is None}
+    assert set(supports) == {0} | {cx.face_mask(S) for S in all_subsets(K.m)
+                                   if S and brute_cone_point(K, S) is None}
 
 
 @pytest.mark.parametrize("K", quotient_cases(), ids=lambda K: f"m{K.m}-{len(K.faces)}faces")

@@ -95,10 +95,12 @@ ROWS = [
     ("verify", "points-12", [], 60),
     ("verify", "points-16", [], 60),
     ("verify", "cross-polytope-8", [], 60),
+    ("verify", "cross-polytope-10", [], 60),
     ("verify", "disjoint-edges-10", [], 30),
     ("hochster", "simplex-boundary-16", [], 60),
     ("hochster", "points-12", [], 60),
     ("hochster", "points-16", [], 60),
+    ("hochster", "cross-polytope-10", [], 60),
     ("hochster", "disjoint-edges-10", [], 30),
     ("wedge-basis", "simplex-boundary-16", [], 60),
     ("wedge-basis", "points-12", [], 60),
