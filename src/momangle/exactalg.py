@@ -397,23 +397,19 @@ def smith_normal_form(A, transforms=True):
     invariant factors in divisibility order.  With transforms the pivot rule
     of `_SnfWorker` is kept throughout, since the transforms it fixes are
     what canonical solutions depend on.  With transforms=False only the
-    diagonal is returned (U, V, vinv are None): the unit pivots are
-    eliminated first, and a residual with entries goes through the same
-    worker, whose transforms are dropped; an empty residual skips it.
+    diagonal is returned (U, V, vinv are None), the nonzero invariant
+    factors by `_factors`.
     """
     if transforms:
         return _SnfWorker(A).result()
-    units, residual = _eliminate_units(A.columns())
-    diag = [1] * units + (_SnfWorker(residual).run() if residual.entries else [])
+    diag = _factors(A.columns())
     S = IntMatrix._adopt(A.rows, A.cols, {(t, t): d for t, d in enumerate(diag)})
     return SmithForm(S, None, None, None, tuple(diag))
 
 
 def invariant_factors(A):
-    """Nonzero invariant factors of A (rank-many entries); no SNF when A has no entries."""
-    if A.is_zero():
-        return []
-    return [d for d in smith_normal_form(A, transforms=False).diag if d]
+    """Nonzero invariant factors of A (rank-many entries), by `_factors`."""
+    return _factors(A.columns())
 
 
 def solve_integer(A, b):
@@ -543,17 +539,16 @@ def _column_matrix(rows, cols, columns):
 
 
 def _factors(columns):
-    """The nonzero invariant factors of the differential with the nonzero
-    columns `columns`: one column has a single one, the gcd of its entries;
-    wider ones eliminate their unit pivots on the columns
-    (`_eliminate_units`), and only a residual with entries reaches
-    `invariant_factors`, and so the SNF."""
+    """The nonzero invariant factors of the matrix with the nonzero columns
+    `columns`: one column has a single one, the gcd of its entries; wider
+    ones eliminate their unit pivots on the columns (`_eliminate_units`),
+    and only a residual with entries reaches the Smith form's worker."""
     if len(columns) == 1:
         (column,) = columns.values()
         g = gcd(*(v for _, v in column))
         return [g] if g else []
     units, residual = _eliminate_units(columns)
-    return [1] * units + (invariant_factors(residual) if residual.entries else [])
+    return [1] * units + (_SnfWorker(residual).run() if residual.entries else [])
 
 
 def _column_groups(dims, columns):

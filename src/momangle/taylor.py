@@ -243,26 +243,20 @@ def taylor_face_complex(K):
     return ChainComplex.from_boundary(basis, lambda w: index_boundary({w: 1}, gens))
 
 
-def admissible_words(masks):
-    """Lyubeznik's admissible words as bitmasks of generator indices (bit i
-    for the generator with vertex bitmask masks[i]), {union mask: words}.
+def admissible_words(gens):
+    """Lyubeznik's admissible words of the `Generators` gens as bitmasks of
+    generator indices, {union mask: words}.
 
     Words are grown right to left: generator j is put in front of an
     admissible word w (j below w's lowest index) when no generator before j
-    lies inside the new union.  The suffixes of the new word are w's, so the
+    lies inside the new union, that is when j is the lowest bit of
+    `gens.within(union)`.  The suffixes of the new word are w's, so the
     new word is admissible, and every admissible word is reached this way
     from its own suffix.  The words of a union come by factor count, and
     within one count lexicographically in their index tuples: a layer's
     words are ordered by their new front index j, then by the position of
     the word they grew from in the layer before."""
-    first_inside = {}
-
-    def first(union):
-        if union not in first_inside:
-            first_inside[union] = next(q for q, mask in enumerate(masks)
-                                       if not mask & ~union)
-        return first_inside[union]
-
+    masks = gens.masks
     by_union = {0: [0]}
     layer = [(1 << i, mask) for i, mask in enumerate(masks)]
     while layer:
@@ -271,7 +265,8 @@ def admissible_words(masks):
             by_union.setdefault(union, []).append(word)
             for j in range((word & -word).bit_length() - 1):
                 new = union | masks[j]
-                if first(new) == j:
+                inside = gens.within(new)
+                if inside & -inside == 1 << j:
                     grown.append((j, k, word | 1 << j, new))
         grown.sort()
         layer = [(word, union) for _, _, word, union in grown]
@@ -302,7 +297,7 @@ def _blocks(gens):
     """The blocks of admissible words of the `Generators` gens, as
     `fold_blocks` reads them: (union, 1, words) on index bitmasks, in
     `admissible_words`' order, each union's words in basis order."""
-    return ((union, 1, words) for union, words in admissible_words(gens.masks).items())
+    return ((union, 1, words) for union, words in admissible_words(gens).items())
 
 
 def taylor_homology_by_support(K):
@@ -340,7 +335,7 @@ def taylor_cycle_is_boundary(K, chain):
     if not chain:
         return True
     gens = _checked_generators(K)
-    by_union = admissible_words(gens.masks)
+    by_union = admissible_words(gens)
     return bounds_by_support(
         lambda union: (by_union[union], gens.within(union)) if union in by_union else None,
         lambda word: (gens.union(word), word), chain.terms)
@@ -500,7 +495,7 @@ def verify_taylor_is_resolution(ideal):
     group)."""
     gens = Generators(None, ideal.masks())
     _refuse_past_bound(len(gens.masks))
-    by_union = admissible_words(gens.masks)
+    by_union = admissible_words(gens)
     failures = []
     for U in sorted(twin_orbits(gens.masks, ())):
         words = [word for union, ws in by_union.items() if not union & ~U for word in ws]

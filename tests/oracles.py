@@ -1556,15 +1556,18 @@ def random_product_pair(rng, max_vertices=8, max_leaves=7):
 # -- closed forms ---------------------------------------------------------------
 
 CLOSED_FORM_FAMILIES = ("points", "polygon", "cross-polytope", "disjoint-edges",
-                        "simplex-boundary", "simplex")
+                        "complete-graph", "simplex-boundary", "simplex")
 
 
 def closed_form_family(family, n):
     """K of a `closed_form_homology` family: n isolated points, the n-gon
     (n >= 4), the join of n copies of S^0 on the pairs (2i - 1, 2i), the n
-    disjoint edges (2i - 1, 2i), bd(simplex(n)) (n >= 2) or simplex(n)."""
+    disjoint edges (2i - 1, 2i), the complete graph on n vertices,
+    bd(simplex(n)) (n >= 2) or simplex(n)."""
     if family == "points":
         return SimplicialComplex.from_facets(n, [])
+    if family == "complete-graph":
+        return SimplicialComplex.from_facets(n, list(combinations(range(1, n + 1), 2)))
     if family == "disjoint-edges":
         return SimplicialComplex.from_facets(2 * n, [(2 * i - 1, 2 * i) for i in range(1, n + 1)])
     if family == "polygon":
@@ -1589,6 +1592,10 @@ def closed_form_homology(family, n):
     - n disjoint edges, by Hochster: a full subcomplex on a whole edges and
       b single vertices of b other edges, chosen in C(n, a) C(n - a, b) 2^b
       ways, is a + b points, so it adds rank a + b - 1 in degree 2a + b + 1;
+    - the complete graph on n vertices, by Hochster: every full subcomplex
+      on j >= 3 vertices is the complete graph on j, a graph with
+      C(j - 1, 2) independent cycles, so it adds rank C(n, j) C(j - 1, 2) in
+      degree j + 2;
     - bd(simplex(n)): Z_K = S^{2n-1}; simplex(n): Z_K = D^{2n}."""
     ranks = {0: 1}
     if family == "points":
@@ -1602,6 +1609,9 @@ def closed_form_homology(family, n):
             for b in range(max(2 - a, 0), n - a + 1):
                 d = 2 * a + b + 1
                 ranks[d] = ranks.get(d, 0) + comb(n, a) * comb(n - a, b) * 2 ** b * (a + b - 1)
+    elif family == "complete-graph":
+        for j in range(3, n + 1):
+            ranks[j + 2] = comb(n, j) * comb(j - 1, 2)
     elif family == "polygon":
         ranks[n + 2] = 1
         for k in range(3, n):

@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +35,26 @@ def test_homology_verb(capsys):
     data = run_json(capsys, "homology", "--complex", SUB5_EXPR)
     assert data["ranks"] == {"0": 1, "5": 4, "6": 3, "7": 1, "8": 1}
     assert data["generator_order"] == ["123", "145", "245", "345"]
+
+
+def test_report_digest_drops_only_the_time_and_the_inputs(capsys, monkeypatch):
+    """`digest` of tools/report_digest.py, the rule of the committed job-list
+    digests and of the ladder's rows: a report that differs from another
+    only in `elapsed_s` and `inputs` gets its digest, and one with any other
+    digit changed, or another exit code, gets another."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "tools"))
+    from report_digest import digest
+    code, text, _ = run_cli(capsys, "homology", "--complex", "bd(simplex(1,2,3))")
+    report = json.loads(text)
+    moved = json.dumps(dict(report, elapsed_s=report["elapsed_s"] + 1, inputs={"complex": "K.json"}))
+    want = digest([(code, text)])
+    assert digest([(code, moved)]) == want != digest([(1, text)])
+    skipped = [(text.index('"inputs"'), text.index('"engine"')),
+               (text.index('"elapsed_s"'), text.index('"generator_order"'))]
+    changed = [text[:i] + chr(ord(c) ^ 1) + text[i + 1:] for i, c in enumerate(text)
+               if c.isdigit() and not any(a <= i < b for a, b in skipped)]
+    assert len(changed) == 14
+    assert all(digest([(code, other)]) != want for other in changed)
 
 
 def test_mf_verb(capsys):
@@ -778,8 +799,8 @@ def test_verify_checks_the_one_degree_count(capsys, monkeypatch):
             return super().__len__() + 1
     cells, admissible = ma._star_cells, ty.admissible_words
     monkeypatch.setattr(ma, "_star_cells", lambda K, smask: Longer(cells(K, smask)))
-    monkeypatch.setattr(ty, "admissible_words", lambda masks: {
-        union: Longer(words) for union, words in admissible(masks).items()})
+    monkeypatch.setattr(ty, "admissible_words", lambda gens: {
+        union: Longer(words) for union, words in admissible(gens).items()})
     code, out, _ = run_cli(capsys, "verify", "--complex", SUB5_EXPR)
     assert code == 3
     assert "cellular vs Hochster homology differ" in json.loads(out)["failures"]

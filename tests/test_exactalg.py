@@ -11,6 +11,7 @@ from momangle.exactalg import (ChainComplex, HomologyGroup, IntMatrix, column_ho
                                insertion_complex, invariant_factors, kernel_basis,
                                smith_normal_form, solve_integer)
 from momangle.moment_angle import degree_sums, lattice_supports, zk_homology_by_support
+from momangle.taylor import taylor_homology
 from oracles import (all_subsets, dense_homology, dense_snf_diagonal, random_complex,
                      reference_column_groups, reference_direct_sum, reference_snf,
                      reference_star_cells,
@@ -398,15 +399,15 @@ def test_invariant_factors_zero_matrix():
 
 def test_entry_free_differentials_are_not_reduced(monkeypatch, rp2, sub5):
     """The star quotients' differentials are often entry-free: none of those
-    reaches `smith_normal_form`, and every block's homology is still the
-    dense reference's."""
+    reaches the Smith form's worker, and every block's homology is still
+    the dense reference's."""
     reduced = []
-    real = exactalg.smith_normal_form
 
-    def spy(A, transforms=True):
-        reduced.append(A)
-        return real(A, transforms)
-    monkeypatch.setattr(exactalg, "smith_normal_form", spy)
+    class Spy(exactalg._SnfWorker):
+        def __init__(self, A):
+            reduced.append(A)
+            super().__init__(A)
+    monkeypatch.setattr(exactalg, "_SnfWorker", Spy)
     rng = random.Random(8)
     entry_free = 0
     for K in [rp2, sub5] + [random_complex(rng.randint(3, 6), rng) for _ in range(12)]:
@@ -420,6 +421,18 @@ def test_entry_free_differentials_are_not_reduced(monkeypatch, rp2, sub5):
                     out.to_dense(), into.to_dense(), C.dim(d)), (K, S, d)
     assert entry_free > 100 and reduced
     assert not any(A.is_zero() for A in reduced)
+
+
+def test_a_residual_is_eliminated_once(monkeypatch, rp2):
+    """RP^2's Taylor table eliminates the unit pivots of each differential
+    with two or more columns once: the 1 x 1 residual (2) of its Z/2 goes
+    straight to the Smith form's worker, with no second, empty pass."""
+    passes = []
+    real = exactalg._eliminate_units
+    monkeypatch.setattr(exactalg, "_eliminate_units",
+                        lambda columns: passes.append(columns) or real(columns))
+    assert taylor_homology(rp2)[8] == HomologyGroup(0, (2,))
+    assert len(passes) == 7
 
 
 def test_from_boundary_keeps_label_order():

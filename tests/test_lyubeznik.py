@@ -19,6 +19,7 @@ import pytest
 
 from momangle import complexes as cx
 from momangle import taylor as ty
+from momangle.complexes import Generators
 from momangle.exactalg import kernel_basis
 from momangle.moment_angle import support_table, zk_homology_by_support
 from momangle.taylor import (TaylorChain, admissible_words,
@@ -255,7 +256,7 @@ def test_k6_graph_against_cellular():
     K = cx.parse_complex("bd(bd(bd(bd(simplex(1,2,3,4,5,6)))))")
     masks = [cx.face_mask(F) for F in K.missing_faces()]
     assert len(masks) == 20
-    assert sum(map(len, admissible_words(masks).values())) == 184
+    assert sum(map(len, admissible_words(Generators(None, masks)).values())) == 184
     blocks = taylor_components(K)
     assert sum(B.dim(d) for B in blocks.values() for d in B.basis) == 184
     table = taylor_homology_by_support(K)
@@ -274,10 +275,10 @@ def resolution_report(K):
     return ty.verify_taylor_is_resolution(ty.MonomialIdeal.stanley_reisner(K))
 
 
-def first_suffix_only(masks):
+def first_suffix_only(gens):
     """Words kept when no generator before their first index lies inside
     their union: Lyubeznik's rule tested on the first suffix only."""
-    by_union = {}
+    masks, by_union = gens.masks, {}
     for s in range(len(masks) + 1):
         for word in combinations(range(len(masks)), s):
             union = 0
@@ -303,11 +304,11 @@ def test_first_suffix_rule_is_refused(monkeypatch, K):
 @pytest.mark.parametrize("K", mutation_cases()[1:], ids=["rp2-cone", "k6"])
 def test_a_missing_two_word_is_refused(monkeypatch, K):
     """A 2-word inside an admissible 3-word left out breaks d^2 = 0 there."""
-    real = admissible_words(ty.MonomialIdeal.stanley_reisner(K).masks())
+    real = admissible_words(Generators(None, ty.MonomialIdeal.stanley_reisner(K).masks()))
     threes = [w for ws in real.values() for w in ws if w.bit_count() == 3]
     dropped = next(w for ws in real.values() for w in ws
                    if w.bit_count() == 2 and any(w & ~t == 0 for t in threes))
-    monkeypatch.setattr(ty, "admissible_words", lambda masks: {
+    monkeypatch.setattr(ty, "admissible_words", lambda gens: {
         union: [w for w in ws if w != dropped] for union, ws in real.items()})
     with pytest.raises(ValueError, match=r"d\^2 != 0"):
         resolution_report(K)
@@ -318,13 +319,13 @@ def test_a_missing_top_word_is_not_exact(monkeypatch, K):
     """The longest word of the top union, left out, keeps d^2 = 0 (no word
     lies above it), so only the exactness test can see it."""
     masks = ty.MonomialIdeal.stanley_reisner(K).masks()
-    real = admissible_words(masks)
+    real = admissible_words(Generators(None, masks))
     top = 0
     for mask in masks:
         top |= mask
     dropped = real[top][-1]
     assert dropped.bit_count() == max(w.bit_count() for w in real[top])
-    monkeypatch.setattr(ty, "admissible_words", lambda masks: {
+    monkeypatch.setattr(ty, "admissible_words", lambda gens: {
         union: [w for w in ws if w != dropped] for union, ws in real.items()})
     report = resolution_report(K)
     assert not report.ok() and report.failures

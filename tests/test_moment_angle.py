@@ -253,12 +253,13 @@ def test_zk_size_gate():
 
 @pytest.mark.parametrize("family, sizes", [
     ("points", range(1, 10)), ("polygon", range(4, 11)), ("cross-polytope", range(1, 6)),
-    ("disjoint-edges", range(1, 7)), ("simplex-boundary", range(2, 11)),
-    ("simplex", range(1, 11))])
+    ("disjoint-edges", range(1, 7)), ("complete-graph", range(3, 8)),
+    ("simplex-boundary", range(2, 11)), ("simplex", range(1, 11))])
 def test_routes_match_the_closed_forms(family, sizes):
-    """The cellular, Hochster and Taylor tables of six families against
+    """The cellular, Hochster and Taylor tables of seven families against
     their closed forms; past the Taylor gate (7 points have 21 missing
-    faces, 4 disjoint edges 24) the Taylor route must refuse instead."""
+    faces, 4 disjoint edges 24, the complete graph on 7 vertices 35) the
+    Taylor route must refuse instead."""
     def nonzero(table):
         return {d: h for d, h in table.items() if not h.is_trivial()}
 

@@ -479,8 +479,8 @@ def test_column_rule_matches_the_references_on_every_block():
 def test_single_degree_blocks_reach_no_check_and_no_snf(monkeypatch, tmp_path, capsys):
     """`homology` on 8 isolated points visits 247 nonempty supports, each a
     star quotient in one degree, and none of them reaches `check_columns`
-    or `smith_normal_form`; the report is still the Hochster table's.  On
-    RP^2 the block with Z/2 still goes through the Smith normal form."""
+    or the Smith form's worker; the report is still the Hochster table's.
+    On RP^2 the block with Z/2 still goes through the Smith normal form."""
     points = cx.SimplicialComplex.from_facets(8, [])
     assert len(lattice_supports(points)) == 1 + 247
     want = {str(d): {"rank": h.rank, "torsion": list(h.torsion)}
@@ -488,14 +488,14 @@ def test_single_degree_blocks_reach_no_check_and_no_snf(monkeypatch, tmp_path, c
     path = tmp_path / "points8.json"
     path.write_text(json.dumps({"m": 8, "facets": []}))
     checked, diagonals = [], []
-    real_check, real_snf = exactalg.check_columns, exactalg.smith_normal_form
+    real_check = exactalg.check_columns
 
-    def snf(A, transforms=True):
-        form = real_snf(A, transforms)
-        diagonals.append(form.diag)
-        return form
+    class Worker(exactalg._SnfWorker):
+        def run(self):
+            diagonals.append(super().run())
+            return diagonals[-1]
     monkeypatch.setattr(exactalg, "check_columns", lambda cols: checked.append(cols) or real_check(cols))
-    monkeypatch.setattr(exactalg, "smith_normal_form", snf)
+    monkeypatch.setattr(exactalg, "_SnfWorker", Worker)
     assert main(["homology", "--complex", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["homology"] == want
     assert checked == [] and diagonals == []
@@ -534,7 +534,7 @@ def test_blocks_list_their_words_by_degree():
             assert counts == sorted(counts), (K.facets, S)
         if len(K.missing_faces()) > taylor.MAX_GENERATORS:
             continue
-        for union, words in taylor.admissible_words(K.generators().masks).items():
+        for union, words in taylor.admissible_words(K.generators()).items():
             counts = [word.bit_count() for word in words]
             assert counts == sorted(counts), (K.facets, union)
         taylor_cases += 1
@@ -590,7 +590,7 @@ def test_one_degree_blocks_build_no_columns(monkeypatch, tmp_path, capsys):
     assert main(["homology", "--complex", str(path)]) == 0
     assert ends == []
     assert main(["taylor", "--complex", K6_GRAPH]) == 0
-    unions = taylor.admissible_words(cx.parse_complex(K6_GRAPH).generators().masks)
+    unions = taylor.admissible_words(cx.parse_complex(K6_GRAPH).generators())
     assert all(first != last for first, last in ends)
     assert len(ends) == sum(w[0].bit_count() != w[-1].bit_count() for w in unions.values()) == 7
     capsys.readouterr()

@@ -309,8 +309,8 @@ def test_mask_table_with_a_kept_inadmissible_word_changes(name, request, monkeyp
         union = face_mask(set().union(*word))
         bits = sum(1 << gens.index(F) for F in word)
 
-        def keep(masks):
-            out = admissible(masks)
+        def keep(gens):
+            out = admissible(gens)
             out.setdefault(union, []).append(bits)
             return out
         monkeypatch.setattr(ty, "admissible_words", keep)
@@ -350,23 +350,27 @@ def test_taylor_homology_projective_plane(rp2):
 
 def test_the_taylor_fold_reduces_residuals_only(monkeypatch, rp2, sub5, filled6):
     """Each Taylor block eliminates its unit pivots on its columns, and only
-    a residual that still has entries reaches `smith_normal_form`, without
-    transforms: on RP^2 the Z/2 is found there, on sub5 and filled6 no
-    Smith form runs, and on seeded complexes every table stays the cellular
-    route's."""
+    a residual that still has entries reaches the Smith form's worker,
+    without transforms: on RP^2 the Z/2 is found there, on sub5 and filled6
+    no Smith form runs, and on seeded complexes every table stays the
+    cellular route's."""
     residuals, reduced = [], []
-    real_units, real_snf = exactalg._eliminate_units, exactalg.smith_normal_form
+    real_units = exactalg._eliminate_units
 
     def units(columns):
         found = real_units(columns)
         residuals.append(found[1])
         return found
 
-    def snf(A, transforms=True):
-        reduced.append((A, transforms))
-        return real_snf(A, transforms)
+    class Worker(exactalg._SnfWorker):
+        def __init__(self, A):
+            reduced.append(A)
+            super().__init__(A)
+
+        def result(self):
+            raise AssertionError("a Taylor block asked for transforms")
     monkeypatch.setattr(exactalg, "_eliminate_units", units)
-    monkeypatch.setattr(exactalg, "smith_normal_form", snf)
+    monkeypatch.setattr(exactalg, "_SnfWorker", Worker)
     rng = random.Random(5011)
     by_complex = []
     for K in [rp2, sub5, filled6] + [random_complex(rng.randint(4, 7), rng) for _ in range(20)]:
@@ -376,8 +380,8 @@ def test_the_taylor_fold_reduces_residuals_only(monkeypatch, rp2, sub5, filled6)
         before = len(reduced)
         assert taylor_homology(K) == want, K
         by_complex.append(reduced[before:])
-    for A, transforms in sum(by_complex, []):
-        assert transforms is False and any(A is R for R in residuals)
+    for A in sum(by_complex, []):
+        assert any(A is R for R in residuals)
         assert A.entries and all(abs(v) != 1 for v in A.entries.values())
     assert by_complex[0] and not by_complex[1] and not by_complex[2]
     assert len(residuals) > 20

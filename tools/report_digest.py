@@ -7,10 +7,9 @@ Builds the seeded job list of bench/workloads.py (the jobs `bench/run.py`
 would time at that seed and --seconds), with its input files in a temporary
 directory, and runs every argv through `momangle.cli.main` in this process.
 Prints one JSON line: the workload, seed and seconds, the number of calls,
-and a sha256 over the (exit code, report) pairs in order, each report
-without `elapsed_s` (a time) and `inputs` (holds the temporary paths); a
-call that prints no report counts as report null.  Two versions of the
-program that give the same digest gave byte-for-byte the same answers.
+and their `digest`.  Two versions of the program that give the same digest
+gave byte-for-byte the same answers.  tools/ladder.py takes each row's
+digest by the same rule.
 
 tools/report_digests.json holds the digests at seeds 1 and 7 and
 --seconds 2, one object per workload and seed; to write it again:
@@ -66,18 +65,24 @@ def call(argv):
     return code, out.getvalue()
 
 
-def digest(workload, seed, seconds):
+def digest(calls):
+    """sha256 over the (exit code, printed report) pairs `calls`, in order,
+    each report without `elapsed_s` (a time) and `inputs` (the paths it was
+    given); a call that printed no report counts as report null."""
     pairs = []
+    for code, text in calls:
+        report = json.loads(text or "null")
+        if report is not None:
+            del report["elapsed_s"], report["inputs"]
+        pairs.append([code, report])
+    return hashlib.sha256(json.dumps(pairs, sort_keys=True).encode()).hexdigest()
+
+
+def job_list_digest(workload, seed, seconds):
     with tempfile.TemporaryDirectory() as inputs:
-        for argv in job_argvs(workload, seed, seconds, inputs):
-            code, text = call(argv)
-            report = json.loads(text or "null")
-            if report is not None:
-                del report["elapsed_s"], report["inputs"]
-            pairs.append([code, report])
-    text = json.dumps(pairs, sort_keys=True)
-    return {"workload": workload, "seed": seed, "seconds": seconds, "calls": len(pairs),
-            "sha256": hashlib.sha256(text.encode()).hexdigest()}
+        calls = [call(argv) for argv in job_argvs(workload, seed, seconds, inputs)]
+    return {"workload": workload, "seed": seed, "seconds": seconds, "calls": len(calls),
+            "sha256": digest(calls)}
 
 
 def main(argv=None):
@@ -87,7 +92,7 @@ def main(argv=None):
     parser.add_argument("--seconds", type=int, default=2)
     args = parser.parse_args(argv)
     use_checkout()
-    print(json.dumps(digest(args.workload, args.seed, args.seconds)))
+    print(json.dumps(job_list_digest(args.workload, args.seed, args.seconds)))
     return 0
 
 
