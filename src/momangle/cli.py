@@ -22,7 +22,7 @@ is read on every call, so an edited file gives its new complex), the
 bracket on its text (`whitehead.parse_whitehead`), the canonical chain per
 bracket, and per (K, w) its class and the one containment answer that
 `status`, `realises` and `taylor-cycle` read (`whitehead`), and the
-missing-face lattice per K (`moment_angle.lattice_supports`).  Every memo is
+cone-free supports per K (`moment_angle.lattice_supports`).  Every memo is
 bounded, and none holds an exception: a refusal or a parse error is raised
 again on the next call.
 """
@@ -198,28 +198,29 @@ def cmd_wedge_basis(K, w, args, out):
 
 
 def cmd_verify(K, w, args, out):
-    """Cross-route suite: the cellular, Hochster and Taylor tables must agree
-    block by block, {(S, degree): group} with S = the empty set included;
-    the Hochster table's cone-free subsets must be the cellular table's
-    lattice; Lyubeznik's subcomplex must resolve the Stanley-Reisner ideal
-    of K; the degree table of `homology`, folded over the connected parts
-    of K and their twin orbits (`moment_angle.zk_homology`), must be the
-    cellular table's degree sums, which reduce every support, those that
-    meet two parts included.  Every cellular and Taylor table is one walk
-    read by one fold (`moment_angle.fold_blocks`), so `taylor`'s sums are
-    the Taylor table's by construction; a fault in the fold shows against
-    Hochster, which shares no code with it.  Past the Taylor bound the two
-    Taylor checks are skipped."""
+    """Cross-route suite, refused past the Z_K gate, on a ghost vertex and
+    past the Hochster gate before any table is built: the cellular, Hochster
+    and Taylor tables must agree block by block, {(S, degree): group} with
+    S = the empty set included; the cone-free supports those tables read
+    (`moment_angle.lattice_supports`) must be the closure of the missing
+    faces under union (`taylor.mask_unions`); Lyubeznik's subcomplex must
+    resolve the Stanley-Reisner ideal of K; `homology`'s fold over the
+    connected parts and their twin orbits (`moment_angle.zk_homology`) must
+    be the cellular table's degree sums.  Every cellular and Taylor table
+    is one walk read by one fold (`moment_angle.fold_blocks`); a fault in
+    the fold shows against Hochster, which shares no code with it.  Past
+    the Taylor bound the two Taylor checks are skipped."""
+    ma._admit(K)
+    ma._refuse_past_hochster_bound(K)
     failures = []
     cell = ma.zk_homology_by_support(K)
     cell_sums = ma.degree_sums(cell)
-    subsets = ma.cone_free_subsets(K)
-    hoch, hoch_sums = ma.hochster_table(K, subsets)
+    hoch, hoch_sums = ma.hochster_table(K)
     if cell != hoch:
         failures.append("cellular vs Hochster homology differ")
     if ma.zk_homology(K) != cell_sums:
         failures.append("orbit sums vs cellular table differ")
-    if set(subsets) != set(ma.lattice_supports(K)):
+    if set(ma.lattice_supports(K)) != {0, *ty.mask_unions(K.generators().masks)}:
         failures.append("cone-free subsets vs missing-face lattice differ")
     try:
         taylor = ty.taylor_homology_by_support(K)

@@ -13,8 +13,9 @@ tuples (`faces`, `facets`, `faces_within`) are decoded from the masks by
 (ghost vertices), which is fine as long as downward closure holds.
 The missing faces come from the facets by one bit-parallel pass over the
 2^m vertex sets (`_missing_by_shifts`) while m <= 22, and from a scan of
-the faces above that; Hochster's cone-free sets by another such pass
-(`_cone_free_by_shifts`), which reads no missing face.  The faces and the
+the faces above that; the cone-free sets that every Z_K table reads by
+another such pass (`_cone_free_by_shifts`), which reads no missing face,
+and K_J (`full_subcomplex`) by a trace of each facet.  The faces and the
 missing faces each get one `VertexIndex` (`FaceIndex`, `Generators`),
 whose `within(S)` gives those of the full subcomplex K_S.
 """
@@ -120,7 +121,7 @@ class SimplicialComplex:
     __slots__ = ("m", "labels", "_facet_masks", "_face_masks", "_by_size", "_index", "_faces",
                  "_mf", "_generators")
 
-    def __init__(self, m, faces, labels=None):
+    def __init__(self, m, faces):
         """The complex of the face list `faces`, the empty face added:
         refuses m past the bitset bound before it reads `faces`, then a face
         that is not downward closed, and finds the facets."""
@@ -138,7 +139,7 @@ class SimplicialComplex:
         facets = list(masks)
         for bit in (1 << i for i in range(m)):
             facets = [f for f in facets if f & bit or f | bit not in masks]
-        self._adopt(m, facets, labels)
+        self._adopt(m, facets)
         self._face_masks = masks
 
     @classmethod
@@ -281,13 +282,15 @@ class SimplicialComplex:
     # -- subcomplexes -----------------------------------------------------------
 
     def full_subcomplex(self, subset):
-        """K_J re-indexed on 1..|J|; the original labels ride along in `.labels`."""
+        """K_J re-indexed on 1..|J|, from the facets with no face read: the
+        largest traces F & J of K's facets, written on their vertices'
+        positions in J.  The original labels ride along in `.labels`."""
         js = sorted(set(subset))
         if any(not 1 <= v <= self.m for v in js):
             raise ValueError("subset outside vertex range")
-        pos = {v: i + 1 for i, v in enumerate(js)}
-        faces = [tuple(pos[v] for v in f) for f in self.faces_within(js)]
-        return SimplicialComplex(len(js), faces, labels=js)
+        traces = {sum(1 << i for i, v in enumerate(js) if f >> (v - 1) & 1)
+                  for f in self._facet_masks}
+        return SimplicialComplex.__new__(SimplicialComplex)._adopt(len(js), _maximal(traces), js)
 
     def relabelled(self, mapping, m=None):
         """Copy with vertex v renamed mapping[v] (injective)."""
@@ -364,19 +367,20 @@ def _missing_by_shifts(m, facets):
 
 
 def _cone_free_by_shifts(m, facets):
-    """The bitmasks of the vertex sets S with no cone point of K_S, 0 among
-    them, ascending, for K with the facet bitmasks `facets`: v is no cone
-    point of K_S when S holds I + v, I a face without v and I + v none.  Per
-    v one AND and one shift of `_face_indicator` mark those I + v, and one
-    shift per vertex closes them upward into U_v; S is cone-free when each v
-    is outside S or S lies in U_v."""
+    """The integer of 2^m bits whose bit S is set when K_S has no cone
+    point, S = 0 among them, for K with the facet bitmasks `facets`, to be
+    listed (`_set_bits`) or filtered: v is no cone point of K_S when S holds
+    I + v, I a face without v and I + v none.  Per v one AND and one shift
+    of `_face_indicator` mark those I + v, and one shift per vertex closes
+    them upward into U_v; S is cone-free when each v is outside S or S lies
+    in U_v."""
     faces, halves, free = _face_indicator(m, facets), _upper_halves(m), (1 << (1 << m)) - 1
     for v, holds_v in enumerate(halves):
         up = (faces & ~holds_v & ~(faces >> (1 << v))) << (1 << v)
         for i, upper in enumerate(halves):
             up |= (up & ~upper) << (1 << i)
         free &= ~holds_v | up
-    return _set_bits(free)
+    return free
 
 
 def _missing_by_scan(m, masks):

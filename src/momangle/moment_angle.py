@@ -48,35 +48,35 @@ degree, is one walk over blocks (union, times, words) and one fold,
 one degree, has no differential, and adds its number of words to that
 degree's rank as an integer, with no column built; every other block is
 read from `exactalg.insertion_columns` with `column_homology`, the
-support's own mask as the bits that may enter a circle mask.  The
-per-support table (`zk_homology_by_support`) walks the lattice of unions of
-missing faces (`lattice_supports`), once per support.  The degree table
+support's own mask as the bits that may enter a circle mask.  Every
+table reads its supports, those with no cone point, from one bit-parallel
+pass over the facets (`lattice_supports`).  The degree table
 (`zk_homology`) is one fold over the connected parts of K's 1-skeleton
 (`connected_parts`): K is their disjoint union, and by Hochster's formula
 its groups are each part's own groups, spread to the supports that add
 vertices of other parts by binomial counts, plus the extra H~_0 of the
 supports that meet two or more parts, so no support across two parts is
-reduced.  Inside a part the table walks one support per twin orbit.  Two
-vertices are twins when swapping them maps the missing faces of K onto
-themselves; the swap is an automorphism of K, so the blocks of S and of its
-image have the same groups in the same degree.  `twin_classes` reads the
-classes off the generator table, `twin_orbits` reaches one representative
-per orbit, the lowest vertices of each class, by closure over the part's
-missing faces (with no class, the one closure that walks the lattice), and
-the fold counts each representative's groups once per member of its orbit.
-`verify` checks the degree table against the per-support table, and that
-table against Hochster's, which shares no code with the fold.
+reduced.  Each part P runs on its own complex K_P, so its pass costs
+2^|P|, one support per twin orbit.  Two vertices are twins when swapping
+them maps the missing faces onto themselves; the swap is an automorphism,
+so the blocks of S and of its image have the same groups in the same
+degree.  `twin_orbits` keeps of the pass's bits the supports that take the
+lowest vertices of each of the `twin_classes`, and the fold counts each
+one's groups once per member of its orbit.  `verify` checks the degree
+table against the per-support table, that against Hochster's, which
+shares no code with the fold, and the supports against the closure of the
+missing faces under union (`taylor.mask_unions`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import accumulate
 from math import comb, prod
 from operator import or_
 
-from .complexes import (ParseError, SignedSum, SizeLimitError, _cone_free_by_shifts, mask_face,
-                        read_signed_sum, read_text, reduced_chain_complex, signed_sum_text)
+from .complexes import (ParseError, SignedSum, SizeLimitError, _cone_free_by_shifts, _set_bits,
+                        _upper_halves, face_mask, mask_face, read_signed_sum, read_text,
+                        reduced_chain_complex, signed_sum_text)
 from .exactalg import (ChainComplex, HomologyGroup, _shared_group, column_homology,
                        concatenation_sign, direct_sum, image_factors, insert_bits,
                        insertion_columns)
@@ -241,12 +241,13 @@ def zk_chain_complex(K):
 
 @lru_cache(maxsize=8)
 def lattice_supports(K):
-    """The bitmasks of the empty set and of every union of missing faces of
-    K, in the order `twin_orbits` with no twin class walks them.  A vertex
-    of S in no missing face inside S is a cone point of K_S, so these are
-    the supports with no cone point: every other block is acyclic.  A
-    bounded memo (`verify` reads one twice)."""
-    return (0, *twin_orbits(K.generators().masks, ()))
+    """The bitmasks of the supports S with no cone point of K_S, the unions
+    of missing faces, ascending, 0 first, by one pass over K's facets
+    (`_cone_free_by_shifts`); K with no missing face, the full simplex, runs
+    no pass.  A bounded memo (`verify` reads one three times)."""
+    if K._facet_masks == ((1 << K.m) - 1,):
+        return (0,)
+    return tuple(_set_bits(_cone_free_by_shifts(K.m, K._facet_masks)))
 
 
 def _off_star(K, smask):
@@ -382,16 +383,14 @@ def bounds_by_support(block, split, terms):
 def zk_homology_by_support(K):
     """Homology of every support block, {(S, degree): group}, nontrivial only.
 
-    Only the empty set and the unions of missing faces are visited
-    (`lattice_supports`): any other S has a cone point, so K_S is a cone and
-    its block, the shifted augmented chain complex of K_S, is acyclic.  Each
+    Only the supports with no cone point are visited (`lattice_supports`,
+    which the Hochster table reads too): any other K_S is a cone, and its
+    block, the shifted augmented chain complex of K_S, is acyclic.  Each
     visited block is reduced modulo the acyclic star of one vertex, which
     keeps its homology, torsion included: `_star_cells` chooses the cells
     off the star as circle masks, and `fold_blocks` reads the groups, with
     no ChainComplex built.  `zk_bounds` projects a cycle onto the same
-    quotients.  The Hochster table finds its subsets by a pass over K's
-    faces instead (`cone_free_subsets`), so `verify` checks that the two
-    rules pick the same supports."""
+    quotients."""
     return fold_blocks(((smask, 1, words) for smask, words in _lattice_cells(K)),
                        by_support=True)
 
@@ -437,36 +436,27 @@ def twin_classes(gens):
     return [mask_face(members) for _, members in classes if members & (members - 1)]
 
 
-def twin_orbits(masks, classes):
-    """One support per twin orbit of the nonempty unions of the generator
-    bitmasks `masks`, as {bitmask: orbit size}; `classes` are the
-    `twin_classes` the unions may meet, as vertex tuples.
+def twin_orbits(K):
+    """One support per twin orbit of K's nonempty cone-free supports, as
+    {bitmask: orbit size}, ascending.
 
-    The twin swaps generate the product of the symmetric groups of the
-    classes, so a support's orbit is the number k_c of its vertices in each
-    class c: it has the product of C(|c|, k_c) members, and its
-    representative takes the lowest k_c vertices of each class.  An
-    automorphism maps a union of missing faces to another, so the
-    representatives are reached by closure, level by level, with no lattice
-    built: from each representative r of a level and each missing face g,
-    the representative of r + g.  With no class each orbit is one union:
-    the lattice `lattice_supports` and the Taylor resolution check walk."""
-    kinds = []  # (class mask, its complement, lowest k members by k, C(|c|, k) by k)
+    The twin swaps of K's `twin_classes` generate the product of the
+    symmetric groups of the classes, so a support's orbit is the number k_c
+    of its vertices in each class c: it has the product of C(|c|, k_c)
+    members, and its representative takes the lowest k_c vertices of each
+    class.  An automorphism keeps a support cone-free, so the
+    representatives are the sets of the pass's integer
+    (`_cone_free_by_shifts`) that hold a when they hold b, for consecutive
+    members a < b of each class: one AND per pair with the sets that hold
+    each vertex (`_upper_halves`)."""
+    classes = twin_classes(K.generators())
+    free, holds = _cone_free_by_shifts(K.m, K._facet_masks), _upper_halves(K.m)
     for c in classes:
-        bits = [1 << (v - 1) for v in c]
-        kinds.append((sum(bits), ~sum(bits), [0, *accumulate(bits, or_)],
-                      [comb(len(c), k) for k in range(len(c) + 1)]))
-    orbits, level = {}, [0]
-    while level:
-        new = []
-        for x in {r | g for r in level for g in masks}.difference(orbits):
-            for cmask, rest, lowest, _ in kinds:
-                x = x & rest | lowest[(x & cmask).bit_count()]
-            if x not in orbits:
-                orbits[x] = prod(count[(x & cmask).bit_count()] for cmask, _, _, count in kinds)
-                new.append(x)
-        level = new
-    return orbits
+        for a, b in zip(c, c[1:]):
+            free &= ~holds[b - 1] | holds[a - 1]
+    counts = [(face_mask(c), [comb(len(c), k) for k in range(len(c) + 1)]) for c in classes]
+    return {x: prod(count[(x & cmask).bit_count()] for cmask, count in counts)
+            for x in _set_bits(free & ~1)}
 
 
 def connected_parts(gens, m):
@@ -528,25 +518,24 @@ def zk_homology(K):
     supports that meet two or more parts.  A connected K is r = 1, where
     the factor is C(0, 0) = 1 and E vanishes.
 
-    A missing face meets one part or is an edge between two, so G_j is
-    read from the unions of the missing faces inside P_j, summed over twin
-    orbits: a twin swap is an automorphism of K, so the blocks of a support
-    and of its image have the same groups in the same degree.  The twin
-    classes are found once on K; a twin pair across two parts is two
-    isolated points, so a class that meets a part with a missing face
-    inside lies in it.  Each `twin_orbits` representative is reduced as
-    `zk_homology_by_support` reduces it, and `fold_blocks` counts its
-    groups once per member of its orbit; a part with no missing face
-    inside, a point or a simplex, reduces nothing.  `verify` compares the
-    sums with the per-support table's."""
+    A facet never spans two parts, so G_j is the table of the part's own
+    complex K_P, built from the facets inside P (`full_subcomplex`; K
+    itself when connected): each `twin_orbits(K_P)` representative is
+    reduced as `zk_homology_by_support` reduces it, and `fold_blocks`
+    counts its groups once per member of its orbit, so the pass costs
+    2^|P|, never 2^m.  A part with no missing face inside, a point or a
+    simplex, reduces nothing and runs no pass.  `verify` compares the sums
+    with the per-support table's."""
     _admit(K)
     gens = K.generators()
-    classes, parts = twin_classes(gens), connected_parts(gens, K.m)
+    parts = connected_parts(gens, K.m)
     ranks, torsion = {0: 1}, {}
     for part in parts:
-        inside = [g for g in gens.masks if not g & ~part]
-        orbits = twin_orbits(inside, [c for c in classes if part >> (c[0] - 1) & 1])
-        table = fold_blocks((smask, size, _star_cells(K, smask)) for smask, size in orbits.items())
+        if not gens.within(part):
+            continue
+        KP = K if part == (1 << K.m) - 1 else K.full_subcomplex(mask_face(part))
+        table = fold_blocks((smask, size, _star_cells(KP, smask))
+                            for smask, size in twin_orbits(KP).items())
         rest = K.m - part.bit_count()
         for d, h in table.items():
             for t in range(rest + 1):
@@ -586,14 +575,6 @@ def _refuse_past_hochster_bound(K):
         raise SizeLimitError(f"Hochster table refuses m={K.m} > 20")
 
 
-def cone_free_subsets(K):
-    """The bitmasks of the subsets S with no cone point of K_S, a cone being
-    contractible, ascending, by one pass over K's faces that reads no missing
-    face (`_cone_free_by_shifts`); `verify` checks they are `lattice_supports(K)`."""
-    _refuse_past_hochster_bound(K)
-    return _cone_free_by_shifts(K.m, K._facet_masks)
-
-
 def hochster_table(K, subsets=None):
     """Reduced homology of the full subcomplexes, placed into Z_K degrees.
 
@@ -602,14 +583,14 @@ def hochster_table(K, subsets=None):
     (simplicial degree p-1 sits in degree p+|J|), aggregate direct-sums the
     contributions per degree.  J = the empty set contributes the basepoint
     class in degree 0.  `subsets`, a collection of bitmasks within 1..K.m
-    (checked), limits J; the default `cone_free_subsets` leaves out only
-    contractible K_J, so it gives every subset's table.  Each block is built
-    on the labelled faces of K_J (`faces_within`), sharing no code with the
-    cellular fold.
+    (checked), limits J; the default, `lattice_supports(K)` unchecked,
+    leaves out only contractible K_J, so it gives every subset's table.
+    Each block is built on the labelled faces of K_J (`faces_within`),
+    sharing no code with the cellular fold.
     """
     _refuse_past_hochster_bound(K)
     if subsets is None:
-        subsets = cone_free_subsets(K)
+        subsets = lattice_supports(K)
     elif bad := [u for u in subsets if not _is_mask(u) or u >> K.m]:
         raise ValueError(f"subset {bad[0]!r} is no bitmask of the vertices 1..{K.m}")
     blocks = ((smask, reduced_chain_complex(K.faces_within(mask_face(smask))))

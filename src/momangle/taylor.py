@@ -64,7 +64,8 @@ Labels are written and read only in a chain's text, where the reader's
 `^` moves one word's bits past the other's with `insertion_sign`
 (`exactalg.concatenation_sign`).
 Lyubeznik's theorem itself is checked on the same builder, one slice of
-the lcm lattice at a time (`verify_taylor_is_resolution`).
+the lcm lattice at a time (`verify_taylor_is_resolution`), which the one
+closure under union in the package walks (`mask_unions`).
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ from .complexes import (Generators, ParseError, SignedSum, SimplicialComplex, Si
                         signed_sum_text)
 from .exactalg import (ChainComplex, column_homology, concatenation_sign, insert_bits,
                        insertion_columns, insertion_complex)
-from .moment_angle import _is_mask, bounds_by_support, fold_blocks, twin_orbits
+from .moment_angle import _is_mask, bounds_by_support, fold_blocks
 from .whitehead import _containment
 
 MAX_GENERATORS = 20
@@ -472,6 +473,17 @@ class MonomialIdeal:
         return [sum(((1 << e) - 1) << at for e, at in zip(g, starts)) for g in self.gens]
 
 
+def mask_unions(masks):
+    """Every nonempty union of the bitmasks `masks`, as a set, by closure
+    level by level, len(masks) ORs per union: the lcm lattice of polarised
+    monomials, and the unions of K's missing faces for `verify`'s check."""
+    unions, level = set(), {0}
+    while level:
+        level = {u | g for u in level for g in masks} - unions
+        unions |= level
+    return unions
+
+
 @dataclass(frozen=True)
 class ResolutionReport:
     module_exact: bool
@@ -485,7 +497,7 @@ def verify_taylor_is_resolution(ideal):
     """Exactness of Lyubeznik's resolution of S/ideal, on polarised masks.
 
     For each nonzero U of the lcm lattice, the unions of generator masks
-    (`twin_orbits` with no twin class), the admissible words with union
+    (`mask_unions`), the admissible words with union
     inside U, the empty word included, span its slice; `insertion_columns`
     gives their insertion columns, the dual of the deletion differential,
     and a finite free complex over Z is exact exactly when its dual is, so
@@ -497,7 +509,7 @@ def verify_taylor_is_resolution(ideal):
     _refuse_past_bound(len(gens.masks))
     by_union = admissible_words(gens)
     failures = []
-    for U in sorted(twin_orbits(gens.masks, ())):
+    for U in sorted(mask_unions(gens.masks)):
         words = [word for union, ws in by_union.items() if not union & ~U for word in ws]
         inside = gens.within(U)
         groups = column_homology(*insertion_columns(words, inside))

@@ -1,8 +1,10 @@
 import json
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -10,8 +12,8 @@ import pytest
 from momangle import cli
 from momangle.cli import main, read_argv, report_json
 from momangle.complexes import SimplicialComplex, parse_complex
-from momangle.moment_angle import cone_free_subsets, lattice_supports
-from momangle.taylor import TaylorChain
+from momangle.moment_angle import lattice_supports
+from momangle.taylor import TaylorChain, mask_unions
 from momangle.whitehead import delta_w, parse_whitehead
 from conftest import SUB5_EXPR
 from oracles import closed_form_family, labelled_words, random_complex
@@ -230,13 +232,14 @@ def test_facet_reads_build_no_face(capsys, monkeypatch, tmp_path, argv):
 @pytest.mark.parametrize("K", [parse_complex(SUB5_EXPR), closed_form_family("cross-polytope", 8)],
                          ids=["sub5", "cross-polytope-8"])
 def test_cone_free_subsets_read_the_facets_alone(monkeypatch, K):
-    """Hochster's supports come from a pass over the facets of a K built
-    from them: no face bitmask is read and no missing face is found, and
-    they are the lattice that the missing faces give."""
+    """The supports come from a pass over the facets of a K built from
+    them: no face bitmask is read and no missing face is found, and they
+    are the lattice that the missing faces give."""
     reads = face_reads(monkeypatch)
-    subsets = cone_free_subsets(K)
+    lattice_supports.cache_clear()
+    subsets = lattice_supports(K)
     assert reads == [] and K._mf is None
-    assert subsets == sorted(lattice_supports(K))
+    assert subsets == tuple(sorted({0, *mask_unions(K.generators().masks)}))
 
 
 def test_memory_error_is_a_size_refusal(capsys, monkeypatch):
@@ -752,20 +755,61 @@ def test_every_memo_is_bounded():
     assert all(0 < memo.cache_info().maxsize < 1000 for memo in memos)
 
 
+def closure_callers(monkeypatch):
+    """The name of the function that calls `taylor.mask_unions`, once per
+    call: the closure of masks under union."""
+    from momangle import taylor as ty
+    callers, raw = [], ty.mask_unions
+    monkeypatch.setattr(ty, "mask_unions",
+                        lambda masks: callers.append(sys._getframe(1).f_code.co_name) or raw(masks))
+    return callers
+
+
 def test_verify_builds_the_lattice_once(capsys, monkeypatch):
-    """`verify` reads the lattice twice, for the cellular table and for the
-    cone-free check, and walks it once: one `twin_orbits` call on the whole
-    generator table, the memo's one miss."""
+    """`verify` reads the cone-free supports three times, for the cellular
+    and Hochster tables and for its check, and runs their pass once, the
+    memo's one miss; it walks the closure of the missing faces once, for
+    that check, and Lyubeznik's check walks the lcm lattice."""
     from momangle import moment_angle as ma
-    calls = []
-    raw = ma.twin_orbits
-    monkeypatch.setattr(ma, "twin_orbits",
-                        lambda masks, classes: calls.append(masks) or raw(masks, classes))
+    callers = closure_callers(monkeypatch)
     ma.lattice_supports.cache_clear()
     assert run_json(capsys, "verify", "--complex", SUB5_EXPR)["failures"] == []
-    K = cli.load_complex(SUB5_EXPR, 20)
-    assert sum(masks is K.generators().masks for masks in calls) == 1
+    assert callers == ["cmd_verify", "verify_taylor_is_resolution"]
     assert ma.lattice_supports.cache_info().misses == 1
+    assert ma.lattice_supports.cache_info().hits == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("homology", "--complex", SUB5_EXPR),
+    ("hochster", "--complex", SUB5_EXPR),
+    ("wedge-basis", "--complex", "bd(bd(bd(simplex(1,2,3,4,5,6,7))))"),
+    ("taylor", "--complex", SUB5_EXPR),
+], ids=["homology", "hochster", "wedge-basis", "taylor"])
+def test_tables_never_enter_the_closure(capsys, monkeypatch, argv):
+    """Every Z_K table reads its supports from the cone-free pass: no verb
+    but `verify` walks the closure of the missing faces."""
+    callers = closure_callers(monkeypatch)
+    run_json(capsys, *argv)
+    assert callers == []
+
+
+def test_verify_refuses_before_any_table(capsys, monkeypatch):
+    """On 21 vertices `verify` meets the Hochster gate before it reduces
+    any block; the Z_K gate and a ghost vertex still come first."""
+    from momangle import moment_angle as ma
+    seen, star_cells = [], ma._star_cells
+    monkeypatch.setattr(ma, "_star_cells", lambda K, smask: seen.append(smask) or star_cells(K, smask))
+
+    def labels(n):
+        return ",".join(map(str, range(1, n + 1)))
+    for expr, code, message in [
+            (f"bd(simplex({labels(21)}))", 2, "size refusal: Hochster table refuses m=21 > 20"),
+            (f"bd(simplex({labels(25)}))", 2, "size refusal: Z_K cell enumeration refuses m=25 > 24"),
+            (f"join(bd(bd(simplex(1,2))), simplex({labels(19)}))", 1,
+             "error: Z_K needs every singleton to be a face")]:
+        assert run_cli(capsys, "verify", "--complex", expr, "--max-vertices", "30") == (
+            code, "", message + "\n"), expr
+    assert seen == []
 
 
 def test_verify_checks_the_orbit_sums(capsys, monkeypatch, tmp_path):
@@ -850,6 +894,35 @@ def test_homology_reduces_no_support_across_parts(capsys, monkeypatch, tmp_path)
     assert sorted(seen) == sorted(S for S in ma.lattice_supports(rp2) if S)
     assert report["homology"]["8"]["torsion"] == [2]
     assert report["homology"]["9"]["torsion"] == [2] * 14
+
+
+RP2_18_RANKS = {0: 1, 3: 261, 4: 3738, 5: 28828, 6: 151017, 7: 588924, 8: 1795785,
+                9: 4412826, 10: 8913508, 11: 14998182, 12: 21209472, 13: 25345164,
+                14: 25662350, 15: 22019556, 16: 15974934, 17: 9751047, 18: 4967892,
+                19: 2087549, 20: 711150, 21: 191520, 22: 39249, 23: 5752, 24: 537, 25: 24,
+                26: 0}
+
+
+def test_homology_runs_the_pass_on_each_part(capsys, monkeypatch, tmp_path):
+    """The cone-free pass runs on each connected part's own complex: on
+    RP^2 beside 18 isolated points (m = 24) once, on RP^2's 6 vertices, and
+    the report is the one the closure over K's missing faces gave, with
+    C(18, d - 8) copies of Z/2 in degree d.  The simplex on 22 vertices has
+    no missing face, and its supports need no pass."""
+    from momangle import moment_angle as ma
+    passes, raw = [], ma._cone_free_by_shifts
+    monkeypatch.setattr(ma, "_cone_free_by_shifts", lambda m, facets: passes.append(m) or raw(m, facets))
+    path = tmp_path / "rp2-18.json"
+    path.write_text(json.dumps({"m": 24, "facets": RP2_FACETS}))
+    report = run_json(capsys, "homology", "--complex", str(path), "--max-vertices", "30")
+    assert passes == [6]
+    assert {int(d): g["rank"] for d, g in report["homology"].items()} == RP2_18_RANKS
+    assert all(g["torsion"] == [2] * (comb(18, int(d) - 8) if int(d) >= 8 else 0)
+               for d, g in report["homology"].items())
+    passes.clear()
+    ma.lattice_supports.cache_clear()
+    simplex22 = parse_complex("simplex(" + ",".join(map(str, range(1, 23))) + ")", 30)
+    assert ma.lattice_supports(simplex22) == (0,) and passes == []
 
 
 def test_verify_checks_the_union_fold(capsys, monkeypatch, tmp_path):

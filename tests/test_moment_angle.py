@@ -8,7 +8,7 @@ from momangle.complexes import ParseError, SimplicialComplex, simplex, simplex_b
 from momangle.exactalg import HomologyGroup
 from momangle.moment_angle import (CellChain, cell_boundary, hochster_table,
                                    zk_chain_complex, zk_homology)
-from momangle.taylor import MAX_GENERATORS, MonomialIdeal, taylor_homology
+from momangle.taylor import MAX_GENERATORS, MonomialIdeal, mask_unions, taylor_homology
 from oracles import (cell_chain, closed_form_family, closed_form_homology, hochster_embed,
                      labelled_cell, labelled_cells, random_complex, reduced_ranks,
                      reference_cell_boundary, reference_mask_lattice, reference_zk_class,
@@ -308,8 +308,7 @@ def test_twin_orbit_representatives(sub5):
     isolated points, walked as one vertex set, are the k lowest vertices,
     C(5, k) times each."""
     def orbits(K):
-        gens = K.generators()
-        return ma.twin_orbits(gens.masks, ma.twin_classes(gens))
+        return ma.twin_orbits(K)
 
     assert orbits(points(5)) == {0b11: 10, 0b111: 10, 0b1111: 5, 0b11111: 1}
     # the missing faces 123, 145, 245, 345 and the classes 123 and 45: the
@@ -319,10 +318,9 @@ def test_twin_orbit_representatives(sub5):
 
 
 def test_one_closure_walks_every_lattice():
-    """Seeded: with no twin class `twin_orbits` reaches every nonzero union
-    of its masks once, each an orbit of one, so `lattice_supports(K)` is the
-    brute OR-closure of K's missing faces (`reference_mask_lattice`), 0
-    first and no union twice, and as a set the cone-free subsets; so is the
+    """Seeded: `lattice_supports(K)`, the cone-free pass, is the brute
+    OR-closure of K's missing faces (`reference_mask_lattice`), 0 first,
+    ascending, and so is the closure `mask_unions` with 0 added; so is the
     closure of polarised monomial generators, the lcm lattice the Taylor
     resolution check walks, and of the empty table.  The families at 16
     vertices (the 16-gon, 16 points, the 8-pair cross-polytope) hold up to
@@ -333,9 +331,9 @@ def test_one_closure_walks_every_lattice():
                 for case in [("polygon", 16), ("points", 16), ("cross-polytope", 8)]]
     for K in cases + [points(10), disjoint_edges(4), simplex_boundary(9)] + families:
         supports = ma.lattice_supports(K)
-        assert supports[0] == 0 and len(set(supports)) == len(supports), K
+        assert supports[0] == 0 and list(supports) == sorted(set(supports)), K
         assert set(supports) == reference_mask_lattice(K.generators().masks), K
-        assert set(supports) == set(ma.cone_free_subsets(K)), K
+        assert set(supports) == {0} | mask_unions(K.generators().masks), K
     for _ in range(150):
         m = rng.randint(1, 4)
         vectors = {tuple(rng.randint(0, 3) for _ in range(m)) for _ in range(rng.randint(1, 6))}
@@ -343,10 +341,10 @@ def test_one_closure_walks_every_lattice():
         minimal = [a for a in vectors
                    if not any(b != a and all(x <= y for x, y in zip(b, a)) for b in vectors)]
         masks = MonomialIdeal(m, minimal).masks()
-        orbits = ma.twin_orbits(masks, ())
-        assert set(orbits.values()) <= {1} and 0 not in orbits, minimal
-        assert {0} | set(orbits) == reference_mask_lattice(masks), minimal
-    assert ma.twin_orbits([], ()) == {} and reference_mask_lattice([]) == {0}
+        unions = mask_unions(masks)
+        assert 0 not in unions, minimal
+        assert {0} | unions == reference_mask_lattice(masks), minimal
+    assert mask_unions([]) == set() and reference_mask_lattice([]) == {0}
 
 
 def test_orbit_sums_match_the_direct_table_on_random_complexes():
@@ -385,8 +383,7 @@ def test_support_with_a_cone_point_gives_no_group(monkeypatch):
     want = zk_homology(K)
     assert want == direct_sums(K) == {0: HomologyGroup(1), 3: HomologyGroup(1)}
     orbits = ma.twin_orbits
-    monkeypatch.setattr(ma, "twin_orbits",
-                        lambda masks, classes: {**orbits(masks, classes), 0b111: 1})
+    monkeypatch.setattr(ma, "twin_orbits", lambda K: {**orbits(K), 0b111: 1})
     assert zk_homology(K) == want
 
 

@@ -110,7 +110,7 @@ def verb_differentials(K):
     gens = K.generators()
     for union, _, words in ty._blocks(gens):
         out += differentials(*insertion_columns(words, gens.within(union)))
-    for smask in ma.cone_free_subsets(K):
+    for smask in ma.lattice_supports(K):
         C = reduced_chain_complex(K.faces_within(mask_face(smask)))
         out += [C.differential(d) for d, cols in C.columns.items() if cols]
     return out

@@ -27,10 +27,10 @@ from momangle.cli import main
 from momangle import exactalg, moment_angle, taylor
 from momangle.exactalg import (ChainComplex, HomologyGroup, column_homology, insertion_columns,
                                insertion_complex, kernel_basis)
-from momangle.moment_angle import (CellChain, cell_boundary, cone_free_subsets,
-                                   hochster_table, lattice_supports, support_table, zk_bounds,
-                                   zk_chain_complex, zk_homology, zk_homology_by_support)
-from momangle.taylor import taylor_face_complex, taylor_homology_by_support
+from momangle.moment_angle import (CellChain, cell_boundary, hochster_table, lattice_supports,
+                                   support_table, zk_bounds, zk_chain_complex, zk_homology,
+                                   zk_homology_by_support)
+from momangle.taylor import mask_unions, taylor_face_complex, taylor_homology_by_support
 from momangle.whitehead import bracket, hurewicz_chain, leaf, parse_whitehead
 from oracles import (all_subsets, brute_cone_point, cell_chain, closed_form_family, hochster_embed,
                      labelled_cell, random_complex, random_graph_complex,
@@ -189,13 +189,13 @@ def test_cone_skip_covers_the_cases():
 
 
 def test_cone_point_matches_definition():
-    """The pass is the definition: `cone_free_subsets` lists, ascending,
+    """The pass is the definition: `lattice_supports` lists, ascending,
     exactly the subsets with no cone point, on seeded complexes, on m = 0,
     on two with a ghost vertex (bd(pt) and vertex 3 below) and on RP^2."""
     ghosts = [cx.simplex_boundary(1), cx.SimplicialComplex(3, [(1, 2), (1,), (2,)])]
     for K in seeded_complexes(29) + [cx.simplex(0)] + ghosts + [rp2_complex()]:
         want = sorted(cx.face_mask(S) for S in all_subsets(K.m) if brute_cone_point(K, S) is None)
-        assert cone_free_subsets(K) == want, K
+        assert list(lattice_supports(K)) == want, K
 
 
 def test_ghost_vertex_refused_before_any_skip():
@@ -249,7 +249,7 @@ def test_lattice_is_the_non_cone_supports(K):
 
 @pytest.mark.parametrize("K", quotient_cases(), ids=lambda K: f"m{K.m}-{len(K.faces)}faces")
 def test_hochster_skips_only_cones(K):
-    assert set(cone_free_subsets(K)) == set(lattice_supports(K))
+    assert set(lattice_supports(K)) == {0} | mask_unions(K.generators().masks)
     assert hochster_table(K) == hochster_table(K, range(1 << K.m))
 
 
@@ -257,13 +257,13 @@ def test_hochster_skips_only_cones_on_seeded_complexes():
     rng = random.Random(1)
     for _ in range(60):
         K = random_complex(rng.randint(2, 8), rng)
-        assert set(cone_free_subsets(K)) == set(lattice_supports(K)), K
+        assert set(lattice_supports(K)) == {0} | mask_unions(K.generators().masks), K
         assert hochster_table(K) == hochster_table(K, range(1 << K.m)), K
 
 
 def test_cone_free_subsets_gated():
     with pytest.raises(cx.SizeLimitError, match="Hochster table refuses m=21"):
-        cone_free_subsets(cx.SimplicialComplex.from_facets(21, []))
+        hochster_table(cx.SimplicialComplex.from_facets(21, []))
 
 
 def labelled_supports(K):
