@@ -113,12 +113,9 @@ class SimplicialComplex:
     that are maximal by construction.  The faces (`face_masks`, `faces`,
     `face_index`) are built from the facets on first read, and facets,
     dimension, vertices, `==` and `hash` never build them.
-
-    `labels`, when set, records the original labels of the vertices 1..m
-    (used by `full_subcomplex`, whose output is re-indexed).
     """
 
-    __slots__ = ("m", "labels", "_facet_masks", "_face_masks", "_by_size", "_index", "_faces",
+    __slots__ = ("m", "_facet_masks", "_face_masks", "_by_size", "_index", "_faces",
                  "_mf", "_generators")
 
     def __init__(self, m, faces):
@@ -149,10 +146,9 @@ class SimplicialComplex:
         _refuse_past_bitset(m)
         return cls.__new__(cls)._adopt(m, facets)
 
-    def _adopt(self, m, facets, labels=None):
+    def _adopt(self, m, facets):
         self.m = m
         self._facet_masks = tuple(sorted(facets)) or (0,)
-        self.labels = tuple(labels) if labels is not None else None
         self._face_masks = self._by_size = self._index = self._faces = None
         self._mf = self._generators = None
         return self
@@ -284,13 +280,13 @@ class SimplicialComplex:
     def full_subcomplex(self, subset):
         """K_J re-indexed on 1..|J|, from the facets with no face read: the
         largest traces F & J of K's facets, written on their vertices'
-        positions in J.  The original labels ride along in `.labels`."""
+        positions in J, so vertex i of K_J is the i-th smallest label of J."""
         js = sorted(set(subset))
         if any(not 1 <= v <= self.m for v in js):
             raise ValueError("subset outside vertex range")
         traces = {sum(1 << i for i, v in enumerate(js) if f >> (v - 1) & 1)
                   for f in self._facet_masks}
-        return SimplicialComplex.__new__(SimplicialComplex)._adopt(len(js), _maximal(traces), js)
+        return SimplicialComplex._from_facet_masks(len(js), _maximal(traces))
 
     def relabelled(self, mapping, m=None):
         """Copy with vertex v renamed mapping[v] (injective)."""

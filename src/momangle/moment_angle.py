@@ -51,16 +51,17 @@ read from `exactalg.insertion_columns` with `column_homology`, the
 support's own mask as the bits that may enter a circle mask.  Every
 table reads its supports, those with no cone point, from one bit-parallel
 pass over the facets (`lattice_supports`).  The degree table
-(`zk_homology`) is one fold over the connected parts of K's 1-skeleton
-(`connected_parts`): K is their disjoint union, and by Hochster's formula
-its groups are each part's own groups, spread to the supports that add
-vertices of other parts by binomial counts, plus the extra H~_0 of the
+(`zk_homology`) reads K's facets and no missing face.  It is one fold over
+the connected parts of K's 1-skeleton (`connected_parts`, the facets
+merged where they meet): K is their disjoint union, and by Hochster's
+formula its groups are each part's own groups, spread to the supports that
+add vertices of other parts by binomial counts, plus the extra H~_0 of the
 supports that meet two or more parts, so no support across two parts is
 reduced.  Each part P runs on its own complex K_P, so its pass costs
 2^|P|, one support per twin orbit.  Two vertices are twins when swapping
-them maps the missing faces onto themselves; the swap is an automorphism,
-so the blocks of S and of its image have the same groups in the same
-degree.  `twin_orbits` keeps of the pass's bits the supports that take the
+them maps the facets onto themselves; the swap is an automorphism, so the
+blocks of S and of its image have the same groups in the same degree.
+`twin_orbits` keeps of the pass's bits the supports that take the
 lowest vertices of each of the `twin_classes`, and the fold counts each
 one's groups once per member of its orbit.  `verify` checks the degree
 table against the per-support table, that against Hochster's, which
@@ -74,9 +75,9 @@ from functools import lru_cache, reduce
 from math import comb, prod
 from operator import or_
 
-from .complexes import (ParseError, SignedSum, SizeLimitError, _cone_free_by_shifts, _set_bits,
-                        _upper_halves, face_mask, mask_face, read_signed_sum, read_text,
-                        reduced_chain_complex, signed_sum_text)
+from .complexes import (ParseError, SignedSum, SizeLimitError, VertexIndex, _cone_free_by_shifts,
+                        _set_bits, _upper_halves, face_mask, mask_face, read_signed_sum,
+                        read_text, reduced_chain_complex, signed_sum_text)
 from .exactalg import (ChainComplex, HomologyGroup, _shared_group, column_homology,
                        concatenation_sign, direct_sum, image_factors, insert_bits,
                        insertion_columns)
@@ -403,24 +404,25 @@ def _lattice_cells(K):
     return ((smask, _star_cells(K, smask)) for smask in lattice_supports(K))
 
 
-def twin_classes(gens):
-    """The twin classes of two or more vertices of the generator table
-    `gens`, each as its vertices, ascending, in the order of their least
-    vertex.
+def twin_classes(K):
+    """The twin classes of two or more vertices of K, each as its vertices,
+    ascending, in the order of their least vertex.
 
-    u and v are twins when swapping them maps the generators onto
-    themselves.  The swap moves only A, the generators with u and not v,
-    and B, those with v and not u, which the per-vertex bitsets
-    `containing()` give; so u and v are twins exactly when |A| = |B| and
-    every mask of A with u and v swapped is again a generator.  Twinness is
-    an equivalence relation, so each vertex is tested against one member of
-    each class found so far.  A vertex in no generator, a cone point of K,
-    is in no class."""
-    containing, masks = gens.containing(), gens.masks
+    u and v are twins when swapping them maps K's facets onto themselves,
+    as it then maps the missing faces too: the swap is an automorphism.  It
+    moves only A, the facets with u and not v, and B, those with v and not
+    u, which the per-vertex bitsets of a `VertexIndex` over the facets give;
+    so u and v are twins exactly when |A| = |B| and every mask of A with u
+    and v swapped is again a facet.  Twinness is an equivalence relation, so
+    each vertex is tested against one member of each class found so far.  A
+    vertex in every facet, a cone point of K, lies in no missing face and is
+    in no class."""
+    index = VertexIndex(K._facet_masks, K.m)
+    containing, masks = index.containing(), index.order
     present = set(masks)
     classes = []  # [index of the first member, mask of the members]
     for u, own in enumerate(containing):
-        if not own:
+        if own == index.every:
             continue
         for c in classes:
             other = containing[c[0]]
@@ -449,7 +451,7 @@ def twin_orbits(K):
     (`_cone_free_by_shifts`) that hold a when they hold b, for consecutive
     members a < b of each class: one AND per pair with the sets that hold
     each vertex (`_upper_halves`)."""
-    classes = twin_classes(K.generators())
+    classes = twin_classes(K)
     free, holds = _cone_free_by_shifts(K.m, K._facet_masks), _upper_halves(K.m)
     for c in classes:
         for a, b in zip(c, c[1:]):
@@ -459,33 +461,24 @@ def twin_orbits(K):
             for x in _set_bits(free & ~1)}
 
 
-def connected_parts(gens, m):
+def connected_parts(K):
     """The vertex sets of the connected parts of K's 1-skeleton, as
     bitmasks, by least vertex.  Every singleton of K is a face, so u and v
-    are adjacent exactly when {u, v} is no missing face, and a search over
-    per-vertex bitsets reads the parts off the generator table `gens`, with
-    no face read."""
-    every = (1 << m) - 1
-    apart = [0] * m  # apart[u - 1]: the v with {u, v} a missing face
-    for g in gens.masks:
-        if g.bit_count() == 2:
-            low = g & -g
-            apart[low.bit_length() - 1] |= g ^ low
-            apart[(g ^ low).bit_length() - 1] |= low
-    parts, left = [], every
-    while left:
-        part = frontier = left & -left
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= every & ~apart[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reach & ~part
-            part |= frontier
-        parts.append(part)
-        left &= ~part
-    return parts
+    are adjacent exactly when some facet holds both: each nonempty facet
+    merges with every part it meets, with no face read.  The parts are
+    disjoint, so a part meets the facet grown by others exactly when it
+    meets the facet."""
+    parts = []
+    for f in K._facet_masks:
+        if f:
+            apart = []
+            for part in parts:
+                if part & f:
+                    f |= part
+                else:
+                    apart.append(part)
+            parts = apart + [f]
+    return sorted(parts, key=lambda part: part & -part)
 
 
 def _bridging_ranks(m, sizes):
@@ -523,15 +516,15 @@ def zk_homology(K):
     itself when connected): each `twin_orbits(K_P)` representative is
     reduced as `zk_homology_by_support` reduces it, and `fold_blocks`
     counts its groups once per member of its orbit, so the pass costs
-    2^|P|, never 2^m.  A part with no missing face inside, a point or a
-    simplex, reduces nothing and runs no pass.  `verify` compares the sums
-    with the per-support table's."""
+    2^|P|, never 2^m.  A part that is one facet, a point or a simplex, has
+    no missing face inside, reduces nothing and runs no pass.  Every step
+    reads K's facets and no missing face.  `verify` compares the sums with
+    the per-support table's."""
     _admit(K)
-    gens = K.generators()
-    parts = connected_parts(gens, K.m)
+    parts = connected_parts(K)
     ranks, torsion = {0: 1}, {}
     for part in parts:
-        if not gens.within(part):
+        if part in K._facet_masks:
             continue
         KP = K if part == (1 << K.m) - 1 else K.full_subcomplex(mask_face(part))
         table = fold_blocks((smask, size, _star_cells(KP, smask))

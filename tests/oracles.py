@@ -13,7 +13,10 @@ vertical solve over the whole multidegree slice (the reference for the
 package's solve one word at a time), definition-level missing
 faces, the missing faces of a full subcomplex by a scan of K's face masks
 inside it (`reference_missing_faces_within`, the reference for the
-package's generator table), substitution and cone points, the closure of facets, boundary, join
+package's generator table), the connected parts of the 1-skeleton read off
+the missing edges and the twin classes by a swap test on the missing faces
+(`reference_connected_parts`, `reference_twin_classes`, the references for
+the package's rules on the facets), substitution and cone points, the closure of facets, boundary, join
 and bd_Delta(w) on sets of face tuples (`TupleComplex`, the reference for
 the package's constructors on face bitmasks), permutation-search shiftedness (the
 reference for the package's order by facet dominance), the shifted wedge
@@ -998,6 +1001,63 @@ def reference_mask_lattice(masks):
     for bits in masks:
         unions |= {u | bits for u in unions}
     return unions
+
+
+def reference_connected_parts(K):
+    """The vertex sets of the connected parts of K's 1-skeleton, as
+    bitmasks, by least vertex, read off the missing edges: with every
+    singleton a face, u and v are adjacent exactly when {u, v} is no
+    missing face, and a search over per-vertex bitsets grows each part.
+    The package's rule before it merged the facets."""
+    every = (1 << K.m) - 1
+    apart = [0] * K.m  # apart[u - 1]: the v with {u, v} a missing face
+    for g in K.generators().masks:
+        if g.bit_count() == 2:
+            low = g & -g
+            apart[low.bit_length() - 1] |= g ^ low
+            apart[(g ^ low).bit_length() - 1] |= low
+    parts, left = [], every
+    while left:
+        part = frontier = left & -left
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= every & ~apart[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~part
+            part |= frontier
+        parts.append(part)
+        left &= ~part
+    return parts
+
+
+def reference_twin_classes(K):
+    """The twin classes of two or more vertices of K, each as its vertices,
+    ascending, by least vertex: u and v are twins when swapping them maps
+    the missing faces (`K.generators()`) onto themselves, tested on the
+    generators with u and not v against those with v and not u.  A vertex
+    in no missing face, a cone point, is in no class.  The package's rule
+    before it read the facets."""
+    gens = K.generators()
+    containing, masks = gens.containing(), gens.masks
+    present = set(masks)
+    classes = []  # [index of the first member, mask of the members]
+    for u, own in enumerate(containing):
+        if not own:
+            continue
+        for c in classes:
+            other = containing[c[0]]
+            moved, swap = own & ~other, 1 << u | 1 << c[0]
+            if moved.bit_count() == (other & ~own).bit_count():
+                while moved and masks[(low := moved & -moved).bit_length() - 1] ^ swap in present:
+                    moved ^= low
+                if not moved:
+                    c[1] |= 1 << u
+                    break
+        else:
+            classes.append([u, 1 << u])
+    return [mask_face(members) for _, members in classes if members & (members - 1)]
 
 
 def reference_zk_class(K, chain):

@@ -821,7 +821,7 @@ def test_verify_checks_the_orbit_sums(capsys, monkeypatch, tmp_path):
     with open(path, "w") as fh:
         json.dump({"m": 4, "facets": [[1, 2], [2, 3], [3, 4]]}, fh)
     assert run_json(capsys, "verify", "--complex", path)["failures"] == []
-    monkeypatch.setattr(ma, "twin_classes", lambda gens: [(1, 2)])
+    monkeypatch.setattr(ma, "twin_classes", lambda K: [(1, 2)])
     code, out, _ = run_cli(capsys, "verify", "--complex", path)
     assert code == 3
     assert json.loads(out)["failures"] == ["orbit sums vs cellular table differ"]
@@ -923,6 +923,24 @@ def test_homology_runs_the_pass_on_each_part(capsys, monkeypatch, tmp_path):
     ma.lattice_supports.cache_clear()
     simplex22 = parse_complex("simplex(" + ",".join(map(str, range(1, 23))) + ")", 30)
     assert ma.lattice_supports(simplex22) == (0,) and passes == []
+
+
+def test_homology_finds_the_missing_faces_once(capsys, monkeypatch, tmp_path):
+    """The CLI `homology` enters `missing_faces` once per call on a complex
+    it loads afresh, for the report's generator order: the degree table
+    reads the facets alone, on K and on each connected part's own
+    complex."""
+    entered, missing_faces = [], SimplicialComplex.missing_faces
+    monkeypatch.setattr(SimplicialComplex, "missing_faces",
+                        lambda K: entered.append(K.m) or missing_faces(K))
+    path = tmp_path / "rp2-3.json"
+    path.write_text(json.dumps({"m": 9, "facets": RP2_FACETS}))
+    for complex_arg in [str(path), SUB5_EXPR, "join(bd(simplex(1,2)), simplex(1,2))",
+                        "bd(simplex(1,2,3,4,5))"]:
+        entered.clear()
+        cli._load.cache_clear()
+        run_json(capsys, "homology", "--complex", complex_arg)
+        assert len(entered) == 1, complex_arg
 
 
 def test_verify_checks_the_union_fold(capsys, monkeypatch, tmp_path):

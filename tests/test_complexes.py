@@ -163,10 +163,8 @@ def test_contains_normalises_like_face():
 def test_full_subcomplex(sub5):
     sub = sub5.full_subcomplex((1, 2))
     assert sub.m == 2 and (1, 2) in sub
-    assert sub.labels == (1, 2)
     edge45 = sub5.full_subcomplex((4, 5))
     assert (1, 2) in edge45        # re-indexed onto 1..2
-    assert edge45.labels == (4, 5)
     tri = sub5.full_subcomplex((1, 2, 3))
     assert tri == simplex_boundary(3)
 
@@ -427,7 +425,7 @@ def test_missing_faces_within_matches_the_full_subcomplex():
         for k in range(K.m + 1):
             for J in combinations(range(1, K.m + 1), k):
                 sub = K.full_subcomplex(J)
-                expected = [tuple(sub.labels[v - 1] for v in f) for f in sub.missing_faces()]
+                expected = [tuple(J[v - 1] for v in f) for f in sub.missing_faces()]
                 assert K.missing_faces_within(J) == expected, (K, J)
                 ghost_faces += sum(len(f) == 1 for f in expected)
     assert ghost_faces > 100

@@ -11,8 +11,9 @@ from momangle.moment_angle import (CellChain, cell_boundary, hochster_table,
 from momangle.taylor import MAX_GENERATORS, MonomialIdeal, mask_unions, taylor_homology
 from oracles import (cell_chain, closed_form_family, closed_form_homology, hochster_embed,
                      labelled_cell, labelled_cells, random_complex, reduced_ranks,
-                     reference_cell_boundary, reference_mask_lattice, reference_zk_class,
-                     shuffle_sign, simplicial_homology_dense)
+                     reference_cell_boundary, reference_connected_parts, reference_mask_lattice,
+                     reference_twin_classes, reference_zk_class, shuffle_sign,
+                     simplicial_homology_dense)
 
 
 def test_two_points_is_three_sphere(two_points):
@@ -288,11 +289,10 @@ def direct_sums(K):
 
 
 def test_twin_classes(sub5, rp2):
-    """Twins swap onto the same missing faces: every isolated point, the two
-    ends of each disjoint edge, no two vertices of RP^2, and in bd(bd(1,2,3),
-    4, 5) the triangle's vertices and the two points."""
-    def classes(K):
-        return ma.twin_classes(K.generators())
+    """Twins swap onto the same facets: every isolated point, the two ends
+    of each disjoint edge, no two vertices of RP^2, and in bd(bd(1,2,3), 4,
+    5) the triangle's vertices and the two points."""
+    classes = ma.twin_classes
 
     assert classes(points(9)) == [tuple(range(1, 10))]
     assert classes(disjoint_edges(5)) == [(1, 2), (3, 4), (5, 6), (7, 8), (9, 10)]
@@ -354,7 +354,7 @@ def test_orbit_sums_match_the_direct_table_on_random_complexes():
     with_twins = 0
     for _ in range(200):
         K = random_complex(rng.randint(3, 9), rng, rng.randint(2, 5))
-        with_twins += bool(ma.twin_classes(K.generators()))
+        with_twins += bool(ma.twin_classes(K))
         assert zk_homology(K) == direct_sums(K), K.facets
     assert with_twins > 100
 
@@ -453,7 +453,7 @@ def test_union_fold_matches_the_direct_table():
             cases.append(disjoint_union(names, rng))
     disconnected = 0
     for K in cases:
-        disconnected += len(ma.connected_parts(K.generators(), K.m)) > 1
+        disconnected += len(ma.connected_parts(K)) > 1
         assert zk_homology(K) == direct_sums(K), (K.m, K.facets)
     assert disconnected > 30
     # RP^2 with two points: Z/2 in degree 8, twice in 9 and once in 10
@@ -462,17 +462,56 @@ def test_union_fold_matches_the_direct_table():
 
 
 def test_connected_parts():
-    """The parts of the 1-skeleton by least vertex, read off the missing
-    edges: one per point, one per edge, and RP^2 whole."""
+    """The parts of the 1-skeleton by least vertex, the facets merged where
+    they meet: one per point, one per edge, RP^2 whole, and one part where
+    the last facet meets two earlier parts."""
     def parts(K):
-        return [ma.mask_face(p) for p in ma.connected_parts(K.generators(), K.m)]
+        return [ma.mask_face(p) for p in ma.connected_parts(K)]
 
     assert parts(points(3)) == [(1,), (2,), (3,)]
     assert parts(disjoint_edges(3)) == [(1, 2), (3, 4), (5, 6)]
     assert parts(SimplicialComplex.from_facets(5, [(1, 4), (4, 5), (2, 3)])) == [(1, 4, 5), (2, 3)]
+    assert parts(SimplicialComplex.from_facets(5, [(1, 2), (3, 4), (2, 3, 5)])) == [(1, 2, 3, 4, 5)]
     assert parts(SimplicialComplex.from_facets(0, [])) == []
     rp2 = SimplicialComplex.from_facets(8, RP2_FACETS)
     assert parts(rp2) == [(1, 2, 3, 4, 5, 6), (7,), (8,)]
+
+
+def test_facet_rules_match_the_missing_face_rules(rp2):
+    """Seeded: the connected parts and the twin classes read off the facets
+    are the ones the missing edges and the swap test on the missing faces
+    give (`reference_connected_parts`, `reference_twin_classes`), on 200
+    random complexes, the few-facet complexes of the orbit-sum test, the
+    disjoint unions of the union-fold test, cones, joins of RP^2 with
+    points, polygons and cross-polytopes."""
+    rng = random.Random(54)
+    cases = [random_complex(rng.randint(1, 9), rng) for _ in range(200)]
+    few = random.Random(33)
+    cases += [random_complex(few.randint(3, 9), few, few.randint(2, 5)) for _ in range(200)]
+    small = list(PARTS)
+    cases += [disjoint_union([rng.choice(small) for _ in range(rng.randint(2, 4))], rng)
+              for _ in range(40)]
+    cases += [cx.join(K, simplex(k)) for K in cases[:20] + [rp2] for k in (1, 2)]
+    cases += [cx.join(rp2, points(k)) for k in range(1, 5)]
+    cases += [closed_form_family("polygon", n) for n in range(4, 13)]
+    cases += [closed_form_family("cross-polytope", n) for n in range(1, 7)]
+    for K in cases:
+        assert ma.connected_parts(K) == reference_connected_parts(K), K
+        assert ma.twin_classes(K) == reference_twin_classes(K), K
+
+
+def test_homology_reads_the_facets_alone(monkeypatch, sub5):
+    """In-process `zk_homology` never enters `missing_faces`, on K or on a
+    part's own complex: RP^2 beside 3 points, 5 disjoint edges, bd(bd(1,2,3),
+    4, 5) beside a point and the 16-gon."""
+    entered, missing_faces = [], SimplicialComplex.missing_faces
+    monkeypatch.setattr(SimplicialComplex, "missing_faces",
+                        lambda K: entered.append(K.m) or missing_faces(K))
+    cases = [SimplicialComplex.from_facets(9, RP2_FACETS), disjoint_edges(5),
+             SimplicialComplex.from_facets(6, sub5.facets), closed_form_family("polygon", 16)]
+    for K in cases:
+        zk_homology(K)
+    assert entered == []
 
 
 @pytest.mark.parametrize("family, sizes", [
