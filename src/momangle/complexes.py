@@ -11,13 +11,14 @@ vertices, `==` and `hash` never build them.  Faces as increasing label
 tuples (`faces`, `facets`, `faces_within`) are decoded from the masks by
 `mask_face`.  Sphere subcomplexes produced elsewhere may omit singletons
 (ghost vertices), which is fine as long as downward closure holds.
-The missing faces come from the facets by one bit-parallel pass over the
-2^m vertex sets (`_missing_by_shifts`) while m <= 22, and from a scan of
-the faces above that; the cone-free sets that every Z_K table reads by
-another such pass (`_cone_free_by_shifts`), which reads no missing face,
-and K_J (`full_subcomplex`) by a trace of each facet.  The faces and the
-missing faces each get one `VertexIndex` (`FaceIndex`, `Generators`),
-whose `within(S)` gives those of the full subcomplex K_S.
+The facets give K's face indicator, one integer of 2^m bits kept on K
+(`face_indicator`), from which the missing faces come by one bit-parallel
+pass over the vertex sets (`_missing_by_shifts`) while m <= 22, and from a
+scan of the faces above that; the cone-free sets that every Z_K table
+reads by another such pass (`_cone_free_by_shifts`), which reads no
+missing face, and K_J (`full_subcomplex`) by a trace of each facet.  The
+faces and the missing faces each get one `VertexIndex` (`FaceIndex`,
+`Generators`), whose `within(S)` gives those of the full subcomplex K_S.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ class SimplicialComplex:
     """
 
     __slots__ = ("m", "_facet_masks", "_face_masks", "_by_size", "_index", "_faces",
-                 "_mf", "_generators")
+                 "_indicator", "_mf", "_generators")
 
     def __init__(self, m, faces):
         """The complex of the face list `faces`, the empty face added:
@@ -150,7 +151,7 @@ class SimplicialComplex:
         self.m = m
         self._facet_masks = tuple(sorted(facets)) or (0,)
         self._face_masks = self._by_size = self._index = self._faces = None
-        self._mf = self._generators = None
+        self._indicator = self._mf = self._generators = None
         return self
 
     @classmethod
@@ -227,6 +228,17 @@ class SimplicialComplex:
             self._by_size = order
         return self._by_size
 
+    def face_indicator(self):
+        """(F, n): the integer F of 2^m bits whose bit p is set when the vertex
+        set p is a face (`_face_indicator`), and n, its popcount, the number of
+        faces; built from the facets on the first call and kept, for the
+        missing-face pass, the cone-free pass and the star quotients all read
+        it."""
+        if self._indicator is None:
+            faces = _face_indicator(self.m, self._facet_masks)
+            self._indicator = faces, faces.bit_count()
+        return self._indicator
+
     def face_index(self):
         """The `FaceIndex` of the faces in `_sorted_masks` order, built on the
         first call; its vertex bitsets are built later still, on first use."""
@@ -253,7 +265,7 @@ class SimplicialComplex:
         above that by a scan of the faces (`_missing_by_scan`)."""
         if self._mf is None:
             if self.m <= SHIFT_PASS_MAX_VERTICES:
-                found = _missing_by_shifts(self.m, self._facet_masks)
+                found = _missing_by_shifts(self.m, self.face_indicator()[0])
             else:
                 found = _missing_by_scan(self.m, self.face_masks)
             self._mf = tuple(sorted(map(mask_face, found), key=lambda f: (len(f), f)))
@@ -347,30 +359,41 @@ def _face_indicator(m, facets):
 
 
 def _set_bits(x):
-    """The positions of the set bits of x, ascending, off its binary digits."""
-    return [digit.start() for digit in re.finditer("1", format(x, "b")[::-1])]
+    """The positions of the set bits of x, ascending: one step per bit while
+    there are 16 or fewer, each step a few operations on x, otherwise off
+    its binary digits, whose scan is linear in its length.  The steps are
+    the faster up to 16-32 set bits at every length from 2^6 to 2^20 bits,
+    and most star quotients list one to a few faces."""
+    if x.bit_count() > 16:
+        return [digit.start() for digit in re.finditer("1", format(x, "b")[::-1])]
+    out = []
+    while x:
+        low = x & -x
+        x ^= low
+        out.append(low.bit_length() - 1)
+    return out
 
 
-def _missing_by_shifts(m, facets):
-    """The bitmasks of the minimal non-faces of the complex with the facet
-    bitmasks `facets`, ascending, by one bit-parallel pass over the 2^m
-    vertex sets: a non-face whose every set one vertex smaller is a face."""
-    faces = _face_indicator(m, facets)
+def _missing_by_shifts(m, faces):
+    """The bitmasks of the minimal non-faces of the complex on m vertices
+    with the face indicator `faces` (`_face_indicator`), ascending, by one
+    bit-parallel pass over the 2^m vertex sets: a non-face whose every set
+    one vertex smaller is a face."""
     broken = 0  # the sets p that hold a vertex i with p - 2^i no face
     for i, upper in enumerate(_upper_halves(m)):
         broken |= upper & ~(faces << (1 << i))
     return _set_bits(((1 << (1 << m)) - 1) & ~(faces | broken))
 
 
-def _cone_free_by_shifts(m, facets):
+def _cone_free_by_shifts(m, faces):
     """The integer of 2^m bits whose bit S is set when K_S has no cone
-    point, S = 0 among them, for K with the facet bitmasks `facets`, to be
-    listed (`_set_bits`) or filtered: v is no cone point of K_S when S holds
-    I + v, I a face without v and I + v none.  Per v one AND and one shift
-    of `_face_indicator` mark those I + v, and one shift per vertex closes
-    them upward into U_v; S is cone-free when each v is outside S or S lies
-    in U_v."""
-    faces, halves, free = _face_indicator(m, facets), _upper_halves(m), (1 << (1 << m)) - 1
+    point, S = 0 among them, for K on m vertices with the face indicator
+    `faces` (`_face_indicator`), to be listed (`_set_bits`) or filtered: v
+    is no cone point of K_S when S holds I + v, I a face without v and I + v
+    none.  Per v one AND and one shift of the indicator mark those I + v,
+    and one shift per vertex closes them upward into U_v; S is cone-free
+    when each v is outside S or S lies in U_v."""
+    halves, free = _upper_halves(m), (1 << (1 << m)) - 1
     for v, holds_v in enumerate(halves):
         up = (faces & ~holds_v & ~(faces >> (1 << v))) << (1 << v)
         for i, upper in enumerate(halves):

@@ -479,10 +479,17 @@ def direct_sum(a, b):
         return b
     if b is None:
         return a
-    fs = sorted(a.torsion + b.torsion)
+    return _shared_group(a.rank + b.rank, _invariant_torsion(a.torsion + b.torsion))
+
+
+def _invariant_torsion(fs):
+    """The invariant factors of the direct sum of the cyclic groups Z/f, f
+    in `fs`, each f > 1: their sorted merge when it already divides in turn,
+    found in linear time, otherwise `_sweep`'s."""
+    fs = sorted(fs)
     if all(y % x == 0 for x, y in zip(fs, fs[1:])):
-        return _shared_group(a.rank + b.rank, tuple(fs))
-    return _shared_group(a.rank + b.rank, _sweep(fs))
+        return tuple(fs)
+    return _sweep(fs)
 
 
 def _sweep(fs):
@@ -646,31 +653,28 @@ def insertion_columns(words, inside):
     -popcount(x); each bit b of inside & ~x enters it as x | b with
     `insertion_sign`, and a target that is not one of `words` is dropped.
     The columns list their rows by ascending b.  An insertion adds one bit,
-    so when no occupied degree d has d - 1 occupied as well no target can
-    be a word: the complex has no columns, and no index or scan is made."""
-    dims = {}
+    so a degree's words are looked up among the next degree's alone, and
+    when no occupied degree d has d - 1 occupied as well no target can be a
+    word: the complex has no columns, and no index or scan is made."""
+    by_degree = {}
     for word in words:
-        d = -word.bit_count()
-        dims[d] = dims.get(d, 0) + 1
-    if not any(d - 1 in dims for d in dims):
-        return dims, {}
-    index, seen = {}, {}
-    for word in words:
-        d = -word.bit_count()
-        index[word] = seen.get(d, 0)
-        seen[d] = index[word] + 1
+        by_degree.setdefault(-word.bit_count(), []).append(word)
     columns = {}
-    for word, j in index.items():
-        column = []
-        rest = inside & ~word
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            if (i := index.get(word | b)) is not None:
-                column.append((i, -1 if (word & (b - 1)).bit_count() & 1 else 1))
-        if column:
-            columns.setdefault(-word.bit_count(), {})[j] = column
-    return dims, columns
+    for d, sources in by_degree.items():
+        if not (targets := by_degree.get(d - 1)):
+            continue
+        rows = {word: i for i, word in enumerate(targets)}
+        for j, word in enumerate(sources):
+            column = []
+            rest = inside & ~word
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                if (i := rows.get(word | b)) is not None:
+                    column.append((i, -1 if (word & (b - 1)).bit_count() & 1 else 1))
+            if column:
+                columns.setdefault(d, {})[j] = column
+    return {d: len(sources) for d, sources in by_degree.items()}, columns
 
 
 def insertion_complex(words, inside, label, shift=0):

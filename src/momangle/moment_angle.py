@@ -34,13 +34,18 @@ carry homology, and a cycle projects onto the blocks it touches.
 Inside S a cell is its circle mask J, and I = S - J; it lies in the star of
 v exactly when I + v is a face.  A support travels as its bitmask in
 every table, walk and check; labels are written only in the reports.
-Choosing the quotient's basis is the one cellular step (`_off_star`): it
-reads K's face index, whose per-vertex bitsets over the faces give the
-faces of K_S, the vertex v and the faces off its star, as one bitset, in a
-few integer operations per block, and whose bitsets are built only when a
-nonempty support first asks for them; `_star_cells` writes the circle
-masks of those faces, by non-decreasing popcount; a cycle's piece on S
-bounds when its words J lie in the image there (`zk_bounds`).
+Choosing the quotient's basis is the one cellular step (`_off_star`),
+read by one of two readers that give the same faces in the same order.
+A dense K, whose faces fill an eighth or more of its 2^m vertex sets, is
+read off its face indicator, the 2^m-bit integer that the missing-face
+and cone-free passes read too, kept on K: the faces of K_S are its bits
+at the subsets of S, v takes one popcount per vertex of S, and the faces
+off v's star are one AND and one shift, so no face list is built.  Any
+other K is read off its face index, whose per-vertex bitsets over the
+faces give the same in a few integer operations per block, built only
+when a nonempty support first asks for them.  `_star_cells` writes the
+circle masks of those faces, by non-decreasing popcount; a cycle's piece
+on S bounds when its words J lie in the image there (`zk_bounds`).
 
 Every table of the cellular and Taylor routes, per support or summed by
 degree, is one walk over blocks (union, times, words) and one fold,
@@ -48,17 +53,17 @@ degree, is one walk over blocks (union, times, words) and one fold,
 one degree, has no differential, and adds its number of words to that
 degree's rank as an integer, with no column built; every other block is
 read from `exactalg.insertion_columns` with `column_homology`, the
-support's own mask as the bits that may enter a circle mask.  Every
-table reads its supports, those with no cone point, from one bit-parallel
-pass over the facets (`lattice_supports`).  The degree table
-(`zk_homology`) reads K's facets and no missing face.  It is one fold over
+support's own mask as the bits that may enter a circle mask.  Every table reads its supports, those with no cone point,
+from one bit-parallel pass over the face indicator (`lattice_supports`).
+The degree table (`zk_homology`) reads K's facets and no missing face.  It is one fold over
 the connected parts of K's 1-skeleton (`connected_parts`, the facets
 merged where they meet): K is their disjoint union, and by Hochster's
 formula its groups are each part's own groups, spread to the supports that
 add vertices of other parts by binomial counts, plus the extra H~_0 of the
 supports that meet two or more parts, so no support across two parts is
 reduced.  Each part P runs on its own complex K_P, so its pass costs
-2^|P|, one support per twin orbit.  Two vertices are twins when swapping
+2^|P|, one support per twin orbit, and its blocks fold straight into K's
+sums, so each group is made once.  Two vertices are twins when swapping
 them maps the facets onto themselves; the swap is an automorphism, so the
 blocks of S and of its image have the same groups in the same degree.
 `twin_orbits` keeps of the pass's bits the supports that take the
@@ -75,10 +80,11 @@ from functools import lru_cache, reduce
 from math import comb, prod
 from operator import or_
 
-from .complexes import (ParseError, SignedSum, SizeLimitError, VertexIndex, _cone_free_by_shifts,
-                        _set_bits, _upper_halves, face_mask, mask_face, read_signed_sum,
-                        read_text, reduced_chain_complex, signed_sum_text)
-from .exactalg import (ChainComplex, HomologyGroup, _shared_group, column_homology,
+from .complexes import (SHIFT_PASS_MAX_VERTICES, ParseError, SignedSum, SizeLimitError,
+                        VertexIndex, _cone_free_by_shifts, _set_bits, _upper_halves, face_mask,
+                        mask_face, read_signed_sum, read_text, reduced_chain_complex,
+                        signed_sum_text)
+from .exactalg import (ChainComplex, _invariant_torsion, _shared_group, column_homology,
                        concatenation_sign, direct_sum, image_factors, insert_bits,
                        insertion_columns)
 
@@ -243,58 +249,106 @@ def zk_chain_complex(K):
 @lru_cache(maxsize=8)
 def lattice_supports(K):
     """The bitmasks of the supports S with no cone point of K_S, the unions
-    of missing faces, ascending, 0 first, by one pass over K's facets
-    (`_cone_free_by_shifts`); K with no missing face, the full simplex, runs
-    no pass.  A bounded memo (`verify` reads one three times)."""
+    of missing faces, ascending, 0 first, by one pass over K's face
+    indicator (`_cone_free_by_shifts`); K with no missing face, the full
+    simplex, runs no pass.  A bounded memo (`verify` reads one three times)."""
     if K._facet_masks == ((1 << K.m) - 1,):
         return (0,)
-    return tuple(_set_bits(_cone_free_by_shifts(K.m, K._facet_masks)))
+    return tuple(_set_bits(_cone_free_by_shifts(K.m, K.face_indicator()[0])))
 
 
 def _off_star(K, smask):
-    """The faces I of K_S for which the cell (S - I, I) is off the star of
-    one vertex v of the support S, whose bitmask is `smask`, as (rest,
-    order): bit i of `rest` marks the face order[i].  It reads K's
-    `FaceIndex`.
+    """The faces I of K_S, S the support whose bitmask is `smask`, for which
+    the cell (S - I, I) is off the star of one vertex v of S, largest first:
+    by size, then by labels, both descending.
 
-    `within`, the faces of K_S, are the faces that contain no vertex outside
-    S (`VertexIndex.within`).  v is the vertex of S in the
-    most of them, the least such v on ties: the star pairs each face I
-    without v with I + v, so it has twice as many faces as contain v, and
-    its quotient leaves the fewest cells.  The cell (S - I, I) lies in the
-    star exactly when I + v is a face (`FaceIndex.star`).  The faces run by
-    (size, labels), so the lowest and highest bits of `rest` are its
-    smallest and largest faces.  A cone point of K_S is the vertex in the
-    most faces, and `rest` is 0.  The empty S has no vertex; its block, one
-    cell in degree 0, is kept whole as the empty face, with no index built."""
+    v is the vertex of S in the most faces of K_S, the least such v on ties
+    (`_star_vertex`): the star pairs each face I without v with I + v, so it
+    has twice as many faces as contain v, and its quotient leaves the fewest
+    cells.  The cell (S - I, I) lies in the star exactly when I + v is a
+    face.  A cone point of K_S is the vertex in the most faces, and no face
+    is left.  The empty S has no vertex; its block, one cell in degree 0, is
+    kept whole as the empty face.
+
+    A dense K, whose faces fill an eighth or more of the 2^m vertex sets (m
+    <= SHIFT_PASS_MAX_VERTICES), is read off its face indicator
+    (`_dense_off_star`); any other off its `FaceIndex` (`_indexed_off_star`),
+    where one AND over 2^m bits would cost more than the index.  The rule
+    reads only m and the number of faces."""
     if not smask:
-        return 1, (0,)
-    index = K.face_index()
-    containing, within = index.containing(), index.within(smask)
+        return [0]
+    if K.m <= SHIFT_PASS_MAX_VERTICES:
+        faces, count = K.face_indicator()
+        if count << 3 >= 1 << K.m:
+            return _dense_off_star(K.m, faces, smask)
+    return _indexed_off_star(K.face_index(), smask)
+
+
+def _star_vertex(smask, inside, holds):
+    """The bit of the vertex v of the bitmask `smask` whose bitset holds[v]
+    meets `inside` the most, the least such v on ties: one popcount per
+    vertex.  `inside` marks the faces of K_S and holds[v] the faces holding
+    vertex v + 1, on one indexing, K's face indicator or its `FaceIndex`."""
     most, bits = -1, smask
     while bits:
-        u = (bits & -bits).bit_length()
-        bits &= bits - 1
-        if (count := (within & containing[u - 1]).bit_count()) > most:
+        low = bits & -bits
+        bits ^= low
+        u = low.bit_length() - 1
+        if (count := (inside & holds[u]).bit_count()) > most:
             v, most = u, count
-    return within & ~index.star(v), index.order
+    return v
+
+
+def _dense_off_star(m, faces, smask):
+    """`_off_star` off the face indicator `faces` of K on m vertices: the
+    faces of K_S are its bits at the subsets of S, those holding no vertex
+    outside S (`_upper_halves`); the faces I without v for which I + v is no
+    face are the indicator less the sets that hold v and less itself
+    shifted down by 2^v, the cone-free pass's first term.  The bits, listed
+    ascending, are sorted by size and by labels, both descending: among
+    sets of one size the labels descend as the word with its bits reversed
+    ascends, and no table of the 2^m sets is built."""
+    halves, inside, outside = _upper_halves(m), faces, ((1 << m) - 1) & ~smask
+    while outside:
+        low = outside & -outside
+        outside ^= low
+        inside &= ~halves[low.bit_length() - 1]
+    v = _star_vertex(smask, inside, halves)
+    out = _set_bits(inside & ~halves[v] & ~(faces >> (1 << v)))
+    if len(out) > 1:
+        # the 24-bit word reversed byte by byte, less 2^24 per vertex
+        out.sort(key=lambda f: int.from_bytes(f.to_bytes(3, "big").translate(_REVERSED_BYTES),
+                                              "little") - (f.bit_count() << 24))
+    return out
+
+
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # m <= 22 < 24
+
+
+def _indexed_off_star(index, smask):
+    """`_off_star` off K's `FaceIndex`, whose faces run by (size, labels):
+    the faces of K_S are `within(smask)`, and those off the star of v are
+    the ones the index's `star(v)` leaves out, read from the highest bit
+    down."""
+    within = index.within(smask)
+    v = _star_vertex(smask, within, index.containing()) + 1
+    rest, order, out = within & ~index.star(v), index.order, []
+    while rest:
+        top = rest.bit_length() - 1
+        out.append(order[top])
+        rest ^= 1 << top
+    return out
 
 
 def _star_cells(K, smask):
     """The basis of the block of the support whose bitmask is `smask`,
     modulo the star of one vertex v, as words for `insertion_columns` with
     `smask` as the bits that may enter: the cells off the star
-    (`_off_star`), each as its circle mask J = S - I, read from the largest
-    face down, so by non-decreasing popcount.  Dropping disc letter b is b
+    (`_off_star`), each as its circle mask J = S - I, from the largest face
+    down, so by non-decreasing popcount.  Dropping disc letter b is b
     entering J, and a target in the star is no word, so the builder drops
     it."""
-    rest, order = _off_star(K, smask)
-    words = []
-    while rest:
-        top = rest.bit_length() - 1
-        words.append(smask & ~order[top])
-        rest ^= 1 << top
-    return words
+    return [smask & ~f for f in _off_star(K, smask)]
 
 
 def support_table(blocks, shift):
@@ -308,48 +362,55 @@ def fold_blocks(blocks, within=None, by_support=False):
     """The homology of exterior blocks on bitmasks, degree -> group summed
     over the blocks, or {(S, degree): group} with `by_support`; nontrivial
     groups only, S the support's bitmask.  Every cellular and Taylor table is
-    one walk and this fold.
+    one walk and this fold (`_block_groups`).  Ranks are summed as integers
+    and torsion factors as lists, and each key's group is made once, at the
+    end.  The per-support table keeps the walk's order, each block's degrees
+    ascending; the degree sums run by degree."""
+    ranks, torsion = {}, {}
+    for union, d, rank, factors, times in _block_groups(blocks, within):
+        _add_group(ranks, torsion, (union, d) if by_support else d, rank, factors, times)
+    return _groups(ranks, torsion, ranks if by_support else sorted(ranks))
+
+
+def _block_groups(blocks, within=None):
+    """(union, degree, rank, torsion, times) for each nontrivial group of
+    each block, in the walk's order, each block's degrees ascending.
 
     A block is (union, times, words): the bitmask of its support S, how
     many times its groups count (a twin orbit's size), and its basis on
     bitmasks by non-decreasing popcount, a word with s bits in Z_K degree
     2|S| - s.  A block whose first and last words have one popcount lies in
-    one degree and has no differential: its words, times `times`, add to
-    that degree's rank, with no column built.  The others are read from
-    their insertion columns (`column_homology`), `within(union)` giving the
-    bits that may enter a word, or the union itself when `within` is None;
-    so `within` runs only for the blocks that build columns.  A block with
-    no word adds nothing.  Ranks are summed as integers and each key's
-    group is made once, at the end.  The per-support table keeps the walk's
-    order, each block's degrees ascending; the degree sums run by degree."""
-    ranks, torsion = {}, {}
+    one degree and has no differential: its words are its rank, with no
+    column built.  The others are read from their insertion columns
+    (`column_homology`), `within(union)` giving the bits that may enter a
+    word, or the union itself when `within` is None; so `within` runs only
+    for the blocks that build columns.  A block with no word adds nothing."""
     for union, times, words in blocks:
         if not words:
             continue
         shift = 2 * union.bit_count()
         if (s := words[0].bit_count()) == words[-1].bit_count():
-            key = (union, shift - s) if by_support else shift - s
-            ranks[key] = ranks.get(key, 0) + len(words) * times
+            yield union, shift - s, len(words), (), times
             continue
         inside = within(union) if within else union
         for d, h in column_homology(*insertion_columns(words, inside)).items():
-            _add_group(ranks, torsion, (union, shift + d) if by_support else shift + d, h, times)
-    return _groups(ranks, torsion, ranks if by_support else sorted(ranks))
+            yield union, shift + d, h.rank, h.torsion, times
 
 
-def _add_group(ranks, torsion, key, h, times):
-    """Add `times` copies of the group h at `key`: its rank to the integer
-    `ranks[key]`, its torsion through `direct_sum` to `torsion[key]`."""
-    ranks[key] = ranks.get(key, 0) + h.rank * times
-    if h.torsion:
-        # each factor repeats in place, so they still divide in turn
-        repeated = HomologyGroup(0, tuple(t for t in h.torsion for _ in range(times)))
-        torsion[key] = direct_sum(torsion.get(key), repeated)
+def _add_group(ranks, torsion, key, rank, factors, times):
+    """Add `times` copies of the group of rank `rank` and torsion `factors`
+    at `key`: its rank to the integer `ranks[key]`, its factors, `times`
+    times over, to the list `torsion[key]`."""
+    ranks[key] = ranks.get(key, 0) + rank * times
+    if factors:
+        torsion.setdefault(key, []).extend(factors * times)
 
 
 def _groups(ranks, torsion, keys):
-    """The group at each key, made once from its summed rank and torsion."""
-    return {key: direct_sum(torsion.get(key), _shared_group(ranks[key], ())) for key in keys}
+    """The group at each key, made once from its summed rank and the
+    invariant factors of its torsion (`exactalg._invariant_torsion`)."""
+    return {key: _shared_group(ranks[key], _invariant_torsion(torsion[key]) if key in torsion
+                               else ()) for key in keys}
 
 
 def degree_sums(per_support):
@@ -404,9 +465,11 @@ def _lattice_cells(K):
     return ((smask, _star_cells(K, smask)) for smask in lattice_supports(K))
 
 
+@lru_cache(maxsize=8)
 def twin_classes(K):
     """The twin classes of two or more vertices of K, each as its vertices,
-    ascending, in the order of their least vertex.
+    ascending, in the order of their least vertex; a bounded memo, so the
+    repeated tables of one K build its facet index once.
 
     u and v are twins when swapping them maps K's facets onto themselves,
     as it then maps the missing faces too: the swap is an automorphism.  It
@@ -452,13 +515,16 @@ def twin_orbits(K):
     members a < b of each class: one AND per pair with the sets that hold
     each vertex (`_upper_halves`)."""
     classes = twin_classes(K)
-    free, holds = _cone_free_by_shifts(K.m, K._facet_masks), _upper_halves(K.m)
+    free, holds = _cone_free_by_shifts(K.m, K.face_indicator()[0]), _upper_halves(K.m)
     for c in classes:
         for a, b in zip(c, c[1:]):
             free &= ~holds[b - 1] | holds[a - 1]
-    counts = [(face_mask(c), [comb(len(c), k) for k in range(len(c) + 1)]) for c in classes]
-    return {x: prod(count[(x & cmask).bit_count()] for cmask, count in counts)
-            for x in _set_bits(free & ~1)}
+    sizes = dict.fromkeys(_set_bits(free & ~1), 1)
+    for c in classes:
+        cmask, count = face_mask(c), [comb(len(c), k) for k in range(len(c) + 1)]
+        for x in sizes:
+            sizes[x] *= count[(x & cmask).bit_count()]
+    return sizes
 
 
 def connected_parts(K):
@@ -514,11 +580,13 @@ def zk_homology(K):
     A facet never spans two parts, so G_j is the table of the part's own
     complex K_P, built from the facets inside P (`full_subcomplex`; K
     itself when connected): each `twin_orbits(K_P)` representative is
-    reduced as `zk_homology_by_support` reduces it, and `fold_blocks`
-    counts its groups once per member of its orbit, so the pass costs
-    2^|P|, never 2^m.  A part that is one facet, a point or a simplex, has
-    no missing face inside, reduces nothing and runs no pass.  Every step
-    reads K's facets and no missing face.  `verify` compares the sums with
+    reduced as `zk_homology_by_support` reduces it, and its groups
+    (`_block_groups`) are added straight into K's sums, once per member of
+    its orbit and spread by the binomials, so the pass costs 2^|P|, never
+    2^m, and each degree's group is made once, at the end.  A part that is
+    one facet, a point or a simplex, has no missing face inside, reduces
+    nothing and runs no pass.  Every step reads K's facets and no missing
+    face.  `verify` compares the sums with
     the per-support table's."""
     _admit(K)
     parts = connected_parts(K)
@@ -527,12 +595,12 @@ def zk_homology(K):
         if part in K._facet_masks:
             continue
         KP = K if part == (1 << K.m) - 1 else K.full_subcomplex(mask_face(part))
-        table = fold_blocks((smask, size, _star_cells(KP, smask))
-                            for smask, size in twin_orbits(KP).items())
         rest = K.m - part.bit_count()
-        for d, h in table.items():
-            for t in range(rest + 1):
-                _add_group(ranks, torsion, d + t, h, comb(rest, t))
+        spread = [comb(rest, t) for t in range(rest + 1)]
+        blocks = ((smask, size, _star_cells(KP, smask)) for smask, size in twin_orbits(KP).items())
+        for _, d, rank, factors, times in _block_groups(blocks):
+            for t, count in enumerate(spread):
+                _add_group(ranks, torsion, d + t, rank, factors, times * count)
     for d, extra in _bridging_ranks(K.m, [part.bit_count() for part in parts]).items():
         ranks[d] = ranks.get(d, 0) + extra
     return _groups(ranks, torsion, sorted(ranks))

@@ -32,12 +32,12 @@ quotient's cells and columns written out cell by cell on disc masks
 (`reference_star_cells`, the reference for the package's circle masks read
 through the one column builder) and its vertex chosen by a list scan of
 the faces of K_S (`reference_star_vertex`, the reference for the package's
-chooser on the face index's bitsets), the columns of an exterior complex
-with every word indexed and every bit tried (`reference_insertion_columns`)
-and their groups with every differential through the full-scan Smith
-normal form (`reference_column_groups`), the references for the package's
-builder that skips single-degree blocks and its rule that reads a
-one-column differential's gcd, the whole
+chooser on the face indicator's or the face index's bitsets), the columns
+of an exterior complex with every word indexed and every bit tried
+(`reference_insertion_columns`) and their groups with every differential
+through the full-scan Smith normal form (`reference_column_groups`), the
+references for the package's builder that skips single-degree blocks and
+its rule that reads a one-column differential's gcd, the whole
 module Taylor complex in a box of multidegrees with its exactness read
 degree by degree (the reference for the package's Lyubeznik check on the
 lcm lattice), the module Taylor differential rebuilt as iterated mapping
@@ -914,7 +914,7 @@ def reference_zk_star_quotient(K, S):
 def reference_star_vertex(faces, S):
     """The vertex v of S whose star in K_S holds the most faces, the least
     such v on ties, by one list scan per vertex: the package's chooser
-    before the cellular table read K's face index.  `faces` are the
+    before the cellular table read K's face index or face indicator.  `faces` are the
     bitmasks of the faces of K_S.  The star pairs each face I without v
     with I + v, so it has twice as many faces as contain v, and its
     quotient leaves the fewest cells.  S ascends, so the first greatest

@@ -746,7 +746,7 @@ def test_the_shift_pass_is_the_face_scan():
     scanned, cases = [], shift_pass_cases()
     for K in cases:
         by_scan = sorted(cx._missing_by_scan(K.m, K.face_masks))
-        assert sorted(cx._missing_by_shifts(K.m, K._facet_masks)) == by_scan, K
+        assert sorted(cx._missing_by_shifts(K.m, K.face_indicator()[0])) == by_scan, K
         assert sorted(map(face_mask, K.missing_faces())) == by_scan, K
         scanned.append(K.m > cx.SHIFT_PASS_MAX_VERTICES)
     assert cx.SHIFT_PASS_MAX_VERTICES == 22 and sum(scanned) == 3

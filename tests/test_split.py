@@ -403,10 +403,15 @@ def test_star_words_give_the_reference_columns():
 
 
 def chosen_vertices(monkeypatch):
-    """The list that records each star vertex `_star_cells` chooses, read by
-    a spy on the face index's star bitsets, one entry per call."""
-    chosen, raw = [], cx.FaceIndex.star
-    monkeypatch.setattr(cx.FaceIndex, "star", lambda index, v: chosen.append(v) or raw(index, v))
+    """The list that records each star vertex `_star_cells` chooses, as its
+    label, read by a spy on the one chooser that both readers of a star
+    quotient call (`_star_vertex`), one entry per call."""
+    chosen, raw = [], moment_angle._star_vertex
+
+    def spy(*args):
+        chosen.append(raw(*args) + 1)
+        return chosen[-1] - 1
+    monkeypatch.setattr(moment_angle, "_star_vertex", spy)
     return chosen
 
 
@@ -421,13 +426,13 @@ def chooser_cases():
 
 def test_face_index_chooses_the_reference_star_quotient(monkeypatch):
     """On every nonempty vertex subset S, not only the lattice supports,
-    `_star_cells` reads from K's face index the vertex the list scan
-    chooses (`reference_star_vertex`) and the cell-by-cell builder's words
-    (`reference_star_cells`) in its order.  The
-    index is kept on K, so each complex's later subsets read the bitsets its
-    earlier ones built."""
+    `_star_cells` chooses the vertex the list scan chooses
+    (`reference_star_vertex`) and gives the cell-by-cell builder's words
+    (`reference_star_cells`) in its order, whichever reader K's density
+    picks; the sparse ones keep their face index on K, so each complex's
+    later subsets read the bitsets its earlier ones built."""
     chosen = chosen_vertices(monkeypatch)
-    ties = 0
+    ties = indexed = 0
     for K in chooser_cases():
         for S in all_subsets(K.m):
             if not S:
@@ -443,7 +448,40 @@ def test_face_index_chooses_the_reference_star_quotient(monkeypatch):
                              for f in cells[d]], (K, S)
             counts = [sum(f >> (u - 1) & 1 for f in faces) for u in S]
             ties += counts.count(max(counts)) > 1
-    assert chosen == [1] and ties > 100
+        indexed += K._index is not None
+    assert chosen == [1] and ties > 100 and 0 < indexed < len(chooser_cases())
+
+
+def dense_star_cases():
+    """The chooser's complexes, the RP^2 cones, two points (a tie) and one
+    dense complex on 12 vertices, four seeded facets of 8 vertices each."""
+    rng = random.Random(55)
+    big = cx.SimplicialComplex.from_facets(12, [rng.sample(range(1, 13), 8) for _ in range(4)])
+    return chooser_cases() + [big]
+
+
+def test_dense_and_indexed_star_quotients_are_the_reference():
+    """On every nonempty vertex subset, the star quotient read off K's face
+    indicator (`_dense_off_star`) and off its face index
+    (`_indexed_off_star`) are the same faces in the same order, those of the
+    cell-by-cell builder (`reference_star_cells`), largest first; the
+    dense rule takes the 12-vertex complex, whose faces fill an eighth of
+    its vertex sets, and two points, and leaves the sparse ones to the
+    index."""
+    dense = []
+    for K in dense_star_cases():
+        faces, count = K.face_indicator()
+        index = K.face_index()
+        for S in all_subsets(K.m):
+            if not S:
+                continue
+            smask = cx.face_mask(S)
+            want = moment_angle._indexed_off_star(index, smask)
+            assert moment_angle._dense_off_star(K.m, faces, smask) == want, (K, S)
+            cells, _ = reference_star_cells(S, K.face_masks_within(S), K.face_masks)
+            assert want == [f for d in sorted(cells, reverse=True) for f in cells[d]], (K, S)
+        dense.append(count * 8 >= 1 << K.m)
+    assert dense[-1] and dense[-2] and 0 < sum(dense) < len(dense) - 1
 
 
 def test_column_rule_matches_the_references_on_every_block():
@@ -597,13 +635,14 @@ def test_one_degree_blocks_build_no_columns(monkeypatch, tmp_path, capsys):
 
 
 def test_table_builds_the_face_index_lazily(monkeypatch):
-    """The face index is built on the first nonempty support, once per
-    complex, and its vertex bitsets on first use: the 12-vertex simplex,
-    whose only support is the empty set, builds none; bd(simplex(1..16))
-    builds one index, every `containing` bitset and the star of one vertex;
-    8 isolated points visit their 247 nonempty supports through one index,
-    which builds the star of each vertex chosen, every one but 8, the
-    greatest of each support it lies in, so never the least on a tie."""
+    """A face index is built only for a sparse complex, on its first
+    nonempty support, once per complex, and its vertex bitsets on first
+    use: the 12-vertex simplex, whose only support is the empty set, builds
+    none; bd(simplex(1..16)), dense, builds none either and reads its one
+    star quotient, of vertex 1, off its face indicator; 8 isolated points
+    visit their 247 nonempty supports through one index, which builds the
+    star of each vertex chosen, every one but 8, the greatest of each
+    support it lies in, so never the least on a tie."""
     built = []
 
     class Spied(cx.FaceIndex):
@@ -613,17 +652,31 @@ def test_table_builds_the_face_index_lazily(monkeypatch):
             super().__init__(*args)
             built.append(self)
     monkeypatch.setattr(cx, "FaceIndex", Spied)
+    chosen = chosen_vertices(monkeypatch)
     assert main(["homology", "--complex", "simplex(1,2,3,4,5,6,7,8,9,10,11,12)"]) == 0
-    assert built == []
+    assert built == [] and chosen == []
     sphere = "bd(simplex(1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16))"
     assert main(["homology", "--complex", sphere]) == 0
-    [index] = built
-    assert len(index._containing) == 16 and list(index._star) == [1]
-    built.clear()
+    assert built == [] and chosen == [1]
     points = cx.SimplicialComplex.from_facets(8, [])
     assert len(zk_homology_by_support(points)) == 2 ** 8 - 8
     [index] = built
     assert len(index._containing) == 8 and sorted(index._star) == list(range(1, 8))
+
+
+def test_density_picks_the_star_quotient_reader():
+    """The rule reads m and the number of faces alone: bd(simplex(1..20)),
+    dense, builds no face list and no face index for its one star quotient,
+    and its table is the sphere's; the 16-gon and the cross-polytope on 20
+    vertices, sparse, read a `FaceIndex`."""
+    sphere = cx.simplex_boundary(20)
+    assert zk_homology(sphere) == {0: HomologyGroup(1), 39: HomologyGroup(1)}
+    assert sphere._face_masks is None and sphere._index is None
+    for K in [closed_form_family("polygon", 16), closed_form_family("cross-polytope", 10)]:
+        whole = (1 << K.m) - 1
+        assert moment_angle._star_cells(K, whole) == [whole & ~f for f in
+                                                      moment_angle._off_star(K, whole)]
+        assert K._index is not None and K.face_indicator()[1] * 8 < 1 << K.m
 
 
 def test_verify_checks_the_shared_builder_against_hochster(monkeypatch, tmp_path, capsys):
