@@ -17,8 +17,9 @@ pass over the vertex sets (`_missing_by_shifts`) while m <= 22, and from a
 scan of the faces above that; the cone-free sets that every Z_K table
 reads by another such pass (`_cone_free_by_shifts`), which reads no
 missing face, and K_J (`full_subcomplex`) by a trace of each facet.  The
-faces and the missing faces each get one `VertexIndex` (`FaceIndex`,
-`Generators`), whose `within(S)` gives those of the full subcomplex K_S.
+faces, read by every face reader in the layout K's density chose, and the
+missing faces each get one `VertexIndex` (`face_index`, `Generators`),
+whose `within(S)` gives those of the full subcomplex K_S.
 """
 
 from __future__ import annotations
@@ -189,7 +190,7 @@ class SimplicialComplex:
 
     def __contains__(self, f):
         f = face(f)
-        return not f or f[-1] <= self.m and face_mask(f) in self.face_masks
+        return not f or f[-1] <= self.m and self.face_index().has(face_mask(f))
 
     def __eq__(self, other):
         return (isinstance(other, SimplicialComplex)
@@ -232,18 +233,21 @@ class SimplicialComplex:
         """(F, n): the integer F of 2^m bits whose bit p is set when the vertex
         set p is a face (`_face_indicator`), and n, its popcount, the number of
         faces; built from the facets on the first call and kept, for the
-        missing-face pass, the cone-free pass and the star quotients all read
-        it."""
+        missing-face pass, the cone-free pass and a dense face index read it."""
         if self._indicator is None:
             faces = _face_indicator(self.m, self._facet_masks)
             self._indicator = faces, faces.bit_count()
         return self._indicator
 
     def face_index(self):
-        """The `FaceIndex` of the faces in `_sorted_masks` order, built on the
-        first call; its vertex bitsets are built later still, on first use."""
+        """K's faces as a `VertexIndex`, built on the first call in the layout
+        chosen here once per K: its face indicator (`IndicatorIndex`) when
+        the faces fill an eighth or more of the 2^m vertex sets (m <=
+        SHIFT_PASS_MAX_VERTICES), else its sorted faces (`FaceIndex`)."""
         if self._index is None:
-            self._index = FaceIndex(self._sorted_masks(), self.face_masks, self.m)
+            faces, count = self.face_indicator() if self.m <= SHIFT_PASS_MAX_VERTICES else (0, 0)
+            self._index = (IndicatorIndex(faces, self.m) if count << 3 >= 1 << self.m
+                           else FaceIndex(self._sorted_masks, self.face_masks, self.m))
         return self._index
 
     def faces_within(self, subset):
@@ -452,7 +456,7 @@ class VertexIndex:
         return self._containing
 
     def within(self, smask):
-        containing, inside = self.containing(), self.every
+        containing, inside = self._containing or self.containing(), self.every
         outside = ((1 << self._m) - 1) & ~smask
         while outside:
             low = outside & -outside
@@ -461,24 +465,73 @@ class VertexIndex:
         return inside
 
 
+class IndicatorIndex(VertexIndex):
+    """The dense layout of `face_index`: the face indicator `faces` as a
+    `VertexIndex` whose member p is the vertex set p, so `every` is the
+    indicator and `containing()` the sets that hold each vertex
+    (`_upper_halves`).  It builds no face list."""
+
+    __slots__ = ()
+
+    def __init__(self, faces, m):
+        self.order, self.every, self._m, self._containing = range(1 << m), faces, m, _upper_halves(m)
+
+    def has(self, f):
+        return bool(self.every >> f & 1)
+
+    def star(self, v):
+        """The faces f with f + v a face, F & H_v | F >> 2^(v-1) & ~H_v (H_v the
+        sets that hold v), as one AND, the indicator F being closed downward."""
+        return self.every & (self._containing[v - 1] | self.every >> (1 << (v - 1)))
+
+    def listed(self, bits):
+        """The sets of `bits` by size and labels, both descending: the labels
+        descend as the 24-bit word reversed byte by byte ascends, less 2^24
+        per vertex, so no table of the 2^m sets is built."""
+        out = _set_bits(bits)
+        return out if len(out) < 2 else sorted(out, key=lambda f: int.from_bytes(
+            f.to_bytes(3, "big").translate(_REVERSED_BYTES), "little") - (f.bit_count() << 24))
+
+
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # m <= 22 < 24
+
+
 class FaceIndex(VertexIndex):
-    """A complex's faces in `_sorted_masks` order as a `VertexIndex`, so
-    `within(S)` marks the faces of K_S.  `star(v)` marks the faces f for
-    which f + v is a face, built for v alone on its first call.  A complex
-    whose table visits no nonempty support builds no bitset."""
+    """The sparse layout of `face_index`: K's faces `is_face` in the order
+    `sort()` (`_sorted_masks`), so `within(S)` marks the faces of K_S.  `has`
+    reads the face set alone; the order is built when first needed, and
+    `star(v)` for v alone on its first call."""
 
-    __slots__ = ("_is_face", "_star")
+    __slots__ = ("_sort", "_is_face", "_star")
 
-    def __init__(self, order, is_face, m):
-        super().__init__(order, m)
-        self._is_face, self._star = is_face, {}
+    def __init__(self, sort, is_face, m):
+        self.order, self.every, self._m, self._containing = None, (1 << len(is_face)) - 1, m, None
+        self._sort, self._is_face, self._star = sort, is_face, {}
+
+    def _order(self):
+        if self.order is None:
+            self.order = self._sort()
+        return self.order
+
+    def containing(self):
+        self._order()
+        return super().containing()
+
+    def has(self, f):
+        return f in self._is_face
 
     def star(self, v):
         if (bits := self._star.get(v)) is None:
-            with_v = map((1 << (v - 1)).__or__, reversed(self.order))
+            with_v = map((1 << (v - 1)).__or__, reversed(self._order()))
             flags = bytes(map(self._is_face.__contains__, with_v))
             bits = self._star[v] = int(flags.translate(_BINARY_DIGITS), 2)
         return bits
+
+    def listed(self, bits):
+        """The faces of `bits` from the highest bit down: by size and labels,
+        both descending."""
+        order = self._order()
+        return [order[i] for i in reversed(_set_bits(bits))]
 
 
 class Generators(VertexIndex):
@@ -614,19 +667,21 @@ def substitution_missing_faces(K, parts):
 def is_subcomplex(K_small, K_big, labelling=None):
     """True iff every face of K_small maps to a face of K_big.
 
-    labelling maps small labels to big labels (default: identity); a vertex
-    sent outside 1..K_big.m is no face of K_big."""
+    labelling maps each vertex of K_small to a label of K_big (default:
+    identity); a vertex sent outside 1..K_big.m is no face of K_big."""
     if labelling is None:
         labelling = {v: v for v in range(1, K_small.m + 1)}
     if len(set(labelling.values())) != len(labelling):
         raise ValueError("labelling must be injective")
     bits = {}
     for v in K_small.vertices():
+        if v not in labelling:
+            raise ValueError(f"labelling leaves out vertex {v}")
         if not 1 <= labelling[v] <= K_big.m:
             return False
         bits[v] = 1 << (labelling[v] - 1)
-    faces = K_big.face_masks
-    return all(sum(map(bits.get, mask_face(f))) in faces for f in K_small.face_masks)
+    has = K_big.face_index().has  # K_big is closed downward: K_small's facets suffice
+    return all(has(sum(map(bits.get, mask_face(f)))) for f in K_small._facet_masks)
 
 
 @dataclass(frozen=True)
@@ -642,8 +697,8 @@ def _dominates(K, u, v):
     """Does u dominate v: does every face holding v but not u stay a face
     with v replaced by u?  Facets suffice: such a face f lies in a facet F,
     and f - v + u lies in F - v + u."""
-    ubit, vbit, faces = 1 << (u - 1), 1 << (v - 1), K.face_masks
-    return all(not fmask & vbit or fmask ^ vbit | ubit in faces for fmask in K._facet_masks)
+    ubit, vbit, has = 1 << (u - 1), 1 << (v - 1), K.face_index().has
+    return all(not fmask & vbit or has(fmask ^ vbit | ubit) for fmask in K._facet_masks)
 
 
 def _order_is_shifted(K, order):

@@ -34,18 +34,12 @@ carry homology, and a cycle projects onto the blocks it touches.
 Inside S a cell is its circle mask J, and I = S - J; it lies in the star of
 v exactly when I + v is a face.  A support travels as its bitmask in
 every table, walk and check; labels are written only in the reports.
-Choosing the quotient's basis is the one cellular step (`_off_star`),
-read by one of two readers that give the same faces in the same order.
-A dense K, whose faces fill an eighth or more of its 2^m vertex sets, is
-read off its face indicator, the 2^m-bit integer that the missing-face
-and cone-free passes read too, kept on K: the faces of K_S are its bits
-at the subsets of S, v takes one popcount per vertex of S, and the faces
-off v's star are one AND and one shift, so no face list is built.  Any
-other K is read off its face index, whose per-vertex bitsets over the
-faces give the same in a few integer operations per block, built only
-when a nonempty support first asks for them.  `_star_cells` writes the
-circle masks of those faces, by non-decreasing popcount; a cycle's piece
-on S bounds when its words J lie in the image there (`zk_bounds`).
+Choosing the quotient's basis is the one cellular step (`_off_star`): on
+K's face index, in either layout (`SimplicialComplex.face_index`), the
+faces of K_S, v by one popcount per vertex of S and the faces off v's star
+are a few integer operations per block.  `_star_cells` writes the circle
+masks of those faces, by non-decreasing popcount; a cycle's piece on S
+bounds when its words J lie in the image there (`zk_bounds`).
 
 Every table of the cellular and Taylor routes, per support or summed by
 degree, is one walk over blocks (union, times, words) and one fold,
@@ -80,10 +74,9 @@ from functools import lru_cache, reduce
 from math import comb, prod
 from operator import or_
 
-from .complexes import (SHIFT_PASS_MAX_VERTICES, ParseError, SignedSum, SizeLimitError,
-                        VertexIndex, _cone_free_by_shifts, _set_bits, _upper_halves, face_mask,
-                        mask_face, read_signed_sum, read_text, reduced_chain_complex,
-                        signed_sum_text)
+from .complexes import (ParseError, SignedSum, SizeLimitError, VertexIndex,
+                        _cone_free_by_shifts, _set_bits, _upper_halves, face_mask, mask_face,
+                        read_signed_sum, read_text, reduced_chain_complex, signed_sum_text)
 from .exactalg import (ChainComplex, _invariant_torsion, _shared_group, column_homology,
                        concatenation_sign, direct_sum, image_factors, insert_bits,
                        insertion_columns)
@@ -161,7 +154,7 @@ class CellChain(SignedSum):
     def supported_in(self, K):
         """Is every cell one of Z_K: its letters in 1..K.m and its disc set
         a face of K?"""
-        return all(not (J | I) >> K.m and I in K.face_masks for J, I in self.terms)
+        return all(not (J | I) >> K.m and K.face_index().has(I) for J, I in self.terms)
 
     # -- text form ------------------------------------------------------------
 
@@ -268,27 +261,20 @@ def _off_star(K, smask):
     cells.  The cell (S - I, I) lies in the star exactly when I + v is a
     face.  A cone point of K_S is the vertex in the most faces, and no face
     is left.  The empty S has no vertex; its block, one cell in degree 0, is
-    kept whole as the empty face.
-
-    A dense K, whose faces fill an eighth or more of the 2^m vertex sets (m
-    <= SHIFT_PASS_MAX_VERTICES), is read off its face indicator
-    (`_dense_off_star`); any other off its `FaceIndex` (`_indexed_off_star`),
-    where one AND over 2^m bits would cost more than the index.  The rule
-    reads only m and the number of faces."""
+    kept whole as the empty face.  It reads K's face index, either layout."""
     if not smask:
         return [0]
-    if K.m <= SHIFT_PASS_MAX_VERTICES:
-        faces, count = K.face_indicator()
-        if count << 3 >= 1 << K.m:
-            return _dense_off_star(K.m, faces, smask)
-    return _indexed_off_star(K.face_index(), smask)
+    index = K.face_index()
+    inside = index.within(smask)
+    v = _star_vertex(smask, inside, index._containing) + 1  # built by `within`
+    return index.listed(inside & ~index.star(v))
 
 
 def _star_vertex(smask, inside, holds):
     """The bit of the vertex v of the bitmask `smask` whose bitset holds[v]
     meets `inside` the most, the least such v on ties: one popcount per
     vertex.  `inside` marks the faces of K_S and holds[v] the faces holding
-    vertex v + 1, on one indexing, K's face indicator or its `FaceIndex`."""
+    vertex v + 1, on the members of K's face index."""
     most, bits = -1, smask
     while bits:
         low = bits & -bits
@@ -297,47 +283,6 @@ def _star_vertex(smask, inside, holds):
         if (count := (inside & holds[u]).bit_count()) > most:
             v, most = u, count
     return v
-
-
-def _dense_off_star(m, faces, smask):
-    """`_off_star` off the face indicator `faces` of K on m vertices: the
-    faces of K_S are its bits at the subsets of S, those holding no vertex
-    outside S (`_upper_halves`); the faces I without v for which I + v is no
-    face are the indicator less the sets that hold v and less itself
-    shifted down by 2^v, the cone-free pass's first term.  The bits, listed
-    ascending, are sorted by size and by labels, both descending: among
-    sets of one size the labels descend as the word with its bits reversed
-    ascends, and no table of the 2^m sets is built."""
-    halves, inside, outside = _upper_halves(m), faces, ((1 << m) - 1) & ~smask
-    while outside:
-        low = outside & -outside
-        outside ^= low
-        inside &= ~halves[low.bit_length() - 1]
-    v = _star_vertex(smask, inside, halves)
-    out = _set_bits(inside & ~halves[v] & ~(faces >> (1 << v)))
-    if len(out) > 1:
-        # the 24-bit word reversed byte by byte, less 2^24 per vertex
-        out.sort(key=lambda f: int.from_bytes(f.to_bytes(3, "big").translate(_REVERSED_BYTES),
-                                              "little") - (f.bit_count() << 24))
-    return out
-
-
-_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # m <= 22 < 24
-
-
-def _indexed_off_star(index, smask):
-    """`_off_star` off K's `FaceIndex`, whose faces run by (size, labels):
-    the faces of K_S are `within(smask)`, and those off the star of v are
-    the ones the index's `star(v)` leaves out, read from the highest bit
-    down."""
-    within = index.within(smask)
-    v = _star_vertex(smask, within, index.containing()) + 1
-    rest, order, out = within & ~index.star(v), index.order, []
-    while rest:
-        top = rest.bit_length() - 1
-        out.append(order[top])
-        rest ^= 1 << top
-    return out
 
 
 def _star_cells(K, smask):

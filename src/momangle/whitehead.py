@@ -302,9 +302,9 @@ def _cocycle_cell(K, z):
     its boundary, and the cochain dual to it is a cocycle.  It pairs with z
     to the term's coefficient, which is nonzero, so z does not bound.  None
     when no term is such a cell."""
-    faces = K.face_masks
+    has = K.face_index().has
     for J, I in z.terms:
-        if all(I | 1 << (j - 1) not in faces for j in cx.mask_face(J)):
+        if not any(has(I | 1 << (j - 1)) for j in cx.mask_face(J)):
             return J, I
     return None
 

@@ -850,6 +850,27 @@ def test_verify_checks_the_one_degree_count(capsys, monkeypatch):
     assert "cellular vs Hochster homology differ" in json.loads(out)["failures"]
 
 
+def test_dense_complex_builds_no_face_set_on_any_verb(capsys, monkeypatch):
+    """A dense K (here the paper's 5-vertex example, whose faces fill more
+    than an eighth of its vertex sets) answers every face-membership test
+    and star quotient off its face indicator: `homology`, `status`,
+    `realises`, `zigzag` and `taylor-cycle` build the face set of no dense
+    complex."""
+    built, face_masks = [], SimplicialComplex.face_masks.fget
+
+    def spy(K):
+        if K._face_masks is None and K.face_indicator()[1] * 8 >= 1 << K.m:
+            built.append(K)
+        return face_masks(K)
+    monkeypatch.setattr(SimplicialComplex, "face_masks", property(spy))
+    for verb, w in [("homology", None), ("status", "[[1,2,3],4,5]"),
+                    ("realises", "[[1,2,3],4,5]"), ("zigzag", "[[1,4,5],2]"),
+                    ("taylor-cycle", "[[1,2,3],4,5]")]:
+        cli._load.cache_clear()
+        code, _, _ = run_cli(capsys, verb, "--complex", SUB5_EXPR, *(["--w", w] if w else []))
+        assert code == 0 and built == [], verb
+
+
 def test_homology_walks_one_block_per_orbit(capsys, monkeypatch, tmp_path):
     """`homology` on 20 isolated points reduces no block, where the lattice
     holds 1048556 supports, and builds no lattice: each point is a

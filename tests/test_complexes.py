@@ -21,7 +21,7 @@ from oracles import (TupleComplex, brute_facets, brute_is_shifted, brute_missing
                      random_graph_complex, random_shifted_complex, reference_boundary,
                      reference_delta_w, reference_from_facets, reference_join,
                      reference_missing_faces_within)
-from test_split import complexes as split_complexes
+from test_split import complexes as split_complexes, layouts
 
 
 def test_from_facets_triangle_boundary():
@@ -253,6 +253,29 @@ def test_is_subcomplex(sub5):
     assert is_subcomplex(edge, sub5, {1: 4, 2: 5})
     assert not is_subcomplex(simplex(3), sub5, {1: 1, 2: 2, 3: 3})
     assert is_subcomplex(sub5, sub5)
+    with pytest.raises(ValueError, match="labelling leaves out vertex 2"):
+        is_subcomplex(edge, sub5, {1: 4})
+    # ghost vertices 3 and 4 need no label; the empty complex lies in any K
+    ghosts = SimplicialComplex(4, [(1,), (2,), (1, 2)])
+    assert is_subcomplex(ghosts, sub5, {1: 4, 2: 5})
+    assert not is_subcomplex(ghosts, sub5, {1: 4, 2: 6})
+    assert is_subcomplex(SimplicialComplex(3, []), sub5, {})
+    assert is_subcomplex(SimplicialComplex(0, []), SimplicialComplex(0, []))
+
+
+def test_is_subcomplex_reads_facets_as_every_face_would():
+    """Testing K_small's facets alone gives the verdict of testing every
+    face, on seeded complexes and injective labellings into K_big of
+    either face-index layout, some with a label past K_big's vertices."""
+    rng = random.Random(57)
+    seen = set()
+    for _ in range(300):
+        small, big = random_complex(rng.randint(1, 4), rng), random_complex(rng.randint(3, 9), rng)
+        labelling = dict(zip(range(1, small.m + 1), rng.sample(range(1, big.m + 2), small.m)))
+        want = all(tuple(sorted(labelling[v] for v in f)) in big.faces for f in small.faces)
+        assert is_subcomplex(small, big, labelling) == want, (small, big, labelling)
+        seen.add((want, type(big.face_index()).__name__))
+    assert len(seen) == 4
 
 
 def test_is_shifted_examples(sub5):
@@ -480,15 +503,15 @@ def test_generator_word_sets_one_bit_per_factor():
 
 
 def test_face_index_within_is_the_faces_of_the_full_subcomplex():
-    """`FaceIndex.within(S)` marks exactly `face_masks_within(S)`, on every
-    vertex subset of the split complexes."""
+    """The face index's `within(S)` marks exactly `face_masks_within(S)`, on
+    every vertex subset of the split complexes, in both layouts."""
     for K in split_complexes():
-        index = K.face_index()
-        for k in range(K.m + 1):
-            for S in combinations(range(1, K.m + 1), k):
-                got = index.within(face_mask(S))
-                assert [f for i, f in enumerate(index.order) if got >> i & 1] == \
-                    K.face_masks_within(S), (K, S)
+        for index in layouts(K):
+            for k in range(K.m + 1):
+                for S in combinations(range(1, K.m + 1), k):
+                    got = index.within(face_mask(S))
+                    assert sorted(index.order[i] for i in range(len(index.order))
+                                  if got >> i & 1) == sorted(K.face_masks_within(S)), (K, S)
 
 
 def test_missing_faces_within_bounds():

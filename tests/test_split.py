@@ -404,8 +404,8 @@ def test_star_words_give_the_reference_columns():
 
 def chosen_vertices(monkeypatch):
     """The list that records each star vertex `_star_cells` chooses, as its
-    label, read by a spy on the one chooser that both readers of a star
-    quotient call (`_star_vertex`), one entry per call."""
+    label, read by a spy on the one chooser that the star quotient calls on
+    either face-index layout (`_star_vertex`), one entry per call."""
     chosen, raw = [], moment_angle._star_vertex
 
     def spy(*args):
@@ -428,9 +428,10 @@ def test_face_index_chooses_the_reference_star_quotient(monkeypatch):
     """On every nonempty vertex subset S, not only the lattice supports,
     `_star_cells` chooses the vertex the list scan chooses
     (`reference_star_vertex`) and gives the cell-by-cell builder's words
-    (`reference_star_cells`) in its order, whichever reader K's density
-    picks; the sparse ones keep their face index on K, so each complex's
-    later subsets read the bitsets its earlier ones built."""
+    (`reference_star_cells`) in its order, whichever layout K's density
+    picks for its face index; the index stays on K, so each complex's later
+    subsets read the bitsets its earlier ones built, and both layouts
+    occur."""
     chosen = chosen_vertices(monkeypatch)
     ties = indexed = 0
     for K in chooser_cases():
@@ -448,7 +449,7 @@ def test_face_index_chooses_the_reference_star_quotient(monkeypatch):
                              for f in cells[d]], (K, S)
             counts = [sum(f >> (u - 1) & 1 for f in faces) for u in S]
             ties += counts.count(max(counts)) > 1
-        indexed += K._index is not None
+        indexed += isinstance(K._index, cx.FaceIndex)
     assert chosen == [1] and ties > 100 and 0 < indexed < len(chooser_cases())
 
 
@@ -460,28 +461,56 @@ def dense_star_cases():
     return chooser_cases() + [big]
 
 
+def layouts(K):
+    """K's faces in both layouts of `SimplicialComplex.face_index`, built
+    apart from its density rule: the face indicator and the sorted faces."""
+    return [cx.IndicatorIndex(K.face_indicator()[0], K.m),
+            cx.FaceIndex(K._sorted_masks, K.face_masks, K.m)]
+
+
 def test_dense_and_indexed_star_quotients_are_the_reference():
     """On every nonempty vertex subset, the star quotient read off K's face
-    indicator (`_dense_off_star`) and off its face index
-    (`_indexed_off_star`) are the same faces in the same order, those of the
-    cell-by-cell builder (`reference_star_cells`), largest first; the
-    dense rule takes the 12-vertex complex, whose faces fill an eighth of
-    its vertex sets, and two points, and leaves the sparse ones to the
-    index."""
+    indicator and off its sorted faces, with `_off_star` given each layout
+    in turn as K's face index, are the same faces in the same order, those
+    of the cell-by-cell builder (`reference_star_cells`), largest first;
+    the density rule gives the indicator to the 12-vertex complex, whose
+    faces fill an eighth of its vertex sets, and to two points, and leaves
+    the sparse ones to the sorted faces."""
     dense = []
     for K in dense_star_cases():
-        faces, count = K.face_indicator()
-        index = K.face_index()
+        dense.append(isinstance(K.face_index(), cx.IndicatorIndex))
+        indexes = layouts(K)
         for S in all_subsets(K.m):
             if not S:
                 continue
             smask = cx.face_mask(S)
-            want = moment_angle._indexed_off_star(index, smask)
-            assert moment_angle._dense_off_star(K.m, faces, smask) == want, (K, S)
             cells, _ = reference_star_cells(S, K.face_masks_within(S), K.face_masks)
-            assert want == [f for d in sorted(cells, reverse=True) for f in cells[d]], (K, S)
-        dense.append(count * 8 >= 1 << K.m)
+            want = [f for d in sorted(cells, reverse=True) for f in cells[d]]
+            for index in indexes:
+                K._index = index
+                assert moment_angle._off_star(K, smask) == want, (K, S, index)
     assert dense[-1] and dense[-2] and 0 < sum(dense) < len(dense) - 1
+
+
+def test_both_layouts_answer_every_face_index_query_alike():
+    """Both layouts of the face index, on the dense cases: `has` is
+    membership in `face_masks` on every vertex set; `star(v)`, read by
+    `listed`, is the faces f with f + v a face, by size and labels
+    descending; and on every nonempty vertex subset S, `within(S)` read by
+    `listed` is `face_masks_within(S)` with its order reversed.  The star
+    quotients of the two layouts are the reference's above."""
+    for K in dense_star_cases():
+        every = K.face_masks_within(range(1, K.m + 1))[::-1]
+        for index in layouts(K):
+            assert [index.has(f) for f in range(1 << K.m)] == \
+                [f in K.face_masks for f in range(1 << K.m)], (K, index)
+            for v in range(1, K.m + 1):
+                assert index.listed(index.star(v)) == \
+                    [f for f in every if f | 1 << (v - 1) in K.face_masks], (K, v, index)
+            for S in all_subsets(K.m):
+                if S:
+                    assert index.listed(index.within(cx.face_mask(S))) == \
+                        K.face_masks_within(S)[::-1], (K, S, index)
 
 
 def test_column_rule_matches_the_references_on_every_block():
@@ -665,18 +694,19 @@ def test_table_builds_the_face_index_lazily(monkeypatch):
 
 
 def test_density_picks_the_star_quotient_reader():
-    """The rule reads m and the number of faces alone: bd(simplex(1..20)),
-    dense, builds no face list and no face index for its one star quotient,
-    and its table is the sphere's; the 16-gon and the cross-polytope on 20
-    vertices, sparse, read a `FaceIndex`."""
+    """The layout rule reads m and the number of faces alone:
+    bd(simplex(1..20)), dense, builds no face list for its one star
+    quotient, reading it off the face indicator, and its table is the
+    sphere's; the 16-gon and the cross-polytope on 20 vertices, sparse,
+    read a `FaceIndex`."""
     sphere = cx.simplex_boundary(20)
     assert zk_homology(sphere) == {0: HomologyGroup(1), 39: HomologyGroup(1)}
-    assert sphere._face_masks is None and sphere._index is None
+    assert sphere._face_masks is None and isinstance(sphere._index, cx.IndicatorIndex)
     for K in [closed_form_family("polygon", 16), closed_form_family("cross-polytope", 10)]:
         whole = (1 << K.m) - 1
         assert moment_angle._star_cells(K, whole) == [whole & ~f for f in
                                                       moment_angle._off_star(K, whole)]
-        assert K._index is not None and K.face_indicator()[1] * 8 < 1 << K.m
+        assert isinstance(K._index, cx.FaceIndex) and K.face_indicator()[1] * 8 < 1 << K.m
 
 
 def test_verify_checks_the_shared_builder_against_hochster(monkeypatch, tmp_path, capsys):
