@@ -29,13 +29,14 @@ again on the next call.
 
 from __future__ import annotations
 
+import io
 import json
 import re
 import sys
 import time
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
-from math import comb, inf
+from math import comb
 from types import SimpleNamespace
 
 from . import __version__
@@ -57,13 +58,14 @@ class VerificationFailure(RuntimeError):
 
 def load_complex(source, max_vertices):
     """K from a builder expression or a .json file, refused above
-    `max_vertices` before it is built."""
+    `max_vertices` before it is built.  A file is read on every call, as
+    bytes decoded once, its line ends kept (JSON reads them as spaces)."""
     if not source.endswith(".json"):
         return _load(source, max_vertices, False)
     try:
-        with open(source, encoding="utf-8") as fh:
-            text = fh.read()
-        return _load(text, max_vertices, True)
+        with io.FileIO(source) as fh:
+            data = fh.read()
+        return _load(data.decode("utf-8"), max_vertices, True)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError,
             OverflowError) as exc:
         raise ValueError(f"cannot load a complex from {source}: "
@@ -325,7 +327,7 @@ def _option(token, names):
     if token == "--":
         raise ValueError("'--' is not accepted: a value that begins with '-' "
                          "is given as --option=value")
-    if token[:1] != "-" or token == "-" or _NEGATIVE.fullmatch(token):
+    if token[:1] != "-" or token == "-" or token[1] != "-" and _NEGATIVE.fullmatch(token):
         return None
     if token[1] == "h":
         # -h, or -hh run together; any other tail is a value help refuses
@@ -414,66 +416,39 @@ def render_text(out, indent=0):
     return "\n".join(lines)
 
 
-def _float_text(x):
-    """A float as `json.dumps` writes it, NaN and the infinities included."""
-    if x != x:
-        return "NaN"
-    if x == inf:
-        return "Infinity"
-    if x == -inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _key_text(key):
-    """A dict key as `json.dumps` quotes it: a str as it is, a float, bool,
-    None or int by its JSON text; any other key is refused, as there."""
-    if isinstance(key, str):
-        return _quote(key)
-    if isinstance(key, float):
-        return _quote(_float_text(key))
-    if key is True or key is False or key is None:
-        return _quote(_scalar_text(key))
-    if isinstance(key, int):
-        return _quote(int.__repr__(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _scalar_text(value):
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json writes them
 
 
 def report_json(value, newline="\n"):
     """`json.dumps(value, indent=2)`, byte for byte.  The standard encoder
     runs in pure Python, one generator per container, whenever it indents;
-    this walk joins each container's items at once and quotes strings with
-    the C-level `encode_basestring_ascii`."""
-    if isinstance(value, str):
-        return _quote(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        return ("[" + inner + ("," + inner).join([report_json(v, inner) for v in value])
-                + newline + "]")
-    if isinstance(value, dict):
+    this walk dispatches on exact types and joins each container's items at
+    once, a `str` item quoted by the C-level `encode_basestring_ascii` and
+    an `int` written in place, and leaves the rest to json."""
+    kind = type(value)
+    if kind is dict:
         if not value:
             return "{}"
         inner = newline + "  "
-        return ("{" + inner + ("," + inner).join([_key_text(k) + ": " + report_json(v, inner)
-                                                  for k, v in value.items()])
-                + newline + "}")
-    return _scalar_text(value)
+        return "{" + inner + ("," + inner).join([
+            (_quote(k) if type(k) is str else json.dumps({k: 0})[1:-4]) + ": "
+            + (_quote(v) if type(v) is str else int.__repr__(v) if type(v) is int
+               else report_json(v, inner)) for k, v in value.items()]) + newline + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([
+            _quote(v) if type(v) is str else int.__repr__(v) if type(v) is int
+            else report_json(v, inner) for v in value]) + newline + "]"
+    if kind is str:
+        return _quote(value)
+    if kind is float:
+        return _FLOATS.get(text := float.__repr__(value), text)
+    if value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    # an int, a subclass or a refusal: json's own text, at this indent
+    return json.dumps(value, indent=2).replace("\n", newline)
 
 
 def main(argv=None):

@@ -39,7 +39,7 @@ class SizeLimitError(ValueError):
 
 def face(vertices):
     """Canonical face: strictly increasing tuple of positive labels."""
-    t = tuple(sorted(set(int(v) for v in vertices)))
+    t = tuple(sorted(set(map(int, vertices))))
     if len(t) != len(tuple(vertices)):
         raise ValueError(f"duplicate vertex in face {tuple(vertices)}")
     if t and t[0] < 1:
@@ -303,14 +303,6 @@ class SimplicialComplex:
         traces = {sum(1 << i for i, v in enumerate(js) if f >> (v - 1) & 1)
                   for f in self._facet_masks}
         return SimplicialComplex._from_facet_masks(len(js), _maximal(traces))
-
-    def relabelled(self, mapping, m=None):
-        """Copy with vertex v renamed mapping[v] (injective)."""
-        if len(set(mapping.values())) != len(mapping):
-            raise ValueError("relabelling must be injective")
-        new_faces = [tuple(sorted(mapping[v] for v in f)) for f in self.faces]
-        mm = m if m is not None else max(mapping.values(), default=0)
-        return SimplicialComplex(mm, new_faces)
 
     def to_json_dict(self):
         return {"m": self.m, "facets": [list(f) for f in self.facets if f]}
@@ -755,9 +747,11 @@ def is_acyclic(K_or_faces):
 
 # -- text forms ----------------------------------------------------------------
 #
-# Every text form (builder expressions, Whitehead brackets, cell and Taylor
-# chains) is read by one `Scanner`; chains are signed sums (`SignedSum`),
-# read by `read_signed_sum` and written by `signed_sum_text`.
+# Every text form is read by one `Scanner` (brackets by patterns on its
+# rules); chains are signed sums (`SignedSum`), read by `read_signed_sum`
+# and written by `signed_sum_text`, in the order of keys that the walk
+# writing each word builds: labels as digits of one bit width, a zero digit
+# closing each label tuple, zero digits padding the keys to one length.
 
 class ParseError(ValueError):
     def __init__(self, message, pos):
@@ -852,14 +846,29 @@ def read_signed_sum(sc, read_term, zero, stop=""):
             sign = 1
 
 
-def signed_sum_text(terms):
-    """`a - b + 3*c` from (word, coefficient) pairs in order; the empty
-    word is written `1`, the empty sum `0`."""
-    bits = []
-    for word, c in terms:
-        word = word or "1"
-        bits.append(word if c == 1 else "-" + word if c == -1 else f"{c}*{word}")
-    return " + ".join(bits).replace("+ -", "- ") or "0"
+class TextTable(dict):
+    """Texts by key: those of `held` kept, any other key's written by
+    `write` on each read, so no table grows with its input."""
+
+    def __init__(self, write, held):
+        super().__init__(held)
+        self.write = write
+
+    def __missing__(self, key):
+        return self.write(key)
+
+
+# what joins a term of coefficient c to the terms before it (` + 3*` for 3)
+SIGNS = TextTable(lambda c: f" + {c}*" if c >= 0 else f" - {-c}*", {1: " + ", -1: " - "})
+
+
+def signed_sum_text(rows):
+    """A signed sum from its (key, `SIGNS[c]` + word) rows, sorted in place
+    by key, the first ` - ` written `-` and ` + ` dropped; no rows give `0`."""
+    rows.sort()
+    terms = [term for _, term in rows] or [" + 0"]
+    terms[0] = terms[0][3:] if terms[0][1] == "+" else "-" + terms[0][3:]
+    return "".join(terms)
 
 
 class SignedSum:

@@ -102,10 +102,6 @@ class IntMatrix:
         return A
 
     @classmethod
-    def identity(cls, n):
-        return cls(n, n, {(i, i): 1 for i in range(n)})
-
-    @classmethod
     def zero(cls, rows, cols):
         return cls(rows, cols)
 
@@ -157,12 +153,6 @@ class IntMatrix:
             if w:
                 out[i] = out.get(i, 0) + v * w
         return {i: v for i, v in out.items() if v}
-
-    def to_dense(self):
-        rows = [[0] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
 
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
@@ -773,13 +763,6 @@ class ChainComplex:
                 raise KeyError(f"label {lab!r} not in degree {d} basis")
             out[idx[lab]] = c
         return out
-
-    def chain_from_vector(self, d, vec):
-        labels = self.basis.get(d, [])
-        return {labels[i]: v for i, v in vec.items() if v}
-
-    def boundary_vector(self, d, chain):
-        return self.differential(d).apply(self.vector(d, chain))
 
     def homology_all(self):
         """{d: H_d}, nontrivial groups only, by `column_homology`'s rule on the

@@ -74,7 +74,7 @@ from functools import lru_cache, reduce
 from math import comb, prod
 from operator import or_
 
-from .complexes import (ParseError, SignedSum, SizeLimitError, VertexIndex,
+from .complexes import (SIGNS, ParseError, SignedSum, SizeLimitError, TextTable, VertexIndex,
                         _cone_free_by_shifts, _set_bits, _upper_halves, face_mask, mask_face,
                         read_signed_sum, read_text, reduced_chain_complex, signed_sum_text)
 from .exactalg import (ChainComplex, _invariant_torsion, _shared_group, column_homology,
@@ -159,11 +159,15 @@ class CellChain(SignedSum):
     # -- text form ------------------------------------------------------------
 
     def to_text(self):
-        """The signed sum of the cells' words, sorted by their (I, J) labels."""
-        return signed_sum_text(
-            ("*".join(cell_letters(J, I)), c)
-            for (J, I), c in sorted(self.terms.items(),
-                                    key=lambda t: (mask_face(t[0][1]), mask_face(t[0][0]))))
+        """The signed sum of the cells' words, sorted by their labels (I, J),
+        each key padded to degree + 1 >= |I| + 1 + |J| digits."""
+        top = max(map(max, self.terms), default=0).bit_length()
+        width, rows = top.bit_length(), []
+        for (J, I), c in self.terms.items():
+            word, key = cell_word(J, I, width)
+            rows.append((key << width * (self.degree - (J | I).bit_count()),
+                         SIGNS[c] + ("*".join(word) or "1")))
+        return signed_sum_text(rows)
 
     @classmethod
     def from_text(cls, text):
@@ -177,9 +181,26 @@ def _is_mask(x):
     return type(x) is int and x >= 0
 
 
-def cell_letters(J, I):
-    """The letters of the cell (J, I) in vertex order: `S` circles, `D` discs."""
-    return [("D%d" if I >> (v - 1) & 1 else "S%d") % v for v in mask_face(J | I)]
+# the cell letters of vertex v, `D{v}` and `S{v}`, those of K's vertices held
+DISCS, CIRCLES = (TextTable(f"{kind}{{}}".format, {v: f"{kind}{v}" for v in range(1, 65)})
+                  for kind in "DS")
+
+
+def cell_word(J, I, width):
+    """The letters of the cell (J, I) in vertex order, and its key (I's
+    labels, 0, J's labels as `width`-bit digits)."""
+    out, ikey, jkey, rest = [], 0, 0, J | I
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length()
+        if low & I:
+            ikey = ikey << width | v
+            out.append(DISCS[v])
+        else:
+            jkey = jkey << width | v
+            out.append(CIRCLES[v])
+    return out, ikey << width * (J.bit_count() + 1) | jkey
 
 
 def _read_cell_word(sc):

@@ -74,9 +74,9 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate, combinations
 
-from .complexes import (Generators, ParseError, SignedSum, SimplicialComplex, SizeLimitError,
-                        face, face_mask, mask_face, read_signed_sum, read_text, read_word,
-                        signed_sum_text)
+from .complexes import (SIGNS, Generators, ParseError, SignedSum, SimplicialComplex,
+                        SizeLimitError, face, face_mask, mask_face, read_signed_sum, read_text,
+                        read_word, signed_sum_text)
 from .exactalg import (ChainComplex, column_homology, concatenation_sign, insert_bits,
                        insertion_columns, insertion_complex)
 from .moment_angle import _is_mask, bounds_by_support, fold_blocks
@@ -141,12 +141,21 @@ class TaylorChain(SignedSum):
     def to_text(self):
         """Canonical text: words fully expanded with factors in descending
         generator order (so `w245^w145`, not `-w145^w245`), in the
-        lexicographic order of their generator index tuples."""
-        names = self.gens.names
+        lexicographic order of their generator index tuples, each word's key
+        its indices as digits of the table's bit width (every word has s)."""
+        names = ["w" + name for name in self.gens.names]
+        width, rows = len(names).bit_length(), []
         flip = -1 if self.s * (self.s - 1) // 2 % 2 else 1
-        rows = sorted((mask_face(word), c) for word, c in self.terms.items())
-        return signed_sum_text(("^".join(["w" + names[q - 1] for q in reversed(qs)]), flip * c)
-                               for qs, c in rows)
+        for word, c in self.terms.items():
+            factors, key, rest = [], 0, word
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                q = low.bit_length() - 1
+                key = key << width | q
+                factors.append(names[q])
+            rows.append((key, SIGNS[flip * c] + ("^".join(reversed(factors)) or "1")))
+        return signed_sum_text(rows)
 
     @classmethod
     def from_text(cls, K, text):
@@ -449,12 +458,9 @@ class MonomialIdeal:
     def stanley_reisner(cls, K):
         return cls.squarefree(K.m, K.missing_faces())
 
-    def is_squarefree(self):
-        return all(x <= 1 for g in self.gens for x in g)
-
     def complex(self):
         """The simplicial complex whose missing faces are the generators."""
-        if not self.is_squarefree():
+        if any(x > 1 for g in self.gens for x in g):
             raise ValueError("only square-free ideals cut out a complex")
         sups = [frozenset(i + 1 for i, x in enumerate(g) if x) for g in self.gens]
         faces_ = []

@@ -51,6 +51,7 @@ never holds an exception, so a bad input fails again on the next call.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import combinations
@@ -68,20 +69,20 @@ OUTSIDE_CRITERION = ("outside the paper's criterion: an inner product's leaf set
                      "is a face of K, so the status is decided as `realises` does")
 
 
-@dataclass(frozen=True)
 class WhiteheadExpr:
-    """Leaf(label) when children is empty, otherwise a bracket."""
+    """Leaf(label) when children is empty, otherwise a bracket (label 0) of
+    normalised children; built once, by `leaf` or `bracket`, with its sorted
+    leaves, and never changed.  Two are equal when labels and children are."""
 
-    label: int = 0
-    children: tuple = ()
-    _leaves: tuple = field(init=False, compare=False, repr=False)
-    _hash: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("label", "children", "_leaves", "_hash", "_subs")
 
-    def __post_init__(self):
-        # built bottom-up: the children hold their sorted leaves and hashes already
-        object.__setattr__(self, "_leaves", tuple(sorted(
-            v for c in self.children for v in c._leaves)) if self.children else (self.label,))
-        object.__setattr__(self, "_hash", hash((self.label, self.children)))
+    def __init__(self, label, children, leaves):
+        self.label, self.children, self._leaves = label, children, leaves
+        self._hash, self._subs = hash((label, children)), sum(1 for c in children if c.children)
+
+    def __eq__(self, other):
+        return (type(other) is WhiteheadExpr and self.label == other.label
+                and self.children == other.children)
 
     def __hash__(self):
         return self._hash
@@ -95,10 +96,10 @@ class WhiteheadExpr:
         return self._leaves
 
     def bracket_children(self):
-        return tuple(c for c in self.children if not c.is_leaf)
+        return self.children[:self._subs]  # normalised: sub-brackets come first
 
     def leaf_children(self):
-        return tuple(c.label for c in self.children if c.is_leaf)
+        return tuple(c.label for c in self.children[self._subs:])
 
     def is_single(self):
         return not self.is_leaf and all(c.is_leaf for c in self.children)
@@ -130,39 +131,55 @@ class WhiteheadExpr:
 def leaf(v):
     if v < 1:
         raise ValueError("leaf labels must be positive")
-    return WhiteheadExpr(label=v)
+    return WhiteheadExpr(v, (), (v,))
 
 
 def bracket(children):
-    """Normalised bracket; rejects arity < 2 and repeated leaves."""
-    kids = tuple(children)
+    """Normalised bracket; rejects arity < 2 and repeated leaves (the first
+    repeat in the order written)."""
+    kids = list(children)
     if len(kids) < 2:
         raise ValueError("a bracket needs at least two arguments")
-    leaf_sets = [c.leaves() for c in kids]
-    seen = set()
-    for ls in leaf_sets:
-        for v in ls:
-            if v in seen:
-                raise ValueError(f"leaf {v} appears twice")
-            seen.add(v)
-    order = sorted(range(len(kids)), key=lambda i: (kids[i].is_leaf, leaf_sets[i][0]))
-    return WhiteheadExpr(children=tuple(kids[i] for i in order))
+    leaves = [v for kid in kids for v in kid._leaves]
+    if len(set(leaves)) < len(leaves):
+        raise ValueError(f"leaf {next(v for i, v in enumerate(leaves) if v in leaves[:i])} "
+                         "appears twice")
+    kids.sort(key=lambda kid: (not kid.children, kid._leaves[0]))
+    return WhiteheadExpr(0, tuple(kids), tuple(sorted(leaves)))
+
+
+# after spaces: an item ('[' or a leaf's digits), a separator; \s, \d as isspace, isdecimal
+_ITEM = re.compile(r"\s*(?:(\[)|(\d+))?")
+_SEPARATOR = re.compile(r"\s*([,\]])?")
 
 
 @lru_cache(maxsize=128)
 def parse_whitehead(text):
-    """Nested integer lists: expr := int | '[' expr (',' expr)+ ']'.  A
-    bounded memo on the text: the expression is immutable, so every call
-    on one text shares it."""
-    return cx.read_text(text, _read_whitehead)
+    """Nested integer lists: expr := int | '[' expr (',' expr)+ ']', one
+    match per token, each bracket normalised as its ']' is read, so the
+    first fault met raises.  A bounded memo on the text: the expression is
+    immutable, so every call on one text shares it."""
+    w, pos = _read_whitehead(text, 0)
+    if rest := text[pos:].lstrip():
+        raise cx.ParseError("trailing input", len(text) - len(rest))
+    return w
 
 
-def _read_whitehead(sc):
-    if not sc.accept("["):
-        return leaf(sc.integer())
-    kids = sc.items(lambda: _read_whitehead(sc))
-    sc.expect("]")
-    return bracket(kids)
+def _read_whitehead(text, pos):
+    """(the expression at `pos`, the position after it)."""
+    item = _ITEM.match(text, pos)
+    if item.lastindex != 1:
+        if item.lastindex is None:
+            raise cx.ParseError("expected an integer", item.end())
+        return leaf(int(item[2])), item.end()
+    kids, separator = [], item
+    while separator is item or separator[1] == ",":
+        kid, pos = _read_whitehead(text, separator.end())
+        kids.append(kid)
+        separator = _SEPARATOR.match(text, pos)
+    if separator[1] is None:
+        raise cx.ParseError("expected ']'", separator.end())
+    return bracket(kids), separator.end()
 
 
 # -- canonical complexes -------------------------------------------------------
@@ -180,9 +197,6 @@ class DeltaW:
     complex: cx.SimplicialComplex
     sphere: cx.SimplicialComplex | None
     leaf_map: dict = field(compare=False)
-
-    def vertex_to_leaf(self):
-        return {v: l for l, v in self.leaf_map.items()}
 
 
 def delta_w(w):

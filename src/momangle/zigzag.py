@@ -49,11 +49,10 @@ hold the staircase to (`tests/oracles.py`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import itemgetter
 
-from .complexes import mask_face, signed_sum_text
+from .complexes import SIGNS, mask_face, signed_sum_text
 from .exactalg import insert_bits, insertion_sign
+from .moment_angle import cell_word
 from .taylor import TaylorChain, taylor_boundary, taylor_cycle_is_boundary
 
 
@@ -61,15 +60,15 @@ class ZigzagStep:
     """One staircase step: its kind, "solve-vertical" or "apply-horizontal",
     and its element on its slice's masks: the bitmask S of the slice and the
     terms {(J, W): coeff}.  `to_text` writes the element out from the
-    masks."""
+    masks, and the generator table's `_factors`, which a trace reads once."""
 
     __slots__ = ("kind", "S", "terms", "_generators")
 
     def __init__(self, kind, S, terms, generators):
         self.kind, self.S, self.terms, self._generators = kind, S, terms, generators
 
-    def to_text(self):
-        return _text(self.S, self.terms, self._generators)
+    def to_text(self, factors=None):
+        return _text(self.S, self.terms, factors or _factors(self._generators))
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,8 @@ class ZigzagTrace:
     steps: tuple
 
     def to_list(self):
-        return [{"kind": s.kind, "element": s.to_text()} for s in self.steps]
+        factors = self.steps and _factors(self.steps[0]._generators)
+        return [{"kind": s.kind, "element": s.to_text(factors)} for s in self.steps]
 
 
 class ZigzagError(RuntimeError):
@@ -87,45 +87,37 @@ class ZigzagError(RuntimeError):
 
 # -- the staircase on masks ------------------------------------------------------
 
-@lru_cache(maxsize=32)
-def _letters(n):
-    """The letter tables of the vertices 1..n, each at index v - 1: the
-    disc letters `D{v}` and the circle letters `S{v}`."""
-    return tuple(f"D{v}" for v in range(1, n + 1)), tuple(f"S{v}" for v in range(1, n + 1))
+def _factors(gens):
+    """{1 << q: (the rank of generator q's face among the faces by labels,
+    from 1, its name `w...`, its vertex bitmask)}, what a trace text reads."""
+    ranked = sorted(range(len(gens.masks)), key=gens.faces.__getitem__)
+    return {1 << q: (r, "w" + gens.names[q], gens.masks[q]) for r, q in enumerate(ranked, 1)}
 
 
-def _text(S, terms, gens):
+def _text(S, terms, factors):
     """The slice S's terms {(J, W): coeff} as a signed sum of words in the
-    letters of I and J and the names of W's generators, sorted by the label
-    (I, J, W).  One walk of W's bits gives its faces, names and union, and
-    one walk of the bits of J + I, in vertex order, gives the letters from
-    the letter tables and the labels I and J."""
-    discs, circles = _letters(S.bit_length())
-    faces, names, masks, rows = gens.faces, gens.names, gens.masks, []
+    letters of I and J and the names of W's generators, sorted by the labels
+    (I, J, W's faces): one walk of W's bits gives its names, union and
+    digits (its faces' ranks, padded to the generator count), `cell_word`
+    the letters and digits of (I, J), padded to |S| + 1."""
+    size, top, rows = S.bit_count(), S.bit_length(), []
+    width, rank_width = top.bit_length(), len(factors).bit_length()
+    word_digits = rank_width * len(factors)
     for (J, W), c in terms.items():
-        word, letters, union, rest = [], [], 0, W
+        wkey, union, names, rest = 0, 0, [], W
         while rest:
             low = rest & -rest
             rest ^= low
-            q = low.bit_length() - 1
-            word.append(faces[q])
-            letters.append("w" + names[q])
-            union |= masks[q]
-        I = S & ~J & ~union
-        discs_, circles_, cell, rest = [], [], [], J | I
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length()
-            if low & I:
-                discs_.append(v)
-                cell.append(discs[v - 1])
-            else:
-                circles_.append(v)
-                cell.append(circles[v - 1])
-        rows.append(((tuple(discs_), tuple(circles_), tuple(word)), "*".join(cell + letters), c))
-    rows.sort(key=itemgetter(0))
-    return signed_sum_text((text, c) for _, text, c in rows)
+            r, name, mask = factors[low]
+            wkey = wkey << rank_width | r
+            union |= mask
+            names.append(name)
+        cell = S & ~union
+        word, key = cell_word(J, cell & ~J, width)
+        rows.append((key << width * (size - cell.bit_count()) << word_digits
+                     | wkey << word_digits - rank_width * len(names),
+                     SIGNS[c] + ("*".join(word + names) or "1")))
+    return signed_sum_text(rows)
 
 
 def _by_word(terms):

@@ -78,6 +78,16 @@ label words, `labelled_words` writes a chain's words as labels, and
 own (the reference for `TaylorChain.to_text` on index bitmasks).
 `taylor_boundary_word` is no oracle: it is the package's own insertion
 rule on one word, the form the tests compare with the reference.
+The text layer the package replaced with one-walk writers and integer
+keys is the reference for them: the cell writer sorting decoded label
+tuples (`reference_cell_text`, with `cell_letters`), the signed sum joined
+whole and then `+ -` replaced (`reference_signed_sum_text`), a staircase
+step as the labelled triples of `BicomplexChain` (`labelled_step`, for
+`reference_trace_list`), and the bracket reader on the shared `Scanner`
+with a normalisation of its own (`reference_parse_whitehead`), whose
+errors and columns the package's reader must repeat.  `relabelled`,
+`vertex_to_leaf`, `identity_matrix`, `to_dense`, `chain_from_vector` and
+`boundary_vector` are helpers that only the tests use.
 """
 
 from dataclasses import dataclass
@@ -85,14 +95,14 @@ from functools import lru_cache, reduce
 from itertools import combinations, permutations, product
 from math import comb
 
-from momangle.complexes import (SignedSum, SimplicialComplex, SizeLimitError, face_mask,
-                                is_subcomplex, join, mask_face, signed_sum_text, simplex,
+from momangle.complexes import (SignedSum, SimplicialComplex, SizeLimitError,
+                                face_mask, is_subcomplex, join, mask_face, read_text, simplex,
                                 simplex_boundary, word_text)
 from momangle.exactalg import (ChainComplex, HomologyClass, HomologyGroup, IntMatrix,
                                SmithForm)
-from momangle.moment_angle import ZK_MAX_VERTICES, CellChain, cell_letters, support_table
+from momangle.moment_angle import ZK_MAX_VERTICES, CellChain, support_table
 from momangle.taylor import TaylorChain, nested_levels, taylor_boundary
-from momangle.whitehead import bracket, delta_w, leaf
+from momangle.whitehead import WhiteheadExpr, bracket, delta_w, leaf
 from momangle.zigzag import ZigzagError
 
 
@@ -427,6 +437,43 @@ def reference_taylor_boundary_word(K, word):
     return out
 
 
+def vertex_to_leaf(dw):
+    """The vertex -> leaf map of a `DeltaW`, its `leaf_map` inverted."""
+    return {v: l for l, v in dw.leaf_map.items()}
+
+
+def relabelled(K, mapping, m=None):
+    """K with vertex v renamed mapping[v] (injective), on m vertices (the
+    largest new label by default), through the face-list constructor."""
+    if len(set(mapping.values())) != len(mapping):
+        raise ValueError("relabelling must be injective")
+    faces = [tuple(sorted(mapping[v] for v in f)) for f in K.faces]
+    return SimplicialComplex(m if m is not None else max(mapping.values(), default=0), faces)
+
+
+def identity_matrix(n):
+    return IntMatrix(n, n, {(i, i): 1 for i in range(n)})
+
+
+def to_dense(A):
+    """An IntMatrix as a list of rows."""
+    rows = [[0] * A.cols for _ in range(A.rows)]
+    for (i, j), v in A.entries.items():
+        rows[i][j] = v
+    return rows
+
+
+def chain_from_vector(C, d, vec):
+    """The chain {label: coeff} of C_d with coordinates {index: coeff}."""
+    labels = C.basis.get(d, [])
+    return {labels[i]: v for i, v in vec.items() if v}
+
+
+def boundary_vector(C, d, chain):
+    """The coordinates of the boundary of a chain of C_d."""
+    return C.differential(d).apply(C.vector(d, chain))
+
+
 def taylor_boundary_word(K, word):
     """The package's differential of one label word, `taylor_boundary`'s
     insertion on index bitmasks, as {label word: coeff}: the form the tests
@@ -474,7 +521,7 @@ def reference_taylor_text(label_terms):
             terms[word] = terms.get(word, 0) + sign * c
     factors = sorted({f for word in terms for f in word}, key=_reference_gen_key)
     rank = {f: i for i, f in enumerate(factors)}
-    return signed_sum_text(
+    return reference_signed_sum_text(
         ("^".join("w" + word_text(f) for f in reversed(word)),
          -c if (len(word) * (len(word) - 1) // 2) % 2 else c)
         for word, c in sorted(terms.items(), key=lambda t: [rank[f] for f in t[0]]) if c)
@@ -522,6 +569,82 @@ def labelled_cells(terms):
 def cell_chain(label_terms):
     """The package's CellChain of {(J, I) label tuples: coeff}."""
     return CellChain({(face_mask(J), face_mask(I)): c for (J, I), c in label_terms.items()})
+
+
+def cell_letters(J, I):
+    """The letters of the cell (J, I) in vertex order: `S` circles, `D` discs."""
+    return [("D%d" if I >> (v - 1) & 1 else "S%d") % v for v in mask_face(J | I)]
+
+
+def reference_signed_sum_text(terms):
+    """`a - b + 3*c` from (word, coefficient) pairs in order, written whole
+    and then `+ -` replaced by `- `; the empty word is written `1`, the
+    empty sum `0` (the reference for `complexes.signed_sum_text` on signed
+    terms)."""
+    bits = []
+    for word, c in terms:
+        word = word or "1"
+        bits.append(word if c == 1 else "-" + word if c == -1 else f"{c}*{word}")
+    return " + ".join(bits).replace("+ -", "- ") or "0"
+
+
+def reference_cell_text(chain):
+    """A CellChain's text with each cell's labels decoded to tuples: words
+    sorted by their (I, J) label tuples (the reference for
+    `CellChain.to_text`'s one walk and integer keys)."""
+    return reference_signed_sum_text(
+        ("*".join(cell_letters(J, I)), c)
+        for (J, I), c in sorted(chain.terms.items(),
+                                key=lambda t: (mask_face(t[0][1]), mask_face(t[0][0]))))
+
+
+def labelled_step(step):
+    """A package staircase step as the reference's (kind, element) pair, its
+    element the bicomplex chain of its triples (I, J, W faces), I the rest
+    of its slice: `reference_trace_list` of these pairs is the reference
+    for `ZigzagTrace.to_list`."""
+    gens, out = step._generators, {}
+    for (J, W), c in step.terms.items():
+        word = labelled_word(gens, W)
+        union = face_mask({v for F in word for v in F})
+        out[(mask_face(step.S & ~J & ~union), mask_face(J), word)] = c
+    return step.kind, BicomplexChain(out)
+
+
+def reference_leaf(v):
+    if v < 1:
+        raise ValueError("leaf labels must be positive")
+    return WhiteheadExpr(v, (), (v,))
+
+
+def reference_bracket(children):
+    """A bracket normalised kid by kid: arity and repeated leaves checked,
+    sub-brackets before leaves, by smallest leaf."""
+    kids = tuple(children)
+    if len(kids) < 2:
+        raise ValueError("a bracket needs at least two arguments")
+    leaf_sets = [c.leaves() for c in kids]
+    seen = set()
+    for ls in leaf_sets:
+        for v in ls:
+            if v in seen:
+                raise ValueError(f"leaf {v} appears twice")
+            seen.add(v)
+    order = sorted(range(len(kids)), key=lambda i: (kids[i].is_leaf, leaf_sets[i][0]))
+    return WhiteheadExpr(0, tuple(kids[i] for i in order), tuple(sorted(seen)))
+
+
+def reference_parse_whitehead(text):
+    """The bracket grammar read by the shared `Scanner`, one method call per
+    token and a recursive reader per expression (the reference for
+    `whitehead.parse_whitehead`, its errors and their columns)."""
+    def read(sc):
+        if not sc.accept("["):
+            return reference_leaf(sc.integer())
+        kids = sc.items(lambda: read(sc))
+        sc.expect("]")
+        return reference_bracket(kids)
+    return read_text(text, read)
 
 
 def _reference_cell_product(a, b):
@@ -617,7 +740,7 @@ class BicomplexChain(SignedSum):
         return {S: BicomplexChain(t) for S, t in out.items()}
 
     def to_text(self):
-        return signed_sum_text(
+        return reference_signed_sum_text(
             ("*".join(cell_letters(face_mask(J), face_mask(I))
                       + ["w" + word_text(F) for F in W]), c)
             for (I, J, W), c in sorted(self.terms.items()))
@@ -1386,7 +1509,7 @@ def taylor_module_resolution(ideal, bound=None):
     square-free cube; otherwise the lcm of all generators.
     """
     if bound is None:
-        bound = (tuple(1 for _ in range(ideal.m)) if ideal.is_squarefree()
+        bound = (tuple(1 for _ in range(ideal.m)) if all(x <= 1 for g in ideal.gens for x in g)
                  else _reference_lcm(ideal.gens, ideal.m))
     betas = [tuple(b) for b in product(*(range(x + 1) for x in bound))]
     basis = {}

@@ -25,7 +25,7 @@ from momangle.zigzag import classes_equal_up_to_sign, koszul_to_taylor
 
 from oracles import (cone_reconstruction, labelled_words, random_complex,
                      random_shifted_complex, reduced_ranks, reference_trivialising_join,
-                     taylor_boundary_word)
+                     taylor_boundary_word, relabelled, vertex_to_leaf)
 from test_taylor import SUB5_DIFFERENTIALS
 
 WEDGE_SUB5 = {5: 4, 6: 3, 7: 1, 8: 1}
@@ -152,7 +152,7 @@ def test_criterion_07_nested_taylor_theorem():
     for trial in range(30):
         w = random_nested(rng)
         dw = delta_w(w)
-        K = dw.complex.relabelled(dw.vertex_to_leaf(), m=max(w.leaves()))
+        K = relabelled(dw.complex, vertex_to_leaf(dw), m=max(w.leaves()))
         cycle, _ = koszul_to_taylor(K, hurewicz_chain(w, K.m))
         closed = nested_taylor_cycle(w, K)
         assert classes_equal_up_to_sign(K, cycle, closed), w.to_text()
@@ -209,11 +209,10 @@ def test_criterion_09_smallest_realisation():
         w = random_shape(rng)
         m = max(w.leaves())
         dw = delta_w(w)
-        K = dw.complex.relabelled(dw.vertex_to_leaf(), m=m)
+        K = relabelled(dw.complex, vertex_to_leaf(dw), m=m)
         assert nested_shape_status(K, w) == DEFINED_NONTRIVIAL, w.to_text()
         join_complex, join_map = reference_trivialising_join(w)
-        ambient = join_complex.relabelled(
-            {v: l for l, v in join_map.items()}, m=m)
+        ambient = relabelled(join_complex, {v: l for l, v in join_map.items()}, m=m)
         assert nested_shape_status(ambient, w) == DEFINED_TRIVIAL, w.to_text()
         for facet in K.facets:
             if len(facet) < 2:

@@ -16,7 +16,7 @@ from momangle.moment_angle import lattice_supports
 from momangle.taylor import TaylorChain, mask_unions
 from momangle.whitehead import delta_w, parse_whitehead
 from conftest import SUB5_EXPR
-from oracles import closed_form_family, labelled_words, random_complex
+from oracles import closed_form_family, labelled_words, random_complex, relabelled, vertex_to_leaf
 from test_golden import CASES as GOLDEN_CASES
 from test_golden import load_golden
 
@@ -445,7 +445,7 @@ def test_taylor_cycle_exits_0_or_1(tmp_path, capsys):
         else:
             w = parse_whitehead(text)
             dw = delta_w(w)
-            facets = list(dw.complex.relabelled(dw.vertex_to_leaf(), m=m).facets)
+            facets = list(relabelled(dw.complex, vertex_to_leaf(dw), m=m).facets)
             facets += [rng.sample(range(1, m + 1), rng.randint(2, m - 1))
                        for _ in range(rng.randint(0, 3))]
             K = SimplicialComplex.from_facets(m, facets)
@@ -470,7 +470,7 @@ def test_taylor_cycle_degree_is_read_off_the_leaves(tmp_path, capsys):
         text = _random_nested_text(rng, list(range(1, m + 1)))
         dw = delta_w(parse_whitehead(text))
         path = tmp_path / f"k{trial}.json"
-        path.write_text(json.dumps(dw.complex.relabelled(dw.vertex_to_leaf(), m=m).to_json_dict()))
+        path.write_text(json.dumps(relabelled(dw.complex, vertex_to_leaf(dw), m=m).to_json_dict()))
         cases.append(["--complex", str(path), "--w", text])
     for args in cases:
         data = run_json(capsys, "taylor-cycle", *args)

@@ -20,7 +20,7 @@ from oracles import (TupleComplex, brute_facets, brute_is_shifted, brute_missing
                      brute_order_is_shifted, brute_substitute_faces, random_complex,
                      random_graph_complex, random_shifted_complex, reference_boundary,
                      reference_delta_w, reference_from_facets, reference_join,
-                     reference_missing_faces_within)
+                     reference_missing_faces_within, relabelled)
 from test_split import complexes as split_complexes, layouts
 
 
@@ -304,7 +304,7 @@ def test_is_shifted_decides_past_seven_vertices():
     rng = random.Random(1900)
     for m in range(8, 13):
         perm = rng.sample(range(1, m + 1), m)
-        K = random_shifted_complex(m, rng).relabelled(dict(enumerate(perm, 1)), m=m)
+        K = relabelled(random_shifted_complex(m, rng), dict(enumerate(perm, 1)), m=m)
         res = is_shifted(K)
         assert res.shifted
         assert brute_order_is_shifted(K, res.witnesses[0])
@@ -317,7 +317,7 @@ def _shifted_or_graph(m, rng, shifted):
     if not shifted:
         return random_graph_complex(m, rng)
     perm = rng.sample(range(1, m + 1), m)
-    return random_shifted_complex(m, rng).relabelled(dict(enumerate(perm, 1)), m=m)
+    return relabelled(random_shifted_complex(m, rng), dict(enumerate(perm, 1)), m=m)
 
 
 @pytest.mark.parametrize("shifted", [True, False])

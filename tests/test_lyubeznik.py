@@ -29,7 +29,7 @@ from momangle.whitehead import delta_w, parse_whitehead
 from momangle.zigzag import classes_equal, koszul_to_taylor
 from conftest import SUB5_EXPR
 from oracles import (RP2_FACETS, hochster_embed, labelled_words, lyubeznik_admissible,
-                     random_complex, reference_taylor_components, taylor_chain)
+                     random_complex, reference_taylor_components, taylor_chain, chain_from_vector)
 
 NESTED_SHAPES = ["[[1,2],3]", "[[1,2,3],4]", "[[1,2],3,4]", "[[[1,2],3],4]",
                  "[[1,2,3],4,5]", "[[[1,2],3],4,5]"]
@@ -103,7 +103,7 @@ def reference_is_boundary(blocks, chain):
 
 
 def chain_of(K, block, d, vec):
-    return taylor_chain(K, block.chain_from_vector(d, vec))
+    return taylor_chain(K, chain_from_vector(block, d, vec))
 
 
 def random_boundary(K, block, d, rng):

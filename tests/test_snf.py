@@ -20,7 +20,7 @@ from momangle import taylor as ty
 from momangle.complexes import SimplicialComplex, mask_face, reduced_chain_complex
 from momangle.exactalg import (IntMatrix, _column_matrix, _eliminate_units, insertion_columns,
                                invariant_factors, smith_normal_form)
-from oracles import random_complex, reference_koszul_matrix, reference_snf
+from oracles import identity_matrix, random_complex, reference_koszul_matrix, reference_snf
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -63,7 +63,7 @@ def test_transforms_match_reference_entry_for_entry(A):
     snf, ref = smith_normal_form(A), reference_snf(A)
     assert (snf.S, snf.U, snf.V, snf.vinv, snf.diag) == (ref.S, ref.U, ref.V, ref.vinv, ref.diag)
     assert snf.U @ A @ snf.V == snf.S
-    assert snf.V @ snf.vinv == IntMatrix.identity(A.cols)
+    assert snf.V @ snf.vinv == identity_matrix(A.cols)
 
 
 @settings(max_examples=100, deadline=None)

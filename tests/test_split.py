@@ -37,7 +37,7 @@ from oracles import (all_subsets, brute_cone_point, cell_chain, closed_form_fami
                      reference_cell_boundary, reference_column_groups, reference_insertion_columns,
                      reference_star_cells, reference_star_vertex, reference_zk_block,
                      reference_zk_class, reference_zk_homology_by_support,
-                     reference_zk_star_quotient)
+                     reference_zk_star_quotient, chain_from_vector)
 
 
 K6_GRAPH = "bd(bd(bd(bd(simplex(1,2,3,4,5,6)))))"
@@ -811,7 +811,7 @@ def test_kernel_cycles_match_the_full_blocks():
             if K is not rp2 or d != 8:
                 cycles = rng.sample(cycles, min(4, len(cycles)))
             for col in cycles:
-                z = CellChain(C.chain_from_vector(d, col))
+                z = CellChain(chain_from_vector(C, d, col))
                 if rng.random() < 0.5:
                     z = z + random_boundary(C, d, rng)
                 if z:

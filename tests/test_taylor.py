@@ -19,7 +19,7 @@ from momangle.whitehead import delta_w, parse_whitehead
 from oracles import (cone_reconstruction, labelled_word, lyubeznik_admissible, random_complex,
                      reference_nested_taylor_cycle, reference_resolution_failures,
                      reference_taylor_boundary_word, taylor_boundary_word, taylor_chain,
-                     taylor_module_resolution)
+                     taylor_module_resolution, relabelled, vertex_to_leaf)
 
 # the complete graph on six vertices: its 20 triangles are its missing faces
 K6_GRAPH = "bd(bd(bd(bd(simplex(1,2,3,4,5,6)))))"
@@ -432,7 +432,7 @@ def _random_nested_case(rng):
     with up to two random faces added."""
     w = _random_nested(rng)
     dw = delta_w(w)
-    base = dw.complex.relabelled(dw.vertex_to_leaf(), m=len(w.leaves()))
+    base = relabelled(dw.complex, vertex_to_leaf(dw), m=len(w.leaves()))
     facets = list(base.facets) + [rng.sample(range(1, base.m + 1), rng.randint(2, base.m - 1))
                                   for _ in range(rng.randint(0, 2))]
     return SimplicialComplex.from_facets(base.m, facets), w
@@ -482,7 +482,7 @@ def test_nested_cycle_refuses_where_it_is_no_cycle():
     the edge 17 missing it is one."""
     w = parse_whitehead("[[[[1,4,5],6],7],2,3]")
     dw = delta_w(w)
-    base = dw.complex.relabelled(dw.vertex_to_leaf(), m=7)
+    base = relabelled(dw.complex, vertex_to_leaf(dw), m=7)
     K = SimplicialComplex.from_facets(7, list(base.facets) + [(1, 7)])
     assert {(1, 2, 7), (1, 3, 7)} <= set(K.missing_faces())
     assert taylor_boundary(K, reference_nested_taylor_cycle(w, K))
@@ -503,7 +503,7 @@ def test_nested_cycle_refuses_a_single_breaking_generator(text, m, filled, break
     reach every generator inside the leaves to refuse it."""
     w = parse_whitehead(text)
     dw = delta_w(w)
-    base = dw.complex.relabelled(dw.vertex_to_leaf(), m=m)
+    base = relabelled(dw.complex, vertex_to_leaf(dw), m=m)
     K = SimplicialComplex.from_facets(m, list(base.facets) + filled)
     inside = [F for F in K.missing_faces() if set(F) <= set(w.leaves())]
     assert inside.index(breaking) == position % len(inside)

@@ -24,7 +24,7 @@ from momangle.whitehead import (DEFINED_NONTRIVIAL, DEFINED_TRIVIAL,
 from conftest import SUB5_EXPR
 from oracles import (hochster_embed, random_complex, random_product_pair, random_shifted_complex,
                      reference_canonical_chain, reference_shifted_wedge_pairs,
-                     reference_sits_in, reference_trivialising_join)
+                     reference_sits_in, reference_trivialising_join, relabelled, vertex_to_leaf)
 from test_golden import CASES as GOLDEN_CASES, load_golden, run as run_golden
 from test_zigzag import REALISE_SHAPES, _shape_text
 
@@ -132,11 +132,10 @@ def test_bracket_chain_matches_embedded_sphere_class():
     for text in ["[1,2,3]", "[[1,2,3],4,5]", "[[1,2],[3,4],5]", "[[1,4,5],2]"]:
         w = W(text)
         dw = delta_w(w)
-        back = dw.vertex_to_leaf()
+        back = vertex_to_leaf(dw)
         m = max(w.leaves())
-        relabelled = dw.complex.relabelled(back, m=m)
-        K = SimplicialComplex.from_facets(m, relabelled.facets)
-        sphere = dw.sphere.relabelled(back, m=m)
+        K = SimplicialComplex.from_facets(m, relabelled(dw.complex, back, m=m).facets)
+        sphere = relabelled(dw.sphere, back, m=m)
         fund = sphere_fundamental_cycle(sphere)
         embedded = hochster_embed(K, w.leaves(), fund)
         hc = hurewicz_chain(w, K.m)
@@ -173,7 +172,7 @@ def test_hurewicz_is_cycle_on_own_complex():
         assert chain.degree == w.dimension()
         assert not chain.boundary()
         dw = delta_w(w)
-        K = dw.complex.relabelled(dw.vertex_to_leaf(), m=max(w.leaves()))
+        K = relabelled(dw.complex, vertex_to_leaf(dw), m=max(w.leaves()))
         assert chain.supported_in(K)
 
 
@@ -220,7 +219,7 @@ def canonical_plus_faces(w, rng):
     """bd_Delta(w) on its own leaves, plus 0-4 random faces on the leaves."""
     dw = delta_w(w)
     n = len(w.leaves())
-    K = dw.complex.relabelled(dw.vertex_to_leaf(), m=n)
+    K = relabelled(dw.complex, vertex_to_leaf(dw), m=n)
     extra = [rng.sample(range(1, n + 1), rng.randint(2, n)) for _ in range(rng.randint(0, 4))]
     return SimplicialComplex.from_facets(n, list(K.facets) + extra)
 
@@ -258,7 +257,7 @@ def test_nested_status_against_the_canonical_class(text, tmp_path, capsys):
 def test_realises_on_canonical_complex():
     w = W("[[1,2],[3,4],5]")
     dw = delta_w(w)
-    K = dw.complex.relabelled(dw.vertex_to_leaf(), m=5)
+    K = relabelled(dw.complex, vertex_to_leaf(dw), m=5)
     rep = realises_sufficient(K, w)
     assert rep.defined == "yes" and rep.nontrivial == "yes"
     assert rep.witness is not None
@@ -305,7 +304,7 @@ def test_canonical_missing_faces_closed_form():
     leafless = 0
     for w in exprs:
         dw = delta_w(w)
-        back = dw.vertex_to_leaf()
+        back = vertex_to_leaf(dw)
         assert sorted(back) == list(range(1, dw.complex.m + 1))
         assert sorted(back.values()) == list(w.leaves())
         built = {cx.face_mask(back[v] for v in f) for f in dw.complex.missing_faces()}
@@ -330,7 +329,7 @@ def rule_inputs(rng, w, dw):
         m = K.m
     else:
         m = top + rng.randint(0, 2)
-        back = dw.vertex_to_leaf()
+        back = vertex_to_leaf(dw)
         faces = {tuple(sorted(back[v] for v in f)) for f in dw.complex.faces}
         for _ in range(rng.randint(0, 3)):
             if rng.random() < 0.5:
@@ -464,7 +463,7 @@ def test_shifted_wedge_basis_pairs_against_subset_scan():
     for _ in range(300):
         m = rng.randint(2, 8)
         perm = rng.sample(range(1, m + 1), m)
-        K = random_shifted_complex(m, rng).relabelled(dict(enumerate(perm, 1)), m=m)
+        K = relabelled(random_shifted_complex(m, rng), dict(enumerate(perm, 1)), m=m)
         basis = shifted_wedge_basis(K)
         expected = reference_shifted_wedge_pairs(K, cx.is_shifted(K).witnesses[0])
         assert [(e.subset, e.missing_face) for e in basis.entries] == expected, K

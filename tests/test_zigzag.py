@@ -19,7 +19,7 @@ from oracles import (BicomplexChain, cell_chain, random_complex, reference_full_
                      reference_horizontal_diff, reference_koszul_matrix,
                      reference_koszul_to_taylor, reference_nested_taylor_cycle,
                      reference_per_word_solve_vertical, reference_solve_vertical,
-                     reference_trace_list, taylor_chain, vertical_diff)
+                     reference_trace_list, taylor_chain, vertical_diff, relabelled, vertex_to_leaf)
 from test_golden import PAIRS as GOLDEN_PAIRS
 from test_golden import SUB5 as GOLDEN_SUB5
 from test_golden import load_golden
@@ -340,7 +340,7 @@ def test_zigzag_random_nested_on_canonical_complex():
             text = "[" + ",".join([text] + list(map(str, take))) + "]"
         w = parse_whitehead(text)
         dw = delta_w(w)
-        K = dw.complex.relabelled(dw.vertex_to_leaf(), m=max(w.leaves()))
+        K = relabelled(dw.complex, vertex_to_leaf(dw), m=max(w.leaves()))
         cyc, _ = koszul_to_taylor(K, hurewicz_chain(w, K.m))
         assert classes_equal_up_to_sign(K, cyc, nested_taylor_cycle(w, K)), text
 
@@ -376,7 +376,7 @@ def _ambient_product(rng):
     placed = rng.sample(range(1, m + 1), L)
     w = parse_whitehead(_shape_text(shape, dict(zip(range(1, L + 1), placed))))
     dw = delta_w(w)
-    facets = list(dw.complex.relabelled(dw.vertex_to_leaf(), m=m).facets)
+    facets = list(relabelled(dw.complex, vertex_to_leaf(dw), m=m).facets)
     outside = [v for v in range(1, m + 1) if v not in placed]
     for _ in range(rng.randint(0, 3) if outside else 0):
         facets.append(rng.sample(placed, rng.randint(0, L - 1))
@@ -462,7 +462,7 @@ def test_trace_writes_two_digit_labels_as_the_reference(K_text, w_text, elements
         K = parse_complex(K_text)
     else:
         dw = delta_w(w)
-        K = dw.complex.relabelled(dw.vertex_to_leaf(), m=max(w.leaves()))
+        K = relabelled(dw.complex, vertex_to_leaf(dw), m=max(w.leaves()))
     z = hurewicz_chain(w, K.m)
     outcome = _outcome(K, z)
     assert [step["element"] for step in json.loads(outcome[1])] == elements

@@ -1,12 +1,15 @@
 """A fixed ladder of CLI runs at scale, each in its own process.
 
     python3 tools/ladder.py [--only 'VERB CASE' ...] [--out BENCH_ladder.json] [--src DIR]
+                            [--repeat N]
 
 Runs every row of `ROWS` as `python -m momangle.cli VERB --complex CASE ...`
 in a child process, one after the other, with momangle imported from `--src`
 (src/ next to this directory by default), and writes one JSON object to
 `--out`: the host, the address-space cap `CAP_MIB` and one row per run, in
 `ROWS` order.  `--only` keeps the named rows ("homology polygon-12").
+`--repeat N` runs the rows N times, in N rounds over the rows, so a drift
+of the host's speed spreads over every row.
 
 A row holds the verb, the case, the child's exit code, its wall time from
 start to exit, start-up included, polled every 5 ms ("past N s" when it hit
@@ -18,7 +21,11 @@ without `elapsed_s` and `inputs`) when it printed one, and, where
 `tests/oracles.closed_form_homology` knows the case's groups, whether the
 report's groups match them (`closed_form`; the table of `homology` and
 `taylor`, both routes of `verify` and `hochster`'s aggregate).  A row that
-exits nonzero keeps the last line of its stderr.
+exits nonzero keeps the last line of its stderr.  With `--repeat` above 1
+the wall time and the peak RSS are the minima of the row's runs, `runs`
+counts them and `wall_spread` and `rss_spread`, (max - min) / min, say how
+far they spread; a row whose runs differ in exit code or digest is marked
+`runs_differ`.
 
 Each child writes its report to a file, since a pipe read only after exit
 blocks the child once a report passes the pipe's buffer (64 KiB), and runs
@@ -26,9 +33,10 @@ under an address-space cap (`resource.setrlimit` in the child), so a
 runaway row fails inside its cap instead of exhausting the host.  The cases
 are written as JSON files in a temporary directory, or passed as builder
 expressions, before any row is timed.  The tool exits 1 when a row's
-groups differ from the closed form, else 0; a timeout or a refusal is a
-measurement, not a failure.  CI re-runs the rows that finished in the
-committed BENCH_ladder.json and compares their exit codes and digests.
+groups differ from the closed form or its runs differ, else 0; a timeout
+or a refusal is a measurement, not a failure.  CI re-runs the rows that
+finished in the committed BENCH_ladder.json and compares their exit codes
+and digests.
 """
 
 from __future__ import annotations
@@ -208,43 +216,63 @@ def run(argv, src, timeout, report_path, err_path):
     return code, wall, killed, usage.ru_maxrss / 1024
 
 
+def spread(values):
+    """(max - min) / min of a row's runs."""
+    return round(max(values) / min(values) - 1, 3)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--only", action="append",
                         help="run only this row, e.g. 'verify points-16'")
     parser.add_argument("--out", default=str(ROOT / "BENCH_ladder.json"))
     parser.add_argument("--src", default=str(ROOT / "src"), help="the momangle source to run")
+    parser.add_argument("--repeat", type=int, default=1,
+                        help="runs of each row, in rounds over the rows (default 1)")
     args = parser.parse_args()
     rows = [r for r in ROWS if not args.only or f"{r[0]} {r[1]}" in args.only]
     if args.only and len(rows) != len(set(args.only)):
         parser.error(f"unknown rows among {args.only}")
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
     # the inputs and the closed forms come from this checkout, the runs from --src
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
-    runs, out, wrong = [], [], False
+    runs, out, wrong = [[] for _ in rows], [], False
     with tempfile.TemporaryDirectory() as tmp:
         complexes = write_cases({case for _, case, _, _ in rows}, tmp)
         from oracles import closed_form_homology
 
-        for k, (verb, case, extra, timeout) in enumerate(rows):
-            argv = [verb, *(["--complex", complexes[case]] if complexes[case] else []), *extra]
-            report, err = Path(tmp) / f"report{k}", Path(tmp) / f"stderr{k}"
-            code, wall, timed_out, rss = run(argv, args.src, timeout, report, err)
-            runs.append(({"verb": verb, "case": case, "exit": code,
-                          "wall_s": f"past {timeout} s" if timed_out else round(wall, 3),
-                          "peak_rss_mib": round(rss, 1), "report_bytes": report.stat().st_size},
-                         timed_out, report, err))
+        for r in range(args.repeat):
+            for k, (verb, case, extra, timeout) in enumerate(rows):
+                if runs[k] and runs[k][-1][2]:
+                    continue  # a row past its timeout is not run again
+                argv = [verb, *(["--complex", complexes[case]] if complexes[case] else []),
+                        *extra]
+                report, err = Path(tmp) / f"report{k}-{r}", Path(tmp) / f"stderr{k}-{r}"
+                runs[k].append((*run(argv, args.src, timeout, report, err), report, err))
         # the reports are read after the last run: a child's peak RSS counts
         # this process's memory at the fork, which reading a report raises
-        for row, timed_out, report, err in runs:
-            code = row["exit"]
+        for (verb, case, _, timeout), row_runs in zip(rows, runs):
+            code, _, timed_out, _, report, err = row_runs[-1]
+            walls, rsses = [w for _, w, _, _, _, _ in row_runs], [m for *_, m, _, _ in row_runs]
+            row = {"verb": verb, "case": case, "exit": code,
+                   "wall_s": f"past {timeout} s" if timed_out else round(min(walls), 3),
+                   "peak_rss_mib": round(min(rsses), 1), "report_bytes": report.stat().st_size}
+            if args.repeat > 1:
+                row.update(runs=len(row_runs), wall_spread=spread(walls),
+                           rss_spread=spread(rsses))
             if row["report_bytes"] and not timed_out:
+                digests = {digest([(c, rep.read_text())]) for c, _, _, _, rep, _ in row_runs}
                 row["sha256"] = digest([(code, report.read_text())])
-            form = CASES[row["case"]][1]
-            if form and code == 0 and row["verb"] in GROUPS:
+                if len(digests) > 1:
+                    row["runs_differ"] = True
+                    wrong = True
+            form = CASES[case][1]
+            if form and code == 0 and verb in GROUPS:
                 want = {str(d): {"rank": r, "torsion": []}
                         for d, r in closed_form_homology(*form).items()}
-                tables = GROUPS[row["verb"]](json.loads(report.read_text()))
+                tables = GROUPS[verb](json.loads(report.read_text()))
                 row["closed_form"] = all(table == want for table in tables)
                 wrong |= not row["closed_form"]
             if code and not timed_out:

@@ -12,11 +12,12 @@ gave byte-for-byte the same answers.  tools/ladder.py takes each row's
 digest by the same rule.
 
 tools/report_digests.json holds the digests at seeds 1 and 7 and
---seconds 2, one object per workload and seed; to write it again:
+--seconds 2 and 20, one object per length, workload and seed; to write it
+again:
 
-    for s in 1 7; do for w in cellular taylor realise; do
-        python3 tools/report_digest.py --workload $w --seed $s --seconds 2
-    done; done | python3 -c 'import json, sys; print(json.dumps([json.loads(l) for l in sys.stdin], indent=2))' \
+    for t in 2 20; do for s in 1 7; do for w in cellular taylor realise; do
+        python3 tools/report_digest.py --workload $w --seed $s --seconds $t
+    done; done; done | python3 -c 'import json, sys; print(json.dumps([json.loads(l) for l in sys.stdin], indent=2))' \
         > tools/report_digests.json
 
 momangle is imported from src/ next to this directory, and the workloads
