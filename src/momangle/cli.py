@@ -208,10 +208,10 @@ def cmd_verify(K, w, args, out):
     faces under union (`taylor.mask_unions`); Lyubeznik's subcomplex must
     resolve the Stanley-Reisner ideal of K; `homology`'s fold over the
     connected parts and their twin orbits (`moment_angle.zk_homology`) must
-    be the cellular table's degree sums.  Every cellular and Taylor table
-    is one walk read by one fold (`moment_angle.fold_blocks`); a fault in
-    the fold shows against Hochster, which shares no code with it.  Past
-    the Taylor bound the two Taylor checks are skipped."""
+    be the cellular table's degree sums, and so must `taylor`'s, read one
+    shift at a time.  A fault in the fold of the other tables
+    (`moment_angle.fold_blocks`) shows against Hochster, which shares no
+    code with it.  Past the Taylor bound the Taylor checks are skipped."""
     ma._admit(K)
     ma._refuse_past_hochster_bound(K)
     failures = []
@@ -228,6 +228,8 @@ def cmd_verify(K, w, args, out):
         taylor = ty.taylor_homology_by_support(K)
         if taylor != cell:
             failures.append("Taylor vs cellular homology differ")
+        if ty.taylor_homology(K) != cell_sums:
+            failures.append("Taylor sums vs cellular sums differ")
         report = ty.verify_taylor_is_resolution(ty.MonomialIdeal.stanley_reisner(K))
         if not report.ok():
             failures.append(f"Taylor resolution check failed: {report.failures}")

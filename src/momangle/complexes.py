@@ -74,6 +74,25 @@ def _masks_of(m, faces):
         yield face_mask(f)
 
 
+def _label_masks(m, facets):
+    """The set of the facets' bitmasks, in one pass, when `facets` is a list
+    of lists of distinct int labels in 1..m; None at the first fault, and
+    `_masks_of` reads the input again and names the fault."""
+    if type(facets) is not list:
+        return None
+    masks = set()
+    for f in facets:
+        if type(f) is not list:
+            return None
+        mask = 0
+        for v in f:
+            if type(v) is not int or not 0 < v <= m or mask >> v - 1 & 1:
+                return None
+            mask |= 1 << v - 1
+        masks.add(mask)
+    return masks
+
+
 def _submasks(mask):
     """Every bitmask inside `mask`, 0 included: a run of consecutive bits
     (the simplex's one facet) as the multiples of its low bit, read lazily,
@@ -92,12 +111,12 @@ def _submasks(mask):
 def _maximal(masks):
     """The masks of the set `masks` that lie inside no other of them.  A
     mask can only lie inside a larger one, so each is tested against those
-    kept with more bits, and masks of one size are never compared."""
+    kept with more bits (f inside g when f & g is f), never of one size."""
     kept, larger, size = [], 0, None
     for f in sorted(masks, key=int.bit_count, reverse=True):
         if f.bit_count() != size:
             size, larger = f.bit_count(), len(kept)
-        if all(f | g != g for g in kept[:larger]):
+        if f not in map(f.__and__, kept[:larger]):
             kept.append(f)
     return kept
 
@@ -162,7 +181,9 @@ class SimplicialComplex:
         allowed) less those inside another, and each vertex in none of them
         as a facet of its own."""
         _refuse_past_bitset(m)
-        masks = set(_masks_of(m, facets))
+        masks = _label_masks(m, facets)
+        if masks is None:
+            masks = set(_masks_of(m, facets))
         covered = reduce(or_, masks, 0)
         masks.update(1 << i for i in range(m) if not covered >> i & 1)
         return cls._from_facet_masks(m, _maximal(masks))
@@ -310,17 +331,21 @@ class SimplicialComplex:
     @classmethod
     def from_json_dict(cls, data, max_vertices=None):
         """K from {"m": ..., "facets": [[...], ...]}.  m and every label must
-        be JSON integers (not bools, floats or strings) and m >= 0; a K of
-        more than `max_vertices` vertices is refused before it is built."""
+        be JSON integers (not bools, floats or strings) and m >= 0, then a K
+        of more than `max_vertices` vertices is refused before it is built;
+        lists of ints within the bound go straight to `from_facets`."""
         m, facets = data["m"], data["facets"]
-        if type(m) is not int or m < 0:
-            raise ValueError(f"m must be a nonnegative integer, not {m!r}")
-        for f in facets:
-            for v in f:
-                if type(v) is not int:
-                    raise ValueError(f"vertex labels must be integers, not {v!r}")
-        if max_vertices is not None and m > max_vertices:
-            raise SizeLimitError(f"complex has {m} vertices, above the bound {max_vertices}")
+        if not (type(m) is int and 0 <= m and (max_vertices is None or m <= max_vertices)
+                and type(facets) is list and {*map(type, facets)} <= {list}
+                and {*map(type, chain.from_iterable(facets))} <= {int}):
+            if type(m) is not int or m < 0:
+                raise ValueError(f"m must be a nonnegative integer, not {m!r}")
+            for f in facets:
+                for v in f:
+                    if type(v) is not int:
+                        raise ValueError(f"vertex labels must be integers, not {v!r}")
+            if max_vertices is not None and m > max_vertices:
+                raise SizeLimitError(f"complex has {m} vertices, above the bound {max_vertices}")
         return cls.from_facets(m, facets)
 
 

@@ -327,11 +327,12 @@ def support_table(blocks, shift):
 def fold_blocks(blocks, within=None, by_support=False):
     """The homology of exterior blocks on bitmasks, degree -> group summed
     over the blocks, or {(S, degree): group} with `by_support`; nontrivial
-    groups only, S the support's bitmask.  Every cellular and Taylor table is
-    one walk and this fold (`_block_groups`).  Ranks are summed as integers
-    and torsion factors as lists, and each key's group is made once, at the
-    end.  The per-support table keeps the walk's order, each block's degrees
-    ascending; the degree sums run by degree."""
+    groups only, S the support's bitmask.  Every cellular table and the
+    per-support Taylor table is one walk and this fold (`_block_groups`).
+    Ranks are summed as integers and torsion factors as lists, and each
+    key's group is made once, at the end.  The per-support table keeps the
+    walk's order, each block's degrees ascending; the degree sums run by
+    degree."""
     ranks, torsion = {}, {}
     for union, d, rank, factors, times in _block_groups(blocks, within):
         _add_group(ranks, torsion, (union, d) if by_support else d, rank, factors, times)

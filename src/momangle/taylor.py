@@ -13,59 +13,45 @@ exterior monomials w_{J_1} ^ ... ^ w_{J_s} over distinct missing faces,
 
 the new factor entering at the front and the word then being sorted back
 into the fixed generator order (cardinality first, then lexicographic).
-Basis words keep their factors in that order, and every differential here
-keeps them as bitmasks of generator indices, K's `complexes.Generators`
-table (bit q for the q-th generator, `within(S)` the generators inside S),
-so generator bit b enters word x as x | b behind the factors before it,
-with sign (-1)^popcount(x & (b - 1)); no word is ever sorted.  A chain's
-differential is the package's one chain insertion, `exactalg.insert_bits`,
-and a block's columns are its column builder, `insertion_columns`.  The
-differential never changes the union of the word, so the complex splits
-over vertex subsets S, and a word with s factors sits in total degree
-2|S| - s.
+Every word here is the bitmask of its generator indices on K's
+`complexes.Generators` table (`within(S)` the generators inside S), so
+generator bit b enters word x as x | b with sign (-1)^popcount(x & (b - 1))
+and no word is ever sorted: a chain's differential is the package's one
+chain insertion, `exactalg.insert_bits`, and a complex's columns its one
+column builder, `insertion_columns`.  The differential keeps the union of a
+word, so the complex splits over vertex subsets S, and a word with s
+factors sits in total degree 2|S| - s.
 
-The route computes per block on Lyubeznik's words only (`admissible_words`).
-A word F_{i_1} ^ ... ^ F_{i_s} (i_1 < ... < i_s) is admissible when no
-generator F_q with q < i_t lies inside F_{i_t} u ... u F_{i_s}, for every t.
-The admissible words span a subcomplex of the module resolution that still
-resolves the ideal, over any ring (Lyubeznik, J. Pure Appl. Algebra 51,
-1988; Batzies-Welker, J. reine angew. Math. 543, 2002, by an acyclic Morse
-matching).  Dually, the other words span an acyclic subcomplex of the face
-complex, closed under insertion, and the admissible words carry the quotient
-with the same homology over Z, torsion included.
+The route reads Lyubeznik's words only (`admissible_words`): F_{i_1} ^ ...
+^ F_{i_s} (i_1 < ... < i_s) is admissible when no generator F_q with q <
+i_t lies inside F_{i_t} u ... u F_{i_s}, for every t.  They span a
+subcomplex of the module resolution that still resolves the ideal, over
+any ring (Lyubeznik, J. Pure Appl. Algebra 51, 1988; Batzies-Welker,
+J. reine angew. Math. 543, 2002, by an acyclic Morse matching); dually the
+other words span an acyclic subcomplex of the face complex, closed under
+insertion, and the admissible words carry the quotient with the same
+homology over Z, torsion included.
 
-Each block is a (union, 1, words) triple on index bitmasks (`_blocks`):
-the vertex bitmask of its union, and its admissible words, each a bitmask
-of generator indices; the generators inside the union (`within`) are the
-bits that may enter a word, and the block's columns are their insertion
-columns (`exactalg.insertion_columns`, the builder the cellular star
-quotients also read).  Both tables, per
-support (`taylor_homology_by_support`) and summed by degree
-(`taylor_homology`), are `_blocks` read by the cellular tables' fold
-(`moment_angle.fold_blocks`), with no labelled complex built: a block
-whose first and last words have one factor count lies in one degree and
-adds its number of words to that degree's rank, with no column and no
-`within` built, and only the other blocks are read from their columns.
-Whether a cycle bounds is read off the same columns
-(`taylor_cycle_is_boundary`); `taylor_components` labels them with the
-words, for the tests' classes.  The independent reference is the tests'
-sort-based `oracles.reference_taylor_components`.
+A block is a union's admissible words, (union, 1, words) on index bitmasks
+(`_blocks`), with the generators inside the union as the bits that may
+enter.  The per-support table (`taylor_homology_by_support`) is the
+cellular tables' fold over the blocks (`moment_angle.fold_blocks`).  The
+degree table of `taylor` (`taylor_homology`) reads one complex per shift
+2|S|: a block in one degree adds its words to that degree's rank, and the
+other blocks of a shift are read together, their direct sum.  Whether a
+cycle bounds is read off a block's columns (`taylor_cycle_is_boundary`);
+`taylor_components` labels them with the words for the tests' classes,
+whose reference is `oracles.reference_taylor_components`.
 
-A Taylor chain (`TaylorChain`) holds K's `Generators` and its words on
-the same index bitmasks, so one word format serves every part of the
-route: `taylor_boundary` and the whole complex (`taylor_face_complex`)
-are `index_boundary` on the words, the closed form of nested products
+A Taylor chain (`TaylorChain`) holds K's `Generators` and its words:
+`taylor_boundary` and the whole complex (`taylor_face_complex`) are
+`index_boundary` on them, and the closed form of nested products
 (`nested_taylor_cycle`) grows its words by the same insertion, one call
-per level, and it and the zigzag return their words as they are, each a
-cycle by an exact rule of its own that the shared insertion makes a
-theorem, not by walking its output again; the boundary test splits the
-words by their unions (`Generators.union`).
-Labels are written and read only in a chain's text, where the reader's
-`^` moves one word's bits past the other's with `insertion_sign`
-(`exactalg.concatenation_sign`).
-Lyubeznik's theorem itself is checked on the same builder, one slice of
-the lcm lattice at a time (`verify_taylor_is_resolution`), which the one
-closure under union in the package walks (`mask_unions`).
+per level, a cycle by an exact rule of its own.  Labels are written and
+read only in a chain's text, where the reader's `^` moves one word's bits
+past the other's (`exactalg.concatenation_sign`).  Lyubeznik's theorem
+itself is checked on the same builder, one slice of the lcm lattice at a
+time (`verify_taylor_is_resolution`, over `mask_unions`).
 """
 
 from __future__ import annotations
@@ -79,7 +65,7 @@ from .complexes import (SIGNS, Generators, ParseError, SignedSum, SimplicialComp
                         read_word, signed_sum_text)
 from .exactalg import (ChainComplex, column_homology, concatenation_sign, insert_bits,
                        insertion_columns, insertion_complex)
-from .moment_angle import _is_mask, bounds_by_support, fold_blocks
+from .moment_angle import _add_group, _groups, _is_mask, bounds_by_support, fold_blocks
 from .whitehead import _containment
 
 MAX_GENERATORS = 20
@@ -255,31 +241,35 @@ def taylor_face_complex(K):
 
 def admissible_words(gens):
     """Lyubeznik's admissible words of the `Generators` gens as bitmasks of
-    generator indices, {union mask: words}.
+    generator indices, {union mask: words}, each union's by factor count,
+    then lexicographically in their index tuples.
 
-    Words are grown right to left: generator j is put in front of an
-    admissible word w (j below w's lowest index) when no generator before j
-    lies inside the new union, that is when j is the lowest bit of
-    `gens.within(union)`.  The suffixes of the new word are w's, so the
-    new word is admissible, and every admissible word is reached this way
-    from its own suffix.  The words of a union come by factor count, and
-    within one count lexicographically in their index tuples: a layer's
-    words are ordered by their new front index j, then by the position of
-    the word they grew from in the layer before."""
+    Words grow right to left, one factor count per layer: generator j goes
+    in front of an admissible word w (j below w's lowest index) when no
+    generator before j lies inside the new union; its suffixes are w's, so
+    it is admissible, and every admissible word grows from its own suffix.
+    A layer is ordered by lowest index, so the words j may go in front of
+    are a suffix of it, and the next layer comes out ordered by j, then by
+    the position of w, with no sort."""
     masks = gens.masks
     by_union = {0: [0]}
-    layer = [(1 << i, mask) for i, mask in enumerate(masks)]
+    layer = [(i, 1 << i, mask) for i, mask in enumerate(masks)]
     while layer:
-        grown = []
-        for k, (word, union) in enumerate(layer):
+        grown, start = [], 0
+        for _, word, union in layer:
             by_union.setdefault(union, []).append(word)
-            for j in range((word & -word).bit_length() - 1):
-                new = union | masks[j]
-                inside = gens.within(new)
-                if inside & -inside == 1 << j:
-                    grown.append((j, k, word | 1 << j, new))
-        grown.sort()
-        layer = [(word, union) for _, _, word, union in grown]
+        for j, mask in enumerate(masks[:layer[-1][0]]):
+            while layer[start][0] <= j:
+                start += 1
+            below, bit = masks[:j], 1 << j
+            for _, word, union in layer[start:]:
+                new = union | mask
+                for lower in below:
+                    if lower | new == new:
+                        break
+                else:
+                    grown.append((j, word | bit, new))
+        layer = grown
     return by_union
 
 
@@ -289,15 +279,11 @@ def taylor_components(K):
     ChainComplex of the admissible words with union exactly S, the labelled
     blocks the tests class Taylor cycles in; no verb builds them.
 
-    Each block is `_blocks`' insertion columns, with the generators inside
-    the union (`within`) as the bits that may enter a word and the index
-    bitmasks as its basis (`insertion_complex`): the full block's basis, in
-    its order (by factor count, then lexicographically), with the words that
-    are not admissible left out, and the insertion differential with the
-    targets that are not admissible dropped.  That is the quotient by an
-    acyclic subcomplex, so every block has the homology of the full block.
-    A union that carries no admissible word has no block; its full block is
-    acyclic."""
+    Each block is `_blocks`' insertion columns with the index bitmasks as
+    its basis (`insertion_complex`): the full block with the words that are
+    not admissible left out, and the targets that are not admissible
+    dropped, its quotient by an acyclic subcomplex.  A union that carries
+    no admissible word has no block; its full block is acyclic."""
     gens = _checked_generators(K)
     return {union: insertion_complex(words, gens.within(union), int)
             for union, _, words in _blocks(gens)}
@@ -311,27 +297,35 @@ def _blocks(gens):
 
 
 def taylor_homology_by_support(K):
-    """Homology of every component, {(S, 2|S| - s): group}, nontrivial only.
-
-    Each union of admissible words is one block, kept on index bitmasks
-    (`_blocks`): its differential inserts each generator inside the union
-    that is not in the word, with the sign of the factors before it, and
-    drops the targets that are not admissible, so it has the columns of
-    `taylor_components`' blocks.  `fold_blocks` reads the groups, with the
-    generators inside the union (`within`) as the bits that may enter and
-    no ChainComplex built, as it reads the cellular table's."""
+    """Homology of every component, {(S, 2|S| - s): group}, nontrivial only:
+    `fold_blocks` on the blocks (`_blocks`), with the generators inside a
+    union (`within`) as the bits that may enter, as it reads the cellular
+    table's; a block's columns are those of `taylor_components`' block."""
     gens = _checked_generators(K)
     return fold_blocks(_blocks(gens), gens.within, by_support=True)
 
 
 def taylor_homology(K):
-    """Homology of Z_K via the Taylor complex, total degree 2|S| - s: the
-    per-support table's blocks summed by `fold_blocks`.  `admissible_words`
-    lists a union's words by factor count, so a block whose first and last
-    words have one count is Z^(its words) in one degree, with no column and
-    no `within` built."""
+    """Homology of Z_K via the Taylor complex, total degree 2|S| - s.  A
+    block whose first and last words have one factor count is Z^(its words)
+    in one degree, with no column and no `within` built.  The other blocks
+    of a shift 2|S| are one complex, their words concatenated and the
+    generators inside their unions OR'd: a generator outside a word's union
+    enlarges it, into a larger shift, and a word fixes its union, so the
+    complex is the blocks' direct sum, read by one `column_homology`."""
     gens = _checked_generators(K)
-    return fold_blocks(_blocks(gens), gens.within)
+    ranks, torsion, words_at, inside_at = {}, {}, {}, {}
+    for union, words in admissible_words(gens).items():
+        shift = 2 * union.bit_count()
+        if (s := words[0].bit_count()) == words[-1].bit_count():
+            ranks[shift - s] = ranks.get(shift - s, 0) + len(words)
+        else:
+            words_at.setdefault(shift, []).extend(words)
+            inside_at[shift] = inside_at.get(shift, 0) | gens.within(union)
+    for shift, words in words_at.items():
+        for d, h in column_homology(*insertion_columns(words, inside_at[shift])).items():
+            _add_group(ranks, torsion, shift + d, h.rank, h.torsion, 1)
+    return _groups(ranks, torsion, sorted(ranks))
 
 
 def taylor_cycle_is_boundary(K, chain):
@@ -370,12 +364,10 @@ def nested_levels(w):
 
 def nested_taylor_cycle(w, K):
     """Closed-form Taylor cycle of a nested product, on generator index
-    bitmasks.
-
-    With L_1, ..., L_n the leaf sets level by level, innermost first, factor
-    k is f_k, the sum of the generators F with F - (L_1 + ... + L_{k-1}) =
-    L_k; the innermost factor is the generator L_1.  The chain P = f_n ^ ...
-    ^ f_1 is grown innermost first, one `exactalg.insert_bits` call per
+    bitmasks.  With L_1, ..., L_n the leaf sets level by level, innermost
+    first, factor k is f_k, the sum of the generators F with F - (L_1 + ...
+    + L_{k-1}) = L_k; the innermost factor is the generator L_1.  The chain
+    P = f_n ^ ... ^ f_1 is grown innermost first, one `insert_bits` call per
     level: each factor enters every word at the front and moves to its place
     in generator order.
 
@@ -391,8 +383,7 @@ def nested_taylor_cycle(w, K):
     the words are not walked again.  Refused (ValueError) when w is not
     nested, when bd_Delta(w) does not sit in K (the product is not defined
     there), when a level matches no generator, or when a generator breaks
-    that rule.
-    """
+    that rule."""
     levels = nested_levels(w)
     if not _containment(K, w)[0]:
         raise ValueError(f"bd_Delta({w.to_text()}) does not sit in K: the product is not defined")

@@ -85,7 +85,12 @@ whole and then `+ -` replaced (`reference_signed_sum_text`), a staircase
 step as the labelled triples of `BicomplexChain` (`labelled_step`, for
 `reference_trace_list`), and the bracket reader on the shared `Scanner`
 with a normalisation of its own (`reference_parse_whitehead`), whose
-errors and columns the package's reader must repeat.  `relabelled`,
+errors and columns the package's reader must repeat.  Lyubeznik's words
+grown with a sort of each layer and a scan of every generator
+(`reference_admissible_words`) and the JSON reader that checks m, every
+label's type, the bound and then each face in turn
+(`reference_from_json_dict`) are the references for the package's walk
+over layer suffixes and its one pass over the labels.  `relabelled`,
 `vertex_to_leaf`, `identity_matrix`, `to_dense`, `chain_from_vector` and
 `boundary_vector` are helpers that only the tests use.
 """
@@ -95,7 +100,7 @@ from functools import lru_cache, reduce
 from itertools import combinations, permutations, product
 from math import comb
 
-from momangle.complexes import (SignedSum, SimplicialComplex, SizeLimitError,
+from momangle.complexes import (SignedSum, SimplicialComplex, SizeLimitError, face,
                                 face_mask, is_subcomplex, join, mask_face, read_text, simplex,
                                 simplex_boundary, word_text)
 from momangle.exactalg import (ChainComplex, HomologyClass, HomologyGroup, IntMatrix,
@@ -553,6 +558,29 @@ def lyubeznik_admissible(K, word):
         if any(set(mfs[q]) <= union for q in range(index[t])):
             return False
     return True
+
+
+def reference_admissible_words(gens):
+    """Lyubeznik's admissible words grown right to left as the package grew
+    them before its walk over layer suffixes: j enters in front of each word
+    w of a layer, j below w's lowest index, when the first generator inside
+    the new union (a scan of every mask) is j, and each new layer is sorted
+    by (j, position of w in its layer).  {union: words} on index bitmasks."""
+    masks = gens.masks
+    by_union = {0: [0]}
+    layer = [(1 << i, mask) for i, mask in enumerate(masks)]
+    while layer:
+        grown = []
+        for k, (word, union) in enumerate(layer):
+            by_union.setdefault(union, []).append(word)
+            for j in range((word & -word).bit_length() - 1):
+                new = union | masks[j]
+                first = next(q for q, mask in enumerate(masks) if not mask & ~new)
+                if first == j:
+                    grown.append((j, k, word | 1 << j, new))
+        grown.sort()
+        layer = [(word, union) for _, _, word, union in grown]
+    return by_union
 
 
 def labelled_cell(cell):
@@ -1364,6 +1392,32 @@ def reference_from_facets(m, facets):
         f = tuple(sorted(f))
         faces.update(c for k in range(len(f) + 1) for c in combinations(f, k))
     return TupleComplex(m, frozenset(faces))
+
+
+def reference_from_json_dict(data, max_vertices=None):
+    """The JSON reader before its one pass over the labels: m, every
+    label's type and `max_vertices` checked in turn, then the bitset bound,
+    then each facet through `face` and a range check, and the complex
+    built from its face list (`reference_from_facets`); every refusal with
+    the package's text."""
+    m, facets = data["m"], data["facets"]
+    if type(m) is not int or m < 0:
+        raise ValueError(f"m must be a nonnegative integer, not {m!r}")
+    for f in facets:
+        for v in f:
+            if type(v) is not int:
+                raise ValueError(f"vertex labels must be integers, not {v!r}")
+    if max_vertices is not None and m > max_vertices:
+        raise SizeLimitError(f"complex has {m} vertices, above the bound {max_vertices}")
+    if m > 64:
+        raise SizeLimitError(f"m={m} exceeds the bitset bound of 64")
+    checked = []
+    for f in facets:
+        f = face(f)
+        if f and f[-1] > m:
+            raise ValueError(f"label {f[-1]} out of range 1..{m}")
+        checked.append(f)
+    return SimplicialComplex(m, reference_from_facets(m, checked).faces)
 
 
 def reference_boundary(K):

@@ -16,7 +16,8 @@ from momangle.moment_angle import lattice_supports
 from momangle.taylor import TaylorChain, mask_unions
 from momangle.whitehead import delta_w, parse_whitehead
 from conftest import SUB5_EXPR
-from oracles import closed_form_family, labelled_words, random_complex, relabelled, vertex_to_leaf
+from oracles import (closed_form_family, labelled_words, random_complex,
+                     reference_from_json_dict, relabelled, vertex_to_leaf)
 from test_golden import CASES as GOLDEN_CASES
 from test_golden import load_golden
 
@@ -157,6 +158,21 @@ def test_verify_compares_routes_block_by_block(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--complex", SUB5_EXPR)
     assert code == 3
     assert "Taylor vs cellular" in json.loads(out)["verification_error"]
+
+
+def test_verify_checks_the_taylor_shift_sums(capsys, monkeypatch, rp2, tmp_path):
+    """A grouped Taylor fold that loses its torsion leaves the per-support
+    tables equal, and `verify` on RP^2 still exits 3, naming the sums."""
+    from momangle import cli
+    real = cli.ty._add_group
+    monkeypatch.setattr(cli.ty, "_add_group", lambda ranks, torsion, key, rank, factors,
+                        times: real(ranks, torsion, key, rank, (), times))
+    path = tmp_path / "rp2.json"
+    path.write_text(json.dumps(rp2.to_json_dict()))
+    code, out, _ = run_cli(capsys, "verify", "--complex", str(path))
+    assert code == 3
+    error = json.loads(out)["verification_error"]
+    assert error == "Taylor sums vs cellular sums differ"
 
 
 def test_verify_skips_the_taylor_checks_past_the_bound(tmp_path, capsys):
@@ -715,6 +731,66 @@ def test_json_load_errors_name_the_file(tmp_path, capsys, name, content):
     code, out, err = run_cli(capsys, "mf", "--complex", str(path))
     assert code == 1 and out == ""
     assert err.startswith(f"error: cannot load a complex from {path}: "), err
+
+
+def malformed_complex(rng):
+    """A seeded JSON complex, most often malformed: m an int (at times past
+    the bound of 12 or of 64), a bool, float, string or list; facets a list
+    or not; labels ints in and out of 1..m (0, negative, far), repeated,
+    bools, floats, strings, lists and null; a missing key now and then."""
+    m = rng.choice([rng.randint(0, 9)] * 12 + [rng.randint(10, 80)] * 3 +
+                   [-1, True, 2.0, "5", [3], None])
+    size = m if type(m) is int and 0 < m <= 64 else 8
+
+    def label():
+        return rng.choice([rng.randint(1, size)] * 8 + [
+            0, -rng.randint(1, 3), size + 1, size + 1, size + 2, 10 ** 20, True, False, 1.0,
+            2.5, "3", [1], [[2]], None])
+
+    def facet():
+        f = rng.sample(range(1, size + 1), rng.randint(0, min(4, size)))
+        if rng.random() < 0.15:
+            f = f[:rng.randint(0, len(f))] + [label()] + f[rng.randint(0, len(f)):]
+        if f and rng.random() < 0.04:
+            f.append(rng.choice(f))
+        return f if rng.random() < 0.98 else rng.choice([3, "12", {"1": 2}, None, True])
+    facets = [facet() for _ in range(rng.randint(0, 6))]
+    if rng.random() < 0.04:
+        facets = rng.choice([7, "123", {"": 1}, None, {"12": 1}, [[[1, 2]]]])
+    data = {"m": m, "facets": facets}
+    if rng.random() < 0.03:
+        del data[rng.choice(["m", "facets"])]
+    return data
+
+
+def test_json_loader_fuzz_matches_the_reference_reader(tmp_path, capsys, monkeypatch):
+    """On 600 seeded JSON complexes, most of them malformed, `mf` gives the
+    exit code, report and error text it gives with the reader that checks m,
+    every label's type, the bound, then each face in turn
+    (`oracles.reference_from_json_dict`), under --max-vertices 12, 100 or
+    the default, 20."""
+    rng = random.Random(5903)
+    path, outcomes, errors = tmp_path / "k.json", Counter(), set()
+    fast = SimplicialComplex.from_json_dict
+    slow = classmethod(lambda cls, data, max_vertices=None:
+                       reference_from_json_dict(data, max_vertices))
+    for _ in range(600):
+        path.write_text(json.dumps(malformed_complex(rng)))
+        argv = ["mf", "--complex", str(path)] + rng.choice(
+            [[], ["--max-vertices", "12"], ["--max-vertices", "100"]])
+        runs = []
+        for reader in (fast, slow):
+            monkeypatch.setattr(SimplicialComplex, "from_json_dict", reader)
+            cli._load.cache_clear()
+            code, out, err = run_cli(capsys, *argv)
+            runs.append((code, [line for line in out.splitlines() if "elapsed_s" not in line], err))
+        assert runs[0] == runs[1], path.read_text()
+        outcomes[runs[0][0]] += 1
+        errors.add(runs[0][2])
+    assert outcomes[0] > 150 and outcomes[1] > 250 and outcomes[2] > 20, outcomes
+    for refusal in ["m must be", "labels must be integers", "duplicate vertex", "must be positive",
+                    "out of range", "above the bound 12", "bitset bound", "KeyError", "TypeError"]:
+        assert any(refusal in error for error in errors), refusal
 
 
 def test_an_edited_json_file_gives_its_new_complex(tmp_path, capsys):

@@ -29,7 +29,8 @@ from momangle.whitehead import delta_w, parse_whitehead
 from momangle.zigzag import classes_equal, koszul_to_taylor
 from conftest import SUB5_EXPR
 from oracles import (RP2_FACETS, hochster_embed, labelled_words, lyubeznik_admissible,
-                     random_complex, reference_taylor_components, taylor_chain, chain_from_vector)
+                     random_complex, reference_admissible_words, reference_taylor_components,
+                     taylor_chain, chain_from_vector)
 
 NESTED_SHAPES = ["[[1,2],3]", "[[1,2,3],4]", "[[1,2],3,4]", "[[[1,2],3],4]",
                  "[[1,2,3],4,5]", "[[[1,2],3],4,5]"]
@@ -261,6 +262,33 @@ def test_k6_graph_against_cellular():
     assert sum(B.dim(d) for B in blocks.values() for d in B.basis) == 184
     table = taylor_homology_by_support(K)
     assert table == table_of(labelled_unions(blocks)) == zk_homology_by_support(K)
+
+
+def test_admissible_words_are_the_sorted_layers():
+    """The walk over layer suffixes gives the sort-based enumeration's dict
+    (`oracles.reference_admissible_words`), its unions in the same order and
+    each union's words in the same order: on seeded random generator masks
+    and polarised monomial ideals, the K6 graph's 20 generators (184 words),
+    RP^2 cones and the mutation cases."""
+    rng = random.Random(59)
+    tables = [Generators(None, [rng.randrange(1, 1 << 9) for _ in range(rng.randint(0, 12))])
+              for _ in range(60)]
+    for _ in range(60):
+        m = rng.randint(2, 4)
+        vectors = {tuple(rng.randint(0, 3) for _ in range(m)) for _ in range(rng.randint(1, 9))}
+        vectors.discard((0,) * m)
+        minimal = [a for a in vectors
+                   if not any(b != a and all(x <= y for x, y in zip(b, a)) for b in vectors)]
+        tables.append(Generators(None, ty.MonomialIdeal(m, minimal).masks()))
+    complexes = [rp2_cone(rng, t) for t in (2, 6, 10)] + mutation_cases()
+    tables += [K.generators() for K in complexes]
+    words = 0
+    for gens in tables:
+        got = admissible_words(gens)
+        assert list(got.items()) == list(reference_admissible_words(gens).items()), gens.masks
+        words += sum(map(len, got.values()))
+    assert sum(map(len, admissible_words(complexes[-1].generators()).values())) == 184
+    assert words > 3000, words
 
 
 # -- the resolution check bites on wrong word sets ----------------------------------

@@ -643,23 +643,25 @@ def test_one_degree_blocks_build_no_columns(monkeypatch, tmp_path, capsys):
     """`insertion_columns` is entered only by blocks whose first and last
     words differ in degree: `homology` on 8 isolated points, whose blocks
     are each in one degree, enters it for no support, and `taylor` on the
-    K6 graph only for its 7 blocks in two or more degrees, of 43."""
-    ends = []
+    K6 graph only for its 7 blocks in two or more degrees, of 43, read in
+    one call per shift 2|S|: six blocks at 10, one at 12."""
+    calls = []
     real = exactalg.insertion_columns
 
     def spy(words, inside):
-        ends.append((words[0].bit_count(), words[-1].bit_count()))
+        calls.append(list(words))
         return real(words, inside)
     monkeypatch.setattr(moment_angle, "insertion_columns", spy)
     monkeypatch.setattr(taylor, "insertion_columns", spy)
     path = tmp_path / "points8.json"
     path.write_text(json.dumps({"m": 8, "facets": []}))
     assert main(["homology", "--complex", str(path)]) == 0
-    assert ends == []
+    assert calls == []
     assert main(["taylor", "--complex", K6_GRAPH]) == 0
     unions = taylor.admissible_words(cx.parse_complex(K6_GRAPH).generators())
-    assert all(first != last for first, last in ends)
-    assert len(ends) == sum(w[0].bit_count() != w[-1].bit_count() for w in unions.values()) == 7
+    wide = {u: ws for u, ws in unions.items() if ws[0].bit_count() != ws[-1].bit_count()}
+    assert len(wide) == 7 and len(calls) == len({u.bit_count() for u in wide}) == 2
+    assert sorted(sum(calls, [])) == sorted(sum(wide.values(), []))
     capsys.readouterr()
 
 

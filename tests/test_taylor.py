@@ -349,11 +349,12 @@ def test_taylor_homology_projective_plane(rp2):
 
 
 def test_the_taylor_fold_reduces_residuals_only(monkeypatch, rp2, sub5, filled6):
-    """Each Taylor block eliminates its unit pivots on its columns, and only
-    a residual that still has entries reaches the Smith form's worker,
-    without transforms: on RP^2 the Z/2 is found there, on sub5 and filled6
-    no Smith form runs, and on seeded complexes every table stays the
-    cellular route's."""
+    """Each shift's complex of Taylor blocks eliminates its unit pivots on
+    its columns, and only a residual that still has entries reaches the
+    Smith form's worker, without transforms: on RP^2 the Z/2 is found
+    there, on sub5 and filled6 no Smith form runs, and on seeded complexes
+    every table stays the cellular route's; more than 16 differentials, one
+    per shift and degree, have their unit pivots eliminated (18)."""
     residuals, reduced = [], []
     real_units = exactalg._eliminate_units
 
@@ -384,7 +385,33 @@ def test_the_taylor_fold_reduces_residuals_only(monkeypatch, rp2, sub5, filled6)
         assert any(A is R for R in residuals)
         assert A.entries and all(abs(v) != 1 for v in A.entries.values())
     assert by_complex[0] and not by_complex[1] and not by_complex[2]
-    assert len(residuals) > 20
+    assert len(residuals) > 16
+
+
+def test_shift_sums_are_the_support_table_summed(rp2):
+    """`taylor_homology` reads the blocks of one shift 2|S| as one complex;
+    that complex is their direct sum, so the degree table is the per-support
+    table summed by degree, and the cellular route's: on seeded complexes
+    with at most 12 missing faces, and on RP^2 with vertices 7 and 8 each
+    coned over one triangle, whose Z/2 + Z/2 in degree 9 comes from the
+    supports 1..7 and 1..6 + 8, both at shift 14."""
+    rng = random.Random(5901)
+    cases = []
+    while len(cases) < 150:
+        K = random_complex(rng.randint(4, 8), rng)
+        if len(K.missing_faces()) <= 12:
+            cases.append(K)
+    two = SimplicialComplex.from_facets(8, list(rp2.facets) + [(1, 2, 3, 7), (3, 4, 5, 8)])
+    torsion = 0
+    for K in cases + [rp2, two]:
+        want = {d: h for d, h in zk_homology(K).items() if not h.is_trivial()}
+        by_support = taylor_homology_by_support(K)
+        assert taylor_homology(K) == moment_angle.degree_sums(by_support) == want, K
+        torsion += any(h.torsion for h in want.values())
+    twos = [S for (S, d), h in taylor_homology_by_support(two).items() if d == 9 and h.torsion]
+    assert len(twos) == 2 and {S.bit_count() for S in twos} == {7}
+    assert taylor_homology(two)[9].torsion == (2, 2)
+    assert torsion >= 2
 
 
 def test_taylor_size_gate():
