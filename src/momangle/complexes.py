@@ -772,11 +772,13 @@ def is_acyclic(K_or_faces):
 
 # -- text forms ----------------------------------------------------------------
 #
-# Every text form is read by one `Scanner` (brackets by patterns on its
-# rules); chains are signed sums (`SignedSum`), read by `read_signed_sum`
-# and written by `signed_sum_text`, in the order of keys that the walk
-# writing each word builds: labels as digits of one bit width, a zero digit
-# closing each label tuple, zero digits padding the keys to one length.
+# Builder expressions and chains are read by one `Scanner`; brackets are
+# read by two patterns on the raw text (`whitehead.parse_whitehead`), with
+# no scanner built.  Chains are signed sums (`SignedSum`), read by
+# `read_signed_sum` and written by `signed_sum_text`, in the order of keys
+# that the walk writing each word builds: labels as digits of one bit
+# width, a zero digit closing each label tuple, zero digits padding the
+# keys to one length.
 
 class ParseError(ValueError):
     def __init__(self, message, pos):

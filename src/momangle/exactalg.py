@@ -22,13 +22,13 @@ one bit).  Beside it the rule has two writers, both here: on a chain
 {word: coeff}, the one chain insertion `insert_bits`, which every chain
 differential of the package calls (the cell boundary, the Taylor
 differential, the closed form's growth and the staircase's two steps); and
-on a block's basis, the one column builder `insertion_columns`, which one
-fold (`moment_angle.fold_blocks`) feeds to `column_homology` for every
-cellular and Taylor table, with no complex built.  The staircase builds
-no block: its vertical blocks are Koszul complexes of simplices, solved
-by their contracting homotopy (`zigzag._homotopy`).  An insertion adds one
+on a block's basis, the one column builder `insertion_columns`, which the
+tables' one per-block reader (`moment_angle._block_groups`) and the Taylor
+degree table feed to `column_homology`, with no complex built.  The
+staircase builds no block: its vertical blocks are Koszul complexes of
+simplices, solved by their contracting homotopy (`zigzag._homotopy`).  An insertion adds one
 bit, so a block with no two adjacent degrees occupied needs no columns, and
-the builder makes none; the fold does not even ask it for a block whose
+the builder makes none; the reader does not even ask it for a block whose
 words all have one popcount.  Whether cycles bound in a block, or are a
 basis of its homology, is one lattice index on the same columns, with no
 transforms (`image_factors`).  A `ChainComplex` labels the same columns
@@ -36,7 +36,7 @@ with a basis (`insertion_complex`), and `ChainComplex.from_boundary`
 writes the columns of a boundary callable on labels, for simplicial
 chains, the whole complexes and the references.
 Homology groups are frozen values, and the column rule, `direct_sum` and
-the fold take them from one bounded memo (`_shared_group`), so the many
+the folds take them from one bounded memo (`_shared_group`), so the many
 small blocks that share a group share it.
 
 The Smith normal form has one elimination state, `_SnfWorker`: A's rows

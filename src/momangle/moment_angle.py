@@ -34,38 +34,42 @@ carry homology, and a cycle projects onto the blocks it touches.
 Inside S a cell is its circle mask J, and I = S - J; it lies in the star of
 v exactly when I + v is a face.  A support travels as its bitmask in
 every table, walk and check; labels are written only in the reports.
-Choosing the quotient's basis is the one cellular step (`_off_star`): on
-K's face index, in either layout (`SimplicialComplex.face_index`), the
+Choosing the quotient's basis is the one cellular step (`_star_cells`):
+on K's face index, in either layout (`SimplicialComplex.face_index`), the
 faces of K_S, v by one popcount per vertex of S and the faces off v's star
-are a few integer operations per block.  `_star_cells` writes the circle
-masks of those faces, by non-decreasing popcount; a cycle's piece on S
-bounds when its words J lie in the image there (`zk_bounds`).
+are a few integer operations per block, and the basis is their circle
+masks, by non-decreasing popcount; a cycle's piece on S bounds when its
+words J lie in the image there (`zk_bounds`).
 
-Every table of the cellular and Taylor routes, per support or summed by
-degree, is one walk over blocks (union, times, words) and one fold,
-`fold_blocks`: a block whose first and last words have one popcount lies in
-one degree, has no differential, and adds its number of words to that
-degree's rank as an integer, with no column built; every other block is
-read from `exactalg.insertion_columns` with `column_homology`, the
-support's own mask as the bits that may enter a circle mask.  Every table reads its supports, those with no cone point,
+A block is (union, words): the bitmask of its support and its basis on
+bitmasks.  Every cellular table and the per-support Taylor table reads its
+blocks through one per-block reader, `_block_groups`: a block whose first
+and last words have one popcount lies in one degree, has no differential,
+and adds its number of words to that degree's rank as an integer, with no
+column built; every other block is read from `exactalg.insertion_columns`
+with `column_homology`, the support's own mask as the bits that may enter
+a circle mask.  The per-support tables are one walk and one fold,
+`fold_blocks`; the degree tables sum the groups on one ledger (`_add_group`,
+`_groups`).  Every table reads its supports, those with no cone point,
 from one bit-parallel pass over the face indicator (`lattice_supports`).
-The degree table (`zk_homology`) reads K's facets and no missing face.  It is one fold over
-the connected parts of K's 1-skeleton (`connected_parts`, the facets
-merged where they meet): K is their disjoint union, and by Hochster's
-formula its groups are each part's own groups, spread to the supports that
-add vertices of other parts by binomial counts, plus the extra H~_0 of the
-supports that meet two or more parts, so no support across two parts is
-reduced.  Each part P runs on its own complex K_P, so its pass costs
-2^|P|, one support per twin orbit, and its blocks fold straight into K's
-sums, so each group is made once.  Two vertices are twins when swapping
-them maps the facets onto themselves; the swap is an automorphism, so the
-blocks of S and of its image have the same groups in the same degree.
-`twin_orbits` keeps of the pass's bits the supports that take the
-lowest vertices of each of the `twin_classes`, and the fold counts each
-one's groups once per member of its orbit.  `verify` checks the degree
-table against the per-support table, that against Hochster's, which
-shares no code with the fold, and the supports against the closure of the
-missing faces under union (`taylor.mask_unions`).
+The degree table (`zk_homology`) reads K's facets and no missing face.
+It is one fold over the connected parts of K's 1-skeleton
+(`connected_parts`, the facets merged where they meet): K is their
+disjoint union, and by Hochster's formula its groups are each part's own
+groups, spread to the supports that add vertices of other parts by
+binomial counts, plus the extra H~_0 of the supports that meet two or more
+parts, so no support across two parts is reduced.  Each part P runs on its
+own complex K_P, so its pass costs 2^|P|, one support per twin orbit, and
+its blocks' groups go straight into K's sums, so each group is made once.
+Two vertices are twins when swapping them maps the facets onto
+themselves; the swap is an automorphism, so the blocks of S and of its
+image have the same groups in the same degree.  `twin_orbits` keeps of the
+pass's bits the supports that take the lowest vertices of each of the
+`twin_classes`, and `zk_homology` counts each one's groups once per member
+of its orbit.  `verify` checks the degree table against the per-support
+table, that against Hochster's, which shares no code with the fold, and
+the supports against the closure of the missing faces under union
+(`taylor.mask_unions`).
 """
 
 from __future__ import annotations
@@ -78,8 +82,7 @@ from .complexes import (SIGNS, ParseError, SignedSum, SizeLimitError, TextTable,
                         _cone_free_by_shifts, _set_bits, _upper_halves, face_mask, mask_face,
                         read_signed_sum, read_text, reduced_chain_complex, signed_sum_text)
 from .exactalg import (ChainComplex, _invariant_torsion, _shared_group, column_homology,
-                       concatenation_sign, direct_sum, image_factors, insert_bits,
-                       insertion_columns)
+                       concatenation_sign, image_factors, insert_bits, insertion_columns)
 
 ZK_MAX_VERTICES = 24
 
@@ -271,26 +274,6 @@ def lattice_supports(K):
     return tuple(_set_bits(_cone_free_by_shifts(K.m, K.face_indicator()[0])))
 
 
-def _off_star(K, smask):
-    """The faces I of K_S, S the support whose bitmask is `smask`, for which
-    the cell (S - I, I) is off the star of one vertex v of S, largest first:
-    by size, then by labels, both descending.
-
-    v is the vertex of S in the most faces of K_S, the least such v on ties
-    (`_star_vertex`): the star pairs each face I without v with I + v, so it
-    has twice as many faces as contain v, and its quotient leaves the fewest
-    cells.  The cell (S - I, I) lies in the star exactly when I + v is a
-    face.  A cone point of K_S is the vertex in the most faces, and no face
-    is left.  The empty S has no vertex; its block, one cell in degree 0, is
-    kept whole as the empty face.  It reads K's face index, either layout."""
-    if not smask:
-        return [0]
-    index = K.face_index()
-    inside = index.within(smask)
-    v = _star_vertex(smask, inside, index._containing) + 1  # built by `within`
-    return index.listed(inside & ~index.star(v))
-
-
 def _star_vertex(smask, inside, holds):
     """The bit of the vertex v of the bitmask `smask` whose bitset holds[v]
     meets `inside` the most, the least such v on ties: one popcount per
@@ -309,12 +292,25 @@ def _star_vertex(smask, inside, holds):
 def _star_cells(K, smask):
     """The basis of the block of the support whose bitmask is `smask`,
     modulo the star of one vertex v, as words for `insertion_columns` with
-    `smask` as the bits that may enter: the cells off the star
-    (`_off_star`), each as its circle mask J = S - I, from the largest face
-    down, so by non-decreasing popcount.  Dropping disc letter b is b
-    entering J, and a target in the star is no word, so the builder drops
-    it."""
-    return [smask & ~f for f in _off_star(K, smask)]
+    `smask` as the bits that may enter: the circle mask J = S - I of each
+    cell (J, I) off the star, from the largest face I down, by size, then
+    by labels, both descending, so by non-decreasing popcount.  Dropping
+    disc letter b is b entering J, and a target in the star is no word, so
+    the builder drops it.
+
+    v is the vertex of S in the most faces of K_S, the least such v on ties
+    (`_star_vertex`): the star pairs each face I without v with I + v, so it
+    has twice as many faces as contain v, and its quotient leaves the fewest
+    cells.  The cell (S - I, I) lies in the star exactly when I + v is a
+    face.  A cone point of K_S is the vertex in the most faces, and no cell
+    is left.  The empty S has no vertex; its block, one cell in degree 0, is
+    kept whole as the empty word.  It reads K's face index, either layout."""
+    if not smask:
+        return [0]
+    index = K.face_index()
+    inside = index.within(smask)
+    v = _star_vertex(smask, inside, index._containing) + 1  # built by `within`
+    return [smask & ~f for f in index.listed(inside & ~index.star(v))]
 
 
 def support_table(blocks, shift):
@@ -324,44 +320,35 @@ def support_table(blocks, shift):
     return {(S, shift(S, d)): h for S, C in blocks for d, h in C.homology_all().items()}
 
 
-def fold_blocks(blocks, within=None, by_support=False):
-    """The homology of exterior blocks on bitmasks, degree -> group summed
-    over the blocks, or {(S, degree): group} with `by_support`; nontrivial
-    groups only, S the support's bitmask.  Every cellular table and the
-    per-support Taylor table is one walk and this fold (`_block_groups`).
-    Ranks are summed as integers and torsion factors as lists, and each
-    key's group is made once, at the end.  The per-support table keeps the
-    walk's order, each block's degrees ascending; the degree sums run by
-    degree."""
-    ranks, torsion = {}, {}
-    for union, d, rank, factors, times in _block_groups(blocks, within):
-        _add_group(ranks, torsion, (union, d) if by_support else d, rank, factors, times)
-    return _groups(ranks, torsion, ranks if by_support else sorted(ranks))
+def fold_blocks(blocks, within=None):
+    """The homology of exterior blocks (union, words) on bitmasks, one block
+    per union, as {(S, degree): group}, nontrivial only, S the support's
+    bitmask: the cellular per-support tables and the Taylor one are each one
+    walk and this fold, each block read by `_block_groups`, in the walk's
+    order, each block's degrees ascending."""
+    return {(union, d): _shared_group(rank, factors) for union, words in blocks
+            for d, rank, factors in _block_groups(union, words, within)}
 
 
-def _block_groups(blocks, within=None):
-    """(union, degree, rank, torsion, times) for each nontrivial group of
-    each block, in the walk's order, each block's degrees ascending.
+def _block_groups(union, words, within=None):
+    """(degree, rank, torsion) for each nontrivial group of one block,
+    degrees ascending: the bitmask `union` of its support S and its basis
+    `words` on bitmasks by non-decreasing popcount, a word with s bits in
+    Z_K degree 2|S| - s.
 
-    A block is (union, times, words): the bitmask of its support S, how
-    many times its groups count (a twin orbit's size), and its basis on
-    bitmasks by non-decreasing popcount, a word with s bits in Z_K degree
-    2|S| - s.  A block whose first and last words have one popcount lies in
-    one degree and has no differential: its words are its rank, with no
-    column built.  The others are read from their insertion columns
-    (`column_homology`), `within(union)` giving the bits that may enter a
-    word, or the union itself when `within` is None; so `within` runs only
-    for the blocks that build columns.  A block with no word adds nothing."""
-    for union, times, words in blocks:
-        if not words:
-            continue
-        shift = 2 * union.bit_count()
-        if (s := words[0].bit_count()) == words[-1].bit_count():
-            yield union, shift - s, len(words), (), times
-            continue
-        inside = within(union) if within else union
-        for d, h in column_homology(*insertion_columns(words, inside)).items():
-            yield union, shift + d, h.rank, h.torsion, times
+    A block whose first and last words have one popcount lies in one degree
+    and has no differential: its words are its rank, with no column built.
+    The others are read from their insertion columns (`column_homology`),
+    `within(union)` giving the bits that may enter a word, or the union
+    itself when `within` is None; so `within` runs only for the blocks that
+    build columns.  A block with no word has no group."""
+    if not words:
+        return ()
+    shift = 2 * union.bit_count()
+    if (s := words[0].bit_count()) == words[-1].bit_count():
+        return ((shift - s, len(words), ()),)
+    groups = column_homology(*insertion_columns(words, within(union) if within else union))
+    return [(shift + d, h.rank, h.torsion) for d, h in groups.items()]
 
 
 def _add_group(ranks, torsion, key, rank, factors, times):
@@ -381,11 +368,12 @@ def _groups(ranks, torsion, keys):
 
 
 def degree_sums(per_support):
-    """Direct sum over S of {(S, degree): group}, as degree -> group."""
-    out = {}
+    """Direct sum over S of {(S, degree): group}, as degree -> group, on the
+    folds' ledger (`_add_group`, `_groups`)."""
+    ranks, torsion = {}, {}
     for (_, d), h in per_support.items():
-        out[d] = direct_sum(out.get(d), h)
-    return dict(sorted(out.items()))
+        _add_group(ranks, torsion, d, h.rank, h.torsion, 1)
+    return _groups(ranks, torsion, sorted(ranks))
 
 
 def bounds_by_support(block, split, terms):
@@ -420,8 +408,7 @@ def zk_homology_by_support(K):
     off the star as circle masks, and `fold_blocks` reads the groups, with
     no ChainComplex built.  `zk_bounds` projects a cycle onto the same
     quotients."""
-    return fold_blocks(((smask, 1, words) for smask, words in _lattice_cells(K)),
-                       by_support=True)
+    return fold_blocks(_lattice_cells(K))
 
 
 def _lattice_cells(K):
@@ -432,11 +419,9 @@ def _lattice_cells(K):
     return ((smask, _star_cells(K, smask)) for smask in lattice_supports(K))
 
 
-@lru_cache(maxsize=8)
 def twin_classes(K):
     """The twin classes of two or more vertices of K, each as its vertices,
-    ascending, in the order of their least vertex; a bounded memo, so the
-    repeated tables of one K build its facet index once.
+    ascending, in the order of their least vertex.
 
     u and v are twins when swapping them maps K's facets onto themselves,
     as it then maps the missing faces too: the swap is an automorphism.  It
@@ -564,10 +549,10 @@ def zk_homology(K):
         KP = K if part == (1 << K.m) - 1 else K.full_subcomplex(mask_face(part))
         rest = K.m - part.bit_count()
         spread = [comb(rest, t) for t in range(rest + 1)]
-        blocks = ((smask, size, _star_cells(KP, smask)) for smask, size in twin_orbits(KP).items())
-        for _, d, rank, factors, times in _block_groups(blocks):
-            for t, count in enumerate(spread):
-                _add_group(ranks, torsion, d + t, rank, factors, times * count)
+        for smask, size in twin_orbits(KP).items():
+            for d, rank, factors in _block_groups(smask, _star_cells(KP, smask)):
+                for t, count in enumerate(spread):
+                    _add_group(ranks, torsion, d + t, rank, factors, size * count)
     for d, extra in _bridging_ranks(K.m, [part.bit_count() for part in parts]).items():
         ranks[d] = ranks.get(d, 0) + extra
     return _groups(ranks, torsion, sorted(ranks))

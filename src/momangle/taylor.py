@@ -32,12 +32,12 @@ other words span an acyclic subcomplex of the face complex, closed under
 insertion, and the admissible words carry the quotient with the same
 homology over Z, torsion included.
 
-A block is a union's admissible words, (union, 1, words) on index bitmasks
-(`_blocks`), with the generators inside the union as the bits that may
-enter.  The per-support table (`taylor_homology_by_support`) is the
-cellular tables' fold over the blocks (`moment_angle.fold_blocks`).  The
-degree table of `taylor` (`taylor_homology`) reads one complex per shift
-2|S|: a block in one degree adds its words to that degree's rank, and the
+A block is a union's admissible words, (union, words) on index bitmasks,
+an item of `admissible_words`, with the generators inside the union as the
+bits that may enter.  The per-support table (`taylor_homology_by_support`)
+is the cellular tables' fold over the blocks (`moment_angle.fold_blocks`).
+The degree table of `taylor` (`taylor_homology`) reads one complex per
+shift 2|S|: a block in one degree adds its words to that degree's rank, and the
 other blocks of a shift are read together, their direct sum.  Whether a
 cycle bounds is read off a block's columns (`taylor_cycle_is_boundary`);
 `taylor_components` labels them with the words for the tests' classes,
@@ -279,30 +279,24 @@ def taylor_components(K):
     ChainComplex of the admissible words with union exactly S, the labelled
     blocks the tests class Taylor cycles in; no verb builds them.
 
-    Each block is `_blocks`' insertion columns with the index bitmasks as
-    its basis (`insertion_complex`): the full block with the words that are
-    not admissible left out, and the targets that are not admissible
-    dropped, its quotient by an acyclic subcomplex.  A union that carries
+    Each block is the insertion columns of a union's admissible words with
+    the index bitmasks as its basis (`insertion_complex`): the full block
+    with the words that are not admissible left out, and the targets that
+    are not admissible dropped, its quotient by an acyclic subcomplex.  A union that carries
     no admissible word has no block; its full block is acyclic."""
     gens = _checked_generators(K)
     return {union: insertion_complex(words, gens.within(union), int)
-            for union, _, words in _blocks(gens)}
-
-
-def _blocks(gens):
-    """The blocks of admissible words of the `Generators` gens, as
-    `fold_blocks` reads them: (union, 1, words) on index bitmasks, in
-    `admissible_words`' order, each union's words in basis order."""
-    return ((union, 1, words) for union, words in admissible_words(gens).items())
+            for union, words in admissible_words(gens).items()}
 
 
 def taylor_homology_by_support(K):
     """Homology of every component, {(S, 2|S| - s): group}, nontrivial only:
-    `fold_blocks` on the blocks (`_blocks`), with the generators inside a
-    union (`within`) as the bits that may enter, as it reads the cellular
-    table's; a block's columns are those of `taylor_components`' block."""
+    `fold_blocks` on the blocks (`admissible_words`), with the generators
+    inside a union (`within`) as the bits that may enter, as it reads the
+    cellular table's; a block's columns are those of `taylor_components`'
+    block."""
     gens = _checked_generators(K)
-    return fold_blocks(_blocks(gens), gens.within, by_support=True)
+    return fold_blocks(admissible_words(gens).items(), gens.within)
 
 
 def taylor_homology(K):

@@ -59,7 +59,7 @@ from itertools import combinations
 from . import complexes as cx
 from .exactalg import TRIVIAL_GROUP, image_factors
 from .moment_angle import (CellChain, _lattice_cells, _require_singletons, _zk_cycle_bounds,
-                           degree_sums, fold_blocks)
+                           fold_blocks)
 
 UNDEFINED = "undefined"
 DEFINED_TRIVIAL = "defined-trivial"
@@ -488,7 +488,6 @@ class WedgeEntry:
 class WedgeBasis:
     entries: tuple
     is_basis: bool
-    homology: dict = field(compare=False)
     details: tuple = ()
 
 
@@ -508,8 +507,7 @@ def _basis_verdict(K, entries):
     each lattice support's star cells are built once, for that and the
     groups.  The details name and order the blocks by their labels."""
     cells = dict(_lattice_cells(K))
-    per_block = fold_blocks(((smask, 1, words) for smask, words in cells.items()),
-                            by_support=True)
+    per_block = fold_blocks(cells.items())
     by_block = {}
     for e in entries:
         by_block.setdefault((e.chain.support(), e.chain.degree), []).append(
@@ -534,7 +532,7 @@ def _basis_verdict(K, entries):
         if len(facs) != group.rank or any(f != 1 for f in facs):
             ok = False
             details.append(f"{where}: invariant factors {facs}")
-    return WedgeBasis(tuple(entries), ok, degree_sums(per_block), tuple(details))
+    return WedgeBasis(tuple(entries), ok, tuple(details))
 
 
 def shifted_wedge_basis(K, order=None):

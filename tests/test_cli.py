@@ -407,6 +407,20 @@ BAD_FILES = {"bad.json": "{not json", "no_facets.json": '{"m": 3}',
     # a token that is no integer is named, with its option
     (["hochster", "--complex", "pt", "--subset", "1,,2"], 1),
     (["wedge-basis", "--complex", "pt", "--order", "1,x"], 1),
+    # a bare leaf is no product: every verb that reads --w refuses it
+    (["status", "--complex", "points4.json", "--w", "5"], 1),
+    (["realises", "--complex", "points4.json", "--w", "5"], 1),
+    (["hurewicz", "--w", "5"], 1),
+    (["zigzag", "--complex", "points4.json", "--w", "5"], 1),
+    (["taylor-cycle", "--complex", "points4.json", "--w", "5"], 1),
+    (["delta-w", "--w", "5"], 1),
+    # a bracket of sub-products only has no canonical cellular chain:
+    # `realises` cannot decide it, while `status` decides it by the criterion
+    (["realises", "--complex", "points4.json", "--w", "[[1,2],[3,4]]"],
+     {"defined": "yes", "nontrivial": "unknown", "witness": None,
+      "notes": ["brackets with sub-products only have no canonical cellular chain"]}),
+    (["status", "--complex", "points4.json", "--w", "[[1,2],[3,4]]"],
+     {"status": "defined-nontrivial"}),
 ])
 def test_bad_inputs_exit_without_traceback(tmp_path, capsys, argv, expected):
     for name, text in BAD_FILES.items():
@@ -954,8 +968,8 @@ def test_homology_walks_one_block_per_orbit(capsys, monkeypatch, tmp_path):
     binomial count of the fold over the parts."""
     from momangle import moment_angle as ma
     blocks, lattices = [], []
-    off_star, lattice_supports = ma._off_star, ma.lattice_supports
-    monkeypatch.setattr(ma, "_off_star", lambda *a: blocks.append(1) or off_star(*a))
+    star_cells, lattice_supports = ma._star_cells, ma.lattice_supports
+    monkeypatch.setattr(ma, "_star_cells", lambda *a: blocks.append(1) or star_cells(*a))
     monkeypatch.setattr(ma, "lattice_supports",
                         lambda K: lattices.append(1) or lattice_supports(K))
     path = tmp_path / "points20.json"

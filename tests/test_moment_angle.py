@@ -374,12 +374,12 @@ def test_orbit_sums_match_the_direct_table_on_families(rp2):
 
 def test_support_with_a_cone_point_gives_no_group(monkeypatch):
     """A support with a cone point has no face off the star of the vertex
-    in the most faces, the cone point: `_off_star` gives 0, and an orbit
+    in the most faces, the cone point: `_star_cells` gives 0, and an orbit
     walk that reached such a support would add no group to `homology`, not
     a group read off the last face of the index."""
     K = cx.join(points(2), simplex(1))  # the edges 13 and 23, cone point 3
-    assert ma._off_star(K, 0b111) == []
-    assert ma._off_star(K, 0b11) != []
+    assert ma._star_cells(K, 0b111) == []
+    assert ma._star_cells(K, 0b11) != []
     want = zk_homology(K)
     assert want == direct_sums(K) == {0: HomologyGroup(1), 3: HomologyGroup(1)}
     orbits = ma.twin_orbits

@@ -108,7 +108,7 @@ def verb_differentials(K):
     for smask in ma.lattice_supports(K):
         out += differentials(*insertion_columns(ma._star_cells(K, smask), smask))
     gens = K.generators()
-    for union, _, words in ty._blocks(gens):
+    for union, words in ty.admissible_words(gens).items():
         out += differentials(*insertion_columns(words, gens.within(union)))
     for smask in ma.lattice_supports(K):
         C = reduced_chain_complex(K.faces_within(mask_face(smask)))

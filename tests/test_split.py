@@ -470,9 +470,10 @@ def layouts(K):
 
 def test_dense_and_indexed_star_quotients_are_the_reference():
     """On every nonempty vertex subset, the star quotient read off K's face
-    indicator and off its sorted faces, with `_off_star` given each layout
-    in turn as K's face index, are the same faces in the same order, those
-    of the cell-by-cell builder (`reference_star_cells`), largest first;
+    indicator and off its sorted faces, with `_star_cells` given each
+    layout in turn as K's face index, are the circle masks S - f of the
+    same faces f in the same order, those of the cell-by-cell builder
+    (`reference_star_cells`), largest first;
     the density rule gives the indicator to the 12-vertex complex, whose
     faces fill an eighth of its vertex sets, and to two points, and leaves
     the sparse ones to the sorted faces."""
@@ -488,7 +489,8 @@ def test_dense_and_indexed_star_quotients_are_the_reference():
             want = [f for d in sorted(cells, reverse=True) for f in cells[d]]
             for index in indexes:
                 K._index = index
-                assert moment_angle._off_star(K, smask) == want, (K, S, index)
+                assert moment_angle._star_cells(K, smask) == [smask & ~f for f in want], \
+                    (K, S, index)
     assert dense[-1] and dense[-2] and 0 < sum(dense) < len(dense) - 1
 
 
@@ -528,7 +530,7 @@ def test_column_rule_matches_the_references_on_every_block():
         if len(K.missing_faces()) <= 12:
             gens = K.generators()
             blocks += [(cx.mask_face(union), words, gens.within(union))
-                       for union, _, words in taylor._blocks(gens)]
+                       for union, words in taylor.admissible_words(gens).items()]
         for S, words, inside in blocks:
             dims, columns = insertion_columns(words, inside)
             assert (dims, columns) == reference_insertion_columns(words, inside), (K, S)
@@ -624,7 +626,8 @@ def test_fold_reads_every_block_as_its_columns():
         if len(K.missing_faces()) <= taylor.MAX_GENERATORS:
             gens = K.generators()
             walks.append((taylor_homology_by_support(K), taylor.taylor_homology(K),
-                          [(u, words, gens.within(u)) for u, _, words in taylor._blocks(gens)]))
+                          [(u, words, gens.within(u))
+                           for u, words in taylor.admissible_words(gens).items()]))
         for table, sums, blocks in walks:
             want = {}
             for union, words, inside in blocks:
@@ -706,8 +709,7 @@ def test_density_picks_the_star_quotient_reader():
     assert sphere._face_masks is None and isinstance(sphere._index, cx.IndicatorIndex)
     for K in [closed_form_family("polygon", 16), closed_form_family("cross-polytope", 10)]:
         whole = (1 << K.m) - 1
-        assert moment_angle._star_cells(K, whole) == [whole & ~f for f in
-                                                      moment_angle._off_star(K, whole)]
+        moment_angle._star_cells(K, whole)
         assert isinstance(K._index, cx.FaceIndex) and K.face_indicator()[1] * 8 < 1 << K.m
 
 

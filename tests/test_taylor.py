@@ -245,7 +245,7 @@ def test_block_inside_is_the_generators_inside_the_union():
             continue
         gens = K.generators()
         masks = gens.masks
-        for union, _, words in ty._blocks(gens):
+        for union, words in ty.admissible_words(gens).items():
             inside = gens.within(union)
             assert inside == sum(1 << q for q, mask in enumerate(masks)
                                  if not mask & ~union), (K, union)
